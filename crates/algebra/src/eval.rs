@@ -13,45 +13,41 @@ use ftsl_index::{AccessCounters, IndexLayout, InvertedIndex};
 use ftsl_model::{Corpus, TokenId};
 use ftsl_predicates::PredicateRegistry;
 
-/// Evaluator for [`AlgExpr`] against a corpus + index.
-///
-/// Leaf scans read whichever physical layout was requested (and whatever
-/// the index's residency policy allows): decoded columnar views — resident
-/// or rebuilt through the index's LRU decode cache — or the compressed
-/// blocks streamed entry by entry at the cursor.
+/// Evaluator for [`AlgExpr`] against a corpus + index. Leaf relations are
+/// materialized by streaming the compressed lists entry by entry at the
+/// cursor.
 pub struct AlgebraEvaluator<'a> {
     corpus: &'a Corpus,
     index: &'a InvertedIndex,
     registry: &'a PredicateRegistry,
-    layout: IndexLayout,
     counters: AccessCounters,
 }
 
 impl<'a> AlgebraEvaluator<'a> {
-    /// Create an evaluator scanning the decoded layout (subject to the
-    /// index's residency policy).
+    /// Create an evaluator.
     pub fn new(
         corpus: &'a Corpus,
         index: &'a InvertedIndex,
         registry: &'a PredicateRegistry,
     ) -> Self {
-        Self::with_layout(corpus, index, registry, IndexLayout::Decoded)
-    }
-
-    /// Create an evaluator with an explicit leaf-scan layout.
-    pub fn with_layout(
-        corpus: &'a Corpus,
-        index: &'a InvertedIndex,
-        registry: &'a PredicateRegistry,
-        layout: IndexLayout,
-    ) -> Self {
         AlgebraEvaluator {
             corpus,
             index,
             registry,
-            layout: index.effective_layout(layout),
             counters: AccessCounters::new(),
         }
+    }
+
+    /// Alias of [`Self::new`] (there is one layout). Kept for
+    /// `benchmark/src/sut.rs`, which names it; to be dropped by the next
+    /// `benchmark` issue.
+    pub fn with_layout(
+        corpus: &'a Corpus,
+        index: &'a InvertedIndex,
+        registry: &'a PredicateRegistry,
+        _layout: IndexLayout,
+    ) -> Self {
+        Self::new(corpus, index, registry)
     }
 
     /// Counters accumulated across evaluations.
@@ -114,38 +110,22 @@ impl<'a> AlgebraEvaluator<'a> {
         rel
     }
 
-    /// Materialize a leaf relation (a token's list, or `IL_ANY` for `None`)
-    /// from the configured physical layout. COMP inspects every position it
-    /// materializes, so `positions_decoded` equals `positions` here — the
-    /// streaming engines are where the two diverge.
+    /// Materialize a leaf relation (a token's list, or `IL_ANY` for `None`).
+    /// COMP inspects every position it materializes, so `positions_decoded`
+    /// equals `positions` here — the streaming engines are where the two
+    /// diverge.
     fn scan(&mut self, token: Option<TokenId>) -> FtRelation {
         let mut r = FtRelation::new(1);
-        let mut push = |counters: &mut AccessCounters, node, positions: &[ftsl_model::Position]| {
-            counters.entries += 1;
-            for &p in positions {
-                counters.positions += 1;
-                counters.positions_decoded += 1;
-                r.push(node, &[p]);
-            }
+        let mut cur = match token {
+            Some(id) => self.index.block_cursor(id),
+            None => self.index.any_block_cursor(),
         };
-        match self.layout {
-            IndexLayout::Decoded => {
-                let view = match token {
-                    Some(id) => self.index.decoded_list(id),
-                    None => self.index.decoded_any(),
-                };
-                for (node, positions) in view.iter() {
-                    push(&mut self.counters, node, positions);
-                }
-            }
-            IndexLayout::Blocks => {
-                let mut cur = match token {
-                    Some(id) => self.index.block_cursor(id),
-                    None => self.index.any_block_cursor(),
-                };
-                while let Some(node) = cur.next_entry() {
-                    push(&mut self.counters, node, cur.positions());
-                }
+        while let Some(node) = cur.next_entry() {
+            self.counters.entries += 1;
+            for &p in cur.positions() {
+                self.counters.positions += 1;
+                self.counters.positions_decoded += 1;
+                r.push(node, &[p]);
             }
         }
         r

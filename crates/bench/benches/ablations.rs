@@ -2,7 +2,6 @@
 //!
 //! * aggressive vs. conservative positive-predicate skip bounds;
 //! * NPRED partial orders vs. full permutations vs. parallel threads;
-//! * decoded columnar lists vs. block-compressed lists with skip headers;
 //! * sequential vs. sharded-parallel index construction.
 
 mod common;
@@ -10,7 +9,6 @@ mod common;
 use common::{bench_env, criterion};
 use criterion::criterion_main;
 use ftsl_bench::{series_query, Series};
-use ftsl_exec::build::IndexLayout;
 use ftsl_exec::engine::{EngineKind, ExecOptions, Executor};
 use ftsl_index::IndexBuilder;
 use ftsl_predicates::AdvanceMode;
@@ -60,35 +58,6 @@ fn bench(c: &mut criterion::Criterion) {
             b.iter(|| {
                 black_box(
                     exec.run_surface(&query, EngineKind::Npred)
-                        .expect("runs")
-                        .nodes
-                        .len(),
-                )
-            })
-        });
-    }
-
-    // Physical layout: identical PPRED plans over decoded vs compressed
-    // leaves, plus the single-resident serving mode (decoded views
-    // dropped, blocks-only index).
-    let mut lean_index = env.index.clone();
-    lean_index.set_residency(ftsl_index::Residency::BlocksOnly);
-    let layout_query = series_query(Series::PpredPos, &env, 3, 2);
-    for (label, index, layout) in [
-        ("ppred_layout_decoded", &env.index, IndexLayout::Decoded),
-        ("ppred_layout_blocks", &env.index, IndexLayout::Blocks),
-        ("ppred_layout_blocks_only", &lean_index, IndexLayout::Blocks),
-    ] {
-        let options = ExecOptions {
-            layout,
-            ..Default::default()
-        };
-        let exec = Executor::with_options(&env.corpus, index, &env.registry, options);
-        let query = layout_query.clone();
-        group.bench_function(label, move |b| {
-            b.iter(|| {
-                black_box(
-                    exec.run_surface(&query, EngineKind::Ppred)
                         .expect("runs")
                         .nodes
                         .len(),

@@ -1,15 +1,15 @@
-//! Batch block decode: the v5 bit-packed frame-of-reference layout against
-//! the decoded columnar baseline, plus the compressed-size regression gate.
+//! Batch block decode: cursor costs over the v5 bit-packed
+//! frame-of-reference layout, plus the compressed-size regression gate.
 //!
 //! Cases measured (medians + counters land in `BENCH_results.json`):
 //!
-//! * `scan_common_{decoded,blocks}` — full-list entry walk of the dense
-//!   planted token on the 4000-node Zipf corpus (the `scan_common` regime
-//!   of `micro_cursors`, measured through the raw cursors);
-//! * `seek_sparse_{decoded,blocks}` — a rare list driving seeks into the
-//!   dense list (whole-block skipping vs galloping);
-//! * `scan_positions_{decoded,blocks}` — entry walk reading the first
-//!   position of every entry (the PPRED access shape);
+//! * `scan_common_blocks` — full-list entry walk of the dense planted
+//!   token on the 4000-node Zipf corpus (the `scan_common` regime of
+//!   `micro_cursors`, measured through the raw cursor);
+//! * `seek_sparse_blocks` — a rare list driving seeks into the dense list
+//!   (whole-block skipping);
+//! * `scan_positions_blocks` — entry walk reading the first position of
+//!   every entry (the PPRED access shape);
 //! * `unpack_frame` — raw [`ftsl_index::bitpack::unpack`] throughput.
 //!
 //! The bench also records the corpus' compressed size and **fails loudly**
@@ -24,7 +24,7 @@ use criterion::criterion_main;
 use ftsl_bench::results::{measure, smoke, ResultsSink};
 use ftsl_bench::{build_env, EnvSpec};
 use ftsl_corpus::SynthConfig;
-use ftsl_index::{bitpack, IndexBuilder, InvertedIndex, ListCursor};
+use ftsl_index::{bitpack, IndexBuilder, InvertedIndex};
 use ftsl_model::{Corpus, NodeId};
 use std::hint::black_box;
 
@@ -137,18 +137,8 @@ fn bench(c: &mut criterion::Criterion) {
         black_box(n);
         cur.counters()
     };
-    let scan_decoded = || {
-        let mut cur = ListCursor::new(index.list(common));
-        let mut n = 0u64;
-        while let Some(node) = cur.next_entry() {
-            n += u64::from(node.0);
-        }
-        black_box(n);
-        cur.counters()
-    };
     if !smoke() {
         group.bench_function("scan_common_blocks", |b| b.iter(scan_blocks));
-        group.bench_function("scan_common_decoded", |b| b.iter(scan_decoded));
     }
     sink.record(
         "scan_common_blocks",
@@ -157,16 +147,12 @@ fn bench(c: &mut criterion::Criterion) {
         }),
         scan_blocks(),
     );
-    sink.record(
-        "scan_common_decoded",
-        measure(reps, || {
-            scan_decoded();
-        }),
-        scan_decoded(),
-    );
 
     // -- sparse seeks ------------------------------------------------------
-    let targets: Vec<NodeId> = index.list(rare).node_ids().to_vec();
+    let targets: Vec<NodeId> = {
+        let mut cur = index.block_cursor(rare);
+        std::iter::from_fn(|| cur.next_entry()).collect()
+    };
     let seek_blocks = || {
         let mut cur = index.block_list(common).cursor();
         let mut n = 0u64;
@@ -178,20 +164,8 @@ fn bench(c: &mut criterion::Criterion) {
         black_box(n);
         cur.counters()
     };
-    let seek_decoded = || {
-        let mut cur = ListCursor::new(index.list(common));
-        let mut n = 0u64;
-        for &t in &targets {
-            if let Some(node) = cur.seek(t) {
-                n += u64::from(node.0);
-            }
-        }
-        black_box(n);
-        cur.counters()
-    };
     if !smoke() {
         group.bench_function("seek_sparse_blocks", |b| b.iter(seek_blocks));
-        group.bench_function("seek_sparse_decoded", |b| b.iter(seek_decoded));
     }
     sink.record(
         "seek_sparse_blocks",
@@ -199,13 +173,6 @@ fn bench(c: &mut criterion::Criterion) {
             seek_blocks();
         }),
         seek_blocks(),
-    );
-    sink.record(
-        "seek_sparse_decoded",
-        measure(reps, || {
-            seek_decoded();
-        }),
-        seek_decoded(),
     );
 
     // -- entry walk + first position (the PPRED shape) ---------------------
@@ -218,18 +185,8 @@ fn bench(c: &mut criterion::Criterion) {
         black_box(n);
         cur.counters()
     };
-    let pos_decoded = || {
-        let mut cur = ListCursor::new(index.list(common));
-        let mut n = 0u64;
-        while cur.next_entry().is_some() {
-            n += u64::from(cur.position().map_or(0, |p| p.offset));
-        }
-        black_box(n);
-        cur.counters()
-    };
     if !smoke() {
         group.bench_function("scan_positions_blocks", |b| b.iter(pos_blocks));
-        group.bench_function("scan_positions_decoded", |b| b.iter(pos_decoded));
     }
     sink.record(
         "scan_positions_blocks",
@@ -237,13 +194,6 @@ fn bench(c: &mut criterion::Criterion) {
             pos_blocks();
         }),
         pos_blocks(),
-    );
-    sink.record(
-        "scan_positions_decoded",
-        measure(reps, || {
-            pos_decoded();
-        }),
-        pos_decoded(),
     );
 
     // -- raw frame unpack throughput --------------------------------------

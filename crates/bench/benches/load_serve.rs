@@ -1,8 +1,8 @@
 //! Closed-loop load harness for the concurrent serving front door.
 //!
 //! For each worker count in {1, 2, 4, 8}: spin up a [`ServePool`] over one
-//! shared live engine (block layout, so queries drive the pooled-scratch
-//! `BlockCursor` path), run one closed-loop client thread per worker
+//! shared live engine (queries drive the pooled-scratch `BlockCursor`
+//! path), run one closed-loop client thread per worker
 //! issuing a Zipf-skewed mix of BOOL searches and streamed top-k requests,
 //! while the main thread churns writes (add/delete/flush — every flush
 //! bumps the snapshot version and invalidates the result cache). Reported
@@ -24,8 +24,6 @@
 use ftsl_bench::results::{smoke, LoadMetrics, ResultsSink};
 use ftsl_core::{LiveConfig, LiveFtsl, RankModel};
 use ftsl_corpus::SynthConfig;
-use ftsl_exec::engine::ExecOptions;
-use ftsl_index::IndexLayout;
 use ftsl_serve::{CountingAlloc, QueryRequest, ServeConfig, ServePoolExt};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -200,16 +198,10 @@ fn run_load(
 
 fn main() {
     let (cnodes, per_client) = if smoke() { (600, 300) } else { (3000, 1500) };
-    let engine = Arc::new(
-        LiveFtsl::with_config(LiveConfig {
-            background_merge: true,
-            ..LiveConfig::default()
-        })
-        .with_options(ExecOptions {
-            layout: IndexLayout::Blocks,
-            ..ExecOptions::default()
-        }),
-    );
+    let engine = Arc::new(LiveFtsl::with_config(LiveConfig {
+        background_merge: true,
+        ..LiveConfig::default()
+    }));
     for text in corpus_texts(cnodes) {
         engine.add(&text);
     }

@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the streaming substrate: inverted-list cursor scans,
-//! joins, positive-predicate selections, and the block-compressed + seek
-//! layout against the seed's sequential decoded layout.
+//! joins, positive-predicate selections, and seek-driven intersection
+//! against the paper's sequential lock-step merge.
 
 mod common;
 
@@ -9,11 +9,11 @@ use criterion::criterion_main;
 use ftsl_bench::results::{measure, median_micros, Measurement, ResultsSink, INNER_RUNS};
 use ftsl_corpus::SynthConfig;
 use ftsl_exec::bool_eval::{intersect_seek, intersect_sorted};
-use ftsl_exec::cursor::{BlockScanCursor, FtCursor, ScanCursor};
+use ftsl_exec::cursor::{FtCursor, ScanCursor};
 use ftsl_exec::join::JoinCursor;
 use ftsl_exec::select::SelectCursor;
 use ftsl_index::{IndexBuilder, InvertedIndex};
-use ftsl_model::Corpus;
+use ftsl_model::{Corpus, NodeId, TokenId};
 use ftsl_predicates::AdvanceMode;
 use std::hint::black_box;
 
@@ -39,41 +39,35 @@ fn bench_skewed(c: &mut criterion::Criterion) {
     let common = corpus.token_id("common").expect("planted");
     let mut group = c.benchmark_group("micro_cursors_skewed");
 
-    // Seed layout / seed strategy: decode both lists, lock-step merge.
+    // The paper's sequential strategy: walk both lists whole, lock-step
+    // merge.
+    let scan_ids = |token: TokenId| {
+        let mut cur = index.block_cursor(token);
+        let mut ids: Vec<NodeId> = Vec::new();
+        while let Some(n) = cur.next_entry() {
+            ids.push(n);
+        }
+        ids
+    };
     group.bench_function("intersect_lockstep_merge", |b| {
-        b.iter(|| {
-            black_box(intersect_sorted(
-                index.list(rare).node_ids(),
-                index.list(common).node_ids(),
-            ))
-        })
+        b.iter(|| black_box(intersect_sorted(&scan_ids(rare), &scan_ids(common))))
     });
 
-    // Seek strategy on the decoded layout: gallop the common list.
+    // Seek strategy: the rare list drives, the common list jumps blocks.
     group.bench_function("intersect_seek_rarest", |b| {
-        b.iter(|| black_box(intersect_seek(&[index.list(rare), index.list(common)])))
-    });
-
-    // Streaming joins, decoded vs block-compressed leaves.
-    group.bench_function("join_rare_common_decoded", |b| {
         b.iter(|| {
-            let mut join = JoinCursor::new(
-                Box::new(ScanCursor::new(index.list(rare))),
-                Box::new(ScanCursor::new(index.list(common))),
-            );
-            let mut n = 0usize;
-            while join.advance_node().is_some() {
-                n += 1;
-            }
-            black_box(n)
+            black_box(intersect_seek(&[
+                index.block_list(rare),
+                index.block_list(common),
+            ]))
         })
     });
 
     group.bench_function("join_rare_common_blocks", |b| {
         b.iter(|| {
             let mut join = JoinCursor::new(
-                Box::new(BlockScanCursor::new(index.block_list(rare))),
-                Box::new(BlockScanCursor::new(index.block_list(common))),
+                Box::new(ScanCursor::new(index.block_list(rare))),
+                Box::new(ScanCursor::new(index.block_list(common))),
             );
             let mut n = 0usize;
             while join.advance_node().is_some() {
@@ -83,21 +77,10 @@ fn bench_skewed(c: &mut criterion::Criterion) {
         })
     });
 
-    // Full-list decode throughput: flat slices vs varint blocks.
-    group.bench_function("scan_common_decoded", |b| {
-        b.iter(|| {
-            let mut scan = ScanCursor::new(index.list(common));
-            let mut n = 0usize;
-            while scan.advance_node().is_some() {
-                n += 1;
-            }
-            black_box(n)
-        })
-    });
-
+    // Full-list decode throughput.
     group.bench_function("scan_common_blocks", |b| {
         b.iter(|| {
-            let mut scan = BlockScanCursor::new(index.block_list(common));
+            let mut scan = ScanCursor::new(index.block_list(common));
             let mut n = 0usize;
             while scan.advance_node().is_some() {
                 n += 1;
@@ -117,7 +100,7 @@ fn bench(c: &mut criterion::Criterion) {
 
     group.bench_function("scan_token_list", |b| {
         b.iter(|| {
-            let mut scan = ScanCursor::new(env.index.list(q0));
+            let mut scan = ScanCursor::new(env.index.block_list(q0));
             let mut n = 0usize;
             while scan.advance_node().is_some() {
                 n += 1;
@@ -129,8 +112,8 @@ fn bench(c: &mut criterion::Criterion) {
     group.bench_function("join_two_lists", |b| {
         b.iter(|| {
             let mut join = JoinCursor::new(
-                Box::new(ScanCursor::new(env.index.list(q0))),
-                Box::new(ScanCursor::new(env.index.list(q1))),
+                Box::new(ScanCursor::new(env.index.block_list(q0))),
+                Box::new(ScanCursor::new(env.index.block_list(q1))),
             );
             let mut n = 0usize;
             while join.advance_node().is_some() {
@@ -146,8 +129,8 @@ fn bench(c: &mut criterion::Criterion) {
             .get_shared(env.registry.lookup("distance").unwrap());
         b.iter(|| {
             let join = JoinCursor::new(
-                Box::new(ScanCursor::new(env.index.list(q0))),
-                Box::new(ScanCursor::new(env.index.list(q1))),
+                Box::new(ScanCursor::new(env.index.block_list(q0))),
+                Box::new(ScanCursor::new(env.index.block_list(q1))),
             );
             let mut sel = SelectCursor::positive(
                 Box::new(join),
@@ -198,27 +181,11 @@ fn record_results() {
         }),
         scan(true),
     );
-    let scan_decoded = || {
-        let mut c = ftsl_index::ListCursor::new(index.list(common));
-        let mut n = 0u64;
-        while let Some(node) = c.next_entry() {
-            n += u64::from(node.0);
-        }
-        black_box(n);
-        c.counters()
-    };
-    sink.record(
-        "scan_common_decoded",
-        measure(50, || {
-            scan_decoded();
-        }),
-        scan_decoded(),
-    );
 
     let join_blocks = || {
         let mut join = JoinCursor::new(
-            Box::new(BlockScanCursor::new(index.block_list(rare))),
-            Box::new(BlockScanCursor::new(index.block_list(common))),
+            Box::new(ScanCursor::new(index.block_list(rare))),
+            Box::new(ScanCursor::new(index.block_list(common))),
         );
         let mut n = 0usize;
         while join.advance_node().is_some() {
@@ -233,25 +200,6 @@ fn record_results() {
             join_blocks();
         }),
         join_blocks(),
-    );
-    let join_decoded = || {
-        let mut join = JoinCursor::new(
-            Box::new(ScanCursor::new(index.list(rare))),
-            Box::new(ScanCursor::new(index.list(common))),
-        );
-        let mut n = 0usize;
-        while join.advance_node().is_some() {
-            n += 1;
-        }
-        black_box(n);
-        join.counters()
-    };
-    sink.record(
-        "join_rare_common_decoded",
-        measure(50, || {
-            join_decoded();
-        }),
-        join_decoded(),
     );
 
     // Counting-overhead gate: best-of medians to shrug off background

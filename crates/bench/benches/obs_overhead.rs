@@ -14,7 +14,6 @@ use ftsl_bench::results::{median_micros, smoke, Measurement, ResultsSink, INNER_
 use ftsl_core::{LiveConfig, LiveFtsl};
 use ftsl_corpus::SynthConfig;
 use ftsl_exec::engine::ExecOptions;
-use ftsl_index::IndexLayout;
 use ftsl_obs::{Histogram, SlowLog};
 use ftsl_serve::{QueryRequest, ResultCache, ServeContext};
 use std::hint::black_box;
@@ -48,7 +47,6 @@ fn build_engine(trace: bool) -> Arc<LiveFtsl> {
         ..LiveConfig::default()
     })
     .with_options(ExecOptions {
-        layout: IndexLayout::Blocks,
         trace,
         ..ExecOptions::default()
     });

@@ -1,12 +1,5 @@
 //! Positional-predicate benches on the Zipf corpus: ordered / distance /
-//! window queries through the PPRED streaming engine, measured on every
-//! physical serving configuration —
-//!
-//! * `decoded`: the decoded columnar layout (dual-resident index);
-//! * `blocks`: the block-compressed layout (dual-resident index);
-//! * `blocks_only`: the block layout on a *single-resident* index whose
-//!   decoded views have been dropped (`Residency::BlocksOnly`) — the lean
-//!   serving mode whose RAM footprint is the compressed size alone.
+//! window queries through the PPRED streaming engine.
 //!
 //! The bench doubles as the **word-pair fast-path gate**: on a corpus
 //! with planted adjacent and windowed co-occurrences, the ordered-phrase
@@ -22,9 +15,8 @@ mod common;
 use common::{bench_env, criterion};
 use criterion::criterion_main;
 use ftsl_bench::results::{measure, smoke, ResultsSink};
-use ftsl_exec::build::IndexLayout;
 use ftsl_exec::engine::{EngineKind, ExecOptions, Executor};
-use ftsl_index::{IndexBuilder, Residency};
+use ftsl_index::IndexBuilder;
 use ftsl_lang::{parse, Mode};
 use ftsl_model::Corpus;
 use ftsl_predicates::PredicateRegistry;
@@ -32,8 +24,6 @@ use std::hint::black_box;
 
 fn bench(c: &mut criterion::Criterion) {
     let env = bench_env();
-    let mut lean_index = env.index.clone();
-    lean_index.set_residency(Residency::BlocksOnly);
     let mut group = c.benchmark_group("positional");
 
     let queries = [
@@ -55,28 +45,17 @@ fn bench(c: &mut criterion::Criterion) {
 
     for (name, query) in &queries {
         let surface = parse(query, Mode::Comp).expect("positional query parses");
-        for (config, index, layout) in [
-            ("decoded", &env.index, IndexLayout::Decoded),
-            ("blocks", &env.index, IndexLayout::Blocks),
-            ("blocks_only", &lean_index, IndexLayout::Blocks),
-        ] {
-            let options = ExecOptions {
-                layout,
-                ..Default::default()
-            };
-            let exec = Executor::with_options(&env.corpus, index, &env.registry, options);
-            let surface = surface.clone();
-            group.bench_function(format!("{name}_{config}"), move |b| {
-                b.iter(|| {
-                    black_box(
-                        exec.run_surface(&surface, EngineKind::Ppred)
-                            .expect("runs")
-                            .nodes
-                            .len(),
-                    )
-                })
-            });
-        }
+        let exec = Executor::new(&env.corpus, &env.index, &env.registry);
+        group.bench_function(format!("{name}_blocks"), move |b| {
+            b.iter(|| {
+                black_box(
+                    exec.run_surface(&surface, EngineKind::Ppred)
+                        .expect("runs")
+                        .nodes
+                        .len(),
+                )
+            })
+        });
     }
 
     group.finish();
@@ -126,7 +105,7 @@ fn pair_gate_corpus() -> Corpus {
 /// distance 0`) and `window(15) + ordered` — must (a) return node lists
 /// bit-identical to the position-intersection oracle, (b) actually
 /// engage the pair lists, and (c) beat the oracle's median by at least
-/// `limit`x on the block layout. Full runs demand the 2x of the
+/// `limit`x. Full runs demand the 2x of the
 /// acceptance bar; smoke runs (CI's shared runners, few reps) get a
 /// looser ratio that still catches the fast path silently falling back.
 fn record_pair_gate(sink: &mut ResultsSink) {
@@ -155,7 +134,6 @@ fn record_pair_gate(sink: &mut ResultsSink) {
                 &index,
                 &registry,
                 ExecOptions {
-                    layout: IndexLayout::Blocks,
                     use_pairs,
                     ..Default::default()
                 },
@@ -233,24 +211,15 @@ fn record_results() {
     ];
     for (name, query) in &queries {
         let surface = parse(query, Mode::Comp).expect("positional query parses");
-        for (config, layout) in [
-            ("decoded", IndexLayout::Decoded),
-            ("blocks", IndexLayout::Blocks),
-        ] {
-            let options = ExecOptions {
-                layout,
-                ..Default::default()
-            };
-            let exec = Executor::with_options(&env.corpus, &env.index, &env.registry, options);
-            let run = || exec.run_surface(&surface, EngineKind::Ppred).expect("runs");
-            sink.record(
-                &format!("{name}_{config}"),
-                measure(reps, || {
-                    black_box(run());
-                }),
-                run().counters,
-            );
-        }
+        let exec = Executor::new(&env.corpus, &env.index, &env.registry);
+        let run = || exec.run_surface(&surface, EngineKind::Ppred).expect("runs");
+        sink.record(
+            &format!("{name}_blocks"),
+            measure(reps, || {
+                black_box(run());
+            }),
+            run().counters,
+        );
     }
     record_pair_gate(&mut sink);
     let path = sink.write().expect("write BENCH_results.json");

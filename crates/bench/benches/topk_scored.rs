@@ -1,7 +1,7 @@
 //! Streaming top-k scored retrieval vs the exhaustive scored pass, on a
-//! skewed Zipf corpus (`'rare' OR 'common'`): wall-clock for k ∈ {10, 100}
-//! on both physical layouts, plus a one-shot report of the access counters
-//! showing the fraction of entries the pruned union actually decodes.
+//! skewed Zipf corpus (`'rare' OR 'common'`): wall-clock for k ∈ {10, 100},
+//! plus a one-shot report of the access counters showing the fraction of
+//! entries the pruned union actually decodes.
 
 mod common;
 
@@ -9,7 +9,7 @@ use common::criterion;
 use criterion::criterion_main;
 use ftsl_bench::results::{measure, ResultsSink};
 use ftsl_corpus::SynthConfig;
-use ftsl_index::{IndexBuilder, IndexLayout, InvertedIndex};
+use ftsl_index::{IndexBuilder, InvertedIndex};
 use ftsl_model::Corpus;
 use ftsl_scoring::classic::classic_tfidf;
 use ftsl_scoring::{topk_pra_disjunction, topk_tfidf, PraModel, ScoreStats, TfIdfModel};
@@ -45,30 +45,22 @@ fn bench_topk(c: &mut criterion::Criterion) {
     });
 
     for k in [10usize, 100] {
-        for layout in [IndexLayout::Decoded, IndexLayout::Blocks] {
-            let tag = match layout {
-                IndexLayout::Decoded => "decoded",
-                IndexLayout::Blocks => "blocks",
-            };
-            group.bench_function(format!("tfidf_topk{k}_{tag}"), |b| {
-                b.iter(|| {
-                    black_box(topk_tfidf(
-                        &tokens, &corpus, &index, &stats, &tfidf, layout, k,
-                    ))
+        group.bench_function(format!("tfidf_topk{k}_blocks"), |b| {
+            b.iter(|| {
+                black_box(topk_tfidf(&tokens, &corpus, &index, &stats, &tfidf, k))
                     .hits
                     .len()
-                })
-            });
-            group.bench_function(format!("pra_topk{k}_{tag}"), |b| {
-                b.iter(|| {
-                    black_box(topk_pra_disjunction(
-                        &tokens, &corpus, &index, &stats, &pra, layout, k,
-                    ))
-                    .hits
-                    .len()
-                })
-            });
-        }
+            })
+        });
+        group.bench_function(format!("pra_topk{k}_blocks"), |b| {
+            b.iter(|| {
+                black_box(topk_pra_disjunction(
+                    &tokens, &corpus, &index, &stats, &pra, k,
+                ))
+                .hits
+                .len()
+            })
+        });
     }
     group.finish();
 
@@ -77,17 +69,15 @@ fn bench_topk(c: &mut criterion::Criterion) {
     let total: u64 = tokens
         .iter()
         .filter_map(|t| corpus.token_id(t))
-        .map(|id| index.list(id).num_entries() as u64)
+        .map(|id| index.df(id) as u64)
         .sum();
     for k in [10usize, 100] {
-        for layout in [IndexLayout::Decoded, IndexLayout::Blocks] {
-            let out = topk_tfidf(&tokens, &corpus, &index, &stats, &tfidf, layout, k);
-            println!(
-                "topk_scored/counters tfidf k={k} {layout:?}: decoded {} / {} entries \
-                 ({} skipped, {} blocks pruned)",
-                out.counters.entries, total, out.counters.skipped, out.counters.blocks_skipped
-            );
-        }
+        let out = topk_tfidf(&tokens, &corpus, &index, &stats, &tfidf, k);
+        println!(
+            "topk_scored/counters tfidf k={k}: decoded {} / {} entries \
+             ({} skipped, {} blocks pruned)",
+            out.counters.entries, total, out.counters.skipped, out.counters.blocks_skipped
+        );
     }
 }
 
@@ -99,30 +89,23 @@ fn record_results() {
     let pra = PraModel::new(&corpus, &stats);
     let mut sink = ResultsSink::new("topk_scored");
     for k in [10usize, 100] {
-        for layout in [IndexLayout::Decoded, IndexLayout::Blocks] {
-            let tag = match layout {
-                IndexLayout::Decoded => "decoded",
-                IndexLayout::Blocks => "blocks",
-            };
-            let run = || topk_tfidf(&tokens, &corpus, &index, &stats, &tfidf, layout, k);
+        let run = || topk_tfidf(&tokens, &corpus, &index, &stats, &tfidf, k);
+        sink.record(
+            &format!("tfidf_topk{k}_blocks"),
+            measure(30, || {
+                black_box(run());
+            }),
+            run().counters,
+        );
+        if k == 10 {
+            let run = || topk_pra_disjunction(&tokens, &corpus, &index, &stats, &pra, k);
             sink.record(
-                &format!("tfidf_topk{k}_{tag}"),
+                &format!("pra_topk{k}_blocks"),
                 measure(30, || {
                     black_box(run());
                 }),
                 run().counters,
             );
-            if k == 10 {
-                let run =
-                    || topk_pra_disjunction(&tokens, &corpus, &index, &stats, &pra, layout, k);
-                sink.record(
-                    &format!("pra_topk{k}_{tag}"),
-                    measure(30, || {
-                        black_box(run());
-                    }),
-                    run().counters,
-                );
-            }
         }
     }
     let path = sink.write().expect("write BENCH_results.json");

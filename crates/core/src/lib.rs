@@ -26,7 +26,7 @@ pub mod results;
 pub use error::FtslError;
 pub use ftsl_exec::snapshot::ExecScratch;
 pub use ftsl_exec::{PairQuery, ScoredOutput, ScoredPath};
-pub use ftsl_index::{LiveConfig, Residency};
+pub use ftsl_index::LiveConfig;
 pub use live::LiveFtsl;
 pub use results::{Ranked, SearchResults};
 
@@ -114,36 +114,6 @@ impl Ftsl {
     /// Replace execution options (advance mode, NPRED strategy).
     pub fn with_options(mut self, options: ExecOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Switch the index residency policy. [`Residency::BlocksOnly`] drops
-    /// the decoded list views — RAM shrinks to the compressed blocks plus a
-    /// small LRU decode cache — and every engine (BOOL, PPRED, NPRED, COMP,
-    /// scored top-k) transparently evaluates on the compressed layout;
-    /// results are bit-identical to dual residency. [`Residency::Dual`]
-    /// rebuilds the decoded views from the blocks and moves evaluation back
-    /// onto them.
-    pub fn set_residency(&mut self, residency: Residency) {
-        if residency == self.index.residency() {
-            // No-op call: in particular, don't clobber an explicitly
-            // configured `ExecOptions::layout`.
-            return;
-        }
-        self.index.set_residency(residency);
-        // Keep the options in step with the residency (the engines would
-        // resolve a stale layout correctly via `effective_layout`, but a
-        // Dual round-trip must not stay parked on the slower Blocks scans
-        // while paying decoded-view RAM).
-        self.options.layout = match residency {
-            Residency::BlocksOnly => ftsl_exec::build::IndexLayout::Blocks,
-            Residency::Dual => ftsl_exec::build::IndexLayout::Decoded,
-        };
-    }
-
-    /// Builder-style [`Self::set_residency`].
-    pub fn with_residency(mut self, residency: Residency) -> Self {
-        self.set_residency(residency);
         self
     }
 
@@ -381,7 +351,7 @@ impl Ftsl {
     /// `EXPLAIN ANALYZE`: actually run the query with tracing enabled and
     /// render the recorded span tree — per-stage wall time, counter
     /// deltas, and pair-path vs position-intersection fallback
-    /// attribution — followed by the index residency footprint. Use
+    /// attribution — followed by the index memory footprint. Use
     /// [`Self::explain`] for the static (no-execution) plan.
     pub fn explain_analyze(&self, query: &str) -> Result<String, FtslError> {
         let mut tb = ftsl_obs::TraceBuilder::new();
@@ -534,53 +504,6 @@ mod tests {
             .unwrap();
         assert!(comp.counters.is_none(), "COMP shape cannot stream");
         assert_eq!(comp.hits.len(), 1);
-    }
-
-    #[test]
-    fn blocks_only_residency_serves_every_engine_identically() {
-        let dual = engine();
-        let mut lean = engine();
-        lean.set_residency(Residency::BlocksOnly);
-        let fp = lean.index().memory_footprint();
-        assert_eq!(fp.decoded, 0);
-        assert!(fp.total() < dual.index().memory_footprint().total());
-        for q in [
-            "'software' AND 'usability'",     // BOOL
-            "'software' AND NOT 'efficient'", // BOOL w/ NOT
-            "SOME p1 SOME p2 (p1 HAS 'task' AND p2 HAS 'completion' \
-             AND ordered(p1,p2) AND distance(p1,p2,0))", // PPRED
-            "EVERY p1 (p1 HAS 'software')",   // COMP
-        ] {
-            assert_eq!(
-                dual.search(q).unwrap().node_ids(),
-                lean.search(q).unwrap().node_ids(),
-                "query {q}"
-            );
-        }
-        // Ranked paths work too (exhaustive oracle decodes via the cache).
-        let a = dual.search_ranked("'usability'", RankModel::TfIdf).unwrap();
-        let b = lean.search_ranked("'usability'", RankModel::TfIdf).unwrap();
-        assert_eq!(a.hits.len(), b.hits.len());
-        for (x, y) in a.hits.iter().zip(&b.hits) {
-            assert_eq!(x.0, y.0);
-            assert!((x.1 - y.1).abs() < 1e-12);
-        }
-        let t = lean
-            .search_top_k("'software' OR 'usability'", RankModel::TfIdf, 2)
-            .unwrap();
-        assert_eq!(t.hits.len(), 2);
-        // Round-trip back to dual residency: decoded views return and
-        // queries keep agreeing.
-        lean.set_residency(Residency::Dual);
-        assert!(lean.index().memory_footprint().decoded > 0);
-        assert_eq!(
-            lean.search("'software' AND 'usability'")
-                .unwrap()
-                .node_ids(),
-            dual.search("'software' AND 'usability'")
-                .unwrap()
-                .node_ids(),
-        );
     }
 
     #[test]

@@ -122,7 +122,7 @@ impl LiveFtsl {
         }
     }
 
-    /// Replace execution options (layout, advance mode, NPRED strategy).
+    /// Replace execution options (advance mode, NPRED strategy).
     pub fn with_options(mut self, options: ExecOptions) -> Self {
         self.options = options;
         self
@@ -458,7 +458,7 @@ impl LiveFtsl {
     /// `EXPLAIN ANALYZE` over the current snapshot: run the query with
     /// tracing enabled and render the span tree — parse/rewrite, then
     /// per-segment engine work with counter deltas and pair-path vs
-    /// fallback attribution — plus per-segment residency footprints.
+    /// fallback attribution — plus per-segment memory footprints.
     pub fn explain_analyze(&self, query: &str) -> Result<String, FtslError> {
         let mut tb = ftsl_obs::TraceBuilder::new();
         let parse_span = tb.open("parse+rewrite");

@@ -11,19 +11,17 @@
 //! Pruning must be invisible: skipping a segment, tightening the entry
 //! bound mid-stream, or arriving at a segment with a heap already full
 //! from earlier segments may only ever avoid work, never change answers.
-//! The battery covers TF-IDF and PRA, both physical layouts, and
-//! k ∈ {1, 10, 100} — the last always larger than any corpus these
-//! sequences can produce, so the no-pruning (heap never fills) region is
-//! exercised alongside the aggressive-pruning one.
+//! The battery covers TF-IDF and PRA and k ∈ {1, 10, 100} — the last
+//! always larger than any corpus these sequences can produce, so the
+//! no-pruning (heap never fills) region is exercised alongside the
+//! aggressive-pruning one.
 //!
 //! The scheduled CI fuzz job raises the case count via
 //! `FTSL_PROPTEST_CASES`; the default keeps PR builds quick.
 
 use ftsl_core::{Ftsl, LiveConfig, LiveFtsl};
-use ftsl_exec::engine::ExecOptions;
 use ftsl_exec::snapshot::SnapshotExecutor;
 use ftsl_exec::{ScoreModel, ScoredTopK};
-use ftsl_index::IndexLayout;
 use ftsl_model::NodeId;
 use ftsl_predicates::PredicateRegistry;
 use ftsl_scoring::{PraModel, ScoreStats, SnapshotStats, TfIdfModel};
@@ -177,7 +175,7 @@ fn assert_hits_bit_identical(
     Ok(())
 }
 
-/// The full battery: both models, both layouts, all k, flat and tree
+/// The full battery: both models, all k, flat and tree
 /// shapes, globally-pruned snapshot run vs monolithic single-index run.
 fn assert_global_matches_oracle(
     engine: &LiveFtsl,
@@ -189,77 +187,68 @@ fn assert_global_matches_oracle(
     let frozen_stats = ScoreStats::compute(frozen.corpus(), frozen.index());
     let reg = PredicateRegistry::with_builtins();
     let segments = snapshot.segments().len() as u64;
-    for layout in [IndexLayout::Decoded, IndexLayout::Blocks] {
-        let options = ExecOptions {
-            layout,
-            ..Default::default()
-        };
-        let exec = SnapshotExecutor::with_options(&snapshot, &reg, options);
-        for (query, tokens) in FLAT_QUERIES {
-            let q = ftsl_lang::parse(query, ftsl_lang::Mode::Comp).unwrap();
-            let live_tfidf = stats.tfidf_model(tokens, &snapshot);
-            let frozen_tfidf = TfIdfModel::for_query(tokens, frozen.corpus(), &frozen_stats);
-            let live_pra = stats.pra_model(&snapshot);
-            let frozen_pra = PraModel::new(frozen.corpus(), &frozen_stats);
-            for k in KS {
-                let spec = ScoredTopK { k };
-                let live = exec
-                    .run_top_k(&q, spec, &stats, &ScoreModel::TfIdf(&live_tfidf))
-                    .expect("global tfidf topk");
-                let oracle = ftsl_exec::scored::run_scored_top_k(
-                    &q,
-                    frozen.corpus(),
-                    frozen.index(),
-                    &frozen_stats,
-                    &ScoreModel::TfIdf(&frozen_tfidf),
-                    layout,
-                    spec,
-                )
-                .expect("oracle tfidf topk");
-                let ctx = format!("tfidf {query} k={k} {layout:?}");
-                assert_hits_bit_identical(&live.hits, &oracle.hits, remap, &ctx)?;
-                prop_assert!(live.counters.segments_skipped <= segments, "{}", ctx);
+    let exec = SnapshotExecutor::new(&snapshot, &reg);
+    for (query, tokens) in FLAT_QUERIES {
+        let q = ftsl_lang::parse(query, ftsl_lang::Mode::Comp).unwrap();
+        let live_tfidf = stats.tfidf_model(tokens, &snapshot);
+        let frozen_tfidf = TfIdfModel::for_query(tokens, frozen.corpus(), &frozen_stats);
+        let live_pra = stats.pra_model(&snapshot);
+        let frozen_pra = PraModel::new(frozen.corpus(), &frozen_stats);
+        for k in KS {
+            let spec = ScoredTopK { k };
+            let live = exec
+                .run_top_k(&q, spec, &stats, &ScoreModel::TfIdf(&live_tfidf))
+                .expect("global tfidf topk");
+            let oracle = ftsl_exec::scored::run_scored_top_k(
+                &q,
+                frozen.corpus(),
+                frozen.index(),
+                &frozen_stats,
+                &ScoreModel::TfIdf(&frozen_tfidf),
+                spec,
+            )
+            .expect("oracle tfidf topk");
+            let ctx = format!("tfidf {query} k={k}");
+            assert_hits_bit_identical(&live.hits, &oracle.hits, remap, &ctx)?;
+            prop_assert!(live.counters.segments_skipped <= segments, "{}", ctx);
 
-                let live = exec
-                    .run_top_k(&q, spec, &stats, &ScoreModel::Pra(&live_pra))
-                    .expect("global pra topk");
-                let oracle = ftsl_exec::scored::run_scored_top_k(
-                    &q,
-                    frozen.corpus(),
-                    frozen.index(),
-                    &frozen_stats,
-                    &ScoreModel::Pra(&frozen_pra),
-                    layout,
-                    spec,
-                )
-                .expect("oracle pra topk");
-                let ctx = format!("pra {query} k={k} {layout:?}");
-                assert_hits_bit_identical(&live.hits, &oracle.hits, remap, &ctx)?;
-            }
+            let live = exec
+                .run_top_k(&q, spec, &stats, &ScoreModel::Pra(&live_pra))
+                .expect("global pra topk");
+            let oracle = ftsl_exec::scored::run_scored_top_k(
+                &q,
+                frozen.corpus(),
+                frozen.index(),
+                &frozen_stats,
+                &ScoreModel::Pra(&frozen_pra),
+                spec,
+            )
+            .expect("oracle pra topk");
+            let ctx = format!("pra {query} k={k}");
+            assert_hits_bit_identical(&live.hits, &oracle.hits, remap, &ctx)?;
         }
-        for query in TREE_QUERIES {
-            let q = ftsl_lang::parse(query, ftsl_lang::Mode::Comp).unwrap();
-            let live_pra = stats.pra_model(&snapshot);
-            let frozen_pra = PraModel::new(frozen.corpus(), &frozen_stats);
-            for k in KS {
-                let spec = ScoredTopK { k };
-                let live = exec
-                    .run_top_k(&q, spec, &stats, &ScoreModel::Pra(&live_pra))
-                    .expect("global pra tree topk");
-                let oracle = ftsl_exec::scored::run_scored_top_k(
-                    &q,
-                    frozen.corpus(),
-                    frozen.index(),
-                    &frozen_stats,
-                    &ScoreModel::Pra(&frozen_pra),
-                    layout,
-                    spec,
-                )
-                .expect("oracle pra tree topk");
-                let ctx = format!("pra tree {query} k={k} {layout:?}");
-                assert_hits_bit_identical(&live.hits, &oracle.hits, remap, &ctx)?;
-                prop_assert!(live.counters.segments_skipped <= segments, "{}", ctx);
-            }
+    }
+    for query in TREE_QUERIES {
+        let q = ftsl_lang::parse(query, ftsl_lang::Mode::Comp).unwrap();
+        let live_pra = stats.pra_model(&snapshot);
+        let frozen_pra = PraModel::new(frozen.corpus(), &frozen_stats);
+        for k in KS {
+            let spec = ScoredTopK { k };
+            let live = exec
+                .run_top_k(&q, spec, &stats, &ScoreModel::Pra(&live_pra))
+                .expect("global pra tree topk");
+            let oracle = ftsl_exec::scored::run_scored_top_k(
+                &q,
+                frozen.corpus(),
+                frozen.index(),
+                &frozen_stats,
+                &ScoreModel::Pra(&frozen_pra),
+                spec,
+            )
+            .expect("oracle pra tree topk");
+            let ctx = format!("pra tree {query} k={k}");
+            assert_hits_bit_identical(&live.hits, &oracle.hits, remap, &ctx)?;
+            prop_assert!(live.counters.segments_skipped <= segments, "{}", ctx);
         }
     }
     Ok(())
@@ -270,7 +259,7 @@ proptest! {
 
     /// Any interleaving of adds/deletes/flushes/merges: the globally-pruned
     /// top-k over the resulting N-segment snapshot is bit-identical to the
-    /// monolithic rebuild's single-index run, for every model × layout × k.
+    /// monolithic rebuild's single-index run, for every model × k.
     #[test]
     fn global_topk_is_bit_identical_to_monolithic_oracle(ops in arb_ops()) {
         let (engine, survivors) = apply(&ops);
@@ -347,7 +336,6 @@ proptest! {
                 frozen.index(),
                 &frozen_stats,
                 &ScoreModel::TfIdf(&frozen_model),
-                IndexLayout::Blocks,
                 spec,
             )
             .expect("oracle tfidf topk");
@@ -398,36 +386,29 @@ fn skipped_segments_never_change_answers() {
     let reg = PredicateRegistry::with_builtins();
     let q = ftsl_lang::parse("'alpha'", ftsl_lang::Mode::Comp).unwrap();
     let tokens = ["alpha"];
-    for layout in [IndexLayout::Decoded, IndexLayout::Blocks] {
-        let options = ExecOptions {
-            layout,
-            ..Default::default()
-        };
-        let exec = SnapshotExecutor::with_options(&snapshot, &reg, options);
-        let live_model = stats.tfidf_model(&tokens, &snapshot);
-        let frozen_model = TfIdfModel::for_query(&tokens, frozen.corpus(), &frozen_stats);
-        let spec = ScoredTopK { k: 1 };
-        let live = exec
-            .run_top_k(&q, spec, &stats, &ScoreModel::TfIdf(&live_model))
-            .expect("skewed tfidf topk");
-        assert_eq!(
-            live.counters.segments_skipped, 8,
-            "every weak segment skipped on {layout:?}"
-        );
-        let oracle = ftsl_exec::scored::run_scored_top_k(
-            &q,
-            frozen.corpus(),
-            frozen.index(),
-            &frozen_stats,
-            &ScoreModel::TfIdf(&frozen_model),
-            layout,
-            spec,
-        )
-        .expect("oracle tfidf topk");
-        assert_eq!(live.hits.len(), oracle.hits.len());
-        for (l, o) in live.hits.iter().zip(&oracle.hits) {
-            assert_eq!(remap[&l.0 .0], o.0 .0, "{layout:?}: ranked ids");
-            assert_eq!(l.1.to_bits(), o.1.to_bits(), "{layout:?}: score bits");
-        }
+    let exec = SnapshotExecutor::new(&snapshot, &reg);
+    let live_model = stats.tfidf_model(&tokens, &snapshot);
+    let frozen_model = TfIdfModel::for_query(&tokens, frozen.corpus(), &frozen_stats);
+    let spec = ScoredTopK { k: 1 };
+    let live = exec
+        .run_top_k(&q, spec, &stats, &ScoreModel::TfIdf(&live_model))
+        .expect("skewed tfidf topk");
+    assert_eq!(
+        live.counters.segments_skipped, 8,
+        "every weak segment skipped"
+    );
+    let oracle = ftsl_exec::scored::run_scored_top_k(
+        &q,
+        frozen.corpus(),
+        frozen.index(),
+        &frozen_stats,
+        &ScoreModel::TfIdf(&frozen_model),
+        spec,
+    )
+    .expect("oracle tfidf topk");
+    assert_eq!(live.hits.len(), oracle.hits.len());
+    for (l, o) in live.hits.iter().zip(&oracle.hits) {
+        assert_eq!(remap[&l.0 .0], o.0 .0, "ranked ids");
+        assert_eq!(l.1.to_bits(), o.1.to_bits(), "score bits");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The contract under test: after **any** interleaving of adds, deletes,
 //! flushes, and merges, every engine — BOOL, PPRED, NPRED, COMP, exhaustive
-//! scored ranking, and streaming top-k, on both physical layouts — run over
+//! scored ranking, and streaming top-k — run over
 //! a [`Snapshot`] produces results *bit-identical* to a monolithic engine
 //! rebuilt from scratch over the surviving documents. Global node ids remap
 //! to the rebuild's dense ids by survivor order; scores are compared by
@@ -18,10 +18,9 @@ use ftsl_core::{Ftsl, LiveConfig, LiveFtsl, RankModel};
 use ftsl_exec::engine::{EngineKind, ExecOptions, Executor};
 use ftsl_exec::snapshot::SnapshotExecutor;
 use ftsl_exec::{ScoreModel, ScoredTopK};
-use ftsl_index::IndexLayout;
 use ftsl_model::NodeId;
 use ftsl_predicates::PredicateRegistry;
-use ftsl_scoring::{ScoreStats, SnapshotStats, TfIdfModel};
+use ftsl_scoring::SnapshotStats;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -169,7 +168,7 @@ const SET_QUERIES: &[(&str, EngineKind)] = &[
 ];
 
 /// Compare every set-producing engine on a snapshot against the frozen
-/// oracle, on both layouts.
+/// oracle.
 fn assert_sets_match(
     engine: &LiveFtsl,
     frozen: &Ftsl,
@@ -178,31 +177,18 @@ fn assert_sets_match(
 ) -> Result<(), ()> {
     let snapshot = engine.snapshot();
     let reg = PredicateRegistry::with_builtins();
-    for layout in [IndexLayout::Decoded, IndexLayout::Blocks] {
-        let options = ExecOptions {
-            layout,
-            ..Default::default()
-        };
-        let live_exec = SnapshotExecutor::with_options(&snapshot, &reg, options);
-        let frozen_exec = Executor::with_options(frozen.corpus(), frozen.index(), &reg, options);
-        for (query, kind) in SET_QUERIES {
-            let live_out = live_exec.run_str(query, *kind).expect("live run");
-            let frozen_out = frozen_exec.run_str(query, *kind).expect("frozen run");
-            let live_dense: Vec<u32> = live_out
-                .nodes
-                .iter()
-                .map(|n| *remap.get(&n.0).expect("live result must be a survivor"))
-                .collect();
-            let frozen_ids: Vec<u32> = frozen_out.nodes.iter().map(|n| n.0).collect();
-            prop_assert_eq!(
-                &live_dense,
-                &frozen_ids,
-                "{}: {} on {:?} diverged",
-                ctx,
-                query,
-                layout
-            );
-        }
+    let live_exec = SnapshotExecutor::new(&snapshot, &reg);
+    let frozen_exec = Executor::new(frozen.corpus(), frozen.index(), &reg);
+    for (query, kind) in SET_QUERIES {
+        let live_out = live_exec.run_str(query, *kind).expect("live run");
+        let frozen_out = frozen_exec.run_str(query, *kind).expect("frozen run");
+        let live_dense: Vec<u32> = live_out
+            .nodes
+            .iter()
+            .map(|n| *remap.get(&n.0).expect("live result must be a survivor"))
+            .collect();
+        let frozen_ids: Vec<u32> = frozen_out.nodes.iter().map(|n| n.0).collect();
+        prop_assert_eq!(&live_dense, &frozen_ids, "{}: {} diverged", ctx, query);
     }
     Ok(())
 }
@@ -262,43 +248,6 @@ fn assert_scores_match(
             }
         }
     }
-    // The streaming union on the Blocks layout (per-segment block-max
-    // pruning) against the frozen Blocks run.
-    let snapshot = engine.snapshot();
-    let stats = SnapshotStats::compute(&snapshot);
-    let reg = PredicateRegistry::with_builtins();
-    let options = ExecOptions {
-        layout: IndexLayout::Blocks,
-        ..Default::default()
-    };
-    let q = ftsl_lang::parse("'alpha' OR 'beta' OR 'eps'", ftsl_lang::Mode::Comp).unwrap();
-    let tokens = ["alpha", "beta", "eps"];
-    let live_model = stats.tfidf_model(&tokens, &snapshot);
-    let frozen_stats = ScoreStats::compute(frozen.corpus(), frozen.index());
-    let frozen_model = TfIdfModel::for_query(&tokens, frozen.corpus(), &frozen_stats);
-    let live_out = SnapshotExecutor::with_options(&snapshot, &reg, options)
-        .run_top_k(
-            &q,
-            ScoredTopK { k: 5 },
-            &stats,
-            &ScoreModel::TfIdf(&live_model),
-        )
-        .expect("live blocks topk");
-    let frozen_out = ftsl_exec::scored::run_scored_top_k(
-        &q,
-        frozen.corpus(),
-        frozen.index(),
-        &frozen_stats,
-        &ScoreModel::TfIdf(&frozen_model),
-        IndexLayout::Blocks,
-        ScoredTopK { k: 5 },
-    )
-    .expect("frozen blocks topk");
-    prop_assert_eq!(live_out.hits.len(), frozen_out.hits.len(), "{}", ctx);
-    for (l, f) in live_out.hits.iter().zip(&frozen_out.hits) {
-        prop_assert_eq!(remap[&l.0 .0], f.0 .0, "{}: blocks topk order", ctx);
-        prop_assert_eq!(l.1.to_bits(), f.1.to_bits(), "{}: blocks topk bits", ctx);
-    }
     Ok(())
 }
 
@@ -324,47 +273,36 @@ fn assert_pairs_match(
 ) -> Result<(), ()> {
     let snapshot = engine.snapshot();
     let reg = PredicateRegistry::with_builtins();
-    for layout in [IndexLayout::Decoded, IndexLayout::Blocks] {
-        let live_exec = SnapshotExecutor::with_options(
-            &snapshot,
-            &reg,
-            ExecOptions {
-                layout,
-                ..Default::default()
-            },
+    let live_exec = SnapshotExecutor::new(&snapshot, &reg);
+    let oracle_exec = Executor::with_options(
+        frozen.corpus(),
+        frozen.index(),
+        &reg,
+        ExecOptions {
+            use_pairs: false,
+            ..Default::default()
+        },
+    );
+    for query in PAIR_QUERIES {
+        let live_out = live_exec
+            .run_str(query, EngineKind::Auto)
+            .expect("live run");
+        let oracle_out = oracle_exec
+            .run_str(query, EngineKind::Auto)
+            .expect("oracle run");
+        let live_dense: Vec<u32> = live_out
+            .nodes
+            .iter()
+            .map(|n| *remap.get(&n.0).expect("pair hit must be a survivor"))
+            .collect();
+        let oracle_ids: Vec<u32> = oracle_out.nodes.iter().map(|n| n.0).collect();
+        prop_assert_eq!(
+            &live_dense,
+            &oracle_ids,
+            "{}: pair path diverged on {}",
+            ctx,
+            query
         );
-        let oracle_exec = Executor::with_options(
-            frozen.corpus(),
-            frozen.index(),
-            &reg,
-            ExecOptions {
-                layout,
-                use_pairs: false,
-                ..Default::default()
-            },
-        );
-        for query in PAIR_QUERIES {
-            let live_out = live_exec
-                .run_str(query, EngineKind::Auto)
-                .expect("live run");
-            let oracle_out = oracle_exec
-                .run_str(query, EngineKind::Auto)
-                .expect("oracle run");
-            let live_dense: Vec<u32> = live_out
-                .nodes
-                .iter()
-                .map(|n| *remap.get(&n.0).expect("pair hit must be a survivor"))
-                .collect();
-            let oracle_ids: Vec<u32> = oracle_out.nodes.iter().map(|n| n.0).collect();
-            prop_assert_eq!(
-                &live_dense,
-                &oracle_ids,
-                "{}: pair path diverged on {} ({:?})",
-                ctx,
-                query,
-                layout
-            );
-        }
     }
     // NEAR top-k: segmented pair walk with global threshold vs the
     // rebuild's single-index walk. The global→dense remap preserves id
@@ -415,7 +353,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(prop_cases()))]
 
     /// Any interleaving of adds/deletes/flushes/merges: all engines on the
-    /// snapshot ≡ the monolithic rebuild, both layouts.
+    /// snapshot ≡ the monolithic rebuild.
     #[test]
     fn snapshot_equals_monolithic_rebuild(ops in arb_ops()) {
         let (engine, survivors) = apply(&ops);
@@ -639,7 +577,7 @@ fn concurrent_writers_and_readers_stay_consistent() {
 }
 
 /// The serving contract: N reader threads hammering one held snapshot —
-/// BOOL sets on both layouts plus streaming top-k with a per-thread
+/// BOOL sets plus streaming top-k with a per-thread
 /// [`ExecScratch`] — while a writer churns adds, deletes, flushes, and
 /// merges. Every concurrent answer must be bit-identical to the
 /// single-threaded reference computed on that snapshot up front: same node
@@ -662,45 +600,26 @@ fn concurrent_readers_match_single_threaded_on_held_snapshot() {
     let stats = SnapshotStats::compute(&pinned);
     let reg = PredicateRegistry::with_builtins();
 
-    // Single-threaded reference on the pinned snapshot, both layouts.
-    let layouts = [IndexLayout::Decoded, IndexLayout::Blocks];
-    let mut set_refs: Vec<Vec<Vec<NodeId>>> = Vec::new();
-    for layout in layouts {
-        let options = ExecOptions {
-            layout,
-            ..Default::default()
-        };
-        let exec = SnapshotExecutor::with_options(&pinned, &reg, options);
-        set_refs.push(
-            SET_QUERIES
-                .iter()
-                .map(|(q, kind)| exec.run_str(q, *kind).expect("reference run").nodes)
-                .collect(),
-        );
-    }
+    // Single-threaded reference on the pinned snapshot.
+    let exec = SnapshotExecutor::new(&pinned, &reg);
+    let set_refs: Vec<Vec<NodeId>> = SET_QUERIES
+        .iter()
+        .map(|(q, kind)| exec.run_str(q, *kind).expect("reference run").nodes)
+        .collect();
     let topk_query = ftsl_lang::parse("'alpha' OR 'beta' OR 'eps'", ftsl_lang::Mode::Comp).unwrap();
     let topk_tokens = ["alpha", "beta", "eps"];
     let topk_model = stats.tfidf_model(&topk_tokens, &pinned);
-    let topk_ref: Vec<Vec<(NodeId, u64)>> = layouts
+    let topk_ref: Vec<(NodeId, u64)> = exec
+        .run_top_k(
+            &topk_query,
+            ScoredTopK { k: 7 },
+            &stats,
+            &ScoreModel::TfIdf(&topk_model),
+        )
+        .expect("reference topk")
+        .hits
         .iter()
-        .map(|&layout| {
-            let options = ExecOptions {
-                layout,
-                ..Default::default()
-            };
-            SnapshotExecutor::with_options(&pinned, &reg, options)
-                .run_top_k(
-                    &topk_query,
-                    ScoredTopK { k: 7 },
-                    &stats,
-                    &ScoreModel::TfIdf(&topk_model),
-                )
-                .expect("reference topk")
-                .hits
-                .iter()
-                .map(|(n, s)| (*n, s.to_bits()))
-                .collect()
-        })
+        .map(|(n, s)| (*n, s.to_bits()))
         .collect();
 
     std::thread::scope(|scope| {
@@ -730,35 +649,26 @@ fn concurrent_readers_match_single_threaded_on_held_snapshot() {
             scope.spawn(move || {
                 let mut scratch = ExecScratch::new();
                 for _round in 0..8 {
-                    for (li, &layout) in layouts.iter().enumerate() {
-                        let options = ExecOptions {
-                            layout,
-                            ..Default::default()
-                        };
-                        let exec = SnapshotExecutor::with_options(pinned, reg, options);
-                        for (qi, (q, kind)) in SET_QUERIES.iter().enumerate() {
-                            let out = exec.run_str(q, *kind).expect("concurrent run");
-                            assert_eq!(
-                                out.nodes, set_refs[li][qi],
-                                "reader {reader}: {q} on {layout:?} diverged under churn"
-                            );
-                        }
-                        let out = exec
-                            .run_top_k_with(
-                                topk_query,
-                                ScoredTopK { k: 7 },
-                                stats,
-                                &ScoreModel::TfIdf(topk_model),
-                                &mut scratch,
-                            )
-                            .expect("concurrent topk");
-                        let got: Vec<(NodeId, u64)> =
-                            out.hits.iter().map(|(n, s)| (*n, s.to_bits())).collect();
+                    let exec = SnapshotExecutor::new(pinned, reg);
+                    for (qi, (q, kind)) in SET_QUERIES.iter().enumerate() {
+                        let out = exec.run_str(q, *kind).expect("concurrent run");
                         assert_eq!(
-                            got, topk_ref[li],
-                            "reader {reader}: topk on {layout:?} diverged under churn"
+                            out.nodes, set_refs[qi],
+                            "reader {reader}: {q} diverged under churn"
                         );
                     }
+                    let out = exec
+                        .run_top_k_with(
+                            topk_query,
+                            ScoredTopK { k: 7 },
+                            stats,
+                            &ScoreModel::TfIdf(topk_model),
+                            &mut scratch,
+                        )
+                        .expect("concurrent topk");
+                    let got: Vec<(NodeId, u64)> =
+                        out.hits.iter().map(|(n, s)| (*n, s.to_bits())).collect();
+                    assert_eq!(&got, topk_ref, "reader {reader}: topk diverged under churn");
                 }
             });
         }

@@ -36,8 +36,8 @@ fn snapshot_types_are_send_sync() {
 
 #[test]
 fn sealed_index_data_is_send_sync() {
-    // Everything reachable from a sealed segment: the inverted index with
-    // both layouts, the write buffer the next flush seals, raw lists.
+    // Everything reachable from a sealed segment: the inverted index, the
+    // write buffer the next flush seals, raw lists.
     assert_send_sync::<InvertedIndex>();
     assert_send_sync::<MemSegment>();
     assert_send_sync::<BlockList>();

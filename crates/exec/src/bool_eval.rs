@@ -9,95 +9,74 @@
 //!
 //! Conjunctions of two or more plain token literals do **not** pay the
 //! paper's sequential O(sum of list lengths) cost: they run a k-way
-//! leapfrog over [`ListCursor`]s ordered rarest-first, where each cursor
-//! `seek`s to the current candidate node. On skewed (Zipf) corpora a
+//! leapfrog over [`BlockCursor`]s ordered rarest-first, where each cursor
+//! `seek`s to the current candidate node, jumping whole compressed blocks
+//! via the skip headers. On skewed (Zipf) corpora a
 //! conjunction with one rare operand decodes O(rare · log common) entries;
 //! the bypassed entries show up in [`AccessCounters::skipped`] instead of
 //! `entries`.
 
-use crate::build::IndexLayout;
 use crate::error::ExecError;
-use ftsl_index::block::BlockList;
-use ftsl_index::{AccessCounters, InvertedIndex, ListCursor, PostingCursor, PostingList};
+use ftsl_index::block::{BlockCursor, BlockList};
+use ftsl_index::{AccessCounters, InvertedIndex};
 use ftsl_lang::SurfaceQuery;
 use ftsl_model::{Corpus, NodeId, TokenId};
 
-/// Evaluate a BOOL-shaped surface query by list merging, on the decoded
-/// layout.
+/// Evaluate a BOOL-shaped surface query by list merging.
 pub fn run_bool(
     query: &SurfaceQuery,
     corpus: &Corpus,
     index: &InvertedIndex,
 ) -> Result<(Vec<NodeId>, AccessCounters), ExecError> {
-    run_bool_with(query, corpus, index, IndexLayout::Decoded)
-}
-
-/// [`run_bool`] with an explicit physical layout: `Blocks` streams every
-/// list through block-compressed cursors instead of decoded arrays.
-pub fn run_bool_with(
-    query: &SurfaceQuery,
-    corpus: &Corpus,
-    index: &InvertedIndex,
-    layout: IndexLayout,
-) -> Result<(Vec<NodeId>, AccessCounters), ExecError> {
-    // Under blocks-only residency the decoded arrays do not exist; every
-    // leaf access resolves to the compressed layout.
-    let layout = index.effective_layout(layout);
     let mut counters = AccessCounters::new();
-    let nodes = eval(query, corpus, index, layout, &mut counters)?;
+    let nodes = eval(query, corpus, index, &mut counters)?;
     Ok((nodes, counters))
 }
 
-/// Materialize a list's node ids through a counting cursor of the selected
-/// layout (the BOOL leaf access path).
+/// Materialize a list's node ids (a token's list, or `IL_ANY` for `None`)
+/// through a counting cursor — the BOOL leaf access path.
 fn scan_nodes(
     index: &InvertedIndex,
     token: Option<TokenId>,
-    layout: IndexLayout,
     counters: &mut AccessCounters,
 ) -> Vec<NodeId> {
-    let mut walk = |cursor: &mut dyn PostingCursor| {
-        let mut ids = Vec::new();
-        while let Some(n) = cursor.next_entry() {
-            ids.push(n);
-        }
-        *counters += cursor.counters();
-        ids
+    let mut cursor = match token {
+        Some(id) => index.block_cursor(id),
+        None => index.any_block_cursor(),
     };
-    match (layout, token) {
-        (IndexLayout::Decoded, Some(id)) => walk(&mut ListCursor::new(index.list(id))),
-        (IndexLayout::Decoded, None) => walk(&mut ListCursor::new(index.any())),
-        (IndexLayout::Blocks, Some(id)) => walk(&mut index.block_list(id).cursor()),
-        (IndexLayout::Blocks, None) => walk(&mut index.any_block_list().cursor()),
+    let mut ids = Vec::new();
+    while let Some(n) = cursor.next_entry() {
+        ids.push(n);
     }
+    *counters += cursor.counters();
+    ids
 }
 
 fn eval(
     query: &SurfaceQuery,
     corpus: &Corpus,
     index: &InvertedIndex,
-    layout: IndexLayout,
     counters: &mut AccessCounters,
 ) -> Result<Vec<NodeId>, ExecError> {
     match query {
         SurfaceQuery::Lit(tok) => Ok(match corpus.token_id(tok) {
-            Some(id) => scan_nodes(index, Some(id), layout, counters),
+            Some(id) => scan_nodes(index, Some(id), counters),
             None => Vec::new(),
         }),
-        SurfaceQuery::Any => Ok(scan_nodes(index, None, layout, counters)),
+        SurfaceQuery::Any => Ok(scan_nodes(index, None, counters)),
         SurfaceQuery::Not(inner) => {
-            let inner_nodes = eval(inner, corpus, index, layout, counters)?;
+            let inner_nodes = eval(inner, corpus, index, counters)?;
             counters.entries += corpus.len() as u64;
             Ok(complement(&inner_nodes, corpus.len() as u32))
         }
         SurfaceQuery::And(..) => {
             let mut conjuncts = Vec::new();
             flatten_and(query, &mut conjuncts);
-            eval_conjunction(&conjuncts, corpus, index, layout, counters)
+            eval_conjunction(&conjuncts, corpus, index, counters)
         }
         SurfaceQuery::Or(a, b) => {
-            let left = eval(a, corpus, index, layout, counters)?;
-            let right = eval(b, corpus, index, layout, counters)?;
+            let left = eval(a, corpus, index, counters)?;
+            let right = eval(b, corpus, index, counters)?;
             Ok(union_sorted(&left, &right))
         }
         other => Err(ExecError::WrongEngine {
@@ -125,7 +104,6 @@ fn eval_conjunction(
     conjuncts: &[&SurfaceQuery],
     corpus: &Corpus,
     index: &InvertedIndex,
-    layout: IndexLayout,
     counters: &mut AccessCounters,
 ) -> Result<Vec<NodeId>, ExecError> {
     let mut literal_ids: Vec<TokenId> = Vec::new();
@@ -143,28 +121,18 @@ fn eval_conjunction(
 
     let mut acc: Option<Vec<NodeId>> = None;
     if literal_ids.len() >= 2 {
-        let (nodes, c) = match layout {
-            IndexLayout::Decoded => {
-                let lists: Vec<&PostingList> =
-                    literal_ids.iter().map(|&id| index.list(id)).collect();
-                intersect_seek(&lists)
-            }
-            IndexLayout::Blocks => {
-                let lists: Vec<&BlockList> =
-                    literal_ids.iter().map(|&id| index.block_list(id)).collect();
-                intersect_seek_blocks(&lists)
-            }
-        };
+        let lists: Vec<&BlockList> = literal_ids.iter().map(|&id| index.block_list(id)).collect();
+        let (nodes, c) = intersect_seek(&lists);
         *counters += c;
         acc = Some(nodes);
     } else if let Some(&id) = literal_ids.first() {
         // Out-of-vocabulary ids map to the empty list, so this is a no-op
         // walk for unknown tokens.
-        acc = Some(scan_nodes(index, Some(id), layout, counters));
+        acc = Some(scan_nodes(index, Some(id), counters));
     }
 
     for other in others {
-        let nodes = eval(other, corpus, index, layout, counters)?;
+        let nodes = eval(other, corpus, index, counters)?;
         acc = Some(match acc {
             Some(have) => intersect_sorted(&have, &nodes),
             None => nodes,
@@ -172,7 +140,7 @@ fn eval_conjunction(
     }
 
     for inner in negated {
-        let nodes = eval(inner, corpus, index, layout, counters)?;
+        let nodes = eval(inner, corpus, index, counters)?;
         acc = Some(match acc {
             Some(have) => difference_sorted(&have, &nodes),
             None => {
@@ -186,48 +154,17 @@ fn eval_conjunction(
     Ok(acc.unwrap_or_default())
 }
 
-/// k-way leapfrog intersection of decoded posting lists, rarest first.
-/// Returned counters separate decoded entries from seek-skipped ones.
-pub fn intersect_seek(lists: &[&PostingList]) -> (Vec<NodeId>, AccessCounters) {
-    intersect_lists(
-        lists,
-        |l| (l.num_entries(), l.is_empty()),
-        |l| Box::new(ListCursor::new(l)),
-    )
-}
-
-/// [`intersect_seek`] over block-compressed lists: same leapfrog, but seeks
-/// jump whole compressed blocks via the skip headers.
-pub fn intersect_seek_blocks(lists: &[&BlockList]) -> (Vec<NodeId>, AccessCounters) {
-    intersect_lists(
-        lists,
-        |l| (l.num_entries(), l.is_empty()),
-        |l| Box::new(l.cursor()),
-    )
-}
-
-/// Shared intersection prologue: empty-operand early-out, rarest-first
-/// ordering, cursor opening. One copy of the ordering policy for both
-/// physical layouts.
-fn intersect_lists<'a, L: ?Sized>(
-    lists: &[&'a L],
-    shape: impl Fn(&L) -> (usize, bool),
-    open: impl Fn(&'a L) -> Box<dyn PostingCursor + 'a>,
-) -> (Vec<NodeId>, AccessCounters) {
-    if lists.is_empty() || lists.iter().any(|l| shape(l).1) {
+/// k-way leapfrog intersection of posting lists, rarest first: each seek
+/// jumps whole compressed blocks via the skip headers. Returned counters
+/// separate consumed entries from seek-skipped ones.
+pub fn intersect_seek(lists: &[&BlockList]) -> (Vec<NodeId>, AccessCounters) {
+    if lists.is_empty() || lists.iter().any(|l| l.is_empty()) {
         return (Vec::new(), AccessCounters::new());
     }
     let mut order: Vec<usize> = (0..lists.len()).collect();
-    order.sort_by_key(|&i| shape(lists[i]).0);
-    intersect_cursors(order.iter().map(|&i| open(lists[i])).collect())
-}
+    order.sort_by_key(|&i| lists[i].num_entries());
+    let mut cursors: Vec<BlockCursor<'_>> = order.iter().map(|&i| lists[i].cursor()).collect();
 
-/// The leapfrog core, layout-agnostic: cursors must be non-empty and
-/// ordered rarest-first.
-fn intersect_cursors(
-    mut cursors: Vec<Box<dyn PostingCursor + '_>>,
-) -> (Vec<NodeId>, AccessCounters) {
-    let mut counters = AccessCounters::new();
     let mut out = Vec::new();
     let k = cursors.len();
     let mut target = cursors[0].next_entry().expect("non-empty list");
@@ -262,6 +199,7 @@ fn intersect_cursors(
         }
         i = (i + 1) % k;
     }
+    let mut counters = AccessCounters::new();
     for c in &cursors {
         counters += c.counters();
     }

@@ -1,6 +1,6 @@
 //! Build cursor trees from rewritten plans.
 
-use crate::cursor::{BlockScanCursor, FtCursor, ScanCursor};
+use crate::cursor::{FtCursor, ScanCursor};
 use crate::join::JoinCursor;
 use crate::plan::PlanNode;
 use crate::project::ProjectCursor;
@@ -12,13 +12,6 @@ use ftsl_model::Corpus;
 use ftsl_predicates::{AdvanceMode, PredKind, PredicateRegistry};
 use std::collections::HashMap;
 
-/// Which physical list representation leaf scans read.
-///
-/// The enum itself now lives in `ftsl-index` (the choice is purely
-/// physical); this re-export keeps the established `ftsl_exec::build`
-/// import path working.
-pub use ftsl_index::IndexLayout;
-
 /// Everything a cursor tree needs to run.
 pub struct CursorCtx<'a> {
     /// The corpus (token resolution).
@@ -29,8 +22,6 @@ pub struct CursorCtx<'a> {
     pub registry: &'a PredicateRegistry,
     /// Skip aggressiveness for positive predicates.
     pub mode: AdvanceMode,
-    /// Physical layout leaf scans read.
-    pub layout: IndexLayout,
 }
 
 /// Build a cursor tree. `ranks` is the evaluation thread's variable
@@ -54,17 +45,11 @@ fn build_rec<'a>(
                 .corpus
                 .token_id(token)
                 .unwrap_or(ftsl_model::TokenId(u32::MAX));
-            let cursor: Box<dyn FtCursor + 'a> = match ctx.index.effective_layout(ctx.layout) {
-                IndexLayout::Decoded => Box::new(ScanCursor::new(ctx.index.list(id))),
-                IndexLayout::Blocks => Box::new(BlockScanCursor::new(ctx.index.block_list(id))),
-            };
+            let cursor = Box::new(ScanCursor::new(ctx.index.block_list(id)));
             (cursor, vec![*var])
         }
         PlanNode::ScanAny { var } => {
-            let cursor: Box<dyn FtCursor + 'a> = match ctx.index.effective_layout(ctx.layout) {
-                IndexLayout::Decoded => Box::new(ScanCursor::new(ctx.index.any())),
-                IndexLayout::Blocks => Box::new(BlockScanCursor::new(ctx.index.any_block_list())),
-            };
+            let cursor = Box::new(ScanCursor::new(ctx.index.any_block_list()));
             (cursor, vec![*var])
         }
         PlanNode::Join(a, b) => {
@@ -152,7 +137,6 @@ mod tests {
             index: &index,
             registry: &reg,
             mode: AdvanceMode::Aggressive,
-            layout: IndexLayout::Decoded,
         };
         let mut cursor = build_cursor(&plan.root, &ctx, &HashMap::new());
         let mut nodes = Vec::new();

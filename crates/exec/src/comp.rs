@@ -1,7 +1,6 @@
 //! The COMP engine (Section 5.4): translate to the algebra and evaluate
 //! materialized.
 
-use crate::build::IndexLayout;
 use crate::error::ExecError;
 use ftsl_algebra::from_calculus::query_to_algebra;
 use ftsl_algebra::AlgebraEvaluator;
@@ -11,7 +10,7 @@ use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::PredicateRegistry;
 
 /// Evaluate any calculus query by FTC→FTA translation (Lemma 2) and
-/// materialized algebra evaluation on the decoded layout. Complete but
+/// materialized algebra evaluation. Complete but
 /// `O(cnodes × pos_per_cnode^toks_Q × (preds_Q + ops_Q + 1))`.
 pub fn run_comp(
     query: &CalcQuery,
@@ -19,21 +18,8 @@ pub fn run_comp(
     index: &InvertedIndex,
     registry: &PredicateRegistry,
 ) -> Result<(Vec<NodeId>, AccessCounters), ExecError> {
-    run_comp_with(query, corpus, index, registry, IndexLayout::Decoded)
-}
-
-/// [`run_comp`] with an explicit physical layout for the leaf scans:
-/// `Blocks` materializes leaf relations by streaming the compressed lists
-/// at the cursor, so COMP works on a blocks-only-resident index too.
-pub fn run_comp_with(
-    query: &CalcQuery,
-    corpus: &Corpus,
-    index: &InvertedIndex,
-    registry: &PredicateRegistry,
-    layout: IndexLayout,
-) -> Result<(Vec<NodeId>, AccessCounters), ExecError> {
     let alg = query_to_algebra(query, registry).map_err(|e| ExecError::Algebra(e.to_string()))?;
-    let mut ev = AlgebraEvaluator::with_layout(corpus, index, registry, layout);
+    let mut ev = AlgebraEvaluator::new(corpus, index, registry);
     let rel = ev
         .eval(&alg)
         .map_err(|e| ExecError::Algebra(e.to_string()))?;

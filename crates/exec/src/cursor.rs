@@ -10,7 +10,7 @@
 //! Evaluation is fully pipelined: no operator materializes its output, and
 //! each inverted-list position is consumed at most once per (thread, scan).
 
-use ftsl_index::{AccessCounters, ListCursor, PostingList};
+use ftsl_index::{AccessCounters, BlockCursor, BlockList};
 use ftsl_model::{NodeId, Position};
 
 /// A pipelined full-text cursor.
@@ -37,7 +37,7 @@ pub trait FtCursor {
     /// Advance to the first result node with id `>= target` (the seek
     /// extension of the cursor contract). Stays put when the current node
     /// already satisfies the bound. The default implementation scans via
-    /// [`FtCursor::advance_node`]; leaf scans override it with galloping
+    /// [`FtCursor::advance_node`]; leaf scans override it with skip-header
     /// seeks over the inverted list, and joins use it to leapfrog both
     /// sides past non-matching node ranges without decoding them.
     fn seek_node(&mut self, target: NodeId) -> Option<NodeId> {
@@ -58,60 +58,10 @@ pub trait FtCursor {
     fn counters(&self) -> AccessCounters;
 }
 
-/// Leaf scan over one inverted list (a token's list or `IL_ANY`).
-pub struct ScanCursor<'a> {
-    cursor: ListCursor<'a>,
-}
-
-impl<'a> ScanCursor<'a> {
-    /// Open a scan over `list`.
-    pub fn new(list: &'a PostingList) -> Self {
-        ScanCursor {
-            cursor: ListCursor::new(list),
-        }
-    }
-}
-
-impl FtCursor for ScanCursor<'_> {
-    fn arity(&self) -> usize {
-        1
-    }
-
-    fn advance_node(&mut self) -> Option<NodeId> {
-        self.cursor.next_entry()
-    }
-
-    fn node(&self) -> Option<NodeId> {
-        if self.cursor.exhausted() {
-            None
-        } else {
-            self.cursor.node()
-        }
-    }
-
-    fn position(&self, col: usize) -> Position {
-        debug_assert_eq!(col, 0);
-        self.cursor.position().expect("scan cursor positioned")
-    }
-
-    fn advance_position(&mut self, col: usize, min_offset: u32) -> bool {
-        debug_assert_eq!(col, 0);
-        self.cursor.advance_position(min_offset).is_some()
-    }
-
-    fn seek_node(&mut self, target: NodeId) -> Option<NodeId> {
-        self.cursor.seek(target)
-    }
-
-    fn counters(&self) -> AccessCounters {
-        self.cursor.counters()
-    }
-}
-
-/// Leaf scan over the block-compressed form of an inverted list: the same
-/// contract as [`ScanCursor`], driven by a skip-aware
-/// [`ftsl_index::BlockCursor`] that batch-decodes bit-packed blocks on
-/// first touch and seeks via the block skip headers.
+/// Leaf scan over one inverted list (a token's list or `IL_ANY`), driven
+/// by a skip-aware [`BlockCursor`] that batch-decodes bit-packed blocks on
+/// first touch, seeks via the block skip headers, and decompresses an
+/// entry's positions only when a predicate inspects them.
 ///
 /// The inner cursor sits behind a `RefCell` because the trait's `position`
 /// accessor is `&self` while decompression materializes positions on first
@@ -120,8 +70,8 @@ impl FtCursor for ScanCursor<'_> {
 /// served from a `Cell` cache, so the dynamic borrow is paid once per
 /// (entry, advance), not per read. Cursor trees are thread-confined (each
 /// NPRED thread builds its own), so the dynamic borrow never contends.
-pub struct BlockScanCursor<'a> {
-    cursor: std::cell::RefCell<ftsl_index::BlockCursor<'a>>,
+pub struct ScanCursor<'a> {
+    cursor: std::cell::RefCell<BlockCursor<'a>>,
     /// The current node, updated by every advancing call — `node()` reads
     /// it without touching the `RefCell`.
     cur_node: Option<NodeId>,
@@ -129,10 +79,10 @@ pub struct BlockScanCursor<'a> {
     cur_pos: std::cell::Cell<Option<Position>>,
 }
 
-impl<'a> BlockScanCursor<'a> {
-    /// Open a scan over a compressed `list`.
-    pub fn new(list: &'a ftsl_index::BlockList) -> Self {
-        BlockScanCursor {
+impl<'a> ScanCursor<'a> {
+    /// Open a scan over `list`.
+    pub fn new(list: &'a BlockList) -> Self {
+        ScanCursor {
             cursor: std::cell::RefCell::new(list.cursor()),
             cur_node: None,
             cur_pos: std::cell::Cell::new(None),
@@ -140,7 +90,7 @@ impl<'a> BlockScanCursor<'a> {
     }
 }
 
-impl FtCursor for BlockScanCursor<'_> {
+impl FtCursor for ScanCursor<'_> {
     fn arity(&self) -> usize {
         1
     }
@@ -164,7 +114,7 @@ impl FtCursor for BlockScanCursor<'_> {
             .cursor
             .borrow_mut()
             .position()
-            .expect("block scan cursor positioned");
+            .expect("scan cursor positioned");
         self.cur_pos.set(Some(p));
         p
     }
@@ -198,7 +148,7 @@ mod tests {
         let corpus = Corpus::from_texts(&["a b a", "c", "a"]);
         let index = IndexBuilder::new().build(&corpus);
         let a = corpus.token_id("a").unwrap();
-        let mut scan = ScanCursor::new(index.list(a));
+        let mut scan = ScanCursor::new(index.block_list(a));
 
         assert_eq!(scan.advance_node(), Some(NodeId(0)));
         assert_eq!(scan.position(0).offset, 0);

@@ -1,14 +1,13 @@
 //! The engine dispatcher: classify, pick the cheapest engine, run.
 
-use crate::bool_eval::run_bool_with;
-use crate::build::IndexLayout;
-use crate::comp::run_comp_with;
+use crate::bool_eval::run_bool;
+use crate::comp::run_comp;
 use crate::error::ExecError;
 use crate::npred::{run_npred, NpredOptions};
 use crate::ppred::run_ppred_attr;
 use crate::scored::{run_scored_top_k, ScoreModel, ScoredOutput, ScoredTopK};
 use ftsl_calculus::CalcQuery;
-use ftsl_index::{AccessCounters, InvertedIndex};
+use ftsl_index::{AccessCounters, IndexLayout, InvertedIndex};
 use ftsl_lang::{classify, lower, parse, LanguageClass, Mode, SurfaceQuery};
 use ftsl_model::{Corpus, NodeId};
 use ftsl_obs::{SpanId, Trace, TraceBuilder};
@@ -39,8 +38,8 @@ pub struct ExecOptions {
     pub npred_full_permutations: bool,
     /// NPRED: run ordering threads in parallel.
     pub npred_parallel: bool,
-    /// Physical list layout the streaming engines read (decoded columnar
-    /// lists, or block-compressed lists with skip-seeking cursors).
+    /// Inert: there is one layout. Kept for `benchmark/src/sut.rs`, which
+    /// names it; to be dropped by the next `benchmark` issue.
     pub layout: IndexLayout,
     /// PPRED: rewrite two-scan proximity cores (phrase / NEAR) to
     /// word-pair index walks when the index covers them, falling back to
@@ -59,7 +58,7 @@ impl Default for ExecOptions {
             advance_mode: AdvanceMode::Aggressive,
             npred_full_permutations: false,
             npred_parallel: false,
-            layout: IndexLayout::Decoded,
+            layout: IndexLayout::Blocks,
             use_pairs: true,
             trace: false,
         }
@@ -206,8 +205,7 @@ impl<'a> Executor<'a> {
 
         if chosen == EngineUsed::Bool {
             let id = tb.as_mut().map(|b| b.open("engine BOOL"));
-            let (nodes, counters) =
-                run_bool_with(surface, self.corpus, self.index, self.options.layout)?;
+            let (nodes, counters) = run_bool(surface, self.corpus, self.index)?;
             let trace = finish_engine_span(tb, id, &counters, None);
             return Ok(QueryOutput {
                 nodes,
@@ -241,8 +239,7 @@ impl<'a> Executor<'a> {
     }
 
     /// Run a scored top-k query: stream the query's posting entries through
-    /// a bounded heap on the configured [`ExecOptions::layout`], pruning
-    /// with list- and block-level score bounds where the query shape allows
+    /// a bounded heap, pruning with list- and block-level score bounds where the query shape allows
     /// (flat disjunctions). Only BOOL-shaped queries are rankable this way;
     /// anything else is a [`ExecError::WrongEngine`].
     pub fn run_top_k(
@@ -252,15 +249,7 @@ impl<'a> Executor<'a> {
         stats: &ScoreStats,
         model: &ScoreModel<'_>,
     ) -> Result<ScoredOutput, ExecError> {
-        run_scored_top_k(
-            surface,
-            self.corpus,
-            self.index,
-            stats,
-            model,
-            self.options.layout,
-            spec,
-        )
+        run_scored_top_k(surface, self.corpus, self.index, stats, model, spec)
     }
 
     /// Run a calculus query directly (no surface form). BOOL dispatch is not
@@ -308,7 +297,6 @@ impl<'a> Executor<'a> {
                     self.index,
                     self.registry,
                     self.options.advance_mode,
-                    self.options.layout,
                     self.options.use_pairs,
                 ) {
                     Ok((nodes, counters, attribution)) => {
@@ -338,7 +326,6 @@ impl<'a> Executor<'a> {
                     full_permutations: self.options.npred_full_permutations,
                     parallel: self.options.npred_parallel,
                     mode: self.options.advance_mode,
-                    layout: self.options.layout,
                 };
                 match run_npred(&query.expr, self.corpus, self.index, self.registry, opts) {
                     Ok((nodes, counters)) => {
@@ -363,13 +350,7 @@ impl<'a> Executor<'a> {
             }
             EngineUsed::Comp => {
                 let id = tb.as_mut().map(|b| b.open("engine COMP"));
-                let (nodes, counters) = run_comp_with(
-                    query,
-                    self.corpus,
-                    self.index,
-                    self.registry,
-                    self.options.layout,
-                )?;
+                let (nodes, counters) = run_comp(query, self.corpus, self.index, self.registry)?;
                 let trace = finish_engine_span(tb, id, &counters, None);
                 Ok(QueryOutput {
                     nodes,

@@ -128,8 +128,8 @@ mod tests {
         let test = corpus.token_id("test").unwrap();
         let usability = corpus.token_id("usability").unwrap();
         let mut join = JoinCursor::new(
-            Box::new(ScanCursor::new(index.list(test))),
-            Box::new(ScanCursor::new(index.list(usability))),
+            Box::new(ScanCursor::new(index.block_list(test))),
+            Box::new(ScanCursor::new(index.block_list(usability))),
         );
         assert_eq!(join.advance_node(), Some(NodeId(0)));
         assert_eq!(join.arity(), 2);
@@ -146,8 +146,8 @@ mod tests {
         let a = corpus.token_id("a").unwrap();
         let b = corpus.token_id("b").unwrap();
         let mut join = JoinCursor::new(
-            Box::new(ScanCursor::new(index.list(a))),
-            Box::new(ScanCursor::new(index.list(b))),
+            Box::new(ScanCursor::new(index.block_list(a))),
+            Box::new(ScanCursor::new(index.block_list(b))),
         );
         join.advance_node().unwrap();
         assert_eq!((join.position(0).offset, join.position(1).offset), (0, 1));

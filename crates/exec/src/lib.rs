@@ -30,19 +30,17 @@
 //! Every engine reports [`ftsl_index::AccessCounters`] so the Figure 3
 //! bounds can be validated with machine-independent measurements.
 //!
-//! ## Positional evaluation on the compressed layout
+//! ## Positional evaluation at the cursor
 //!
-//! The streaming engines run unchanged over either physical layout
-//! ([`ftsl_index::IndexLayout`]). On `Blocks`, positional predicates
-//! (`ordered`, `distance`, `window`, …) evaluate *at the cursor*: entries
-//! are decoded out of the delta/varint stream one at a time, and an entry's
-//! position payload is only decompressed when the predicate actually
-//! inspects it — entries rejected on node id alone are stepped over using
-//! the stored byte length, visible in
+//! Every engine reads the index's one physical form, the block-compressed
+//! lists. Positional predicates (`ordered`, `distance`, `window`, …)
+//! evaluate *at the cursor*: a block's ids are unpacked on first touch,
+//! and an entry's position payload is only decompressed when the predicate
+//! actually inspects it — entries rejected on node id alone are stepped
+//! over using the stored byte length, visible in
 //! [`ftsl_index::AccessCounters::positions_decoded`]:
 //!
 //! ```
-//! use ftsl_exec::build::IndexLayout;
 //! use ftsl_exec::engine::{EngineKind, ExecOptions, Executor};
 //! use ftsl_index::IndexBuilder;
 //! use ftsl_model::Corpus;
@@ -59,7 +57,6 @@
 //! // example demonstrates; by default the phrase below would resolve
 //! // from the word-pair auxiliary index without touching positions.
 //! let options = ExecOptions {
-//!     layout: IndexLayout::Blocks,
 //!     use_pairs: false,
 //!     ..Default::default()
 //! };

@@ -13,7 +13,7 @@
 //! * optional **parallel** thread execution (real OS threads, results
 //!   merged through an mpsc channel).
 
-use crate::build::{build_cursor, CursorCtx, IndexLayout};
+use crate::build::{build_cursor, CursorCtx};
 use crate::error::PlanError;
 use crate::plan::{build_plan, order_joins_by_selectivity, Plan};
 use ftsl_calculus::ast::{QueryExpr, VarId};
@@ -32,8 +32,6 @@ pub struct NpredOptions {
     pub parallel: bool,
     /// Positive-predicate skip aggressiveness.
     pub mode: AdvanceMode,
-    /// Physical layout leaf scans read.
-    pub layout: IndexLayout,
 }
 
 impl Default for NpredOptions {
@@ -42,7 +40,6 @@ impl Default for NpredOptions {
             full_permutations: false,
             parallel: false,
             mode: AdvanceMode::Aggressive,
-            layout: IndexLayout::Decoded,
         }
     }
 }
@@ -105,7 +102,6 @@ fn run_thread(
         index,
         registry,
         mode: options.mode,
-        layout: options.layout,
     };
     let mut cursor = build_cursor(&plan.root, &ctx, &ranks);
     let mut nodes = Vec::new();

@@ -348,7 +348,7 @@ where
     }
     // Fallback: position intersection, exactly the work the pair index
     // would have saved (counted through the same counters).
-    let (la, lb) = (index.list(a), index.list(b));
+    let (la, lb) = (index.block_list(a), index.block_list(b));
     let mut entries = min_forward_gaps(la, lb, q.bound, &mut counters);
     if both_ways {
         let backward = min_forward_gaps(lb, la, q.bound, &mut counters);

@@ -1,6 +1,6 @@
 //! The PPRED engine (Section 5.5): single-scan streaming evaluation.
 
-use crate::build::{build_cursor, CursorCtx, IndexLayout};
+use crate::build::{build_cursor, CursorCtx};
 use crate::error::PlanError;
 use crate::pairscan;
 use crate::plan::{build_plan, order_joins_by_selectivity};
@@ -11,7 +11,7 @@ use ftsl_predicates::{AdvanceMode, PredicateRegistry};
 use std::collections::HashMap;
 
 /// Evaluate a (closed) calculus expression with the PPRED streaming engine
-/// on the decoded index layout.
+/// (pair rewrite on — see [`run_ppred_attr`]).
 ///
 /// Fails with a [`PlanError`] if the query is not in the PPRED fragment
 /// (negative/general predicates, open negation, `EVERY`, mismatched `OR`).
@@ -22,37 +22,7 @@ pub fn run_ppred(
     registry: &PredicateRegistry,
     mode: AdvanceMode,
 ) -> Result<(Vec<NodeId>, AccessCounters), PlanError> {
-    run_ppred_with(expr, corpus, index, registry, mode, IndexLayout::Decoded)
-}
-
-/// [`run_ppred`] with an explicit physical layout for the leaf scans.
-pub fn run_ppred_with(
-    expr: &QueryExpr,
-    corpus: &Corpus,
-    index: &InvertedIndex,
-    registry: &PredicateRegistry,
-    mode: AdvanceMode,
-    layout: IndexLayout,
-) -> Result<(Vec<NodeId>, AccessCounters), PlanError> {
-    run_ppred_pairs(expr, corpus, index, registry, mode, layout, true)
-}
-
-/// [`run_ppred_with`] with explicit control over the pair-index rewrite:
-/// when `use_pairs` is set and the plan is a two-scan proximity core the
-/// index's word-pair lists can answer ([`pairscan::recognize`]), the
-/// query resolves from one pair-list walk; any coverage miss falls back
-/// to the ordinary single-scan streaming evaluation. Passing `false`
-/// forces the streaming path — the differential oracle for pair results.
-pub fn run_ppred_pairs(
-    expr: &QueryExpr,
-    corpus: &Corpus,
-    index: &InvertedIndex,
-    registry: &PredicateRegistry,
-    mode: AdvanceMode,
-    layout: IndexLayout,
-    use_pairs: bool,
-) -> Result<(Vec<NodeId>, AccessCounters), PlanError> {
-    run_ppred_attr(expr, corpus, index, registry, mode, layout, use_pairs)
+    run_ppred_attr(expr, corpus, index, registry, mode, true)
         .map(|(nodes, counters, _)| (nodes, counters))
 }
 
@@ -90,14 +60,19 @@ impl PairAttribution {
     }
 }
 
-/// [`run_ppred_pairs`], additionally reporting which path answered.
+/// [`run_ppred`] with explicit control over the pair-index rewrite,
+/// reporting which path answered: when `use_pairs` is set and the plan is a
+/// two-scan proximity core the index's word-pair lists can answer
+/// ([`pairscan::recognize`]), the query resolves from one pair-list walk;
+/// any coverage miss falls back to the ordinary single-scan streaming
+/// evaluation. Passing `false` forces the streaming path — the
+/// differential oracle for pair results.
 pub fn run_ppred_attr(
     expr: &QueryExpr,
     corpus: &Corpus,
     index: &InvertedIndex,
     registry: &PredicateRegistry,
     mode: AdvanceMode,
-    layout: IndexLayout,
     use_pairs: bool,
 ) -> Result<(Vec<NodeId>, AccessCounters, PairAttribution), PlanError> {
     let plan = build_plan(expr, registry, false)?;
@@ -120,7 +95,6 @@ pub fn run_ppred_attr(
         index,
         registry,
         mode,
-        layout,
     };
     let mut cursor = build_cursor(&root, &ctx, &HashMap::new());
     let mut nodes = Vec::new();

@@ -68,8 +68,8 @@ mod tests {
         let a = corpus.token_id("a").unwrap();
         let b = corpus.token_id("b").unwrap();
         let join = JoinCursor::new(
-            Box::new(ScanCursor::new(index.list(a))),
-            Box::new(ScanCursor::new(index.list(b))),
+            Box::new(ScanCursor::new(index.block_list(a))),
+            Box::new(ScanCursor::new(index.block_list(b))),
         );
         // Swap the two columns.
         let mut proj = ProjectCursor::new(Box::new(join), vec![1, 0]);

@@ -5,13 +5,11 @@
 //! least-work engine): flat disjunctions — the ranked-query workhorse — go
 //! through the MaxScore/block-max pruned union; general `AND`/`OR`/`NOT`
 //! trees under PRA semantics go through the cursor-driven score-stream
-//! tree. Both run on whichever physical layout
-//! ([`crate::engine::ExecOptions::layout`]) the executor was configured
-//! with, and report [`ftsl_index::AccessCounters`] so pruning wins are
+//! tree. Both report [`ftsl_index::AccessCounters`] so pruning wins are
 //! measurable.
 
 use crate::error::ExecError;
-use ftsl_index::{AccessCounters, DeleteSet, IndexLayout, InvertedIndex};
+use ftsl_index::{AccessCounters, DeleteSet, InvertedIndex};
 use ftsl_lang::SurfaceQuery;
 use ftsl_model::{Corpus, NodeId};
 use ftsl_scoring::{PraModel, ScoreStats, TfIdfModel};
@@ -78,30 +76,27 @@ pub fn flat_disjunction(query: &SurfaceQuery) -> Option<Vec<&str>> {
     walk(query, &mut tokens).then_some(tokens)
 }
 
-/// Run a scored top-k query on the given layout.
+/// Run a scored top-k query.
 pub fn run_scored_top_k(
     query: &SurfaceQuery,
     corpus: &Corpus,
     index: &InvertedIndex,
     stats: &ScoreStats,
     model: &ScoreModel<'_>,
-    layout: IndexLayout,
     spec: ScoredTopK,
 ) -> Result<ScoredOutput, ExecError> {
-    run_scored_top_k_filtered(query, corpus, index, stats, model, layout, spec, None)
+    run_scored_top_k_filtered(query, corpus, index, stats, model, spec, None)
 }
 
 /// [`run_scored_top_k`] over one live-index segment: a delete set routes
 /// every streaming path through its tombstone-filtered variant, so deleted
 /// documents neither appear in nor displace the top-k.
-#[allow(clippy::too_many_arguments)]
 pub fn run_scored_top_k_filtered(
     query: &SurfaceQuery,
     corpus: &Corpus,
     index: &InvertedIndex,
     stats: &ScoreStats,
     model: &ScoreModel<'_>,
-    layout: IndexLayout,
     spec: ScoredTopK,
     live: Option<&DeleteSet>,
 ) -> Result<ScoredOutput, ExecError> {
@@ -117,9 +112,8 @@ pub fn run_scored_top_k_filtered(
                     ),
                 });
             };
-            let out = ftsl_scoring::topk_tfidf_filtered(
-                &tokens, corpus, index, stats, m, layout, spec.k, live,
-            );
+            let out =
+                ftsl_scoring::topk_tfidf_filtered(&tokens, corpus, index, stats, m, spec.k, live);
             Ok(ScoredOutput {
                 hits: out.hits,
                 counters: out.counters,
@@ -130,7 +124,7 @@ pub fn run_scored_top_k_filtered(
         ScoreModel::Pra(m) => {
             if let Some(tokens) = flat {
                 let out = ftsl_scoring::topk_pra_disjunction_filtered(
-                    &tokens, corpus, index, stats, m, layout, spec.k, live,
+                    &tokens, corpus, index, stats, m, spec.k, live,
                 );
                 return Ok(ScoredOutput {
                     hits: out.hits,
@@ -139,13 +133,12 @@ pub fn run_scored_top_k_filtered(
                     trace: None,
                 });
             }
-            let out = ftsl_scoring::run_bool_topk_filtered(
-                query, corpus, index, stats, m, layout, spec.k, live,
-            )
-            .map_err(|reason| ExecError::WrongEngine {
-                engine: "TOPK",
-                reason,
-            })?;
+            let out =
+                ftsl_scoring::run_bool_topk_filtered(query, corpus, index, stats, m, spec.k, live)
+                    .map_err(|reason| ExecError::WrongEngine {
+                        engine: "TOPK",
+                        reason,
+                    })?;
             Ok(ScoredOutput {
                 hits: out.hits,
                 counters: out.counters,
@@ -187,7 +180,6 @@ mod tests {
             &index,
             &stats,
             &ScoreModel::TfIdf(&model),
-            IndexLayout::Decoded,
             ScoredTopK { k: 3 },
         );
         assert!(matches!(err, Err(ExecError::WrongEngine { .. })));

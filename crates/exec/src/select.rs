@@ -198,8 +198,8 @@ mod tests {
         let a = corpus.token_id(t1).unwrap();
         let b = corpus.token_id(t2).unwrap();
         Box::new(JoinCursor::new(
-            Box::new(ScanCursor::new(index.list(a))),
-            Box::new(ScanCursor::new(index.list(b))),
+            Box::new(ScanCursor::new(index.block_list(a))),
+            Box::new(ScanCursor::new(index.block_list(b))),
         ))
     }
 

@@ -195,7 +195,7 @@ mod tests {
         tok: &str,
     ) -> Box<dyn FtCursor + 'a> {
         let id = corpus.token_id(tok).unwrap();
-        Box::new(ScanCursor::new(index.list(id)))
+        Box::new(ScanCursor::new(index.block_list(id)))
     }
 
     #[test]
@@ -215,7 +215,7 @@ mod tests {
         let corpus = Corpus::from_texts(&["a", "a"]);
         let index = IndexBuilder::new().build(&corpus);
         let b_scan: Box<dyn FtCursor> =
-            Box::new(ScanCursor::new(index.list(ftsl_model::TokenId(9999))));
+            Box::new(ScanCursor::new(index.block_list(ftsl_model::TokenId(9999))));
         let mut u = UnionCursor::new(scan(&corpus, &index, "a"), b_scan);
         let mut nodes = Vec::new();
         while let Some(n) = u.advance_node() {
@@ -241,7 +241,7 @@ mod tests {
         let corpus = Corpus::from_texts(&["a", "a"]);
         let index = IndexBuilder::new().build(&corpus);
         let empty: Box<dyn FtCursor> =
-            Box::new(ScanCursor::new(index.list(ftsl_model::TokenId(9999))));
+            Box::new(ScanCursor::new(index.block_list(ftsl_model::TokenId(9999))));
         let mut d = DiffCursor::new(scan(&corpus, &index, "a"), empty);
         assert_eq!(d.advance_node().map(|n| n.0), Some(0));
         assert_eq!(d.advance_node().map(|n| n.0), Some(1));

@@ -96,7 +96,7 @@ impl<'a> SnapshotExecutor<'a> {
         Self::with_options(snapshot, registry, ExecOptions::default())
     }
 
-    /// Executor with explicit options (layout, advance mode, ...).
+    /// Executor with explicit options (advance mode, NPRED strategy, ...).
     pub fn with_options(
         snapshot: &'a Snapshot,
         registry: &'a PredicateRegistry,
@@ -214,7 +214,6 @@ impl<'a> SnapshotExecutor<'a> {
                 index,
                 &empty_stats,
                 model,
-                self.options.layout,
                 spec,
                 None,
             );
@@ -222,7 +221,6 @@ impl<'a> SnapshotExecutor<'a> {
         // Dispatch once for the whole snapshot (it depends only on query
         // shape), so shape errors surface regardless of segment pruning.
         let flat = flat_disjunction(surface);
-        let layout = self.options.layout;
         enum SegPlan<'s> {
             /// Flat disjunction: prebuilt union cursors (their construction
             /// reads only list metadata, so a skipped segment costs no
@@ -240,8 +238,7 @@ impl<'a> SnapshotExecutor<'a> {
             let live = Some(seg.deletes());
             let (bound, plan) = match (model, &flat) {
                 (ScoreModel::TfIdf(m), Some(tokens)) => {
-                    let cursors =
-                        tfidf_union_cursors(tokens, corpus, index, seg_stats, m, layout, live);
+                    let cursors = tfidf_union_cursors(tokens, corpus, index, seg_stats, m, live);
                     (
                         union_bound(&cursors, UnionKind::Sum),
                         SegPlan::Union(cursors, UnionKind::Sum),
@@ -257,18 +254,19 @@ impl<'a> SnapshotExecutor<'a> {
                     });
                 }
                 (ScoreModel::Pra(m), Some(tokens)) => {
-                    let cursors =
-                        pra_union_cursors(tokens, corpus, index, seg_stats, m, layout, live);
+                    let cursors = pra_union_cursors(tokens, corpus, index, seg_stats, m, live);
                     (
                         union_bound(&cursors, UnionKind::ProbOr),
                         SegPlan::Union(cursors, UnionKind::ProbOr),
                     )
                 }
                 (ScoreModel::Pra(m), None) => {
-                    let bound = pra_tree_bound(surface, corpus, index, seg_stats, m, layout)
-                        .map_err(|reason| ExecError::WrongEngine {
-                            engine: "TOPK",
-                            reason,
+                    let bound =
+                        pra_tree_bound(surface, corpus, index, seg_stats, m).map_err(|reason| {
+                            ExecError::WrongEngine {
+                                engine: "TOPK",
+                                reason,
+                            }
                         })?;
                     (bound, SegPlan::Tree)
                 }
@@ -322,7 +320,6 @@ impl<'a> SnapshotExecutor<'a> {
                         data.index(),
                         stats.segment(i),
                         m,
-                        layout,
                         Some(seg.deletes()),
                         topk,
                         globals,

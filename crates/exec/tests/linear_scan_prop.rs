@@ -70,13 +70,13 @@ fn scanned_totals(node: &PlanNode, corpus: &Corpus, index: &InvertedIndex) -> (u
     match node {
         PlanNode::Scan { token, .. } => match corpus.token_id(token) {
             Some(id) => {
-                let list = index.list(id);
+                let list = index.block_list(id);
                 (list.num_entries() as u64, list.num_positions() as u64)
             }
             None => (0, 0),
         },
         PlanNode::ScanAny { .. } => {
-            let list = index.any();
+            let list = index.any_block_list();
             (list.num_entries() as u64, list.num_positions() as u64)
         }
         PlanNode::Join(a, b) | PlanNode::Union(a, b) | PlanNode::Diff(a, b) => {

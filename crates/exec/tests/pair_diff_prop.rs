@@ -3,8 +3,8 @@
 //! The contract: rewriting a two-scan proximity core (phrase, NEAR,
 //! ordered-window) to a walk over the word-pair auxiliary lists is
 //! **invisible** — `use_pairs: true` must return node lists bit-identical
-//! to the `use_pairs: false` position-intersection oracle, on every corpus,
-//! every physical layout, and every pair-index configuration (default
+//! to the `use_pairs: false` position-intersection oracle, on every corpus
+//! and every pair-index configuration (default
 //! df cutoff, cutoff disabled, a window small enough to force fallback,
 //! and pairs disabled entirely).
 //!
@@ -21,7 +21,7 @@
 //! `FTSL_PROPTEST_CASES`; the default keeps PR builds quick.
 
 use ftsl_exec::engine::{EngineKind, ExecOptions, Executor};
-use ftsl_index::{IndexBuilder, IndexLayout, InvertedIndex, PairConfig};
+use ftsl_index::{IndexBuilder, InvertedIndex, PairConfig};
 use ftsl_model::Corpus;
 use ftsl_predicates::PredicateRegistry;
 use proptest::prelude::*;
@@ -114,7 +114,7 @@ fn pair_configs() -> [PairConfig; 4] {
 }
 
 /// Pair path vs oracle on one (corpus, index, query): node lists must be
-/// bit-identical on both layouts.
+/// bit-identical.
 fn assert_pair_matches_oracle(
     corpus: &Corpus,
     index: &InvertedIndex,
@@ -122,50 +122,45 @@ fn assert_pair_matches_oracle(
     ctx: &str,
 ) -> Result<(), ()> {
     let reg = PredicateRegistry::with_builtins();
-    for layout in [IndexLayout::Decoded, IndexLayout::Blocks] {
-        let paired = Executor::with_options(
-            corpus,
-            index,
-            &reg,
-            ExecOptions {
-                layout,
-                use_pairs: true,
-                ..Default::default()
-            },
-        );
-        let oracle = Executor::with_options(
-            corpus,
-            index,
-            &reg,
-            ExecOptions {
-                layout,
-                use_pairs: false,
-                ..Default::default()
-            },
-        );
-        let got = paired
-            .run_str(query, EngineKind::Ppred)
-            .expect("pair path runs");
-        let want = oracle
-            .run_str(query, EngineKind::Ppred)
-            .expect("oracle runs");
-        prop_assert_eq!(
-            &got.nodes,
-            &want.nodes,
-            "{} {:?}: pair path diverged on {}",
-            ctx,
-            layout,
-            query
-        );
-        // The oracle never reads pair lists — its counters prove it is
-        // the independent position-intersection implementation.
-        prop_assert_eq!(
-            want.counters.pair_entries,
-            0,
-            "{}: oracle touched pairs",
-            ctx
-        );
-    }
+    let paired = Executor::with_options(
+        corpus,
+        index,
+        &reg,
+        ExecOptions {
+            use_pairs: true,
+            ..Default::default()
+        },
+    );
+    let oracle = Executor::with_options(
+        corpus,
+        index,
+        &reg,
+        ExecOptions {
+            use_pairs: false,
+            ..Default::default()
+        },
+    );
+    let got = paired
+        .run_str(query, EngineKind::Ppred)
+        .expect("pair path runs");
+    let want = oracle
+        .run_str(query, EngineKind::Ppred)
+        .expect("oracle runs");
+    prop_assert_eq!(
+        &got.nodes,
+        &want.nodes,
+        "{}: pair path diverged on {}",
+        ctx,
+        query
+    );
+    // The oracle never reads pair lists — its counters prove it is
+    // the independent position-intersection implementation.
+    prop_assert_eq!(
+        want.counters.pair_entries,
+        0,
+        "{}: oracle touched pairs",
+        ctx
+    );
     Ok(())
 }
 
@@ -310,15 +305,7 @@ fn pair_list_straddles_block_boundary() {
     // any position payload.
     let reg = PredicateRegistry::with_builtins();
     let index = IndexBuilder::new().build(&corpus);
-    let exec = Executor::with_options(
-        &corpus,
-        &index,
-        &reg,
-        ExecOptions {
-            layout: IndexLayout::Blocks,
-            ..Default::default()
-        },
-    );
+    let exec = Executor::new(&corpus, &index, &reg);
     let out = exec
         .run_str(&render_query("a", "b", Shape::Phrase), EngineKind::Ppred)
         .expect("runs");

@@ -1,17 +1,18 @@
 //! Acceptance tests for skip-aware seeking on a skewed corpus: conjunctive
 //! evaluation driven by the rarest list must *decode* strictly fewer
 //! inverted-list entries than a sequential scan of the operand lists, with
-//! the bypassed entries accounted in [`AccessCounters::skipped`] — and the
-//! block-compressed layout must agree with the decoded layout on every
-//! engine that can read both.
+//! the bypassed entries accounted in [`AccessCounters::skipped`], position
+//! payloads decoded only where a predicate looks — and every engine must
+//! agree with the calculus interpreter while it skips.
 
+use ftsl_calculus::interp::Interpreter;
+use ftsl_calculus::CalcQuery;
 use ftsl_corpus::SynthConfig;
 use ftsl_exec::bool_eval::run_bool;
-use ftsl_exec::build::IndexLayout;
 use ftsl_exec::engine::{EngineKind, ExecOptions, Executor};
 use ftsl_index::{AccessCounters, IndexBuilder, InvertedIndex};
-use ftsl_lang::{parse, Mode};
-use ftsl_model::Corpus;
+use ftsl_lang::{lower, parse, Mode};
+use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::PredicateRegistry;
 
 /// Zipf background plus one rare and one common planted token: the regime
@@ -66,10 +67,19 @@ fn bool_conjunction_decodes_fewer_entries_than_sequential_scan() {
         counters.entries
     );
 
-    // Same answer as the naive merge over the decoded node-id arrays.
-    let rare_ids = index.list(corpus.token_id("rare").unwrap()).node_ids();
-    let common_ids = index.list(corpus.token_id("common").unwrap()).node_ids();
-    let expected = ftsl_exec::bool_eval::intersect_sorted(rare_ids, common_ids);
+    // Same answer as filtering the documents directly.
+    let (rare, common) = (
+        corpus.token_id("rare").unwrap(),
+        corpus.token_id("common").unwrap(),
+    );
+    let expected: Vec<NodeId> = corpus
+        .documents()
+        .iter()
+        .filter(|d| {
+            d.tokens.iter().any(|&(t, _)| t == rare) && d.tokens.iter().any(|&(t, _)| t == common)
+        })
+        .map(|d| d.node)
+        .collect();
     assert_eq!(nodes, expected);
 }
 
@@ -94,38 +104,35 @@ fn streaming_join_seeks_instead_of_scanning() {
     assert!(out.counters.skipped > 0);
 }
 
-fn layouts_agree(query: &str, engine: EngineKind) -> AccessCounters {
+/// Run `query` on `engine` (position-intersection path: pairs off), check
+/// it against the calculus interpreter, and hand back the counters.
+fn agrees_with_interpreter(query: &str, engine: EngineKind) -> AccessCounters {
     let (corpus, index) = skewed_env();
     let reg = PredicateRegistry::with_builtins();
     let surface = parse(query, Mode::Comp).expect("parses");
+    let expr = lower(&surface, &reg).expect("lowers");
+    let expected = Interpreter::new(&corpus, &reg).eval_query(&CalcQuery::new(expr));
 
-    let decoded = Executor::new(&corpus, &index, &reg)
+    let options = ExecOptions {
+        use_pairs: false,
+        ..Default::default()
+    };
+    let out = Executor::with_options(&corpus, &index, &reg, options)
         .run_surface(&surface, engine)
-        .expect("decoded layout runs");
-    let blocks = Executor::with_options(
-        &corpus,
-        &index,
-        &reg,
-        ExecOptions {
-            layout: IndexLayout::Blocks,
-            ..Default::default()
-        },
-    )
-    .run_surface(&surface, engine)
-    .expect("block layout runs");
+        .expect("engine runs");
 
-    assert_eq!(decoded.nodes, blocks.nodes, "layouts disagree on {query}");
-    assert!(!decoded.nodes.is_empty(), "vacuous agreement on {query}");
-    blocks.counters
+    assert_eq!(out.nodes, expected, "engine disagrees on {query}");
+    assert!(!out.nodes.is_empty(), "vacuous agreement on {query}");
+    out.counters
 }
 
 #[test]
-fn block_layout_agrees_with_decoded_on_bool() {
-    let counters = layouts_agree(
+fn bool_agrees_with_interpreter_while_seeking() {
+    let counters = agrees_with_interpreter(
         "('rare' AND 'common') OR ('common' AND NOT 'rare')",
         EngineKind::Bool,
     );
-    // The compressed conjunction path must seek, not scan.
+    // The conjunction path must seek, not scan.
     assert!(
         counters.skipped > 0,
         "BOOL block cursors should skip: {counters:?}"
@@ -133,12 +140,12 @@ fn block_layout_agrees_with_decoded_on_bool() {
 }
 
 #[test]
-fn block_layout_agrees_with_decoded_on_ppred() {
-    let counters = layouts_agree(
+fn ppred_agrees_with_interpreter_while_seeking() {
+    let counters = agrees_with_interpreter(
         "SOME p1 SOME p2 (p1 HAS 'rare' AND p2 HAS 'common' AND samepara(p1,p2))",
         EngineKind::Ppred,
     );
-    // The compressed cursors skip whole blocks of the common list.
+    // The cursors skip whole blocks of the common list.
     assert!(
         counters.skipped > 0,
         "block cursors should skip: {counters:?}"
@@ -146,18 +153,51 @@ fn block_layout_agrees_with_decoded_on_ppred() {
 }
 
 #[test]
-fn block_layout_agrees_with_decoded_on_npred() {
-    layouts_agree(
+fn npred_agrees_with_interpreter() {
+    agrees_with_interpreter(
         "SOME p1 SOME p2 (p1 HAS 'rare' AND p2 HAS 'common' AND not_distance(p1,p2,2))",
         EngineKind::Npred,
     );
 }
 
 #[test]
-fn block_layout_agrees_on_union_and_negation() {
-    layouts_agree(
+fn union_and_negation_agree_with_interpreter() {
+    agrees_with_interpreter(
         "SOME p1 SOME p2 ((p1 HAS 'rare' OR p1 HAS 'common') AND p2 HAS 'common' \
          AND distance(p1,p2,40)) AND NOT 'nonexistent-token'",
         EngineKind::Ppred,
+    );
+}
+
+/// The lazy-decode acceptance criterion: a positional conjunction driven by
+/// a rare list rejects almost every entry of the common list on node id
+/// alone, so the number of decoded position payloads stays strictly below
+/// both the total entry count and the total position count of the scanned
+/// lists.
+#[test]
+fn skewed_conjunction_decodes_positions_lazily() {
+    let (corpus, index) = skewed_env();
+    let rare = index.block_list(corpus.token_id("rare").unwrap());
+    let common = index.block_list(corpus.token_id("common").unwrap());
+    let total_entries = (rare.num_entries() + common.num_entries()) as u64;
+    let total_positions = (rare.num_positions() + common.num_positions()) as u64;
+
+    let c = agrees_with_interpreter(
+        "SOME p1 SOME p2 (p1 HAS 'rare' AND p2 HAS 'common' AND distance(p1,p2,5))",
+        EngineKind::Ppred,
+    );
+    assert!(
+        c.positions_decoded > 0,
+        "predicate evaluation must inspect some positions: {c:?}"
+    );
+    assert!(
+        c.positions_decoded < total_entries,
+        "expected lazy decoding: {} payload positions decoded vs {total_entries} entries",
+        c.positions_decoded
+    );
+    assert!(
+        c.positions_decoded < total_positions,
+        "expected lazy decoding: {} of {total_positions} positions decoded",
+        c.positions_decoded
     );
 }

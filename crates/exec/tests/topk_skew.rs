@@ -2,15 +2,14 @@
 //! corpus: block-max/MaxScore-pruned top-k over a `'rare' OR 'common'`
 //! disjunction must decode *measurably fewer* entries than the exhaustive
 //! scored pass — which touches every entry of every query list — while
-//! returning exactly the oracle's first k rows. Checked on both physical
-//! layouts via the dispatcher, so the whole path under
-//! `ExecOptions::layout` is exercised.
+//! returning exactly the oracle's first k rows. Run through the
+//! dispatcher, so the whole path under [`Executor::run_top_k`] is exercised.
 
 use ftsl_corpus::SynthConfig;
-use ftsl_exec::engine::{ExecOptions, Executor};
+use ftsl_exec::engine::Executor;
 use ftsl_exec::scored::run_scored_top_k_filtered;
 use ftsl_exec::{ScoreModel, ScoredPath, ScoredTopK, SnapshotExecutor};
-use ftsl_index::{IndexBuilder, IndexLayout, InvertedIndex, LiveConfig, LiveIndex};
+use ftsl_index::{IndexBuilder, InvertedIndex, LiveConfig, LiveIndex};
 use ftsl_lang::{parse, Mode};
 use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::PredicateRegistry;
@@ -41,7 +40,7 @@ fn exhaustive_entries(corpus: &Corpus, index: &InvertedIndex, tokens: &[&str]) -
     tokens
         .iter()
         .filter_map(|t| corpus.token_id(t))
-        .map(|id| index.list(id).num_entries() as u64)
+        .map(|id| index.df(id) as u64)
         .sum()
 }
 
@@ -56,44 +55,34 @@ fn pruned_topk_decodes_a_fraction_of_the_exhaustive_pass() {
     let tfidf = TfIdfModel::for_query(&tokens, &corpus, &stats);
     let oracle = classic_tfidf(&tokens, &corpus, &stats, &tfidf);
 
-    for layout in [IndexLayout::Decoded, IndexLayout::Blocks] {
-        let exec = Executor::with_options(
-            &corpus,
-            &index,
-            &registry,
-            ExecOptions {
-                layout,
-                ..Default::default()
-            },
-        );
-        let out = exec
-            .run_top_k_str(
-                "'rare' OR 'common'",
-                ScoredTopK { k: 10 },
-                &stats,
-                &ScoreModel::TfIdf(&tfidf),
-            )
-            .expect("scored top-k runs");
-        assert_eq!(out.path, ScoredPath::PrunedUnion);
+    let exec = Executor::new(&corpus, &index, &registry);
+    let out = exec
+        .run_top_k_str(
+            "'rare' OR 'common'",
+            ScoredTopK { k: 10 },
+            &stats,
+            &ScoreModel::TfIdf(&tfidf),
+        )
+        .expect("scored top-k runs");
+    assert_eq!(out.path, ScoredPath::PrunedUnion);
 
-        // Exactness: the streamed top-10 is the oracle's first 10 rows.
-        assert_eq!(out.hits.len(), 10);
-        for ((gn, gs), (on, os)) in out.hits.iter().zip(&oracle) {
-            assert_eq!(gn, on, "{layout:?}: node order diverged");
-            assert!((gs - os).abs() < 1e-9, "{layout:?}: {gs} vs {os}");
-        }
-
-        // The acceptance bound: a fraction of the exhaustive decode count.
-        // The rare list must be decoded in full (it drives candidates); the
-        // common list should be almost entirely pruned once the heap fills
-        // with rare+common nodes.
-        assert!(
-            out.counters.entries * 2 < total,
-            "{layout:?}: pruned top-10 decoded {} of {} entries",
-            out.counters.entries,
-            total
-        );
+    // Exactness: the streamed top-10 is the oracle's first 10 rows.
+    assert_eq!(out.hits.len(), 10);
+    for ((gn, gs), (on, os)) in out.hits.iter().zip(&oracle) {
+        assert_eq!(gn, on, "node order diverged");
+        assert!((gs - os).abs() < 1e-9, "{gs} vs {os}");
     }
+
+    // The acceptance bound: a fraction of the exhaustive decode count.
+    // The rare list must be decoded in full (it drives candidates); the
+    // common list should be almost entirely pruned once the heap fills
+    // with rare+common nodes.
+    assert!(
+        out.counters.entries * 2 < total,
+        "pruned top-10 decoded {} of {} entries",
+        out.counters.entries,
+        total
+    );
 }
 
 /// Block-max pruning proper: once the heap threshold exceeds a block's
@@ -111,22 +100,14 @@ fn block_max_skips_low_impact_blocks_wholesale() {
     let registry = PredicateRegistry::with_builtins();
     let pra = PraModel::new(&corpus, &stats);
 
-    let exec = Executor::with_options(
-        &corpus,
-        &index,
-        &registry,
-        ExecOptions {
-            layout: IndexLayout::Blocks,
-            ..Default::default()
-        },
-    );
+    let exec = Executor::new(&corpus, &index, &registry);
     let out = exec
         .run_top_k_str("'hot'", ScoredTopK { k: 1 }, &stats, &ScoreModel::Pra(&pra))
         .expect("scored top-k runs");
     assert_eq!(out.hits.len(), 1);
     assert_eq!(out.hits[0].0, NodeId(0), "the tf=2 doc must win");
 
-    let hot_entries = index.list(corpus.token_id("hot").unwrap()).num_entries() as u64;
+    let hot_entries = index.df(corpus.token_id("hot").unwrap()) as u64;
     assert_eq!(hot_entries, 601);
     // Block 0 (which holds the winner) decodes; blocks 1..4 are skipped
     // whole on their impact bound.
@@ -153,32 +134,22 @@ fn pra_disjunction_also_prunes_and_matches_its_oracle() {
     let query = parse("'rare' OR 'common'", Mode::Bool).expect("parses");
     let oracle = run_bool_scored(&query, &corpus, &index, &stats, &pra).expect("oracle");
 
-    for layout in [IndexLayout::Decoded, IndexLayout::Blocks] {
-        let exec = Executor::with_options(
-            &corpus,
-            &index,
-            &registry,
-            ExecOptions {
-                layout,
-                ..Default::default()
-            },
-        );
-        let out = exec
-            .run_top_k(&query, ScoredTopK { k: 10 }, &stats, &ScoreModel::Pra(&pra))
-            .expect("scored top-k runs");
-        assert_eq!(out.path, ScoredPath::PrunedUnion);
-        assert_eq!(out.hits.len(), 10);
-        for ((gn, gs), (on, os)) in out.hits.iter().zip(&oracle) {
-            assert_eq!(gn, on, "{layout:?}: node order diverged");
-            assert!((gs - os).abs() < 1e-9, "{layout:?}: {gs} vs {os}");
-        }
-        assert!(
-            out.counters.entries * 2 < total,
-            "{layout:?}: pruned top-10 decoded {} of {} entries",
-            out.counters.entries,
-            total
-        );
+    let exec = Executor::new(&corpus, &index, &registry);
+    let out = exec
+        .run_top_k(&query, ScoredTopK { k: 10 }, &stats, &ScoreModel::Pra(&pra))
+        .expect("scored top-k runs");
+    assert_eq!(out.path, ScoredPath::PrunedUnion);
+    assert_eq!(out.hits.len(), 10);
+    for ((gn, gs), (on, os)) in out.hits.iter().zip(&oracle) {
+        assert_eq!(gn, on, "node order diverged");
+        assert!((gs - os).abs() < 1e-9, "{gs} vs {os}");
     }
+    assert!(
+        out.counters.entries * 2 < total,
+        "pruned top-10 decoded {} of {} entries",
+        out.counters.entries,
+        total
+    );
 }
 
 /// Deterministic skewed texts (the live-index cousin of [`skewed_env`]):
@@ -229,7 +200,7 @@ fn segmented_live(texts: &[String], segments: usize) -> LiveIndex {
 /// The pruning invariant the global threshold buys: at 16 segments, the
 /// shared-heap run decodes strictly fewer entries than sixteen independent
 /// per-segment heaps (the pre-global baseline, still reachable through
-/// [`run_scored_top_k_filtered`]) — on both layouts.
+/// [`run_scored_top_k_filtered`]).
 #[test]
 fn global_heap_beats_per_segment_heaps_at_16_segments() {
     let texts = skewed_texts(2000);
@@ -241,49 +212,39 @@ fn global_heap_beats_per_segment_heaps_at_16_segments() {
     let registry = PredicateRegistry::with_builtins();
     let query = parse("'rare' OR 'common'", Mode::Bool).expect("parses");
 
-    for layout in [IndexLayout::Decoded, IndexLayout::Blocks] {
-        let exec = SnapshotExecutor::with_options(
-            &snap,
-            &registry,
-            ExecOptions {
-                layout,
-                ..Default::default()
-            },
-        );
-        let global = exec
-            .run_top_k(
-                &query,
-                ScoredTopK { k: 10 },
-                &stats,
-                &ScoreModel::TfIdf(&tfidf),
-            )
-            .expect("global top-k runs");
-        assert_eq!(global.hits.len(), 10);
+    let exec = SnapshotExecutor::new(&snap, &registry);
+    let global = exec
+        .run_top_k(
+            &query,
+            ScoredTopK { k: 10 },
+            &stats,
+            &ScoreModel::TfIdf(&tfidf),
+        )
+        .expect("global top-k runs");
+    assert_eq!(global.hits.len(), 10);
 
-        // Baseline: each segment runs to its own exact top-10 with a fresh
-        // heap, exactly what run_top_k did before the global threshold.
-        let mut baseline = 0u64;
-        for (i, seg) in snap.segments().iter().enumerate() {
-            let out = run_scored_top_k_filtered(
-                &query,
-                seg.data().corpus(),
-                seg.data().index(),
-                stats.segment(i),
-                &ScoreModel::TfIdf(&tfidf),
-                layout,
-                ScoredTopK { k: 10 },
-                Some(seg.deletes()),
-            )
-            .expect("per-segment top-k runs");
-            baseline += out.counters.entries;
-        }
-        assert!(
-            global.counters.entries < baseline,
-            "{layout:?}: global heap decoded {} entries, per-segment heaps {}",
-            global.counters.entries,
-            baseline
-        );
+    // Baseline: each segment runs to its own exact top-10 with a fresh
+    // heap, exactly what run_top_k did before the global threshold.
+    let mut baseline = 0u64;
+    for (i, seg) in snap.segments().iter().enumerate() {
+        let out = run_scored_top_k_filtered(
+            &query,
+            seg.data().corpus(),
+            seg.data().index(),
+            stats.segment(i),
+            &ScoreModel::TfIdf(&tfidf),
+            ScoredTopK { k: 10 },
+            Some(seg.deletes()),
+        )
+        .expect("per-segment top-k runs");
+        baseline += out.counters.entries;
     }
+    assert!(
+        global.counters.entries < baseline,
+        "global heap decoded {} entries, per-segment heaps {}",
+        global.counters.entries,
+        baseline
+    );
 }
 
 /// Whole-segment skipping on a graded-impact corpus: one segment holds the
@@ -311,28 +272,19 @@ fn low_impact_segments_are_skipped_whole() {
     let registry = PredicateRegistry::with_builtins();
     let query = parse("'peak'", Mode::Bool).expect("parses");
 
-    for layout in [IndexLayout::Decoded, IndexLayout::Blocks] {
-        let exec = SnapshotExecutor::with_options(
-            &snap,
-            &registry,
-            ExecOptions {
-                layout,
-                ..Default::default()
-            },
-        );
-        let out = exec
-            .run_top_k(&query, ScoredTopK { k: 1 }, &stats, &ScoreModel::Pra(&pra))
-            .expect("top-k runs");
-        assert_eq!(out.hits[0].0, NodeId(0), "the tf=4 document wins");
-        assert_eq!(
-            out.counters.segments_skipped, 8,
-            "{layout:?}: every tf=1 segment must be skipped whole: {:?}",
-            out.counters
-        );
-        // A skipped segment contributes no decode work: only the peak
-        // segment's 1-entry list is consumed.
-        assert_eq!(out.counters.entries, 1, "{layout:?}: {:?}", out.counters);
-    }
+    let exec = SnapshotExecutor::new(&snap, &registry);
+    let out = exec
+        .run_top_k(&query, ScoredTopK { k: 1 }, &stats, &ScoreModel::Pra(&pra))
+        .expect("top-k runs");
+    assert_eq!(out.hits[0].0, NodeId(0), "the tf=4 document wins");
+    assert_eq!(
+        out.counters.segments_skipped, 8,
+        "every tf=1 segment must be skipped whole: {:?}",
+        out.counters
+    );
+    // A skipped segment contributes no decode work: only the peak
+    // segment's 1-entry list is consumed.
+    assert_eq!(out.counters.entries, 1, "{:?}", out.counters);
 }
 
 /// With `k` at least the full result size the heap never fills, nothing is
@@ -350,74 +302,48 @@ fn counters_sum_exactly_across_segments_when_nothing_prunes() {
     let query = parse("'rare' OR 'common'", Mode::Bool).expect("parses");
     let k = texts.len(); // larger than any possible result set
 
-    for layout in [IndexLayout::Decoded, IndexLayout::Blocks] {
-        let exec = SnapshotExecutor::with_options(
-            &snap,
-            &registry,
-            ExecOptions {
-                layout,
-                ..Default::default()
-            },
-        );
-        let global = exec
-            .run_top_k(&query, ScoredTopK { k }, &stats, &ScoreModel::TfIdf(&tfidf))
-            .expect("global top-k runs");
-        assert_eq!(global.counters.segments_skipped, 0);
+    let exec = SnapshotExecutor::new(&snap, &registry);
+    let global = exec
+        .run_top_k(&query, ScoredTopK { k }, &stats, &ScoreModel::TfIdf(&tfidf))
+        .expect("global top-k runs");
+    assert_eq!(global.counters.segments_skipped, 0);
 
-        let mut summed = ftsl_index::AccessCounters::new();
-        for (i, seg) in snap.segments().iter().enumerate() {
-            let out = run_scored_top_k_filtered(
-                &query,
-                seg.data().corpus(),
-                seg.data().index(),
-                stats.segment(i),
-                &ScoreModel::TfIdf(&tfidf),
-                layout,
-                ScoredTopK { k },
-                Some(seg.deletes()),
-            )
-            .expect("per-segment top-k runs");
-            summed += out.counters;
-        }
-        assert_eq!(
-            global.counters, summed,
-            "{layout:?}: unpruned global counters must be the per-segment sum"
-        );
+    let mut summed = ftsl_index::AccessCounters::new();
+    for (i, seg) in snap.segments().iter().enumerate() {
+        let out = run_scored_top_k_filtered(
+            &query,
+            seg.data().corpus(),
+            seg.data().index(),
+            stats.segment(i),
+            &ScoreModel::TfIdf(&tfidf),
+            ScoredTopK { k },
+            Some(seg.deletes()),
+        )
+        .expect("per-segment top-k runs");
+        summed += out.counters;
     }
+    assert_eq!(
+        global.counters, summed,
+        "unpruned global counters must be the per-segment sum"
+    );
 }
 
 #[test]
-fn stream_tree_handles_general_bool_on_both_layouts() {
+fn stream_tree_handles_general_bool() {
     let (corpus, index, stats) = skewed_env();
     let registry = PredicateRegistry::with_builtins();
     let pra = PraModel::new(&corpus, &stats);
     let query = parse("('rare' AND 'common') OR NOT 'common'", Mode::Bool).expect("parses");
     let oracle = run_bool_scored(&query, &corpus, &index, &stats, &pra).expect("oracle");
 
-    let mut per_layout: Vec<Vec<(NodeId, f64)>> = Vec::new();
-    for layout in [IndexLayout::Decoded, IndexLayout::Blocks] {
-        let exec = Executor::with_options(
-            &corpus,
-            &index,
-            &registry,
-            ExecOptions {
-                layout,
-                ..Default::default()
-            },
-        );
-        let out = exec
-            .run_top_k(&query, ScoredTopK { k: 25 }, &stats, &ScoreModel::Pra(&pra))
-            .expect("scored top-k runs");
-        assert_eq!(out.path, ScoredPath::StreamTree);
-        assert_eq!(out.hits.len(), 25);
-        for ((gn, gs), (on, os)) in out.hits.iter().zip(&oracle) {
-            assert_eq!(gn, on, "{layout:?}: node order diverged");
-            assert_eq!(gs, os, "{layout:?}: stream tree should be bit-exact");
-        }
-        per_layout.push(out.hits);
+    let exec = Executor::new(&corpus, &index, &registry);
+    let out = exec
+        .run_top_k(&query, ScoredTopK { k: 25 }, &stats, &ScoreModel::Pra(&pra))
+        .expect("scored top-k runs");
+    assert_eq!(out.path, ScoredPath::StreamTree);
+    assert_eq!(out.hits.len(), 25);
+    for ((gn, gs), (on, os)) in out.hits.iter().zip(&oracle) {
+        assert_eq!(gn, on, "node order diverged");
+        assert_eq!(gs, os, "stream tree should be bit-exact");
     }
-    assert_eq!(
-        per_layout[0], per_layout[1],
-        "layouts must agree bit-exactly"
-    );
 }

@@ -154,7 +154,7 @@ macro_rules! unpack_dispatch {
 /// Panics if `width > 32` or `data` is shorter than [`packed_bytes`] —
 /// callers either built the frame themselves or validated widths and
 /// lengths first (the untrusted-bytes path in
-/// [`crate::block::BlockList::try_to_posting`]).
+/// [`crate::block::BlockList::validate`]).
 #[inline]
 pub fn unpack(data: &[u8], width: u8, count: usize, out: &mut [u32; LANES]) -> usize {
     assert!(width <= 32, "width {width} out of range");

@@ -209,7 +209,8 @@ impl BlockList {
         });
     }
 
-    /// Decode back into the flat columnar layout.
+    /// Decode back into the flat columnar [`PostingList`] the builder
+    /// compressed (test support: the round-trip oracle).
     pub fn to_posting(&self) -> PostingList {
         let mut list = PostingList::empty();
         let mut cursor = self.cursor();
@@ -222,14 +223,14 @@ impl BlockList {
         list
     }
 
-    /// Like [`Self::to_posting`], but over *untrusted* bytes (the persisted
-    /// load path): every width, frame, count, and ordering invariant is
-    /// checked — including that tail-block padding lanes are zero, so each
-    /// list has exactly one canonical encoding — and any violation returns
-    /// `Err` with a description instead of panicking the way the in-memory
-    /// cursor would.
-    pub fn try_to_posting(&self) -> Result<PostingList, &'static str> {
-        let mut list = PostingList::empty();
+    /// Walk the whole list as *untrusted* bytes (the persisted load path):
+    /// every width, frame, count, and ordering invariant is checked —
+    /// including that tail-block padding lanes are zero, so each list has
+    /// exactly one canonical encoding — and any violation returns `Err`
+    /// with a description instead of panicking the way the trusting
+    /// [`BlockCursor`] would. Nothing is retained: a list that passes is
+    /// served from these same bytes.
+    pub fn validate(&self) -> Result<(), &'static str> {
         let entries = self.entries as usize;
         if self.blocks.len() != entries.div_ceil(BLOCK_ENTRIES) {
             return Err("block count disagrees with entry count");
@@ -240,7 +241,6 @@ impl BlockList {
         let mut ids = [0u32; bitpack::LANES];
         let mut tfs = [0u32; bitpack::LANES];
         let mut lens = [0u32; bitpack::LANES];
-        let mut positions: Vec<Position> = Vec::new();
         for (b, meta) in self.blocks.iter().enumerate() {
             let count = BLOCK_ENTRIES.min(entries - b * BLOCK_ENTRIES);
             if meta.byte_start as usize != at || meta.first_entry as usize != b * BLOCK_ENTRIES {
@@ -311,7 +311,6 @@ impl BlockList {
                 if end > self.data.len() {
                     return Err("position bytes out of range");
                 }
-                positions.clear();
                 let mut prev = Position::flat(0);
                 for j in 0..tfs[i] {
                     let (offset, sentence, paragraph) = if j == 0 {
@@ -348,13 +347,11 @@ impl BlockList {
                         sentence,
                         paragraph,
                     };
-                    positions.push(prev);
                 }
                 if at != end {
                     return Err("positions shorter than declared length");
                 }
                 total_positions += u64::from(tfs[i]);
-                list.push_entry(NodeId(ids[i]), &positions);
             }
         }
         if at != self.data.len() {
@@ -363,7 +360,7 @@ impl BlockList {
         if total_positions != self.positions {
             return Err("position count disagrees with payload");
         }
-        Ok(list)
+        Ok(())
     }
 
     /// Number of entries (`df(t)`).
@@ -753,7 +750,7 @@ impl<'a> BlockCursor<'a> {
     ///
     /// Trusted-bytes path: lists built in memory are well-formed by
     /// construction, so this decodes without validation (the persisted
-    /// load path re-validates through [`BlockList::try_to_posting`]).
+    /// load path re-validates through [`BlockList::validate`]).
     #[cold]
     fn unpack_block(&mut self, block: usize) {
         let s = &mut *self.scratch;
@@ -1286,11 +1283,10 @@ mod tests {
     }
 
     #[test]
-    fn untrusted_roundtrip_agrees_with_trusted() {
+    fn well_formed_lists_validate() {
         for n in [0u32, 1, 127, 128, 129, 513] {
-            let list = sample(n, 5);
-            let blocks = BlockList::from_posting(&list);
-            assert_eq!(blocks.try_to_posting().expect("valid"), list, "n = {n}");
+            let blocks = BlockList::from_posting(&sample(n, 5));
+            assert_eq!(blocks.validate(), Ok(()), "n = {n}");
         }
     }
 
@@ -1432,7 +1428,7 @@ mod tests {
         ]);
         let blocks = BlockList::from_posting(&list);
         assert_eq!(blocks.to_posting(), list);
-        assert_eq!(blocks.try_to_posting().expect("valid"), list);
+        assert_eq!(blocks.validate(), Ok(()));
         assert_eq!(blocks.max_tf(), 40);
         let mut cur = blocks.cursor();
         assert_eq!(cur.seek(NodeId(u32::MAX - 5)), Some(NodeId(u32::MAX - 1)));
@@ -1467,13 +1463,13 @@ mod tests {
             let mut raw = data.to_vec();
             raw[i] ^= 0x40;
             let candidate = BlockList::from_parts(metas.to_vec(), raw, entries, positions);
-            let _ = candidate.try_to_posting();
+            let _ = candidate.validate();
         }
         // A lying header is always an error.
         let mut bad = metas.to_vec();
         bad[1].byte_start += 1;
         let candidate = BlockList::from_parts(bad, data.to_vec(), entries, positions);
-        assert!(candidate.try_to_posting().is_err());
+        assert!(candidate.validate().is_err());
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! shards are already increasing). The result is bit-identical to a
 //! sequential build.
 //!
-//! After the decoded lists are assembled, their block-compressed physical
-//! form ([`crate::block::BlockList`]) is encoded, also in parallel (token
-//! ranges are independent).
+//! The assembled [`PostingList`]s are transient: they are block-compressed
+//! ([`crate::block::BlockList`], also in parallel — token ranges are
+//! independent) and dropped, so the finished index holds the compressed
+//! form alone.
 
 use crate::block::BlockList;
 use crate::index::InvertedIndex;
@@ -76,13 +77,10 @@ impl IndexBuilder {
         let dfs: Vec<u32> = lists.iter().map(|l| l.num_entries() as u32).collect();
         let pairs = PairIndex::build(docs, &dfs, self.pairs.unwrap_or_default());
         InvertedIndex {
-            lists,
-            any,
             blocks,
             any_blocks,
             stats,
             pairs,
-            ..InvertedIndex::default()
         }
     }
 
@@ -199,6 +197,13 @@ mod tests {
     use super::*;
     use ftsl_model::{Corpus, NodeId};
 
+    /// Decode a token's list (the round-trip oracle view).
+    fn list_of(index: &InvertedIndex, corpus: &Corpus, token: &str) -> PostingList {
+        index
+            .block_list(corpus.token_id(token).unwrap())
+            .to_posting()
+    }
+
     fn index_of(texts: &[&str]) -> (Corpus, InvertedIndex) {
         let corpus = Corpus::from_texts(texts);
         let index = IndexBuilder::new().build(&corpus);
@@ -208,8 +213,7 @@ mod tests {
     #[test]
     fn token_lists_have_one_entry_per_containing_node() {
         let (corpus, index) = index_of(&["usability testing", "testing tools", "unrelated"]);
-        let testing = corpus.token_id("testing").unwrap();
-        let list = index.list(testing);
+        let list = list_of(&index, &corpus, "testing");
         assert_eq!(list.num_entries(), 2);
         assert_eq!(list.node_of(0), NodeId(0));
         assert_eq!(list.node_of(1), NodeId(1));
@@ -218,8 +222,7 @@ mod tests {
     #[test]
     fn positions_match_document_occurrences() {
         let (corpus, index) = index_of(&["a b a c a"]);
-        let a = corpus.token_id("a").unwrap();
-        let list = index.list(a);
+        let list = list_of(&index, &corpus, "a");
         let offs: Vec<u32> = list.positions_of(0).iter().map(|p| p.offset).collect();
         assert_eq!(offs, vec![0, 2, 4]);
     }
@@ -227,7 +230,7 @@ mod tests {
     #[test]
     fn any_list_contains_all_positions_of_every_node() {
         let (_, index) = index_of(&["x y z", "w"]);
-        let any = index.any();
+        let any = index.any_block_list().to_posting();
         assert_eq!(any.num_entries(), 2);
         assert_eq!(any.positions_of(0).len(), 3);
         assert_eq!(any.positions_of(1).len(), 1);
@@ -236,8 +239,9 @@ mod tests {
     #[test]
     fn empty_documents_are_skipped_in_any() {
         let (_, index) = index_of(&["one", "", "two"]);
-        assert_eq!(index.any().num_entries(), 2);
-        assert_eq!(index.any().node_of(1), NodeId(2));
+        let any = index.any_block_list().to_posting();
+        assert_eq!(any.num_entries(), 2);
+        assert_eq!(any.node_of(1), NodeId(2));
     }
 
     #[test]
@@ -246,10 +250,8 @@ mod tests {
         // "usability" and "software" lists, as in Figure 2.
         let corpus = Corpus::from_texts(&[ftsl_model::corpus::figure1_book_text()]);
         let index = IndexBuilder::new().build(&corpus);
-        let usability = corpus.token_id("usability").unwrap();
-        let software = corpus.token_id("software").unwrap();
-        assert!(index.list(usability).positions_of(0).len() >= 3);
-        assert!(index.list(software).positions_of(0).len() >= 4);
+        assert!(list_of(&index, &corpus, "usability").positions_of(0).len() >= 3);
+        assert!(list_of(&index, &corpus, "software").positions_of(0).len() >= 4);
     }
 
     #[test]
@@ -278,21 +280,10 @@ mod tests {
         let seq = IndexBuilder::new().threads(1).build(&corpus);
         let par = IndexBuilder::new().threads(4).build(&corpus);
         assert_eq!(seq.stats(), par.stats());
-        assert_eq!(seq.any(), par.any());
+        assert_eq!(seq.any_block_list(), par.any_block_list());
         for t in 0..corpus.interner().len() {
             let tok = ftsl_model::TokenId(t as u32);
-            assert_eq!(seq.list(tok), par.list(tok), "token {t}");
-            assert_eq!(seq.block_list(tok), par.block_list(tok), "blocks {t}");
+            assert_eq!(seq.block_list(tok), par.block_list(tok), "token {t}");
         }
-    }
-
-    #[test]
-    fn block_lists_mirror_posting_lists() {
-        let (corpus, index) = index_of(&["a b a", "b c", "a c c"]);
-        for t in 0..corpus.interner().len() {
-            let tok = ftsl_model::TokenId(t as u32);
-            assert_eq!(&index.block_list(tok).to_posting(), index.list(tok));
-        }
-        assert_eq!(&index.any_block_list().to_posting(), index.any());
     }
 }

@@ -10,39 +10,34 @@ use std::ops::AddAssign;
 /// Counts of sequential inverted-list accesses.
 ///
 /// `entries` counts entries an evaluator *consumed* (returned by
-/// `next_entry`/`seek`). On the block layout physical decode is
-/// block-granular — a touched block is unpacked whole into cursor
-/// scratch — but the counters keep the logical access semantics so both
-/// layouts stay comparable; the unpacking itself is the constant-cost
-/// machinery being measured by the `batch_decode` bench, not an access.
+/// `next_entry`/`seek`). Physical decode is block-granular — a touched
+/// block is unpacked whole into cursor scratch — but the counters keep the
+/// paper's logical access semantics; the unpacking itself is the
+/// constant-cost machinery being measured by the `batch_decode` bench, not
+/// an access.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AccessCounters {
     /// Entries *consumed*: returned to the evaluator by `nextEntry()` or
-    /// as a `seek` landing. Entries a seek bypasses — galloped over on the
-    /// decoded layout, binary-searched past inside an unpacked block on
-    /// the block layout — count in [`Self::skipped`] instead.
+    /// as a `seek` landing. Entries a seek bypasses — stepped over via the
+    /// skip headers or binary-searched past inside an unpacked block —
+    /// count in [`Self::skipped`] instead.
     pub entries: u64,
     /// Positions consumed from `getPositions()` results.
     pub positions: u64,
     /// Positions whose *payload* was materialized out of the physical list.
     ///
-    /// On the block layout this counts real decompression work, one
-    /// position at a time: the v5 cursor decodes an entry's payload
-    /// *incrementally* ([`crate::block::BlockCursor::positions`] and the
-    /// single-position accessors), so a predicate that accepts or rejects
-    /// on an entry's first position charges one decode, not the entry's
-    /// full `tf`; entries rejected on node id alone are stepped over via
-    /// the unpacked length column and never contribute at all. On the
-    /// decoded layout positions are already resident, so the counter
-    /// instead records the first *inspection* of each entry's position
-    /// slice (its whole length) — an upper bound on what the block layout
-    /// charges for the same access pattern.
+    /// This counts real decompression work, one position at a time: the
+    /// cursor decodes an entry's payload *incrementally*
+    /// ([`crate::block::BlockCursor::positions`] and the single-position
+    /// accessors), so a predicate that accepts or rejects on an entry's
+    /// first position charges one decode, not the entry's full `tf`;
+    /// entries rejected on node id alone are stepped over via the unpacked
+    /// length column and never contribute at all.
     pub positions_decoded: u64,
     /// Tuples materialized by non-streaming operators (COMP joins).
     pub tuples: u64,
     /// Entries bypassed by `seek` without being *consumed* (whole-block
-    /// jumps, galloped-over entries on the decoded layout, and entries a
-    /// block cursor's in-block binary search steps past). Distinguishing
+    /// jumps and entries the cursor's in-block binary search steps past). Distinguishing
     /// consumed from skipped work is what makes skip-aware and sequential
     /// evaluation comparable.
     pub skipped: u64,
@@ -50,8 +45,7 @@ pub struct AccessCounters {
     /// jump — untouched blocks a `seek` stepped over via the skip headers,
     /// or blocks abandoned by score-bound pruning because their impact
     /// bound fell below the top-k threshold (only counted when at least one
-    /// entry was actually bypassed). Always 0 on the decoded layout, which
-    /// has no block structure.
+    /// entry was actually bypassed).
     pub blocks_skipped: u64,
     /// Whole live-index segments a global top-k run bypassed without
     /// touching a single posting, because the segment's total impact bound

@@ -1,51 +1,33 @@
 //! The inverted index: all `IL_tok` lists plus `IL_ANY`.
 
 use crate::block::{BlockCursor, BlockList};
-use crate::cursor::ListCursor;
 use crate::pair::PairIndex;
-use crate::postings::PostingList;
-use crate::residency::{DecodeCache, DecodeCacheStats, DecodedView, Residency};
-use crate::scored::{EntryScorer, ScoredBlocks, ScoredCursor, ScoredList};
+use crate::scored::{EntryScorer, ScoredBlocks, ScoredCursor};
 use crate::stats::IndexStats;
 use ftsl_model::TokenId;
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
-/// Which physical list representation an evaluation reads.
-///
-/// Every list is resident in both forms (see [`InvertedIndex`]); engines and
-/// scored evaluators choose per run. Lives in `ftsl-index` because the
-/// choice is purely physical — `ftsl-exec` re-exports it for its options
-/// struct.
+/// The physical list representation: block-compressed, the only one there
+/// is. Kept for `benchmark/src/sut.rs`, which names it; to be dropped by
+/// the next `benchmark` issue.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum IndexLayout {
-    /// Decoded columnar [`PostingList`]s (the seed layout): random access,
-    /// gallop-seeking cursors, list-level score bounds.
+    /// Block-compressed [`BlockList`]s.
     #[default]
-    Decoded,
-    /// Block-compressed [`BlockList`]s: entries are decoded out of
-    /// delta/varint blocks on demand, seeks ride the skip headers, and
-    /// scored cursors get per-block impact bounds.
     Blocks,
 }
 
-/// Resident memory cost of an index, split by physical form and labelled
-/// with the [`Residency`] policy that produced it.
+/// Resident memory cost of an index.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoryFootprint {
     /// Bytes held by the block-compressed lists (entry streams + skip/impact
-    /// headers), including `IL_ANY`. Always resident.
+    /// headers), including `IL_ANY`.
     pub compressed: usize,
     /// The portion of `compressed` spent on the resident
     /// [`crate::block::BlockMeta`] header arrays (skip + impact metadata)
     /// rather than packed entry data — the cost of being able to skip.
     pub block_headers: usize,
-    /// Bytes held by the decoded columnar views (node, offset, and position
-    /// arrays), including `IL_ANY`. Zero under [`Residency::BlocksOnly`].
-    pub decoded: usize,
-    /// Bytes held by the LRU block-decode cache (hot lists decoded on
-    /// demand). Zero under [`Residency::Dual`], which never needs it.
-    pub cache: usize,
     /// Bytes of the reusable decoded-block scratch buffer **each open
     /// [`crate::block::BlockCursor`] holds** (the v5 batch-decode columns).
     /// Per cursor, not per index: a query touching `t` token lists keeps
@@ -53,83 +35,47 @@ pub struct MemoryFootprint {
     /// concurrent cursors, not with corpus size.
     pub cursor_scratch: usize,
     /// Bytes held by the word-pair auxiliary index (packed pair lists,
-    /// skip headers, key array, coverage bitmap). Always resident —
-    /// residency changes never drop it. Zero when pairs are disabled.
+    /// skip headers, key array, coverage bitmap). Zero when pairs are
+    /// disabled.
     pub pairs: usize,
-    /// The residency policy the numbers were measured under.
-    pub residency: Residency,
 }
 
 impl MemoryFootprint {
-    /// Total resident bytes across every form. `block_headers` is already
-    /// inside `compressed`; `cursor_scratch` is per-open-cursor transient
-    /// state, not index residency — neither is double-counted here.
+    /// Total resident bytes. `block_headers` is already inside
+    /// `compressed`; `cursor_scratch` is per-open-cursor transient state,
+    /// not index residency — neither is double-counted here.
     pub fn total(&self) -> usize {
-        self.compressed + self.decoded + self.cache + self.pairs
+        self.compressed + self.pairs
     }
 }
 
 impl std::fmt::Display for MemoryFootprint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.residency {
-            Residency::Dual => write!(
-                f,
-                "{}: compressed={}B (headers {}B) decoded={}B pairs={}B \
-                 total={}B (+{}B/open cursor)",
-                self.residency,
-                self.compressed,
-                self.block_headers,
-                self.decoded,
-                self.pairs,
-                self.total(),
-                self.cursor_scratch
-            ),
-            Residency::BlocksOnly => write!(
-                f,
-                "{}: compressed={}B (headers {}B) decode-cache={}B pairs={}B \
-                 total={}B (+{}B/open cursor)",
-                self.residency,
-                self.compressed,
-                self.block_headers,
-                self.cache,
-                self.pairs,
-                self.total(),
-                self.cursor_scratch
-            ),
-        }
+        write!(
+            f,
+            "compressed={}B (headers {}B) pairs={}B total={}B (+{}B/open cursor)",
+            self.compressed,
+            self.block_headers,
+            self.pairs,
+            self.total(),
+            self.cursor_scratch
+        )
     }
 }
 
 /// A complete inverted index over a corpus.
 ///
-/// `lists[t]` is `IL_t` for token id `t`; [`InvertedIndex::any`] is `IL_ANY`
-/// (one entry per non-empty context node containing *all* its positions).
-///
-/// Under the default [`Residency::Dual`] policy each list is kept in two
-/// physical forms: the decoded columnar [`PostingList`] (random access,
-/// slice views — what the reference evaluators consume) and the
-/// block-compressed [`BlockList`] (the persisted layout, streamed through
-/// skip-aware [`BlockCursor`]s). Switching to [`Residency::BlocksOnly`]
-/// ([`InvertedIndex::set_residency`]) drops the decoded views: every
-/// evaluation path then reads the compressed form, and the few
-/// random-access consumers decode lists on demand through the LRU
-/// [`DecodeCache`] ([`InvertedIndex::decoded_list`]). [`crate::persist`]
-/// stores only the compressed form under either policy.
+/// `blocks[t]` is `IL_t` for token id `t`; `any_blocks` is `IL_ANY` (one
+/// entry per non-empty context node containing *all* its positions). Every
+/// list is resident in exactly one physical form, the block-compressed
+/// [`BlockList`] — the layout [`crate::persist`] stores — and every
+/// evaluation path streams it through skip-aware [`BlockCursor`]s.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct InvertedIndex {
-    pub(crate) lists: Vec<PostingList>,
-    pub(crate) any: PostingList,
     pub(crate) blocks: Vec<BlockList>,
     pub(crate) any_blocks: BlockList,
     pub(crate) stats: IndexStats,
-    pub(crate) residency: Residency,
-    pub(crate) cache: DecodeCache,
     pub(crate) pairs: PairIndex,
-}
-
-fn empty_list() -> &'static PostingList {
-    static EMPTY: OnceLock<PostingList> = OnceLock::new();
-    EMPTY.get_or_init(PostingList::empty)
 }
 
 fn empty_blocks() -> &'static BlockList {
@@ -137,190 +83,39 @@ fn empty_blocks() -> &'static BlockList {
     EMPTY.get_or_init(BlockList::default)
 }
 
-/// Cache slot reserved for `IL_ANY` (token lists use their token index).
-const ANY_SLOT: usize = usize::MAX;
-
 impl InvertedIndex {
-    /// The inverted list for `token`. Out-of-vocabulary ids map to the empty
+    /// The inverted list for `token`. Out-of-vocabulary ids map to an empty
     /// list, so queries mentioning unseen tokens simply match nothing.
-    ///
-    /// # Panics
-    /// Panics under [`Residency::BlocksOnly`], where the decoded views have
-    /// been dropped — use [`Self::decoded_list`] (lazy, cached) or
-    /// [`Self::block_list`] instead. Failing loudly beats silently serving
-    /// an empty list for a token the index does contain.
-    pub fn list(&self, token: TokenId) -> &PostingList {
-        assert!(
-            self.residency == Residency::Dual,
-            "decoded views dropped (blocks-only residency); \
-             use decoded_list()/block_list()"
-        );
-        self.lists
-            .get(token.index())
-            .unwrap_or_else(|| empty_list())
-    }
-
-    /// `IL_ANY`: every non-empty node with all of its positions.
-    ///
-    /// # Panics
-    /// Panics under [`Residency::BlocksOnly`] — see [`Self::list`].
-    pub fn any(&self) -> &PostingList {
-        assert!(
-            self.residency == Residency::Dual,
-            "decoded views dropped (blocks-only residency); \
-             use decoded_any()/any_block_list()"
-        );
-        &self.any
-    }
-
-    /// The decoded view of a token's list under *either* residency: a free
-    /// borrow when the decoded views are resident, a lazily-decoded,
-    /// LRU-cached handle when only the blocks are. Out-of-vocabulary ids
-    /// map to the empty list.
-    pub fn decoded_list(&self, token: TokenId) -> DecodedView<'_> {
-        match self.residency {
-            Residency::Dual => DecodedView::Resident(self.list(token)),
-            Residency::BlocksOnly => match self.blocks.get(token.index()) {
-                Some(blocks) => DecodedView::Cached(
-                    self.cache
-                        .get_or_decode(token.index(), || blocks.to_posting()),
-                ),
-                None => DecodedView::Resident(empty_list()),
-            },
-        }
-    }
-
-    /// The decoded view of `IL_ANY` under either residency (see
-    /// [`Self::decoded_list`]).
-    pub fn decoded_any(&self) -> DecodedView<'_> {
-        match self.residency {
-            Residency::Dual => DecodedView::Resident(&self.any),
-            Residency::BlocksOnly => DecodedView::Cached(
-                self.cache
-                    .get_or_decode(ANY_SLOT, || self.any_blocks.to_posting()),
-            ),
-        }
-    }
-
-    /// The active [`Residency`] policy.
-    pub fn residency(&self) -> Residency {
-        self.residency
-    }
-
-    /// Switch residency. Moving to [`Residency::BlocksOnly`] drops the
-    /// decoded views (freeing their RAM — [`Self::memory_footprint`] then
-    /// reports the compressed-only number) and byte-budgets the decode
-    /// cache to half the compressed size, so even a workload that keeps
-    /// decoding lists (COMP, exhaustive ranking) cannot creep back toward
-    /// the dual-resident footprint. Moving back to [`Residency::Dual`]
-    /// rebuilds the decoded views from the compressed blocks,
-    /// bit-identically (the blocks are lossless).
-    pub fn set_residency(&mut self, residency: Residency) {
-        if residency == self.residency {
-            return;
-        }
-        match residency {
-            Residency::BlocksOnly => {
-                self.lists = Vec::new();
-                self.any = PostingList::empty();
-            }
-            Residency::Dual => {
-                self.lists = self.blocks.iter().map(BlockList::to_posting).collect();
-                self.any = self.any_blocks.to_posting();
-            }
-        }
-        self.residency = residency;
-        self.cache = DecodeCache::with_byte_budget(
-            crate::residency::DEFAULT_DECODE_CACHE_LISTS,
-            self.decode_cache_byte_budget(),
-        );
-    }
-
-    /// The decode-cache byte budget for the current residency: half the
-    /// compressed size under blocks-only (keeping total RAM well below
-    /// dual), unbounded under dual (the cache is never populated there).
-    fn decode_cache_byte_budget(&self) -> usize {
-        match self.residency {
-            Residency::Dual => usize::MAX,
-            Residency::BlocksOnly => self.compressed_bytes() / 2,
-        }
-    }
-
-    /// Replace the block-decode cache capacity (number of decoded lists
-    /// retained under blocks-only residency; the residency's byte budget
-    /// is kept). Existing cached lists are dropped.
-    pub fn set_decode_cache_capacity(&mut self, lists: usize) {
-        self.cache = DecodeCache::with_byte_budget(lists, self.decode_cache_byte_budget());
-    }
-
-    /// Hit/miss counters and resident size of the block-decode cache.
-    pub fn decode_cache_stats(&self) -> DecodeCacheStats {
-        self.cache.stats()
-    }
-
-    /// Resolve a requested physical layout against the residency policy:
-    /// with the decoded views dropped, every evaluation runs on the blocks
-    /// regardless of what the caller asked for.
-    pub fn effective_layout(&self, requested: IndexLayout) -> IndexLayout {
-        match self.residency {
-            Residency::Dual => requested,
-            Residency::BlocksOnly => IndexLayout::Blocks,
-        }
-    }
-
-    /// Open a sequential cursor on a token list's decoded view.
-    ///
-    /// # Panics
-    /// Panics under [`Residency::BlocksOnly`] — use [`Self::block_cursor`].
-    pub fn cursor(&self, token: TokenId) -> ListCursor<'_> {
-        ListCursor::new(self.list(token))
-    }
-
-    /// Open a sequential cursor on `IL_ANY`'s decoded view.
-    ///
-    /// # Panics
-    /// Panics under [`Residency::BlocksOnly`] — use
-    /// [`Self::any_block_cursor`].
-    pub fn any_cursor(&self) -> ListCursor<'_> {
-        ListCursor::new(self.any())
-    }
-
-    /// The block-compressed form of a token's list. Out-of-vocabulary ids
-    /// map to an empty list.
     pub fn block_list(&self, token: TokenId) -> &BlockList {
         self.blocks
             .get(token.index())
             .unwrap_or_else(|| empty_blocks())
     }
 
-    /// The block-compressed form of `IL_ANY`.
+    /// `IL_ANY`: every non-empty node with all of its positions.
     pub fn any_block_list(&self) -> &BlockList {
         &self.any_blocks
     }
 
-    /// Open a skip-aware cursor on the compressed form of a token's list.
+    /// Open a skip-aware cursor on a token's list.
     pub fn block_cursor(&self, token: TokenId) -> BlockCursor<'_> {
         self.block_list(token).cursor()
     }
 
-    /// Open a skip-aware cursor on the compressed form of `IL_ANY`.
+    /// Open a skip-aware cursor on `IL_ANY`.
     pub fn any_block_cursor(&self) -> BlockCursor<'_> {
         self.any_blocks.cursor()
     }
 
-    /// Open a scored cursor on a token's list in the given physical layout.
-    /// The scorer supplies the per-entry scoring rule and its impact bound
-    /// (see [`EntryScorer`]); out-of-vocabulary ids yield an empty cursor.
+    /// Open a scored cursor on a token's list. The scorer supplies the
+    /// per-entry scoring rule and its impact bound (see [`EntryScorer`]);
+    /// out-of-vocabulary ids yield an empty cursor.
     pub fn scored_cursor<'a, S: EntryScorer + 'a>(
         &'a self,
         token: TokenId,
-        layout: IndexLayout,
         scorer: S,
     ) -> Box<dyn ScoredCursor + 'a> {
-        match self.effective_layout(layout) {
-            IndexLayout::Decoded => Box::new(ScoredList::new(self.list(token), scorer)),
-            IndexLayout::Blocks => Box::new(ScoredBlocks::new(self.block_list(token), scorer)),
-        }
+        Box::new(ScoredBlocks::new(self.block_list(token), scorer))
     }
 
     /// Total compressed bytes across all block lists (diagnostics).
@@ -332,12 +127,7 @@ impl InvertedIndex {
             + self.any_blocks.compressed_bytes()
     }
 
-    /// Resident bytes of the index, split by physical form and labelled
-    /// with the residency policy. Under [`Residency::Dual`] both forms are
-    /// hot and the *total* is what the process pays; under
-    /// [`Residency::BlocksOnly`] the decoded term is zero and only the
-    /// bounded decode cache adds to the compressed size. Surfaced by
-    /// `ftsl-cli`'s `:stats`.
+    /// Resident bytes of the index. Surfaced by `ftsl-cli`'s `:stats`.
     pub fn memory_footprint(&self) -> MemoryFootprint {
         MemoryFootprint {
             compressed: self.compressed_bytes(),
@@ -347,34 +137,23 @@ impl InvertedIndex {
                 .map(BlockList::header_bytes)
                 .sum::<usize>()
                 + self.any_blocks.header_bytes(),
-            decoded: self
-                .lists
-                .iter()
-                .map(PostingList::resident_bytes)
-                .sum::<usize>()
-                + self.any.resident_bytes(),
-            cache: self.cache.resident_bytes(),
             cursor_scratch: BlockCursor::scratch_bytes(),
             pairs: self.pairs.resident_bytes(),
-            residency: self.residency,
         }
     }
 
     /// The word-pair auxiliary index (empty — every lookup `NotCovered` —
-    /// when pairs are disabled or the index predates the pair format).
+    /// when pairs are disabled).
     pub fn pairs(&self) -> &PairIndex {
         &self.pairs
     }
 
-    /// Document frequency of a token (`df(t)` in Section 3.1). Counted on
-    /// the always-resident compressed form, so it works under either
-    /// residency.
+    /// Document frequency of a token (`df(t)` in Section 3.1).
     pub fn df(&self, token: TokenId) -> usize {
         self.block_list(token).num_entries()
     }
 
-    /// Number of token lists stored (vocabulary size). Counted on the
-    /// always-resident compressed form.
+    /// Number of token lists stored (vocabulary size).
     pub fn num_tokens(&self) -> usize {
         self.blocks.len()
     }
@@ -392,46 +171,6 @@ mod tests {
     use ftsl_model::Corpus;
 
     #[test]
-    fn blocks_only_residency_drops_decoded_views_and_serves_from_cache() {
-        let corpus = Corpus::from_texts(&["a b a", "b c", "a"]);
-        let mut index = IndexBuilder::new().build(&corpus);
-        let a = corpus.token_id("a").unwrap();
-        let before = index.list(a).clone();
-        let dual = index.memory_footprint();
-        assert!(dual.decoded > 0);
-
-        index.set_residency(Residency::BlocksOnly);
-        let fp = index.memory_footprint();
-        assert_eq!(fp.decoded, 0);
-        assert_eq!(fp.residency, Residency::BlocksOnly);
-        assert!(fp.total() < dual.total());
-        assert_eq!(
-            index.effective_layout(IndexLayout::Decoded),
-            IndexLayout::Blocks
-        );
-
-        // The decoded view is rebuilt lazily, bit-identically, and cached.
-        assert_eq!(&*index.decoded_list(a), &before);
-        let _ = index.decoded_list(a);
-        let stats = index.decode_cache_stats();
-        assert!(stats.hits >= 1 && stats.misses >= 1);
-
-        // Round-trip back to dual residency restores the resident views.
-        index.set_residency(Residency::Dual);
-        assert_eq!(index.list(a), &before);
-        assert!(index.memory_footprint().decoded > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "blocks-only residency")]
-    fn decoded_accessor_panics_under_blocks_only() {
-        let corpus = Corpus::from_texts(&["a b"]);
-        let mut index = IndexBuilder::new().build(&corpus);
-        index.set_residency(Residency::BlocksOnly);
-        let _ = index.any();
-    }
-
-    #[test]
     fn footprint_reports_headers_and_cursor_scratch() {
         let corpus = Corpus::from_texts(&["a b a", "b c", "a"]);
         let index = IndexBuilder::new().build(&corpus);
@@ -441,6 +180,7 @@ mod tests {
             fp.block_headers < fp.compressed,
             "headers are part of compressed"
         );
+        assert_eq!(fp.total(), fp.compressed + fp.pairs);
         assert_eq!(
             fp.cursor_scratch,
             crate::block::BlockCursor::scratch_bytes()
@@ -458,25 +198,13 @@ mod tests {
     }
 
     #[test]
-    fn df_and_vocabulary_survive_residency_changes() {
-        let corpus = Corpus::from_texts(&["a b a", "b c", "a"]);
-        let mut index = IndexBuilder::new().build(&corpus);
-        let a = corpus.token_id("a").unwrap();
-        let df = index.df(a);
-        let vocab = index.num_tokens();
-        index.set_residency(Residency::BlocksOnly);
-        assert_eq!(index.df(a), df);
-        assert_eq!(index.num_tokens(), vocab);
-    }
-
-    #[test]
     fn out_of_vocabulary_token_yields_empty_list() {
         let corpus = Corpus::from_texts(&["hello world"]);
         let index = IndexBuilder::new().build(&corpus);
         let missing = TokenId(9999);
-        assert!(index.list(missing).is_empty());
+        assert!(index.block_list(missing).is_empty());
         assert_eq!(index.df(missing), 0);
-        let mut cur = index.cursor(missing);
+        let mut cur = index.block_cursor(missing);
         assert_eq!(cur.next_entry(), None);
     }
 }

@@ -5,22 +5,24 @@
 //! ordered by context-node id, with positions ordered by occurrence; plus
 //! `IL_ANY`, the list of *all* positions of every node.
 //!
-//! Access goes through the paper's **sequential cursor API** —
-//! `nextEntry()` and `getPositions()` ([`ListCursor`]) — extended with one
+//! "The only way to access an inverted list `IL_tok` is to open a cursor":
+//! access goes through the paper's **sequential cursor API** —
+//! `nextEntry()` and `getPositions()` ([`BlockCursor`]) — extended with one
 //! operation the paper's cost model doesn't have: `seek(node)`
-//! ([`ListCursor::seek`], [`block::BlockCursor::seek`]), which jumps to the
-//! first entry at or past a node id. Every cursor counts the entries and
-//! positions it touches — and, separately, the entries a seek bypasses — so
-//! complexity claims (Figure 3) and skip-layout wins can both be validated
-//! with machine-independent counters ([`AccessCounters`]).
+//! ([`BlockCursor::seek`]), which jumps to the first entry at or past a
+//! node id. Every cursor counts the entries and positions it touches — and,
+//! separately, the entries a seek bypasses — so complexity claims
+//! (Figure 3) and skip-layout wins can both be validated with
+//! machine-independent counters ([`AccessCounters`]).
 //!
-//! Physically, every list exists in two forms: the decoded columnar
-//! [`PostingList`] and the block-compressed [`block::BlockList`]
-//! (bit-packed frame-of-reference blocks of [`block::BLOCK_ENTRIES`]
-//! entries — see [`bitpack`] — headed by an implicit skip list, decoded a
-//! whole block at a time). The compressed form is what [`persist`] stores
-//! on disk; [`IndexBuilder`] produces both, sharding construction across
-//! threads for large corpora.
+//! Physically, every list exists in exactly one form: the block-compressed
+//! [`block::BlockList`] (bit-packed frame-of-reference blocks of
+//! [`block::BLOCK_ENTRIES`] entries — see [`bitpack`] — headed by an
+//! implicit skip list, decoded a whole block at a time). It is what
+//! [`persist`] stores on disk, what stays resident, and what every engine
+//! reads. [`IndexBuilder`] assembles decoded [`PostingList`]s only as the
+//! transient input of the compressor, sharding construction across threads
+//! for large corpora.
 //!
 //! ## Live maintenance
 //!
@@ -40,14 +42,12 @@ pub mod bitpack;
 pub mod block;
 pub mod builder;
 pub mod counters;
-pub mod cursor;
 pub mod index;
 pub mod live;
 pub mod manifest;
 pub mod pair;
 pub mod persist;
 pub mod postings;
-pub mod residency;
 pub mod scored;
 pub mod segment;
 pub mod stats;
@@ -56,12 +56,10 @@ pub mod varint;
 pub use block::{scratch_pool_stats, BlockCursor, BlockList, ScratchPoolStats};
 pub use builder::IndexBuilder;
 pub use counters::AccessCounters;
-pub use cursor::{ListCursor, PostingCursor};
 pub use index::{IndexLayout, InvertedIndex, MemoryFootprint};
 pub use live::{LiveConfig, LiveIndex, SegmentReport, Snapshot, SnapshotSegment};
 pub use pair::{PairConfig, PairCursor, PairIndex, PairList, PairLookup};
 pub use postings::PostingList;
-pub use residency::{DecodeCacheStats, DecodedView, Residency};
-pub use scored::{EntryScorer, ScoredBlocks, ScoredCursor, ScoredList};
+pub use scored::{EntryScorer, ScoredBlocks, ScoredCursor};
 pub use segment::{DeleteFilteredCursor, DeleteSet, MemSegment, SegmentData};
 pub use stats::IndexStats;

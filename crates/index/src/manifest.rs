@@ -1,7 +1,7 @@
 //! Manifest persistence for live, segmented indexes — format **v8**.
 //!
 //! A [`crate::live::LiveIndex`] is more than one inverted index: it is a
-//! *segment set* (each segment an ordinary v5 index image over a local
+//! *segment set* (each segment an ordinary v7 index image over a local
 //! corpus), the tombstone bitmaps, the global-id maps, and the shared
 //! vocabulary. The manifest records all of it in one buffer so a
 //! multi-segment index reloads bit-identically — same segments, same
@@ -13,14 +13,11 @@
 //! `"FTSI"` magic, version **8** (v4 was the manifest built on v3 varint
 //! segment images; v6 embedded the bit-packed v5 images; v8 embeds v7
 //! images, whose optional-section table carries the word-pair auxiliary
-//! index). The outer layout of v6 and v8 is identical — only the embedded
-//! image format differs — so [`decode`] accepts **both**: old v6 manifests
-//! keep loading (their v5 images decode with an empty pair index), and the
-//! embedded [`crate::persist::decode`] handles each image's own version.
-//! v1–v5 and v7 (bare-index formats and the retired v4 manifest) and
-//! unknown versions are rejected loudly with [`PersistError::BadVersion`]
-//! — and, symmetrically, the bare-index decoder rejects a v6/v8 manifest
-//! the same way. Neither ever panics on foreign bytes.
+//! index). v8 is the only loadable generation: v1–v7 (bare-index formats
+//! and the retired v4/v6 manifests) and unknown versions are rejected
+//! loudly with [`PersistError::BadVersion`] — regenerate from the corpus —
+//! and, symmetrically, the bare-index decoder rejects a manifest the same
+//! way. Neither ever panics on foreign bytes.
 //!
 //! Layout of a v8 buffer (integers little-endian):
 //!
@@ -35,8 +32,7 @@
 //!   per doc: label_len:u32 label:[u8]
 //!            num_tokens:u32
 //!            num_tokens × (token:u32 offset:u32 sentence:u32 paragraph:u32)
-//!   index_len:u32  index:[u8]                 (a v7 image, persist::decode;
-//!                                              v5 inside a v6 manifest)
+//!   index_len:u32  index:[u8]                 (a v7 image, persist::decode)
 //! vocab_total:u32  per token: len:u32 name:[u8]   (shared vocabulary)
 //! ```
 //!
@@ -49,7 +45,7 @@
 //! the old manifest or the new one, never a torn hybrid.
 
 use crate::live::{LiveConfig, LiveIndex, SealedEntry};
-use crate::persist::{self, PersistError};
+use crate::persist::{self, get_bytes, get_count, get_u32, get_u64, PersistError};
 use crate::segment::{DeleteSet, SegmentData};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ftsl_model::{Corpus, Position, TokenId, TokenInterner};
@@ -58,9 +54,9 @@ use std::sync::Arc;
 
 const MAGIC: u32 = 0x4654_5349; // "FTSI", shared with persist
 const VERSION: u32 = 8;
-/// The pre-pair-section manifest version [`decode`] still accepts (same
-/// outer layout, v5 segment images inside).
-const LEGACY_VERSION: u32 = 6;
+/// Fewest bytes one encoded segment can occupy: `id`, `num_docs`,
+/// `num_words`, `vocab_len`, `index_len`.
+const SEGMENT_MIN_BYTES: usize = 8 + 4 * 4;
 
 /// Serialize a live index to a v8 manifest buffer. The write buffer is
 /// flushed first, so the image covers every document added so far.
@@ -120,15 +116,15 @@ fn encode_segment(buf: &mut BytesMut, entry: &SealedEntry) {
     buf.put_slice(image.as_slice());
 }
 
-/// Deserialize a v6 or v8 manifest with default [`LiveConfig`].
+/// Deserialize a v8 manifest with default [`LiveConfig`].
 pub fn decode(buf: impl Buf) -> Result<LiveIndex, PersistError> {
     decode_with(buf, LiveConfig::default())
 }
 
-/// Deserialize a v6 or v8 manifest into a live index with explicit
-/// configuration. v1–v5 and v7 buffers (bare-index formats and the retired
-/// v4 manifest) and unknown versions are rejected
-/// with [`PersistError::BadVersion`]; structural lies (non-ascending global
+/// Deserialize a v8 manifest into a live index with explicit
+/// configuration. v1–v7 buffers (bare-index formats and the retired v4/v6
+/// manifests) and unknown versions are rejected with
+/// [`PersistError::BadVersion`]; structural lies (non-ascending global
 /// ids, bitmap/corpus disagreements, out-of-range token ids) with
 /// [`PersistError::Corrupt`]. Never panics on foreign bytes.
 pub fn decode_with(mut buf: impl Buf, config: LiveConfig) -> Result<LiveIndex, PersistError> {
@@ -137,17 +133,18 @@ pub fn decode_with(mut buf: impl Buf, config: LiveConfig) -> Result<LiveIndex, P
         return Err(PersistError::BadMagic(magic));
     }
     let version = get_u32(&mut buf)?;
-    if version != VERSION && version != LEGACY_VERSION {
+    if version != VERSION {
         return Err(PersistError::BadVersion(version));
     }
     let next_global = get_u32(&mut buf)?;
     let next_segment_id = get_u64(&mut buf)?;
-    let num_segments = get_u32(&mut buf)? as usize;
+    let num_segments = get_count(&mut buf, SEGMENT_MIN_BYTES)?;
     let mut raw: Vec<RawSegment> = Vec::with_capacity(num_segments);
     for _ in 0..num_segments {
         raw.push(decode_segment(&mut buf)?);
     }
-    let vocab_total = get_u32(&mut buf)? as usize;
+    // Each name is at least its length word.
+    let vocab_total = get_count(&mut buf, 4)?;
     let mut names = Vec::with_capacity(vocab_total);
     for _ in 0..vocab_total {
         names.push(get_str(&mut buf)?);
@@ -216,7 +213,7 @@ impl RawSegment {
             return Err(PersistError::Corrupt("document count disagrees with ids"));
         }
         let index = persist::decode(&self.index_image[..])?;
-        if index.any().num_entries() > corpus.len() {
+        if index.any_block_list().num_entries() > corpus.len() {
             return Err(PersistError::Corrupt("segment index disagrees with corpus"));
         }
         Ok(SealedEntry {
@@ -233,22 +230,23 @@ impl RawSegment {
 
 fn decode_segment(buf: &mut impl Buf) -> Result<RawSegment, PersistError> {
     let id = get_u64(buf)?;
-    let num_docs = get_u32(buf)? as usize;
-    let mut globals = Vec::with_capacity(num_docs.min(1 << 20));
+    // Each document has a 4-byte global id.
+    let num_docs = get_count(buf, 4)?;
+    let mut globals = Vec::with_capacity(num_docs);
     for _ in 0..num_docs {
         globals.push(get_u32(buf)?);
     }
-    let num_words = get_u32(buf)? as usize;
-    let mut delete_words = Vec::with_capacity(num_words.min(1 << 20));
+    let num_words = get_count(buf, 8)?;
+    let mut delete_words = Vec::with_capacity(num_words);
     for _ in 0..num_words {
         delete_words.push(get_u64(buf)?);
     }
     let vocab_len = get_u32(buf)? as usize;
-    let mut docs = Vec::with_capacity(num_docs.min(1 << 20));
+    let mut docs = Vec::with_capacity(num_docs);
     for _ in 0..num_docs {
         let label = get_str(buf)?;
-        let num_tokens = get_u32(buf)? as usize;
-        let mut tokens = Vec::with_capacity(num_tokens.min(1 << 20));
+        let num_tokens = get_count(buf, 16)?;
+        let mut tokens = Vec::with_capacity(num_tokens);
         for _ in 0..num_tokens {
             let t = TokenId(get_u32(buf)?);
             let offset = get_u32(buf)?;
@@ -259,11 +257,7 @@ fn decode_segment(buf: &mut impl Buf) -> Result<RawSegment, PersistError> {
         docs.push((label, tokens));
     }
     let index_len = get_u32(buf)? as usize;
-    if buf.remaining() < index_len {
-        return Err(PersistError::Truncated);
-    }
-    let mut index_image = vec![0u8; index_len];
-    copy_exact(buf, &mut index_image);
+    let index_image = get_bytes(buf, index_len)?;
     Ok(RawSegment {
         id,
         globals,
@@ -323,41 +317,9 @@ impl std::fmt::Display for LoadError {
 
 impl std::error::Error for LoadError {}
 
-fn get_u32(buf: &mut impl Buf) -> Result<u32, PersistError> {
-    if buf.remaining() < 4 {
-        return Err(PersistError::Truncated);
-    }
-    Ok(buf.get_u32_le())
-}
-
-fn get_u64(buf: &mut impl Buf) -> Result<u64, PersistError> {
-    if buf.remaining() < 8 {
-        return Err(PersistError::Truncated);
-    }
-    Ok(buf.get_u64_le())
-}
-
 fn get_str(buf: &mut impl Buf) -> Result<String, PersistError> {
     let len = get_u32(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(PersistError::Truncated);
-    }
-    let mut bytes = vec![0u8; len];
-    copy_exact(buf, &mut bytes);
-    String::from_utf8(bytes).map_err(|_| PersistError::Corrupt("label not utf-8"))
-}
-
-/// `Buf::copy_to_slice` without the panic-on-short contract (callers check
-/// `remaining` first; this keeps the invariant local).
-fn copy_exact(buf: &mut impl Buf, out: &mut [u8]) {
-    let mut filled = 0;
-    while filled < out.len() {
-        let chunk = buf.chunk();
-        let take = chunk.len().min(out.len() - filled);
-        out[filled..filled + take].copy_from_slice(&chunk[..take]);
-        buf.advance(take);
-        filled += take;
-    }
+    String::from_utf8(get_bytes(buf, len)?).map_err(|_| PersistError::Corrupt("label not utf-8"))
 }
 
 #[cfg(test)]
@@ -431,7 +393,7 @@ mod tests {
 
     #[test]
     fn bare_index_versions_are_rejected() {
-        for v in [1u32, 2, 3, 4, 5, 7, 99] {
+        for v in [1u32, 2, 3, 4, 5, 6, 7, 99] {
             let mut buf = BytesMut::new();
             buf.put_u32_le(MAGIC);
             buf.put_u32_le(v);
@@ -459,21 +421,37 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v6_manifests_still_load() {
-        // The v6 → v8 bump changed only the *embedded image* format (v5
-        // images have no optional-section table); the outer manifest layout
-        // is unchanged. An old manifest is therefore a current buffer with
-        // the version field rewound and each embedded image rewound to v5 —
-        // which a pair-disabled build produces minus its empty section
-        // table. Rewriting every embedded image in place is fiddly, so this
-        // test checks the two layers separately: the outer field here, the
-        // v5 image path in persist's `v5_images_without_sections_still_load`.
+    fn legacy_v6_manifests_are_rejected() {
+        // v6 shares v8's outer layout (only the embedded images differ), so
+        // an old manifest is a current buffer with the version rewound.
+        let mut raw = encode(&sample_live()).to_vec();
+        raw[4..8].copy_from_slice(&6u32.to_le_bytes());
+        assert!(matches!(decode(&raw[..]), Err(PersistError::BadVersion(6))));
+    }
+
+    #[test]
+    fn oversized_num_segments_is_an_error_not_an_allocation() {
+        let mut raw = encode(&sample_live()).to_vec();
+        // num_segments follows magic, version, next_global, next_segment_id.
+        raw[20..24].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode(&raw[..]).unwrap_err(), PersistError::Truncated);
+    }
+
+    #[test]
+    fn oversized_vocab_total_is_an_error_not_an_allocation() {
         let live = sample_live();
-        let bytes = encode(&live);
-        let mut raw = bytes.to_vec();
-        raw[4..8].copy_from_slice(&LEGACY_VERSION.to_le_bytes());
-        let back = decode(&raw[..]).expect("v6 manifest must still load");
-        assert_same(&live, &back);
+        let mut raw = encode(&live).to_vec();
+        // vocab_total precedes the name table that ends the buffer.
+        let snapshot = live.snapshot();
+        let names: usize = snapshot
+            .widest_interner()
+            .expect("sample has segments")
+            .iter()
+            .map(|(_, name)| 4 + name.len())
+            .sum();
+        let at = raw.len() - names - 4;
+        raw[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode(&raw[..]).unwrap_err(), PersistError::Truncated);
     }
 
     #[test]

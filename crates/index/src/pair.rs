@@ -40,9 +40,8 @@
 //! decoding an entry.
 
 use crate::bitpack;
-use crate::block::BLOCK_ENTRIES;
+use crate::block::{BlockList, BLOCK_ENTRIES};
 use crate::counters::AccessCounters;
-use crate::postings::PostingList;
 use ftsl_model::{Document, NodeId, TokenId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -766,27 +765,27 @@ impl PairIndex {
 /// forward gap (within `window`) between occurrences of `a` and `b` for
 /// every node on both lists. This is both the differential-test oracle
 /// and the segment-level fallback for pairs outside the index's coverage.
-/// Returns `(node, min_gap)` pairs in node order, counting the positions
-/// it inspects into `counters` — exactly the work the pair index saves.
+/// Returns `(node, min_gap)` pairs in node order. `counters` receives the
+/// work the pair index would have saved — two entries and both position
+/// lists per co-occurring node; entries leapfrogged past are not charged.
 pub fn min_forward_gaps(
-    a: &PostingList,
-    b: &PostingList,
+    a: &BlockList,
+    b: &BlockList,
     window: u32,
     counters: &mut AccessCounters,
 ) -> Vec<(u32, u32)> {
     let mut out = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    let (na, nb) = (a.num_entries(), b.num_entries());
-    while i < na && j < nb {
-        let (da, db) = (a.node_of(i), b.node_of(j));
+    let (mut ca, mut cb) = (a.cursor(), b.cursor());
+    let (mut na, mut nb) = (ca.next_entry(), cb.next_entry());
+    while let (Some(da), Some(db)) = (na, nb) {
         if da < db {
-            i += 1;
+            na = ca.seek(db);
         } else if db < da {
-            j += 1;
+            nb = cb.seek(da);
         } else {
             counters.entries += 2;
-            let pa = a.positions_of(i);
-            let pb = b.positions_of(j);
+            let pa = ca.positions();
+            let pb = cb.positions();
             counters.positions += (pa.len() + pb.len()) as u64;
             let mut best = u32::MAX;
             let mut bi = 0usize;
@@ -806,8 +805,8 @@ pub fn min_forward_gaps(
             if best <= window {
                 out.push((da.0, best));
             }
-            i += 1;
-            j += 1;
+            na = ca.next_entry();
+            nb = cb.next_entry();
         }
     }
     out
@@ -997,7 +996,8 @@ mod tests {
             for b in 0..vocab {
                 let (ta, tb) = (TokenId(a as u32), TokenId(b as u32));
                 let mut c = AccessCounters::new();
-                let oracle = min_forward_gaps(index.list(ta), index.list(tb), 4, &mut c);
+                let oracle =
+                    min_forward_gaps(index.block_list(ta), index.block_list(tb), 4, &mut c);
                 let got = match pairs.lookup(ta, tb) {
                     PairLookup::List(list) => list.to_entries(),
                     PairLookup::Empty => Vec::new(),

@@ -19,29 +19,27 @@
 //!   (`max_tf` in each block header).
 //! * **v4** (retired): the live-index *manifest* built on v3 segment
 //!   images — see [`crate::manifest`], whose current format is **v8**
-//!   (with **v6** still readable). Version numbers are shared across the
-//!   bare-index and manifest lineages precisely so that a buffer's version
-//!   field identifies its format unambiguously; [`decode`] therefore
-//!   rejects 6 and 8 (manifest formats) with `BadVersion`, never
-//!   misparsing.
-//! * **v5** (readable): v3's outer structure, but each list's data stream
+//!   (v6 retired). Version numbers are shared across the bare-index and
+//!   manifest lineages precisely so that a buffer's version field
+//!   identifies its format unambiguously; [`decode`] therefore rejects 6
+//!   and 8 (manifest formats) with `BadVersion`, never misparsing.
+//! * **v5** (retired): v3's outer structure, but each list's data stream
 //!   holds the **bit-packed frame-of-reference block encoding** of
 //!   [`crate::block`]: per block, an absolute base id, three frame widths,
 //!   and three fixed-width [`crate::bitpack`] frames (id deltas, `tf − 1`,
 //!   position-payload byte lengths) followed by the varint position
-//!   payloads. The on-disk image *is* the physical in-memory layout; on
-//!   load the decoded [`crate::PostingList`] views are reconstructed by
-//!   decompression, re-validating every structural invariant
-//!   ([`crate::block::BlockList::try_to_posting`]). v1–v4 buffers are
+//!   payloads.
+//! * **v7** (current, the only loadable one): v5's lists followed by a
+//!   table of **optional sections** — each a `(section_id, byte_len)`
+//!   header plus payload. Section id 1 is the word-pair auxiliary index
+//!   ([`crate::pair::PairIndex`]); readers reject *unknown* section ids
+//!   loudly with `Corrupt(..)` rather than skipping data they cannot
+//!   audit. The on-disk image *is* the physical in-memory layout: on load
+//!   every list is walked once by the fallible block decoder
+//!   ([`crate::block::BlockList::validate`]), re-checking every structural
+//!   invariant, and then served from those same bytes. v1–v6 buffers are
 //!   rejected with `BadVersion(..)`; there is no migration path because
 //!   older images can be regenerated from their corpora.
-//! * **v7** (current): v5 followed by a table of **optional sections** —
-//!   each a `(section_id, byte_len)` header plus payload. Section id 1 is
-//!   the word-pair auxiliary index ([`crate::pair::PairIndex`]); readers
-//!   reject *unknown* section ids loudly with `Corrupt(..)` rather than
-//!   skipping data they cannot audit. v5 buffers (no section table) still
-//!   load, with an empty pair index. (v6 is the manifest's number, skipped
-//!   here — see the v4 note.)
 //!
 //! Layout of a v7 buffer (all integers little-endian):
 //!
@@ -51,7 +49,7 @@
 //!   entries:u32  positions:u64  num_blocks:u32
 //!   num_blocks × (max_node:u32 byte_start:u32 first_entry:u32 max_tf:u32)
 //!   data_len:u32  data:[u8]          (v5 block encoding, see docs/FORMAT.md)
-//! num_sections:u32                   (absent entirely in v5 buffers)
+//! num_sections:u32
 //! per section: section_id:u32  byte_len:u32  payload:[u8]
 //! ```
 //!
@@ -76,8 +74,6 @@ use ftsl_model::NodeId;
 
 const MAGIC: u32 = 0x4654_5349; // "FTSI"
 const VERSION: u32 = 7;
-/// The pre-section bare-index version [`decode`] still accepts.
-const LEGACY_VERSION: u32 = 5;
 /// Optional-section id of the word-pair auxiliary index.
 const SECTION_PAIRS: u32 = 1;
 
@@ -134,8 +130,7 @@ pub fn encode(index: &InvertedIndex) -> Bytes {
 }
 
 /// Write the optional-section table. A disabled pair index writes an empty
-/// table rather than an empty section, so encode∘decode∘encode stays a
-/// fixpoint (a v5 load yields a disabled pair index).
+/// table rather than an empty section, so each index has one byte image.
 fn encode_sections(buf: &mut BytesMut, index: &InvertedIndex) {
     let pairs = index.pairs();
     if pairs.config().window == 0 {
@@ -210,15 +205,12 @@ pub fn decode(mut buf: impl Buf) -> Result<InvertedIndex, PersistError> {
         return Err(PersistError::BadMagic(magic));
     }
     let version = get_u32(&mut buf)?;
-    if version != VERSION && version != LEGACY_VERSION {
+    if version != VERSION {
         return Err(PersistError::BadVersion(version));
     }
     let mut fields = [0usize; 5];
     for f in &mut fields {
-        if buf.remaining() < 8 {
-            return Err(PersistError::Truncated);
-        }
-        *f = buf.get_u64_le() as usize;
+        *f = get_u64(&mut buf)? as usize;
     }
     let stats = IndexStats {
         cnodes: fields[0],
@@ -227,32 +219,39 @@ pub fn decode(mut buf: impl Buf) -> Result<InvertedIndex, PersistError> {
         pos_per_entry: fields[3],
         vocabulary: fields[4],
     };
-    let num_lists = get_u32(&mut buf)? as usize;
+    let num_lists = get_count(&mut buf, LIST_MIN_BYTES)?;
     let mut blocks = Vec::with_capacity(num_lists);
-    let mut lists = Vec::with_capacity(num_lists);
     for _ in 0..num_lists {
-        let block_list = decode_list(&mut buf)?;
-        lists.push(block_list.try_to_posting().map_err(PersistError::Corrupt)?);
-        blocks.push(block_list);
+        blocks.push(decode_list(&mut buf)?);
     }
     let any_blocks = decode_list(&mut buf)?;
-    let any = any_blocks.try_to_posting().map_err(PersistError::Corrupt)?;
-    // v5 buffers end here; the pair index defaults to disabled, so every
-    // lookup reports NotCovered and queries take the intersection path.
-    let pairs = if version == LEGACY_VERSION {
-        PairIndex::default()
-    } else {
-        decode_sections(&mut buf)?
-    };
+    let pairs = decode_sections(&mut buf)?;
     Ok(InvertedIndex {
-        lists,
-        any,
         blocks,
         any_blocks,
         stats,
         pairs,
-        ..InvertedIndex::default()
     })
+}
+
+/// Fewest bytes one encoded token list can occupy: `entries`, `positions`,
+/// `num_blocks`, `data_len`.
+const LIST_MIN_BYTES: usize = 4 + 8 + 4 + 4;
+/// Bytes of one encoded block header (primary and pair lists alike).
+const BLOCK_META_BYTES: usize = 16;
+/// Fewest bytes one encoded pair key can occupy: both token ids, `entries`,
+/// `num_blocks`, `data_len`.
+const PAIR_KEY_MIN_BYTES: usize = 5 * 4;
+
+/// Read a `u32` element count and bound it by what the rest of the buffer
+/// can hold at `min_item_bytes` per element, so a corrupt count is
+/// `Truncated` before it sizes an allocation.
+pub(crate) fn get_count(buf: &mut impl Buf, min_item_bytes: usize) -> Result<usize, PersistError> {
+    let count = get_u32(buf)? as usize;
+    if count > buf.remaining() / min_item_bytes {
+        return Err(PersistError::Truncated);
+    }
+    Ok(count)
 }
 
 /// Read the optional-section table. Unknown section ids are rejected
@@ -299,14 +298,14 @@ fn decode_pair_section(mut buf: &[u8]) -> Result<PairIndex, PersistError> {
     let frequent: Vec<bool> = (0..vocab)
         .map(|i| bitmap[i / 8] >> (i % 8) & 1 == 1)
         .collect();
-    let num_keys = get_u32(buf)? as usize;
+    let num_keys = get_count(buf, PAIR_KEY_MIN_BYTES)?;
     let mut keys = Vec::with_capacity(num_keys);
     let mut lists = Vec::with_capacity(num_keys);
     for _ in 0..num_keys {
         let a = get_u32(buf)?;
         let b = get_u32(buf)?;
         let entries = get_u32(buf)?;
-        let num_blocks = get_u32(buf)? as usize;
+        let num_blocks = get_count(buf, BLOCK_META_BYTES)?;
         let mut metas = Vec::with_capacity(num_blocks);
         for _ in 0..num_blocks {
             let max_node = NodeId(get_u32(buf)?);
@@ -336,11 +335,8 @@ fn decode_pair_section(mut buf: &[u8]) -> Result<PairIndex, PersistError> {
 
 fn decode_list(buf: &mut impl Buf) -> Result<BlockList, PersistError> {
     let entries = get_u32(buf)?;
-    if buf.remaining() < 8 {
-        return Err(PersistError::Truncated);
-    }
-    let positions = buf.get_u64_le();
-    let num_blocks = get_u32(buf)? as usize;
+    let positions = get_u64(buf)?;
+    let num_blocks = get_count(buf, BLOCK_META_BYTES)?;
     if num_blocks != (entries as usize).div_ceil(crate::block::BLOCK_ENTRIES) {
         return Err(PersistError::Corrupt(
             "block count disagrees with entry count",
@@ -366,17 +362,26 @@ fn decode_list(buf: &mut impl Buf) -> Result<BlockList, PersistError> {
             return Err(PersistError::Corrupt("block header out of range"));
         }
     }
-    Ok(BlockList::from_parts(metas, data, entries, positions))
+    let list = BlockList::from_parts(metas, data, entries, positions);
+    list.validate().map_err(PersistError::Corrupt)?;
+    Ok(list)
 }
 
-fn get_u32(buf: &mut impl Buf) -> Result<u32, PersistError> {
+pub(crate) fn get_u32(buf: &mut impl Buf) -> Result<u32, PersistError> {
     if buf.remaining() < 4 {
         return Err(PersistError::Truncated);
     }
     Ok(buf.get_u32_le())
 }
 
-fn get_bytes(buf: &mut impl Buf, len: usize) -> Result<Vec<u8>, PersistError> {
+pub(crate) fn get_u64(buf: &mut impl Buf) -> Result<u64, PersistError> {
+    if buf.remaining() < 8 {
+        return Err(PersistError::Truncated);
+    }
+    Ok(buf.get_u64_le())
+}
+
+pub(crate) fn get_bytes(buf: &mut impl Buf, len: usize) -> Result<Vec<u8>, PersistError> {
     if buf.remaining() < len {
         return Err(PersistError::Truncated);
     }
@@ -405,20 +410,13 @@ mod tests {
         let bytes = encode(&index);
         let decoded = decode(bytes).expect("decode");
         assert_eq!(decoded.stats(), index.stats());
-        assert_eq!(decoded.lists.len(), index.lists.len());
-        for (a, b) in decoded.lists.iter().zip(&index.lists) {
-            assert_eq!(a, b);
-        }
-        assert_eq!(&decoded.any, &index.any);
-        for (a, b) in decoded.blocks.iter().zip(&index.blocks) {
-            assert_eq!(a, b);
-        }
-        assert_eq!(&decoded.any_blocks, &index.any_blocks);
+        assert_eq!(decoded.blocks, index.blocks);
+        assert_eq!(decoded.any_blocks, index.any_blocks);
     }
 
     #[test]
-    fn retired_versions_v1_through_v4_are_rejected() {
-        for v in 1u32..=4 {
+    fn retired_versions_are_rejected() {
+        for v in 1u32..=5 {
             let mut buf = BytesMut::new();
             buf.put_u32_le(MAGIC);
             buf.put_u32_le(v);
@@ -445,12 +443,12 @@ mod tests {
     }
 
     #[test]
-    fn v5_images_without_sections_still_load() {
+    fn v5_images_without_sections_are_rejected() {
         let texts: Vec<String> = (0..30)
             .map(|i| format!("alpha beta t{} alpha", i % 6))
             .collect();
         let corpus = Corpus::from_texts(&texts);
-        // A disabled pair index writes an empty section table, so a legacy
+        // A disabled pair index writes an empty section table, so a retired
         // v5 image is exactly that buffer minus the trailing `num_sections`
         // word, with the version field rewound.
         let index = IndexBuilder::new()
@@ -459,11 +457,61 @@ mod tests {
         let bytes = encode(&index);
         let mut raw = bytes.as_slice()[..bytes.len() - 4].to_vec();
         raw[4..8].copy_from_slice(&5u32.to_le_bytes());
-        let decoded = decode(&raw[..]).expect("v5 image must still load");
-        assert_eq!(decoded.stats(), index.stats());
-        assert_eq!(decoded.lists, index.lists);
-        assert!(decoded.pairs().is_empty());
-        assert_eq!(decoded.pairs().config().window, 0);
+        assert!(matches!(decode(&raw[..]), Err(PersistError::BadVersion(5))));
+    }
+
+    /// Byte offset of `num_token_lists`: magic, version, five stats words.
+    const NUM_LISTS_AT: usize = 4 + 4 + 5 * 8;
+
+    /// An image with a populated pair section, plus the offset of that
+    /// section's `num_keys` field.
+    fn image_with_pairs() -> (Vec<u8>, usize) {
+        let texts: Vec<String> = (0..40)
+            .map(|i| format!("alpha beta gamma{} alpha beta", i % 3))
+            .collect();
+        let corpus = Corpus::from_texts(&texts);
+        let index = IndexBuilder::new().build(&corpus);
+        assert!(!index.pairs().is_empty());
+        // The token lists encode identically with pairs off, and that image
+        // ends in one `num_sections` word: its length locates the table.
+        let bare = IndexBuilder::new()
+            .pair_config(crate::pair::PairConfig::disabled())
+            .build(&corpus);
+        let table_at = encode(&bare).len() - 4;
+        let vocab = corpus.interner().len();
+        // num_sections, section id, byte_len, window, df_cutoff, vocab, bitmap.
+        let num_keys_at = table_at + 6 * 4 + vocab.div_ceil(8);
+        (encode(&index).to_vec(), num_keys_at)
+    }
+
+    fn with_u32_max_at(mut raw: Vec<u8>, at: usize) -> Vec<u8> {
+        raw[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        raw
+    }
+
+    #[test]
+    fn oversized_num_lists_is_an_error_not_an_allocation() {
+        let (raw, _) = image_with_pairs();
+        let raw = with_u32_max_at(raw, NUM_LISTS_AT);
+        assert_eq!(decode(&raw[..]).unwrap_err(), PersistError::Truncated);
+    }
+
+    #[test]
+    fn oversized_num_blocks_is_an_error_not_an_allocation() {
+        let (raw, num_keys_at) = image_with_pairs();
+        // First token list: entries:u32 positions:u64 then num_blocks.
+        let primary = with_u32_max_at(raw.clone(), NUM_LISTS_AT + 4 + 4 + 8);
+        assert_eq!(decode(&primary[..]).unwrap_err(), PersistError::Truncated);
+        // First pair list: token_a token_b entries then num_blocks.
+        let pair = with_u32_max_at(raw, num_keys_at + 4 + 3 * 4);
+        assert_eq!(decode(&pair[..]).unwrap_err(), PersistError::Truncated);
+    }
+
+    #[test]
+    fn oversized_num_keys_is_an_error_not_an_allocation() {
+        let (raw, num_keys_at) = image_with_pairs();
+        let raw = with_u32_max_at(raw, num_keys_at);
+        assert_eq!(decode(&raw[..]).unwrap_err(), PersistError::Truncated);
     }
 
     #[test]
@@ -583,9 +631,9 @@ mod tests {
         let v5_len = encode(&index).len();
         // The retired v1 layout spent 12 bytes per position plus 8 per entry.
         let v1_estimate: usize = index
-            .lists
+            .blocks
             .iter()
-            .chain(std::iter::once(&index.any))
+            .chain(std::iter::once(&index.any_blocks))
             .map(|l| 4 + l.num_entries() * 8 + l.num_positions() * 12)
             .sum();
         assert!(

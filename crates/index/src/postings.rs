@@ -1,4 +1,8 @@
-//! Posting lists: the physical representation of the `R_token` relations.
+//! Posting lists: the decoded form of the `R_token` relations — what
+//! [`crate::IndexBuilder`] assembles and hands to
+//! [`crate::block::BlockList::from_posting`], and what
+//! [`crate::block::BlockList::to_posting`] gives tests back. No index
+//! keeps one resident.
 //!
 //! Storage is flat/columnar: one `Vec<NodeId>`, one prefix-offset array, and
 //! one shared `Vec<Position>` — no per-entry allocation, following the
@@ -97,11 +101,6 @@ impl PostingList {
         &self.positions[lo..hi]
     }
 
-    /// All node ids, ordered (the doc-id view used by the BOOL engine).
-    pub fn node_ids(&self) -> &[NodeId] {
-        &self.nodes
-    }
-
     /// Iterate entries as `(NodeId, &[Position])`.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &[Position])> {
         (0..self.num_entries()).map(move |i| (self.node_of(i), self.positions_of(i)))
@@ -126,19 +125,6 @@ impl PostingList {
         self.positions.extend_from_slice(&other.positions);
         self.offsets
             .extend(other.offsets[1..].iter().map(|o| o + base));
-    }
-
-    /// The node-id slice of entries `lo..hi` (seek gallop window).
-    pub(crate) fn nodes_in(&self, lo: usize, hi: usize) -> &[NodeId] {
-        &self.nodes[lo..hi]
-    }
-
-    /// Resident heap bytes of the decoded columnar form (node array +
-    /// offset array + position array).
-    pub fn resident_bytes(&self) -> usize {
-        self.nodes.len() * std::mem::size_of::<NodeId>()
-            + self.offsets.len() * std::mem::size_of::<u32>()
-            + self.positions.len() * std::mem::size_of::<Position>()
     }
 }
 

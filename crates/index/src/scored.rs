@@ -21,15 +21,11 @@
 //! live in `ftsl-scoring`; this layer only guarantees that whatever bound
 //! the scorer reports is respected by the skipping machinery.
 //!
-//! Both physical layouts implement the same trait: [`ScoredList`] wraps the
-//! decoded columnar cursor (no block structure — the whole list is one
-//! "block", so pruning degrades to list-level MaxScore), [`ScoredBlocks`]
-//! wraps the compressed cursor and gets true per-block bounds.
+//! [`ScoredBlocks`] implements the trait over the block cursor, with true
+//! per-block bounds.
 
 use crate::block::{BlockCursor, BlockList};
 use crate::counters::AccessCounters;
-use crate::cursor::ListCursor;
-use crate::postings::PostingList;
 use ftsl_model::NodeId;
 
 /// A per-list scoring rule: what one inverted-list entry contributes.
@@ -86,13 +82,13 @@ pub trait ScoredCursor {
     /// Advance to the first entry with node id ≥ `target`.
     fn seek(&mut self, target: NodeId) -> Option<NodeId>;
     /// Score of the current entry. Takes `&mut self` because the block
-    /// layout decodes its tf column lazily, on the block's first score.
+    /// cursor decodes its tf column lazily, on the block's first score.
     ///
     /// # Panics
     /// Panics if the cursor is not positioned on an entry.
     fn score(&mut self) -> f64;
-    /// Upper bound on the score of any entry in the current block (the
-    /// whole list on the decoded layout); 0 when exhausted.
+    /// Upper bound on the score of any entry in the current block; 0 when
+    /// exhausted.
     fn max_score_current_block(&self) -> f64;
     /// Upper bound on the score of any entry in the list.
     fn max_score_list(&self) -> f64;
@@ -102,9 +98,8 @@ pub trait ScoredCursor {
     /// block `target` would land in. Touches only skip headers — never
     /// decodes entries.
     fn max_score_at(&self, target: NodeId) -> f64;
-    /// Skip the rest of the current block (whole list on the decoded
-    /// layout) and land on the first entry of the next one, returning its
-    /// node id.
+    /// Skip the rest of the current block and land on the first entry of
+    /// the next one, returning its node id.
     fn skip_block(&mut self) -> Option<NodeId>;
     /// True once every entry has been consumed or skipped.
     fn exhausted(&self) -> bool;
@@ -112,92 +107,7 @@ pub trait ScoredCursor {
     fn counters(&self) -> AccessCounters;
 }
 
-/// [`ScoredCursor`] over the decoded columnar layout.
-pub struct ScoredList<'a, S: EntryScorer> {
-    list: &'a PostingList,
-    cur: ListCursor<'a>,
-    scorer: S,
-    list_bound: f64,
-}
-
-impl<'a, S: EntryScorer> ScoredList<'a, S> {
-    /// Open a scored cursor at the start of `list`.
-    pub fn new(list: &'a PostingList, scorer: S) -> Self {
-        let list_bound = if list.is_empty() {
-            0.0
-        } else {
-            scorer.bound(list.max_positions_per_entry() as u32)
-        };
-        ScoredList {
-            list,
-            cur: ListCursor::new(list),
-            scorer,
-            list_bound,
-        }
-    }
-}
-
-impl<S: EntryScorer> ScoredCursor for ScoredList<'_, S> {
-    fn node(&self) -> Option<NodeId> {
-        self.cur.node()
-    }
-
-    fn next_entry(&mut self) -> Option<NodeId> {
-        self.cur.next_entry()
-    }
-
-    fn seek(&mut self, target: NodeId) -> Option<NodeId> {
-        self.cur.seek(target)
-    }
-
-    fn score(&mut self) -> f64 {
-        let node = self.cur.node().expect("cursor not positioned on an entry");
-        self.scorer.score(node, self.cur.tf())
-    }
-
-    fn max_score_current_block(&self) -> f64 {
-        if self.cur.exhausted() {
-            0.0
-        } else {
-            self.list_bound
-        }
-    }
-
-    fn max_score_list(&self) -> f64 {
-        self.list_bound
-    }
-
-    fn max_score_at(&self, target: NodeId) -> f64 {
-        if self.cur.exhausted() {
-            return 0.0;
-        }
-        if let Some(cur) = self.cur.node() {
-            if cur > target {
-                return 0.0;
-            }
-        }
-        match self.list.node_ids().last() {
-            Some(&last) if last >= target => self.list_bound,
-            _ => 0.0,
-        }
-    }
-
-    fn skip_block(&mut self) -> Option<NodeId> {
-        // No block structure: the whole list is one block.
-        self.cur.skip_remaining();
-        None
-    }
-
-    fn exhausted(&self) -> bool {
-        self.cur.exhausted()
-    }
-
-    fn counters(&self) -> AccessCounters {
-        self.cur.counters()
-    }
-}
-
-/// [`ScoredCursor`] over the block-compressed layout, with true per-block
+/// [`ScoredCursor`] over a block-compressed list, with true per-block
 /// bounds from the [`crate::block::BlockMeta::max_tf`] headers.
 pub struct ScoredBlocks<'a, S: EntryScorer> {
     cur: BlockCursor<'a>,
@@ -279,6 +189,7 @@ impl<S: EntryScorer> ScoredCursor for ScoredBlocks<'_, S> {
 mod tests {
     use super::*;
     use crate::block::BLOCK_ENTRIES;
+    use crate::postings::PostingList;
     use ftsl_model::Position;
 
     /// tf-proportional scores, independent of the node.
@@ -306,18 +217,16 @@ mod tests {
     }
 
     #[test]
-    fn both_layouts_agree_on_scores_and_list_bound() {
+    fn scores_follow_the_tf_column_and_respect_both_bounds() {
         let list = graded_list();
         let blocks = BlockList::from_posting(&list);
-        let mut dec = ScoredList::new(&list, TfScorer);
         let mut blk = ScoredBlocks::new(&blocks, TfScorer);
-        assert_eq!(dec.max_score_list(), 3.0);
         assert_eq!(blk.max_score_list(), 3.0);
-        while let Some(n) = dec.next_entry() {
-            assert_eq!(blk.next_entry(), Some(n));
-            assert_eq!(dec.score(), blk.score());
-            assert!(dec.score() <= dec.max_score_list());
+        for (node, positions) in list.iter() {
+            assert_eq!(blk.next_entry(), Some(node));
+            assert_eq!(blk.score(), positions.len() as f64);
             assert!(blk.score() <= blk.max_score_current_block());
+            assert!(blk.score() <= blk.max_score_list());
         }
         assert_eq!(blk.next_entry(), None);
     }
@@ -356,27 +265,10 @@ mod tests {
     }
 
     #[test]
-    fn decoded_layout_degrades_to_list_level_pruning() {
-        let list = graded_list();
-        let mut cur = ScoredList::new(&list, TfScorer);
-        cur.next_entry();
-        assert_eq!(cur.max_score_current_block(), cur.max_score_list());
-        assert_eq!(cur.max_score_at(NodeId(4)), 3.0);
-        assert_eq!(cur.skip_block(), None);
-        assert!(cur.exhausted());
-        assert_eq!(cur.counters().skipped, 299);
-        assert_eq!(cur.counters().blocks_skipped, 0);
-    }
-
-    #[test]
     fn empty_lists_bound_to_zero() {
-        let list = PostingList::empty();
-        let blocks = BlockList::from_posting(&list);
-        let mut dec = ScoredList::new(&list, TfScorer);
+        let blocks = BlockList::from_posting(&PostingList::empty());
         let mut blk = ScoredBlocks::new(&blocks, TfScorer);
-        assert_eq!(dec.max_score_list(), 0.0);
         assert_eq!(blk.max_score_list(), 0.0);
-        assert_eq!(dec.next_entry(), None);
         assert_eq!(blk.next_entry(), None);
         assert_eq!(blk.max_score_current_block(), 0.0);
     }
@@ -388,8 +280,5 @@ mod tests {
         let mut cur = ScoredBlocks::new(&blocks, TfScorer);
         cur.seek(NodeId(300));
         assert_eq!(cur.max_score_at(NodeId(10)), 0.0);
-        let mut dec = ScoredList::new(&list, TfScorer);
-        dec.seek(NodeId(300));
-        assert_eq!(dec.max_score_at(NodeId(10)), 0.0);
     }
 }

@@ -370,7 +370,6 @@ impl ScoredCursor for DeleteFilteredCursor<'_> {
 mod tests {
     use super::*;
     use crate::scored::EntryScorer;
-    use crate::IndexLayout;
 
     #[test]
     fn delete_set_marks_counts_and_iterates() {
@@ -449,13 +448,13 @@ mod tests {
         deletes.delete(1);
         deletes.delete(3);
         deletes.delete(4);
-        let inner = index.scored_cursor(x, IndexLayout::Decoded, One);
+        let inner = index.scored_cursor(x, One);
         let mut cur = DeleteFilteredCursor::new(inner, &deletes);
         assert_eq!(cur.next_entry(), Some(NodeId(0)));
         assert_eq!(cur.next_entry(), Some(NodeId(2)), "skips tombstoned 1");
         assert_eq!(cur.next_entry(), None, "4 is tombstoned, list ends");
         // Seek lands past tombstones too.
-        let inner = index.scored_cursor(x, IndexLayout::Blocks, One);
+        let inner = index.scored_cursor(x, One);
         let mut cur = DeleteFilteredCursor::new(inner, &deletes);
         assert_eq!(cur.seek(NodeId(1)), Some(NodeId(2)));
         assert_eq!(cur.node(), Some(NodeId(2)));

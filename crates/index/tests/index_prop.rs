@@ -3,8 +3,8 @@
 //! Section 5.1.2 size parameters are the true maxima, and binary
 //! persistence is lossless.
 
-use ftsl_index::{persist, IndexBuilder};
-use ftsl_model::{Corpus, TokenId};
+use ftsl_index::{persist, IndexBuilder, PostingList};
+use ftsl_model::{Corpus, NodeId, Position, TokenId};
 use proptest::prelude::*;
 
 const VOCAB: [&str; 5] = ["ant", "bee", "cat", "dog", "elk"];
@@ -42,29 +42,32 @@ proptest! {
     fn index_is_the_exact_transpose_of_the_corpus(corpus in arb_corpus()) {
         let index = IndexBuilder::new().build(&corpus);
 
-        // Every document occurrence appears in its token's list.
-        for doc in corpus.documents() {
-            for &(tok, pos) in &doc.tokens {
-                let list = index.list(tok);
-                let entry = (0..list.num_entries())
-                    .find(|&i| list.node_of(i) == doc.node)
-                    .expect("entry for containing node");
-                prop_assert!(list.positions_of(entry).contains(&pos));
-            }
-        }
-
-        // Every list position appears in the corpus, with the right token.
+        // Each token's list, decoded by a cursor walk, is exactly the
+        // transpose computed naively from the documents.
         for t in 0..corpus.interner().len() {
             let tok = TokenId(t as u32);
-            for (node, positions) in index.list(tok).iter() {
-                for p in positions {
-                    prop_assert_eq!(corpus.token_at(node, *p), Some(tok));
-                }
-            }
+            let expected: Vec<(NodeId, Vec<Position>)> = corpus
+                .documents()
+                .iter()
+                .filter_map(|doc| {
+                    let ps: Vec<Position> = doc
+                        .tokens
+                        .iter()
+                        .filter(|&&(t, _)| t == tok)
+                        .map(|&(_, p)| p)
+                        .collect();
+                    (!ps.is_empty()).then_some((doc.node, ps))
+                })
+                .collect();
+            prop_assert_eq!(
+                index.block_list(tok).to_posting(),
+                PostingList::from_entries(expected)
+            );
         }
 
         // IL_ANY covers exactly the non-empty documents' positions.
-        let any_total: usize = index.any().iter().map(|(_, ps)| ps.len()).sum();
+        let any = index.any_block_list().to_posting();
+        let any_total: usize = any.iter().map(|(_, ps)| ps.len()).sum();
         let corpus_total: usize = corpus.documents().iter().map(|d| d.len()).sum();
         prop_assert_eq!(any_total, corpus_total);
     }
@@ -91,25 +94,8 @@ proptest! {
         prop_assert_eq!(decoded.stats(), index.stats());
         for t in 0..corpus.interner().len() {
             let tok = TokenId(t as u32);
-            prop_assert_eq!(decoded.list(tok), index.list(tok));
+            prop_assert_eq!(decoded.block_list(tok), index.block_list(tok));
         }
-        prop_assert_eq!(decoded.any(), index.any());
-    }
-
-    #[test]
-    fn cursor_walk_equals_list_contents(corpus in arb_corpus()) {
-        let index = IndexBuilder::new().build(&corpus);
-        for t in 0..corpus.interner().len() {
-            let tok = TokenId(t as u32);
-            let list = index.list(tok);
-            let mut cursor = index.cursor(tok);
-            let mut i = 0usize;
-            while let Some(node) = cursor.next_entry() {
-                prop_assert_eq!(node, list.node_of(i));
-                prop_assert_eq!(cursor.positions(), list.positions_of(i));
-                i += 1;
-            }
-            prop_assert_eq!(i, list.num_entries());
-        }
+        prop_assert_eq!(decoded.any_block_list(), index.any_block_list());
     }
 }

@@ -44,10 +44,10 @@ fn eval(
         SurfaceQuery::Lit(tok) => {
             let mut out = BTreeMap::new();
             if let Some(id) = corpus.token_id(tok) {
-                // Residency-safe decoded view (cached under blocks-only).
-                for (node, positions) in index.decoded_list(id).iter() {
+                let mut cur = index.block_cursor(id);
+                while let Some(node) = cur.next_entry() {
                     let per = model.token_tuple(tok, node, stats);
-                    let doc_score = model.project(&vec![per; positions.len()]);
+                    let doc_score = model.project(&vec![per; cur.tf() as usize]);
                     out.insert(node, doc_score);
                 }
             }
@@ -55,7 +55,8 @@ fn eval(
         }
         SurfaceQuery::Any => {
             let mut out = BTreeMap::new();
-            for (node, _) in index.decoded_any().iter() {
+            let mut cur = index.any_block_cursor();
+            while let Some(node) = cur.next_entry() {
                 out.insert(node, 1.0);
             }
             Ok(out)

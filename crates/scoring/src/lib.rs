@@ -32,7 +32,7 @@
 //! threshold. A worked example:
 //!
 //! ```
-//! use ftsl_index::{IndexBuilder, IndexLayout};
+//! use ftsl_index::IndexBuilder;
 //! use ftsl_model::Corpus;
 //! use ftsl_scoring::stream::topk_tfidf;
 //! use ftsl_scoring::{ScoreStats, TfIdfModel};
@@ -48,9 +48,8 @@
 //! let query = ["usability", "software"];
 //! let model = TfIdfModel::for_query(&query, &corpus, &stats);
 //!
-//! // Top 2 of the disjunction, streamed through the pruned union over the
-//! // block-compressed layout.
-//! let top = topk_tfidf(&query, &corpus, &index, &stats, &model, IndexLayout::Blocks, 2);
+//! // Top 2 of the disjunction, streamed through the pruned union.
+//! let top = topk_tfidf(&query, &corpus, &index, &stats, &model, 2);
 //! assert_eq!(top.hits.len(), 2);
 //! assert!(top.hits[0].1 >= top.hits[1].1);
 //! // The counters report exactly how much of the index was decoded.

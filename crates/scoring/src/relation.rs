@@ -109,11 +109,9 @@ impl<'a, M: ScoringModel> ScoredEvaluator<'a, M> {
             }
             AlgExpr::HasPos => {
                 let mut r = ScoredRelation::new(1);
-                // `decoded_any`/`decoded_list`: resident view under dual
-                // residency, lazily decoded through the index's LRU cache
-                // under blocks-only — the oracle works on either.
-                for (node, positions) in self.index.decoded_any().iter() {
-                    for &p in positions {
+                let mut cur = self.index.any_block_cursor();
+                while let Some(node) = cur.next_entry() {
+                    for &p in cur.positions() {
                         r.rows.push((node, vec![p], self.model.any_tuple()));
                     }
                 }
@@ -122,9 +120,10 @@ impl<'a, M: ScoringModel> ScoredEvaluator<'a, M> {
             AlgExpr::TokenRel(tok) => {
                 let mut r = ScoredRelation::new(1);
                 if let Some(id) = self.corpus.token_id(tok) {
-                    for (node, positions) in self.index.decoded_list(id).iter() {
+                    let mut cur = self.index.block_cursor(id);
+                    while let Some(node) = cur.next_entry() {
                         let s = self.model.token_tuple(tok, node, self.stats);
-                        for &p in positions {
+                        for &p in cur.positions() {
                             r.rows.push((node, vec![p], s));
                         }
                     }

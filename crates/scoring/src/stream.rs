@@ -19,15 +19,15 @@
 //!   `BTreeMap` over the corpus, conjunctions leapfrog by `seek`, and only
 //!   the best `k` results are retained.
 //!
-//! Both evaluators run over either physical layout
-//! ([`ftsl_index::IndexLayout`]) through the [`ScoredCursor`] contract.
+//! Both evaluators read the block lists through the [`ScoredCursor`]
+//! contract.
 
 use crate::pra::PraModel;
 use crate::stats::ScoreStats;
 use crate::topk::TopK;
 use crate::ScoringModel;
 use ftsl_index::{
-    AccessCounters, DeleteFilteredCursor, DeleteSet, IndexLayout, InvertedIndex, ScoredCursor,
+    AccessCounters, DeleteFilteredCursor, DeleteSet, InvertedIndex, ScoredBlocks, ScoredCursor,
 };
 use ftsl_lang::SurfaceQuery;
 use ftsl_model::{Corpus, NodeId};
@@ -164,9 +164,8 @@ pub fn union_bound(cursors: &[Box<dyn ScoredCursor + '_>], kind: UnionKind) -> f
 /// MaxScore/block-max pruned k-way union: the top `k` nodes of a flat
 /// disjunction whose per-list scores combine by `kind`.
 ///
-/// Cursors may come from either layout (see
-/// [`InvertedIndex::scored_cursor`]). Nodes scoring ≤ 0 are never reported,
-/// matching the exhaustive oracles.
+/// Cursors come from [`InvertedIndex::scored_cursor`]. Nodes scoring ≤ 0 are
+/// never reported, matching the exhaustive oracles.
 pub fn topk_union(
     cursors: Vec<Box<dyn ScoredCursor + '_>>,
     kind: UnionKind,
@@ -295,8 +294,7 @@ pub fn topk_union_into(
             ) {
                 // The probed list contributes nothing decodable here; the
                 // saving shows up as entries it never decodes (block-level
-                // `blocks_skipped` accounting stays with the cursors, which
-                // know their physical layout).
+                // `blocks_skipped` accounting stays with the cursors).
                 continue;
             }
             if cursors[i].1.seek(candidate) == Some(candidate) {
@@ -585,7 +583,6 @@ fn build_stream<'a>(
     index: &'a InvertedIndex,
     stats: &ScoreStats,
     model: &PraModel,
-    layout: IndexLayout,
     live: Option<&'a DeleteSet>,
 ) -> Result<Box<dyn ScoreStream + 'a>, String> {
     match query {
@@ -595,37 +592,31 @@ fn build_stream<'a>(
                 .token_id(tok)
                 .unwrap_or(ftsl_model::TokenId(u32::MAX));
             Ok(Box::new(LeafStream {
-                cur: wrap_live(index.scored_cursor(id, layout, scorer), live),
+                cur: wrap_live(index.scored_cursor(id, scorer), live),
             }))
         }
         SurfaceQuery::Any => {
             let scorer = PraEntryScorer::constant(1.0);
-            let cur: Box<dyn ScoredCursor + 'a> = match index.effective_layout(layout) {
-                IndexLayout::Decoded => Box::new(ftsl_index::ScoredList::new(index.any(), scorer)),
-                IndexLayout::Blocks => Box::new(ftsl_index::ScoredBlocks::new(
-                    index.any_block_list(),
-                    scorer,
-                )),
-            };
+            let cur = Box::new(ScoredBlocks::new(index.any_block_list(), scorer));
             Ok(Box::new(LeafStream {
                 cur: wrap_live(cur, live),
             }))
         }
         SurfaceQuery::Not(inner) => Ok(Box::new(NotStream {
-            inner: build_stream(inner, corpus, index, stats, model, layout, live)?,
+            inner: build_stream(inner, corpus, index, stats, model, live)?,
             inner_primed: false,
             universe: corpus.len() as u32,
             cur: None,
             done: false,
         })),
         SurfaceQuery::And(a, b) => Ok(Box::new(AndStream {
-            left: build_stream(a, corpus, index, stats, model, layout, live)?,
-            right: build_stream(b, corpus, index, stats, model, layout, live)?,
+            left: build_stream(a, corpus, index, stats, model, live)?,
+            right: build_stream(b, corpus, index, stats, model, live)?,
             cur: None,
         })),
         SurfaceQuery::Or(a, b) => Ok(Box::new(OrStream {
-            left: build_stream(a, corpus, index, stats, model, layout, live)?,
-            right: build_stream(b, corpus, index, stats, model, layout, live)?,
+            left: build_stream(a, corpus, index, stats, model, live)?,
+            right: build_stream(b, corpus, index, stats, model, live)?,
             cur: None,
             primed: false,
         })),
@@ -642,31 +633,26 @@ pub fn run_bool_topk(
     index: &InvertedIndex,
     stats: &ScoreStats,
     model: &PraModel,
-    layout: IndexLayout,
     k: usize,
 ) -> Result<ScoredHits, String> {
-    run_bool_topk_filtered(query, corpus, index, stats, model, layout, k, None)
+    run_bool_topk_filtered(query, corpus, index, stats, model, k, None)
 }
 
 /// [`run_bool_topk`] over one live-index segment: tombstoned documents are
 /// filtered at the leaf cursors *and* at heap insertion (a `NOT` over a
 /// tombstoned node still surfaces it via the dense complement), so they can
 /// neither appear in the hits nor displace live candidates from the heap.
-#[allow(clippy::too_many_arguments)]
 pub fn run_bool_topk_filtered(
     query: &SurfaceQuery,
     corpus: &Corpus,
     index: &InvertedIndex,
     stats: &ScoreStats,
     model: &PraModel,
-    layout: IndexLayout,
     k: usize,
     live: Option<&DeleteSet>,
 ) -> Result<ScoredHits, String> {
     let mut topk = TopK::new(k);
-    let counters = run_bool_topk_into(
-        query, corpus, index, stats, model, layout, live, &mut topk, None,
-    )?;
+    let counters = run_bool_topk_into(query, corpus, index, stats, model, live, &mut topk, None)?;
     Ok(ScoredHits {
         hits: topk.into_ranked(),
         counters,
@@ -685,12 +671,11 @@ pub fn run_bool_topk_into(
     index: &InvertedIndex,
     stats: &ScoreStats,
     model: &PraModel,
-    layout: IndexLayout,
     live: Option<&DeleteSet>,
     topk: &mut TopK,
     globals: Option<&[u32]>,
 ) -> Result<AccessCounters, String> {
-    let mut stream = build_stream(query, corpus, index, stats, model, layout, live)?;
+    let mut stream = build_stream(query, corpus, index, stats, model, live)?;
     while let Some((node, score)) = stream.next() {
         if score > 0.0 && live.is_none_or(|d| d.is_live(node.index())) {
             let ranked_id = globals.map_or(node, |g| NodeId(g[node.index()]));
@@ -713,7 +698,6 @@ pub fn pra_tree_bound(
     index: &InvertedIndex,
     stats: &ScoreStats,
     model: &PraModel,
-    layout: IndexLayout,
 ) -> Result<f64, String> {
     let empty = corpus.is_empty();
     match query {
@@ -722,22 +706,22 @@ pub fn pra_tree_bound(
             let id = corpus
                 .token_id(tok)
                 .unwrap_or(ftsl_model::TokenId(u32::MAX));
-            Ok(index.scored_cursor(id, layout, scorer).max_score_list())
+            Ok(index.scored_cursor(id, scorer).max_score_list())
         }
         SurfaceQuery::Any => Ok(if empty { 0.0 } else { 1.0 }),
         // `NOT` scores `1 − s(inner)` over the dense node universe.
         SurfaceQuery::Not(_) => Ok(if empty { 0.0 } else { 1.0 }),
         SurfaceQuery::And(a, b) => {
             let (ba, bb) = (
-                pra_tree_bound(a, corpus, index, stats, model, layout)?,
-                pra_tree_bound(b, corpus, index, stats, model, layout)?,
+                pra_tree_bound(a, corpus, index, stats, model)?,
+                pra_tree_bound(b, corpus, index, stats, model)?,
             );
             Ok(ba * bb)
         }
         SurfaceQuery::Or(a, b) => {
             let (ba, bb) = (
-                pra_tree_bound(a, corpus, index, stats, model, layout)?,
-                pra_tree_bound(b, corpus, index, stats, model, layout)?,
+                pra_tree_bound(a, corpus, index, stats, model)?,
+                pra_tree_bound(b, corpus, index, stats, model)?,
             );
             Ok(prob_or(ba, bb))
         }
@@ -754,26 +738,23 @@ pub fn topk_tfidf<S: AsRef<str>>(
     index: &InvertedIndex,
     stats: &ScoreStats,
     model: &crate::TfIdfModel,
-    layout: IndexLayout,
     k: usize,
 ) -> ScoredHits {
-    topk_tfidf_filtered(query_tokens, corpus, index, stats, model, layout, k, None)
+    topk_tfidf_filtered(query_tokens, corpus, index, stats, model, k, None)
 }
 
 /// [`topk_tfidf`] over one live-index segment: every cursor steps over the
 /// segment's tombstoned entries, so deleted documents never reach the heap.
-#[allow(clippy::too_many_arguments)]
 pub fn topk_tfidf_filtered<S: AsRef<str>>(
     query_tokens: &[S],
     corpus: &Corpus,
     index: &InvertedIndex,
     stats: &ScoreStats,
     model: &crate::TfIdfModel,
-    layout: IndexLayout,
     k: usize,
     live: Option<&DeleteSet>,
 ) -> ScoredHits {
-    let cursors = tfidf_union_cursors(query_tokens, corpus, index, stats, model, layout, live);
+    let cursors = tfidf_union_cursors(query_tokens, corpus, index, stats, model, live);
     topk_union(cursors, UnionKind::Sum, k)
 }
 
@@ -783,14 +764,12 @@ pub fn topk_tfidf_filtered<S: AsRef<str>>(
 /// Token normalization (lowercase, sort, dedup) is deterministic, so every
 /// segment folds the same token order and scores stay bit-identical to the
 /// monolithic path.
-#[allow(clippy::too_many_arguments)]
 pub fn tfidf_union_cursors<'a, S: AsRef<str>>(
     query_tokens: &[S],
     corpus: &'a Corpus,
     index: &'a InvertedIndex,
     stats: &'a ScoreStats,
     model: &crate::TfIdfModel,
-    layout: IndexLayout,
     live: Option<&'a DeleteSet>,
 ) -> Vec<Box<dyn ScoredCursor + 'a>> {
     let mut distinct: Vec<String> = query_tokens
@@ -803,7 +782,7 @@ pub fn tfidf_union_cursors<'a, S: AsRef<str>>(
         .iter()
         .filter_map(|t| {
             let id = corpus.token_id(t)?;
-            let cur = index.scored_cursor(id, layout, TfIdfEntryScorer::new(t, model, stats));
+            let cur = index.scored_cursor(id, TfIdfEntryScorer::new(t, model, stats));
             Some(wrap_live(cur, live))
         })
         .collect()
@@ -818,40 +797,35 @@ pub fn topk_pra_disjunction<S: AsRef<str>>(
     index: &InvertedIndex,
     stats: &ScoreStats,
     model: &PraModel,
-    layout: IndexLayout,
     k: usize,
 ) -> ScoredHits {
-    topk_pra_disjunction_filtered(query_tokens, corpus, index, stats, model, layout, k, None)
+    topk_pra_disjunction_filtered(query_tokens, corpus, index, stats, model, k, None)
 }
 
 /// [`topk_pra_disjunction`] over one live-index segment (see
 /// [`topk_tfidf_filtered`]).
-#[allow(clippy::too_many_arguments)]
 pub fn topk_pra_disjunction_filtered<S: AsRef<str>>(
     query_tokens: &[S],
     corpus: &Corpus,
     index: &InvertedIndex,
     stats: &ScoreStats,
     model: &PraModel,
-    layout: IndexLayout,
     k: usize,
     live: Option<&DeleteSet>,
 ) -> ScoredHits {
-    let cursors = pra_union_cursors(query_tokens, corpus, index, stats, model, layout, live);
+    let cursors = pra_union_cursors(query_tokens, corpus, index, stats, model, live);
     topk_union(cursors, UnionKind::ProbOr, k)
 }
 
 /// The tombstone-filtered scored cursors [`topk_pra_disjunction_filtered`]
 /// unions (tokens used exactly as given — PRA literals are not normalized),
 /// factored out for multi-segment callers like [`tfidf_union_cursors`].
-#[allow(clippy::too_many_arguments)]
 pub fn pra_union_cursors<'a, S: AsRef<str>>(
     query_tokens: &[S],
     corpus: &'a Corpus,
     index: &'a InvertedIndex,
     stats: &ScoreStats,
     model: &PraModel,
-    layout: IndexLayout,
     live: Option<&'a DeleteSet>,
 ) -> Vec<Box<dyn ScoredCursor + 'a>> {
     query_tokens
@@ -859,7 +833,7 @@ pub fn pra_union_cursors<'a, S: AsRef<str>>(
         .filter_map(|t| {
             let t = t.as_ref();
             let id = corpus.token_id(t)?;
-            let cur = index.scored_cursor(id, layout, PraEntryScorer::new(t, model, stats));
+            let cur = index.scored_cursor(id, PraEntryScorer::new(t, model, stats));
             Some(wrap_live(cur, live))
         })
         .collect()

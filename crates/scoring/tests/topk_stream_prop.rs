@@ -2,10 +2,9 @@
 //! corpora and queries, the pruned/streaming evaluators must return exactly
 //! the first `k` rows of the exhaustive oracles — same nodes, same scores
 //! (within 1e-9 for TF-IDF, whose summation order differs; bit-comparable
-//! for PRA trees, which reuse the oracle's arithmetic), same tie order — on
-//! both physical layouts.
+//! for PRA trees, which reuse the oracle's arithmetic), same tie order.
 
-use ftsl_index::{IndexBuilder, IndexLayout, InvertedIndex};
+use ftsl_index::{IndexBuilder, InvertedIndex};
 use ftsl_lang::SurfaceQuery;
 use ftsl_model::{Corpus, NodeId};
 use ftsl_scoring::bool_scores::run_bool_scored;
@@ -15,7 +14,6 @@ use ftsl_scoring::{PraModel, ScoreStats, TfIdfModel};
 use proptest::prelude::*;
 
 const VOCAB: [&str; 6] = ["alpha", "beta", "gamma", "delta", "eps", "zeta"];
-const LAYOUTS: [IndexLayout; 2] = [IndexLayout::Decoded, IndexLayout::Blocks];
 
 fn arb_corpus() -> impl Strategy<Value = Corpus> {
     proptest::collection::vec(proptest::collection::vec(0..VOCAB.len(), 0..12), 1..10).prop_map(
@@ -127,10 +125,8 @@ proptest! {
         let (index, stats) = setup(&corpus);
         let model = TfIdfModel::for_query(&tokens, &corpus, &stats);
         let oracle = classic_tfidf(&tokens, &corpus, &stats, &model);
-        for layout in LAYOUTS {
-            let got = topk_tfidf(&tokens, &corpus, &index, &stats, &model, layout, k);
-            assert_prefix(&got.hits, &oracle, k, 1e-9, &format!("tfidf {layout:?} k={k}"));
-        }
+        let got = topk_tfidf(&tokens, &corpus, &index, &stats, &model, k);
+        assert_prefix(&got.hits, &oracle, k, 1e-9, &format!("tfidf k={k}"));
     }
 
     /// Pruned PRA union over a flat disjunction == first k of the
@@ -150,11 +146,9 @@ proptest! {
             .reduce(|a, b| SurfaceQuery::Or(Box::new(a), Box::new(b)))
             .expect("non-empty");
         let oracle = run_bool_scored(&query, &corpus, &index, &stats, &model).expect("oracle");
-        for layout in LAYOUTS {
-            let got =
-                topk_pra_disjunction(&tokens, &corpus, &index, &stats, &model, layout, k);
-            assert_prefix(&got.hits, &oracle, k, 1e-9, &format!("pra-or {layout:?} k={k}"));
-        }
+        let got =
+            topk_pra_disjunction(&tokens, &corpus, &index, &stats, &model, k);
+        assert_prefix(&got.hits, &oracle, k, 1e-9, &format!("pra-or k={k}"));
     }
 
     /// Streaming evaluation of arbitrary BOOL trees (AND/OR/NOT) == first k
@@ -168,17 +162,15 @@ proptest! {
         let (index, stats) = setup(&corpus);
         let model = PraModel::new(&corpus, &stats);
         let oracle = run_bool_scored(&query, &corpus, &index, &stats, &model).expect("oracle");
-        for layout in LAYOUTS {
-            let got = run_bool_topk(&query, &corpus, &index, &stats, &model, layout, k)
-                .expect("streaming");
-            assert_prefix(
-                &got.hits,
-                &oracle,
-                k,
-                0.0,
-                &format!("bool {layout:?} k={k} query={}", query.render()),
-            );
-        }
+        let got = run_bool_topk(&query, &corpus, &index, &stats, &model, k)
+            .expect("streaming");
+        assert_prefix(
+            &got.hits,
+            &oracle,
+            k,
+            0.0,
+            &format!("bool k={k} query={}", query.render()),
+        );
     }
 
     /// Streaming never decodes more entries than the corpus holds, and the
@@ -196,15 +188,13 @@ proptest! {
         let exhaustive_entries: u64 = tokens
             .iter()
             .filter_map(|t| corpus.token_id(t))
-            .map(|id| index.list(id).num_entries() as u64)
+            .map(|id| index.df(id) as u64)
             .sum();
-        for layout in LAYOUTS {
-            let got = topk_tfidf(&tokens, &corpus, &index, &stats, &model, layout, k);
-            prop_assert!(
-                got.counters.entries <= exhaustive_entries,
-                "{layout:?}: decoded {} of {exhaustive_entries}",
-                got.counters.entries
-            );
-        }
+        let got = topk_tfidf(&tokens, &corpus, &index, &stats, &model, k);
+        prop_assert!(
+            got.counters.entries <= exhaustive_entries,
+            "decoded {} of {exhaustive_entries}",
+            got.counters.entries
+        );
     }
 }

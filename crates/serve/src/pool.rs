@@ -466,8 +466,8 @@ fn merged_latency(slots: &[Arc<WorkerSlot>]) -> HistogramSnapshot {
 }
 
 /// Wire up every collector: serve counters, request latency, result
-/// cache, slow log, engine liveness, and index residency (including the
-/// word-pair auxiliary lists and the block-decode cache).
+/// cache, slow log, engine liveness, and index footprint (including the
+/// word-pair auxiliary lists).
 fn build_registry(
     shared: &Arc<Shared>,
     cache: &Arc<ResultCache>,
@@ -639,48 +639,6 @@ fn build_registry(
                 en.segment_reports()
                     .iter()
                     .map(|r| r.pair_bytes as u64)
-                    .sum(),
-            )
-        },
-    );
-    let en = Arc::clone(engine);
-    registry.register(
-        "ftsl_decode_cache_hits_total",
-        "Block-decode cache hits across live segments",
-        move || {
-            let snap = en.snapshot();
-            MetricValue::Counter(
-                snap.segments()
-                    .iter()
-                    .map(|s| s.data().index().decode_cache_stats().hits)
-                    .sum(),
-            )
-        },
-    );
-    let en = Arc::clone(engine);
-    registry.register(
-        "ftsl_decode_cache_misses_total",
-        "Block-decode cache misses across live segments",
-        move || {
-            let snap = en.snapshot();
-            MetricValue::Counter(
-                snap.segments()
-                    .iter()
-                    .map(|s| s.data().index().decode_cache_stats().misses)
-                    .sum(),
-            )
-        },
-    );
-    let en = Arc::clone(engine);
-    registry.register(
-        "ftsl_decode_cache_resident_bytes",
-        "Decoded posting-list bytes retained by the block-decode caches",
-        move || {
-            let snap = en.snapshot();
-            MetricValue::Gauge(
-                snap.segments()
-                    .iter()
-                    .map(|s| s.data().index().decode_cache_stats().resident_bytes as u64)
                     .sum(),
             )
         },

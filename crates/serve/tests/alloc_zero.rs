@@ -6,15 +6,9 @@
 //! * **Scratch-reuse path** — a warm `BlockCursor` walk: the decode
 //!   buffers come from the thread-local scratch pool, so re-walking a
 //!   block list (including position decode) allocates nothing.
-//!
-//! The cursor path only engages under `IndexLayout::Blocks` (the default
-//! `Decoded` layout streams pre-decoded lists), so the engine here is
-//! built with an explicit blocks layout.
 
 use ftsl_core::{LiveConfig, LiveFtsl, RankModel};
-use ftsl_exec::engine::ExecOptions;
 use ftsl_index::scratch_pool_stats;
-use ftsl_index::IndexLayout;
 use ftsl_obs::Histogram;
 use ftsl_serve::{thread_allocs, CountingAlloc, QueryRequest, ResultCache, ServeContext, SlowLog};
 use std::sync::Arc;
@@ -22,14 +16,10 @@ use std::sync::Arc;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-fn blocks_engine() -> Arc<LiveFtsl> {
+fn engine() -> Arc<LiveFtsl> {
     let engine = LiveFtsl::with_config(LiveConfig {
         background_merge: false,
         ..LiveConfig::default()
-    })
-    .with_options(ExecOptions {
-        layout: IndexLayout::Blocks,
-        ..ExecOptions::default()
     });
     for i in 0..300 {
         engine.add(&format!(
@@ -43,7 +33,7 @@ fn blocks_engine() -> Arc<LiveFtsl> {
 
 #[test]
 fn cache_hit_serving_allocates_nothing() {
-    let engine = blocks_engine();
+    let engine = engine();
     let cache = Arc::new(ResultCache::new(32));
     let mut ctx = ServeContext::new(Arc::clone(&engine), Arc::clone(&cache));
     let reqs = [
@@ -72,7 +62,7 @@ fn cache_hit_serving_allocates_nothing() {
 /// slow-log threshold) is replayed around the warm cache-hit path.
 #[test]
 fn metrics_recording_on_the_hit_path_allocates_nothing() {
-    let engine = blocks_engine();
+    let engine = engine();
     let cache = Arc::new(ResultCache::new(32));
     let mut ctx = ServeContext::new(Arc::clone(&engine), Arc::clone(&cache));
     let req = QueryRequest::search("'software' AND 'usability'");
@@ -98,7 +88,7 @@ fn metrics_recording_on_the_hit_path_allocates_nothing() {
 
 #[test]
 fn warm_block_cursor_walks_allocate_nothing() {
-    let engine = blocks_engine();
+    let engine = engine();
     let snapshot = engine.live_index().snapshot();
     let seg = &snapshot.segments()[0];
     // Grab the widest couple of block lists in the sealed segment.

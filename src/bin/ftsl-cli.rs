@@ -1,11 +1,10 @@
 //! `ftsl-cli` — a small command-line search shell over the library.
 //!
 //! ```text
-//! ftsl-cli [--analyzed] [--blocks-only] [--live] [<file>...]
+//! ftsl-cli [--analyzed] [--live] [<file>...]
 //! ```
 //!
-//! Each file is indexed as one context node. `--blocks-only` serves from
-//! the compressed blocks alone (single residency). `--live` starts the
+//! Each file is indexed as one context node. `--live` starts the
 //! **live engine** instead of a frozen index: documents can be added and
 //! deleted at any time (`:add`, `:delete`), the write buffer can be sealed
 //! (`:flush`), segments compacted (`:merge`), and `:stats` reports the
@@ -30,7 +29,7 @@
 //! slow-query log entries (`:slow-threshold <µs>` adjusts the cutoff at
 //! runtime; 0 disables capture).
 
-use ftsl_core::{Ftsl, LiveConfig, LiveFtsl, RankModel, Residency};
+use ftsl_core::{Ftsl, LiveConfig, LiveFtsl, RankModel};
 use ftsl_index::AccessCounters;
 use ftsl_model::analysis::AnalysisConfig;
 use ftsl_model::NodeId;
@@ -41,35 +40,24 @@ use std::time::Instant;
 
 fn main() {
     let mut analyzed = false;
-    let mut blocks_only = false;
     let mut live = false;
     let mut files = Vec::new();
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--analyzed" => analyzed = true,
-            "--blocks-only" => blocks_only = true,
             "--live" => live = true,
             "--help" | "-h" => {
-                eprintln!("usage: ftsl-cli [--analyzed] [--blocks-only] [--live] [<file>...]");
+                eprintln!("usage: ftsl-cli [--analyzed] [--live] [<file>...]");
                 return;
             }
             path => files.push(path.to_string()),
         }
     }
     if files.is_empty() && !live {
-        eprintln!("usage: ftsl-cli [--analyzed] [--blocks-only] [--live] [<file>...]");
+        eprintln!("usage: ftsl-cli [--analyzed] [--live] [<file>...]");
         eprintln!("(a frozen index needs at least one file; --live may start empty)");
         std::process::exit(2);
     }
-    if live && blocks_only {
-        // Refuse rather than silently ignore: live segments are served
-        // dual-resident today, so the flag would not do what it promises.
-        eprintln!(
-            "--blocks-only applies to the frozen index only (live segments are dual-resident)"
-        );
-        std::process::exit(2);
-    }
-
     let mut texts = Vec::new();
     let mut names = Vec::new();
     for path in &files {
@@ -87,7 +75,7 @@ fn main() {
     if live {
         run_live(&texts, names, analyzed);
     } else {
-        run_frozen(&texts, names, analyzed, blocks_only);
+        run_frozen(&texts, names, analyzed);
     }
 }
 
@@ -117,22 +105,18 @@ fn repl(mut handle: impl FnMut(&str) -> Result<(), Box<dyn std::error::Error>>) 
     }
 }
 
-fn run_frozen(texts: &[String], names: Vec<String>, analyzed: bool, blocks_only: bool) {
-    let mut engine = if analyzed {
+fn run_frozen(texts: &[String], names: Vec<String>, analyzed: bool) {
+    let engine = if analyzed {
         Ftsl::from_texts_analyzed(texts, AnalysisConfig::english())
     } else {
         Ftsl::from_texts(texts)
     };
-    if blocks_only {
-        engine.set_residency(Residency::BlocksOnly);
-    }
     let stats = engine.index().stats();
     eprintln!(
-        "indexed {} documents ({} terms, {} max positions/node, {})",
+        "indexed {} documents ({} terms, {} max positions/node)",
         engine.corpus().len(),
         stats.vocabulary,
-        stats.pos_per_cnode,
-        engine.index().residency()
+        stats.pos_per_cnode
     );
     eprintln!("enter queries (:help for commands)");
     let mut stdout = std::io::stdout();
@@ -318,16 +302,7 @@ fn dispatch(
             "cnodes={} vocabulary={} pos_per_cnode={} entries_per_token={} pos_per_entry={}",
             s.cnodes, s.vocabulary, s.pos_per_cnode, s.entries_per_token, s.pos_per_entry
         )?;
-        writeln!(out, "residency: {}", engine.index().residency())?;
-        // The footprint Display labels the numbers by residency: dual shows
-        // compressed + decoded, blocks-only shows compressed + decode-cache.
         writeln!(out, "memory: {}", engine.index().memory_footprint())?;
-        let c = engine.index().decode_cache_stats();
-        writeln!(
-            out,
-            "decode cache: {} lists, {} hits / {} misses, {}B",
-            c.lists, c.hits, c.misses, c.resident_bytes
-        )?;
         print_pair_stats(out, engine.index())?;
         print_last_counters(out, last_counters)?;
         return Ok(());

@@ -44,8 +44,8 @@ fn explain_analyze_profiles_a_proximity_query_on_the_pair_path() {
         text.contains("pair_entries="),
         "pair-list walk reports pair_entries:\n{text}"
     );
-    // Residency footprint trailer.
-    assert!(text.contains("index: "), "{text}");
+    // Memory footprint trailer, in the single compressed form.
+    assert!(text.contains("index: compressed="), "{text}");
 }
 
 #[test]
