@@ -19,7 +19,7 @@ use criterion::criterion_main;
 use ftsl_bench::results::{measure, smoke, ResultsSink};
 use ftsl_corpus::SynthConfig;
 use ftsl_exec::engine::{EngineKind, ExecOptions};
-use ftsl_exec::snapshot::SnapshotExecutor;
+use ftsl_exec::snapshot::{ExecScratch, SnapshotExecutor};
 use ftsl_exec::{ScoreModel, ScoredTopK};
 use ftsl_index::{LiveConfig, LiveIndex, Snapshot};
 use ftsl_model::{Corpus, NodeId};
@@ -92,7 +92,13 @@ fn run_topk(snapshot: &Snapshot, reg: &PredicateRegistry, stats: &SnapshotStats)
     let model = stats.tfidf_model(&["rare", "common"], snapshot);
     let exec = SnapshotExecutor::with_options(snapshot, reg, ExecOptions::default());
     let out = exec
-        .run_top_k(&q, ScoredTopK { k: 10 }, stats, &ScoreModel::TfIdf(&model))
+        .run_top_k_with(
+            &q,
+            ScoredTopK { k: 10 },
+            stats,
+            &ScoreModel::TfIdf(&model),
+            &mut ExecScratch::new(),
+        )
         .expect("topk runs");
     (out.hits.len(), out.counters.entries)
 }
@@ -208,7 +214,13 @@ fn record_results() {
         let texec = SnapshotExecutor::with_options(&snapshot, &reg, ExecOptions::default());
         let topk_out = || {
             texec
-                .run_top_k(&q, ScoredTopK { k: 10 }, &stats, &ScoreModel::TfIdf(&model))
+                .run_top_k_with(
+                    &q,
+                    ScoredTopK { k: 10 },
+                    &stats,
+                    &ScoreModel::TfIdf(&model),
+                    &mut ExecScratch::new(),
+                )
                 .expect("topk runs")
         };
         let topk = measure(reps, || {

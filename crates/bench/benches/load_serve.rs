@@ -22,7 +22,7 @@
 //! pause between writer mutations in microseconds (default 200).
 
 use ftsl_bench::results::{smoke, LoadMetrics, ResultsSink};
-use ftsl_core::{LiveConfig, LiveFtsl, RankModel};
+use ftsl_core::{Ftsl, LiveConfig, RankModel};
 use ftsl_corpus::SynthConfig;
 use ftsl_serve::{CountingAlloc, QueryRequest, ServeConfig, ServePoolExt};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -104,7 +104,7 @@ struct RunOutcome {
 /// engine (the metrics on/off comparison, where corpus growth between
 /// runs would swamp the effect being measured).
 fn run_load(
-    engine: &Arc<LiveFtsl>,
+    engine: &Arc<Ftsl>,
     workers: usize,
     per_client: usize,
     with_metrics: bool,
@@ -198,7 +198,7 @@ fn run_load(
 
 fn main() {
     let (cnodes, per_client) = if smoke() { (600, 300) } else { (3000, 1500) };
-    let engine = Arc::new(LiveFtsl::with_config(LiveConfig {
+    let engine = Arc::new(Ftsl::with_config(LiveConfig {
         background_merge: true,
         ..LiveConfig::default()
     }));

@@ -11,7 +11,7 @@
 //! number attached.
 
 use ftsl_bench::results::{median_micros, smoke, Measurement, ResultsSink, INNER_RUNS};
-use ftsl_core::{LiveConfig, LiveFtsl};
+use ftsl_core::{Ftsl, LiveConfig};
 use ftsl_corpus::SynthConfig;
 use ftsl_exec::engine::ExecOptions;
 use ftsl_obs::{Histogram, SlowLog};
@@ -20,7 +20,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-fn build_engine(trace: bool) -> Arc<LiveFtsl> {
+fn build_engine(trace: bool) -> Arc<Ftsl> {
     let corpus = SynthConfig {
         cnodes: if smoke() { 500 } else { 2000 },
         vocabulary: 900,
@@ -42,7 +42,7 @@ fn build_engine(trace: bool) -> Arc<LiveFtsl> {
                 .join(" ")
         })
         .collect();
-    let engine = LiveFtsl::with_config(LiveConfig {
+    let engine = Ftsl::with_config(LiveConfig {
         background_merge: false,
         ..LiveConfig::default()
     })

@@ -1,13 +1,14 @@
-//! The live engine facade: mutations, snapshot reads, and every search
-//! path of [`crate::Ftsl`] over a dynamically maintained collection.
+//! The engine: mutations, snapshot reads, and every search path over a
+//! dynamically maintained collection.
 //!
-//! [`LiveFtsl`] wraps an [`ftsl_index::LiveIndex`] (write buffer, sealed
+//! [`Ftsl`] wraps an [`ftsl_index::LiveIndex`] (write buffer, sealed
 //! segments, tombstones, background tiered merge) and serves queries from
-//! point-in-time snapshots. Results are identical — bit-identical, the
-//! differential suite checks — to a [`crate::Ftsl`] rebuilt from the
-//! surviving documents: the engines run unchanged per segment, scoring uses
-//! merged collection statistics, and tombstoned documents are filtered
-//! inside the streaming evaluations.
+//! point-in-time snapshots. An index built once from a corpus is the same
+//! engine with its input sealed as segment 0 and an empty write buffer.
+//! Results are identical — bit-identical, the differential suite checks —
+//! to one sealed segment rebuilt from the surviving documents: the engines
+//! run unchanged per segment, scoring uses merged collection statistics,
+//! and tombstoned documents are filtered inside the streaming evaluations.
 
 use crate::error::FtslError;
 use crate::results::{Ranked, SearchResults};
@@ -35,14 +36,14 @@ struct CachedView {
     stats: Option<Arc<SnapshotStats>>,
 }
 
-/// The live full-text engine: `add`/`delete` documents at any time, search
-/// the current (or a pinned) snapshot with any of the paper's languages and
-/// scoring models.
+/// The full-text engine: seed it from texts or start empty, `add`/`delete`
+/// documents at any time, search the current (or a pinned) snapshot with
+/// any of the paper's languages and scoring models.
 ///
 /// ```
-/// use ftsl_core::{LiveFtsl, RankModel};
+/// use ftsl_core::Ftsl;
 ///
-/// let engine = LiveFtsl::new();
+/// let engine = Ftsl::new();
 /// let a = engine.add("usability of a software measures how well it works");
 /// engine.add("an efficient algorithm for task completion");
 /// let hits = engine.search("'software' AND 'usability'").unwrap();
@@ -50,7 +51,7 @@ struct CachedView {
 /// engine.delete(a);
 /// assert!(engine.search("'software'").unwrap().nodes.is_empty());
 /// ```
-pub struct LiveFtsl {
+pub struct Ftsl {
     live: LiveIndex,
     registry: PredicateRegistry,
     options: ExecOptions,
@@ -59,46 +60,38 @@ pub struct LiveFtsl {
     cache: Mutex<Option<CachedView>>,
 }
 
-impl Default for LiveFtsl {
+impl Default for Ftsl {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl LiveFtsl {
-    /// An empty live engine with default configuration (background merging
-    /// on).
+impl Ftsl {
+    /// An empty engine with default configuration (background merging on).
     pub fn new() -> Self {
         Self::with_config(LiveConfig::default())
     }
 
-    /// An empty live engine with explicit index configuration.
+    /// An empty engine with explicit index configuration.
     pub fn with_config(config: LiveConfig) -> Self {
         Self::assemble(LiveIndex::with_config(config), AnalysisConfig::none())
     }
 
-    /// Seed from existing texts (sealed as the first segment), then accept
-    /// live traffic.
+    /// Build an engine over raw document texts, sealed as segment 0.
     pub fn from_texts<S: AsRef<str>>(texts: &[S]) -> Self {
-        Self::from_texts_with(texts, LiveConfig::default())
+        Self::from_corpus(Corpus::from_texts(texts))
     }
 
-    /// [`Self::from_texts`] with explicit index configuration.
-    pub fn from_texts_with<S: AsRef<str>>(texts: &[S], config: LiveConfig) -> Self {
-        Self::assemble(
-            LiveIndex::from_corpus_with(Corpus::from_texts(texts), config),
-            AnalysisConfig::none(),
-        )
+    /// Build an engine over an existing corpus, sealed as segment 0.
+    pub fn from_corpus(corpus: Corpus) -> Self {
+        Self::assemble(LiveIndex::from_corpus(corpus), AnalysisConfig::none())
     }
 
-    /// Seed from texts run through the stemming/stop-word analysis
-    /// pipeline; later [`Self::add`]s and query tokens get the same
-    /// treatment.
-    pub fn from_texts_analyzed<S: AsRef<str>>(
-        texts: &[S],
-        analysis: AnalysisConfig,
-        config: LiveConfig,
-    ) -> Self {
+    /// Build an engine over raw texts run through the stemming/stop-word
+    /// analysis pipeline (the paper's announced extensions); later
+    /// [`Self::add`]s and query tokens get the same treatment, so documents
+    /// and queries agree on index terms.
+    pub fn from_texts_analyzed<S: AsRef<str>>(texts: &[S], analysis: AnalysisConfig) -> Self {
         let tokenizer = Tokenizer::with_config(TokenizerConfig {
             analysis: analysis.clone(),
             ..Default::default()
@@ -107,12 +100,12 @@ impl LiveFtsl {
         for text in texts {
             corpus.add_text_with(&tokenizer, text.as_ref());
         }
-        let live = LiveIndex::from_corpus_with(corpus, config).with_tokenizer(tokenizer);
+        let live = LiveIndex::from_corpus(corpus).with_tokenizer(tokenizer);
         Self::assemble(live, analysis)
     }
 
     fn assemble(live: LiveIndex, analysis: AnalysisConfig) -> Self {
-        LiveFtsl {
+        Ftsl {
             live,
             registry: PredicateRegistry::with_builtins(),
             options: ExecOptions::default(),
@@ -128,8 +121,8 @@ impl LiveFtsl {
         self
     }
 
-    /// Install a thesaurus: query tokens expand into synonym disjunctions
-    /// before evaluation, exactly as on the frozen engine.
+    /// Install a thesaurus: query tokens are expanded into the disjunction
+    /// of their synonyms before evaluation.
     pub fn set_thesaurus(&mut self, thesaurus: Thesaurus) {
         self.thesaurus = thesaurus;
     }
@@ -146,13 +139,13 @@ impl LiveFtsl {
         self.live.version()
     }
 
-    /// The predicate registry.
+    /// The predicate registry (extensible: register your own predicates
+    /// before issuing queries).
     pub fn registry(&self) -> &PredicateRegistry {
         &self.registry
     }
 
-    /// Mutable access to the predicate registry (register custom
-    /// predicates before querying).
+    /// Mutable access to the predicate registry.
     pub fn registry_mut(&mut self) -> &mut PredicateRegistry {
         &mut self.registry
     }
@@ -221,8 +214,8 @@ impl LiveFtsl {
         Arc::new(SnapshotStats::compute(snapshot))
     }
 
-    /// Apply query-side rewrites (thesaurus, analysis) — same pipeline as
-    /// the frozen engine.
+    /// Apply query-side rewrites: thesaurus expansion, then the index's
+    /// token analysis on every literal (including expansion results).
     fn rewrite_query(&self, surface: &SurfaceQuery) -> SurfaceQuery {
         let expanded = self.thesaurus.expand(surface);
         map_tokens(&expanded, &|t| self.analysis.analyze(t))
@@ -318,15 +311,21 @@ impl LiveFtsl {
         })
     }
 
-    /// Streaming top-k over the current snapshot: one bounded heap and one
-    /// score threshold shared across every segment's MaxScore/block-max
-    /// pruned, tombstone-filtered evaluation. Segments are visited in
-    /// descending impact-bound order so later ones start against an
-    /// already-tight threshold; a segment whose whole bound cannot beat the
-    /// current k-th score is skipped outright
-    /// (`AccessCounters::segments_skipped`). Falls back to exhaustive
-    /// rank-then-truncate for shapes the streaming engine cannot rank
-    /// (same dispatch as [`crate::Ftsl::search_top_k`]).
+    /// Ranked search truncated to the `k` best hits — the conclusion's
+    /// "top-k techniques": BOOL-shaped queries stream posting entries
+    /// through one bounded heap with MaxScore/block-max pruning (flat
+    /// disjunctions under either model, arbitrary `AND`/`OR`/`NOT` trees
+    /// under PRA's Section 5.3 operator scoring), decoding only the
+    /// fraction of the index the score bounds cannot rule out; the returned
+    /// [`Ranked::counters`] say exactly how much. The heap and its score
+    /// threshold are shared across every segment's tombstone-filtered
+    /// evaluation: segments are visited in descending impact-bound order so
+    /// later ones start against an already-tight threshold, and a segment
+    /// whose whole bound cannot beat the current k-th score is skipped
+    /// outright (`AccessCounters::segments_skipped`). Queries the streaming
+    /// engine cannot rank (quantified COMP shapes, TF-IDF over
+    /// non-disjunctions) fall back to exhaustive scored-algebra ranking
+    /// plus truncation.
     pub fn search_top_k(
         &self,
         query: &str,
@@ -455,10 +454,49 @@ impl LiveFtsl {
         exec.run_near_top_k_with(&q, k, scratch)
     }
 
+    /// Explain how a query would be executed, without running it: language
+    /// class, engine, and the operator tree.
+    pub fn explain(&self, query: &str) -> Result<String, FtslError> {
+        let surface = self.rewrite_query(&parse(query, Mode::Comp)?);
+        let class = classify(&surface, &self.registry);
+        let expr = lower(&surface, &self.registry)?;
+        let mut out = String::new();
+        out.push_str(&format!("language class: {class}\n"));
+        match class {
+            LanguageClass::BoolNoNeg | LanguageClass::Bool => {
+                out.push_str("engine: BOOL (doc-id list merges)\n");
+            }
+            LanguageClass::Dist | LanguageClass::Ppred | LanguageClass::Npred => {
+                let allow_negative = class == LanguageClass::Npred;
+                let engine = if allow_negative { "NPRED" } else { "PPRED" };
+                out.push_str(&format!("engine: {engine} (streaming cursors)\n"));
+                match ftsl_exec::plan::build_plan(&expr, &self.registry, allow_negative) {
+                    Ok(plan) => {
+                        out.push_str("plan:\n");
+                        out.push_str(&plan.root.render_tree(&self.registry));
+                    }
+                    Err(e) => out.push_str(&format!("(streaming plan unavailable: {e})\n")),
+                }
+            }
+            LanguageClass::Comp => {
+                out.push_str("engine: COMP (materialized algebra)\n");
+                let calc = CalcQuery::new(expr);
+                if let Ok(alg) =
+                    ftsl_algebra::from_calculus::query_to_algebra(&calc, &self.registry)
+                {
+                    out.push_str("algebra:\n");
+                    out.push_str(&alg.render_tree(&self.registry));
+                }
+            }
+        }
+        Ok(out)
+    }
+
     /// `EXPLAIN ANALYZE` over the current snapshot: run the query with
     /// tracing enabled and render the span tree — parse/rewrite, then
     /// per-segment engine work with counter deltas and pair-path vs
-    /// fallback attribution — plus per-segment memory footprints.
+    /// fallback attribution — plus per-segment memory footprints. Use
+    /// [`Self::explain`] for the static (no-execution) plan.
     pub fn explain_analyze(&self, query: &str) -> Result<String, FtslError> {
         let mut tb = ftsl_obs::TraceBuilder::new();
         let parse_span = tb.open("parse+rewrite");
@@ -500,7 +538,6 @@ impl LiveFtsl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Ftsl;
 
     fn manual() -> LiveConfig {
         LiveConfig {
@@ -509,8 +546,8 @@ mod tests {
         }
     }
 
-    fn fixture() -> LiveFtsl {
-        let e = LiveFtsl::with_config(manual());
+    fn fixture() -> Ftsl {
+        let e = Ftsl::with_config(manual());
         e.add("usability of a software measures how well the software supports users");
         e.add("an efficient algorithm for task completion");
         e.flush();
@@ -520,9 +557,9 @@ mod tests {
     }
 
     #[test]
-    fn live_search_matches_frozen_engine() {
+    fn churned_search_matches_one_sealed_segment() {
         let live = fixture();
-        let frozen = Ftsl::from_texts(&[
+        let sealed = Ftsl::from_texts(&[
             "usability of a software measures how well the software supports users",
             "an efficient algorithm for task completion",
             "software task completion with efficient usability testing",
@@ -537,7 +574,7 @@ mod tests {
         ] {
             assert_eq!(
                 live.search(q).unwrap().node_ids(),
-                frozen.search(q).unwrap().node_ids(),
+                sealed.search(q).unwrap().node_ids(),
                 "query {q}"
             );
         }
@@ -555,18 +592,18 @@ mod tests {
     }
 
     #[test]
-    fn ranked_and_top_k_agree_with_rebuilt_frozen_engine() {
+    fn ranked_and_top_k_agree_with_one_segment_rebuilt_from_survivors() {
         let live = fixture();
         live.delete(NodeId(1));
         live.add("usability testing of software tools");
-        // Rebuild a frozen engine over the survivors, in order.
-        let frozen = Ftsl::from_texts(&[
+        // Rebuild one sealed segment over the survivors, in order.
+        let sealed = Ftsl::from_texts(&[
             "usability of a software measures how well the software supports users",
             "software task completion with efficient usability testing",
             "",
             "usability testing of software tools",
         ]);
-        // Map live global ids -> frozen dense ids: 0->0, 2->1, 3->2, 4->3.
+        // Map churned global ids -> rebuilt dense ids: 0->0, 2->1, 3->2, 4->3.
         let remap = |n: NodeId| match n.0 {
             0 => 0u32,
             2 => 1,
@@ -578,7 +615,7 @@ mod tests {
             let a = live
                 .search_ranked("'software' OR 'usability'", model)
                 .unwrap();
-            let b = frozen
+            let b = sealed
                 .search_ranked("'software' OR 'usability'", model)
                 .unwrap();
             assert_eq!(a.hits.len(), b.hits.len());
@@ -589,7 +626,7 @@ mod tests {
             let a = live
                 .search_top_k("'software' OR 'usability'", model, 2)
                 .unwrap();
-            let b = frozen
+            let b = sealed
                 .search_top_k("'software' OR 'usability'", model, 2)
                 .unwrap();
             assert!(a.counters.is_some(), "live top-k streams");
@@ -636,13 +673,52 @@ mod tests {
     }
 
     #[test]
-    fn empty_live_engine_serves_queries() {
-        let live = LiveFtsl::with_config(manual());
+    fn empty_engine_serves_queries() {
+        let live = Ftsl::with_config(manual());
         assert!(live.search("'anything'").unwrap().nodes.is_empty());
         assert!(live
             .search_ranked("'anything'", RankModel::TfIdf)
             .unwrap()
             .hits
             .is_empty());
+    }
+
+    /// Built from texts is not read-only: writes after the seal are visible
+    /// to every search path, buffered or flushed, and the answers are those
+    /// of one sealed segment rebuilt from the survivors.
+    #[test]
+    fn a_sealed_engine_is_writable_and_equals_a_rebuild() {
+        let e = Ftsl::from_texts(&["alpha beta", "beta gamma", "alpha gamma delta beta"]);
+        assert_eq!(e.add("alpha beta epsilon"), NodeId(3));
+        assert!(e.delete(NodeId(1)));
+        let rebuilt =
+            Ftsl::from_texts(&["alpha beta", "alpha gamma delta beta", "alpha beta epsilon"]);
+        let dense = |n: NodeId| NodeId(n.0 - u32::from(n.0 > 1));
+        let same = |got: &[(NodeId, f64)], want: &[(NodeId, f64)]| {
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(want) {
+                assert_eq!((dense(g.0), g.1.to_bits()), (w.0, w.1.to_bits()));
+            }
+        };
+        for flushed in [false, true] {
+            if flushed {
+                assert!(e.flush(), "the added document was still buffered");
+            }
+            let q = "'alpha' AND 'beta'";
+            assert_eq!(e.search(q).unwrap().node_ids(), vec![0, 2, 3]);
+            assert_eq!(rebuilt.search(q).unwrap().node_ids(), vec![0, 1, 2]);
+            let q = "'beta' OR 'epsilon'";
+            for model in [RankModel::TfIdf, RankModel::Pra] {
+                let got = e.search_top_k(q, model, 2).unwrap();
+                assert!(got.counters.is_some(), "streams");
+                same(&got.hits, &rebuilt.search_top_k(q, model, 2).unwrap().hits);
+            }
+            let got = e.search_near_top_k("alpha", "beta", 3, true, 10);
+            assert_eq!(got.hits.len(), 3);
+            same(
+                &got.hits,
+                &rebuilt.search_near_top_k("alpha", "beta", 3, true, 10).hits,
+            );
+        }
     }
 }

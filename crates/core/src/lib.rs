@@ -1,10 +1,11 @@
 //! # ftsl-core — the high-level engine facade
 //!
-//! One type, [`Ftsl`], ties the whole reproduction together: index a corpus,
-//! parse a query in any of the paper's languages (BOOL / DIST / COMP),
-//! classify it in the Figure 3 hierarchy, evaluate it with the cheapest
-//! sound engine, and optionally rank results with the Section 3 scoring
-//! framework.
+//! One type, [`Ftsl`], ties the whole reproduction together: index a corpus
+//! (and keep adding to or deleting from it), parse a query in any of the
+//! paper's languages (BOOL / DIST / COMP), classify it in the Figure 3
+//! hierarchy, evaluate it with the cheapest sound engine over a
+//! point-in-time snapshot, and optionally rank results with the Section 3
+//! scoring framework.
 //!
 //! ```
 //! use ftsl_core::Ftsl;
@@ -19,26 +20,20 @@
 
 #![warn(missing_docs)]
 
+mod engine;
 pub mod error;
-pub mod live;
 pub mod results;
 
+pub use engine::Ftsl;
 pub use error::FtslError;
 pub use ftsl_exec::snapshot::ExecScratch;
 pub use ftsl_exec::{PairQuery, ScoredOutput, ScoredPath};
 pub use ftsl_index::LiveConfig;
-pub use live::LiveFtsl;
 pub use results::{Ranked, SearchResults};
 
-use ftsl_calculus::CalcQuery;
-use ftsl_exec::engine::{EngineKind, ExecOptions, Executor};
-use ftsl_index::{IndexBuilder, InvertedIndex};
-use ftsl_lang::rewrite::{map_tokens, Thesaurus};
-use ftsl_lang::{classify, lower, parse, LanguageClass, Mode, SurfaceQuery};
-use ftsl_model::analysis::AnalysisConfig;
-use ftsl_model::{Corpus, Tokenizer, TokenizerConfig};
-use ftsl_predicates::PredicateRegistry;
-use ftsl_scoring::{PraModel, ScoreStats, ScoredEvaluator, TfIdfModel};
+/// The engine's former second name. Kept for `benchmark/src/sut.rs`, which
+/// names it; to be dropped by the next `benchmark` issue.
+pub type LiveFtsl = Ftsl;
 
 /// Which scoring model ranks results.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,337 +42,6 @@ pub enum RankModel {
     TfIdf,
     /// Section 3.2: probabilistic relational algebra.
     Pra,
-}
-
-/// The full-text search engine facade.
-pub struct Ftsl {
-    corpus: Corpus,
-    index: InvertedIndex,
-    registry: PredicateRegistry,
-    stats: ScoreStats,
-    options: ExecOptions,
-    analysis: AnalysisConfig,
-    thesaurus: Thesaurus,
-}
-
-impl Ftsl {
-    /// Build an engine over raw document texts.
-    pub fn from_texts<S: AsRef<str>>(texts: &[S]) -> Self {
-        Self::from_corpus(Corpus::from_texts(texts))
-    }
-
-    /// Build an engine over raw texts with stemming/stop-word analysis (the
-    /// paper's announced extensions). The same analysis is applied to query
-    /// tokens so documents and queries agree on index terms.
-    pub fn from_texts_analyzed<S: AsRef<str>>(texts: &[S], analysis: AnalysisConfig) -> Self {
-        let tokenizer = Tokenizer::with_config(TokenizerConfig {
-            analysis: analysis.clone(),
-            ..Default::default()
-        });
-        let mut corpus = Corpus::new();
-        for text in texts {
-            corpus.add_text_with(&tokenizer, text.as_ref());
-        }
-        let mut engine = Self::from_corpus(corpus);
-        engine.analysis = analysis;
-        engine
-    }
-
-    /// Build an engine over an existing corpus.
-    pub fn from_corpus(corpus: Corpus) -> Self {
-        let index = IndexBuilder::new().build(&corpus);
-        let stats = ScoreStats::compute(&corpus, &index);
-        Ftsl {
-            corpus,
-            index,
-            registry: PredicateRegistry::with_builtins(),
-            stats,
-            options: ExecOptions::default(),
-            analysis: AnalysisConfig::none(),
-            thesaurus: Thesaurus::new(),
-        }
-    }
-
-    /// Install a thesaurus: query tokens are expanded into the disjunction
-    /// of their synonyms before evaluation.
-    pub fn set_thesaurus(&mut self, thesaurus: Thesaurus) {
-        self.thesaurus = thesaurus;
-    }
-
-    /// Apply query-side rewrites: thesaurus expansion, then the index's
-    /// token analysis on every literal (including expansion results).
-    fn rewrite_query(&self, surface: &SurfaceQuery) -> SurfaceQuery {
-        let expanded = self.thesaurus.expand(surface);
-        map_tokens(&expanded, &|t| self.analysis.analyze(t))
-    }
-
-    /// Replace execution options (advance mode, NPRED strategy).
-    pub fn with_options(mut self, options: ExecOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// The indexed corpus.
-    pub fn corpus(&self) -> &Corpus {
-        &self.corpus
-    }
-
-    /// The inverted index.
-    pub fn index(&self) -> &InvertedIndex {
-        &self.index
-    }
-
-    /// The predicate registry (extensible: register your own predicates
-    /// before issuing queries).
-    pub fn registry(&self) -> &PredicateRegistry {
-        &self.registry
-    }
-
-    /// Mutable access to the predicate registry.
-    pub fn registry_mut(&mut self) -> &mut PredicateRegistry {
-        &mut self.registry
-    }
-
-    /// Corpus scoring statistics.
-    pub fn score_stats(&self) -> &ScoreStats {
-        &self.stats
-    }
-
-    /// Run a query (COMP syntax, which subsumes BOOL and DIST) with
-    /// automatic engine dispatch.
-    pub fn search(&self, query: &str) -> Result<SearchResults, FtslError> {
-        self.search_with(query, Mode::Comp, EngineKind::Auto)
-    }
-
-    /// Run a query in an explicit language mode with an explicit engine.
-    pub fn search_with(
-        &self,
-        query: &str,
-        mode: Mode,
-        engine: EngineKind,
-    ) -> Result<SearchResults, FtslError> {
-        let surface = self.rewrite_query(&parse(query, mode)?);
-        let executor =
-            Executor::with_options(&self.corpus, &self.index, &self.registry, self.options);
-        let output = executor.run_surface(&surface, engine)?;
-        Ok(SearchResults {
-            nodes: output.nodes,
-            counters: output.counters,
-            engine: output.engine,
-            class: output.class,
-            trace: output.trace,
-        })
-    }
-
-    /// Run a query and rank the results with the Section 3 scoring
-    /// framework (materialized scored-algebra evaluation).
-    pub fn search_ranked(&self, query: &str, model: RankModel) -> Result<Ranked, FtslError> {
-        let surface = self.rewrite_query(&parse(query, Mode::Comp)?);
-        self.ranked_surface(&surface, model)
-    }
-
-    /// Exhaustive scored-algebra ranking of an already-rewritten surface
-    /// query.
-    fn ranked_surface(
-        &self,
-        surface: &SurfaceQuery,
-        model: RankModel,
-    ) -> Result<Ranked, FtslError> {
-        let expr = lower(surface, &self.registry)?;
-        let calc = CalcQuery::new(expr);
-        let alg = ftsl_algebra::from_calculus::query_to_algebra(&calc, &self.registry)
-            .map_err(|e| FtslError::Internal(e.to_string()))?;
-        let scored = match model {
-            RankModel::TfIdf => {
-                let tokens = query_tokens(surface);
-                let m = TfIdfModel::for_query(&tokens, &self.corpus, &self.stats);
-                ScoredEvaluator::new(&self.corpus, &self.index, &self.registry, &self.stats, m)
-                    .rank(&alg)
-            }
-            RankModel::Pra => {
-                let m = PraModel::new(&self.corpus, &self.stats);
-                ScoredEvaluator::new(&self.corpus, &self.index, &self.registry, &self.stats, m)
-                    .rank(&alg)
-            }
-        }
-        .map_err(|e| FtslError::Internal(e.to_string()))?;
-        Ok(Ranked {
-            hits: scored,
-            model,
-            counters: None,
-            trace: None,
-        })
-    }
-
-    /// Ranked search truncated to the `k` best hits — the conclusion's
-    /// "top-k techniques", now implemented for real: BOOL-shaped queries
-    /// stream posting entries through a bounded heap with MaxScore/block-max
-    /// pruning (flat disjunctions under either model, arbitrary
-    /// `AND`/`OR`/`NOT` trees under PRA's Section 5.3 operator scoring),
-    /// decoding only the fraction of the index the score bounds cannot rule
-    /// out; the returned [`Ranked::counters`] say exactly how much. Queries
-    /// the streaming engine cannot rank (quantified COMP shapes, TF-IDF
-    /// over non-disjunctions) fall back to exhaustive scored-algebra
-    /// ranking plus truncation.
-    pub fn search_top_k(
-        &self,
-        query: &str,
-        model: RankModel,
-        k: usize,
-    ) -> Result<Ranked, FtslError> {
-        let surface = self.rewrite_query(&parse(query, Mode::Comp)?);
-        // Decide rankability by shape *before* building any model, so
-        // non-streamable queries pay nothing extra.
-        let streamable = match model {
-            RankModel::TfIdf => ftsl_exec::scored::flat_disjunction(&surface).is_some(),
-            RankModel::Pra => classify(&surface, &self.registry) <= LanguageClass::Bool,
-        };
-        if streamable {
-            let executor =
-                Executor::with_options(&self.corpus, &self.index, &self.registry, self.options);
-            let spec = ftsl_exec::ScoredTopK { k };
-            let streamed = match model {
-                RankModel::TfIdf => {
-                    let tokens = query_tokens(&surface);
-                    let m = TfIdfModel::for_query(&tokens, &self.corpus, &self.stats);
-                    executor.run_top_k(
-                        &surface,
-                        spec,
-                        &self.stats,
-                        &ftsl_exec::ScoreModel::TfIdf(&m),
-                    )
-                }
-                RankModel::Pra => {
-                    let m = PraModel::new(&self.corpus, &self.stats);
-                    executor.run_top_k(&surface, spec, &self.stats, &ftsl_exec::ScoreModel::Pra(&m))
-                }
-            };
-            if let Ok(out) = streamed {
-                return Ok(Ranked {
-                    hits: out.hits,
-                    model,
-                    counters: Some(out.counters),
-                    trace: out.trace,
-                });
-            }
-        }
-        let mut ranked = self.ranked_surface(&surface, model)?;
-        ranked.hits.truncate(k);
-        Ok(ranked)
-    }
-
-    /// Proximity-ranked NEAR/phrase search: documents where `first` and
-    /// `second` co-occur within `bound` token positions — in either
-    /// order, or strictly `first`-before-`second` when `ordered` — ranked
-    /// by [`ftsl_scoring::closeness`] of the smallest qualifying gap
-    /// (adjacent pair scores 1.0). Resolves from the word-pair auxiliary
-    /// index when both tokens are covered, skipping pair blocks whose
-    /// `min_gap` block-max bound cannot beat the current k-th score, and
-    /// falls back to position intersection otherwise.
-    pub fn search_near_top_k(
-        &self,
-        first: &str,
-        second: &str,
-        bound: u32,
-        ordered: bool,
-        k: usize,
-    ) -> ftsl_exec::ScoredOutput {
-        use ftsl_exec::{ScoredOutput, ScoredPath};
-        let mut topk = ftsl_scoring::TopK::new(k);
-        let (Some(first), Some(second)) =
-            (self.analysis.analyze(first), self.analysis.analyze(second))
-        else {
-            return ScoredOutput {
-                hits: Vec::new(),
-                counters: ftsl_index::AccessCounters::new(),
-                path: ScoredPath::PairProximity,
-                trace: None,
-            };
-        };
-        let q = ftsl_exec::PairQuery {
-            first,
-            second,
-            directed: ordered,
-            bound,
-        };
-        let counters =
-            ftsl_exec::pairscan::near_topk_into(&q, &self.corpus, &self.index, &mut topk, Some);
-        ScoredOutput {
-            hits: topk.drain_ranked(),
-            counters,
-            path: ScoredPath::PairProximity,
-            trace: None,
-        }
-    }
-
-    /// Explain how a query would be executed: language class, engine, and
-    /// the operator tree.
-    pub fn explain(&self, query: &str) -> Result<String, FtslError> {
-        let surface = self.rewrite_query(&parse(query, Mode::Comp)?);
-        let class = classify(&surface, &self.registry);
-        let expr = lower(&surface, &self.registry)?;
-        let mut out = String::new();
-        out.push_str(&format!("language class: {class}\n"));
-        match class {
-            LanguageClass::BoolNoNeg | LanguageClass::Bool => {
-                out.push_str("engine: BOOL (doc-id list merges)\n");
-            }
-            LanguageClass::Dist | LanguageClass::Ppred | LanguageClass::Npred => {
-                let allow_negative = class == LanguageClass::Npred;
-                let engine = if allow_negative { "NPRED" } else { "PPRED" };
-                out.push_str(&format!("engine: {engine} (streaming cursors)\n"));
-                match ftsl_exec::plan::build_plan(&expr, &self.registry, allow_negative) {
-                    Ok(plan) => {
-                        out.push_str("plan:\n");
-                        out.push_str(&plan.root.render_tree(&self.registry));
-                    }
-                    Err(e) => out.push_str(&format!("(streaming plan unavailable: {e})\n")),
-                }
-            }
-            LanguageClass::Comp => {
-                out.push_str("engine: COMP (materialized algebra)\n");
-                let calc = CalcQuery::new(expr);
-                if let Ok(alg) =
-                    ftsl_algebra::from_calculus::query_to_algebra(&calc, &self.registry)
-                {
-                    out.push_str("algebra:\n");
-                    out.push_str(&alg.render_tree(&self.registry));
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// `EXPLAIN ANALYZE`: actually run the query with tracing enabled and
-    /// render the recorded span tree — per-stage wall time, counter
-    /// deltas, and pair-path vs position-intersection fallback
-    /// attribution — followed by the index memory footprint. Use
-    /// [`Self::explain`] for the static (no-execution) plan.
-    pub fn explain_analyze(&self, query: &str) -> Result<String, FtslError> {
-        let mut tb = ftsl_obs::TraceBuilder::new();
-        let parse_span = tb.open("parse+rewrite");
-        let surface = self.rewrite_query(&parse(query, Mode::Comp)?);
-        tb.close(parse_span);
-        let class = classify(&surface, &self.registry);
-        let mut options = self.options;
-        options.trace = true;
-        let executor = Executor::with_options(&self.corpus, &self.index, &self.registry, options);
-        let exec_span = tb.open("execute");
-        let mut output = executor.run_surface(&surface, EngineKind::Auto)?;
-        if let Some(t) = output.trace.take() {
-            tb.adopt(*t);
-        }
-        tb.close(exec_span);
-        let trace = tb.finish();
-        let mut out = String::new();
-        out.push_str(&format!("language class: {class}\n"));
-        out.push_str(&format!("engine: {}\n", output.engine));
-        out.push_str(&format!("hits: {}\n", output.nodes.len()));
-        out.push_str("profile:\n");
-        out.push_str(&trace.render());
-        out.push_str(&format!("index: {}\n", self.index.memory_footprint()));
-        Ok(out)
-    }
 }
 
 /// Collect the string tokens a surface query mentions (for TF-IDF weights).

@@ -1,12 +1,14 @@
 //! Differential properties of the **global** top-k pruning path.
 //!
 //! The contract under test: after any interleaving of adds, deletes,
-//! flushes, and merges, [`SnapshotExecutor::run_top_k`] — one shared
+//! flushes, and merges, [`SnapshotExecutor::run_top_k_with`] — one shared
 //! bounded heap across every segment, segments ordered by descending
 //! impact bound, whole segments skipped when their bound cannot beat the
 //! current k-th score — returns results *bit-identical* (ids through the
 //! global→dense remap, scores by exact bit pattern) to the single-index
-//! streaming engine run over a monolithic rebuild of the survivors.
+//! streaming primitives (`topk_tfidf`, `topk_pra_disjunction`,
+//! `run_bool_topk` — themselves pinned to the exhaustive oracles by
+//! `topk_stream_prop`) run over a monolithic rebuild of the survivors.
 //!
 //! Pruning must be invisible: skipping a segment, tightening the entry
 //! bound mid-stream, or arriving at a segment with a heap already full
@@ -19,122 +21,81 @@
 //! The scheduled CI fuzz job raises the case count via
 //! `FTSL_PROPTEST_CASES`; the default keeps PR builds quick.
 
-use ftsl_core::{Ftsl, LiveConfig, LiveFtsl};
-use ftsl_exec::snapshot::SnapshotExecutor;
+mod common;
+
+use common::{apply, apply_one, arb_ops, dense_ids, manual_config, prop_cases, survivors, Docs};
+use ftsl_core::{Ftsl, LiveConfig};
+use ftsl_exec::snapshot::{ExecScratch, SnapshotExecutor};
 use ftsl_exec::{ScoreModel, ScoredTopK};
-use ftsl_model::NodeId;
+use ftsl_index::{IndexBuilder, InvertedIndex, Snapshot};
+use ftsl_lang::SurfaceQuery;
+use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::PredicateRegistry;
-use ftsl_scoring::{PraModel, ScoreStats, SnapshotStats, TfIdfModel};
+use ftsl_scoring::{
+    run_bool_topk, topk_pra_disjunction, topk_tfidf, PraModel, ScoreStats, SnapshotStats,
+    TfIdfModel,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-const VOCAB: [&str; 6] = ["alpha", "beta", "gamma", "delta", "eps", "zeta"];
-
-fn prop_cases() -> u32 {
-    std::env::var("FTSL_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16)
+/// The monolithic side: one corpus + index over the survivors, its
+/// statistics, and the global→dense id map.
+struct Monolith {
+    corpus: Corpus,
+    index: InvertedIndex,
+    stats: ScoreStats,
+    remap: HashMap<u32, u32>,
 }
 
-/// One mutation against the live index (same shape as `live_prop.rs`).
-#[derive(Clone, Debug)]
-enum Op {
-    Add(Vec<usize>),
-    Delete(usize),
-    Flush,
-    MergeTier,
-    MergeAll,
-}
-
-fn render(tokens: &[usize]) -> String {
-    let mut text = String::new();
-    for &t in tokens {
-        match t {
-            0..=5 => {
-                text.push_str(VOCAB[t]);
-                text.push(' ');
-            }
-            6 | 7 => text.push_str(". "),
-            _ => text.push_str("\n\n"),
-        }
-    }
-    text
-}
-
-fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec(
-        prop_oneof![
-            5 => proptest::collection::vec(0usize..9, 0..12).prop_map(Op::Add),
-            3 => (0usize..64).prop_map(Op::Delete),
-            2 => Just(Op::Flush),
-            1 => Just(Op::MergeTier),
-            1 => Just(Op::MergeAll),
-        ],
-        1..32,
-    )
-}
-
-fn manual_config() -> LiveConfig {
-    LiveConfig {
-        background_merge: false,
-        // Small thresholds so random sequences produce real multi-segment
-        // snapshots with tombstones in them.
-        flush_threshold: 6,
-        merge_fanin: 2,
-        ..LiveConfig::default()
-    }
-}
-
-/// Replay `ops`; returns the live engine plus the surviving `(global id,
-/// text)` pairs in ascending global order.
-fn apply(ops: &[Op]) -> (LiveFtsl, Vec<(u32, String)>) {
-    let engine = LiveFtsl::with_config(manual_config());
-    let mut docs: Vec<(u32, String, bool)> = Vec::new();
-    for op in ops {
-        match op {
-            Op::Add(tokens) => {
-                let text = render(tokens);
-                let node = engine.add(&text);
-                docs.push((node.0, text, true));
-            }
-            Op::Delete(i) => {
-                if !docs.is_empty() {
-                    let i = i % docs.len();
-                    if docs[i].2 {
-                        assert!(engine.delete(NodeId(docs[i].0)), "live doc must delete");
-                        docs[i].2 = false;
-                    }
-                }
-            }
-            Op::Flush => {
-                engine.flush();
-            }
-            Op::MergeTier => {
-                engine.live_index().maybe_merge();
-            }
-            Op::MergeAll => {
-                engine.merge();
-            }
-        }
-    }
-    let survivors = docs
-        .into_iter()
-        .filter(|(_, _, alive)| *alive)
-        .map(|(g, t, _)| (g, t))
-        .collect();
-    (engine, survivors)
-}
-
-/// Frozen oracle over the survivors, plus the global→dense id map.
-fn rebuild(survivors: &[(u32, String)]) -> (Ftsl, HashMap<u32, u32>) {
+fn rebuild(survivors: &[(u32, String)]) -> Monolith {
     let texts: Vec<&str> = survivors.iter().map(|(_, t)| t.as_str()).collect();
-    let remap = survivors
-        .iter()
-        .enumerate()
-        .map(|(dense, &(global, _))| (global, dense as u32))
-        .collect();
-    (Ftsl::from_texts(&texts), remap)
+    let corpus = Corpus::from_texts(&texts);
+    let index = IndexBuilder::new().build(&corpus);
+    Monolith {
+        stats: ScoreStats::compute(&corpus, &index),
+        corpus,
+        index,
+        remap: dense_ids(survivors),
+    }
+}
+
+impl Monolith {
+    fn tfidf(&self, tokens: &[&str], k: usize) -> Vec<(NodeId, f64)> {
+        let model = TfIdfModel::for_query(tokens, &self.corpus, &self.stats);
+        topk_tfidf(tokens, &self.corpus, &self.index, &self.stats, &model, k).hits
+    }
+
+    fn pra_flat(&self, tokens: &[&str], k: usize) -> Vec<(NodeId, f64)> {
+        let model = PraModel::new(&self.corpus, &self.stats);
+        topk_pra_disjunction(tokens, &self.corpus, &self.index, &self.stats, &model, k).hits
+    }
+
+    fn pra_tree(&self, query: &SurfaceQuery, k: usize) -> Vec<(NodeId, f64)> {
+        let model = PraModel::new(&self.corpus, &self.stats);
+        run_bool_topk(query, &self.corpus, &self.index, &self.stats, &model, k)
+            .expect("oracle pra tree topk")
+            .hits
+    }
+}
+
+/// The globally-pruned run under test.
+fn global_top_k(
+    snapshot: &Snapshot,
+    stats: &SnapshotStats,
+    query: &SurfaceQuery,
+    k: usize,
+    model: &ScoreModel<'_>,
+) -> ftsl_exec::ScoredOutput {
+    let reg = PredicateRegistry::with_builtins();
+    SnapshotExecutor::new(snapshot, &reg)
+        .run_top_k_with(
+            query,
+            ScoredTopK { k },
+            stats,
+            model,
+            &mut ExecScratch::new(),
+        )
+        .expect("global topk")
 }
 
 /// Flat disjunctions: the shape TF-IDF streaming ranks (and PRA too).
@@ -177,77 +138,31 @@ fn assert_hits_bit_identical(
 
 /// The full battery: both models, all k, flat and tree
 /// shapes, globally-pruned snapshot run vs monolithic single-index run.
-fn assert_global_matches_oracle(
-    engine: &LiveFtsl,
-    frozen: &Ftsl,
-    remap: &HashMap<u32, u32>,
-) -> Result<(), ()> {
+fn assert_global_matches_oracle(engine: &Ftsl, mono: &Monolith) -> Result<(), ()> {
     let snapshot = engine.snapshot();
     let stats = SnapshotStats::compute(&snapshot);
-    let frozen_stats = ScoreStats::compute(frozen.corpus(), frozen.index());
-    let reg = PredicateRegistry::with_builtins();
     let segments = snapshot.segments().len() as u64;
-    let exec = SnapshotExecutor::new(&snapshot, &reg);
+    let live_pra = stats.pra_model(&snapshot);
     for (query, tokens) in FLAT_QUERIES {
         let q = ftsl_lang::parse(query, ftsl_lang::Mode::Comp).unwrap();
         let live_tfidf = stats.tfidf_model(tokens, &snapshot);
-        let frozen_tfidf = TfIdfModel::for_query(tokens, frozen.corpus(), &frozen_stats);
-        let live_pra = stats.pra_model(&snapshot);
-        let frozen_pra = PraModel::new(frozen.corpus(), &frozen_stats);
         for k in KS {
-            let spec = ScoredTopK { k };
-            let live = exec
-                .run_top_k(&q, spec, &stats, &ScoreModel::TfIdf(&live_tfidf))
-                .expect("global tfidf topk");
-            let oracle = ftsl_exec::scored::run_scored_top_k(
-                &q,
-                frozen.corpus(),
-                frozen.index(),
-                &frozen_stats,
-                &ScoreModel::TfIdf(&frozen_tfidf),
-                spec,
-            )
-            .expect("oracle tfidf topk");
+            let live = global_top_k(&snapshot, &stats, &q, k, &ScoreModel::TfIdf(&live_tfidf));
             let ctx = format!("tfidf {query} k={k}");
-            assert_hits_bit_identical(&live.hits, &oracle.hits, remap, &ctx)?;
+            assert_hits_bit_identical(&live.hits, &mono.tfidf(tokens, k), &mono.remap, &ctx)?;
             prop_assert!(live.counters.segments_skipped <= segments, "{}", ctx);
 
-            let live = exec
-                .run_top_k(&q, spec, &stats, &ScoreModel::Pra(&live_pra))
-                .expect("global pra topk");
-            let oracle = ftsl_exec::scored::run_scored_top_k(
-                &q,
-                frozen.corpus(),
-                frozen.index(),
-                &frozen_stats,
-                &ScoreModel::Pra(&frozen_pra),
-                spec,
-            )
-            .expect("oracle pra topk");
+            let live = global_top_k(&snapshot, &stats, &q, k, &ScoreModel::Pra(&live_pra));
             let ctx = format!("pra {query} k={k}");
-            assert_hits_bit_identical(&live.hits, &oracle.hits, remap, &ctx)?;
+            assert_hits_bit_identical(&live.hits, &mono.pra_flat(tokens, k), &mono.remap, &ctx)?;
         }
     }
     for query in TREE_QUERIES {
         let q = ftsl_lang::parse(query, ftsl_lang::Mode::Comp).unwrap();
-        let live_pra = stats.pra_model(&snapshot);
-        let frozen_pra = PraModel::new(frozen.corpus(), &frozen_stats);
         for k in KS {
-            let spec = ScoredTopK { k };
-            let live = exec
-                .run_top_k(&q, spec, &stats, &ScoreModel::Pra(&live_pra))
-                .expect("global pra tree topk");
-            let oracle = ftsl_exec::scored::run_scored_top_k(
-                &q,
-                frozen.corpus(),
-                frozen.index(),
-                &frozen_stats,
-                &ScoreModel::Pra(&frozen_pra),
-                spec,
-            )
-            .expect("oracle pra tree topk");
+            let live = global_top_k(&snapshot, &stats, &q, k, &ScoreModel::Pra(&live_pra));
             let ctx = format!("pra tree {query} k={k}");
-            assert_hits_bit_identical(&live.hits, &oracle.hits, remap, &ctx)?;
+            assert_hits_bit_identical(&live.hits, &mono.pra_tree(&q, k), &mono.remap, &ctx)?;
             prop_assert!(live.counters.segments_skipped <= segments, "{}", ctx);
         }
     }
@@ -255,7 +170,7 @@ fn assert_global_matches_oracle(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(prop_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(prop_cases(16)))]
 
     /// Any interleaving of adds/deletes/flushes/merges: the globally-pruned
     /// top-k over the resulting N-segment snapshot is bit-identical to the
@@ -263,8 +178,7 @@ proptest! {
     #[test]
     fn global_topk_is_bit_identical_to_monolithic_oracle(ops in arb_ops()) {
         let (engine, survivors) = apply(&ops);
-        let (frozen, remap) = rebuild(&survivors);
-        assert_global_matches_oracle(&engine, &frozen, &remap)?;
+        assert_global_matches_oracle(&engine, &rebuild(&survivors))?;
     }
 
     /// Same contract on a snapshot pinned mid-sequence: later churn (and a
@@ -276,70 +190,25 @@ proptest! {
     ) {
         let split = split.min(ops.len());
         let (head, tail) = ops.split_at(split);
-        let engine = LiveFtsl::with_config(manual_config());
-        let mut docs: Vec<(u32, String, bool)> = Vec::new();
-        let replay = |ops: &[Op], docs: &mut Vec<(u32, String, bool)>| {
-            for op in ops {
-                match op {
-                    Op::Add(tokens) => {
-                        let text = render(tokens);
-                        let node = engine.add(&text);
-                        docs.push((node.0, text, true));
-                    }
-                    Op::Delete(i) => {
-                        if !docs.is_empty() {
-                            let i = i % docs.len();
-                            if docs[i].2 {
-                                engine.delete(NodeId(docs[i].0));
-                                docs[i].2 = false;
-                            }
-                        }
-                    }
-                    Op::Flush => {
-                        engine.flush();
-                    }
-                    Op::MergeTier => {
-                        engine.live_index().maybe_merge();
-                    }
-                    Op::MergeAll => {
-                        engine.merge();
-                    }
-                }
-            }
-        };
-        replay(head, &mut docs);
+        let engine = Ftsl::with_config(manual_config());
+        let mut docs = Docs::new();
+        for op in head {
+            apply_one(&engine, op, &mut docs);
+        }
         let pinned = engine.snapshot();
-        let survivors_then: Vec<(u32, String)> = docs
-            .iter()
-            .filter(|(_, _, alive)| *alive)
-            .map(|(g, t, _)| (*g, t.clone()))
-            .collect();
-        replay(tail, &mut docs);
+        let survivors_then = survivors(&docs);
+        for op in tail {
+            apply_one(&engine, op, &mut docs);
+        }
         engine.merge();
 
-        let (frozen, remap) = rebuild(&survivors_then);
+        let mono = rebuild(&survivors_then);
         let stats = SnapshotStats::compute(&pinned);
-        let frozen_stats = ScoreStats::compute(frozen.corpus(), frozen.index());
-        let reg = PredicateRegistry::with_builtins();
-        let exec = SnapshotExecutor::new(&pinned, &reg);
         for (query, tokens) in FLAT_QUERIES {
             let q = ftsl_lang::parse(query, ftsl_lang::Mode::Comp).unwrap();
             let live_model = stats.tfidf_model(tokens, &pinned);
-            let frozen_model = TfIdfModel::for_query(tokens, frozen.corpus(), &frozen_stats);
-            let spec = ScoredTopK { k: 10 };
-            let live = exec
-                .run_top_k(&q, spec, &stats, &ScoreModel::TfIdf(&live_model))
-                .expect("pinned tfidf topk");
-            let oracle = ftsl_exec::scored::run_scored_top_k(
-                &q,
-                frozen.corpus(),
-                frozen.index(),
-                &frozen_stats,
-                &ScoreModel::TfIdf(&frozen_model),
-                spec,
-            )
-            .expect("oracle tfidf topk");
-            assert_hits_bit_identical(&live.hits, &oracle.hits, &remap, query)?;
+            let live = global_top_k(&pinned, &stats, &q, 10, &ScoreModel::TfIdf(&live_model));
+            assert_hits_bit_identical(&live.hits, &mono.tfidf(tokens, 10), &mono.remap, query)?;
         }
     }
 }
@@ -350,14 +219,14 @@ proptest! {
 /// to the oracle. Pruning that actually fires must stay invisible.
 #[test]
 fn skipped_segments_never_change_answers() {
-    let engine = LiveFtsl::with_config(LiveConfig {
+    let engine = Ftsl::with_config(LiveConfig {
         background_merge: false,
         flush_threshold: usize::MAX,
         merge_fanin: usize::MAX,
         ..LiveConfig::default()
     });
     let mut texts: Vec<String> = Vec::new();
-    let add = |engine: &LiveFtsl, texts: &mut Vec<String>, text: String| {
+    let add = |engine: &Ftsl, texts: &mut Vec<String>, text: String| {
         engine.add(&text);
         texts.push(text);
     };
@@ -378,37 +247,22 @@ fn skipped_segments_never_change_answers() {
         .enumerate()
         .map(|(i, t)| (i as u32, t.clone()))
         .collect();
-    let (frozen, remap) = rebuild(&survivors);
+    let mono = rebuild(&survivors);
     let snapshot = engine.snapshot();
     assert_eq!(snapshot.segments().len(), 9, "one strong + eight weak");
     let stats = SnapshotStats::compute(&snapshot);
-    let frozen_stats = ScoreStats::compute(frozen.corpus(), frozen.index());
-    let reg = PredicateRegistry::with_builtins();
     let q = ftsl_lang::parse("'alpha'", ftsl_lang::Mode::Comp).unwrap();
     let tokens = ["alpha"];
-    let exec = SnapshotExecutor::new(&snapshot, &reg);
     let live_model = stats.tfidf_model(&tokens, &snapshot);
-    let frozen_model = TfIdfModel::for_query(&tokens, frozen.corpus(), &frozen_stats);
-    let spec = ScoredTopK { k: 1 };
-    let live = exec
-        .run_top_k(&q, spec, &stats, &ScoreModel::TfIdf(&live_model))
-        .expect("skewed tfidf topk");
+    let live = global_top_k(&snapshot, &stats, &q, 1, &ScoreModel::TfIdf(&live_model));
     assert_eq!(
         live.counters.segments_skipped, 8,
         "every weak segment skipped"
     );
-    let oracle = ftsl_exec::scored::run_scored_top_k(
-        &q,
-        frozen.corpus(),
-        frozen.index(),
-        &frozen_stats,
-        &ScoreModel::TfIdf(&frozen_model),
-        spec,
-    )
-    .expect("oracle tfidf topk");
-    assert_eq!(live.hits.len(), oracle.hits.len());
-    for (l, o) in live.hits.iter().zip(&oracle.hits) {
-        assert_eq!(remap[&l.0 .0], o.0 .0, "ranked ids");
+    let oracle = mono.tfidf(&tokens, 1);
+    assert_eq!(live.hits.len(), oracle.len());
+    for (l, o) in live.hits.iter().zip(&oracle) {
+        assert_eq!(mono.remap[&l.0 .0], o.0 .0, "ranked ids");
         assert_eq!(l.1.to_bits(), o.1.to_bits(), "score bits");
     }
 }

@@ -3,7 +3,7 @@
 //! The contract under test: after **any** interleaving of adds, deletes,
 //! flushes, and merges, every engine — BOOL, PPRED, NPRED, COMP, exhaustive
 //! scored ranking, and streaming top-k — run over
-//! a [`Snapshot`] produces results *bit-identical* to a monolithic engine
+//! a [`Snapshot`] produces results *bit-identical* to one sealed segment
 //! rebuilt from scratch over the surviving documents. Global node ids remap
 //! to the rebuild's dense ids by survivor order; scores are compared by
 //! their exact bit patterns (the merged statistics and the canonical
@@ -14,134 +14,42 @@
 //! what later mutations and merges do — including merges running on the
 //! background thread while the snapshot is held.
 
-use ftsl_core::{Ftsl, LiveConfig, LiveFtsl, RankModel};
+mod common;
+
+use common::{
+    apply, apply_one, arb_ops, dense_ids, manual_config, prop_cases, render, survivors, Docs,
+};
+use ftsl_core::{Ftsl, LiveConfig, RankModel};
 use ftsl_exec::engine::{EngineKind, ExecOptions, Executor};
 use ftsl_exec::snapshot::SnapshotExecutor;
 use ftsl_exec::{ScoreModel, ScoredTopK};
-use ftsl_model::NodeId;
+use ftsl_index::{IndexBuilder, InvertedIndex};
+use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::PredicateRegistry;
 use ftsl_scoring::SnapshotStats;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-const VOCAB: [&str; 6] = ["alpha", "beta", "gamma", "delta", "eps", "zeta"];
-
-fn prop_cases() -> u32 {
-    std::env::var("FTSL_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(24)
+/// The monolithic side: the survivors rebuilt from scratch.
+struct Monolith {
+    /// Raw corpus + index, for the single-index [`Executor`].
+    corpus: Corpus,
+    index: InvertedIndex,
+    /// The same texts as one sealed segment, for the facade's scored paths.
+    engine: Ftsl,
+    /// Global id in the churned engine → dense id in the rebuild.
+    remap: HashMap<u32, u32>,
 }
 
-/// One mutation against the live index.
-#[derive(Clone, Debug)]
-enum Op {
-    /// Add a document rendered from vocabulary indices (6/7 insert sentence
-    /// breaks, 8 paragraph breaks, so positional predicates have structure).
-    Add(Vec<usize>),
-    /// Delete the `i % docs`-th ever-added document (no-op when already
-    /// deleted).
-    Delete(usize),
-    /// Seal the write buffer.
-    Flush,
-    /// One round of the tiered merge policy.
-    MergeTier,
-    /// Full compaction.
-    MergeAll,
-}
-
-fn render(tokens: &[usize]) -> String {
-    let mut text = String::new();
-    for &t in tokens {
-        match t {
-            0..=5 => {
-                text.push_str(VOCAB[t]);
-                text.push(' ');
-            }
-            6 | 7 => text.push_str(". "),
-            _ => text.push_str("\n\n"),
-        }
-    }
-    text
-}
-
-fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec(
-        prop_oneof![
-            5 => proptest::collection::vec(0usize..9, 0..12).prop_map(Op::Add),
-            3 => (0usize..64).prop_map(Op::Delete),
-            2 => Just(Op::Flush),
-            1 => Just(Op::MergeTier),
-            1 => Just(Op::MergeAll),
-        ],
-        1..32,
-    )
-}
-
-fn manual_config() -> LiveConfig {
-    LiveConfig {
-        background_merge: false,
-        // Small fan-in and threshold so random sequences actually exercise
-        // auto-flush and tiered merging.
-        flush_threshold: 6,
-        merge_fanin: 2,
-        ..LiveConfig::default()
-    }
-}
-
-/// Replay `ops`; returns the live engine plus the surviving `(global id,
-/// text)` pairs in ascending global order.
-fn apply(ops: &[Op]) -> (LiveFtsl, Vec<(u32, String)>) {
-    let engine = LiveFtsl::with_config(manual_config());
-    let mut docs: Vec<(u32, String, bool)> = Vec::new();
-    for op in ops {
-        apply_one(&engine, op, &mut docs);
-    }
-    let survivors = docs
-        .into_iter()
-        .filter(|(_, _, alive)| *alive)
-        .map(|(g, t, _)| (g, t))
-        .collect();
-    (engine, survivors)
-}
-
-fn apply_one(engine: &LiveFtsl, op: &Op, docs: &mut Vec<(u32, String, bool)>) {
-    match op {
-        Op::Add(tokens) => {
-            let text = render(tokens);
-            let node = engine.add(&text);
-            docs.push((node.0, text, true));
-        }
-        Op::Delete(i) => {
-            if !docs.is_empty() {
-                let i = i % docs.len();
-                if docs[i].2 {
-                    assert!(engine.delete(NodeId(docs[i].0)), "live doc must delete");
-                    docs[i].2 = false;
-                }
-            }
-        }
-        Op::Flush => {
-            engine.flush();
-        }
-        Op::MergeTier => {
-            engine.live_index().maybe_merge();
-        }
-        Op::MergeAll => {
-            engine.merge();
-        }
-    }
-}
-
-/// Frozen oracle over the survivors, plus the global→dense id map.
-fn rebuild(survivors: &[(u32, String)]) -> (Ftsl, HashMap<u32, u32>) {
+fn rebuild(survivors: &[(u32, String)]) -> Monolith {
     let texts: Vec<&str> = survivors.iter().map(|(_, t)| t.as_str()).collect();
-    let remap = survivors
-        .iter()
-        .enumerate()
-        .map(|(dense, &(global, _))| (global, dense as u32))
-        .collect();
-    (Ftsl::from_texts(&texts), remap)
+    let corpus = Corpus::from_texts(&texts);
+    Monolith {
+        index: IndexBuilder::new().build(&corpus),
+        corpus,
+        engine: Ftsl::from_texts(&texts),
+        remap: dense_ids(survivors),
+    }
 }
 
 /// The query battery: one representative per engine family.
@@ -167,28 +75,28 @@ const SET_QUERIES: &[(&str, EngineKind)] = &[
     ("'alpha' AND 'beta'", EngineKind::Comp),        // forced materialization
 ];
 
-/// Compare every set-producing engine on a snapshot against the frozen
-/// oracle.
-fn assert_sets_match(
-    engine: &LiveFtsl,
-    frozen: &Ftsl,
-    remap: &HashMap<u32, u32>,
-    ctx: &str,
-) -> Result<(), ()> {
+/// Compare every set-producing engine on a snapshot against the
+/// single-index executor over the rebuild.
+fn assert_sets_match(engine: &Ftsl, mono: &Monolith, ctx: &str) -> Result<(), ()> {
     let snapshot = engine.snapshot();
     let reg = PredicateRegistry::with_builtins();
     let live_exec = SnapshotExecutor::new(&snapshot, &reg);
-    let frozen_exec = Executor::new(frozen.corpus(), frozen.index(), &reg);
+    let mono_exec = Executor::new(&mono.corpus, &mono.index, &reg);
     for (query, kind) in SET_QUERIES {
         let live_out = live_exec.run_str(query, *kind).expect("live run");
-        let frozen_out = frozen_exec.run_str(query, *kind).expect("frozen run");
+        let mono_out = mono_exec.run_str(query, *kind).expect("monolithic run");
         let live_dense: Vec<u32> = live_out
             .nodes
             .iter()
-            .map(|n| *remap.get(&n.0).expect("live result must be a survivor"))
+            .map(|n| {
+                *mono
+                    .remap
+                    .get(&n.0)
+                    .expect("live result must be a survivor")
+            })
             .collect();
-        let frozen_ids: Vec<u32> = frozen_out.nodes.iter().map(|n| n.0).collect();
-        prop_assert_eq!(&live_dense, &frozen_ids, "{}: {} diverged", ctx, query);
+        let mono_ids: Vec<u32> = mono_out.nodes.iter().map(|n| n.0).collect();
+        prop_assert_eq!(&live_dense, &mono_ids, "{}: {} diverged", ctx, query);
     }
     Ok(())
 }
@@ -201,25 +109,21 @@ const SCORED_QUERIES: &[&str] = &[
 ];
 
 /// Compare exhaustive ranking and streaming top-k, bit-exactly.
-fn assert_scores_match(
-    engine: &LiveFtsl,
-    frozen: &Ftsl,
-    remap: &HashMap<u32, u32>,
-    ctx: &str,
-) -> Result<(), ()> {
+fn assert_scores_match(engine: &Ftsl, mono: &Monolith, ctx: &str) -> Result<(), ()> {
+    let (sealed, remap) = (&mono.engine, &mono.remap);
     for model in [RankModel::TfIdf, RankModel::Pra] {
         for query in SCORED_QUERIES {
             let live = engine.search_ranked(query, model).expect("live rank");
-            let frozen_r = frozen.search_ranked(query, model).expect("frozen rank");
+            let sealed_r = sealed.search_ranked(query, model).expect("sealed rank");
             prop_assert_eq!(
                 live.hits.len(),
-                frozen_r.hits.len(),
+                sealed_r.hits.len(),
                 "{}: {} {:?} hit count",
                 ctx,
                 query,
                 model
             );
-            for (l, f) in live.hits.iter().zip(&frozen_r.hits) {
+            for (l, f) in live.hits.iter().zip(&sealed_r.hits) {
                 prop_assert_eq!(
                     remap[&l.0 .0],
                     f.0 .0,
@@ -239,9 +143,9 @@ fn assert_scores_match(
             }
             for k in [1usize, 3, 10] {
                 let live = engine.search_top_k(query, model, k).expect("live topk");
-                let frozen_t = frozen.search_top_k(query, model, k).expect("frozen topk");
-                prop_assert_eq!(live.hits.len(), frozen_t.hits.len());
-                for (l, f) in live.hits.iter().zip(&frozen_t.hits) {
+                let sealed_t = sealed.search_top_k(query, model, k).expect("sealed topk");
+                prop_assert_eq!(live.hits.len(), sealed_t.hits.len());
+                for (l, f) in live.hits.iter().zip(&sealed_t.hits) {
                     prop_assert_eq!(remap[&l.0 .0], f.0 .0);
                     prop_assert_eq!(l.1.to_bits(), f.1.to_bits());
                 }
@@ -264,19 +168,15 @@ const PAIR_QUERIES: &[&str] = &[
 /// filtering) must be bit-identical to the *position-intersection oracle*
 /// over the monolithic rebuild — deleted documents must never surface via
 /// a pair list that still physically contains them. The NEAR top-k facade
-/// must agree with the rebuild's facade down to the score bits.
-fn assert_pairs_match(
-    engine: &LiveFtsl,
-    frozen: &Ftsl,
-    remap: &HashMap<u32, u32>,
-    ctx: &str,
-) -> Result<(), ()> {
+/// must agree with the one-segment rebuild's down to the score bits.
+fn assert_pairs_match(engine: &Ftsl, mono: &Monolith, ctx: &str) -> Result<(), ()> {
+    let remap = &mono.remap;
     let snapshot = engine.snapshot();
     let reg = PredicateRegistry::with_builtins();
     let live_exec = SnapshotExecutor::new(&snapshot, &reg);
     let oracle_exec = Executor::with_options(
-        frozen.corpus(),
-        frozen.index(),
+        &mono.corpus,
+        &mono.index,
         &reg,
         ExecOptions {
             use_pairs: false,
@@ -314,7 +214,7 @@ fn assert_pairs_match(
     ] {
         for k in [1usize, 5, 100] {
             let live = engine.search_near_top_k(a, b, bound, ordered, k);
-            let want = frozen.search_near_top_k(a, b, bound, ordered, k);
+            let want = mono.engine.search_near_top_k(a, b, bound, ordered, k);
             prop_assert_eq!(
                 live.hits.len(),
                 want.hits.len(),
@@ -350,17 +250,17 @@ fn assert_pairs_match(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(prop_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(prop_cases(24)))]
 
     /// Any interleaving of adds/deletes/flushes/merges: all engines on the
     /// snapshot ≡ the monolithic rebuild.
     #[test]
     fn snapshot_equals_monolithic_rebuild(ops in arb_ops()) {
         let (engine, survivors) = apply(&ops);
-        let (frozen, remap) = rebuild(&survivors);
-        assert_sets_match(&engine, &frozen, &remap, "final state")?;
-        assert_scores_match(&engine, &frozen, &remap, "final state")?;
-        assert_pairs_match(&engine, &frozen, &remap, "final state")?;
+        let mono = rebuild(&survivors);
+        assert_sets_match(&engine, &mono, "final state")?;
+        assert_scores_match(&engine, &mono, "final state")?;
+        assert_pairs_match(&engine, &mono, "final state")?;
     }
 
     /// A snapshot taken mid-sequence answers for the state at that moment,
@@ -371,48 +271,44 @@ proptest! {
         split in 0usize..32,
     ) {
         let split = split.min(ops.len());
-        let engine = LiveFtsl::with_config(manual_config());
-        let mut docs: Vec<(u32, String, bool)> = Vec::new();
+        let engine = Ftsl::with_config(manual_config());
+        let mut docs = Docs::new();
         for op in &ops[..split] {
             apply_one(&engine, op, &mut docs);
         }
         let pinned = engine.snapshot();
-        let survivors_then: Vec<(u32, String)> = docs
-            .iter()
-            .filter(|(_, _, alive)| *alive)
-            .map(|(g, t, _)| (*g, t.clone()))
-            .collect();
+        let survivors_then = survivors(&docs);
         // Churn on: the pinned snapshot must not move.
         for op in &ops[split..] {
             apply_one(&engine, op, &mut docs);
         }
         engine.merge();
 
-        let (frozen, remap) = rebuild(&survivors_then);
+        let mono = rebuild(&survivors_then);
         let reg = PredicateRegistry::with_builtins();
         let exec = SnapshotExecutor::new(&pinned, &reg);
-        let frozen_exec = Executor::new(frozen.corpus(), frozen.index(), &reg);
+        let mono_exec = Executor::new(&mono.corpus, &mono.index, &reg);
         for (query, kind) in SET_QUERIES {
             let live_out = exec.run_str(query, *kind).expect("pinned run");
-            let frozen_out = frozen_exec.run_str(query, *kind).expect("frozen run");
+            let mono_out = mono_exec.run_str(query, *kind).expect("monolithic run");
             let live_dense: Vec<u32> = live_out
                 .nodes
                 .iter()
-                .map(|n| *remap.get(&n.0).expect("pinned result must be a then-survivor"))
+                .map(|n| *mono.remap.get(&n.0).expect("pinned result must be a then-survivor"))
                 .collect();
-            let frozen_ids: Vec<u32> = frozen_out.nodes.iter().map(|n| n.0).collect();
-            prop_assert_eq!(&live_dense, &frozen_ids, "pinned: {} diverged", query);
+            let mono_ids: Vec<u32> = mono_out.nodes.iter().map(|n| n.0).collect();
+            prop_assert_eq!(&live_dense, &mono_ids, "pinned: {} diverged", query);
         }
     }
 }
 
 /// Snapshot isolation under a *background* merge thread: hold a snapshot,
 /// churn hard enough to keep the merger busy, and verify the held snapshot
-/// still answers byte-for-byte as the frozen rebuild of its moment — while
+/// still answers byte-for-byte as the rebuild of its moment — while
 /// the live index keeps serving the new state correctly.
 #[test]
 fn held_snapshot_survives_concurrent_background_merges() {
-    let engine = LiveFtsl::with_config(LiveConfig {
+    let engine = Ftsl::with_config(LiveConfig {
         background_merge: true,
         flush_threshold: 4,
         merge_fanin: 2,
@@ -429,7 +325,7 @@ fn held_snapshot_survives_concurrent_background_merges() {
     }
     engine.flush();
     let pinned = engine.snapshot();
-    let (frozen, _) = rebuild(
+    let mono = rebuild(
         &texts
             .iter()
             .enumerate()
@@ -449,11 +345,11 @@ fn held_snapshot_survives_concurrent_background_merges() {
         let out = exec
             .run_str("'alpha' AND 'beta'", EngineKind::Auto)
             .unwrap();
-        let frozen_out = Executor::new(frozen.corpus(), frozen.index(), &reg)
+        let mono_out = Executor::new(&mono.corpus, &mono.index, &reg)
             .run_str("'alpha' AND 'beta'", EngineKind::Auto)
             .unwrap();
         assert_eq!(
-            out.nodes, frozen_out.nodes,
+            out.nodes, mono_out.nodes,
             "pinned snapshot moved during round {round}"
         );
     }
@@ -475,7 +371,7 @@ fn held_snapshot_survives_concurrent_background_merges() {
 /// NEAR top-k, and the intersection fallback must all hide them.
 #[test]
 fn tombstoned_docs_never_surface_via_pair_lists() {
-    let engine = LiveFtsl::with_config(LiveConfig {
+    let engine = Ftsl::with_config(LiveConfig {
         background_merge: false,
         flush_threshold: usize::MAX,
         merge_fanin: usize::MAX,
@@ -530,7 +426,7 @@ fn tombstoned_docs_never_surface_via_pair_lists() {
 /// (every surviving document answers, every deleted one does not).
 #[test]
 fn concurrent_writers_and_readers_stay_consistent() {
-    let engine = LiveFtsl::with_config(LiveConfig {
+    let engine = Ftsl::with_config(LiveConfig {
         background_merge: true,
         flush_threshold: 8,
         merge_fanin: 2,
@@ -587,7 +483,7 @@ fn concurrent_writers_and_readers_stay_consistent() {
 fn concurrent_readers_match_single_threaded_on_held_snapshot() {
     use ftsl_exec::snapshot::ExecScratch;
 
-    let engine = LiveFtsl::with_config(manual_config());
+    let engine = Ftsl::with_config(manual_config());
     // Seed with enough structure for every query family, across several
     // sealed segments (flush_threshold 6 auto-seals as we go).
     for i in 0..30 {
@@ -610,11 +506,12 @@ fn concurrent_readers_match_single_threaded_on_held_snapshot() {
     let topk_tokens = ["alpha", "beta", "eps"];
     let topk_model = stats.tfidf_model(&topk_tokens, &pinned);
     let topk_ref: Vec<(NodeId, u64)> = exec
-        .run_top_k(
+        .run_top_k_with(
             &topk_query,
             ScoredTopK { k: 7 },
             &stats,
             &ScoreModel::TfIdf(&topk_model),
+            &mut ExecScratch::new(),
         )
         .expect("reference topk")
         .hits

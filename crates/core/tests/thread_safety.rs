@@ -1,7 +1,7 @@
 //! Compile-time thread-safety assertions for everything the serving layer
 //! shares across worker threads.
 //!
-//! Concurrent serving hands one `Arc<LiveFtsl>` to N workers, each of
+//! Concurrent serving hands one `Arc<Ftsl>` to N workers, each of
 //! which clones `Snapshot`s (Arc'd `SegmentData` + `DeleteSet`) and reads
 //! shared `SnapshotStats`. All of that requires `Send + Sync` — and those
 //! bounds are *structural*, so an innocent-looking refactor (an `Rc` in
@@ -10,7 +10,7 @@
 //! the bounds here turns that integration-time failure into a compile
 //! error pointing at the exact type.
 
-use ftsl_core::{Ftsl, LiveFtsl};
+use ftsl_core::Ftsl;
 use ftsl_exec::ExecScratch;
 use ftsl_index::{
     AccessCounters, BlockList, DeleteSet, InvertedIndex, LiveIndex, MemSegment, PostingList,
@@ -54,9 +54,8 @@ fn scoring_statistics_are_send_sync() {
 
 #[test]
 fn engines_are_send_sync() {
-    // The `Arc<LiveFtsl>` every pool worker holds, the frozen facade, the
-    // live index underneath, and the predicate registry queries consult.
-    assert_send_sync::<LiveFtsl>();
+    // The `Arc<Ftsl>` every pool worker holds, the live index underneath,
+    // and the predicate registry queries consult.
     assert_send_sync::<Ftsl>();
     assert_send_sync::<LiveIndex>();
     assert_send_sync::<PredicateRegistry>();

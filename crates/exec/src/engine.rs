@@ -5,14 +5,12 @@ use crate::comp::run_comp;
 use crate::error::ExecError;
 use crate::npred::{run_npred, NpredOptions};
 use crate::ppred::run_ppred_attr;
-use crate::scored::{run_scored_top_k, ScoreModel, ScoredOutput, ScoredTopK};
 use ftsl_calculus::CalcQuery;
 use ftsl_index::{AccessCounters, IndexLayout, InvertedIndex};
 use ftsl_lang::{classify, lower, parse, LanguageClass, Mode, SurfaceQuery};
 use ftsl_model::{Corpus, NodeId};
 use ftsl_obs::{SpanId, Trace, TraceBuilder};
 use ftsl_predicates::{AdvanceMode, PredicateRegistry};
-use ftsl_scoring::ScoreStats;
 
 /// Which engine to use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -136,7 +134,9 @@ fn finish_engine_span(
     })
 }
 
-/// Query executor over one corpus + index.
+/// The set-engine dispatcher over one corpus + index — what
+/// [`crate::SnapshotExecutor`] runs per segment, and the single-index
+/// reference the differential suites compare against.
 pub struct Executor<'a> {
     corpus: &'a Corpus,
     index: &'a InvertedIndex,
@@ -223,61 +223,6 @@ impl<'a> Executor<'a> {
         }
         let query = CalcQuery::new(expr);
         self.run_lowered(&query, chosen, class, engine == EngineKind::Auto, tb)
-    }
-
-    /// Run a scored top-k query (parsed from `input`) through the streaming
-    /// scored dispatcher. See [`Executor::run_top_k`].
-    pub fn run_top_k_str(
-        &self,
-        input: &str,
-        spec: ScoredTopK,
-        stats: &ScoreStats,
-        model: &ScoreModel<'_>,
-    ) -> Result<ScoredOutput, ExecError> {
-        let surface = parse(input, Mode::Comp).map_err(|e| ExecError::Lang(e.to_string()))?;
-        self.run_top_k(&surface, spec, stats, model)
-    }
-
-    /// Run a scored top-k query: stream the query's posting entries through
-    /// a bounded heap, pruning with list- and block-level score bounds where the query shape allows
-    /// (flat disjunctions). Only BOOL-shaped queries are rankable this way;
-    /// anything else is a [`ExecError::WrongEngine`].
-    pub fn run_top_k(
-        &self,
-        surface: &SurfaceQuery,
-        spec: ScoredTopK,
-        stats: &ScoreStats,
-        model: &ScoreModel<'_>,
-    ) -> Result<ScoredOutput, ExecError> {
-        run_scored_top_k(surface, self.corpus, self.index, stats, model, spec)
-    }
-
-    /// Run a calculus query directly (no surface form). BOOL dispatch is not
-    /// available on this path.
-    pub fn run_calc(
-        &self,
-        query: &CalcQuery,
-        engine: EngineKind,
-    ) -> Result<QueryOutput, ExecError> {
-        let chosen = match engine {
-            EngineKind::Bool => {
-                return Err(ExecError::WrongEngine {
-                    engine: "BOOL",
-                    reason: "BOOL engine runs on surface queries".into(),
-                })
-            }
-            EngineKind::Ppred => EngineUsed::Ppred,
-            EngineKind::Npred => EngineUsed::Npred,
-            EngineKind::Comp | EngineKind::Auto => EngineUsed::Comp,
-        };
-        let tb = self.options.trace.then(TraceBuilder::new);
-        self.run_lowered(
-            query,
-            chosen,
-            LanguageClass::Comp,
-            engine == EngineKind::Auto,
-            tb,
-        )
     }
 
     fn run_lowered(

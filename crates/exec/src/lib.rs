@@ -16,16 +16,21 @@
 //!   threads for negative predicates; implements both the paper's presented
 //!   full-permutation scheme and the partial-order optimization it mentions,
 //!   optionally running threads in parallel;
-//! * [`engine`] — dispatch by [`ftsl_lang::LanguageClass`], with COMP as the
-//!   universal fallback;
+//! * [`engine`] — per-segment dispatch by [`ftsl_lang::LanguageClass`], with
+//!   COMP as the universal fallback;
+//! * [`snapshot`] — the executor every query goes through: the dispatcher
+//!   above run over each segment of a [`ftsl_index::Snapshot`], tombstones
+//!   filtered, ids remapped, counters summed;
 //! * [`pairscan`] — the PPRED fast path for phrase/NEAR shapes: two-scan
 //!   proximity cores are rewritten to walks over the index's word-pair
 //!   auxiliary lists ([`ftsl_index::pair`]) when coverage allows, with
 //!   automatic fallback to position intersection;
-//! * [`scored`] — **scored top-k** (Section 5.3's scoring extension as a
-//!   streaming engine): flat disjunctions run a MaxScore/block-max pruned
-//!   union, general BOOL trees a cursor-driven score-stream combination,
-//!   both draining into a bounded heap instead of scoring every node.
+//! * [`scored`] — the types of **scored top-k** (Section 5.3's scoring
+//!   extension as a streaming engine, dispatched by
+//!   [`SnapshotExecutor::run_top_k_with`]): flat disjunctions run a
+//!   MaxScore/block-max pruned union, general BOOL trees a cursor-driven
+//!   score-stream combination, both draining into one bounded heap shared
+//!   across segments instead of scoring every node.
 //!
 //! Every engine reports [`ftsl_index::AccessCounters`] so the Figure 3
 //! bounds can be validated with machine-independent measurements.

@@ -1,18 +1,17 @@
-//! Scored top-k dispatch: route a BOOL-shaped query to the cheapest sound
-//! streaming scored evaluator.
+//! The vocabulary of scored top-k: request, model, path and output types.
 //!
-//! Mirrors the unscored dispatcher's philosophy (classify, then pick the
-//! least-work engine): flat disjunctions — the ranked-query workhorse — go
-//! through the MaxScore/block-max pruned union; general `AND`/`OR`/`NOT`
-//! trees under PRA semantics go through the cursor-driven score-stream
-//! tree. Both report [`ftsl_index::AccessCounters`] so pruning wins are
-//! measurable.
+//! The dispatch itself lives in
+//! [`crate::SnapshotExecutor::run_top_k_with`] and mirrors the unscored
+//! dispatcher's philosophy (classify, then pick the least-work engine):
+//! flat disjunctions — the ranked-query workhorse — go through the
+//! MaxScore/block-max pruned union; general `AND`/`OR`/`NOT` trees under
+//! PRA semantics go through the cursor-driven score-stream tree. Both
+//! report [`ftsl_index::AccessCounters`] so pruning wins are measurable.
 
-use crate::error::ExecError;
-use ftsl_index::{AccessCounters, DeleteSet, InvertedIndex};
+use ftsl_index::AccessCounters;
 use ftsl_lang::SurfaceQuery;
-use ftsl_model::{Corpus, NodeId};
-use ftsl_scoring::{PraModel, ScoreStats, TfIdfModel};
+use ftsl_model::NodeId;
+use ftsl_scoring::{PraModel, TfIdfModel};
 
 /// The scored top-k query spec: how many results to retain.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,8 +53,8 @@ pub struct ScoredOutput {
     pub counters: AccessCounters,
     /// Strategy used.
     pub path: ScoredPath,
-    /// Span tree recorded when tracing was requested (snapshot top-k
-    /// paths); `None` on the untraced paths.
+    /// Span tree recorded when [`crate::engine::ExecOptions::trace`] was
+    /// set.
     pub trace: Option<Box<ftsl_obs::Trace>>,
 }
 
@@ -76,83 +75,9 @@ pub fn flat_disjunction(query: &SurfaceQuery) -> Option<Vec<&str>> {
     walk(query, &mut tokens).then_some(tokens)
 }
 
-/// Run a scored top-k query.
-pub fn run_scored_top_k(
-    query: &SurfaceQuery,
-    corpus: &Corpus,
-    index: &InvertedIndex,
-    stats: &ScoreStats,
-    model: &ScoreModel<'_>,
-    spec: ScoredTopK,
-) -> Result<ScoredOutput, ExecError> {
-    run_scored_top_k_filtered(query, corpus, index, stats, model, spec, None)
-}
-
-/// [`run_scored_top_k`] over one live-index segment: a delete set routes
-/// every streaming path through its tombstone-filtered variant, so deleted
-/// documents neither appear in nor displace the top-k.
-pub fn run_scored_top_k_filtered(
-    query: &SurfaceQuery,
-    corpus: &Corpus,
-    index: &InvertedIndex,
-    stats: &ScoreStats,
-    model: &ScoreModel<'_>,
-    spec: ScoredTopK,
-    live: Option<&DeleteSet>,
-) -> Result<ScoredOutput, ExecError> {
-    let flat = flat_disjunction(query);
-    match model {
-        ScoreModel::TfIdf(m) => {
-            let Some(tokens) = flat else {
-                return Err(ExecError::WrongEngine {
-                    engine: "TOPK",
-                    reason: format!(
-                        "TF-IDF top-k ranks flat token disjunctions; {} is not one",
-                        query.render()
-                    ),
-                });
-            };
-            let out =
-                ftsl_scoring::topk_tfidf_filtered(&tokens, corpus, index, stats, m, spec.k, live);
-            Ok(ScoredOutput {
-                hits: out.hits,
-                counters: out.counters,
-                path: ScoredPath::PrunedUnion,
-                trace: None,
-            })
-        }
-        ScoreModel::Pra(m) => {
-            if let Some(tokens) = flat {
-                let out = ftsl_scoring::topk_pra_disjunction_filtered(
-                    &tokens, corpus, index, stats, m, spec.k, live,
-                );
-                return Ok(ScoredOutput {
-                    hits: out.hits,
-                    counters: out.counters,
-                    path: ScoredPath::PrunedUnion,
-                    trace: None,
-                });
-            }
-            let out =
-                ftsl_scoring::run_bool_topk_filtered(query, corpus, index, stats, m, spec.k, live)
-                    .map_err(|reason| ExecError::WrongEngine {
-                        engine: "TOPK",
-                        reason,
-                    })?;
-            Ok(ScoredOutput {
-                hits: out.hits,
-                counters: out.counters,
-                path: ScoredPath::StreamTree,
-                trace: None,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftsl_index::IndexBuilder;
     use ftsl_lang::{parse, Mode};
 
     #[test]
@@ -165,23 +90,5 @@ mod tests {
         assert_eq!(flat_disjunction(&q), None);
         let q = parse("NOT 'a'", Mode::Bool).unwrap();
         assert_eq!(flat_disjunction(&q), None);
-    }
-
-    #[test]
-    fn tfidf_rejects_non_disjunctions() {
-        let corpus = Corpus::from_texts(&["a b", "b c"]);
-        let index = IndexBuilder::new().build(&corpus);
-        let stats = ScoreStats::compute(&corpus, &index);
-        let model = TfIdfModel::for_query(&["a"], &corpus, &stats);
-        let q = parse("'a' AND 'b'", Mode::Bool).unwrap();
-        let err = run_scored_top_k(
-            &q,
-            &corpus,
-            &index,
-            &stats,
-            &ScoreModel::TfIdf(&model),
-            ScoredTopK { k: 3 },
-        );
-        assert!(matches!(err, Err(ExecError::WrongEngine { .. })));
     }
 }

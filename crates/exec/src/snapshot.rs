@@ -29,11 +29,9 @@
 use crate::engine::{counter_attrs, EngineKind, EngineUsed, ExecOptions, Executor, QueryOutput};
 use crate::error::ExecError;
 use crate::pairscan::{self, PairQuery};
-use crate::scored::{
-    flat_disjunction, run_scored_top_k_filtered, ScoreModel, ScoredOutput, ScoredPath, ScoredTopK,
-};
+use crate::scored::{flat_disjunction, ScoreModel, ScoredOutput, ScoredPath, ScoredTopK};
 use ftsl_index::{AccessCounters, IndexBuilder, InvertedIndex, ScoredCursor, Snapshot};
-use ftsl_lang::{classify, parse, LanguageClass, Mode, SurfaceQuery};
+use ftsl_lang::{classify, parse, Mode, SurfaceQuery};
 use ftsl_model::{Corpus, NodeId};
 use ftsl_obs::TraceBuilder;
 use ftsl_predicates::PredicateRegistry;
@@ -44,8 +42,8 @@ use ftsl_scoring::{
 use std::sync::OnceLock;
 
 /// The empty corpus/index pair a zero-segment snapshot evaluates against,
-/// so error semantics (wrong engine, unstreamable shapes) match a frozen
-/// empty index exactly.
+/// so error semantics (wrong engine, unstreamable shapes) match a
+/// snapshot with segments exactly.
 fn empty_pair() -> &'static (Corpus, InvertedIndex) {
     static EMPTY: OnceLock<(Corpus, InvertedIndex)> = OnceLock::new();
     EMPTY.get_or_init(|| {
@@ -184,19 +182,9 @@ impl<'a> SnapshotExecutor<'a> {
     /// their *global* ids (so tie-breaks match the monolithic ranking), and
     /// every pruning decision tests a sound upper bound against a threshold
     /// that only ever tightens.
-    pub fn run_top_k(
-        &self,
-        surface: &SurfaceQuery,
-        spec: ScoredTopK,
-        stats: &SnapshotStats,
-        model: &ScoreModel<'_>,
-    ) -> Result<ScoredOutput, ExecError> {
-        self.run_top_k_with(surface, spec, stats, model, &mut ExecScratch::new())
-    }
-
-    /// [`Self::run_top_k`] with caller-owned reusable evaluation state —
-    /// the serving hot path. Identical results; the only difference is
-    /// where the top-k collector's allocation lives.
+    ///
+    /// The top-k collector lives in caller-owned `scratch`, so a serving
+    /// worker pays its allocation once, not once per query.
     pub fn run_top_k_with(
         &self,
         surface: &SurfaceQuery,
@@ -205,22 +193,23 @@ impl<'a> SnapshotExecutor<'a> {
         model: &ScoreModel<'_>,
         scratch: &mut ExecScratch,
     ) -> Result<ScoredOutput, ExecError> {
-        if self.snapshot.segments().is_empty() {
-            let (corpus, index) = empty_pair();
-            let empty_stats = ScoreStats::compute(corpus, index);
-            return run_scored_top_k_filtered(
-                surface,
-                corpus,
-                index,
-                &empty_stats,
-                model,
-                spec,
-                None,
-            );
-        }
         // Dispatch once for the whole snapshot (it depends only on query
         // shape), so shape errors surface regardless of segment pruning.
         let flat = flat_disjunction(surface);
+        if self.snapshot.segments().is_empty() && flat.is_none() {
+            // No segment will run the shape checks below: reject here what
+            // they would reject (the stream builder is the PRA tree check).
+            match model {
+                ScoreModel::TfIdf(_) => return Err(not_a_flat_disjunction(surface)),
+                ScoreModel::Pra(m) => {
+                    let (corpus, index) = empty_pair();
+                    let stats = ScoreStats::compute(corpus, index);
+                    let unused = &mut TopK::new(0);
+                    run_bool_topk_into(surface, corpus, index, &stats, m, None, unused, None)
+                        .map_err(not_in_bool)?;
+                }
+            }
+        }
         enum SegPlan<'s> {
             /// Flat disjunction: prebuilt union cursors (their construction
             /// reads only list metadata, so a skipped segment costs no
@@ -244,15 +233,7 @@ impl<'a> SnapshotExecutor<'a> {
                         SegPlan::Union(cursors, UnionKind::Sum),
                     )
                 }
-                (ScoreModel::TfIdf(_), None) => {
-                    return Err(ExecError::WrongEngine {
-                        engine: "TOPK",
-                        reason: format!(
-                            "TF-IDF top-k ranks flat token disjunctions; {} is not one",
-                            surface.render()
-                        ),
-                    });
-                }
+                (ScoreModel::TfIdf(_), None) => return Err(not_a_flat_disjunction(surface)),
                 (ScoreModel::Pra(m), Some(tokens)) => {
                     let cursors = pra_union_cursors(tokens, corpus, index, seg_stats, m, live);
                     (
@@ -261,13 +242,8 @@ impl<'a> SnapshotExecutor<'a> {
                     )
                 }
                 (ScoreModel::Pra(m), None) => {
-                    let bound =
-                        pra_tree_bound(surface, corpus, index, seg_stats, m).map_err(|reason| {
-                            ExecError::WrongEngine {
-                                engine: "TOPK",
-                                reason,
-                            }
-                        })?;
+                    let bound = pra_tree_bound(surface, corpus, index, seg_stats, m)
+                        .map_err(not_in_bool)?;
                     (bound, SegPlan::Tree)
                 }
             };
@@ -324,10 +300,7 @@ impl<'a> SnapshotExecutor<'a> {
                         topk,
                         globals,
                     )
-                    .map_err(|reason| ExecError::WrongEngine {
-                        engine: "TOPK",
-                        reason,
-                    })?
+                    .map_err(not_in_bool)?
                 }
             };
             if let (Some(b), Some(id)) = (tb.as_mut(), seg_span) {
@@ -357,19 +330,14 @@ impl<'a> SnapshotExecutor<'a> {
     /// Run a proximity-ranked NEAR/phrase top-k across segments: documents
     /// matching the pair query score by [`ftsl_scoring::closeness`] of
     /// their minimum qualifying gap, through the same global-threshold
-    /// machinery as [`Self::run_top_k`] — segments are visited in
+    /// machinery as [`Self::run_top_k_with`] — segments are visited in
     /// descending score-bound order (bounds read from pair-list `min_gap`
     /// metadata without decoding a posting), whole segments that cannot
     /// beat the k-th score are skipped, and within a segment whole pair
     /// blocks are skipped on their block-max closeness. Tombstoned
     /// documents are filtered before insertion; segments the pair index
-    /// does not cover fall back to position intersection.
-    pub fn run_near_top_k(&self, q: &PairQuery, k: usize) -> ScoredOutput {
-        self.run_near_top_k_with(q, k, &mut ExecScratch::new())
-    }
-
-    /// [`Self::run_near_top_k`] with caller-owned reusable evaluation
-    /// state — the serving hot path.
+    /// does not cover fall back to position intersection. `scratch` holds
+    /// the reusable top-k collector, as in [`Self::run_top_k_with`].
     pub fn run_near_top_k_with(
         &self,
         q: &PairQuery,
@@ -445,15 +413,22 @@ impl<'a> SnapshotExecutor<'a> {
             trace,
         }
     }
+}
 
-    /// The snapshot this executor reads.
-    pub fn snapshot(&self) -> &Snapshot {
-        self.snapshot
+fn not_a_flat_disjunction(surface: &SurfaceQuery) -> ExecError {
+    ExecError::WrongEngine {
+        engine: "TOPK",
+        reason: format!(
+            "TF-IDF top-k ranks flat token disjunctions; {} is not one",
+            surface.render()
+        ),
     }
+}
 
-    /// The language class the query would be assigned (Figure 3).
-    pub fn classify(&self, surface: &SurfaceQuery) -> LanguageClass {
-        classify(surface, self.registry)
+fn not_in_bool(reason: String) -> ExecError {
+    ExecError::WrongEngine {
+        engine: "TOPK",
+        reason,
     }
 }
 
@@ -560,6 +535,44 @@ mod tests {
         assert!(ok.nodes.is_empty());
         let err = exec.run_str("SOME p1 (p1 HAS 'x')", EngineKind::Bool);
         assert!(matches!(err, Err(ExecError::WrongEngine { .. })));
+    }
+
+    /// Top-k shape errors depend on the query alone: the same three shapes
+    /// are accepted or refused with no segment, and with several.
+    #[test]
+    fn top_k_shape_errors_do_not_depend_on_segments() {
+        let reg = PredicateRegistry::with_builtins();
+        for live in [LiveIndex::with_config(manual()), live_fixture()] {
+            let snap = live.snapshot();
+            let stats = SnapshotStats::compute(&snap);
+            let tfidf = stats.tfidf_model(&["test"], &snap);
+            let pra = stats.pra_model(&snap);
+            let exec = SnapshotExecutor::new(&snap, &reg);
+            let run = |query: &str, model: &ScoreModel<'_>| {
+                let q = parse(query, Mode::Comp).unwrap();
+                let spec = ScoredTopK { k: 3 };
+                exec.run_top_k_with(&q, spec, &stats, model, &mut ExecScratch::new())
+            };
+            let conj = "'test' AND 'usability'";
+            assert!(matches!(
+                run(conj, &ScoreModel::TfIdf(&tfidf)),
+                Err(ExecError::WrongEngine { .. })
+            ));
+            assert_eq!(
+                run(conj, &ScoreModel::Pra(&pra)).unwrap().path,
+                ScoredPath::StreamTree
+            );
+            assert!(matches!(
+                run("NOT SOME p1 (p1 HAS 'test')", &ScoreModel::Pra(&pra)),
+                Err(ExecError::WrongEngine { .. })
+            ));
+            assert_eq!(
+                run("'test' OR 'here'", &ScoreModel::TfIdf(&tfidf))
+                    .unwrap()
+                    .path,
+                ScoredPath::PrunedUnion
+            );
+        }
     }
 
     #[test]

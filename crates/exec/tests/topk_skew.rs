@@ -3,23 +3,44 @@
 //! disjunction must decode *measurably fewer* entries than the exhaustive
 //! scored pass — which touches every entry of every query list — while
 //! returning exactly the oracle's first k rows. Run through the
-//! dispatcher, so the whole path under [`Executor::run_top_k`] is exercised.
+//! dispatcher, so the whole path under
+//! [`SnapshotExecutor::run_top_k_with`] is exercised.
 
 use ftsl_corpus::SynthConfig;
-use ftsl_exec::engine::Executor;
-use ftsl_exec::scored::run_scored_top_k_filtered;
-use ftsl_exec::{ScoreModel, ScoredPath, ScoredTopK, SnapshotExecutor};
-use ftsl_index::{IndexBuilder, InvertedIndex, LiveConfig, LiveIndex};
+use ftsl_exec::{ExecScratch, ScoreModel, ScoredOutput, ScoredPath, ScoredTopK, SnapshotExecutor};
+use ftsl_index::{InvertedIndex, LiveConfig, LiveIndex, Snapshot};
 use ftsl_lang::{parse, Mode};
 use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::PredicateRegistry;
 use ftsl_scoring::bool_scores::run_bool_scored;
 use ftsl_scoring::classic::classic_tfidf;
-use ftsl_scoring::{PraModel, ScoreStats, SnapshotStats, TfIdfModel};
+use ftsl_scoring::{tfidf_union_cursors, topk_union, SnapshotStats, UnionKind};
+
+fn manual() -> LiveConfig {
+    LiveConfig {
+        background_merge: false,
+        flush_threshold: usize::MAX,
+        ..LiveConfig::default()
+    }
+}
+
+/// `corpus` sealed as the one segment of a snapshot, with its statistics.
+fn sealed(corpus: Corpus) -> (Snapshot, SnapshotStats) {
+    let snap = LiveIndex::from_corpus_with(corpus, manual()).snapshot();
+    let stats = SnapshotStats::compute(&snap);
+    (snap, stats)
+}
+
+/// The corpus and index of a one-segment snapshot.
+fn only_segment(snap: &Snapshot) -> (&Corpus, &InvertedIndex) {
+    assert_eq!(snap.num_segments(), 1);
+    let data = snap.segments()[0].data();
+    (data.corpus(), data.index())
+}
 
 /// One rare, high-impact token against one very common one, over a Zipf
 /// background — the regime where pruning pays.
-fn skewed_env() -> (Corpus, InvertedIndex, ScoreStats) {
+fn skewed_env() -> (Snapshot, SnapshotStats) {
     let config = SynthConfig {
         cnodes: 3000,
         vocabulary: 1500,
@@ -28,10 +49,28 @@ fn skewed_env() -> (Corpus, InvertedIndex, ScoreStats) {
     }
     .plant("rare", 0.03, 4)
     .plant("common", 0.8, 1);
-    let corpus = config.build();
-    let index = IndexBuilder::new().build(&corpus);
-    let stats = ScoreStats::compute(&corpus, &index);
-    (corpus, index, stats)
+    sealed(config.build())
+}
+
+/// The dispatcher under test.
+fn top_k(
+    snap: &Snapshot,
+    stats: &SnapshotStats,
+    query: &str,
+    k: usize,
+    model: &ScoreModel<'_>,
+) -> ScoredOutput {
+    let registry = PredicateRegistry::with_builtins();
+    let query = parse(query, Mode::Bool).expect("parses");
+    SnapshotExecutor::new(snap, &registry)
+        .run_top_k_with(
+            &query,
+            ScoredTopK { k },
+            stats,
+            model,
+            &mut ExecScratch::new(),
+        )
+        .expect("scored top-k runs")
 }
 
 /// Entries an exhaustive scored pass decodes: every entry of every list the
@@ -46,24 +85,17 @@ fn exhaustive_entries(corpus: &Corpus, index: &InvertedIndex, tokens: &[&str]) -
 
 #[test]
 fn pruned_topk_decodes_a_fraction_of_the_exhaustive_pass() {
-    let (corpus, index, stats) = skewed_env();
-    let registry = PredicateRegistry::with_builtins();
+    let (snap, stats) = skewed_env();
+    let (corpus, index) = only_segment(&snap);
     let tokens = ["rare", "common"];
-    let total = exhaustive_entries(&corpus, &index, &tokens);
+    let total = exhaustive_entries(corpus, index, &tokens);
     assert!(total > 2000, "corpus not skewed as expected: {total}");
 
-    let tfidf = TfIdfModel::for_query(&tokens, &corpus, &stats);
-    let oracle = classic_tfidf(&tokens, &corpus, &stats, &tfidf);
+    let tfidf = stats.tfidf_model(&tokens, &snap);
+    let oracle = classic_tfidf(&tokens, corpus, stats.segment(0), &tfidf);
 
-    let exec = Executor::new(&corpus, &index, &registry);
-    let out = exec
-        .run_top_k_str(
-            "'rare' OR 'common'",
-            ScoredTopK { k: 10 },
-            &stats,
-            &ScoreModel::TfIdf(&tfidf),
-        )
-        .expect("scored top-k runs");
+    let model = ScoreModel::TfIdf(&tfidf);
+    let out = top_k(&snap, &stats, "'rare' OR 'common'", 10, &model);
     assert_eq!(out.path, ScoredPath::PrunedUnion);
 
     // Exactness: the streamed top-10 is the oracle's first 10 rows.
@@ -94,16 +126,11 @@ fn block_max_skips_low_impact_blocks_wholesale() {
     let texts: Vec<String> = std::iter::once("hot hot".to_string())
         .chain((0..600).map(|i| format!("hot filler{}", i % 13)))
         .collect();
-    let corpus = Corpus::from_texts(&texts);
-    let index = IndexBuilder::new().build(&corpus);
-    let stats = ScoreStats::compute(&corpus, &index);
-    let registry = PredicateRegistry::with_builtins();
-    let pra = PraModel::new(&corpus, &stats);
+    let (snap, stats) = sealed(Corpus::from_texts(&texts));
+    let (corpus, index) = only_segment(&snap);
+    let pra = stats.pra_model(&snap);
 
-    let exec = Executor::new(&corpus, &index, &registry);
-    let out = exec
-        .run_top_k_str("'hot'", ScoredTopK { k: 1 }, &stats, &ScoreModel::Pra(&pra))
-        .expect("scored top-k runs");
+    let out = top_k(&snap, &stats, "'hot'", 1, &ScoreModel::Pra(&pra));
     assert_eq!(out.hits.len(), 1);
     assert_eq!(out.hits[0].0, NodeId(0), "the tf=2 doc must win");
 
@@ -126,18 +153,21 @@ fn block_max_skips_low_impact_blocks_wholesale() {
 
 #[test]
 fn pra_disjunction_also_prunes_and_matches_its_oracle() {
-    let (corpus, index, stats) = skewed_env();
-    let registry = PredicateRegistry::with_builtins();
-    let total = exhaustive_entries(&corpus, &index, &["rare", "common"]);
+    let (snap, stats) = skewed_env();
+    let (corpus, index) = only_segment(&snap);
+    let total = exhaustive_entries(corpus, index, &["rare", "common"]);
 
-    let pra = PraModel::new(&corpus, &stats);
+    let pra = stats.pra_model(&snap);
     let query = parse("'rare' OR 'common'", Mode::Bool).expect("parses");
-    let oracle = run_bool_scored(&query, &corpus, &index, &stats, &pra).expect("oracle");
+    let oracle = run_bool_scored(&query, corpus, index, stats.segment(0), &pra).expect("oracle");
 
-    let exec = Executor::new(&corpus, &index, &registry);
-    let out = exec
-        .run_top_k(&query, ScoredTopK { k: 10 }, &stats, &ScoreModel::Pra(&pra))
-        .expect("scored top-k runs");
+    let out = top_k(
+        &snap,
+        &stats,
+        "'rare' OR 'common'",
+        10,
+        &ScoreModel::Pra(&pra),
+    );
     assert_eq!(out.path, ScoredPath::PrunedUnion);
     assert_eq!(out.hits.len(), 10);
     for ((gn, gs), (on, os)) in out.hits.iter().zip(&oracle) {
@@ -181,11 +211,7 @@ fn skewed_texts(docs: usize) -> Vec<String> {
 /// Build a live index holding `texts` spread over `segments` sealed
 /// segments.
 fn segmented_live(texts: &[String], segments: usize) -> LiveIndex {
-    let live = LiveIndex::with_config(LiveConfig {
-        background_merge: false,
-        flush_threshold: usize::MAX,
-        ..LiveConfig::default()
-    });
+    let live = LiveIndex::with_config(manual());
     let per = texts.len().div_ceil(segments);
     for (i, t) in texts.iter().enumerate() {
         live.add_document(t);
@@ -199,8 +225,8 @@ fn segmented_live(texts: &[String], segments: usize) -> LiveIndex {
 
 /// The pruning invariant the global threshold buys: at 16 segments, the
 /// shared-heap run decodes strictly fewer entries than sixteen independent
-/// per-segment heaps (the pre-global baseline, still reachable through
-/// [`run_scored_top_k_filtered`]).
+/// per-segment heaps (the pre-global baseline, rebuilt here from the
+/// union primitives).
 #[test]
 fn global_heap_beats_per_segment_heaps_at_16_segments() {
     let texts = skewed_texts(2000);
@@ -208,43 +234,41 @@ fn global_heap_beats_per_segment_heaps_at_16_segments() {
     let snap = live.snapshot();
     assert_eq!(snap.num_segments(), 16);
     let stats = SnapshotStats::compute(&snap);
-    let tfidf = stats.tfidf_model(&["rare", "common"], &snap);
-    let registry = PredicateRegistry::with_builtins();
-    let query = parse("'rare' OR 'common'", Mode::Bool).expect("parses");
+    let tokens = ["rare", "common"];
+    let tfidf = stats.tfidf_model(&tokens, &snap);
 
-    let exec = SnapshotExecutor::new(&snap, &registry);
-    let global = exec
-        .run_top_k(
-            &query,
-            ScoredTopK { k: 10 },
-            &stats,
-            &ScoreModel::TfIdf(&tfidf),
-        )
-        .expect("global top-k runs");
+    let model = ScoreModel::TfIdf(&tfidf);
+    let global = top_k(&snap, &stats, "'rare' OR 'common'", 10, &model);
     assert_eq!(global.hits.len(), 10);
 
     // Baseline: each segment runs to its own exact top-10 with a fresh
-    // heap, exactly what run_top_k did before the global threshold.
-    let mut baseline = 0u64;
-    for (i, seg) in snap.segments().iter().enumerate() {
-        let out = run_scored_top_k_filtered(
-            &query,
-            seg.data().corpus(),
-            seg.data().index(),
-            stats.segment(i),
-            &ScoreModel::TfIdf(&tfidf),
-            ScoredTopK { k: 10 },
-            Some(seg.deletes()),
-        )
-        .expect("per-segment top-k runs");
-        baseline += out.counters.entries;
-    }
+    // heap, exactly what top-k did before the global threshold.
+    let baseline = per_segment_heaps(&snap, &stats, &tokens, &tfidf, 10).entries;
     assert!(
         global.counters.entries < baseline,
         "global heap decoded {} entries, per-segment heaps {}",
         global.counters.entries,
         baseline
     );
+}
+
+/// Summed counters of one independent TF-IDF top-k per segment, each with
+/// its own heap.
+fn per_segment_heaps(
+    snap: &Snapshot,
+    stats: &SnapshotStats,
+    tokens: &[&str],
+    tfidf: &ftsl_scoring::TfIdfModel,
+    k: usize,
+) -> ftsl_index::AccessCounters {
+    let mut summed = ftsl_index::AccessCounters::new();
+    for (i, seg) in snap.segments().iter().enumerate() {
+        let (corpus, index) = (seg.data().corpus(), seg.data().index());
+        let live = Some(seg.deletes());
+        let cursors = tfidf_union_cursors(tokens, corpus, index, stats.segment(i), tfidf, live);
+        summed += topk_union(cursors, UnionKind::Sum, k).counters;
+    }
+    summed
 }
 
 /// Whole-segment skipping on a graded-impact corpus: one segment holds the
@@ -269,13 +293,8 @@ fn low_impact_segments_are_skipped_whole() {
     assert_eq!(snap.num_segments(), 9);
     let stats = SnapshotStats::compute(&snap);
     let pra = stats.pra_model(&snap);
-    let registry = PredicateRegistry::with_builtins();
-    let query = parse("'peak'", Mode::Bool).expect("parses");
 
-    let exec = SnapshotExecutor::new(&snap, &registry);
-    let out = exec
-        .run_top_k(&query, ScoredTopK { k: 1 }, &stats, &ScoreModel::Pra(&pra))
-        .expect("top-k runs");
+    let out = top_k(&snap, &stats, "'peak'", 1, &ScoreModel::Pra(&pra));
     assert_eq!(out.hits[0].0, NodeId(0), "the tf=4 document wins");
     assert_eq!(
         out.counters.segments_skipped, 8,
@@ -297,31 +316,15 @@ fn counters_sum_exactly_across_segments_when_nothing_prunes() {
     let live = segmented_live(&texts, 4);
     let snap = live.snapshot();
     let stats = SnapshotStats::compute(&snap);
-    let tfidf = stats.tfidf_model(&["rare", "common"], &snap);
-    let registry = PredicateRegistry::with_builtins();
-    let query = parse("'rare' OR 'common'", Mode::Bool).expect("parses");
+    let tokens = ["rare", "common"];
+    let tfidf = stats.tfidf_model(&tokens, &snap);
     let k = texts.len(); // larger than any possible result set
 
-    let exec = SnapshotExecutor::new(&snap, &registry);
-    let global = exec
-        .run_top_k(&query, ScoredTopK { k }, &stats, &ScoreModel::TfIdf(&tfidf))
-        .expect("global top-k runs");
+    let model = ScoreModel::TfIdf(&tfidf);
+    let global = top_k(&snap, &stats, "'rare' OR 'common'", k, &model);
     assert_eq!(global.counters.segments_skipped, 0);
 
-    let mut summed = ftsl_index::AccessCounters::new();
-    for (i, seg) in snap.segments().iter().enumerate() {
-        let out = run_scored_top_k_filtered(
-            &query,
-            seg.data().corpus(),
-            seg.data().index(),
-            stats.segment(i),
-            &ScoreModel::TfIdf(&tfidf),
-            ScoredTopK { k },
-            Some(seg.deletes()),
-        )
-        .expect("per-segment top-k runs");
-        summed += out.counters;
-    }
+    let summed = per_segment_heaps(&snap, &stats, &tokens, &tfidf, k);
     assert_eq!(
         global.counters, summed,
         "unpruned global counters must be the per-segment sum"
@@ -330,16 +333,14 @@ fn counters_sum_exactly_across_segments_when_nothing_prunes() {
 
 #[test]
 fn stream_tree_handles_general_bool() {
-    let (corpus, index, stats) = skewed_env();
-    let registry = PredicateRegistry::with_builtins();
-    let pra = PraModel::new(&corpus, &stats);
-    let query = parse("('rare' AND 'common') OR NOT 'common'", Mode::Bool).expect("parses");
-    let oracle = run_bool_scored(&query, &corpus, &index, &stats, &pra).expect("oracle");
+    let (snap, stats) = skewed_env();
+    let (corpus, index) = only_segment(&snap);
+    let pra = stats.pra_model(&snap);
+    let text = "('rare' AND 'common') OR NOT 'common'";
+    let query = parse(text, Mode::Bool).expect("parses");
+    let oracle = run_bool_scored(&query, corpus, index, stats.segment(0), &pra).expect("oracle");
 
-    let exec = Executor::new(&corpus, &index, &registry);
-    let out = exec
-        .run_top_k(&query, ScoredTopK { k: 25 }, &stats, &ScoreModel::Pra(&pra))
-        .expect("scored top-k runs");
+    let out = top_k(&snap, &stats, text, 25, &ScoreModel::Pra(&pra));
     assert_eq!(out.path, ScoredPath::StreamTree);
     assert_eq!(out.hits.len(), 25);
     for ((gn, gs), (on, os)) in out.hits.iter().zip(&oracle) {

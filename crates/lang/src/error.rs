@@ -26,6 +26,12 @@ pub enum LangError {
         /// The offending construct.
         construct: String,
     },
+    /// The query nests deeper than [`crate::parser::MAX_NESTING`] levels
+    /// (parentheses, `NOT`, quantifiers, or a long `AND`/`OR` chain).
+    TooDeep {
+        /// The limit that was exceeded.
+        limit: usize,
+    },
     /// Semantic error (unknown predicate, unbound variable, arity, ...).
     Semantic(String),
 }
@@ -37,6 +43,9 @@ impl fmt::Display for LangError {
             LangError::Parse { at, msg } => write!(f, "parse error at token {at}: {msg}"),
             LangError::NotInLanguage { mode, construct } => {
                 write!(f, "{construct} is not part of the {mode} language")
+            }
+            LangError::TooDeep { limit } => {
+                write!(f, "query nests deeper than {limit} levels")
             }
             LangError::Semantic(msg) => write!(f, "semantic error: {msg}"),
         }

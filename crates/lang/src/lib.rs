@@ -28,7 +28,7 @@ pub use ast::{SurfaceQuery, TokenArg};
 pub use classify::{classify, LanguageClass};
 pub use error::LangError;
 pub use lower::lower;
-pub use parser::{parse, Mode};
+pub use parser::{parse, Mode, MAX_NESTING};
 pub use rewrite::{map_tokens, Thesaurus};
 
 use ftsl_calculus::CalcQuery;

@@ -17,6 +17,19 @@ use crate::ast::{SurfaceQuery, TokenArg};
 use crate::error::LangError;
 use crate::lexer::{lex, Tok};
 
+/// The deepest query the parser accepts: both its own recursion depth and
+/// the height of the tree it returns stay within this many levels, so
+/// every recursive pass downstream (classify, rewrite, lower, plan,
+/// evaluate, `Drop`) is bounded too; thesaurus expansion, which the
+/// engine's owner configures, adds one level per synonym on top. Query
+/// text is untrusted: without the limit, 100k nested parentheses — or a
+/// 100k-term `AND` chain, which nests just as deep once folded left —
+/// overflow the stack. `tests/hostile_nesting.rs` runs queries at the
+/// limit through every engine on a 2 MB thread (a serve worker's stack);
+/// the deepest pass, materialized COMP evaluation, then uses about half of
+/// it in an unoptimized build and a tenth in an optimized one.
+pub const MAX_NESTING: usize = 128;
+
 /// Which surface language to accept.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mode {
@@ -41,7 +54,13 @@ impl Mode {
 /// Parse `input` in the given language mode.
 pub fn parse(input: &str, mode: Mode) -> Result<SurfaceQuery, LangError> {
     let toks = lex(input)?;
-    let mut p = Parser { toks, pos: 0, mode };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        mode,
+        depth: 0,
+        height: 0,
+    };
     let q = p.parse_or()?;
     if p.pos != p.toks.len() {
         return Err(LangError::Parse {
@@ -56,6 +75,11 @@ struct Parser {
     toks: Vec<Tok>,
     pos: usize,
     mode: Mode,
+    /// Live `parse_unary` frames — every recursion cycle of the grammar
+    /// passes through it.
+    depth: usize,
+    /// Height of the tree the last `parse_*` call returned.
+    height: usize,
 }
 
 impl Parser {
@@ -88,32 +112,48 @@ impl Parser {
         }
     }
 
-    fn parse_or(&mut self) -> Result<SurfaceQuery, LangError> {
-        let mut left = self.parse_and()?;
-        while self.peek() == Some(&Tok::Or) {
-            self.bump();
-            let right = self.parse_and()?;
-            left = SurfaceQuery::Or(Box::new(left), Box::new(right));
+    /// One more tree level above a subtree of height `below`.
+    fn level_above(below: usize) -> Result<usize, LangError> {
+        if below >= MAX_NESTING {
+            return Err(LangError::TooDeep { limit: MAX_NESTING });
         }
+        Ok(below + 1)
+    }
+
+    /// `operand (op operand)*`, folded left-deep: every fold puts a level
+    /// above the taller side, so a long chain is as deep as it is long.
+    fn parse_chain(
+        &mut self,
+        op: &Tok,
+        operand: fn(&mut Self) -> Result<SurfaceQuery, LangError>,
+        node: fn(Box<SurfaceQuery>, Box<SurfaceQuery>) -> SurfaceQuery,
+    ) -> Result<SurfaceQuery, LangError> {
+        let mut left = operand(self)?;
+        let mut height = self.height;
+        while self.peek() == Some(op) {
+            self.bump();
+            let right = operand(self)?;
+            height = Self::level_above(height.max(self.height))?;
+            left = node(Box::new(left), Box::new(right));
+        }
+        self.height = height;
         Ok(left)
+    }
+
+    fn parse_or(&mut self) -> Result<SurfaceQuery, LangError> {
+        self.parse_chain(&Tok::Or, Self::parse_and, SurfaceQuery::Or)
     }
 
     fn parse_and(&mut self) -> Result<SurfaceQuery, LangError> {
-        let mut left = self.parse_unary()?;
-        while self.peek() == Some(&Tok::And) {
-            self.bump();
-            let right = self.parse_unary()?;
-            left = SurfaceQuery::And(Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.parse_chain(&Tok::And, Self::parse_unary, SurfaceQuery::And)
     }
 
     fn parse_unary(&mut self) -> Result<SurfaceQuery, LangError> {
-        match self.peek() {
+        self.depth = Self::level_above(self.depth)?;
+        let query = match self.peek() {
             Some(Tok::Not) => {
                 self.bump();
-                let inner = self.parse_unary()?;
-                Ok(SurfaceQuery::Not(Box::new(inner)))
+                SurfaceQuery::Not(Box::new(self.parse_nested()?))
             }
             Some(Tok::Some) => {
                 if self.mode != Mode::Comp {
@@ -121,8 +161,7 @@ impl Parser {
                 }
                 self.bump();
                 let var = self.parse_var()?;
-                let inner = self.parse_unary()?;
-                Ok(SurfaceQuery::Some(var, Box::new(inner)))
+                SurfaceQuery::Some(var, Box::new(self.parse_nested()?))
             }
             Some(Tok::Every) => {
                 if self.mode != Mode::Comp {
@@ -130,11 +169,20 @@ impl Parser {
                 }
                 self.bump();
                 let var = self.parse_var()?;
-                let inner = self.parse_unary()?;
-                Ok(SurfaceQuery::Every(var, Box::new(inner)))
+                SurfaceQuery::Every(var, Box::new(self.parse_nested()?))
             }
-            _ => self.parse_primary(),
-        }
+            _ => self.parse_primary()?,
+        };
+        self.depth -= 1;
+        Ok(query)
+    }
+
+    /// The operand of `NOT` / `SOME v` / `EVERY v`: one level below the
+    /// node being built.
+    fn parse_nested(&mut self) -> Result<SurfaceQuery, LangError> {
+        let inner = self.parse_unary()?;
+        self.height = Self::level_above(self.height)?;
+        Ok(inner)
     }
 
     fn parse_var(&mut self) -> Result<String, LangError> {
@@ -148,6 +196,8 @@ impl Parser {
     }
 
     fn parse_primary(&mut self) -> Result<SurfaceQuery, LangError> {
+        // A leaf, unless the parenthesized branch parses something taller.
+        self.height = 1;
         match self.bump() {
             Some(Tok::LParen) => {
                 let q = self.parse_or()?;

@@ -75,9 +75,9 @@ pub use proximity::closeness;
 pub use relation::{ScoredEvaluator, ScoredRelation};
 pub use stats::ScoreStats;
 pub use stream::{
-    pra_tree_bound, pra_union_cursors, run_bool_topk, run_bool_topk_filtered, run_bool_topk_into,
-    tfidf_union_cursors, topk_pra_disjunction, topk_pra_disjunction_filtered, topk_tfidf,
-    topk_tfidf_filtered, topk_union, topk_union_into, union_bound, ScoredHits, UnionKind,
+    pra_tree_bound, pra_union_cursors, run_bool_topk, run_bool_topk_into, tfidf_union_cursors,
+    topk_pra_disjunction, topk_tfidf, topk_union, topk_union_into, union_bound, ScoredHits,
+    UnionKind,
 };
 pub use tfidf::TfIdfModel;
 pub use topk::TopK;

@@ -33,7 +33,8 @@ use ftsl_lang::SurfaceQuery;
 use ftsl_model::{Corpus, NodeId};
 
 /// Wrap a leaf cursor in tombstone filtering when a delete set is present
-/// (live-index segments); a `None` set is the frozen-index fast path.
+/// and non-empty (a segment with deletions); the single-index primitives
+/// pass `None`.
 fn wrap_live<'a>(
     cur: Box<dyn ScoredCursor + 'a>,
     live: Option<&'a DeleteSet>,
@@ -635,35 +636,23 @@ pub fn run_bool_topk(
     model: &PraModel,
     k: usize,
 ) -> Result<ScoredHits, String> {
-    run_bool_topk_filtered(query, corpus, index, stats, model, k, None)
-}
-
-/// [`run_bool_topk`] over one live-index segment: tombstoned documents are
-/// filtered at the leaf cursors *and* at heap insertion (a `NOT` over a
-/// tombstoned node still surfaces it via the dense complement), so they can
-/// neither appear in the hits nor displace live candidates from the heap.
-pub fn run_bool_topk_filtered(
-    query: &SurfaceQuery,
-    corpus: &Corpus,
-    index: &InvertedIndex,
-    stats: &ScoreStats,
-    model: &PraModel,
-    k: usize,
-    live: Option<&DeleteSet>,
-) -> Result<ScoredHits, String> {
     let mut topk = TopK::new(k);
-    let counters = run_bool_topk_into(query, corpus, index, stats, model, live, &mut topk, None)?;
+    let counters = run_bool_topk_into(query, corpus, index, stats, model, None, &mut topk, None)?;
     Ok(ScoredHits {
         hits: topk.into_ranked(),
         counters,
     })
 }
 
-/// [`run_bool_topk_filtered`] draining into a caller-owned heap (see
-/// [`topk_union_into`] for the sharing contract): nodes enter under
-/// `globals[local]` when a remap is given. The stream is drained fully —
-/// tree scores have no per-entry upper bound to prune on — but a shared
-/// heap still concentrates the k best across segments in one place.
+/// [`run_bool_topk`] over one live-index segment, draining into a
+/// caller-owned heap (see [`topk_union_into`] for the sharing contract):
+/// nodes enter under `globals[local]` when a remap is given. Tombstoned
+/// documents are filtered at the leaf cursors *and* at heap insertion (a
+/// `NOT` over a tombstoned node still surfaces it via the dense
+/// complement), so they can neither appear in the hits nor displace live
+/// candidates. The stream is drained fully — tree scores have no per-entry
+/// upper bound to prune on — but a shared heap still concentrates the k
+/// best across segments in one place.
 #[allow(clippy::too_many_arguments)]
 pub fn run_bool_topk_into(
     query: &SurfaceQuery,
@@ -740,27 +729,14 @@ pub fn topk_tfidf<S: AsRef<str>>(
     model: &crate::TfIdfModel,
     k: usize,
 ) -> ScoredHits {
-    topk_tfidf_filtered(query_tokens, corpus, index, stats, model, k, None)
-}
-
-/// [`topk_tfidf`] over one live-index segment: every cursor steps over the
-/// segment's tombstoned entries, so deleted documents never reach the heap.
-pub fn topk_tfidf_filtered<S: AsRef<str>>(
-    query_tokens: &[S],
-    corpus: &Corpus,
-    index: &InvertedIndex,
-    stats: &ScoreStats,
-    model: &crate::TfIdfModel,
-    k: usize,
-    live: Option<&DeleteSet>,
-) -> ScoredHits {
-    let cursors = tfidf_union_cursors(query_tokens, corpus, index, stats, model, live);
+    let cursors = tfidf_union_cursors(query_tokens, corpus, index, stats, model, None);
     topk_union(cursors, UnionKind::Sum, k)
 }
 
-/// The tombstone-filtered scored cursors [`topk_tfidf_filtered`] unions —
-/// factored out so a multi-segment caller can build each segment's cursors
-/// (and read their [`union_bound`]) before deciding to evaluate it at all.
+/// The scored cursors [`topk_tfidf`] unions, stepping over the tombstones
+/// of `live` when given — factored out so a multi-segment caller can build
+/// each segment's cursors (and read their [`union_bound`]) before deciding
+/// to evaluate it at all.
 /// Token normalization (lowercase, sort, dedup) is deterministic, so every
 /// segment folds the same token order and scores stay bit-identical to the
 /// monolithic path.
@@ -799,26 +775,12 @@ pub fn topk_pra_disjunction<S: AsRef<str>>(
     model: &PraModel,
     k: usize,
 ) -> ScoredHits {
-    topk_pra_disjunction_filtered(query_tokens, corpus, index, stats, model, k, None)
-}
-
-/// [`topk_pra_disjunction`] over one live-index segment (see
-/// [`topk_tfidf_filtered`]).
-pub fn topk_pra_disjunction_filtered<S: AsRef<str>>(
-    query_tokens: &[S],
-    corpus: &Corpus,
-    index: &InvertedIndex,
-    stats: &ScoreStats,
-    model: &PraModel,
-    k: usize,
-    live: Option<&DeleteSet>,
-) -> ScoredHits {
-    let cursors = pra_union_cursors(query_tokens, corpus, index, stats, model, live);
+    let cursors = pra_union_cursors(query_tokens, corpus, index, stats, model, None);
     topk_union(cursors, UnionKind::ProbOr, k)
 }
 
-/// The tombstone-filtered scored cursors [`topk_pra_disjunction_filtered`]
-/// unions (tokens used exactly as given — PRA literals are not normalized),
+/// The scored cursors [`topk_pra_disjunction`] unions (tokens used exactly
+/// as given — PRA literals are not normalized), tombstone-filtered and
 /// factored out for multi-segment callers like [`tfidf_union_cursors`].
 pub fn pra_union_cursors<'a, S: AsRef<str>>(
     query_tokens: &[S],

@@ -1,11 +1,11 @@
-//! The serving front door: many queries in parallel over one live engine.
+//! The serving front door: many queries in parallel over one engine.
 //!
 //! Everything below is std-only plumbing around the read path the rest of
 //! the workspace already proved correct: a [`ServePool`] owns N worker
 //! threads, each holding its own reusable evaluation state
 //! ([`ftsl_exec::ExecScratch`] plus the thread-local cursor-scratch pool
 //! inside `ftsl-index`), all executing against point-in-time
-//! [`ftsl_index::Snapshot`]s of a shared [`ftsl_core::LiveFtsl`]. Writers
+//! [`ftsl_index::Snapshot`]s of a shared [`ftsl_core::Ftsl`]. Writers
 //! keep writing; readers never block them and never see a torn view.
 //!
 //! Results flow through a [`ResultCache`] keyed on `(normalized query,
@@ -22,11 +22,11 @@
 //! bytes, only snapshots.
 //!
 //! ```
-//! use ftsl_core::LiveFtsl;
+//! use ftsl_core::Ftsl;
 //! use ftsl_serve::{QueryRequest, ServeConfig, ServePoolExt};
 //! use std::sync::Arc;
 //!
-//! let engine = Arc::new(LiveFtsl::new());
+//! let engine = Arc::new(Ftsl::new());
 //! engine.add("usability of a software system");
 //! let pool = engine.serve_pool(ServeConfig {
 //!     workers: 2,
@@ -104,7 +104,7 @@ impl Answer {
 
     /// The span tree recorded during evaluation, when the engine ran with
     /// [`ftsl_exec::engine::ExecOptions::trace`] enabled (configure via
-    /// [`ftsl_core::LiveFtsl::with_options`]); slow-query log entries for
+    /// [`ftsl_core::Ftsl::with_options`]); slow-query log entries for
     /// such engines carry the full profile.
     pub fn trace(&self) -> Option<&ftsl_obs::Trace> {
         match self {

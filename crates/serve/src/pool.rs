@@ -16,7 +16,7 @@
 
 use crate::cache::ResultCache;
 use crate::{thread_allocs, Answer, CacheStats};
-use ftsl_core::{ExecScratch, FtslError, LiveFtsl, RankModel};
+use ftsl_core::{ExecScratch, Ftsl, FtslError, RankModel};
 use ftsl_index::scratch_pool_stats;
 use ftsl_obs::{Histogram, HistogramSnapshot, MetricValue, Registry, SlowEntry, SlowLog};
 use std::collections::VecDeque;
@@ -26,7 +26,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// What to run. The query text is COMP syntax (subsumes BOOL and DIST),
-/// exactly as [`LiveFtsl::search`] / [`LiveFtsl::search_top_k`] take it.
+/// exactly as [`Ftsl::search`] / [`Ftsl::search_top_k`] take it.
 #[derive(Clone, Debug, PartialEq)]
 pub enum QueryRequest {
     /// Engine-dispatched (unranked) evaluation.
@@ -44,7 +44,7 @@ pub enum QueryRequest {
         k: usize,
     },
     /// Proximity-ranked NEAR over the word-pair auxiliary index
-    /// ([`LiveFtsl::search_near_top_k`]).
+    /// ([`Ftsl::search_near_top_k`]).
     Near {
         /// First token.
         first: String,
@@ -286,14 +286,14 @@ impl Ticket {
 /// drive it directly on their own thread to measure the hot path without
 /// the queue and channel around it.
 pub struct ServeContext {
-    engine: Arc<LiveFtsl>,
+    engine: Arc<Ftsl>,
     cache: Arc<ResultCache>,
     scratch: ExecScratch,
 }
 
 impl ServeContext {
     /// A context over `engine` using `cache` for results.
-    pub fn new(engine: Arc<LiveFtsl>, cache: Arc<ResultCache>) -> Self {
+    pub fn new(engine: Arc<Ftsl>, cache: Arc<ResultCache>) -> Self {
         ServeContext {
             engine,
             cache,
@@ -349,7 +349,7 @@ impl ServeContext {
     }
 }
 
-/// The concurrent serving front door over one [`LiveFtsl`].
+/// The concurrent serving front door over one [`Ftsl`].
 ///
 /// Dropping the pool shuts it down: workers drain nothing further, wake,
 /// and are joined. In-flight tickets resolve with an error if their job
@@ -363,7 +363,7 @@ pub struct ServePool {
 
 impl ServePool {
     /// Spawn `config.workers` workers (at least one) over a shared engine.
-    pub fn new(engine: Arc<LiveFtsl>, config: ServeConfig) -> Self {
+    pub fn new(engine: Arc<Ftsl>, config: ServeConfig) -> Self {
         let workers = config.workers.max(1);
         let cache = Arc::new(ResultCache::new(config.cache_capacity));
         let slots: Vec<Arc<WorkerSlot>> = (0..workers).map(|_| Arc::default()).collect();
@@ -472,7 +472,7 @@ fn build_registry(
     shared: &Arc<Shared>,
     cache: &Arc<ResultCache>,
     slow: &Arc<SlowLog>,
-    engine: &Arc<LiveFtsl>,
+    engine: &Arc<Ftsl>,
 ) -> Registry {
     let registry = Registry::new();
     let sum_slot = |shared: &Arc<Shared>, f: fn(&WorkerSlot) -> &AtomicU64| {
@@ -738,7 +738,7 @@ fn slow_entry(req: &QueryRequest, micros: u64, result: &Reply) -> SlowEntry {
 }
 
 /// Entry point sugar: `engine.serve_pool(config)` on an
-/// `Arc<LiveFtsl>`. (The pool must share ownership of the engine with its
+/// `Arc<Ftsl>`. (The pool must share ownership of the engine with its
 /// workers, hence the `Arc` receiver; `ftsl-core` cannot define this
 /// inherently without depending on the serving layer.)
 pub trait ServePoolExt {
@@ -746,7 +746,7 @@ pub trait ServePoolExt {
     fn serve_pool(self: &Arc<Self>, config: ServeConfig) -> ServePool;
 }
 
-impl ServePoolExt for LiveFtsl {
+impl ServePoolExt for Ftsl {
     fn serve_pool(self: &Arc<Self>, config: ServeConfig) -> ServePool {
         ServePool::new(Arc::clone(self), config)
     }

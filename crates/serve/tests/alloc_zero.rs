@@ -7,7 +7,7 @@
 //!   buffers come from the thread-local scratch pool, so re-walking a
 //!   block list (including position decode) allocates nothing.
 
-use ftsl_core::{LiveConfig, LiveFtsl, RankModel};
+use ftsl_core::{Ftsl, LiveConfig, RankModel};
 use ftsl_index::scratch_pool_stats;
 use ftsl_obs::Histogram;
 use ftsl_serve::{thread_allocs, CountingAlloc, QueryRequest, ResultCache, ServeContext, SlowLog};
@@ -16,8 +16,8 @@ use std::sync::Arc;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-fn engine() -> Arc<LiveFtsl> {
-    let engine = LiveFtsl::with_config(LiveConfig {
+fn engine() -> Arc<Ftsl> {
+    let engine = Ftsl::with_config(LiveConfig {
         background_merge: false,
         ..LiveConfig::default()
     });

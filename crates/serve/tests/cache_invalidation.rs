@@ -1,12 +1,12 @@
 //! Result-cache correctness: version-keyed invalidation and exact
 //! counters under concurrent access.
 
-use ftsl_core::{LiveConfig, LiveFtsl, RankModel};
+use ftsl_core::{Ftsl, LiveConfig, RankModel};
 use ftsl_serve::{QueryRequest, ResultCache, ServeConfig, ServeContext, ServePoolExt};
 use std::sync::Arc;
 
-fn manual_engine() -> Arc<LiveFtsl> {
-    let engine = LiveFtsl::with_config(LiveConfig {
+fn manual_engine() -> Arc<Ftsl> {
+    let engine = Ftsl::with_config(LiveConfig {
         background_merge: false,
         ..LiveConfig::default()
     });
@@ -126,44 +126,61 @@ fn hit_and_miss_counters_are_exact_under_concurrent_access() {
     assert_eq!(stats.cache_hits(), stats.cache.hits, "worker view agrees");
 }
 
+/// An engine written to after start-up, and one sealed from texts and
+/// handed to the pool as is: pooled answers equal direct calls on both.
 #[test]
 fn pool_answers_match_direct_execution() {
-    let engine = manual_engine();
-    engine.add("software usability testing with efficient tools");
-    let pool = engine.serve_pool(ServeConfig {
-        workers: 3,
-        cache_capacity: 16,
-        ..ServeConfig::default()
-    });
-    for q in ["'software'", "'software' AND 'usability'", "'nothing'"] {
-        let direct = engine.search(q).unwrap();
-        let served = pool.execute(QueryRequest::search(q)).unwrap();
-        assert_eq!(
-            served.answer.as_search().unwrap().node_ids(),
-            direct.node_ids(),
-            "{q}"
-        );
-    }
-    for model in [RankModel::TfIdf, RankModel::Pra] {
-        let direct = engine
-            .search_top_k("'software' OR 'usability'", model, 2)
-            .unwrap();
-        let served = pool
-            .execute(QueryRequest::top_k("'software' OR 'usability'", model, 2))
-            .unwrap();
-        let hits = &served.answer.as_top_k().unwrap().hits;
-        assert_eq!(hits.len(), direct.hits.len());
-        for (a, b) in hits.iter().zip(&direct.hits) {
-            assert_eq!(a.0, b.0, "{model:?}");
-            assert_eq!(a.1.to_bits(), b.1.to_bits(), "{model:?} score bits");
+    let written = manual_engine();
+    written.add("software usability testing with efficient tools");
+    let sealed = Arc::new(Ftsl::from_texts(&[
+        "usability of a software system measures how well it works",
+        "an efficient algorithm for task completion",
+        "software usability testing with efficient tools",
+    ]));
+    for engine in [written, sealed] {
+        let pool = engine.serve_pool(ServeConfig {
+            workers: 3,
+            cache_capacity: 16,
+            ..ServeConfig::default()
+        });
+        for q in ["'software'", "'software' AND 'usability'", "'nothing'"] {
+            let direct = engine.search(q).unwrap();
+            let served = pool.execute(QueryRequest::search(q)).unwrap();
+            assert_eq!(
+                served.answer.as_search().unwrap().node_ids(),
+                direct.node_ids(),
+                "{q}"
+            );
         }
+        let same_hits = |served: &[(ftsl_model::NodeId, f64)],
+                         direct: &[(ftsl_model::NodeId, f64)]| {
+            assert_eq!(served.len(), direct.len());
+            for (a, b) in served.iter().zip(direct) {
+                assert_eq!((a.0, a.1.to_bits()), (b.0, b.1.to_bits()));
+            }
+        };
+        for model in [RankModel::TfIdf, RankModel::Pra] {
+            let direct = engine
+                .search_top_k("'software' OR 'usability'", model, 2)
+                .unwrap();
+            let served = pool
+                .execute(QueryRequest::top_k("'software' OR 'usability'", model, 2))
+                .unwrap();
+            same_hits(&served.answer.as_top_k().unwrap().hits, &direct.hits);
+        }
+        let direct = engine.search_near_top_k("software", "usability", 4, false, 5);
+        assert!(!direct.hits.is_empty());
+        let served = pool
+            .execute(QueryRequest::near("software", "usability", 4, false, 5))
+            .unwrap();
+        same_hits(&served.answer.as_near().unwrap().hits, &direct.hits);
+        // Errors come back to the requester and are never cached.
+        let bad = QueryRequest::search("'unterminated");
+        assert!(pool.execute(bad.clone()).is_err());
+        assert!(pool.execute(bad).is_err());
+        let stats = pool.stats();
+        assert_eq!(stats.cache.entries as u64, stats.cache.insertions);
     }
-    // Errors come back to the requester and are never cached.
-    let bad = QueryRequest::search("'unterminated");
-    assert!(pool.execute(bad.clone()).is_err());
-    assert!(pool.execute(bad).is_err());
-    let stats = pool.stats();
-    assert_eq!(stats.cache.entries as u64, stats.cache.insertions);
 }
 
 #[test]

@@ -2,13 +2,13 @@
 //! `CacheStats` must agree exactly once the pool is quiescent, and the
 //! slow-query log must capture exactly the requests over threshold.
 
-use ftsl_core::{LiveConfig, LiveFtsl, RankModel};
+use ftsl_core::{Ftsl, LiveConfig, RankModel};
 use ftsl_exec::engine::ExecOptions;
 use ftsl_serve::{MetricValue, QueryRequest, ServeConfig, ServePoolExt};
 use std::sync::Arc;
 
-fn engine_with(options: Option<ExecOptions>) -> Arc<LiveFtsl> {
-    let mut engine = LiveFtsl::with_config(LiveConfig {
+fn engine_with(options: Option<ExecOptions>) -> Arc<Ftsl> {
+    let mut engine = Ftsl::with_config(LiveConfig {
         background_merge: false,
         ..LiveConfig::default()
     });

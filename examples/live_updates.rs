@@ -5,14 +5,14 @@
 //! cargo run --example live_updates
 //! ```
 
-use ftsl::core::{LiveConfig, LiveFtsl, RankModel};
+use ftsl::core::{Ftsl, LiveConfig, RankModel};
 use ftsl::index::{manifest, LiveIndex};
 use ftsl::model::NodeId;
 
 fn main() {
     // A live engine: writes buffer in memory, flushes seal them into
     // immutable segments, deletes tombstone, a background thread compacts.
-    let engine = LiveFtsl::with_config(LiveConfig {
+    let engine = Ftsl::with_config(LiveConfig {
         flush_threshold: 4, // tiny, so this demo produces several segments
         ..LiveConfig::default()
     });

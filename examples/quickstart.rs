@@ -17,8 +17,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "completion of the task was efficient. the software helped",
     ]);
 
-    println!("indexed {} documents", engine.corpus().len());
-    let stats = engine.index().stats();
+    let snapshot = engine.snapshot();
+    println!("indexed {} documents", snapshot.live_doc_count());
+    // The texts above were sealed as the engine's first segment.
+    let stats = snapshot.segments()[0].data().index().stats();
     println!(
         "index: vocabulary={} entries_per_token<={} pos_per_entry<={}\n",
         stats.vocabulary, stats.entries_per_token, stats.pos_per_entry

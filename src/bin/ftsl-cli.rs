@@ -1,14 +1,14 @@
 //! `ftsl-cli` — a small command-line search shell over the library.
 //!
 //! ```text
-//! ftsl-cli [--analyzed] [--live] [<file>...]
+//! ftsl-cli [--analyzed] [<file>...]
 //! ```
 //!
-//! Each file is indexed as one context node. `--live` starts the
-//! **live engine** instead of a frozen index: documents can be added and
-//! deleted at any time (`:add`, `:delete`), the write buffer can be sealed
-//! (`:flush`), segments compacted (`:merge`), and `:stats` reports the
-//! per-segment footprint, live-document ratio, and tombstone counts.
+//! Each file is indexed as one context node of segment 0; with no files the
+//! engine starts empty. Documents can be added and deleted at any time
+//! (`:add`, `:delete`), the write buffer can be sealed (`:flush`), segments
+//! compacted (`:merge`), and `:stats` reports the per-segment footprint,
+//! live-document ratio, and tombstone counts.
 //!
 //! Then type queries (BOOL/DIST/COMP syntax) on stdin, one per line.
 //! Commands: `:explain <query>` (an `EXPLAIN ANALYZE` profile — the span
@@ -16,8 +16,7 @@
 //! vs position-intersection attribution), `:rank <query>`,
 //! `:top <k> <query>`, `:near <k> <bound> <a> <b>` (proximity-ranked NEAR
 //! via the word-pair auxiliary index; `:stats` shows pair coverage and how
-//! many postings came off pair lists), `:stats`, `:quit`, and in live mode
-//! `:add <text>`,
+//! many postings came off pair lists), `:stats`, `:quit`, `:add <text>`,
 //! `:delete <node>`, `:flush`, `:merge`, plus the serving front door:
 //! `:serve <n>` starts (or resizes) a worker pool with a shared result
 //! cache — plain queries and `:top` then go through it — `:serve 0`
@@ -29,7 +28,7 @@
 //! slow-query log entries (`:slow-threshold <µs>` adjusts the cutoff at
 //! runtime; 0 disables capture).
 
-use ftsl_core::{Ftsl, LiveConfig, LiveFtsl, RankModel};
+use ftsl_core::{Ftsl, RankModel};
 use ftsl_index::AccessCounters;
 use ftsl_model::analysis::AnalysisConfig;
 use ftsl_model::NodeId;
@@ -40,23 +39,16 @@ use std::time::Instant;
 
 fn main() {
     let mut analyzed = false;
-    let mut live = false;
     let mut files = Vec::new();
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--analyzed" => analyzed = true,
-            "--live" => live = true,
             "--help" | "-h" => {
-                eprintln!("usage: ftsl-cli [--analyzed] [--live] [<file>...]");
+                eprintln!("usage: ftsl-cli [--analyzed] [<file>...]");
                 return;
             }
             path => files.push(path.to_string()),
         }
-    }
-    if files.is_empty() && !live {
-        eprintln!("usage: ftsl-cli [--analyzed] [--live] [<file>...]");
-        eprintln!("(a frozen index needs at least one file; --live may start empty)");
-        std::process::exit(2);
     }
     let mut texts = Vec::new();
     let mut names = Vec::new();
@@ -72,11 +64,28 @@ fn main() {
         }
     }
 
-    if live {
-        run_live(&texts, names, analyzed);
+    let engine = Arc::new(if analyzed {
+        Ftsl::from_texts_analyzed(&texts, AnalysisConfig::english())
     } else {
-        run_frozen(&texts, names, analyzed);
-    }
+        Ftsl::from_texts(&texts)
+    });
+    eprintln!(
+        "{} seeded documents, background merge on (:help for commands)",
+        texts.len()
+    );
+    let mut stdout = std::io::stdout();
+    let mut last_counters: Option<AccessCounters> = None;
+    let mut pool: Option<ServePool> = None;
+    repl(|input| {
+        dispatch(
+            &engine,
+            input,
+            &names,
+            &mut stdout,
+            &mut last_counters,
+            &mut pool,
+        )
+    });
 }
 
 /// Read stdin lines and hand them to `handle` until EOF or `:quit`.
@@ -105,52 +114,8 @@ fn repl(mut handle: impl FnMut(&str) -> Result<(), Box<dyn std::error::Error>>) 
     }
 }
 
-fn run_frozen(texts: &[String], names: Vec<String>, analyzed: bool) {
-    let engine = if analyzed {
-        Ftsl::from_texts_analyzed(texts, AnalysisConfig::english())
-    } else {
-        Ftsl::from_texts(texts)
-    };
-    let stats = engine.index().stats();
-    eprintln!(
-        "indexed {} documents ({} terms, {} max positions/node)",
-        engine.corpus().len(),
-        stats.vocabulary,
-        stats.pos_per_cnode
-    );
-    eprintln!("enter queries (:help for commands)");
-    let mut stdout = std::io::stdout();
-    let mut last_counters: Option<AccessCounters> = None;
-    repl(|input| dispatch(&engine, input, &names, &mut stdout, &mut last_counters));
-}
-
-fn run_live(texts: &[String], names: Vec<String>, analyzed: bool) {
-    let engine = Arc::new(if analyzed {
-        LiveFtsl::from_texts_analyzed(texts, AnalysisConfig::english(), LiveConfig::default())
-    } else {
-        LiveFtsl::from_texts_with(texts, LiveConfig::default())
-    });
-    eprintln!(
-        "live engine: {} seeded documents, background merge on (:help for commands)",
-        texts.len()
-    );
-    let mut stdout = std::io::stdout();
-    let mut last_counters: Option<AccessCounters> = None;
-    let mut pool: Option<ServePool> = None;
-    repl(|input| {
-        dispatch_live(
-            &engine,
-            input,
-            &names,
-            &mut stdout,
-            &mut last_counters,
-            &mut pool,
-        )
-    });
-}
-
 /// Display handle for a global node id: the seeding file name while the id
-/// falls in the seeded range, `node N` for documents added live.
+/// falls in the seeded range, `node N` for documents added later.
 fn node_name(names: &[String], node: NodeId) -> String {
     names
         .get(node.index())
@@ -177,27 +142,6 @@ fn print_last_counters(
         ),
         None => writeln!(out, "last query: none yet"),
     }
-}
-
-/// One `pair index:` stats line for a segment's (or the frozen) index.
-fn print_pair_stats(
-    out: &mut impl Write,
-    index: &ftsl_index::InvertedIndex,
-) -> std::io::Result<()> {
-    let p = index.pairs();
-    let cfg = p.config();
-    if cfg.window == 0 {
-        return writeln!(out, "pair index: disabled");
-    }
-    writeln!(
-        out,
-        "pair index: {} keys, {} entries, window {}, df cutoff {}, {}B",
-        p.num_keys(),
-        p.num_entries(),
-        cfg.window,
-        cfg.df_cutoff,
-        p.resident_bytes()
-    )
 }
 
 /// `:slow [n]` — the most recent slow-query log entries (newest first),
@@ -248,8 +192,7 @@ fn print_slow_log(
     Ok(())
 }
 
-/// `:near <k> <bound> <first> <second>` argument parsing (shared by the
-/// frozen and live shells).
+/// `:near <k> <bound> <first> <second>` argument parsing.
 fn parse_near(rest: &str) -> Result<(usize, u32, &str, &str), Box<dyn std::error::Error>> {
     let mut it = rest.split_whitespace();
     let usage = ":near needs <k> <bound> <first> <second>";
@@ -278,95 +221,7 @@ fn print_near(
 }
 
 fn dispatch(
-    engine: &Ftsl,
-    input: &str,
-    names: &[String],
-    out: &mut impl Write,
-    last_counters: &mut Option<AccessCounters>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    if input == ":quit" {
-        return Ok(());
-    }
-    if input == ":help" {
-        writeln!(
-            out,
-            ":explain <q> | :rank <q> | :top <k> <q> | :near <k> <bound> <a> <b> | \
-             :stats | :quit"
-        )?;
-        return Ok(());
-    }
-    if input == ":stats" {
-        let s = engine.index().stats();
-        writeln!(
-            out,
-            "cnodes={} vocabulary={} pos_per_cnode={} entries_per_token={} pos_per_entry={}",
-            s.cnodes, s.vocabulary, s.pos_per_cnode, s.entries_per_token, s.pos_per_entry
-        )?;
-        writeln!(out, "memory: {}", engine.index().memory_footprint())?;
-        print_pair_stats(out, engine.index())?;
-        print_last_counters(out, last_counters)?;
-        return Ok(());
-    }
-    if let Some(rest) = input.strip_prefix(":near ") {
-        let (k, bound, first, second) = parse_near(rest)?;
-        let ranked = engine.search_near_top_k(first, second, bound, false, k);
-        *last_counters = Some(ranked.counters);
-        print_near(out, names, &ranked)?;
-        return Ok(());
-    }
-    if let Some(q) = input.strip_prefix(":explain ") {
-        writeln!(out, "{}", engine.explain_analyze(q)?)?;
-        return Ok(());
-    }
-    if let Some(q) = input.strip_prefix(":rank ") {
-        let ranked = engine.search_ranked(q, RankModel::TfIdf)?;
-        // Exhaustive ranking reports no counters; clear the stale ones so
-        // `:stats` never misattributes an older query's numbers.
-        *last_counters = None;
-        for (node, score) in &ranked.hits {
-            writeln!(out, "{score:.5}  {}", node_name(names, *node))?;
-        }
-        return Ok(());
-    }
-    if let Some(rest) = input.strip_prefix(":top ") {
-        let (k, q) = rest.split_once(' ').ok_or(":top needs <k> <query>")?;
-        let k: usize = k.parse()?;
-        let ranked = engine.search_top_k(q, RankModel::TfIdf, k)?;
-        // None on the exhaustive fallback path — recorded either way so
-        // `:stats` reflects *this* query, not an older one.
-        *last_counters = ranked.counters;
-        for (node, score) in &ranked.hits {
-            writeln!(out, "{score:.5}  {}", node_name(names, *node))?;
-        }
-        if let Some(c) = ranked.counters {
-            writeln!(
-                out,
-                "[streamed: {} entries decoded, {} entries / {} blocks pruned, \
-                 {} segments skipped]",
-                c.entries, c.skipped, c.blocks_skipped, c.segments_skipped
-            )?;
-        }
-        return Ok(());
-    }
-    let results = engine.search(input)?;
-    *last_counters = Some(results.counters);
-    writeln!(
-        out,
-        "{} hit(s) [{} engine, {} class, {} entries read, {} positions decoded]",
-        results.len(),
-        results.engine,
-        results.class,
-        results.counters.entries,
-        results.counters.positions_decoded
-    )?;
-    for node in &results.nodes {
-        writeln!(out, "  {}", node_name(names, *node))?;
-    }
-    Ok(())
-}
-
-fn dispatch_live(
-    engine: &Arc<LiveFtsl>,
+    engine: &Arc<Ftsl>,
     input: &str,
     names: &[String],
     out: &mut impl Write,
@@ -696,7 +551,7 @@ fn dispatch_live(
 /// per-request timings. (The full configurable harness is the
 /// `load_serve` bench in `ftsl-bench`; this is its interactive sibling.)
 fn bench_load(
-    engine: &Arc<LiveFtsl>,
+    engine: &Arc<Ftsl>,
     pool: &ServePool,
     requests: usize,
     out: &mut impl Write,

@@ -1,0 +1,169 @@
+//! Query text is untrusted: nesting that would overflow the stack must
+//! come back as an `Err`, never as a dead process or a dead serve worker.
+//!
+//! Everything here runs on a 2 MB thread — the stack a `ServePool` worker
+//! gets — so the test that accepts a query just under
+//! [`MAX_NESTING`] is the proof that the constant is safe for every
+//! recursive pass between the parser and the engines.
+
+use ftsl::core::{Ftsl, FtslError, RankModel};
+use ftsl::exec::engine::EngineKind;
+use ftsl::lang::{classify, lower, parse, LangError, Mode, MAX_NESTING};
+use ftsl::predicates::PredicateRegistry;
+use ftsl::serve::{QueryRequest, ServeConfig, ServePoolExt};
+use std::sync::Arc;
+
+const WORKER_STACK: usize = 2 * 1024 * 1024;
+
+fn on_worker_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .stack_size(WORKER_STACK)
+            .spawn_scoped(scope, f)
+            .expect("spawn")
+            .join()
+            .expect("the thread must not die")
+    })
+}
+
+fn parens(n: usize) -> String {
+    format!("{}'a'{}", "(".repeat(n), ")".repeat(n))
+}
+
+fn nots(n: usize) -> String {
+    format!("{}'a'", "NOT ".repeat(n))
+}
+
+fn somes(n: usize) -> String {
+    format!("{}p HAS 'a'", "SOME p ".repeat(n))
+}
+
+fn and_chain(terms: usize) -> String {
+    vec!["'a'"; terms].join(" AND ")
+}
+
+/// The four shapes of the issue, 100k deep each.
+fn hostile() -> [String; 4] {
+    let n = 100_000;
+    [parens(n), nots(n), somes(n), and_chain(n)]
+}
+
+fn engine() -> Ftsl {
+    Ftsl::from_texts(&["a b", "b c", "a"])
+}
+
+#[test]
+fn hostile_nesting_is_a_parse_error() {
+    on_worker_stack(|| {
+        for query in hostile() {
+            assert_eq!(
+                parse(&query, Mode::Comp),
+                Err(LangError::TooDeep { limit: MAX_NESTING }),
+                "{}…",
+                &query[..24]
+            );
+        }
+    });
+}
+
+#[test]
+fn search_returns_err_instead_of_overflowing() {
+    let e = engine();
+    on_worker_stack(|| {
+        for query in hostile() {
+            match e.search(&query) {
+                Err(FtslError::Lang(msg)) => assert!(msg.contains("nests deeper"), "{msg}"),
+                other => panic!("{}… gave {other:?}", &query[..24]),
+            }
+            assert!(e.search_top_k(&query, RankModel::Pra, 3).is_err());
+            assert!(e.explain_analyze(&query).is_err());
+        }
+    });
+}
+
+#[test]
+fn a_pool_worker_survives_hostile_requests() {
+    let pool = Arc::new(engine()).serve_pool(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    for query in hostile() {
+        let err = pool
+            .execute(QueryRequest::search(&query))
+            .expect_err("too deep");
+        assert!(err.to_string().contains("nests deeper"), "{err}");
+        // The one worker is still there for the next request.
+        let served = pool.execute(QueryRequest::search("'a'")).expect("served");
+        assert_eq!(served.answer.as_search().unwrap().node_ids(), vec![0, 2]);
+    }
+    assert_eq!(pool.stats().served(), 8);
+}
+
+#[test]
+fn the_limit_is_exact() {
+    for (at_limit, over) in [
+        (parens(MAX_NESTING - 1), parens(MAX_NESTING)),
+        (nots(MAX_NESTING - 1), nots(MAX_NESTING)),
+        (somes(MAX_NESTING - 1), somes(MAX_NESTING)),
+        (and_chain(MAX_NESTING), and_chain(MAX_NESTING + 1)),
+    ] {
+        assert!(parse(&at_limit, Mode::Comp).is_ok(), "{}…", &at_limit[..24]);
+        assert_eq!(
+            parse(&over, Mode::Comp),
+            Err(LangError::TooDeep { limit: MAX_NESTING })
+        );
+    }
+    // Height, not chain length, is what is bounded: half-length chains
+    // nested in each other's leftmost operand are as deep as one long one.
+    let half = and_chain(MAX_NESTING / 2);
+    let nested = format!("({half}) AND {half} AND 'a'");
+    assert!(matches!(
+        parse(&nested, Mode::Comp),
+        Err(LangError::TooDeep { .. })
+    ));
+    // ...and grouping keeps a query with more terms than the limit shallow.
+    let group = format!("({})", and_chain(MAX_NESTING / 2));
+    let grouped = vec![group; MAX_NESTING / 2].join(" OR ");
+    assert!(parse(&grouped, Mode::Comp).is_ok());
+}
+
+/// The proof that `MAX_NESTING` is small enough: the deepest accepted
+/// queries go through every recursive pass — parse, classify, rewrite,
+/// lower, plan, each engine, ranking, tracing, `Drop` — on a worker-sized
+/// stack.
+#[test]
+fn queries_at_the_limit_run_on_a_worker_stack() {
+    let e = engine();
+    let registry = PredicateRegistry::with_builtins();
+    on_worker_stack(|| {
+        for query in [
+            and_chain(MAX_NESTING),
+            nots(MAX_NESTING - 1),
+            parens(MAX_NESTING - 1),
+        ] {
+            let surface = parse(&query, Mode::Comp).expect("parses");
+            classify(&surface, &registry);
+            lower(&surface, &registry).expect("lowers");
+            let hits = e.search(&query).expect("evaluates");
+            let comp = e.search_with(&query, Mode::Comp, EngineKind::Comp);
+            assert_eq!(comp.expect("materializes").nodes, hits.nodes);
+            // The streaming planner recurses too; it refuses bare `NOT`.
+            if let Ok(npred) = e.search_with(&query, Mode::Comp, EngineKind::Npred) {
+                assert_eq!(npred.nodes, hits.nodes);
+            }
+            for model in [RankModel::TfIdf, RankModel::Pra] {
+                e.search_ranked(&query, model).expect("ranks");
+                e.search_top_k(&query, model, 2).expect("ranks");
+            }
+            e.explain(&query).expect("explains");
+            e.explain_analyze(&query).expect("profiles");
+        }
+        // Nested quantifiers lower to nested projections; evaluating a
+        // hundred of them is a different kind of cost, so stop after
+        // planning.
+        let surface = parse(&somes(MAX_NESTING - 1), Mode::Comp).expect("parses");
+        classify(&surface, &registry);
+        lower(&surface, &registry).expect("lowers");
+        e.explain(&somes(MAX_NESTING - 1)).expect("explains");
+    });
+}

@@ -4,7 +4,7 @@
 //! query was answered by the word-pair auxiliary index or fell back to
 //! position intersection.
 
-use ftsl::core::{Ftsl, LiveFtsl};
+use ftsl::core::Ftsl;
 use ftsl::exec::engine::ExecOptions;
 
 fn corpus() -> Vec<&'static str> {
@@ -29,8 +29,9 @@ fn explain_analyze_profiles_a_proximity_query_on_the_pair_path() {
     assert!(text.contains("language class: PPRED"), "{text}");
     assert!(text.contains("engine: PPRED"), "{text}");
     assert!(text.contains("hits:"), "{text}");
-    // The span tree: parse, execute, engine stages, each with wall time.
-    for span in ["parse+rewrite", "execute", "engine PPRED"] {
+    // The span tree: parse, execute, the one sealed segment, engine
+    // stages, each with wall time.
+    for span in ["parse+rewrite", "execute", "segment 0", "engine PPRED"] {
         assert!(text.contains(span), "missing span {span} in:\n{text}");
     }
     assert!(text.contains("µs"), "spans carry wall time:\n{text}");
@@ -45,7 +46,7 @@ fn explain_analyze_profiles_a_proximity_query_on_the_pair_path() {
         "pair-list walk reports pair_entries:\n{text}"
     );
     // Memory footprint trailer, in the single compressed form.
-    assert!(text.contains("index: compressed="), "{text}");
+    assert!(text.contains("segment 0: compressed="), "{text}");
 }
 
 #[test]
@@ -82,8 +83,8 @@ fn explain_analyze_attributes_disabled_pair_rewrite() {
 }
 
 #[test]
-fn explain_analyze_on_a_live_engine_shows_segments() {
-    let engine = LiveFtsl::new();
+fn explain_analyze_after_writes_shows_every_segment() {
+    let engine = Ftsl::new();
     for t in corpus() {
         engine.add(t);
     }
@@ -92,10 +93,9 @@ fn explain_analyze_on_a_live_engine_shows_segments() {
     let text = engine.explain_analyze("'kernel' AND 'scheduler'").unwrap();
     assert!(text.contains("snapshot: version"), "{text}");
     assert!(text.contains("segment(s)"), "{text}");
-    assert!(
-        text.contains("segment 0:"),
-        "per-segment footprint:\n{text}"
-    );
+    for segment in ["segment 0:", "segment 1:"] {
+        assert!(text.contains(segment), "per-segment footprint:\n{text}");
+    }
     assert!(text.contains("engine BOOL"), "{text}");
 }
 
@@ -111,6 +111,7 @@ fn traces_are_absent_by_default_and_present_on_request() {
     });
     let traced = traced_engine.search("'kernel'").unwrap();
     let trace = traced.trace.expect("trace requested");
+    assert!(trace.find("segment 0").is_some(), "{}", trace.render());
     let engine_span = trace.find("engine BOOL").expect("engine span");
     assert!(
         engine_span.attr("entries").unwrap_or(0) > 0,
