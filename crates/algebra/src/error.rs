@@ -1,5 +1,6 @@
 //! Algebra errors.
 
+use ftsl_model::NodeId;
 use std::fmt;
 
 /// Errors raised while checking or evaluating algebra expressions.
@@ -25,6 +26,16 @@ pub enum AlgebraError {
     BadPredicateApplication(String),
     /// A predicate id was not found in the registry.
     UnknownPredicate(u32),
+    /// One node's relation would exceed
+    /// [`crate::eval::MAX_NODE_TUPLES`]; refused before allocating.
+    BudgetExceeded {
+        /// The context node being evaluated (segment-local id).
+        node: NodeId,
+        /// Rows the operator would have built for that node (saturating).
+        tuples: u64,
+        /// The per-node cap.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for AlgebraError {
@@ -38,6 +49,14 @@ impl fmt::Display for AlgebraError {
             }
             AlgebraError::BadPredicateApplication(msg) => write!(f, "{msg}"),
             AlgebraError::UnknownPredicate(id) => write!(f, "unknown predicate id {id}"),
+            AlgebraError::BudgetExceeded {
+                node,
+                tuples,
+                limit,
+            } => write!(
+                f,
+                "node {node} would materialize {tuples} tuples, over the per-node budget of {limit}"
+            ),
         }
     }
 }

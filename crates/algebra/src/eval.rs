@@ -1,26 +1,63 @@
-//! The materialized algebra evaluator (the COMP engine's backend,
+//! The node-at-a-time algebra evaluator (the COMP engine's backend,
 //! Section 5.4).
 //!
-//! Evaluates bottom-up, fully materializing every intermediate full-text
-//! relation — per-node cartesian products and all. This realizes the paper's
-//! `O(cnodes × pos_per_cnode^toks_Q × (preds_Q + ops_Q + 1))` bound, and the
-//! tuple counter lets benchmarks verify that growth directly.
+//! Every FTA operator is node-local — `⋈` matches on `CNode` equality, and
+//! `σ`, `π` and the set operators never cross nodes — so the evaluator runs
+//! the [`AlgExpr`] tree one context node at a time. Each leaf (`R_token`,
+//! `HasPos`) owns a [`BlockCursor`], and candidate nodes are found
+//! recursively: `⋈` and `∩` leapfrog their children with `seek`, `∪` takes
+//! the smaller of its children's, `σ`, `π` and `−` follow their left (or
+//! only) child, and `SearchContext` walks every node id. A node that some
+//! joined leaf lacks is never materialized.
+//!
+//! At each candidate the tree is evaluated into per-operator `NodeRows`
+//! buffers reused from node to node, and only the root's rows are appended
+//! to the answer. Each node's relations hold exactly the rows the
+//! whole-segment relations would hold for it, so the bound is the paper's
+//! `O(cnodes × pos_per_cnode^toks_Q × (preds_Q + ops_Q + 1))` and the tuple
+//! counter still measures that growth; memory is one node's tuples, capped
+//! per operator by [`MAX_NODE_TUPLES`].
 
 use crate::error::AlgebraError;
 use crate::expr::AlgExpr;
-use crate::relation::FtRelation;
-use ftsl_index::{AccessCounters, IndexLayout, InvertedIndex};
-use ftsl_model::{Corpus, TokenId};
-use ftsl_predicates::PredicateRegistry;
+use crate::relation::{FtRelation, NodeRows};
+use ftsl_index::{AccessCounters, BlockCursor, IndexLayout, InvertedIndex};
+use ftsl_model::{Corpus, NodeId};
+use ftsl_predicates::{Predicate, PredicateRegistry};
 
-/// Evaluator for [`AlgExpr`] against a corpus + index. Leaf relations are
-/// materialized by streaming the compressed lists entry by entry at the
-/// cursor.
+/// Most rows one operator may build for one context node. Checked from the
+/// input sizes before a per-node join — which is also how the calculus
+/// translation's `HasPos^k` padding is built — allocates; a query that
+/// would exceed it fails with [`AlgebraError::BudgetExceeded`].
+///
+/// 2²⁰ ≈ 1.05 M rows is 8× the largest per-node relation any measured
+/// sweep builds (`crates/bench`'s `figures` Figure 8 at medium scale: 50
+/// occurrences, `toks_Q` = 3, 125 000 rows), 100× `class_ladder`'s `t4`
+/// (10⁴) and far above every test suite's; at 12 bytes a position an
+/// arity-8 buffer at the cap is ≈ 100 MB, so no query can exhaust memory.
+pub const MAX_NODE_TUPLES: u64 = 1 << 20;
+
+/// What the node-at-a-time walk did, accumulated across evaluations.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct NodeStats {
+    /// Candidate nodes the expression was evaluated at.
+    pub nodes_evaluated: u64,
+    /// Leaf entries (one node each) that a `seek` moved past — landed on
+    /// or stepped over — without materializing them.
+    pub nodes_skipped: u64,
+    /// Most rows held at once: the largest single node's tuples, summed
+    /// over every operator's buffer.
+    pub peak_node_tuples: u64,
+}
+
+/// Evaluator for [`AlgExpr`] against a corpus + index, one context node at
+/// a time over the compressed lists.
 pub struct AlgebraEvaluator<'a> {
     corpus: &'a Corpus,
     index: &'a InvertedIndex,
     registry: &'a PredicateRegistry,
     counters: AccessCounters,
+    stats: NodeStats,
 }
 
 impl<'a> AlgebraEvaluator<'a> {
@@ -35,6 +72,7 @@ impl<'a> AlgebraEvaluator<'a> {
             index,
             registry,
             counters: AccessCounters::new(),
+            stats: NodeStats::default(),
         }
     }
 
@@ -55,31 +93,109 @@ impl<'a> AlgebraEvaluator<'a> {
         self.counters
     }
 
-    /// Evaluate an expression to a materialized relation.
-    pub fn eval(&mut self, expr: &AlgExpr) -> Result<FtRelation, AlgebraError> {
-        expr.arity(self.registry)?;
-        Ok(self.eval_unchecked(expr))
+    /// Node-walk statistics accumulated across evaluations.
+    pub fn node_stats(&self) -> NodeStats {
+        self.stats
     }
 
-    fn eval_unchecked(&mut self, expr: &AlgExpr) -> FtRelation {
-        let rel = match expr {
-            AlgExpr::SearchContext => {
-                let mut r = FtRelation::new(0);
-                for n in self.corpus.node_ids() {
-                    r.push(n, &[]);
-                }
-                r
+    /// Evaluate an expression to a materialized relation.
+    pub fn eval(&mut self, expr: &AlgExpr) -> Result<FtRelation, AlgebraError> {
+        let arity = expr.arity(self.registry)?;
+        let mut plan = Plan {
+            ops: Vec::new(),
+            landing: Vec::new(),
+            rows: Vec::new(),
+            leaves: Vec::new(),
+            node_count: self.corpus.len() as u32,
+            node_tuples: 0,
+            tuples: 0,
+        };
+        plan.compile(expr, self.corpus, self.index, self.registry);
+        let mut out = FtRelation::new(arity);
+        let result = plan.run(&mut out, &mut self.stats);
+        plan.charge(&mut self.counters, &mut self.stats);
+        result.map(|()| out)
+    }
+}
+
+/// One compiled operator. Children always have smaller indices than their
+/// parent (post-order), so a parent's buffer can be split off theirs.
+#[derive(Clone, Copy)]
+enum Op<'p> {
+    Context,
+    /// Index into [`Plan::leaves`].
+    Leaf(usize),
+    Project {
+        input: usize,
+        cols: &'p [usize],
+    },
+    Join(usize, usize),
+    Select {
+        input: usize,
+        pred: &'p dyn Predicate,
+        cols: &'p [usize],
+        consts: &'p [i64],
+    },
+    Union(usize, usize),
+    Intersect(usize, usize),
+    Difference(usize, usize),
+}
+
+/// Where an operator's candidate walk stands.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Landing {
+    Unset,
+    At(NodeId),
+    Done,
+}
+
+struct Leaf<'p> {
+    /// `None` for a token the segment has never seen.
+    cursor: Option<BlockCursor<'p>>,
+    /// Entries whose positions were materialized.
+    materialized: u64,
+    positions: u64,
+}
+
+struct Plan<'p> {
+    ops: Vec<Op<'p>>,
+    landing: Vec<Landing>,
+    rows: Vec<NodeRows>,
+    leaves: Vec<Leaf<'p>>,
+    /// `SearchContext` is every node id below this.
+    node_count: u32,
+    /// Rows built at the node being evaluated, all operators.
+    node_tuples: u64,
+    tuples: u64,
+}
+
+impl<'p> Plan<'p> {
+    /// Append `expr`'s operators in post-order; returns the root's index.
+    fn compile(
+        &mut self,
+        expr: &'p AlgExpr,
+        corpus: &Corpus,
+        index: &'p InvertedIndex,
+        registry: &'p PredicateRegistry,
+    ) -> usize {
+        let sub = |e: &'p AlgExpr, plan: &mut Self| plan.compile(e, corpus, index, registry);
+        let (op, arity) = match expr {
+            AlgExpr::SearchContext => (Op::Context, 0),
+            AlgExpr::HasPos => (self.leaf(Some(index.any_block_cursor())), 1),
+            AlgExpr::TokenRel(tok) => {
+                let cursor = corpus.token_id(tok).map(|id| index.block_cursor(id));
+                (self.leaf(cursor), 1)
             }
-            AlgExpr::HasPos => self.scan(None),
-            AlgExpr::TokenRel(tok) => match self.corpus.token_id(tok) {
-                Some(id) => self.scan(Some(id)),
-                None => FtRelation::new(1),
-            },
-            AlgExpr::Project(e, cols) => self.eval_unchecked(e).project(cols),
+            AlgExpr::Project(e, cols) => (
+                Op::Project {
+                    input: sub(e, self),
+                    cols,
+                },
+                cols.len(),
+            ),
             AlgExpr::Join(a, b) => {
-                let left = self.eval_unchecked(a);
-                let right = self.eval_unchecked(b);
-                left.join(&right)
+                let (a, b) = (sub(a, self), sub(b, self));
+                (Op::Join(a, b), self.rows[a].arity() + self.rows[b].arity())
             }
             AlgExpr::Select {
                 input,
@@ -87,48 +203,198 @@ impl<'a> AlgebraEvaluator<'a> {
                 cols,
                 consts,
             } => {
-                let rel = self.eval_unchecked(input);
-                rel.select(self.registry.get(*pred), cols, consts)
+                let input = sub(input, self);
+                let op = Op::Select {
+                    input,
+                    pred: registry.get(*pred),
+                    cols,
+                    consts,
+                };
+                (op, self.rows[input].arity())
             }
             AlgExpr::Union(a, b) => {
-                let left = self.eval_unchecked(a);
-                let right = self.eval_unchecked(b);
-                left.union(&right)
+                let (a, b) = (sub(a, self), sub(b, self));
+                (Op::Union(a, b), self.rows[a].arity())
             }
             AlgExpr::Intersect(a, b) => {
-                let left = self.eval_unchecked(a);
-                let right = self.eval_unchecked(b);
-                left.intersect(&right)
+                let (a, b) = (sub(a, self), sub(b, self));
+                (Op::Intersect(a, b), self.rows[a].arity())
             }
             AlgExpr::Difference(a, b) => {
-                let left = self.eval_unchecked(a);
-                let right = self.eval_unchecked(b);
-                left.difference(&right)
+                let (a, b) = (sub(a, self), sub(b, self));
+                (Op::Difference(a, b), self.rows[a].arity())
             }
         };
-        self.counters.tuples += rel.len() as u64;
-        rel
+        self.ops.push(op);
+        self.landing.push(Landing::Unset);
+        self.rows.push(NodeRows::new(arity));
+        self.ops.len() - 1
     }
 
-    /// Materialize a leaf relation (a token's list, or `IL_ANY` for `None`).
-    /// COMP inspects every position it materializes, so `positions_decoded`
-    /// equals `positions` here — the streaming engines are where the two
-    /// diverge.
-    fn scan(&mut self, token: Option<TokenId>) -> FtRelation {
-        let mut r = FtRelation::new(1);
-        let mut cur = match token {
-            Some(id) => self.index.block_cursor(id),
-            None => self.index.any_block_cursor(),
+    fn leaf(&mut self, cursor: Option<BlockCursor<'p>>) -> Op<'p> {
+        self.leaves.push(Leaf {
+            cursor,
+            materialized: 0,
+            positions: 0,
+        });
+        Op::Leaf(self.leaves.len() - 1)
+    }
+
+    /// The first candidate node ≥ `target` of operator `i`, or `None` when
+    /// it has no more. Monotone and idempotent: an operator already at or
+    /// past `target` stays put.
+    fn seek(&mut self, i: usize, target: NodeId) -> Option<NodeId> {
+        match self.landing[i] {
+            Landing::At(n) if n >= target => return Some(n),
+            Landing::Done => return None,
+            _ => {}
+        }
+        let got = match self.ops[i] {
+            Op::Context => (target.0 < self.node_count).then_some(target),
+            Op::Leaf(k) => self.leaves[k].cursor.as_mut().and_then(|c| c.seek(target)),
+            Op::Project { input, .. } | Op::Select { input, .. } | Op::Difference(input, _) => {
+                self.seek(input, target)
+            }
+            Op::Join(a, b) | Op::Intersect(a, b) => self.leapfrog(a, b, target),
+            Op::Union(a, b) => {
+                let (x, y) = (self.seek(a, target), self.seek(b, target));
+                x.into_iter().chain(y).min()
+            }
         };
-        while let Some(node) = cur.next_entry() {
-            self.counters.entries += 1;
-            for &p in cur.positions() {
-                self.counters.positions += 1;
-                self.counters.positions_decoded += 1;
-                r.push(node, &[p]);
+        self.landing[i] = got.map_or(Landing::Done, Landing::At);
+        got
+    }
+
+    /// The first node ≥ `target` both `a` and `b` land on.
+    fn leapfrog(&mut self, a: usize, b: usize, mut target: NodeId) -> Option<NodeId> {
+        loop {
+            let x = self.seek(a, target)?;
+            let y = self.seek(b, x)?;
+            if x == y {
+                return Some(x);
+            }
+            target = y;
+        }
+    }
+
+    /// Evaluate the whole expression at every candidate of the root.
+    fn run(&mut self, out: &mut FtRelation, stats: &mut NodeStats) -> Result<(), AlgebraError> {
+        let root = self.ops.len() - 1;
+        let mut next = NodeId(0);
+        while let Some(node) = self.seek(root, next) {
+            self.node_tuples = 0;
+            self.eval(root, node)?;
+            out.push_node(node, &self.rows[root]);
+            self.tuples += self.node_tuples;
+            stats.nodes_evaluated += 1;
+            stats.peak_node_tuples = stats.peak_node_tuples.max(self.node_tuples);
+            match node.0.checked_add(1) {
+                Some(n) => next = NodeId(n),
+                None => break,
             }
         }
-        r
+        Ok(())
+    }
+
+    /// Fill `rows[i]` with operator `i`'s rows at `node`, which `i` has
+    /// landed on. A join, intersection or difference whose left input is
+    /// empty at the node skips its right input.
+    fn eval(&mut self, i: usize, node: NodeId) -> Result<(), AlgebraError> {
+        match self.ops[i] {
+            Op::Context => self.rows[i].set_unit(),
+            Op::Leaf(k) => {
+                let leaf = &mut self.leaves[k];
+                let positions = leaf
+                    .cursor
+                    .as_mut()
+                    .expect("a leaf that landed has a cursor")
+                    .positions();
+                leaf.materialized += 1;
+                leaf.positions += positions.len() as u64;
+                self.rows[i].set_positions(positions);
+            }
+            Op::Project { input, cols } => {
+                self.eval(input, node)?;
+                let (inputs, out) = self.rows.split_at_mut(i);
+                out[0].project(&inputs[input], cols);
+            }
+            Op::Select {
+                input,
+                pred,
+                cols,
+                consts,
+            } => {
+                self.eval(input, node)?;
+                let (inputs, out) = self.rows.split_at_mut(i);
+                out[0].select(&inputs[input], pred, cols, consts);
+            }
+            Op::Join(a, b) => {
+                self.eval(a, node)?;
+                if self.rows[a].is_empty() {
+                    self.rows[i].clear();
+                } else {
+                    self.eval(b, node)?;
+                    let tuples =
+                        (self.rows[a].len() as u64).saturating_mul(self.rows[b].len() as u64);
+                    if tuples > MAX_NODE_TUPLES {
+                        return Err(AlgebraError::BudgetExceeded {
+                            node,
+                            tuples,
+                            limit: MAX_NODE_TUPLES,
+                        });
+                    }
+                    let (inputs, out) = self.rows.split_at_mut(i);
+                    out[0].join(&inputs[a], &inputs[b]);
+                }
+            }
+            Op::Intersect(a, b) => {
+                self.eval(a, node)?;
+                if self.rows[a].is_empty() {
+                    self.rows[i].clear();
+                } else {
+                    self.eval(b, node)?;
+                    let (inputs, out) = self.rows.split_at_mut(i);
+                    out[0].intersect(&inputs[a], &inputs[b]);
+                }
+            }
+            Op::Difference(a, b) => {
+                self.eval(a, node)?;
+                if !self.rows[a].is_empty() && self.seek(b, node) == Some(node) {
+                    self.eval(b, node)?;
+                } else {
+                    self.rows[b].clear();
+                }
+                let (inputs, out) = self.rows.split_at_mut(i);
+                out[0].difference(&inputs[a], &inputs[b]);
+            }
+            Op::Union(a, b) => {
+                for c in [a, b] {
+                    if self.landing[c] == Landing::At(node) {
+                        self.eval(c, node)?;
+                    } else {
+                        self.rows[c].clear();
+                    }
+                }
+                let (inputs, out) = self.rows.split_at_mut(i);
+                out[0].union(&inputs[a], &inputs[b]);
+            }
+        }
+        self.node_tuples += self.rows[i].len() as u64;
+        Ok(())
+    }
+
+    /// Fold the walk's work into the evaluator's counters: the leaf
+    /// cursors' own entry / skip / decode counts, plus the positions and
+    /// tuples materialized.
+    fn charge(self, counters: &mut AccessCounters, stats: &mut NodeStats) {
+        counters.tuples += self.tuples;
+        for leaf in self.leaves {
+            let Some(cursor) = leaf.cursor else { continue };
+            let c = cursor.counters();
+            *counters += c;
+            counters.positions += leaf.positions;
+            stats.nodes_skipped += (c.entries + c.skipped).saturating_sub(leaf.materialized);
+        }
     }
 }
 
@@ -137,7 +403,6 @@ mod tests {
     use super::*;
     use crate::expr::ops::*;
     use ftsl_index::IndexBuilder;
-    use ftsl_model::NodeId;
 
     fn setup() -> (Corpus, InvertedIndex, PredicateRegistry) {
         let corpus = Corpus::from_texts(&[
@@ -224,9 +489,26 @@ mod tests {
         let r = ev.eval(&e).unwrap();
         // node0: 1 test, node1: 1, node2: 2 -> join sizes 1+1+4 = 6
         assert_eq!(r.len(), 6);
+        let rows: Vec<(u32, u32, u32)> = r
+            .iter()
+            .map(|(n, ps)| (n.0, ps[0].offset, ps[1].offset))
+            .collect();
+        assert_eq!(
+            rows,
+            vec![
+                (0, 0, 0),
+                (1, 1, 1),
+                (2, 0, 0),
+                (2, 0, 1),
+                (2, 1, 0),
+                (2, 1, 1)
+            ]
+        );
         let c = ev.counters();
-        assert!(c.tuples >= 6);
-        assert!(c.positions >= 4);
+        // Two leaves of 1+1+2 rows, plus the 6 joined.
+        assert_eq!(c.tuples, 8 + 6);
+        assert_eq!(c.positions, 8);
+        assert_eq!(c.positions_decoded, 8);
     }
 
     #[test]
@@ -244,5 +526,65 @@ mod tests {
         let e = difference(AlgExpr::SearchContext, project_nodes(token("test")));
         let r = ev.eval(&e).unwrap();
         assert_eq!(r.distinct_nodes(), vec![NodeId(3)]);
+    }
+
+    #[test]
+    fn nodes_missing_a_joined_leaf_are_never_materialized() {
+        // "driven" is only in node 0: the join visits one node, and the
+        // other "test" / "usability" entries are passed over by seek.
+        let (corpus, index, reg) = setup();
+        let mut ev = AlgebraEvaluator::new(&corpus, &index, &reg);
+        let e = join(join(token("test"), token("usability")), token("driven"));
+        let r = ev.eval(&e).unwrap();
+        assert_eq!(nodes(&r), vec![0]);
+        let stats = ev.node_stats();
+        assert_eq!(stats.nodes_evaluated, 1);
+        // "test" and "usability" each land on node 1 without building it.
+        assert_eq!(stats.nodes_skipped, 2, "{stats:?}");
+        // Three one-row leaves, one 1×1 join, one 1×1×1 join.
+        assert_eq!(ev.counters().tuples, 5);
+        assert_eq!(stats.peak_node_tuples, 5);
+    }
+
+    #[test]
+    fn rows_held_at_once_peak_at_the_largest_node() {
+        // Node n repeats "t" n+1 times: the join's per-node relations are
+        // 1, 4, 9, 16 rows, 30 in all — the evaluator holds at most one
+        // node's (the leaves' 4 + 4 and the join's 16).
+        let corpus = Corpus::from_texts(&["t", "t t", "t t t", "t t t t"]);
+        let index = IndexBuilder::new().build(&corpus);
+        let reg = PredicateRegistry::with_builtins();
+        let mut ev = AlgebraEvaluator::new(&corpus, &index, &reg);
+        let r = ev.eval(&join(token("t"), token("t"))).unwrap();
+        assert_eq!(r.len(), 30);
+        assert_eq!(ev.counters().tuples, 30 + 2 * 10);
+        assert_eq!(ev.node_stats().peak_node_tuples, 16 + 2 * 4);
+        assert_eq!(ev.node_stats().nodes_evaluated, 4);
+    }
+
+    #[test]
+    fn a_cross_product_over_the_budget_is_refused() {
+        let text = vec!["t"; 200].join(" ");
+        let corpus = Corpus::from_texts(&["t", &text]);
+        let index = IndexBuilder::new().build(&corpus);
+        let reg = PredicateRegistry::with_builtins();
+        let mut ev = AlgebraEvaluator::new(&corpus, &index, &reg);
+        // 200² = 40 000 rows fit; 200³ = 8 000 000 do not.
+        assert!(ev.eval(&join(token("t"), token("t"))).is_ok());
+        let three = join(join(token("t"), token("t")), token("t"));
+        assert_eq!(
+            ev.eval(&three),
+            Err(AlgebraError::BudgetExceeded {
+                node: NodeId(1),
+                tuples: 8_000_000,
+                limit: MAX_NODE_TUPLES,
+            })
+        );
+        // The padding HasPos^k is a join too.
+        let padded = join(join(AlgExpr::HasPos, AlgExpr::HasPos), AlgExpr::HasPos);
+        assert!(matches!(
+            ev.eval(&padded),
+            Err(AlgebraError::BudgetExceeded { .. })
+        ));
     }
 }

@@ -8,10 +8,12 @@
 //!
 //! This crate provides:
 //!
-//! * [`relation::FtRelation`] — flat columnar tuple storage;
+//! * [`relation::FtRelation`] — flat row-major tuple storage, and one
+//!   context node's rows with the per-node operator kernels;
 //! * [`expr::AlgExpr`] — the operator AST with arity checking;
-//! * [`eval::AlgebraEvaluator`] — the materialized evaluator used by the
-//!   COMP engine (Section 5.4), instrumented with tuple counters;
+//! * [`eval::AlgebraEvaluator`] — the node-at-a-time evaluator used by the
+//!   COMP engine (Section 5.4), instrumented with tuple counters and a
+//!   per-node budget;
 //! * [`from_calculus`] — Lemma 2 (calculus → algebra), the constructive half
 //!   of Theorem 1 that query compilation uses;
 //! * [`to_calculus`] — Lemma 1 (algebra → calculus), used to machine-check
@@ -25,6 +27,6 @@ pub mod relation;
 pub mod to_calculus;
 
 pub use error::AlgebraError;
-pub use eval::AlgebraEvaluator;
+pub use eval::{AlgebraEvaluator, NodeStats, MAX_NODE_TUPLES};
 pub use expr::AlgExpr;
 pub use relation::FtRelation;

@@ -1,34 +1,34 @@
-//! The COMP engine (Section 5.4): translate to the algebra and evaluate
-//! materialized.
+//! The COMP engine (Section 5.4): translate to the algebra and evaluate it
+//! one context node at a time.
 
 use crate::error::ExecError;
 use ftsl_algebra::from_calculus::query_to_algebra;
-use ftsl_algebra::AlgebraEvaluator;
+use ftsl_algebra::{AlgebraEvaluator, NodeStats};
 use ftsl_calculus::CalcQuery;
 use ftsl_index::{AccessCounters, InvertedIndex};
 use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::PredicateRegistry;
 
 /// Evaluate any calculus query by FTC→FTA translation (Lemma 2) and
-/// materialized algebra evaluation. Complete but
-/// `O(cnodes × pos_per_cnode^toks_Q × (preds_Q + ops_Q + 1))`.
+/// node-at-a-time algebra evaluation. Complete but
+/// `O(cnodes × pos_per_cnode^toks_Q × (preds_Q + ops_Q + 1))`; a node
+/// whose relation would pass [`ftsl_algebra::MAX_NODE_TUPLES`] is an `Err`.
 pub fn run_comp(
     query: &CalcQuery,
     corpus: &Corpus,
     index: &InvertedIndex,
     registry: &PredicateRegistry,
-) -> Result<(Vec<NodeId>, AccessCounters), ExecError> {
-    let alg = query_to_algebra(query, registry).map_err(|e| ExecError::Algebra(e.to_string()))?;
+) -> Result<(Vec<NodeId>, AccessCounters, NodeStats), ExecError> {
+    let alg = query_to_algebra(query, registry)?;
     let mut ev = AlgebraEvaluator::new(corpus, index, registry);
-    let rel = ev
-        .eval(&alg)
-        .map_err(|e| ExecError::Algebra(e.to_string()))?;
-    Ok((rel.distinct_nodes(), ev.counters()))
+    let rel = ev.eval(&alg)?;
+    Ok((rel.distinct_nodes(), ev.counters(), ev.node_stats()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftsl_algebra::AlgebraError;
     use ftsl_index::IndexBuilder;
     use ftsl_lang::{lower, parse, Mode};
 
@@ -38,7 +38,7 @@ mod tests {
         let reg = PredicateRegistry::with_builtins();
         let surface = parse(query, Mode::Comp).unwrap();
         let expr = lower(&surface, &reg).unwrap();
-        let (nodes, _) = run_comp(&CalcQuery::new(expr), &corpus, &index, &reg).unwrap();
+        let (nodes, _, _) = run_comp(&CalcQuery::new(expr), &corpus, &index, &reg).unwrap();
         nodes.into_iter().map(|n| n.0).collect()
     }
 
@@ -65,8 +65,34 @@ mod tests {
         )
         .unwrap();
         let expr = lower(&surface, &reg).unwrap();
-        let (_, counters) = run_comp(&CalcQuery::new(expr), &corpus, &index, &reg).unwrap();
+        let (_, counters, stats) = run_comp(&CalcQuery::new(expr), &corpus, &index, &reg).unwrap();
         // The per-node cartesian product (4 × 4 = 16 tuples) is materialized.
         assert!(counters.tuples >= 16, "counters: {counters:?}");
+        assert_eq!(stats.nodes_evaluated, 1);
+    }
+
+    #[test]
+    fn a_cross_product_over_the_budget_is_an_error() {
+        let text = vec!["t"; 200].join(" ");
+        let corpus = Corpus::from_texts(&[text.as_str()]);
+        let index = IndexBuilder::new().build(&corpus);
+        let reg = PredicateRegistry::with_builtins();
+        let surface = parse(
+            "SOME p1 SOME p2 SOME p3 (p1 HAS 't' AND p2 HAS 't' AND p3 HAS 't')",
+            Mode::Comp,
+        )
+        .unwrap();
+        let expr = lower(&surface, &reg).unwrap();
+        let err = run_comp(&CalcQuery::new(expr), &corpus, &index, &reg).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ExecError::Algebra(AlgebraError::BudgetExceeded {
+                    tuples: 8_000_000,
+                    ..
+                })
+            ),
+            "{err}"
+        );
     }
 }

@@ -295,7 +295,21 @@ impl<'a> Executor<'a> {
             }
             EngineUsed::Comp => {
                 let id = tb.as_mut().map(|b| b.open("engine COMP"));
-                let (nodes, counters) = run_comp(query, self.corpus, self.index, self.registry)?;
+                let (nodes, counters, stats) =
+                    run_comp(query, self.corpus, self.index, self.registry)?;
+                if let (Some(b), Some(id)) = (tb.as_mut(), id) {
+                    b.note(
+                        id,
+                        format!(
+                            "node-at-a-time: {} nodes evaluated, {} skipped by seek, \
+                             {} tuples, peak {} per node",
+                            stats.nodes_evaluated,
+                            stats.nodes_skipped,
+                            counters.tuples,
+                            stats.peak_node_tuples
+                        ),
+                    );
+                }
                 let trace = finish_engine_span(tb, id, &counters, None);
                 Ok(QueryOutput {
                     nodes,

@@ -1,5 +1,6 @@
 //! Engine and planner errors.
 
+use ftsl_algebra::AlgebraError;
 use std::fmt;
 
 /// Reasons a query cannot be compiled into a streaming (PPRED/NPRED) plan.
@@ -55,8 +56,9 @@ pub enum ExecError {
     Lang(String),
     /// Streaming planner failure (when an engine was forced explicitly).
     Plan(PlanError),
-    /// Algebra-layer failure.
-    Algebra(String),
+    /// Algebra-layer failure: translation, or a COMP evaluation refused
+    /// by the per-node budget ([`AlgebraError::BudgetExceeded`]).
+    Algebra(AlgebraError),
     /// The query does not fit the explicitly requested engine's language.
     WrongEngine {
         /// Requested engine.
@@ -80,6 +82,12 @@ impl fmt::Display for ExecError {
 }
 
 impl std::error::Error for ExecError {}
+
+impl From<AlgebraError> for ExecError {
+    fn from(e: AlgebraError) -> Self {
+        ExecError::Algebra(e)
+    }
+}
 
 impl From<PlanError> for ExecError {
     fn from(e: PlanError) -> Self {

@@ -7,8 +7,8 @@
 //! * [`bool_eval`] — **BOOL / BOOL-NONEG** (5.3): sort-merge over doc-id
 //!   lists; `NOT`/`ANY` complement against the node universe;
 //! * [`comp`] — **COMP** (5.4): translate the calculus to the algebra
-//!   (Lemma 2) and evaluate fully materialized — polynomial in the data,
-//!   exponential in the query;
+//!   (Lemma 2) and evaluate it one context node at a time — polynomial in
+//!   the data, exponential in the query, capped per node;
 //! * [`ppred`] — **PPRED** (5.5, Algorithms 1–5): a pipelined cursor engine
 //!   evaluating positive-predicate queries in a *single scan* over the query
 //!   token inverted lists;

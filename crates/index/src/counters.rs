@@ -34,7 +34,11 @@ pub struct AccessCounters {
     /// entries rejected on node id alone are stepped over via the unpacked
     /// length column and never contribute at all.
     pub positions_decoded: u64,
-    /// Tuples materialized by non-streaming operators (COMP joins).
+    /// Tuples materialized by COMP's algebra operators: the rows every
+    /// operator (leaves included) built, summed over the context nodes the
+    /// node-at-a-time evaluator visited. A node that a leaf `seek` skipped
+    /// contributes none: for a join of token relations this is the
+    /// paper's per-node product summed over the nodes holding every token.
     pub tuples: u64,
     /// Entries bypassed by `seek` without being *consumed* (whole-block
     /// jumps and entries the cursor's in-block binary search steps past). Distinguishing

@@ -83,6 +83,26 @@ fn explain_analyze_attributes_disabled_pair_rewrite() {
 }
 
 #[test]
+fn explain_analyze_reports_the_comp_node_walk() {
+    let e = Ftsl::from_texts(&corpus());
+    // `exact_gap` is a general predicate, so the query runs on COMP; only
+    // the two documents holding both tokens are evaluated.
+    let text = e
+        .explain_analyze(
+            "SOME a SOME b (a HAS 'kernel' AND b HAS 'scheduler' AND exact_gap(a,b,0))",
+        )
+        .unwrap();
+    assert!(text.contains("engine COMP"), "{text}");
+    assert!(
+        text.contains("node-at-a-time: 2 nodes evaluated"),
+        "the COMP span carries the node walk:\n{text}"
+    );
+    for part in ["skipped by seek", "tuples", "per node"] {
+        assert!(text.contains(part), "missing {part:?} in:\n{text}");
+    }
+}
+
+#[test]
 fn explain_analyze_after_writes_shows_every_segment() {
     let engine = Ftsl::new();
     for t in corpus() {
