@@ -26,13 +26,13 @@ pub enum AlgebraError {
     BadPredicateApplication(String),
     /// A predicate id was not found in the registry.
     UnknownPredicate(u32),
-    /// One node's relation would exceed
-    /// [`crate::eval::MAX_NODE_TUPLES`]; refused before allocating.
+    /// One node's relations would hold more than
+    /// [`crate::eval::MAX_NODE_POSITIONS`] positions.
     BudgetExceeded {
         /// The context node being evaluated (segment-local id).
         node: NodeId,
-        /// Rows the operator would have built for that node (saturating).
-        tuples: u64,
+        /// Positions the node's relations would have held (saturating).
+        positions: u64,
         /// The per-node cap.
         limit: u64,
     },
@@ -51,11 +51,11 @@ impl fmt::Display for AlgebraError {
             AlgebraError::UnknownPredicate(id) => write!(f, "unknown predicate id {id}"),
             AlgebraError::BudgetExceeded {
                 node,
-                tuples,
+                positions,
                 limit,
             } => write!(
                 f,
-                "node {node} would materialize {tuples} tuples, over the per-node budget of {limit}"
+                "node {node} would hold {positions} positions, over the per-node budget of {limit}"
             ),
         }
     }

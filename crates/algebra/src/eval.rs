@@ -16,7 +16,7 @@
 //! whole-segment relations would hold for it, so the bound is the paper's
 //! `O(cnodes × pos_per_cnode^toks_Q × (preds_Q + ops_Q + 1))` and the tuple
 //! counter still measures that growth; memory is one node's tuples, capped
-//! per operator by [`MAX_NODE_TUPLES`].
+//! across all operators by [`MAX_NODE_POSITIONS`].
 
 use crate::error::AlgebraError;
 use crate::expr::AlgExpr;
@@ -25,17 +25,22 @@ use ftsl_index::{AccessCounters, BlockCursor, IndexLayout, InvertedIndex};
 use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::{Predicate, PredicateRegistry};
 
-/// Most rows one operator may build for one context node. Checked from the
-/// input sizes before a per-node join — which is also how the calculus
-/// translation's `HasPos^k` padding is built — allocates; a query that
-/// would exceed it fails with [`AlgebraError::BudgetExceeded`].
+/// Most positions (rows × arity, summed over every operator's buffer) the
+/// evaluator may hold for one context node. A join — which is also how the
+/// calculus translation's `HasPos^k` padding is built — and a projection
+/// are checked from their input sizes before they allocate, since only
+/// they can build more than their inputs hold; every operator's output is
+/// added to the node's total and checked after it. A query that would
+/// pass it fails with [`AlgebraError::BudgetExceeded`]. Buffer capacity
+/// kept from earlier nodes is freed once it passes the cap too, so the
+/// rows buffers never hold more than a small multiple of it: at 12 bytes a
+/// position, 2²² positions are ≈ 50 MB.
 ///
-/// 2²⁰ ≈ 1.05 M rows is 8× the largest per-node relation any measured
-/// sweep builds (`crates/bench`'s `figures` Figure 8 at medium scale: 50
-/// occurrences, `toks_Q` = 3, 125 000 rows), 100× `class_ladder`'s `t4`
-/// (10⁴) and far above every test suite's; at 12 bytes a position an
-/// arity-8 buffer at the cap is ≈ 100 MB, so no query can exhaust memory.
-pub const MAX_NODE_TUPLES: u64 = 1 << 20;
+/// 2²² ≈ 4.2 M positions is 4× the most any measured sweep holds at one
+/// node (`crates/bench`'s `figures all --scale medium`: 1.02 M positions
+/// in 208 k rows, measured), ≈ 100× `class_ladder`'s `t4` (10⁴ rows of
+/// four) and far above every test suite's.
+pub const MAX_NODE_POSITIONS: u64 = 1 << 22;
 
 /// What the node-at-a-time walk did, accumulated across evaluations.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -101,16 +106,7 @@ impl<'a> AlgebraEvaluator<'a> {
     /// Evaluate an expression to a materialized relation.
     pub fn eval(&mut self, expr: &AlgExpr) -> Result<FtRelation, AlgebraError> {
         let arity = expr.arity(self.registry)?;
-        let mut plan = Plan {
-            ops: Vec::new(),
-            landing: Vec::new(),
-            rows: Vec::new(),
-            leaves: Vec::new(),
-            node_count: self.corpus.len() as u32,
-            node_tuples: 0,
-            tuples: 0,
-        };
-        plan.compile(expr, self.corpus, self.index, self.registry);
+        let mut plan = Plan::new(expr, self.corpus, self.index, self.registry);
         let mut out = FtRelation::new(arity);
         let result = plan.run(&mut out, &mut self.stats);
         plan.charge(&mut self.counters, &mut self.stats);
@@ -166,10 +162,32 @@ struct Plan<'p> {
     node_count: u32,
     /// Rows built at the node being evaluated, all operators.
     node_tuples: u64,
+    /// Positions those rows hold, the quantity [`MAX_NODE_POSITIONS`] caps.
+    node_positions: u64,
     tuples: u64,
 }
 
 impl<'p> Plan<'p> {
+    fn new(
+        expr: &'p AlgExpr,
+        corpus: &Corpus,
+        index: &'p InvertedIndex,
+        registry: &'p PredicateRegistry,
+    ) -> Self {
+        let mut plan = Plan {
+            ops: Vec::new(),
+            landing: Vec::new(),
+            rows: Vec::new(),
+            leaves: Vec::new(),
+            node_count: corpus.len() as u32,
+            node_tuples: 0,
+            node_positions: 0,
+            tuples: 0,
+        };
+        plan.compile(expr, corpus, index, registry);
+        plan
+    }
+
     /// Append `expr`'s operators in post-order; returns the root's index.
     fn compile(
         &mut self,
@@ -283,15 +301,39 @@ impl<'p> Plan<'p> {
         let mut next = NodeId(0);
         while let Some(node) = self.seek(root, next) {
             self.node_tuples = 0;
+            self.node_positions = 0;
             self.eval(root, node)?;
             out.push_node(node, &self.rows[root]);
             self.tuples += self.node_tuples;
             stats.nodes_evaluated += 1;
             stats.peak_node_tuples = stats.peak_node_tuples.max(self.node_tuples);
+            self.trim();
             match node.0.checked_add(1) {
                 Some(n) => next = NodeId(n),
                 None => break,
             }
+        }
+        Ok(())
+    }
+
+    /// Free every buffer once their kept capacity passes the budget, so
+    /// capacity grown at different nodes cannot add up past it.
+    fn trim(&mut self) {
+        let kept: usize = self.rows.iter().map(NodeRows::capacity).sum();
+        if kept as u64 > MAX_NODE_POSITIONS {
+            self.rows.iter_mut().for_each(NodeRows::release);
+        }
+    }
+
+    /// `Err` unless the node can hold `more` positions on top of its own.
+    fn reserve(&self, node: NodeId, more: u64) -> Result<(), AlgebraError> {
+        let positions = self.node_positions.saturating_add(more);
+        if positions > MAX_NODE_POSITIONS {
+            return Err(AlgebraError::BudgetExceeded {
+                node,
+                positions,
+                limit: MAX_NODE_POSITIONS,
+            });
         }
         Ok(())
     }
@@ -315,6 +357,8 @@ impl<'p> Plan<'p> {
             }
             Op::Project { input, cols } => {
                 self.eval(input, node)?;
+                let cells = self.rows[input].len() as u64 * cols.len() as u64;
+                self.reserve(node, cells)?;
                 let (inputs, out) = self.rows.split_at_mut(i);
                 out[0].project(&inputs[input], cols);
             }
@@ -334,15 +378,10 @@ impl<'p> Plan<'p> {
                     self.rows[i].clear();
                 } else {
                     self.eval(b, node)?;
-                    let tuples =
-                        (self.rows[a].len() as u64).saturating_mul(self.rows[b].len() as u64);
-                    if tuples > MAX_NODE_TUPLES {
-                        return Err(AlgebraError::BudgetExceeded {
-                            node,
-                            tuples,
-                            limit: MAX_NODE_TUPLES,
-                        });
-                    }
+                    let cells = (self.rows[a].len() as u64)
+                        .saturating_mul(self.rows[b].len() as u64)
+                        .saturating_mul(self.rows[i].arity() as u64);
+                    self.reserve(node, cells)?;
                     let (inputs, out) = self.rows.split_at_mut(i);
                     out[0].join(&inputs[a], &inputs[b]);
                 }
@@ -379,8 +418,10 @@ impl<'p> Plan<'p> {
                 out[0].union(&inputs[a], &inputs[b]);
             }
         }
-        self.node_tuples += self.rows[i].len() as u64;
-        Ok(())
+        let rows = &self.rows[i];
+        self.node_tuples += rows.len() as u64;
+        self.node_positions += (rows.len() * rows.arity()) as u64;
+        self.reserve(node, 0)
     }
 
     /// Fold the walk's work into the evaluator's counters: the leaf
@@ -569,15 +610,16 @@ mod tests {
         let index = IndexBuilder::new().build(&corpus);
         let reg = PredicateRegistry::with_builtins();
         let mut ev = AlgebraEvaluator::new(&corpus, &index, &reg);
-        // 200² = 40 000 rows fit; 200³ = 8 000 000 do not.
+        // 200² rows of two positions fit; 200³ rows of three do not, on
+        // top of the three leaves and the inner join already held.
         assert!(ev.eval(&join(token("t"), token("t"))).is_ok());
         let three = join(join(token("t"), token("t")), token("t"));
         assert_eq!(
             ev.eval(&three),
             Err(AlgebraError::BudgetExceeded {
                 node: NodeId(1),
-                tuples: 8_000_000,
-                limit: MAX_NODE_TUPLES,
+                positions: 3 * 200 + 2 * 200 * 200 + 3 * 200 * 200 * 200,
+                limit: MAX_NODE_POSITIONS,
             })
         );
         // The padding HasPos^k is a join too.
@@ -586,5 +628,66 @@ mod tests {
             ev.eval(&padded),
             Err(AlgebraError::BudgetExceeded { .. })
         ));
+    }
+
+    /// Occurrences of each arm's token in the arm tests below.
+    const ARM_TF: usize = 400;
+
+    /// `∃a ∃b (a HAS tok ∧ b HAS tok)`: two leaves of [`ARM_TF`] positions
+    /// and a join of `ARM_TF²` rows of two positions at a node repeating
+    /// `tok`, well under the budget on its own.
+    fn arm(tok: &str) -> AlgExpr {
+        project_nodes(join(token(tok), token(tok)))
+    }
+
+    /// How many arms together hold more than the budget at one node.
+    fn arms_over_budget() -> usize {
+        let per_arm = 2 * ARM_TF + 2 * ARM_TF * ARM_TF;
+        MAX_NODE_POSITIONS as usize / per_arm + 1
+    }
+
+    #[test]
+    fn arms_under_the_budget_are_refused_together() {
+        // A union's arms all stay live at the node, so the budget counts
+        // every operator's rows there, not one join's.
+        let text = vec!["t"; ARM_TF].join(" ");
+        let corpus = Corpus::from_texts(&[&text]);
+        let index = IndexBuilder::new().build(&corpus);
+        let reg = PredicateRegistry::with_builtins();
+        let mut ev = AlgebraEvaluator::new(&corpus, &index, &reg);
+        assert!(ev.eval(&arm("t")).is_ok());
+        let chain = (1..arms_over_budget()).fold(arm("t"), |e, _| union(e, arm("t")));
+        assert!(matches!(
+            ev.eval(&chain),
+            Err(AlgebraError::BudgetExceeded {
+                node: NodeId(0),
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn capacity_kept_from_earlier_nodes_is_freed_past_the_budget() {
+        // Arm k's token fills only node k, so every node grows a different
+        // arm's buffers; kept, they would add up past the budget.
+        let arms = arms_over_budget();
+        let tokens: Vec<String> = (0..arms).map(|k| format!("t{k}")).collect();
+        let texts: Vec<String> = tokens
+            .iter()
+            .map(|t| vec![t.as_str(); ARM_TF].join(" "))
+            .collect();
+        let texts: Vec<&str> = texts.iter().map(String::as_str).collect();
+        let corpus = Corpus::from_texts(&texts);
+        let index = IndexBuilder::new().build(&corpus);
+        let reg = PredicateRegistry::with_builtins();
+        let e = tokens[1..]
+            .iter()
+            .fold(arm(&tokens[0]), |e, t| union(e, arm(t)));
+        let mut plan = Plan::new(&e, &corpus, &index, &reg);
+        let mut out = FtRelation::new(0);
+        plan.run(&mut out, &mut NodeStats::default()).unwrap();
+        assert_eq!(out.len(), arms);
+        let kept: usize = plan.rows.iter().map(NodeRows::capacity).sum();
+        assert!(kept as u64 <= MAX_NODE_POSITIONS, "{kept} positions kept");
     }
 }

@@ -27,6 +27,6 @@ pub mod relation;
 pub mod to_calculus;
 
 pub use error::AlgebraError;
-pub use eval::{AlgebraEvaluator, NodeStats, MAX_NODE_TUPLES};
+pub use eval::{AlgebraEvaluator, NodeStats, MAX_NODE_POSITIONS};
 pub use expr::AlgExpr;
 pub use relation::FtRelation;

@@ -142,6 +142,16 @@ impl NodeRows {
         self.cells.clear();
     }
 
+    /// Positions (and sort slots) the buffers can hold without growing.
+    pub(crate) fn capacity(&self) -> usize {
+        self.cells.capacity() + self.spare.capacity() + self.order.capacity()
+    }
+
+    /// Drop every row and free the buffers.
+    pub(crate) fn release(&mut self) {
+        *self = NodeRows::new(self.arity);
+    }
+
     /// Append a row; rows must arrive in canonical order (or be followed
     /// by [`Self::canonicalize`]).
     pub(crate) fn push(&mut self, row: &[Position]) {
@@ -214,19 +224,10 @@ impl NodeRows {
     ) {
         debug_assert_eq!(self.arity, input.arity);
         self.clear();
-        // Ascending adjacent columns (the usual `(0, 1)`) are a slice of
-        // the row: no per-row gather.
-        let start = cols.first().copied().unwrap_or(0);
-        let adjacent = cols.iter().enumerate().all(|(i, &c)| c == start + i);
         for row in input.rows() {
-            let holds = if adjacent {
-                pred.eval(&row[start..start + cols.len()], consts)
-            } else {
-                self.spare.clear();
-                self.spare.extend(cols.iter().map(|&c| row[c]));
-                pred.eval(&self.spare, consts)
-            };
-            if holds {
+            self.spare.clear();
+            self.spare.extend(cols.iter().map(|&c| row[c]));
+            if pred.eval(&self.spare, consts) {
                 self.push(row);
             }
         }

@@ -12,7 +12,8 @@ use ftsl_predicates::PredicateRegistry;
 /// Evaluate any calculus query by FTC→FTA translation (Lemma 2) and
 /// node-at-a-time algebra evaluation. Complete but
 /// `O(cnodes × pos_per_cnode^toks_Q × (preds_Q + ops_Q + 1))`; a node
-/// whose relation would pass [`ftsl_algebra::MAX_NODE_TUPLES`] is an `Err`.
+/// whose relations would pass [`ftsl_algebra::MAX_NODE_POSITIONS`] is an
+/// `Err`.
 pub fn run_comp(
     query: &CalcQuery,
     corpus: &Corpus,
@@ -84,13 +85,12 @@ mod tests {
         .unwrap();
         let expr = lower(&surface, &reg).unwrap();
         let err = run_comp(&CalcQuery::new(expr), &corpus, &index, &reg).unwrap_err();
+        // The 3-ary join alone needs 200³ rows × 3 positions.
         assert!(
             matches!(
                 err,
-                ExecError::Algebra(AlgebraError::BudgetExceeded {
-                    tuples: 8_000_000,
-                    ..
-                })
+                ExecError::Algebra(AlgebraError::BudgetExceeded { positions, .. })
+                    if positions >= 24_000_000
             ),
             "{err}"
         );

@@ -1,6 +1,6 @@
 //! COMP materializes per-node cross products, so query text can ask for
 //! more rows than memory holds. The node-at-a-time evaluator refuses a
-//! node whose relation would pass `MAX_NODE_TUPLES` before allocating it:
+//! node whose relations would pass `MAX_NODE_POSITIONS` before allocating:
 //! the query is an `Err`, never an OOM, and a serve worker lives on.
 
 use ftsl::core::{Ftsl, FtslError};
