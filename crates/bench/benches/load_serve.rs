@@ -1,21 +1,21 @@
 //! Closed-loop load harness for the concurrent serving front door.
 //!
-//! For each worker count in {1, 2, 4, 8}: spin up a [`ServePool`] over one
+//! For each lane count in {1, 2, 4, 8}: build a [`ServePool`] over one
 //! shared live engine (queries drive the pooled-scratch `BlockCursor`
-//! path), run one closed-loop client thread per worker
-//! issuing a Zipf-skewed mix of BOOL searches and streamed top-k requests,
+//! path), run one closed-loop client thread per lane — each request
+//! evaluates on its client's thread — issuing a Zipf-skewed mix of BOOL searches and streamed top-k requests,
 //! while the main thread churns writes (add/delete/flush — every flush
 //! bumps the snapshot version and invalidates the result cache). Reported
 //! per case: QPS, p50/p95/p99 request latency, cache hit rate, and mean
-//! worker-heap allocations per served query (a [`CountingAlloc`] is
-//! installed as the global allocator so the pool's per-worker counters
-//! measure real heap traffic).
+//! heap allocations per served query (a [`CountingAlloc`] is installed as
+//! the global allocator so the pool's per-lane counters measure real heap
+//! traffic).
 //!
 //! Smoke mode (`FTSL_BENCH_SMOKE=1`) shrinks the corpus and request counts
-//! and gates on scaling: with >= 4 cores, 4-worker QPS must be at least 2x
-//! 1-worker QPS; on smaller machines (where parallel speedup is
+//! and gates on scaling: with >= 4 cores, 4-lane QPS must be at least 2x
+//! 1-lane QPS; on smaller machines (where parallel speedup is
 //! physically unavailable) it gates on the counter-level no-contention
-//! invariants instead — per-worker served sums to the request total and
+//! invariants instead — per-lane served sums to the request total and
 //! cache hits + misses account for every lookup, exactly.
 //!
 //! The write-churn rate is configurable: `FTSL_LOAD_CHURN_US` sets the
@@ -96,9 +96,9 @@ struct RunOutcome {
     metrics_text: String,
 }
 
-/// One closed-loop run: `workers` pool threads, as many client threads,
-/// `per_client` requests each, writer churn on the main thread until the
-/// clients drain. `with_metrics` toggles per-request latency recording
+/// One closed-loop run: `workers` lanes, as many client threads (each
+/// request evaluates on its client's thread), `per_client` requests each,
+/// writer churn on its own thread until the clients drain. `with_metrics` toggles per-request latency recording
 /// ([`ServeConfig::metrics`]) so its cost can be measured head to head;
 /// `churn` disables the writer thread for runs that need a fixed-size
 /// engine (the metrics on/off comparison, where corpus growth between
@@ -261,7 +261,7 @@ fn main() {
          {qps_on:.0} QPS on vs {qps_off:.0} off"
     );
 
-    // Export the drained 8-worker run's Prometheus snapshot next to
+    // Export the drained 8-lane run's Prometheus snapshot next to
     // BENCH_results.json (uploaded as a CI artifact).
     let snapshot = &by_workers.last().expect("measured").1.metrics_text;
     let prom_path = ftsl_bench::results::default_path().with_file_name("METRICS_snapshot.prom");
@@ -273,7 +273,7 @@ fn main() {
 
     // The gate. Plenty of cores: demand real parallel speedup. Starved
     // machines: demand the bookkeeping invariants that contention bugs
-    // (double-serve, dropped tickets, miscounted lookups) would break.
+    // (double-serve, lost lanes, miscounted lookups) would break.
     let qps_at = |want: usize| {
         by_workers
             .iter()
@@ -286,19 +286,19 @@ fn main() {
         let (q1, q4) = (qps_at(1), qps_at(4));
         assert!(
             q4 >= 2.0 * q1,
-            "serve pool does not scale: {q4:.0} QPS at 4 workers vs {q1:.0} at 1 \
+            "serve pool does not scale: {q4:.0} QPS at 4 lanes vs {q1:.0} at 1 \
              ({:.2}x, need 2x)",
             q4 / q1,
         );
         println!(
-            "load_serve/gate: 4-worker/1-worker QPS ratio {:.2}x (limit 2x)",
+            "load_serve/gate: 4-lane/1-lane QPS ratio {:.2}x (limit 2x)",
             q4 / q1
         );
     } else {
         for (workers, o) in &by_workers {
             assert_eq!(
                 o.served_by_workers, o.metrics.requests,
-                "w{workers}: per-worker served must sum to the request total"
+                "w{workers}: per-lane served must sum to the request total"
             );
             assert_eq!(
                 o.lookups, o.metrics.requests,
@@ -307,7 +307,7 @@ fn main() {
         }
         println!(
             "load_serve/gate: {cores} core(s) — counter invariants verified \
-             (served and lookup accounting exact at every worker count)"
+             (served and lookup accounting exact at every lane count)"
         );
     }
 }

@@ -1,4 +1,4 @@
-//! Observability overhead gates: the instrumentation a serve worker adds
+//! Observability overhead gates: the instrumentation a serve lane adds
 //! per request (clock the request, record a latency histogram bucket,
 //! check the slow-log threshold) must stay within 3% (+0.2 µs measurement
 //! slack) of the un-instrumented call, on both serving paths:

@@ -8,23 +8,23 @@
 //!
 //! The lookup path is allocation-free: the key is hashed straight off the
 //! request (`SipHash` over kind/model/k, the trimmed query bytes, and the
-//! version), candidates are found by a linear probe over a flat entry
-//! array, and a hit hands back an `Arc` clone. Linear probing over a
-//! bounded array beats a `HashMap` here precisely because the array never
-//! rehashes or reallocates after construction — capacity is reserved once
-//! in [`ResultCache::new`].
+//! version), one probe of an index from key hash to slot finds the only
+//! candidate in a flat entry array, the full key is compared, and a hit
+//! hands back an `Arc` clone. Neither the array nor the index reallocates
+//! after construction — capacity is reserved once in
+//! [`ResultCache::new`].
 
 use crate::pool::QueryRequest;
 use crate::Answer;
 use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// One cached result.
 struct Entry {
-    /// Full key hash — the probe filter; collisions fall through to the
-    /// exact comparison below.
+    /// Full key hash — this entry's key in [`Inner::index`].
     hash: u64,
     /// Snapshot version the answer was computed for.
     version: u64,
@@ -37,6 +37,14 @@ struct Entry {
     value: Arc<Answer>,
     /// LRU clock stamp of the last hit (or the insertion).
     stamp: u64,
+}
+
+impl Entry {
+    /// Whether this entry holds exactly this key; a hash match alone may
+    /// be a collision.
+    fn is(&self, kind: KeyKind, query: &str, query2: &str, version: u64) -> bool {
+        self.version == version && self.kind == kind && self.query == query && self.query2 == query2
+    }
 }
 
 /// The non-text part of a cache key: what kind of evaluation, under which
@@ -89,7 +97,7 @@ fn hash_key(kind: KeyKind, query: &str, query2: &str, version: u64) -> u64 {
 
 /// Point-in-time cache counters. `hits + misses` equals the number of
 /// lookups exactly — the counters are bumped once per lookup, atomically,
-/// so they stay exact under concurrent workers.
+/// so they stay exact under concurrent lanes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -118,7 +126,7 @@ impl CacheStats {
     }
 }
 
-/// A bounded, version-keyed LRU result cache shared by all pool workers.
+/// A bounded, version-keyed LRU result cache shared by all pool lanes.
 pub struct ResultCache {
     inner: Mutex<Inner>,
     hits: AtomicU64,
@@ -129,19 +137,25 @@ pub struct ResultCache {
 
 struct Inner {
     entries: Vec<Entry>,
+    /// Key hash → position in `entries`, one per entry.
+    index: HashMap<u64, usize>,
     capacity: usize,
     clock: u64,
 }
 
 impl ResultCache {
     /// An empty cache holding at most `capacity` results (min 1); the
-    /// entry array is reserved up front so steady-state operation never
-    /// grows it.
+    /// entry array and its index are reserved up front so steady-state
+    /// operation never grows them.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         ResultCache {
             inner: Mutex::new(Inner {
                 entries: Vec::with_capacity(capacity),
+                // Twice the entries: with at most half the table live,
+                // clearing the tombstones evictions leave rehashes in
+                // place instead of reallocating.
+                index: HashMap::with_capacity(2 * capacity),
                 capacity,
                 clock: 0,
             }),
@@ -159,13 +173,9 @@ impl ResultCache {
         let hash = hash_key(kind, query, query2, version);
         let mut inner = self.inner.lock().expect("result cache poisoned");
         let inner = &mut *inner;
-        for e in inner.entries.iter_mut() {
-            if e.hash == hash
-                && e.version == version
-                && e.kind == kind
-                && e.query == query
-                && e.query2 == query2
-            {
+        if let Some(&slot) = inner.index.get(&hash) {
+            let e = &mut inner.entries[slot];
+            if e.is(kind, query, query2, version) {
                 inner.clock += 1;
                 e.stamp = inner.clock;
                 let value = Arc::clone(&e.value);
@@ -188,17 +198,15 @@ impl ResultCache {
         let inner = &mut *inner;
         inner.clock += 1;
         let clock = inner.clock;
-        if let Some(e) = inner.entries.iter_mut().find(|e| {
-            e.hash == hash
-                && e.version == version
-                && e.kind == kind
-                && e.query == query
-                && e.query2 == query2
-        }) {
-            e.value = value;
-            e.stamp = clock;
-            self.insertions.fetch_add(1, Ordering::Relaxed);
-            return;
+        self.insertions.fetch_add(1, Ordering::Relaxed);
+        let same_hash = inner.index.get(&hash).copied();
+        if let Some(slot) = same_hash {
+            let e = &mut inner.entries[slot];
+            if e.is(kind, query, query2, version) {
+                e.value = value;
+                e.stamp = clock;
+                return;
+            }
         }
         let entry = Entry {
             hash,
@@ -209,22 +217,33 @@ impl ResultCache {
             value,
             stamp: clock,
         };
-        if inner.entries.len() < inner.capacity {
-            inner.entries.push(entry);
-        } else {
-            // Victim: any stale-version entry beats every current-version
-            // one; within a class, oldest stamp loses.
-            let victim = inner
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| (e.version == version, e.stamp))
-                .map(|(i, _)| i)
-                .expect("capacity >= 1");
-            inner.entries[victim] = entry;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        self.insertions.fetch_add(1, Ordering::Relaxed);
+        let slot = match same_hash {
+            // A 64-bit collision between two keys: the newer entry takes
+            // the slot, so the older key's next lookup misses — never a
+            // wrong answer.
+            Some(slot) => slot,
+            None if inner.entries.len() < inner.capacity => {
+                inner.index.insert(hash, inner.entries.len());
+                inner.entries.push(entry);
+                return;
+            }
+            None => {
+                // Victim: any stale-version entry beats every
+                // current-version one; within a class, oldest stamp loses.
+                let victim = inner
+                    .entries
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, e)| (e.version == version, e.stamp))
+                    .map(|(i, _)| i)
+                    .expect("capacity >= 1");
+                inner.index.remove(&inner.entries[victim].hash);
+                inner.index.insert(hash, victim);
+                victim
+            }
+        };
+        inner.entries[slot] = entry;
+        self.evictions.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Exact counters plus occupancy.

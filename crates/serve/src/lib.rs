@@ -1,20 +1,23 @@
 //! The serving front door: many queries in parallel over one engine.
 //!
 //! Everything below is std-only plumbing around the read path the rest of
-//! the workspace already proved correct: a [`ServePool`] owns N worker
-//! threads, each holding its own reusable evaluation state
-//! ([`ftsl_exec::ExecScratch`] plus the thread-local cursor-scratch pool
-//! inside `ftsl-index`), all executing against point-in-time
-//! [`ftsl_index::Snapshot`]s of a shared [`ftsl_core::Ftsl`]. Writers
-//! keep writing; readers never block them and never see a torn view.
+//! the workspace already proved correct: a [`ServePool`] owns N evaluation
+//! lanes, each holding its own reusable evaluation state
+//! ([`ftsl_exec::ExecScratch`]; cursor scratch comes from the thread-local
+//! pool inside `ftsl-index`). [`ServePool::execute`] checks out a free
+//! lane and evaluates on the caller's own thread — no queue, no worker
+//! threads, no channel — against a point-in-time
+//! [`ftsl_index::Snapshot`] of a shared [`ftsl_core::Ftsl`]; at most N
+//! requests evaluate at once. Writers keep writing; readers never block
+//! them and never see a torn view.
 //!
 //! Results flow through a [`ResultCache`] keyed on `(normalized query,
 //! snapshot version)`. The version is the live index's mutation counter,
 //! so invalidation is free: a write bumps the version, and every entry
 //! cached under the old version becomes unreachable by construction — no
 //! scan, no epoch bookkeeping. The cache-hit path performs **zero heap
-//! allocations** (hash, linear probe, `Arc` clone), and the miss path's
-//! cursor and top-k state is recycled per worker, which is what makes
+//! allocations** (hash, one index probe, `Arc` clone), and the miss
+//! path's cursor and top-k state is recycled per lane, which is what makes
 //! steady-state serving allocation-free on the hot paths — the
 //! [`CountingAlloc`] test allocator pins that down.
 //!
@@ -49,7 +52,7 @@ pub use alloc::{thread_allocs, CountingAlloc};
 pub use cache::{CacheStats, ResultCache};
 pub use ftsl_obs::{HistogramSnapshot, MetricValue, Registry, SlowEntry, SlowLog};
 pub use pool::{
-    PoolStats, QueryRequest, ServeConfig, ServeContext, ServePool, ServePoolExt, Served, Ticket,
+    PoolStats, QueryRequest, ServeConfig, ServeContext, ServePool, ServePoolExt, Served,
     WorkerStats,
 };
 

@@ -1,28 +1,34 @@
-//! The thread-pool executor: N workers, one shared engine, one cache.
+//! The serving front door: N evaluation lanes, one shared engine, one
+//! cache.
 //!
-//! Life of a request: [`ServePool::submit`] pushes a job on a
-//! `Mutex<VecDeque>` queue and returns a [`Ticket`]; a worker wakes under
-//! the condvar, checks the [`crate::ResultCache`] against the *current*
-//! mutation version, and on a miss pins a snapshot and evaluates with its
-//! own long-lived [`ExecScratch`] (top-k heap) plus the thread-local
-//! cursor-scratch pool `ftsl-index` maintains per worker thread. The
-//! answer travels back through the ticket's channel as an `Arc` — the
-//! same `Arc` the cache keeps, so concurrent requesters of a hot query
-//! share one materialized result.
+//! Life of a request: [`ServePool::execute`] checks out a free lane — one
+//! [`ServeContext`] plus its counters — under one short lock and runs the
+//! request **on the calling thread**: it probes the
+//! [`crate::ResultCache`] at the *current* mutation version, and on a miss
+//! pins a snapshot and evaluates with the lane's long-lived
+//! [`ExecScratch`] (top-k heap) plus the cursor-scratch pool `ftsl-index`
+//! keeps per thread. It then records the lane's counters, the latency
+//! histogram and the slow log, and hands the lane back. The answer is an
+//! `Arc` — the same `Arc` the cache keeps, so concurrent requesters of a
+//! hot query share one materialized result.
 //!
-//! Workers never hold the queue lock while evaluating, and the writer
-//! side of the engine is untouched: snapshots isolate readers, the
-//! version key isolates the cache.
+//! At most N requests evaluate at once. A caller that finds every lane
+//! checked out waits on a condvar, which is signalled only while someone
+//! waits, so the uncontended path makes no wake-up call. No lock is held
+//! while evaluating; a panicking query becomes its caller's `Err` and
+//! costs the lane only its scratch. The writer side of the engine is
+//! untouched: snapshots isolate readers, the version key isolates the
+//! cache.
 
 use crate::cache::ResultCache;
 use crate::{thread_allocs, Answer, CacheStats};
 use ftsl_core::{ExecScratch, Ftsl, FtslError, RankModel};
 use ftsl_index::scratch_pool_stats;
 use ftsl_obs::{Histogram, HistogramSnapshot, MetricValue, Registry, SlowEntry, SlowLog};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 /// What to run. The query text is COMP syntax (subsumes BOOL and DIST),
@@ -128,11 +134,14 @@ pub struct Served {
 /// Pool sizing, cache capacity, and observability knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// Worker threads. 0 is promoted to 1.
+    /// Evaluation lanes: at most this many requests evaluate at once, each
+    /// on its caller's thread and stack. 0 is promoted to 1.
+    /// `ftsl_lang::MAX_NESTING` was proven on std's 2 MB spawned-thread
+    /// stack, so callers need at least that much.
     pub workers: usize,
     /// Result-cache capacity in entries.
     pub cache_capacity: usize,
-    /// Record per-request latency into the worker histograms exported by
+    /// Record per-request latency into the lane histograms exported by
     /// [`ServePool::metrics_text`]. Costs one `Instant::now` pair and
     /// three relaxed atomic ops per request; disable to shave the last
     /// nanoseconds off the hot path. The metrics *registry* exists either
@@ -160,28 +169,32 @@ impl Default for ServeConfig {
     }
 }
 
-/// Per-worker counters, updated by the worker after every request and
-/// readable at any time through [`ServePool::stats`].
+/// Per-lane counters, updated on the caller's thread after every request
+/// the lane served and readable at any time through [`ServePool::stats`].
+/// A lane runs on whichever thread calls [`ServePool::execute`], so every
+/// count is a per-request delta summed per lane, not a thread's total.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WorkerStats {
-    /// Requests this worker completed (hits and misses alike).
+    /// Requests this lane completed (hits, misses and errors alike).
     pub served: u64,
     /// Requests answered from the result cache.
     pub cache_hits: u64,
-    /// Heap allocations performed by this worker's thread, counted only
-    /// when [`crate::CountingAlloc`] is installed in the binary; 0
-    /// otherwise.
+    /// Heap allocations made while this lane evaluated, counted only when
+    /// [`crate::CountingAlloc`] is installed in the binary; 0 otherwise.
     pub allocs: u64,
-    /// Cursor scratch buffers this worker's thread recycled.
+    /// Cursor scratch buffers recycled while this lane evaluated.
     pub scratch_reused: u64,
-    /// Cursor scratch buffers this worker's thread heap-allocated.
+    /// Cursor scratch buffers heap-allocated while this lane evaluated.
     pub scratch_allocated: u64,
-    /// Postings this worker resolved from word-pair auxiliary lists
-    /// (cache misses only — a cached answer decodes nothing).
+    /// Postings this lane resolved from word-pair auxiliary lists (cache
+    /// misses only — a cached answer decodes nothing).
     pub pair_entries: u64,
+    /// Requests whose evaluation panicked; each came back as
+    /// [`FtslError::Internal`] and the lane's scratch was rebuilt.
+    pub panics: u64,
 }
 
-/// Everything a worker updates, shared with the pool handle.
+/// Everything a lane updates, shared with the pool's collectors.
 #[derive(Default)]
 struct WorkerSlot {
     served: AtomicU64,
@@ -190,8 +203,9 @@ struct WorkerSlot {
     scratch_reused: AtomicU64,
     scratch_allocated: AtomicU64,
     pair_entries: AtomicU64,
+    panics: AtomicU64,
     /// Request wall time in µs, recorded when [`ServeConfig::metrics`] is
-    /// on. Per-worker so recording never contends; merged on read.
+    /// on. Per-lane so recording never contends; merged on read.
     latency_us: Histogram,
 }
 
@@ -204,41 +218,47 @@ impl WorkerSlot {
             scratch_reused: self.scratch_reused.load(Ordering::Relaxed),
             scratch_allocated: self.scratch_allocated.load(Ordering::Relaxed),
             pair_entries: self.pair_entries.load(Ordering::Relaxed),
+            panics: self.panics.load(Ordering::Relaxed),
         }
     }
 }
 
-/// Pool-wide counters: one [`WorkerStats`] per worker plus the cache's
-/// and the merged request-latency histogram.
+/// Pool-wide counters: one [`WorkerStats`] per lane plus the cache's, the
+/// merged request-latency histogram, and lane occupancy.
 ///
 /// **Ordering caveat:** every counter is maintained with `Relaxed` atomic
-/// operations and [`ServePool::stats`] reads them while workers may still
-/// be running, so a snapshot is *per-counter* exact (each value is a real
-/// value that counter held) but not a cross-counter atomic cut — e.g.
-/// `served()` can momentarily exceed `cache.hits + cache.misses` while a
-/// request is between its cache lookup and its slot update. Once the pool
-/// is quiescent (all submitted tickets have resolved), every identity
-/// holds exactly: `served() == cache.hits + cache.misses`,
-/// `cache_hits() == cache.hits`, and `latency.count() == served()` when
-/// metrics are enabled — the reconciliation tests pin this down.
+/// operations and [`ServePool::stats`] reads them while lanes may still
+/// be evaluating, so a snapshot is *per-counter* exact (each value is a
+/// real value that counter held) but not a cross-counter atomic cut — e.g.
+/// `served()` can momentarily trail `cache.hits + cache.misses` while a
+/// request is between its cache lookup and its lane update. Once the pool
+/// is quiescent (every `execute` has returned), every identity holds
+/// exactly: `served() == cache.hits + cache.misses`,
+/// `cache_hits() == cache.hits`, `in_flight == 0`, and
+/// `latency.count() == served()` when metrics are enabled — the
+/// reconciliation tests pin this down.
 #[derive(Clone, Debug)]
 pub struct PoolStats {
-    /// Per-worker counters, index = worker id.
+    /// Per-lane counters, index = lane id.
     pub workers: Vec<WorkerStats>,
     /// Result-cache counters.
     pub cache: CacheStats,
-    /// Request wall-time histogram merged across workers (empty when
+    /// Request wall-time histogram merged across lanes (empty when
     /// [`ServeConfig::metrics`] is off).
     pub latency: HistogramSnapshot,
+    /// Lanes checked out right now.
+    pub in_flight: usize,
+    /// Executions that found every lane checked out and had to wait.
+    pub lane_waits: u64,
 }
 
 impl PoolStats {
-    /// Total requests served across workers.
+    /// Total requests served across lanes.
     pub fn served(&self) -> u64 {
         self.workers.iter().map(|w| w.served).sum()
     }
 
-    /// Total cache hits across workers.
+    /// Total cache hits across lanes.
     pub fn cache_hits(&self) -> u64 {
         self.workers.iter().map(|w| w.cache_hits).sum()
     }
@@ -251,40 +271,89 @@ impl PoolStats {
 
 type Reply = Result<Served, FtslError>;
 
-struct Job {
-    req: QueryRequest,
-    reply: mpsc::Sender<Reply>,
+/// One evaluation lane while it is checked in: its id (= index of its
+/// [`WorkerSlot`]) and its serving context.
+struct Lane {
+    id: usize,
+    ctx: ServeContext,
+}
+
+/// The lanes nobody has checked out, and how many callers wait for one.
+struct Idle {
+    lanes: Vec<Lane>,
+    waiting: usize,
 }
 
 struct Shared {
-    queue: Mutex<VecDeque<Job>>,
-    work_ready: Condvar,
-    shutdown: AtomicBool,
-    slots: Vec<Arc<WorkerSlot>>,
+    idle: Mutex<Idle>,
+    /// Signalled when a lane is checked in while `Idle::waiting > 0`.
+    lane_freed: Condvar,
+    lane_waits: AtomicU64,
+    slots: Vec<WorkerSlot>,
     /// Mirror of [`ServeConfig::metrics`].
     metrics: bool,
-    slow: Arc<SlowLog>,
+    slow: SlowLog,
 }
 
-/// A pending request; [`Ticket::wait`] blocks for the worker's answer.
-pub struct Ticket {
-    rx: mpsc::Receiver<Reply>,
-}
+impl Shared {
+    /// Check out a free lane, waiting while every lane is checked out.
+    fn checkout(&self) -> LaneGuard<'_> {
+        let mut idle = self.idle.lock().expect("lane list poisoned");
+        if idle.lanes.is_empty() {
+            self.lane_waits.fetch_add(1, Ordering::Relaxed);
+            idle.waiting += 1;
+            idle = self
+                .lane_freed
+                .wait_while(idle, |idle| idle.lanes.is_empty())
+                .expect("lane list poisoned");
+            idle.waiting -= 1;
+        }
+        let lane = idle.lanes.pop().expect("a lane is free");
+        LaneGuard {
+            shared: self,
+            lane: Some(lane),
+        }
+    }
 
-impl Ticket {
-    /// Block until the answer arrives.
-    pub fn wait(self) -> Reply {
-        self.rx
-            .recv()
-            .unwrap_or_else(|_| Err(FtslError::Internal("serve pool shut down".to_string())))
+    fn in_flight(&self) -> usize {
+        let idle = self.idle.lock().expect("lane list poisoned");
+        self.slots.len() - idle.lanes.len()
     }
 }
 
-/// One worker's (or a caller's) serving context: the engine, the shared
+/// A checked-out lane; dropping it checks the lane back in on every exit
+/// path, unwinding included.
+struct LaneGuard<'a> {
+    shared: &'a Shared,
+    /// `Some` until `drop`.
+    lane: Option<Lane>,
+}
+
+impl Drop for LaneGuard<'_> {
+    fn drop(&mut self) {
+        let Some(lane) = self.lane.take() else { return };
+        // Nothing panics while holding this lock (the push stays within
+        // the capacity reserved for every lane), so a poisoned list is
+        // still a valid one.
+        let mut idle = self
+            .shared
+            .idle
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        idle.lanes.push(lane);
+        let wake = idle.waiting > 0;
+        drop(idle);
+        if wake {
+            self.shared.lane_freed.notify_one();
+        }
+    }
+}
+
+/// One lane's (or a caller's) serving context: the engine, the shared
 /// cache, and the reusable evaluation scratch. [`ServeContext::serve`] is
-/// the exact code a pool worker runs per request — tests and benches can
-/// drive it directly on their own thread to measure the hot path without
-/// the queue and channel around it.
+/// the exact code a pool lane runs per request — tests and benches can
+/// drive it directly to measure the hot path without the lane checkout,
+/// counters and panic guard around it.
 pub struct ServeContext {
     engine: Arc<Ftsl>,
     cache: Arc<ResultCache>,
@@ -349,73 +418,106 @@ impl ServeContext {
     }
 }
 
-/// The concurrent serving front door over one [`Ftsl`].
-///
-/// Dropping the pool shuts it down: workers drain nothing further, wake,
-/// and are joined. In-flight tickets resolve with an error if their job
-/// was still queued.
+/// The concurrent serving front door over one [`Ftsl`]: N evaluation
+/// lanes, used by whichever threads call [`ServePool::execute`]. The pool
+/// owns no threads.
 pub struct ServePool {
     shared: Arc<Shared>,
     cache: Arc<ResultCache>,
     registry: Registry,
-    handles: Vec<JoinHandle<()>>,
 }
 
 impl ServePool {
-    /// Spawn `config.workers` workers (at least one) over a shared engine.
+    /// Build `config.workers` lanes (at least one) over a shared engine.
     pub fn new(engine: Arc<Ftsl>, config: ServeConfig) -> Self {
-        let workers = config.workers.max(1);
+        let lanes = config.workers.max(1);
         let cache = Arc::new(ResultCache::new(config.cache_capacity));
-        let slots: Vec<Arc<WorkerSlot>> = (0..workers).map(|_| Arc::default()).collect();
-        let slow = Arc::new(SlowLog::new(config.slow_query_us, config.slow_log_capacity));
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
-            work_ready: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            slots,
-            metrics: config.metrics,
-            slow: Arc::clone(&slow),
-        });
-        let registry = build_registry(&shared, &cache, &slow, &engine);
-        let handles = (0..workers)
-            .map(|id| {
-                let shared = Arc::clone(&shared);
-                let slot = Arc::clone(&shared.slots[id]);
-                let mut ctx = ServeContext::new(Arc::clone(&engine), Arc::clone(&cache));
-                std::thread::Builder::new()
-                    .name(format!("ftsl-serve-{id}"))
-                    .spawn(move || worker_loop(&shared, &slot, &mut ctx))
-                    .expect("spawn serve worker")
+        let idle = (0..lanes)
+            .map(|id| Lane {
+                id,
+                ctx: ServeContext::new(Arc::clone(&engine), Arc::clone(&cache)),
             })
             .collect();
+        let shared = Arc::new(Shared {
+            idle: Mutex::new(Idle {
+                lanes: idle,
+                waiting: 0,
+            }),
+            lane_freed: Condvar::new(),
+            lane_waits: AtomicU64::new(0),
+            slots: (0..lanes).map(|_| WorkerSlot::default()).collect(),
+            metrics: config.metrics,
+            slow: SlowLog::new(config.slow_query_us, config.slow_log_capacity),
+        });
+        let registry = build_registry(&shared, &cache, &engine);
         ServePool {
             shared,
             cache,
             registry,
-            handles,
         }
     }
 
-    /// Enqueue a request; the returned [`Ticket`] resolves when a worker
-    /// finishes it.
-    pub fn submit(&self, req: QueryRequest) -> Ticket {
-        let (tx, rx) = mpsc::channel();
-        {
-            let mut queue = self.shared.queue.lock().expect("serve queue poisoned");
-            queue.push_back(Job { req, reply: tx });
-        }
-        self.shared.work_ready.notify_one();
-        Ticket { rx }
-    }
-
-    /// Submit and wait — the closed-loop client call.
+    /// Serve one request on the calling thread through a free lane,
+    /// waiting while every lane is checked out — the closed-loop client
+    /// call. A query that panics comes back as [`FtslError::Internal`];
+    /// the lane keeps serving with fresh scratch.
     pub fn execute(&self, req: QueryRequest) -> Reply {
-        self.submit(req).wait()
+        let shared = &*self.shared;
+        let mut guard = shared.checkout();
+        let lane = guard.lane.as_mut().expect("held until drop");
+        let slot = &shared.slots[lane.id];
+        // Timing is taken only when someone will consume it; with metrics
+        // and the slow log both off, the hot path clocks nothing.
+        let timed = shared.metrics || shared.slow.threshold_us() != 0;
+        let start = timed.then(Instant::now);
+        let allocs_before = thread_allocs();
+        let scratch_before = scratch_pool_stats();
+        let result = match panic::catch_unwind(AssertUnwindSafe(|| lane.ctx.serve(&req))) {
+            Ok(result) => result,
+            Err(payload) => {
+                // The unwind may have left the scratch half-updated.
+                lane.ctx =
+                    ServeContext::new(Arc::clone(&lane.ctx.engine), Arc::clone(&lane.ctx.cache));
+                slot.panics.fetch_add(1, Ordering::Relaxed);
+                Err(FtslError::Internal(format!(
+                    "query panicked: {}",
+                    panic_message(payload.as_ref())
+                )))
+            }
+        };
+        slot.allocs
+            .fetch_add(thread_allocs() - allocs_before, Ordering::Relaxed);
+        let scratch = scratch_pool_stats();
+        slot.scratch_reused
+            .fetch_add(scratch.reused - scratch_before.reused, Ordering::Relaxed);
+        slot.scratch_allocated.fetch_add(
+            scratch.allocated - scratch_before.allocated,
+            Ordering::Relaxed,
+        );
+        slot.served.fetch_add(1, Ordering::Relaxed);
+        if let Ok(served) = &result {
+            if served.cached {
+                slot.cache_hits.fetch_add(1, Ordering::Relaxed);
+            } else if let Some(c) = served.answer.counters() {
+                slot.pair_entries
+                    .fetch_add(c.pair_entries, Ordering::Relaxed);
+            }
+        }
+        if let Some(start) = start {
+            let micros = start.elapsed().as_micros() as u64;
+            if shared.metrics {
+                slot.latency_us.record(micros);
+            }
+            if shared.slow.should_log(micros) {
+                shared.slow.record(slow_entry(&req, micros, &result));
+            }
+        }
+        result
     }
 
-    /// Number of worker threads.
+    /// Number of evaluation lanes.
     pub fn workers(&self) -> usize {
-        self.handles.len()
+        self.shared.slots.len()
     }
 
     /// The shared result cache (for stats or pre-warming).
@@ -423,15 +525,19 @@ impl ServePool {
         &self.cache
     }
 
-    /// Per-worker and cache counters plus the merged latency histogram.
+    /// Per-lane and cache counters, the merged latency histogram, and lane
+    /// occupancy.
     ///
     /// One snapshot per call; see the [`PoolStats`] ordering caveat for
-    /// what "snapshot" means while workers are still running.
+    /// what "snapshot" means while lanes are still evaluating.
     pub fn stats(&self) -> PoolStats {
+        let shared = &self.shared;
         PoolStats {
-            workers: self.shared.slots.iter().map(|s| s.snapshot()).collect(),
+            workers: shared.slots.iter().map(|s| s.snapshot()).collect(),
             cache: self.cache.stats(),
-            latency: merged_latency(&self.shared.slots),
+            latency: merged_latency(&shared.slots),
+            in_flight: shared.in_flight(),
+            lane_waits: shared.lane_waits.load(Ordering::Relaxed),
         }
     }
 
@@ -459,21 +565,16 @@ impl ServePool {
     }
 }
 
-fn merged_latency(slots: &[Arc<WorkerSlot>]) -> HistogramSnapshot {
+fn merged_latency(slots: &[WorkerSlot]) -> HistogramSnapshot {
     slots.iter().fold(HistogramSnapshot::empty(), |acc, s| {
         acc.merge(&s.latency_us.snapshot())
     })
 }
 
-/// Wire up every collector: serve counters, request latency, result
-/// cache, slow log, engine liveness, and index footprint (including the
-/// word-pair auxiliary lists).
-fn build_registry(
-    shared: &Arc<Shared>,
-    cache: &Arc<ResultCache>,
-    slow: &Arc<SlowLog>,
-    engine: &Arc<Ftsl>,
-) -> Registry {
+/// Wire up every collector: serve counters, lane occupancy, request
+/// latency, result cache, slow log, engine liveness, and index footprint
+/// (including the word-pair auxiliary lists).
+fn build_registry(shared: &Arc<Shared>, cache: &Arc<ResultCache>, engine: &Arc<Ftsl>) -> Registry {
     let registry = Registry::new();
     let sum_slot = |shared: &Arc<Shared>, f: fn(&WorkerSlot) -> &AtomicU64| {
         let shared = Arc::clone(shared);
@@ -489,8 +590,25 @@ fn build_registry(
     };
     registry.register(
         "ftsl_serve_requests_total",
-        "Requests completed across all workers",
+        "Requests completed across all lanes",
         sum_slot(shared, |s| &s.served),
+    );
+    registry.register(
+        "ftsl_serve_panics_total",
+        "Requests whose evaluation panicked (answered with an error; the lane kept serving)",
+        sum_slot(shared, |s| &s.panics),
+    );
+    let sh = Arc::clone(shared);
+    registry.register(
+        "ftsl_serve_in_flight",
+        "Lanes checked out by a request right now",
+        move || MetricValue::Gauge(sh.in_flight() as u64),
+    );
+    let sh = Arc::clone(shared);
+    registry.register(
+        "ftsl_serve_lane_waits_total",
+        "Requests that found every lane checked out and waited for one",
+        move || MetricValue::Counter(sh.lane_waits.load(Ordering::Relaxed)),
     );
     registry.register(
         "ftsl_serve_cache_hits_total",
@@ -504,34 +622,18 @@ fn build_registry(
     );
     registry.register(
         "ftsl_serve_worker_allocs_total",
-        "Heap allocations on worker threads (0 unless CountingAlloc is installed)",
+        "Heap allocations while lanes evaluated (0 unless CountingAlloc is installed)",
         sum_slot(shared, |s| &s.allocs),
     );
-    let sh = Arc::clone(shared);
     registry.register(
         "ftsl_serve_scratch_reused",
-        "Cursor scratch buffers recycled across worker threads",
-        move || {
-            MetricValue::Gauge(
-                sh.slots
-                    .iter()
-                    .map(|s| s.scratch_reused.load(Ordering::Relaxed))
-                    .sum(),
-            )
-        },
+        "Cursor scratch buffers recycled while lanes evaluated",
+        sum_slot(shared, |s| &s.scratch_reused),
     );
-    let sh = Arc::clone(shared);
     registry.register(
         "ftsl_serve_scratch_allocated",
-        "Cursor scratch buffers heap-allocated across worker threads",
-        move || {
-            MetricValue::Gauge(
-                sh.slots
-                    .iter()
-                    .map(|s| s.scratch_allocated.load(Ordering::Relaxed))
-                    .sum(),
-            )
-        },
+        "Cursor scratch buffers heap-allocated while lanes evaluated",
+        sum_slot(shared, |s| &s.scratch_allocated),
     );
     let sh = Arc::clone(shared);
     registry.register(
@@ -575,17 +677,17 @@ fn build_registry(
         "Result-cache capacity in entries",
         move || MetricValue::Gauge(ch.stats().capacity as u64),
     );
-    let sl = Arc::clone(slow);
+    let sh = Arc::clone(shared);
     registry.register(
         "ftsl_slow_queries_total",
         "Requests captured by the slow-query log (lifetime, including evicted)",
-        move || MetricValue::Counter(sl.total()),
+        move || MetricValue::Counter(sh.slow.total()),
     );
-    let sl = Arc::clone(slow);
+    let sh = Arc::clone(shared);
     registry.register(
         "ftsl_slow_query_threshold_us",
         "Slow-query capture threshold in microseconds (0 = disabled)",
-        move || MetricValue::Gauge(sl.threshold_us()),
+        move || MetricValue::Gauge(sh.slow.threshold_us()),
     );
     let en = Arc::clone(engine);
     registry.register(
@@ -646,62 +748,14 @@ fn build_registry(
     registry
 }
 
-impl Drop for ServePool {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.work_ready.notify_all();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared, slot: &WorkerSlot, ctx: &mut ServeContext) {
-    loop {
-        let job = {
-            let mut queue = shared.queue.lock().expect("serve queue poisoned");
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    break job;
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                queue = shared.work_ready.wait(queue).expect("serve queue poisoned");
-            }
-        };
-        // Timing is taken only when someone will consume it; with metrics
-        // and the slow log both off, the hot path clocks nothing.
-        let timed = shared.metrics || shared.slow.threshold_us() != 0;
-        let start = timed.then(Instant::now);
-        let allocs_before = thread_allocs();
-        let result = ctx.serve(&job.req);
-        slot.allocs
-            .fetch_add(thread_allocs() - allocs_before, Ordering::Relaxed);
-        slot.served.fetch_add(1, Ordering::Relaxed);
-        if let Ok(served) = &result {
-            if served.cached {
-                slot.cache_hits.fetch_add(1, Ordering::Relaxed);
-            } else if let Some(c) = served.answer.counters() {
-                slot.pair_entries
-                    .fetch_add(c.pair_entries, Ordering::Relaxed);
-            }
-        }
-        if let Some(start) = start {
-            let micros = start.elapsed().as_micros() as u64;
-            if shared.metrics {
-                slot.latency_us.record(micros);
-            }
-            if shared.slow.should_log(micros) {
-                shared.slow.record(slow_entry(&job.req, micros, &result));
-            }
-        }
-        let pool = scratch_pool_stats();
-        slot.scratch_reused.store(pool.reused, Ordering::Relaxed);
-        slot.scratch_allocated
-            .store(pool.allocated, Ordering::Relaxed);
-        // The requester may have given up (dropped ticket) — fine.
-        let _ = job.reply.send(result);
+/// The message a panic carried, when it was a string.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    if let Some(msg) = payload.downcast_ref::<&str>() {
+        msg
+    } else if let Some(msg) = payload.downcast_ref::<String>() {
+        msg
+    } else {
+        "non-string panic payload"
     }
 }
 
@@ -739,10 +793,10 @@ fn slow_entry(req: &QueryRequest, micros: u64, result: &Reply) -> SlowEntry {
 
 /// Entry point sugar: `engine.serve_pool(config)` on an
 /// `Arc<Ftsl>`. (The pool must share ownership of the engine with its
-/// workers, hence the `Arc` receiver; `ftsl-core` cannot define this
+/// lanes, hence the `Arc` receiver; `ftsl-core` cannot define this
 /// inherently without depending on the serving layer.)
 pub trait ServePoolExt {
-    /// Spawn a [`ServePool`] over this engine.
+    /// Build a [`ServePool`] over this engine.
     fn serve_pool(self: &Arc<Self>, config: ServeConfig) -> ServePool;
 }
 

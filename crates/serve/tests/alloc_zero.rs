@@ -57,7 +57,7 @@ fn cache_hit_serving_allocates_nothing() {
 }
 
 /// The observability layer must not cost the zero-alloc guarantee: the
-/// exact per-request instrumentation a pool worker performs with metrics
+/// exact per-request instrumentation a pool lane performs with metrics
 /// on (clock the request, record the latency histogram, check the
 /// slow-log threshold) is replayed around the warm cache-hit path.
 #[test]

@@ -123,7 +123,7 @@ fn hit_and_miss_counters_are_exact_under_concurrent_access() {
         total,
         "hits + misses == lookups, exactly"
     );
-    assert_eq!(stats.cache_hits(), stats.cache.hits, "worker view agrees");
+    assert_eq!(stats.cache_hits(), stats.cache.hits, "lane view agrees");
 }
 
 /// An engine written to after start-up, and one sealed from texts and

@@ -43,33 +43,33 @@ fn prometheus_export_reconciles_with_pool_stats_after_concurrent_load() {
         ..ServeConfig::default()
     });
     let queries = ["'software'", "'efficient'", "'usability'", "'algorithm'"];
-    // Concurrent submitters; every ticket is awaited, so after the last
-    // wait the pool is quiescent and counters must reconcile exactly.
-    let rounds = 25;
-    let tickets: Vec<_> = (0..rounds)
-        .flat_map(|i| {
-            queries
-                .iter()
-                .map(move |q| {
-                    if i % 3 == 0 {
+    // Eight callers on four lanes; once every scoped thread has joined,
+    // the pool is quiescent and counters must reconcile exactly.
+    const CALLERS: usize = 8;
+    const PER_CALLER: usize = 25;
+    std::thread::scope(|scope| {
+        for c in 0..CALLERS {
+            let pool = &pool;
+            scope.spawn(move || {
+                for i in 0..PER_CALLER {
+                    let q = queries[(c + i) % queries.len()];
+                    let req = if i % 3 == 0 {
                         QueryRequest::top_k(q, RankModel::TfIdf, 5)
                     } else {
                         QueryRequest::search(q)
-                    }
-                })
-                .collect::<Vec<_>>()
-        })
-        .map(|req| pool.submit(req))
-        .collect();
-    let total = tickets.len() as u64;
-    for t in tickets {
-        t.wait().unwrap();
-    }
+                    };
+                    pool.execute(req).unwrap();
+                }
+            });
+        }
+    });
+    let total = (CALLERS * PER_CALLER) as u64;
 
     let stats = pool.stats();
     assert_eq!(stats.served(), total);
     assert_eq!(stats.cache.hits + stats.cache.misses, total);
     assert_eq!(stats.cache_hits(), stats.cache.hits);
+    assert_eq!(stats.in_flight, 0, "quiescent: every lane checked back in");
     assert_eq!(
         stats.latency.count(),
         total,
@@ -78,6 +78,12 @@ fn prometheus_export_reconciles_with_pool_stats_after_concurrent_load() {
 
     let text = pool.metrics_text();
     assert_eq!(prom_value(&text, "ftsl_serve_requests_total"), total);
+    assert_eq!(prom_value(&text, "ftsl_serve_in_flight"), 0);
+    assert_eq!(
+        prom_value(&text, "ftsl_serve_lane_waits_total"),
+        stats.lane_waits
+    );
+    assert_eq!(prom_value(&text, "ftsl_serve_panics_total"), 0);
     assert_eq!(
         prom_value(&text, "ftsl_serve_cache_hits_total"),
         stats.cache.hits

@@ -18,11 +18,12 @@
 //! via the word-pair auxiliary index; `:stats` shows pair coverage and how
 //! many postings came off pair lists), `:stats`, `:quit`, `:add <text>`,
 //! `:delete <node>`, `:flush`, `:merge`, plus the serving front door:
-//! `:serve <n>` starts (or resizes) a worker pool with a shared result
-//! cache — plain queries and `:top` then go through it — `:serve 0`
-//! stops it, and `:bench-load [requests]` runs a short closed-loop mixed
-//! read/write load against the pool and prints QPS and latency
-//! percentiles. With a pool active, `:stats` adds per-worker served/hit
+//! `:serve <n>` starts (or resizes) a serve pool of `n` evaluation lanes
+//! with a shared result cache — plain queries and `:top` then go through
+//! it, evaluated on the shell's own thread — `:serve 0` stops it, and
+//! `:bench-load [requests]` runs a short closed-loop mixed read/write load
+//! from one client thread per lane and prints QPS and latency
+//! percentiles. With a pool active, `:stats` adds per-lane served/hit
 //! counts and the cache's hit rate, `:metrics` dumps the pool's metrics
 //! registry as Prometheus text, and `:slow [n]` shows the most recent
 //! slow-query log entries (`:slow-threshold <µs>` adjusts the cutoff at
@@ -235,25 +236,25 @@ fn dispatch(
         writeln!(
             out,
             ":add <text> | :delete <node> | :flush | :merge | :explain <q> | \
-             :rank <q> | :top <k> <q> | :near <k> <bound> <a> <b> | :serve <n> | \
+             :rank <q> | :top <k> <q> | :near <k> <bound> <a> <b> | :serve <lanes> | \
              :bench-load [requests] | :metrics | :slow [n] | \
              :slow-threshold <µs> | :stats | :quit"
         )?;
         return Ok(());
     }
     if let Some(n) = input.strip_prefix(":serve ") {
-        let workers: usize = n.trim().parse()?;
-        if workers == 0 {
+        let lanes: usize = n.trim().parse()?;
+        if lanes == 0 {
             *pool = None;
             writeln!(out, "serve pool stopped")?;
         } else {
             *pool = Some(engine.serve_pool(ServeConfig {
-                workers,
+                workers: lanes,
                 ..ServeConfig::default()
             }));
             writeln!(
                 out,
-                "serve pool: {workers} worker(s), result cache on; queries and :top \
+                "serve pool: {lanes} lane(s), result cache on; queries and :top \
                  now go through the pool"
             )?;
         }
@@ -267,7 +268,7 @@ fn dispatch(
             .parse()
             .unwrap_or(2000);
         let Some(p) = pool.as_ref() else {
-            writeln!(out, "no serve pool — start one with :serve <n> first")?;
+            writeln!(out, "no serve pool — start one with :serve <lanes> first")?;
             return Ok(());
         };
         bench_load(engine, p, requests, out)?;
@@ -279,7 +280,7 @@ fn dispatch(
     }
     if input == ":metrics" {
         let Some(p) = pool.as_ref() else {
-            writeln!(out, "no serve pool — start one with :serve <n> first")?;
+            writeln!(out, "no serve pool — start one with :serve <lanes> first")?;
             return Ok(());
         };
         write!(out, "{}", p.metrics_text())?;
@@ -287,7 +288,7 @@ fn dispatch(
     }
     if input == ":slow" || input.starts_with(":slow ") {
         let Some(p) = pool.as_ref() else {
-            writeln!(out, "no serve pool — start one with :serve <n> first")?;
+            writeln!(out, "no serve pool — start one with :serve <lanes> first")?;
             return Ok(());
         };
         let limit: usize = input
@@ -301,7 +302,7 @@ fn dispatch(
     }
     if let Some(us) = input.strip_prefix(":slow-threshold ") {
         let Some(p) = pool.as_ref() else {
-            writeln!(out, "no serve pool — start one with :serve <n> first")?;
+            writeln!(out, "no serve pool — start one with :serve <lanes> first")?;
             return Ok(());
         };
         let us: u64 = us.trim().parse()?;
@@ -403,12 +404,13 @@ fn dispatch(
             let stats = p.stats();
             writeln!(
                 out,
-                "serve pool: {} worker(s), {} served, {} cache hits, \
-                 {} pair-list postings",
+                "serve pool: {} lane(s), {} served, {} cache hits, \
+                 {} pair-list postings, {} lane waits",
                 p.workers(),
                 stats.served(),
                 stats.cache_hits(),
-                stats.pair_entries()
+                stats.pair_entries(),
+                stats.lane_waits
             )?;
             let lat = &stats.latency;
             if lat.count() > 0 {
@@ -432,8 +434,9 @@ fn dispatch(
             for (id, w) in stats.workers.iter().enumerate() {
                 writeln!(
                     out,
-                    "  worker {id}: {} served, {} hits, {} scratch reuses / {} allocs",
-                    w.served, w.cache_hits, w.scratch_reused, w.scratch_allocated
+                    "  lane {id}: {} served, {} hits, {} scratch reuses / {} allocs, \
+                     {} panics",
+                    w.served, w.cache_hits, w.scratch_reused, w.scratch_allocated, w.panics
                 )?;
             }
             let c = stats.cache;
@@ -545,7 +548,7 @@ fn dispatch(
 }
 
 /// `:bench-load` — a short closed-loop load against the active pool: one
-/// client per worker replays a skewed mix of BOOL and top-k queries over
+/// client thread per lane replays a skewed mix of BOOL and top-k queries over
 /// the engine's own vocabulary while this thread churns a write every few
 /// milliseconds, then QPS and latency percentiles come from the merged
 /// per-request timings. (The full configurable harness is the

@@ -1,7 +1,7 @@
 //! COMP materializes per-node cross products, so query text can ask for
 //! more rows than memory holds. The node-at-a-time evaluator refuses a
 //! node whose relations would pass `MAX_NODE_POSITIONS` before allocating:
-//! the query is an `Err`, never an OOM, and a serve worker lives on.
+//! the query is an `Err`, never an OOM, and the serve lane keeps serving.
 
 use ftsl::core::{Ftsl, FtslError};
 use ftsl::serve::{QueryRequest, ServeConfig, ServePoolExt};
@@ -46,7 +46,7 @@ fn a_pool_worker_survives_a_hostile_cross_product() {
         .execute(QueryRequest::search(&eight_way()))
         .expect_err("over the per-node budget");
     assert!(err.to_string().contains("per-node budget"), "{err}");
-    // The one worker is still there for the next request.
+    // The one lane is still there for the next request.
     let served = pool.execute(QueryRequest::search("'u'")).expect("served");
     assert_eq!(served.answer.as_search().unwrap().node_ids(), vec![0, 2]);
     assert_eq!(pool.stats().served(), 2);

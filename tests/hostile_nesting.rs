@@ -1,10 +1,11 @@
 //! Query text is untrusted: nesting that would overflow the stack must
-//! come back as an `Err`, never as a dead process or a dead serve worker.
+//! come back as an `Err`, never as a dead process or a lost serve lane.
 //!
-//! Everything here runs on a 2 MB thread — the stack a `ServePool` worker
-//! gets — so the test that accepts a query just under
-//! [`MAX_NESTING`] is the proof that the constant is safe for every
-//! recursive pass between the parser and the engines.
+//! Everything here runs on a 2 MB thread — the stack std gives a spawned
+//! thread, and so the least a `ServePool` caller evaluates on (a lane runs
+//! its request on the caller's own stack) — so the test that accepts a
+//! query just under [`MAX_NESTING`] is the proof that the constant is
+//! safe for every recursive pass between the parser and the engines.
 
 use ftsl::core::{Ftsl, FtslError, RankModel};
 use ftsl::exec::engine::EngineKind;
@@ -92,7 +93,7 @@ fn a_pool_worker_survives_hostile_requests() {
             .execute(QueryRequest::search(&query))
             .expect_err("too deep");
         assert!(err.to_string().contains("nests deeper"), "{err}");
-        // The one worker is still there for the next request.
+        // The one lane is still there for the next request.
         let served = pool.execute(QueryRequest::search("'a'")).expect("served");
         assert_eq!(served.answer.as_search().unwrap().node_ids(), vec![0, 2]);
     }
@@ -129,8 +130,7 @@ fn the_limit_is_exact() {
 
 /// The proof that `MAX_NESTING` is small enough: the deepest accepted
 /// queries go through every recursive pass — parse, classify, rewrite,
-/// lower, plan, each engine, ranking, tracing, `Drop` — on a worker-sized
-/// stack.
+/// lower, plan, each engine, ranking, tracing, `Drop` — on a 2 MB stack.
 #[test]
 fn queries_at_the_limit_run_on_a_worker_stack() {
     let e = engine();
