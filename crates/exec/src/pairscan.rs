@@ -216,7 +216,7 @@ pub fn execute(
 /// Walk one pair list collecting nodes whose min forward gap is within
 /// `bound`, skipping whole blocks whose `min_gap` header already exceeds
 /// it (the block-max proximity bound).
-fn collect(list: &PairList, bound: u32, counters: &mut AccessCounters) -> Vec<NodeId> {
+fn collect(list: PairList<'_>, bound: u32, counters: &mut AccessCounters) -> Vec<NodeId> {
     let mut out = Vec::new();
     let mut cur = list.cursor();
     while !cur.exhausted() {

@@ -34,9 +34,10 @@ pub struct MemoryFootprint {
     /// `t` of these alive while it runs, so serving cost scales with
     /// concurrent cursors, not with corpus size.
     pub cursor_scratch: usize,
-    /// Bytes held by the word-pair auxiliary index (packed pair lists,
-    /// skip headers, key array, coverage bitmap). Zero when pairs are
-    /// disabled.
+    /// Bytes held by the word-pair auxiliary index's arena (CSR key
+    /// table, per-key block index, block headers, packed byte stream,
+    /// coverage bitmap) — the vectors' capacities, which the build shrinks
+    /// to their lengths. Zero when pairs are disabled.
     pub pairs: usize,
 }
 

@@ -27,28 +27,48 @@
 //!
 //! ## Physical layout
 //!
-//! Pair lists reuse the v5 bit-packed block machinery: blocks of
-//! [`crate::block::BLOCK_ENTRIES`] entries, each a 6-byte prefix
-//! (`base:u32-le id_width:u8 gap_width:u8`) followed by two exception-free
-//! frame-of-reference columns — node-id deltas (lane 0 = 0, lane *i* =
-//! `id[i] − id[i−1] − 1`) and `gap − 1` (gaps are ≥ 1 by construction).
-//! Each block header ([`PairBlockMeta`]) doubles as a skip-list node
-//! (`max_node`, `byte_start`, `first_entry`) and carries the block's
-//! **minimum gap**: since every proximity score is monotone *decreasing*
-//! in the gap, `min_gap` is the block-max score bound, and a query bounded
-//! by `g` can skip whole blocks whose `min_gap` exceeds `g` without
-//! decoding an entry.
+//! A segment's pair index is **one arena** — a handful of flat vectors,
+//! with no allocation per key:
+//!
+//! * a CSR key table over the first token: the keys `(a, _)` are
+//!   `seconds[starts[a]..starts[a + 1]]`, ascending, so a lookup is one
+//!   binary search inside that run;
+//! * `first_block`, one entry per key plus a sentinel: key `k`'s blocks are
+//!   `blocks[first_block[k]..first_block[k + 1]]`;
+//! * `blocks`, one 16-byte [`PairBlock`] header per block of
+//!   [`crate::block::BLOCK_ENTRIES`] entries — a skip-list node
+//!   (`max_node`, an absolute `byte_start`, the list-relative `end` entry)
+//!   carrying the block's **minimum gap**: since every proximity score is
+//!   monotone *decreasing* in the gap, `min_gap` is the block-max score
+//!   bound, and a query bounded by `g` can skip whole blocks whose
+//!   `min_gap` exceeds `g` without decoding an entry;
+//! * `data`, one byte stream holding every block of two or more entries as
+//!   a 6-byte prefix (`base:u32-le id_width:u8 gap_width:u8`) followed by
+//!   two exception-free frame-of-reference columns — node-id deltas
+//!   (lane 0 = 0, lane *i* = `id[i] − id[i−1] − 1`) and `gap − 1` (gaps are
+//!   ≥ 1 by construction);
+//! * the coverage bitmap.
+//!
+//! A block of **one** entry stores no bytes: its header's `max_node` and
+//! `min_gap` already are the entry. Most keys are lists of one document,
+//! so most keys cost one key word, one block index and one header.
+//!
+//! [`PairIndex::build`] collects each document's covered pairs, keeps the
+//! minimum gap per key, and sorts every `(key, node, gap)` posting once;
+//! each key's run is then appended to the arena. The persisted form is the
+//! unchanged per-list v7 pair section ([`crate::persist`]): the encoder
+//! writes each list through the stored-form encoder, and the load path
+//! validates each stored list and appends it to a fresh arena.
 
 use crate::bitpack;
 use crate::block::{BlockList, BLOCK_ENTRIES};
 use crate::counters::AccessCounters;
 use ftsl_model::{Document, NodeId, TokenId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Fixed per-block stream overhead: the absolute base node id (4 bytes)
 /// plus the two frame widths (1 byte each).
-const PAIR_PREFIX_BYTES: usize = 6;
+pub(crate) const PAIR_PREFIX_BYTES: usize = 6;
 
 /// Default co-occurrence window: forward gaps up to this many offsets are
 /// indexed. 16 covers adjacency (phrase), every `distance(_, _, d)` with
@@ -89,91 +109,87 @@ impl PairConfig {
     }
 }
 
-/// Header of one compressed pair block — skip-list node plus the block's
-/// proximity impact bound.
+/// Header of one pair block in a segment's arena — skip-list node plus the
+/// block's proximity impact bound.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PairBlockMeta {
+pub struct PairBlock {
     /// Largest node id stored in the block (its last entry's id).
     pub max_node: NodeId,
-    /// Byte offset of the block's encoding in the data stream.
+    /// Offset of the block's packed bytes in the arena's data stream
+    /// (where they would start, for a one-entry block, which has none).
     pub byte_start: u32,
-    /// Global index of the block's first entry.
-    pub first_entry: u32,
+    /// List-relative index one past the block's last entry: the block
+    /// holds entries `block × 128 .. end`, and the last block's `end` is
+    /// the list's length.
+    pub end: u32,
     /// Smallest gap of any entry in the block. Proximity scores decrease
     /// with the gap, so this is the block-max score bound — and a query
     /// bounded by `g < min_gap` skips the block whole.
     pub min_gap: u32,
 }
 
-/// A block-compressed pair posting list: one `(node, min forward gap)`
-/// entry per document containing the pair within the window.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PairList {
-    blocks: Vec<PairBlockMeta>,
-    data: Vec<u8>,
-    entries: u32,
+/// Pack one block of `(node, gap)` entries — at most
+/// [`BLOCK_ENTRIES`], node ids strictly increasing, every gap ≥ 1 — onto
+/// `out`: the 6-byte prefix, then the id-delta and `gap − 1` frames.
+/// Returns the block's minimum gap. The arena and the persisted per-list
+/// encoding share this, so a block of two or more entries has the same
+/// bytes in both.
+pub(crate) fn pack_block(chunk: &[(u32, u32)], out: &mut Vec<u8>) -> u32 {
+    let count = chunk.len();
+    let mut frame = [0u32; bitpack::LANES];
+    // Column 1: id deltas (lane 0 is 0 — the base is absolute).
+    let mut max_delta = 0u32;
+    for (lane, pair) in frame[1..count].iter_mut().zip(chunk.windows(2)) {
+        let d = pair[1].0 - pair[0].0 - 1;
+        *lane = d;
+        max_delta = max_delta.max(d);
+    }
+    let id_width = bitpack::width_for(max_delta);
+
+    // Column 2: gap − 1 (every stored gap is ≥ 1).
+    let mut min_gap = u32::MAX;
+    let mut max_gm1 = 0u32;
+    for &(_, gap) in chunk {
+        debug_assert!(gap >= 1, "pair gaps are forward distances ≥ 1");
+        min_gap = min_gap.min(gap);
+        max_gm1 = max_gm1.max(gap - 1);
+    }
+    let gap_width = bitpack::width_for(max_gm1);
+
+    out.extend_from_slice(&chunk[0].0.to_le_bytes());
+    out.extend_from_slice(&[id_width, gap_width]);
+    bitpack::pack(&frame, count, id_width, out);
+    for (lane, &(_, gap)) in frame.iter_mut().zip(chunk) {
+        *lane = gap - 1;
+    }
+    bitpack::pack(&frame, count, gap_width, out);
+    min_gap
 }
 
-impl PairList {
-    /// Encode `(node, gap)` entries (strictly increasing node ids, every
-    /// gap ≥ 1) into bit-packed blocks.
-    pub fn from_entries(entries: &[(u32, u32)]) -> Self {
-        let mut out = PairList::default();
-        let mut frame = [0u32; bitpack::LANES];
-        for chunk in entries.chunks(BLOCK_ENTRIES) {
-            let count = chunk.len();
-            let byte_start = out.data.len() as u32;
-            let first_entry = out.entries;
+/// One key's pair posting list: a borrowed view of its block headers and
+/// of the segment's data stream, one `(node, min forward gap)` entry per
+/// document containing the pair within the window. Never empty.
+#[derive(Clone, Copy)]
+pub struct PairList<'a> {
+    blocks: &'a [PairBlock],
+    /// The whole arena stream (`byte_start` is absolute).
+    data: &'a [u8],
+}
 
-            // Column 1: id deltas (lane 0 is 0 — the base is absolute).
-            let mut max_delta = 0u32;
-            for (lane, pair) in frame[1..count].iter_mut().zip(chunk.windows(2)) {
-                let d = pair[1].0 - pair[0].0 - 1;
-                *lane = d;
-                max_delta = max_delta.max(d);
-            }
-            frame[0] = 0;
-            for lane in &mut frame[count..] {
-                *lane = 0;
-            }
-            let id_width = bitpack::width_for(max_delta);
-
-            // Column 2: gap − 1 (every stored gap is ≥ 1).
-            let mut min_gap = u32::MAX;
-            let mut max_gm1 = 0u32;
-            for &(_, gap) in chunk {
-                debug_assert!(gap >= 1, "pair gaps are forward distances ≥ 1");
-                min_gap = min_gap.min(gap);
-                max_gm1 = max_gm1.max(gap - 1);
-            }
-            let gap_width = bitpack::width_for(max_gm1);
-
-            out.data.extend_from_slice(&chunk[0].0.to_le_bytes());
-            out.data.extend_from_slice(&[id_width, gap_width]);
-            bitpack::pack(&frame, count, id_width, &mut out.data);
-            for (lane, &(_, gap)) in frame.iter_mut().zip(chunk) {
-                *lane = gap - 1;
-            }
-            for lane in &mut frame[count..] {
-                *lane = 0;
-            }
-            bitpack::pack(&frame, count, gap_width, &mut out.data);
-
-            out.entries += count as u32;
-            out.blocks.push(PairBlockMeta {
-                max_node: NodeId(chunk[count - 1].0),
-                byte_start,
-                first_entry,
-                min_gap,
-            });
-        }
-        out
+impl std::fmt::Debug for PairList<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PairList")
+            .field("entries", &self.num_entries())
+            .field("blocks", &self.blocks.len())
+            .finish()
     }
+}
 
-    /// Decode every `(node, gap)` entry (trusted bytes — lists built in
-    /// memory are well-formed by construction).
-    pub fn to_entries(&self) -> Vec<(u32, u32)> {
-        let mut out = Vec::with_capacity(self.entries as usize);
+impl<'a> PairList<'a> {
+    /// Decode every `(node, gap)` entry (trusted bytes — the arena is
+    /// well-formed by construction or validated on load).
+    pub fn to_entries(self) -> Vec<(u32, u32)> {
+        let mut out = Vec::with_capacity(self.num_entries());
         let mut cur = self.cursor();
         while let Some(node) = cur.next_entry() {
             out.push((node.0, cur.gap()));
@@ -181,108 +197,19 @@ impl PairList {
         out
     }
 
-    /// Like [`Self::to_entries`], but over *untrusted* bytes (the persisted
-    /// load path): every width, frame, count, ordering, and padding
-    /// invariant is checked — including that gaps stay within `1..=window`
-    /// and that each header's `max_node`/`min_gap` agree with the entries —
-    /// so each list has exactly one canonical encoding. Any violation
-    /// returns `Err` with a description instead of panicking.
-    pub fn try_to_entries(&self, window: u32) -> Result<Vec<(u32, u32)>, &'static str> {
-        let entries = self.entries as usize;
-        if self.blocks.len() != entries.div_ceil(BLOCK_ENTRIES) {
-            return Err("pair block count disagrees with entry count");
-        }
-        let mut out = Vec::with_capacity(entries);
-        let mut at = 0usize;
-        let mut prev_node: Option<u32> = None;
-        let mut ids = [0u32; bitpack::LANES];
-        let mut gaps = [0u32; bitpack::LANES];
-        for (b, meta) in self.blocks.iter().enumerate() {
-            let count = BLOCK_ENTRIES.min(entries - b * BLOCK_ENTRIES);
-            if meta.byte_start as usize != at || meta.first_entry as usize != b * BLOCK_ENTRIES {
-                return Err("pair block header disagrees with entry stream");
-            }
-            if self.data.len() - at < PAIR_PREFIX_BYTES {
-                return Err("truncated pair block prefix");
-            }
-            let base = u32::from_le_bytes([
-                self.data[at],
-                self.data[at + 1],
-                self.data[at + 2],
-                self.data[at + 3],
-            ]);
-            let id_width = self.data[at + 4];
-            let gap_width = self.data[at + 5];
-            at += PAIR_PREFIX_BYTES;
-            if id_width > 32 || gap_width > 32 {
-                return Err("pair frame width exceeds 32 bits");
-            }
-            let frames =
-                bitpack::packed_bytes(id_width, count) + bitpack::packed_bytes(gap_width, count);
-            if self.data.len() - at < frames {
-                return Err("truncated pair block frames");
-            }
-            at += bitpack::unpack(&self.data[at..], id_width, count, &mut ids);
-            at += bitpack::unpack(&self.data[at..], gap_width, count, &mut gaps);
-            if ids[0] != 0 {
-                return Err("first pair id-delta lane not zero");
-            }
-            for lane in count..BLOCK_ENTRIES {
-                if ids[lane] != 0 || gaps[lane] != 0 {
-                    return Err("non-zero pair padding lane");
-                }
-            }
-            if prev_node.is_some_and(|p| base <= p) {
-                return Err("pair node ids not strictly increasing");
-            }
-            ids[0] = base;
-            for i in 1..count {
-                ids[i] = ids[i - 1]
-                    .checked_add(ids[i])
-                    .and_then(|n| n.checked_add(1))
-                    .ok_or("pair node overflow")?;
-            }
-            prev_node = Some(ids[count - 1]);
-            if NodeId(ids[count - 1]) != meta.max_node {
-                return Err("pair block max node disagrees with entries");
-            }
-            let mut block_min = u32::MAX;
-            for i in 0..count {
-                let gap = gaps[i].checked_add(1).ok_or("pair gap overflow")?;
-                if gap > window {
-                    return Err("pair gap exceeds the index window");
-                }
-                block_min = block_min.min(gap);
-                out.push((ids[i], gap));
-            }
-            if block_min != meta.min_gap {
-                return Err("pair block min_gap disagrees with entries");
-            }
-        }
-        if at != self.data.len() {
-            return Err("trailing bytes after last pair block");
-        }
-        Ok(out)
-    }
-
     /// Number of `(node, gap)` entries.
-    pub fn num_entries(&self) -> usize {
-        self.entries as usize
+    pub fn num_entries(self) -> usize {
+        self.blocks.last().map_or(0, |b| b.end as usize)
     }
 
-    /// True iff the list has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
-    }
-
-    /// Number of compressed blocks.
-    pub fn num_blocks(&self) -> usize {
+    /// Number of blocks.
+    pub fn num_blocks(self) -> usize {
         self.blocks.len()
     }
 
     /// Smallest gap across the whole list — the list-level proximity
-    /// impact bound (`u32::MAX` for an empty list).
-    pub fn min_gap(&self) -> u32 {
+    /// impact bound.
+    pub fn min_gap(self) -> u32 {
         self.blocks
             .iter()
             .map(|b| b.min_gap)
@@ -290,14 +217,11 @@ impl PairList {
             .unwrap_or(u32::MAX)
     }
 
-    /// Compressed payload size in bytes (entry stream + skip headers).
-    pub fn compressed_bytes(&self) -> usize {
-        self.data.len() + self.blocks.len() * std::mem::size_of::<PairBlockMeta>()
-    }
-
     /// Open a seeking, block-at-a-time cursor.
-    pub fn cursor(&self) -> PairCursor<'_> {
+    #[inline]
+    pub fn cursor(self) -> PairCursor<'a> {
         PairCursor {
+            entries: self.num_entries() as u32,
             list: self,
             ids: [0; BLOCK_ENTRIES],
             gaps: [0; BLOCK_ENTRIES],
@@ -308,21 +232,6 @@ impl PairList {
             started: false,
             done: false,
             counters: AccessCounters::new(),
-        }
-    }
-
-    /// Skip headers and raw stream (exposed for persistence).
-    pub(crate) fn parts(&self) -> (&[PairBlockMeta], &[u8], u32) {
-        (&self.blocks, &self.data, self.entries)
-    }
-
-    /// Reassemble from persisted parts (validated by
-    /// [`Self::try_to_entries`] on the load path).
-    pub(crate) fn from_parts(blocks: Vec<PairBlockMeta>, data: Vec<u8>, entries: u32) -> Self {
-        PairList {
-            blocks,
-            data,
-            entries,
         }
     }
 }
@@ -338,7 +247,9 @@ impl PairList {
 /// [`AccessCounters::blocks_skipped`].
 #[derive(Clone, Debug)]
 pub struct PairCursor<'a> {
-    list: &'a PairList,
+    list: PairList<'a>,
+    /// The list's length.
+    entries: u32,
     ids: [u32; BLOCK_ENTRIES],
     gaps: [u32; BLOCK_ENTRIES],
     /// Index of the current entry within the resident block; `usize::MAX`
@@ -346,7 +257,7 @@ pub struct PairCursor<'a> {
     idx: usize,
     /// Entries in the resident block (0 when none is decoded).
     count: usize,
-    /// Global index of the resident block's first entry.
+    /// List-relative index of the resident block's first entry.
     first: u32,
     /// Index of the resident block; `usize::MAX` when none is decoded.
     block: usize,
@@ -356,10 +267,10 @@ pub struct PairCursor<'a> {
 }
 
 impl<'a> PairCursor<'a> {
-    /// Global index of the next entry to consume.
+    /// List-relative index of the next entry to consume.
     fn global_next(&self) -> u32 {
         if self.done {
-            self.list.entries
+            self.entries
         } else if self.idx < self.count {
             self.first + self.idx as u32 + 1
         } else {
@@ -367,28 +278,37 @@ impl<'a> PairCursor<'a> {
         }
     }
 
-    /// Batch-decode both columns of `block`.
+    /// Batch-decode both columns of `block`; a one-entry block is its
+    /// header.
     #[cold]
     fn unpack_block(&mut self, block: usize) {
-        let meta = &self.list.blocks[block];
-        let count = BLOCK_ENTRIES.min(self.list.entries as usize - meta.first_entry as usize);
-        let data = &self.list.data;
-        let mut at = meta.byte_start as usize;
-        let base = u32::from_le_bytes([data[at], data[at + 1], data[at + 2], data[at + 3]]);
-        let (id_width, gap_width) = (data[at + 4], data[at + 5]);
-        at += PAIR_PREFIX_BYTES;
-        at += bitpack::unpack(&data[at..], id_width, count, &mut self.ids);
-        bitpack::unpack(&data[at..], gap_width, count, &mut self.gaps);
-        self.ids[0] = base;
-        for i in 1..count {
-            self.ids[i] = self.ids[i].wrapping_add(self.ids[i - 1]).wrapping_add(1);
-        }
-        for gap in self.gaps[..count].iter_mut() {
-            *gap = gap.wrapping_add(1); // stored as gap − 1
+        let meta = self.list.blocks[block];
+        let first = block * BLOCK_ENTRIES;
+        // Never more than a block; saying so lets the compiler keep the
+        // running id below in a register, free of bounds checks.
+        let count = (meta.end as usize - first).min(BLOCK_ENTRIES);
+        if count == 1 {
+            self.ids[0] = meta.max_node.0;
+            self.gaps[0] = meta.min_gap;
+        } else {
+            let data = self.list.data;
+            let mut at = meta.byte_start as usize;
+            let base = u32::from_le_bytes([data[at], data[at + 1], data[at + 2], data[at + 3]]);
+            let (id_width, gap_width) = (data[at + 4], data[at + 5]);
+            at += PAIR_PREFIX_BYTES;
+            at += bitpack::unpack(&data[at..], id_width, count, &mut self.ids);
+            bitpack::unpack(&data[at..], gap_width, count, &mut self.gaps);
+            self.ids[0] = base;
+            for i in 1..count {
+                self.ids[i] = self.ids[i].wrapping_add(self.ids[i - 1]).wrapping_add(1);
+            }
+            for gap in self.gaps[..count].iter_mut() {
+                *gap = gap.wrapping_add(1); // stored as gap − 1
+            }
         }
         self.block = block;
         self.count = count;
-        self.first = meta.first_entry;
+        self.first = first as u32;
     }
 
     fn ensure_decoded(&mut self, block: usize) {
@@ -397,7 +317,7 @@ impl<'a> PairCursor<'a> {
         }
     }
 
-    /// Position on global entry `global` (callers guarantee it exists).
+    /// Position on list entry `global` (callers guarantee it exists).
     fn land(&mut self, global: u32) -> NodeId {
         self.ensure_decoded(global as usize / BLOCK_ENTRIES);
         self.idx = global as usize % BLOCK_ENTRIES;
@@ -418,7 +338,7 @@ impl<'a> PairCursor<'a> {
     #[inline]
     pub fn next_entry(&mut self) -> Option<NodeId> {
         let global = self.global_next();
-        if global >= self.list.entries {
+        if global >= self.entries {
             if !self.done {
                 self.mark_done();
             }
@@ -437,36 +357,38 @@ impl<'a> PairCursor<'a> {
             }
         }
         let from = self.global_next();
-        if from >= self.list.entries {
+        if from >= self.entries {
             if !self.done {
                 self.mark_done();
             }
             return None;
         }
+        let blocks = self.list.blocks;
         let cur_block = from as usize / BLOCK_ENTRIES;
-        let rel = self.list.blocks[cur_block..].partition_point(|b| b.max_node < target);
+        let rel = blocks[cur_block..].partition_point(|b| b.max_node < target);
         let target_block = cur_block + rel;
-        if target_block >= self.list.blocks.len() {
-            self.counters.skipped += u64::from(self.list.entries - from);
-            self.counters.blocks_skipped += (self.list.blocks.len())
+        if target_block >= blocks.len() {
+            self.counters.skipped += u64::from(self.entries - from);
+            self.counters.blocks_skipped += blocks
+                .len()
                 .saturating_sub((from as usize).div_ceil(BLOCK_ENTRIES))
                 as u64;
             self.mark_done();
             return None;
         }
-        let meta = self.list.blocks[target_block];
+        let first = (target_block * BLOCK_ENTRIES) as u32;
         let mut from = from;
-        if meta.first_entry > from {
-            self.counters.skipped += u64::from(meta.first_entry - from);
+        if first > from {
+            self.counters.skipped += u64::from(first - from);
             self.counters.blocks_skipped +=
                 (target_block - (from as usize).div_ceil(BLOCK_ENTRIES)) as u64;
-            from = meta.first_entry;
+            from = first;
         }
         self.ensure_decoded(target_block);
-        let lo = (from - meta.first_entry) as usize;
+        let lo = (from - first) as usize;
         let within = self.ids[lo..self.count].partition_point(|&id| id < target.0);
         self.counters.skipped += within as u64;
-        Some(self.land(meta.first_entry + (lo + within) as u32))
+        Some(self.land(first + (lo + within) as u32))
     }
 
     /// The node id of the current entry.
@@ -529,17 +451,17 @@ impl<'a> PairCursor<'a> {
         let next = block + 1;
         let from = self.global_next();
         if next >= self.list.blocks.len() {
-            let remaining = u64::from(self.list.entries - from);
+            let remaining = u64::from(self.entries - from);
             self.counters.skipped += remaining;
             self.counters.blocks_skipped += u64::from(remaining > 0);
             self.mark_done();
             return None;
         }
-        let meta = self.list.blocks[next];
-        let remaining = u64::from(meta.first_entry - from);
+        let first = (next * BLOCK_ENTRIES) as u32;
+        let remaining = u64::from(first - from);
         self.counters.skipped += remaining;
         self.counters.blocks_skipped += u64::from(remaining > 0);
-        Some(self.land(meta.first_entry))
+        Some(self.land(first))
     }
 
     /// True once every entry has been consumed or skipped.
@@ -557,7 +479,7 @@ impl<'a> PairCursor<'a> {
 #[derive(Debug)]
 pub enum PairLookup<'a> {
     /// Both tokens are frequent and the pair co-occurs: here is its list.
-    List(&'a PairList),
+    List(PairList<'a>),
     /// Both tokens are frequent but the pair never co-occurs within the
     /// window: the answer is **provably empty**, no fallback needed.
     Empty,
@@ -567,10 +489,11 @@ pub enum PairLookup<'a> {
     NotCovered,
 }
 
-/// The word-pair auxiliary index over one segment's corpus.
+/// The word-pair auxiliary index over one segment's corpus, stored as one
+/// arena (see the module docs' "Physical layout").
 ///
-/// An index built with [`PairConfig::disabled`] (or loaded from a
-/// pre-pair-format image) is empty and reports every lookup as
+/// An index built with [`PairConfig::disabled`] (or loaded from an image
+/// without a pair section) is empty and reports every lookup as
 /// [`PairLookup::NotCovered`], so callers degrade to the intersection
 /// path uniformly.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -578,10 +501,17 @@ pub struct PairIndex {
     /// The window/cutoff the index was built with (`window == 0` when
     /// disabled or absent).
     config: PairConfig,
-    /// Directed token pairs, sorted lexicographically; parallel to
-    /// `lists`.
-    keys: Vec<(u32, u32)>,
-    lists: Vec<PairList>,
+    /// CSR over the first token, `frequent.len() + 1` long once built
+    /// (empty when disabled): the keys `(a, _)` are
+    /// `seconds[starts[a]..starts[a + 1]]`.
+    starts: Vec<u32>,
+    /// Second token of every key, ascending within each first token.
+    seconds: Vec<u32>,
+    /// Per key, the index of its first block; plus a sentinel.
+    first_block: Vec<u32>,
+    blocks: Vec<PairBlock>,
+    /// Packed bytes of every block of two or more entries.
+    data: Vec<u8>,
     /// Per-token coverage: `frequent[t]` iff `df(t) ≥ df_cutoff` at build
     /// time. Empty when the index is disabled.
     frequent: Vec<bool>,
@@ -595,8 +525,11 @@ impl Default for PairIndex {
     fn default() -> Self {
         PairIndex {
             config: PairConfig::disabled(),
-            keys: Vec::new(),
-            lists: Vec::new(),
+            starts: Vec::new(),
+            seconds: Vec::new(),
+            first_block: Vec::new(),
+            blocks: Vec::new(),
+            data: Vec::new(),
             frequent: Vec::new(),
             entries: 0,
         }
@@ -612,12 +545,14 @@ impl PairIndex {
             return PairIndex::default();
         }
         let frequent: Vec<bool> = dfs.iter().map(|&df| df >= config.df_cutoff).collect();
-        let mut postings: HashMap<(u32, u32), Vec<(u32, u32)>> = HashMap::new();
-        let mut local: HashMap<(u32, u32), u32> = HashMap::new();
-        let mut touched: Vec<(u32, u32)> = Vec::new();
+        // One `(key, node, gap)` posting per document and covered key, with
+        // the document's minimum gap; one sort then groups each key's
+        // documents in node order. The key packs `(a, b)` as `a << 32 | b`,
+        // so key order is the lexicographic order of the pairs.
+        let mut postings: Vec<(u64, u32, u32)> = Vec::new();
+        let mut local: Vec<(u64, u32)> = Vec::new();
         for doc in docs {
             local.clear();
-            touched.clear();
             let toks = &doc.tokens;
             for (i, &(ta, pa)) in toks.iter().enumerate() {
                 if !frequent[ta.index()] {
@@ -628,48 +563,34 @@ impl PairIndex {
                     if gap > config.window {
                         break; // offsets are strictly increasing
                     }
-                    if !frequent[tb.index()] {
-                        continue;
-                    }
-                    let key = (ta.0, tb.0);
-                    match local.entry(key) {
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            if gap < *e.get() {
-                                e.insert(gap);
-                            }
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(gap);
-                            touched.push(key);
-                        }
+                    if frequent[tb.index()] {
+                        local.push(((u64::from(ta.0) << 32) | u64::from(tb.0), gap));
                     }
                 }
             }
-            for &key in &touched {
-                postings
-                    .entry(key)
-                    .or_default()
-                    .push((doc.node.0, local[&key]));
-            }
+            // Sorted by (key, gap): the first of each key's run is its
+            // minimum gap.
+            local.sort_unstable();
+            local.dedup_by_key(|&mut (key, _)| key);
+            postings.extend(local.iter().map(|&(key, gap)| (key, doc.node.0, gap)));
         }
-        let mut keys: Vec<(u32, u32)> = postings.keys().copied().collect();
-        keys.sort_unstable();
-        let mut entries = 0u64;
-        let lists: Vec<PairList> = keys
-            .iter()
-            .map(|key| {
-                let posting = &postings[key];
-                entries += posting.len() as u64;
-                PairList::from_entries(posting)
-            })
-            .collect();
-        PairIndex {
-            config,
-            keys,
-            lists,
-            frequent,
-            entries,
+        postings.sort_unstable();
+
+        let runs = || postings.chunk_by(|x, y| x.0 == y.0);
+        let (keys, blocks) = runs().fold((0, 0), |(keys, blocks), run| {
+            (keys + 1, blocks + run.len().div_ceil(BLOCK_ENTRIES))
+        });
+        let mut arena = PairArenaWriter::with_capacity(config, frequent, keys, blocks);
+        let mut list: Vec<(u32, u32)> = Vec::new();
+        for run in runs() {
+            list.clear();
+            list.extend(run.iter().map(|&(_, node, gap)| (node, gap)));
+            let key = run[0].0;
+            arena
+                .push_list((key >> 32) as u32, key as u32, &list)
+                .expect("built keys are covered, ascending and non-empty");
         }
+        arena.finish()
     }
 
     /// Look up the directed pair `(a, b)` — see [`PairLookup`] for the
@@ -678,9 +599,21 @@ impl PairIndex {
         if !self.covers(a) || !self.covers(b) {
             return PairLookup::NotCovered;
         }
-        match self.keys.binary_search(&(a.0, b.0)) {
-            Ok(i) => PairLookup::List(&self.lists[i]),
+        // Covered ⇒ `a < frequent.len()`, so both CSR bounds exist.
+        let lo = self.starts[a.index()] as usize;
+        let hi = self.starts[a.index() + 1] as usize;
+        match self.seconds[lo..hi].binary_search(&b.0) {
+            Ok(i) => PairLookup::List(self.list(lo + i)),
             Err(_) => PairLookup::Empty,
+        }
+    }
+
+    /// The list of key number `key`.
+    fn list(&self, key: usize) -> PairList<'_> {
+        let (from, to) = (self.first_block[key], self.first_block[key + 1]);
+        PairList {
+            blocks: &self.blocks[from as usize..to as usize],
+            data: &self.data,
         }
     }
 
@@ -698,12 +631,12 @@ impl PairIndex {
     /// True when the index holds no pair lists (disabled, or nothing met
     /// the window/cutoff).
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.seconds.is_empty()
     }
 
     /// Number of distinct directed pairs indexed.
     pub fn num_keys(&self) -> usize {
-        self.keys.len()
+        self.seconds.len()
     }
 
     /// Total pair postings across all lists.
@@ -711,53 +644,131 @@ impl PairIndex {
         self.entries
     }
 
-    /// Resident bytes: packed streams, skip headers, the key array, and
-    /// the coverage bitmap.
+    /// Resident bytes: the arena's vectors — key table, block headers,
+    /// packed stream, and the coverage bitmap.
     pub fn resident_bytes(&self) -> usize {
-        self.lists
-            .iter()
-            .map(PairList::compressed_bytes)
-            .sum::<usize>()
-            + self.keys.len() * std::mem::size_of::<(u32, u32)>()
-            + self.frequent.len()
+        use std::mem::size_of;
+        (self.starts.capacity() + self.seconds.capacity() + self.first_block.capacity())
+            * size_of::<u32>()
+            + self.blocks.capacity() * size_of::<PairBlock>()
+            + self.data.capacity()
+            + self.frequent.capacity() * size_of::<bool>()
     }
 
     /// Iterate `(a, b, list)` in key order (persistence and diagnostics).
-    pub fn iter(&self) -> impl Iterator<Item = (TokenId, TokenId, &PairList)> {
-        self.keys
-            .iter()
-            .zip(&self.lists)
-            .map(|(&(a, b), list)| (TokenId(a), TokenId(b), list))
+    pub fn iter(&self) -> impl Iterator<Item = (TokenId, TokenId, PairList<'_>)> {
+        self.starts
+            .windows(2)
+            .enumerate()
+            .flat_map(move |(a, run)| {
+                (run[0] as usize..run[1] as usize)
+                    .map(move |k| (TokenId(a as u32), TokenId(self.seconds[k]), self.list(k)))
+            })
     }
 
-    /// Keys, lists, and the coverage bitmap (exposed for persistence).
-    pub(crate) fn parts(&self) -> (&[(u32, u32)], &[PairList], &[bool]) {
-        (&self.keys, &self.lists, &self.frequent)
+    /// The coverage bitmap (exposed for persistence).
+    pub(crate) fn coverage(&self) -> &[bool] {
+        &self.frequent
     }
+}
 
-    /// Reassemble from persisted parts. Keys must arrive sorted and
-    /// unique; the caller validates each list via
-    /// [`PairList::try_to_entries`] before trusting it.
-    pub(crate) fn from_parts(
+/// Appends pair lists, in strictly increasing key order, to a new arena —
+/// the one writer behind [`PairIndex::build`] and the persisted load path,
+/// and the one place that checks the keys the CSR table is sized by.
+pub(crate) struct PairArenaWriter {
+    index: PairIndex,
+    last: Option<(u32, u32)>,
+}
+
+impl PairArenaWriter {
+    /// An empty arena over `frequent`'s coverage, with room for `keys`
+    /// keys and `blocks` block headers.
+    pub(crate) fn with_capacity(
         config: PairConfig,
-        keys: Vec<(u32, u32)>,
-        lists: Vec<PairList>,
         frequent: Vec<bool>,
-    ) -> Result<PairIndex, &'static str> {
-        if keys.len() != lists.len() {
-            return Err("pair key/list count mismatch");
+        keys: usize,
+        blocks: usize,
+    ) -> Self {
+        PairArenaWriter {
+            index: PairIndex {
+                config,
+                starts: Vec::with_capacity(frequent.len() + 1),
+                seconds: Vec::with_capacity(keys),
+                first_block: Vec::with_capacity(keys + 1),
+                blocks: Vec::with_capacity(blocks),
+                data: Vec::new(),
+                frequent,
+                entries: 0,
+            },
+            last: None,
         }
-        if !keys.windows(2).all(|w| w[0] < w[1]) {
+    }
+
+    /// Append key `(a, b)`'s `(node, gap)` entries (node ids strictly
+    /// increasing, gaps in `1..=window`). Refuses a key outside the
+    /// coverage bitmap or not covered, a key with no entries, a key not
+    /// after the previous one, and an arena past `u32` offsets — none of
+    /// which the builder emits, so each is a corrupt persisted section.
+    pub(crate) fn push_list(
+        &mut self,
+        a: u32,
+        b: u32,
+        entries: &[(u32, u32)],
+    ) -> Result<(), &'static str> {
+        const TOO_LARGE: &str = "pair arena exceeds u32 offsets";
+        let ix = &mut self.index;
+        if !ix.covers(TokenId(a)) || !ix.covers(TokenId(b)) {
+            return Err("pair key token not covered");
+        }
+        if entries.is_empty() {
+            return Err("pair key with no entries");
+        }
+        if self.last.is_some_and(|last| (a, b) <= last) {
             return Err("pair keys not sorted and unique");
         }
-        let entries = lists.iter().map(|l| l.entries as u64).sum();
-        Ok(PairIndex {
-            config,
-            keys,
-            lists,
-            frequent,
-            entries,
-        })
+        self.last = Some((a, b));
+        let key = u32::try_from(ix.seconds.len()).map_err(|_| TOO_LARGE)?;
+        let first_block = u32::try_from(ix.blocks.len()).map_err(|_| TOO_LARGE)?;
+        u32::try_from(entries.len()).map_err(|_| TOO_LARGE)?;
+        // `a` is covered, so this fills at most `frequent.len()` slots.
+        while ix.starts.len() <= a as usize {
+            ix.starts.push(key);
+        }
+        ix.seconds.push(b);
+        ix.first_block.push(first_block);
+        for (i, chunk) in entries.chunks(BLOCK_ENTRIES).enumerate() {
+            let byte_start = u32::try_from(ix.data.len()).map_err(|_| TOO_LARGE)?;
+            let last = chunk[chunk.len() - 1];
+            let min_gap = if chunk.len() == 1 {
+                last.1
+            } else {
+                pack_block(chunk, &mut ix.data)
+            };
+            ix.blocks.push(PairBlock {
+                max_node: NodeId(last.0),
+                byte_start,
+                end: (i * BLOCK_ENTRIES + chunk.len()) as u32,
+                min_gap,
+            });
+        }
+        ix.entries += entries.len() as u64;
+        Ok(())
+    }
+
+    /// Close the CSR table and the block index, and shrink every vector
+    /// to its length.
+    pub(crate) fn finish(self) -> PairIndex {
+        let mut ix = self.index;
+        let keys = ix.seconds.len() as u32;
+        ix.starts.resize(ix.frequent.len() + 1, keys);
+        ix.first_block.push(ix.blocks.len() as u32);
+        ix.starts.shrink_to_fit();
+        ix.seconds.shrink_to_fit();
+        ix.first_block.shrink_to_fit();
+        ix.blocks.shrink_to_fit();
+        ix.data.shrink_to_fit();
+        ix.frequent.shrink_to_fit();
+        ix
     }
 }
 
@@ -845,6 +856,20 @@ mod tests {
         corpus.token_id(s).unwrap()
     }
 
+    /// A two-token arena holding `entries` as key `(0, 1)`.
+    fn arena_of(entries: &[(u32, u32)]) -> PairIndex {
+        let mut arena = PairArenaWriter::with_capacity(PairConfig::default(), vec![true; 2], 1, 1);
+        arena.push_list(0, 1, entries).expect("valid list");
+        arena.finish()
+    }
+
+    fn list_of(index: &PairIndex) -> PairList<'_> {
+        match index.lookup(TokenId(0), TokenId(1)) {
+            PairLookup::List(list) => list,
+            other => panic!("expected list, got {other:?}"),
+        }
+    }
+
     #[test]
     fn directed_pairs_store_min_forward_gaps() {
         let (corpus, pairs) = build_for(&["a b c a b"], all_pairs());
@@ -910,27 +935,87 @@ mod tests {
     fn disabled_config_builds_an_empty_uncovered_index() {
         let (corpus, pairs) = build_for(&["a b"], PairConfig::disabled());
         assert!(pairs.is_empty());
+        assert_eq!(pairs.resident_bytes(), 0);
         let (a, b) = (tok(&corpus, "a"), tok(&corpus, "b"));
         assert!(matches!(pairs.lookup(a, b), PairLookup::NotCovered));
     }
 
     #[test]
     fn list_roundtrips_across_block_boundaries() {
-        // 300 entries spans 3 blocks; sparse ids and varied gaps.
-        let entries: Vec<(u32, u32)> = (0..300u32).map(|i| (i * 7 + 3, 1 + (i % 9))).collect();
-        let list = PairList::from_entries(&entries);
-        assert_eq!(list.num_blocks(), 3);
-        assert_eq!(list.num_entries(), 300);
-        assert_eq!(list.to_entries(), entries);
-        assert_eq!(list.try_to_entries(16).expect("valid"), entries);
-        assert_eq!(list.min_gap(), 1);
+        // 300 entries span 3 blocks; sparse ids and varied gaps. 257 and
+        // 129 entries end in a byteless one-entry block.
+        for n in [300u32, 257, 129, 128, 2, 1] {
+            let entries: Vec<(u32, u32)> = (0..n).map(|i| (i * 7 + 3, 1 + (i % 9))).collect();
+            let index = arena_of(&entries);
+            let list = list_of(&index);
+            assert_eq!(list.num_blocks(), (n as usize).div_ceil(BLOCK_ENTRIES));
+            assert_eq!(list.num_entries(), n as usize);
+            assert_eq!(list.to_entries(), entries, "{n} entries");
+            assert_eq!(list.min_gap(), 1);
+            assert_eq!(index.num_entries(), u64::from(n));
+        }
+    }
+
+    #[test]
+    fn one_entry_blocks_store_no_bytes() {
+        // 128 entries fill one packed block; the 129th is its header alone.
+        let entries: Vec<(u32, u32)> = (0..129u32).map(|i| (2 * i, 1 + (i % 3))).collect();
+        let full = arena_of(&entries[..128]);
+        let tailed = arena_of(&entries);
+        assert_eq!(tailed.data.len(), full.data.len());
+        assert_eq!(tailed.blocks.len(), 2);
+        assert_eq!(
+            tailed.blocks[1],
+            PairBlock {
+                max_node: NodeId(256),
+                byte_start: full.data.len() as u32,
+                end: 129,
+                min_gap: 1 + (128 % 3),
+            }
+        );
+        assert!(arena_of(&[(5, 3)]).data.is_empty());
+    }
+
+    #[test]
+    fn byteless_tail_block_seeks_skips_and_probes() {
+        // The 129th entry (node 1000, gap 2) lives in its header only.
+        let mut entries: Vec<(u32, u32)> = (0..128u32).map(|i| (i, 5)).collect();
+        entries.push((1000, 2));
+        let index = arena_of(&entries);
+        let list = list_of(&index);
+
+        let mut cur = list.cursor();
+        assert_eq!(cur.peek_min_gap_at(NodeId(500)), Some(2));
+        assert_eq!(cur.seek(NodeId(500)), Some(NodeId(1000)));
+        assert_eq!(cur.gap(), 2);
+        assert_eq!(cur.block_min_gap(), 2);
+        let c = cur.counters();
+        assert_eq!((c.entries, c.skipped, c.blocks_skipped), (1, 128, 1));
+        assert_eq!(cur.next_entry(), None);
+        assert!(cur.exhausted());
+
+        let mut cur = list.cursor();
+        assert_eq!(cur.next_entry(), Some(NodeId(0)));
+        assert_eq!(cur.block_min_gap(), 5);
+        assert_eq!(cur.skip_block(), Some(NodeId(1000)));
+        assert_eq!(cur.gap(), 2);
+        assert_eq!(cur.counters().skipped, 127);
+        assert_eq!(cur.skip_block(), None);
+        assert!(cur.exhausted());
+
+        // Seeking within the packed block, then stepping into the tail.
+        let mut cur = list.cursor();
+        assert_eq!(cur.seek(NodeId(127)), Some(NodeId(127)));
+        assert_eq!(cur.peek_min_gap_at(NodeId(1000)), Some(2));
+        assert_eq!(cur.next_entry(), Some(NodeId(1000)));
+        assert_eq!(cur.seek(NodeId(1001)), None);
     }
 
     #[test]
     fn cursor_seeks_and_skips_blocks() {
         let entries: Vec<(u32, u32)> = (0..1000u32).map(|i| (2 * i, 1 + (i % 3))).collect();
-        let list = PairList::from_entries(&entries);
-        let mut cur = list.cursor();
+        let index = arena_of(&entries);
+        let mut cur = list_of(&index).cursor();
         assert_eq!(cur.seek(NodeId(1501)), Some(NodeId(1502)));
         assert_eq!(cur.gap(), 1 + (751 % 3));
         let c = cur.counters();
@@ -949,8 +1034,8 @@ mod tests {
         let entries: Vec<(u32, u32)> = (0..300u32)
             .map(|i| (i, if i < 256 { 5 } else { 1 }))
             .collect();
-        let list = PairList::from_entries(&entries);
-        let mut cur = list.cursor();
+        let index = arena_of(&entries);
+        let mut cur = list_of(&index).cursor();
         cur.next_entry();
         assert_eq!(cur.block_min_gap(), 5);
         assert_eq!(cur.peek_min_gap_at(NodeId(290)), Some(1));
@@ -962,23 +1047,53 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_pair_bytes_are_errors_not_panics() {
-        let entries: Vec<(u32, u32)> = (0..200u32).map(|i| (i * 3, 1 + (i % 4))).collect();
-        let list = PairList::from_entries(&entries);
-        let (metas, data, count) = list.parts();
-        for i in 0..data.len() {
-            let mut raw = data.to_vec();
-            raw[i] ^= 0x40;
-            let candidate = PairList::from_parts(metas.to_vec(), raw, count);
-            let _ = candidate.try_to_entries(16);
+    fn keys_outside_coverage_are_refused() {
+        let mut arena =
+            PairArenaWriter::with_capacity(PairConfig::default(), vec![true, false, true], 0, 0);
+        let one = [(0, 1)];
+        assert!(arena.push_list(u32::MAX, 0, &one).is_err());
+        assert!(arena.push_list(0, 3, &one).is_err());
+        assert!(arena.push_list(1, 0, &one).is_err());
+        assert!(arena.push_list(0, 1, &one).is_err());
+        assert!(arena.push_list(0, 2, &[]).is_err());
+        arena.push_list(0, 2, &one).expect("covered key");
+        assert!(arena.push_list(0, 2, &one).is_err(), "duplicate key");
+        assert!(arena.push_list(0, 0, &one).is_err(), "descending key");
+        arena.push_list(2, 0, &one).expect("covered key");
+        let index = arena.finish();
+        assert_eq!(index.starts, vec![0, 1, 1, 2]);
+        assert_eq!(index.num_keys(), 2);
+    }
+
+    #[test]
+    fn resident_bytes_are_the_arena_vectors() {
+        let texts: Vec<String> = (0..200)
+            .map(|i| format!("w{} w{} w{} w{} w{}", i % 7, i % 11, i % 13, i % 5, i % 3))
+            .collect();
+        let texts: Vec<&str> = texts.iter().map(String::as_str).collect();
+        let (_, pairs) = build_for(&texts, PairConfig::default());
+        assert!(pairs.num_keys() > 100);
+        let vectors = [
+            (pairs.starts.capacity(), pairs.starts.len(), 4),
+            (pairs.seconds.capacity(), pairs.seconds.len(), 4),
+            (pairs.first_block.capacity(), pairs.first_block.len(), 4),
+            (pairs.blocks.capacity(), pairs.blocks.len(), 16),
+            (pairs.data.capacity(), pairs.data.len(), 1),
+            (pairs.frequent.capacity(), pairs.frequent.len(), 1),
+        ];
+        assert_eq!(std::mem::size_of::<PairBlock>(), 16);
+        assert_eq!(
+            pairs.resident_bytes(),
+            vectors
+                .iter()
+                .map(|&(cap, _, size)| cap * size)
+                .sum::<usize>()
+        );
+        for (cap, len, _) in vectors {
+            assert_eq!(cap, len, "the arena is shrunk to fit");
         }
-        // A lying header is always an error.
-        let mut bad = metas.to_vec();
-        bad[1].min_gap += 1;
-        let candidate = PairList::from_parts(bad, data.to_vec(), count);
-        assert!(candidate.try_to_entries(16).is_err());
-        // Gaps past the declared window are rejected.
-        assert!(list.try_to_entries(2).is_err());
+        assert_eq!(pairs.starts.len(), pairs.frequent.len() + 1);
+        assert_eq!(pairs.first_block.len(), pairs.num_keys() + 1);
     }
 
     #[test]
@@ -992,6 +1107,7 @@ mod tests {
         let (corpus, pairs) = build_for(&texts, all_pairs());
         let index = crate::builder::IndexBuilder::new().build(&corpus);
         let vocab = corpus.interner().len();
+        let mut keys = 0;
         for a in 0..vocab {
             for b in 0..vocab {
                 let (ta, tb) = (TokenId(a as u32), TokenId(b as u32));
@@ -1003,8 +1119,13 @@ mod tests {
                     PairLookup::Empty => Vec::new(),
                     PairLookup::NotCovered => panic!("cutoff 0 covers everything"),
                 };
+                keys += usize::from(!got.is_empty());
                 assert_eq!(got, oracle, "pair ({a}, {b})");
             }
         }
+        assert_eq!(keys, pairs.num_keys());
+        let listed: Vec<(TokenId, TokenId)> = pairs.iter().map(|(a, b, _)| (a, b)).collect();
+        assert!(listed.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(listed.len(), keys);
     }
 }

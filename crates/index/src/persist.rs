@@ -34,10 +34,14 @@
 //!   header plus payload. Section id 1 is the word-pair auxiliary index
 //!   ([`crate::pair::PairIndex`]); readers reject *unknown* section ids
 //!   loudly with `Corrupt(..)` rather than skipping data they cannot
-//!   audit. The on-disk image *is* the physical in-memory layout: on load
-//!   every list is walked once by the fallible block decoder
+//!   audit. The on-disk token lists *are* the physical in-memory layout:
+//!   on load every list is walked once by the fallible block decoder
 //!   ([`crate::block::BlockList::validate`]), re-checking every structural
-//!   invariant, and then served from those same bytes. v1–v6 buffers are
+//!   invariant, and then served from those same bytes. The pair section is
+//!   not: it stores each pair list on its own, while a segment keeps all of
+//!   them in one arena ([`crate::pair`]) — on load each stored list is
+//!   validated and appended to the arena, and the encoder writes each list
+//!   back in its stored form, so images do not change. v1–v6 buffers are
 //!   rejected with `BadVersion(..)`; there is no migration path because
 //!   older images can be regenerated from their corpora.
 //!
@@ -65,9 +69,10 @@
 //!   data_len:u32  data:[u8]          (pair block encoding, see FORMAT.md)
 //! ```
 
-use crate::block::{BlockList, BlockMeta};
+use crate::bitpack;
+use crate::block::{BlockList, BlockMeta, BLOCK_ENTRIES};
 use crate::index::InvertedIndex;
-use crate::pair::{PairBlockMeta, PairConfig, PairIndex, PairList};
+use crate::pair::{pack_block, PairArenaWriter, PairConfig, PairIndex, PAIR_PREFIX_BYTES};
 use crate::stats::IndexStats;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ftsl_model::NodeId;
@@ -145,7 +150,7 @@ fn encode_sections(buf: &mut BytesMut, index: &InvertedIndex) {
 }
 
 fn encode_pair_section(pairs: &PairIndex) -> BytesMut {
-    let (keys, lists, frequent) = pairs.parts();
+    let frequent = pairs.coverage();
     let config = pairs.config();
     let mut buf = BytesMut::new();
     buf.put_u32_le(config.window);
@@ -161,26 +166,156 @@ fn encode_pair_section(pairs: &PairIndex) -> BytesMut {
             byte = 0;
         }
     }
-    if frequent.len() % 8 != 0 {
+    if !frequent.len().is_multiple_of(8) {
         buf.put_u8(byte);
     }
-    buf.put_u32_le(keys.len() as u32);
-    for (&(a, b), list) in keys.iter().zip(lists) {
-        let (metas, data, entries) = list.parts();
-        buf.put_u32_le(a);
-        buf.put_u32_le(b);
-        buf.put_u32_le(entries);
-        buf.put_u32_le(metas.len() as u32);
-        for m in metas {
-            buf.put_u32_le(m.max_node.0);
+    buf.put_u32_le(pairs.num_keys() as u32);
+    // One stored list's buffers, reused from key to key.
+    let mut stored = StoredPairList::default();
+    for (a, b, list) in pairs.iter() {
+        stored.fill(&list.to_entries());
+        buf.put_u32_le(a.0);
+        buf.put_u32_le(b.0);
+        buf.put_u32_le(stored.entries);
+        buf.put_u32_le(stored.metas.len() as u32);
+        for m in &stored.metas {
+            buf.put_u32_le(m.max_node);
             buf.put_u32_le(m.byte_start);
             buf.put_u32_le(m.first_entry);
             buf.put_u32_le(m.min_gap);
         }
-        buf.put_u32_le(data.len() as u32);
-        buf.put_slice(data);
+        buf.put_u32_le(stored.data.len() as u32);
+        buf.put_slice(&stored.data);
     }
     buf
+}
+
+/// One pair list as the v7 pair section stores it: per-list block headers
+/// and a per-list packed stream in which every block, one-entry blocks
+/// included, has its bytes. Persistence-only — the resident form is the
+/// segment's arena ([`crate::pair`]).
+#[derive(Clone, Debug, Default)]
+struct StoredPairList {
+    metas: Vec<StoredPairBlock>,
+    data: Vec<u8>,
+    entries: u32,
+}
+
+/// `<pair block header>` of the v7 pair section (docs/FORMAT.md).
+#[derive(Clone, Copy, Debug)]
+struct StoredPairBlock {
+    max_node: u32,
+    /// Offset of the block in its list's stream.
+    byte_start: u32,
+    /// List-relative index of the block's first entry.
+    first_entry: u32,
+    min_gap: u32,
+}
+
+impl StoredPairList {
+    /// Replace this list's contents with the encoding of `(node, gap)`
+    /// entries (strictly increasing node ids, every gap ≥ 1) in bit-packed
+    /// blocks, keeping its buffers.
+    fn fill(&mut self, entries: &[(u32, u32)]) {
+        self.metas.clear();
+        self.data.clear();
+        self.entries = 0;
+        for chunk in entries.chunks(BLOCK_ENTRIES) {
+            let byte_start = self.data.len() as u32;
+            let min_gap = pack_block(chunk, &mut self.data);
+            self.metas.push(StoredPairBlock {
+                max_node: chunk[chunk.len() - 1].0,
+                byte_start,
+                first_entry: self.entries,
+                min_gap,
+            });
+            self.entries += chunk.len() as u32;
+        }
+    }
+
+    /// Decode every entry of *untrusted* bytes (the persisted load path):
+    /// every width, frame, count, ordering, and padding invariant is
+    /// checked — including that gaps stay within `1..=window` and that
+    /// each header's `max_node`/`min_gap` agree with the entries — so each
+    /// list has exactly one canonical encoding. Any violation returns `Err`
+    /// with a description instead of panicking.
+    fn try_to_entries(&self, window: u32) -> Result<Vec<(u32, u32)>, &'static str> {
+        let entries = self.entries as usize;
+        if self.metas.len() != entries.div_ceil(BLOCK_ENTRIES) {
+            return Err("pair block count disagrees with entry count");
+        }
+        let mut out = Vec::with_capacity(entries);
+        let mut at = 0usize;
+        let mut prev_node: Option<u32> = None;
+        let mut ids = [0u32; bitpack::LANES];
+        let mut gaps = [0u32; bitpack::LANES];
+        for (b, meta) in self.metas.iter().enumerate() {
+            let count = BLOCK_ENTRIES.min(entries - b * BLOCK_ENTRIES);
+            if meta.byte_start as usize != at || meta.first_entry as usize != b * BLOCK_ENTRIES {
+                return Err("pair block header disagrees with entry stream");
+            }
+            if self.data.len() - at < PAIR_PREFIX_BYTES {
+                return Err("truncated pair block prefix");
+            }
+            let base = u32::from_le_bytes([
+                self.data[at],
+                self.data[at + 1],
+                self.data[at + 2],
+                self.data[at + 3],
+            ]);
+            let id_width = self.data[at + 4];
+            let gap_width = self.data[at + 5];
+            at += PAIR_PREFIX_BYTES;
+            if id_width > 32 || gap_width > 32 {
+                return Err("pair frame width exceeds 32 bits");
+            }
+            let frames =
+                bitpack::packed_bytes(id_width, count) + bitpack::packed_bytes(gap_width, count);
+            if self.data.len() - at < frames {
+                return Err("truncated pair block frames");
+            }
+            at += bitpack::unpack(&self.data[at..], id_width, count, &mut ids);
+            at += bitpack::unpack(&self.data[at..], gap_width, count, &mut gaps);
+            if ids[0] != 0 {
+                return Err("first pair id-delta lane not zero");
+            }
+            for lane in count..BLOCK_ENTRIES {
+                if ids[lane] != 0 || gaps[lane] != 0 {
+                    return Err("non-zero pair padding lane");
+                }
+            }
+            if prev_node.is_some_and(|p| base <= p) {
+                return Err("pair node ids not strictly increasing");
+            }
+            ids[0] = base;
+            for i in 1..count {
+                ids[i] = ids[i - 1]
+                    .checked_add(ids[i])
+                    .and_then(|n| n.checked_add(1))
+                    .ok_or("pair node overflow")?;
+            }
+            prev_node = Some(ids[count - 1]);
+            if ids[count - 1] != meta.max_node {
+                return Err("pair block max node disagrees with entries");
+            }
+            let mut block_min = u32::MAX;
+            for i in 0..count {
+                let gap = gaps[i].checked_add(1).ok_or("pair gap overflow")?;
+                if gap > window {
+                    return Err("pair gap exceeds the index window");
+                }
+                block_min = block_min.min(gap);
+                out.push((ids[i], gap));
+            }
+            if block_min != meta.min_gap {
+                return Err("pair block min_gap disagrees with entries");
+            }
+        }
+        if at != self.data.len() {
+            return Err("trailing bytes after last pair block");
+        }
+        Ok(out)
+    }
 }
 
 fn encode_list(buf: &mut BytesMut, list: &BlockList) {
@@ -299,8 +434,9 @@ fn decode_pair_section(mut buf: &[u8]) -> Result<PairIndex, PersistError> {
         .map(|i| bitmap[i / 8] >> (i % 8) & 1 == 1)
         .collect();
     let num_keys = get_count(buf, PAIR_KEY_MIN_BYTES)?;
-    let mut keys = Vec::with_capacity(num_keys);
-    let mut lists = Vec::with_capacity(num_keys);
+    // Every key has at least one block.
+    let config = PairConfig { window, df_cutoff };
+    let mut arena = PairArenaWriter::with_capacity(config, frequent, num_keys, num_keys);
     for _ in 0..num_keys {
         let a = get_u32(buf)?;
         let b = get_u32(buf)?;
@@ -308,29 +444,31 @@ fn decode_pair_section(mut buf: &[u8]) -> Result<PairIndex, PersistError> {
         let num_blocks = get_count(buf, BLOCK_META_BYTES)?;
         let mut metas = Vec::with_capacity(num_blocks);
         for _ in 0..num_blocks {
-            let max_node = NodeId(get_u32(buf)?);
-            let byte_start = get_u32(buf)?;
-            let first_entry = get_u32(buf)?;
-            let min_gap = get_u32(buf)?;
-            metas.push(PairBlockMeta {
-                max_node,
-                byte_start,
-                first_entry,
-                min_gap,
+            metas.push(StoredPairBlock {
+                max_node: get_u32(buf)?,
+                byte_start: get_u32(buf)?,
+                first_entry: get_u32(buf)?,
+                min_gap: get_u32(buf)?,
             });
         }
         let data_len = get_u32(buf)? as usize;
         let data = get_bytes(buf, data_len)?;
-        let list = PairList::from_parts(metas, data, entries);
-        list.try_to_entries(window).map_err(PersistError::Corrupt)?;
-        keys.push((a, b));
-        lists.push(list);
+        let stored = StoredPairList {
+            metas,
+            data,
+            entries,
+        };
+        let entries = stored
+            .try_to_entries(window)
+            .map_err(PersistError::Corrupt)?;
+        arena
+            .push_list(a, b, &entries)
+            .map_err(PersistError::Corrupt)?;
     }
     if buf.remaining() != 0 {
         return Err(PersistError::Corrupt("trailing bytes in pair section"));
     }
-    PairIndex::from_parts(PairConfig { window, df_cutoff }, keys, lists, frequent)
-        .map_err(PersistError::Corrupt)
+    Ok(arena.finish())
 }
 
 fn decode_list(buf: &mut impl Buf) -> Result<BlockList, PersistError> {
@@ -463,13 +601,20 @@ mod tests {
     /// Byte offset of `num_token_lists`: magic, version, five stats words.
     const NUM_LISTS_AT: usize = 4 + 4 + 5 * 8;
 
+    /// Forty documents over five covered tokens, then one holding `rare`
+    /// (df 1, below the default cutoff).
+    fn pair_corpus() -> Corpus {
+        let mut texts: Vec<String> = (0..40)
+            .map(|i| format!("alpha beta gamma{} alpha beta", i % 3))
+            .collect();
+        texts.push("alpha rare beta".into());
+        Corpus::from_texts(&texts)
+    }
+
     /// An image with a populated pair section, plus the offset of that
     /// section's `num_keys` field.
     fn image_with_pairs() -> (Vec<u8>, usize) {
-        let texts: Vec<String> = (0..40)
-            .map(|i| format!("alpha beta gamma{} alpha beta", i % 3))
-            .collect();
-        let corpus = Corpus::from_texts(&texts);
+        let corpus = pair_corpus();
         let index = IndexBuilder::new().build(&corpus);
         assert!(!index.pairs().is_empty());
         // The token lists encode identically with pairs off, and that image
@@ -515,6 +660,105 @@ mod tests {
     }
 
     #[test]
+    fn pair_keys_outside_coverage_are_errors_not_allocations() {
+        // The resident key table is sized by token id: a key token past the
+        // coverage bitmap, or one the bitmap does not cover, must be refused
+        // before it can size anything.
+        let (raw, num_keys_at) = image_with_pairs();
+        let rare = pair_corpus().token_id("rare").expect("rare token");
+        let token_a_at = num_keys_at + 4;
+        for token in [u32::MAX, rare.0] {
+            for at in [token_a_at, token_a_at + 4] {
+                let mut bad = raw.clone();
+                bad[at..at + 4].copy_from_slice(&token.to_le_bytes());
+                assert_eq!(
+                    decode(&bad[..]).unwrap_err(),
+                    PersistError::Corrupt("pair key token not covered"),
+                    "token {token} at byte {at}"
+                );
+            }
+        }
+    }
+
+    /// A hand-written image over two covered tokens whose pair section
+    /// holds the one key `(0, 1)`: `list` is the words after the key
+    /// (`entries`, `num_blocks`, the headers), `data` its stream.
+    fn image_with_one_pair_key(list: &[u32], data: &[u8]) -> Vec<u8> {
+        let corpus = Corpus::from_texts(&["a b"]);
+        let bare = IndexBuilder::new()
+            .pair_config(PairConfig::disabled())
+            .build(&corpus);
+        let bytes = encode(&bare);
+        let mut section = Vec::new();
+        // window, df_cutoff, vocab, then the bitmap covering both tokens.
+        for word in [16u32, 0, 2] {
+            section.extend_from_slice(&word.to_le_bytes());
+        }
+        section.push(0b11);
+        // num_keys, token_a, token_b, then the list's own words.
+        for word in [1u32, 0, 1].iter().chain(list) {
+            section.extend_from_slice(&word.to_le_bytes());
+        }
+        section.extend_from_slice(&(data.len() as u32).to_le_bytes());
+        section.extend_from_slice(data);
+        let mut raw = bytes.as_slice()[..bytes.len() - 4].to_vec();
+        for word in [1u32, SECTION_PAIRS, section.len() as u32] {
+            raw.extend_from_slice(&word.to_le_bytes());
+        }
+        raw.extend_from_slice(&section);
+        raw
+    }
+
+    #[test]
+    fn pair_keys_without_entries_are_rejected() {
+        // entries 0, num_blocks 0, no bytes.
+        let empty = image_with_one_pair_key(&[0, 0], &[]);
+        assert_eq!(
+            decode(&empty[..]).unwrap_err(),
+            PersistError::Corrupt("pair key with no entries")
+        );
+        // The same key with one entry (node 0, gap 1): entries 1, one block
+        // (max_node 0, byte_start 0, first_entry 0, min_gap 1), and a stream
+        // of base 0 with both frames at width 0.
+        let one = image_with_one_pair_key(&[1, 1, 0, 0, 0, 1], &[0, 0, 0, 0, 0, 0]);
+        let index = decode(&one[..]).expect("a one-entry key loads");
+        assert_eq!(index.pairs().num_keys(), 1);
+        assert_eq!(encode(&index).as_slice(), &one[..]);
+    }
+
+    #[test]
+    fn stored_pair_lists_roundtrip_across_block_boundaries() {
+        // 300 entries span 3 blocks; 129 and 257 end in a one-entry block,
+        // which the stored form packs like any other.
+        for n in [300u32, 257, 129, 128, 1] {
+            let entries: Vec<(u32, u32)> = (0..n).map(|i| (i * 7 + 3, 1 + (i % 9))).collect();
+            let mut stored = StoredPairList::default();
+            stored.fill(&entries);
+            assert_eq!(stored.metas.len(), (n as usize).div_ceil(BLOCK_ENTRIES));
+            assert_eq!(stored.entries, n);
+            assert_eq!(stored.try_to_entries(16).expect("valid"), entries);
+        }
+    }
+
+    #[test]
+    fn corrupt_stored_pair_bytes_are_errors_not_panics() {
+        let entries: Vec<(u32, u32)> = (0..200u32).map(|i| (i * 3, 1 + (i % 4))).collect();
+        let mut list = StoredPairList::default();
+        list.fill(&entries);
+        for i in 0..list.data.len() {
+            let mut bad = list.clone();
+            bad.data[i] ^= 0x40;
+            let _ = bad.try_to_entries(16);
+        }
+        // A lying header is always an error.
+        let mut bad = list.clone();
+        bad.metas[1].min_gap += 1;
+        assert!(bad.try_to_entries(16).is_err());
+        // Gaps past the declared window are rejected.
+        assert!(list.try_to_entries(2).is_err());
+    }
+
+    #[test]
     fn pair_section_roundtrips() {
         let texts: Vec<String> = (0..40)
             .map(|i| format!("alpha beta gamma{} alpha beta", i % 3))
@@ -530,13 +774,10 @@ mod tests {
         assert_eq!(got.config(), want.config());
         assert_eq!(got.num_keys(), want.num_keys());
         assert_eq!(got.num_entries(), want.num_entries());
-        let window = want.config().window;
+        assert_eq!(got.resident_bytes(), want.resident_bytes());
         for ((ga, gb, gl), (wa, wb, wl)) in got.iter().zip(want.iter()) {
             assert_eq!((ga, gb), (wa, wb));
-            assert_eq!(
-                gl.try_to_entries(window).unwrap(),
-                wl.try_to_entries(window).unwrap()
-            );
+            assert_eq!(gl.to_entries(), wl.to_entries());
         }
         for t in 0..corpus.interner().len() {
             let tok = ftsl_model::TokenId(t as u32);

@@ -90,12 +90,20 @@ proptest! {
     #[test]
     fn persistence_roundtrip_is_lossless(corpus in arb_corpus()) {
         let index = IndexBuilder::new().build(&corpus);
-        let decoded = persist::decode(persist::encode(&index)).expect("decodes");
+        let image = persist::encode(&index);
+        let decoded = persist::decode(image.clone()).expect("decodes");
         prop_assert_eq!(decoded.stats(), index.stats());
         for t in 0..corpus.interner().len() {
             let tok = TokenId(t as u32);
             prop_assert_eq!(decoded.block_list(tok), index.block_list(tok));
         }
         prop_assert_eq!(decoded.any_block_list(), index.any_block_list());
+        // The pair arena is rebuilt from the stored lists: same keys, same
+        // entries, same bytes resident and on re-encode.
+        let (got, want) = (decoded.pairs(), index.pairs());
+        prop_assert_eq!(got.num_keys(), want.num_keys());
+        prop_assert_eq!(got.num_entries(), want.num_entries());
+        prop_assert_eq!(got.resident_bytes(), want.resident_bytes());
+        prop_assert_eq!(persist::encode(&decoded), image);
     }
 }

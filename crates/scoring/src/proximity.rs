@@ -15,7 +15,7 @@
 //! top-k machinery:
 //!
 //! * **monotone decreasing in the gap** — the pair index's per-block
-//!   `min_gap` header ([`ftsl_index::pair::PairBlockMeta::min_gap`]) is
+//!   `min_gap` header ([`ftsl_index::pair::PairBlock::min_gap`]) is
 //!   therefore a *block-max score bound*: `closeness(min_gap, bound)` is
 //!   the best score any entry in the block can achieve, so a block whose
 //!   bound cannot beat the current heap threshold is skipped whole;
