@@ -17,10 +17,17 @@
 //! `O(cnodes × pos_per_cnode^toks_Q × (preds_Q + ops_Q + 1))` and the tuple
 //! counter still measures that growth; memory is one node's tuples, capped
 //! across all operators by [`MAX_NODE_POSITIONS`].
+//!
+//! Ranking (Section 3) is the same walk with a score column: the evaluator
+//! is generic over a [`Scorer`], whose transformations the kernels apply as
+//! they build rows, and [`AlgebraEvaluator::rank`] combines each answer
+//! node's root rows with `project` as the node is emitted. Unscored, the
+//! column is `()` and every transformation compiles away.
 
 use crate::error::AlgebraError;
 use crate::expr::AlgExpr;
-use crate::relation::{FtRelation, NodeRows};
+use crate::relation::{FtRelation, NodeRows, SetOp};
+use crate::scorer::{Scorer, Unscored};
 use ftsl_index::{AccessCounters, BlockCursor, IndexLayout, InvertedIndex};
 use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::{Predicate, PredicateRegistry};
@@ -34,7 +41,9 @@ use ftsl_predicates::{Predicate, PredicateRegistry};
 /// pass it fails with [`AlgebraError::BudgetExceeded`]. Buffer capacity
 /// kept from earlier nodes is freed once it passes the cap too, so the
 /// rows buffers never hold more than a small multiple of it: at 12 bytes a
-/// position, 2²² positions are ≈ 50 MB.
+/// position, 2²² positions are ≈ 50 MB. Ranking adds an 8-byte score to
+/// every row — at most 8 more bytes a position, since rows of arity 0 (one
+/// per operator at a node) hold none — so ≈ 84 MB.
 ///
 /// 2²² ≈ 4.2 M positions is 4× the most any measured sweep holds at one
 /// node (`crates/bench`'s `figures all --scale medium`: 1.02 M positions
@@ -56,29 +65,24 @@ pub struct NodeStats {
 }
 
 /// Evaluator for [`AlgExpr`] against a corpus + index, one context node at
-/// a time over the compressed lists.
-pub struct AlgebraEvaluator<'a> {
+/// a time over the compressed lists, scoring every tuple with `S`.
+pub struct AlgebraEvaluator<'a, S: Scorer = Unscored> {
     corpus: &'a Corpus,
     index: &'a InvertedIndex,
     registry: &'a PredicateRegistry,
+    scorer: S,
     counters: AccessCounters,
     stats: NodeStats,
 }
 
 impl<'a> AlgebraEvaluator<'a> {
-    /// Create an evaluator.
+    /// Create an evaluator with no score column.
     pub fn new(
         corpus: &'a Corpus,
         index: &'a InvertedIndex,
         registry: &'a PredicateRegistry,
     ) -> Self {
-        AlgebraEvaluator {
-            corpus,
-            index,
-            registry,
-            counters: AccessCounters::new(),
-            stats: NodeStats::default(),
-        }
+        Self::scored(corpus, index, registry, Unscored)
     }
 
     /// Alias of [`Self::new`] (there is one layout). Kept for
@@ -93,6 +97,32 @@ impl<'a> AlgebraEvaluator<'a> {
         Self::new(corpus, index, registry)
     }
 
+    /// Evaluate an expression to a materialized relation. Not generic, so
+    /// the COMP engine's walk is compiled once, in this crate, for every
+    /// caller.
+    pub fn eval(&mut self, expr: &AlgExpr) -> Result<FtRelation, AlgebraError> {
+        self.relation(expr)
+    }
+}
+
+impl<'a, S: Scorer> AlgebraEvaluator<'a, S> {
+    /// Create an evaluator whose relations carry `scorer`'s scores.
+    pub fn scored(
+        corpus: &'a Corpus,
+        index: &'a InvertedIndex,
+        registry: &'a PredicateRegistry,
+        scorer: S,
+    ) -> Self {
+        AlgebraEvaluator {
+            corpus,
+            index,
+            registry,
+            scorer,
+            counters: AccessCounters::new(),
+            stats: NodeStats::default(),
+        }
+    }
+
     /// Counters accumulated across evaluations.
     pub fn counters(&self) -> AccessCounters {
         self.counters
@@ -103,14 +133,38 @@ impl<'a> AlgebraEvaluator<'a> {
         self.stats
     }
 
-    /// Evaluate an expression to a materialized relation.
-    pub fn eval(&mut self, expr: &AlgExpr) -> Result<FtRelation, AlgebraError> {
-        let arity = expr.arity(self.registry)?;
-        let mut plan = Plan::new(expr, self.corpus, self.index, self.registry);
-        let mut out = FtRelation::new(arity);
-        let result = plan.run(&mut out, &mut self.stats);
+    /// Evaluate an expression to a materialized relation with its scores.
+    pub fn relation(&mut self, expr: &AlgExpr) -> Result<FtRelation<S::Score>, AlgebraError> {
+        let mut out = FtRelation::new(expr.arity(self.registry)?);
+        self.walk(expr, |_, node, rows| out.push_node(node, rows))?;
+        Ok(out)
+    }
+
+    /// Evaluate a query and score each node in its answer: `project` over
+    /// the node's root rows, applied as the node is emitted. Nodes ascend.
+    pub fn rank(&mut self, expr: &AlgExpr) -> Result<Vec<(NodeId, S::Score)>, AlgebraError> {
+        expr.arity(self.registry)?;
+        let mut hits = Vec::new();
+        self.walk(expr, |scorer, node, rows| {
+            if !rows.is_empty() {
+                hits.push((node, scorer.project(rows.scores())));
+            }
+        })?;
+        Ok(hits)
+    }
+
+    /// Run `expr`, which must be well formed, handing each candidate
+    /// node's root rows to `emit`, and fold the work into the counters.
+    fn walk(
+        &mut self,
+        expr: &AlgExpr,
+        mut emit: impl FnMut(&S, NodeId, &NodeRows<S::Score>),
+    ) -> Result<(), AlgebraError> {
+        let scorer = &self.scorer;
+        let mut plan = Plan::new(expr, self.corpus, self.index, self.registry, scorer);
+        let result = plan.run(&mut self.stats, |node, rows| emit(scorer, node, rows));
         plan.charge(&mut self.counters, &mut self.stats);
-        result.map(|()| out)
+        result
     }
 }
 
@@ -148,16 +202,19 @@ enum Landing {
 struct Leaf<'p> {
     /// `None` for a token the segment has never seen.
     cursor: Option<BlockCursor<'p>>,
+    /// `R_token`'s token, which scores its tuples; `None` for `HasPos`.
+    token: Option<&'p str>,
     /// Entries whose positions were materialized.
     materialized: u64,
     positions: u64,
 }
 
-struct Plan<'p> {
+struct Plan<'p, S: Scorer> {
     ops: Vec<Op<'p>>,
     landing: Vec<Landing>,
-    rows: Vec<NodeRows>,
+    rows: Vec<NodeRows<S::Score>>,
     leaves: Vec<Leaf<'p>>,
+    scorer: &'p S,
     /// `SearchContext` is every node id below this.
     node_count: u32,
     /// Rows built at the node being evaluated, all operators.
@@ -167,18 +224,20 @@ struct Plan<'p> {
     tuples: u64,
 }
 
-impl<'p> Plan<'p> {
+impl<'p, S: Scorer> Plan<'p, S> {
     fn new(
         expr: &'p AlgExpr,
         corpus: &Corpus,
         index: &'p InvertedIndex,
         registry: &'p PredicateRegistry,
+        scorer: &'p S,
     ) -> Self {
         let mut plan = Plan {
             ops: Vec::new(),
             landing: Vec::new(),
             rows: Vec::new(),
             leaves: Vec::new(),
+            scorer,
             node_count: corpus.len() as u32,
             node_tuples: 0,
             node_positions: 0,
@@ -199,10 +258,10 @@ impl<'p> Plan<'p> {
         let sub = |e: &'p AlgExpr, plan: &mut Self| plan.compile(e, corpus, index, registry);
         let (op, arity) = match expr {
             AlgExpr::SearchContext => (Op::Context, 0),
-            AlgExpr::HasPos => (self.leaf(Some(index.any_block_cursor())), 1),
+            AlgExpr::HasPos => (self.leaf(Some(index.any_block_cursor()), None), 1),
             AlgExpr::TokenRel(tok) => {
                 let cursor = corpus.token_id(tok).map(|id| index.block_cursor(id));
-                (self.leaf(cursor), 1)
+                (self.leaf(cursor, Some(tok)), 1)
             }
             AlgExpr::Project(e, cols) => (
                 Op::Project {
@@ -249,9 +308,10 @@ impl<'p> Plan<'p> {
         self.ops.len() - 1
     }
 
-    fn leaf(&mut self, cursor: Option<BlockCursor<'p>>) -> Op<'p> {
+    fn leaf(&mut self, cursor: Option<BlockCursor<'p>>, token: Option<&'p str>) -> Op<'p> {
         self.leaves.push(Leaf {
             cursor,
+            token,
             materialized: 0,
             positions: 0,
         });
@@ -295,15 +355,20 @@ impl<'p> Plan<'p> {
         }
     }
 
-    /// Evaluate the whole expression at every candidate of the root.
-    fn run(&mut self, out: &mut FtRelation, stats: &mut NodeStats) -> Result<(), AlgebraError> {
+    /// Evaluate the whole expression at every candidate of the root,
+    /// handing each one's root rows to `emit`.
+    fn run(
+        &mut self,
+        stats: &mut NodeStats,
+        mut emit: impl FnMut(NodeId, &NodeRows<S::Score>),
+    ) -> Result<(), AlgebraError> {
         let root = self.ops.len() - 1;
         let mut next = NodeId(0);
         while let Some(node) = self.seek(root, next) {
             self.node_tuples = 0;
             self.node_positions = 0;
             self.eval(root, node)?;
-            out.push_node(node, &self.rows[root]);
+            emit(node, &self.rows[root]);
             self.tuples += self.node_tuples;
             stats.nodes_evaluated += 1;
             stats.peak_node_tuples = stats.peak_node_tuples.max(self.node_tuples);
@@ -343,7 +408,7 @@ impl<'p> Plan<'p> {
     /// empty at the node skips its right input.
     fn eval(&mut self, i: usize, node: NodeId) -> Result<(), AlgebraError> {
         match self.ops[i] {
-            Op::Context => self.rows[i].set_unit(),
+            Op::Context => self.rows[i].set_unit(self.scorer.context_tuple()),
             Op::Leaf(k) => {
                 let leaf = &mut self.leaves[k];
                 let positions = leaf
@@ -353,14 +418,18 @@ impl<'p> Plan<'p> {
                     .positions();
                 leaf.materialized += 1;
                 leaf.positions += positions.len() as u64;
-                self.rows[i].set_positions(positions);
+                let score = match leaf.token {
+                    Some(token) => self.scorer.token_tuple(token, node),
+                    None => self.scorer.any_tuple(),
+                };
+                self.rows[i].set_positions(positions, score);
             }
             Op::Project { input, cols } => {
                 self.eval(input, node)?;
                 let cells = self.rows[input].len() as u64 * cols.len() as u64;
                 self.reserve(node, cells)?;
                 let (inputs, out) = self.rows.split_at_mut(i);
-                out[0].project(&inputs[input], cols);
+                out[0].project(&inputs[input], cols, self.scorer);
             }
             Op::Select {
                 input,
@@ -370,7 +439,7 @@ impl<'p> Plan<'p> {
             } => {
                 self.eval(input, node)?;
                 let (inputs, out) = self.rows.split_at_mut(i);
-                out[0].select(&inputs[input], pred, cols, consts);
+                out[0].select(&inputs[input], pred, cols, consts, self.scorer);
             }
             Op::Join(a, b) => {
                 self.eval(a, node)?;
@@ -383,7 +452,7 @@ impl<'p> Plan<'p> {
                         .saturating_mul(self.rows[i].arity() as u64);
                     self.reserve(node, cells)?;
                     let (inputs, out) = self.rows.split_at_mut(i);
-                    out[0].join(&inputs[a], &inputs[b]);
+                    out[0].join(&inputs[a], &inputs[b], self.scorer);
                 }
             }
             Op::Intersect(a, b) => {
@@ -393,7 +462,7 @@ impl<'p> Plan<'p> {
                 } else {
                     self.eval(b, node)?;
                     let (inputs, out) = self.rows.split_at_mut(i);
-                    out[0].intersect(&inputs[a], &inputs[b]);
+                    out[0].merge(&inputs[a], &inputs[b], SetOp::Intersect, self.scorer);
                 }
             }
             Op::Difference(a, b) => {
@@ -404,7 +473,7 @@ impl<'p> Plan<'p> {
                     self.rows[b].clear();
                 }
                 let (inputs, out) = self.rows.split_at_mut(i);
-                out[0].difference(&inputs[a], &inputs[b]);
+                out[0].merge(&inputs[a], &inputs[b], SetOp::Difference, self.scorer);
             }
             Op::Union(a, b) => {
                 for c in [a, b] {
@@ -415,7 +484,7 @@ impl<'p> Plan<'p> {
                     }
                 }
                 let (inputs, out) = self.rows.split_at_mut(i);
-                out[0].union(&inputs[a], &inputs[b]);
+                out[0].merge(&inputs[a], &inputs[b], SetOp::Union, self.scorer);
             }
         }
         let rows = &self.rows[i];
@@ -683,9 +752,12 @@ mod tests {
         let e = tokens[1..]
             .iter()
             .fold(arm(&tokens[0]), |e, t| union(e, arm(t)));
-        let mut plan = Plan::new(&e, &corpus, &index, &reg);
+        let mut plan = Plan::new(&e, &corpus, &index, &reg, &Unscored);
         let mut out = FtRelation::new(0);
-        plan.run(&mut out, &mut NodeStats::default()).unwrap();
+        plan.run(&mut NodeStats::default(), |node, rows| {
+            out.push_node(node, rows)
+        })
+        .unwrap();
         assert_eq!(out.len(), arms);
         let kept: usize = plan.rows.iter().map(NodeRows::capacity).sum();
         assert!(kept as u64 <= MAX_NODE_POSITIONS, "{kept} positions kept");

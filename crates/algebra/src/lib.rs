@@ -8,12 +8,16 @@
 //!
 //! This crate provides:
 //!
-//! * [`relation::FtRelation`] — flat row-major tuple storage, and one
-//!   context node's rows with the per-node operator kernels;
+//! * [`relation::FtRelation`] — flat row-major tuple storage with a score
+//!   column, and one context node's rows with the per-node operator
+//!   kernels;
+//! * [`scorer::Scorer`] — Section 3's per-operator score transformations,
+//!   which the kernels apply as they build rows ([`scorer::Unscored`]: no
+//!   score);
 //! * [`expr::AlgExpr`] — the operator AST with arity checking;
 //! * [`eval::AlgebraEvaluator`] — the node-at-a-time evaluator used by the
-//!   COMP engine (Section 5.4), instrumented with tuple counters and a
-//!   per-node budget;
+//!   COMP engine (Section 5.4) and, with a score column, by exhaustive
+//!   ranking; instrumented with tuple counters and a per-node budget;
 //! * [`from_calculus`] — Lemma 2 (calculus → algebra), the constructive half
 //!   of Theorem 1 that query compilation uses;
 //! * [`to_calculus`] — Lemma 1 (algebra → calculus), used to machine-check
@@ -24,9 +28,11 @@ pub mod eval;
 pub mod expr;
 pub mod from_calculus;
 pub mod relation;
+pub mod scorer;
 pub mod to_calculus;
 
 pub use error::AlgebraError;
 pub use eval::{AlgebraEvaluator, NodeStats, MAX_NODE_POSITIONS};
 pub use expr::AlgExpr;
 pub use relation::FtRelation;
+pub use scorer::{Scorer, Unscored};

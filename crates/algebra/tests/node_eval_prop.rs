@@ -8,7 +8,8 @@
 //! difference under a projection), `¬` over open variables (`HasPos^k −
 //! E`), `∨` whose arms bind different variables (`HasPos` padding),
 //! repeated variables, a 3-ary predicate, `∃` over an unused variable, and
-//! closed negation against `SearchContext`.
+//! closed negation against `SearchContext`. Ranking is the same walk with
+//! a score column, so the same queries check it against the unscored one.
 
 use ftsl_algebra::eval::AlgebraEvaluator;
 use ftsl_algebra::from_calculus::{query_to_algebra, translate};
@@ -16,9 +17,10 @@ use ftsl_calculus::ast::{CalcQuery, QueryExpr, VarId};
 use ftsl_calculus::build::{and_all, exists, has_token};
 use ftsl_calculus::interp::Interpreter;
 use ftsl_index::IndexBuilder;
-use ftsl_model::Corpus;
+use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::builtin::WindowPred;
 use ftsl_predicates::PredicateRegistry;
+use ftsl_scoring::{ModelScorer, PraModel, ScoreStats, TfIdfModel};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -168,6 +170,39 @@ proptest! {
         let stats = ev.node_stats();
         prop_assert!(stats.nodes_evaluated <= corpus.len() as u64);
         prop_assert!(stats.peak_node_tuples <= ev.counters().tuples);
+    }
+
+    /// Under either scoring model the walk is the unscored one — the same
+    /// answer nodes, tuples and counters — and PRA's scores stay
+    /// probabilities.
+    #[test]
+    fn scored_evaluation_answers_the_unscored_node_set(
+        expr in arb_calc(4, vec![]),
+        docs in arb_docs(),
+    ) {
+        let reg = registry();
+        let corpus = corpus_of(&docs);
+        let index = IndexBuilder::new().build(&corpus);
+        let alg = query_to_algebra(&CalcQuery::new(expr), &reg).expect("translate");
+        let mut unscored = AlgebraEvaluator::new(&corpus, &index, &reg);
+        let want = unscored.eval(&alg).expect("evaluate").distinct_nodes();
+        let stats = ScoreStats::compute(&corpus, &index);
+        let tfidf = TfIdfModel::for_query(&TOKENS, &corpus, &stats);
+        let pra = PraModel::new(&corpus, &stats);
+        let nodes = |hits: &[(NodeId, f64)]| hits.iter().map(|&(n, _)| n).collect::<Vec<_>>();
+
+        let mut ev = AlgebraEvaluator::scored(&corpus, &index, &reg, ModelScorer(&tfidf, &stats));
+        let hits = ev.rank(&alg).expect("rank");
+        prop_assert_eq!(nodes(&hits), want.clone(), "{:?}", alg);
+        prop_assert_eq!(ev.counters(), unscored.counters());
+
+        let mut ev = AlgebraEvaluator::scored(&corpus, &index, &reg, ModelScorer(&pra, &stats));
+        let hits = ev.rank(&alg).expect("rank");
+        prop_assert_eq!(nodes(&hits), want, "{:?}", alg);
+        prop_assert_eq!(ev.counters(), unscored.counters());
+        for (node, score) in hits {
+            prop_assert!((0.0..=1.0).contains(&score), "node {} scored {}", node, score);
+        }
     }
 
     /// `p1 HAS t1 ∧ … ∧ pk HAS tk` is a left-deep join: its output has

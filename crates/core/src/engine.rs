@@ -13,18 +13,19 @@
 use crate::error::FtslError;
 use crate::results::{Ranked, SearchResults};
 use crate::{query_tokens, RankModel};
+use ftsl_algebra::{AlgExpr, AlgebraEvaluator};
 use ftsl_calculus::CalcQuery;
 use ftsl_exec::engine::{EngineKind, ExecOptions};
 use ftsl_exec::snapshot::{ExecScratch, SnapshotExecutor};
-use ftsl_exec::{PairQuery, ScoredOutput, ScoredPath};
-use ftsl_index::{LiveConfig, LiveIndex, SegmentReport, Snapshot};
+use ftsl_exec::{ExecError, PairQuery, ScoredOutput, ScoredPath};
+use ftsl_index::{AccessCounters, LiveConfig, LiveIndex, SegmentReport, Snapshot};
 use ftsl_lang::rewrite::{map_tokens, Thesaurus};
 use ftsl_lang::{classify, lower, parse, LanguageClass, Mode, SurfaceQuery};
 use ftsl_model::analysis::AnalysisConfig;
 use ftsl_model::{Corpus, NodeId, Tokenizer, TokenizerConfig};
 use ftsl_predicates::PredicateRegistry;
 use ftsl_scoring::topk::sort_ranked;
-use ftsl_scoring::{ScoredEvaluator, SnapshotStats};
+use ftsl_scoring::{ModelScorer, ScoringModel, SnapshotStats};
 use std::sync::{Arc, Mutex};
 
 /// Snapshot + derived statistics cached for one mutation version, so a
@@ -249,8 +250,10 @@ impl Ftsl {
     }
 
     /// Exhaustively rank the current snapshot's matches under a scoring
-    /// model (per-segment scored-algebra evaluation with merged corpus
-    /// statistics).
+    /// model: each segment runs the COMP engine's node-at-a-time algebra
+    /// evaluator with a score column, under merged corpus statistics and
+    /// the same per-node budget, and [`Ranked::counters`] sums the
+    /// segments' cursor work.
     pub fn search_ranked(&self, query: &str, model: RankModel) -> Result<Ranked, FtslError> {
         let surface = self.rewrite_query(&parse(query, Mode::Comp)?);
         let snapshot = self.snapshot();
@@ -268,47 +271,50 @@ impl Ftsl {
         let expr = lower(surface, &self.registry)?;
         let calc = CalcQuery::new(expr);
         let alg = ftsl_algebra::from_calculus::query_to_algebra(&calc, &self.registry)
-            .map_err(|e| FtslError::Internal(e.to_string()))?;
-        let tfidf = matches!(model, RankModel::TfIdf)
-            .then(|| stats.tfidf_model(&query_tokens(surface), snapshot));
-        let pra = matches!(model, RankModel::Pra).then(|| stats.pra_model(snapshot));
-        let mut hits: Vec<(NodeId, f64)> = Vec::new();
-        for (i, seg) in snapshot.segments().iter().enumerate() {
-            let data = seg.data();
-            let seg_stats = stats.segment(i);
-            let scored = match model {
-                RankModel::TfIdf => ScoredEvaluator::new(
-                    data.corpus(),
-                    data.index(),
-                    &self.registry,
-                    seg_stats,
-                    tfidf.clone().expect("model built for TfIdf"),
-                )
-                .rank(&alg),
-                RankModel::Pra => ScoredEvaluator::new(
-                    data.corpus(),
-                    data.index(),
-                    &self.registry,
-                    seg_stats,
-                    pra.clone().expect("model built for Pra"),
-                )
-                .rank(&alg),
+            .map_err(ExecError::from)?;
+        let (mut hits, counters) = match model {
+            RankModel::TfIdf => {
+                let m = stats.tfidf_model(&query_tokens(surface), snapshot);
+                self.rank_segments(&alg, &m, snapshot, stats)?
             }
-            .map_err(|e| FtslError::Internal(e.to_string()))?;
-            hits.extend(
-                scored
-                    .iter()
-                    .filter(|(n, _)| seg.deletes().is_live(n.index()))
-                    .map(|&(n, s)| (data.global_of(n.index()), s)),
-            );
-        }
+            RankModel::Pra => {
+                self.rank_segments(&alg, &stats.pra_model(snapshot), snapshot, stats)?
+            }
+        };
         sort_ranked(&mut hits);
         Ok(Ranked {
             hits,
             model,
-            counters: None,
+            counters,
             trace: None,
         })
+    }
+
+    /// Every segment's live answer nodes under `model`, with global ids,
+    /// and the segments' summed counters.
+    fn rank_segments<M: ScoringModel>(
+        &self,
+        alg: &AlgExpr,
+        model: &M,
+        snapshot: &Snapshot,
+        stats: &SnapshotStats,
+    ) -> Result<(Vec<(NodeId, f64)>, AccessCounters), ExecError> {
+        let (mut hits, mut counters) = (Vec::new(), AccessCounters::new());
+        for (i, seg) in snapshot.segments().iter().enumerate() {
+            let data = seg.data();
+            let scorer = ModelScorer(model, stats.segment(i));
+            let mut ev =
+                AlgebraEvaluator::scored(data.corpus(), data.index(), &self.registry, scorer);
+            let ranked = ev.rank(alg)?;
+            counters += ev.counters();
+            hits.extend(
+                ranked
+                    .into_iter()
+                    .filter(|(n, _)| seg.deletes().is_live(n.index()))
+                    .map(|(n, s)| (data.global_of(n.index()), s)),
+            );
+        }
+        Ok((hits, counters))
     }
 
     /// Ranked search truncated to the `k` best hits — the conclusion's
@@ -324,8 +330,8 @@ impl Ftsl {
     /// whose whole bound cannot beat the current k-th score is skipped
     /// outright (`AccessCounters::segments_skipped`). Queries the streaming
     /// engine cannot rank (quantified COMP shapes, TF-IDF over
-    /// non-disjunctions) fall back to exhaustive scored-algebra ranking
-    /// plus truncation.
+    /// non-disjunctions) fall back to [`Self::search_ranked`] plus
+    /// truncation, under the same per-node budget as COMP.
     pub fn search_top_k(
         &self,
         query: &str,
@@ -382,7 +388,7 @@ impl Ftsl {
                 return Ok(Ranked {
                     hits: out.hits,
                     model,
-                    counters: Some(out.counters),
+                    counters: out.counters,
                     trace: out.trace,
                 });
             }
@@ -629,7 +635,7 @@ mod tests {
             let b = sealed
                 .search_top_k("'software' OR 'usability'", model, 2)
                 .unwrap();
-            assert!(a.counters.is_some(), "live top-k streams");
+            assert_eq!(a.counters.tuples, 0, "live top-k streams");
             for (x, y) in a.hits.iter().zip(&b.hits) {
                 assert_eq!(remap(x.0), y.0 .0);
                 assert_eq!(x.1.to_bits(), y.1.to_bits());
@@ -668,8 +674,31 @@ mod tests {
         let r = live
             .search_top_k("SOME p1 (p1 HAS 'software')", RankModel::TfIdf, 1)
             .unwrap();
-        assert!(r.counters.is_none(), "COMP shape cannot stream");
+        assert!(
+            r.counters.tuples > 0,
+            "a COMP shape ranks through the algebra"
+        );
         assert_eq!(r.hits.len(), 1);
+    }
+
+    #[test]
+    fn ranking_seeks_past_nodes_a_joined_token_lacks() {
+        // "rare" is in one document of 64: the join seeks "common" to it
+        // and passes the others over without materializing them.
+        let texts: Vec<String> = (0..64)
+            .map(|i| match i {
+                40 => "common rare".to_string(),
+                _ => format!("common filler{i}"),
+            })
+            .collect();
+        let e = Ftsl::from_texts(&texts);
+        for model in [RankModel::TfIdf, RankModel::Pra] {
+            let r = e.search_ranked("'common' AND 'rare'", model).unwrap();
+            assert_eq!(r.hits.len(), 1);
+            assert_eq!(r.hits[0].0, NodeId(40));
+            assert!(r.counters.skipped > 0, "{:?}", r.counters);
+            assert!(r.counters.tuples > 0, "{:?}", r.counters);
+        }
     }
 
     #[test]
@@ -710,7 +739,7 @@ mod tests {
             let q = "'beta' OR 'epsilon'";
             for model in [RankModel::TfIdf, RankModel::Pra] {
                 let got = e.search_top_k(q, model, 2).unwrap();
-                assert!(got.counters.is_some(), "streams");
+                assert_eq!(got.counters.tuples, 0, "streams");
                 same(&got.hits, &rebuilt.search_top_k(q, model, 2).unwrap().hits);
             }
             let got = e.search_near_top_k("alpha", "beta", 3, true, 10);

@@ -46,10 +46,11 @@ pub struct Ranked {
     pub hits: Vec<(NodeId, f64)>,
     /// The scoring model used.
     pub model: RankModel,
-    /// Access counters when the result came from the streaming top-k
-    /// engine (`None` for exhaustive scored-algebra ranking, which
-    /// materializes relations instead of walking cursors).
-    pub counters: Option<AccessCounters>,
+    /// Access counters of the evaluation: the streaming top-k engine's
+    /// cursor work, or — for exhaustive ranking — the summed work of every
+    /// segment's node-at-a-time algebra walk, including the tuples it
+    /// materialized (the streaming engine materializes none).
+    pub counters: AccessCounters,
     /// Span tree recorded when the engine ran with
     /// [`ftsl_exec::engine::ExecOptions::trace`] set.
     pub trace: Option<Box<ftsl_obs::Trace>>,

@@ -16,20 +16,24 @@
 //!   combine as `1 − ∏(1 − sᵢ)`, predicates scale by a predicate-specific
 //!   `f` (e.g. `1 − |p1−p2|/dist`), negation complements.
 //!
-//! [`classic`] computes textbook cosine TF-IDF directly so tests can verify
+//! A model ranks through the algebra as a [`ModelScorer`]: the
+//! [`ftsl_algebra::Scorer`] of the node-at-a-time
+//! [`ftsl_algebra::AlgebraEvaluator`] — the COMP engine's evaluator, here
+//! with a score column, under the same per-node budget. [`classic`]
+//! computes textbook cosine TF-IDF directly so tests can verify
 //! **Theorem 2** (the propagated scores equal classic TF-IDF for conjunctive
 //! and disjunctive queries) mechanically, and [`bool_scores`] attaches
 //! per-operator scoring to the BOOL merge engine (Section 5.3).
 //!
 //! ## Streaming top-k retrieval
 //!
-//! The exhaustive evaluators above score *every* node — the right shape for
-//! oracles, the wrong one for serving. [`stream`] rebuilds scored retrieval
-//! on the seeking-cursor substrate: per-list [`ftsl_index::EntryScorer`]s
-//! attach scores at the cursor, a bounded [`topk::TopK`] heap keeps only
-//! the requested results, and MaxScore/block-max pruning skips lists and
-//! whole compressed blocks whose impact bound cannot reach the heap
-//! threshold. A worked example:
+//! Exhaustive ranking through the algebra scores *every* answer node — the
+//! right shape for oracles, the wrong one for serving. [`stream`] rebuilds
+//! scored retrieval on the seeking-cursor substrate: per-list
+//! [`ftsl_index::EntryScorer`]s attach scores at the cursor, a bounded
+//! [`topk::TopK`] heap keeps only the requested results, and
+//! MaxScore/block-max pruning skips lists and whole compressed blocks
+//! whose impact bound cannot reach the heap threshold. A worked example:
 //!
 //! ```
 //! use ftsl_index::IndexBuilder;
@@ -63,7 +67,6 @@ pub mod classic;
 pub mod live;
 pub mod pra;
 pub mod proximity;
-pub mod relation;
 pub mod stats;
 pub mod stream;
 pub mod tfidf;
@@ -72,7 +75,6 @@ pub mod topk;
 pub use live::SnapshotStats;
 pub use pra::PraModel;
 pub use proximity::closeness;
-pub use relation::{ScoredEvaluator, ScoredRelation};
 pub use stats::ScoreStats;
 pub use stream::{
     pra_tree_bound, pra_union_cursors, run_bool_topk, run_bool_topk_into, tfidf_union_cursors,
@@ -82,14 +84,15 @@ pub use stream::{
 pub use tfidf::TfIdfModel;
 pub use topk::TopK;
 
-use ftsl_model::Position;
+use ftsl_algebra::Scorer;
+use ftsl_model::{NodeId, Position};
 use ftsl_predicates::Predicate;
 
 /// Per-operator scoring transformations (Section 3's framework).
 pub trait ScoringModel {
     /// Score of one tuple of `R_token` (a single occurrence of `token` in
     /// `node`).
-    fn token_tuple(&self, token: &str, node: ftsl_model::NodeId, stats: &ScoreStats) -> f64;
+    fn token_tuple(&self, token: &str, node: NodeId, stats: &ScoreStats) -> f64;
 
     /// Score of a `HasPos` tuple.
     fn any_tuple(&self) -> f64;
@@ -118,4 +121,131 @@ pub trait ScoringModel {
 
     /// Difference: the surviving (left-only) tuple's score.
     fn difference(&self, s1: f64) -> f64;
+}
+
+/// A [`ScoringModel`] under one segment's statistics, as the algebra
+/// evaluator's [`Scorer`]:
+/// `AlgebraEvaluator::scored(corpus, index, registry, ModelScorer(&model, &stats))`
+/// ranks a segment with it.
+#[derive(Clone, Copy, Debug)]
+pub struct ModelScorer<'a, M>(pub &'a M, pub &'a ScoreStats);
+
+impl<M: ScoringModel> Scorer for ModelScorer<'_, M> {
+    type Score = f64;
+
+    fn token_tuple(&self, token: &str, node: NodeId) -> f64 {
+        self.0.token_tuple(token, node, self.1)
+    }
+
+    fn any_tuple(&self) -> f64 {
+        self.0.any_tuple()
+    }
+
+    fn context_tuple(&self) -> f64 {
+        self.0.context_tuple()
+    }
+
+    fn join(&self, left: f64, right: f64, left_group: usize, right_group: usize) -> f64 {
+        self.0.join(left, right, left_group, right_group)
+    }
+
+    fn project(&self, scores: &[f64]) -> f64 {
+        self.0.project(scores)
+    }
+
+    fn select(&self, score: f64, pred: &dyn Predicate, args: &[Position], consts: &[i64]) -> f64 {
+        self.0.select(score, pred, args, consts)
+    }
+
+    fn union(&self, left: Option<f64>, right: Option<f64>) -> f64 {
+        self.0.union(left, right)
+    }
+
+    fn intersect(&self, left: f64, right: f64) -> f64 {
+        self.0.intersect(left, right)
+    }
+
+    fn difference(&self, left: f64) -> f64 {
+        self.0.difference(left)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ftsl_algebra::expr::ops::*;
+    use ftsl_algebra::AlgebraEvaluator;
+    use ftsl_index::{IndexBuilder, InvertedIndex};
+    use ftsl_model::Corpus;
+    use ftsl_predicates::PredicateRegistry;
+
+    fn setup() -> (Corpus, InvertedIndex, PredicateRegistry, ScoreStats) {
+        let corpus = Corpus::from_texts(&[
+            "usability test usability",
+            "test of things",
+            "usability",
+            "unrelated words here",
+        ]);
+        let index = IndexBuilder::new().build(&corpus);
+        let stats = ScoreStats::compute(&corpus, &index);
+        (corpus, index, PredicateRegistry::with_builtins(), stats)
+    }
+
+    #[test]
+    fn tfidf_ranks_higher_tf_first() {
+        let (corpus, index, reg, stats) = setup();
+        let model = TfIdfModel::for_query(&["usability"], &corpus, &stats);
+        let scorer = ModelScorer(&model, &stats);
+        let mut ev = AlgebraEvaluator::scored(&corpus, &index, &reg, scorer);
+        let ranked = ev.rank(&project_nodes(token("usability"))).unwrap();
+        assert_eq!(ranked.len(), 2);
+        // Node 2 is a single-token document entirely about "usability";
+        // node 0 mentions it twice among three tokens. Both beat absent docs.
+        assert!(ranked.iter().all(|(_, s)| *s > 0.0));
+        let nodes: Vec<u32> = ranked.iter().map(|(n, _)| n.0).collect();
+        assert!(nodes.contains(&0) && nodes.contains(&2));
+    }
+
+    #[test]
+    fn pra_scores_stay_probabilities_through_operators() {
+        let (corpus, index, reg, stats) = setup();
+        let model = PraModel::new(&corpus, &stats);
+        let mut ev = AlgebraEvaluator::scored(&corpus, &index, &reg, ModelScorer(&model, &stats));
+        let distance = reg.lookup("distance").unwrap();
+        let e = project_nodes(select(
+            join(token("usability"), token("test")),
+            distance,
+            &[0, 1],
+            &[5],
+        ));
+        let ranked = ev.rank(&e).unwrap();
+        assert!(!ranked.is_empty());
+        for (_, s) in &ranked {
+            assert!((0.0..=1.0).contains(s), "score {s} out of range");
+        }
+    }
+
+    #[test]
+    fn union_and_difference_scores() {
+        let (corpus, index, reg, stats) = setup();
+        let model = PraModel::new(&corpus, &stats);
+        let mut ev = AlgebraEvaluator::scored(&corpus, &index, &reg, ModelScorer(&model, &stats));
+        let u = ev
+            .relation(&union(token("usability"), token("usability")))
+            .unwrap();
+        // Same tuple on both sides: 1-(1-s)^2 > s.
+        let single = ev.relation(&token("usability")).unwrap();
+        assert_eq!(u.len(), single.len());
+        for (us, ss) in u.scores().iter().zip(single.scores()) {
+            assert!(us > ss);
+        }
+        let d = ev
+            .relation(&difference(
+                project_nodes(token("test")),
+                project_nodes(token("usability")),
+            ))
+            .unwrap();
+        let nodes: Vec<u32> = d.iter().map(|(n, _)| n.0).collect();
+        assert_eq!(nodes, vec![1]);
+    }
 }

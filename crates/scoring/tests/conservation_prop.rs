@@ -3,11 +3,11 @@
 //! join/project chains over token relations.
 
 use ftsl_algebra::expr::ops::*;
-use ftsl_algebra::AlgExpr;
+use ftsl_algebra::{AlgExpr, AlgebraEvaluator};
 use ftsl_index::IndexBuilder;
 use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::PredicateRegistry;
-use ftsl_scoring::{ScoreStats, ScoredEvaluator, TfIdfModel};
+use ftsl_scoring::{ModelScorer, ScoreStats, TfIdfModel};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -30,12 +30,14 @@ fn arb_corpus() -> impl Strategy<Value = Corpus> {
     )
 }
 
+type Evaluator<'a> = AlgebraEvaluator<'a, ModelScorer<'a, TfIdfModel>>;
+
 /// Per-node total score of a relation.
-fn per_node_totals(ev: &ScoredEvaluator<'_, TfIdfModel>, expr: &AlgExpr) -> BTreeMap<NodeId, f64> {
-    let rel = ev.eval(expr).expect("evaluates");
+fn per_node_totals(ev: &mut Evaluator<'_>, expr: &AlgExpr) -> BTreeMap<NodeId, f64> {
+    let rel = ev.relation(expr).expect("evaluates");
     let mut totals: BTreeMap<NodeId, f64> = BTreeMap::new();
-    for (n, _, s) in &rel.rows {
-        *totals.entry(*n).or_insert(0.0) += s;
+    for ((n, _), s) in rel.iter().zip(rel.scores()) {
+        *totals.entry(n).or_insert(0.0) += s;
     }
     totals
 }
@@ -65,11 +67,11 @@ proptest! {
         let reg = PredicateRegistry::with_builtins();
         let stats = ScoreStats::compute(&corpus, &index);
         let model = TfIdfModel::for_query(&[VOCAB[t1], VOCAB[t2]], &corpus, &stats);
-        let ev = ScoredEvaluator::new(&corpus, &index, &reg, &stats, model);
+        let mut ev = AlgebraEvaluator::scored(&corpus, &index, &reg, ModelScorer(&model, &stats));
 
-        let left = per_node_totals(&ev, &token(VOCAB[t1]));
-        let right = per_node_totals(&ev, &token(VOCAB[t2]));
-        let joined = per_node_totals(&ev, &join(token(VOCAB[t1]), token(VOCAB[t2])));
+        let left = per_node_totals(&mut ev, &token(VOCAB[t1]));
+        let right = per_node_totals(&mut ev, &token(VOCAB[t2]));
+        let joined = per_node_totals(&mut ev, &join(token(VOCAB[t1]), token(VOCAB[t2])));
 
         for (node, total) in &joined {
             let expected = left.get(node).copied().unwrap_or(0.0)
@@ -94,12 +96,12 @@ proptest! {
         let reg = PredicateRegistry::with_builtins();
         let stats = ScoreStats::compute(&corpus, &index);
         let model = TfIdfModel::for_query(&[VOCAB[t1], VOCAB[t2]], &corpus, &stats);
-        let ev = ScoredEvaluator::new(&corpus, &index, &reg, &stats, model);
+        let mut ev = AlgebraEvaluator::scored(&corpus, &index, &reg, ModelScorer(&model, &stats));
 
         let joined = join(token(VOCAB[t1]), token(VOCAB[t2]));
-        let before = per_node_totals(&ev, &joined);
+        let before = per_node_totals(&mut ev, &joined);
         let cols: &[usize] = if keep_first { &[0] } else { &[] };
-        let after = per_node_totals(&ev, &project(joined, cols));
+        let after = per_node_totals(&mut ev, &project(joined, cols));
 
         prop_assert_eq!(before.len(), after.len());
         for (node, total) in &after {
@@ -125,11 +127,11 @@ proptest! {
         let reg = PredicateRegistry::with_builtins();
         let stats = ScoreStats::compute(&corpus, &index);
         let model = TfIdfModel::for_query(&[VOCAB[t1], VOCAB[t2]], &corpus, &stats);
-        let ev = ScoredEvaluator::new(&corpus, &index, &reg, &stats, model);
+        let mut ev = AlgebraEvaluator::scored(&corpus, &index, &reg, ModelScorer(&model, &stats));
 
-        let a = per_node_totals(&ev, &token(VOCAB[t1]));
-        let b = per_node_totals(&ev, &token(VOCAB[t2]));
-        let u = per_node_totals(&ev, &union(token(VOCAB[t1]), token(VOCAB[t2])));
+        let a = per_node_totals(&mut ev, &token(VOCAB[t1]));
+        let b = per_node_totals(&mut ev, &token(VOCAB[t2]));
+        let u = per_node_totals(&mut ev, &union(token(VOCAB[t1]), token(VOCAB[t2])));
         for (node, total) in &u {
             let expected =
                 a.get(node).copied().unwrap_or(0.0) + b.get(node).copied().unwrap_or(0.0);

@@ -3,11 +3,12 @@
 //! disjunctive queries.
 
 use ftsl_algebra::expr::ops::*;
+use ftsl_algebra::AlgebraEvaluator;
 use ftsl_index::IndexBuilder;
 use ftsl_model::Corpus;
 use ftsl_predicates::PredicateRegistry;
 use ftsl_scoring::classic::classic_tfidf;
-use ftsl_scoring::{ScoreStats, ScoredEvaluator, TfIdfModel};
+use ftsl_scoring::{ModelScorer, ScoreStats, TfIdfModel};
 use proptest::prelude::*;
 
 const VOCAB: [&str; 5] = ["alpha", "beta", "gamma", "delta", "eps"];
@@ -61,8 +62,10 @@ proptest! {
             .expect("non-empty");
         let expr = project_nodes(expr);
 
-        let ev = ScoredEvaluator::new(&corpus, &index, &reg, &stats, model.clone());
-        let got = ev.rank(&expr).expect("evaluates");
+        let scorer = ModelScorer(&model, &stats);
+        let got = AlgebraEvaluator::scored(&corpus, &index, &reg, scorer)
+            .rank(&expr)
+            .expect("evaluates");
 
         let classic = classic_tfidf(&tokens, &corpus, &stats, &model);
         for (node, score) in &got {
@@ -98,8 +101,10 @@ proptest! {
             .expect("non-empty");
         let expr = project_nodes(expr);
 
-        let ev = ScoredEvaluator::new(&corpus, &index, &reg, &stats, model.clone());
-        let got = ev.rank(&expr).expect("evaluates");
+        let scorer = ModelScorer(&model, &stats);
+        let got = AlgebraEvaluator::scored(&corpus, &index, &reg, scorer)
+            .rank(&expr)
+            .expect("evaluates");
         let classic = classic_tfidf(&tokens, &corpus, &stats, &model);
 
         prop_assert_eq!(got.len(), classic.len(), "support mismatch");
@@ -136,8 +141,10 @@ proptest! {
             &[0, 1],
             &[d],
         ));
-        let ev = ScoredEvaluator::new(&corpus, &index, &reg, &stats, model);
-        let ranked = ev.rank(&expr).expect("evaluates");
+        let scorer = ModelScorer(&model, &stats);
+        let ranked = AlgebraEvaluator::scored(&corpus, &index, &reg, scorer)
+            .rank(&expr)
+            .expect("evaluates");
         for (node, s) in ranked {
             prop_assert!((0.0..=1.0).contains(&s), "node {node} score {s}");
         }

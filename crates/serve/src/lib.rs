@@ -95,12 +95,13 @@ impl Answer {
         }
     }
 
-    /// The evaluation's access counters, when the path reports them
-    /// (`None` for exhaustive-ranking answers, which walk no cursors).
+    /// The evaluation's access counters. Always `Some` — every path reports
+    /// them; the `Option` is kept for `benchmark/src/sut.rs`, which unwraps
+    /// it, and is to be dropped by the next `benchmark` issue.
     pub fn counters(&self) -> Option<AccessCounters> {
         match self {
             Answer::Search(r) => Some(r.counters),
-            Answer::TopK(r) => r.counters,
+            Answer::TopK(r) => Some(r.counters),
             Answer::Near(r) => Some(r.counters),
         }
     }

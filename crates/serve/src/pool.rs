@@ -770,13 +770,11 @@ fn slow_entry(req: &QueryRequest, micros: u64, result: &Reply) -> SlowEntry {
                 Answer::TopK(r) => r.hits.len(),
                 Answer::Near(r) => r.hits.len(),
             };
-            let summary = match served.answer.counters() {
-                Some(c) => format!(
-                    "hits={} entries={} positions={} pair_entries={} blocks_skipped={} segments_skipped={}",
-                    hits, c.entries, c.positions, c.pair_entries, c.blocks_skipped, c.segments_skipped
-                ),
-                None => format!("hits={hits} (exhaustive ranking; no cursor counters)"),
-            };
+            let c = served.answer.counters().unwrap_or_default();
+            let summary = format!(
+                "hits={} entries={} positions={} pair_entries={} blocks_skipped={} segments_skipped={}",
+                hits, c.entries, c.positions, c.pair_entries, c.blocks_skipped, c.segments_skipped
+            );
             (served.cached, summary, served.answer.trace().cloned())
         }
         Err(e) => (false, format!("error: {e}"), None),

@@ -457,7 +457,7 @@ fn dispatch(
     }
     if let Some(q) = input.strip_prefix(":rank ") {
         let ranked = engine.search_ranked(q, RankModel::TfIdf)?;
-        *last_counters = None;
+        *last_counters = Some(ranked.counters);
         for (node, score) in &ranked.hits {
             writeln!(out, "{score:.5}  {}", node_name(names, *node))?;
         }
@@ -502,13 +502,15 @@ fn dispatch(
             }
             None => (engine.search_top_k(q, RankModel::TfIdf, k)?, false),
         };
-        *last_counters = ranked.counters;
+        let c = ranked.counters;
+        *last_counters = Some(c);
         for (node, score) in &ranked.hits {
             writeln!(out, "{score:.5}  {}", node_name(names, *node))?;
         }
         if cached {
             writeln!(out, "[served from result cache]")?;
-        } else if let Some(c) = ranked.counters {
+        } else if c.tuples == 0 {
+            // The exhaustive fallback materializes tuples; streaming does not.
             writeln!(
                 out,
                 "[streamed: {} entries decoded, {} entries / {} blocks pruned, \
