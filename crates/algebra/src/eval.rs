@@ -12,21 +12,27 @@
 //!
 //! At each candidate the tree is evaluated into per-operator `NodeRows`
 //! buffers reused from node to node, and only the root's rows are appended
-//! to the answer. Each node's relations hold exactly the rows the
-//! whole-segment relations would hold for it, so the bound is the paper's
-//! `O(cnodes × pos_per_cnode^toks_Q × (preds_Q + ops_Q + 1))` and the tuple
-//! counter still measures that growth; memory is one node's tuples, capped
-//! across all operators by [`MAX_NODE_POSITIONS`].
+//! to the answer. Each operator's rows at a node are exactly the rows its
+//! whole-segment relation would hold for it. [`AlgebraEvaluator::eval`]
+//! first rewrites the plan with [`push_down`], sinking `σ` and `π` below
+//! `⋈`: the root's rows are unchanged, but a node builds only the rows a
+//! later operator reads. The paper's
+//! `O(cnodes × pos_per_cnode^toks_Q × (preds_Q + ops_Q + 1))` stays the
+//! worst case — a predicate that binds columns on both sides of every join
+//! — and the tuple counter measures what was built; memory is one node's
+//! tuples, capped across all operators by [`MAX_NODE_POSITIONS`].
 //!
 //! Ranking (Section 3) is the same walk with a score column: the evaluator
 //! is generic over a [`Scorer`], whose transformations the kernels apply as
 //! they build rows, and [`AlgebraEvaluator::rank`] combines each answer
 //! node's root rows with `project` as the node is emitted. Unscored, the
-//! column is `()` and every transformation compiles away.
+//! column is `()` and every transformation compiles away. Scored walks run
+//! the plan as translated: push-down would change the scores.
 
 use crate::error::AlgebraError;
 use crate::expr::AlgExpr;
 use crate::relation::{FtRelation, NodeRows, SetOp};
+use crate::rewrite::push_down;
 use crate::scorer::{Scorer, Unscored};
 use ftsl_index::{AccessCounters, BlockCursor, IndexLayout, InvertedIndex};
 use ftsl_model::{Corpus, NodeId};
@@ -47,8 +53,10 @@ use ftsl_predicates::{Predicate, PredicateRegistry};
 ///
 /// 2²² ≈ 4.2 M positions is 4× the most any measured sweep holds at one
 /// node (`crates/bench`'s `figures all --scale medium`: 1.02 M positions
-/// in 208 k rows, measured), ≈ 100× `class_ladder`'s `t4` (10⁴ rows of
-/// four) and far above every test suite's.
+/// in 208 k rows, measured, before [`push_down`]) and far above every test
+/// suite's. `class_ladder`'s `t4` plan built 10⁴ rows of four per node as
+/// translated, ≈ 100× under the cap; pushed down, its widest relation is
+/// the three-token join below the order predicate.
 pub const MAX_NODE_POSITIONS: u64 = 1 << 22;
 
 /// What the node-at-a-time walk did, accumulated across evaluations.
@@ -97,11 +105,12 @@ impl<'a> AlgebraEvaluator<'a> {
         Self::new(corpus, index, registry)
     }
 
-    /// Evaluate an expression to a materialized relation. Not generic, so
-    /// the COMP engine's walk is compiled once, in this crate, for every
-    /// caller.
+    /// Evaluate an expression to a materialized relation, running the
+    /// [`push_down`] plan: the same rows, fewer built on the way. Not
+    /// generic, so the COMP engine's walk is compiled once, in this crate,
+    /// for every caller.
     pub fn eval(&mut self, expr: &AlgExpr) -> Result<FtRelation, AlgebraError> {
-        self.relation(expr)
+        self.relation(&push_down(expr, self.registry))
     }
 }
 
@@ -133,7 +142,8 @@ impl<'a, S: Scorer> AlgebraEvaluator<'a, S> {
         self.stats
     }
 
-    /// Evaluate an expression to a materialized relation with its scores.
+    /// Evaluate an expression, as given, to a materialized relation with
+    /// its scores.
     pub fn relation(&mut self, expr: &AlgExpr) -> Result<FtRelation<S::Score>, AlgebraError> {
         let mut out = FtRelation::new(expr.arity(self.registry)?);
         self.walk(expr, |_, node, rows| out.push_node(node, rows))?;
@@ -702,16 +712,21 @@ mod tests {
     /// Occurrences of each arm's token in the arm tests below.
     const ARM_TF: usize = 400;
 
-    /// `∃a ∃b (a HAS tok ∧ b HAS tok)`: two leaves of [`ARM_TF`] positions
-    /// and a join of `ARM_TF²` rows of two positions at a node repeating
-    /// `tok`, well under the budget on its own.
+    /// `∃a ∃b (a HAS tok ∧ b HAS tok ∧ diffpos(a, b))`: two leaves of
+    /// [`ARM_TF`] positions, a join of `ARM_TF²` rows of two positions and
+    /// the `ARM_TF² − ARM_TF` the predicate keeps, at a node repeating
+    /// `tok` — well under the budget on its own. The predicate binds both
+    /// join columns, so push-down cannot shrink the join.
     fn arm(tok: &str) -> AlgExpr {
-        project_nodes(join(token(tok), token(tok)))
+        let diffpos = PredicateRegistry::with_builtins()
+            .lookup("diffpos")
+            .unwrap();
+        project_nodes(select(join(token(tok), token(tok)), diffpos, &[0, 1], &[]))
     }
 
     /// How many arms together hold more than the budget at one node.
     fn arms_over_budget() -> usize {
-        let per_arm = 2 * ARM_TF + 2 * ARM_TF * ARM_TF;
+        let per_arm = 2 * ARM_TF + 2 * ARM_TF * ARM_TF + 2 * (ARM_TF * ARM_TF - ARM_TF);
         MAX_NODE_POSITIONS as usize / per_arm + 1
     }
 

@@ -20,6 +20,8 @@
 //!   ranking; instrumented with tuple counters and a per-node budget;
 //! * [`from_calculus`] — Lemma 2 (calculus → algebra), the constructive half
 //!   of Theorem 1 that query compilation uses;
+//! * [`rewrite`] — `σ` / `π` push-down below `⋈`, which the unscored
+//!   evaluator applies to every plan it runs;
 //! * [`to_calculus`] — Lemma 1 (algebra → calculus), used to machine-check
 //!   the equivalence by differential testing.
 
@@ -28,6 +30,7 @@ pub mod eval;
 pub mod expr;
 pub mod from_calculus;
 pub mod relation;
+pub mod rewrite;
 pub mod scorer;
 pub mod to_calculus;
 

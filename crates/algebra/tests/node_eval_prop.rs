@@ -7,12 +7,18 @@
 //! The generator reaches every shape the translation emits: `∀` (a
 //! difference under a projection), `¬` over open variables (`HasPos^k −
 //! E`), `∨` whose arms bind different variables (`HasPos` padding),
-//! repeated variables, a 3-ary predicate, `∃` over an unused variable, and
-//! closed negation against `SearchContext`. Ranking is the same walk with
-//! a score column, so the same queries check it against the unscored one.
+//! repeated variables, a 3-ary predicate, `∃` over an unused variable,
+//! closed negation against `SearchContext`, `π` over `∪`, and `σ` over
+//! one side of a `⋈` (the ladder shape). The unscored evaluator runs
+//! the plan with `σ` and `π` pushed below `⋈`, so the interpreter checks
+//! that plan, and a second property checks it row for row against the
+//! plan as translated. Ranking is the same walk with a score column over
+//! the translated plan, so the same queries check it against the unscored
+//! walk of that plan.
 
 use ftsl_algebra::eval::AlgebraEvaluator;
 use ftsl_algebra::from_calculus::{query_to_algebra, translate};
+use ftsl_algebra::rewrite::push_down;
 use ftsl_calculus::ast::{CalcQuery, QueryExpr, VarId};
 use ftsl_calculus::build::{and_all, exists, has_token};
 use ftsl_calculus::interp::Interpreter;
@@ -54,14 +60,9 @@ fn corpus_of(docs: &[Vec<(usize, usize)>]) -> Corpus {
     Corpus::from_texts(&texts)
 }
 
-/// Atoms over the variables in scope: tokens, `hasPos`, binary predicates
-/// (possibly on one variable twice) and the 3-ary window.
-fn arb_atom(scope: Vec<VarId>) -> BoxedStrategy<QueryExpr> {
-    let reg = registry();
-    let window3 = reg.lookup("window").expect("window registered");
-    let n = scope.len();
-    let (s1, s2, s3, s4) = (scope.clone(), scope.clone(), scope.clone(), scope);
-    let binary = prop_oneof![
+/// A binary built-in predicate's name and constants.
+fn arb_binary() -> BoxedStrategy<(&'static str, Vec<i64>)> {
+    prop_oneof![
         (0..4i64).prop_map(|d| ("distance", vec![d])),
         Just(("ordered", vec![])),
         Just(("samesent", vec![])),
@@ -69,12 +70,22 @@ fn arb_atom(scope: Vec<VarId>) -> BoxedStrategy<QueryExpr> {
         (0..3i64).prop_map(|d| ("not_distance", vec![d])),
         Just(("not_ordered", vec![])),
         (0..3i64).prop_map(|g| ("exact_gap", vec![g])),
-    ];
+    ]
+    .boxed()
+}
+
+/// Atoms over the variables in scope: tokens, `hasPos`, binary predicates
+/// (possibly on one variable twice) and the 3-ary window.
+fn arb_atom(scope: Vec<VarId>) -> BoxedStrategy<QueryExpr> {
+    let reg = registry();
+    let window3 = reg.lookup("window").expect("window registered");
+    let n = scope.len();
+    let (s1, s2, s3, s4) = (scope.clone(), scope.clone(), scope.clone(), scope);
     prop_oneof![
         3 => (0..n, 0..TOKENS.len())
             .prop_map(move |(v, t)| QueryExpr::HasToken(s1[v], TOKENS[t].to_string())),
         1 => (0..n).prop_map(move |v| QueryExpr::HasPos(s2[v])),
-        2 => (binary, 0..n, 0..n).prop_map(move |((name, consts), i, j)| QueryExpr::Pred {
+        2 => (arb_binary(), 0..n, 0..n).prop_map(move |((name, consts), i, j)| QueryExpr::Pred {
             pred: reg.lookup(name).expect("built-in"),
             vars: vec![s3[i], s3[j]],
             consts,
@@ -86,6 +97,40 @@ fn arb_atom(scope: Vec<VarId>) -> BoxedStrategy<QueryExpr> {
         }),
     ]
     .boxed()
+}
+
+/// `class_ladder`'s shape: `∃q1..qk (q1 HAS t1 ∧ … ∧ qk HAS tk ∧
+/// P(qi, qi+1) ∧ …)`, so a predicate over two adjacent tokens filters a
+/// left-deep join below its outer joins. The rest of the generator seldom
+/// conjoins a predicate with a join of tokens it does not span.
+fn arb_ladder() -> BoxedStrategy<QueryExpr> {
+    (2..5usize)
+        .prop_flat_map(|k| {
+            (
+                proptest::collection::vec(0..TOKENS.len(), k..k + 1),
+                proptest::collection::vec((arb_binary(), 0..k - 1), 1..3),
+            )
+        })
+        .prop_map(|(toks, preds)| {
+            let reg = registry();
+            let q = |i: usize| VarId(200 + i as u32);
+            let tokens = toks
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| QueryExpr::HasToken(q(i), TOKENS[t].to_string()));
+            let preds = preds
+                .into_iter()
+                .map(|((name, consts), i)| QueryExpr::Pred {
+                    pred: reg.lookup(name).expect("built-in"),
+                    vars: vec![q(i), q(i + 1)],
+                    consts,
+                });
+            let body = and_all(tokens.chain(preds).collect());
+            (0..toks.len())
+                .rev()
+                .fold(body, |e, i| QueryExpr::Exists(q(i), Box::new(e)))
+        })
+        .boxed()
 }
 
 /// Random expressions whose free variables are drawn from `scope`, with at
@@ -134,6 +179,7 @@ fn arb_calc(depth: u32, scope: Vec<VarId>) -> BoxedStrategy<QueryExpr> {
                 .prop_map(move |a| QueryExpr::Forall(fresh, Box::new(a)))
                 .boxed(),
         ),
+        (1, arb_ladder()),
     ];
     if let Some(a) = atom {
         opts.push((2, a));
@@ -172,9 +218,31 @@ proptest! {
         prop_assert!(stats.peak_node_tuples <= ev.counters().tuples);
     }
 
-    /// Under either scoring model the walk is the unscored one — the same
-    /// answer nodes, tuples and counters — and PRA's scores stay
-    /// probabilities.
+    /// Push-down keeps the arity and, at every node, exactly the rows of
+    /// the plan as translated — open expressions included — and a second
+    /// pass changes nothing.
+    #[test]
+    fn push_down_keeps_every_row_of_the_translated_plan(
+        expr in arb_calc(4, vec![VarId(1), VarId(2)]),
+        docs in arb_docs(),
+    ) {
+        let reg = registry();
+        let corpus = corpus_of(&docs);
+        let index = IndexBuilder::new().build(&corpus);
+        let alg = translate(&expr, &reg).expect("translate").expr;
+        let plan = push_down(&alg, &reg);
+        prop_assert_eq!(plan.arity(&reg), alg.arity(&reg));
+        prop_assert_eq!(&push_down(&plan, &reg), &plan, "not idempotent on {:?}", alg);
+        let mut ev = AlgebraEvaluator::new(&corpus, &index, &reg);
+        let want = ev.relation(&alg).expect("evaluate");
+        let got = ev.relation(&plan).expect("evaluate");
+        // Row for row, so node for node.
+        prop_assert_eq!(got, want, "{:?} => {:?}", alg, plan);
+    }
+
+    /// Under either scoring model the walk is the unscored one over the
+    /// same, unrewritten plan — the same answer nodes, tuples and counters
+    /// — and PRA's scores stay probabilities.
     #[test]
     fn scored_evaluation_answers_the_unscored_node_set(
         expr in arb_calc(4, vec![]),
@@ -185,7 +253,7 @@ proptest! {
         let index = IndexBuilder::new().build(&corpus);
         let alg = query_to_algebra(&CalcQuery::new(expr), &reg).expect("translate");
         let mut unscored = AlgebraEvaluator::new(&corpus, &index, &reg);
-        let want = unscored.eval(&alg).expect("evaluate").distinct_nodes();
+        let want = unscored.relation(&alg).expect("evaluate").distinct_nodes();
         let stats = ScoreStats::compute(&corpus, &index);
         let tfidf = TfIdfModel::for_query(&TOKENS, &corpus, &stats);
         let pra = PraModel::new(&corpus, &stats);

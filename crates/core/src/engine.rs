@@ -465,17 +465,26 @@ impl Ftsl {
     pub fn explain(&self, query: &str) -> Result<String, FtslError> {
         let surface = self.rewrite_query(&parse(query, Mode::Comp)?);
         let class = classify(&surface, &self.registry);
-        let expr = lower(&surface, &self.registry)?;
+        let engine = match class {
+            LanguageClass::BoolNoNeg | LanguageClass::Bool => "BOOL (doc-id list merges)",
+            LanguageClass::Dist | LanguageClass::Ppred => "PPRED (streaming cursors)",
+            LanguageClass::Npred => "NPRED (streaming cursors)",
+            LanguageClass::Comp => "COMP (materialized algebra)",
+        };
+        let plan = self.plan(&surface, class)?;
+        Ok(format!("language class: {class}\nengine: {engine}\n{plan}"))
+    }
+
+    /// The operator tree `class`'s engine runs for `surface`: the streaming
+    /// plan, or for COMP the algebra after `σ` / `π` push-down, which is
+    /// the plan `run_comp` evaluates. Empty for BOOL.
+    fn plan(&self, surface: &SurfaceQuery, class: LanguageClass) -> Result<String, FtslError> {
+        let expr = lower(surface, &self.registry)?;
         let mut out = String::new();
-        out.push_str(&format!("language class: {class}\n"));
         match class {
-            LanguageClass::BoolNoNeg | LanguageClass::Bool => {
-                out.push_str("engine: BOOL (doc-id list merges)\n");
-            }
+            LanguageClass::BoolNoNeg | LanguageClass::Bool => {}
             LanguageClass::Dist | LanguageClass::Ppred | LanguageClass::Npred => {
                 let allow_negative = class == LanguageClass::Npred;
-                let engine = if allow_negative { "NPRED" } else { "PPRED" };
-                out.push_str(&format!("engine: {engine} (streaming cursors)\n"));
                 match ftsl_exec::plan::build_plan(&expr, &self.registry, allow_negative) {
                     Ok(plan) => {
                         out.push_str("plan:\n");
@@ -485,13 +494,13 @@ impl Ftsl {
                 }
             }
             LanguageClass::Comp => {
-                out.push_str("engine: COMP (materialized algebra)\n");
                 let calc = CalcQuery::new(expr);
                 if let Ok(alg) =
                     ftsl_algebra::from_calculus::query_to_algebra(&calc, &self.registry)
                 {
+                    let plan = ftsl_algebra::rewrite::push_down(&alg, &self.registry);
                     out.push_str("algebra:\n");
-                    out.push_str(&alg.render_tree(&self.registry));
+                    out.push_str(&plan.render_tree(&self.registry));
                 }
             }
         }
@@ -501,8 +510,8 @@ impl Ftsl {
     /// `EXPLAIN ANALYZE` over the current snapshot: run the query with
     /// tracing enabled and render the span tree — parse/rewrite, then
     /// per-segment engine work with counter deltas and pair-path vs
-    /// fallback attribution — plus per-segment memory footprints. Use
-    /// [`Self::explain`] for the static (no-execution) plan.
+    /// fallback attribution — then [`Self::explain`]'s operator tree and
+    /// per-segment memory footprints.
     pub fn explain_analyze(&self, query: &str) -> Result<String, FtslError> {
         let mut tb = ftsl_obs::TraceBuilder::new();
         let parse_span = tb.open("parse+rewrite");
@@ -531,6 +540,7 @@ impl Ftsl {
         out.push_str(&format!("hits: {}\n", output.nodes.len()));
         out.push_str("profile:\n");
         out.push_str(&trace.render());
+        out.push_str(&self.plan(&surface, class)?);
         for (i, seg) in snapshot.segments().iter().enumerate() {
             out.push_str(&format!(
                 "segment {i}: {}\n",

@@ -137,6 +137,37 @@ mod tests {
     }
 
     #[test]
+    fn explain_shows_the_comp_plan_as_run() {
+        // As translated, both selects sit above the four-way join and a
+        // projection caps the tree. As run, they sink below the outer
+        // join, and the fourth leaf joins as one row per node.
+        let e = engine();
+        let query = "SOME p0 SOME p1 SOME p2 SOME p3 (p0 HAS 'software' \
+                     AND p1 HAS 'usability' AND p2 HAS 'task' AND p3 HAS 'completion' \
+                     AND exact_gap(p0,p1,2) AND not_ordered(p1,p2))";
+        let text = e.explain(query).unwrap();
+        let plan = text.split_once("algebra:\n").expect("a COMP plan").1;
+        assert_eq!(
+            plan,
+            "\
+join
+  project (CNode, [])
+    select not_ordered([1, 2], [])
+      join
+        select exact_gap([0, 1], [2])
+          join
+            scan (\"software\")
+            scan (\"usability\")
+        scan (\"task\")
+  project (CNode, [])
+    scan (\"completion\")
+"
+        );
+        // EXPLAIN ANALYZE prints the same tree after the profile.
+        assert!(e.explain_analyze(query).unwrap().contains(plan));
+    }
+
+    #[test]
     fn top_k_streams_bool_queries_and_truncates_the_rest() {
         let e = engine();
         // Flat disjunction: streaming path, counters reported, and the hits

@@ -10,10 +10,13 @@ use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::PredicateRegistry;
 
 /// Evaluate any calculus query by FTC→FTA translation (Lemma 2) and
-/// node-at-a-time algebra evaluation. Complete but
-/// `O(cnodes × pos_per_cnode^toks_Q × (preds_Q + ops_Q + 1))`; a node
-/// whose relations would pass [`ftsl_algebra::MAX_NODE_POSITIONS`] is an
-/// `Err`.
+/// node-at-a-time algebra evaluation of the plan with `σ` and `π` pushed
+/// below `⋈` ([`ftsl_algebra::rewrite::push_down`]). Complete; a predicate
+/// over one join's columns filters that join, and a side no later operator
+/// reads joins as one row per node, but a predicate binding both sides of
+/// every join still costs
+/// `O(cnodes × pos_per_cnode^toks_Q × (preds_Q + ops_Q + 1))`. A node whose
+/// relations would pass [`ftsl_algebra::MAX_NODE_POSITIONS`] is an `Err`.
 pub fn run_comp(
     query: &CalcQuery,
     corpus: &Corpus,
@@ -79,13 +82,15 @@ mod tests {
         let index = IndexBuilder::new().build(&corpus);
         let reg = PredicateRegistry::with_builtins();
         let surface = parse(
-            "SOME p1 SOME p2 SOME p3 (p1 HAS 't' AND p2 HAS 't' AND p3 HAS 't')",
+            "SOME p1 SOME p2 SOME p3 (p1 HAS 't' AND p2 HAS 't' AND p3 HAS 't' \
+             AND diffpos(p1,p3))",
             Mode::Comp,
         )
         .unwrap();
         let expr = lower(&surface, &reg).unwrap();
         let err = run_comp(&CalcQuery::new(expr), &corpus, &index, &reg).unwrap_err();
-        // The 3-ary join alone needs 200³ rows × 3 positions.
+        // `diffpos` binds both sides of the outer join, so it stays above
+        // it: the 3-ary join alone needs 200³ rows × 3 positions.
         assert!(
             matches!(
                 err,

@@ -13,7 +13,8 @@
 //! Then type queries (BOOL/DIST/COMP syntax) on stdin, one per line.
 //! Commands: `:explain <query>` (an `EXPLAIN ANALYZE` profile — the span
 //! tree with per-stage wall time, cursor counter deltas, and pair-path
-//! vs position-intersection attribution), `:rank <query>`,
+//! vs position-intersection attribution, then the operator tree that
+//! ran), `:rank <query>`,
 //! `:top <k> <query>`, `:near <k> <bound> <a> <b>` (proximity-ranked NEAR
 //! via the word-pair auxiliary index; `:stats` shows pair coverage and how
 //! many postings came off pair lists), `:stats`, `:quit`, `:add <text>`,

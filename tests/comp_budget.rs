@@ -2,21 +2,40 @@
 //! more rows than memory holds. The node-at-a-time evaluator refuses a
 //! node whose relations would pass `MAX_NODE_POSITIONS` before allocating:
 //! the query is an `Err`, never an OOM, and the serve lane keeps serving.
+//!
+//! Set-semantics search runs the plan with `σ` and `π` pushed below `⋈`,
+//! so a predicate over two columns filters only their join, and a leaf no
+//! later operator reads joins as one row per node. Only a predicate that
+//! binds both sides of every join still needs the whole cross product.
 //! Exhaustive ranking — and the top-k fallback to it — is the same
-//! evaluator with a score column, under the same budget.
+//! evaluator with a score column, under the same budget, and runs the plan
+//! as translated: push-down would change its scores.
 
 use ftsl::core::{Ftsl, FtslError, RankModel};
 use ftsl::serve::{QueryRequest, ServeConfig, ServePoolExt};
 use std::sync::Arc;
 
-/// Eight positions of `t` per node: 200⁸ rows on the repeated document.
-/// The general `exact_gap` predicate is what sends it to COMP.
+/// Eight positions of `t` per node, quantified, with a general predicate
+/// (what sends it to COMP) over `p1` and `p2`. As translated: 200⁸ rows on
+/// the repeated document. Pushed down: the 200² pairs `exact_gap`
+/// filters, joined with seven one-row semi-joins.
 fn eight_way() -> String {
+    hostile("exact_gap(p1,p2,0)")
+}
+
+/// [`eight_way`] with the predicate over `p1` and `p8`: it binds both
+/// sides of the outer join, so the 7-way join below it cannot shrink.
+fn spanning() -> String {
+    hostile("exact_gap(p1,p8,0)")
+}
+
+fn hostile(predicate: &str) -> String {
     let body: Vec<String> = (1..=8).map(|i| format!("p{i} HAS 't'")).collect();
-    (1..=8).rev().fold(
-        format!("{} AND exact_gap(p1,p2,0)", body.join(" AND ")),
-        |q, i| format!("SOME p{i} ({q})"),
-    )
+    (1..=8)
+        .rev()
+        .fold(format!("{} AND {predicate}", body.join(" AND ")), |q, i| {
+            format!("SOME p{i} ({q})")
+        })
 }
 
 fn engine() -> Arc<Ftsl> {
@@ -35,11 +54,17 @@ fn assert_refused<T: std::fmt::Debug>(result: Result<T, FtslError>) {
 #[test]
 fn search_refuses_a_hostile_cross_product() {
     let e = engine();
-    assert_refused(e.search(&eight_way()));
+    assert_refused(e.search(&spanning()));
     // The same engine still answers COMP queries that fit.
     let hits = e
         .search("SOME p1 SOME p2 (p1 HAS 't' AND p2 HAS 't' AND exact_gap(p1,p2,0))")
         .expect("200² rows fit");
+    assert_eq!(hits.node_ids(), vec![1]);
+}
+
+#[test]
+fn search_answers_a_cross_product_that_push_down_shrinks() {
+    let hits = engine().search(&eight_way()).expect("200² rows fit");
     assert_eq!(hits.node_ids(), vec![1]);
 }
 
@@ -50,22 +75,31 @@ fn a_pool_worker_survives_a_hostile_cross_product() {
         ..ServeConfig::default()
     });
     let err = pool
-        .execute(QueryRequest::search(&eight_way()))
+        .execute(QueryRequest::search(&spanning()))
         .expect_err("over the per-node budget");
     assert!(err.to_string().contains("per-node budget"), "{err}");
-    // The one lane is still there for the next request.
+    // The one lane is still there for the next requests.
     let served = pool.execute(QueryRequest::search("'u'")).expect("served");
     assert_eq!(served.answer.as_search().unwrap().node_ids(), vec![0, 2]);
-    assert_eq!(pool.stats().served(), 2);
+    let served = pool
+        .execute(QueryRequest::search(&eight_way()))
+        .expect("pushed down, it fits");
+    assert_eq!(served.answer.as_search().unwrap().node_ids(), vec![1]);
+    assert_eq!(pool.stats().served(), 3);
 }
 
 #[test]
 fn ranking_refuses_a_hostile_cross_product() {
     let e = engine();
     for model in [RankModel::TfIdf, RankModel::Pra] {
-        assert_refused(e.search_ranked(&eight_way(), model));
-        // Neither model streams a COMP query: top-k falls back to ranking.
-        assert_refused(e.search_top_k(&eight_way(), model, 3));
+        // Ranking does not push down, so even the shrinkable query is
+        // refused there.
+        for query in [spanning(), eight_way()] {
+            assert_refused(e.search_ranked(&query, model));
+            // Neither model streams a COMP query: top-k falls back to
+            // ranking.
+            assert_refused(e.search_top_k(&query, model, 3));
+        }
     }
     let ranked = e
         .search_ranked(
@@ -85,7 +119,7 @@ fn a_pool_worker_survives_a_hostile_ranked_request() {
     });
     for model in [RankModel::TfIdf, RankModel::Pra] {
         let err = pool
-            .execute(QueryRequest::top_k(&eight_way(), model, 3))
+            .execute(QueryRequest::top_k(&spanning(), model, 3))
             .expect_err("over the per-node budget");
         assert!(matches!(err, FtslError::Exec(_)), "{err:?}");
         assert!(err.to_string().contains("per-node budget"), "{err}");
