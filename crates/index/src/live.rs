@@ -474,23 +474,21 @@ fn flush_locked(st: &mut State) -> bool {
     // have consumed ids since the view was cached, and sealing it as-is
     // would produce two segments with the same id (breaking the id-based
     // merge-commit bookkeeping).
-    let stale = st
+    let fresh = st
         .mem_view
-        .as_ref()
-        .is_none_or(|v| v.num_docs() != st.mem.len() || v.id() != st.next_segment_id);
-    let data = if stale {
-        Arc::new(st.mem.seal_view(st.next_segment_id))
-    } else {
-        st.mem_view.take().expect("checked fresh")
-    };
+        .take()
+        .filter(|v| v.num_docs() == st.mem.len() && v.id() == st.next_segment_id);
+    // A stale view is rebuilt from the drained buffer itself, not from a
+    // clone of its documents.
+    let (corpus, globals) = st.mem.drain();
+    let data =
+        fresh.unwrap_or_else(|| Arc::new(SegmentData::seal(st.next_segment_id, corpus, globals)));
     st.next_segment_id += 1;
     st.sealed.push(SealedEntry {
         data,
         deletes: Arc::clone(&st.mem_deletes),
     });
-    st.mem.drain();
     st.mem_deletes = Arc::new(DeleteSet::new(0));
-    st.mem_view = None;
     st.version += 1;
     true
 }

@@ -53,18 +53,28 @@
 //! `min_gap` already are the entry. Most keys are lists of one document,
 //! so most keys cost one key word, one block index and one header.
 //!
-//! [`PairIndex::build`] collects each document's covered pairs, keeps the
-//! minimum gap per key, and sorts every `(key, node, gap)` posting once;
-//! each key's run is then appended to the arena. The persisted form is the
-//! unchanged per-list v7 pair section ([`crate::persist`]): the encoder
-//! writes each list through the stored-form encoder, and the load path
-//! validates each stored list and appends it to a fresh arena.
+//! [`PairIndex::build`] sorts nothing. A generation-stamped hash table keeps
+//! each document's minimum gap per covered key, and the postings, packed
+//! one per machine word as wide as this build's token, node and gap values
+//! need, are grouped by key with two stable counting passes: by second
+//! token, then by first. Documents arrive in node order and both passes
+//! keep it, so each key's run is already in node order when it is appended
+//! to the arena. Both grouping buffers are sized exactly, at most two
+//! posting buffers are alive at once, and the build is linear in the
+//! postings plus the vocabulary.
+//!
+//! The persisted form is the unchanged per-list v7 pair section
+//! ([`crate::persist`]): the encoder writes each list through the
+//! stored-form encoder, and the load path validates each stored list and
+//! appends it to a fresh arena.
 
 use crate::bitpack;
 use crate::block::{BlockList, BLOCK_ENTRIES};
 use crate::counters::AccessCounters;
 use ftsl_model::{Document, NodeId, TokenId};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 
 /// Fixed per-block stream overhead: the absolute base node id (4 bytes)
 /// plus the two frame widths (1 byte each).
@@ -540,57 +550,20 @@ impl PairIndex {
     /// Build the pair index for `docs` (ordered by node id, as the segment
     /// builder guarantees). `dfs[t]` is the document frequency of token
     /// `t` in the same document set.
+    ///
+    /// # Panics
+    /// Panics past `u32::MAX` postings (the arena's offsets are `u32`).
     pub fn build(docs: &[Document], dfs: &[u32], config: PairConfig) -> PairIndex {
         if config.window == 0 {
             return PairIndex::default();
         }
         let frequent: Vec<bool> = dfs.iter().map(|&df| df >= config.df_cutoff).collect();
-        // One `(key, node, gap)` posting per document and covered key, with
-        // the document's minimum gap; one sort then groups each key's
-        // documents in node order. The key packs `(a, b)` as `a << 32 | b`,
-        // so key order is the lexicographic order of the pairs.
-        let mut postings: Vec<(u64, u32, u32)> = Vec::new();
-        let mut local: Vec<(u64, u32)> = Vec::new();
-        for doc in docs {
-            local.clear();
-            let toks = &doc.tokens;
-            for (i, &(ta, pa)) in toks.iter().enumerate() {
-                if !frequent[ta.index()] {
-                    continue;
-                }
-                for &(tb, pb) in &toks[i + 1..] {
-                    let gap = pb.offset - pa.offset;
-                    if gap > config.window {
-                        break; // offsets are strictly increasing
-                    }
-                    if frequent[tb.index()] {
-                        local.push(((u64::from(ta.0) << 32) | u64::from(tb.0), gap));
-                    }
-                }
-            }
-            // Sorted by (key, gap): the first of each key's run is its
-            // minimum gap.
-            local.sort_unstable();
-            local.dedup_by_key(|&mut (key, _)| key);
-            postings.extend(local.iter().map(|&(key, gap)| (key, doc.node.0, gap)));
+        let fields = Fields::of(docs, frequent.len(), config.window);
+        if fields.fit(u64::BITS) {
+            build_arena::<u64>(docs, frequent, config, fields)
+        } else {
+            build_arena::<u128>(docs, frequent, config, fields)
         }
-        postings.sort_unstable();
-
-        let runs = || postings.chunk_by(|x, y| x.0 == y.0);
-        let (keys, blocks) = runs().fold((0, 0), |(keys, blocks), run| {
-            (keys + 1, blocks + run.len().div_ceil(BLOCK_ENTRIES))
-        });
-        let mut arena = PairArenaWriter::with_capacity(config, frequent, keys, blocks);
-        let mut list: Vec<(u32, u32)> = Vec::new();
-        for run in runs() {
-            list.clear();
-            list.extend(run.iter().map(|&(_, node, gap)| (node, gap)));
-            let key = run[0].0;
-            arena
-                .push_list((key >> 32) as u32, key as u32, &list)
-                .expect("built keys are covered, ascending and non-empty");
-        }
-        arena.finish()
     }
 
     /// Look up the directed pair `(a, b)` — see [`PairLookup`] for the
@@ -769,6 +742,325 @@ impl PairArenaWriter {
         ix.data.shrink_to_fit();
         ix.frequent.shrink_to_fit();
         ix
+    }
+}
+
+/// [`PairIndex::build`] over postings packed into `W` words.
+///
+/// Pass 0 walks the documents and keeps one posting per document and
+/// covered key, with the key's minimum gap there, in document order. Two
+/// stable counting passes then group the postings by key: by second token,
+/// then by first. Each pass keeps the order it is given, so every key's
+/// run comes out in node order and is appended to the arena as it stands.
+/// At most two posting buffers are alive at once, and both grouping
+/// buffers are sized exactly.
+fn build_arena<W: Word>(
+    docs: &[Document],
+    frequent: Vec<bool>,
+    config: PairConfig,
+    fields: Fields,
+) -> PairIndex {
+    debug_assert!(docs.windows(2).all(|w| w[0].node < w[1].node));
+    // `(a, b, gap − 1)` while a posting's node is its document's.
+    let in_doc = Layout {
+        mid: fields.token,
+        lo: fields.gap,
+    };
+    // `(token, node, gap − 1)` once a token is implied by the bucket.
+    let in_bucket = Layout {
+        mid: fields.node,
+        lo: fields.gap,
+    };
+    let vocab = frequent.len();
+    let mut firsts = vec![0u32; vocab];
+    let mut seconds = vec![0u32; vocab];
+
+    let mut postings: Vec<W> = Vec::new();
+    // `(node, end)`: the postings of each document that has any.
+    let mut doc_ends: Vec<(u32, usize)> = Vec::new();
+    let mut table = KeyTable::new();
+    for doc in docs {
+        table.clear();
+        let start = postings.len();
+        let toks = &doc.tokens;
+        for (i, &(ta, pa)) in toks.iter().enumerate() {
+            if !frequent[ta.index()] {
+                continue;
+            }
+            for &(tb, pb) in &toks[i + 1..] {
+                let gap = pb.offset - pa.offset;
+                if gap > config.window {
+                    break; // offsets are strictly increasing
+                }
+                if !frequent[tb.index()] {
+                    continue;
+                }
+                let posting = W::pack(ta.0, tb.0, gap - 1, in_doc);
+                let next = u32::try_from(postings.len()).expect("pair postings exceed u32 offsets");
+                match table.get_or_insert((u64::from(ta.0) << 32) | u64::from(tb.0), next) {
+                    // Same key, so the smaller word holds the smaller gap.
+                    Some(at) => {
+                        let kept = &mut postings[at as usize];
+                        *kept = (*kept).min(posting);
+                    }
+                    None => {
+                        postings.push(posting);
+                        firsts[ta.index()] += 1;
+                        seconds[tb.index()] += 1;
+                    }
+                }
+            }
+        }
+        if postings.len() > start {
+            doc_ends.push((doc.node.0, postings.len()));
+        }
+    }
+
+    // By second token; the node comes from the document.
+    let mut by_second = vec![W::ZERO; postings.len()];
+    bucket_starts(&mut seconds);
+    let mut start = 0;
+    for &(node, end) in &doc_ends {
+        for &posting in &postings[start..end] {
+            let (a, b, gap) = posting.unpack(in_doc);
+            let slot = &mut seconds[b as usize];
+            by_second[*slot as usize] = W::pack(a, node, gap, in_bucket);
+            *slot += 1;
+        }
+        start = end;
+    }
+    drop(postings);
+
+    // By first token; the second comes from the bucket. `seconds[b]` is now
+    // where bucket `b` ends.
+    let mut grouped = vec![W::ZERO; by_second.len()];
+    bucket_starts(&mut firsts);
+    for (b, bucket) in buckets(&by_second, &seconds).enumerate() {
+        for &posting in bucket {
+            let (a, node, gap) = posting.unpack(in_bucket);
+            let slot = &mut firsts[a as usize];
+            grouped[*slot as usize] = W::pack(b as u32, node, gap, in_bucket);
+            *slot += 1;
+        }
+    }
+    drop(by_second);
+
+    // `firsts[a]` is now where bucket `a` ends; inside it, each run of one
+    // second token is one key.
+    let runs = || {
+        buckets(&grouped, &firsts)
+            .enumerate()
+            .flat_map(|(a, bucket)| {
+                bucket
+                    .chunk_by(|x, y| x.unpack(in_bucket).0 == y.unpack(in_bucket).0)
+                    .map(move |run| (a as u32, run))
+            })
+    };
+    let (keys, blocks) = runs().fold((0, 0), |(keys, blocks), (_, run)| {
+        (keys + 1, blocks + run.len().div_ceil(BLOCK_ENTRIES))
+    });
+    let mut arena = PairArenaWriter::with_capacity(config, frequent, keys, blocks);
+    let mut list: Vec<(u32, u32)> = Vec::new();
+    for (a, run) in runs() {
+        list.clear();
+        list.extend(run.iter().map(|posting| {
+            let (_, node, gap) = posting.unpack(in_bucket);
+            (node, gap + 1)
+        }));
+        let b = run[0].unpack(in_bucket).0;
+        arena
+            .push_list(a, b, &list)
+            .expect("built keys are covered, ascending and non-empty");
+    }
+    arena.finish()
+}
+
+/// Turn per-token counts into each token's first slot (exclusive prefix
+/// sums). Once every posting has been placed, entry `t` is where token
+/// `t`'s bucket ends.
+fn bucket_starts(counts: &mut [u32]) {
+    let mut sum = 0;
+    for count in counts {
+        let n = *count;
+        *count = sum;
+        sum += n;
+    }
+}
+
+/// The buckets of `postings`, one per token, given where each one ends.
+fn buckets<'a, W>(postings: &'a [W], ends: &'a [u32]) -> impl Iterator<Item = &'a [W]> + 'a {
+    ends.iter().scan(0, move |start, &end| {
+        let bucket = &postings[*start as usize..end as usize];
+        *start = end;
+        Some(bucket)
+    })
+}
+
+/// Bit widths of the fields a posting is packed into while the build
+/// groups it, each that of the largest value this build can hold.
+#[derive(Clone, Copy, Debug)]
+struct Fields {
+    token: u32,
+    node: u32,
+    /// Of `gap − 1`.
+    gap: u32,
+}
+
+impl Fields {
+    fn of(docs: &[Document], vocab: usize, window: u32) -> Fields {
+        let width = |max: u32| u32::from(bitpack::width_for(max));
+        // No gap is wider than the widest document.
+        let span = docs
+            .iter()
+            .filter_map(|d| Some(d.tokens.last()?.1.offset - d.tokens.first()?.1.offset))
+            .max()
+            .unwrap_or(0);
+        Fields {
+            token: width(u32::try_from(vocab.saturating_sub(1)).unwrap_or(u32::MAX)),
+            node: width(docs.iter().map(|d| d.node.0).max().unwrap_or(0)),
+            gap: width(window.min(span).saturating_sub(1)),
+        }
+    }
+
+    /// Whether both layouts fit strictly below the top of a `bits`-wide
+    /// word (so no shift is as wide as the word).
+    fn fit(self, bits: u32) -> bool {
+        self.token + self.token.max(self.node) + self.gap < bits
+    }
+}
+
+/// Where the two low fields of a [`Word`] sit: `(hi, mid, lo)`, high bits
+/// to low, with `mid` and `lo` this many bits wide.
+#[derive(Clone, Copy, Debug)]
+struct Layout {
+    mid: u32,
+    lo: u32,
+}
+
+/// An unsigned word holding one posting as three packed fields. Two words
+/// with equal `hi` and `mid` compare as their `lo` fields do.
+trait Word: Copy + Ord {
+    const ZERO: Self;
+    fn pack(hi: u32, mid: u32, lo: u32, layout: Layout) -> Self;
+    fn unpack(self, layout: Layout) -> (u32, u32, u32);
+}
+
+macro_rules! impl_word {
+    ($($t:ty),*) => {$(
+        impl Word for $t {
+            const ZERO: Self = 0;
+
+            #[inline]
+            fn pack(hi: u32, mid: u32, lo: u32, layout: Layout) -> Self {
+                (<$t>::from(hi) << (layout.mid + layout.lo))
+                    | (<$t>::from(mid) << layout.lo)
+                    | <$t>::from(lo)
+            }
+
+            #[inline]
+            fn unpack(self, layout: Layout) -> (u32, u32, u32) {
+                let low = |word: $t, bits: u32| (word & ((1 << bits) - 1)) as u32;
+                (
+                    (self >> (layout.mid + layout.lo)) as u32,
+                    low(self >> layout.lo, layout.mid),
+                    low(self, layout.lo),
+                )
+            }
+        }
+    )*};
+}
+
+impl_word!(u64, u128);
+
+/// Slots of a [`KeyTable`]'s first allocation.
+const KEY_TABLE_SLOTS: usize = 1024;
+
+/// One document's pair keys: an open-addressing table (linear probing, at
+/// most half full) from a key `a << 32 | b` to the index of its posting.
+/// Every slot is stamped with the document that filled it, so moving on to
+/// the next document clears nothing.
+struct KeyTable {
+    slots: Vec<KeySlot>,
+    /// The current document's stamp; slots holding another are empty.
+    stamp: u32,
+    /// Keys of the current document.
+    len: usize,
+    /// Odd multiplier of the multiply-shift hash, drawn per build so that
+    /// document text cannot choose its collisions.
+    mult: u64,
+}
+
+#[derive(Clone, Copy, Default)]
+struct KeySlot {
+    key: u64,
+    stamp: u32,
+    at: u32,
+}
+
+impl KeyTable {
+    fn new() -> Self {
+        KeyTable {
+            slots: vec![KeySlot::default(); KEY_TABLE_SLOTS],
+            stamp: 0,
+            len: 0,
+            mult: RandomState::new().hash_one(KEY_TABLE_SLOTS) | 1,
+        }
+    }
+
+    /// Forget every key: the next document starts.
+    fn clear(&mut self) {
+        self.len = 0;
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // Wrapped around to the stamp fresh slots carry.
+            self.slots.fill(KeySlot::default());
+            self.stamp = 1;
+        }
+    }
+
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        (key.wrapping_mul(self.mult) >> (u64::BITS - bits)) as usize
+    }
+
+    /// The posting index stored for `key`, or `None` after storing `at`.
+    #[inline]
+    fn get_or_insert(&mut self, key: u64, at: u32) -> Option<u32> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            let slot = &mut self.slots[i];
+            if slot.stamp != self.stamp {
+                *slot = KeySlot {
+                    key,
+                    stamp: self.stamp,
+                    at,
+                };
+                self.len += 1;
+                if self.len * 2 > self.slots.len() {
+                    self.grow();
+                }
+                return None;
+            }
+            if slot.key == key {
+                return Some(slot.at);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Double the table, keeping the current document's keys.
+    fn grow(&mut self) {
+        let size = self.slots.len() * 2;
+        let old = std::mem::replace(&mut self.slots, vec![KeySlot::default(); size]);
+        for slot in old.into_iter().filter(|s| s.stamp == self.stamp) {
+            let mut i = self.home(slot.key);
+            while self.slots[i].stamp == self.stamp {
+                i = (i + 1) & (size - 1);
+            }
+            self.slots[i] = slot;
+        }
     }
 }
 

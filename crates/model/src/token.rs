@@ -5,8 +5,10 @@
 //! into dense [`TokenId`]s; the interner doubles as the corpus vocabulary.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
 
 /// Dense identifier for an interned token string.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -30,11 +32,35 @@ impl fmt::Debug for TokenId {
 /// Token text is normalized to lowercase on interning, matching the common IR
 /// convention (the paper's examples are case-insensitive: `Usability` and
 /// `usability` match the same queries).
+///
+/// ## Layout
+///
+/// The interner is three flat columns, with no allocation per token:
+///
+/// * `text`, every token's normalized text back to back in id order;
+/// * `ends`, one byte offset per token, one past its text, so token `i` is
+///   `text[ends[i − 1]..ends[i]]`;
+/// * `slots`, an open-addressing table of ids (linear probing, a power of
+///   two long, at most half full), where `u32::MAX` marks an empty slot.
+///
+/// Every sealed segment carries a clone of the live vocabulary, so a clone
+/// is three `memcpy`s rather than one heap string per token. Slots are
+/// found by `std`'s keyed SipHash ([`RandomState`]): token text is
+/// untrusted input, and an unkeyed hash would let a document choose the
+/// collisions. A clone keeps its keys, so its table stays valid.
 #[derive(Clone, Default, Serialize, Deserialize)]
 pub struct TokenInterner {
-    by_name: HashMap<String, TokenId>,
-    names: Vec<String>,
+    text: String,
+    ends: Vec<u32>,
+    slots: Vec<u32>,
+    hasher: RandomState,
 }
+
+/// An empty slot of [`TokenInterner`]'s id table.
+const EMPTY: u32 = u32::MAX;
+
+/// Slots of a table's first allocation.
+const MIN_SLOTS: usize = 16;
 
 impl TokenInterner {
     /// Create an empty interner.
@@ -43,55 +69,115 @@ impl TokenInterner {
     }
 
     /// Intern `text`, returning its id (allocating one if unseen).
+    ///
+    /// # Panics
+    /// Panics past `u32::MAX − 1` distinct tokens or 4 GiB of vocabulary
+    /// text, the widths of the id and offset columns.
     pub fn intern(&mut self, text: &str) -> TokenId {
         let normalized = normalize(text);
-        if let Some(&id) = self.by_name.get(&normalized) {
-            return id;
+        if self.slots.is_empty() {
+            self.grow();
         }
-        let id = TokenId(self.names.len() as u32);
-        self.by_name.insert(normalized.clone(), id);
-        self.names.push(normalized);
-        id
+        let slot = match self.probe(&normalized) {
+            Ok(id) => return id,
+            Err(slot) => slot,
+        };
+        let id = u32::try_from(self.len())
+            .ok()
+            .filter(|&id| id != EMPTY)
+            .expect("vocabulary exceeds u32 token ids");
+        self.text.push_str(&normalized);
+        let end = u32::try_from(self.text.len()).expect("vocabulary text exceeds 4 GiB");
+        self.ends.push(end);
+        self.slots[slot] = id;
+        if self.len() * 2 > self.slots.len() {
+            self.grow();
+        }
+        TokenId(id)
     }
 
     /// Look up an existing token without interning. Returns `None` for
     /// strings never seen in the corpus — such tokens have empty inverted
     /// lists, which queries must handle gracefully.
     pub fn get(&self, text: &str) -> Option<TokenId> {
-        self.by_name.get(&normalize(text)).copied()
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(&normalize(text)).ok()
     }
 
     /// The string for an interned id.
     pub fn name(&self, id: TokenId) -> &str {
-        &self.names[id.index()]
+        let end = self.ends[id.index()] as usize;
+        let start = id
+            .index()
+            .checked_sub(1)
+            .map_or(0, |i| self.ends[i] as usize);
+        &self.text[start..end]
     }
 
     /// Number of distinct tokens interned (the vocabulary size `|T|`).
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.ends.len()
     }
 
     /// True iff no tokens have been interned.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.ends.is_empty()
     }
 
     /// Iterate over all `(TokenId, &str)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (TokenId, &str)> {
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (TokenId(i as u32), s.as_str()))
+        (0..self.len() as u32).map(|i| (TokenId(i), self.name(TokenId(i))))
+    }
+
+    /// The id of `normalized` (`Ok`), or the empty slot where it belongs
+    /// (`Err`). The table must be allocated; it is never full.
+    fn probe(&self, normalized: &str) -> Result<TokenId, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.hasher.hash_one(normalized) as usize & mask;
+        loop {
+            match self.slots[slot] {
+                EMPTY => return Err(slot),
+                id if self.name(TokenId(id)) == normalized => return Ok(TokenId(id)),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Double the id table (or allocate its first one) and re-insert every
+    /// token.
+    fn grow(&mut self) {
+        let size = (self.slots.len() * 2).max(MIN_SLOTS);
+        let mask = size - 1;
+        let mut slots = vec![EMPTY; size];
+        for (id, name) in self.iter() {
+            let mut slot = self.hasher.hash_one(name) as usize & mask;
+            while slots[slot] != EMPTY {
+                slot = (slot + 1) & mask;
+            }
+            slots[slot] = id.0;
+        }
+        self.slots = slots;
     }
 }
 
-fn normalize(text: &str) -> String {
-    text.to_lowercase()
+/// Lowercase `text`, borrowing it when it is already lowercase ASCII (the
+/// common case: the tokenizer's analysis has lowercased it already).
+fn normalize(text: &str) -> Cow<'_, str> {
+    if text
+        .bytes()
+        .all(|b| b.is_ascii() && !b.is_ascii_uppercase())
+    {
+        Cow::Borrowed(text)
+    } else {
+        Cow::Owned(text.to_lowercase())
+    }
 }
 
 impl fmt::Debug for TokenInterner {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "TokenInterner({} tokens)", self.names.len())
+        write!(f, "TokenInterner({} tokens)", self.len())
     }
 }
 
@@ -124,6 +210,16 @@ mod tests {
         assert!(i.get("test").is_some());
         assert!(i.get("missing").is_none());
         assert_eq!(i.len(), 1);
+    }
+
+    #[test]
+    fn normalize_borrows_lowercase_ascii_only() {
+        for text in ["", "usability", "a1b2"] {
+            assert!(matches!(normalize(text), Cow::Borrowed(t) if t == text));
+        }
+        for text in ["Usability", "café", "ÉTÉ", "İ"] {
+            assert!(matches!(normalize(text), Cow::Owned(t) if t == text.to_lowercase()));
+        }
     }
 
     #[test]

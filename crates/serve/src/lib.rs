@@ -48,7 +48,9 @@ pub mod alloc;
 pub mod cache;
 pub mod pool;
 
-pub use alloc::{thread_allocs, CountingAlloc};
+pub use alloc::{
+    reset_thread_peak, thread_allocs, thread_live_bytes, thread_peak_bytes, CountingAlloc,
+};
 pub use cache::{CacheStats, ResultCache};
 pub use ftsl_obs::{HistogramSnapshot, MetricValue, Registry, SlowEntry, SlowLog};
 pub use pool::{
