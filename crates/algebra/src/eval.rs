@@ -52,7 +52,7 @@ use ftsl_predicates::{Predicate, PredicateRegistry};
 /// per operator at a node) hold none — so ≈ 84 MB.
 ///
 /// 2²² ≈ 4.2 M positions is 4× the most any measured sweep holds at one
-/// node (`crates/bench`'s `figures all --scale medium`: 1.02 M positions
+/// node (the `figures` binary's `all --scale medium`: 1.02 M positions
 /// in 208 k rows, measured, before [`push_down`]) and far above every test
 /// suite's. `class_ladder`'s `t4` plan built 10⁴ rows of four per node as
 /// translated, ≈ 100× under the cap; pushed down, its widest relation is

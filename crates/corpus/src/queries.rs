@@ -35,17 +35,6 @@ pub struct QuerySpec {
 }
 
 impl QuerySpec {
-    /// The paper's default query shape: 3 tokens, 2 predicates, positive.
-    pub fn default_positive() -> Self {
-        QuerySpec {
-            toks: 3,
-            preds: 2,
-            polarity: PredPolarity::Positive,
-            distance: 20,
-            seed: 99,
-        }
-    }
-
     /// Render the query over the given planted tokens as COMP text.
     ///
     /// Shape: `SOME p0 .. SOME pk (p0 HAS 't0' AND ... AND pred(..) ...)`.
@@ -102,13 +91,13 @@ impl QuerySpec {
             .join(" AND ")
     }
 
-    /// Parse the rendered COMP query (convenience for benches).
+    /// Parse the rendered COMP query (convenience for the figures).
     pub fn parse(&self, tokens: &[String]) -> SurfaceQuery {
         parse(&self.render(tokens), Mode::Comp).expect("generated query parses")
     }
 }
 
-/// The planted token names used by the benchmark corpora: `q0`, `q1`, ...
+/// The planted token names used by the figures' corpora: `q0`, `q1`, ...
 pub fn planted_names(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("q{i}")).collect()
 }

@@ -72,22 +72,6 @@ impl SynthConfig {
         }
     }
 
-    /// The INEX-2003-like preset used as the default experiment corpus: the
-    /// collection has ~12 000 articles; the paper's default sweep value is
-    /// 6 000 context nodes.
-    pub fn inex_like(cnodes: usize) -> Self {
-        SynthConfig {
-            cnodes,
-            vocabulary: 20_000,
-            zipf_exponent: 1.05,
-            tokens_per_doc: 400,
-            sentence_len: 18,
-            sentences_per_para: 6,
-            planted: Vec::new(),
-            seed: 0x1EEE_2003,
-        }
-    }
-
     /// Plant a token (builder style).
     pub fn plant(mut self, token: &str, doc_fraction: f64, occurrences: usize) -> Self {
         self.planted.push(PlantedToken {

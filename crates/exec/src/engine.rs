@@ -34,8 +34,6 @@ pub struct ExecOptions {
     pub advance_mode: AdvanceMode,
     /// NPRED: permute all scan variables instead of only negative ones.
     pub npred_full_permutations: bool,
-    /// NPRED: run ordering threads in parallel.
-    pub npred_parallel: bool,
     /// Inert: there is one layout. Kept for `benchmark/src/sut.rs`, which
     /// names it; to be dropped by the next `benchmark` issue.
     pub layout: IndexLayout,
@@ -55,7 +53,6 @@ impl Default for ExecOptions {
         ExecOptions {
             advance_mode: AdvanceMode::Aggressive,
             npred_full_permutations: false,
-            npred_parallel: false,
             layout: IndexLayout::Blocks,
             use_pairs: true,
             trace: false,
@@ -269,7 +266,6 @@ impl<'a> Executor<'a> {
                 let id = tb.as_mut().map(|b| b.open("engine NPRED"));
                 let opts = NpredOptions {
                     full_permutations: self.options.npred_full_permutations,
-                    parallel: self.options.npred_parallel,
                     mode: self.options.advance_mode,
                 };
                 match run_npred(&query.expr, self.corpus, self.index, self.registry, opts) {

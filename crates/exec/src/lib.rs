@@ -14,8 +14,7 @@
 //!   token inverted lists;
 //! * [`npred`] — **NPRED** (5.6, Algorithms 6–7): per-ordering evaluation
 //!   threads for negative predicates; implements both the paper's presented
-//!   full-permutation scheme and the partial-order optimization it mentions,
-//!   optionally running threads in parallel;
+//!   full-permutation scheme and the partial-order optimization it mentions;
 //! * [`engine`] — per-segment dispatch by [`ftsl_lang::LanguageClass`], with
 //!   COMP as the universal fallback;
 //! * [`snapshot`] — the executor every query goes through: the dispatcher

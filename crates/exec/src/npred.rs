@@ -9,9 +9,10 @@
 //!   negative predicates; positive-only queries run a single thread;
 //! * **full permutations**: permute every scan variable — the presented
 //!   algorithm, used by the benchmarks to reproduce the paper's NPRED-POS
-//!   overhead relative to PPRED-POS;
-//! * optional **parallel** thread execution (real OS threads, results
-//!   merged through an mpsc channel).
+//!   overhead relative to PPRED-POS.
+//!
+//! The "threads" run one after another on the caller's thread; their
+//! matches are unioned and their access counters summed.
 
 use crate::build::{build_cursor, CursorCtx};
 use crate::error::PlanError;
@@ -28,8 +29,6 @@ pub struct NpredOptions {
     /// Permute all scan variables (the presented algorithm) instead of only
     /// the negative-predicate variables (the partial-order optimization).
     pub full_permutations: bool,
-    /// Run evaluation threads on OS threads.
-    pub parallel: bool,
     /// Positive-predicate skip aggressiveness.
     pub mode: AdvanceMode,
 }
@@ -38,7 +37,6 @@ impl Default for NpredOptions {
     fn default() -> Self {
         NpredOptions {
             full_permutations: false,
-            parallel: false,
             mode: AdvanceMode::Aggressive,
         }
     }
@@ -57,20 +55,16 @@ pub fn run_npred(
     let vars = ordering_vars(&plan, options.full_permutations);
     let orderings = permutations(&vars);
 
-    if options.parallel && orderings.len() > 1 {
-        run_parallel(&plan, corpus, index, registry, options, &orderings)
-    } else {
-        let mut all_nodes: Vec<NodeId> = Vec::new();
-        let mut counters = AccessCounters::new();
-        for ordering in &orderings {
-            let (nodes, c) = run_thread(&plan, corpus, index, registry, options, ordering);
-            all_nodes.extend(nodes);
-            counters += c;
-        }
-        all_nodes.sort_unstable();
-        all_nodes.dedup();
-        Ok((all_nodes, counters))
+    let mut all_nodes: Vec<NodeId> = Vec::new();
+    let mut counters = AccessCounters::new();
+    for ordering in &orderings {
+        let (nodes, c) = run_thread(&plan, corpus, index, registry, options, ordering);
+        all_nodes.extend(nodes);
+        counters += c;
     }
+    all_nodes.sort_unstable();
+    all_nodes.dedup();
+    Ok((all_nodes, counters))
 }
 
 fn ordering_vars(plan: &Plan, full: bool) -> Vec<VarId> {
@@ -109,36 +103,6 @@ fn run_thread(
         nodes.push(n);
     }
     (nodes, cursor.counters())
-}
-
-fn run_parallel(
-    plan: &Plan,
-    corpus: &Corpus,
-    index: &InvertedIndex,
-    registry: &PredicateRegistry,
-    options: NpredOptions,
-    orderings: &[Vec<VarId>],
-) -> Result<(Vec<NodeId>, AccessCounters), PlanError> {
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::scope(|scope| {
-        for ordering in orderings {
-            let tx = tx.clone();
-            scope.spawn(move || {
-                let result = run_thread(plan, corpus, index, registry, options, ordering);
-                tx.send(result).expect("collector alive");
-            });
-        }
-    });
-    drop(tx);
-    let mut all_nodes: Vec<NodeId> = Vec::new();
-    let mut counters = AccessCounters::new();
-    for (nodes, c) in rx {
-        all_nodes.extend(nodes);
-        counters += c;
-    }
-    all_nodes.sort_unstable();
-    all_nodes.dedup();
-    Ok((all_nodes, counters))
 }
 
 /// All permutations of `vars` (a single empty ordering for no vars).
@@ -227,23 +191,6 @@ mod tests {
             },
         );
         assert_eq!(partial, full);
-    }
-
-    #[test]
-    fn parallel_threads_agree_with_sequential() {
-        let texts = &["a x b", "b x x x x x a", "a b", "b a x x x x x x b"];
-        let q = "SOME p1 SOME p2 (p1 HAS 'a' AND p2 HAS 'b' AND not_distance(p1,p2,2))";
-        let seq = run(q, texts, NpredOptions::default());
-        let par = run(
-            q,
-            texts,
-            NpredOptions {
-                parallel: true,
-                full_permutations: true,
-                ..Default::default()
-            },
-        );
-        assert_eq!(seq, par);
     }
 
     #[test]

@@ -909,37 +909,6 @@ impl<'a> BlockCursor<'a> {
         self.advance_cold()
     }
 
-    /// Bench support: the [`Self::next_entry`] walk with ALL access
-    /// counting removed, including the per-run folds on block
-    /// transitions. `micro_cursors` compares the two to assert that
-    /// counting costs under 5% of a scan. Leaves the run bookkeeping
-    /// stale, so a cursor driven through here reports meaningless
-    /// counters — never mix with counted use.
-    #[doc(hidden)]
-    #[inline]
-    pub fn next_entry_uncounted(&mut self) -> Option<NodeId> {
-        let i = self.idx.wrapping_add(1);
-        if i < self.count {
-            self.idx = i;
-            return Some(NodeId(self.scratch.ids[i]));
-        }
-        // Cold path minus counting: land on the next block or exhaust.
-        let global = self.global_next();
-        if global >= self.list.entries {
-            self.done = true;
-            self.started = true;
-            self.idx = usize::MAX;
-            self.count = 0;
-            return None;
-        }
-        self.ensure_decoded(global as usize / BLOCK_ENTRIES);
-        let i = global as usize % BLOCK_ENTRIES;
-        self.idx = i;
-        self.run_start = i;
-        self.started = true;
-        Some(NodeId(self.scratch.ids[i]))
-    }
-
     /// `seek(node)`: advance to the first entry with node id ≥ `target`,
     /// skipping whole blocks via the header array and binary-searching the
     /// decoded ids of the landing block. Stays put if the current entry

@@ -12,9 +12,8 @@ use std::ops::AddAssign;
 /// `entries` counts entries an evaluator *consumed* (returned by
 /// `next_entry`/`seek`). Physical decode is block-granular — a touched
 /// block is unpacked whole into cursor scratch — but the counters keep the
-/// paper's logical access semantics; the unpacking itself is the
-/// constant-cost machinery being measured by the `batch_decode` bench, not
-/// an access.
+/// paper's logical access semantics; the unpacking itself is
+/// constant-cost machinery, not an access.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AccessCounters {
     /// Entries *consumed*: returned to the evaluator by `nextEntry()` or

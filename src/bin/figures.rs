@@ -14,7 +14,7 @@
 //! NPRED-NEG, COMP-POS, COMP-NEG). COMP points whose estimated
 //! materialization exceeds the tuple budget print as `(skip)`.
 
-use ftsl_bench::{build_env, fmt_duration, measure, BenchEnv, EnvSpec, Series};
+use ftsl::figures::{build_env, fmt_duration, measure, BenchEnv, EnvSpec, Series};
 use std::time::Instant;
 
 struct Args {

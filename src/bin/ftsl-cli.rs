@@ -554,8 +554,8 @@ fn dispatch(
 /// client thread per lane replays a skewed mix of BOOL and top-k queries over
 /// the engine's own vocabulary while this thread churns a write every few
 /// milliseconds, then QPS and latency percentiles come from the merged
-/// per-request timings. (The full configurable harness is the
-/// `load_serve` bench in `ftsl-bench`; this is its interactive sibling.)
+/// per-request timings. (The repo benchmark's `zipf_cached` and `rw_churn`
+/// workloads are the measured version; this is their interactive sibling.)
 fn bench_load(
     engine: &Arc<Ftsl>,
     pool: &ServePool,

@@ -1,5 +1,7 @@
-//! Shared benchmark harness for regenerating the paper's evaluation
-//! (Section 6, Figures 3–8).
+//! The paper's evaluation (Section 6, Figures 3 and 5–8) as code: a
+//! synthetic corpus per sweep point, the six engine series, and one
+//! measured run per point. The `figures` binary prints the tables;
+//! `tests/figures.rs` asserts Section 5's bounds on the access counters.
 //!
 //! The paper's series labels map to engine configurations as follows:
 //!
@@ -16,8 +18,6 @@
 //! skipped and reported as such (the full-scale Figure 8 point at 125
 //! positions/entry is exactly the regime the paper shows COMP failing in).
 
-pub mod results;
-
 use ftsl_corpus::queries::planted_names;
 use ftsl_corpus::{PredPolarity, QuerySpec, SynthConfig};
 use ftsl_exec::engine::{EngineKind, ExecOptions, Executor};
@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 /// Maximum estimated materialized tuples before a COMP run is skipped.
 pub const COMP_TUPLE_BUDGET: u64 = 20_000_000;
 
-/// A corpus + index + registry ready for benchmarking.
+/// A corpus + index + registry for one sweep point.
 pub struct BenchEnv {
     /// The synthetic corpus.
     pub corpus: Corpus,
@@ -59,7 +59,7 @@ pub struct EnvSpec {
 }
 
 impl EnvSpec {
-    /// Small criterion-friendly default.
+    /// `--scale small`: fast enough for a smoke run.
     pub fn small() -> Self {
         EnvSpec {
             cnodes: 400,
@@ -69,7 +69,7 @@ impl EnvSpec {
         }
     }
 
-    /// The figures-binary default (scaled-down INEX-like).
+    /// `--scale medium`, the `figures` default (scaled-down INEX-like).
     pub fn medium() -> Self {
         EnvSpec {
             cnodes: 1500,
@@ -90,7 +90,7 @@ impl EnvSpec {
     }
 }
 
-/// Build a benchmark environment with 5 planted query tokens.
+/// Build a sweep point's environment with 5 planted query tokens.
 pub fn build_env(spec: EnvSpec) -> BenchEnv {
     let tokens = planted_names(5);
     let mut config = SynthConfig {
@@ -292,61 +292,5 @@ pub fn fmt_duration(d: Duration, skipped: bool) -> String {
         format!("{:>6.1}ms ", us as f64 / 1_000.0)
     } else {
         format!("{:>6.2}s  ", us as f64 / 1_000_000.0)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn env_builds_and_all_series_run() {
-        let env = build_env(EnvSpec {
-            cnodes: 60,
-            occurrences: 3,
-            doc_fraction: 0.5,
-            tokens_per_doc: 40,
-        });
-        for series in Series::ALL {
-            let m = measure(&env, series, 2, 1, 1);
-            assert!(!m.skipped, "{} skipped", series.label());
-            // Every engine agrees this corpus has matches for 2-token
-            // conjunctions at 50% planting.
-            if series.is_bool() {
-                assert!(m.hits > 0);
-            }
-        }
-    }
-
-    #[test]
-    fn comp_budget_skips_oversized_runs() {
-        let env = build_env(EnvSpec {
-            cnodes: 60,
-            occurrences: 3,
-            doc_fraction: 0.5,
-            tokens_per_doc: 40,
-        });
-        // A fake budget estimate: 5 tokens at occurrence 3 stays small, so
-        // nothing skips at this scale.
-        assert!(estimate_comp_tuples(&env, 3) < COMP_TUPLE_BUDGET);
-        let m = measure(&env, Series::CompPos, 3, 2, 1);
-        assert!(!m.skipped);
-    }
-
-    #[test]
-    fn series_queries_match_their_classes() {
-        let env = build_env(EnvSpec {
-            cnodes: 30,
-            occurrences: 2,
-            doc_fraction: 0.5,
-            tokens_per_doc: 30,
-        });
-        use ftsl_lang::{classify, LanguageClass};
-        let q = series_query(Series::PpredPos, &env, 3, 2);
-        assert_eq!(classify(&q, &env.registry), LanguageClass::Ppred);
-        let q = series_query(Series::NpredNeg, &env, 3, 2);
-        assert_eq!(classify(&q, &env.registry), LanguageClass::Npred);
-        let q = series_query(Series::Bool, &env, 3, 2);
-        assert!(classify(&q, &env.registry) <= LanguageClass::Bool);
     }
 }
