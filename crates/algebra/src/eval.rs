@@ -110,7 +110,13 @@ impl<'a> AlgebraEvaluator<'a> {
     /// generic, so the COMP engine's walk is compiled once, in this crate,
     /// for every caller.
     pub fn eval(&mut self, expr: &AlgExpr) -> Result<FtRelation, AlgebraError> {
-        self.relation(&push_down(expr, self.registry))
+        self.eval_pushed(&push_down(expr, self.registry))
+    }
+
+    /// [`Self::eval`] of a plan [`push_down`] already rewrote, for callers
+    /// that compile a query once and evaluate it on many segments.
+    pub fn eval_pushed(&mut self, plan: &AlgExpr) -> Result<FtRelation, AlgebraError> {
+        self.relation(plan)
     }
 }
 

@@ -216,9 +216,14 @@ impl Ftsl {
     }
 
     /// Apply query-side rewrites: thesaurus expansion, then the index's
-    /// token analysis on every literal (including expansion results).
-    fn rewrite_query(&self, surface: &SurfaceQuery) -> SurfaceQuery {
-        let expanded = self.thesaurus.expand(surface);
+    /// token analysis on every literal (including expansion results). With
+    /// an empty thesaurus and no analysis both are the identity — the lexer
+    /// already lowercases literals — so the parsed query is returned as is.
+    fn rewrite_query(&self, surface: SurfaceQuery) -> SurfaceQuery {
+        if self.thesaurus.is_empty() && self.analysis.is_identity() {
+            return surface;
+        }
+        let expanded = self.thesaurus.expand(&surface);
         map_tokens(&expanded, &|t| self.analysis.analyze(t))
     }
 
@@ -236,7 +241,7 @@ impl Ftsl {
         mode: Mode,
         engine: EngineKind,
     ) -> Result<SearchResults, FtslError> {
-        let surface = self.rewrite_query(&parse(query, mode)?);
+        let surface = self.rewrite_query(parse(query, mode)?);
         let snapshot = self.snapshot();
         let exec = SnapshotExecutor::with_options(&snapshot, &self.registry, self.options);
         let output = exec.run_surface(&surface, engine)?;
@@ -255,7 +260,7 @@ impl Ftsl {
     /// the same per-node budget, and [`Ranked::counters`] sums the
     /// segments' cursor work.
     pub fn search_ranked(&self, query: &str, model: RankModel) -> Result<Ranked, FtslError> {
-        let surface = self.rewrite_query(&parse(query, Mode::Comp)?);
+        let surface = self.rewrite_query(parse(query, Mode::Comp)?);
         let snapshot = self.snapshot();
         let stats = self.snapshot_stats(&snapshot);
         self.ranked_surface(&surface, model, &snapshot, &stats)
@@ -352,7 +357,7 @@ impl Ftsl {
         k: usize,
         scratch: &mut ExecScratch,
     ) -> Result<Ranked, FtslError> {
-        let surface = self.rewrite_query(&parse(query, Mode::Comp)?);
+        let surface = self.rewrite_query(parse(query, Mode::Comp)?);
         let snapshot = self.snapshot();
         let stats = self.snapshot_stats(&snapshot);
         let streamable = match model {
@@ -463,7 +468,7 @@ impl Ftsl {
     /// Explain how a query would be executed, without running it: language
     /// class, engine, and the operator tree.
     pub fn explain(&self, query: &str) -> Result<String, FtslError> {
-        let surface = self.rewrite_query(&parse(query, Mode::Comp)?);
+        let surface = self.rewrite_query(parse(query, Mode::Comp)?);
         let class = classify(&surface, &self.registry);
         let engine = match class {
             LanguageClass::BoolNoNeg | LanguageClass::Bool => "BOOL (doc-id list merges)",
@@ -508,16 +513,16 @@ impl Ftsl {
     }
 
     /// `EXPLAIN ANALYZE` over the current snapshot: run the query with
-    /// tracing enabled and render the span tree — parse/rewrite, then
-    /// per-segment engine work with counter deltas and pair-path vs
-    /// fallback attribution — then [`Self::explain`]'s operator tree and
+    /// tracing enabled and render the span tree — parse/rewrite, one
+    /// prepare (classify, lower, plan, any COMP fallback), then per-segment
+    /// engine work with counter deltas and pair-path vs fallback
+    /// attribution — then [`Self::explain`]'s operator tree and
     /// per-segment memory footprints.
     pub fn explain_analyze(&self, query: &str) -> Result<String, FtslError> {
         let mut tb = ftsl_obs::TraceBuilder::new();
         let parse_span = tb.open("parse+rewrite");
-        let surface = self.rewrite_query(&parse(query, Mode::Comp)?);
+        let surface = self.rewrite_query(parse(query, Mode::Comp)?);
         tb.close(parse_span);
-        let class = classify(&surface, &self.registry);
         let snapshot = self.snapshot();
         let mut options = self.options;
         options.trace = true;
@@ -529,6 +534,7 @@ impl Ftsl {
         }
         tb.close(exec_span);
         let trace = tb.finish();
+        let class = output.class;
         let mut out = String::new();
         out.push_str(&format!("language class: {class}\n"));
         out.push_str(&format!("engine: {}\n", output.engine));

@@ -1,6 +1,9 @@
 //! Random write histories for the differential suites: a sequence of
-//! adds, deletes, flushes and merges replayed against an engine, with the
-//! bookkeeping needed to rebuild the survivors from scratch.
+//! adds, deletes, flushes, merges and reads replayed against an engine,
+//! with the bookkeeping needed to rebuild the survivors from scratch.
+//! Reads between writes split the write buffer into chunks, so histories
+//! also reach buffered deletes in an older chunk, flushes after several
+//! chunks, and the collapse back to one chunk at the merge fan-in.
 
 use ftsl_core::{Ftsl, LiveConfig};
 use ftsl_model::NodeId;
@@ -33,6 +36,9 @@ pub enum Op {
     MergeTier,
     /// Full compaction.
     MergeAll,
+    /// Snapshot mid-history and search one vocabulary token, checked
+    /// against the live documents holding it.
+    Read(usize),
 }
 
 pub fn render(tokens: &[usize]) -> String {
@@ -58,6 +64,7 @@ pub fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
             2 => Just(Op::Flush),
             1 => Just(Op::MergeTier),
             1 => Just(Op::MergeAll),
+            3 => (0usize..VOCAB.len()).prop_map(Op::Read),
         ],
         1..32,
     )
@@ -68,9 +75,10 @@ pub fn manual_config() -> LiveConfig {
         background_merge: false,
         // Small fan-in and threshold so random sequences actually exercise
         // auto-flush and tiered merging, and snapshots have several
-        // segments with tombstones in them.
+        // segments with tombstones in them. Fan-in 3 lets the write buffer
+        // show two chunks before they collapse into one.
         flush_threshold: 6,
-        merge_fanin: 2,
+        merge_fanin: 3,
         ..LiveConfig::default()
     }
 }
@@ -102,6 +110,18 @@ pub fn apply_one(engine: &Ftsl, op: &Op, docs: &mut Docs) {
         }
         Op::MergeAll => {
             engine.merge();
+        }
+        Op::Read(t) => {
+            let token = VOCAB[*t];
+            let hits = engine
+                .search(&format!("'{token}'"))
+                .expect("mid-history read");
+            let want: Vec<u32> = docs
+                .iter()
+                .filter(|(_, text, alive)| *alive && text.split_whitespace().any(|w| w == token))
+                .map(|(g, _, _)| *g)
+                .collect();
+            assert_eq!(hits.node_ids(), want, "mid-history read of '{token}'");
         }
     }
 }

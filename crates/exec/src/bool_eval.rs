@@ -28,9 +28,37 @@ pub fn run_bool(
     corpus: &Corpus,
     index: &InvertedIndex,
 ) -> Result<(Vec<NodeId>, AccessCounters), ExecError> {
+    check_bool(query)?;
+    Ok(bind_bool(query, corpus, index))
+}
+
+/// The BOOL engine's shape half: refuse any construct outside BOOL
+/// (literals, `ANY`, `NOT`, `AND`, `OR`). Depends on the query alone.
+pub(crate) fn check_bool(query: &SurfaceQuery) -> Result<(), ExecError> {
+    match query {
+        SurfaceQuery::Lit(_) | SurfaceQuery::Any => Ok(()),
+        SurfaceQuery::Not(inner) => check_bool(inner),
+        SurfaceQuery::And(a, b) | SurfaceQuery::Or(a, b) => {
+            check_bool(a)?;
+            check_bool(b)
+        }
+        other => Err(ExecError::WrongEngine {
+            engine: "BOOL",
+            reason: format!("construct {} is not in BOOL", other.render()),
+        }),
+    }
+}
+
+/// The BOOL engine's binding half: merge one segment's lists for a query
+/// [`check_bool`] accepted.
+pub(crate) fn bind_bool(
+    query: &SurfaceQuery,
+    corpus: &Corpus,
+    index: &InvertedIndex,
+) -> (Vec<NodeId>, AccessCounters) {
     let mut counters = AccessCounters::new();
-    let nodes = eval(query, corpus, index, &mut counters)?;
-    Ok((nodes, counters))
+    let nodes = eval(query, corpus, index, &mut counters);
+    (nodes, counters)
 }
 
 /// Materialize a list's node ids (a token's list, or `IL_ANY` for `None`)
@@ -57,17 +85,17 @@ fn eval(
     corpus: &Corpus,
     index: &InvertedIndex,
     counters: &mut AccessCounters,
-) -> Result<Vec<NodeId>, ExecError> {
+) -> Vec<NodeId> {
     match query {
-        SurfaceQuery::Lit(tok) => Ok(match corpus.token_id(tok) {
+        SurfaceQuery::Lit(tok) => match corpus.token_id(tok) {
             Some(id) => scan_nodes(index, Some(id), counters),
             None => Vec::new(),
-        }),
-        SurfaceQuery::Any => Ok(scan_nodes(index, None, counters)),
+        },
+        SurfaceQuery::Any => scan_nodes(index, None, counters),
         SurfaceQuery::Not(inner) => {
-            let inner_nodes = eval(inner, corpus, index, counters)?;
+            let inner_nodes = eval(inner, corpus, index, counters);
             counters.entries += corpus.len() as u64;
-            Ok(complement(&inner_nodes, corpus.len() as u32))
+            complement(&inner_nodes, corpus.len() as u32)
         }
         SurfaceQuery::And(..) => {
             let mut conjuncts = Vec::new();
@@ -75,14 +103,11 @@ fn eval(
             eval_conjunction(&conjuncts, corpus, index, counters)
         }
         SurfaceQuery::Or(a, b) => {
-            let left = eval(a, corpus, index, counters)?;
-            let right = eval(b, corpus, index, counters)?;
-            Ok(union_sorted(&left, &right))
+            let left = eval(a, corpus, index, counters);
+            let right = eval(b, corpus, index, counters);
+            union_sorted(&left, &right)
         }
-        other => Err(ExecError::WrongEngine {
-            engine: "BOOL",
-            reason: format!("construct {} is not in BOOL", other.render()),
-        }),
+        other => unreachable!("check_bool refuses {}", other.render()),
     }
 }
 
@@ -105,7 +130,7 @@ fn eval_conjunction(
     corpus: &Corpus,
     index: &InvertedIndex,
     counters: &mut AccessCounters,
-) -> Result<Vec<NodeId>, ExecError> {
+) -> Vec<NodeId> {
     let mut literal_ids: Vec<TokenId> = Vec::new();
     let mut negated: Vec<&SurfaceQuery> = Vec::new();
     let mut others: Vec<&SurfaceQuery> = Vec::new();
@@ -132,7 +157,7 @@ fn eval_conjunction(
     }
 
     for other in others {
-        let nodes = eval(other, corpus, index, counters)?;
+        let nodes = eval(other, corpus, index, counters);
         acc = Some(match acc {
             Some(have) => intersect_sorted(&have, &nodes),
             None => nodes,
@@ -140,7 +165,7 @@ fn eval_conjunction(
     }
 
     for inner in negated {
-        let nodes = eval(inner, corpus, index, counters)?;
+        let nodes = eval(inner, corpus, index, counters);
         acc = Some(match acc {
             Some(have) => difference_sorted(&have, &nodes),
             None => {
@@ -151,7 +176,7 @@ fn eval_conjunction(
         });
     }
 
-    Ok(acc.unwrap_or_default())
+    acc.unwrap_or_default()
 }
 
 /// k-way leapfrog intersection of posting lists, rarest first: each seek

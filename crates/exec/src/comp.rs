@@ -3,7 +3,8 @@
 
 use crate::error::ExecError;
 use ftsl_algebra::from_calculus::query_to_algebra;
-use ftsl_algebra::{AlgebraEvaluator, NodeStats};
+use ftsl_algebra::rewrite::push_down;
+use ftsl_algebra::{AlgExpr, AlgebraEvaluator, NodeStats};
 use ftsl_calculus::CalcQuery;
 use ftsl_index::{AccessCounters, InvertedIndex};
 use ftsl_model::{Corpus, NodeId};
@@ -23,10 +24,41 @@ pub fn run_comp(
     index: &InvertedIndex,
     registry: &PredicateRegistry,
 ) -> Result<(Vec<NodeId>, AccessCounters, NodeStats), ExecError> {
-    let alg = query_to_algebra(query, registry)?;
-    let mut ev = AlgebraEvaluator::new(corpus, index, registry);
-    let rel = ev.eval(&alg)?;
-    Ok((rel.distinct_nodes(), ev.counters(), ev.node_stats()))
+    CompPlan::prepare(query, registry)?.bind(corpus, index, registry)
+}
+
+/// The COMP engine's shape half, compiled once per query: the algebra
+/// translation with `σ` and `π` already pushed below `⋈`. [`Self::bind`]
+/// evaluates it on one segment.
+#[derive(Clone, Debug)]
+pub(crate) struct CompPlan {
+    plan: AlgExpr,
+}
+
+impl CompPlan {
+    /// Safety-check and translate `query`, then push its selections and
+    /// projections down.
+    pub(crate) fn prepare(
+        query: &CalcQuery,
+        registry: &PredicateRegistry,
+    ) -> Result<Self, ExecError> {
+        let alg = query_to_algebra(query, registry)?;
+        Ok(CompPlan {
+            plan: push_down(&alg, registry),
+        })
+    }
+
+    /// Evaluate the plan one context node at a time over one segment.
+    pub(crate) fn bind(
+        &self,
+        corpus: &Corpus,
+        index: &InvertedIndex,
+        registry: &PredicateRegistry,
+    ) -> Result<(Vec<NodeId>, AccessCounters, NodeStats), ExecError> {
+        let mut ev = AlgebraEvaluator::new(corpus, index, registry);
+        let rel = ev.eval_pushed(&self.plan)?;
+        Ok((rel.distinct_nodes(), ev.counters(), ev.node_stats()))
+    }
 }
 
 #[cfg(test)]

@@ -1,10 +1,12 @@
-//! The engine dispatcher: classify, pick the cheapest engine, run.
+//! The engine dispatcher: classify, pick the cheapest engine, compile the
+//! query once ([`PreparedQuery::prepare`]), then run it per segment
+//! ([`PreparedQuery::bind`]).
 
-use crate::bool_eval::run_bool;
-use crate::comp::run_comp;
+use crate::bool_eval::{bind_bool, check_bool};
+use crate::comp::CompPlan;
 use crate::error::ExecError;
-use crate::npred::{run_npred, NpredOptions};
-use crate::ppred::run_ppred_attr;
+use crate::npred::NpredPlan;
+use crate::ppred::PpredPlan;
 use ftsl_calculus::CalcQuery;
 use ftsl_index::{AccessCounters, IndexLayout, InvertedIndex};
 use ftsl_lang::{classify, lower, parse, LanguageClass, Mode, SurfaceQuery};
@@ -113,27 +115,169 @@ pub fn counter_attrs(tb: &mut TraceBuilder, id: SpanId, c: &AccessCounters) {
     tb.attr(id, "pair_entries", c.pair_entries);
 }
 
-fn finish_engine_span(
-    tb: Option<TraceBuilder>,
-    id: Option<SpanId>,
-    counters: &AccessCounters,
-    note: Option<&'static str>,
-) -> Option<Box<Trace>> {
-    tb.map(|mut b| {
-        if let Some(id) = id {
-            if let Some(n) = note {
-                b.note(id, n);
-            }
-            counter_attrs(&mut b, id, counters);
-            b.close(id);
-        }
-        Box::new(b.finish())
-    })
+/// The engine Auto dispatch picks for a language class (Figure 3).
+fn engine_for(class: LanguageClass) -> EngineUsed {
+    match class {
+        LanguageClass::BoolNoNeg | LanguageClass::Bool => EngineUsed::Bool,
+        LanguageClass::Dist | LanguageClass::Ppred => EngineUsed::Ppred,
+        LanguageClass::Npred => EngineUsed::Npred,
+        LanguageClass::Comp => EngineUsed::Comp,
+    }
 }
 
-/// The set-engine dispatcher over one corpus + index — what
-/// [`crate::SnapshotExecutor`] runs per segment, and the single-index
-/// reference the differential suites compare against.
+/// The engine-specific half of a [`PreparedQuery`].
+enum Shape<'q> {
+    Bool(&'q SurfaceQuery),
+    Ppred(PpredPlan),
+    Npred(NpredPlan),
+    Comp(CompPlan),
+}
+
+/// A query compiled once for every segment it will run on: classified,
+/// dispatched, lowered, and planned — for PPRED / NPRED the normalized
+/// streaming plan (plus the recognized pair core or the thread orderings),
+/// for COMP the pushed-down algebra. [`Self::bind`] does only what depends
+/// on one segment's lists: token ids, join order, cursors.
+///
+/// Whether Auto dispatch falls back from PPRED / NPRED to COMP depends only
+/// on the query's shape, so it is decided here, once; shape errors of a
+/// forced engine surface here too, whether or not any segment exists.
+pub struct PreparedQuery<'q> {
+    registry: &'q PredicateRegistry,
+    mode: AdvanceMode,
+    class: LanguageClass,
+    shape: Shape<'q>,
+}
+
+impl<'q> PreparedQuery<'q> {
+    /// Compile `surface` for `engine`. With a trace builder, the work is one
+    /// `prepare` span, noting a COMP fallback when Auto needed one.
+    pub fn prepare(
+        surface: &'q SurfaceQuery,
+        engine: EngineKind,
+        registry: &'q PredicateRegistry,
+        options: ExecOptions,
+        mut tb: Option<&mut TraceBuilder>,
+    ) -> Result<Self, ExecError> {
+        let span = tb.as_mut().map(|b| b.open("prepare"));
+        let class = classify(surface, registry);
+        let chosen = match engine {
+            EngineKind::Auto => engine_for(class),
+            EngineKind::Bool => EngineUsed::Bool,
+            EngineKind::Ppred => EngineUsed::Ppred,
+            EngineKind::Npred => EngineUsed::Npred,
+            EngineKind::Comp => EngineUsed::Comp,
+        };
+        let shape = if chosen == EngineUsed::Bool {
+            check_bool(surface)?;
+            Shape::Bool(surface)
+        } else {
+            let expr = lower(surface, registry).map_err(|e| ExecError::Lang(e.to_string()))?;
+            let streamed = match chosen {
+                EngineUsed::Ppred => Some(
+                    PpredPlan::prepare(&expr, registry, options.use_pairs)
+                        .map(Shape::Ppred)
+                        .map_err(|e| (e, "PPRED")),
+                ),
+                EngineUsed::Npred => Some(
+                    NpredPlan::prepare(&expr, registry, options.npred_full_permutations)
+                        .map(Shape::Npred)
+                        .map_err(|e| (e, "NPRED")),
+                ),
+                _ => None,
+            };
+            match streamed {
+                Some(Ok(shape)) => shape,
+                Some(Err((e, _))) if engine != EngineKind::Auto => return Err(e.into()),
+                fallback => {
+                    if let (Some(b), Some(id), Some(Err((e, refused)))) =
+                        (tb.as_mut(), span, fallback)
+                    {
+                        b.note(id, format!("{refused} refused: {e} — COMP fallback"));
+                    }
+                    Shape::Comp(CompPlan::prepare(&CalcQuery::new(expr), registry)?)
+                }
+            }
+        };
+        if let (Some(b), Some(id)) = (tb, span) {
+            b.close(id);
+        }
+        Ok(PreparedQuery {
+            registry,
+            mode: options.advance_mode,
+            class,
+            shape,
+        })
+    }
+
+    /// The detected language class.
+    pub fn class(&self) -> LanguageClass {
+        self.class
+    }
+
+    /// The engine every segment runs.
+    pub fn engine(&self) -> EngineUsed {
+        match self.shape {
+            Shape::Bool(_) => EngineUsed::Bool,
+            Shape::Ppred(_) => EngineUsed::Ppred,
+            Shape::Npred(_) => EngineUsed::Npred,
+            Shape::Comp(_) => EngineUsed::Comp,
+        }
+    }
+
+    /// Run the compiled query on one segment, returning its matches (local
+    /// ids, ascending) and work counters. With a trace builder, the work is
+    /// one `engine …` span carrying the counters, the pair-path attribution
+    /// for PPRED and the node walk for COMP.
+    pub fn bind(
+        &self,
+        corpus: &Corpus,
+        index: &InvertedIndex,
+        mut tb: Option<&mut TraceBuilder>,
+    ) -> Result<(Vec<NodeId>, AccessCounters), ExecError> {
+        let span = tb
+            .as_mut()
+            .map(|b| b.open(format!("engine {}", self.engine())));
+        let (nodes, counters) = match &self.shape {
+            Shape::Bool(surface) => bind_bool(surface, corpus, index),
+            Shape::Ppred(plan) => {
+                let mode = self.mode;
+                let (nodes, counters, attribution) = plan.bind(corpus, index, self.registry, mode);
+                if let (Some(b), Some(id)) = (tb.as_mut(), span) {
+                    b.note(id, attribution.describe());
+                }
+                (nodes, counters)
+            }
+            Shape::Npred(plan) => plan.bind(corpus, index, self.registry, self.mode),
+            Shape::Comp(plan) => {
+                let (nodes, counters, stats) = plan.bind(corpus, index, self.registry)?;
+                if let (Some(b), Some(id)) = (tb.as_mut(), span) {
+                    b.note(
+                        id,
+                        format!(
+                            "node-at-a-time: {} nodes evaluated, {} skipped by seek, \
+                             {} tuples, peak {} per node",
+                            stats.nodes_evaluated,
+                            stats.nodes_skipped,
+                            counters.tuples,
+                            stats.peak_node_tuples
+                        ),
+                    );
+                }
+                (nodes, counters)
+            }
+        };
+        if let (Some(b), Some(id)) = (tb, span) {
+            counter_attrs(b, id, &counters);
+            b.close(id);
+        }
+        Ok((nodes, counters))
+    }
+}
+
+/// The set-engine dispatcher over one corpus + index — the single-index
+/// reference the differential suites compare [`crate::SnapshotExecutor`]
+/// against.
 pub struct Executor<'a> {
     corpus: &'a Corpus,
     index: &'a InvertedIndex,
@@ -178,145 +322,24 @@ impl<'a> Executor<'a> {
         self.run_surface(&surface, engine)
     }
 
-    /// Run an already-parsed surface query.
+    /// Run an already-parsed surface query: prepare it, then bind it to
+    /// the one index.
     pub fn run_surface(
         &self,
         surface: &SurfaceQuery,
         engine: EngineKind,
     ) -> Result<QueryOutput, ExecError> {
-        let class = classify(surface, self.registry);
-        let chosen = match engine {
-            EngineKind::Auto => match class {
-                LanguageClass::BoolNoNeg | LanguageClass::Bool => EngineUsed::Bool,
-                LanguageClass::Dist | LanguageClass::Ppred => EngineUsed::Ppred,
-                LanguageClass::Npred => EngineUsed::Npred,
-                LanguageClass::Comp => EngineUsed::Comp,
-            },
-            EngineKind::Bool => EngineUsed::Bool,
-            EngineKind::Ppred => EngineUsed::Ppred,
-            EngineKind::Npred => EngineUsed::Npred,
-            EngineKind::Comp => EngineUsed::Comp,
-        };
-
         let mut tb = self.options.trace.then(TraceBuilder::new);
-
-        if chosen == EngineUsed::Bool {
-            let id = tb.as_mut().map(|b| b.open("engine BOOL"));
-            let (nodes, counters) = run_bool(surface, self.corpus, self.index)?;
-            let trace = finish_engine_span(tb, id, &counters, None);
-            return Ok(QueryOutput {
-                nodes,
-                counters,
-                engine: EngineUsed::Bool,
-                class,
-                trace,
-            });
-        }
-
-        let lower_id = tb.as_mut().map(|b| b.open("lower to calculus"));
-        let expr = lower(surface, self.registry).map_err(|e| ExecError::Lang(e.to_string()))?;
-        if let (Some(b), Some(id)) = (tb.as_mut(), lower_id) {
-            b.close(id);
-        }
-        let query = CalcQuery::new(expr);
-        self.run_lowered(&query, chosen, class, engine == EngineKind::Auto, tb)
-    }
-
-    fn run_lowered(
-        &self,
-        query: &CalcQuery,
-        chosen: EngineUsed,
-        class: LanguageClass,
-        allow_fallback: bool,
-        mut tb: Option<TraceBuilder>,
-    ) -> Result<QueryOutput, ExecError> {
-        match chosen {
-            EngineUsed::Ppred => {
-                let id = tb.as_mut().map(|b| b.open("engine PPRED"));
-                match run_ppred_attr(
-                    &query.expr,
-                    self.corpus,
-                    self.index,
-                    self.registry,
-                    self.options.advance_mode,
-                    self.options.use_pairs,
-                ) {
-                    Ok((nodes, counters, attribution)) => {
-                        let trace =
-                            finish_engine_span(tb, id, &counters, Some(attribution.describe()));
-                        Ok(QueryOutput {
-                            nodes,
-                            counters,
-                            engine: EngineUsed::Ppred,
-                            class,
-                            trace,
-                        })
-                    }
-                    Err(e) if allow_fallback => {
-                        if let (Some(b), Some(id)) = (tb.as_mut(), id) {
-                            b.note(id, format!("PPRED refused: {e} — COMP fallback"));
-                            b.close(id);
-                        }
-                        self.run_lowered(query, EngineUsed::Comp, class, false, tb)
-                    }
-                    Err(e) => Err(e.into()),
-                }
-            }
-            EngineUsed::Npred => {
-                let id = tb.as_mut().map(|b| b.open("engine NPRED"));
-                let opts = NpredOptions {
-                    full_permutations: self.options.npred_full_permutations,
-                    mode: self.options.advance_mode,
-                };
-                match run_npred(&query.expr, self.corpus, self.index, self.registry, opts) {
-                    Ok((nodes, counters)) => {
-                        let trace = finish_engine_span(tb, id, &counters, None);
-                        Ok(QueryOutput {
-                            nodes,
-                            counters,
-                            engine: EngineUsed::Npred,
-                            class,
-                            trace,
-                        })
-                    }
-                    Err(e) if allow_fallback => {
-                        if let (Some(b), Some(id)) = (tb.as_mut(), id) {
-                            b.note(id, format!("NPRED refused: {e} — COMP fallback"));
-                            b.close(id);
-                        }
-                        self.run_lowered(query, EngineUsed::Comp, class, false, tb)
-                    }
-                    Err(e) => Err(e.into()),
-                }
-            }
-            EngineUsed::Comp => {
-                let id = tb.as_mut().map(|b| b.open("engine COMP"));
-                let (nodes, counters, stats) =
-                    run_comp(query, self.corpus, self.index, self.registry)?;
-                if let (Some(b), Some(id)) = (tb.as_mut(), id) {
-                    b.note(
-                        id,
-                        format!(
-                            "node-at-a-time: {} nodes evaluated, {} skipped by seek, \
-                             {} tuples, peak {} per node",
-                            stats.nodes_evaluated,
-                            stats.nodes_skipped,
-                            counters.tuples,
-                            stats.peak_node_tuples
-                        ),
-                    );
-                }
-                let trace = finish_engine_span(tb, id, &counters, None);
-                Ok(QueryOutput {
-                    nodes,
-                    counters,
-                    engine: EngineUsed::Comp,
-                    class,
-                    trace,
-                })
-            }
-            EngineUsed::Bool => unreachable!("BOOL handled before lowering"),
-        }
+        let prepared =
+            PreparedQuery::prepare(surface, engine, self.registry, self.options, tb.as_mut())?;
+        let (nodes, counters) = prepared.bind(self.corpus, self.index, tb.as_mut())?;
+        Ok(QueryOutput {
+            nodes,
+            counters,
+            engine: prepared.engine(),
+            class: prepared.class(),
+            trace: tb.map(|b| Box::new(b.finish())),
+        })
     }
 }
 

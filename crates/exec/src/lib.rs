@@ -15,10 +15,11 @@
 //! * [`npred`] — **NPRED** (5.6, Algorithms 6–7): per-ordering evaluation
 //!   threads for negative predicates; implements both the paper's presented
 //!   full-permutation scheme and the partial-order optimization it mentions;
-//! * [`engine`] — per-segment dispatch by [`ftsl_lang::LanguageClass`], with
-//!   COMP as the universal fallback;
-//! * [`snapshot`] — the executor every query goes through: the dispatcher
-//!   above run over each segment of a [`ftsl_index::Snapshot`], tombstones
+//! * [`engine`] — dispatch by [`ftsl_lang::LanguageClass`], with COMP as
+//!   the universal fallback: a [`PreparedQuery`] is classified, lowered and
+//!   planned once, then bound to each segment's lists;
+//! * [`snapshot`] — the executor every query goes through: one prepared
+//!   query bound to each segment of a [`ftsl_index::Snapshot`], tombstones
 //!   filtered, ids remapped, counters summed;
 //! * [`pairscan`] — the PPRED fast path for phrase/NEAR shapes: two-scan
 //!   proximity cores are rewritten to walks over the index's word-pair
@@ -104,7 +105,7 @@ pub mod select;
 pub mod setops;
 pub mod snapshot;
 
-pub use engine::{EngineKind, Executor, QueryOutput};
+pub use engine::{EngineKind, Executor, PreparedQuery, QueryOutput};
 pub use error::{ExecError, PlanError};
 pub use pairscan::PairQuery;
 pub use plan::{build_plan, PlanNode};

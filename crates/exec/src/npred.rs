@@ -16,7 +16,7 @@
 
 use crate::build::{build_cursor, CursorCtx};
 use crate::error::PlanError;
-use crate::plan::{build_plan, order_joins_by_selectivity, Plan};
+use crate::plan::{build_plan, order_joins_by_selectivity, Plan, PlanNode};
 use ftsl_calculus::ast::{QueryExpr, VarId};
 use ftsl_index::{AccessCounters, InvertedIndex};
 use ftsl_model::{Corpus, NodeId};
@@ -50,21 +50,64 @@ pub fn run_npred(
     registry: &PredicateRegistry,
     options: NpredOptions,
 ) -> Result<(Vec<NodeId>, AccessCounters), PlanError> {
-    let mut plan = build_plan(expr, registry, true)?;
-    plan.root = order_joins_by_selectivity(plan.root, corpus, index);
-    let vars = ordering_vars(&plan, options.full_permutations);
-    let orderings = permutations(&vars);
+    let plan = NpredPlan::prepare(expr, registry, options.full_permutations)?;
+    Ok(plan.bind(corpus, index, registry, options.mode))
+}
 
-    let mut all_nodes: Vec<NodeId> = Vec::new();
-    let mut counters = AccessCounters::new();
-    for ordering in &orderings {
-        let (nodes, c) = run_thread(&plan, corpus, index, registry, options, ordering);
-        all_nodes.extend(nodes);
-        counters += c;
+/// The NPRED engine's shape half, compiled once per query: the normalized
+/// streaming plan and the variable orderings its threads run.
+/// [`Self::bind`] runs them on one segment.
+#[derive(Clone, Debug)]
+pub(crate) struct NpredPlan {
+    root: PlanNode,
+    orderings: Vec<Vec<VarId>>,
+}
+
+impl NpredPlan {
+    /// Plan `expr` and enumerate its orderings: every permutation of the
+    /// scan variables when `full_permutations` is set, otherwise of the
+    /// negative-predicate variables only.
+    pub(crate) fn prepare(
+        expr: &QueryExpr,
+        registry: &PredicateRegistry,
+        full_permutations: bool,
+    ) -> Result<Self, PlanError> {
+        let plan = build_plan(expr, registry, true)?;
+        let orderings = permutations(&ordering_vars(&plan, full_permutations));
+        Ok(NpredPlan {
+            root: plan.root,
+            orderings,
+        })
     }
-    all_nodes.sort_unstable();
-    all_nodes.dedup();
-    Ok((all_nodes, counters))
+
+    /// Run every ordering's thread on one segment, over a copy of the plan
+    /// with its joins ordered by this segment's list lengths; matches are
+    /// unioned and counters summed.
+    pub(crate) fn bind(
+        &self,
+        corpus: &Corpus,
+        index: &InvertedIndex,
+        registry: &PredicateRegistry,
+        mode: AdvanceMode,
+    ) -> (Vec<NodeId>, AccessCounters) {
+        let root = order_joins_by_selectivity(self.root.clone(), corpus, index);
+        let ctx = CursorCtx {
+            corpus,
+            index,
+            registry,
+            mode,
+        };
+        let mut all_nodes: Vec<NodeId> = Vec::new();
+        let mut counters = AccessCounters::new();
+        for ordering in &self.orderings {
+            let (nodes, c) = run_thread(&root, &ctx, ordering);
+            all_nodes.extend(nodes);
+            counters += c;
+        }
+        all_nodes.sort_unstable();
+        all_nodes.dedup();
+        (all_nodes, counters)
+    }
 }
 
 fn ordering_vars(plan: &Plan, full: bool) -> Vec<VarId> {
@@ -79,11 +122,8 @@ fn ordering_vars(plan: &Plan, full: bool) -> Vec<VarId> {
 }
 
 fn run_thread(
-    plan: &Plan,
-    corpus: &Corpus,
-    index: &InvertedIndex,
-    registry: &PredicateRegistry,
-    options: NpredOptions,
+    root: &PlanNode,
+    ctx: &CursorCtx<'_>,
     ordering: &[VarId],
 ) -> (Vec<NodeId>, AccessCounters) {
     let ranks: HashMap<VarId, usize> = ordering
@@ -91,13 +131,7 @@ fn run_thread(
         .enumerate()
         .map(|(rank, &v)| (v, rank))
         .collect();
-    let ctx = CursorCtx {
-        corpus,
-        index,
-        registry,
-        mode: options.mode,
-    };
-    let mut cursor = build_cursor(&plan.root, &ctx, &ranks);
+    let mut cursor = build_cursor(root, ctx, &ranks);
     let mut nodes = Vec::new();
     while let Some(n) = cursor.advance_node() {
         nodes.push(n);

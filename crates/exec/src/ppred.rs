@@ -2,8 +2,8 @@
 
 use crate::build::{build_cursor, CursorCtx};
 use crate::error::PlanError;
-use crate::pairscan;
-use crate::plan::{build_plan, order_joins_by_selectivity};
+use crate::pairscan::{self, PairQuery};
+use crate::plan::{build_plan, order_joins_by_selectivity, PlanNode};
 use ftsl_calculus::ast::QueryExpr;
 use ftsl_index::{AccessCounters, InvertedIndex};
 use ftsl_model::{Corpus, NodeId};
@@ -75,33 +75,72 @@ pub fn run_ppred_attr(
     mode: AdvanceMode,
     use_pairs: bool,
 ) -> Result<(Vec<NodeId>, AccessCounters, PairAttribution), PlanError> {
-    let plan = build_plan(expr, registry, false)?;
-    let mut attribution = if use_pairs {
-        PairAttribution::NotRecognized
-    } else {
-        PairAttribution::Disabled
-    };
-    if use_pairs {
-        if let Some(q) = pairscan::recognize(&plan.root, registry) {
-            if let Some((nodes, counters)) = pairscan::execute(&q, corpus, index) {
-                return Ok((nodes, counters, PairAttribution::PairList));
-            }
-            attribution = PairAttribution::FallbackNotCovered;
+    Ok(PpredPlan::prepare(expr, registry, use_pairs)?.bind(corpus, index, registry, mode))
+}
+
+/// The PPRED engine's shape half, compiled once per query: the normalized
+/// streaming plan and, when the pair rewrite is on, the proximity core
+/// [`pairscan::recognize`] found in it. [`Self::bind`] runs it on one
+/// segment.
+#[derive(Clone, Debug)]
+pub(crate) struct PpredPlan {
+    root: PlanNode,
+    pair: Option<PairQuery>,
+    use_pairs: bool,
+}
+
+impl PpredPlan {
+    /// Plan `expr`; fails with a [`PlanError`] if the query is not in the
+    /// PPRED fragment.
+    pub(crate) fn prepare(
+        expr: &QueryExpr,
+        registry: &PredicateRegistry,
+        use_pairs: bool,
+    ) -> Result<Self, PlanError> {
+        let root = build_plan(expr, registry, false)?.root;
+        let pair = use_pairs
+            .then(|| pairscan::recognize(&root, registry))
+            .flatten();
+        Ok(PpredPlan {
+            root,
+            pair,
+            use_pairs,
+        })
+    }
+
+    /// Run the plan on one segment: the pair-list walk when the segment's
+    /// pair index covers the recognized core, otherwise the single-scan
+    /// cursors over a copy of the plan with its joins ordered by this
+    /// segment's list lengths.
+    pub(crate) fn bind(
+        &self,
+        corpus: &Corpus,
+        index: &InvertedIndex,
+        registry: &PredicateRegistry,
+        mode: AdvanceMode,
+    ) -> (Vec<NodeId>, AccessCounters, PairAttribution) {
+        let attribution = match &self.pair {
+            Some(q) => match pairscan::execute(q, corpus, index) {
+                Some((nodes, counters)) => return (nodes, counters, PairAttribution::PairList),
+                None => PairAttribution::FallbackNotCovered,
+            },
+            None if self.use_pairs => PairAttribution::NotRecognized,
+            None => PairAttribution::Disabled,
+        };
+        let root = order_joins_by_selectivity(self.root.clone(), corpus, index);
+        let ctx = CursorCtx {
+            corpus,
+            index,
+            registry,
+            mode,
+        };
+        let mut cursor = build_cursor(&root, &ctx, &HashMap::new());
+        let mut nodes = Vec::new();
+        while let Some(n) = cursor.advance_node() {
+            nodes.push(n);
         }
+        (nodes, cursor.counters(), attribution)
     }
-    let root = order_joins_by_selectivity(plan.root, corpus, index);
-    let ctx = CursorCtx {
-        corpus,
-        index,
-        registry,
-        mode,
-    };
-    let mut cursor = build_cursor(&root, &ctx, &HashMap::new());
-    let mut nodes = Vec::new();
-    while let Some(n) = cursor.advance_node() {
-        nodes.push(n);
-    }
-    Ok((nodes, cursor.counters(), attribution))
 }
 
 #[cfg(test)]

@@ -7,9 +7,11 @@
 //! own content plus collection-level statistics — so multi-segment
 //! evaluation decomposes exactly:
 //!
-//! 1. run the engine on each segment as-is (the engines are byte-for-byte
-//!    the single-index ones; the compressed layout, seeking cursors, and
-//!    plan selection all apply per segment);
+//! 1. compile the query once ([`PreparedQuery::prepare`]: classify, lower,
+//!    plan), then bind it to each segment as-is
+//!    ([`PreparedQuery::bind`]: the engines are byte-for-byte the
+//!    single-index ones; token resolution, join order and cursors are per
+//!    segment);
 //! 2. drop tombstoned nodes (streaming top-k filters *inside* the
 //!    evaluation via [`ftsl_index::DeleteFilteredCursor`], so deleted
 //!    documents cannot occupy heap slots; the set-producing engines filter
@@ -26,12 +28,12 @@
 //! collection-wide `df`/`db_size` — which is what makes snapshot scores
 //! bit-identical to a monolithic index over the same live documents.
 
-use crate::engine::{counter_attrs, EngineKind, EngineUsed, ExecOptions, Executor, QueryOutput};
+use crate::engine::{counter_attrs, EngineKind, ExecOptions, PreparedQuery, QueryOutput};
 use crate::error::ExecError;
 use crate::pairscan::{self, PairQuery};
 use crate::scored::{flat_disjunction, ScoreModel, ScoredOutput, ScoredPath, ScoredTopK};
 use ftsl_index::{AccessCounters, IndexBuilder, InvertedIndex, ScoredCursor, Snapshot};
-use ftsl_lang::{classify, parse, Mode, SurfaceQuery};
+use ftsl_lang::{parse, Mode, SurfaceQuery};
 use ftsl_model::{Corpus, NodeId};
 use ftsl_obs::TraceBuilder;
 use ftsl_predicates::PredicateRegistry;
@@ -41,8 +43,8 @@ use ftsl_scoring::{
 };
 use std::sync::OnceLock;
 
-/// The empty corpus/index pair a zero-segment snapshot evaluates against,
-/// so error semantics (wrong engine, unstreamable shapes) match a
+/// The empty corpus/index pair the PRA tree check runs against when a
+/// zero-segment snapshot gets a top-k query, so its shape errors match a
 /// snapshot with segments exactly.
 fn empty_pair() -> &'static (Corpus, InvertedIndex) {
     static EMPTY: OnceLock<(Corpus, InvertedIndex)> = OnceLock::new();
@@ -115,45 +117,31 @@ impl<'a> SnapshotExecutor<'a> {
 
     /// Run an already-parsed surface query over every segment, returning
     /// globally-remapped matches in ascending global-id order with the
-    /// per-segment work counters summed.
+    /// per-segment work counters summed. The query is prepared once for
+    /// the whole snapshot and bound to each segment, so a segment costs
+    /// only its binding.
     pub fn run_surface(
         &self,
         surface: &SurfaceQuery,
         engine: EngineKind,
     ) -> Result<QueryOutput, ExecError> {
-        let class = classify(surface, self.registry);
-        if self.snapshot.segments().is_empty() {
-            let (corpus, index) = empty_pair();
-            let exec = Executor::with_options(corpus, index, self.registry, self.options);
-            return exec.run_surface(surface, engine);
-        }
+        let mut tb = self.options.trace.then(TraceBuilder::new);
+        let prepared =
+            PreparedQuery::prepare(surface, engine, self.registry, self.options, tb.as_mut())?;
         let mut nodes: Vec<NodeId> = Vec::new();
         let mut counters = AccessCounters::new();
-        let mut used: Option<EngineUsed> = None;
-        let mut tb = self.options.trace.then(TraceBuilder::new);
         for (i, seg) in self.snapshot.segments().iter().enumerate() {
             let data = seg.data();
-            let exec =
-                Executor::with_options(data.corpus(), data.index(), self.registry, self.options);
             let seg_span = tb.as_mut().map(|b| b.open(format!("segment {i}")));
-            let mut out = exec.run_surface(surface, engine)?;
+            let (found, delta) = prepared.bind(data.corpus(), data.index(), tb.as_mut())?;
             if let (Some(b), Some(id)) = (tb.as_mut(), seg_span) {
-                if let Some(t) = out.trace.take() {
-                    b.adopt(*t);
-                }
-                counter_attrs(b, id, &out.counters);
-                b.attr(id, "matches", out.nodes.len() as u64);
+                counter_attrs(b, id, &delta);
+                b.attr(id, "matches", found.len() as u64);
                 b.close(id);
             }
-            counters += out.counters;
-            // A segment may individually fall back (e.g. PPRED → COMP);
-            // report the most general engine any segment needed.
-            used = Some(match used {
-                Some(prev) => max_engine(prev, out.engine),
-                None => out.engine,
-            });
+            counters += delta;
             nodes.extend(
-                out.nodes
+                found
                     .iter()
                     .filter(|n| seg.deletes().is_live(n.index()))
                     .map(|n| data.global_of(n.index())),
@@ -162,8 +150,8 @@ impl<'a> SnapshotExecutor<'a> {
         Ok(QueryOutput {
             nodes,
             counters,
-            engine: used.expect("at least one segment ran"),
-            class,
+            engine: prepared.engine(),
+            class: prepared.class(),
             trace: tb.map(|b| Box::new(b.finish())),
         })
     }
@@ -432,26 +420,10 @@ fn not_in_bool(reason: String) -> ExecError {
     }
 }
 
-/// The more general of two engines (dispatch order of Figure 3): if any
-/// segment needed the COMP fallback, the query as a whole is reported as
-/// COMP.
-fn max_engine(a: EngineUsed, b: EngineUsed) -> EngineUsed {
-    let rank = |e: EngineUsed| match e {
-        EngineUsed::Bool => 0,
-        EngineUsed::Ppred => 1,
-        EngineUsed::Npred => 2,
-        EngineUsed::Comp => 3,
-    };
-    if rank(b) > rank(a) {
-        b
-    } else {
-        a
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{EngineUsed, Executor};
     use ftsl_index::{LiveConfig, LiveIndex};
 
     fn manual() -> LiveConfig {

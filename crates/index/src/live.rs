@@ -91,10 +91,12 @@ struct State {
     /// Tombstones for the buffered documents (copy-on-write like the sealed
     /// ones, so snapshots freeze them too).
     mem_deletes: Arc<DeleteSet>,
-    /// Cached sealed view of the current buffer contents, so consecutive
-    /// snapshots of an unchanged buffer don't rebuild its index. Valid iff
-    /// it covers exactly `mem.len()` documents.
-    mem_view: Option<Arc<SegmentData>>,
+    /// Sealed views of the buffer, in order: contiguous slices from slot 0,
+    /// each sealed by a snapshot over the documents the chunks before it
+    /// did not cover. A snapshot reuses them and seals only the rest, so
+    /// the first read after a write indexes that write's documents, not
+    /// the whole buffer. Never more than `merge_fanin − 1` chunks.
+    mem_chunks: Vec<Arc<SegmentData>>,
     /// Sealed segments ordered by their disjoint global-id ranges.
     sealed: Vec<SealedEntry>,
     next_global: u32,
@@ -200,7 +202,7 @@ impl LiveIndex {
             state: Mutex::new(State {
                 mem: MemSegment::new(Corpus::with_interner(vocab)),
                 mem_deletes: Arc::new(DeleteSet::new(0)),
-                mem_view: None,
+                mem_chunks: Vec::new(),
                 sealed,
                 next_global,
                 next_segment_id,
@@ -299,10 +301,13 @@ impl LiveIndex {
     }
 
     /// A point-in-time view of the whole collection: every sealed segment
-    /// plus (if non-empty) a sealed view of the write buffer, with the
+    /// plus (if non-empty) the write buffer as one or more chunks, with the
     /// tombstone bitmaps frozen as of now. O(segments) `Arc` clones, except
-    /// when the buffer changed since the last snapshot — then its view is
-    /// (re)built once and cached.
+    /// when documents were added since the last snapshot — then those
+    /// documents alone are sealed as one more chunk, and later snapshots
+    /// reuse it. A snapshot that finds `merge_fanin − 1` chunks already
+    /// seals the whole buffer as one chunk instead, so readers never see
+    /// more. Each chunk's tombstones are its slice of the buffer's bitmap.
     pub fn snapshot(&self) -> Snapshot {
         let mut st = self.lock();
         let mut segments: Vec<SnapshotSegment> = st
@@ -313,22 +318,33 @@ impl LiveIndex {
                 deletes: Arc::clone(&e.deletes),
             })
             .collect();
-        if !st.mem.is_empty() {
-            let stale = st
-                .mem_view
-                .as_ref()
-                .is_none_or(|v| v.num_docs() != st.mem.len());
-            if stale {
-                // The view borrows the *next* segment id: if the buffer is
-                // later flushed unchanged, the flushed segment is this very
-                // view under the id it would get anyway.
-                let view = Arc::new(st.mem.seal_view(st.next_segment_id));
-                st.mem_view = Some(view);
-            }
+        let covered: usize = st.mem_chunks.iter().map(|c| c.num_docs()).sum();
+        if covered < st.mem.len() {
+            let from = if st.mem_chunks.len() + 1 >= self.shared.config.merge_fanin.max(2) {
+                st.mem_chunks.clear();
+                0
+            } else {
+                covered
+            };
+            // A chunk borrows the *next* segment id: if the buffer is later
+            // flushed as one unchanged chunk, the flushed segment is this
+            // very chunk under the id it would get anyway.
+            let chunk = Arc::new(st.mem.seal_from(st.next_segment_id, from));
+            st.mem_chunks.push(chunk);
+        }
+        let mut start = 0;
+        for chunk in &st.mem_chunks {
+            let end = start + chunk.num_docs();
+            let deletes = if start == 0 && end == st.mem_deletes.len() {
+                Arc::clone(&st.mem_deletes)
+            } else {
+                Arc::new(st.mem_deletes.slice(start, end))
+            };
             segments.push(SnapshotSegment {
-                data: Arc::clone(st.mem_view.as_ref().expect("just cached")),
-                deletes: Arc::clone(&st.mem_deletes),
+                data: Arc::clone(chunk),
+                deletes,
             });
+            start = end;
         }
         Snapshot {
             segments,
@@ -469,20 +485,23 @@ fn flush_locked(st: &mut State) -> bool {
     if st.mem.is_empty() {
         return false;
     }
-    // The cached view is reusable only if it covers the whole buffer AND
-    // still carries the id this flush is about to hand out — a merge may
-    // have consumed ids since the view was cached, and sealing it as-is
-    // would produce two segments with the same id (breaking the id-based
-    // merge-commit bookkeeping).
-    let fresh = st
-        .mem_view
-        .take()
-        .filter(|v| v.num_docs() == st.mem.len() && v.id() == st.next_segment_id);
-    // A stale view is rebuilt from the drained buffer itself, not from a
-    // clone of its documents.
+    // A read view is reusable only if it is one chunk covering the whole
+    // buffer AND still carries the id this flush is about to hand out — a
+    // merge may have consumed ids since the chunk was sealed, and sealing
+    // it as-is would produce two segments with the same id (breaking the
+    // id-based merge-commit bookkeeping).
+    let whole = match st.mem_chunks.as_slice() {
+        [one] if one.num_docs() == st.mem.len() && one.id() == st.next_segment_id => {
+            Some(Arc::clone(one))
+        }
+        _ => None,
+    };
+    st.mem_chunks.clear();
+    // Otherwise the drained buffer itself is sealed, not a clone of its
+    // documents.
     let (corpus, globals) = st.mem.drain();
     let data =
-        fresh.unwrap_or_else(|| Arc::new(SegmentData::seal(st.next_segment_id, corpus, globals)));
+        whole.unwrap_or_else(|| Arc::new(SegmentData::seal(st.next_segment_id, corpus, globals)));
     st.next_segment_id += 1;
     st.sealed.push(SealedEntry {
         data,
@@ -544,11 +563,7 @@ fn plan_cost_compaction(st: &State, config: &LiveConfig) -> Option<(usize, usize
     let mut hottest_df_total = 0u64;
     for e in &st.sealed {
         let index = e.data.index();
-        let corpus = e.data.corpus();
-        let Some(hottest) = (0..corpus.interner().len())
-            .map(|t| ftsl_model::TokenId(t as u32))
-            .max_by_key(|&t| index.df(t))
-        else {
+        let Some(hottest) = e.data.hottest_token() else {
             continue;
         };
         hottest_df_total += index.df(hottest) as u64;
@@ -717,8 +732,8 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// The segments, ordered by their disjoint global-id ranges (write
-    /// buffer view last).
+    /// The segments, ordered by their disjoint global-id ranges (the write
+    /// buffer's chunks last).
     pub fn segments(&self) -> &[SnapshotSegment] {
         &self.segments
     }
@@ -1058,25 +1073,30 @@ mod tests {
 
     #[test]
     fn flush_after_merge_does_not_reuse_a_consumed_segment_id() {
-        let live = LiveIndex::with_config(manual());
-        live.add_document("one two");
-        live.add_document("three four");
-        live.flush(); // segment 0
-        live.delete_node(NodeId(0)); // 1/2 tombstoned = at the ratio
-        live.add_document("buffered five");
-        // Cache the buffer view (it borrows the next id, 1)...
-        let _pinned = live.snapshot();
-        // ...then let a solo compaction consume that id.
-        assert!(live.maybe_merge());
-        live.flush();
-        let ids: Vec<u64> = live
-            .snapshot()
-            .segments()
-            .iter()
-            .map(|s| s.data().id())
-            .collect();
-        assert_eq!(ids.len(), 2);
-        assert_ne!(ids[0], ids[1], "segment ids must stay unique: {ids:?}");
+        // One read leaves one buffer chunk, two reads between adds two.
+        for reads in [1, 2] {
+            let live = LiveIndex::with_config(manual());
+            live.add_document("one two");
+            live.add_document("three four");
+            live.flush(); // segment 0
+            live.delete_node(NodeId(0)); // 1/2 tombstoned = at the ratio
+            for i in 0..reads {
+                live.add_document(&format!("buffered five{i}"));
+                // Cache a buffer chunk (it borrows the next id, 1)...
+                let _pinned = live.snapshot();
+            }
+            // ...then let a solo compaction consume that id.
+            assert!(live.maybe_merge());
+            live.flush();
+            let ids: Vec<u64> = live
+                .snapshot()
+                .segments()
+                .iter()
+                .map(|s| s.data().id())
+                .collect();
+            assert_eq!(ids.len(), 2);
+            assert_ne!(ids[0], ids[1], "segment ids must stay unique: {ids:?}");
+        }
     }
 
     #[test]
@@ -1088,7 +1108,86 @@ mod tests {
         assert!(Arc::ptr_eq(&a.segments[0].data, &b.segments[0].data));
         live.add_document("another");
         let c = live.snapshot();
-        assert!(!Arc::ptr_eq(&a.segments[0].data, &c.segments[0].data));
+        assert_eq!(c.num_segments(), 2, "the new document is one more chunk");
+        assert!(Arc::ptr_eq(&a.segments[0].data, &c.segments[0].data));
+        assert_eq!(c.segments[1].data.globals(), &[1]);
+    }
+
+    /// With `merge_fanin` 4 a read after every add grows the buffer by one
+    /// chunk of one document; the read that finds three chunks seals the
+    /// whole buffer as one instead. Every view holds every document once.
+    #[test]
+    fn reads_between_adds_never_expose_more_than_fanin_minus_one_chunks() {
+        let live = LiveIndex::with_config(LiveConfig {
+            merge_fanin: 4,
+            ..manual()
+        });
+        let mut chunks = Vec::new();
+        for i in 0..10u32 {
+            live.add_document(&format!("doc{i} shared"));
+            let snap = live.snapshot();
+            chunks.push(snap.num_segments());
+            let globals: Vec<u32> = snap.live_documents().map(|(n, _)| n.0).collect();
+            assert_eq!(globals, (0..=i).collect::<Vec<_>>());
+        }
+        assert_eq!(chunks, vec![1, 2, 3, 1, 2, 3, 1, 2, 3, 1]);
+    }
+
+    /// Deletes of buffered documents reach the chunk that holds them, and
+    /// later snapshots of an unchanged buffer see later deletes.
+    #[test]
+    fn buffered_deletes_land_in_their_chunk() {
+        let live = LiveIndex::with_config(manual());
+        for i in 0..3 {
+            live.add_document(&format!("doc{i}"));
+            let _ = live.snapshot();
+        }
+        assert!(live.delete_node(NodeId(1)));
+        let snap = live.snapshot();
+        assert_eq!(snap.num_segments(), 3);
+        let dead: Vec<usize> = snap
+            .segments()
+            .iter()
+            .map(|s| s.deletes().deleted_count())
+            .collect();
+        assert_eq!(dead, vec![0, 1, 0]);
+        assert!(snap.document(NodeId(1)).is_none());
+        assert_eq!(snap.live_doc_count(), 2);
+    }
+
+    /// A flush after several chunks seals the buffer as one segment, the
+    /// same one a buffer never read before its flush seals.
+    #[test]
+    fn flush_after_chunks_seals_one_segment_equal_to_a_rebuild() {
+        let texts = [
+            "alpha beta",
+            "beta gamma",
+            "gamma alpha delta",
+            "alpha",
+            "eps",
+            "beta",
+        ];
+        let chunked = LiveIndex::with_config(manual());
+        let rebuilt = LiveIndex::with_config(manual());
+        for text in texts {
+            chunked.add_document(text);
+            let _ = chunked.snapshot();
+            rebuilt.add_document(text);
+        }
+        chunked.delete_node(NodeId(2));
+        rebuilt.delete_node(NodeId(2));
+        assert_eq!(chunked.snapshot().num_segments(), 3, "buffer was chunked");
+        assert!(chunked.flush() && rebuilt.flush());
+        let (a, b) = (chunked.snapshot(), rebuilt.snapshot());
+        assert_eq!((a.num_segments(), b.num_segments()), (1, 1));
+        let (sa, sb) = (&a.segments()[0], &b.segments()[0]);
+        assert_eq!(sa.data().globals(), sb.data().globals());
+        assert_eq!(sa.deletes(), sb.deletes());
+        assert_eq!(
+            crate::persist::encode(sa.data().index()),
+            crate::persist::encode(sb.data().index()),
+            "the flushed segment is the rebuild, byte for byte"
+        );
     }
 
     #[test]

@@ -16,7 +16,8 @@ use crate::builder::IndexBuilder;
 use crate::counters::AccessCounters;
 use crate::index::InvertedIndex;
 use crate::scored::ScoredCursor;
-use ftsl_model::{Corpus, Document, NodeId, Tokenizer};
+use ftsl_model::{Corpus, Document, NodeId, TokenId, Tokenizer};
+use std::sync::OnceLock;
 
 /// A per-segment tombstone bitmap over local node ids.
 ///
@@ -89,6 +90,18 @@ impl DeleteSet {
         self.len - self.deleted
     }
 
+    /// The bitmap of slots `start..end`, renumbered from 0 (a write-buffer
+    /// chunk's tombstones, cut from the buffer's).
+    pub(crate) fn slice(&self, start: usize, end: usize) -> DeleteSet {
+        let mut out = DeleteSet::new(end - start);
+        for local in start..end {
+            if self.is_deleted(local) {
+                out.delete(local - start);
+            }
+        }
+        out
+    }
+
     /// Iterate the tombstoned local node ids in ascending order.
     pub fn iter_deleted(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.len).filter(|&i| self.is_deleted(i))
@@ -134,6 +147,9 @@ pub struct SegmentData {
     /// `globals[local]` is the global node id of local node `local`;
     /// strictly ascending (segments own disjoint, ordered global ranges).
     globals: Vec<u32>,
+    /// The token with the longest posting list, found on first use and
+    /// kept (see [`Self::hottest_token`]).
+    hottest: OnceLock<Option<TokenId>>,
 }
 
 impl SegmentData {
@@ -154,6 +170,7 @@ impl SegmentData {
             corpus,
             index,
             globals,
+            hottest: OnceLock::new(),
         }
     }
 
@@ -176,6 +193,7 @@ impl SegmentData {
             corpus,
             index,
             globals,
+            hottest: OnceLock::new(),
         }
     }
 
@@ -226,6 +244,19 @@ impl SegmentData {
     pub fn document(&self, local: usize) -> &Document {
         self.corpus.document(NodeId(local as u32))
     }
+
+    /// The token with the highest document frequency, the last one on ties
+    /// (`None` for an empty vocabulary) — the list the merge policy's cost
+    /// probe walks. Scanned once per segment, on first use, so the merge
+    /// policy does not rescan every vocabulary on every call and write
+    /// buffer chunks, which it never probes, do not pay for it.
+    pub(crate) fn hottest_token(&self) -> Option<TokenId> {
+        *self.hottest.get_or_init(|| {
+            (0..self.corpus.interner().len())
+                .map(|t| TokenId(t as u32))
+                .max_by_key(|&t| self.index.df(t))
+        })
+    }
 }
 
 /// The mutable in-memory write buffer: documents accumulate here between
@@ -275,11 +306,16 @@ impl MemSegment {
         &self.corpus
     }
 
-    /// Seal the current buffer contents into a [`SegmentData`] under
-    /// segment id `id`, leaving the buffer itself untouched (the caller
-    /// decides whether this is a flush or a point-in-time read view).
-    pub fn seal_view(&self, id: u64) -> SegmentData {
-        SegmentData::seal(id, self.corpus.clone(), self.globals.clone())
+    /// Seal buffer slots `from..` into a [`SegmentData`] under segment id
+    /// `id`, with a clone of the current vocabulary, leaving the buffer
+    /// itself untouched (the caller decides whether this is a flush or a
+    /// chunk of a point-in-time read view).
+    pub fn seal_from(&self, id: u64, from: usize) -> SegmentData {
+        let mut corpus = Corpus::with_interner(self.corpus.interner().clone());
+        for doc in &self.corpus.documents()[from..] {
+            corpus.add_tokens(doc.label.clone(), doc.tokens.clone());
+        }
+        SegmentData::seal(id, corpus, self.globals[from..].to_vec())
     }
 
     /// Drain the buffer: return its contents and reset it to an empty
@@ -412,6 +448,34 @@ mod tests {
     }
 
     #[test]
+    fn hottest_token_is_the_last_maximum_of_a_full_scan() {
+        // "b" and "c" tie at df 3; "a" (df 2) comes first, "d" (df 1) last.
+        let corpus = Corpus::from_texts(&["a b c", "b c d", "a b c"]);
+        let seg = SegmentData::seal(0, corpus, vec![0, 1, 2]);
+        let index = seg.index();
+        let scan = (0..seg.corpus().interner().len())
+            .map(|t| TokenId(t as u32))
+            .max_by_key(|&t| index.df(t));
+        assert_eq!(seg.hottest_token(), scan);
+        assert_eq!(seg.hottest_token(), seg.corpus().token_id("c"));
+        let empty = SegmentData::seal(1, Corpus::new(), Vec::new());
+        assert_eq!(empty.hottest_token(), None);
+    }
+
+    #[test]
+    fn delete_set_slices_renumber_from_zero() {
+        let mut d = DeleteSet::new(130);
+        for i in [3, 64, 100, 129] {
+            d.delete(i);
+        }
+        let s = d.slice(64, 130);
+        assert_eq!(s.len(), 66);
+        assert_eq!(s.iter_deleted().collect::<Vec<_>>(), vec![0, 36, 65]);
+        assert_eq!(d.slice(0, 130), d);
+        assert_eq!(d.slice(4, 64).deleted_count(), 0);
+    }
+
+    #[test]
     fn mem_segment_buffers_and_drains_keeping_vocabulary() {
         let mut mem = MemSegment::new(Corpus::new());
         let tok = Tokenizer::new();
@@ -419,8 +483,15 @@ mod tests {
         mem.add(&tok, "beta gamma", 1);
         assert_eq!(mem.len(), 2);
         assert_eq!(mem.local_of(NodeId(1)), Some(1));
-        let view = mem.seal_view(99);
+        let view = mem.seal_from(99, 0);
         assert_eq!(view.num_docs(), 2);
+        let tail = mem.seal_from(99, 1);
+        assert_eq!(tail.globals(), &[1]);
+        assert_eq!(tail.document(0).label, mem.corpus().documents()[1].label);
+        assert!(
+            tail.corpus().token_id("alpha").is_some(),
+            "whole vocabulary"
+        );
         let (corpus, globals) = mem.drain();
         assert_eq!(globals, vec![0, 1]);
         assert_eq!(corpus.len(), 2);

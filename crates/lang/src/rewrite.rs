@@ -69,6 +69,11 @@ impl Thesaurus {
             .extend(synonyms.iter().map(|s| s.as_ref().to_lowercase()));
     }
 
+    /// True when no term has synonyms: [`Self::expand`] is the identity.
+    pub fn is_empty(&self) -> bool {
+        self.synonyms.is_empty()
+    }
+
     /// The synonyms of a term (not including the term itself).
     pub fn lookup(&self, term: &str) -> &[String] {
         self.synonyms

@@ -195,6 +195,12 @@ impl AnalysisConfig {
         }
     }
 
+    /// True when [`Self::analyze`] only lowercases: no stemming, no
+    /// stop-words.
+    pub fn is_identity(&self) -> bool {
+        !self.stem && self.stop_words.is_empty()
+    }
+
     /// Analyze one token: `None` means the token is stopped.
     pub fn analyze(&self, token: &str) -> Option<String> {
         let lowered = token.to_lowercase();

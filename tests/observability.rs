@@ -139,3 +139,34 @@ fn traces_are_absent_by_default_and_present_on_request() {
         trace.render()
     );
 }
+
+/// A query is compiled once per request, not once per segment: over three
+/// segments (two sealed, one buffered) the profile holds one prepare span
+/// and no other lowering, but one engine span per segment — for a query
+/// that lowers to PPRED and for one that Auto sends to COMP.
+#[test]
+fn explain_analyze_prepares_once_and_binds_per_segment() {
+    let engine = Ftsl::new();
+    let docs = corpus();
+    engine.add(docs[0]);
+    engine.add(docs[1]);
+    engine.flush();
+    engine.add(docs[2]);
+    engine.flush();
+    engine.add("a buffered kernel scheduler document");
+    for query in [
+        "SOME a SOME b (a HAS 'kernel' AND b HAS 'scheduler' AND distance(a,b,8))",
+        "SOME a SOME b (a HAS 'kernel' AND b HAS 'scheduler' AND exact_gap(a,b,0))",
+    ] {
+        let text = engine.explain_analyze(query).unwrap();
+        assert!(text.contains("· 3 segment(s)"), "{text}");
+        let profile: Vec<&str> = text
+            .lines()
+            .skip_while(|l| *l != "profile:")
+            .map(str::trim_start)
+            .collect();
+        let count = |prefix: &str| profile.iter().filter(|l| l.starts_with(prefix)).count();
+        assert_eq!(count("prepare") + count("lower"), 1, "{text}");
+        assert_eq!(count("engine "), 3, "one engine span per segment:\n{text}");
+    }
+}
