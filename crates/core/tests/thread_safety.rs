@@ -13,13 +13,16 @@
 use ftsl_core::Ftsl;
 use ftsl_exec::ExecScratch;
 use ftsl_index::{
-    AccessCounters, BlockList, DeleteSet, InvertedIndex, LiveIndex, MemSegment, PostingList,
-    SegmentData, Snapshot, SnapshotSegment,
+    AccessCounters, BlockList, DeleteSet, InvertedIndex, LiveIndex, MemSegment, PostingArena,
+    PostingList, SegmentData, Snapshot, SnapshotSegment,
 };
 use ftsl_predicates::PredicateRegistry;
 use ftsl_scoring::{ScoreStats, SnapshotStats};
 
 fn assert_send_sync<T: Send + Sync>() {}
+
+/// `Copy + Send + Sync`: borrowed views any worker may copy freely.
+fn assert_copy_send_sync<T: Copy + Send + Sync>() {}
 
 /// `Send` without `Sync`: enough for types workers own exclusively and
 /// may be handed between threads (per-worker scratch).
@@ -36,11 +39,13 @@ fn snapshot_types_are_send_sync() {
 
 #[test]
 fn sealed_index_data_is_send_sync() {
-    // Everything reachable from a sealed segment: the inverted index, the
-    // write buffer the next flush seals, raw lists.
+    // Everything reachable from a sealed segment: the inverted index, its
+    // posting arena and the list views into it, the write buffer the next
+    // flush seals, raw lists.
     assert_send_sync::<InvertedIndex>();
     assert_send_sync::<MemSegment>();
-    assert_send_sync::<BlockList>();
+    assert_send_sync::<PostingArena>();
+    assert_copy_send_sync::<BlockList<'_>>();
     assert_send_sync::<PostingList>();
     assert_send_sync::<AccessCounters>();
 }

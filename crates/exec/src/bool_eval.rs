@@ -146,7 +146,7 @@ fn eval_conjunction(
 
     let mut acc: Option<Vec<NodeId>> = None;
     if literal_ids.len() >= 2 {
-        let lists: Vec<&BlockList> = literal_ids.iter().map(|&id| index.block_list(id)).collect();
+        let lists: Vec<BlockList> = literal_ids.iter().map(|&id| index.block_list(id)).collect();
         let (nodes, c) = intersect_seek(&lists);
         *counters += c;
         acc = Some(nodes);
@@ -182,7 +182,7 @@ fn eval_conjunction(
 /// k-way leapfrog intersection of posting lists, rarest first: each seek
 /// jumps whole compressed blocks via the skip headers. Returned counters
 /// separate consumed entries from seek-skipped ones.
-pub fn intersect_seek(lists: &[&BlockList]) -> (Vec<NodeId>, AccessCounters) {
+pub fn intersect_seek(lists: &[BlockList]) -> (Vec<NodeId>, AccessCounters) {
     if lists.is_empty() || lists.iter().any(|l| l.is_empty()) {
         return (Vec::new(), AccessCounters::new());
     }

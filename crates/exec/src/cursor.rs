@@ -81,7 +81,7 @@ pub struct ScanCursor<'a> {
 
 impl<'a> ScanCursor<'a> {
     /// Open a scan over `list`.
-    pub fn new(list: &'a BlockList) -> Self {
+    pub fn new(list: BlockList<'a>) -> Self {
         ScanCursor {
             cursor: std::cell::RefCell::new(list.cursor()),
             cur_node: None,

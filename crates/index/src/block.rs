@@ -8,6 +8,21 @@
 //! seeking a node id binary-searches the headers, jumps straight to the
 //! first candidate block, and only touches entries inside it.
 //!
+//! ## One arena per segment
+//!
+//! A segment's lists live in one [`PostingArena`]: a table with one
+//! 16-byte head per list (first block, first byte, entry and position
+//! counts) plus a sentinel, one `Vec<BlockMeta>` holding every list's
+//! headers back to back, and one `Vec<u8>` holding every list's packed
+//! bytes back to back. A [`BlockList`] is a `Copy` view of one list's run
+//! of headers and bytes, so a list costs its head and nothing per
+//! allocation; headers keep list-relative `byte_start` and `first_entry`,
+//! so a view's bytes and headers are exactly one v7 list record
+//! ([`crate::persist`]). The arena is filled in list order by one writer —
+//! the index builder's counting pass, [`PostingArena::from_posting`], and
+//! the persisted load path, which validates each stored list as it
+//! appends it — and shrunk to fit once, when it is finished.
+//!
 //! ## Block encoding (format v5)
 //!
 //! Within a block, the three per-entry scalars travel as *columns*, each a
@@ -92,17 +107,21 @@ pub struct BlockMeta {
     pub max_tf: u32,
 }
 
-/// A block-compressed inverted list: the on-disk and cache-resident layout.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BlockList {
-    blocks: Vec<BlockMeta>,
-    data: Vec<u8>,
+/// A block-compressed inverted list: a borrowed view of one list's block
+/// headers and packed bytes inside a [`PostingArena`].
+///
+/// Equality compares the list itself — counts, headers and bytes — so two
+/// views of the same list in different arenas are equal.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BlockList<'a> {
+    blocks: &'a [BlockMeta],
+    /// This list's packed bytes alone: headers' `byte_start` index it.
+    data: &'a [u8],
     entries: u32,
     positions: u64,
 }
 
 /// One block's column values, staged before packing.
-#[derive(Default)]
 struct BlockStage {
     ids: Vec<u32>,
     tfs: Vec<u32>,
@@ -111,11 +130,49 @@ struct BlockStage {
 }
 
 impl BlockStage {
+    /// Room for a full block, so staging allocates once per writer (a
+    /// block of long position lists aside).
+    fn new() -> Self {
+        BlockStage {
+            ids: Vec::with_capacity(BLOCK_ENTRIES),
+            tfs: Vec::with_capacity(BLOCK_ENTRIES),
+            pos_lens: Vec::with_capacity(BLOCK_ENTRIES),
+            pos_bytes: Vec::with_capacity(8 * BLOCK_ENTRIES),
+        }
+    }
+
     fn clear(&mut self) {
         self.ids.clear();
         self.tfs.clear();
         self.pos_lens.clear();
         self.pos_bytes.clear();
+    }
+
+    /// Stage one entry — its node id, its term frequency, and its
+    /// positions as varint deltas — and return the term frequency.
+    fn push_entry(&mut self, node: u32, positions: impl IntoIterator<Item = Position>) -> u32 {
+        let start = self.pos_bytes.len();
+        let out = &mut self.pos_bytes;
+        let mut tf = 0u32;
+        let mut prev = Position::flat(0);
+        for p in positions {
+            if tf == 0 {
+                varint::put_u32(out, p.offset);
+                varint::put_u32(out, p.sentence);
+                varint::put_u32(out, p.paragraph);
+            } else {
+                varint::put_u32(out, p.offset - prev.offset - 1);
+                varint::put_u32(out, p.sentence - prev.sentence);
+                varint::put_u32(out, p.paragraph - prev.paragraph);
+            }
+            prev = p;
+            tf += 1;
+        }
+        debug_assert!(tf > 0, "inverted-list entries are non-empty");
+        self.ids.push(node);
+        self.tfs.push(tf);
+        self.pos_lens.push((self.pos_bytes.len() - start) as u32);
+        tf
     }
 
     /// Pack the staged block onto `data`, returning `(max_node, max_tf)`.
@@ -159,59 +216,228 @@ impl BlockStage {
     }
 }
 
-impl BlockList {
-    /// Compress a decoded [`PostingList`] into v5 bit-packed blocks.
+/// Where one list sits in its [`PostingArena`]: its first block header,
+/// its first byte, and its entry and position counts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct ListHead {
+    block: u32,
+    byte: u32,
+    entries: u32,
+    /// Fits: every position takes at least three bytes of a stream whose
+    /// offsets are `u32`.
+    positions: u32,
+}
+
+/// Posting lists in one arena: a head per list (plus a sentinel), every
+/// list's block headers in one vector and every list's packed bytes in
+/// one stream (see the module docs' "One arena per segment").
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct PostingArena {
+    /// One head per list, then a sentinel holding the arena's block and
+    /// byte counts (empty in the default arena).
+    heads: Vec<ListHead>,
+    blocks: Vec<BlockMeta>,
+    data: Vec<u8>,
+}
+
+impl PostingArena {
+    /// An arena holding one list: `list` compressed into v5 bit-packed
+    /// blocks.
     pub fn from_posting(list: &PostingList) -> Self {
-        let mut out = BlockList::default();
-        let mut stage = BlockStage::default();
-        let mut scratch: Vec<u8> = Vec::new();
-        for (i, (node, positions)) in list.iter().enumerate() {
-            if i % BLOCK_ENTRIES == 0 && i > 0 {
-                out.push_block(&stage);
-                stage.clear();
-            }
-            stage.ids.push(node.0);
-            stage.tfs.push(positions.len() as u32);
-            scratch.clear();
-            let mut prev = Position::flat(0);
-            for (j, p) in positions.iter().enumerate() {
-                if j == 0 {
-                    varint::put_u32(&mut scratch, p.offset);
-                    varint::put_u32(&mut scratch, p.sentence);
-                    varint::put_u32(&mut scratch, p.paragraph);
-                } else {
-                    varint::put_u32(&mut scratch, p.offset - prev.offset - 1);
-                    varint::put_u32(&mut scratch, p.sentence - prev.sentence);
-                    varint::put_u32(&mut scratch, p.paragraph - prev.paragraph);
-                }
-                prev = *p;
-            }
-            stage.pos_lens.push(scratch.len() as u32);
-            stage.pos_bytes.extend_from_slice(&scratch);
-            out.entries += 1;
-            out.positions += positions.len() as u64;
+        let blocks = list.num_entries().div_ceil(BLOCK_ENTRIES);
+        let mut arena = PostingArenaWriter::with_capacity(1, blocks, 0);
+        for (node, positions) in list.iter() {
+            arena.push_entry(node, positions.iter().copied());
         }
-        if !stage.ids.is_empty() {
-            out.push_block(&stage);
-        }
-        out
+        arena.end_list();
+        arena.finish()
     }
 
-    fn push_block(&mut self, stage: &BlockStage) {
-        let byte_start = self.data.len() as u32;
-        let first_entry = (self.blocks.len() * BLOCK_ENTRIES) as u32;
-        let (max_node, max_tf) = stage.flush(&mut self.data);
-        self.blocks.push(BlockMeta {
+    /// Number of lists.
+    pub fn len(&self) -> usize {
+        self.heads.len().saturating_sub(1)
+    }
+
+    /// True iff the arena holds no list.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// List number `i`, or the empty list when there is none.
+    #[inline]
+    pub fn list(&self, i: usize) -> BlockList<'_> {
+        match (self.heads.get(i), self.heads.get(i + 1)) {
+            (Some(head), Some(next)) => BlockList {
+                blocks: &self.blocks[head.block as usize..next.block as usize],
+                data: &self.data[head.byte as usize..next.byte as usize],
+                entries: head.entries,
+                positions: u64::from(head.positions),
+            },
+            _ => BlockList::default(),
+        }
+    }
+
+    /// Every list, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = BlockList<'_>> {
+        (0..self.len()).map(|i| self.list(i))
+    }
+
+    /// Bytes of every list's packed entry stream.
+    pub fn data_bytes(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Bytes of every list's [`BlockMeta`] headers.
+    pub fn header_bytes(&self) -> usize {
+        self.blocks.len() * std::mem::size_of::<BlockMeta>()
+    }
+}
+
+/// Appends lists, in order, to a new [`PostingArena`] — the one writer
+/// behind the index builder, [`PostingArena::from_posting`] and the
+/// persisted load path.
+pub(crate) struct PostingArenaWriter {
+    arena: PostingArena,
+    /// Where the open list's blocks and bytes start.
+    first_block: usize,
+    first_byte: usize,
+    /// The open list's counts so far.
+    entries: u32,
+    positions: u64,
+    stage: BlockStage,
+}
+
+/// The one way an arena outgrows its `u32` offsets.
+const ARENA_TOO_LARGE: &str = "posting arena exceeds u32 offsets";
+
+impl PostingArenaWriter {
+    /// An empty arena with room for `lists` lists, `blocks` block headers
+    /// and `bytes` bytes.
+    pub(crate) fn with_capacity(lists: usize, blocks: usize, bytes: usize) -> Self {
+        PostingArenaWriter {
+            arena: PostingArena {
+                heads: Vec::with_capacity(lists + 1),
+                blocks: Vec::with_capacity(blocks),
+                data: Vec::with_capacity(bytes),
+            },
+            first_block: 0,
+            first_byte: 0,
+            entries: 0,
+            positions: 0,
+            stage: BlockStage::new(),
+        }
+    }
+
+    /// Append one entry to the open list. Node ids strictly increase
+    /// within a list; `positions` is non-empty and ascending by offset.
+    #[inline]
+    pub(crate) fn push_entry(
+        &mut self,
+        node: NodeId,
+        positions: impl IntoIterator<Item = Position>,
+    ) {
+        if self.stage.ids.len() == BLOCK_ENTRIES {
+            self.flush_block();
+        }
+        let tf = self.stage.push_entry(node.0, positions);
+        self.entries += 1;
+        self.positions += u64::from(tf);
+    }
+
+    /// Pack the staged block onto the stream, behind its header.
+    fn flush_block(&mut self) {
+        let arena = &mut self.arena;
+        let byte_start = u32::try_from(arena.data.len() - self.first_byte).expect(ARENA_TOO_LARGE);
+        let first_entry = ((arena.blocks.len() - self.first_block) * BLOCK_ENTRIES) as u32;
+        let (max_node, max_tf) = self.stage.flush(&mut arena.data);
+        arena.blocks.push(BlockMeta {
             max_node: NodeId(max_node),
             byte_start,
             first_entry,
             max_tf,
         });
+        self.stage.clear();
     }
 
-    /// Decode back into the flat columnar [`PostingList`] the builder
-    /// compressed (test support: the round-trip oracle).
-    pub fn to_posting(&self) -> PostingList {
+    /// Close the open list; the next entry opens the next one.
+    ///
+    /// # Panics
+    /// Panics once the arena outgrows its `u32` offsets.
+    pub(crate) fn end_list(&mut self) {
+        if !self.stage.ids.is_empty() {
+            self.flush_block();
+        }
+        self.close().expect(ARENA_TOO_LARGE);
+    }
+
+    /// The block headers and the stream, for the load path to append one
+    /// stored list to as it stands; [`Self::end_stored_list`] closes it.
+    pub(crate) fn stored_parts(&mut self) -> (&mut Vec<BlockMeta>, &mut Vec<u8>) {
+        debug_assert!(self.stage.ids.is_empty());
+        (&mut self.arena.blocks, &mut self.arena.data)
+    }
+
+    /// Close a list appended through [`Self::stored_parts`] once it passes
+    /// [`BlockList::validate`] as untrusted bytes with the stored counts.
+    pub(crate) fn end_stored_list(
+        &mut self,
+        entries: u32,
+        positions: u64,
+    ) -> Result<(), &'static str> {
+        let list = BlockList {
+            blocks: &self.arena.blocks[self.first_block..],
+            data: &self.arena.data[self.first_byte..],
+            entries,
+            positions,
+        };
+        list.validate()?;
+        self.entries = entries;
+        self.positions = positions;
+        self.close()
+    }
+
+    /// Record the open list's head and open the next list after it. The
+    /// next list's start must fit a head too, so the sentinel always does.
+    fn close(&mut self) -> Result<(), &'static str> {
+        let arena = &mut self.arena;
+        u32::try_from(arena.blocks.len()).map_err(|_| ARENA_TOO_LARGE)?;
+        u32::try_from(arena.data.len()).map_err(|_| ARENA_TOO_LARGE)?;
+        arena.heads.push(ListHead {
+            block: self.first_block as u32,
+            byte: self.first_byte as u32,
+            entries: self.entries,
+            positions: u32::try_from(self.positions).map_err(|_| ARENA_TOO_LARGE)?,
+        });
+        self.first_block = arena.blocks.len();
+        self.first_byte = arena.data.len();
+        self.entries = 0;
+        self.positions = 0;
+        Ok(())
+    }
+
+    /// Add the sentinel head and shrink every vector to its length.
+    pub(crate) fn finish(self) -> PostingArena {
+        debug_assert!(self.stage.ids.is_empty() && self.entries == 0);
+        let mut arena = self.arena;
+        // `close` checked that both counts fit, and nothing was appended
+        // since (the counts are 0 if no list was).
+        arena.heads.push(ListHead {
+            block: arena.blocks.len() as u32,
+            byte: arena.data.len() as u32,
+            entries: 0,
+            positions: 0,
+        });
+        arena.heads.shrink_to_fit();
+        arena.blocks.shrink_to_fit();
+        arena.data.shrink_to_fit();
+        arena
+    }
+}
+
+impl<'a> BlockList<'a> {
+    /// Decode back into the flat columnar [`PostingList`] (test support:
+    /// the round-trip oracle).
+    pub fn to_posting(self) -> PostingList {
         let mut list = PostingList::empty();
         let mut cursor = self.cursor();
         let mut positions: Vec<Position> = Vec::new();
@@ -230,7 +456,7 @@ impl BlockList {
     /// with a description instead of panicking the way the trusting
     /// [`BlockCursor`] would. Nothing is retained: a list that passes is
     /// served from these same bytes.
-    pub fn validate(&self) -> Result<(), &'static str> {
+    pub fn validate(self) -> Result<(), &'static str> {
         let entries = self.entries as usize;
         if self.blocks.len() != entries.div_ceil(BLOCK_ENTRIES) {
             return Err("block count disagrees with entry count");
@@ -315,17 +541,16 @@ impl BlockList {
                 for j in 0..tfs[i] {
                     let (offset, sentence, paragraph) = if j == 0 {
                         (
-                            varint::get_u32(&self.data, &mut at).ok_or("truncated offset")?,
-                            varint::get_u32(&self.data, &mut at).ok_or("truncated sentence")?,
-                            varint::get_u32(&self.data, &mut at).ok_or("truncated paragraph")?,
+                            varint::get_u32(self.data, &mut at).ok_or("truncated offset")?,
+                            varint::get_u32(self.data, &mut at).ok_or("truncated sentence")?,
+                            varint::get_u32(self.data, &mut at).ok_or("truncated paragraph")?,
                         )
                     } else {
-                        let doff =
-                            varint::get_u32(&self.data, &mut at).ok_or("truncated offset")?;
+                        let doff = varint::get_u32(self.data, &mut at).ok_or("truncated offset")?;
                         let dsent =
-                            varint::get_u32(&self.data, &mut at).ok_or("truncated sentence")?;
+                            varint::get_u32(self.data, &mut at).ok_or("truncated sentence")?;
                         let dpara =
-                            varint::get_u32(&self.data, &mut at).ok_or("truncated paragraph")?;
+                            varint::get_u32(self.data, &mut at).ok_or("truncated paragraph")?;
                         (
                             prev.offset
                                 .checked_add(doff)
@@ -364,45 +589,56 @@ impl BlockList {
     }
 
     /// Number of entries (`df(t)`).
-    pub fn num_entries(&self) -> usize {
+    pub fn num_entries(self) -> usize {
         self.entries as usize
     }
 
     /// Total positions across all entries.
-    pub fn num_positions(&self) -> usize {
+    pub fn num_positions(self) -> usize {
         self.positions as usize
     }
 
     /// True iff the list has no entries.
-    pub fn is_empty(&self) -> bool {
+    pub fn is_empty(self) -> bool {
         self.entries == 0
     }
 
     /// Number of compressed blocks (skip-list length).
-    pub fn num_blocks(&self) -> usize {
+    pub fn num_blocks(self) -> usize {
         self.blocks.len()
     }
 
     /// Largest term frequency (positions per entry) across the whole list —
     /// the list-level impact bound, folded from the per-block headers.
-    pub fn max_tf(&self) -> u32 {
+    pub fn max_tf(self) -> u32 {
         self.blocks.iter().map(|b| b.max_tf).max().unwrap_or(0)
+    }
+
+    /// The block headers, with list-relative `byte_start` and
+    /// `first_entry` (persistence and diagnostics).
+    pub fn headers(self) -> &'a [BlockMeta] {
+        self.blocks
+    }
+
+    /// The packed entry stream (persistence and diagnostics).
+    pub fn bytes(self) -> &'a [u8] {
+        self.data
     }
 
     /// Bytes of the packed entry stream alone (frames + position payloads),
     /// excluding the [`BlockMeta`] skip/impact headers.
-    pub fn data_bytes(&self) -> usize {
+    pub fn data_bytes(self) -> usize {
         self.data.len()
     }
 
     /// Bytes of the resident [`BlockMeta`] header array — skip-list and
     /// impact metadata the index pays for on top of the entry stream.
-    pub fn header_bytes(&self) -> usize {
-        self.blocks.len() * std::mem::size_of::<BlockMeta>()
+    pub fn header_bytes(self) -> usize {
+        std::mem::size_of_val(self.blocks)
     }
 
     /// Compressed payload size in bytes (entry stream + skip headers).
-    pub fn compressed_bytes(&self) -> usize {
+    pub fn compressed_bytes(self) -> usize {
         self.data_bytes() + self.header_bytes()
     }
 
@@ -412,7 +648,7 @@ impl BlockList {
     /// thread's scratch pool and returned on drop, so steady-state query
     /// work reuses warm buffers instead of heap-allocating per cursor
     /// (see [`scratch_pool_stats`]).
-    pub fn cursor(&self) -> BlockCursor<'_> {
+    pub fn cursor(self) -> BlockCursor<'a> {
         BlockCursor {
             list: self,
             idx: usize::MAX,
@@ -429,26 +665,6 @@ impl BlockList {
             pos_prev: Position::flat(0),
             scratch: ManuallyDrop::new(take_scratch()),
             counters: AccessCounters::new(),
-        }
-    }
-
-    /// Skip headers (exposed for persistence and diagnostics).
-    pub(crate) fn parts(&self) -> (&[BlockMeta], &[u8], u32, u64) {
-        (&self.blocks, &self.data, self.entries, self.positions)
-    }
-
-    /// Reassemble from persisted parts, validating counts.
-    pub(crate) fn from_parts(
-        blocks: Vec<BlockMeta>,
-        data: Vec<u8>,
-        entries: u32,
-        positions: u64,
-    ) -> Self {
-        BlockList {
-            blocks,
-            data,
-            entries,
-            positions,
         }
     }
 }
@@ -629,7 +845,7 @@ pub fn scratch_pool_stats() -> ScratchPoolStats {
 /// access work.
 ///
 /// ```
-/// use ftsl_index::block::BlockList;
+/// use ftsl_index::block::PostingArena;
 /// use ftsl_index::PostingList;
 /// use ftsl_model::{NodeId, Position};
 ///
@@ -637,8 +853,8 @@ pub fn scratch_pool_stats() -> ScratchPoolStats {
 /// let list = PostingList::from_entries(
 ///     (0..1000).map(|i| (NodeId(2 * i), vec![Position::flat(i)])).collect(),
 /// );
-/// let blocks = BlockList::from_posting(&list);
-/// let mut cur = blocks.cursor();
+/// let arena = PostingArena::from_posting(&list);
+/// let mut cur = arena.list(0).cursor();
 ///
 /// // Seek lands on the first entry with node id >= 1501.
 /// assert_eq!(cur.seek(NodeId(1501)), Some(NodeId(1502)));
@@ -650,7 +866,7 @@ pub fn scratch_pool_stats() -> ScratchPoolStats {
 /// ```
 #[derive(Debug)]
 pub struct BlockCursor<'a> {
-    list: &'a BlockList,
+    list: BlockList<'a>,
     /// Index of the current entry within the resident block; `usize::MAX`
     /// when the cursor is not positioned inside it (fresh or exhausted).
     idx: usize,
@@ -756,7 +972,7 @@ impl<'a> BlockCursor<'a> {
         let s = &mut *self.scratch;
         let meta = &self.list.blocks[block];
         let count = BLOCK_ENTRIES.min(self.list.entries as usize - meta.first_entry as usize);
-        let data = &self.list.data;
+        let data = self.list.data;
         let mut at = meta.byte_start as usize;
         let base = u32::from_le_bytes([data[at], data[at + 1], data[at + 2], data[at + 3]]);
         let (id_width, tf_width, len_width) = (data[at + 4], data[at + 5], data[at + 6]);
@@ -1115,7 +1331,7 @@ impl<'a> BlockCursor<'a> {
         if self.pos_at >= self.pos_end {
             return None;
         }
-        let data: &[u8] = &self.list.data;
+        let data: &[u8] = self.list.data;
         let mut at = self.pos_at;
         let a = varint::get_u32(data, &mut at).expect("well-formed positions");
         let b = varint::get_u32(data, &mut at).expect("well-formed positions");
@@ -1244,7 +1460,8 @@ mod tests {
     fn roundtrip_preserves_entries_and_positions() {
         for n in [0u32, 1, 2, 127, 128, 129, 1000] {
             let list = sample(n, 3);
-            let blocks = BlockList::from_posting(&list);
+            let arena = PostingArena::from_posting(&list);
+            let blocks = arena.list(0);
             assert_eq!(blocks.num_entries(), list.num_entries());
             assert_eq!(blocks.num_positions(), list.num_positions());
             assert_eq!(blocks.to_posting(), list, "n = {n}");
@@ -1254,14 +1471,16 @@ mod tests {
     #[test]
     fn well_formed_lists_validate() {
         for n in [0u32, 1, 127, 128, 129, 513] {
-            let blocks = BlockList::from_posting(&sample(n, 5));
+            let arena = PostingArena::from_posting(&sample(n, 5));
+            let blocks = arena.list(0);
             assert_eq!(blocks.validate(), Ok(()), "n = {n}");
         }
     }
 
     #[test]
     fn block_structure_has_expected_shape() {
-        let blocks = BlockList::from_posting(&sample(300, 2));
+        let arena = PostingArena::from_posting(&sample(300, 2));
+        let blocks = arena.list(0);
         assert_eq!(blocks.num_blocks(), 3); // 128 + 128 + 44
         assert!(blocks.compressed_bytes() < 300 * 12); // beats raw u32 triples
         assert_eq!(
@@ -1281,8 +1500,9 @@ mod tests {
                 .map(|i| (NodeId(i), vec![p(3)]))
                 .collect(),
         );
-        let blocks = BlockList::from_posting(&list);
-        let (metas, data, _, _) = blocks.parts();
+        let arena = PostingArena::from_posting(&list);
+        let blocks = arena.list(0);
+        let (metas, data) = (blocks.headers(), blocks.bytes());
         assert_eq!(metas.len(), 1);
         assert_eq!(data[4], 0, "id width");
         assert_eq!(data[5], 0, "tf width");
@@ -1294,7 +1514,8 @@ mod tests {
     #[test]
     fn cursor_walk_matches_posting_list() {
         let list = sample(200, 5);
-        let blocks = BlockList::from_posting(&list);
+        let arena = PostingArena::from_posting(&list);
+        let blocks = arena.list(0);
         let mut cur = blocks.cursor();
         for i in 0..list.num_entries() {
             assert_eq!(cur.next_entry(), Some(list.node_of(i)));
@@ -1308,7 +1529,8 @@ mod tests {
 
     #[test]
     fn seek_skips_blocks_without_consuming() {
-        let blocks = BlockList::from_posting(&sample(1000, 2));
+        let arena = PostingArena::from_posting(&sample(1000, 2));
+        let blocks = arena.list(0);
         let mut cur = blocks.cursor();
         assert_eq!(cur.seek(NodeId(1501)), Some(NodeId(1502)));
         let c = cur.counters();
@@ -1322,7 +1544,8 @@ mod tests {
 
     #[test]
     fn seek_is_stable_and_monotone() {
-        let blocks = BlockList::from_posting(&sample(500, 3));
+        let arena = PostingArena::from_posting(&sample(500, 3));
+        let blocks = arena.list(0);
         let mut cur = blocks.cursor();
         assert_eq!(cur.seek(NodeId(0)), Some(NodeId(0)));
         assert_eq!(cur.seek(NodeId(0)), Some(NodeId(0))); // stays put
@@ -1335,7 +1558,8 @@ mod tests {
 
     #[test]
     fn seek_within_current_block_counts_bypassed_entries_as_skipped() {
-        let blocks = BlockList::from_posting(&sample(100, 2)); // one block
+        let arena = PostingArena::from_posting(&sample(100, 2)); // one block
+        let blocks = arena.list(0);
         let mut cur = blocks.cursor();
         cur.next_entry(); // node 0
         assert_eq!(cur.seek(NodeId(100)), Some(NodeId(100))); // entry 50
@@ -1351,7 +1575,8 @@ mod tests {
             (NodeId(1), vec![p(3), p(12)]),
             (NodeId(9), vec![p(51), p(56)]),
         ]);
-        let blocks = BlockList::from_posting(&list);
+        let arena = PostingArena::from_posting(&list);
+        let blocks = arena.list(0);
         let mut cur = blocks.cursor();
         assert_eq!(cur.seek(NodeId(5)), Some(NodeId(9)));
         assert_eq!(cur.position(), Some(p(51)));
@@ -1361,7 +1586,8 @@ mod tests {
     #[test]
     fn position_payloads_decode_lazily_and_are_counted() {
         let list = sample(300, 3); // 2 positions per entry
-        let blocks = BlockList::from_posting(&list);
+        let arena = PostingArena::from_posting(&list);
+        let blocks = arena.list(0);
         let mut cur = blocks.cursor();
         // Walking entries alone decodes no position payloads.
         for _ in 0..10 {
@@ -1378,7 +1604,8 @@ mod tests {
 
     #[test]
     fn empty_list_cursor_behaves() {
-        let blocks = BlockList::from_posting(&PostingList::empty());
+        let arena = PostingArena::from_posting(&PostingList::empty());
+        let blocks = arena.list(0);
         let mut cur = blocks.cursor();
         assert_eq!(cur.seek(NodeId(0)), None);
         let mut cur = blocks.cursor();
@@ -1395,7 +1622,8 @@ mod tests {
             (NodeId(u32::MAX - 1), (0..40).map(p).collect()),
             (NodeId(u32::MAX), vec![p(0)]),
         ]);
-        let blocks = BlockList::from_posting(&list);
+        let arena = PostingArena::from_posting(&list);
+        let blocks = arena.list(0);
         assert_eq!(blocks.to_posting(), list);
         assert_eq!(blocks.validate(), Ok(()));
         assert_eq!(blocks.max_tf(), 40);
@@ -1412,7 +1640,8 @@ mod tests {
                 .map(|i| (NodeId(i), vec![p(i % 97), p(i % 97 + 3)]))
                 .collect(),
         );
-        let blocks = BlockList::from_posting(&list);
+        let arena = PostingArena::from_posting(&list);
+        let blocks = arena.list(0);
         let flat_bytes = 10_000 * (4 + 4 + 2 * 12); // node + offset count + positions
         assert!(
             blocks.compressed_bytes() * 3 < flat_bytes,
@@ -1424,20 +1653,26 @@ mod tests {
     #[test]
     fn corrupt_padding_or_headers_are_errors_not_panics() {
         let list = sample(200, 3);
-        let blocks = BlockList::from_posting(&list);
-        let (metas, data, entries, positions) = blocks.parts();
+        let arena = PostingArena::from_posting(&list);
+        let blocks = arena.list(0);
         // Flip bytes one at a time; decoding may fail or (for position
         // payload bytes) succeed with different positions, but never panic.
-        for i in 0..data.len() {
-            let mut raw = data.to_vec();
+        for i in 0..blocks.data.len() {
+            let mut raw = blocks.data.to_vec();
             raw[i] ^= 0x40;
-            let candidate = BlockList::from_parts(metas.to_vec(), raw, entries, positions);
+            let candidate = BlockList {
+                data: &raw,
+                ..blocks
+            };
             let _ = candidate.validate();
         }
         // A lying header is always an error.
-        let mut bad = metas.to_vec();
+        let mut bad = blocks.blocks.to_vec();
         bad[1].byte_start += 1;
-        let candidate = BlockList::from_parts(bad, data.to_vec(), entries, positions);
+        let candidate = BlockList {
+            blocks: &bad,
+            ..blocks
+        };
         assert!(candidate.validate().is_err());
     }
 
@@ -1446,7 +1681,8 @@ mod tests {
         // Each test runs on its own thread, so the thread-local pool
         // counters start at zero and deltas are exact.
         let list = sample(1000, 2);
-        let blocks = BlockList::from_posting(&list);
+        let arena = PostingArena::from_posting(&list);
+        let blocks = arena.list(0);
         let base = scratch_pool_stats();
         assert_eq!((base.reused, base.pooled), (0, 0));
         {
@@ -1473,9 +1709,10 @@ mod tests {
         // fresh decodes exactly (stale tags may not leak across leases).
         let a = sample(300, 2);
         let b = sample(170, 5);
-        let blocks_a = BlockList::from_posting(&a);
-        let blocks_b = BlockList::from_posting(&b);
-        let walk = |list: &BlockList| {
+        let arena_a = PostingArena::from_posting(&a);
+        let arena_b = PostingArena::from_posting(&b);
+        let (blocks_a, blocks_b) = (arena_a.list(0), arena_b.list(0));
+        let walk = |list: BlockList| {
             let mut out = Vec::new();
             let mut cur = list.cursor();
             while let Some(node) = cur.next_entry() {
@@ -1483,11 +1720,11 @@ mod tests {
             }
             out
         };
-        let fresh_a = walk(&blocks_a);
-        let fresh_b = walk(&blocks_b);
+        let fresh_a = walk(blocks_a);
+        let fresh_b = walk(blocks_b);
         for _ in 0..4 {
-            assert_eq!(walk(&blocks_b), fresh_b);
-            assert_eq!(walk(&blocks_a), fresh_a);
+            assert_eq!(walk(blocks_b), fresh_b);
+            assert_eq!(walk(blocks_a), fresh_a);
         }
         let stats = scratch_pool_stats();
         assert_eq!(stats.allocated, 1);
@@ -1497,7 +1734,8 @@ mod tests {
     #[test]
     fn cloned_cursor_leases_its_own_scratch() {
         let list = sample(400, 3);
-        let blocks = BlockList::from_posting(&list);
+        let arena = PostingArena::from_posting(&list);
+        let blocks = arena.list(0);
         let mut cur = blocks.cursor();
         for _ in 0..200 {
             cur.next_entry();
@@ -1513,5 +1751,75 @@ mod tests {
         drop(twin);
         drop(cur);
         assert_eq!(scratch_pool_stats().pooled, 2);
+    }
+
+    /// Three lists — 300 entries, none, 129 entries — written into one
+    /// arena.
+    fn three_lists() -> ([PostingList; 3], PostingArena) {
+        let lists = [sample(300, 2), PostingList::empty(), sample(129, 7)];
+        let mut arena = PostingArenaWriter::with_capacity(3, 0, 0);
+        for list in &lists {
+            for (node, positions) in list.iter() {
+                arena.push_entry(node, positions.iter().copied());
+            }
+            arena.end_list();
+        }
+        (lists, arena.finish())
+    }
+
+    #[test]
+    fn arena_lists_equal_lists_compressed_alone() {
+        let (lists, arena) = three_lists();
+        assert_eq!(arena.len(), 3);
+        for (i, list) in lists.iter().enumerate() {
+            let alone = PostingArena::from_posting(list);
+            assert_eq!(arena.list(i), alone.list(0), "list {i}");
+            assert_eq!(arena.list(i).to_posting(), *list);
+            assert_eq!(arena.list(i).validate(), Ok(()));
+        }
+        assert!(arena.list(3).is_empty(), "past the last list");
+        assert!(PostingArena::default().list(0).is_empty());
+        // The lists tile the arena, which is shrunk to fit.
+        let views: Vec<BlockList> = arena.iter().collect();
+        assert_eq!(
+            views.iter().map(|l| l.data_bytes()).sum::<usize>(),
+            arena.data_bytes()
+        );
+        assert_eq!(
+            views.iter().map(|l| l.header_bytes()).sum::<usize>(),
+            arena.header_bytes()
+        );
+        assert_eq!(arena.heads.len(), arena.heads.capacity());
+        assert_eq!(arena.blocks.len(), arena.blocks.capacity());
+        assert_eq!(arena.data.len(), arena.data.capacity());
+    }
+
+    #[test]
+    fn stored_lists_close_only_once_they_validate() {
+        let (_, source) = three_lists();
+        let mut arena = PostingArenaWriter::with_capacity(3, 0, 0);
+        for list in source.iter() {
+            let (blocks, data) = arena.stored_parts();
+            blocks.extend_from_slice(list.headers());
+            data.extend_from_slice(list.bytes());
+            arena
+                .end_stored_list(list.num_entries() as u32, list.num_positions() as u64)
+                .expect("a built list is valid");
+        }
+        assert_eq!(arena.finish(), source);
+
+        // A stored list whose counts lie is refused.
+        let list = source.list(0);
+        let mut arena = PostingArenaWriter::with_capacity(1, 0, 0);
+        let (blocks, data) = arena.stored_parts();
+        blocks.extend_from_slice(list.headers());
+        data.extend_from_slice(list.bytes());
+        let positions = list.num_positions() as u64;
+        assert!(arena
+            .end_stored_list(list.num_entries() as u32 + 1, positions)
+            .is_err());
+        assert!(arena
+            .end_stored_list(list.num_entries() as u32, positions + 1)
+            .is_err());
     }
 }

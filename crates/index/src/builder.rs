@@ -1,49 +1,38 @@
-//! Index construction from a corpus — sequential or sharded-parallel.
+//! Index construction from a corpus: one counting pass into one arena.
 //!
-//! Documents are consumed in node order, so all inverted-list entries come
-//! out ordered by node id and all positions by offset, as Section 5.1.2
-//! requires — no sorting pass is needed. The parallel path preserves this
-//! by sharding the *document range* into contiguous chunks: each worker
-//! builds complete per-shard lists for its chunk, and the merge simply
-//! concatenates shard lists in shard order (node ids across consecutive
-//! shards are already increasing). The result is bit-identical to a
-//! sequential build.
+//! [`IndexBuilder::build`] writes every list of a segment into one
+//! [`PostingArena`] with a fixed number of allocations, however wide the
+//! vocabulary:
 //!
-//! The assembled [`PostingList`]s are transient: they are block-compressed
-//! ([`crate::block::BlockList`], also in parallel — token ranges are
-//! independent) and dropped, so the finished index holds the compressed
-//! form alone.
+//! 1. count each token's occurrences;
+//! 2. turn the counts into each token's first slot (prefix sums);
+//! 3. scatter every `(node, Position)` occurrence into its token's run,
+//!    walking the documents in node order — so each run comes out ordered
+//!    by node id, and by offset within a node, as Section 5.1.2 requires,
+//!    with no sorting pass;
+//! 4. pack each token's run, in token order, as the arena's next list,
+//!    then `IL_ANY` straight from the documents.
+//!
+//! A token the documents never use costs its list head and nothing else.
+//! The scattered occurrences are transient: the finished index holds the
+//! compressed arena alone.
 
-use crate::block::BlockList;
+use crate::block::{PostingArena, PostingArenaWriter, BLOCK_ENTRIES};
 use crate::index::InvertedIndex;
 use crate::pair::{PairConfig, PairIndex};
-use crate::postings::PostingList;
 use crate::stats::IndexStats;
-use ftsl_model::{Corpus, Document, Position, TokenId};
+use ftsl_model::{Corpus, Document, NodeId, Position};
 
 /// Builds an [`InvertedIndex`] from a [`Corpus`].
 #[derive(Clone, Debug, Default)]
 pub struct IndexBuilder {
-    threads: Option<usize>,
     pairs: Option<PairConfig>,
 }
 
-/// Below this many documents a parallel build costs more in thread setup
-/// and shard merging than it saves.
-const PARALLEL_THRESHOLD_DOCS: usize = 512;
-
 impl IndexBuilder {
-    /// A builder with default settings (parallelism chosen automatically).
+    /// A builder with default settings.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Force a worker-thread count (1 = sequential). The default picks
-    /// `std::thread::available_parallelism` for large corpora and
-    /// sequential construction for small ones.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
     }
 
     /// Override the word-pair auxiliary-index configuration. The default
@@ -58,143 +47,89 @@ impl IndexBuilder {
     pub fn build(&self, corpus: &Corpus) -> InvertedIndex {
         let vocab = corpus.interner().len();
         let docs = corpus.documents();
-        let threads = self.effective_threads(docs.len());
-
-        let (lists, any) = if threads <= 1 {
-            build_shard(docs, vocab)
-        } else {
-            build_sharded(docs, vocab, threads)
-        };
-
-        let blocks = compress_lists(&lists, threads);
-        let any_blocks = BlockList::from_posting(&any);
-        let stats = IndexStats::compute(corpus, &lists, &any);
+        let lists = build_lists(docs, vocab);
+        let stats = IndexStats::compute(corpus, &lists);
         // The pair auxiliary index needs this build's document frequencies
         // for its coverage cutoff — a second pass over the documents once
         // the token lists exist. Building it here (rather than in the live
         // layer) means every segment seal and tiered merge gets pair
         // acceleration for free.
-        let dfs: Vec<u32> = lists.iter().map(|l| l.num_entries() as u32).collect();
+        let dfs: Vec<u32> = lists
+            .iter()
+            .take(vocab)
+            .map(|l| l.num_entries() as u32)
+            .collect();
         let pairs = PairIndex::build(docs, &dfs, self.pairs.unwrap_or_default());
         InvertedIndex {
-            blocks,
-            any_blocks,
+            lists,
             stats,
             pairs,
         }
     }
-
-    fn effective_threads(&self, num_docs: usize) -> usize {
-        let requested = self.threads.unwrap_or_else(|| {
-            if num_docs < PARALLEL_THRESHOLD_DOCS {
-                1
-            } else {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            }
-        });
-        requested.min(num_docs.max(1))
-    }
 }
 
-/// Sequentially index one contiguous run of documents.
-fn build_shard(docs: &[Document], vocab: usize) -> (Vec<PostingList>, PostingList) {
-    let mut lists: Vec<PostingList> = vec![PostingList::empty(); vocab];
-    let mut any = PostingList::empty();
-
-    // Scratch: per-token positions for the current document, reused across
-    // documents to avoid reallocation (workhorse-collection idiom).
-    let mut per_token: Vec<Vec<Position>> = vec![Vec::new(); vocab];
-    let mut touched: Vec<TokenId> = Vec::new();
-
+/// Every `IL_t` of `docs` (ordered by node id) for `t` below `vocab`, in
+/// token order, then `IL_ANY` — see the module docs for the passes.
+fn build_lists(docs: &[Document], vocab: usize) -> PostingArena {
+    // Pass 1: occurrences per token, turned into each token's first slot.
+    let mut slots = vec![0u32; vocab];
     for doc in docs {
-        if doc.is_empty() {
-            continue;
-        }
-        let all: Vec<Position> = doc.positions().collect();
-        any.push_entry(doc.node, &all);
-
-        for &(token, pos) in &doc.tokens {
-            let bucket = &mut per_token[token.index()];
-            if bucket.is_empty() {
-                touched.push(token);
-            }
-            bucket.push(pos);
-        }
-        // Flush in sorted token order for determinism.
-        touched.sort_unstable();
-        for &token in &touched {
-            let bucket = &mut per_token[token.index()];
-            lists[token.index()].push_entry(doc.node, bucket);
-            bucket.clear();
-        }
-        touched.clear();
-    }
-    (lists, any)
-}
-
-/// Index contiguous document chunks on worker threads, then concatenate the
-/// per-shard lists in shard order.
-fn build_sharded(
-    docs: &[Document],
-    vocab: usize,
-    threads: usize,
-) -> (Vec<PostingList>, PostingList) {
-    let chunk = docs.len().div_ceil(threads);
-    let shards: Vec<(Vec<PostingList>, PostingList)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = docs
-            .chunks(chunk)
-            .map(|slice| scope.spawn(move || build_shard(slice, vocab)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("index shard worker"))
-            .collect()
-    });
-
-    let mut lists: Vec<PostingList> = vec![PostingList::empty(); vocab];
-    let mut any = PostingList::empty();
-    for (shard_lists, shard_any) in &shards {
-        any.append(shard_any);
-        for (t, shard_list) in shard_lists.iter().enumerate() {
-            if !shard_list.is_empty() {
-                lists[t].append(shard_list);
-            }
+        for &(token, _) in &doc.tokens {
+            slots[token.index()] += 1;
         }
     }
-    (lists, any)
-}
-
-/// Block-compress every list; token ranges are independent, so large
-/// vocabularies are chunked across the same worker count.
-fn compress_lists(lists: &[PostingList], threads: usize) -> Vec<BlockList> {
-    if threads <= 1 || lists.len() < 1024 {
-        return lists.iter().map(BlockList::from_posting).collect();
+    let mut total = 0u32;
+    let mut blocks = 0usize;
+    for slot in &mut slots {
+        let count = *slot;
+        *slot = total;
+        total += count;
+        // At least as many blocks as the token's run has entries to fill.
+        blocks += (count as usize).div_ceil(BLOCK_ENTRIES);
     }
-    let chunk = lists.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = lists
-            .chunks(chunk)
-            .map(|slice| {
-                scope.spawn(move || {
-                    slice
-                        .iter()
-                        .map(BlockList::from_posting)
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("compression worker"))
-            .collect()
-    })
+
+    // Pass 2: scatter each occurrence into its token's run. Afterwards
+    // `slots[t]` is where token `t`'s run ends.
+    let mut runs = vec![(NodeId(0), Position::flat(0)); total as usize];
+    for doc in docs {
+        for &(token, position) in &doc.tokens {
+            let slot = &mut slots[token.index()];
+            runs[*slot as usize] = (doc.node, position);
+            *slot += 1;
+        }
+    }
+
+    // Pass 3: pack the runs, then `IL_ANY`. An occurrence packs into about
+    // three bytes, once in its token's list and once in `IL_ANY`, and a
+    // block's prefix and frames into about twenty.
+    let blocks = blocks
+        + docs
+            .iter()
+            .filter(|d| !d.is_empty())
+            .count()
+            .div_ceil(BLOCK_ENTRIES);
+    let mut arena =
+        PostingArenaWriter::with_capacity(vocab + 1, blocks, 6 * total as usize + 20 * blocks);
+    let mut start = 0;
+    for &end in &slots {
+        for entry in runs[start..end as usize].chunk_by(|a, b| a.0 == b.0) {
+            arena.push_entry(entry[0].0, entry.iter().map(|&(_, p)| p));
+        }
+        arena.end_list();
+        start = end as usize;
+    }
+    drop(runs);
+    for doc in docs.iter().filter(|d| !d.is_empty()) {
+        arena.push_entry(doc.node, doc.positions());
+    }
+    arena.end_list();
+    arena.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::postings::PostingList;
     use ftsl_model::{Corpus, NodeId};
 
     /// Decode a token's list (the round-trip oracle view).
@@ -262,28 +197,5 @@ mod tests {
         assert_eq!(s.pos_per_cnode, 4);
         assert_eq!(s.entries_per_token, 2); // "b" occurs in both nodes
         assert_eq!(s.pos_per_entry, 3); // "a" has 3 positions in node 0
-    }
-
-    #[test]
-    fn parallel_build_is_identical_to_sequential() {
-        // Enough docs to span several shards, with gaps (empty docs).
-        let texts: Vec<String> = (0..200)
-            .map(|i| {
-                if i % 17 == 0 {
-                    String::new()
-                } else {
-                    format!("t{} t{} shared t{}", i % 7, i % 13, (i * 3) % 5)
-                }
-            })
-            .collect();
-        let corpus = Corpus::from_texts(&texts);
-        let seq = IndexBuilder::new().threads(1).build(&corpus);
-        let par = IndexBuilder::new().threads(4).build(&corpus);
-        assert_eq!(seq.stats(), par.stats());
-        assert_eq!(seq.any_block_list(), par.any_block_list());
-        for t in 0..corpus.interner().len() {
-            let tok = ftsl_model::TokenId(t as u32);
-            assert_eq!(seq.block_list(tok), par.block_list(tok), "token {t}");
-        }
     }
 }

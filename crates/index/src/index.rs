@@ -1,12 +1,12 @@
-//! The inverted index: all `IL_tok` lists plus `IL_ANY`.
+//! The inverted index: all `IL_tok` lists plus `IL_ANY`, in one
+//! [`PostingArena`].
 
-use crate::block::{BlockCursor, BlockList};
+use crate::block::{BlockCursor, BlockList, PostingArena};
 use crate::pair::PairIndex;
 use crate::scored::{EntryScorer, ScoredBlocks, ScoredCursor};
 use crate::stats::IndexStats;
 use ftsl_model::TokenId;
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
 
 /// The physical list representation: block-compressed, the only one there
 /// is. Kept for `benchmark/src/sut.rs`, which names it; to be dropped by
@@ -66,36 +66,34 @@ impl std::fmt::Display for MemoryFootprint {
 
 /// A complete inverted index over a corpus.
 ///
-/// `blocks[t]` is `IL_t` for token id `t`; `any_blocks` is `IL_ANY` (one
-/// entry per non-empty context node containing *all* its positions). Every
-/// list is resident in exactly one physical form, the block-compressed
-/// [`BlockList`] — the layout [`crate::persist`] stores — and every
-/// evaluation path streams it through skip-aware [`BlockCursor`]s.
+/// `lists` holds `IL_t` for every token id `t` of the build's vocabulary,
+/// in id order, then `IL_ANY` (one entry per non-empty context node
+/// containing *all* its positions) — one [`PostingArena`], the order
+/// [`crate::persist`] stores the lists in. Every list is resident in
+/// exactly one physical form, the block-compressed [`BlockList`], and
+/// every evaluation path streams it through skip-aware [`BlockCursor`]s.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct InvertedIndex {
-    pub(crate) blocks: Vec<BlockList>,
-    pub(crate) any_blocks: BlockList,
+    pub(crate) lists: PostingArena,
     pub(crate) stats: IndexStats,
     pub(crate) pairs: PairIndex,
-}
-
-fn empty_blocks() -> &'static BlockList {
-    static EMPTY: OnceLock<BlockList> = OnceLock::new();
-    EMPTY.get_or_init(BlockList::default)
 }
 
 impl InvertedIndex {
     /// The inverted list for `token`. Out-of-vocabulary ids map to an empty
     /// list, so queries mentioning unseen tokens simply match nothing.
-    pub fn block_list(&self, token: TokenId) -> &BlockList {
-        self.blocks
-            .get(token.index())
-            .unwrap_or_else(|| empty_blocks())
+    #[inline]
+    pub fn block_list(&self, token: TokenId) -> BlockList<'_> {
+        if token.index() < self.num_tokens() {
+            self.lists.list(token.index())
+        } else {
+            BlockList::default()
+        }
     }
 
     /// `IL_ANY`: every non-empty node with all of its positions.
-    pub fn any_block_list(&self) -> &BlockList {
-        &self.any_blocks
+    pub fn any_block_list(&self) -> BlockList<'_> {
+        self.lists.list(self.num_tokens())
     }
 
     /// Open a skip-aware cursor on a token's list.
@@ -105,7 +103,7 @@ impl InvertedIndex {
 
     /// Open a skip-aware cursor on `IL_ANY`.
     pub fn any_block_cursor(&self) -> BlockCursor<'_> {
-        self.any_blocks.cursor()
+        self.any_block_list().cursor()
     }
 
     /// Open a scored cursor on a token's list. The scorer supplies the
@@ -119,25 +117,17 @@ impl InvertedIndex {
         Box::new(ScoredBlocks::new(self.block_list(token), scorer))
     }
 
-    /// Total compressed bytes across all block lists (diagnostics).
+    /// Total compressed bytes across all block lists (diagnostics): the
+    /// arena's entry stream and block headers, not its per-list heads.
     pub fn compressed_bytes(&self) -> usize {
-        self.blocks
-            .iter()
-            .map(BlockList::compressed_bytes)
-            .sum::<usize>()
-            + self.any_blocks.compressed_bytes()
+        self.lists.data_bytes() + self.lists.header_bytes()
     }
 
     /// Resident bytes of the index. Surfaced by `ftsl-cli`'s `:stats`.
     pub fn memory_footprint(&self) -> MemoryFootprint {
         MemoryFootprint {
             compressed: self.compressed_bytes(),
-            block_headers: self
-                .blocks
-                .iter()
-                .map(BlockList::header_bytes)
-                .sum::<usize>()
-                + self.any_blocks.header_bytes(),
+            block_headers: self.lists.header_bytes(),
             cursor_scratch: BlockCursor::scratch_bytes(),
             pairs: self.pairs.resident_bytes(),
         }
@@ -156,7 +146,7 @@ impl InvertedIndex {
 
     /// Number of token lists stored (vocabulary size).
     pub fn num_tokens(&self) -> usize {
-        self.blocks.len()
+        self.lists.len().saturating_sub(1)
     }
 
     /// Size parameters of Section 5.1.2.
@@ -204,6 +194,10 @@ mod tests {
         let index = IndexBuilder::new().build(&corpus);
         let missing = TokenId(9999);
         assert!(index.block_list(missing).is_empty());
+        // The first id past the vocabulary is not `IL_ANY`, stored there.
+        let next = TokenId(index.num_tokens() as u32);
+        assert!(index.block_list(next).is_empty());
+        assert!(!index.any_block_list().is_empty());
         assert_eq!(index.df(missing), 0);
         let mut cur = index.block_cursor(missing);
         assert_eq!(cur.next_entry(), None);

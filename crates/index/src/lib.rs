@@ -18,11 +18,11 @@
 //! Physically, every list exists in exactly one form: the block-compressed
 //! [`block::BlockList`] (bit-packed frame-of-reference blocks of
 //! [`block::BLOCK_ENTRIES`] entries — see [`bitpack`] — headed by an
-//! implicit skip list, decoded a whole block at a time). It is what
-//! [`persist`] stores on disk, what stays resident, and what every engine
-//! reads. [`IndexBuilder`] assembles decoded [`PostingList`]s only as the
-//! transient input of the compressor, sharding construction across threads
-//! for large corpora.
+//! implicit skip list, decoded a whole block at a time), a view into its
+//! segment's one [`block::PostingArena`]. It is what [`persist`] stores on
+//! disk, what stays resident, and what every engine reads.
+//! [`IndexBuilder`] fills the arena with one counting pass over the
+//! documents; decoded [`PostingList`]s are the test oracle's form.
 //!
 //! ## Live maintenance
 //!
@@ -53,7 +53,7 @@ pub mod segment;
 pub mod stats;
 pub mod varint;
 
-pub use block::{scratch_pool_stats, BlockCursor, BlockList, ScratchPoolStats};
+pub use block::{scratch_pool_stats, BlockCursor, BlockList, PostingArena, ScratchPoolStats};
 pub use builder::IndexBuilder;
 pub use counters::AccessCounters;
 pub use index::{IndexLayout, InvertedIndex, MemoryFootprint};

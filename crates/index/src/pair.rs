@@ -1072,8 +1072,8 @@ impl KeyTable {
 /// work the pair index would have saved — two entries and both position
 /// lists per co-occurring node; entries leapfrogged past are not charged.
 pub fn min_forward_gaps(
-    a: &BlockList,
-    b: &BlockList,
+    a: BlockList<'_>,
+    b: BlockList<'_>,
     window: u32,
     counters: &mut AccessCounters,
 ) -> Vec<(u32, u32)> {

@@ -34,14 +34,21 @@
 //!   header plus payload. Section id 1 is the word-pair auxiliary index
 //!   ([`crate::pair::PairIndex`]); readers reject *unknown* section ids
 //!   loudly with `Corrupt(..)` rather than skipping data they cannot
-//!   audit. The on-disk token lists *are* the physical in-memory layout:
-//!   on load every list is walked once by the fallible block decoder
-//!   ([`crate::block::BlockList::validate`]), re-checking every structural
-//!   invariant, and then served from those same bytes. The pair section is
-//!   not: it stores each pair list on its own, while a segment keeps all of
-//!   them in one arena ([`crate::pair`]) — on load each stored list is
-//!   validated and appended to the arena, and the encoder writes each list
-//!   back in its stored form, so images do not change. v1–v6 buffers are
+//!   audit. Each stored token list's headers and bytes are exactly one
+//!   list of the segment's resident posting arena
+//!   ([`crate::block::PostingArena`]), which holds them back to back: on
+//!   load every list record is appended to the arena as it stands and kept
+//!   only once the fallible block decoder
+//!   ([`crate::block::BlockList::validate`]) has re-checked every
+//!   structural invariant; it is then served from those same bytes, and
+//!   the encoder writes each list view back as its record. The pair
+//!   section is stored the same way, one list per key, while a segment
+//!   keeps all of them in one arena ([`crate::pair`]) — on load each
+//!   stored list is validated and appended to the arena, and the encoder
+//!   writes each list back in its stored form, so images do not change.
+//!   Decoding reserves nothing from a count the remaining bytes have not
+//!   bounded, and grows each arena by amortized doubling, not per list.
+//!   v1–v6 buffers are
 //!   rejected with `BadVersion(..)`; there is no migration path because
 //!   older images can be regenerated from their corpora.
 //!
@@ -70,7 +77,7 @@
 //! ```
 
 use crate::bitpack;
-use crate::block::{BlockList, BlockMeta, BLOCK_ENTRIES};
+use crate::block::{BlockList, BlockMeta, PostingArenaWriter, BLOCK_ENTRIES};
 use crate::index::InvertedIndex;
 use crate::pair::{pack_block, PairArenaWriter, PairConfig, PairIndex, PAIR_PREFIX_BYTES};
 use crate::stats::IndexStats;
@@ -125,11 +132,13 @@ pub fn encode(index: &InvertedIndex) -> Bytes {
     ] {
         buf.put_u64_le(v as u64);
     }
-    buf.put_u32_le(index.blocks.len() as u32);
-    for list in &index.blocks {
-        encode_list(&mut buf, list);
+    // The arena holds the token lists in id order, then `IL_ANY`: the
+    // order of the image's list records (the default index's empty arena
+    // reads as one empty `IL_ANY`).
+    buf.put_u32_le(index.num_tokens() as u32);
+    for i in 0..=index.num_tokens() {
+        encode_list(&mut buf, index.lists.list(i));
     }
-    encode_list(&mut buf, &index.any_blocks);
     encode_sections(&mut buf, index);
     buf.freeze()
 }
@@ -318,19 +327,19 @@ impl StoredPairList {
     }
 }
 
-fn encode_list(buf: &mut BytesMut, list: &BlockList) {
-    let (blocks, data, entries, positions) = list.parts();
-    buf.put_u32_le(entries);
-    buf.put_u64_le(positions);
-    buf.put_u32_le(blocks.len() as u32);
-    for b in blocks {
+/// Write one list record; the view's headers and bytes are the record's.
+fn encode_list(buf: &mut BytesMut, list: BlockList<'_>) {
+    buf.put_u32_le(list.num_entries() as u32);
+    buf.put_u64_le(list.num_positions() as u64);
+    buf.put_u32_le(list.num_blocks() as u32);
+    for b in list.headers() {
         buf.put_u32_le(b.max_node.0);
         buf.put_u32_le(b.byte_start);
         buf.put_u32_le(b.first_entry);
         buf.put_u32_le(b.max_tf);
     }
-    buf.put_u32_le(data.len() as u32);
-    buf.put_slice(data);
+    buf.put_u32_le(list.data_bytes() as u32);
+    buf.put_slice(list.bytes());
 }
 
 /// Deserialize an index previously produced by [`encode`].
@@ -354,16 +363,18 @@ pub fn decode(mut buf: impl Buf) -> Result<InvertedIndex, PersistError> {
         pos_per_entry: fields[3],
         vocabulary: fields[4],
     };
-    let num_lists = get_count(&mut buf, LIST_MIN_BYTES)?;
-    let mut blocks = Vec::with_capacity(num_lists);
-    for _ in 0..num_lists {
-        blocks.push(decode_list(&mut buf)?);
+    let num_tokens = get_count(&mut buf, LIST_MIN_BYTES)?;
+    // Headers and bytes grow with what the image really holds: nothing is
+    // reserved from a count the buffer has not bounded.
+    let mut lists = PostingArenaWriter::with_capacity(num_tokens + 1, 0, 0);
+    // The token lists, then `IL_ANY`.
+    for _ in 0..=num_tokens {
+        decode_list(&mut buf, &mut lists)?;
     }
-    let any_blocks = decode_list(&mut buf)?;
+    let lists = lists.finish();
     let pairs = decode_sections(&mut buf)?;
     Ok(InvertedIndex {
-        blocks,
-        any_blocks,
+        lists,
         stats,
         pairs,
     })
@@ -471,22 +482,25 @@ fn decode_pair_section(mut buf: &[u8]) -> Result<PairIndex, PersistError> {
     Ok(arena.finish())
 }
 
-fn decode_list(buf: &mut impl Buf) -> Result<BlockList, PersistError> {
+/// Append one stored list record to the arena, which keeps it only once
+/// it validates as untrusted bytes ([`BlockList::validate`]).
+fn decode_list(buf: &mut impl Buf, lists: &mut PostingArenaWriter) -> Result<(), PersistError> {
     let entries = get_u32(buf)?;
     let positions = get_u64(buf)?;
     let num_blocks = get_count(buf, BLOCK_META_BYTES)?;
-    if num_blocks != (entries as usize).div_ceil(crate::block::BLOCK_ENTRIES) {
+    if num_blocks != (entries as usize).div_ceil(BLOCK_ENTRIES) {
         return Err(PersistError::Corrupt(
             "block count disagrees with entry count",
         ));
     }
-    let mut metas = Vec::with_capacity(num_blocks);
+    let (blocks, data) = lists.stored_parts();
+    blocks.reserve(num_blocks);
     for _ in 0..num_blocks {
         let max_node = NodeId(get_u32(buf)?);
         let byte_start = get_u32(buf)?;
         let first_entry = get_u32(buf)?;
         let max_tf = get_u32(buf)?;
-        metas.push(BlockMeta {
+        blocks.push(BlockMeta {
             max_node,
             byte_start,
             first_entry,
@@ -494,15 +508,10 @@ fn decode_list(buf: &mut impl Buf) -> Result<BlockList, PersistError> {
         });
     }
     let data_len = get_u32(buf)? as usize;
-    let data = get_bytes(buf, data_len)?;
-    for meta in &metas {
-        if meta.byte_start as usize > data_len || meta.first_entry > entries {
-            return Err(PersistError::Corrupt("block header out of range"));
-        }
-    }
-    let list = BlockList::from_parts(metas, data, entries, positions);
-    list.validate().map_err(PersistError::Corrupt)?;
-    Ok(list)
+    get_bytes_into(buf, data_len, data)?;
+    lists
+        .end_stored_list(entries, positions)
+        .map_err(PersistError::Corrupt)
 }
 
 pub(crate) fn get_u32(buf: &mut impl Buf) -> Result<u32, PersistError> {
@@ -520,19 +529,27 @@ pub(crate) fn get_u64(buf: &mut impl Buf) -> Result<u64, PersistError> {
 }
 
 pub(crate) fn get_bytes(buf: &mut impl Buf, len: usize) -> Result<Vec<u8>, PersistError> {
+    let mut data = Vec::new();
+    get_bytes_into(buf, len, &mut data)?;
+    Ok(data)
+}
+
+/// Append the next `len` bytes to `out` — reserving only once the buffer
+/// is known to hold them.
+fn get_bytes_into(buf: &mut impl Buf, len: usize, out: &mut Vec<u8>) -> Result<(), PersistError> {
     if buf.remaining() < len {
         return Err(PersistError::Truncated);
     }
-    let mut data = vec![0u8; len];
-    let mut filled = 0usize;
-    while filled < len {
+    out.reserve(len);
+    let mut left = len;
+    while left > 0 {
         let chunk = buf.chunk();
-        let take = chunk.len().min(len - filled);
-        data[filled..filled + take].copy_from_slice(&chunk[..take]);
+        let take = chunk.len().min(left);
+        out.extend_from_slice(&chunk[..take]);
         buf.advance(take);
-        filled += take;
+        left -= take;
     }
-    Ok(data)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -548,8 +565,7 @@ mod tests {
         let bytes = encode(&index);
         let decoded = decode(bytes).expect("decode");
         assert_eq!(decoded.stats(), index.stats());
-        assert_eq!(decoded.blocks, index.blocks);
-        assert_eq!(decoded.any_blocks, index.any_blocks);
+        assert_eq!(decoded.lists, index.lists);
     }
 
     #[test]
@@ -848,6 +864,75 @@ mod tests {
     }
 
     #[test]
+    fn decode_encode_is_a_fixpoint_over_vocabulary_sizes() {
+        for vocab in [3usize, 700, 20_000] {
+            let texts: Vec<String> = (0..vocab.max(300))
+                .map(|i| format!("w{} w{} hot w{}", i % vocab, (i * 7) % vocab, i % 3))
+                .collect();
+            let corpus = Corpus::from_texts(&texts);
+            assert!(corpus.interner().len() >= vocab);
+            let index = IndexBuilder::new().build(&corpus);
+            let image = encode(&index);
+            let decoded = decode(image.clone()).expect("decode");
+            assert_eq!(decoded.lists, index.lists, "vocabulary {vocab}");
+            assert_eq!(encode(&decoded), image, "vocabulary {vocab}");
+        }
+    }
+
+    /// An image whose first token list (`alpha`, in all 300 documents) has
+    /// three blocks, and the offset of that list's record.
+    fn image_with_long_first_list() -> (Vec<u8>, usize) {
+        let texts: Vec<String> = (0..300).map(|i| format!("alpha beta{}", i % 4)).collect();
+        let corpus = Corpus::from_texts(&texts);
+        let index = IndexBuilder::new()
+            .pair_config(PairConfig::disabled())
+            .build(&corpus);
+        assert_eq!(index.block_list(ftsl_model::TokenId(0)).num_blocks(), 3);
+        (encode(&index).to_vec(), NUM_LISTS_AT + 4)
+    }
+
+    #[test]
+    fn corrupt_list_records_are_errors() {
+        let (raw, list_at) = image_with_long_first_list();
+        assert!(decode(&raw[..]).is_ok());
+        let entries_at = list_at;
+        let positions_at = list_at + 4;
+        let num_blocks_at = list_at + 12;
+        let header_at = |block: usize, field: usize| num_blocks_at + 4 + 16 * block + 4 * field;
+        let data_len_at = header_at(3, 0);
+        let data_len = u32::from_le_bytes(raw[data_len_at..data_len_at + 4].try_into().unwrap());
+        let with_u32 = |at: usize, value: u32| {
+            let mut bad = raw.clone();
+            bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            decode(&bad[..])
+        };
+        let corrupt = |result: Result<InvertedIndex, PersistError>| {
+            matches!(result, Err(PersistError::Corrupt(_)))
+        };
+        // Truncated inside the list's bytes.
+        assert_eq!(
+            decode(&raw[..data_len_at + 4 + data_len as usize / 2]).unwrap_err(),
+            PersistError::Truncated
+        );
+        // A header out of range: past the list's bytes, or past its entries.
+        assert!(corrupt(with_u32(header_at(1, 1), data_len + 1)));
+        assert!(corrupt(with_u32(header_at(2, 2), 301)));
+        assert!(corrupt(with_u32(header_at(0, 0), u32::MAX)));
+        // A block count that is not ⌈entries / 128⌉, either way round.
+        assert_eq!(
+            with_u32(num_blocks_at, 2).unwrap_err(),
+            PersistError::Corrupt("block count disagrees with entry count")
+        );
+        assert_eq!(
+            with_u32(entries_at, 256).unwrap_err(),
+            PersistError::Corrupt("block count disagrees with entry count")
+        );
+        // Entry and position counts the bytes do not hold.
+        assert!(corrupt(with_u32(entries_at, 299)));
+        assert!(corrupt(with_u32(positions_at, 299)));
+    }
+
+    #[test]
     fn roundtrip_preserves_block_impact_metadata() {
         // Documents with very different token repetition so max_tf varies.
         let texts: Vec<String> = (0..50)
@@ -856,7 +941,7 @@ mod tests {
         let corpus = Corpus::from_texts(&texts);
         let index = IndexBuilder::new().build(&corpus);
         let decoded = decode(encode(&index)).expect("decode");
-        for (a, b) in decoded.blocks.iter().zip(&index.blocks) {
+        for (a, b) in decoded.lists.iter().zip(index.lists.iter()) {
             assert_eq!(a, b); // BlockMeta::max_tf participates in PartialEq
             assert!(a.max_tf() > 0 || a.is_empty());
         }
@@ -872,9 +957,8 @@ mod tests {
         let v5_len = encode(&index).len();
         // The retired v1 layout spent 12 bytes per position plus 8 per entry.
         let v1_estimate: usize = index
-            .blocks
+            .lists
             .iter()
-            .chain(std::iter::once(&index.any_blocks))
             .map(|l| 4 + l.num_entries() * 8 + l.num_positions() * 12)
             .sum();
         assert!(

@@ -1,8 +1,7 @@
 //! Posting lists: the decoded form of the `R_token` relations — what
-//! [`crate::IndexBuilder`] assembles and hands to
-//! [`crate::block::BlockList::from_posting`], and what
+//! [`crate::block::PostingArena::from_posting`] compresses and
 //! [`crate::block::BlockList::to_posting`] gives tests back. No index
-//! keeps one resident.
+//! keeps one resident, and the index builder never assembles one.
 //!
 //! Storage is flat/columnar: one `Vec<NodeId>`, one prefix-offset array, and
 //! one shared `Vec<Position>` — no per-entry allocation, following the
@@ -104,27 +103,6 @@ impl PostingList {
     /// Iterate entries as `(NodeId, &[Position])`.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &[Position])> {
         (0..self.num_entries()).map(move |i| (self.node_of(i), self.positions_of(i)))
-    }
-
-    /// Append all entries of `other`, whose node ids must all exceed this
-    /// list's last node id (the parallel builder merges per-shard lists in
-    /// shard order, which guarantees this).
-    pub fn append(&mut self, other: &PostingList) {
-        if other.is_empty() {
-            return;
-        }
-        debug_assert!(
-            self.nodes.last().is_none_or(|&last| last < other.nodes[0]),
-            "appended shards must be in increasing node order"
-        );
-        if self.offsets.is_empty() {
-            self.offsets.push(0);
-        }
-        let base = self.positions.len() as u32;
-        self.nodes.extend_from_slice(&other.nodes);
-        self.positions.extend_from_slice(&other.positions);
-        self.offsets
-            .extend(other.offsets[1..].iter().map(|o| o + base));
     }
 }
 

@@ -46,7 +46,7 @@ pub trait EntryScorer {
 /// entry scores, and impact-derived score upper bounds.
 ///
 /// ```
-/// use ftsl_index::block::BlockList;
+/// use ftsl_index::block::PostingArena;
 /// use ftsl_index::scored::{EntryScorer, ScoredBlocks, ScoredCursor};
 /// use ftsl_index::PostingList;
 /// use ftsl_model::{NodeId, Position};
@@ -63,9 +63,9 @@ pub trait EntryScorer {
 ///     .map(|i| (NodeId(i), vec![Position::flat(0)]))
 ///     .collect();
 /// entries.push((NodeId(400), (0..5).map(Position::flat).collect()));
-/// let blocks = BlockList::from_posting(&PostingList::from_entries(entries));
+/// let arena = PostingArena::from_posting(&PostingList::from_entries(entries));
 ///
-/// let mut cur = ScoredBlocks::new(&blocks, PerOccurrence);
+/// let mut cur = ScoredBlocks::new(arena.list(0), PerOccurrence);
 /// assert_eq!(cur.max_score_list(), 5.0);
 /// // The first block holds only tf=1 entries: its bound is 1.0, so a
 /// // top-k search that already has a threshold above 1.0 skips it whole.
@@ -117,7 +117,7 @@ pub struct ScoredBlocks<'a, S: EntryScorer> {
 
 impl<'a, S: EntryScorer> ScoredBlocks<'a, S> {
     /// Open a scored cursor at the start of `list`.
-    pub fn new(list: &'a BlockList, scorer: S) -> Self {
+    pub fn new(list: BlockList<'a>, scorer: S) -> Self {
         let list_bound = if list.is_empty() {
             0.0
         } else {
@@ -188,7 +188,7 @@ impl<S: EntryScorer> ScoredCursor for ScoredBlocks<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::BLOCK_ENTRIES;
+    use crate::block::{PostingArena, BLOCK_ENTRIES};
     use crate::postings::PostingList;
     use ftsl_model::Position;
 
@@ -219,8 +219,8 @@ mod tests {
     #[test]
     fn scores_follow_the_tf_column_and_respect_both_bounds() {
         let list = graded_list();
-        let blocks = BlockList::from_posting(&list);
-        let mut blk = ScoredBlocks::new(&blocks, TfScorer);
+        let arena = PostingArena::from_posting(&list);
+        let mut blk = ScoredBlocks::new(arena.list(0), TfScorer);
         assert_eq!(blk.max_score_list(), 3.0);
         for (node, positions) in list.iter() {
             assert_eq!(blk.next_entry(), Some(node));
@@ -234,8 +234,8 @@ mod tests {
     #[test]
     fn block_bounds_are_tighter_than_list_bound() {
         let list = graded_list();
-        let blocks = BlockList::from_posting(&list);
-        let mut cur = ScoredBlocks::new(&blocks, TfScorer);
+        let arena = PostingArena::from_posting(&list);
+        let mut cur = ScoredBlocks::new(arena.list(0), TfScorer);
         cur.next_entry();
         assert_eq!(cur.max_score_current_block(), 1.0); // block 0: tf = 1
         assert_eq!(cur.max_score_list(), 3.0);
@@ -248,8 +248,8 @@ mod tests {
     #[test]
     fn skip_block_lands_on_next_block_and_counts() {
         let list = graded_list();
-        let blocks = BlockList::from_posting(&list);
-        let mut cur = ScoredBlocks::new(&blocks, TfScorer);
+        let arena = PostingArena::from_posting(&list);
+        let mut cur = ScoredBlocks::new(arena.list(0), TfScorer);
         cur.next_entry();
         let landed = cur.skip_block();
         assert_eq!(landed, Some(NodeId(2 * BLOCK_ENTRIES as u32)));
@@ -266,8 +266,8 @@ mod tests {
 
     #[test]
     fn empty_lists_bound_to_zero() {
-        let blocks = BlockList::from_posting(&PostingList::empty());
-        let mut blk = ScoredBlocks::new(&blocks, TfScorer);
+        let arena = PostingArena::from_posting(&PostingList::empty());
+        let mut blk = ScoredBlocks::new(arena.list(0), TfScorer);
         assert_eq!(blk.max_score_list(), 0.0);
         assert_eq!(blk.next_entry(), None);
         assert_eq!(blk.max_score_current_block(), 0.0);
@@ -276,8 +276,8 @@ mod tests {
     #[test]
     fn max_score_at_is_zero_behind_the_cursor() {
         let list = graded_list();
-        let blocks = BlockList::from_posting(&list);
-        let mut cur = ScoredBlocks::new(&blocks, TfScorer);
+        let arena = PostingArena::from_posting(&list);
+        let mut cur = ScoredBlocks::new(arena.list(0), TfScorer);
         cur.seek(NodeId(300));
         assert_eq!(cur.max_score_at(NodeId(10)), 0.0);
     }

@@ -1,6 +1,6 @@
 //! Inverted-list size parameters (Section 5.1.2).
 
-use crate::postings::PostingList;
+use crate::block::{BlockList, PostingArena};
 use ftsl_model::Corpus;
 use serde::{Deserialize, Serialize};
 
@@ -21,22 +21,18 @@ pub struct IndexStats {
 }
 
 impl IndexStats {
-    /// Compute the parameters from built lists.
-    pub fn compute(corpus: &Corpus, lists: &[PostingList], any: &PostingList) -> Self {
+    /// Compute the parameters from built lists: one per token of
+    /// `corpus`'s vocabulary, then `IL_ANY`. Reads list heads and block
+    /// headers only — a block's `max_tf` is its largest entry.
+    pub fn compute(corpus: &Corpus, lists: &PostingArena) -> Self {
+        let vocabulary = corpus.interner().len();
+        let tokens = || lists.iter().take(vocabulary);
         IndexStats {
             cnodes: corpus.len(),
-            pos_per_cnode: any.max_positions_per_entry(),
-            entries_per_token: lists
-                .iter()
-                .map(PostingList::num_entries)
-                .max()
-                .unwrap_or(0),
-            pos_per_entry: lists
-                .iter()
-                .map(PostingList::max_positions_per_entry)
-                .max()
-                .unwrap_or(0),
-            vocabulary: corpus.interner().len(),
+            pos_per_cnode: lists.list(vocabulary).max_tf() as usize,
+            entries_per_token: tokens().map(BlockList::num_entries).max().unwrap_or(0),
+            pos_per_entry: tokens().map(BlockList::max_tf).max().unwrap_or(0) as usize,
+            vocabulary,
         }
     }
 }

@@ -3,7 +3,7 @@
 //! versioned persistence format round-trips while rejecting unknown
 //! versions.
 
-use ftsl_index::block::BlockList;
+use ftsl_index::block::PostingArena;
 use ftsl_index::{persist, IndexBuilder, PostingList};
 use ftsl_model::{Corpus, NodeId, Position};
 use proptest::prelude::*;
@@ -55,7 +55,8 @@ proptest! {
     #[test]
     fn compression_roundtrips_exactly(entries in arb_entries()) {
         let list = PostingList::from_entries(entries);
-        let blocks = BlockList::from_posting(&list);
+        let arena = PostingArena::from_posting(&list);
+        let blocks = arena.list(0);
         prop_assert_eq!(blocks.num_entries(), list.num_entries());
         prop_assert_eq!(blocks.num_positions(), list.num_positions());
         // Decode via cursor iteration must reproduce every entry and
@@ -76,7 +77,8 @@ proptest! {
         targets in proptest::collection::vec(0u32..20_000, 1..30),
     ) {
         let list = PostingList::from_entries(entries);
-        let blocks = BlockList::from_posting(&list);
+        let arena = PostingArena::from_posting(&list);
+        let blocks = arena.list(0);
         let mut sorted = targets.clone();
         sorted.sort_unstable();
 

@@ -9,7 +9,7 @@
 //! deferred entry-run accounting lost a run when a seek unpacked a new
 //! block before the landing folded the old one.)
 
-use ftsl_index::block::BlockList;
+use ftsl_index::block::PostingArena;
 use ftsl_index::PostingList;
 use ftsl_model::{NodeId, Position};
 
@@ -67,7 +67,8 @@ fn counters_agree_on_random_op_sequences() {
         let n = 1 + rng() % 400;
         let stride = 1 + rng() % 5;
         let list = sample(n, stride);
-        let blocks = BlockList::from_posting(&list);
+        let arena = PostingArena::from_posting(&list);
+        let blocks = arena.list(0);
         let mut naive = Naive {
             list: &list,
             next: 0,

@@ -1,11 +1,13 @@
-//! Allocation accounting for the word-pair index build: a segment's pair
-//! index is one arena filled from flat, exactly sized buffers, so the
-//! number of heap allocations the pair build adds does not grow with the
-//! number of keys, and its transient peak stays under the sort-based build
-//! it replaced.
+//! Allocation accounting for a segment build. A segment's posting lists
+//! are one arena filled by counting, so the number of heap allocations a
+//! build makes does not grow with the vocabulary, and loading an image
+//! does not allocate per list. Its pair index is one arena filled from
+//! flat, exactly sized buffers, so the allocations the pair build adds do
+//! not grow with the number of keys, and its transient peak stays under
+//! the sort-based build it replaced.
 
-use ftsl_index::{IndexBuilder, PairConfig, PairIndex};
-use ftsl_model::Corpus;
+use ftsl_index::{persist, IndexBuilder, PairConfig, PairIndex};
+use ftsl_model::{Corpus, TokenInterner};
 use ftsl_serve::{
     reset_thread_peak, thread_allocs, thread_live_bytes, thread_peak_bytes, CountingAlloc,
 };
@@ -38,13 +40,10 @@ fn corpus() -> Corpus {
 #[test]
 fn pair_build_allocations_do_not_grow_with_keys() {
     let corpus = corpus();
-    // One thread: the whole build runs here, where `thread_allocs` counts.
+    // The whole build runs on this thread, where `thread_allocs` counts.
     let build = |pairs: PairConfig| {
         let before = thread_allocs();
-        let index = IndexBuilder::new()
-            .threads(1)
-            .pair_config(pairs)
-            .build(&corpus);
+        let index = IndexBuilder::new().pair_config(pairs).build(&corpus);
         (thread_allocs() - before, index)
     };
     let (without, _) = build(PairConfig::disabled());
@@ -116,5 +115,71 @@ fn pair_build_peak_stays_under_the_sorted_build() {
     assert!(
         peak <= SORTED_BUILD_PEAK,
         "the pair build peaked at {peak} bytes (arena {arena}); the sorted build peaked at {SORTED_BUILD_PEAK}"
+    );
+}
+
+/// Documents of `texts` over an interner that already holds `width`
+/// tokens the documents never use — the shape of a write-buffer chunk,
+/// which shares the live index's whole vocabulary.
+fn corpus_over(width: usize, texts: &[String]) -> Corpus {
+    let mut interner = TokenInterner::new();
+    for t in 0..width {
+        interner.intern(&format!("unused{t}"));
+    }
+    let mut corpus = Corpus::with_interner(interner);
+    for text in texts {
+        corpus.add_text(text);
+    }
+    corpus
+}
+
+/// Allocations of a build with pairs disabled.
+fn build_allocs(corpus: &Corpus) -> u64 {
+    let before = thread_allocs();
+    let index = IndexBuilder::new()
+        .pair_config(PairConfig::disabled())
+        .build(corpus);
+    let allocs = thread_allocs() - before;
+    drop(index);
+    allocs
+}
+
+#[test]
+fn list_build_allocations_do_not_grow_with_the_vocabulary() {
+    let texts: Vec<String> = (0..300)
+        .map(|i| format!("w{} w{} w{} shared w{}", i % 7, i % 13, i % 101, i % 3))
+        .collect();
+    let narrow = corpus_over(1_000, &texts);
+    let wide = corpus_over(20_000, &texts);
+    assert!(wide.interner().len() >= 20_000);
+    let (narrow_allocs, wide_allocs) = (build_allocs(&narrow), build_allocs(&wide));
+    println!("list build: {narrow_allocs} allocations at 1k tokens, {wide_allocs} at 20k");
+    assert_eq!(
+        narrow_allocs, wide_allocs,
+        "a 20k-token interner must cost no more allocations than a 1k-token one"
+    );
+    assert!(
+        narrow_allocs <= 24,
+        "a list build allocated {narrow_allocs} times"
+    );
+}
+
+#[test]
+fn decoding_an_image_does_not_allocate_per_list() {
+    let corpus = zipf_corpus();
+    let index = IndexBuilder::new()
+        .pair_config(PairConfig::disabled())
+        .build(&corpus);
+    let lists = index.num_tokens() + 1;
+    assert!(lists >= 10_000, "{lists} lists");
+    let image = persist::encode(&index);
+    let before = thread_allocs();
+    let decoded = persist::decode(image.as_slice()).expect("a built image decodes");
+    let allocs = thread_allocs() - before;
+    println!("decode: {allocs} allocations for {lists} lists");
+    assert_eq!(decoded.num_tokens(), index.num_tokens());
+    assert!(
+        allocs <= 64,
+        "decoding {lists} lists allocated {allocs} times"
     );
 }
