@@ -13,19 +13,17 @@
 use crate::error::FtslError;
 use crate::results::{Ranked, SearchResults};
 use crate::{query_tokens, RankModel};
-use ftsl_algebra::{AlgExpr, AlgebraEvaluator};
 use ftsl_calculus::CalcQuery;
 use ftsl_exec::engine::{EngineKind, ExecOptions};
 use ftsl_exec::snapshot::{ExecScratch, SnapshotExecutor};
-use ftsl_exec::{ExecError, PairQuery, ScoredOutput, ScoredPath};
-use ftsl_index::{AccessCounters, LiveConfig, LiveIndex, SegmentReport, Snapshot};
+use ftsl_exec::{ExecError, PairQuery, ScoreModel, ScoredOutput, ScoredPath, ScoredTopK};
+use ftsl_index::{LiveConfig, LiveIndex, SegmentReport, Snapshot};
 use ftsl_lang::rewrite::{map_tokens, Thesaurus};
 use ftsl_lang::{classify, lower, parse, LanguageClass, Mode, SurfaceQuery};
 use ftsl_model::analysis::AnalysisConfig;
 use ftsl_model::{Corpus, NodeId, Tokenizer, TokenizerConfig};
 use ftsl_predicates::PredicateRegistry;
-use ftsl_scoring::topk::sort_ranked;
-use ftsl_scoring::{ModelScorer, ScoringModel, SnapshotStats};
+use ftsl_scoring::SnapshotStats;
 use std::sync::{Arc, Mutex};
 
 /// Snapshot + derived statistics cached for one mutation version, so a
@@ -254,89 +252,29 @@ impl Ftsl {
         })
     }
 
-    /// Exhaustively rank the current snapshot's matches under a scoring
+    /// Exhaustively rank the current snapshot's answer under a scoring
     /// model: each segment runs the COMP engine's node-at-a-time algebra
     /// evaluator with a score column, under merged corpus statistics and
     /// the same per-node budget, and [`Ranked::counters`] sums the
     /// segments' cursor work.
     pub fn search_ranked(&self, query: &str, model: RankModel) -> Result<Ranked, FtslError> {
-        let surface = self.rewrite_query(parse(query, Mode::Comp)?);
-        let snapshot = self.snapshot();
-        let stats = self.snapshot_stats(&snapshot);
-        self.ranked_surface(&surface, model, &snapshot, &stats)
-    }
-
-    fn ranked_surface(
-        &self,
-        surface: &SurfaceQuery,
-        model: RankModel,
-        snapshot: &Snapshot,
-        stats: &SnapshotStats,
-    ) -> Result<Ranked, FtslError> {
-        let expr = lower(surface, &self.registry)?;
-        let calc = CalcQuery::new(expr);
-        let alg = ftsl_algebra::from_calculus::query_to_algebra(&calc, &self.registry)
-            .map_err(ExecError::from)?;
-        let (mut hits, counters) = match model {
-            RankModel::TfIdf => {
-                let m = stats.tfidf_model(&query_tokens(surface), snapshot);
-                self.rank_segments(&alg, &m, snapshot, stats)?
-            }
-            RankModel::Pra => {
-                self.rank_segments(&alg, &stats.pra_model(snapshot), snapshot, stats)?
-            }
-        };
-        sort_ranked(&mut hits);
-        Ok(Ranked {
-            hits,
-            model,
-            counters,
-            trace: None,
+        self.rank(query, model, |exec, surface, stats, m| {
+            exec.run_ranked(surface, stats, m)
         })
     }
 
-    /// Every segment's live answer nodes under `model`, with global ids,
-    /// and the segments' summed counters.
-    fn rank_segments<M: ScoringModel>(
-        &self,
-        alg: &AlgExpr,
-        model: &M,
-        snapshot: &Snapshot,
-        stats: &SnapshotStats,
-    ) -> Result<(Vec<(NodeId, f64)>, AccessCounters), ExecError> {
-        let (mut hits, mut counters) = (Vec::new(), AccessCounters::new());
-        for (i, seg) in snapshot.segments().iter().enumerate() {
-            let data = seg.data();
-            let scorer = ModelScorer(model, stats.segment(i));
-            let mut ev =
-                AlgebraEvaluator::scored(data.corpus(), data.index(), &self.registry, scorer);
-            let ranked = ev.rank(alg)?;
-            counters += ev.counters();
-            hits.extend(
-                ranked
-                    .into_iter()
-                    .filter(|(n, _)| seg.deletes().is_live(n.index()))
-                    .map(|(n, s)| (data.global_of(n.index()), s)),
-            );
-        }
-        Ok((hits, counters))
-    }
-
-    /// Ranked search truncated to the `k` best hits — the conclusion's
-    /// "top-k techniques": BOOL-shaped queries stream posting entries
-    /// through one bounded heap with MaxScore/block-max pruning (flat
-    /// disjunctions under either model, arbitrary `AND`/`OR`/`NOT` trees
-    /// under PRA's Section 5.3 operator scoring), decoding only the
-    /// fraction of the index the score bounds cannot rule out; the returned
-    /// [`Ranked::counters`] say exactly how much. The heap and its score
-    /// threshold are shared across every segment's tombstone-filtered
-    /// evaluation: segments are visited in descending impact-bound order so
-    /// later ones start against an already-tight threshold, and a segment
-    /// whose whole bound cannot beat the current k-th score is skipped
-    /// outright (`AccessCounters::segments_skipped`). Queries the streaming
-    /// engine cannot rank (quantified COMP shapes, TF-IDF over
-    /// non-disjunctions) fall back to [`Self::search_ranked`] plus
-    /// truncation, under the same per-node budget as COMP.
+    /// The `k` best hits under a scoring model — the conclusion's "top-k
+    /// techniques" — from the executor's one top-k dispatch
+    /// ([`SnapshotExecutor::run_top_k_with`]): a flat disjunction streams
+    /// through the MaxScore/block-max pruned union, another `AND`/`OR`/`NOT`
+    /// tree under PRA through Section 5.3's per-operator formulas, both
+    /// through one heap shared by every segment; anything else is
+    /// [`Self::search_ranked`] truncated to `k`, and its errors (a per-node
+    /// budget refusal among them) are returned. The PRA stream tree's `NOT`
+    /// complements a score over every node, so its hits can include nodes
+    /// that [`Self::search`] and [`Self::search_ranked`] exclude: `'a' AND
+    /// NOT 'c'` can return a node containing `c`, with a low score.
+    /// [`Ranked::counters`] say how much of the index was read.
     pub fn search_top_k(
         &self,
         query: &str,
@@ -357,50 +295,51 @@ impl Ftsl {
         k: usize,
         scratch: &mut ExecScratch,
     ) -> Result<Ranked, FtslError> {
+        self.rank(query, model, |exec, surface, stats, m| {
+            exec.run_top_k_with(surface, ScoredTopK { k }, stats, m, scratch)
+        })
+    }
+
+    /// Parse and rewrite `query`, build `model` over the current snapshot,
+    /// and make one executor call, `run`. A lowering failure is a query
+    /// error, as it is when parsing fails.
+    fn rank(
+        &self,
+        query: &str,
+        model: RankModel,
+        run: impl FnOnce(
+            &SnapshotExecutor<'_>,
+            &SurfaceQuery,
+            &SnapshotStats,
+            &ScoreModel<'_>,
+        ) -> Result<ScoredOutput, ExecError>,
+    ) -> Result<Ranked, FtslError> {
         let surface = self.rewrite_query(parse(query, Mode::Comp)?);
         let snapshot = self.snapshot();
         let stats = self.snapshot_stats(&snapshot);
-        let streamable = match model {
-            RankModel::TfIdf => ftsl_exec::scored::flat_disjunction(&surface).is_some(),
-            RankModel::Pra => classify(&surface, &self.registry) <= LanguageClass::Bool,
-        };
-        if streamable {
-            let exec = SnapshotExecutor::with_options(&snapshot, &self.registry, self.options);
-            let spec = ftsl_exec::ScoredTopK { k };
-            let streamed = match model {
-                RankModel::TfIdf => {
-                    let m = stats.tfidf_model(&query_tokens(&surface), &snapshot);
-                    exec.run_top_k_with(
-                        &surface,
-                        spec,
-                        &stats,
-                        &ftsl_exec::ScoreModel::TfIdf(&m),
-                        scratch,
-                    )
-                }
-                RankModel::Pra => {
-                    let m = stats.pra_model(&snapshot);
-                    exec.run_top_k_with(
-                        &surface,
-                        spec,
-                        &stats,
-                        &ftsl_exec::ScoreModel::Pra(&m),
-                        scratch,
-                    )
-                }
-            };
-            if let Ok(out) = streamed {
-                return Ok(Ranked {
-                    hits: out.hits,
-                    model,
-                    counters: out.counters,
-                    trace: out.trace,
-                });
+        let exec = SnapshotExecutor::with_options(&snapshot, &self.registry, self.options);
+        let out = match model {
+            RankModel::TfIdf => {
+                let m = stats.tfidf_model(&query_tokens(&surface), &snapshot);
+                run(&exec, &surface, &stats, &ScoreModel::TfIdf(&m))
             }
-        }
-        let mut ranked = self.ranked_surface(&surface, model, &snapshot, &stats)?;
-        ranked.hits.truncate(k);
-        Ok(ranked)
+            RankModel::Pra => run(
+                &exec,
+                &surface,
+                &stats,
+                &ScoreModel::Pra(&stats.pra_model(&snapshot)),
+            ),
+        };
+        let out = out.map_err(|e| match e {
+            ExecError::Lang(msg) => FtslError::Lang(msg),
+            other => other.into(),
+        })?;
+        Ok(Ranked {
+            hits: out.hits,
+            model,
+            counters: out.counters,
+            trace: out.trace,
+        })
     }
 
     /// Segment-level diagnostics: per-segment footprint, document and

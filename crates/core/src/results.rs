@@ -46,10 +46,12 @@ pub struct Ranked {
     pub hits: Vec<(NodeId, f64)>,
     /// The scoring model used.
     pub model: RankModel,
-    /// Access counters of the evaluation: the streaming top-k engine's
-    /// cursor work, or — for exhaustive ranking — the summed work of every
+    /// Access counters of the executor arm that ran, summed over
+    /// segments: a streaming top-k arm's cursor work (pruned union or PRA
+    /// score-stream tree, which materialize no tuples), or — for
+    /// exhaustive ranking, and for the top-k arm that truncates it — every
     /// segment's node-at-a-time algebra walk, including the tuples it
-    /// materialized (the streaming engine materializes none).
+    /// materialized.
     pub counters: AccessCounters,
     /// Span tree recorded when the engine ran with
     /// [`ftsl_exec::engine::ExecOptions::trace`] set.

@@ -79,7 +79,6 @@ pub fn manual_config() -> LiveConfig {
         // show two chunks before they collapse into one.
         flush_threshold: 6,
         merge_fanin: 3,
-        ..LiveConfig::default()
     }
 }
 

@@ -223,7 +223,6 @@ fn skipped_segments_never_change_answers() {
         background_merge: false,
         flush_threshold: usize::MAX,
         merge_fanin: usize::MAX,
-        ..LiveConfig::default()
     });
     let mut texts: Vec<String> = Vec::new();
     let add = |engine: &Ftsl, texts: &mut Vec<String>, text: String| {

@@ -312,7 +312,6 @@ fn held_snapshot_survives_concurrent_background_merges() {
         background_merge: true,
         flush_threshold: 4,
         merge_fanin: 2,
-        ..LiveConfig::default()
     });
     let mut texts = Vec::new();
     for i in 0..24 {
@@ -375,7 +374,6 @@ fn tombstoned_docs_never_surface_via_pair_lists() {
         background_merge: false,
         flush_threshold: usize::MAX,
         merge_fanin: usize::MAX,
-        ..LiveConfig::default()
     });
     let mut ids = Vec::new();
     for i in 0..12 {
@@ -430,7 +428,6 @@ fn concurrent_writers_and_readers_stay_consistent() {
         background_merge: true,
         flush_threshold: 8,
         merge_fanin: 2,
-        ..LiveConfig::default()
     });
     std::thread::scope(|scope| {
         let e = &engine;

@@ -8,7 +8,8 @@
 use ftsl_algebra::from_calculus::query_to_algebra;
 use ftsl_algebra::AlgExpr;
 use ftsl_calculus::CalcQuery;
-use ftsl_core::{Ftsl, LiveConfig, RankModel};
+use ftsl_core::{ExecScratch, Ftsl, FtslError, LiveConfig, RankModel, Ranked, ScoredPath};
+use ftsl_exec::{ScoreModel, ScoredTopK, SnapshotExecutor};
 use ftsl_lang::{lower, parse, Mode};
 use ftsl_predicates::PredicateRegistry;
 
@@ -47,8 +48,8 @@ fn engine() -> Ftsl {
 }
 
 /// `(global node id, score bits)` of every hit, in rank order.
-fn bits(e: &Ftsl, query: &str, model: RankModel) -> Vec<(u32, u64)> {
-    e.search_ranked(query, model)
+fn bits(query: &str, ranked: Result<Ranked, FtslError>) -> Vec<(u32, u64)> {
+    ranked
         .unwrap_or_else(|err| panic!("{query}: {err}"))
         .hits
         .iter()
@@ -217,6 +218,236 @@ const GOLDEN: &[Golden] = &[
 fn ranked_scores_are_pinned_bit_for_bit() {
     let e = engine();
     for &(query, model, want) in GOLDEN {
-        assert_eq!(bits(&e, query, model), want, "{query} under {model:?}");
+        let got = bits(query, e.search_ranked(query, model));
+        assert_eq!(got, want, "{query} under {model:?}");
+    }
+}
+
+const OR: &str = "'a' OR 'b'";
+const AND: &str = "'a' AND 'b'";
+
+/// `search_top_k(query, model, 3)`'s hits as `(global node id, score
+/// bits)`, recorded before top-k had one dispatch. `OR` takes the pruned
+/// union under both models, `AND` and `NOT` (`'a' AND NOT 'c'`) the score
+/// stream tree under PRA, and every other row the exhaustive ranking
+/// truncated to three. The stream tree scores `NOT` by Section 5.3's
+/// complement over every node, so PRA's `NOT` row holds node 1, which
+/// contains `c` and which `search_ranked` does not return.
+const TOP_K_GOLDEN: &[Golden] = &[
+    (
+        JOIN,
+        RankModel::TfIdf,
+        &[
+            (6, 4607182418800017408),
+            (0, 4607002080847513108),
+            (5, 4604994388557356023),
+        ],
+    ),
+    (
+        JOIN,
+        RankModel::Pra,
+        &[
+            (0, 4603376818935349404),
+            (1, 4601542810357114088),
+            (5, 4601542810357114088),
+        ],
+    ),
+    (
+        DISTANCE,
+        RankModel::TfIdf,
+        &[
+            (6, 4607182418800017408),
+            (0, 4607002080847513108),
+            (5, 4603289596304336121),
+        ],
+    ),
+    (
+        DISTANCE,
+        RankModel::Pra,
+        &[
+            (0, 4601971780171084642),
+            (5, 4598771177931710336),
+            (3, 4595378704714275204),
+        ],
+    ),
+    (
+        MISMATCHED_OR,
+        RankModel::TfIdf,
+        &[
+            (3, 4606507828682213687),
+            (7, 4606452597458304724),
+            (1, 4606240405174099884),
+        ],
+    ),
+    (
+        MISMATCHED_OR,
+        RankModel::Pra,
+        &[
+            (1, 4607182418799994071),
+            (3, 4607182418795328623),
+            (7, 4607182105491068089),
+        ],
+    ),
+    (
+        NOT,
+        RankModel::TfIdf,
+        &[(6, 4601851101961822715), (0, 4600222451641851854)],
+    ),
+    (
+        NOT,
+        RankModel::Pra,
+        &[
+            (0, 4603782557036916600),
+            (6, 4600618366040576328),
+            (1, 4596891906088864229),
+        ],
+    ),
+    (
+        EVERY,
+        RankModel::TfIdf,
+        &[
+            (2, 4604198848934080636),
+            (0, 4603014587184848117),
+            (6, 4601728311012991344),
+        ],
+    ),
+    (
+        EVERY,
+        RankModel::Pra,
+        &[
+            (0, 4604672851367651325),
+            (2, 4599920182199261308),
+            (6, 4599920182199261308),
+        ],
+    ),
+    (
+        PERMUTING,
+        RankModel::TfIdf,
+        &[
+            (5, 4603958088191430205),
+            (3, 4603845752490531362),
+            (7, 4602611687345994864),
+        ],
+    ),
+    (
+        PERMUTING,
+        RankModel::Pra,
+        &[
+            (1, 4605423301849363815),
+            (3, 4604514548895235032),
+            (5, 4601940338944106478),
+        ],
+    ),
+    (
+        OR,
+        RankModel::TfIdf,
+        &[
+            (6, 4607182418800017408),
+            (0, 4607002080847513109),
+            (5, 4604994388557356023),
+        ],
+    ),
+    (
+        OR,
+        RankModel::Pra,
+        &[
+            (1, 4606344241719081328),
+            (0, 4606235156269910332),
+            (5, 4606175399840191593),
+        ],
+    ),
+    (
+        AND,
+        RankModel::TfIdf,
+        &[
+            (6, 4607182418800017408),
+            (0, 4607002080847513108),
+            (5, 4604994388557356023),
+        ],
+    ),
+    (
+        AND,
+        RankModel::Pra,
+        &[
+            (0, 4601761685096668273),
+            (5, 4599354230737056759),
+            (1, 4599029909448309093),
+        ],
+    ),
+];
+
+#[test]
+fn top_k_scores_are_pinned_bit_for_bit() {
+    let e = engine();
+    for &(query, model, want) in TOP_K_GOLDEN {
+        let got = bits(query, e.search_top_k(query, model, 3));
+        assert_eq!(got, want, "top 3 of {query} under {model:?}");
+    }
+}
+
+/// `search_top_k` is one executor call: each request takes the arm the
+/// executor's dispatch picks, at three segments, and the facade returns
+/// that arm's hits.
+#[test]
+fn top_k_is_one_executor_dispatch() {
+    let e = Ftsl::with_config(LiveConfig {
+        background_merge: false,
+        ..LiveConfig::default()
+    });
+    for batch in [
+        &["test driven usability", "usability test"][..],
+        &["test test something", "nothing here"],
+        &["buffered test usability"],
+    ] {
+        for text in batch {
+            e.add(text);
+        }
+        e.flush();
+    }
+    let snap = e.snapshot();
+    assert_eq!(snap.segments().len(), 3);
+    let stats = e.snapshot_stats(&snap);
+    let exec = SnapshotExecutor::new(&snap, e.registry());
+    let conj = "'test' AND 'usability'";
+    for (query, tokens, model, path) in [
+        (
+            "'test' OR 'here'",
+            &["test", "here"][..],
+            RankModel::TfIdf,
+            ScoredPath::PrunedUnion,
+        ),
+        (conj, &[], RankModel::Pra, ScoredPath::StreamTree),
+        (
+            conj,
+            &["test", "usability"],
+            RankModel::TfIdf,
+            ScoredPath::Exhaustive,
+        ),
+        (
+            "NOT SOME p1 (p1 HAS 'test')",
+            &[],
+            RankModel::Pra,
+            ScoredPath::Exhaustive,
+        ),
+    ] {
+        let (tfidf, pra) = (stats.tfidf_model(tokens, &snap), stats.pra_model(&snap));
+        let m = match model {
+            RankModel::TfIdf => ScoreModel::TfIdf(&tfidf),
+            RankModel::Pra => ScoreModel::Pra(&pra),
+        };
+        let surface = parse(query, Mode::Comp).unwrap();
+        let out = exec
+            .run_top_k_with(
+                &surface,
+                ScoredTopK { k: 3 },
+                &stats,
+                &m,
+                &mut ExecScratch::new(),
+            )
+            .unwrap();
+        assert_eq!(out.path, path, "{query} under {model:?}");
+        let hits = e.search_top_k(query, model, 3).unwrap().hits;
+        assert!(!hits.is_empty(), "{query} under {model:?}");
+        assert_eq!(out.hits, hits, "{query} under {model:?}");
     }
 }

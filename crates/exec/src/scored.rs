@@ -1,12 +1,14 @@
 //! The vocabulary of scored top-k: request, model, path and output types.
 //!
-//! The dispatch itself lives in
-//! [`crate::SnapshotExecutor::run_top_k_with`] and mirrors the unscored
-//! dispatcher's philosophy (classify, then pick the least-work engine):
-//! flat disjunctions — the ranked-query workhorse — go through the
-//! MaxScore/block-max pruned union; general `AND`/`OR`/`NOT` trees under
-//! PRA semantics go through the cursor-driven score-stream tree. Both
-//! report [`ftsl_index::AccessCounters`] so pruning wins are measurable.
+//! The dispatch itself is one match in
+//! [`crate::SnapshotExecutor::run_top_k_with`], decided from the query's
+//! syntax before any segment is visited: flat disjunctions — the
+//! ranked-query workhorse — go through the MaxScore/block-max pruned
+//! union under either model; other `AND`/`OR`/`NOT` trees under PRA go
+//! through the cursor-driven score-stream tree; every other request is
+//! the exhaustive ranking ([`crate::SnapshotExecutor::run_ranked`])
+//! truncated to `k`. Every arm reports [`ftsl_index::AccessCounters`], so
+//! pruning wins are measurable.
 
 use ftsl_index::AccessCounters;
 use ftsl_lang::SurfaceQuery;
@@ -23,14 +25,17 @@ pub struct ScoredTopK {
 
 /// Which scoring model ranks the hits.
 pub enum ScoreModel<'m> {
-    /// Section 3.1 cosine TF-IDF (additive union). Only flat disjunctions
-    /// of tokens are rankable — the classic oracle defines nothing else.
+    /// Section 3.1 cosine TF-IDF. A flat disjunction of tokens streams
+    /// through the additive pruned union; any other query is ranked
+    /// exhaustively through the algebra's score column.
     TfIdf(&'m TfIdfModel),
-    /// Section 3.2/5.3 probabilistic scoring: full BOOL trees.
+    /// Section 3.2/5.3 probabilistic scoring. A BOOL tree streams through
+    /// Section 5.3's per-operator formulas (the pruned union when it is a
+    /// flat disjunction); any other query is ranked exhaustively.
     Pra(&'m PraModel),
 }
 
-/// The streaming strategy the dispatcher chose.
+/// The strategy the dispatcher chose.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ScoredPath {
     /// MaxScore/block-max pruned k-way union over a flat disjunction.
@@ -41,12 +46,16 @@ pub enum ScoredPath {
     /// ([`crate::pairscan::near_topk_into`]), block-max pruned on the
     /// pair lists' `min_gap` headers.
     PairProximity,
+    /// The exhaustive ranking ([`crate::SnapshotExecutor::run_ranked`]):
+    /// every answer node scored through the algebra (truncated to `k` on
+    /// the top-k path).
+    Exhaustive,
 }
 
-/// Result of a scored top-k run.
+/// Result of a scored run: a top-k, or the exhaustive ranking.
 #[derive(Clone, Debug)]
 pub struct ScoredOutput {
-    /// `(node, score)` in ranking order, at most `k` rows.
+    /// `(node, score)` in ranking order; at most `k` rows from a top-k.
     pub hits: Vec<(NodeId, f64)>,
     /// Decode/skip work counters — `entries` is what pruning saves,
     /// `skipped`/`blocks_skipped` is where the savings went.

@@ -24,36 +24,33 @@
 //!    happened to run last).
 //!
 //! Scored paths take their statistics from
-//! [`ftsl_scoring::SnapshotStats`], whose per-segment [`ScoreStats`] carry
-//! collection-wide `df`/`db_size` — which is what makes snapshot scores
-//! bit-identical to a monolithic index over the same live documents.
+//! [`ftsl_scoring::SnapshotStats`], whose per-segment
+//! [`ftsl_scoring::ScoreStats`] carry collection-wide `df`/`db_size` —
+//! which is what makes snapshot scores bit-identical to a monolithic index
+//! over the same live documents. Every ranked request is one call here:
+//! [`SnapshotExecutor::run_ranked`] ranks exhaustively, and
+//! [`SnapshotExecutor::run_top_k_with`] is the one top-k dispatch, whose
+//! streaming arms and [`SnapshotExecutor::run_near_top_k_with`] share one
+//! global-threshold segment walk.
 
+use crate::bool_eval::check_bool;
 use crate::engine::{counter_attrs, EngineKind, ExecOptions, PreparedQuery, QueryOutput};
 use crate::error::ExecError;
-use crate::pairscan::{self, PairQuery};
+use crate::pairscan::{near_bound, near_topk_into, PairQuery};
 use crate::scored::{flat_disjunction, ScoreModel, ScoredOutput, ScoredPath, ScoredTopK};
-use ftsl_index::{AccessCounters, IndexBuilder, InvertedIndex, ScoredCursor, Snapshot};
-use ftsl_lang::{parse, Mode, SurfaceQuery};
-use ftsl_model::{Corpus, NodeId};
+use ftsl_algebra::from_calculus::query_to_algebra;
+use ftsl_algebra::{AlgExpr, AlgebraEvaluator};
+use ftsl_calculus::CalcQuery;
+use ftsl_index::{AccessCounters, Snapshot, SnapshotSegment};
+use ftsl_lang::{lower, parse, Mode, SurfaceQuery};
+use ftsl_model::NodeId;
 use ftsl_obs::TraceBuilder;
 use ftsl_predicates::PredicateRegistry;
+use ftsl_scoring::topk::sort_ranked;
 use ftsl_scoring::{
     pra_tree_bound, pra_union_cursors, run_bool_topk_into, tfidf_union_cursors, topk_union_into,
-    union_bound, ScoreStats, SnapshotStats, TopK, UnionKind,
+    union_bound, ModelScorer, ScoringModel, SnapshotStats, TopK, UnionKind,
 };
-use std::sync::OnceLock;
-
-/// The empty corpus/index pair the PRA tree check runs against when a
-/// zero-segment snapshot gets a top-k query, so its shape errors match a
-/// snapshot with segments exactly.
-fn empty_pair() -> &'static (Corpus, InvertedIndex) {
-    static EMPTY: OnceLock<(Corpus, InvertedIndex)> = OnceLock::new();
-    EMPTY.get_or_init(|| {
-        let corpus = Corpus::new();
-        let index = IndexBuilder::new().build(&corpus);
-        (corpus, index)
-    })
-}
 
 /// Reusable per-worker evaluation state for [`SnapshotExecutor::run_top_k_with`].
 ///
@@ -156,15 +153,26 @@ impl<'a> SnapshotExecutor<'a> {
         })
     }
 
-    /// Run a streaming scored top-k query across segments through **one
-    /// shared heap with a global threshold**: every segment's impact bound
-    /// is read from list metadata first (no posting decoded), segments are
-    /// evaluated in descending-bound order so later ones start against an
-    /// already-tightened k-th score, and a segment whose whole bound falls
-    /// below the current threshold is skipped outright
-    /// ([`AccessCounters::segments_skipped`]).
+    /// Run a scored top-k query: the one place a top-k is dispatched,
+    /// decided from the query's syntax before any segment is visited.
     ///
-    /// Results are bit-identical to a monolithic index over the same live
+    /// * A flat disjunction of tokens, under either model, runs the
+    ///   MaxScore/block-max pruned union ([`ScoredPath::PrunedUnion`]).
+    /// * Under PRA, any other BOOL tree runs the score-stream tree
+    ///   ([`ScoredPath::StreamTree`]), which scores by Section 5.3's
+    ///   per-operator formulas: `NOT` complements a score over every node,
+    ///   so its hits can include nodes the query's set answer excludes.
+    /// * Anything else is [`Self::run_ranked`] truncated to `k`
+    ///   ([`ScoredPath::Exhaustive`]); its errors, a per-node budget
+    ///   refusal among them, are returned as they are.
+    ///
+    /// The two streaming arms share **one heap with a global threshold**:
+    /// every segment's impact bound is read from list metadata first (no
+    /// posting decoded), segments are evaluated in descending-bound order
+    /// so later ones start against an already-tightened k-th score, and a
+    /// segment whose whole bound falls below the current threshold is
+    /// skipped outright ([`AccessCounters::segments_skipped`]). Their
+    /// results are bit-identical to a monolithic index over the same live
     /// documents: per-segment scores fold in the same token order with the
     /// same collection-wide statistics, candidates enter the heap under
     /// their *global* ids (so tie-breaks match the monolithic ranking), and
@@ -181,103 +189,51 @@ impl<'a> SnapshotExecutor<'a> {
         model: &ScoreModel<'_>,
         scratch: &mut ExecScratch,
     ) -> Result<ScoredOutput, ExecError> {
-        // Dispatch once for the whole snapshot (it depends only on query
-        // shape), so shape errors surface regardless of segment pruning.
-        let flat = flat_disjunction(surface);
-        if self.snapshot.segments().is_empty() && flat.is_none() {
-            // No segment will run the shape checks below: reject here what
-            // they would reject (the stream builder is the PRA tree check).
-            match model {
-                ScoreModel::TfIdf(_) => return Err(not_a_flat_disjunction(surface)),
-                ScoreModel::Pra(m) => {
-                    let (corpus, index) = empty_pair();
-                    let stats = ScoreStats::compute(corpus, index);
-                    let unused = &mut TopK::new(0);
-                    run_bool_topk_into(surface, corpus, index, &stats, m, None, unused, None)
-                        .map_err(not_in_bool)?;
-                }
+        // `check_bool` accepts exactly the shapes the stream tree builds.
+        const IN_BOOL: &str = "the tree arm takes BOOL shapes only";
+        match (flat_disjunction(surface), model) {
+            (Some(tokens), _) => {
+                let kind = match model {
+                    ScoreModel::TfIdf(_) => UnionKind::Sum,
+                    ScoreModel::Pra(_) => UnionKind::ProbOr,
+                };
+                Ok(self.walk(
+                    &UNION,
+                    spec.k,
+                    scratch,
+                    |i, seg| {
+                        let data = seg.data();
+                        let (corpus, index) = (data.corpus(), data.index());
+                        let (seg_stats, live) = (stats.segment(i), Some(seg.deletes()));
+                        // Reads only list metadata: a skipped segment
+                        // costs no decode work.
+                        let cursors = match model {
+                            ScoreModel::TfIdf(m) => {
+                                tfidf_union_cursors(&tokens, corpus, index, seg_stats, m, live)
+                            }
+                            ScoreModel::Pra(m) => {
+                                pra_union_cursors(&tokens, corpus, index, seg_stats, m, live)
+                            }
+                        };
+                        (union_bound(&cursors, kind), cursors)
+                    },
+                    |_, seg, cursors, topk| {
+                        topk_union_into(cursors, kind, topk, Some(seg.data().globals()))
+                    },
+                ))
             }
-        }
-        enum SegPlan<'s> {
-            /// Flat disjunction: prebuilt union cursors (their construction
-            /// reads only list metadata, so a skipped segment costs no
-            /// decode work).
-            Union(Vec<Box<dyn ScoredCursor + 's>>, UnionKind),
-            /// General BOOL tree under PRA; streams are built only if the
-            /// segment is actually evaluated.
-            Tree,
-        }
-        let mut plans: Vec<(usize, f64, SegPlan)> = Vec::new();
-        for (i, seg) in self.snapshot.segments().iter().enumerate() {
-            let data = seg.data();
-            let (corpus, index) = (data.corpus(), data.index());
-            let seg_stats = stats.segment(i);
-            let live = Some(seg.deletes());
-            let (bound, plan) = match (model, &flat) {
-                (ScoreModel::TfIdf(m), Some(tokens)) => {
-                    let cursors = tfidf_union_cursors(tokens, corpus, index, seg_stats, m, live);
-                    (
-                        union_bound(&cursors, UnionKind::Sum),
-                        SegPlan::Union(cursors, UnionKind::Sum),
-                    )
-                }
-                (ScoreModel::TfIdf(_), None) => return Err(not_a_flat_disjunction(surface)),
-                (ScoreModel::Pra(m), Some(tokens)) => {
-                    let cursors = pra_union_cursors(tokens, corpus, index, seg_stats, m, live);
-                    (
-                        union_bound(&cursors, UnionKind::ProbOr),
-                        SegPlan::Union(cursors, UnionKind::ProbOr),
-                    )
-                }
-                (ScoreModel::Pra(m), None) => {
-                    let bound = pra_tree_bound(surface, corpus, index, seg_stats, m)
-                        .map_err(not_in_bool)?;
-                    (bound, SegPlan::Tree)
-                }
-            };
-            plans.push((i, bound, plan));
-        }
-        // Highest-impact segments first (stable on ties: snapshot order),
-        // so the threshold tightens as early as possible.
-        plans.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        let path = if flat.is_some() {
-            ScoredPath::PrunedUnion
-        } else {
-            ScoredPath::StreamTree
-        };
-        let topk = &mut scratch.topk;
-        topk.reset(spec.k);
-        let mut counters = AccessCounters::new();
-        let mut tb = self.options.trace.then(TraceBuilder::new);
-        let root_span = tb.as_mut().map(|b| {
-            b.open(match path {
-                ScoredPath::PrunedUnion => "top-k pruned union",
-                _ => "top-k stream tree",
-            })
-        });
-        for (i, bound, plan) in plans {
-            if !topk.could_enter(bound) {
-                counters.segments_skipped += 1;
-                if let Some(b) = tb.as_mut() {
-                    let id = b.open(format!("segment {i}"));
-                    b.note(
-                        id,
-                        format!("skipped: score bound {bound:.4} below threshold"),
-                    );
-                    b.close(id);
-                }
-                continue;
-            }
-            let seg = &self.snapshot.segments()[i];
-            let data = seg.data();
-            let globals = Some(data.globals());
-            let seg_span = tb.as_mut().map(|b| b.open(format!("segment {i}")));
-            let delta = match plan {
-                SegPlan::Union(cursors, kind) => topk_union_into(cursors, kind, topk, globals),
-                SegPlan::Tree => {
-                    let ScoreModel::Pra(m) = model else {
-                        unreachable!("TF-IDF tree shapes were rejected at dispatch")
-                    };
+            (None, ScoreModel::Pra(m)) if check_bool(surface).is_ok() => Ok(self.walk(
+                &TREE,
+                spec.k,
+                scratch,
+                |i, seg| {
+                    let data = seg.data();
+                    let bound =
+                        pra_tree_bound(surface, data.corpus(), data.index(), stats.segment(i), m);
+                    (bound.expect(IN_BOOL), ())
+                },
+                |i, seg, (), topk| {
+                    let data = seg.data();
                     run_bool_topk_into(
                         surface,
                         data.corpus(),
@@ -286,42 +242,80 @@ impl<'a> SnapshotExecutor<'a> {
                         m,
                         Some(seg.deletes()),
                         topk,
-                        globals,
+                        Some(data.globals()),
                     )
-                    .map_err(not_in_bool)?
-                }
-            };
-            if let (Some(b), Some(id)) = (tb.as_mut(), seg_span) {
-                b.note(id, format!("score bound {bound:.4}"));
-                counter_attrs(b, id, &delta);
-                b.close(id);
+                    .expect(IN_BOOL)
+                },
+            )),
+            _ => {
+                let mut out = self.run_ranked(surface, stats, model)?;
+                out.hits.truncate(spec.k);
+                Ok(out)
             }
-            counters += delta;
         }
-        let hits = topk.drain_ranked();
-        let trace = tb.map(|mut b| {
-            if let Some(id) = root_span {
-                b.attr(id, "hits", hits.len() as u64);
-                b.attr(id, "segments_skipped", counters.segments_skipped);
-                b.close(id);
-            }
-            Box::new(b.finish())
-        });
+    }
+
+    /// Exhaustively rank the snapshot's answer under `model`: each segment
+    /// runs the COMP engine's node-at-a-time algebra evaluator with a score
+    /// column over the plan as translated (push-down would change the
+    /// scores), under the collection-wide statistics in `stats` and the
+    /// same per-node budget as COMP. Tombstoned nodes are dropped, ids are
+    /// global, the hits come in ranking order, and the counters sum every
+    /// segment's cursor work and materialized tuples.
+    pub fn run_ranked(
+        &self,
+        surface: &SurfaceQuery,
+        stats: &SnapshotStats,
+        model: &ScoreModel<'_>,
+    ) -> Result<ScoredOutput, ExecError> {
+        let expr = lower(surface, self.registry).map_err(|e| ExecError::Lang(e.to_string()))?;
+        let alg = query_to_algebra(&CalcQuery::new(expr), self.registry)?;
+        let (mut hits, counters) = match model {
+            ScoreModel::TfIdf(m) => self.score_segments(&alg, *m, stats)?,
+            ScoreModel::Pra(m) => self.score_segments(&alg, *m, stats)?,
+        };
+        sort_ranked(&mut hits);
         Ok(ScoredOutput {
             hits,
             counters,
-            path,
-            trace,
+            path: ScoredPath::Exhaustive,
+            trace: None,
         })
+    }
+
+    /// Every segment's live answer nodes under `model`, with global ids,
+    /// and the segments' summed counters.
+    fn score_segments<M: ScoringModel>(
+        &self,
+        alg: &AlgExpr,
+        model: &M,
+        stats: &SnapshotStats,
+    ) -> Result<(Vec<(NodeId, f64)>, AccessCounters), ExecError> {
+        let (mut hits, mut counters) = (Vec::new(), AccessCounters::new());
+        for (i, seg) in self.snapshot.segments().iter().enumerate() {
+            let data = seg.data();
+            let scorer = ModelScorer(model, stats.segment(i));
+            let mut ev =
+                AlgebraEvaluator::scored(data.corpus(), data.index(), self.registry, scorer);
+            let ranked = ev.rank(alg)?;
+            counters += ev.counters();
+            hits.extend(
+                ranked
+                    .into_iter()
+                    .filter(|(n, _)| seg.deletes().is_live(n.index()))
+                    .map(|(n, s)| (data.global_of(n.index()), s)),
+            );
+        }
+        Ok((hits, counters))
     }
 
     /// Run a proximity-ranked NEAR/phrase top-k across segments: documents
     /// matching the pair query score by [`ftsl_scoring::closeness`] of
     /// their minimum qualifying gap, through the same global-threshold
-    /// machinery as [`Self::run_top_k_with`] — segments are visited in
-    /// descending score-bound order (bounds read from pair-list `min_gap`
-    /// metadata without decoding a posting), whole segments that cannot
-    /// beat the k-th score are skipped, and within a segment whole pair
+    /// segment walk as [`Self::run_top_k_with`]'s streaming arms. Bounds
+    /// come from pair-list `min_gap` metadata without decoding a posting,
+    /// and a segment whose bound is zero holds no candidate, so it is
+    /// skipped even while the heap has room. Within a segment whole pair
     /// blocks are skipped on their block-max closeness. Tombstoned
     /// documents are filtered before insertion; segments the pair index
     /// does not cover fall back to position intersection. `scratch` holds
@@ -332,54 +326,67 @@ impl<'a> SnapshotExecutor<'a> {
         k: usize,
         scratch: &mut ExecScratch,
     ) -> ScoredOutput {
+        self.walk(
+            &NEAR,
+            k,
+            scratch,
+            |_, seg| (near_bound(q, seg.data().corpus(), seg.data().index()), ()),
+            |_, seg, (), topk| {
+                let data = seg.data();
+                near_topk_into(q, data.corpus(), data.index(), topk, |n| {
+                    seg.deletes()
+                        .is_live(n.index())
+                        .then(|| data.global_of(n.index()))
+                })
+            },
+        )
+    }
+
+    /// The global-threshold segment walk of every streaming top-k arm:
+    /// `bound` each segment from list metadata (keeping what `evaluate`
+    /// will consume), visit the segments in descending-bound order (stable
+    /// on ties: snapshot order) so the threshold tightens as early as
+    /// possible, skip a segment whose bound cannot enter the heap,
+    /// `evaluate` the rest into the one shared heap, sum their counters,
+    /// and drain the heap in ranking order.
+    fn walk<P>(
+        &self,
+        arm: &Arm,
+        k: usize,
+        scratch: &mut ExecScratch,
+        mut bound: impl FnMut(usize, &'a SnapshotSegment) -> (f64, P),
+        mut evaluate: impl FnMut(usize, &'a SnapshotSegment, P, &mut TopK) -> AccessCounters,
+    ) -> ScoredOutput {
+        let segments = self.snapshot.segments();
+        let mut plans: Vec<_> = segments
+            .iter()
+            .enumerate()
+            .map(|(i, seg)| (i, bound(i, seg)))
+            .collect();
+        plans.sort_by(|(i, (a, _)), (j, (b, _))| b.total_cmp(a).then(i.cmp(j)));
         let topk = &mut scratch.topk;
         topk.reset(k);
         let mut counters = AccessCounters::new();
         let mut tb = self.options.trace.then(TraceBuilder::new);
-        let root_span = tb.as_mut().map(|b| b.open("near top-k (pair proximity)"));
-        let mut plans: Vec<(usize, f64)> = self
-            .snapshot
-            .segments()
-            .iter()
-            .enumerate()
-            .map(|(i, seg)| {
-                let data = seg.data();
-                (i, pairscan::near_bound(q, data.corpus(), data.index()))
-            })
-            .collect();
-        // Highest-bound segments first (stable on ties: snapshot order),
-        // so the threshold tightens as early as possible.
-        plans.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        for (i, bound) in plans {
-            if bound <= 0.0 || !topk.could_enter(bound) {
+        let root_span = tb.as_mut().map(|b| b.open(arm.span));
+        for (i, (bound, plan)) in plans {
+            let seg_span = tb.as_mut().map(|b| b.open(format!("segment {i}")));
+            let enters = topk.could_enter(bound);
+            if !enters || (arm.skip_empty && bound <= 0.0) {
                 counters.segments_skipped += 1;
-                if let Some(b) = tb.as_mut() {
-                    let id = b.open(format!("segment {i}"));
-                    b.note(id, format!("skipped: closeness bound {bound:.4}"));
+                if let (Some(b), Some(id)) = (tb.as_mut(), seg_span) {
+                    let why = if enters { "" } else { " below threshold" };
+                    b.note(id, format!("skipped: {} bound {bound:.4}{why}", arm.bound));
                     b.close(id);
                 }
                 continue;
             }
-            let seg = &self.snapshot.segments()[i];
-            let data = seg.data();
-            let seg_span = tb.as_mut().map(|b| b.open(format!("segment {i}")));
-            let delta = pairscan::near_topk_into(q, data.corpus(), data.index(), topk, |n| {
-                seg.deletes()
-                    .is_live(n.index())
-                    .then(|| data.global_of(n.index()))
-            });
+            let delta = evaluate(i, &segments[i], plan, topk);
             if let (Some(b), Some(id)) = (tb.as_mut(), seg_span) {
-                b.note(id, format!("closeness bound {bound:.4}"));
-                b.note(
-                    id,
-                    if delta.pair_entries > 0 {
-                        "pair path: word-pair list walk"
-                    } else if delta.positions > 0 || delta.positions_decoded > 0 {
-                        "pair path: not covered — position-intersection fallback"
-                    } else {
-                        "no candidates"
-                    },
-                );
+                b.note(id, format!("{} bound {bound:.4}", arm.bound));
+                if let Some(note) = (arm.note)(&delta) {
+                    b.note(id, note);
+                }
                 counter_attrs(b, id, &delta);
                 b.close(id);
             }
@@ -397,28 +404,59 @@ impl<'a> SnapshotExecutor<'a> {
         ScoredOutput {
             hits,
             counters,
-            path: ScoredPath::PairProximity,
+            path: arm.path,
             trace,
         }
     }
 }
 
-fn not_a_flat_disjunction(surface: &SurfaceQuery) -> ExecError {
-    ExecError::WrongEngine {
-        engine: "TOPK",
-        reason: format!(
-            "TF-IDF top-k ranks flat token disjunctions; {} is not one",
-            surface.render()
-        ),
-    }
+/// What sets one streaming top-k arm's [`SnapshotExecutor::walk`] apart
+/// besides its closures: the path it reports, its span labels, and its
+/// skip rule.
+struct Arm {
+    path: ScoredPath,
+    /// The root span's label.
+    span: &'static str,
+    /// What a segment's bound measures, in its span notes.
+    bound: &'static str,
+    /// Also skip a segment whose bound is not positive: it holds no
+    /// candidate, even while the heap has room.
+    skip_empty: bool,
+    /// The note a segment's counters earn, after its bound.
+    note: fn(&AccessCounters) -> Option<&'static str>,
 }
 
-fn not_in_bool(reason: String) -> ExecError {
-    ExecError::WrongEngine {
-        engine: "TOPK",
-        reason,
-    }
-}
+const UNION: Arm = Arm {
+    path: ScoredPath::PrunedUnion,
+    span: "top-k pruned union",
+    bound: "score",
+    skip_empty: false,
+    note: |_| None,
+};
+
+const TREE: Arm = Arm {
+    path: ScoredPath::StreamTree,
+    span: "top-k stream tree",
+    bound: "score",
+    skip_empty: false,
+    note: |_| None,
+};
+
+const NEAR: Arm = Arm {
+    path: ScoredPath::PairProximity,
+    span: "near top-k (pair proximity)",
+    bound: "closeness",
+    skip_empty: true,
+    note: |delta| {
+        Some(if delta.pair_entries > 0 {
+            "pair path: word-pair list walk"
+        } else if delta.positions > 0 || delta.positions_decoded > 0 {
+            "pair path: not covered — position-intersection fallback"
+        } else {
+            "no candidates"
+        })
+    },
+};
 
 #[cfg(test)]
 mod tests {
@@ -509,41 +547,40 @@ mod tests {
         assert!(matches!(err, Err(ExecError::WrongEngine { .. })));
     }
 
-    /// Top-k shape errors depend on the query alone: the same three shapes
-    /// are accepted or refused with no segment, and with several.
+    /// The top-k path depends on the query's syntax and the model alone:
+    /// the same four requests take the same arm with no segment and with
+    /// three, and the exhaustive arm is the exhaustive ranking truncated.
     #[test]
-    fn top_k_shape_errors_do_not_depend_on_segments() {
+    fn top_k_path_depends_on_syntax_alone() {
         let reg = PredicateRegistry::with_builtins();
-        for live in [LiveIndex::with_config(manual()), live_fixture()] {
+        for (live, segments) in [(LiveIndex::with_config(manual()), 0), (live_fixture(), 3)] {
             let snap = live.snapshot();
+            assert_eq!(snap.segments().len(), segments);
             let stats = SnapshotStats::compute(&snap);
-            let tfidf = stats.tfidf_model(&["test"], &snap);
+            let tfidf = stats.tfidf_model(&["test", "usability"], &snap);
             let pra = stats.pra_model(&snap);
+            let (tfidf, pra) = (&ScoreModel::TfIdf(&tfidf), &ScoreModel::Pra(&pra));
             let exec = SnapshotExecutor::new(&snap, &reg);
-            let run = |query: &str, model: &ScoreModel<'_>| {
+            let path = |query: &str, model: &ScoreModel<'_>| {
                 let q = parse(query, Mode::Comp).unwrap();
                 let spec = ScoredTopK { k: 3 };
-                exec.run_top_k_with(&q, spec, &stats, model, &mut ExecScratch::new())
+                let scratch = &mut ExecScratch::new();
+                let out = exec
+                    .run_top_k_with(&q, spec, &stats, model, scratch)
+                    .unwrap();
+                if out.path == ScoredPath::Exhaustive {
+                    let mut all = exec.run_ranked(&q, &stats, model).unwrap();
+                    all.hits.truncate(3);
+                    assert_eq!(out.hits, all.hits, "{query}");
+                }
+                out.path
             };
             let conj = "'test' AND 'usability'";
-            assert!(matches!(
-                run(conj, &ScoreModel::TfIdf(&tfidf)),
-                Err(ExecError::WrongEngine { .. })
-            ));
-            assert_eq!(
-                run(conj, &ScoreModel::Pra(&pra)).unwrap().path,
-                ScoredPath::StreamTree
-            );
-            assert!(matches!(
-                run("NOT SOME p1 (p1 HAS 'test')", &ScoreModel::Pra(&pra)),
-                Err(ExecError::WrongEngine { .. })
-            ));
-            assert_eq!(
-                run("'test' OR 'here'", &ScoreModel::TfIdf(&tfidf))
-                    .unwrap()
-                    .path,
-                ScoredPath::PrunedUnion
-            );
+            assert_eq!(path("'test' OR 'here'", tfidf), ScoredPath::PrunedUnion);
+            assert_eq!(path(conj, pra), ScoredPath::StreamTree);
+            assert_eq!(path(conj, tfidf), ScoredPath::Exhaustive);
+            let negated = "NOT SOME p1 (p1 HAS 'test')";
+            assert_eq!(path(negated, pra), ScoredPath::Exhaustive);
         }
     }
 

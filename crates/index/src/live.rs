@@ -46,19 +46,6 @@ pub struct LiveConfig {
     /// Tiered merge fan-in: an adjacent run of this many sealed segments in
     /// the same size tier is compacted into one.
     pub merge_fanin: usize,
-    /// A segment whose tombstoned fraction reaches this ratio is rewritten
-    /// on its own (dropping the dead documents) even without same-tier
-    /// neighbours.
-    pub merge_tombstone_ratio: f64,
-    /// Cost-driven compaction trigger: when the *measured* per-segment
-    /// query cost (decoded-entry counters from a cheap first-block probe of
-    /// each segment's hottest list) exceeds this multiple of what one
-    /// merged segment would pay for the same probe, every sealed segment is
-    /// compacted into one — even when the size tiers see nothing to do.
-    /// This is what catches the "many medium segments, each forcing its own
-    /// block decode" shape that size tiers are blind to. `<= 0` disables
-    /// the probe.
-    pub merge_cost_ratio: f64,
     /// Run the tiered merge policy on a background thread. When `false`,
     /// merges happen only through [`LiveIndex::merge_all`] /
     /// [`LiveIndex::maybe_merge`] — the deterministic mode tests use.
@@ -70,12 +57,24 @@ impl Default for LiveConfig {
         LiveConfig {
             flush_threshold: 1024,
             merge_fanin: 4,
-            merge_tombstone_ratio: 0.5,
-            merge_cost_ratio: 3.0,
             background_merge: true,
         }
     }
 }
+
+/// A segment whose tombstoned fraction reaches this ratio is rewritten on
+/// its own (dropping the dead documents) even without same-tier
+/// neighbours.
+const MERGE_TOMBSTONE_RATIO: f64 = 0.5;
+
+/// Cost-driven compaction trigger: when the *measured* per-segment query
+/// cost (decoded-entry counters from a cheap first-block probe of each
+/// segment's hottest list) exceeds this multiple of what one merged
+/// segment would pay for the same probe, every sealed segment is compacted
+/// into one — even when the size tiers see nothing to do. This is what
+/// catches the "many medium segments, each forcing its own block decode"
+/// shape that size tiers are blind to.
+const MERGE_COST_RATIO: f64 = 3.0;
 
 /// One sealed segment plus its copy-on-write tombstone bitmap.
 #[derive(Clone, Debug)]
@@ -515,7 +514,7 @@ fn flush_locked(st: &mut State) -> bool {
 /// The tiered policy: prefer compacting an adjacent run of `merge_fanin`
 /// same-tier segments (smallest tiers merge first); otherwise rewrite a
 /// single segment drowning in tombstones; otherwise ask the measured query
-/// cost whether full compaction pays ([`LiveConfig::merge_cost_ratio`]).
+/// cost whether full compaction pays ([`MERGE_COST_RATIO`]).
 fn plan_merge(st: &State, config: &LiveConfig) -> Option<(usize, usize)> {
     let fanin = config.merge_fanin.max(2);
     let tier = |e: &SealedEntry| {
@@ -541,11 +540,11 @@ fn plan_merge(st: &State, config: &LiveConfig) -> Option<(usize, usize)> {
         let n = e.data.num_docs();
         n > 0
             && e.deletes.deleted_count() > 0
-            && e.deletes.deleted_count() as f64 >= config.merge_tombstone_ratio * n as f64
+            && e.deletes.deleted_count() as f64 >= MERGE_TOMBSTONE_RATIO * n as f64
     }) {
         return Some((solo, solo + 1));
     }
-    plan_cost_compaction(st, config)
+    plan_cost_compaction(st)
 }
 
 /// Measure what segmentation costs a query *right now* and compact when it
@@ -555,8 +554,8 @@ fn plan_merge(st: &State, config: &LiveConfig) -> Option<(usize, usize)> {
 /// first-block cost a single merged segment would pay for the same list.
 /// Size tiers never see this shape (N medium segments, none of them small
 /// enough to merge), but the measured ratio does.
-fn plan_cost_compaction(st: &State, config: &LiveConfig) -> Option<(usize, usize)> {
-    if config.merge_cost_ratio <= 0.0 || st.sealed.len() < 2 {
+fn plan_cost_compaction(st: &State) -> Option<(usize, usize)> {
+    if st.sealed.len() < 2 {
         return None;
     }
     let mut segmented_cost = 0u64;
@@ -579,7 +578,7 @@ fn plan_cost_compaction(st: &State, config: &LiveConfig) -> Option<(usize, usize
     // (its hottest list holds at most the sum of the per-segment hottest
     // lists, capped at one block's worth of decoding).
     let merged_cost = hottest_df_total.min(crate::block::BLOCK_ENTRIES as u64);
-    (merged_cost > 0 && segmented_cost as f64 > config.merge_cost_ratio * merged_cost as f64)
+    (merged_cost > 0 && segmented_cost as f64 > MERGE_COST_RATIO * merged_cost as f64)
         .then_some((0, st.sealed.len()))
 }
 
@@ -925,10 +924,7 @@ mod tests {
 
     #[test]
     fn tombstone_ratio_triggers_solo_compaction() {
-        let live = LiveIndex::with_config(LiveConfig {
-            merge_tombstone_ratio: 0.5,
-            ..manual()
-        });
+        let live = LiveIndex::with_config(manual());
         for i in 0..4 {
             live.add_document(&format!("doc{i} filler"));
         }
@@ -966,7 +962,7 @@ mod tests {
     }
 
     #[test]
-    fn cost_probe_leaves_cheap_shapes_alone_and_can_be_disabled() {
+    fn cost_probe_leaves_cheap_shapes_alone() {
         // Two such segments probe at 2 × 128 = 256 entries against 128
         // merged — a 2× ratio, under the 3× trigger: segmentation is not
         // yet hurting enough to pay for a rewrite.
@@ -982,22 +978,6 @@ mod tests {
         }
         assert!(!live.maybe_merge(), "2x probe cost is under the ratio");
         assert_eq!(live.segment_count(), 2);
-
-        // `merge_cost_ratio <= 0` switches the probe off even for shapes
-        // that would otherwise trigger.
-        let off = LiveIndex::with_config(LiveConfig {
-            merge_fanin: 8,
-            merge_cost_ratio: 0.0,
-            ..manual()
-        });
-        for s in 0..4 {
-            for i in 0..150 {
-                off.add_document(&format!("common doc{s}x{i}"));
-            }
-            off.flush();
-        }
-        assert!(!off.maybe_merge(), "probe disabled");
-        assert_eq!(off.segment_count(), 4);
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! so a predicate over two columns filters only their join, and a leaf no
 //! later operator reads joins as one row per node. Only a predicate that
 //! binds both sides of every join still needs the whole cross product.
-//! Exhaustive ranking — and the top-k fallback to it — is the same
-//! evaluator with a score column, under the same budget, and runs the plan
-//! as translated: push-down would change its scores.
+//! Exhaustive ranking — and top-k's exhaustive arm, where the one top-k
+//! dispatch sends every query no stream ranks — is the same evaluator
+//! with a score column, under the same budget, and runs the plan as
+//! translated: push-down would change its scores.
 
 use ftsl::core::{Ftsl, FtslError, RankModel};
 use ftsl::serve::{QueryRequest, ServeConfig, ServePoolExt};
@@ -96,8 +97,8 @@ fn ranking_refuses_a_hostile_cross_product() {
         // refused there.
         for query in [spanning(), eight_way()] {
             assert_refused(e.search_ranked(&query, model));
-            // Neither model streams a COMP query: top-k falls back to
-            // ranking.
+            // Neither model streams a COMP query: the top-k dispatch
+            // sends it to the exhaustive arm and returns its refusal.
             assert_refused(e.search_top_k(&query, model, 3));
         }
     }
