@@ -114,7 +114,7 @@ impl Ftsl {
         }
     }
 
-    /// Replace execution options (advance mode, NPRED strategy).
+    /// Replace execution options (NPRED strategy, pair rewrite, tracing).
     pub fn with_options(mut self, options: ExecOptions) -> Self {
         self.options = options;
         self
@@ -264,16 +264,12 @@ impl Ftsl {
     }
 
     /// The `k` best hits under a scoring model — the conclusion's "top-k
-    /// techniques" — from the executor's one top-k dispatch
-    /// ([`SnapshotExecutor::run_top_k_with`]): a flat disjunction streams
-    /// through the MaxScore/block-max pruned union, another `AND`/`OR`/`NOT`
-    /// tree under PRA through Section 5.3's per-operator formulas, both
-    /// through one heap shared by every segment; anything else is
-    /// [`Self::search_ranked`] truncated to `k`, and its errors (a per-node
-    /// budget refusal among them) are returned. The PRA stream tree's `NOT`
-    /// complements a score over every node, so its hits can include nodes
-    /// that [`Self::search`] and [`Self::search_ranked`] exclude: `'a' AND
-    /// NOT 'c'` can return a node containing `c`, with a low score.
+    /// techniques": for every query under either model,
+    /// [`Self::search_ranked`] truncated to `k`. The executor's one top-k
+    /// dispatch ([`SnapshotExecutor::run_top_k_with`]) streams a flat
+    /// disjunction through the MaxScore/block-max pruned union, with one
+    /// heap shared by every segment, and ranks anything else exhaustively,
+    /// returning its errors (a per-node budget refusal among them).
     /// [`Ranked::counters`] say how much of the index was read.
     pub fn search_top_k(
         &self,

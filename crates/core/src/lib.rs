@@ -187,12 +187,15 @@ join
             assert_eq!(s.0, x.0);
             assert!((s.1 - x.1).abs() < 1e-9);
         }
-        // PRA streams full BOOL trees.
-        let pra = e
-            .search_top_k("'software' AND NOT 'efficient'", RankModel::Pra, 3)
-            .unwrap();
-        assert_eq!(pra.counters.tuples, 0);
+        // Any other BOOL tree, under PRA too, is the exhaustive ranking
+        // truncated: `NOT` ranks only the nodes it admits.
+        let negated = "'software' AND NOT 'efficient'";
+        let pra = e.search_top_k(negated, RankModel::Pra, 3).unwrap();
+        assert!(pra.counters.tuples > 0, "ranked through the algebra");
         assert!(!pra.hits.is_empty());
+        let mut ranked = e.search_ranked(negated, RankModel::Pra).unwrap().hits;
+        ranked.truncate(3);
+        assert_eq!(pra.hits, ranked);
         // COMP-shaped queries fall back to exhaustive rank-then-truncate.
         let comp = e
             .search_top_k("SOME p1 (p1 HAS 'software')", RankModel::TfIdf, 1)

@@ -47,11 +47,10 @@ pub struct Ranked {
     /// The scoring model used.
     pub model: RankModel,
     /// Access counters of the executor arm that ran, summed over
-    /// segments: a streaming top-k arm's cursor work (pruned union or PRA
-    /// score-stream tree, which materialize no tuples), or — for
-    /// exhaustive ranking, and for the top-k arm that truncates it — every
-    /// segment's node-at-a-time algebra walk, including the tuples it
-    /// materialized.
+    /// segments: the pruned union's cursor work (it materializes no
+    /// tuples), or — for exhaustive ranking, and for the top-k arm that
+    /// truncates it — every segment's node-at-a-time algebra walk,
+    /// including the tuples it materialized.
     pub counters: AccessCounters,
     /// Span tree recorded when the engine ran with
     /// [`ftsl_exec::engine::ExecOptions::trace`] set.

@@ -10,7 +10,7 @@ use ftsl_model::NodeId;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-const VOCAB: [&str; 6] = ["alpha", "beta", "gamma", "delta", "eps", "zeta"];
+pub const VOCAB: [&str; 6] = ["alpha", "beta", "gamma", "delta", "eps", "zeta"];
 
 /// `FTSL_PROPTEST_CASES`, or `default` (kept small so PR builds stay
 /// quick; the scheduled CI fuzz job raises it).

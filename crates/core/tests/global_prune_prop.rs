@@ -5,10 +5,14 @@
 //! bounded heap across every segment, segments ordered by descending
 //! impact bound, whole segments skipped when their bound cannot beat the
 //! current k-th score — returns results *bit-identical* (ids through the
-//! global→dense remap, scores by exact bit pattern) to the single-index
-//! streaming primitives (`topk_tfidf`, `topk_pra_disjunction`,
-//! `run_bool_topk` — themselves pinned to the exhaustive oracles by
-//! `topk_stream_prop`) run over a monolithic rebuild of the survivors.
+//! global→dense remap, scores by exact bit pattern) to a monolithic
+//! rebuild of the survivors: the single-index union primitives
+//! (`topk_tfidf`, `topk_pra_disjunction`) for flat disjunctions, and the
+//! rebuild's `search_ranked` truncated to k for PRA trees.
+//!
+//! Over the same histories, `search_top_k(q, m, k)` is `search_ranked(q,
+//! m)` truncated to k for every query under both models — the one
+//! semantics every top-k arm answers.
 //!
 //! Pruning must be invisible: skipping a segment, tightening the entry
 //! bound mid-stream, or arriving at a segment with a heap already full
@@ -23,8 +27,11 @@
 
 mod common;
 
-use common::{apply, apply_one, arb_ops, dense_ids, manual_config, prop_cases, survivors, Docs};
-use ftsl_core::{Ftsl, LiveConfig};
+use common::{
+    apply, apply_one, arb_ops, dense_ids, manual_config, prop_cases, survivors, Docs, VOCAB,
+};
+use ftsl_core::{Ftsl, LiveConfig, RankModel};
+use ftsl_exec::scored::flat_disjunction;
 use ftsl_exec::snapshot::{ExecScratch, SnapshotExecutor};
 use ftsl_exec::{ScoreModel, ScoredTopK};
 use ftsl_index::{IndexBuilder, InvertedIndex, Snapshot};
@@ -32,18 +39,19 @@ use ftsl_lang::SurfaceQuery;
 use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::PredicateRegistry;
 use ftsl_scoring::{
-    run_bool_topk, topk_pra_disjunction, topk_tfidf, PraModel, ScoreStats, SnapshotStats,
-    TfIdfModel,
+    topk_pra_disjunction, topk_tfidf, PraModel, ScoreStats, SnapshotStats, TfIdfModel,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
 
 /// The monolithic side: one corpus + index over the survivors, its
-/// statistics, and the global→dense id map.
+/// statistics, the same texts as a one-segment engine, and the
+/// global→dense id map.
 struct Monolith {
     corpus: Corpus,
     index: InvertedIndex,
     stats: ScoreStats,
+    engine: Ftsl,
     remap: HashMap<u32, u32>,
 }
 
@@ -55,6 +63,7 @@ fn rebuild(survivors: &[(u32, String)]) -> Monolith {
         stats: ScoreStats::compute(&corpus, &index),
         corpus,
         index,
+        engine: Ftsl::from_texts(&texts),
         remap: dense_ids(survivors),
     }
 }
@@ -70,11 +79,14 @@ impl Monolith {
         topk_pra_disjunction(tokens, &self.corpus, &self.index, &self.stats, &model, k).hits
     }
 
-    fn pra_tree(&self, query: &SurfaceQuery, k: usize) -> Vec<(NodeId, f64)> {
-        let model = PraModel::new(&self.corpus, &self.stats);
-        run_bool_topk(query, &self.corpus, &self.index, &self.stats, &model, k)
-            .expect("oracle pra tree topk")
-            .hits
+    fn pra_tree(&self, query: &str, k: usize) -> Vec<(NodeId, f64)> {
+        let mut hits = self
+            .engine
+            .search_ranked(query, RankModel::Pra)
+            .expect("oracle pra ranking")
+            .hits;
+        hits.truncate(k);
+        hits
     }
 }
 
@@ -108,12 +120,38 @@ const FLAT_QUERIES: &[(&str, &[&str])] = &[
     ),
 ];
 
-/// BOOL tree shapes only PRA's operator-scored streams can rank.
+/// BOOL trees, which rank through the algebra.
 const TREE_QUERIES: &[&str] = &[
     "('alpha' AND 'beta') OR 'gamma'",
     "'zeta' AND NOT 'alpha'",
     "('alpha' AND 'beta') OR NOT 'gamma'",
 ];
+
+/// A repeated literal: the algebra's union adds (TF-IDF) or combines
+/// (PRA) both `'alpha'` arms, so the pruned union must count it twice.
+const REPEATED: &str = "'alpha' OR 'alpha' OR 'beta'";
+
+/// Random BOOL-shaped surface queries (literals, AND, OR, NOT).
+fn arb_bool_query(depth: u32) -> BoxedStrategy<SurfaceQuery> {
+    let leaf = prop_oneof![
+        (0..VOCAB.len()).prop_map(|t| SurfaceQuery::Lit(VOCAB[t].to_string())),
+        // Occasionally a token outside the corpus vocabulary.
+        Just(SurfaceQuery::Lit("outofvocab".to_string())),
+    ];
+    if depth == 0 {
+        return leaf.boxed();
+    }
+    let sub = arb_bool_query(depth - 1);
+    prop_oneof![
+        2 => leaf,
+        2 => (sub.clone(), sub.clone())
+            .prop_map(|(a, b)| SurfaceQuery::And(Box::new(a), Box::new(b))),
+        2 => (sub.clone(), sub.clone())
+            .prop_map(|(a, b)| SurfaceQuery::Or(Box::new(a), Box::new(b))),
+        1 => sub.prop_map(|q| SurfaceQuery::Not(Box::new(q))),
+    ]
+    .boxed()
+}
 
 /// k values: aggressive pruning (1), typical (10), and larger than any
 /// corpus these op sequences can produce (100) so the heap never fills.
@@ -162,8 +200,47 @@ fn assert_global_matches_oracle(engine: &Ftsl, mono: &Monolith) -> Result<(), ()
         for k in KS {
             let live = global_top_k(&snapshot, &stats, &q, k, &ScoreModel::Pra(&live_pra));
             let ctx = format!("pra tree {query} k={k}");
-            assert_hits_bit_identical(&live.hits, &mono.pra_tree(&q, k), &mono.remap, &ctx)?;
+            assert_hits_bit_identical(&live.hits, &mono.pra_tree(query, k), &mono.remap, &ctx)?;
             prop_assert!(live.counters.segments_skipped <= segments, "{}", ctx);
+        }
+    }
+    Ok(())
+}
+
+/// `search_top_k(query, model, k)` against `search_ranked(query, model)`
+/// truncated to k on one engine, for both models and every k. The
+/// exhaustive arm is that ranking truncated, so the bits must match. The
+/// pruned union folds its sums in its own order, so it is compared as the
+/// benchmark compares it: as many hits, the same scores rank by rank, and
+/// each hit scored as the ranking scores that node, all within 1e-9
+/// relative (which also lets exact ties come out in either order).
+fn assert_top_k_is_truncated_ranking(engine: &Ftsl, query: &str) -> Result<(), ()> {
+    let q = ftsl_lang::parse(query, ftsl_lang::Mode::Comp).unwrap();
+    let union = flat_disjunction(&q).is_some();
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs());
+    let bits = |hits: &[(NodeId, f64)]| -> Vec<(u32, u64)> {
+        hits.iter().map(|&(n, s)| (n.0, s.to_bits())).collect()
+    };
+    for model in [RankModel::TfIdf, RankModel::Pra] {
+        let full = engine.search_ranked(query, model).expect("ranked").hits;
+        for k in KS {
+            let top = engine.search_top_k(query, model, k).expect("top-k").hits;
+            let ctx = format!("{query} under {model:?} k={k}");
+            let want = &full[..k.min(full.len())];
+            if !union {
+                prop_assert_eq!(bits(&top), bits(want), "{}", ctx);
+                continue;
+            }
+            prop_assert_eq!(top.len(), want.len(), "{}: hit count", ctx);
+            for (t, w) in top.iter().zip(want) {
+                prop_assert!(close(t.1, w.1), "{}: {:?} ranked where {:?} is", ctx, t, w);
+                prop_assert!(
+                    full.iter().any(|f| f.0 == t.0 && close(f.1, t.1)),
+                    "{}: {:?} is not scored so by the ranking",
+                    ctx,
+                    t
+                );
+            }
         }
     }
     Ok(())
@@ -171,6 +248,21 @@ fn assert_global_matches_oracle(engine: &Ftsl, mono: &Monolith) -> Result<(), ()
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(prop_cases(16)))]
+
+    /// Any interleaving of adds/deletes/flushes/merges: every top-k, on
+    /// either arm under either model, is the exhaustive ranking truncated
+    /// to k — flat disjunctions, BOOL trees with and without `NOT`, a
+    /// repeated literal, and a random BOOL tree.
+    #[test]
+    fn top_k_is_the_ranking_truncated(ops in arb_ops(), random in arb_bool_query(3)) {
+        let (engine, _) = apply(&ops);
+        let random = random.render();
+        let flat = FLAT_QUERIES.iter().map(|(query, _)| *query);
+        let queries = flat.chain(TREE_QUERIES.iter().copied());
+        for query in queries.chain([REPEATED, random.as_str()]) {
+            assert_top_k_is_truncated_ranking(&engine, query)?;
+        }
+    }
 
     /// Any interleaving of adds/deletes/flushes/merges: the globally-pruned
     /// top-k over the resulting N-segment snapshot is bit-identical to the

@@ -32,8 +32,6 @@ pub enum EngineKind {
 /// Execution options.
 #[derive(Clone, Copy, Debug)]
 pub struct ExecOptions {
-    /// Positive-predicate skip aggressiveness.
-    pub advance_mode: AdvanceMode,
     /// NPRED: permute all scan variables instead of only negative ones.
     pub npred_full_permutations: bool,
     /// Inert: there is one layout. Kept for `benchmark/src/sut.rs`, which
@@ -53,7 +51,6 @@ pub struct ExecOptions {
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
-            advance_mode: AdvanceMode::Aggressive,
             npred_full_permutations: false,
             layout: IndexLayout::Blocks,
             use_pairs: true,
@@ -144,7 +141,6 @@ enum Shape<'q> {
 /// forced engine surface here too, whether or not any segment exists.
 pub struct PreparedQuery<'q> {
     registry: &'q PredicateRegistry,
-    mode: AdvanceMode,
     class: LanguageClass,
     shape: Shape<'q>,
 }
@@ -204,7 +200,6 @@ impl<'q> PreparedQuery<'q> {
         }
         Ok(PreparedQuery {
             registry,
-            mode: options.advance_mode,
             class,
             shape,
         })
@@ -241,14 +236,14 @@ impl<'q> PreparedQuery<'q> {
         let (nodes, counters) = match &self.shape {
             Shape::Bool(surface) => bind_bool(surface, corpus, index),
             Shape::Ppred(plan) => {
-                let mode = self.mode;
-                let (nodes, counters, attribution) = plan.bind(corpus, index, self.registry, mode);
+                let (nodes, counters, attribution) =
+                    plan.bind(corpus, index, self.registry, AdvanceMode::Aggressive);
                 if let (Some(b), Some(id)) = (tb.as_mut(), span) {
                     b.note(id, attribution.describe());
                 }
                 (nodes, counters)
             }
-            Shape::Npred(plan) => plan.bind(corpus, index, self.registry, self.mode),
+            Shape::Npred(plan) => plan.bind(corpus, index, self.registry, AdvanceMode::Aggressive),
             Shape::Comp(plan) => {
                 let (nodes, counters, stats) = plan.bind(corpus, index, self.registry)?;
                 if let (Some(b), Some(id)) = (tb.as_mut(), span) {

@@ -25,13 +25,13 @@
 //!   proximity cores are rewritten to walks over the index's word-pair
 //!   auxiliary lists ([`ftsl_index::pair`]) when coverage allows, with
 //!   automatic fallback to position intersection;
-//! * [`scored`] — the types of **scored top-k** (Section 5.3's scoring
-//!   extension as a streaming engine, dispatched in one place by
-//!   [`SnapshotExecutor::run_top_k_with`]): flat disjunctions run a
-//!   MaxScore/block-max pruned union, other BOOL trees under PRA a
-//!   cursor-driven score-stream combination, both draining into one
-//!   bounded heap shared across segments instead of scoring every node;
-//!   any other query is the exhaustive ranking truncated to `k`.
+//! * [`scored`] — the types of **scored top-k**, dispatched in one place
+//!   by [`SnapshotExecutor::run_top_k_with`]: under either model a top-k
+//!   is the exhaustive ranking ([`SnapshotExecutor::run_ranked`])
+//!   truncated to `k`. A flat disjunction gets there through a
+//!   MaxScore/block-max pruned union draining into one bounded heap
+//!   shared across segments instead of scoring every node; any other
+//!   query ranks every answer node and truncates.
 //!
 //! Every engine reports [`ftsl_index::AccessCounters`] so the Figure 3
 //! bounds can be validated with machine-independent measurements.

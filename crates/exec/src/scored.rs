@@ -1,14 +1,13 @@
 //! The vocabulary of scored top-k: request, model, path and output types.
 //!
-//! The dispatch itself is one match in
+//! The dispatch itself is one branch in
 //! [`crate::SnapshotExecutor::run_top_k_with`], decided from the query's
-//! syntax before any segment is visited: flat disjunctions — the
-//! ranked-query workhorse — go through the MaxScore/block-max pruned
-//! union under either model; other `AND`/`OR`/`NOT` trees under PRA go
-//! through the cursor-driven score-stream tree; every other request is
-//! the exhaustive ranking ([`crate::SnapshotExecutor::run_ranked`])
-//! truncated to `k`. Every arm reports [`ftsl_index::AccessCounters`], so
-//! pruning wins are measurable.
+//! syntax before any segment is visited and the same under either model:
+//! flat disjunctions — the ranked-query workhorse — go through the
+//! MaxScore/block-max pruned union, and every other request is the
+//! exhaustive ranking ([`crate::SnapshotExecutor::run_ranked`]) truncated
+//! to `k`. Both arms answer that ranking's first `k` rows, and both report
+//! [`ftsl_index::AccessCounters`], so pruning wins are measurable.
 
 use ftsl_index::AccessCounters;
 use ftsl_lang::SurfaceQuery;
@@ -25,13 +24,13 @@ pub struct ScoredTopK {
 
 /// Which scoring model ranks the hits.
 pub enum ScoreModel<'m> {
-    /// Section 3.1 cosine TF-IDF. A flat disjunction of tokens streams
-    /// through the additive pruned union; any other query is ranked
-    /// exhaustively through the algebra's score column.
+    /// Section 3.1 cosine TF-IDF: scores sum through the algebra, so a flat
+    /// disjunction streams through the additive pruned union.
     TfIdf(&'m TfIdfModel),
-    /// Section 3.2/5.3 probabilistic scoring. A BOOL tree streams through
-    /// Section 5.3's per-operator formulas (the pruned union when it is a
-    /// flat disjunction); any other query is ranked exhaustively.
+    /// Section 3.2 probabilistic relational algebra: scores are
+    /// probabilities, a union combines them by probabilistic OR (the pruned
+    /// union's combine for a flat disjunction), and a difference keeps the
+    /// left side's score, so a `NOT` ranks only the nodes it admits.
     Pra(&'m PraModel),
 }
 
@@ -40,8 +39,6 @@ pub enum ScoreModel<'m> {
 pub enum ScoredPath {
     /// MaxScore/block-max pruned k-way union over a flat disjunction.
     PrunedUnion,
-    /// Cursor-driven score-stream tree (AND/OR/NOT combination).
-    StreamTree,
     /// Word-pair proximity walk ranked by closeness
     /// ([`crate::pairscan::near_topk_into`]), block-max pruned on the
     /// pair lists' `min_gap` headers.

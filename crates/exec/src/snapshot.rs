@@ -29,11 +29,11 @@
 //! which is what makes snapshot scores bit-identical to a monolithic index
 //! over the same live documents. Every ranked request is one call here:
 //! [`SnapshotExecutor::run_ranked`] ranks exhaustively, and
-//! [`SnapshotExecutor::run_top_k_with`] is the one top-k dispatch, whose
-//! streaming arms and [`SnapshotExecutor::run_near_top_k_with`] share one
-//! global-threshold segment walk.
+//! [`SnapshotExecutor::run_top_k_with`] is the one top-k dispatch, always
+//! that ranking truncated to `k`; its pruned union and
+//! [`SnapshotExecutor::run_near_top_k_with`] share one global-threshold
+//! segment walk.
 
-use crate::bool_eval::check_bool;
 use crate::engine::{counter_attrs, EngineKind, ExecOptions, PreparedQuery, QueryOutput};
 use crate::error::ExecError;
 use crate::pairscan::{near_bound, near_topk_into, PairQuery};
@@ -48,8 +48,8 @@ use ftsl_obs::TraceBuilder;
 use ftsl_predicates::PredicateRegistry;
 use ftsl_scoring::topk::sort_ranked;
 use ftsl_scoring::{
-    pra_tree_bound, pra_union_cursors, run_bool_topk_into, tfidf_union_cursors, topk_union_into,
-    union_bound, ModelScorer, ScoringModel, SnapshotStats, TopK, UnionKind,
+    pra_union_cursors, tfidf_union_cursors, topk_union_into, union_bound, ModelScorer,
+    ScoringModel, SnapshotStats, TopK, UnionKind,
 };
 
 /// Reusable per-worker evaluation state for [`SnapshotExecutor::run_top_k_with`].
@@ -93,7 +93,7 @@ impl<'a> SnapshotExecutor<'a> {
         Self::with_options(snapshot, registry, ExecOptions::default())
     }
 
-    /// Executor with explicit options (advance mode, NPRED strategy, ...).
+    /// Executor with explicit options (NPRED strategy, pair rewrite, tracing).
     pub fn with_options(
         snapshot: &'a Snapshot,
         registry: &'a PredicateRegistry,
@@ -154,30 +154,28 @@ impl<'a> SnapshotExecutor<'a> {
     }
 
     /// Run a scored top-k query: the one place a top-k is dispatched,
-    /// decided from the query's syntax before any segment is visited.
+    /// decided from the query's syntax alone, before any segment is
+    /// visited. Under either model the answer is [`Self::run_ranked`]
+    /// truncated to `k`; the arms differ only in how they get there.
     ///
-    /// * A flat disjunction of tokens, under either model, runs the
-    ///   MaxScore/block-max pruned union ([`ScoredPath::PrunedUnion`]).
-    /// * Under PRA, any other BOOL tree runs the score-stream tree
-    ///   ([`ScoredPath::StreamTree`]), which scores by Section 5.3's
-    ///   per-operator formulas: `NOT` complements a score over every node,
-    ///   so its hits can include nodes the query's set answer excludes.
+    /// * A flat disjunction of tokens runs the MaxScore/block-max pruned
+    ///   union ([`ScoredPath::PrunedUnion`]).
     /// * Anything else is [`Self::run_ranked`] truncated to `k`
     ///   ([`ScoredPath::Exhaustive`]); its errors, a per-node budget
     ///   refusal among them, are returned as they are.
     ///
-    /// The two streaming arms share **one heap with a global threshold**:
-    /// every segment's impact bound is read from list metadata first (no
-    /// posting decoded), segments are evaluated in descending-bound order
-    /// so later ones start against an already-tightened k-th score, and a
-    /// segment whose whole bound falls below the current threshold is
-    /// skipped outright ([`AccessCounters::segments_skipped`]). Their
-    /// results are bit-identical to a monolithic index over the same live
-    /// documents: per-segment scores fold in the same token order with the
-    /// same collection-wide statistics, candidates enter the heap under
-    /// their *global* ids (so tie-breaks match the monolithic ranking), and
-    /// every pruning decision tests a sound upper bound against a threshold
-    /// that only ever tightens.
+    /// The union runs with **one heap and a global threshold**: every
+    /// segment's impact bound is read from list metadata first (no posting
+    /// decoded), segments are evaluated in descending-bound order so later
+    /// ones start against an already-tightened k-th score, and a segment
+    /// whose whole bound falls below the current threshold is skipped
+    /// outright ([`AccessCounters::segments_skipped`]). Its results are
+    /// bit-identical to a monolithic index over the same live documents:
+    /// per-segment scores fold in the same token order with the same
+    /// collection-wide statistics, candidates enter the heap under their
+    /// *global* ids (so tie-breaks match the monolithic ranking), and every
+    /// pruning decision tests a sound upper bound against a threshold that
+    /// only ever tightens.
     ///
     /// The top-k collector lives in caller-owned `scratch`, so a serving
     /// worker pays its allocation once, not once per query.
@@ -189,70 +187,39 @@ impl<'a> SnapshotExecutor<'a> {
         model: &ScoreModel<'_>,
         scratch: &mut ExecScratch,
     ) -> Result<ScoredOutput, ExecError> {
-        // `check_bool` accepts exactly the shapes the stream tree builds.
-        const IN_BOOL: &str = "the tree arm takes BOOL shapes only";
-        match (flat_disjunction(surface), model) {
-            (Some(tokens), _) => {
-                let kind = match model {
-                    ScoreModel::TfIdf(_) => UnionKind::Sum,
-                    ScoreModel::Pra(_) => UnionKind::ProbOr,
+        let Some(tokens) = flat_disjunction(surface) else {
+            let mut out = self.run_ranked(surface, stats, model)?;
+            out.hits.truncate(spec.k);
+            return Ok(out);
+        };
+        let kind = match model {
+            ScoreModel::TfIdf(_) => UnionKind::Sum,
+            ScoreModel::Pra(_) => UnionKind::ProbOr,
+        };
+        Ok(self.walk(
+            &UNION,
+            spec.k,
+            scratch,
+            |i, seg| {
+                let data = seg.data();
+                let (corpus, index) = (data.corpus(), data.index());
+                let (seg_stats, live) = (stats.segment(i), Some(seg.deletes()));
+                // Reads only list metadata: a skipped segment costs no
+                // decode work.
+                let cursors = match model {
+                    ScoreModel::TfIdf(m) => {
+                        tfidf_union_cursors(&tokens, corpus, index, seg_stats, m, live)
+                    }
+                    ScoreModel::Pra(m) => {
+                        pra_union_cursors(&tokens, corpus, index, seg_stats, m, live)
+                    }
                 };
-                Ok(self.walk(
-                    &UNION,
-                    spec.k,
-                    scratch,
-                    |i, seg| {
-                        let data = seg.data();
-                        let (corpus, index) = (data.corpus(), data.index());
-                        let (seg_stats, live) = (stats.segment(i), Some(seg.deletes()));
-                        // Reads only list metadata: a skipped segment
-                        // costs no decode work.
-                        let cursors = match model {
-                            ScoreModel::TfIdf(m) => {
-                                tfidf_union_cursors(&tokens, corpus, index, seg_stats, m, live)
-                            }
-                            ScoreModel::Pra(m) => {
-                                pra_union_cursors(&tokens, corpus, index, seg_stats, m, live)
-                            }
-                        };
-                        (union_bound(&cursors, kind), cursors)
-                    },
-                    |_, seg, cursors, topk| {
-                        topk_union_into(cursors, kind, topk, Some(seg.data().globals()))
-                    },
-                ))
-            }
-            (None, ScoreModel::Pra(m)) if check_bool(surface).is_ok() => Ok(self.walk(
-                &TREE,
-                spec.k,
-                scratch,
-                |i, seg| {
-                    let data = seg.data();
-                    let bound =
-                        pra_tree_bound(surface, data.corpus(), data.index(), stats.segment(i), m);
-                    (bound.expect(IN_BOOL), ())
-                },
-                |i, seg, (), topk| {
-                    let data = seg.data();
-                    run_bool_topk_into(
-                        surface,
-                        data.corpus(),
-                        data.index(),
-                        stats.segment(i),
-                        m,
-                        Some(seg.deletes()),
-                        topk,
-                        Some(data.globals()),
-                    )
-                    .expect(IN_BOOL)
-                },
-            )),
-            _ => {
-                let mut out = self.run_ranked(surface, stats, model)?;
-                out.hits.truncate(spec.k);
-                Ok(out)
-            }
-        }
+                (union_bound(&cursors, kind), cursors)
+            },
+            |_, seg, cursors, topk| {
+                topk_union_into(cursors, kind, topk, Some(seg.data().globals()))
+            },
+        ))
     }
 
     /// Exhaustively rank the snapshot's answer under `model`: each segment
@@ -312,7 +279,7 @@ impl<'a> SnapshotExecutor<'a> {
     /// Run a proximity-ranked NEAR/phrase top-k across segments: documents
     /// matching the pair query score by [`ftsl_scoring::closeness`] of
     /// their minimum qualifying gap, through the same global-threshold
-    /// segment walk as [`Self::run_top_k_with`]'s streaming arms. Bounds
+    /// segment walk as [`Self::run_top_k_with`]'s pruned union. Bounds
     /// come from pair-list `min_gap` metadata without decoding a posting,
     /// and a segment whose bound is zero holds no candidate, so it is
     /// skipped even while the heap has room. Within a segment whole pair
@@ -342,7 +309,7 @@ impl<'a> SnapshotExecutor<'a> {
         )
     }
 
-    /// The global-threshold segment walk of every streaming top-k arm:
+    /// The global-threshold segment walk of both streaming top-k arms:
     /// `bound` each segment from list metadata (keeping what `evaluate`
     /// will consume), visit the segments in descending-bound order (stable
     /// on ties: snapshot order) so the threshold tightens as early as
@@ -429,14 +396,6 @@ struct Arm {
 const UNION: Arm = Arm {
     path: ScoredPath::PrunedUnion,
     span: "top-k pruned union",
-    bound: "score",
-    skip_empty: false,
-    note: |_| None,
-};
-
-const TREE: Arm = Arm {
-    path: ScoredPath::StreamTree,
-    span: "top-k stream tree",
     bound: "score",
     skip_empty: false,
     note: |_| None,
@@ -547,9 +506,10 @@ mod tests {
         assert!(matches!(err, Err(ExecError::WrongEngine { .. })));
     }
 
-    /// The top-k path depends on the query's syntax and the model alone:
-    /// the same four requests take the same arm with no segment and with
-    /// three, and the exhaustive arm is the exhaustive ranking truncated.
+    /// The top-k path depends on the query's syntax alone: the same four
+    /// requests take the same arm with no segment and with three, whatever
+    /// the model, and the exhaustive arm is the exhaustive ranking
+    /// truncated.
     #[test]
     fn top_k_path_depends_on_syntax_alone() {
         let reg = PredicateRegistry::with_builtins();
@@ -577,7 +537,7 @@ mod tests {
             };
             let conj = "'test' AND 'usability'";
             assert_eq!(path("'test' OR 'here'", tfidf), ScoredPath::PrunedUnion);
-            assert_eq!(path(conj, pra), ScoredPath::StreamTree);
+            assert_eq!(path(conj, pra), ScoredPath::Exhaustive);
             assert_eq!(path(conj, tfidf), ScoredPath::Exhaustive);
             let negated = "NOT SOME p1 (p1 HAS 'test')";
             assert_eq!(path(negated, pra), ScoredPath::Exhaustive);

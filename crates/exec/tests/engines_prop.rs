@@ -8,6 +8,7 @@
 use ftsl_calculus::interp::Interpreter;
 use ftsl_calculus::CalcQuery;
 use ftsl_exec::engine::{EngineKind, ExecOptions, Executor};
+use ftsl_exec::ppred::run_ppred;
 use ftsl_index::IndexBuilder;
 use ftsl_lang::{classify, lower, LanguageClass, SurfaceQuery};
 use ftsl_model::{Corpus, NodeId};
@@ -169,12 +170,10 @@ proptest! {
         prop_assert_eq!(&got.nodes, &expected, "PPRED diverged on {}", query.render());
 
         // Conservative advances must agree with aggressive ones.
-        let slow = Executor::with_options(
-            &corpus, &index, &reg,
-            ExecOptions { advance_mode: AdvanceMode::Conservative, ..Default::default() },
-        );
-        let got_slow = slow.run_surface(&query, EngineKind::Ppred).expect("ppred runs");
-        prop_assert_eq!(&got_slow.nodes, &expected, "conservative PPRED diverged");
+        let expr = lower(&query, &reg).expect("lowers");
+        let (slow, _) = run_ppred(&expr, &corpus, &index, &reg, AdvanceMode::Conservative)
+            .expect("ppred runs");
+        prop_assert_eq!(&slow, &expected, "conservative PPRED diverged");
 
         // The COMP engine is complete: must agree too.
         let comp = exec.run_surface(&query, EngineKind::Comp).expect("comp runs");

@@ -12,7 +12,6 @@ use ftsl_index::{InvertedIndex, LiveConfig, LiveIndex, Snapshot};
 use ftsl_lang::{parse, Mode};
 use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::PredicateRegistry;
-use ftsl_scoring::bool_scores::run_bool_scored;
 use ftsl_scoring::classic::classic_tfidf;
 use ftsl_scoring::{tfidf_union_cursors, topk_union, SnapshotStats, UnionKind};
 
@@ -157,17 +156,15 @@ fn pra_disjunction_also_prunes_and_matches_its_oracle() {
     let (corpus, index) = only_segment(&snap);
     let total = exhaustive_entries(corpus, index, &["rare", "common"]);
 
-    let pra = stats.pra_model(&snap);
+    let pra = ScoreModel::Pra(&stats.pra_model(&snap));
     let query = parse("'rare' OR 'common'", Mode::Bool).expect("parses");
-    let oracle = run_bool_scored(&query, corpus, index, stats.segment(0), &pra).expect("oracle");
+    let registry = PredicateRegistry::with_builtins();
+    let oracle = SnapshotExecutor::new(&snap, &registry)
+        .run_ranked(&query, &stats, &pra)
+        .expect("exhaustive ranking")
+        .hits;
 
-    let out = top_k(
-        &snap,
-        &stats,
-        "'rare' OR 'common'",
-        10,
-        &ScoreModel::Pra(&pra),
-    );
+    let out = top_k(&snap, &stats, "'rare' OR 'common'", 10, &pra);
     assert_eq!(out.path, ScoredPath::PrunedUnion);
     assert_eq!(out.hits.len(), 10);
     for ((gn, gs), (on, os)) in out.hits.iter().zip(&oracle) {
@@ -329,22 +326,4 @@ fn counters_sum_exactly_across_segments_when_nothing_prunes() {
         global.counters, summed,
         "unpruned global counters must be the per-segment sum"
     );
-}
-
-#[test]
-fn stream_tree_handles_general_bool() {
-    let (snap, stats) = skewed_env();
-    let (corpus, index) = only_segment(&snap);
-    let pra = stats.pra_model(&snap);
-    let text = "('rare' AND 'common') OR NOT 'common'";
-    let query = parse(text, Mode::Bool).expect("parses");
-    let oracle = run_bool_scored(&query, corpus, index, stats.segment(0), &pra).expect("oracle");
-
-    let out = top_k(&snap, &stats, text, 25, &ScoreModel::Pra(&pra));
-    assert_eq!(out.path, ScoredPath::StreamTree);
-    assert_eq!(out.hits.len(), 25);
-    for ((gn, gs), (on, os)) in out.hits.iter().zip(&oracle) {
-        assert_eq!(gn, on, "node order diverged");
-        assert_eq!(gs, os, "stream tree should be bit-exact");
-    }
 }

@@ -14,7 +14,8 @@
 //! * [`pra::PraModel`] — Section 3.2, the probabilistic relational algebra
 //!   of Fuhr–Rölleke: scores are probabilities, joins multiply, projections
 //!   combine as `1 − ∏(1 − sᵢ)`, predicates scale by a predicate-specific
-//!   `f` (e.g. `1 − |p1−p2|/dist`), negation complements.
+//!   `f` (e.g. `1 − |p1−p2|/dist`), and a difference (the algebra's
+//!   negation) keeps the left side's score.
 //!
 //! A model ranks through the algebra as a [`ModelScorer`]: the
 //! [`ftsl_algebra::Scorer`] of the node-at-a-time
@@ -22,14 +23,13 @@
 //! with a score column, under the same per-node budget. [`classic`]
 //! computes textbook cosine TF-IDF directly so tests can verify
 //! **Theorem 2** (the propagated scores equal classic TF-IDF for conjunctive
-//! and disjunctive queries) mechanically, and [`bool_scores`] attaches
-//! per-operator scoring to the BOOL merge engine (Section 5.3).
+//! and disjunctive queries) mechanically.
 //!
 //! ## Streaming top-k retrieval
 //!
-//! Exhaustive ranking through the algebra scores *every* answer node — the
-//! right shape for oracles, the wrong one for serving. [`stream`] rebuilds
-//! scored retrieval on the seeking-cursor substrate: per-list
+//! Exhaustive ranking through the algebra scores *every* answer node. For a
+//! flat disjunction, the ranked-query workhorse, [`stream`] computes the
+//! same ranking's first `k` rows on the seeking-cursor substrate: per-list
 //! [`ftsl_index::EntryScorer`]s attach scores at the cursor, a bounded
 //! [`topk::TopK`] heap keeps only the requested results, and
 //! MaxScore/block-max pruning skips lists and whole compressed blocks
@@ -62,7 +62,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bool_scores;
 pub mod classic;
 pub mod live;
 pub mod pra;
@@ -77,9 +76,8 @@ pub use pra::PraModel;
 pub use proximity::closeness;
 pub use stats::ScoreStats;
 pub use stream::{
-    pra_tree_bound, pra_union_cursors, run_bool_topk, run_bool_topk_into, tfidf_union_cursors,
-    topk_pra_disjunction, topk_tfidf, topk_union, topk_union_into, union_bound, ScoredHits,
-    UnionKind,
+    pra_union_cursors, tfidf_union_cursors, topk_pra_disjunction, topk_tfidf, topk_union,
+    topk_union_into, union_bound, ScoredHits, UnionKind,
 };
 pub use tfidf::TfIdfModel;
 pub use topk::TopK;

@@ -1,35 +1,27 @@
 //! Streaming scored retrieval: score-at-the-cursor with top-k pruning.
 //!
-//! This module replaces the dense "score every node, then sort" pass with
-//! evaluators that stream posting entries through a [`TopK`] heap:
+//! [`topk_union`] is the pruned k-way union for *flat disjunctions*
+//! (`'a' OR 'b' OR ...`, the ranked-query workhorse): instead of scoring
+//! every node and sorting, it streams posting entries through a [`TopK`]
+//! heap. It runs MaxScore-style pruning on list-level bounds and block-max
+//! pruning on the per-block impact headers: lists whose bound cannot lift
+//! a document into the current top-k are demoted to probe-only, probes
+//! whose block-level bound cannot help are skipped without decoding, and
+//! when a single driving list remains its blocks are skipped wholesale
+//! while their bounds stay under the heap threshold. Its scores are the
+//! algebra's: a disjunction's union adds (TF-IDF) or combines
+//! probabilistically (PRA) as the exhaustive ranking does, so the union is
+//! that ranking truncated to `k` (TF-IDF sums may associate differently,
+//! so their low bits can differ). Every other query shape is ranked
+//! exhaustively through the algebra.
 //!
-//! * [`topk_union`] — the pruned k-way union for *flat disjunctions*
-//!   (`'a' OR 'b' OR ...`, the ranked-query workhorse). It runs
-//!   MaxScore-style pruning on list-level bounds and block-max pruning on
-//!   the per-block impact headers: lists whose bound cannot lift a document
-//!   into the current top-k are demoted to probe-only, probes whose
-//!   block-level bound cannot help are skipped without decoding, and when a
-//!   single driving list remains its blocks are skipped wholesale while
-//!   their bounds stay under the heap threshold.
-//! * [`run_bool_topk`] — cursor-driven evaluation of *arbitrary BOOL
-//!   queries* under the paper's Section 5.3 probabilistic semantics
-//!   (`AND` multiplies, `OR` combines probabilistically, `NOT`
-//!   complements), arithmetically identical to the exhaustive
-//!   [`crate::bool_scores::run_bool_scored`] oracle but streaming: no
-//!   `BTreeMap` over the corpus, conjunctions leapfrog by `seek`, and only
-//!   the best `k` results are retained.
-//!
-//! Both evaluators read the block lists through the [`ScoredCursor`]
-//! contract.
+//! The union reads the block lists through the [`ScoredCursor`] contract.
 
 use crate::pra::PraModel;
 use crate::stats::ScoreStats;
 use crate::topk::TopK;
 use crate::ScoringModel;
-use ftsl_index::{
-    AccessCounters, DeleteFilteredCursor, DeleteSet, InvertedIndex, ScoredBlocks, ScoredCursor,
-};
-use ftsl_lang::SurfaceQuery;
+use ftsl_index::{AccessCounters, DeleteFilteredCursor, DeleteSet, InvertedIndex, ScoredCursor};
 use ftsl_model::{Corpus, NodeId};
 
 /// Wrap a leaf cursor in tombstone filtering when a delete set is present
@@ -80,8 +72,8 @@ impl ftsl_index::EntryScorer for TfIdfEntryScorer<'_> {
 
 /// Probabilistic (PRA) entry scoring for one search token: the entry's
 /// per-occurrence probabilities collapse by probabilistic OR, exactly as the
-/// exhaustive oracle's `project` does — `1 − (1 − s)^tf`, computed by the
-/// same fold so results are bit-identical.
+/// algebra's projection ([`PraModel::project`]) does — `1 − (1 − s)^tf`,
+/// computed by the same fold so results are bit-identical.
 pub struct PraEntryScorer {
     /// The token's tuple probability (node-independent).
     prob: f64,
@@ -93,12 +85,6 @@ impl PraEntryScorer {
         PraEntryScorer {
             prob: model.token_tuple(token, NodeId(0), stats),
         }
-    }
-
-    /// A scorer with a fixed tuple probability (used for `ANY`, whose
-    /// tuples carry probability 1).
-    pub fn constant(prob: f64) -> Self {
-        PraEntryScorer { prob }
     }
 
     fn collapse(&self, tf: u32) -> f64 {
@@ -166,7 +152,7 @@ pub fn union_bound(cursors: &[Box<dyn ScoredCursor + '_>], kind: UnionKind) -> f
 /// disjunction whose per-list scores combine by `kind`.
 ///
 /// Cursors come from [`InvertedIndex::scored_cursor`]. Nodes scoring ≤ 0 are
-/// never reported, matching the exhaustive oracles.
+/// never reported, matching the exhaustive ranking.
 pub fn topk_union(
     cursors: Vec<Box<dyn ScoredCursor + '_>>,
     kind: UnionKind,
@@ -321,406 +307,11 @@ pub fn topk_union_into(
     counters
 }
 
-/// A cursor-style stream of `(node, score)` pairs in ascending node order —
-/// the building block of streaming BOOL scoring.
-///
-/// Like the posting cursors, streams *stay put*: `current` re-reads the
-/// entry the stream is positioned on, and `seek` does not move when the
-/// current node already satisfies the bound. That stability is what lets a
-/// conjunction leapfrog its operands without losing matches.
-trait ScoreStream {
-    /// The scored node the stream is positioned on, if any. `&mut self`
-    /// because leaf scores can trigger a lazy tf-column decode.
-    fn current(&mut self) -> Option<(NodeId, f64)>;
-    /// Advance to the next scored node.
-    fn next(&mut self) -> Option<(NodeId, f64)>;
-    /// Advance to the first scored node with id ≥ `target`; stays put if
-    /// the current node already qualifies.
-    fn seek(&mut self, target: NodeId) -> Option<(NodeId, f64)>;
-    /// Work accumulated so far.
-    fn counters(&self) -> AccessCounters;
-}
-
-/// Leaf: a scored posting cursor.
-struct LeafStream<'a> {
-    cur: Box<dyn ScoredCursor + 'a>,
-}
-
-impl ScoreStream for LeafStream<'_> {
-    fn current(&mut self) -> Option<(NodeId, f64)> {
-        let node = self.cur.node()?;
-        Some((node, self.cur.score()))
-    }
-
-    fn next(&mut self) -> Option<(NodeId, f64)> {
-        let node = self.cur.next_entry()?;
-        Some((node, self.cur.score()))
-    }
-
-    fn seek(&mut self, target: NodeId) -> Option<(NodeId, f64)> {
-        let node = self.cur.seek(target)?;
-        Some((node, self.cur.score()))
-    }
-
-    fn counters(&self) -> AccessCounters {
-        self.cur.counters()
-    }
-}
-
-/// `AND`: intersection of supports, scores multiply (PRA join). The left
-/// side drives `seek`s into the right, so entries outside the intersection
-/// are skipped, not decoded.
-struct AndStream<'a> {
-    left: Box<dyn ScoreStream + 'a>,
-    right: Box<dyn ScoreStream + 'a>,
-    cur: Option<(NodeId, f64)>,
-}
-
-impl AndStream<'_> {
-    /// Leapfrog from the left side's position until both sides agree.
-    fn align(&mut self, mut l: Option<(NodeId, f64)>) -> Option<(NodeId, f64)> {
-        self.cur = loop {
-            let Some((ln, ls)) = l else { break None };
-            let Some((rn, rs)) = self.right.seek(ln) else {
-                break None;
-            };
-            if rn == ln {
-                break Some((ln, ls * rs));
-            }
-            l = self.left.seek(rn);
-        };
-        self.cur
-    }
-}
-
-impl ScoreStream for AndStream<'_> {
-    fn current(&mut self) -> Option<(NodeId, f64)> {
-        self.cur
-    }
-
-    fn next(&mut self) -> Option<(NodeId, f64)> {
-        let l = self.left.next();
-        self.align(l)
-    }
-
-    fn seek(&mut self, target: NodeId) -> Option<(NodeId, f64)> {
-        if let Some((n, _)) = self.cur {
-            if n >= target {
-                return self.cur;
-            }
-        }
-        let l = self.left.seek(target);
-        self.align(l)
-    }
-
-    fn counters(&self) -> AccessCounters {
-        self.left.counters() + self.right.counters()
-    }
-}
-
-/// The oracle's union arithmetic, kept verbatim so streaming and exhaustive
-/// results agree bit-for-bit (a missing side contributes score 0).
-fn prob_or(a: f64, b: f64) -> f64 {
-    1.0 - (1.0 - a) * (1.0 - b)
-}
-
-/// `OR`: union of supports; scores combine probabilistically with missing
-/// sides contributing 0 — the exact arithmetic of the exhaustive oracle.
-struct OrStream<'a> {
-    left: Box<dyn ScoreStream + 'a>,
-    right: Box<dyn ScoreStream + 'a>,
-    cur: Option<(NodeId, f64)>,
-    primed: bool,
-}
-
-impl OrStream<'_> {
-    /// Recompute the current element from the children's positions without
-    /// consuming them. The asymmetry mirrors the exhaustive oracle
-    /// bit-for-bit: left-only nodes keep their score untouched, right-only
-    /// nodes pass through the union formula with a missing left (`s1 = 0`).
-    fn merge(&mut self) -> Option<(NodeId, f64)> {
-        self.cur = match (self.left.current(), self.right.current()) {
-            (Some((ln, ls)), Some((rn, rs))) => match ln.cmp(&rn) {
-                std::cmp::Ordering::Less => Some((ln, ls)),
-                std::cmp::Ordering::Greater => Some((rn, prob_or(0.0, rs))),
-                std::cmp::Ordering::Equal => Some((ln, prob_or(ls, rs))),
-            },
-            (Some((ln, ls)), None) => Some((ln, ls)),
-            (None, Some((rn, rs))) => Some((rn, prob_or(0.0, rs))),
-            (None, None) => None,
-        };
-        self.cur
-    }
-}
-
-impl ScoreStream for OrStream<'_> {
-    fn current(&mut self) -> Option<(NodeId, f64)> {
-        self.cur
-    }
-
-    fn next(&mut self) -> Option<(NodeId, f64)> {
-        if !self.primed {
-            self.primed = true;
-            self.left.next();
-            self.right.next();
-        } else if let Some((n, _)) = self.cur {
-            // Advance exactly the children that produced the current node.
-            if self.left.current().is_some_and(|(ln, _)| ln == n) {
-                self.left.next();
-            }
-            if self.right.current().is_some_and(|(rn, _)| rn == n) {
-                self.right.next();
-            }
-        } else {
-            return None;
-        }
-        self.merge()
-    }
-
-    fn seek(&mut self, target: NodeId) -> Option<(NodeId, f64)> {
-        if self.primed {
-            if let Some((n, _)) = self.cur {
-                if n >= target {
-                    return self.cur;
-                }
-            }
-        }
-        self.primed = true;
-        if self.left.current().is_none_or(|(n, _)| n < target) {
-            self.left.seek(target);
-        }
-        if self.right.current().is_none_or(|(n, _)| n < target) {
-            self.right.seek(target);
-        }
-        self.merge()
-    }
-
-    fn counters(&self) -> AccessCounters {
-        self.left.counters() + self.right.counters()
-    }
-}
-
-/// `NOT`: dense complement over the node universe — every context node gets
-/// `1 − s(inner)`, including nodes the inner stream never mentions (the
-/// calculus semantics under which `NOT 'x'` holds on empty nodes).
-struct NotStream<'a> {
-    inner: Box<dyn ScoreStream + 'a>,
-    inner_primed: bool,
-    universe: u32,
-    cur: Option<(NodeId, f64)>,
-    done: bool,
-}
-
-impl NotStream<'_> {
-    fn complement_at(&mut self, node: NodeId) -> (NodeId, f64) {
-        let stale = if self.inner_primed {
-            self.inner.current().is_some_and(|(n, _)| n < node)
-        } else {
-            self.inner_primed = true;
-            true
-        };
-        if stale {
-            self.inner.seek(node);
-        }
-        let s = match self.inner.current() {
-            Some((n, s)) if n == node => s,
-            _ => 0.0,
-        };
-        (node, 1.0 - s)
-    }
-}
-
-impl ScoreStream for NotStream<'_> {
-    fn current(&mut self) -> Option<(NodeId, f64)> {
-        self.cur
-    }
-
-    fn next(&mut self) -> Option<(NodeId, f64)> {
-        if self.done {
-            return None;
-        }
-        let next_node = match self.cur {
-            Some((n, _)) => n.0 + 1,
-            None => 0,
-        };
-        if next_node >= self.universe {
-            self.done = true;
-            self.cur = None;
-            return None;
-        }
-        self.cur = Some(self.complement_at(NodeId(next_node)));
-        self.cur
-    }
-
-    fn seek(&mut self, target: NodeId) -> Option<(NodeId, f64)> {
-        if self.done {
-            return None;
-        }
-        if let Some((n, _)) = self.cur {
-            if n >= target {
-                return self.cur;
-            }
-        }
-        if target.0 >= self.universe {
-            self.done = true;
-            self.cur = None;
-            return None;
-        }
-        self.cur = Some(self.complement_at(target));
-        self.cur
-    }
-
-    fn counters(&self) -> AccessCounters {
-        self.inner.counters()
-    }
-}
-
-/// Build the score stream for a BOOL-shaped query. A `live` delete set
-/// wraps every leaf cursor in tombstone filtering (`NOT`'s dense complement
-/// can still surface tombstoned nodes — the drain loop filters those).
-fn build_stream<'a>(
-    query: &SurfaceQuery,
-    corpus: &'a Corpus,
-    index: &'a InvertedIndex,
-    stats: &ScoreStats,
-    model: &PraModel,
-    live: Option<&'a DeleteSet>,
-) -> Result<Box<dyn ScoreStream + 'a>, String> {
-    match query {
-        SurfaceQuery::Lit(tok) => {
-            let scorer = PraEntryScorer::new(tok, model, stats);
-            let id = corpus
-                .token_id(tok)
-                .unwrap_or(ftsl_model::TokenId(u32::MAX));
-            Ok(Box::new(LeafStream {
-                cur: wrap_live(index.scored_cursor(id, scorer), live),
-            }))
-        }
-        SurfaceQuery::Any => {
-            let scorer = PraEntryScorer::constant(1.0);
-            let cur = Box::new(ScoredBlocks::new(index.any_block_list(), scorer));
-            Ok(Box::new(LeafStream {
-                cur: wrap_live(cur, live),
-            }))
-        }
-        SurfaceQuery::Not(inner) => Ok(Box::new(NotStream {
-            inner: build_stream(inner, corpus, index, stats, model, live)?,
-            inner_primed: false,
-            universe: corpus.len() as u32,
-            cur: None,
-            done: false,
-        })),
-        SurfaceQuery::And(a, b) => Ok(Box::new(AndStream {
-            left: build_stream(a, corpus, index, stats, model, live)?,
-            right: build_stream(b, corpus, index, stats, model, live)?,
-            cur: None,
-        })),
-        SurfaceQuery::Or(a, b) => Ok(Box::new(OrStream {
-            left: build_stream(a, corpus, index, stats, model, live)?,
-            right: build_stream(b, corpus, index, stats, model, live)?,
-            cur: None,
-            primed: false,
-        })),
-        other => Err(format!("construct {} is not in BOOL", other.render())),
-    }
-}
-
-/// Streaming top-k evaluation of a BOOL-shaped query under PRA scoring:
-/// the first `k` rows of [`crate::bool_scores::run_bool_scored`], computed
-/// without materializing a score for every node.
-pub fn run_bool_topk(
-    query: &SurfaceQuery,
-    corpus: &Corpus,
-    index: &InvertedIndex,
-    stats: &ScoreStats,
-    model: &PraModel,
-    k: usize,
-) -> Result<ScoredHits, String> {
-    let mut topk = TopK::new(k);
-    let counters = run_bool_topk_into(query, corpus, index, stats, model, None, &mut topk, None)?;
-    Ok(ScoredHits {
-        hits: topk.into_ranked(),
-        counters,
-    })
-}
-
-/// [`run_bool_topk`] over one live-index segment, draining into a
-/// caller-owned heap (see [`topk_union_into`] for the sharing contract):
-/// nodes enter under `globals[local]` when a remap is given. Tombstoned
-/// documents are filtered at the leaf cursors *and* at heap insertion (a
-/// `NOT` over a tombstoned node still surfaces it via the dense
-/// complement), so they can neither appear in the hits nor displace live
-/// candidates. The stream is drained fully — tree scores have no per-entry
-/// upper bound to prune on — but a shared heap still concentrates the k
-/// best across segments in one place.
-#[allow(clippy::too_many_arguments)]
-pub fn run_bool_topk_into(
-    query: &SurfaceQuery,
-    corpus: &Corpus,
-    index: &InvertedIndex,
-    stats: &ScoreStats,
-    model: &PraModel,
-    live: Option<&DeleteSet>,
-    topk: &mut TopK,
-    globals: Option<&[u32]>,
-) -> Result<AccessCounters, String> {
-    let mut stream = build_stream(query, corpus, index, stats, model, live)?;
-    while let Some((node, score)) = stream.next() {
-        if score > 0.0 && live.is_none_or(|d| d.is_live(node.index())) {
-            let ranked_id = globals.map_or(node, |g| NodeId(g[node.index()]));
-            topk.insert(ranked_id, score);
-        }
-    }
-    Ok(stream.counters())
-}
-
-/// A score upper bound for *any* node under PRA stream-tree evaluation of
-/// `query` against this corpus/index — computed from list metadata alone
-/// (no posting is decoded). PRA scores are probabilities in `[0, 1]`, so
-/// each combinator's bound follows from its children's:
-/// literals bound by their list-level impact ceiling, `ANY`/`NOT` by 1,
-/// `AND` by the product, `OR` by the probabilistic sum. Shapes outside
-/// BOOL report the same error [`run_bool_topk`] would.
-pub fn pra_tree_bound(
-    query: &SurfaceQuery,
-    corpus: &Corpus,
-    index: &InvertedIndex,
-    stats: &ScoreStats,
-    model: &PraModel,
-) -> Result<f64, String> {
-    let empty = corpus.is_empty();
-    match query {
-        SurfaceQuery::Lit(tok) => {
-            let scorer = PraEntryScorer::new(tok, model, stats);
-            let id = corpus
-                .token_id(tok)
-                .unwrap_or(ftsl_model::TokenId(u32::MAX));
-            Ok(index.scored_cursor(id, scorer).max_score_list())
-        }
-        SurfaceQuery::Any => Ok(if empty { 0.0 } else { 1.0 }),
-        // `NOT` scores `1 − s(inner)` over the dense node universe.
-        SurfaceQuery::Not(_) => Ok(if empty { 0.0 } else { 1.0 }),
-        SurfaceQuery::And(a, b) => {
-            let (ba, bb) = (
-                pra_tree_bound(a, corpus, index, stats, model)?,
-                pra_tree_bound(b, corpus, index, stats, model)?,
-            );
-            Ok(ba * bb)
-        }
-        SurfaceQuery::Or(a, b) => {
-            let (ba, bb) = (
-                pra_tree_bound(a, corpus, index, stats, model)?,
-                pra_tree_bound(b, corpus, index, stats, model)?,
-            );
-            Ok(prob_or(ba, bb))
-        }
-        other => Err(format!("construct {} is not in BOOL", other.render())),
-    }
-}
-
 /// Streaming TF-IDF top-k for a bag of search tokens (the disjunctive
-/// ranked query of Section 3.1): the first `k` rows of
-/// [`crate::classic::classic_tfidf`], via the pruned union.
+/// ranked query of Section 3.1), via the pruned union. For distinct tokens
+/// it is the first `k` rows of [`crate::classic::classic_tfidf`]; a
+/// repeated token contributes once per occurrence, as the algebra's union
+/// of its arms does, which the classic formula does not model.
 pub fn topk_tfidf<S: AsRef<str>>(
     query_tokens: &[S],
     corpus: &Corpus,
@@ -737,9 +328,11 @@ pub fn topk_tfidf<S: AsRef<str>>(
 /// of `live` when given — factored out so a multi-segment caller can build
 /// each segment's cursors (and read their [`union_bound`]) before deciding
 /// to evaluate it at all.
-/// Token normalization (lowercase, sort, dedup) is deterministic, so every
-/// segment folds the same token order and scores stay bit-identical to the
-/// monolithic path.
+/// Token normalization (lowercase, sort) is deterministic, so every segment
+/// folds the same token order and scores stay bit-identical to the
+/// monolithic path. Repeats are kept: `'a' OR 'a'` unions two arms, and
+/// the algebra adds their scores, so the union must too. Only for
+/// distinct tokens is [`crate::classic::classic_tfidf`] the oracle.
 pub fn tfidf_union_cursors<'a, S: AsRef<str>>(
     query_tokens: &[S],
     corpus: &'a Corpus,
@@ -748,13 +341,12 @@ pub fn tfidf_union_cursors<'a, S: AsRef<str>>(
     model: &crate::TfIdfModel,
     live: Option<&'a DeleteSet>,
 ) -> Vec<Box<dyn ScoredCursor + 'a>> {
-    let mut distinct: Vec<String> = query_tokens
+    let mut tokens: Vec<String> = query_tokens
         .iter()
         .map(|t| t.as_ref().to_lowercase())
         .collect();
-    distinct.sort();
-    distinct.dedup();
-    distinct
+    tokens.sort();
+    tokens
         .iter()
         .filter_map(|t| {
             let id = corpus.token_id(t)?;
@@ -764,9 +356,9 @@ pub fn tfidf_union_cursors<'a, S: AsRef<str>>(
         .collect()
 }
 
-/// Streaming PRA top-k for a flat disjunction of tokens: the first `k` rows
-/// of [`crate::bool_scores::run_bool_scored`] on the equivalent `OR` query,
-/// via the pruned union.
+/// Streaming PRA top-k for a flat disjunction of tokens, via the pruned
+/// union: the first `k` rows of the algebra's PRA ranking of the
+/// equivalent `OR` query.
 pub fn topk_pra_disjunction<S: AsRef<str>>(
     query_tokens: &[S],
     corpus: &Corpus,

@@ -40,11 +40,8 @@ pub enum QueryRequest {
         /// COMP-syntax query text.
         query: String,
     },
-    /// Scored top-k ([`Ftsl::search_top_k`]): the pruned union for a flat
-    /// disjunction, the PRA score-stream tree for another BOOL tree under
-    /// PRA (whose `NOT` scores every node, so its hits can include nodes
-    /// the set answer excludes), otherwise the exhaustive ranking truncated
-    /// to `k`.
+    /// Scored top-k ([`Ftsl::search_top_k`]): the exhaustive ranking
+    /// truncated to `k`, through the pruned union for a flat disjunction.
     TopK {
         /// COMP-syntax query text.
         query: String,

@@ -1,14 +1,12 @@
 //! The Section 3 scoring framework in action: TF-IDF (3.1) and the
 //! probabilistic relational algebra (3.2) ranking the same result sets,
-//! plus the scored BOOL engine of Section 5.3.
+//! and a top-k, which is the ranking truncated to k.
 
 use ftsl::core::{Ftsl, RankModel};
 use ftsl::index::IndexBuilder;
-use ftsl::lang::{parse, Mode};
 use ftsl::model::Corpus;
-use ftsl::scoring::bool_scores::run_bool_scored;
 use ftsl::scoring::classic::classic_tfidf;
-use ftsl::scoring::{PraModel, ScoreStats, TfIdfModel};
+use ftsl::scoring::{ScoreStats, TfIdfModel};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let texts = [
@@ -50,12 +48,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  node {node}: {score:.5}");
     }
 
-    println!("\n== scored BOOL merge engine (Section 5.3) ==");
-    let q = parse("'usability' OR 'software'", Mode::Bool).expect("parses");
-    let pra = PraModel::new(&corpus, &stats);
-    let scored = run_bool_scored(&q, &corpus, &index, &stats, &pra).expect("bool query");
-    for (node, score) in &scored {
+    // A top-k is the ranked answer truncated to k: `NOT` ranks only the
+    // nodes it admits, so node 1, which mentions interfaces, never shows.
+    println!("\n== PRA top-2 of 'usability' AND NOT 'interfaces' ==");
+    let query = "'usability' AND NOT 'interfaces'";
+    let top = engine.search_top_k(query, RankModel::Pra, 2)?;
+    for (node, score) in &top.hits {
         println!("  node {node}: {score:.5}");
     }
+    let ranked = engine.search_ranked(query, RankModel::Pra)?;
+    assert_eq!(top.hits, ranked.hits[..2], "top-k is the ranking truncated");
+    assert!(top.hits.iter().all(|(node, _)| node.0 != 1));
+    println!("(top-k == the first 2 of search_ranked ✓)");
     Ok(())
 }
