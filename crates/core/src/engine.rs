@@ -314,17 +314,16 @@ impl Ftsl {
         let snapshot = self.snapshot();
         let stats = self.snapshot_stats(&snapshot);
         let exec = SnapshotExecutor::with_options(&snapshot, &self.registry, self.options);
+        let tokens = query_tokens(&surface);
         let out = match model {
             RankModel::TfIdf => {
-                let m = stats.tfidf_model(&query_tokens(&surface), &snapshot);
+                let m = stats.tfidf_model(&tokens, &snapshot);
                 run(&exec, &surface, &stats, &ScoreModel::TfIdf(&m))
             }
-            RankModel::Pra => run(
-                &exec,
-                &surface,
-                &stats,
-                &ScoreModel::Pra(&stats.pra_model(&snapshot)),
-            ),
+            RankModel::Pra => {
+                let m = stats.pra_model(&tokens, &snapshot);
+                run(&exec, &surface, &stats, &ScoreModel::Pra(&m))
+            }
         };
         let out = out.map_err(|e| match e {
             ExecError::Lang(msg) => FtslError::Lang(msg),

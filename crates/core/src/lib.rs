@@ -44,7 +44,8 @@ pub enum RankModel {
     Pra,
 }
 
-/// Collect the string tokens a surface query mentions (for TF-IDF weights).
+/// Collect the string tokens a surface query mentions (for the TF-IDF
+/// weights and the PRA idf table).
 pub(crate) fn query_tokens(surface: &ftsl_lang::SurfaceQuery) -> Vec<String> {
     use ftsl_lang::{SurfaceQuery as S, TokenArg};
     fn walk(q: &S, out: &mut Vec<String>) {

@@ -180,7 +180,10 @@ fn assert_global_matches_oracle(engine: &Ftsl, mono: &Monolith) -> Result<(), ()
     let snapshot = engine.snapshot();
     let stats = SnapshotStats::compute(&snapshot);
     let segments = snapshot.segments().len() as u64;
-    let live_pra = stats.pra_model(&snapshot);
+    let live_pra = stats.pra_model(
+        &["alpha", "beta", "gamma", "delta", "eps", "zeta"],
+        &snapshot,
+    );
     for (query, tokens) in FLAT_QUERIES {
         let q = ftsl_lang::parse(query, ftsl_lang::Mode::Comp).unwrap();
         let live_tfidf = stats.tfidf_model(tokens, &snapshot);

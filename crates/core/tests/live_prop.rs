@@ -26,7 +26,7 @@ use ftsl_exec::{ScoreModel, ScoredTopK};
 use ftsl_index::{IndexBuilder, InvertedIndex};
 use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::PredicateRegistry;
-use ftsl_scoring::SnapshotStats;
+use ftsl_scoring::{ScoreStats, SnapshotStats};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -249,8 +249,97 @@ fn assert_pairs_match(engine: &Ftsl, mono: &Monolith, ctx: &str) -> Result<(), (
     Ok(())
 }
 
+/// Grow the engine's vocabulary by `width` tokens no live document keeps:
+/// add one document of `width` distinct words and delete it at once.
+/// Every segment sealed afterwards carries a vocabulary far wider than its
+/// own documents, as a write-buffer chunk does.
+fn widen(engine: &Ftsl, width: usize) {
+    if width == 0 {
+        return;
+    }
+    let text: Vec<String> = (0..width).map(|i| format!("wide{i}")).collect();
+    let node = engine.add(&text.join(" "));
+    assert!(engine.delete(node), "the widening document must delete");
+}
+
+/// [`SnapshotStats::compute`] against [`ScoreStats::compute`] on the
+/// rebuild, bit for bit: `df` and `idf` of every token id, and per segment
+/// every live node's `unique_tokens` and `‖n‖₂` and the segment's boost —
+/// the largest `1/(unique_tokens·‖n‖₂)` among its live non-empty nodes.
+fn assert_stats_match(engine: &Ftsl, mono: &Monolith, ctx: &str) -> Result<(), ()> {
+    let snap = engine.snapshot();
+    let stats = SnapshotStats::compute(&snap);
+    let oracle = ScoreStats::compute(&mono.corpus, &mono.index);
+    prop_assert_eq!(stats.db_size(), oracle.db_size, "{}: db_size", ctx);
+    if let Some(interner) = snap.widest_interner() {
+        for (id, name) in interner.iter() {
+            let mono_id = mono.corpus.token_id(name);
+            let df = mono_id.map_or(0, |m| oracle.df(m));
+            let idf = mono_id.map_or(0.0, |m| oracle.idf(m));
+            prop_assert_eq!(stats.df_id(id), df, "{}: df({})", ctx, name);
+            prop_assert_eq!(
+                stats.idf_id(id).to_bits(),
+                idf.to_bits(),
+                "{}: idf({})",
+                ctx,
+                name
+            );
+        }
+    }
+    // Live nodes, segment by segment, are the rebuild's nodes in order.
+    let mut dense = 0u32;
+    for (i, seg) in snap.segments().iter().enumerate() {
+        let per = stats.segment(i);
+        let mut boost = 0.0f64;
+        for local in (0..seg.data().num_docs()).filter(|&l| seg.deletes().is_live(l)) {
+            let (l, m) = (NodeId(local as u32), NodeId(dense));
+            let unique = oracle.unique_tokens(m);
+            let norm = oracle.l2_norm(m);
+            prop_assert_eq!(per.unique_tokens(l), unique, "{}: unique of {}", ctx, dense);
+            prop_assert_eq!(
+                per.l2_norm(l).to_bits(),
+                norm.to_bits(),
+                "{}: l2 of {}",
+                ctx,
+                dense
+            );
+            if !mono.corpus.document(m).is_empty() {
+                boost = boost.max(1.0 / (unique as f64 * norm));
+            }
+            dense += 1;
+        }
+        prop_assert_eq!(
+            per.max_node_boost().to_bits(),
+            boost.to_bits(),
+            "{}: boost of segment {}",
+            ctx,
+            i
+        );
+    }
+    prop_assert_eq!(dense as usize, mono.corpus.len(), "{}: live nodes", ctx);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(prop_cases(24)))]
+
+    /// Merged statistics over any history — deletes, merges, reads that
+    /// cut the buffer into chunks, and a vocabulary far wider than any
+    /// segment — equal the rebuild's, bit for bit.
+    #[test]
+    fn snapshot_stats_equal_monolithic_rebuild(
+        width in prop_oneof![Just(0usize), Just(40), Just(2_000)],
+        ops in arb_ops(),
+    ) {
+        let engine = Ftsl::with_config(manual_config());
+        widen(&engine, width);
+        let mut docs = Docs::new();
+        for op in &ops {
+            apply_one(&engine, op, &mut docs);
+        }
+        let mono = rebuild(&survivors(&docs));
+        assert_stats_match(&engine, &mono, "final state")?;
+    }
 
     /// Any interleaving of adds/deletes/flushes/merges: all engines on the
     /// snapshot ≡ the monolithic rebuild.

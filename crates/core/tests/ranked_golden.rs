@@ -416,7 +416,12 @@ fn top_k_is_one_executor_dispatch() {
             RankModel::TfIdf,
             ScoredPath::PrunedUnion,
         ),
-        (conj, &[], RankModel::Pra, ScoredPath::Exhaustive),
+        (
+            conj,
+            &["test", "usability"],
+            RankModel::Pra,
+            ScoredPath::Exhaustive,
+        ),
         (
             conj,
             &["test", "usability"],
@@ -425,12 +430,15 @@ fn top_k_is_one_executor_dispatch() {
         ),
         (
             "NOT SOME p1 (p1 HAS 'test')",
-            &[],
+            &["test"],
             RankModel::Pra,
             ScoredPath::Exhaustive,
         ),
     ] {
-        let (tfidf, pra) = (stats.tfidf_model(tokens, &snap), stats.pra_model(&snap));
+        let (tfidf, pra) = (
+            stats.tfidf_model(tokens, &snap),
+            stats.pra_model(tokens, &snap),
+        );
         let m = match model {
             RankModel::TfIdf => ScoreModel::TfIdf(&tfidf),
             RankModel::Pra => ScoreModel::Pra(&pra),

@@ -518,7 +518,7 @@ mod tests {
             assert_eq!(snap.segments().len(), segments);
             let stats = SnapshotStats::compute(&snap);
             let tfidf = stats.tfidf_model(&["test", "usability"], &snap);
-            let pra = stats.pra_model(&snap);
+            let pra = stats.pra_model(&["test", "here", "usability"], &snap);
             let (tfidf, pra) = (&ScoreModel::TfIdf(&tfidf), &ScoreModel::Pra(&pra));
             let exec = SnapshotExecutor::new(&snap, &reg);
             let path = |query: &str, model: &ScoreModel<'_>| {

@@ -127,7 +127,7 @@ fn block_max_skips_low_impact_blocks_wholesale() {
         .collect();
     let (snap, stats) = sealed(Corpus::from_texts(&texts));
     let (corpus, index) = only_segment(&snap);
-    let pra = stats.pra_model(&snap);
+    let pra = stats.pra_model(&["hot"], &snap);
 
     let out = top_k(&snap, &stats, "'hot'", 1, &ScoreModel::Pra(&pra));
     assert_eq!(out.hits.len(), 1);
@@ -156,7 +156,7 @@ fn pra_disjunction_also_prunes_and_matches_its_oracle() {
     let (corpus, index) = only_segment(&snap);
     let total = exhaustive_entries(corpus, index, &["rare", "common"]);
 
-    let pra = ScoreModel::Pra(&stats.pra_model(&snap));
+    let pra = ScoreModel::Pra(&stats.pra_model(&["rare", "common"], &snap));
     let query = parse("'rare' OR 'common'", Mode::Bool).expect("parses");
     let registry = PredicateRegistry::with_builtins();
     let oracle = SnapshotExecutor::new(&snap, &registry)
@@ -289,7 +289,7 @@ fn low_impact_segments_are_skipped_whole() {
     let snap = live.snapshot();
     assert_eq!(snap.num_segments(), 9);
     let stats = SnapshotStats::compute(&snap);
-    let pra = stats.pra_model(&snap);
+    let pra = stats.pra_model(&["peak"], &snap);
 
     let out = top_k(&snap, &stats, "'peak'", 1, &ScoreModel::Pra(&pra));
     assert_eq!(out.hits[0].0, NodeId(0), "the tf=4 document wins");

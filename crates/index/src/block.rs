@@ -282,6 +282,11 @@ impl PostingArena {
         (0..self.len()).map(|i| self.list(i))
     }
 
+    /// Every list's entry count, in order, read from the list heads alone.
+    pub(crate) fn entry_counts(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.heads[..self.len()].iter().map(|h| h.entries as usize)
+    }
+
     /// Bytes of every list's packed entry stream.
     pub fn data_bytes(&self) -> usize {
         self.data.len()
@@ -370,6 +375,21 @@ impl PostingArenaWriter {
         self.close().expect(ARENA_TOO_LARGE);
     }
 
+    /// Close empty lists until `lists` lists are closed, in one fill of
+    /// the list heads: a token no document uses costs its head alone.
+    pub(crate) fn pad_lists(&mut self, lists: usize) {
+        debug_assert!(self.stage.ids.is_empty() && self.entries == 0);
+        // `close` checked that the open list's start fits a head.
+        let empty = ListHead {
+            block: self.first_block as u32,
+            byte: self.first_byte as u32,
+            entries: 0,
+            positions: 0,
+        };
+        let heads = &mut self.arena.heads;
+        heads.resize(heads.len().max(lists), empty);
+    }
+
     /// The block headers and the stream, for the load path to append one
     /// stored list to as it stands; [`Self::end_stored_list`] closes it.
     pub(crate) fn stored_parts(&mut self) -> (&mut Vec<BlockMeta>, &mut Vec<u8>) {
@@ -397,7 +417,8 @@ impl PostingArenaWriter {
     }
 
     /// Record the open list's head and open the next list after it. The
-    /// next list's start must fit a head too, so the sentinel always does.
+    /// next list's start must fit a head too, so the sentinel and every
+    /// padded head always do.
     fn close(&mut self) -> Result<(), &'static str> {
         let arena = &mut self.arena;
         u32::try_from(arena.blocks.len()).map_err(|_| ARENA_TOO_LARGE)?;

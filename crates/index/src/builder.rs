@@ -1,24 +1,29 @@
 //! Index construction from a corpus: one counting pass into one arena.
 //!
 //! [`IndexBuilder::build`] writes every list of a segment into one
-//! [`PostingArena`] with a fixed number of allocations, however wide the
-//! vocabulary:
+//! [`PostingArena`] with a handful of allocations, however wide the
+//! vocabulary (a hash table of the distinct tokens grows by doubling):
 //!
-//! 1. count each token's occurrences;
+//! 1. number the distinct tokens the documents use ([`LocalTokens`]) and
+//!    count each one's occurrences;
 //! 2. turn the counts into each token's first slot (prefix sums);
 //! 3. scatter every `(node, Position)` occurrence into its token's run,
 //!    walking the documents in node order — so each run comes out ordered
 //!    by node id, and by offset within a node, as Section 5.1.2 requires,
 //!    with no sorting pass;
-//! 4. pack each token's run, in token order, as the arena's next list,
-//!    then `IL_ANY` straight from the documents.
+//! 4. pack the runs in token order, each as its token's list, with one
+//!    fill of empty list heads for the ids between two used tokens, then
+//!    `IL_ANY` straight from the documents.
 //!
-//! A token the documents never use costs its list head and nothing else.
-//! The scattered occurrences are transient: the finished index holds the
+//! A token the documents never use costs its list head and nothing else:
+//! every count, prefix sum and scan runs over the used tokens, so sealing a
+//! few documents over a wide vocabulary costs those documents. The
+//! scattered occurrences are transient: the finished index holds the
 //! compressed arena alone.
 
 use crate::block::{PostingArena, PostingArenaWriter, BLOCK_ENTRIES};
 use crate::index::InvertedIndex;
+use crate::local::LocalTokens;
 use crate::pair::{PairConfig, PairIndex};
 use crate::stats::IndexStats;
 use ftsl_model::{Corpus, Document, NodeId, Position};
@@ -47,19 +52,18 @@ impl IndexBuilder {
     pub fn build(&self, corpus: &Corpus) -> InvertedIndex {
         let vocab = corpus.interner().len();
         let docs = corpus.documents();
-        let lists = build_lists(docs, vocab);
-        let stats = IndexStats::compute(corpus, &lists);
+        let tokens = LocalTokens::of(docs);
+        let lists = build_lists(docs, vocab, &tokens);
+        let used = || tokens.used.iter().map(|&(t, _)| lists.list(t as usize));
+        let stats = IndexStats::compute(corpus, &lists, used());
         // The pair auxiliary index needs this build's document frequencies
         // for its coverage cutoff — a second pass over the documents once
         // the token lists exist. Building it here (rather than in the live
         // layer) means every segment seal and tiered merge gets pair
         // acceleration for free.
-        let dfs: Vec<u32> = lists
-            .iter()
-            .take(vocab)
-            .map(|l| l.num_entries() as u32)
-            .collect();
-        let pairs = PairIndex::build(docs, &dfs, self.pairs.unwrap_or_default());
+        let dfs: Vec<u32> = used().map(|l| l.num_entries() as u32).collect();
+        let config = self.pairs.unwrap_or_default();
+        let pairs = PairIndex::build_local(docs, tokens, &dfs, vocab, config);
         InvertedIndex {
             lists,
             stats,
@@ -70,13 +74,11 @@ impl IndexBuilder {
 
 /// Every `IL_t` of `docs` (ordered by node id) for `t` below `vocab`, in
 /// token order, then `IL_ANY` — see the module docs for the passes.
-fn build_lists(docs: &[Document], vocab: usize) -> PostingArena {
-    // Pass 1: occurrences per token, turned into each token's first slot.
-    let mut slots = vec![0u32; vocab];
-    for doc in docs {
-        for &(token, _) in &doc.tokens {
-            slots[token.index()] += 1;
-        }
+fn build_lists(docs: &[Document], vocab: usize, tokens: &LocalTokens) -> PostingArena {
+    // Pass 1: occurrences per local id, turned into each one's first slot.
+    let mut slots = vec![0u32; tokens.len()];
+    for &local in &tokens.locals {
+        slots[local as usize] += 1;
     }
     let mut total = 0u32;
     let mut blocks = 0usize;
@@ -89,19 +91,20 @@ fn build_lists(docs: &[Document], vocab: usize) -> PostingArena {
     }
 
     // Pass 2: scatter each occurrence into its token's run. Afterwards
-    // `slots[t]` is where token `t`'s run ends.
+    // `slots[l]` is where local id `l`'s run ends, and the runs lie in
+    // local-id order.
     let mut runs = vec![(NodeId(0), Position::flat(0)); total as usize];
-    for doc in docs {
-        for &(token, position) in &doc.tokens {
-            let slot = &mut slots[token.index()];
+    for (doc, locals) in tokens.per_doc(docs) {
+        for (&(_, position), &local) in doc.tokens.iter().zip(locals) {
+            let slot = &mut slots[local as usize];
             runs[*slot as usize] = (doc.node, position);
             *slot += 1;
         }
     }
 
-    // Pass 3: pack the runs, then `IL_ANY`. An occurrence packs into about
-    // three bytes, once in its token's list and once in `IL_ANY`, and a
-    // block's prefix and frames into about twenty.
+    // Pass 3: pack the runs in token order, then `IL_ANY`. An occurrence
+    // packs into about three bytes, once in its token's list and once in
+    // `IL_ANY`, and a block's prefix and frames into about twenty.
     let blocks = blocks
         + docs
             .iter()
@@ -110,14 +113,16 @@ fn build_lists(docs: &[Document], vocab: usize) -> PostingArena {
             .div_ceil(BLOCK_ENTRIES);
     let mut arena =
         PostingArenaWriter::with_capacity(vocab + 1, blocks, 6 * total as usize + 20 * blocks);
-    let mut start = 0;
-    for &end in &slots {
-        for entry in runs[start..end as usize].chunk_by(|a, b| a.0 == b.0) {
+    for &(token, local) in &tokens.used {
+        let local = local as usize;
+        let start = if local == 0 { 0 } else { slots[local - 1] };
+        arena.pad_lists(token as usize);
+        for entry in runs[start as usize..slots[local] as usize].chunk_by(|a, b| a.0 == b.0) {
             arena.push_entry(entry[0].0, entry.iter().map(|&(_, p)| p));
         }
         arena.end_list();
-        start = end as usize;
     }
+    arena.pad_lists(vocab);
     drop(runs);
     for doc in docs.iter().filter(|d| !d.is_empty()) {
         arena.push_entry(doc.node, doc.positions());

@@ -144,6 +144,11 @@ impl InvertedIndex {
         self.block_list(token).num_entries()
     }
 
+    /// `df(t)` of every token id in order, read from the list heads alone.
+    pub fn dfs(&self) -> impl Iterator<Item = usize> + '_ {
+        self.lists.entry_counts().take(self.num_tokens())
+    }
+
     /// Number of token lists stored (vocabulary size).
     pub fn num_tokens(&self) -> usize {
         self.lists.len().saturating_sub(1)

@@ -44,6 +44,7 @@ pub mod builder;
 pub mod counters;
 pub mod index;
 pub mod live;
+mod local;
 pub mod manifest;
 pub mod pair;
 pub mod persist;

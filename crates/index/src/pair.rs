@@ -61,7 +61,10 @@
 //! keep it, so each key's run is already in node order when it is appended
 //! to the arena. Both grouping buffers are sized exactly, at most two
 //! posting buffers are alive at once, and the build is linear in the
-//! postings plus the vocabulary.
+//! postings plus the covered tokens: the passes number tokens by their
+//! place among the covered ones, in token order, so a token the documents
+//! never use costs its coverage bit and its CSR slot, both filled in bulk,
+//! and nothing else.
 //!
 //! The persisted form is the unchanged per-list v7 pair section
 //! ([`crate::persist`]): the encoder writes each list through the
@@ -71,6 +74,7 @@
 use crate::bitpack;
 use crate::block::{BlockList, BLOCK_ENTRIES};
 use crate::counters::AccessCounters;
+use crate::local::LocalTokens;
 use ftsl_model::{Document, NodeId, TokenId};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::RandomState;
@@ -554,15 +558,31 @@ impl PairIndex {
     /// # Panics
     /// Panics past `u32::MAX` postings (the arena's offsets are `u32`).
     pub fn build(docs: &[Document], dfs: &[u32], config: PairConfig) -> PairIndex {
+        let tokens = LocalTokens::of(docs);
+        let used_dfs: Vec<u32> = tokens.used.iter().map(|&(t, _)| dfs[t as usize]).collect();
+        Self::build_local(docs, tokens, &used_dfs, dfs.len(), config)
+    }
+
+    /// [`Self::build`] over the documents' local token ids, with `dfs[i]`
+    /// the document frequency of `tokens.used[i]`, for a `vocab`-wide
+    /// coverage bitmap. A token the documents never use costs its coverage
+    /// bit and its CSR slot, both filled in bulk, and nothing else.
+    pub(crate) fn build_local(
+        docs: &[Document],
+        tokens: LocalTokens,
+        dfs: &[u32],
+        vocab: usize,
+        config: PairConfig,
+    ) -> PairIndex {
         if config.window == 0 {
             return PairIndex::default();
         }
-        let frequent: Vec<bool> = dfs.iter().map(|&df| df >= config.df_cutoff).collect();
-        let fields = Fields::of(docs, frequent.len(), config.window);
+        let coverage = Coverage::of(&tokens, dfs, vocab, config.df_cutoff);
+        let fields = Fields::of(docs, coverage.ids.len(), config.window);
         if fields.fit(u64::BITS) {
-            build_arena::<u64>(docs, frequent, config, fields)
+            build_arena::<u64>(docs, tokens, coverage, config, fields)
         } else {
-            build_arena::<u128>(docs, frequent, config, fields)
+            build_arena::<u128>(docs, tokens, coverage, config, fields)
         }
     }
 
@@ -704,9 +724,8 @@ impl PairArenaWriter {
         let first_block = u32::try_from(ix.blocks.len()).map_err(|_| TOO_LARGE)?;
         u32::try_from(entries.len()).map_err(|_| TOO_LARGE)?;
         // `a` is covered, so this fills at most `frequent.len()` slots.
-        while ix.starts.len() <= a as usize {
-            ix.starts.push(key);
-        }
+        let first = ix.starts.len().max(a as usize + 1);
+        ix.starts.resize(first, key);
         ix.seconds.push(b);
         ix.first_block.push(first_block);
         for (i, chunk) in entries.chunks(BLOCK_ENTRIES).enumerate() {
@@ -745,18 +764,57 @@ impl PairArenaWriter {
     }
 }
 
+/// A build's covered tokens, numbered densely in token order.
+struct Coverage {
+    /// The coverage bitmap the index keeps: `frequent[t]` iff `df(t)` is
+    /// at least the cutoff.
+    frequent: Vec<bool>,
+    /// Per local id, its token's number among the covered tokens, or
+    /// [`NOT_COVERED`].
+    number: Vec<u32>,
+    /// The covered token ids, ascending: `ids[c]` is number `c`.
+    ids: Vec<u32>,
+}
+
+/// [`Coverage::number`] of a token below the df cutoff.
+const NOT_COVERED: u32 = u32::MAX;
+
+impl Coverage {
+    /// The tokens of `tokens` with `dfs[i]` (of `tokens.used[i]`) at least
+    /// `cutoff`, over a `vocab`-wide bitmap. A token the documents never
+    /// use has df 0, so it is covered iff the cutoff is 0.
+    fn of(tokens: &LocalTokens, dfs: &[u32], vocab: usize, cutoff: u32) -> Coverage {
+        let mut coverage = Coverage {
+            frequent: vec![cutoff == 0; vocab],
+            number: vec![NOT_COVERED; tokens.len()],
+            ids: Vec::new(),
+        };
+        for (&(token, local), &df) in tokens.used.iter().zip(dfs) {
+            if df >= cutoff {
+                coverage.frequent[token as usize] = true;
+                coverage.number[local as usize] = coverage.ids.len() as u32;
+                coverage.ids.push(token);
+            }
+        }
+        coverage
+    }
+}
+
 /// [`PairIndex::build`] over postings packed into `W` words.
 ///
 /// Pass 0 walks the documents and keeps one posting per document and
-/// covered key, with the key's minimum gap there, in document order. Two
-/// stable counting passes then group the postings by key: by second token,
-/// then by first. Each pass keeps the order it is given, so every key's
-/// run comes out in node order and is appended to the arena as it stands.
-/// At most two posting buffers are alive at once, and both grouping
-/// buffers are sized exactly.
+/// covered key, with the key's minimum gap there, in document order. A
+/// posting names its tokens by their [`Coverage`] numbers, which follow
+/// token order, so the grouping below costs the covered tokens rather than
+/// the vocabulary. Two stable counting passes then
+/// group the postings by key: by second token, then by first. Each pass
+/// keeps the order it is given, so every key's run comes out in node order
+/// and is appended to the arena as it stands. At most two posting buffers
+/// are alive at once, and both grouping buffers are sized exactly.
 fn build_arena<W: Word>(
     docs: &[Document],
-    frequent: Vec<bool>,
+    tokens: LocalTokens,
+    coverage: Coverage,
     config: PairConfig,
     fields: Fields,
 ) -> PairIndex {
@@ -771,33 +829,38 @@ fn build_arena<W: Word>(
         mid: fields.node,
         lo: fields.gap,
     };
-    let vocab = frequent.len();
-    let mut firsts = vec![0u32; vocab];
-    let mut seconds = vec![0u32; vocab];
+    let width = coverage.ids.len();
+    let mut firsts = vec![0u32; width];
+    let mut seconds = vec![0u32; width];
 
     let mut postings: Vec<W> = Vec::new();
     // `(node, end)`: the postings of each document that has any.
     let mut doc_ends: Vec<(u32, usize)> = Vec::new();
     let mut table = KeyTable::new();
-    for doc in docs {
+    // The current document's covered number per occurrence.
+    let mut cover: Vec<u32> = Vec::new();
+    for (doc, locals) in tokens.per_doc(docs) {
         table.clear();
         let start = postings.len();
         let toks = &doc.tokens;
-        for (i, &(ta, pa)) in toks.iter().enumerate() {
-            if !frequent[ta.index()] {
+        cover.clear();
+        cover.extend(locals.iter().map(|&l| coverage.number[l as usize]));
+        for (i, &(_, pa)) in toks.iter().enumerate() {
+            let ca = cover[i];
+            if ca == NOT_COVERED {
                 continue;
             }
-            for &(tb, pb) in &toks[i + 1..] {
+            for (&(_, pb), &cb) in toks[i + 1..].iter().zip(&cover[i + 1..]) {
                 let gap = pb.offset - pa.offset;
                 if gap > config.window {
                     break; // offsets are strictly increasing
                 }
-                if !frequent[tb.index()] {
+                if cb == NOT_COVERED {
                     continue;
                 }
-                let posting = W::pack(ta.0, tb.0, gap - 1, in_doc);
+                let posting = W::pack(ca, cb, gap - 1, in_doc);
                 let next = u32::try_from(postings.len()).expect("pair postings exceed u32 offsets");
-                match table.get_or_insert((u64::from(ta.0) << 32) | u64::from(tb.0), next) {
+                match table.get_or_insert((u64::from(ca) << 32) | u64::from(cb), next) {
                     // Same key, so the smaller word holds the smaller gap.
                     Some(at) => {
                         let kept = &mut postings[at as usize];
@@ -805,8 +868,8 @@ fn build_arena<W: Word>(
                     }
                     None => {
                         postings.push(posting);
-                        firsts[ta.index()] += 1;
-                        seconds[tb.index()] += 1;
+                        firsts[ca as usize] += 1;
+                        seconds[cb as usize] += 1;
                     }
                 }
             }
@@ -815,6 +878,8 @@ fn build_arena<W: Word>(
             doc_ends.push((doc.node.0, postings.len()));
         }
     }
+    // The local ids are spent: free them before the grouping buffers peak.
+    drop((cover, tokens, coverage.number));
 
     // By second token; the node comes from the document.
     let mut by_second = vec![W::ZERO; postings.len()];
@@ -853,13 +918,14 @@ fn build_arena<W: Word>(
             .flat_map(|(a, bucket)| {
                 bucket
                     .chunk_by(|x, y| x.unpack(in_bucket).0 == y.unpack(in_bucket).0)
-                    .map(move |run| (a as u32, run))
+                    .map(move |run| (a, run))
             })
     };
     let (keys, blocks) = runs().fold((0, 0), |(keys, blocks), (_, run)| {
         (keys + 1, blocks + run.len().div_ceil(BLOCK_ENTRIES))
     });
-    let mut arena = PairArenaWriter::with_capacity(config, frequent, keys, blocks);
+    let ids = coverage.ids;
+    let mut arena = PairArenaWriter::with_capacity(config, coverage.frequent, keys, blocks);
     let mut list: Vec<(u32, u32)> = Vec::new();
     for (a, run) in runs() {
         list.clear();
@@ -869,7 +935,7 @@ fn build_arena<W: Word>(
         }));
         let b = run[0].unpack(in_bucket).0;
         arena
-            .push_list(a, b, &list)
+            .push_list(ids[a], ids[b as usize], &list)
             .expect("built keys are covered, ascending and non-empty");
     }
     arena.finish()
@@ -877,7 +943,7 @@ fn build_arena<W: Word>(
 
 /// Turn per-token counts into each token's first slot (exclusive prefix
 /// sums). Once every posting has been placed, entry `t` is where token
-/// `t`'s bucket ends.
+/// `t`'s bucket ends. Tokens here are [`Coverage`] numbers.
 fn bucket_starts(counts: &mut [u32]) {
     let mut sum = 0;
     for count in counts {
@@ -907,7 +973,8 @@ struct Fields {
 }
 
 impl Fields {
-    fn of(docs: &[Document], vocab: usize, window: u32) -> Fields {
+    /// The widths for `docs` with `tokens` covered tokens.
+    fn of(docs: &[Document], tokens: usize, window: u32) -> Fields {
         let width = |max: u32| u32::from(bitpack::width_for(max));
         // No gap is wider than the widest document.
         let span = docs
@@ -916,7 +983,7 @@ impl Fields {
             .max()
             .unwrap_or(0);
         Fields {
-            token: width(u32::try_from(vocab.saturating_sub(1)).unwrap_or(u32::MAX)),
+            token: width(u32::try_from(tokens.saturating_sub(1)).unwrap_or(u32::MAX)),
             node: width(docs.iter().map(|d| d.node.0).max().unwrap_or(0)),
             gap: width(window.min(span).saturating_sub(1)),
         }
@@ -1159,6 +1226,51 @@ mod tests {
         match index.lookup(TokenId(0), TokenId(1)) {
             PairLookup::List(list) => list,
             other => panic!("expected list, got {other:?}"),
+        }
+    }
+
+    /// The `u128` words, which only a covered vocabulary, node ids and a
+    /// window wide enough together to overflow 64 bits reach, build what
+    /// the `u64` words build.
+    #[test]
+    fn wide_words_build_what_narrow_words_build() {
+        let texts = ["a b c a b d", "", "b c d e a a", "e d c b a", "f a f b f c"];
+        let corpus = Corpus::from_texts(&texts);
+        let docs = corpus.documents();
+        let vocab = corpus.interner().len();
+        let df = |t: u32| {
+            docs.iter()
+                .filter(|d| d.tokens.iter().any(|x| x.0 .0 == t))
+                .count()
+        };
+        let lists = |index: &PairIndex| -> Vec<_> {
+            index
+                .iter()
+                .map(|(a, b, list)| (a, b, list.to_entries()))
+                .collect()
+        };
+        for (window, cutoff) in [(1, 0), (4, 2), (u32::MAX, 1)] {
+            let config = PairConfig {
+                window,
+                df_cutoff: cutoff,
+            };
+            let build = |wide: bool| {
+                let tokens = LocalTokens::of(docs);
+                let dfs: Vec<u32> = tokens.used.iter().map(|&(t, _)| df(t) as u32).collect();
+                let coverage = Coverage::of(&tokens, &dfs, vocab, cutoff);
+                let fields = Fields::of(docs, coverage.ids.len(), window);
+                assert!(fields.fit(u64::BITS));
+                if wide {
+                    build_arena::<u128>(docs, tokens, coverage, config, fields)
+                } else {
+                    build_arena::<u64>(docs, tokens, coverage, config, fields)
+                }
+            };
+            let (narrow, wide) = (build(false), build(true));
+            assert!(!narrow.is_empty(), "window {window}");
+            assert_eq!(lists(&wide), lists(&narrow), "window {window}");
+            assert_eq!(wide.coverage(), narrow.coverage());
+            assert_eq!(wide.starts, narrow.starts);
         }
     }
 

@@ -102,9 +102,16 @@ impl DeleteSet {
         out
     }
 
-    /// Iterate the tombstoned local node ids in ascending order.
+    /// Iterate the tombstoned local node ids in ascending order, a bitmap
+    /// word at a time: the cost is the words plus the tombstones, not one
+    /// test per slot.
     pub fn iter_deleted(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len).filter(|&i| self.is_deleted(i))
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            std::iter::successors((word != 0).then_some(word), |&rest| {
+                Some(rest & (rest - 1)).filter(|&r| r != 0)
+            })
+            .map(move |bits| w * 64 + bits.trailing_zeros() as usize)
+        })
     }
 
     /// The raw bitmap words (for persistence; `len` words cover
@@ -421,6 +428,28 @@ mod tests {
         assert_eq!(d.deleted_count(), 3);
         assert_eq!(d.live_count(), 127);
         assert_eq!(d.iter_deleted().collect::<Vec<_>>(), vec![0, 64, 129]);
+    }
+
+    #[test]
+    fn iter_deleted_walks_the_set_bits_as_the_slot_filter_does() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for len in [0, 1, 63, 64, 65, 128, 200, 1_000] {
+            // Densities from none through about half to every slot.
+            for keep in [0u64, 1, 8, 32, 64] {
+                let mut d = DeleteSet::new(len);
+                for local in 0..len {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    if state % 64 < keep {
+                        d.delete(local);
+                    }
+                }
+                let by_slot: Vec<usize> = (0..len).filter(|&i| d.is_deleted(i)).collect();
+                assert_eq!(d.iter_deleted().collect::<Vec<_>>(), by_slot, "len {len}");
+                assert_eq!(by_slot.len(), d.deleted_count());
+            }
+        }
     }
 
     #[test]

@@ -22,16 +22,25 @@ pub struct IndexStats {
 
 impl IndexStats {
     /// Compute the parameters from built lists: one per token of
-    /// `corpus`'s vocabulary, then `IL_ANY`. Reads list heads and block
+    /// `corpus`'s vocabulary, then `IL_ANY`. `used` yields the lists of the
+    /// tokens the documents use; every other list is empty and adds nothing
+    /// to a maximum, so it is never read. Reads list heads and block
     /// headers only — a block's `max_tf` is its largest entry.
-    pub fn compute(corpus: &Corpus, lists: &PostingArena) -> Self {
+    pub fn compute<'a>(
+        corpus: &Corpus,
+        lists: &PostingArena,
+        used: impl IntoIterator<Item = BlockList<'a>>,
+    ) -> Self {
         let vocabulary = corpus.interner().len();
-        let tokens = || lists.iter().take(vocabulary);
+        let (entries_per_token, pos_per_entry) =
+            used.into_iter().fold((0, 0), |(entries, tf), list| {
+                (entries.max(list.num_entries()), tf.max(list.max_tf()))
+            });
         IndexStats {
             cnodes: corpus.len(),
             pos_per_cnode: lists.list(vocabulary).max_tf() as usize,
-            entries_per_token: tokens().map(BlockList::num_entries).max().unwrap_or(0),
-            pos_per_entry: tokens().map(BlockList::max_tf).max().unwrap_or(0) as usize,
+            entries_per_token,
+            pos_per_entry: pos_per_entry as usize,
             vocabulary,
         }
     }

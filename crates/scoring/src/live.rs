@@ -6,15 +6,16 @@
 //! segment of a [`Snapshot`] knows neither. [`SnapshotStats`] computes the
 //! merged numbers once per snapshot — live `df` summed per token id across
 //! segments (token ids are prefix-consistent, see `ftsl_index::live`),
-//! tombstoned documents subtracted, `db_size` = live documents — and then
+//! tombstoned documents left out, `db_size` = live documents — and then
 //! derives a per-segment [`ScoreStats`] from them, so every engine scores a
 //! segment's local nodes *exactly* as a monolithic index over the same live
 //! documents would: bit-identical idf, norms, and therefore scores.
 
-use crate::stats::{idf_value, ScoreStats};
+use crate::stats::{count_tokens, idf_value, ScoreStats};
 use crate::{PraModel, TfIdfModel};
-use ftsl_index::Snapshot;
-use ftsl_model::TokenId;
+use ftsl_index::{Snapshot, SnapshotSegment};
+use ftsl_model::{Document, TokenId};
+use std::sync::Arc;
 
 /// Merged, tombstone-aware scoring statistics for one [`Snapshot`], plus
 /// the per-segment [`ScoreStats`] views the evaluators consume.
@@ -23,46 +24,52 @@ pub struct SnapshotStats {
     db_size: usize,
     /// Live document frequency by (prefix-consistent) token id, shared
     /// with every per-segment [`ScoreStats`] view (one allocation total).
-    df: std::sync::Arc<Vec<usize>>,
+    df: Arc<Vec<usize>>,
     per_segment: Vec<ScoreStats>,
 }
 
 impl SnapshotStats {
-    /// Compute merged statistics for a snapshot. Cost is one pass over the
-    /// segment vocabularies plus one pass over *tombstoned* documents'
-    /// tokens — live documents are never rescanned for `df`.
+    /// Compute merged statistics for a snapshot.
+    ///
+    /// Every version pays for its documents, once each: the norms read
+    /// every document's tokens, and `df` reads each segment's list heads
+    /// (taking its tombstoned documents back out) or, for a segment with
+    /// fewer token occurrences than vocabulary entries — a write-buffer
+    /// chunk — its live documents. Beyond that it costs one `df` vector and
+    /// one count scratch as wide as the vocabulary, shared by every
+    /// segment, and at most `db_size + 1` logarithms: `idf` depends on `df`
+    /// alone once `db_size` is fixed, so each `df` value's idf is computed
+    /// once.
     pub fn compute(snapshot: &Snapshot) -> Self {
         let db_size = snapshot.live_doc_count();
         let vocab = snapshot.widest_interner().map_or(0, |i| i.len());
         let mut df = vec![0usize; vocab];
+        let mut counts = vec![0u32; vocab];
         for seg in snapshot.segments() {
-            let data = seg.data();
-            for (t, slot) in df
-                .iter_mut()
-                .enumerate()
-                .take(data.corpus().interner().len())
-            {
-                *slot += data.index().df(TokenId(t as u32));
-            }
-            for local in seg.deletes().iter_deleted() {
-                let doc = data.document(local);
-                let mut tokens: Vec<TokenId> = doc.tokens.iter().map(|&(t, _)| t).collect();
-                tokens.sort_unstable();
-                tokens.dedup();
-                for t in tokens {
-                    df[t.index()] -= 1;
-                }
-            }
+            add_live_dfs(seg, &mut df, &mut counts);
         }
-        let df = std::sync::Arc::new(df);
+        let df = Arc::new(df);
+        // `idf_by_df[d]` once computed, NaN until then. A live `df` never
+        // exceeds the live documents.
+        let mut idf_by_df = vec![f64::NAN; db_size + 1];
+        let mut idf = |d: usize| {
+            let memo = &mut idf_by_df[d];
+            if memo.is_nan() {
+                *memo = idf_value(db_size, d);
+            }
+            *memo
+        };
         let per_segment = snapshot
             .segments()
             .iter()
             .map(|seg| {
-                ScoreStats::compute_with_shared_df(
+                ScoreStats::compute_inner(
                     seg.data().corpus(),
-                    std::sync::Arc::clone(&df),
+                    Some(seg.deletes()),
+                    Arc::clone(&df),
                     db_size,
+                    &mut counts,
+                    &mut idf,
                 )
             })
             .collect();
@@ -114,19 +121,60 @@ impl SnapshotStats {
         })
     }
 
-    /// Build the PRA model from the merged statistics (idf table over the
-    /// widest vocabulary, normalized by the live collection size).
-    pub fn pra_model(&self, snapshot: &Snapshot) -> PraModel {
-        let table = snapshot
-            .widest_interner()
-            .map(|interner| {
-                interner
-                    .iter()
-                    .map(|(id, name)| (name.to_string(), self.idf_id(id)))
-                    .collect()
+    /// Build the query's PRA model from the merged statistics: an idf
+    /// table over the query's tokens, resolved through the snapshot's
+    /// widest vocabulary, normalized by the live collection size. A token
+    /// outside the table scores 0, as one no segment ever saw does.
+    pub fn pra_model<S: AsRef<str>>(&self, tokens: &[S], snapshot: &Snapshot) -> PraModel {
+        let interner = snapshot.widest_interner();
+        let table = tokens
+            .iter()
+            .map(|token| {
+                let name = token.as_ref();
+                let idf = interner
+                    .and_then(|i| i.get(name).filter(|&id| i.name(id) == name))
+                    .map_or(0.0, |id| self.idf_id(id));
+                (name.to_string(), idf)
             })
-            .unwrap_or_default();
+            .collect();
         PraModel::with_idf_table(table, self.db_size)
+    }
+}
+
+/// Add `seg`'s live document frequencies to `df`, with `counts` as zeroed
+/// scratch (left zeroed). A segment with fewer token occurrences than
+/// vocabulary entries counts its live documents' distinct tokens; any
+/// other adds its list heads and takes its tombstoned documents back out.
+fn add_live_dfs(seg: &SnapshotSegment, df: &mut [usize], counts: &mut [u32]) {
+    let (data, deletes) = (seg.data(), seg.deletes());
+    let index = data.index();
+    let mut touched: Vec<TokenId> = Vec::new();
+    if index.any_block_list().num_positions() < index.num_tokens() {
+        for local in (0..data.num_docs()).filter(|&l| deletes.is_live(l)) {
+            distinct_tokens(data.document(local), counts, &mut touched);
+            for &t in &touched {
+                df[t.index()] += 1;
+            }
+        }
+    } else {
+        for (slot, n) in df.iter_mut().zip(index.dfs()) {
+            *slot += n;
+        }
+        for local in deletes.iter_deleted() {
+            distinct_tokens(data.document(local), counts, &mut touched);
+            for &t in &touched {
+                df[t.index()] -= 1;
+            }
+        }
+    }
+}
+
+/// The distinct tokens of `doc`, into `touched`; `counts` is zeroed
+/// scratch, left zeroed.
+fn distinct_tokens(doc: &Document, counts: &mut [u32], touched: &mut Vec<TokenId>) {
+    count_tokens(doc, counts, touched);
+    for &t in touched.iter() {
+        counts[t.index()] = 0;
     }
 }
 
@@ -244,7 +292,10 @@ mod tests {
         );
 
         // PRA: token probabilities agree for live and dead tokens alike.
-        let snap_pra = stats.pra_model(&snap);
+        let snap_pra = stats.pra_model(
+            &["alpha", "beta", "gamma", "delta", "doomed", "unseen"],
+            &snap,
+        );
         let mono_pra = PraModel::new(&corpus, &mono);
         use crate::ScoringModel;
         for t in ["alpha", "beta", "gamma", "delta", "doomed", "unseen"] {

@@ -1,7 +1,7 @@
 //! Corpus statistics needed by the scoring formulas of Section 3.1.
 
-use ftsl_index::InvertedIndex;
-use ftsl_model::{Corpus, NodeId, TokenId};
+use ftsl_index::{DeleteSet, InvertedIndex};
+use ftsl_model::{Corpus, Document, NodeId, TokenId};
 use std::sync::Arc;
 
 /// Precomputed per-corpus statistics: `df(t)`, `db_size`,
@@ -18,7 +18,7 @@ pub struct ScoreStats {
     unique_tokens: Vec<usize>,
     /// `‖n‖₂` per node (L2 norm of the node's tf·idf vector).
     l2_norm: Vec<f64>,
-    /// `max_n 1/(unique_tokens(n)·‖n‖₂)` over non-empty nodes — the
+    /// `max_n 1/(unique_tokens(n)·‖n‖₂)` over live non-empty nodes — the
     /// node-dependent factor of the TF-IDF per-occurrence mass, maximized
     /// once so scored cursors can turn a term-frequency ceiling into a
     /// corpus-wide score upper bound.
@@ -30,19 +30,22 @@ impl ScoreStats {
     pub fn compute(corpus: &Corpus, index: &InvertedIndex) -> Self {
         let vocab = corpus.interner().len();
         let df: Vec<usize> = (0..vocab).map(|t| index.df(TokenId(t as u32))).collect();
-        Self::compute_with_df(corpus, df, corpus.len())
-    }
-
-    /// [`Self::compute_with_df`] over an already-shared `df` vector (no
-    /// copy — every per-segment view of a live snapshot holds the same
-    /// allocation).
-    pub fn compute_with_shared_df(corpus: &Corpus, df: Arc<Vec<usize>>, db_size: usize) -> Self {
-        Self::compute_inner(corpus, df, db_size)
+        let db_size = corpus.len();
+        Self::compute_inner(
+            corpus,
+            None,
+            Arc::new(df),
+            db_size,
+            &mut vec![0; vocab],
+            |df| idf_value(db_size, df),
+        )
     }
 
     /// Compute per-node statistics for `corpus` against *externally
     /// supplied* collection-level numbers: `df` by token id (may be longer
-    /// than the corpus vocabulary) and `db_size`.
+    /// than the corpus vocabulary), `db_size`, and `idf` of a `df` value
+    /// under that `db_size`. `counts` is zeroed scratch at least as long as
+    /// the vocabulary, left zeroed.
     ///
     /// This is how one segment of a live index gets statistics that are
     /// correct for the *whole* collection: token ids are prefix-consistent
@@ -51,41 +54,40 @@ impl ScoreStats {
     /// monolithic index over the same live documents would compute it.
     /// Documents whose tokens have `df = 0` (possible only for tombstoned
     /// documents, whose tokens may survive nowhere) get an infinite norm —
-    /// harmless, since nothing live ever reads their rows.
-    pub fn compute_with_df(corpus: &Corpus, df: Vec<usize>, db_size: usize) -> Self {
-        Self::compute_inner(corpus, Arc::new(df), db_size)
-    }
-
-    fn compute_inner(corpus: &Corpus, df: Arc<Vec<usize>>, db_size: usize) -> Self {
+    /// harmless, since nothing live ever reads their rows — and no
+    /// tombstoned document (per `deletes`) counts toward the boost.
+    pub(crate) fn compute_inner(
+        corpus: &Corpus,
+        deletes: Option<&DeleteSet>,
+        df: Arc<Vec<usize>>,
+        db_size: usize,
+        counts: &mut [u32],
+        mut idf: impl FnMut(usize) -> f64,
+    ) -> Self {
         let num_docs = corpus.len();
-        let vocab = corpus.interner().len();
-        debug_assert!(df.len() >= vocab, "df vector must cover the vocabulary");
+        debug_assert!(
+            df.len() >= corpus.interner().len() && counts.len() >= corpus.interner().len(),
+            "df vector and scratch must cover the vocabulary"
+        );
 
         let mut unique_tokens = Vec::with_capacity(num_docs);
         let mut l2_norm = Vec::with_capacity(num_docs);
         let mut max_node_boost = 0.0f64;
-        let mut counts: Vec<u32> = vec![0; vocab];
         let mut touched: Vec<TokenId> = Vec::new();
-        for doc in corpus.documents() {
-            for &(t, _) in &doc.tokens {
-                if counts[t.index()] == 0 {
-                    touched.push(t);
-                }
-                counts[t.index()] += 1;
-            }
+        for (local, doc) in corpus.documents().iter().enumerate() {
+            count_tokens(doc, counts, &mut touched);
             let unique = touched.len().max(1);
             let mut sum_sq = 0.0;
             for &t in &touched {
                 let tf = f64::from(counts[t.index()]) / unique as f64;
-                let idf = idf_value(db_size, df[t.index()]);
+                let idf = idf(df[t.index()]);
                 sum_sq += (tf * idf) * (tf * idf);
                 counts[t.index()] = 0;
             }
-            touched.clear();
             unique_tokens.push(unique);
             let norm = if sum_sq > 0.0 { sum_sq.sqrt() } else { 1.0 };
             l2_norm.push(norm);
-            if sum_sq > 0.0 {
+            if sum_sq > 0.0 && deletes.is_none_or(|d| d.is_live(local)) {
                 max_node_boost = max_node_boost.max(1.0 / (unique as f64 * norm));
             }
         }
@@ -135,6 +137,25 @@ impl ScoreStats {
 
 pub(crate) fn idf_value(db_size: usize, df: usize) -> f64 {
     (1.0 + db_size as f64 / df as f64).ln()
+}
+
+/// Count `doc`'s tokens into `counts` (zero at every token of `doc`) and
+/// list its distinct tokens in `touched`, in order of first occurrence.
+/// The caller zeroes `counts` at `touched` again.
+pub(crate) fn count_tokens(doc: &Document, counts: &mut [u32], touched: &mut Vec<TokenId>) {
+    // Branch-free: every token is written at the end of the list, which
+    // moves past it on its first occurrence only — most of a document's
+    // tokens are distinct, and a branch on that mispredicts often.
+    touched.clear();
+    touched.resize(doc.tokens.len(), TokenId(0));
+    let mut distinct = 0;
+    for &(t, _) in &doc.tokens {
+        let count = &mut counts[t.index()];
+        touched[distinct] = t;
+        distinct += usize::from(*count == 0);
+        *count += 1;
+    }
+    touched.truncate(distinct);
 }
 
 #[cfg(test)]

@@ -31,6 +31,39 @@ fn engine() -> Arc<Ftsl> {
     Arc::new(engine)
 }
 
+/// A ranked PRA request resolves the idf of its own tokens, not of the
+/// whole vocabulary: its allocations do not grow with the vocabulary.
+#[test]
+fn pra_top_k_allocations_do_not_grow_with_the_vocabulary() {
+    let allocs = |width: usize| {
+        let engine = Ftsl::with_config(LiveConfig {
+            background_merge: false,
+            ..LiveConfig::default()
+        });
+        // One document carries the vocabulary; the rest are what is ranked.
+        let words: Vec<String> = (0..width).map(|i| format!("term{i}")).collect();
+        engine.add(&words.join(" "));
+        for i in 0..50 {
+            engine.add(&format!("usability software number{}", i % 7));
+        }
+        engine.flush();
+        let query = "'software' OR 'number3'";
+        // Warm: the version's statistics are computed once, then cached.
+        engine.search_top_k(query, RankModel::Pra, 10).unwrap();
+        let before = thread_allocs();
+        let ranked = engine.search_top_k(query, RankModel::Pra, 10).unwrap();
+        let allocs = thread_allocs() - before;
+        assert_eq!(ranked.hits.len(), 10);
+        allocs
+    };
+    let (narrow, wide) = (allocs(2_000), allocs(50_000));
+    println!("PRA top-k: {narrow} allocations at 2k tokens, {wide} at 50k");
+    assert_eq!(
+        narrow, wide,
+        "a PRA top-k allocated {wide} times over 50k tokens, {narrow} over 2k"
+    );
+}
+
 #[test]
 fn cache_hit_serving_allocates_nothing() {
     let engine = engine();

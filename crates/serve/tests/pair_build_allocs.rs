@@ -60,6 +60,11 @@ fn pair_build_allocations_do_not_grow_with_keys() {
 /// 1 024 documents of 100 words drawn from a 20 000-word vocabulary by a
 /// Zipf(1.0) law — the shape of one `zipf_cold` segment.
 fn zipf_corpus() -> Corpus {
+    Corpus::from_texts(&zipf_texts(1_024))
+}
+
+/// The first `docs` texts of [`zipf_corpus`].
+fn zipf_texts(docs: usize) -> Vec<String> {
     const VOCAB: usize = 20_000;
     let mut cumulative = Vec::with_capacity(VOCAB);
     let mut total = 0.0f64;
@@ -68,7 +73,7 @@ fn zipf_corpus() -> Corpus {
         cumulative.push(total);
     }
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
-    let texts: Vec<String> = (0..1_024)
+    (0..docs)
         .map(|_| {
             (0..100)
                 .map(|_| {
@@ -81,8 +86,7 @@ fn zipf_corpus() -> Corpus {
                 .collect::<Vec<_>>()
                 .join(" ")
         })
-        .collect();
-    Corpus::from_texts(&texts)
+        .collect()
 }
 
 /// Transient peak of the sort-based build this one replaced, on
@@ -161,6 +165,42 @@ fn list_build_allocations_do_not_grow_with_the_vocabulary() {
     assert!(
         narrow_allocs <= 24,
         "a list build allocated {narrow_allocs} times"
+    );
+}
+
+/// A region's transient peak: its high-water mark of live bytes minus the
+/// live bytes it leaves behind — for a build, everything but the index.
+fn transient_peak<T>(region: impl FnOnce() -> T) -> (i64, T) {
+    reset_thread_peak();
+    let out = region();
+    (thread_peak_bytes() - thread_live_bytes(), out)
+}
+
+#[test]
+fn a_seal_peaks_the_same_under_any_vocabulary_width() {
+    // 32 documents of 100 words: a write-buffer chunk.
+    let texts = zipf_texts(32);
+    let own = Corpus::from_texts(&texts);
+    let wide = corpus_over(200_000, &texts);
+    let seal = |corpus: &Corpus| {
+        let (transient, index) = transient_peak(|| IndexBuilder::new().build(corpus));
+        (transient, index.pairs().num_keys())
+    };
+    let (own_peak, own_keys) = seal(&own);
+    let (wide_peak, wide_keys) = seal(&wide);
+    println!(
+        "32-document seal: transient {own_peak} bytes over {} tokens, {wide_peak} over {}",
+        own.interner().len(),
+        wide.interner().len()
+    );
+    assert!(
+        own_keys > 1_000,
+        "the chunk must carry pairs: {own_keys} keys"
+    );
+    assert_eq!(own_keys, wide_keys);
+    assert!(
+        wide_peak <= own_peak,
+        "a seal over 200k tokens peaked {wide_peak} transient bytes, over its own {own_peak}"
     );
 }
 
