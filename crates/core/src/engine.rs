@@ -114,7 +114,10 @@ impl Ftsl {
         }
     }
 
-    /// Replace execution options (NPRED strategy, pair rewrite, tracing).
+    /// Replace execution options (NPRED strategy, tracing). The word-pair
+    /// rewrite is not an option: a proximity query reads a segment's pair
+    /// lists whenever they cover it, and an index sealed with
+    /// `PairConfig::disabled()` answers it by position intersection.
     pub fn with_options(mut self, options: ExecOptions) -> Self {
         self.options = options;
         self
@@ -416,7 +419,7 @@ impl Ftsl {
 
     /// The operator tree `class`'s engine runs for `surface`: the streaming
     /// plan, or for COMP the algebra after `σ` / `π` push-down, which is
-    /// the plan `run_comp` evaluates. Empty for BOOL.
+    /// the plan the COMP engine evaluates. Empty for BOOL.
     fn plan(&self, surface: &SurfaceQuery, class: LanguageClass) -> Result<String, FtslError> {
         let expr = lower(surface, &self.registry)?;
         let mut out = String::new();

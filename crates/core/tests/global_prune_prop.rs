@@ -6,9 +6,9 @@
 //! impact bound, whole segments skipped when their bound cannot beat the
 //! current k-th score — returns results *bit-identical* (ids through the
 //! global→dense remap, scores by exact bit pattern) to a monolithic
-//! rebuild of the survivors: the single-index union primitives
-//! (`topk_tfidf`, `topk_pra_disjunction`) for flat disjunctions, and the
-//! rebuild's `search_ranked` truncated to k for PRA trees.
+//! rebuild of the survivors as one segment: the rebuild's `search_top_k`
+//! for flat disjunctions, and its `search_ranked` truncated to k for PRA
+//! trees.
 //!
 //! Over the same histories, `search_top_k(q, m, k)` is `search_ranked(q,
 //! m)` truncated to k for every query under both models — the one
@@ -34,49 +34,35 @@ use ftsl_core::{Ftsl, LiveConfig, RankModel};
 use ftsl_exec::scored::flat_disjunction;
 use ftsl_exec::snapshot::{ExecScratch, SnapshotExecutor};
 use ftsl_exec::{ScoreModel, ScoredTopK};
-use ftsl_index::{IndexBuilder, InvertedIndex, Snapshot};
+use ftsl_index::Snapshot;
 use ftsl_lang::SurfaceQuery;
-use ftsl_model::{Corpus, NodeId};
+use ftsl_model::NodeId;
 use ftsl_predicates::PredicateRegistry;
-use ftsl_scoring::{
-    topk_pra_disjunction, topk_tfidf, PraModel, ScoreStats, SnapshotStats, TfIdfModel,
-};
+use ftsl_scoring::SnapshotStats;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-/// The monolithic side: one corpus + index over the survivors, its
-/// statistics, the same texts as a one-segment engine, and the
+/// The monolithic side: the survivors as a one-segment engine, and the
 /// global→dense id map.
 struct Monolith {
-    corpus: Corpus,
-    index: InvertedIndex,
-    stats: ScoreStats,
     engine: Ftsl,
     remap: HashMap<u32, u32>,
 }
 
 fn rebuild(survivors: &[(u32, String)]) -> Monolith {
     let texts: Vec<&str> = survivors.iter().map(|(_, t)| t.as_str()).collect();
-    let corpus = Corpus::from_texts(&texts);
-    let index = IndexBuilder::new().build(&corpus);
     Monolith {
-        stats: ScoreStats::compute(&corpus, &index),
-        corpus,
-        index,
         engine: Ftsl::from_texts(&texts),
         remap: dense_ids(survivors),
     }
 }
 
 impl Monolith {
-    fn tfidf(&self, tokens: &[&str], k: usize) -> Vec<(NodeId, f64)> {
-        let model = TfIdfModel::for_query(tokens, &self.corpus, &self.stats);
-        topk_tfidf(tokens, &self.corpus, &self.index, &self.stats, &model, k).hits
-    }
-
-    fn pra_flat(&self, tokens: &[&str], k: usize) -> Vec<(NodeId, f64)> {
-        let model = PraModel::new(&self.corpus, &self.stats);
-        topk_pra_disjunction(tokens, &self.corpus, &self.index, &self.stats, &model, k).hits
+    fn top_k(&self, query: &str, model: RankModel, k: usize) -> Vec<(NodeId, f64)> {
+        self.engine
+            .search_top_k(query, model, k)
+            .expect("oracle top-k")
+            .hits
     }
 
     fn pra_tree(&self, query: &str, k: usize) -> Vec<(NodeId, f64)> {
@@ -175,7 +161,7 @@ fn assert_hits_bit_identical(
 }
 
 /// The full battery: both models, all k, flat and tree
-/// shapes, globally-pruned snapshot run vs monolithic single-index run.
+/// shapes, globally-pruned snapshot run vs the one-segment rebuild.
 fn assert_global_matches_oracle(engine: &Ftsl, mono: &Monolith) -> Result<(), ()> {
     let snapshot = engine.snapshot();
     let stats = SnapshotStats::compute(&snapshot);
@@ -190,12 +176,14 @@ fn assert_global_matches_oracle(engine: &Ftsl, mono: &Monolith) -> Result<(), ()
         for k in KS {
             let live = global_top_k(&snapshot, &stats, &q, k, &ScoreModel::TfIdf(&live_tfidf));
             let ctx = format!("tfidf {query} k={k}");
-            assert_hits_bit_identical(&live.hits, &mono.tfidf(tokens, k), &mono.remap, &ctx)?;
+            let oracle = mono.top_k(query, RankModel::TfIdf, k);
+            assert_hits_bit_identical(&live.hits, &oracle, &mono.remap, &ctx)?;
             prop_assert!(live.counters.segments_skipped <= segments, "{}", ctx);
 
             let live = global_top_k(&snapshot, &stats, &q, k, &ScoreModel::Pra(&live_pra));
             let ctx = format!("pra {query} k={k}");
-            assert_hits_bit_identical(&live.hits, &mono.pra_flat(tokens, k), &mono.remap, &ctx)?;
+            let oracle = mono.top_k(query, RankModel::Pra, k);
+            assert_hits_bit_identical(&live.hits, &oracle, &mono.remap, &ctx)?;
         }
     }
     for query in TREE_QUERIES {
@@ -269,7 +257,7 @@ proptest! {
 
     /// Any interleaving of adds/deletes/flushes/merges: the globally-pruned
     /// top-k over the resulting N-segment snapshot is bit-identical to the
-    /// monolithic rebuild's single-index run, for every model × k.
+    /// monolithic rebuild's one-segment run, for every model × k.
     #[test]
     fn global_topk_is_bit_identical_to_monolithic_oracle(ops in arb_ops()) {
         let (engine, survivors) = apply(&ops);
@@ -303,7 +291,8 @@ proptest! {
             let q = ftsl_lang::parse(query, ftsl_lang::Mode::Comp).unwrap();
             let live_model = stats.tfidf_model(tokens, &pinned);
             let live = global_top_k(&pinned, &stats, &q, 10, &ScoreModel::TfIdf(&live_model));
-            assert_hits_bit_identical(&live.hits, &mono.tfidf(tokens, 10), &mono.remap, query)?;
+            let oracle = mono.top_k(query, RankModel::TfIdf, 10);
+            assert_hits_bit_identical(&live.hits, &oracle, &mono.remap, query)?;
         }
     }
 }
@@ -353,7 +342,7 @@ fn skipped_segments_never_change_answers() {
         live.counters.segments_skipped, 8,
         "every weak segment skipped"
     );
-    let oracle = mono.tfidf(&tokens, 1);
+    let oracle = mono.top_k("'alpha'", RankModel::TfIdf, 1);
     assert_eq!(live.hits.len(), oracle.len());
     for (l, o) in live.hits.iter().zip(&oracle) {
         assert_eq!(mono.remap[&l.0 .0], o.0 .0, "ranked ids");

@@ -20,10 +20,10 @@ use common::{
     apply, apply_one, arb_ops, dense_ids, manual_config, prop_cases, render, survivors, Docs,
 };
 use ftsl_core::{Ftsl, LiveConfig, RankModel};
-use ftsl_exec::engine::{EngineKind, ExecOptions, Executor};
+use ftsl_exec::engine::EngineKind;
 use ftsl_exec::snapshot::SnapshotExecutor;
 use ftsl_exec::{ScoreModel, ScoredTopK};
-use ftsl_index::{IndexBuilder, InvertedIndex};
+use ftsl_index::{IndexBuilder, InvertedIndex, PairConfig, Snapshot};
 use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::PredicateRegistry;
 use ftsl_scoring::{ScoreStats, SnapshotStats};
@@ -32,11 +32,14 @@ use std::collections::HashMap;
 
 /// The monolithic side: the survivors rebuilt from scratch.
 struct Monolith {
-    /// Raw corpus + index, for the single-index [`Executor`].
+    /// Raw corpus + index, for the statistics oracle.
     corpus: Corpus,
     index: InvertedIndex,
-    /// The same texts as one sealed segment, for the facade's scored paths.
+    /// The same texts as one sealed segment.
     engine: Ftsl,
+    /// The same corpus sealed without word pairs: the position-intersection
+    /// oracle of the pair path.
+    pairless: Snapshot,
     /// Global id in the churned engine → dense id in the rebuild.
     remap: HashMap<u32, u32>,
 }
@@ -44,8 +47,12 @@ struct Monolith {
 fn rebuild(survivors: &[(u32, String)]) -> Monolith {
     let texts: Vec<&str> = survivors.iter().map(|(_, t)| t.as_str()).collect();
     let corpus = Corpus::from_texts(&texts);
+    let pairless = IndexBuilder::new()
+        .pair_config(PairConfig::disabled())
+        .build(&corpus);
     Monolith {
         index: IndexBuilder::new().build(&corpus),
+        pairless: Snapshot::of_index(corpus.clone(), pairless),
         corpus,
         engine: Ftsl::from_texts(&texts),
         remap: dense_ids(survivors),
@@ -75,13 +82,14 @@ const SET_QUERIES: &[(&str, EngineKind)] = &[
     ("'alpha' AND 'beta'", EngineKind::Comp),        // forced materialization
 ];
 
-/// Compare every set-producing engine on a snapshot against the
-/// single-index executor over the rebuild.
+/// Compare every set-producing engine on a snapshot against the same query
+/// over the one-segment rebuild.
 fn assert_sets_match(engine: &Ftsl, mono: &Monolith, ctx: &str) -> Result<(), ()> {
     let snapshot = engine.snapshot();
+    let mono_snapshot = mono.engine.snapshot();
     let reg = PredicateRegistry::with_builtins();
     let live_exec = SnapshotExecutor::new(&snapshot, &reg);
-    let mono_exec = Executor::new(&mono.corpus, &mono.index, &reg);
+    let mono_exec = SnapshotExecutor::new(&mono_snapshot, &reg);
     for (query, kind) in SET_QUERIES {
         let live_out = live_exec.run_str(query, *kind).expect("live run");
         let mono_out = mono_exec.run_str(query, *kind).expect("monolithic run");
@@ -174,15 +182,7 @@ fn assert_pairs_match(engine: &Ftsl, mono: &Monolith, ctx: &str) -> Result<(), (
     let snapshot = engine.snapshot();
     let reg = PredicateRegistry::with_builtins();
     let live_exec = SnapshotExecutor::new(&snapshot, &reg);
-    let oracle_exec = Executor::with_options(
-        &mono.corpus,
-        &mono.index,
-        &reg,
-        ExecOptions {
-            use_pairs: false,
-            ..Default::default()
-        },
-    );
+    let oracle_exec = SnapshotExecutor::new(&mono.pairless, &reg);
     for query in PAIR_QUERIES {
         let live_out = live_exec
             .run_str(query, EngineKind::Auto)
@@ -205,7 +205,7 @@ fn assert_pairs_match(engine: &Ftsl, mono: &Monolith, ctx: &str) -> Result<(), (
         );
     }
     // NEAR top-k: segmented pair walk with global threshold vs the
-    // rebuild's single-index walk. The global→dense remap preserves id
+    // rebuild's one-segment walk. The global→dense remap preserves id
     // order, so ranking (score desc, id asc) and score bits must agree.
     for (a, b, bound, ordered) in [
         ("alpha", "beta", 4, true),
@@ -376,7 +376,8 @@ proptest! {
         let mono = rebuild(&survivors_then);
         let reg = PredicateRegistry::with_builtins();
         let exec = SnapshotExecutor::new(&pinned, &reg);
-        let mono_exec = Executor::new(&mono.corpus, &mono.index, &reg);
+        let mono_snapshot = mono.engine.snapshot();
+        let mono_exec = SnapshotExecutor::new(&mono_snapshot, &reg);
         for (query, kind) in SET_QUERIES {
             let live_out = exec.run_str(query, *kind).expect("pinned run");
             let mono_out = mono_exec.run_str(query, *kind).expect("monolithic run");
@@ -424,6 +425,7 @@ fn held_snapshot_survives_concurrent_background_merges() {
     // Churn: deletes and adds with tiny flush threshold wake the merger
     // over and over while we repeatedly query the pinned snapshot.
     let reg = PredicateRegistry::with_builtins();
+    let mono_snapshot = mono.engine.snapshot();
     for round in 0..30 {
         engine.add(&format!("churn {round} beta eps"));
         if round % 2 == 0 {
@@ -433,7 +435,7 @@ fn held_snapshot_survives_concurrent_background_merges() {
         let out = exec
             .run_str("'alpha' AND 'beta'", EngineKind::Auto)
             .unwrap();
-        let mono_out = Executor::new(&mono.corpus, &mono.index, &reg)
+        let mono_out = SnapshotExecutor::new(&mono_snapshot, &reg)
             .run_str("'alpha' AND 'beta'", EngineKind::Auto)
             .unwrap();
         assert_eq!(

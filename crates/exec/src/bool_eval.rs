@@ -22,16 +22,6 @@ use ftsl_index::{AccessCounters, InvertedIndex};
 use ftsl_lang::SurfaceQuery;
 use ftsl_model::{Corpus, NodeId, TokenId};
 
-/// Evaluate a BOOL-shaped surface query by list merging.
-pub fn run_bool(
-    query: &SurfaceQuery,
-    corpus: &Corpus,
-    index: &InvertedIndex,
-) -> Result<(Vec<NodeId>, AccessCounters), ExecError> {
-    check_bool(query)?;
-    Ok(bind_bool(query, corpus, index))
-}
-
 /// The BOOL engine's shape half: refuse any construct outside BOOL
 /// (literals, `ANY`, `NOT`, `AND`, `OR`). Depends on the query alone.
 pub(crate) fn check_bool(query: &SurfaceQuery) -> Result<(), ExecError> {
@@ -310,15 +300,16 @@ pub fn difference_sorted(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftsl_index::IndexBuilder;
-    use ftsl_lang::{parse, Mode};
+    use crate::engine::{EngineKind, QueryOutput};
+    use crate::snapshot::run_on_texts;
+
+    fn bool_run(query: &str, texts: &[&str]) -> Result<QueryOutput, ExecError> {
+        run_on_texts(texts, query, EngineKind::Bool, Default::default())
+    }
 
     fn run(query: &str, texts: &[&str]) -> Vec<u32> {
-        let corpus = Corpus::from_texts(texts);
-        let index = IndexBuilder::new().build(&corpus);
-        let q = parse(query, Mode::Bool).unwrap();
-        let (nodes, _) = run_bool(&q, &corpus, &index).unwrap();
-        nodes.into_iter().map(|n| n.0).collect()
+        let out = bool_run(query, texts).unwrap();
+        out.nodes.into_iter().map(|n| n.0).collect()
     }
 
     #[test]
@@ -363,15 +354,12 @@ mod tests {
 
     #[test]
     fn counters_distinguish_noneg_from_neg() {
-        let corpus = Corpus::from_texts(&["a b", "a", "b", "c", "d", "e"]);
-        let index = IndexBuilder::new().build(&corpus);
-        let noneg = parse("'a' AND 'b'", Mode::Bool).unwrap();
-        let (_, c1) = run_bool(&noneg, &corpus, &index).unwrap();
-        let neg = parse("NOT 'a'", Mode::Bool).unwrap();
-        let (_, c2) = run_bool(&neg, &corpus, &index).unwrap();
+        let texts = ["a b", "a", "b", "c", "d", "e"];
+        let c1 = bool_run("'a' AND 'b'", &texts).unwrap().counters;
+        let c2 = bool_run("NOT 'a'", &texts).unwrap().counters;
         // The complement pays the cnodes-sized universe scan.
         assert!(c2.entries > c1.entries);
-        assert!(c2.entries >= corpus.len() as u64);
+        assert!(c2.entries >= texts.len() as u64);
     }
 
     #[test]
@@ -388,11 +376,8 @@ mod tests {
 
     #[test]
     fn comp_constructs_are_rejected() {
-        let corpus = Corpus::from_texts(&["a"]);
-        let index = IndexBuilder::new().build(&corpus);
-        let q = parse("SOME p1 (p1 HAS 'a')", Mode::Comp).unwrap();
         assert!(matches!(
-            run_bool(&q, &corpus, &index),
+            bool_run("SOME p1 (p1 HAS 'a')", &["a"]),
             Err(ExecError::WrongEngine { .. })
         ));
     }

@@ -10,26 +10,15 @@ use ftsl_index::{AccessCounters, InvertedIndex};
 use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::PredicateRegistry;
 
-/// Evaluate any calculus query by FTC→FTA translation (Lemma 2) and
-/// node-at-a-time algebra evaluation of the plan with `σ` and `π` pushed
-/// below `⋈` ([`ftsl_algebra::rewrite::push_down`]). Complete; a predicate
-/// over one join's columns filters that join, and a side no later operator
-/// reads joins as one row per node, but a predicate binding both sides of
-/// every join still costs
+/// The COMP engine's shape half, compiled once per query: the algebra
+/// translation with `σ` and `π` already pushed below `⋈`
+/// ([`ftsl_algebra::rewrite::push_down`]). [`Self::bind`] evaluates it on
+/// one segment, one context node at a time. Complete; a predicate over one
+/// join's columns filters that join, and a side no later operator reads
+/// joins as one row per node, but a predicate binding both sides of every
+/// join still costs
 /// `O(cnodes × pos_per_cnode^toks_Q × (preds_Q + ops_Q + 1))`. A node whose
 /// relations would pass [`ftsl_algebra::MAX_NODE_POSITIONS`] is an `Err`.
-pub fn run_comp(
-    query: &CalcQuery,
-    corpus: &Corpus,
-    index: &InvertedIndex,
-    registry: &PredicateRegistry,
-) -> Result<(Vec<NodeId>, AccessCounters, NodeStats), ExecError> {
-    CompPlan::prepare(query, registry)?.bind(corpus, index, registry)
-}
-
-/// The COMP engine's shape half, compiled once per query: the algebra
-/// translation with `σ` and `π` already pushed below `⋈`. [`Self::bind`]
-/// evaluates it on one segment.
 #[derive(Clone, Debug)]
 pub(crate) struct CompPlan {
     plan: AlgExpr,
@@ -63,19 +52,14 @@ impl CompPlan {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::engine::{EngineKind, ExecOptions};
+    use crate::error::ExecError;
+    use crate::snapshot::run_on_texts;
     use ftsl_algebra::AlgebraError;
-    use ftsl_index::IndexBuilder;
-    use ftsl_lang::{lower, parse, Mode};
 
     fn run(query: &str, texts: &[&str]) -> Vec<u32> {
-        let corpus = Corpus::from_texts(texts);
-        let index = IndexBuilder::new().build(&corpus);
-        let reg = PredicateRegistry::with_builtins();
-        let surface = parse(query, Mode::Comp).unwrap();
-        let expr = lower(&surface, &reg).unwrap();
-        let (nodes, _, _) = run_comp(&CalcQuery::new(expr), &corpus, &index, &reg).unwrap();
-        nodes.into_iter().map(|n| n.0).collect()
+        let out = run_on_texts(texts, query, EngineKind::Comp, ExecOptions::default()).unwrap();
+        out.nodes.into_iter().map(|n| n.0).collect()
     }
 
     #[test]
@@ -92,35 +76,39 @@ mod tests {
 
     #[test]
     fn counters_reflect_materialization() {
-        let corpus = Corpus::from_texts(&["a a a a b b b b"]);
-        let index = IndexBuilder::new().build(&corpus);
-        let reg = PredicateRegistry::with_builtins();
-        let surface = parse(
+        let options = ExecOptions {
+            trace: true,
+            ..ExecOptions::default()
+        };
+        let out = run_on_texts(
+            &["a a a a b b b b"],
             "SOME p1 SOME p2 (p1 HAS 'a' AND p2 HAS 'b' AND distance(p1,p2,100))",
-            Mode::Comp,
+            EngineKind::Comp,
+            options,
         )
         .unwrap();
-        let expr = lower(&surface, &reg).unwrap();
-        let (_, counters, stats) = run_comp(&CalcQuery::new(expr), &corpus, &index, &reg).unwrap();
         // The per-node cartesian product (4 × 4 = 16 tuples) is materialized.
-        assert!(counters.tuples >= 16, "counters: {counters:?}");
-        assert_eq!(stats.nodes_evaluated, 1);
+        assert!(out.counters.tuples >= 16, "counters: {:?}", out.counters);
+        let trace = out.trace.expect("traced");
+        let span = trace.find("engine COMP").expect("engine span");
+        assert!(
+            span.notes()[0].starts_with("node-at-a-time: 1 nodes evaluated"),
+            "{:?}",
+            span.notes()
+        );
     }
 
     #[test]
     fn a_cross_product_over_the_budget_is_an_error() {
         let text = vec!["t"; 200].join(" ");
-        let corpus = Corpus::from_texts(&[text.as_str()]);
-        let index = IndexBuilder::new().build(&corpus);
-        let reg = PredicateRegistry::with_builtins();
-        let surface = parse(
+        let err = run_on_texts(
+            &[text.as_str()],
             "SOME p1 SOME p2 SOME p3 (p1 HAS 't' AND p2 HAS 't' AND p3 HAS 't' \
              AND diffpos(p1,p3))",
-            Mode::Comp,
+            EngineKind::Comp,
+            ExecOptions::default(),
         )
-        .unwrap();
-        let expr = lower(&surface, &reg).unwrap();
-        let err = run_comp(&CalcQuery::new(expr), &corpus, &index, &reg).unwrap_err();
+        .unwrap_err();
         // `diffpos` binds both sides of the outer join, so it stays above
         // it: the 3-ary join alone needs 200³ rows × 3 positions.
         assert!(

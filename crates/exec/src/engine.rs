@@ -9,7 +9,7 @@ use crate::npred::NpredPlan;
 use crate::ppred::PpredPlan;
 use ftsl_calculus::CalcQuery;
 use ftsl_index::{AccessCounters, IndexLayout, InvertedIndex};
-use ftsl_lang::{classify, lower, parse, LanguageClass, Mode, SurfaceQuery};
+use ftsl_lang::{classify, lower, LanguageClass, SurfaceQuery};
 use ftsl_model::{Corpus, NodeId};
 use ftsl_obs::{SpanId, Trace, TraceBuilder};
 use ftsl_predicates::{AdvanceMode, PredicateRegistry};
@@ -37,11 +37,6 @@ pub struct ExecOptions {
     /// Inert: there is one layout. Kept for `benchmark/src/sut.rs`, which
     /// names it; to be dropped by the next `benchmark` issue.
     pub layout: IndexLayout,
-    /// PPRED: rewrite two-scan proximity cores (phrase / NEAR) to
-    /// word-pair index walks when the index covers them, falling back to
-    /// position intersection otherwise. Disable to force the
-    /// intersection path — the oracle for differential tests.
-    pub use_pairs: bool,
     /// Record a structured span tree (engine choice, per-stage wall time,
     /// counter deltas, pair-path attribution) into the query output. Off
     /// by default; the serving path pays one branch per query when off.
@@ -53,7 +48,6 @@ impl Default for ExecOptions {
         ExecOptions {
             npred_full_permutations: false,
             layout: IndexLayout::Blocks,
-            use_pairs: true,
             trace: false,
         }
     }
@@ -171,7 +165,7 @@ impl<'q> PreparedQuery<'q> {
             let expr = lower(surface, registry).map_err(|e| ExecError::Lang(e.to_string()))?;
             let streamed = match chosen {
                 EngineUsed::Ppred => Some(
-                    PpredPlan::prepare(&expr, registry, options.use_pairs)
+                    PpredPlan::prepare(&expr, registry)
                         .map(Shape::Ppred)
                         .map_err(|e| (e, "PPRED")),
                 ),
@@ -270,94 +264,26 @@ impl<'q> PreparedQuery<'q> {
     }
 }
 
-/// The set-engine dispatcher over one corpus + index — the single-index
-/// reference the differential suites compare [`crate::SnapshotExecutor`]
-/// against.
-pub struct Executor<'a> {
-    corpus: &'a Corpus,
-    index: &'a InvertedIndex,
-    registry: &'a PredicateRegistry,
-    options: ExecOptions,
-}
-
-impl<'a> Executor<'a> {
-    /// Executor with default options.
-    pub fn new(
-        corpus: &'a Corpus,
-        index: &'a InvertedIndex,
-        registry: &'a PredicateRegistry,
-    ) -> Self {
-        Executor {
-            corpus,
-            index,
-            registry,
-            options: ExecOptions::default(),
-        }
-    }
-
-    /// Executor with explicit options.
-    pub fn with_options(
-        corpus: &'a Corpus,
-        index: &'a InvertedIndex,
-        registry: &'a PredicateRegistry,
-        options: ExecOptions,
-    ) -> Self {
-        Executor {
-            corpus,
-            index,
-            registry,
-            options,
-        }
-    }
-
-    /// Parse a query string (COMP syntax accepts all three languages) and
-    /// run it.
-    pub fn run_str(&self, input: &str, engine: EngineKind) -> Result<QueryOutput, ExecError> {
-        let surface = parse(input, Mode::Comp).map_err(|e| ExecError::Lang(e.to_string()))?;
-        self.run_surface(&surface, engine)
-    }
-
-    /// Run an already-parsed surface query: prepare it, then bind it to
-    /// the one index.
-    pub fn run_surface(
-        &self,
-        surface: &SurfaceQuery,
-        engine: EngineKind,
-    ) -> Result<QueryOutput, ExecError> {
-        let mut tb = self.options.trace.then(TraceBuilder::new);
-        let prepared =
-            PreparedQuery::prepare(surface, engine, self.registry, self.options, tb.as_mut())?;
-        let (nodes, counters) = prepared.bind(self.corpus, self.index, tb.as_mut())?;
-        Ok(QueryOutput {
-            nodes,
-            counters,
-            engine: prepared.engine(),
-            class: prepared.class(),
-            trace: tb.map(|b| Box::new(b.finish())),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftsl_index::IndexBuilder;
+    use crate::snapshot::{one_segment, SnapshotExecutor};
+    use ftsl_index::Snapshot;
 
-    fn setup() -> (Corpus, InvertedIndex, PredicateRegistry) {
-        let corpus = Corpus::from_texts(&[
+    fn setup() -> (Snapshot, PredicateRegistry) {
+        let snapshot = one_segment(&[
             "test driven usability",
             "usability test",
             "test test something",
             "nothing here",
         ]);
-        let index = IndexBuilder::new().build(&corpus);
-        (corpus, index, PredicateRegistry::with_builtins())
+        (snapshot, PredicateRegistry::with_builtins())
     }
 
     #[test]
     fn auto_dispatch_picks_expected_engines() {
-        let (corpus, index, reg) = setup();
-        let exec = Executor::new(&corpus, &index, &reg);
+        let (snap, reg) = setup();
+        let exec = SnapshotExecutor::new(&snap, &reg);
 
         let out = exec
             .run_str("'test' AND 'usability'", EngineKind::Auto)
@@ -389,8 +315,8 @@ mod tests {
 
     #[test]
     fn engines_agree_on_shared_fragment() {
-        let (corpus, index, reg) = setup();
-        let exec = Executor::new(&corpus, &index, &reg);
+        let (snap, reg) = setup();
+        let exec = SnapshotExecutor::new(&snap, &reg);
         let q = "SOME p1 SOME p2 (p1 HAS 'test' AND p2 HAS 'usability' AND distance(p1,p2,5))";
         let ppred = exec.run_str(q, EngineKind::Ppred).unwrap();
         let npred = exec.run_str(q, EngineKind::Npred).unwrap();
@@ -401,8 +327,8 @@ mod tests {
 
     #[test]
     fn forced_wrong_engine_errors() {
-        let (corpus, index, reg) = setup();
-        let exec = Executor::new(&corpus, &index, &reg);
+        let (snap, reg) = setup();
+        let exec = SnapshotExecutor::new(&snap, &reg);
         let err = exec.run_str("EVERY p1 (p1 HAS 'test')", EngineKind::Ppred);
         assert!(matches!(err, Err(ExecError::Plan(_))));
         let err = exec.run_str("SOME p1 (p1 HAS 'test')", EngineKind::Bool);
@@ -411,8 +337,8 @@ mod tests {
 
     #[test]
     fn counters_rank_engines_by_work() {
-        let (corpus, index, reg) = setup();
-        let exec = Executor::new(&corpus, &index, &reg);
+        let (snap, reg) = setup();
+        let exec = SnapshotExecutor::new(&snap, &reg);
         let q = "SOME p1 SOME p2 (p1 HAS 'test' AND p2 HAS 'usability' AND distance(p1,p2,5))";
         let ppred = exec.run_str(q, EngineKind::Ppred).unwrap();
         let comp = exec.run_str(q, EngineKind::Comp).unwrap();

@@ -47,8 +47,9 @@
 //! [`ftsl_index::AccessCounters::positions_decoded`]:
 //!
 //! ```
-//! use ftsl_exec::engine::{EngineKind, ExecOptions, Executor};
-//! use ftsl_index::IndexBuilder;
+//! use ftsl_exec::engine::EngineKind;
+//! use ftsl_exec::SnapshotExecutor;
+//! use ftsl_index::{IndexBuilder, PairConfig, Snapshot};
 //! use ftsl_model::Corpus;
 //! use ftsl_predicates::PredicateRegistry;
 //!
@@ -57,16 +58,18 @@
 //!     "approachable systems without rust too",
 //!     "rust rust rust",
 //! ]);
-//! let index = IndexBuilder::new().build(&corpus);
+//! // An index sealed without word pairs takes the position-intersection
+//! // path this example demonstrates; by default the phrase below would
+//! // resolve from the word-pair auxiliary index without touching positions.
+//! let index = IndexBuilder::new()
+//!     .pair_config(PairConfig::disabled())
+//!     .build(&corpus);
+//! let rust = index.block_list(corpus.token_id("rust").unwrap()).num_positions();
+//! let approachable = corpus.token_id("approachable").unwrap();
+//! let total_positions = (rust + index.block_list(approachable).num_positions()) as u64;
+//! let snapshot = Snapshot::of_index(corpus, index);
 //! let registry = PredicateRegistry::with_builtins();
-//! // `use_pairs: false` forces the position-intersection path this
-//! // example demonstrates; by default the phrase below would resolve
-//! // from the word-pair auxiliary index without touching positions.
-//! let options = ExecOptions {
-//!     use_pairs: false,
-//!     ..Default::default()
-//! };
-//! let exec = Executor::with_options(&corpus, &index, &registry, options);
+//! let exec = SnapshotExecutor::new(&snapshot, &registry);
 //!
 //! // "rust" strictly before "approachable", at most 3 intervening tokens —
 //! // a PPRED query, evaluated directly on the compressed blocks.
@@ -81,9 +84,6 @@
 //! // Node 2 ("rust rust rust") was rejected on node ids alone: the join
 //! // never inspected its entry, so its three position payloads were never
 //! // decompressed. Only the two join-matched nodes paid position decodes.
-//! let rust = corpus.token_id("rust").unwrap();
-//! let total_positions = (index.block_list(rust).num_positions()
-//!     + index.block_list(corpus.token_id("approachable").unwrap()).num_positions()) as u64;
 //! assert!(out.counters.positions_decoded < total_positions);
 //! ```
 
@@ -106,7 +106,7 @@ pub mod select;
 pub mod setops;
 pub mod snapshot;
 
-pub use engine::{EngineKind, Executor, PreparedQuery, QueryOutput};
+pub use engine::{EngineKind, PreparedQuery, QueryOutput};
 pub use error::{ExecError, PlanError};
 pub use pairscan::PairQuery;
 pub use plan::{build_plan, PlanNode};

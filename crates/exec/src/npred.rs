@@ -23,37 +23,6 @@ use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::{AdvanceMode, PredicateRegistry};
 use std::collections::HashMap;
 
-/// NPRED engine options.
-#[derive(Clone, Copy, Debug)]
-pub struct NpredOptions {
-    /// Permute all scan variables (the presented algorithm) instead of only
-    /// the negative-predicate variables (the partial-order optimization).
-    pub full_permutations: bool,
-    /// Positive-predicate skip aggressiveness.
-    pub mode: AdvanceMode,
-}
-
-impl Default for NpredOptions {
-    fn default() -> Self {
-        NpredOptions {
-            full_permutations: false,
-            mode: AdvanceMode::Aggressive,
-        }
-    }
-}
-
-/// Evaluate a (closed) calculus expression with the NPRED engine.
-pub fn run_npred(
-    expr: &QueryExpr,
-    corpus: &Corpus,
-    index: &InvertedIndex,
-    registry: &PredicateRegistry,
-    options: NpredOptions,
-) -> Result<(Vec<NodeId>, AccessCounters), PlanError> {
-    let plan = NpredPlan::prepare(expr, registry, options.full_permutations)?;
-    Ok(plan.bind(corpus, index, registry, options.mode))
-}
-
 /// The NPRED engine's shape half, compiled once per query: the normalized
 /// streaming plan and the variable orderings its threads run.
 /// [`Self::bind`] runs them on one segment.
@@ -165,17 +134,12 @@ fn permute_rec(work: &mut Vec<VarId>, k: usize, out: &mut Vec<Vec<VarId>>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftsl_index::IndexBuilder;
-    use ftsl_lang::{lower, parse, Mode};
+    use crate::engine::{EngineKind, ExecOptions};
+    use crate::snapshot::run_on_texts;
 
-    fn run(query: &str, texts: &[&str], options: NpredOptions) -> Vec<u32> {
-        let corpus = Corpus::from_texts(texts);
-        let index = IndexBuilder::new().build(&corpus);
-        let reg = PredicateRegistry::with_builtins();
-        let surface = parse(query, Mode::Comp).unwrap();
-        let expr = lower(&surface, &reg).unwrap();
-        let (nodes, _) = run_npred(&expr, &corpus, &index, &reg, options).unwrap();
-        nodes.into_iter().map(|n| n.0).collect()
+    fn run(query: &str, texts: &[&str], options: ExecOptions) -> Vec<u32> {
+        let out = run_on_texts(texts, query, EngineKind::Npred, options).unwrap();
+        out.nodes.into_iter().map(|n| n.0).collect()
     }
 
     #[test]
@@ -189,7 +153,7 @@ mod tests {
         let r = run(
             "SOME p1 SOME p2 (p1 HAS 'assignment' AND p2 HAS 'judge' AND not_distance(p1,p2,40))",
             &[&near, &far, &reversed],
-            NpredOptions::default(),
+            ExecOptions::default(),
         );
         assert_eq!(r, vec![1, 2]);
     }
@@ -200,7 +164,7 @@ mod tests {
         let r = run(
             "SOME p1 SOME p2 (p1 HAS 'test' AND p2 HAS 'test' AND diffpos(p1,p2))",
             &["test", "test test", "test x test", "none"],
-            NpredOptions::default(),
+            ExecOptions::default(),
         );
         assert_eq!(r, vec![1, 2]);
     }
@@ -215,12 +179,12 @@ mod tests {
         ];
         let q = "SOME p1 SOME p2 SOME p3 (p1 HAS 'a' AND p2 HAS 'b' AND p3 HAS 'c' \
                  AND not_distance(p1,p2,3) AND ordered(p2,p3))";
-        let partial = run(q, texts, NpredOptions::default());
+        let partial = run(q, texts, ExecOptions::default());
         let full = run(
             q,
             texts,
-            NpredOptions {
-                full_permutations: true,
+            ExecOptions {
+                npred_full_permutations: true,
                 ..Default::default()
             },
         );
@@ -230,7 +194,7 @@ mod tests {
     #[test]
     fn positive_queries_run_single_thread_with_partial_orders() {
         let q = "SOME p1 SOME p2 (p1 HAS 'a' AND p2 HAS 'b' AND distance(p1,p2,1))";
-        let r = run(q, &["a b", "a x x b"], NpredOptions::default());
+        let r = run(q, &["a b", "a x x b"], ExecOptions::default());
         assert_eq!(r, vec![0]);
     }
 
@@ -246,7 +210,7 @@ mod tests {
                 "a x x x x b", // ordered and far
                 "b x x x x a", // far but wrong order
             ],
-            NpredOptions::default(),
+            ExecOptions::default(),
         );
         assert_eq!(r, vec![1]);
     }

@@ -11,7 +11,10 @@ use ftsl_predicates::{AdvanceMode, PredicateRegistry};
 use std::collections::HashMap;
 
 /// Evaluate a (closed) calculus expression with the PPRED streaming engine
-/// (pair rewrite on — see [`run_ppred_attr`]).
+/// on one index, under an explicit [`AdvanceMode`]. Every query the
+/// executor runs binds [`AdvanceMode::Aggressive`]; this is the only way to
+/// run [`AdvanceMode::Conservative`], the differential oracle for the
+/// aggressive skips.
 ///
 /// Fails with a [`PlanError`] if the query is not in the PPRED fragment
 /// (negative/general predicates, open negation, `EVERY`, mismatched `OR`).
@@ -22,8 +25,9 @@ pub fn run_ppred(
     registry: &PredicateRegistry,
     mode: AdvanceMode,
 ) -> Result<(Vec<NodeId>, AccessCounters), PlanError> {
-    run_ppred_attr(expr, corpus, index, registry, mode, true)
-        .map(|(nodes, counters, _)| (nodes, counters))
+    let (nodes, counters, _) =
+        PpredPlan::prepare(expr, registry)?.bind(corpus, index, registry, mode);
+    Ok((nodes, counters))
 }
 
 /// Which physical path answered a PPRED query — the observability handle
@@ -40,8 +44,6 @@ pub enum PairAttribution {
     /// Plan shape outside the two-scan pair fragment; streamed through
     /// ordinary positional cursors.
     NotRecognized,
-    /// Pair rewrite disabled by [`crate::engine::ExecOptions::use_pairs`].
-    Disabled,
 }
 
 impl PairAttribution {
@@ -55,38 +57,17 @@ impl PairAttribution {
             PairAttribution::NotRecognized => {
                 "pair path: shape not recognized — streaming cursor evaluation"
             }
-            PairAttribution::Disabled => "pair path: rewrite disabled by options",
         }
     }
 }
 
-/// [`run_ppred`] with explicit control over the pair-index rewrite,
-/// reporting which path answered: when `use_pairs` is set and the plan is a
-/// two-scan proximity core the index's word-pair lists can answer
-/// ([`pairscan::recognize`]), the query resolves from one pair-list walk;
-/// any coverage miss falls back to the ordinary single-scan streaming
-/// evaluation. Passing `false` forces the streaming path — the
-/// differential oracle for pair results.
-pub fn run_ppred_attr(
-    expr: &QueryExpr,
-    corpus: &Corpus,
-    index: &InvertedIndex,
-    registry: &PredicateRegistry,
-    mode: AdvanceMode,
-    use_pairs: bool,
-) -> Result<(Vec<NodeId>, AccessCounters, PairAttribution), PlanError> {
-    Ok(PpredPlan::prepare(expr, registry, use_pairs)?.bind(corpus, index, registry, mode))
-}
-
 /// The PPRED engine's shape half, compiled once per query: the normalized
-/// streaming plan and, when the pair rewrite is on, the proximity core
-/// [`pairscan::recognize`] found in it. [`Self::bind`] runs it on one
-/// segment.
+/// streaming plan and the proximity core [`pairscan::recognize`] found in
+/// it, if any. [`Self::bind`] runs it on one segment.
 #[derive(Clone, Debug)]
 pub(crate) struct PpredPlan {
     root: PlanNode,
     pair: Option<PairQuery>,
-    use_pairs: bool,
 }
 
 impl PpredPlan {
@@ -95,17 +76,10 @@ impl PpredPlan {
     pub(crate) fn prepare(
         expr: &QueryExpr,
         registry: &PredicateRegistry,
-        use_pairs: bool,
     ) -> Result<Self, PlanError> {
         let root = build_plan(expr, registry, false)?.root;
-        let pair = use_pairs
-            .then(|| pairscan::recognize(&root, registry))
-            .flatten();
-        Ok(PpredPlan {
-            root,
-            pair,
-            use_pairs,
-        })
+        let pair = pairscan::recognize(&root, registry);
+        Ok(PpredPlan { root, pair })
     }
 
     /// Run the plan on one segment: the pair-list walk when the segment's
@@ -124,8 +98,7 @@ impl PpredPlan {
                 Some((nodes, counters)) => return (nodes, counters, PairAttribution::PairList),
                 None => PairAttribution::FallbackNotCovered,
             },
-            None if self.use_pairs => PairAttribution::NotRecognized,
-            None => PairAttribution::Disabled,
+            None => PairAttribution::NotRecognized,
         };
         let root = order_joins_by_selectivity(self.root.clone(), corpus, index);
         let ctx = CursorCtx {

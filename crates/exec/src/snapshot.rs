@@ -67,8 +67,9 @@ pub struct ExecScratch {
 }
 
 impl ExecScratch {
-    /// Fresh scratch; the collector grows to the first query's `k` and is
-    /// reused from then on.
+    /// Fresh scratch; the collector grows to what the first query can keep
+    /// (its `k`, or the snapshot's live documents if fewer) and is reused
+    /// from then on.
     pub fn new() -> Self {
         ExecScratch { topk: TopK::new(0) }
     }
@@ -80,7 +81,9 @@ impl Default for ExecScratch {
     }
 }
 
-/// Executor over a point-in-time snapshot of a live index.
+/// The executor every query runs through, over a point-in-time snapshot of
+/// a live index (or [`Snapshot::of_index`], one fully live segment over a
+/// prebuilt index).
 pub struct SnapshotExecutor<'a> {
     snapshot: &'a Snapshot,
     registry: &'a PredicateRegistry,
@@ -88,12 +91,12 @@ pub struct SnapshotExecutor<'a> {
 }
 
 impl<'a> SnapshotExecutor<'a> {
-    /// Executor with default options.
+    /// An executor with default options.
     pub fn new(snapshot: &'a Snapshot, registry: &'a PredicateRegistry) -> Self {
         Self::with_options(snapshot, registry, ExecOptions::default())
     }
 
-    /// Executor with explicit options (NPRED strategy, pair rewrite, tracing).
+    /// An executor with explicit options (NPRED strategy, tracing).
     pub fn with_options(
         snapshot: &'a Snapshot,
         registry: &'a PredicateRegistry,
@@ -332,7 +335,8 @@ impl<'a> SnapshotExecutor<'a> {
             .collect();
         plans.sort_by(|(i, (a, _)), (j, (b, _))| b.total_cmp(a).then(i.cmp(j)));
         let topk = &mut scratch.topk;
-        topk.reset(k);
+        // No top-k holds more than the live documents, whatever `k` asks.
+        topk.reset(k, self.snapshot.live_doc_count());
         let mut counters = AccessCounters::new();
         let mut tb = self.options.trace.then(TraceBuilder::new);
         let root_span = tb.as_mut().map(|b| b.open(arm.span));
@@ -417,10 +421,32 @@ const NEAR: Arm = Arm {
     },
 };
 
+/// `texts` sealed as one fully live segment: the fixture of the engine
+/// modules' unit tests.
+#[cfg(test)]
+pub(crate) fn one_segment(texts: &[&str]) -> Snapshot {
+    let corpus = ftsl_model::Corpus::from_texts(texts);
+    let index = ftsl_index::IndexBuilder::new().build(&corpus);
+    Snapshot::of_index(corpus, index)
+}
+
+/// `query` run through the executor on [`one_segment`] of `texts`, with
+/// `engine` and `options`.
+#[cfg(test)]
+pub(crate) fn run_on_texts(
+    texts: &[&str],
+    query: &str,
+    engine: EngineKind,
+    options: ExecOptions,
+) -> Result<QueryOutput, ExecError> {
+    let registry = PredicateRegistry::with_builtins();
+    SnapshotExecutor::with_options(&one_segment(texts), &registry, options).run_str(query, engine)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EngineUsed, Executor};
+    use crate::engine::EngineUsed;
     use ftsl_index::{LiveConfig, LiveIndex};
 
     fn manual() -> LiveConfig {
@@ -477,15 +503,19 @@ mod tests {
         let reg = PredicateRegistry::with_builtins();
         let exec = SnapshotExecutor::new(&snap, &reg);
         let whole = exec.run_str("'test'", EngineKind::Auto).unwrap();
-        // Oracle: run each segment alone and sum by hand.
+        // Oracle: bind the prepared query to each segment alone and sum by
+        // hand.
+        let q = parse("'test'", Mode::Comp).unwrap();
+        let options = ExecOptions::default();
+        let prepared = PreparedQuery::prepare(&q, EngineKind::Auto, &reg, options, None).unwrap();
         let mut by_hand = AccessCounters::new();
         let mut last = AccessCounters::new();
         for seg in snap.segments() {
-            let single = Executor::new(seg.data().corpus(), seg.data().index(), &reg)
-                .run_str("'test'", EngineKind::Auto)
+            let (_, counters) = prepared
+                .bind(seg.data().corpus(), seg.data().index(), None)
                 .unwrap();
-            by_hand += single.counters;
-            last = single.counters;
+            by_hand += counters;
+            last = counters;
         }
         assert_eq!(whole.counters, by_hand, "summed, not sampled");
         assert_ne!(

@@ -7,9 +7,10 @@
 
 use ftsl_calculus::interp::Interpreter;
 use ftsl_calculus::CalcQuery;
-use ftsl_exec::engine::{EngineKind, ExecOptions, Executor};
+use ftsl_exec::engine::{EngineKind, ExecOptions};
 use ftsl_exec::ppred::run_ppred;
-use ftsl_index::IndexBuilder;
+use ftsl_exec::SnapshotExecutor;
+use ftsl_index::{IndexBuilder, Snapshot};
 use ftsl_lang::{classify, lower, LanguageClass, SurfaceQuery};
 use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::{AdvanceMode, PredicateRegistry};
@@ -151,6 +152,11 @@ fn prop_cases() -> u32 {
         .unwrap_or(128)
 }
 
+/// `corpus` sealed as one fully live segment.
+fn one_segment(corpus: &Corpus) -> Snapshot {
+    Snapshot::of_index(corpus.clone(), IndexBuilder::new().build(corpus))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(prop_cases()))]
 
@@ -160,18 +166,19 @@ proptest! {
         corpus in arb_corpus(),
     ) {
         let reg = PredicateRegistry::with_builtins();
-        let index = IndexBuilder::new().build(&corpus);
+        let snapshot = one_segment(&corpus);
         let expected = reference(&query, &corpus, &reg);
         let class = classify(&query, &reg);
         prop_assert!(class <= LanguageClass::Ppred, "generator produced {class}");
 
-        let exec = Executor::new(&corpus, &index, &reg);
+        let exec = SnapshotExecutor::new(&snapshot, &reg);
         let got = exec.run_surface(&query, EngineKind::Ppred).expect("ppred runs");
         prop_assert_eq!(&got.nodes, &expected, "PPRED diverged on {}", query.render());
 
         // Conservative advances must agree with aggressive ones.
         let expr = lower(&query, &reg).expect("lowers");
-        let (slow, _) = run_ppred(&expr, &corpus, &index, &reg, AdvanceMode::Conservative)
+        let index = snapshot.segments()[0].data().index();
+        let (slow, _) = run_ppred(&expr, &corpus, index, &reg, AdvanceMode::Conservative)
             .expect("ppred runs");
         prop_assert_eq!(&slow, &expected, "conservative PPRED diverged");
 
@@ -186,15 +193,15 @@ proptest! {
         corpus in arb_corpus(),
     ) {
         let reg = PredicateRegistry::with_builtins();
-        let index = IndexBuilder::new().build(&corpus);
+        let snapshot = one_segment(&corpus);
         let expected = reference(&query, &corpus, &reg);
 
-        let exec = Executor::new(&corpus, &index, &reg);
+        let exec = SnapshotExecutor::new(&snapshot, &reg);
         let got = exec.run_surface(&query, EngineKind::Npred).expect("npred runs");
         prop_assert_eq!(&got.nodes, &expected, "NPRED(partial) diverged on {}", query.render());
 
-        let full = Executor::with_options(
-            &corpus, &index, &reg,
+        let full = SnapshotExecutor::with_options(
+            &snapshot, &reg,
             ExecOptions { npred_full_permutations: true, ..Default::default() },
         );
         let got_full = full.run_surface(&query, EngineKind::Npred).expect("npred runs");
@@ -210,9 +217,9 @@ proptest! {
         corpus in arb_corpus(),
     ) {
         let reg = PredicateRegistry::with_builtins();
-        let index = IndexBuilder::new().build(&corpus);
+        let snapshot = one_segment(&corpus);
         let expected = reference(&query, &corpus, &reg);
-        let exec = Executor::new(&corpus, &index, &reg);
+        let exec = SnapshotExecutor::new(&snapshot, &reg);
         let got = exec.run_surface(&query, EngineKind::Bool).expect("bool runs");
         prop_assert_eq!(&got.nodes, &expected, "BOOL diverged on {}", query.render());
 
@@ -226,9 +233,9 @@ proptest! {
         corpus in arb_corpus(),
     ) {
         let reg = PredicateRegistry::with_builtins();
-        let index = IndexBuilder::new().build(&corpus);
+        let snapshot = one_segment(&corpus);
         let expected = reference(&query, &corpus, &reg);
-        let exec = Executor::new(&corpus, &index, &reg);
+        let exec = SnapshotExecutor::new(&snapshot, &reg);
         let got = exec.run_surface(&query, EngineKind::Auto).expect("auto runs");
         prop_assert_eq!(&got.nodes, &expected, "auto diverged on {}", query.render());
     }

@@ -6,9 +6,10 @@
 //! evaluation threads.
 
 use ftsl_calculus::ast::QueryExpr;
+use ftsl_exec::engine::{EngineKind, ExecOptions};
 use ftsl_exec::plan::{build_plan, PlanNode};
-use ftsl_exec::{npred, ppred};
-use ftsl_index::{IndexBuilder, InvertedIndex};
+use ftsl_exec::{ppred, SnapshotExecutor};
+use ftsl_index::{IndexBuilder, InvertedIndex, Snapshot};
 use ftsl_lang::{lower, parse, Mode};
 use ftsl_model::Corpus;
 use ftsl_predicates::{AdvanceMode, PredicateRegistry};
@@ -149,8 +150,12 @@ proptest! {
         scan_vars.dedup();
         let threads: u64 = (1..=scan_vars.len() as u64).product();
 
-        let opts = npred::NpredOptions { full_permutations: true, ..Default::default() };
-        let (_, counters) = npred::run_npred(&expr, &corpus, &index, &reg, opts).expect("runs");
+        let snapshot = Snapshot::of_index(corpus, index);
+        let options = ExecOptions { npred_full_permutations: true, ..Default::default() };
+        let counters = SnapshotExecutor::with_options(&snapshot, &reg, options)
+            .run_surface(&surface, EngineKind::Npred)
+            .expect("runs")
+            .counters;
         prop_assert!(
             counters.positions <= max_positions * threads,
             "positions {} > {} × {} threads for {query}",

@@ -2,11 +2,12 @@
 //!
 //! The contract: rewriting a two-scan proximity core (phrase, NEAR,
 //! ordered-window) to a walk over the word-pair auxiliary lists is
-//! **invisible** — `use_pairs: true` must return node lists bit-identical
-//! to the `use_pairs: false` position-intersection oracle, on every corpus
-//! and every pair-index configuration (default
-//! df cutoff, cutoff disabled, a window small enough to force fallback,
-//! and pairs disabled entirely).
+//! **invisible** — an index with word pairs must return node lists
+//! bit-identical to the position-intersection oracle, the same corpus
+//! sealed with `PairConfig::disabled()`, on every corpus and every
+//! pair-index configuration (default df cutoff, cutoff disabled, a window
+//! small enough to force fallback, and pairs disabled entirely). Both
+//! sides run through the snapshot executor, on one fully live segment.
 //!
 //! Corpora are Zipf-skewed so the same run exercises both coverage
 //! regimes: frequent tokens resolve from pair lists, rare ones fall below
@@ -20,8 +21,9 @@
 //! The scheduled CI fuzz job raises the case count via
 //! `FTSL_PROPTEST_CASES`; the default keeps PR builds quick.
 
-use ftsl_exec::engine::{EngineKind, ExecOptions, Executor};
-use ftsl_index::{IndexBuilder, InvertedIndex, PairConfig};
+use ftsl_exec::engine::EngineKind;
+use ftsl_exec::SnapshotExecutor;
+use ftsl_index::{IndexBuilder, PairConfig, Snapshot};
 use ftsl_model::Corpus;
 use ftsl_predicates::PredicateRegistry;
 use proptest::prelude::*;
@@ -113,46 +115,21 @@ fn pair_configs() -> [PairConfig; 4] {
     ]
 }
 
-/// Pair path vs oracle on one (corpus, index, query): node lists must be
-/// bit-identical.
-fn assert_pair_matches_oracle(
-    corpus: &Corpus,
-    index: &InvertedIndex,
-    query: &str,
-    ctx: &str,
-) -> Result<(), ()> {
+/// `corpus` sealed as one segment under `config`.
+fn sealed(corpus: &Corpus, config: PairConfig) -> Snapshot {
+    let index = IndexBuilder::new().pair_config(config).build(corpus);
+    Snapshot::of_index(corpus.clone(), index)
+}
+
+/// Pair path vs oracle on one (corpus, query): the corpus sealed under
+/// every configuration of [`pair_configs`] must answer as it does sealed
+/// without pairs, node list for node list.
+fn assert_pair_matches_oracle(corpus: &Corpus, query: &str, ctx: &str) -> Result<(), ()> {
     let reg = PredicateRegistry::with_builtins();
-    let paired = Executor::with_options(
-        corpus,
-        index,
-        &reg,
-        ExecOptions {
-            use_pairs: true,
-            ..Default::default()
-        },
-    );
-    let oracle = Executor::with_options(
-        corpus,
-        index,
-        &reg,
-        ExecOptions {
-            use_pairs: false,
-            ..Default::default()
-        },
-    );
-    let got = paired
-        .run_str(query, EngineKind::Ppred)
-        .expect("pair path runs");
-    let want = oracle
+    let pairless = sealed(corpus, PairConfig::disabled());
+    let want = SnapshotExecutor::new(&pairless, &reg)
         .run_str(query, EngineKind::Ppred)
         .expect("oracle runs");
-    prop_assert_eq!(
-        &got.nodes,
-        &want.nodes,
-        "{}: pair path diverged on {}",
-        ctx,
-        query
-    );
     // The oracle never reads pair lists — its counters prove it is
     // the independent position-intersection implementation.
     prop_assert_eq!(
@@ -161,6 +138,21 @@ fn assert_pair_matches_oracle(
         "{}: oracle touched pairs",
         ctx
     );
+    for config in pair_configs() {
+        let paired = sealed(corpus, config);
+        let got = SnapshotExecutor::new(&paired, &reg)
+            .run_str(query, EngineKind::Ppred)
+            .expect("pair path runs");
+        prop_assert_eq!(
+            &got.nodes,
+            &want.nodes,
+            "{} window={} cutoff={}: pair path diverged on {}",
+            ctx,
+            config.window,
+            config.df_cutoff,
+            query
+        );
+    }
     Ok(())
 }
 
@@ -177,22 +169,14 @@ proptest! {
         shape in arb_shape(),
     ) {
         let query = render_query(&token(a), &token(b), shape);
-        for config in pair_configs() {
-            let index = IndexBuilder::new().pair_config(config).build(&corpus);
-            let ctx = format!("window={} cutoff={}", config.window, config.df_cutoff);
-            assert_pair_matches_oracle(&corpus, &index, &query, &ctx)?;
-        }
+        assert_pair_matches_oracle(&corpus, &query, "random corpus")?;
     }
 }
 
 // ── deterministic edge cases ─────────────────────────────────────────────
 
 fn check(corpus: &Corpus, query: &str, ctx: &str) {
-    for config in pair_configs() {
-        let index = IndexBuilder::new().pair_config(config).build(corpus);
-        let full = format!("{ctx} window={} cutoff={}", config.window, config.df_cutoff);
-        assert_pair_matches_oracle(corpus, &index, query, &full).unwrap();
-    }
+    assert_pair_matches_oracle(corpus, query, ctx).unwrap();
 }
 
 /// A "phrase" whose two slots bind the same token: `a a`. Directed
@@ -256,13 +240,14 @@ fn phrase_longer_than_any_document() {
     let query = render_query("a", "b", Shape::Phrase);
     check(&corpus, &query, "1-token docs");
     let reg = PredicateRegistry::with_builtins();
-    let index = IndexBuilder::new()
-        .pair_config(PairConfig {
+    let every_pair = sealed(
+        &corpus,
+        PairConfig {
             window: 16,
             df_cutoff: 0,
-        })
-        .build(&corpus);
-    let exec = Executor::new(&corpus, &index, &reg);
+        },
+    );
+    let exec = SnapshotExecutor::new(&every_pair, &reg);
     let out = exec.run_str(&query, EngineKind::Ppred).expect("runs");
     assert!(out.nodes.is_empty(), "no document can hold the phrase");
 }
@@ -304,8 +289,8 @@ fn pair_list_straddles_block_boundary() {
     // reads pair postings; the planted phrase resolves without decoding
     // any position payload.
     let reg = PredicateRegistry::with_builtins();
-    let index = IndexBuilder::new().build(&corpus);
-    let exec = Executor::new(&corpus, &index, &reg);
+    let default = sealed(&corpus, PairConfig::default());
+    let exec = SnapshotExecutor::new(&default, &reg);
     let out = exec
         .run_str(&render_query("a", "b", Shape::Phrase), EngineKind::Ppred)
         .expect("runs");

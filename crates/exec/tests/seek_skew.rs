@@ -8,25 +8,30 @@
 use ftsl_calculus::interp::Interpreter;
 use ftsl_calculus::CalcQuery;
 use ftsl_corpus::SynthConfig;
-use ftsl_exec::bool_eval::run_bool;
-use ftsl_exec::engine::{EngineKind, ExecOptions, Executor};
-use ftsl_index::{AccessCounters, IndexBuilder, InvertedIndex};
+use ftsl_exec::engine::EngineKind;
+use ftsl_exec::SnapshotExecutor;
+use ftsl_index::{AccessCounters, IndexBuilder, InvertedIndex, PairConfig, Snapshot};
 use ftsl_lang::{lower, parse, Mode};
 use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::PredicateRegistry;
 
 /// Zipf background plus one rare and one common planted token: the regime
 /// where seek-driven conjunction wins by orders of magnitude.
-fn skewed_env() -> (Corpus, InvertedIndex) {
-    let config = SynthConfig {
+fn skewed_corpus() -> Corpus {
+    SynthConfig {
         cnodes: 1500,
         vocabulary: 800,
         tokens_per_doc: 60,
         ..SynthConfig::default()
     }
     .plant("rare", 0.01, 2)
-    .plant("common", 0.6, 3);
-    let corpus = config.build();
+    .plant("common", 0.6, 3)
+    .build()
+}
+
+/// The skewed corpus and its default index.
+fn skewed_env() -> (Corpus, InvertedIndex) {
+    let corpus = skewed_corpus();
     let index = IndexBuilder::new().build(&corpus);
     (corpus, index)
 }
@@ -47,8 +52,12 @@ fn bool_conjunction_decodes_fewer_entries_than_sequential_scan() {
     // What the seed's lock-step merge decoded: every entry of both lists.
     let sequential_entries = rare_df + common_df;
 
-    let query = parse("'rare' AND 'common'", Mode::Bool).expect("parses");
-    let (nodes, counters) = run_bool(&query, &corpus, &index).expect("runs");
+    let reg = PredicateRegistry::with_builtins();
+    let snapshot = Snapshot::of_index(corpus.clone(), index);
+    let out = SnapshotExecutor::new(&snapshot, &reg)
+        .run_str("'rare' AND 'common'", EngineKind::Bool)
+        .expect("runs");
+    let (nodes, counters) = (out.nodes, out.counters);
 
     assert!(
         counters.entries < sequential_entries,
@@ -86,16 +95,13 @@ fn bool_conjunction_decodes_fewer_entries_than_sequential_scan() {
 #[test]
 fn streaming_join_seeks_instead_of_scanning() {
     let (corpus, index) = skewed_env();
+    let sequential_entries = df(&corpus, &index, "rare") + df(&corpus, &index, "common");
     let reg = PredicateRegistry::with_builtins();
-    let exec = Executor::new(&corpus, &index, &reg);
-    let out = exec
-        .run_surface(
-            &parse("'rare' AND 'common'", Mode::Comp).unwrap(),
-            EngineKind::Ppred,
-        )
+    let snapshot = Snapshot::of_index(corpus, index);
+    let out = SnapshotExecutor::new(&snapshot, &reg)
+        .run_str("'rare' AND 'common'", EngineKind::Ppred)
         .expect("ppred runs");
 
-    let sequential_entries = df(&corpus, &index, "rare") + df(&corpus, &index, "common");
     assert!(
         out.counters.entries < sequential_entries,
         "PPRED decoded {} entries, lock-step costs {sequential_entries}",
@@ -104,20 +110,21 @@ fn streaming_join_seeks_instead_of_scanning() {
     assert!(out.counters.skipped > 0);
 }
 
-/// Run `query` on `engine` (position-intersection path: pairs off), check
-/// it against the calculus interpreter, and hand back the counters.
+/// Run `query` on `engine` over the skewed corpus sealed without word pairs
+/// (the position-intersection path), check it against the calculus
+/// interpreter, and hand back the counters.
 fn agrees_with_interpreter(query: &str, engine: EngineKind) -> AccessCounters {
-    let (corpus, index) = skewed_env();
+    let corpus = skewed_corpus();
     let reg = PredicateRegistry::with_builtins();
     let surface = parse(query, Mode::Comp).expect("parses");
     let expr = lower(&surface, &reg).expect("lowers");
     let expected = Interpreter::new(&corpus, &reg).eval_query(&CalcQuery::new(expr));
 
-    let options = ExecOptions {
-        use_pairs: false,
-        ..Default::default()
-    };
-    let out = Executor::with_options(&corpus, &index, &reg, options)
+    let index = IndexBuilder::new()
+        .pair_config(PairConfig::disabled())
+        .build(&corpus);
+    let snapshot = Snapshot::of_index(corpus, index);
+    let out = SnapshotExecutor::new(&snapshot, &reg)
         .run_surface(&surface, engine)
         .expect("engine runs");
 

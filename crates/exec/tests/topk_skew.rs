@@ -13,7 +13,7 @@ use ftsl_lang::{parse, Mode};
 use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::PredicateRegistry;
 use ftsl_scoring::classic::classic_tfidf;
-use ftsl_scoring::{tfidf_union_cursors, topk_union, SnapshotStats, UnionKind};
+use ftsl_scoring::{tfidf_union_cursors, topk_union_into, SnapshotStats, TopK, UnionKind};
 
 fn manual() -> LiveConfig {
     LiveConfig {
@@ -263,7 +263,7 @@ fn per_segment_heaps(
         let (corpus, index) = (seg.data().corpus(), seg.data().index());
         let live = Some(seg.deletes());
         let cursors = tfidf_union_cursors(tokens, corpus, index, stats.segment(i), tfidf, live);
-        summed += topk_union(cursors, UnionKind::Sum, k).counters;
+        summed += topk_union_into(cursors, UnionKind::Sum, &mut TopK::new(k), None);
     }
     summed
 }

@@ -1261,13 +1261,6 @@ impl<'a> BlockCursor<'a> {
             .map_or(0, |b| self.list.blocks[b].max_tf)
     }
 
-    /// Largest node id in the current block — the last node a scored
-    /// evaluator gives up on when it prunes the block. `None` when
-    /// exhausted.
-    pub fn block_last_node(&self) -> Option<NodeId> {
-        self.current_block().map(|b| self.list.blocks[b].max_node)
-    }
-
     /// Largest term frequency of the block that would contain the first
     /// remaining entry with node id ≥ `target`, found by binary search over
     /// the skip headers — a pure bound probe that decodes nothing. `None`
@@ -1430,11 +1423,6 @@ impl<'a> BlockCursor<'a> {
         self.pos_idx = i;
         self.counters.positions += (i - start) as u64;
         hit
-    }
-
-    /// Reset the position sub-cursor to the start of the current entry.
-    pub fn rewind_positions(&mut self) {
-        self.pos_idx = 0;
     }
 
     /// Access counters accumulated by this cursor, including the entry

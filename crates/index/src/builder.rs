@@ -4,7 +4,7 @@
 //! [`PostingArena`] with a handful of allocations, however wide the
 //! vocabulary (a hash table of the distinct tokens grows by doubling):
 //!
-//! 1. number the distinct tokens the documents use ([`LocalTokens`]) and
+//! 1. number the distinct tokens the documents use (`local::LocalTokens`) and
 //!    count each one's occurrences;
 //! 2. turn the counts into each token's first slot (prefix sums);
 //! 3. scatter every `(node, Position)` occurrence into its token's run,

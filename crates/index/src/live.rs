@@ -32,6 +32,7 @@
 //! id across segments.
 
 use crate::segment::{DeleteSet, MemSegment, SegmentData};
+use crate::InvertedIndex;
 use ftsl_model::{Corpus, Document, NodeId, TokenInterner, Tokenizer};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -712,12 +713,6 @@ impl SnapshotSegment {
     pub fn live_count(&self) -> usize {
         self.data.num_docs() - self.deletes.deleted_count()
     }
-
-    /// True when no document of the segment is tombstoned — evaluation can
-    /// skip delete filtering entirely.
-    pub fn fully_live(&self) -> bool {
-        self.deletes.deleted_count() == 0
-    }
 }
 
 /// A point-in-time view over a [`LiveIndex`]: an ordered list of segments
@@ -731,6 +726,23 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
+    /// A fully live, one-segment snapshot over a prebuilt corpus and its
+    /// index: global ids `0..n` are the local ids, no document is
+    /// tombstoned, and the version is 0. This is how an index sealed under
+    /// a non-default [`crate::PairConfig`], or decoded from a persisted
+    /// image, is read through the same executor as a live index.
+    pub fn of_index(corpus: Corpus, index: InvertedIndex) -> Snapshot {
+        let n = corpus.len();
+        let data = SegmentData::from_parts(0, corpus, (0..n as u32).collect(), index);
+        Snapshot {
+            segments: vec![SnapshotSegment {
+                data: Arc::new(data),
+                deletes: Arc::new(DeleteSet::new(n)),
+            }],
+            version: 0,
+        }
+    }
+
     /// The segments, ordered by their disjoint global-id ranges (the write
     /// buffer's chunks last).
     pub fn segments(&self) -> &[SnapshotSegment] {
@@ -866,6 +878,18 @@ mod tests {
         assert_eq!(snap.live_doc_count(), 3);
         let globals: Vec<u32> = snap.live_documents().map(|(n, _)| n.0).collect();
         assert_eq!(globals, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn of_index_is_one_fully_live_segment_with_identity_globals() {
+        let corpus = Corpus::from_texts(&["alpha beta", "beta", "gamma"]);
+        let index = crate::IndexBuilder::new().build(&corpus);
+        let snap = Snapshot::of_index(corpus, index);
+        assert_eq!((snap.num_segments(), snap.version()), (1, 0));
+        assert_eq!((snap.live_doc_count(), snap.tombstone_count()), (3, 0));
+        assert_eq!(snap.segments()[0].data().globals(), &[0, 1, 2]);
+        let beta = snap.segments()[0].data().corpus().token_id("beta").unwrap();
+        assert_eq!(snap.segments()[0].data().index().df(beta), 2);
     }
 
     #[test]

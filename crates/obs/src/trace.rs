@@ -68,14 +68,6 @@ impl Trace {
         self.spans.iter().find(|s| s.label.contains(needle))
     }
 
-    /// All spans whose label contains `needle`.
-    pub fn find_all(&self, needle: &str) -> Vec<&Span> {
-        self.spans
-            .iter()
-            .filter(|s| s.label.contains(needle))
-            .collect()
-    }
-
     /// Render the tree as an indented profile. Times are inclusive.
     pub fn render(&self) -> String {
         let mut out = String::new();

@@ -38,8 +38,8 @@
 //! ```
 //! use ftsl_index::IndexBuilder;
 //! use ftsl_model::Corpus;
-//! use ftsl_scoring::stream::topk_tfidf;
-//! use ftsl_scoring::{ScoreStats, TfIdfModel};
+//! use ftsl_scoring::stream::{tfidf_union_cursors, topk_union_into, UnionKind};
+//! use ftsl_scoring::{ScoreStats, TfIdfModel, TopK};
 //!
 //! let corpus = Corpus::from_texts(&[
 //!     "usability usability usability",
@@ -53,12 +53,18 @@
 //! let model = TfIdfModel::for_query(&query, &corpus, &stats);
 //!
 //! // Top 2 of the disjunction, streamed through the pruned union.
-//! let top = topk_tfidf(&query, &corpus, &index, &stats, &model, 2);
-//! assert_eq!(top.hits.len(), 2);
-//! assert!(top.hits[0].1 >= top.hits[1].1);
+//! let cursors = tfidf_union_cursors(&query, &corpus, &index, &stats, &model, None);
+//! let mut topk = TopK::new(2);
+//! let counters = topk_union_into(cursors, UnionKind::Sum, &mut topk, None);
+//! let top = topk.into_ranked();
+//! assert_eq!(top.len(), 2);
+//! assert!(top[0].1 >= top[1].1);
 //! // The counters report exactly how much of the index was decoded.
-//! assert!(top.counters.entries > 0);
+//! assert!(counters.entries > 0);
 //! ```
+//!
+//! Queries reach this union through `ftsl-exec`'s snapshot executor, which
+//! shares one heap across a live index's segments.
 
 #![warn(missing_docs)]
 
@@ -75,10 +81,7 @@ pub use live::SnapshotStats;
 pub use pra::PraModel;
 pub use proximity::closeness;
 pub use stats::ScoreStats;
-pub use stream::{
-    pra_union_cursors, tfidf_union_cursors, topk_pra_disjunction, topk_tfidf, topk_union,
-    topk_union_into, union_bound, ScoredHits, UnionKind,
-};
+pub use stream::{pra_union_cursors, tfidf_union_cursors, topk_union_into, union_bound, UnionKind};
 pub use tfidf::TfIdfModel;
 pub use topk::TopK;
 

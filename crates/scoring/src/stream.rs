@@ -1,6 +1,6 @@
 //! Streaming scored retrieval: score-at-the-cursor with top-k pruning.
 //!
-//! [`topk_union`] is the pruned k-way union for *flat disjunctions*
+//! [`topk_union_into`] is the pruned k-way union for *flat disjunctions*
 //! (`'a' OR 'b' OR ...`, the ranked-query workhorse): instead of scoring
 //! every node and sorting, it streams posting entries through a [`TopK`]
 //! heap. It runs MaxScore-style pruning on list-level bounds and block-max
@@ -25,8 +25,7 @@ use ftsl_index::{AccessCounters, DeleteFilteredCursor, DeleteSet, InvertedIndex,
 use ftsl_model::{Corpus, NodeId};
 
 /// Wrap a leaf cursor in tombstone filtering when a delete set is present
-/// and non-empty (a segment with deletions); the single-index primitives
-/// pass `None`.
+/// and non-empty (a segment with deletions).
 fn wrap_live<'a>(
     cur: Box<dyn ScoredCursor + 'a>,
     live: Option<&'a DeleteSet>,
@@ -128,15 +127,6 @@ impl UnionKind {
     }
 }
 
-/// Hits plus the work counters accumulated while producing them.
-#[derive(Clone, Debug, Default)]
-pub struct ScoredHits {
-    /// `(node, score)` in ranking order (descending score, ascending node).
-    pub hits: Vec<(NodeId, f64)>,
-    /// Entries/positions decoded, entries and blocks skipped.
-    pub counters: AccessCounters,
-}
-
 /// The list-level score upper bound of a whole union: what any single node
 /// could score if it sat at the impact ceiling of *every* list at once.
 /// This is the segment-granularity pruning bound — a live-index segment
@@ -148,29 +138,16 @@ pub fn union_bound(cursors: &[Box<dyn ScoredCursor + '_>], kind: UnionKind) -> f
     })
 }
 
-/// MaxScore/block-max pruned k-way union: the top `k` nodes of a flat
-/// disjunction whose per-list scores combine by `kind`.
-///
-/// Cursors come from [`InvertedIndex::scored_cursor`]. Nodes scoring ≤ 0 are
-/// never reported, matching the exhaustive ranking.
-pub fn topk_union(
-    cursors: Vec<Box<dyn ScoredCursor + '_>>,
-    kind: UnionKind,
-    k: usize,
-) -> ScoredHits {
-    let mut topk = TopK::new(k);
-    let counters = topk_union_into(cursors, kind, &mut topk, None);
-    ScoredHits {
-        hits: topk.into_ranked(),
-        counters,
-    }
-}
-
-/// [`topk_union`] draining into a caller-owned heap: the global-threshold
-/// form. The heap may arrive non-empty (tightened by earlier segments of a
-/// live snapshot), every pruning decision reads its *current* threshold,
-/// and candidates enter under `globals[local]` when a remap is given — so
-/// heap tie-breaks run on the same ids a monolithic index would use.
+/// MaxScore/block-max pruned k-way union of a flat disjunction whose
+/// per-list scores combine by `kind`, draining into a caller-owned heap:
+/// the global-threshold form. Cursors come from
+/// [`InvertedIndex::scored_cursor`] (see [`tfidf_union_cursors`] and
+/// [`pra_union_cursors`]). Nodes scoring ≤ 0 are never kept, matching the
+/// exhaustive ranking. The heap may arrive non-empty (tightened by earlier
+/// segments of a live snapshot), every pruning decision reads its
+/// *current* threshold, and candidates enter under `globals[local]` when a
+/// remap is given — so heap tie-breaks run on the same ids a monolithic
+/// index would use.
 ///
 /// Soundness of sharing: the heap's threshold only ever tightens, so a
 /// candidate pruned against the current worst kept score is pruned against
@@ -307,27 +284,11 @@ pub fn topk_union_into(
     counters
 }
 
-/// Streaming TF-IDF top-k for a bag of search tokens (the disjunctive
-/// ranked query of Section 3.1), via the pruned union. For distinct tokens
-/// it is the first `k` rows of [`crate::classic::classic_tfidf`]; a
-/// repeated token contributes once per occurrence, as the algebra's union
-/// of its arms does, which the classic formula does not model.
-pub fn topk_tfidf<S: AsRef<str>>(
-    query_tokens: &[S],
-    corpus: &Corpus,
-    index: &InvertedIndex,
-    stats: &ScoreStats,
-    model: &crate::TfIdfModel,
-    k: usize,
-) -> ScoredHits {
-    let cursors = tfidf_union_cursors(query_tokens, corpus, index, stats, model, None);
-    topk_union(cursors, UnionKind::Sum, k)
-}
-
-/// The scored cursors [`topk_tfidf`] unions, stepping over the tombstones
-/// of `live` when given — factored out so a multi-segment caller can build
-/// each segment's cursors (and read their [`union_bound`]) before deciding
-/// to evaluate it at all.
+/// The scored cursors of a TF-IDF flat disjunction over a bag of search
+/// tokens (the disjunctive ranked query of Section 3.1), stepping over the
+/// tombstones of `live` when given. A multi-segment caller builds each
+/// segment's cursors (and reads their [`union_bound`]) before deciding to
+/// evaluate it at all.
 /// Token normalization (lowercase, sort) is deterministic, so every segment
 /// folds the same token order and scores stay bit-identical to the
 /// monolithic path. Repeats are kept: `'a' OR 'a'` unions two arms, and
@@ -356,24 +317,10 @@ pub fn tfidf_union_cursors<'a, S: AsRef<str>>(
         .collect()
 }
 
-/// Streaming PRA top-k for a flat disjunction of tokens, via the pruned
-/// union: the first `k` rows of the algebra's PRA ranking of the
-/// equivalent `OR` query.
-pub fn topk_pra_disjunction<S: AsRef<str>>(
-    query_tokens: &[S],
-    corpus: &Corpus,
-    index: &InvertedIndex,
-    stats: &ScoreStats,
-    model: &PraModel,
-    k: usize,
-) -> ScoredHits {
-    let cursors = pra_union_cursors(query_tokens, corpus, index, stats, model, None);
-    topk_union(cursors, UnionKind::ProbOr, k)
-}
-
-/// The scored cursors [`topk_pra_disjunction`] unions (tokens used exactly
-/// as given — PRA literals are not normalized), tombstone-filtered and
-/// factored out for multi-segment callers like [`tfidf_union_cursors`].
+/// The scored cursors of a PRA flat disjunction (tokens used exactly as
+/// given — PRA literals are not normalized), tombstone-filtered like
+/// [`tfidf_union_cursors`]. Their union is the first `k` rows of the
+/// algebra's PRA ranking of the equivalent `OR` query.
 pub fn pra_union_cursors<'a, S: AsRef<str>>(
     query_tokens: &[S],
     corpus: &'a Corpus,

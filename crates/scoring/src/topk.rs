@@ -79,25 +79,27 @@ pub struct TopK {
 }
 
 impl TopK {
-    /// An empty collector keeping at most `k` entries.
+    /// An empty collector keeping at most `k` entries. It reserves
+    /// nothing: the heap grows as entries are kept, to at most `k + 1`.
     pub fn new(k: usize) -> Self {
         TopK {
             k,
-            heap: BinaryHeap::with_capacity(k.saturating_add(1)),
+            heap: BinaryHeap::new(),
         }
     }
 
     /// Empty the collector and rebound it to `k`, keeping the heap's
-    /// allocation. A serving worker resets one collector per query instead
-    /// of constructing a new one, so the steady-state top-k path does not
-    /// touch the allocator (see [`Self::drain_ranked`] for the matching
-    /// extraction).
-    pub fn reset(&mut self, k: usize) {
+    /// allocation and reserving room for every entry it can hold: `k + 1`,
+    /// or `most + 1` when at most `most` distinct nodes can be offered (a
+    /// snapshot's live documents). `k` is caller input, so the reservation
+    /// never follows it past what the answer can hold. A serving worker
+    /// resets one collector per query instead of constructing a new one, so
+    /// the steady-state top-k path does not touch the allocator (see
+    /// [`Self::drain_ranked`] for the matching extraction).
+    pub fn reset(&mut self, k: usize, most: usize) {
         self.k = k;
         self.heap.clear();
-        if self.heap.capacity() < k.saturating_add(1) {
-            self.heap.reserve(k.saturating_add(1) - self.heap.len());
-        }
+        self.heap.reserve(k.min(most).saturating_add(1));
     }
 
     /// The current pruning threshold: the worst kept score once `k` entries
@@ -249,7 +251,7 @@ mod tests {
         sort_ranked(&mut oracle);
         let mut topk = TopK::new(7);
         for k in [3usize, 10, 0, 7] {
-            topk.reset(k);
+            topk.reset(k, hits.len());
             for &(n, s) in &hits {
                 topk.insert(n, s);
             }

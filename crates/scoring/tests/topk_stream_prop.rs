@@ -5,11 +5,11 @@
 //! union is checked against the algebra's exhaustive ranking by
 //! `ftsl-core`'s `global_prune_prop`.
 
-use ftsl_index::{IndexBuilder, InvertedIndex};
+use ftsl_index::{AccessCounters, IndexBuilder, InvertedIndex};
 use ftsl_model::{Corpus, NodeId};
 use ftsl_scoring::classic::classic_tfidf;
-use ftsl_scoring::stream::topk_tfidf;
-use ftsl_scoring::{ScoreStats, TfIdfModel};
+use ftsl_scoring::stream::{tfidf_union_cursors, topk_union_into, UnionKind};
+use ftsl_scoring::{ScoreStats, TfIdfModel, TopK};
 use proptest::prelude::*;
 
 const VOCAB: [&str; 6] = ["alpha", "beta", "gamma", "delta", "eps", "zeta"];
@@ -35,6 +35,22 @@ fn setup(corpus: &Corpus) -> (InvertedIndex, ScoreStats) {
     let index = IndexBuilder::new().build(corpus);
     let stats = ScoreStats::compute(corpus, &index);
     (index, stats)
+}
+
+/// The pruned TF-IDF union of `tokens` into a fresh `k`-heap: its hits in
+/// ranking order and its counters.
+fn union_top_k(
+    tokens: &[&str],
+    corpus: &Corpus,
+    index: &InvertedIndex,
+    stats: &ScoreStats,
+    k: usize,
+) -> (Vec<(NodeId, f64)>, AccessCounters) {
+    let model = TfIdfModel::for_query(tokens, corpus, stats);
+    let cursors = tfidf_union_cursors(tokens, corpus, index, stats, &model, None);
+    let mut topk = TopK::new(k);
+    let counters = topk_union_into(cursors, UnionKind::Sum, &mut topk, None);
+    (topk.into_ranked(), counters)
 }
 
 /// `got` must equal the first `k` of `oracle`.
@@ -97,8 +113,8 @@ proptest! {
         let (index, stats) = setup(&corpus);
         let model = TfIdfModel::for_query(&tokens, &corpus, &stats);
         let oracle = classic_tfidf(&tokens, &corpus, &stats, &model);
-        let got = topk_tfidf(&tokens, &corpus, &index, &stats, &model, k);
-        assert_prefix(&got.hits, &oracle, k, &format!("tfidf k={k}"));
+        let (hits, _) = union_top_k(&tokens, &corpus, &index, &stats, k);
+        assert_prefix(&hits, &oracle, k, &format!("tfidf k={k}"));
     }
 
     /// Streaming never decodes more entries than the corpus holds, and the
@@ -112,17 +128,16 @@ proptest! {
     ) {
         let tokens: Vec<&str> = token_idx.iter().map(|&i| VOCAB[i]).collect();
         let (index, stats) = setup(&corpus);
-        let model = TfIdfModel::for_query(&tokens, &corpus, &stats);
         let exhaustive_entries: u64 = tokens
             .iter()
             .filter_map(|t| corpus.token_id(t))
             .map(|id| index.df(id) as u64)
             .sum();
-        let got = topk_tfidf(&tokens, &corpus, &index, &stats, &model, k);
+        let (_, counters) = union_top_k(&tokens, &corpus, &index, &stats, k);
         prop_assert!(
-            got.counters.entries <= exhaustive_entries,
+            counters.entries <= exhaustive_entries,
             "decoded {} of {exhaustive_entries}",
-            got.counters.entries
+            counters.entries
         );
     }
 }

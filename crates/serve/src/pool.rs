@@ -132,7 +132,11 @@ pub struct Served {
     pub version: u64,
 }
 
-/// Pool sizing, cache capacity, and observability knobs.
+/// Pool sizing and cache capacity. Every request is timed into the
+/// latency histogram; the slow-query log keeps the last
+/// [`SLOW_LOG_CAPACITY`] requests over its threshold, which starts at
+/// [`SLOW_QUERY_US`] and is set at runtime through
+/// [`SlowLog::set_threshold_us`] on [`ServePool::slow_log`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Evaluation lanes: at most this many requests evaluate at once, each
@@ -142,19 +146,14 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Result-cache capacity in entries.
     pub cache_capacity: usize,
-    /// Record per-request latency into the lane histograms exported by
-    /// [`ServePool::metrics_text`]. Costs one `Instant::now` pair and
-    /// three relaxed atomic ops per request; disable to shave the last
-    /// nanoseconds off the hot path. The metrics *registry* exists either
-    /// way — counters keep counting, only the duration histogram stays
-    /// empty when this is off.
-    pub metrics: bool,
-    /// Wall-time threshold in microseconds above which a request is
-    /// captured in the slow-query log. 0 disables capture entirely.
-    pub slow_query_us: u64,
-    /// Ring-buffer capacity of the slow-query log (clamped to ≥ 1).
-    pub slow_log_capacity: usize,
 }
+
+/// The slow-query log's initial threshold: a request slower than this many
+/// microseconds is captured (0 would disable capture).
+pub const SLOW_QUERY_US: u64 = 10_000;
+
+/// Ring-buffer capacity of the slow-query log.
+pub const SLOW_LOG_CAPACITY: usize = 64;
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -163,9 +162,6 @@ impl Default for ServeConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             cache_capacity: 1024,
-            metrics: true,
-            slow_query_us: 10_000,
-            slow_log_capacity: 64,
         }
     }
 }
@@ -205,8 +201,8 @@ struct WorkerSlot {
     scratch_allocated: AtomicU64,
     pair_entries: AtomicU64,
     panics: AtomicU64,
-    /// Request wall time in µs, recorded when [`ServeConfig::metrics`] is
-    /// on. Per-lane so recording never contends; merged on read.
+    /// Request wall time in µs. Per-lane so recording never contends;
+    /// merged on read.
     latency_us: Histogram,
 }
 
@@ -236,7 +232,7 @@ impl WorkerSlot {
 /// is quiescent (every `execute` has returned), every identity holds
 /// exactly: `served() == cache.hits + cache.misses`,
 /// `cache_hits() == cache.hits`, `in_flight == 0`, and
-/// `latency.count() == served()` when metrics are enabled — the
+/// `latency.count() == served()` — the
 /// reconciliation tests pin this down.
 #[derive(Clone, Debug)]
 pub struct PoolStats {
@@ -244,8 +240,7 @@ pub struct PoolStats {
     pub workers: Vec<WorkerStats>,
     /// Result-cache counters.
     pub cache: CacheStats,
-    /// Request wall-time histogram merged across lanes (empty when
-    /// [`ServeConfig::metrics`] is off).
+    /// Request wall-time histogram merged across lanes.
     pub latency: HistogramSnapshot,
     /// Lanes checked out right now.
     pub in_flight: usize,
@@ -291,8 +286,6 @@ struct Shared {
     lane_freed: Condvar,
     lane_waits: AtomicU64,
     slots: Vec<WorkerSlot>,
-    /// Mirror of [`ServeConfig::metrics`].
-    metrics: bool,
     slow: SlowLog,
 }
 
@@ -447,8 +440,7 @@ impl ServePool {
             lane_freed: Condvar::new(),
             lane_waits: AtomicU64::new(0),
             slots: (0..lanes).map(|_| WorkerSlot::default()).collect(),
-            metrics: config.metrics,
-            slow: SlowLog::new(config.slow_query_us, config.slow_log_capacity),
+            slow: SlowLog::new(SLOW_QUERY_US, SLOW_LOG_CAPACITY),
         });
         let registry = build_registry(&shared, &cache, &engine);
         ServePool {
@@ -467,10 +459,7 @@ impl ServePool {
         let mut guard = shared.checkout();
         let lane = guard.lane.as_mut().expect("held until drop");
         let slot = &shared.slots[lane.id];
-        // Timing is taken only when someone will consume it; with metrics
-        // and the slow log both off, the hot path clocks nothing.
-        let timed = shared.metrics || shared.slow.threshold_us() != 0;
-        let start = timed.then(Instant::now);
+        let start = Instant::now();
         let allocs_before = thread_allocs();
         let scratch_before = scratch_pool_stats();
         let result = match panic::catch_unwind(AssertUnwindSafe(|| lane.ctx.serve(&req))) {
@@ -504,14 +493,10 @@ impl ServePool {
                     .fetch_add(c.pair_entries, Ordering::Relaxed);
             }
         }
-        if let Some(start) = start {
-            let micros = start.elapsed().as_micros() as u64;
-            if shared.metrics {
-                slot.latency_us.record(micros);
-            }
-            if shared.slow.should_log(micros) {
-                shared.slow.record(slow_entry(&req, micros, &result));
-            }
+        let micros = start.elapsed().as_micros() as u64;
+        slot.latency_us.record(micros);
+        if shared.slow.should_log(micros) {
+            shared.slow.record(slow_entry(&req, micros, &result));
         }
         result
     }
@@ -559,8 +544,9 @@ impl ServePool {
         self.registry.json()
     }
 
-    /// The slow-query log (ring of requests over
-    /// [`ServeConfig::slow_query_us`]; threshold adjustable at runtime).
+    /// The slow-query log: a ring of the last [`SLOW_LOG_CAPACITY`]
+    /// requests over its threshold ([`SLOW_QUERY_US`] until
+    /// [`SlowLog::set_threshold_us`] changes it).
     pub fn slow_log(&self) -> &SlowLog {
         &self.shared.slow
     }
@@ -639,7 +625,7 @@ fn build_registry(shared: &Arc<Shared>, cache: &Arc<ResultCache>, engine: &Arc<F
     let sh = Arc::clone(shared);
     registry.register(
         "ftsl_request_duration_us",
-        "Request wall time in microseconds (empty when ServeConfig::metrics is off)",
+        "Request wall time in microseconds",
         move || MetricValue::Histogram(merged_latency(&sh.slots)),
     );
     let ch = Arc::clone(cache);

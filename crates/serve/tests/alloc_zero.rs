@@ -6,11 +6,16 @@
 //! * **Scratch-reuse path** — a warm `BlockCursor` walk: the decode
 //!   buffers come from the thread-local scratch pool, so re-walking a
 //!   block list (including position decode) allocates nothing.
+//!
+//! A top-k's memory follows its answer, not the `k` a caller asks for.
 
 use ftsl_core::{Ftsl, LiveConfig, RankModel};
 use ftsl_index::scratch_pool_stats;
 use ftsl_obs::Histogram;
-use ftsl_serve::{thread_allocs, CountingAlloc, QueryRequest, ResultCache, ServeContext, SlowLog};
+use ftsl_serve::{
+    reset_thread_peak, thread_allocs, thread_live_bytes, thread_peak_bytes, CountingAlloc,
+    QueryRequest, ResultCache, ServeContext, SlowLog,
+};
 use std::sync::Arc;
 
 #[global_allocator]
@@ -61,6 +66,38 @@ fn pra_top_k_allocations_do_not_grow_with_the_vocabulary() {
     assert_eq!(
         narrow, wide,
         "a PRA top-k allocated {wide} times over 50k tokens, {narrow} over 2k"
+    );
+}
+
+/// `k` is caller input (`:top`, `QueryRequest::TopK`): a top-k with a huge
+/// `k` on a 10-document engine peaks no higher than one whose `k` already
+/// exceeds the collection, instead of reserving `k` heap slots up front.
+#[test]
+fn a_huge_k_peaks_no_higher_than_the_collection() {
+    let engine = Ftsl::with_config(LiveConfig {
+        background_merge: false,
+        ..LiveConfig::default()
+    });
+    for i in 0..10 {
+        engine.add(&format!("usability software number{}", i % 3));
+    }
+    engine.flush();
+    let query = "'software' OR 'number1'";
+    // Warm: the version's statistics are computed once, then cached.
+    engine.search_top_k(query, RankModel::TfIdf, 11).unwrap();
+    let peak = |k: usize| {
+        reset_thread_peak();
+        let before = thread_live_bytes();
+        let ranked = engine.search_top_k(query, RankModel::TfIdf, k).unwrap();
+        let peak = thread_peak_bytes() - before;
+        assert_eq!(ranked.hits.len(), 10);
+        peak
+    };
+    let (fits, huge) = (peak(11), peak(1 << 24));
+    println!("TF-IDF top-k peak: {fits} bytes at k = 11, {huge} at k = 2^24");
+    assert!(
+        huge <= fits,
+        "k = 2^24 peaked at {huge} bytes, k = 11 at {fits}"
     );
 }
 

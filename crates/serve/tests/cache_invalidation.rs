@@ -90,7 +90,6 @@ fn hit_and_miss_counters_are_exact_under_concurrent_access() {
     let pool = engine.serve_pool(ServeConfig {
         workers: 4,
         cache_capacity: 64,
-        ..ServeConfig::default()
     });
     let queries = ["'software'", "'efficient'", "'usability'", "'algorithm'"];
     // Warm phase: every distinct query misses exactly once.
@@ -141,7 +140,6 @@ fn pool_answers_match_direct_execution() {
         let pool = engine.serve_pool(ServeConfig {
             workers: 3,
             cache_capacity: 16,
-            ..ServeConfig::default()
         });
         for q in ["'software'", "'software' AND 'usability'", "'nothing'"] {
             let direct = engine.search(q).unwrap();

@@ -40,7 +40,6 @@ fn prometheus_export_reconciles_with_pool_stats_after_concurrent_load() {
     let pool = engine.serve_pool(ServeConfig {
         workers: 4,
         cache_capacity: 64,
-        ..ServeConfig::default()
     });
     let queries = ["'software'", "'efficient'", "'usability'", "'algorithm'"];
     // Eight callers on four lanes; once every scoped thread has joined,
@@ -144,36 +143,13 @@ fn prometheus_export_reconciles_with_pool_stats_after_concurrent_load() {
 }
 
 #[test]
-fn metrics_off_leaves_latency_histogram_empty() {
-    let engine = engine_with(None);
-    let pool = engine.serve_pool(ServeConfig {
-        workers: 2,
-        cache_capacity: 16,
-        metrics: false,
-        slow_query_us: 0,
-        ..ServeConfig::default()
-    });
-    for _ in 0..10 {
-        pool.execute(QueryRequest::search("'software'")).unwrap();
-    }
-    let stats = pool.stats();
-    assert_eq!(stats.served(), 10, "counters still count");
-    assert_eq!(stats.latency.count(), 0, "no timing when metrics are off");
-    let text = pool.metrics_text();
-    assert_eq!(prom_value(&text, "ftsl_serve_requests_total"), 10);
-    assert_eq!(prom_value(&text, "ftsl_request_duration_us_count"), 0);
-}
-
-#[test]
 fn slow_log_captures_over_threshold_with_summary() {
     let engine = engine_with(None);
     let pool = engine.serve_pool(ServeConfig {
         workers: 2,
         cache_capacity: 16,
-        slow_query_us: 1, // everything qualifies
-        slow_log_capacity: 8,
-        ..ServeConfig::default()
     });
+    pool.slow_log().set_threshold_us(1); // everything qualifies
     pool.execute(QueryRequest::search("'software' AND 'usability'"))
         .unwrap();
     pool.execute(QueryRequest::near("software", "usability", 8, false, 5))
@@ -214,9 +190,8 @@ fn slow_log_carries_full_trace_when_engine_traces() {
     let pool = engine.serve_pool(ServeConfig {
         workers: 1,
         cache_capacity: 16,
-        slow_query_us: 1,
-        ..ServeConfig::default()
     });
+    pool.slow_log().set_threshold_us(1);
     pool.execute(QueryRequest::search("'software' AND 'usability'"))
         .unwrap();
     let entries = pool.slow_log().entries();

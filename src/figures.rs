@@ -20,10 +20,10 @@
 
 use ftsl_corpus::queries::planted_names;
 use ftsl_corpus::{PredPolarity, QuerySpec, SynthConfig};
-use ftsl_exec::engine::{EngineKind, ExecOptions, Executor};
-use ftsl_index::{AccessCounters, IndexBuilder, InvertedIndex};
+use ftsl_exec::engine::{EngineKind, ExecOptions};
+use ftsl_exec::SnapshotExecutor;
+use ftsl_index::{AccessCounters, IndexBuilder, InvertedIndex, Snapshot};
 use ftsl_lang::{parse, Mode, SurfaceQuery};
-use ftsl_model::Corpus;
 use ftsl_predicates::PredicateRegistry;
 use std::time::{Duration, Instant};
 
@@ -32,10 +32,9 @@ pub const COMP_TUPLE_BUDGET: u64 = 20_000_000;
 
 /// A corpus + index + registry for one sweep point.
 pub struct BenchEnv {
-    /// The synthetic corpus.
-    pub corpus: Corpus,
-    /// Its inverted index.
-    pub index: InvertedIndex,
+    /// The synthetic corpus and its inverted index, as one fully live
+    /// segment.
+    pub snapshot: Snapshot,
     /// Built-in predicates.
     pub registry: PredicateRegistry,
     /// Names of the planted query tokens (`q0`..).
@@ -109,11 +108,22 @@ pub fn build_env(spec: EnvSpec) -> BenchEnv {
     let corpus = config.build();
     let index = IndexBuilder::new().build(&corpus);
     BenchEnv {
-        corpus,
-        index,
+        snapshot: Snapshot::of_index(corpus, index),
         registry: PredicateRegistry::with_builtins(),
         tokens,
         occurrences: spec.occurrences,
+    }
+}
+
+impl BenchEnv {
+    /// The sweep point's inverted index.
+    pub fn index(&self) -> &InvertedIndex {
+        self.snapshot.segments()[0].data().index()
+    }
+
+    /// The executor every series runs through.
+    pub fn executor(&self, options: ExecOptions) -> SnapshotExecutor<'_> {
+        SnapshotExecutor::with_options(&self.snapshot, &self.registry, options)
     }
 }
 
@@ -224,7 +234,7 @@ impl Measurement {
 /// Estimate the tuples a COMP evaluation of a `toks`-way conjunction would
 /// materialize: (docs containing all tokens) × occurrences^toks.
 pub fn estimate_comp_tuples(env: &BenchEnv, toks: usize) -> u64 {
-    let exec = Executor::new(&env.corpus, &env.index, &env.registry);
+    let exec = env.executor(ExecOptions::default());
     let spec = QuerySpec {
         toks,
         preds: 0,
@@ -258,7 +268,7 @@ pub fn measure(
         npred_full_permutations: true,
         ..Default::default()
     };
-    let exec = Executor::with_options(&env.corpus, &env.index, &env.registry, options);
+    let exec = env.executor(options);
 
     let mut times = Vec::with_capacity(reps);
     let mut last = None;

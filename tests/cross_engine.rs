@@ -2,8 +2,9 @@
 //! supports, over a realistic synthetic corpus.
 
 use ftsl::corpus::SynthConfig;
-use ftsl::exec::engine::{EngineKind, ExecOptions, Executor};
-use ftsl::index::IndexBuilder;
+use ftsl::exec::engine::{EngineKind, ExecOptions};
+use ftsl::exec::SnapshotExecutor;
+use ftsl::index::{IndexBuilder, Snapshot};
 use ftsl::lang::{parse, Mode};
 use ftsl::predicates::PredicateRegistry;
 
@@ -43,7 +44,8 @@ const NPRED_QUERIES: &[&str] = &[
 #[test]
 fn ppred_queries_agree_across_all_capable_engines() {
     let (corpus, index, reg) = fixture();
-    let exec = Executor::new(&corpus, &index, &reg);
+    let snapshot = Snapshot::of_index(corpus, index);
+    let exec = SnapshotExecutor::new(&snapshot, &reg);
     for q in PPRED_QUERIES {
         let surface = parse(q, Mode::Comp).unwrap();
         let ppred = exec.run_surface(&surface, EngineKind::Ppred).unwrap();
@@ -57,10 +59,10 @@ fn ppred_queries_agree_across_all_capable_engines() {
 #[test]
 fn npred_queries_agree_under_all_strategies() {
     let (corpus, index, reg) = fixture();
-    let partial = Executor::new(&corpus, &index, &reg);
-    let full = Executor::with_options(
-        &corpus,
-        &index,
+    let snapshot = Snapshot::of_index(corpus, index);
+    let partial = SnapshotExecutor::new(&snapshot, &reg);
+    let full = SnapshotExecutor::with_options(
+        &snapshot,
         &reg,
         ExecOptions {
             npred_full_permutations: true,
@@ -80,7 +82,8 @@ fn npred_queries_agree_under_all_strategies() {
 #[test]
 fn streaming_counters_beat_comp_on_positional_queries() {
     let (corpus, index, reg) = fixture();
-    let exec = Executor::new(&corpus, &index, &reg);
+    let snapshot = Snapshot::of_index(corpus, index);
+    let exec = SnapshotExecutor::new(&snapshot, &reg);
     let q = "SOME p1 SOME p2 (p1 HAS 'apple' AND p2 HAS 'banana' AND distance(p1,p2,10))";
     let surface = parse(q, Mode::Comp).unwrap();
     let ppred = exec.run_surface(&surface, EngineKind::Ppred).unwrap();
@@ -98,8 +101,10 @@ fn index_roundtrip_through_persistence() {
     let (corpus, index, reg) = fixture();
     let bytes = ftsl::index::persist::encode(&index);
     let decoded = ftsl::index::persist::decode(bytes).unwrap();
-    let exec1 = Executor::new(&corpus, &index, &reg);
-    let exec2 = Executor::new(&corpus, &decoded, &reg);
+    let built = Snapshot::of_index(corpus.clone(), index);
+    let loaded = Snapshot::of_index(corpus, decoded);
+    let exec1 = SnapshotExecutor::new(&built, &reg);
+    let exec2 = SnapshotExecutor::new(&loaded, &reg);
     for q in PPRED_QUERIES {
         let surface = parse(q, Mode::Comp).unwrap();
         let a = exec1.run_surface(&surface, EngineKind::Auto).unwrap();

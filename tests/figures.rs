@@ -14,7 +14,7 @@
 //! per-entry varint encoding it replaced.
 
 use ftsl::corpus::SynthConfig;
-use ftsl::exec::engine::{ExecOptions, Executor};
+use ftsl::exec::engine::ExecOptions;
 use ftsl::figures::{
     build_env, estimate_comp_tuples, measure, series_query, BenchEnv, EnvSpec, Series,
     COMP_TUPLE_BUDGET,
@@ -48,7 +48,7 @@ fn nodes(env: &BenchEnv, series: Series, toks: usize) -> Vec<NodeId> {
         npred_full_permutations: true,
         ..Default::default()
     };
-    Executor::with_options(&env.corpus, &env.index, &env.registry, options)
+    env.executor(options)
         .run_surface(&series_query(series, env, toks, PREDS), series.engine())
         .expect("series query runs")
         .nodes
@@ -93,7 +93,7 @@ fn npred_pays_the_permutation_factor() {
             (ratio - factorial as f64).abs() <= 0.2 * factorial as f64,
             "toks_Q {toks}, cnodes {}: NPRED-POS read {npred} entries, \
              PPRED-POS {ppred}: ratio {ratio:.2}, expected {factorial}",
-            env.corpus.len()
+            env.snapshot.live_doc_count()
         );
     }
 }
@@ -222,7 +222,7 @@ fn compressed_size_stays_within_110_percent_of_v4() {
     let measured = [
         build(skewed(4000).plant("rare", 0.005, 2).plant("common", 0.7, 3)),
         build(skewed(6000).plant("rare", 0.02, 4).plant("common", 0.7, 1)),
-        build_env(EnvSpec::small()).index.compressed_bytes(),
+        build_env(EnvSpec::small()).index().compressed_bytes(),
     ];
     for ((corpus, v4), bytes) in V4_COMPRESSED_BYTES.into_iter().zip(measured) {
         let limit = v4 + v4 / 10;

@@ -68,21 +68,6 @@ fn explain_analyze_attributes_the_position_intersection_fallback() {
 }
 
 #[test]
-fn explain_analyze_attributes_disabled_pair_rewrite() {
-    let e = Ftsl::from_texts(&corpus()).with_options(ExecOptions {
-        use_pairs: false,
-        ..ExecOptions::default()
-    });
-    let text = e
-        .explain_analyze("SOME a SOME b (a HAS 'kernel' AND b HAS 'scheduler' AND distance(a,b,8))")
-        .unwrap();
-    assert!(
-        text.contains("pair path: rewrite disabled by options"),
-        "use_pairs=false must be visible in the profile:\n{text}"
-    );
-}
-
-#[test]
 fn explain_analyze_reports_the_comp_node_walk() {
     let e = Ftsl::from_texts(&corpus());
     // `exact_gap` is a general predicate, so the query runs on COMP; only
