@@ -28,7 +28,7 @@
 mod common;
 
 use common::{
-    apply, apply_one, arb_ops, dense_ids, manual_config, prop_cases, survivors, Docs, VOCAB,
+    apply, apply_one, arb_ops, dense_ids, manual_config, prop_cases, survivors, Docs, Op, VOCAB,
 };
 use ftsl_core::{Ftsl, LiveConfig, RankModel};
 use ftsl_exec::scored::flat_disjunction;
@@ -137,6 +137,23 @@ fn arb_bool_query(depth: u32) -> BoxedStrategy<SurfaceQuery> {
         1 => sub.prop_map(|q| SurfaceQuery::Not(Box::new(q))),
     ]
     .boxed()
+}
+
+/// Histories that end in an exact tie: a random history, then one document
+/// flushed into a segment of its own and added again in a later segment
+/// beside a few short documents. The two copies score the same bits under
+/// every flat query, so the smaller id must win the tie whichever segment
+/// the walk visits first. `arb_ops` alone rarely repeats a document across
+/// segments.
+fn arb_tie_ops() -> impl Strategy<Value = Vec<Op>> {
+    let doc = proptest::collection::vec(0..VOCAB.len(), 1..12);
+    let beside = proptest::collection::vec(proptest::collection::vec(0..VOCAB.len(), 1..4), 0..3);
+    (arb_ops(), doc, beside).prop_map(|(mut ops, doc, beside)| {
+        ops.extend([Op::Flush, Op::Add(doc.clone()), Op::Flush, Op::Add(doc)]);
+        ops.extend(beside.into_iter().map(Op::Add));
+        ops.push(Op::Flush);
+        ops
+    })
 }
 
 /// k values: aggressive pruning (1), typical (10), and larger than any
@@ -255,11 +272,14 @@ proptest! {
         }
     }
 
-    /// Any interleaving of adds/deletes/flushes/merges: the globally-pruned
-    /// top-k over the resulting N-segment snapshot is bit-identical to the
+    /// Any interleaving of adds/deletes/flushes/merges, with or without an
+    /// exact tie across segments at the end: the globally-pruned top-k
+    /// over the resulting N-segment snapshot is bit-identical to the
     /// monolithic rebuild's one-segment run, for every model × k.
     #[test]
-    fn global_topk_is_bit_identical_to_monolithic_oracle(ops in arb_ops()) {
+    fn global_topk_is_bit_identical_to_monolithic_oracle(
+        ops in prop_oneof![arb_ops(), arb_tie_ops()],
+    ) {
         let (engine, survivors) = apply(&ops);
         assert_global_matches_oracle(&engine, &rebuild(&survivors))?;
     }
@@ -347,5 +367,46 @@ fn skipped_segments_never_change_answers() {
     for (l, o) in live.hits.iter().zip(&oracle) {
         assert_eq!(mono.remap[&l.0 .0], o.0 .0, "ranked ids");
         assert_eq!(l.1.to_bits(), o.1.to_bits(), "score bits");
+    }
+}
+
+/// Exact ties across segments: the same document in two segments scores
+/// the same bits in both, and the smaller id must win the tie-break, as it
+/// does in the ranking and in a one-segment rebuild. The later segment also
+/// holds a one-token document, so its bound is higher and it is visited
+/// first; the earlier segment's bound must then not round below the score
+/// it bounds, or that segment is skipped and the tie lost. A one-token
+/// bound is the entry scorer's own; a three-token bound also folds the
+/// lists in another order than the candidate's score does.
+#[test]
+fn exact_ties_across_segments_keep_the_smaller_id() {
+    for (doc, query) in [
+        ("x x x x f5 f5 f6", "'x'"),
+        ("f1 z x f6 f4 x z", "'x' OR 'z' OR 'f1'"),
+    ] {
+        let engine = Ftsl::with_config(LiveConfig {
+            background_merge: false,
+            flush_threshold: usize::MAX,
+            ..LiveConfig::default()
+        });
+        engine.add(doc);
+        engine.flush();
+        engine.add(doc);
+        engine.add("y");
+        engine.flush();
+        let mono = Ftsl::from_texts(&[doc, doc, "y"]);
+        let bits = |hits: &[(NodeId, f64)]| -> Vec<(NodeId, u64)> {
+            hits.iter().map(|&(n, s)| (n, s.to_bits())).collect()
+        };
+        for model in [RankModel::TfIdf, RankModel::Pra] {
+            let ctx = format!("{query} under {model:?}");
+            let ranked = engine.search_ranked(query, model).expect("ranked").hits;
+            let top = engine.search_top_k(query, model, 1).expect("top-k").hits;
+            let oracle = mono.search_top_k(query, model, 1).expect("oracle").hits;
+            assert_eq!(ranked[0].0, NodeId(0), "{ctx}: the tie's smaller id");
+            assert_eq!(top.len(), 1, "{ctx}");
+            assert_eq!(top[0].0, ranked[0].0, "{ctx}: the ranking truncated");
+            assert_eq!(bits(&top), bits(&oracle), "{ctx}: the rebuild's top-k");
+        }
     }
 }

@@ -264,8 +264,9 @@ fn widen(engine: &Ftsl, width: usize) {
 
 /// [`SnapshotStats::compute`] against [`ScoreStats::compute`] on the
 /// rebuild, bit for bit: `df` and `idf` of every token id, and per segment
-/// every live node's `unique_tokens` and `‖n‖₂` and the segment's boost —
-/// the largest `1/(unique_tokens·‖n‖₂)` among its live non-empty nodes.
+/// every live node's `unique_tokens` and `‖n‖₂` and the segment's minimum
+/// denominator — the smallest `unique_tokens·‖n‖₂` among its live
+/// non-empty nodes.
 fn assert_stats_match(engine: &Ftsl, mono: &Monolith, ctx: &str) -> Result<(), ()> {
     let snap = engine.snapshot();
     let stats = SnapshotStats::compute(&snap);
@@ -290,7 +291,7 @@ fn assert_stats_match(engine: &Ftsl, mono: &Monolith, ctx: &str) -> Result<(), (
     let mut dense = 0u32;
     for (i, seg) in snap.segments().iter().enumerate() {
         let per = stats.segment(i);
-        let mut boost = 0.0f64;
+        let mut min_den = f64::INFINITY;
         for local in (0..seg.data().num_docs()).filter(|&l| seg.deletes().is_live(l)) {
             let (l, m) = (NodeId(local as u32), NodeId(dense));
             let unique = oracle.unique_tokens(m);
@@ -304,14 +305,14 @@ fn assert_stats_match(engine: &Ftsl, mono: &Monolith, ctx: &str) -> Result<(), (
                 dense
             );
             if !mono.corpus.document(m).is_empty() {
-                boost = boost.max(1.0 / (unique as f64 * norm));
+                min_den = min_den.min(unique as f64 * norm);
             }
             dense += 1;
         }
         prop_assert_eq!(
-            per.max_node_boost().to_bits(),
-            boost.to_bits(),
-            "{}: boost of segment {}",
+            per.min_denominator().to_bits(),
+            min_den.to_bits(),
+            "{}: minimum denominator of segment {}",
             ctx,
             i
         );

@@ -13,9 +13,9 @@
 //!    single-index ones; token resolution, join order and cursors are per
 //!    segment);
 //! 2. drop tombstoned nodes (streaming top-k filters *inside* the
-//!    evaluation via [`ftsl_index::DeleteFilteredCursor`], so deleted
-//!    documents cannot occupy heap slots; the set-producing engines filter
-//!    their result lists);
+//!    evaluation: its [`ftsl_index::ScoredBlocks`] cursors step over
+//!    tombstones, so deleted documents cannot occupy heap slots; the
+//!    set-producing engines filter their result lists);
 //! 3. remap surviving local ids to global ids and concatenate — segments
 //!    own disjoint, ascending global ranges, so concatenation *is* the
 //!    merged ascending result;
@@ -39,18 +39,16 @@ use crate::error::ExecError;
 use crate::pairscan::{near_bound, near_topk_into, PairQuery};
 use crate::scored::{flat_disjunction, ScoreModel, ScoredOutput, ScoredPath, ScoredTopK};
 use ftsl_algebra::from_calculus::query_to_algebra;
-use ftsl_algebra::{AlgExpr, AlgebraEvaluator};
+use ftsl_algebra::{AlgExpr, AlgebraEvaluator, Scorer};
 use ftsl_calculus::CalcQuery;
-use ftsl_index::{AccessCounters, Snapshot, SnapshotSegment};
+use ftsl_index::{AccessCounters, EntryScorer, Snapshot, SnapshotSegment};
 use ftsl_lang::{lower, parse, Mode, SurfaceQuery};
 use ftsl_model::NodeId;
 use ftsl_obs::TraceBuilder;
 use ftsl_predicates::PredicateRegistry;
+use ftsl_scoring::stream::{PraEntryScorer, TfIdfEntryScorer};
 use ftsl_scoring::topk::sort_ranked;
-use ftsl_scoring::{
-    pra_union_cursors, tfidf_union_cursors, topk_union_into, union_bound, ModelScorer,
-    ScoringModel, SnapshotStats, TopK, UnionKind,
-};
+use ftsl_scoring::{topk_union_into, union_bound, union_cursors, ModelScorer, SnapshotStats, TopK};
 
 /// Reusable per-worker evaluation state for [`SnapshotExecutor::run_top_k_with`].
 ///
@@ -195,34 +193,53 @@ impl<'a> SnapshotExecutor<'a> {
             out.hits.truncate(spec.k);
             return Ok(out);
         };
-        let kind = match model {
-            ScoreModel::TfIdf(_) => UnionKind::Sum,
-            ScoreModel::Pra(_) => UnionKind::ProbOr,
-        };
-        Ok(self.walk(
+        Ok(match model {
+            ScoreModel::TfIdf(m) => {
+                // TF-IDF folds its normalized tokens in sorted order, so
+                // every segment and a one-segment rebuild fold alike.
+                let mut tokens: Vec<String> = tokens.iter().map(|t| t.to_lowercase()).collect();
+                tokens.sort();
+                let scorer = |i| ModelScorer(*m, stats.segment(i));
+                self.union_walk(&tokens, spec.k, scratch, scorer, TfIdfEntryScorer::new)
+            }
+            ScoreModel::Pra(m) => {
+                let scorer = |i| ModelScorer(*m, stats.segment(i));
+                self.union_walk(&tokens, spec.k, scratch, scorer, PraEntryScorer::new)
+            }
+        })
+    }
+
+    /// The pruned union of `tokens`, folded in the order given, through
+    /// the global-threshold segment walk: `scorer(i)` is segment `i`'s
+    /// model scorer, whose `∪` combines the lists, and `entry` makes a
+    /// token's entry scorer under it.
+    fn union_walk<S: AsRef<str>, U: Scorer<Score = f64>, E: EntryScorer>(
+        &self,
+        tokens: &[S],
+        k: usize,
+        scratch: &mut ExecScratch,
+        scorer: impl Fn(usize) -> U,
+        entry: impl Fn(&str, &U) -> E,
+    ) -> ScoredOutput {
+        self.walk(
             &UNION,
-            spec.k,
+            k,
             scratch,
             |i, seg| {
+                let union = scorer(i);
                 let data = seg.data();
-                let (corpus, index) = (data.corpus(), data.index());
-                let (seg_stats, live) = (stats.segment(i), Some(seg.deletes()));
                 // Reads only list metadata: a skipped segment costs no
                 // decode work.
-                let cursors = match model {
-                    ScoreModel::TfIdf(m) => {
-                        tfidf_union_cursors(&tokens, corpus, index, seg_stats, m, live)
-                    }
-                    ScoreModel::Pra(m) => {
-                        pra_union_cursors(&tokens, corpus, index, seg_stats, m, live)
-                    }
-                };
-                (union_bound(&cursors, kind), cursors)
+                let live = Some(seg.deletes());
+                let cursors = union_cursors(tokens, data.corpus(), data.index(), live, |t| {
+                    entry(t, &union)
+                });
+                (union_bound(&cursors, &union), (union, cursors))
             },
-            |_, seg, cursors, topk| {
-                topk_union_into(cursors, kind, topk, Some(seg.data().globals()))
+            |_, seg, (union, cursors), topk| {
+                topk_union_into(cursors, &union, topk, Some(seg.data().globals()))
             },
-        ))
+        )
     }
 
     /// Exhaustively rank the snapshot's answer under `model`: each segment
@@ -241,8 +258,12 @@ impl<'a> SnapshotExecutor<'a> {
         let expr = lower(surface, self.registry).map_err(|e| ExecError::Lang(e.to_string()))?;
         let alg = query_to_algebra(&CalcQuery::new(expr), self.registry)?;
         let (mut hits, counters) = match model {
-            ScoreModel::TfIdf(m) => self.score_segments(&alg, *m, stats)?,
-            ScoreModel::Pra(m) => self.score_segments(&alg, *m, stats)?,
+            ScoreModel::TfIdf(m) => {
+                self.score_segments(&alg, |i| ModelScorer(*m, stats.segment(i)))?
+            }
+            ScoreModel::Pra(m) => {
+                self.score_segments(&alg, |i| ModelScorer(*m, stats.segment(i)))?
+            }
         };
         sort_ranked(&mut hits);
         Ok(ScoredOutput {
@@ -253,20 +274,18 @@ impl<'a> SnapshotExecutor<'a> {
         })
     }
 
-    /// Every segment's live answer nodes under `model`, with global ids,
-    /// and the segments' summed counters.
-    fn score_segments<M: ScoringModel>(
+    /// Every segment's live answer nodes under `scorer(i)`, segment `i`'s
+    /// scorer, with global ids, and the segments' summed counters.
+    fn score_segments<S: Scorer<Score = f64>>(
         &self,
         alg: &AlgExpr,
-        model: &M,
-        stats: &SnapshotStats,
+        scorer: impl Fn(usize) -> S,
     ) -> Result<(Vec<(NodeId, f64)>, AccessCounters), ExecError> {
         let (mut hits, mut counters) = (Vec::new(), AccessCounters::new());
         for (i, seg) in self.snapshot.segments().iter().enumerate() {
             let data = seg.data();
-            let scorer = ModelScorer(model, stats.segment(i));
             let mut ev =
-                AlgebraEvaluator::scored(data.corpus(), data.index(), self.registry, scorer);
+                AlgebraEvaluator::scored(data.corpus(), data.index(), self.registry, scorer(i));
             let ranked = ev.rank(alg)?;
             counters += ev.counters();
             hits.extend(

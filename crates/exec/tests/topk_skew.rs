@@ -13,7 +13,8 @@ use ftsl_lang::{parse, Mode};
 use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::PredicateRegistry;
 use ftsl_scoring::classic::classic_tfidf;
-use ftsl_scoring::{tfidf_union_cursors, topk_union_into, SnapshotStats, TopK, UnionKind};
+use ftsl_scoring::stream::TfIdfEntryScorer;
+use ftsl_scoring::{topk_union_into, union_cursors, ModelScorer, SnapshotStats, TopK};
 
 fn manual() -> LiveConfig {
     LiveConfig {
@@ -258,12 +259,17 @@ fn per_segment_heaps(
     tfidf: &ftsl_scoring::TfIdfModel,
     k: usize,
 ) -> ftsl_index::AccessCounters {
+    // TF-IDF's fold order, as the executor's union uses.
+    let mut tokens = tokens.to_vec();
+    tokens.sort();
     let mut summed = ftsl_index::AccessCounters::new();
     for (i, seg) in snap.segments().iter().enumerate() {
         let (corpus, index) = (seg.data().corpus(), seg.data().index());
-        let live = Some(seg.deletes());
-        let cursors = tfidf_union_cursors(tokens, corpus, index, stats.segment(i), tfidf, live);
-        summed += topk_union_into(cursors, UnionKind::Sum, &mut TopK::new(k), None);
+        let scorer = ModelScorer(tfidf, stats.segment(i));
+        let cursors = union_cursors(&tokens, corpus, index, Some(seg.deletes()), |t| {
+            TfIdfEntryScorer::new(t, &scorer)
+        });
+        summed += topk_union_into(cursors, &scorer, &mut TopK::new(k), None);
     }
     summed
 }

@@ -3,7 +3,6 @@
 
 use crate::block::{BlockCursor, BlockList, PostingArena};
 use crate::pair::PairIndex;
-use crate::scored::{EntryScorer, ScoredBlocks, ScoredCursor};
 use crate::stats::IndexStats;
 use ftsl_model::TokenId;
 use serde::{Deserialize, Serialize};
@@ -104,17 +103,6 @@ impl InvertedIndex {
     /// Open a skip-aware cursor on `IL_ANY`.
     pub fn any_block_cursor(&self) -> BlockCursor<'_> {
         self.any_block_list().cursor()
-    }
-
-    /// Open a scored cursor on a token's list. The scorer supplies the
-    /// per-entry scoring rule and its impact bound (see [`EntryScorer`]);
-    /// out-of-vocabulary ids yield an empty cursor.
-    pub fn scored_cursor<'a, S: EntryScorer + 'a>(
-        &'a self,
-        token: TokenId,
-        scorer: S,
-    ) -> Box<dyn ScoredCursor + 'a> {
-        Box::new(ScoredBlocks::new(self.block_list(token), scorer))
     }
 
     /// Total compressed bytes across all block lists (diagnostics): the

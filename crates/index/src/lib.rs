@@ -61,6 +61,6 @@ pub use index::{IndexLayout, InvertedIndex, MemoryFootprint};
 pub use live::{LiveConfig, LiveIndex, SegmentReport, Snapshot, SnapshotSegment};
 pub use pair::{PairConfig, PairCursor, PairIndex, PairList, PairLookup};
 pub use postings::PostingList;
-pub use scored::{EntryScorer, ScoredBlocks, ScoredCursor};
-pub use segment::{DeleteFilteredCursor, DeleteSet, MemSegment, SegmentData};
+pub use scored::{EntryScorer, ScoredBlocks};
+pub use segment::{DeleteSet, MemSegment, SegmentData};
 pub use stats::IndexStats;

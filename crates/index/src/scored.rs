@@ -1,31 +1,31 @@
-//! Score-at-the-cursor: scored views over the physical posting cursors.
+//! Score-at-the-cursor: a scored view over the block posting cursor.
 //!
 //! The paper's Section 5.3 extension attaches a score to every inverted-list
-//! entry. This module makes that attachment *streaming*: a [`ScoredCursor`]
-//! walks a posting list exactly like the unscored cursors (`next_entry`,
+//! entry. This module makes that attachment *streaming*: a [`ScoredBlocks`]
+//! walks a posting list exactly like the unscored cursor (`next_entry`,
 //! `seek`) while also exposing the entry's score and — crucially — **score
 //! upper bounds** derived from the impact metadata stored in the index:
 //!
-//! * the list-level bound ([`ScoredCursor::max_score_list`]), from the
+//! * the list-level bound ([`ScoredBlocks::max_score_list`]), from the
 //!   list's largest term frequency — what MaxScore-style pruning uses to
 //!   demote whole lists to probe-only;
-//! * the block-level bound ([`ScoredCursor::max_score_current_block`] /
-//!   [`ScoredCursor::max_score_at`]), from each compressed block's
+//! * the block-level bound ([`ScoredBlocks::max_score_current_block`] /
+//!   [`ScoredBlocks::max_score_at`]), from each compressed block's
 //!   [`crate::block::BlockMeta::max_tf`] header — what block-max pruning
-//!   uses to skip whole blocks ([`ScoredCursor::skip_block`]) without
+//!   uses to skip whole blocks ([`ScoredBlocks::skip_block`]) without
 //!   decoding an entry.
 //!
 //! The cursor itself is scoring-model-agnostic: the model contributes an
 //! [`EntryScorer`], which turns `(node, term frequency)` into a score and a
 //! maximal term frequency into a bound. TF-IDF and probabilistic scorers
 //! live in `ftsl-scoring`; this layer only guarantees that whatever bound
-//! the scorer reports is respected by the skipping machinery.
-//!
-//! [`ScoredBlocks`] implements the trait over the block cursor, with true
-//! per-block bounds.
+//! the scorer reports is respected by the skipping machinery. Over a
+//! segment with deletions the cursor steps over tombstoned entries, so a
+//! deleted document is never scored.
 
 use crate::block::{BlockCursor, BlockList};
 use crate::counters::AccessCounters;
+use crate::segment::DeleteSet;
 use ftsl_model::NodeId;
 
 /// A per-list scoring rule: what one inverted-list entry contributes.
@@ -42,12 +42,13 @@ pub trait EntryScorer {
     fn bound(&self, max_tf: u32) -> f64;
 }
 
-/// The scored cursor contract: the paper's sequential cursor plus `seek`,
-/// entry scores, and impact-derived score upper bounds.
+/// The scored cursor: the paper's sequential cursor plus `seek`, entry
+/// scores, and score upper bounds from the block-compressed list's
+/// [`crate::block::BlockMeta::max_tf`] headers.
 ///
 /// ```
 /// use ftsl_index::block::PostingArena;
-/// use ftsl_index::scored::{EntryScorer, ScoredBlocks, ScoredCursor};
+/// use ftsl_index::scored::{EntryScorer, ScoredBlocks};
 /// use ftsl_index::PostingList;
 /// use ftsl_model::{NodeId, Position};
 ///
@@ -65,7 +66,7 @@ pub trait EntryScorer {
 /// entries.push((NodeId(400), (0..5).map(Position::flat).collect()));
 /// let arena = PostingArena::from_posting(&PostingList::from_entries(entries));
 ///
-/// let mut cur = ScoredBlocks::new(arena.list(0), PerOccurrence);
+/// let mut cur = ScoredBlocks::new(arena.list(0), PerOccurrence, None);
 /// assert_eq!(cur.max_score_list(), 5.0);
 /// // The first block holds only tf=1 entries: its bound is 1.0, so a
 /// // top-k search that already has a threshold above 1.0 skips it whole.
@@ -74,50 +75,21 @@ pub trait EntryScorer {
 /// assert_eq!(landed, Some(NodeId(128)));
 /// assert!(cur.counters().blocks_skipped >= 1);
 /// ```
-pub trait ScoredCursor {
-    /// The node id of the current entry, if positioned on one.
-    fn node(&self) -> Option<NodeId>;
-    /// Advance to the next entry and return its node id.
-    fn next_entry(&mut self) -> Option<NodeId>;
-    /// Advance to the first entry with node id ≥ `target`.
-    fn seek(&mut self, target: NodeId) -> Option<NodeId>;
-    /// Score of the current entry. Takes `&mut self` because the block
-    /// cursor decodes its tf column lazily, on the block's first score.
-    ///
-    /// # Panics
-    /// Panics if the cursor is not positioned on an entry.
-    fn score(&mut self) -> f64;
-    /// Upper bound on the score of any entry in the current block; 0 when
-    /// exhausted.
-    fn max_score_current_block(&self) -> f64;
-    /// Upper bound on the score of any entry in the list.
-    fn max_score_list(&self) -> f64;
-    /// Upper bound on the score this cursor could contribute for node
-    /// `target`, from its current position: 0 if the cursor has passed
-    /// `target` or no remaining entry can reach it, else the bound of the
-    /// block `target` would land in. Touches only skip headers — never
-    /// decodes entries.
-    fn max_score_at(&self, target: NodeId) -> f64;
-    /// Skip the rest of the current block and land on the first entry of
-    /// the next one, returning its node id.
-    fn skip_block(&mut self) -> Option<NodeId>;
-    /// True once every entry has been consumed or skipped.
-    fn exhausted(&self) -> bool;
-    /// Access counters accumulated by the underlying cursor.
-    fn counters(&self) -> AccessCounters;
-}
-
-/// [`ScoredCursor`] over a block-compressed list, with true per-block
-/// bounds from the [`crate::block::BlockMeta::max_tf`] headers.
 pub struct ScoredBlocks<'a, S: EntryScorer> {
     cur: BlockCursor<'a>,
     scorer: S,
     list_bound: f64,
+    /// The segment's tombstones, when it has any: every move lands on a
+    /// live entry.
+    deletes: Option<&'a DeleteSet>,
 }
 
 impl<'a, S: EntryScorer> ScoredBlocks<'a, S> {
-    /// Open a scored cursor at the start of `list`.
-    pub fn new(list: BlockList<'a>, scorer: S) -> Self {
+    /// Open a scored cursor at the start of `list`, stepping over the
+    /// entries `deletes` marks (local node ids). Bounds still cover the
+    /// tombstoned entries: a bound over a superset of the live entries is
+    /// still a sound upper bound.
+    pub fn new(list: BlockList<'a>, scorer: S, deletes: Option<&'a DeleteSet>) -> Self {
         let list_bound = if list.is_empty() {
             0.0
         } else {
@@ -127,40 +99,68 @@ impl<'a, S: EntryScorer> ScoredBlocks<'a, S> {
             cur: list.cursor(),
             scorer,
             list_bound,
+            deletes: deletes.filter(|d| d.deleted_count() > 0),
         }
     }
-}
 
-impl<S: EntryScorer> ScoredCursor for ScoredBlocks<'_, S> {
-    fn node(&self) -> Option<NodeId> {
+    /// The first live entry from `node` on.
+    fn live_from(&mut self, mut node: Option<NodeId>) -> Option<NodeId> {
+        while let (Some(n), Some(deletes)) = (node, self.deletes) {
+            if !deletes.is_deleted(n.index()) {
+                break;
+            }
+            node = self.cur.next_entry();
+        }
+        node
+    }
+
+    /// The node id of the current entry, if positioned on one.
+    pub fn node(&self) -> Option<NodeId> {
         self.cur.node()
     }
 
-    fn next_entry(&mut self) -> Option<NodeId> {
-        self.cur.next_entry()
+    /// Advance to the next live entry and return its node id.
+    pub fn next_entry(&mut self) -> Option<NodeId> {
+        let node = self.cur.next_entry();
+        self.live_from(node)
     }
 
-    fn seek(&mut self, target: NodeId) -> Option<NodeId> {
-        self.cur.seek(target)
+    /// Advance to the first live entry with node id ≥ `target`.
+    pub fn seek(&mut self, target: NodeId) -> Option<NodeId> {
+        let node = self.cur.seek(target);
+        self.live_from(node)
     }
 
-    fn score(&mut self) -> f64 {
+    /// Score of the current entry. Takes `&mut self` because the block
+    /// cursor decodes its tf column lazily, on the block's first score.
+    ///
+    /// # Panics
+    /// Panics if the cursor is not positioned on an entry.
+    pub fn score(&mut self) -> f64 {
         let node = self.cur.node().expect("cursor not positioned on an entry");
         self.scorer.score(node, self.cur.tf())
     }
 
-    fn max_score_current_block(&self) -> f64 {
+    /// Upper bound on the score of any entry in the current block; 0 when
+    /// exhausted.
+    pub fn max_score_current_block(&self) -> f64 {
         match self.cur.block_max_tf() {
             0 => 0.0,
             tf => self.scorer.bound(tf),
         }
     }
 
-    fn max_score_list(&self) -> f64 {
+    /// Upper bound on the score of any entry in the list.
+    pub fn max_score_list(&self) -> f64 {
         self.list_bound
     }
 
-    fn max_score_at(&self, target: NodeId) -> f64 {
+    /// Upper bound on the score this cursor could contribute for node
+    /// `target`, from its current position: 0 if the cursor has passed
+    /// `target` or no remaining entry can reach it, else the bound of the
+    /// block `target` would land in. Touches only skip headers — never
+    /// decodes entries.
+    pub fn max_score_at(&self, target: NodeId) -> f64 {
         if let Some(cur) = self.cur.node() {
             if cur > target {
                 return 0.0;
@@ -172,15 +172,20 @@ impl<S: EntryScorer> ScoredCursor for ScoredBlocks<'_, S> {
         }
     }
 
-    fn skip_block(&mut self) -> Option<NodeId> {
-        self.cur.skip_block()
+    /// Skip the rest of the current block and land on the first live entry
+    /// from the next one on, returning its node id.
+    pub fn skip_block(&mut self) -> Option<NodeId> {
+        let node = self.cur.skip_block();
+        self.live_from(node)
     }
 
-    fn exhausted(&self) -> bool {
+    /// True once every entry has been consumed or skipped.
+    pub fn exhausted(&self) -> bool {
         self.cur.exhausted()
     }
 
-    fn counters(&self) -> AccessCounters {
+    /// Access counters accumulated by the underlying cursor.
+    pub fn counters(&self) -> AccessCounters {
         self.cur.counters()
     }
 }
@@ -220,7 +225,7 @@ mod tests {
     fn scores_follow_the_tf_column_and_respect_both_bounds() {
         let list = graded_list();
         let arena = PostingArena::from_posting(&list);
-        let mut blk = ScoredBlocks::new(arena.list(0), TfScorer);
+        let mut blk = ScoredBlocks::new(arena.list(0), TfScorer, None);
         assert_eq!(blk.max_score_list(), 3.0);
         for (node, positions) in list.iter() {
             assert_eq!(blk.next_entry(), Some(node));
@@ -235,7 +240,7 @@ mod tests {
     fn block_bounds_are_tighter_than_list_bound() {
         let list = graded_list();
         let arena = PostingArena::from_posting(&list);
-        let mut cur = ScoredBlocks::new(arena.list(0), TfScorer);
+        let mut cur = ScoredBlocks::new(arena.list(0), TfScorer, None);
         cur.next_entry();
         assert_eq!(cur.max_score_current_block(), 1.0); // block 0: tf = 1
         assert_eq!(cur.max_score_list(), 3.0);
@@ -249,7 +254,7 @@ mod tests {
     fn skip_block_lands_on_next_block_and_counts() {
         let list = graded_list();
         let arena = PostingArena::from_posting(&list);
-        let mut cur = ScoredBlocks::new(arena.list(0), TfScorer);
+        let mut cur = ScoredBlocks::new(arena.list(0), TfScorer, None);
         cur.next_entry();
         let landed = cur.skip_block();
         assert_eq!(landed, Some(NodeId(2 * BLOCK_ENTRIES as u32)));
@@ -267,7 +272,7 @@ mod tests {
     #[test]
     fn empty_lists_bound_to_zero() {
         let arena = PostingArena::from_posting(&PostingList::empty());
-        let mut blk = ScoredBlocks::new(arena.list(0), TfScorer);
+        let mut blk = ScoredBlocks::new(arena.list(0), TfScorer, None);
         assert_eq!(blk.max_score_list(), 0.0);
         assert_eq!(blk.next_entry(), None);
         assert_eq!(blk.max_score_current_block(), 0.0);
@@ -277,7 +282,7 @@ mod tests {
     fn max_score_at_is_zero_behind_the_cursor() {
         let list = graded_list();
         let arena = PostingArena::from_posting(&list);
-        let mut cur = ScoredBlocks::new(arena.list(0), TfScorer);
+        let mut cur = ScoredBlocks::new(arena.list(0), TfScorer, None);
         cur.seek(NodeId(300));
         assert_eq!(cur.max_score_at(NodeId(10)), 0.0);
     }

@@ -13,9 +13,7 @@
 //! flush seals them into a [`SegmentData`].
 
 use crate::builder::IndexBuilder;
-use crate::counters::AccessCounters;
 use crate::index::InvertedIndex;
-use crate::scored::ScoredCursor;
 use ftsl_model::{Corpus, Document, NodeId, TokenId, Tokenizer};
 use std::sync::OnceLock;
 
@@ -335,84 +333,11 @@ impl MemSegment {
     }
 }
 
-/// A [`ScoredCursor`] that steps over tombstoned entries — the
-/// delete-filtering wrapper the streaming top-k evaluators put around every
-/// per-segment leaf cursor, so deleted documents can neither enter the heap
-/// nor displace live candidates.
-///
-/// `next_entry`/`seek` keep advancing the inner cursor until it lands on a
-/// live node; score *bounds* are forwarded untouched (a bound over a
-/// superset of the live entries is still a sound upper bound).
-pub struct DeleteFilteredCursor<'a> {
-    inner: Box<dyn ScoredCursor + 'a>,
-    deletes: &'a DeleteSet,
-}
-
-impl<'a> DeleteFilteredCursor<'a> {
-    /// Wrap `inner`, filtering by `deletes` (local node ids).
-    pub fn new(inner: Box<dyn ScoredCursor + 'a>, deletes: &'a DeleteSet) -> Self {
-        DeleteFilteredCursor { inner, deletes }
-    }
-
-    fn advance_to_live(&mut self, mut node: NodeId) -> Option<NodeId> {
-        while self.deletes.is_deleted(node.index()) {
-            node = self.inner.next_entry()?;
-        }
-        Some(node)
-    }
-}
-
-impl ScoredCursor for DeleteFilteredCursor<'_> {
-    fn node(&self) -> Option<NodeId> {
-        // Invariant: after every advance the inner cursor rests on a live
-        // entry, so no filtering is needed here.
-        self.inner.node()
-    }
-
-    fn next_entry(&mut self) -> Option<NodeId> {
-        let node = self.inner.next_entry()?;
-        self.advance_to_live(node)
-    }
-
-    fn seek(&mut self, target: NodeId) -> Option<NodeId> {
-        let node = self.inner.seek(target)?;
-        self.advance_to_live(node)
-    }
-
-    fn score(&mut self) -> f64 {
-        self.inner.score()
-    }
-
-    fn max_score_current_block(&self) -> f64 {
-        self.inner.max_score_current_block()
-    }
-
-    fn max_score_list(&self) -> f64 {
-        self.inner.max_score_list()
-    }
-
-    fn max_score_at(&self, target: NodeId) -> f64 {
-        self.inner.max_score_at(target)
-    }
-
-    fn skip_block(&mut self) -> Option<NodeId> {
-        let node = self.inner.skip_block()?;
-        self.advance_to_live(node)
-    }
-
-    fn exhausted(&self) -> bool {
-        self.inner.exhausted()
-    }
-
-    fn counters(&self) -> AccessCounters {
-        self.inner.counters()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scored::EntryScorer;
+    use crate::block::BLOCK_ENTRIES;
+    use crate::scored::{EntryScorer, ScoredBlocks};
 
     #[test]
     fn delete_set_marks_counts_and_iterates() {
@@ -548,16 +473,28 @@ mod tests {
         deletes.delete(1);
         deletes.delete(3);
         deletes.delete(4);
-        let inner = index.scored_cursor(x, One);
-        let mut cur = DeleteFilteredCursor::new(inner, &deletes);
+        let mut cur = ScoredBlocks::new(index.block_list(x), One, Some(&deletes));
         assert_eq!(cur.next_entry(), Some(NodeId(0)));
         assert_eq!(cur.next_entry(), Some(NodeId(2)), "skips tombstoned 1");
         assert_eq!(cur.next_entry(), None, "4 is tombstoned, list ends");
         // Seek lands past tombstones too.
-        let inner = index.scored_cursor(x, One);
-        let mut cur = DeleteFilteredCursor::new(inner, &deletes);
+        let mut cur = ScoredBlocks::new(index.block_list(x), One, Some(&deletes));
         assert_eq!(cur.seek(NodeId(1)), Some(NodeId(2)));
         assert_eq!(cur.node(), Some(NodeId(2)));
         assert_eq!(cur.score(), 1.0);
+
+        // And so does a block skip that lands on a tombstoned block head.
+        let texts = vec!["x"; 2 * BLOCK_ENTRIES + 1];
+        let corpus = Corpus::from_texts(&texts);
+        let index = IndexBuilder::new().build(&corpus);
+        let mut deletes = DeleteSet::new(texts.len());
+        deletes.delete(BLOCK_ENTRIES);
+        deletes.delete(BLOCK_ENTRIES + 1);
+        let mut cur = ScoredBlocks::new(index.block_list(x), One, Some(&deletes));
+        assert_eq!(cur.next_entry(), Some(NodeId(0)));
+        let live_head = NodeId(BLOCK_ENTRIES as u32 + 2);
+        assert_eq!(cur.skip_block(), Some(live_head));
+        assert_eq!(cur.node(), Some(live_head));
+        assert_eq!(cur.counters().blocks_skipped, 1);
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! The paper's framework rests on two extensions of the algebra: **per-tuple
 //! scoring information** and **scoring transformations** attached to every
-//! operator. No scoring method is hard-coded; this crate provides the
-//! [`ScoringModel`] trait plus the two instantiations the paper describes:
+//! operator. No scoring method is hard-coded: the transformations are the
+//! algebra's one [`ftsl_algebra::Scorer`] trait, and this crate implements
+//! it, as a [`ModelScorer`], for the two instantiations the paper describes:
 //!
 //! * [`tfidf::TfIdfModel`] — Section 3.1. Token-relation tuples carry the
 //!   precomputable `idf(t)/(unique_tokens(n)·‖n‖₂)` mass, scaled at query
@@ -17,13 +18,13 @@
 //!   `f` (e.g. `1 − |p1−p2|/dist`), and a difference (the algebra's
 //!   negation) keeps the left side's score.
 //!
-//! A model ranks through the algebra as a [`ModelScorer`]: the
-//! [`ftsl_algebra::Scorer`] of the node-at-a-time
+//! A model ranks through the algebra as a [`ModelScorer`], the model under
+//! one segment's [`ScoreStats`]: the node-at-a-time
 //! [`ftsl_algebra::AlgebraEvaluator`] — the COMP engine's evaluator, here
-//! with a score column, under the same per-node budget. [`classic`]
-//! computes textbook cosine TF-IDF directly so tests can verify
-//! **Theorem 2** (the propagated scores equal classic TF-IDF for conjunctive
-//! and disjunctive queries) mechanically.
+//! with a score column, under the same per-node budget — calls it once per
+//! operator. [`classic`] computes textbook cosine TF-IDF directly so tests
+//! can verify **Theorem 2** (the propagated scores equal classic TF-IDF for
+//! conjunctive and disjunctive queries) mechanically.
 //!
 //! ## Streaming top-k retrieval
 //!
@@ -33,13 +34,14 @@
 //! [`ftsl_index::EntryScorer`]s attach scores at the cursor, a bounded
 //! [`topk::TopK`] heap keeps only the requested results, and
 //! MaxScore/block-max pruning skips lists and whole compressed blocks
-//! whose impact bound cannot reach the heap threshold. A worked example:
+//! whose impact bound cannot reach the heap threshold. The union combines
+//! per-list scores through the model's own `∪`. A worked example:
 //!
 //! ```
 //! use ftsl_index::IndexBuilder;
 //! use ftsl_model::Corpus;
-//! use ftsl_scoring::stream::{tfidf_union_cursors, topk_union_into, UnionKind};
-//! use ftsl_scoring::{ScoreStats, TfIdfModel, TopK};
+//! use ftsl_scoring::stream::{topk_union_into, union_cursors, TfIdfEntryScorer};
+//! use ftsl_scoring::{ModelScorer, ScoreStats, TfIdfModel, TopK};
 //!
 //! let corpus = Corpus::from_texts(&[
 //!     "usability usability usability",
@@ -52,10 +54,16 @@
 //! let query = ["usability", "software"];
 //! let model = TfIdfModel::for_query(&query, &corpus, &stats);
 //!
-//! // Top 2 of the disjunction, streamed through the pruned union.
-//! let cursors = tfidf_union_cursors(&query, &corpus, &index, &stats, &model, None);
+//! // Top 2 of the disjunction, streamed through the pruned union. TF-IDF
+//! // folds its tokens in sorted order (these are already lowercase).
+//! let mut tokens = query;
+//! tokens.sort();
+//! let scorer = ModelScorer(&model, &stats);
+//! let cursors = union_cursors(&tokens, &corpus, &index, None, |t| {
+//!     TfIdfEntryScorer::new(t, &scorer)
+//! });
 //! let mut topk = TopK::new(2);
-//! let counters = topk_union_into(cursors, UnionKind::Sum, &mut topk, None);
+//! let counters = topk_union_into(cursors, &scorer, &mut topk, None);
 //! let top = topk.into_ranked();
 //! assert_eq!(top.len(), 2);
 //! assert!(top[0].1 >= top[1].1);
@@ -81,95 +89,19 @@ pub use live::SnapshotStats;
 pub use pra::PraModel;
 pub use proximity::closeness;
 pub use stats::ScoreStats;
-pub use stream::{pra_union_cursors, tfidf_union_cursors, topk_union_into, union_bound, UnionKind};
+pub use stream::{topk_union_into, union_bound, union_cursors};
 pub use tfidf::TfIdfModel;
 pub use topk::TopK;
 
-use ftsl_algebra::Scorer;
-use ftsl_model::{NodeId, Position};
-use ftsl_predicates::Predicate;
-
-/// Per-operator scoring transformations (Section 3's framework).
-pub trait ScoringModel {
-    /// Score of one tuple of `R_token` (a single occurrence of `token` in
-    /// `node`).
-    fn token_tuple(&self, token: &str, node: NodeId, stats: &ScoreStats) -> f64;
-
-    /// Score of a `HasPos` tuple.
-    fn any_tuple(&self) -> f64;
-
-    /// Score of a `SearchContext` tuple.
-    fn context_tuple(&self) -> f64;
-
-    /// Join transformation. `left_group`/`right_group` are the numbers of
-    /// joining tuples on each side *within the current context node*.
-    fn join(&self, s1: f64, s2: f64, left_group: usize, right_group: usize) -> f64;
-
-    /// Projection: combine the scores of input tuples collapsing onto one
-    /// output tuple.
-    fn project(&self, scores: &[f64]) -> f64;
-
-    /// Selection: transform a surviving tuple's score given the predicate
-    /// and its arguments.
-    fn select(&self, s: f64, pred: &dyn Predicate, args: &[Position], consts: &[i64]) -> f64;
-
-    /// Union: combine scores of the same tuple from both sides (`None` =
-    /// absent, the paper's "missing tuples are assumed to have score 0").
-    fn union(&self, s1: Option<f64>, s2: Option<f64>) -> f64;
-
-    /// Intersection.
-    fn intersect(&self, s1: f64, s2: f64) -> f64;
-
-    /// Difference: the surviving (left-only) tuple's score.
-    fn difference(&self, s1: f64) -> f64;
-}
-
-/// A [`ScoringModel`] under one segment's statistics, as the algebra
-/// evaluator's [`Scorer`]:
+/// A scoring model under one segment's statistics: the algebra
+/// evaluator's [`ftsl_algebra::Scorer`], implemented for
+/// `ModelScorer<'_, TfIdfModel>` ([`tfidf`]) and `ModelScorer<'_, PraModel>`
+/// ([`pra`]).
 /// `AlgebraEvaluator::scored(corpus, index, registry, ModelScorer(&model, &stats))`
-/// ranks a segment with it.
+/// ranks a segment with it, and its `union` combines the lists of
+/// [`topk_union_into`].
 #[derive(Clone, Copy, Debug)]
 pub struct ModelScorer<'a, M>(pub &'a M, pub &'a ScoreStats);
-
-impl<M: ScoringModel> Scorer for ModelScorer<'_, M> {
-    type Score = f64;
-
-    fn token_tuple(&self, token: &str, node: NodeId) -> f64 {
-        self.0.token_tuple(token, node, self.1)
-    }
-
-    fn any_tuple(&self) -> f64 {
-        self.0.any_tuple()
-    }
-
-    fn context_tuple(&self) -> f64 {
-        self.0.context_tuple()
-    }
-
-    fn join(&self, left: f64, right: f64, left_group: usize, right_group: usize) -> f64 {
-        self.0.join(left, right, left_group, right_group)
-    }
-
-    fn project(&self, scores: &[f64]) -> f64 {
-        self.0.project(scores)
-    }
-
-    fn select(&self, score: f64, pred: &dyn Predicate, args: &[Position], consts: &[i64]) -> f64 {
-        self.0.select(score, pred, args, consts)
-    }
-
-    fn union(&self, left: Option<f64>, right: Option<f64>) -> f64 {
-        self.0.union(left, right)
-    }
-
-    fn intersect(&self, left: f64, right: f64) -> f64 {
-        self.0.intersect(left, right)
-    }
-
-    fn difference(&self, left: f64) -> f64 {
-        self.0.difference(left)
-    }
-}
 
 #[cfg(test)]
 mod tests {

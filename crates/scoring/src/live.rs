@@ -297,10 +297,11 @@ mod tests {
             &snap,
         );
         let mono_pra = PraModel::new(&corpus, &mono);
-        use crate::ScoringModel;
+        use crate::ModelScorer;
+        use ftsl_algebra::Scorer;
         for t in ["alpha", "beta", "gamma", "delta", "doomed", "unseen"] {
-            let a = snap_pra.token_tuple(t, NodeId(0), stats.segment(0));
-            let b = mono_pra.token_tuple(t, NodeId(0), &mono);
+            let a = ModelScorer(&snap_pra, stats.segment(0)).token_tuple(t, NodeId(0));
+            let b = ModelScorer(&mono_pra, &mono).token_tuple(t, NodeId(0));
             assert_eq!(a.to_bits(), b.to_bits(), "pra({t})");
         }
     }

@@ -7,7 +7,8 @@
 //! land in `(0, 1]`.
 
 use crate::stats::ScoreStats;
-use crate::ScoringModel;
+use crate::ModelScorer;
+use ftsl_algebra::Scorer;
 use ftsl_model::{NodeId, Position};
 use ftsl_predicates::Predicate;
 
@@ -44,11 +45,14 @@ impl PraModel {
     }
 }
 
-impl ScoringModel for PraModel {
-    fn token_tuple(&self, token: &str, _node: NodeId, _stats: &ScoreStats) -> f64 {
-        let idf = self.idf_lookup.get(token).copied().unwrap_or(0.0);
-        if self.max_idf > 0.0 {
-            (idf / self.max_idf).clamp(0.0, 1.0)
+impl Scorer for ModelScorer<'_, PraModel> {
+    type Score = f64;
+
+    fn token_tuple(&self, token: &str, _node: NodeId) -> f64 {
+        let model = self.0;
+        let idf = model.idf_lookup.get(token).copied().unwrap_or(0.0);
+        if model.max_idf > 0.0 {
+            (idf / model.max_idf).clamp(0.0, 1.0)
         } else {
             0.0
         }
@@ -62,8 +66,8 @@ impl ScoringModel for PraModel {
         1.0
     }
 
-    fn join(&self, s1: f64, s2: f64, _left_group: usize, _right_group: usize) -> f64 {
-        s1 * s2
+    fn join(&self, left: f64, right: f64, _left_group: usize, _right_group: usize) -> f64 {
+        left * right
     }
 
     fn project(&self, scores: &[f64]) -> f64 {
@@ -71,7 +75,7 @@ impl ScoringModel for PraModel {
         1.0 - scores.iter().fold(1.0, |acc, &s| acc * (1.0 - s))
     }
 
-    fn select(&self, s: f64, pred: &dyn Predicate, args: &[Position], consts: &[i64]) -> f64 {
+    fn select(&self, score: f64, pred: &dyn Predicate, args: &[Position], consts: &[i64]) -> f64 {
         // The paper's example: f = 1 − |p1 − p2|/dist for the distance
         // predicate; other predicates keep f = 1.
         let f = if pred.name() == "distance" && args.len() == 2 && !consts.is_empty() {
@@ -81,23 +85,23 @@ impl ScoringModel for PraModel {
         } else {
             1.0
         };
-        s * f
+        score * f
     }
 
-    fn union(&self, s1: Option<f64>, s2: Option<f64>) -> f64 {
-        let a = s1.unwrap_or(0.0);
-        let b = s2.unwrap_or(0.0);
+    fn union(&self, left: Option<f64>, right: Option<f64>) -> f64 {
+        let a = left.unwrap_or(0.0);
+        let b = right.unwrap_or(0.0);
         1.0 - (1.0 - a) * (1.0 - b)
     }
 
-    fn intersect(&self, s1: f64, s2: f64) -> f64 {
-        s1 * s2
+    fn intersect(&self, left: f64, right: f64) -> f64 {
+        left * right
     }
 
-    fn difference(&self, s1: f64) -> f64 {
+    fn difference(&self, left: f64) -> f64 {
         // Expr1 − Expr2 = Expr1 ∩ ¬Expr2; surviving tuples are absent from
         // Expr2 (score 0 there), so ¬Expr2 contributes factor 1.
-        s1
+        left
     }
 }
 
@@ -118,37 +122,38 @@ mod tests {
     #[test]
     fn tuple_scores_are_probabilities() {
         let (corpus, stats, model) = model();
+        let scorer = ModelScorer(&model, &stats);
         for (_, name) in corpus.interner().iter() {
-            let s = model.token_tuple(name, NodeId(0), &stats);
+            let s = scorer.token_tuple(name, NodeId(0));
             assert!((0.0..=1.0).contains(&s), "{name}: {s}");
             assert!(s > 0.0);
         }
         // Rarer tokens score higher.
-        assert!(
-            model.token_tuple("c", NodeId(2), &stats) > model.token_tuple("a", NodeId(0), &stats)
-        );
+        assert!(scorer.token_tuple("c", NodeId(2)) > scorer.token_tuple("a", NodeId(0)));
     }
 
     #[test]
     fn transformations_stay_in_unit_interval() {
-        let (_, _, model) = model();
-        assert!((model.join(0.7, 0.9, 3, 4) - 0.63).abs() < 1e-12);
-        assert!((model.project(&[0.5, 0.5]) - 0.75).abs() < 1e-12);
-        assert!((model.union(Some(0.5), Some(0.5)) - 0.75).abs() < 1e-12);
-        assert_eq!(model.union(Some(0.4), None), 0.4);
-        assert!((model.intersect(0.5, 0.5) - 0.25).abs() < 1e-12);
-        assert_eq!(model.difference(0.8), 0.8);
+        let (_, stats, model) = model();
+        let scorer = ModelScorer(&model, &stats);
+        assert!((scorer.join(0.7, 0.9, 3, 4) - 0.63).abs() < 1e-12);
+        assert!((scorer.project(&[0.5, 0.5]) - 0.75).abs() < 1e-12);
+        assert!((scorer.union(Some(0.5), Some(0.5)) - 0.75).abs() < 1e-12);
+        assert_eq!(scorer.union(Some(0.4), None), 0.4);
+        assert!((scorer.intersect(0.5, 0.5) - 0.25).abs() < 1e-12);
+        assert_eq!(scorer.difference(0.8), 0.8);
     }
 
     #[test]
     fn distance_selection_scales_by_gap() {
-        let (_, _, model) = model();
+        let (_, stats, model) = model();
+        let scorer = ModelScorer(&model, &stats);
         let reg = ftsl_predicates::PredicateRegistry::with_builtins();
         let distance = reg.get(reg.lookup("distance").unwrap());
         let close = [Position::flat(0), Position::flat(1)];
         let far = [Position::flat(0), Position::flat(5)];
-        let s_close = model.select(1.0, distance, &close, &[5]);
-        let s_far = model.select(1.0, distance, &far, &[5]);
+        let s_close = scorer.select(1.0, distance, &close, &[5]);
+        let s_far = scorer.select(1.0, distance, &far, &[5]);
         assert!(s_close > s_far);
         assert!((0.0..=1.0).contains(&s_far));
     }

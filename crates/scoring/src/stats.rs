@@ -18,11 +18,11 @@ pub struct ScoreStats {
     unique_tokens: Vec<usize>,
     /// `‖n‖₂` per node (L2 norm of the node's tf·idf vector).
     l2_norm: Vec<f64>,
-    /// `max_n 1/(unique_tokens(n)·‖n‖₂)` over live non-empty nodes — the
-    /// node-dependent factor of the TF-IDF per-occurrence mass, maximized
-    /// once so scored cursors can turn a term-frequency ceiling into a
-    /// corpus-wide score upper bound.
-    max_node_boost: f64,
+    /// `min_n unique_tokens(n)·‖n‖₂` over live non-empty nodes — the
+    /// node-dependent denominator of the TF-IDF per-occurrence mass,
+    /// minimized once so scored cursors can turn a term-frequency ceiling
+    /// into a corpus-wide score upper bound.
+    min_denominator: f64,
 }
 
 impl ScoreStats {
@@ -55,7 +55,8 @@ impl ScoreStats {
     /// Documents whose tokens have `df = 0` (possible only for tombstoned
     /// documents, whose tokens may survive nowhere) get an infinite norm —
     /// harmless, since nothing live ever reads their rows — and no
-    /// tombstoned document (per `deletes`) counts toward the boost.
+    /// tombstoned document (per `deletes`) counts toward the minimum
+    /// denominator.
     pub(crate) fn compute_inner(
         corpus: &Corpus,
         deletes: Option<&DeleteSet>,
@@ -72,7 +73,7 @@ impl ScoreStats {
 
         let mut unique_tokens = Vec::with_capacity(num_docs);
         let mut l2_norm = Vec::with_capacity(num_docs);
-        let mut max_node_boost = 0.0f64;
+        let mut min_denominator = f64::INFINITY;
         let mut touched: Vec<TokenId> = Vec::new();
         for (local, doc) in corpus.documents().iter().enumerate() {
             count_tokens(doc, counts, &mut touched);
@@ -88,7 +89,7 @@ impl ScoreStats {
             let norm = if sum_sq > 0.0 { sum_sq.sqrt() } else { 1.0 };
             l2_norm.push(norm);
             if sum_sq > 0.0 && deletes.is_none_or(|d| d.is_live(local)) {
-                max_node_boost = max_node_boost.max(1.0 / (unique as f64 * norm));
+                min_denominator = min_denominator.min(unique as f64 * norm);
             }
         }
         ScoreStats {
@@ -96,7 +97,7 @@ impl ScoreStats {
             df,
             unique_tokens,
             l2_norm,
-            max_node_boost,
+            min_denominator,
         }
     }
 
@@ -126,12 +127,13 @@ impl ScoreStats {
         self.l2_norm[node.index()]
     }
 
-    /// `max_n 1/(unique_tokens(n)·‖n‖₂)` over non-empty nodes (0 for an
-    /// empty corpus): multiplied by a token weight and a term-frequency
-    /// ceiling it bounds any node's TF-IDF contribution from that token,
-    /// which is what makes list- and block-level top-k pruning sound.
-    pub fn max_node_boost(&self) -> f64 {
-        self.max_node_boost
+    /// `min_n unique_tokens(n)·‖n‖₂` over live non-empty nodes (infinite
+    /// for a corpus without one): dividing a token weight times a
+    /// term-frequency ceiling by it bounds any node's TF-IDF contribution
+    /// from that token, which is what makes list- and block-level top-k
+    /// pruning sound.
+    pub fn min_denominator(&self) -> f64 {
+        self.min_denominator
     }
 }
 

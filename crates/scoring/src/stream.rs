@@ -9,34 +9,21 @@
 //! whose block-level bound cannot help are skipped without decoding, and
 //! when a single driving list remains its blocks are skipped wholesale
 //! while their bounds stay under the heap threshold. Its scores are the
-//! algebra's: a disjunction's union adds (TF-IDF) or combines
-//! probabilistically (PRA) as the exhaustive ranking does, so the union is
-//! that ranking truncated to `k` (TF-IDF sums may associate differently,
-//! so their low bits can differ). Every other query shape is ranked
-//! exhaustively through the algebra.
+//! algebra's: a disjunction's per-list contributions combine through the
+//! model's own `∪` ([`Scorer::union`]), as the exhaustive ranking does, so
+//! the union is that ranking truncated to `k` (TF-IDF sums may associate
+//! differently, so their low bits can differ). Every other query shape is
+//! ranked exhaustively through the algebra.
 //!
-//! The union reads the block lists through the [`ScoredCursor`] contract.
+//! The union reads the block lists through [`ScoredBlocks`] cursors.
 
 use crate::pra::PraModel;
 use crate::stats::ScoreStats;
 use crate::topk::TopK;
-use crate::ScoringModel;
-use ftsl_index::{AccessCounters, DeleteFilteredCursor, DeleteSet, InvertedIndex, ScoredCursor};
+use crate::{ModelScorer, TfIdfModel};
+use ftsl_algebra::Scorer;
+use ftsl_index::{AccessCounters, DeleteSet, EntryScorer, InvertedIndex, ScoredBlocks};
 use ftsl_model::{Corpus, NodeId};
-
-/// Wrap a leaf cursor in tombstone filtering when a delete set is present
-/// and non-empty (a segment with deletions).
-fn wrap_live<'a>(
-    cur: Box<dyn ScoredCursor + 'a>,
-    live: Option<&'a DeleteSet>,
-) -> Box<dyn ScoredCursor + 'a> {
-    match live {
-        Some(deletes) if deletes.deleted_count() > 0 => {
-            Box::new(DeleteFilteredCursor::new(cur, deletes))
-        }
-        _ => cur,
-    }
-}
 
 /// TF-IDF entry scoring for one search token: per-entry score is the
 /// token's full contribution to the node's cosine TF-IDF (Section 3.1), so
@@ -49,8 +36,10 @@ pub struct TfIdfEntryScorer<'a> {
 }
 
 impl<'a> TfIdfEntryScorer<'a> {
-    /// Scorer for `token` under a query's [`crate::TfIdfModel`].
-    pub fn new(token: &str, model: &crate::TfIdfModel, stats: &'a ScoreStats) -> Self {
+    /// Scorer for `token` under a query's [`TfIdfModel`] and one segment's
+    /// statistics.
+    pub fn new(token: &str, scorer: &ModelScorer<'a, TfIdfModel>) -> Self {
+        let ModelScorer(model, stats) = *scorer;
         TfIdfEntryScorer {
             stats,
             unit: model.weight(token) * model.token_idf(token) / model.query_norm(),
@@ -58,20 +47,23 @@ impl<'a> TfIdfEntryScorer<'a> {
     }
 }
 
-impl ftsl_index::EntryScorer for TfIdfEntryScorer<'_> {
+impl EntryScorer for TfIdfEntryScorer<'_> {
     fn score(&self, node: NodeId, tf: u32) -> f64 {
         f64::from(tf) * self.unit
             / (self.stats.unique_tokens(node) as f64 * self.stats.l2_norm(node))
     }
 
     fn bound(&self, max_tf: u32) -> f64 {
-        f64::from(max_tf) * self.unit * self.stats.max_node_boost()
+        // The score's own expression at the largest numerator and the
+        // smallest denominator: correctly rounded `·` and `/` are monotone,
+        // so no score in the list rounds above it.
+        f64::from(max_tf) * self.unit / self.stats.min_denominator()
     }
 }
 
 /// Probabilistic (PRA) entry scoring for one search token: the entry's
 /// per-occurrence probabilities collapse by probabilistic OR, exactly as the
-/// algebra's projection ([`PraModel::project`]) does — `1 − (1 − s)^tf`,
+/// algebra's projection ([`Scorer::project`]) does — `1 − (1 − s)^tf`,
 /// computed by the same fold so results are bit-identical.
 pub struct PraEntryScorer {
     /// The token's tuple probability (node-independent).
@@ -79,20 +71,20 @@ pub struct PraEntryScorer {
 }
 
 impl PraEntryScorer {
-    /// Scorer for `token` under a corpus's [`PraModel`].
-    pub fn new(token: &str, model: &PraModel, stats: &ScoreStats) -> Self {
+    /// Scorer for `token` under a collection's [`PraModel`].
+    pub fn new(token: &str, scorer: &ModelScorer<'_, PraModel>) -> Self {
         PraEntryScorer {
-            prob: model.token_tuple(token, NodeId(0), stats),
+            prob: scorer.token_tuple(token, NodeId(0)),
         }
     }
 
     fn collapse(&self, tf: u32) -> f64 {
-        // Identical arithmetic to PraModel::project over `tf` copies.
+        // Identical arithmetic to the PRA projection over `tf` copies.
         1.0 - (0..tf).fold(1.0, |acc, _| acc * (1.0 - self.prob))
     }
 }
 
-impl ftsl_index::EntryScorer for PraEntryScorer {
+impl EntryScorer for PraEntryScorer {
     fn score(&self, _node: NodeId, tf: u32) -> f64 {
         self.collapse(tf)
     }
@@ -103,28 +95,12 @@ impl ftsl_index::EntryScorer for PraEntryScorer {
     }
 }
 
-/// How a k-way union combines per-list contributions to one node's score.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum UnionKind {
-    /// Additive (TF-IDF): contributions sum.
-    Sum,
-    /// Probabilistic OR (PRA): `1 − ∏(1 − sᵢ)`.
-    ProbOr,
-}
-
-impl UnionKind {
-    /// The combine identity (score of a node absent from every list).
-    pub fn identity(&self) -> f64 {
-        0.0
-    }
-
-    /// Combine two contributions.
-    pub fn combine(&self, a: f64, b: f64) -> f64 {
-        match self {
-            UnionKind::Sum => a + b,
-            UnionKind::ProbOr => 1.0 - (1.0 - a) * (1.0 - b),
-        }
-    }
+/// `∪` of two score *bounds*, rounded up by one ulp. A candidate's score
+/// folds its contributions in the caller's token order, and a bound folds
+/// in bound order: the two orders can round apart, so a bound folded at
+/// nearest could fall below the score it bounds and prune an exact tie.
+fn union_up(union: &impl Scorer<Score = f64>, a: f64, b: f64) -> f64 {
+    union.union(Some(a), Some(b)).next_up()
 }
 
 /// The list-level score upper bound of a whole union: what any single node
@@ -132,17 +108,19 @@ impl UnionKind {
 /// This is the segment-granularity pruning bound — a live-index segment
 /// whose union bound falls below a shared heap's threshold cannot place a
 /// single document and can be skipped without touching a posting.
-pub fn union_bound(cursors: &[Box<dyn ScoredCursor + '_>], kind: UnionKind) -> f64 {
-    cursors.iter().fold(kind.identity(), |acc, c| {
-        kind.combine(acc, c.max_score_list())
-    })
+pub fn union_bound<E: EntryScorer>(
+    cursors: &[ScoredBlocks<'_, E>],
+    union: &impl Scorer<Score = f64>,
+) -> f64 {
+    cursors
+        .iter()
+        .fold(0.0, |acc, c| union_up(union, acc, c.max_score_list()))
 }
 
 /// MaxScore/block-max pruned k-way union of a flat disjunction whose
-/// per-list scores combine by `kind`, draining into a caller-owned heap:
-/// the global-threshold form. Cursors come from
-/// [`InvertedIndex::scored_cursor`] (see [`tfidf_union_cursors`] and
-/// [`pra_union_cursors`]). Nodes scoring ≤ 0 are never kept, matching the
+/// per-list scores combine through `union`'s `∪`, draining into a
+/// caller-owned heap: the global-threshold form. Cursors come from
+/// [`union_cursors`]. Nodes scoring ≤ 0 are never kept, matching the
 /// exhaustive ranking. The heap may arrive non-empty (tightened by earlier
 /// segments of a live snapshot), every pruning decision reads its
 /// *current* threshold, and candidates enter under `globals[local]` when a
@@ -154,9 +132,9 @@ pub fn union_bound(cursors: &[Box<dyn ScoredCursor + '_>], kind: UnionKind) -> f
 /// every later (higher) threshold too; and each live document exists in
 /// exactly one segment, so per-segment scores never need cross-segment
 /// combination.
-pub fn topk_union_into(
-    cursors: Vec<Box<dyn ScoredCursor + '_>>,
-    kind: UnionKind,
+pub fn topk_union_into<E: EntryScorer>(
+    cursors: Vec<ScoredBlocks<'_, E>>,
+    union: &impl Scorer<Score = f64>,
     topk: &mut TopK,
     globals: Option<&[u32]>,
 ) -> AccessCounters {
@@ -164,19 +142,18 @@ pub fn topk_union_into(
     // contribute to any single node. The suffix past the "first essential"
     // index drives candidate generation; lists below it are probe-only.
     // Each cursor keeps its *caller-order* index through the sort: the
-    // combine fold below runs in that order, so a node's score is
+    // union fold below runs in that order, so a node's score is
     // bit-identical no matter how the bounds happened to rank the lists —
     // in particular, one segment of a live index (whose per-list bounds
     // differ from the whole collection's) folds exactly like a monolithic
     // index over the same documents.
-    let mut cursors: Vec<(usize, Box<dyn ScoredCursor + '_>)> =
-        cursors.into_iter().enumerate().collect();
+    let mut cursors: Vec<(usize, ScoredBlocks<'_, E>)> = cursors.into_iter().enumerate().collect();
     cursors.sort_by(|a, b| a.1.max_score_list().total_cmp(&b.1.max_score_list()));
     let m = cursors.len();
     let prefix: Vec<f64> = cursors
         .iter()
-        .scan(kind.identity(), |acc, (_, c)| {
-            *acc = kind.combine(*acc, c.max_score_list());
+        .scan(0.0, |acc, (_, c)| {
+            *acc = union_up(union, *acc, c.max_score_list());
             Some(*acc)
         })
         .collect();
@@ -202,13 +179,13 @@ pub fn topk_union_into(
         // stays under the threshold.
         if first_essential == m - 1 {
             let below = if first_essential == 0 {
-                kind.identity()
+                0.0
             } else {
                 prefix[first_essential - 1]
             };
             let driver = &mut cursors[m - 1].1;
             while !driver.exhausted()
-                && !topk.could_enter(kind.combine(driver.max_score_current_block(), below))
+                && !topk.could_enter(union_up(union, driver.max_score_current_block(), below))
             {
                 driver.skip_block();
             }
@@ -238,24 +215,18 @@ pub fn topk_union_into(
         // tie-break.)
         let mut acc_bound: f64 = parts
             .iter()
-            .fold(kind.identity(), |acc, &(_, s)| kind.combine(acc, s));
+            .fold(0.0, |acc, &(_, s)| union_up(union, acc, s));
         for i in (0..first_essential).rev() {
-            if !topk.would_accept(ranked_id, kind.combine(acc_bound, prefix[i])) {
+            if !topk.would_accept(ranked_id, union_up(union, acc_bound, prefix[i])) {
                 break;
             }
             // Block-max refinement: bound the probe by the block the
             // candidate would land in — skip the seek (and all decoding)
             // when that block cannot help.
-            let below = if i == 0 {
-                kind.identity()
-            } else {
-                prefix[i - 1]
-            };
+            let below = if i == 0 { 0.0 } else { prefix[i - 1] };
             let block_bound = cursors[i].1.max_score_at(candidate);
-            if !topk.would_accept(
-                ranked_id,
-                kind.combine(acc_bound, kind.combine(block_bound, below)),
-            ) {
+            let probe_bound = union_up(union, block_bound, below);
+            if !topk.would_accept(ranked_id, union_up(union, acc_bound, probe_bound)) {
                 // The probed list contributes nothing decodable here; the
                 // saving shows up as entries it never decodes (block-level
                 // `blocks_skipped` accounting stays with the cursors).
@@ -264,14 +235,14 @@ pub fn topk_union_into(
             if cursors[i].1.seek(candidate) == Some(candidate) {
                 let s = cursors[i].1.score();
                 parts.push((cursors[i].0, s));
-                acc_bound = kind.combine(acc_bound, s);
+                acc_bound = union_up(union, acc_bound, s);
             }
         }
-        // Fixed-order fold (see `parts` above).
+        // Fixed-order fold (see `parts` above), never rounded up.
         parts.sort_by_key(|&(key, _)| key);
         let score = parts
             .iter()
-            .fold(kind.identity(), |acc, &(_, s)| kind.combine(acc, s));
+            .fold(0.0, |acc, &(_, s)| union.union(Some(acc), Some(s)));
         if score > 0.0 {
             topk.insert(ranked_id, score);
         }
@@ -284,58 +255,31 @@ pub fn topk_union_into(
     counters
 }
 
-/// The scored cursors of a TF-IDF flat disjunction over a bag of search
-/// tokens (the disjunctive ranked query of Section 3.1), stepping over the
-/// tombstones of `live` when given. A multi-segment caller builds each
-/// segment's cursors (and reads their [`union_bound`]) before deciding to
-/// evaluate it at all.
-/// Token normalization (lowercase, sort) is deterministic, so every segment
-/// folds the same token order and scores stay bit-identical to the
-/// monolithic path. Repeats are kept: `'a' OR 'a'` unions two arms, and
-/// the algebra adds their scores, so the union must too. Only for
-/// distinct tokens is [`crate::classic::classic_tfidf`] the oracle.
-pub fn tfidf_union_cursors<'a, S: AsRef<str>>(
-    query_tokens: &[S],
-    corpus: &'a Corpus,
+/// The scored cursors of a flat disjunction over `tokens` (the disjunctive
+/// ranked query of Section 3.1), one per token the corpus knows, in the
+/// order given — the order the union folds their scores in — each scored
+/// by `entry(token)` and stepping over the tombstones of `live`. A
+/// multi-segment caller builds each segment's cursors (and reads their
+/// [`union_bound`]) before deciding to evaluate it at all.
+///
+/// The caller picks the order the model's ranking folds in: TF-IDF's
+/// tokens lowercased and sorted, so every segment and the monolithic
+/// ranking fold alike; PRA's as given (PRA literals are not normalized).
+/// Repeats are kept: `'a' OR 'a'` unions two arms, and the algebra combines
+/// their scores, so the union must too.
+pub fn union_cursors<'a, S: AsRef<str>, E: EntryScorer>(
+    tokens: &[S],
+    corpus: &Corpus,
     index: &'a InvertedIndex,
-    stats: &'a ScoreStats,
-    model: &crate::TfIdfModel,
     live: Option<&'a DeleteSet>,
-) -> Vec<Box<dyn ScoredCursor + 'a>> {
-    let mut tokens: Vec<String> = query_tokens
-        .iter()
-        .map(|t| t.as_ref().to_lowercase())
-        .collect();
-    tokens.sort();
+    entry: impl Fn(&str) -> E,
+) -> Vec<ScoredBlocks<'a, E>> {
     tokens
-        .iter()
-        .filter_map(|t| {
-            let id = corpus.token_id(t)?;
-            let cur = index.scored_cursor(id, TfIdfEntryScorer::new(t, model, stats));
-            Some(wrap_live(cur, live))
-        })
-        .collect()
-}
-
-/// The scored cursors of a PRA flat disjunction (tokens used exactly as
-/// given — PRA literals are not normalized), tombstone-filtered like
-/// [`tfidf_union_cursors`]. Their union is the first `k` rows of the
-/// algebra's PRA ranking of the equivalent `OR` query.
-pub fn pra_union_cursors<'a, S: AsRef<str>>(
-    query_tokens: &[S],
-    corpus: &'a Corpus,
-    index: &'a InvertedIndex,
-    stats: &ScoreStats,
-    model: &PraModel,
-    live: Option<&'a DeleteSet>,
-) -> Vec<Box<dyn ScoredCursor + 'a>> {
-    query_tokens
         .iter()
         .filter_map(|t| {
             let t = t.as_ref();
             let id = corpus.token_id(t)?;
-            let cur = index.scored_cursor(id, PraEntryScorer::new(t, model, stats));
-            Some(wrap_live(cur, live))
+            Some(ScoredBlocks::new(index.block_list(id), entry(t), live))
         })
         .collect()
 }

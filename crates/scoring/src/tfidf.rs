@@ -9,7 +9,8 @@
 //! cardinalities — see the crate docs), projections re-aggregate it.
 
 use crate::stats::ScoreStats;
-use crate::ScoringModel;
+use crate::ModelScorer;
+use ftsl_algebra::Scorer;
 use ftsl_model::{NodeId, Position};
 use ftsl_predicates::Predicate;
 use std::collections::HashMap;
@@ -90,15 +91,18 @@ impl TfIdfModel {
     }
 }
 
-impl ScoringModel for TfIdfModel {
-    fn token_tuple(&self, token: &str, node: NodeId, stats: &ScoreStats) -> f64 {
-        let Some(&idf) = self.idf_by_token.get(token) else {
+impl Scorer for ModelScorer<'_, TfIdfModel> {
+    type Score = f64;
+
+    fn token_tuple(&self, token: &str, node: NodeId) -> f64 {
+        let ModelScorer(model, stats) = *self;
+        let Some(&idf) = model.idf_by_token.get(token) else {
             return 0.0;
         };
-        let w = idf / self.unique_search_tokens as f64;
+        let w = idf / model.unique_search_tokens as f64;
         // Per-occurrence mass: summing occurs(n,t) of these gives
         // w(t)·tf(n,t)·idf(t)/(‖n‖₂·‖q‖₂).
-        w * idf / (stats.unique_tokens(node) as f64 * stats.l2_norm(node) * self.query_norm)
+        w * idf / (stats.unique_tokens(node) as f64 * stats.l2_norm(node) * model.query_norm)
     }
 
     fn any_tuple(&self) -> f64 {
@@ -109,30 +113,36 @@ impl ScoringModel for TfIdfModel {
         0.0
     }
 
-    fn join(&self, s1: f64, s2: f64, left_group: usize, right_group: usize) -> f64 {
+    fn join(&self, left: f64, right: f64, left_group: usize, right_group: usize) -> f64 {
         // t3 = t1/|R2| + t2/|R1| with per-node group cardinalities: the join
         // neither creates nor destroys score.
-        s1 / right_group as f64 + s2 / left_group as f64
+        left / right_group as f64 + right / left_group as f64
     }
 
     fn project(&self, scores: &[f64]) -> f64 {
         scores.iter().sum()
     }
 
-    fn select(&self, s: f64, _pred: &dyn Predicate, _args: &[Position], _consts: &[i64]) -> f64 {
-        s
+    fn select(
+        &self,
+        score: f64,
+        _pred: &dyn Predicate,
+        _args: &[Position],
+        _consts: &[i64],
+    ) -> f64 {
+        score
     }
 
-    fn union(&self, s1: Option<f64>, s2: Option<f64>) -> f64 {
-        s1.unwrap_or(0.0) + s2.unwrap_or(0.0)
+    fn union(&self, left: Option<f64>, right: Option<f64>) -> f64 {
+        left.unwrap_or(0.0) + right.unwrap_or(0.0)
     }
 
-    fn intersect(&self, s1: f64, s2: f64) -> f64 {
-        s1.min(s2)
+    fn intersect(&self, left: f64, right: f64) -> f64 {
+        left.min(right)
     }
 
-    fn difference(&self, s1: f64) -> f64 {
-        s1
+    fn difference(&self, left: f64) -> f64 {
+        left
     }
 }
 
@@ -149,7 +159,7 @@ mod tests {
         let stats = ScoreStats::compute(&corpus, &index);
         let model = TfIdfModel::for_query(&["a"], &corpus, &stats);
         let node = NodeId(0);
-        let per_occurrence = model.token_tuple("a", node, &stats);
+        let per_occurrence = ModelScorer(&model, &stats).token_tuple("a", node);
         let total = 2.0 * per_occurrence; // occurs(n0, a) = 2
         let a = corpus.token_id("a").unwrap();
         let idf = stats.idf(a);
@@ -164,7 +174,7 @@ mod tests {
         let index = IndexBuilder::new().build(&corpus);
         let stats = ScoreStats::compute(&corpus, &index);
         let model = TfIdfModel::for_query(&["x"], &corpus, &stats);
-        let _ = stats;
+        let scorer = ModelScorer(&model, &stats);
         // 2 left tuples (0.3, 0.5), 3 right tuples (0.1 each): total in =
         // 0.8 + 0.3; total out over the 6 joined tuples must match.
         let left = [0.3, 0.5];
@@ -172,7 +182,7 @@ mod tests {
         let mut total = 0.0;
         for &l in &left {
             for &r in &right {
-                total += model.join(l, r, left.len(), right.len());
+                total += scorer.join(l, r, left.len(), right.len());
             }
         }
         assert!((total - 1.1f64).abs() < 1e-12);
@@ -184,7 +194,8 @@ mod tests {
         let index = IndexBuilder::new().build(&corpus);
         let stats = ScoreStats::compute(&corpus, &index);
         let model = TfIdfModel::for_query(&["missing"], &corpus, &stats);
-        assert_eq!(model.token_tuple("missing", NodeId(0), &stats), 0.0);
+        let scorer = ModelScorer(&model, &stats);
+        assert_eq!(scorer.token_tuple("missing", NodeId(0)), 0.0);
         assert_eq!(model.weight("missing"), 0.0);
     }
 }

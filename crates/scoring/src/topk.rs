@@ -102,14 +102,6 @@ impl TopK {
         self.heap.reserve(k.min(most).saturating_add(1));
     }
 
-    /// The current pruning threshold: the worst kept score once `k` entries
-    /// are held, `None` while the collector still has room (nothing can be
-    /// pruned yet).
-    pub fn threshold(&self) -> Option<f64> {
-        (self.heap.len() >= self.k.max(1))
-            .then(|| self.heap.peek().map_or(f64::NEG_INFINITY, |w| w.0.score))
-    }
-
     /// Whether an exact candidate `(node, score)` would enter the kept set.
     pub fn would_accept(&self, node: NodeId, score: f64) -> bool {
         if self.k == 0 {
@@ -215,11 +207,10 @@ mod tests {
     #[test]
     fn threshold_appears_once_full_and_guides_pruning() {
         let mut topk = TopK::new(2);
-        assert_eq!(topk.threshold(), None);
         assert!(topk.could_enter(f64::NEG_INFINITY));
         topk.insert(NodeId(0), 0.9);
+        assert!(topk.could_enter(f64::NEG_INFINITY), "one slot still free");
         topk.insert(NodeId(1), 0.4);
-        assert_eq!(topk.threshold(), Some(0.4));
         assert!(!topk.could_enter(0.3)); // strictly below the worst kept
         assert!(topk.could_enter(0.4)); // could still win the node tie-break
         assert!(topk.would_accept(NodeId(0), 0.4)); // smaller node than kept 1

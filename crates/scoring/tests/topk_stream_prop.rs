@@ -8,8 +8,8 @@
 use ftsl_index::{AccessCounters, IndexBuilder, InvertedIndex};
 use ftsl_model::{Corpus, NodeId};
 use ftsl_scoring::classic::classic_tfidf;
-use ftsl_scoring::stream::{tfidf_union_cursors, topk_union_into, UnionKind};
-use ftsl_scoring::{ScoreStats, TfIdfModel, TopK};
+use ftsl_scoring::stream::{topk_union_into, union_cursors, TfIdfEntryScorer};
+use ftsl_scoring::{ModelScorer, ScoreStats, TfIdfModel, TopK};
 use proptest::prelude::*;
 
 const VOCAB: [&str; 6] = ["alpha", "beta", "gamma", "delta", "eps", "zeta"];
@@ -47,9 +47,15 @@ fn union_top_k(
     k: usize,
 ) -> (Vec<(NodeId, f64)>, AccessCounters) {
     let model = TfIdfModel::for_query(tokens, corpus, stats);
-    let cursors = tfidf_union_cursors(tokens, corpus, index, stats, &model, None);
+    // TF-IDF's fold order: the tokens sorted (VOCAB is lowercase).
+    let mut tokens = tokens.to_vec();
+    tokens.sort();
+    let scorer = ModelScorer(&model, stats);
+    let cursors = union_cursors(&tokens, corpus, index, None, |t| {
+        TfIdfEntryScorer::new(t, &scorer)
+    });
     let mut topk = TopK::new(k);
-    let counters = topk_union_into(cursors, UnionKind::Sum, &mut topk, None);
+    let counters = topk_union_into(cursors, &scorer, &mut topk, None);
     (topk.into_ranked(), counters)
 }
 
