@@ -13,13 +13,12 @@
 use crate::error::FtslError;
 use crate::results::{Ranked, SearchResults};
 use crate::{query_tokens, RankModel};
-use ftsl_calculus::CalcQuery;
-use ftsl_exec::engine::{EngineKind, ExecOptions};
+use ftsl_exec::engine::{EngineKind, EngineUsed, ExecOptions, PreparedQuery};
 use ftsl_exec::snapshot::{ExecScratch, SnapshotExecutor};
 use ftsl_exec::{ExecError, PairQuery, ScoreModel, ScoredOutput, ScoredPath, ScoredTopK};
 use ftsl_index::{LiveConfig, LiveIndex, SegmentReport, Snapshot};
 use ftsl_lang::rewrite::{map_tokens, Thesaurus};
-use ftsl_lang::{classify, lower, parse, LanguageClass, Mode, SurfaceQuery};
+use ftsl_lang::{parse, Mode, SurfaceQuery};
 use ftsl_model::analysis::AnalysisConfig;
 use ftsl_model::{Corpus, NodeId, Tokenizer, TokenizerConfig};
 use ftsl_predicates::PredicateRegistry;
@@ -403,50 +402,28 @@ impl Ftsl {
     }
 
     /// Explain how a query would be executed, without running it: language
-    /// class, engine, and the operator tree.
+    /// class, the engine Auto dispatch runs, and the operator tree it runs
+    /// ([`PreparedQuery::render_tree`]).
     pub fn explain(&self, query: &str) -> Result<String, FtslError> {
         let surface = self.rewrite_query(parse(query, Mode::Comp)?);
-        let class = classify(&surface, &self.registry);
-        let engine = match class {
-            LanguageClass::BoolNoNeg | LanguageClass::Bool => "BOOL (doc-id list merges)",
-            LanguageClass::Dist | LanguageClass::Ppred => "PPRED (streaming cursors)",
-            LanguageClass::Npred => "NPRED (streaming cursors)",
-            LanguageClass::Comp => "COMP (materialized algebra)",
+        let prepared = PreparedQuery::prepare(
+            &surface,
+            EngineKind::Auto,
+            &self.registry,
+            self.options,
+            None,
+        )?;
+        let how = match prepared.engine() {
+            EngineUsed::Bool => "doc-id list merges",
+            EngineUsed::Ppred | EngineUsed::Npred => "streaming cursors",
+            EngineUsed::Comp => "materialized algebra",
         };
-        let plan = self.plan(&surface, class)?;
-        Ok(format!("language class: {class}\nengine: {engine}\n{plan}"))
-    }
-
-    /// The operator tree `class`'s engine runs for `surface`: the streaming
-    /// plan, or for COMP the algebra after `σ` / `π` push-down, which is
-    /// the plan the COMP engine evaluates. Empty for BOOL.
-    fn plan(&self, surface: &SurfaceQuery, class: LanguageClass) -> Result<String, FtslError> {
-        let expr = lower(surface, &self.registry)?;
-        let mut out = String::new();
-        match class {
-            LanguageClass::BoolNoNeg | LanguageClass::Bool => {}
-            LanguageClass::Dist | LanguageClass::Ppred | LanguageClass::Npred => {
-                let allow_negative = class == LanguageClass::Npred;
-                match ftsl_exec::plan::build_plan(&expr, &self.registry, allow_negative) {
-                    Ok(plan) => {
-                        out.push_str("plan:\n");
-                        out.push_str(&plan.root.render_tree(&self.registry));
-                    }
-                    Err(e) => out.push_str(&format!("(streaming plan unavailable: {e})\n")),
-                }
-            }
-            LanguageClass::Comp => {
-                let calc = CalcQuery::new(expr);
-                if let Ok(alg) =
-                    ftsl_algebra::from_calculus::query_to_algebra(&calc, &self.registry)
-                {
-                    let plan = ftsl_algebra::rewrite::push_down(&alg, &self.registry);
-                    out.push_str("algebra:\n");
-                    out.push_str(&plan.render_tree(&self.registry));
-                }
-            }
-        }
-        Ok(out)
+        Ok(format!(
+            "language class: {}\nengine: {} ({how})\n{}",
+            prepared.class(),
+            prepared.engine(),
+            prepared.render_tree()
+        ))
     }
 
     /// `EXPLAIN ANALYZE` over the current snapshot: run the query with
@@ -461,29 +438,30 @@ impl Ftsl {
         let surface = self.rewrite_query(parse(query, Mode::Comp)?);
         tb.close(parse_span);
         let snapshot = self.snapshot();
-        let mut options = self.options;
-        options.trace = true;
-        let exec = SnapshotExecutor::with_options(&snapshot, &self.registry, options);
+        let exec = SnapshotExecutor::with_options(&snapshot, &self.registry, self.options);
         let exec_span = tb.open("execute");
-        let mut output = exec.run_surface(&surface, EngineKind::Auto)?;
-        if let Some(t) = output.trace.take() {
-            tb.adopt(*t);
-        }
+        let prepared = PreparedQuery::prepare(
+            &surface,
+            EngineKind::Auto,
+            &self.registry,
+            self.options,
+            Some(&mut tb),
+        )?;
+        let (nodes, _) = exec.run_prepared(&prepared, Some(&mut tb))?;
         tb.close(exec_span);
         let trace = tb.finish();
-        let class = output.class;
         let mut out = String::new();
-        out.push_str(&format!("language class: {class}\n"));
-        out.push_str(&format!("engine: {}\n", output.engine));
+        out.push_str(&format!("language class: {}\n", prepared.class()));
+        out.push_str(&format!("engine: {}\n", prepared.engine()));
         out.push_str(&format!(
             "snapshot: version {} · {} segment(s)\n",
             self.version(),
             snapshot.segments().len()
         ));
-        out.push_str(&format!("hits: {}\n", output.nodes.len()));
+        out.push_str(&format!("hits: {}\n", nodes.len()));
         out.push_str("profile:\n");
         out.push_str(&trace.render());
-        out.push_str(&self.plan(&surface, class)?);
+        out.push_str(&prepared.render_tree());
         for (i, seg) in snapshot.segments().iter().enumerate() {
             out.push_str(&format!(
                 "segment {i}: {}\n",

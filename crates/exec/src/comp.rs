@@ -21,7 +21,7 @@ use ftsl_predicates::PredicateRegistry;
 /// relations would pass [`ftsl_algebra::MAX_NODE_POSITIONS`] is an `Err`.
 #[derive(Clone, Debug)]
 pub(crate) struct CompPlan {
-    plan: AlgExpr,
+    pub(crate) plan: AlgExpr,
 }
 
 impl CompPlan {

@@ -5,8 +5,7 @@
 use crate::bool_eval::{bind_bool, check_bool};
 use crate::comp::CompPlan;
 use crate::error::ExecError;
-use crate::npred::NpredPlan;
-use crate::ppred::PpredPlan;
+use crate::ppred::StreamPlan;
 use ftsl_calculus::CalcQuery;
 use ftsl_index::{AccessCounters, IndexLayout, InvertedIndex};
 use ftsl_lang::{classify, lower, LanguageClass, SurfaceQuery};
@@ -119,8 +118,8 @@ fn engine_for(class: LanguageClass) -> EngineUsed {
 /// The engine-specific half of a [`PreparedQuery`].
 enum Shape<'q> {
     Bool(&'q SurfaceQuery),
-    Ppred(PpredPlan),
-    Npred(NpredPlan),
+    /// PPRED or NPRED, as labelled.
+    Stream(EngineUsed, StreamPlan),
     Comp(CompPlan),
 }
 
@@ -163,27 +162,15 @@ impl<'q> PreparedQuery<'q> {
             Shape::Bool(surface)
         } else {
             let expr = lower(surface, registry).map_err(|e| ExecError::Lang(e.to_string()))?;
-            let streamed = match chosen {
-                EngineUsed::Ppred => Some(
-                    PpredPlan::prepare(&expr, registry)
-                        .map(Shape::Ppred)
-                        .map_err(|e| (e, "PPRED")),
-                ),
-                EngineUsed::Npred => Some(
-                    NpredPlan::prepare(&expr, registry, options.npred_full_permutations)
-                        .map(Shape::Npred)
-                        .map_err(|e| (e, "NPRED")),
-                ),
-                _ => None,
-            };
+            let streamed = matches!(chosen, EngineUsed::Ppred | EngineUsed::Npred).then(|| {
+                StreamPlan::prepare(&expr, registry, chosen, options.npred_full_permutations)
+            });
             match streamed {
-                Some(Ok(shape)) => shape,
-                Some(Err((e, _))) if engine != EngineKind::Auto => return Err(e.into()),
+                Some(Ok(plan)) => Shape::Stream(chosen, plan),
+                Some(Err(e)) if engine != EngineKind::Auto => return Err(e.into()),
                 fallback => {
-                    if let (Some(b), Some(id), Some(Err((e, refused)))) =
-                        (tb.as_mut(), span, fallback)
-                    {
-                        b.note(id, format!("{refused} refused: {e} — COMP fallback"));
+                    if let (Some(b), Some(id), Some(Err(e))) = (tb.as_mut(), span, fallback) {
+                        b.note(id, format!("{chosen} refused: {e} — COMP fallback"));
                     }
                     Shape::Comp(CompPlan::prepare(&CalcQuery::new(expr), registry)?)
                 }
@@ -208,9 +195,19 @@ impl<'q> PreparedQuery<'q> {
     pub fn engine(&self) -> EngineUsed {
         match self.shape {
             Shape::Bool(_) => EngineUsed::Bool,
-            Shape::Ppred(_) => EngineUsed::Ppred,
-            Shape::Npred(_) => EngineUsed::Npred,
+            Shape::Stream(engine, _) => engine,
             Shape::Comp(_) => EngineUsed::Comp,
+        }
+    }
+
+    /// The operator tree every segment runs, as `EXPLAIN` prints it: the
+    /// streaming plan under `plan:`, or COMP's pushed-down algebra under
+    /// `algebra:`. Empty for BOOL, which merges doc-id lists.
+    pub fn render_tree(&self) -> String {
+        match &self.shape {
+            Shape::Bool(_) => String::new(),
+            Shape::Stream(_, plan) => format!("plan:\n{}", plan.root.render_tree(self.registry)),
+            Shape::Comp(plan) => format!("algebra:\n{}", plan.plan.render_tree(self.registry)),
         }
     }
 
@@ -229,15 +226,14 @@ impl<'q> PreparedQuery<'q> {
             .map(|b| b.open(format!("engine {}", self.engine())));
         let (nodes, counters) = match &self.shape {
             Shape::Bool(surface) => bind_bool(surface, corpus, index),
-            Shape::Ppred(plan) => {
+            Shape::Stream(engine, plan) => {
                 let (nodes, counters, attribution) =
                     plan.bind(corpus, index, self.registry, AdvanceMode::Aggressive);
-                if let (Some(b), Some(id)) = (tb.as_mut(), span) {
+                if let (Some(b), Some(id), EngineUsed::Ppred) = (tb.as_mut(), span, *engine) {
                     b.note(id, attribution.describe());
                 }
                 (nodes, counters)
             }
-            Shape::Npred(plan) => plan.bind(corpus, index, self.registry, AdvanceMode::Aggressive),
             Shape::Comp(plan) => {
                 let (nodes, counters, stats) = plan.bind(corpus, index, self.registry)?;
                 if let (Some(b), Some(id)) = (tb.as_mut(), span) {

@@ -9,12 +9,13 @@
 //! * [`comp`] — **COMP** (5.4): translate the calculus to the algebra
 //!   (Lemma 2) and evaluate it one context node at a time — polynomial in
 //!   the data, exponential in the query, capped per node;
-//! * [`ppred`] — **PPRED** (5.5, Algorithms 1–5): a pipelined cursor engine
-//!   evaluating positive-predicate queries in a *single scan* over the query
-//!   token inverted lists;
-//! * [`npred`] — **NPRED** (5.6, Algorithms 6–7): per-ordering evaluation
-//!   threads for negative predicates; implements both the paper's presented
-//!   full-permutation scheme and the partial-order optimization it mentions;
+//! * [`ppred`] — **PPRED** (5.5, Algorithms 1–5) and **NPRED** (5.6,
+//!   Algorithms 6–7) as one streaming plan: a pipelined cursor engine
+//!   evaluating positive-predicate queries in a *single scan* over the
+//!   query token inverted lists, run once per ordering of the
+//!   negative-predicate variables (the partial-order optimization, or the
+//!   paper's presented full-permutation scheme) — one scan when there are
+//!   none;
 //! * [`engine`] — dispatch by [`ftsl_lang::LanguageClass`], with COMP as
 //!   the universal fallback: a [`PreparedQuery`] is classified, lowered and
 //!   planned once, then bound to each segment's lists;
@@ -22,9 +23,11 @@
 //!   query bound to each segment of a [`ftsl_index::Snapshot`], tombstones
 //!   filtered, ids remapped, counters summed;
 //! * [`pairscan`] — the PPRED fast path for phrase/NEAR shapes: two-scan
-//!   proximity cores are rewritten to walks over the index's word-pair
-//!   auxiliary lists ([`ftsl_index::pair`]) when coverage allows, with
-//!   automatic fallback to position intersection;
+//!   proximity cores resolve once per segment against the index's
+//!   word-pair auxiliary lists ([`ftsl_index::pair`]), and one merged
+//!   min-gap pair-list walk answers both the set query and the proximity
+//!   top-k when coverage allows, with automatic fallback to position
+//!   intersection;
 //! * [`scored`] — the types of **scored top-k**, dispatched in one place
 //!   by [`SnapshotExecutor::run_top_k_with`]: under either model a top-k
 //!   is the exhaustive ranking ([`SnapshotExecutor::run_ranked`])
@@ -96,7 +99,6 @@ pub mod cursor;
 pub mod engine;
 pub mod error;
 pub mod join;
-pub mod npred;
 pub mod pairscan;
 pub mod plan;
 pub mod ppred;
@@ -110,6 +112,5 @@ pub use engine::{EngineKind, PreparedQuery, QueryOutput};
 pub use error::{ExecError, PlanError};
 pub use pairscan::PairQuery;
 pub use plan::{build_plan, PlanNode};
-pub use ppred::PairAttribution;
 pub use scored::{ScoreModel, ScoredOutput, ScoredPath, ScoredTopK};
 pub use snapshot::{ExecScratch, SnapshotExecutor};

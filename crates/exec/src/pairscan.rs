@@ -13,19 +13,25 @@
 //!
 //! asks exactly the question the pair index precomputes: *is there an
 //! occurrence pair of `a` and `b` in this document with forward gap at
-//! most `g`?* [`recognize`] detects the shape and folds every predicate
-//! into a single gap bound plus an optional direction; [`execute`] then
-//! answers it from one pair-list walk (two, merged, for the symmetric
-//! case) instead of intersecting two position streams.
+//! most `g`?* `recognize` detects the shape and folds every predicate
+//! into a single gap bound plus an optional direction, a [`PairQuery`].
+//!
+//! Each segment then resolves the query once — covered pair lists,
+//! provably empty, or not covered — and every covered caller runs the one
+//! merged min-gap walk: one pair list, or two merged on node id for the
+//! symmetric case, skipping whole blocks on their `min_gap` header. The
+//! set answer (`execute`) walks with a threshold that admits every block
+//! within the bound; the proximity top-k (`near_topk_into`) walks against
+//! the heap's threshold; `near_bound` reads only the lists' headers.
 //!
 //! Both halves are total over inputs and *conservative*: any shape,
-//! predicate, bound, or coverage condition outside the contract returns
-//! `None` and the caller proceeds down the ordinary streaming path, so
-//! the rewrite can never change a query's answer — only how it is
-//! computed. The one non-obvious refusal is a symmetric query over the
-//! *same* token (`distance(p1,p2,d)` with both scans on `'a'`): the two
-//! variables may bind the same position, which satisfies `distance`
-//! trivially, while the pair index only stores strictly-forward gaps.
+//! predicate, bound, or coverage condition outside the contract sends the
+//! caller down the ordinary position-intersection path, so the rewrite
+//! can never change a query's answer — only how it is computed. The one
+//! non-obvious refusal is a symmetric query over the *same* token
+//! (`distance(p1,p2,d)` with both scans on `'a'`): the two variables may
+//! bind the same position, which satisfies `distance` trivially, while
+//! the pair index only stores strictly-forward gaps.
 //!
 //! The tri-state [`PairLookup`] makes absence useful: when both tokens
 //! are covered but the key is missing, the answer is **provably empty**
@@ -35,7 +41,7 @@
 use crate::plan::PlanNode;
 use ftsl_index::pair::min_forward_gaps;
 use ftsl_index::{AccessCounters, InvertedIndex, PairCursor, PairList, PairLookup};
-use ftsl_model::{Corpus, NodeId};
+use ftsl_model::{Corpus, NodeId, TokenId};
 use ftsl_predicates::PredicateRegistry;
 use ftsl_scoring::{closeness, TopK};
 
@@ -75,7 +81,7 @@ impl Gathered {
 /// Try to fold `root` (a PPRED plan, pre-join-reordering) into a
 /// [`PairQuery`]. `None` means the plan is outside the pair fragment and
 /// must run on the ordinary streaming path.
-pub fn recognize(root: &PlanNode, registry: &PredicateRegistry) -> Option<PairQuery> {
+pub(crate) fn recognize(root: &PlanNode, registry: &PredicateRegistry) -> Option<PairQuery> {
     let mut st = Gathered::default();
     walk(root, registry, &mut st)?;
     if st.scans.len() != 2 {
@@ -174,205 +180,111 @@ fn walk(node: &PlanNode, registry: &PredicateRegistry, st: &mut Gathered) -> Opt
     }
 }
 
-/// Answer a recognized query from the index's pair lists. `None` means
-/// the index cannot cover it (pairs disabled, bound beyond the indexed
-/// window, or a token below the df cutoff) and the caller must fall back
-/// to position intersection. `Some` results are exact: matching nodes
-/// ascending, plus the access counters the walk paid.
-pub fn execute(
-    q: &PairQuery,
-    corpus: &Corpus,
-    index: &InvertedIndex,
-) -> Option<(Vec<NodeId>, AccessCounters)> {
-    let pairs = index.pairs();
-    if pairs.config().window == 0 || q.bound > pairs.config().window {
-        return None;
-    }
-    let mut counters = AccessCounters::new();
-    let (Some(a), Some(b)) = (corpus.token_id(&q.first), corpus.token_id(&q.second)) else {
-        // A token absent from the corpus has an empty scan, so the join
-        // is empty regardless of predicates.
-        return Some((Vec::new(), counters));
-    };
-    if a == b && !q.directed {
-        return None; // guarded by `recognize`; kept for direct callers
-    }
-    let forward = match pairs.lookup(a, b) {
-        PairLookup::NotCovered => return None,
-        PairLookup::Empty => Vec::new(),
-        PairLookup::List(list) => collect(list, q.bound, &mut counters),
-    };
-    if q.directed {
-        return Some((forward, counters));
-    }
-    let backward = match pairs.lookup(b, a) {
-        PairLookup::NotCovered => return None,
-        PairLookup::Empty => Vec::new(),
-        PairLookup::List(list) => collect(list, q.bound, &mut counters),
-    };
-    Some((merge(&forward, &backward), counters))
+/// How one segment can answer a [`PairQuery`]: the one coverage test and
+/// token resolution behind all three pair-path callers.
+enum Resolved<'a> {
+    /// The pair index covers both tokens: the forward list and, for an
+    /// undirected query over two tokens, the backward one (`None` for a
+    /// key the index proves absent).
+    Covered([Option<PairList<'a>>; 2]),
+    /// No document can match: bound 0, or a token absent from the corpus.
+    Empty,
+    /// Outside the pair index (pairs disabled, bound beyond the indexed
+    /// window, or a token below the df cutoff): position intersection must
+    /// answer, over these token ids when both exist.
+    NotCovered(Option<(TokenId, TokenId)>),
 }
 
-/// Walk one pair list collecting nodes whose min forward gap is within
-/// `bound`, skipping whole blocks whose `min_gap` header already exceeds
-/// it (the block-max proximity bound).
-fn collect(list: PairList<'_>, bound: u32, counters: &mut AccessCounters) -> Vec<NodeId> {
-    let mut out = Vec::new();
-    let mut cur = list.cursor();
-    while !cur.exhausted() {
-        let node = if cur.block_min_gap() > bound {
-            cur.skip_block()
-        } else {
-            cur.next_entry()
-        };
-        match node {
-            Some(n) if cur.gap() <= bound => out.push(n),
-            Some(_) => {}
-            None => break,
-        }
-    }
-    *counters += cur.counters();
-    out
-}
-
-/// Upper bound on the [`closeness`] score any document in this
-/// corpus/index can reach for `q` — read from pair-list `min_gap`
-/// metadata alone, without decoding a posting. `1.0` when the pair index
-/// cannot cover the query (the fallback path is unbounded), `0.0` when
-/// the answer is provably empty. Drives segment ordering and whole-segment
-/// skipping in the snapshot-global proximity top-k.
-pub fn near_bound(q: &PairQuery, corpus: &Corpus, index: &InvertedIndex) -> f64 {
-    let pairs = index.pairs();
-    if pairs.config().window == 0 || q.bound > pairs.config().window {
-        return 1.0;
-    }
-    let (Some(a), Some(b)) = (corpus.token_id(&q.first), corpus.token_id(&q.second)) else {
-        return 0.0;
-    };
-    let list_bound = |la: ftsl_model::TokenId, lb: ftsl_model::TokenId| match pairs.lookup(la, lb) {
-        PairLookup::NotCovered => 1.0,
-        PairLookup::Empty => 0.0,
-        PairLookup::List(list) => closeness(list.min_gap(), q.bound),
-    };
-    let fwd = list_bound(a, b);
-    if q.directed || a == b {
-        fwd
-    } else {
-        fwd.max(list_bound(b, a))
-    }
-}
-
-/// Score `q`'s matches in one corpus/index into a shared top-k heap:
-/// each qualifying document enters as `(keep(node), closeness(min_gap))`.
-/// `keep` filters tombstones and remaps to global ids (`None` = drop).
-///
-/// Covered pairs stream from the pair lists with **block-max pruning**:
-/// a block whose `min_gap` header cannot beat the heap threshold (or the
-/// query bound) is skipped without decoding an entry. Uncovered pairs
-/// fall back to the [`min_forward_gaps`] position-intersection oracle.
-/// For undirected queries the two directed walks merge per node on the
-/// *minimum* gap, so a document scores by its closest qualifying pair in
-/// either direction.
-pub fn near_topk_into<F>(
-    q: &PairQuery,
-    corpus: &Corpus,
-    index: &InvertedIndex,
-    topk: &mut TopK,
-    keep: F,
-) -> AccessCounters
-where
-    F: Fn(NodeId) -> Option<NodeId>,
-{
-    let mut counters = AccessCounters::new();
+fn resolve<'a>(q: &PairQuery, corpus: &Corpus, index: &'a InvertedIndex) -> Resolved<'a> {
     if q.bound == 0 {
-        return counters;
+        return Resolved::Empty;
     }
-    let (Some(a), Some(b)) = (corpus.token_id(&q.first), corpus.token_id(&q.second)) else {
-        return counters;
-    };
     let pairs = index.pairs();
+    let ids = corpus.token_id(&q.first).zip(corpus.token_id(&q.second));
+    if pairs.config().window == 0 || q.bound > pairs.config().window {
+        return Resolved::NotCovered(ids);
+    }
+    let Some((a, b)) = ids else {
+        return Resolved::Empty;
+    };
+    if !pairs.covers(a) || !pairs.covers(b) {
+        return Resolved::NotCovered(ids);
+    }
+    let list = |x, y| match pairs.lookup(x, y) {
+        PairLookup::List(list) => Some(list),
+        _ => None,
+    };
     // For one token, the backward direction is the same (a, a) key: walk
     // it once.
-    let both_ways = !q.directed && a != b;
-    let covered = pairs.config().window != 0
-        && q.bound <= pairs.config().window
-        && pairs.covers(a)
-        && pairs.covers(b);
-    if covered {
-        let list_of = |x, y| match pairs.lookup(x, y) {
-            PairLookup::List(list) => Some(list),
-            _ => None,
-        };
-        let fwd = list_of(a, b);
-        let back = if both_ways { list_of(b, a) } else { None };
-        let mut ca = fwd.map(PairList::cursor);
-        let mut cb = back.map(PairList::cursor);
-        let mut na = ca.as_mut().and_then(|c| next_within(c, q.bound, topk));
-        let mut nb = cb.as_mut().and_then(|c| next_within(c, q.bound, topk));
-        while na.is_some() || nb.is_some() {
-            let (node, gap) = match (na, nb) {
-                (Some((xn, xg)), Some((yn, yg))) => {
-                    if xn < yn {
-                        na = ca.as_mut().and_then(|c| next_within(c, q.bound, topk));
-                        (xn, xg)
-                    } else if yn < xn {
-                        nb = cb.as_mut().and_then(|c| next_within(c, q.bound, topk));
-                        (yn, yg)
-                    } else {
-                        na = ca.as_mut().and_then(|c| next_within(c, q.bound, topk));
-                        nb = cb.as_mut().and_then(|c| next_within(c, q.bound, topk));
-                        (xn, xg.min(yg))
-                    }
-                }
-                (Some((xn, xg)), None) => {
-                    na = ca.as_mut().and_then(|c| next_within(c, q.bound, topk));
-                    (xn, xg)
-                }
-                (None, Some((yn, yg))) => {
-                    nb = cb.as_mut().and_then(|c| next_within(c, q.bound, topk));
-                    (yn, yg)
-                }
-                (None, None) => unreachable!("loop condition"),
-            };
-            if let Some(global) = keep(node) {
-                topk.insert(global, closeness(gap, q.bound));
+    let backward = (!q.directed && a != b).then(|| list(b, a)).flatten();
+    Resolved::Covered([list(a, b), backward])
+}
+
+/// The one pair-list walk: the covered lists' cursors merged on node id,
+/// yielding each document once, ascending, with its minimum gap within
+/// the bound over both directions. Each step skips whole blocks whose
+/// `min_gap` header proves every entry either exceeds the bound or has a
+/// [`closeness`] the caller's `admits` threshold refuses.
+struct MinGapWalk<'a> {
+    bound: u32,
+    cursors: [Option<PairCursor<'a>>; 2],
+    /// Each cursor's next qualifying `(node, gap)`, read one ahead.
+    heads: [Option<(NodeId, u32)>; 2],
+}
+
+impl<'a> MinGapWalk<'a> {
+    fn new(lists: [Option<PairList<'a>>; 2], bound: u32, admits: impl Fn(f64) -> bool) -> Self {
+        let mut cursors = lists.map(|list| list.map(PairList::cursor));
+        let heads = cursors
+            .each_mut()
+            .map(|c| c.as_mut().and_then(|c| next_within(c, bound, &admits)));
+        MinGapWalk {
+            bound,
+            cursors,
+            heads,
+        }
+    }
+
+    /// The next document and its minimum gap. The cursors it came from
+    /// read ahead against `admits` before the caller sees it.
+    fn next(&mut self, admits: impl Fn(f64) -> bool) -> Option<(NodeId, u32)> {
+        // A cursor holds one entry per node, so the least head is the next
+        // node paired with its smaller gap.
+        let (node, gap) = self.heads.iter().flatten().min().copied()?;
+        for (head, cursor) in self.heads.iter_mut().zip(&mut self.cursors) {
+            if head.is_some_and(|(n, _)| n == node) {
+                *head = cursor
+                    .as_mut()
+                    .and_then(|c| next_within(c, self.bound, &admits));
             }
         }
-        if let Some(c) = ca {
-            counters += c.counters();
-        }
-        if let Some(c) = cb {
-            counters += c.counters();
-        }
-        return counters;
+        Some((node, gap))
     }
-    // Fallback: position intersection, exactly the work the pair index
-    // would have saved (counted through the same counters).
-    let (la, lb) = (index.block_list(a), index.block_list(b));
-    let mut entries = min_forward_gaps(la, lb, q.bound, &mut counters);
-    if both_ways {
-        let backward = min_forward_gaps(lb, la, q.bound, &mut counters);
-        entries = merge_min_gap(&entries, &backward);
-    }
-    for (node, gap) in entries {
-        if let Some(global) = keep(NodeId(node)) {
-            topk.insert(global, closeness(gap, q.bound));
+
+    fn counters(&self) -> AccessCounters {
+        let mut counters = AccessCounters::new();
+        for cursor in self.cursors.iter().flatten() {
+            counters += cursor.counters();
         }
+        counters
     }
-    counters
 }
 
 /// Advance to the next entry with gap within the query bound, skipping
 /// whole blocks whose `min_gap` header proves every entry either exceeds
-/// the bound or cannot beat the heap threshold. Skipping on the evolving
+/// the bound or cannot pass `admits`. Skipping on an evolving top-k
 /// threshold is sound even under the undirected min-gap merge: a dropped
 /// entry's closeness is at most the skipped block's bound, so the merged
 /// score the other direction yields is never *below* what this entry
 /// could have contributed to the kept set.
-fn next_within(cur: &mut PairCursor<'_>, bound: u32, topk: &TopK) -> Option<(NodeId, u32)> {
+fn next_within(
+    cur: &mut PairCursor<'_>,
+    bound: u32,
+    admits: impl Fn(f64) -> bool,
+) -> Option<(NodeId, u32)> {
     loop {
         let block_best = closeness(cur.block_min_gap(), bound);
-        let node = if block_best <= 0.0 || !topk.could_enter(block_best) {
+        let node = if block_best <= 0.0 || !admits(block_best) {
             cur.skip_block()
         } else {
             cur.next_entry()
@@ -383,6 +295,100 @@ fn next_within(cur: &mut PairCursor<'_>, bound: u32, topk: &TopK) -> Option<(Nod
             None => return None,
         }
     }
+}
+
+/// Answer a recognized query from the index's pair lists. `None` means
+/// the index cannot cover it and the caller must fall back to position
+/// intersection. `Some` results are exact: matching nodes ascending, plus
+/// the access counters the walk paid. The walk admits every block whose
+/// `min_gap` is within the bound (`closeness(min_gap) > 0` exactly then).
+pub(crate) fn execute(
+    q: &PairQuery,
+    corpus: &Corpus,
+    index: &InvertedIndex,
+) -> Option<(Vec<NodeId>, AccessCounters)> {
+    let lists = match resolve(q, corpus, index) {
+        Resolved::Covered(lists) => lists,
+        Resolved::Empty => return Some((Vec::new(), AccessCounters::new())),
+        Resolved::NotCovered(_) => return None,
+    };
+    let mut walk = MinGapWalk::new(lists, q.bound, |_| true);
+    let mut nodes = Vec::new();
+    while let Some((node, _)) = walk.next(|_| true) {
+        nodes.push(node);
+    }
+    Some((nodes, walk.counters()))
+}
+
+/// Upper bound on the [`closeness`] score any document in this
+/// corpus/index can reach for `q` — read from pair-list `min_gap`
+/// metadata alone, without decoding a posting. `1.0` when the pair index
+/// cannot cover the query (the fallback path is unbounded), `0.0` when
+/// the answer is provably empty. Drives segment ordering and whole-segment
+/// skipping in the snapshot-global proximity top-k.
+pub(crate) fn near_bound(q: &PairQuery, corpus: &Corpus, index: &InvertedIndex) -> f64 {
+    match resolve(q, corpus, index) {
+        Resolved::Covered(lists) => lists
+            .iter()
+            .flatten()
+            .map(|list| closeness(list.min_gap(), q.bound))
+            .fold(0.0, f64::max),
+        Resolved::Empty => 0.0,
+        Resolved::NotCovered(_) => 1.0,
+    }
+}
+
+/// Score `q`'s matches in one corpus/index into a shared top-k heap:
+/// each qualifying document enters as `(keep(node), closeness(min_gap))`.
+/// `keep` filters tombstones and remaps to global ids (`None` = drop).
+///
+/// Covered pairs stream through the one pair-list walk with **block-max
+/// pruning**: a block whose `min_gap` header cannot beat the heap
+/// threshold (or the query bound) is skipped without decoding an entry.
+/// For undirected queries the two directed walks merge per node on the
+/// *minimum* gap, so a document scores by its closest qualifying pair in
+/// either direction. Uncovered pairs fall back to the
+/// [`min_forward_gaps`] position-intersection oracle.
+pub(crate) fn near_topk_into<F>(
+    q: &PairQuery,
+    corpus: &Corpus,
+    index: &InvertedIndex,
+    topk: &mut TopK,
+    keep: F,
+) -> AccessCounters
+where
+    F: Fn(NodeId) -> Option<NodeId>,
+{
+    let mut counters = AccessCounters::new();
+    let entries = match resolve(q, corpus, index) {
+        Resolved::Covered(lists) => {
+            let mut walk = MinGapWalk::new(lists, q.bound, |s| topk.could_enter(s));
+            while let Some((node, gap)) = walk.next(|s| topk.could_enter(s)) {
+                if let Some(global) = keep(node) {
+                    topk.insert(global, closeness(gap, q.bound));
+                }
+            }
+            return walk.counters();
+        }
+        Resolved::Empty | Resolved::NotCovered(None) => return counters,
+        // Fallback: position intersection, exactly the work the pair
+        // index would have saved (counted through the same counters).
+        Resolved::NotCovered(Some((a, b))) => {
+            let (la, lb) = (index.block_list(a), index.block_list(b));
+            let forward = min_forward_gaps(la, lb, q.bound, &mut counters);
+            if q.directed || a == b {
+                forward
+            } else {
+                merge_min_gap(&forward, &min_forward_gaps(lb, la, q.bound, &mut counters))
+            }
+        }
+    };
+    for (node, gap) in entries {
+        if let Some(global) = keep(NodeId(node)) {
+            topk.insert(global, closeness(gap, q.bound));
+        }
+    }
+    counters
 }
 
 /// Merge two ascending `(node, gap)` streams, keeping the minimum gap
@@ -412,36 +418,11 @@ fn merge_min_gap(a: &[(u32, u32)], b: &[(u32, u32)]) -> Vec<(u32, u32)> {
     out
 }
 
-/// Ascending union of two sorted, duplicate-free node lists.
-fn merge(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
-    let mut out = Vec::with_capacity(a.len().max(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::build_plan;
+    use ftsl_index::{IndexBuilder, PairConfig};
     use ftsl_lang::{lower, parse, Mode};
 
     fn recognized(query: &str) -> Option<PairQuery> {
@@ -533,9 +514,26 @@ mod tests {
 
     #[test]
     fn merge_unions_sorted_lists() {
-        let a: Vec<NodeId> = [1u32, 3, 5].iter().map(|&n| NodeId(n)).collect();
-        let b: Vec<NodeId> = [2u32, 3, 9].iter().map(|&n| NodeId(n)).collect();
-        let got: Vec<u32> = merge(&a, &b).iter().map(|n| n.0).collect();
-        assert_eq!(got, vec![1, 2, 3, 5, 9]);
+        // The undirected walk merges the (a, b) and (b, a) lists: each
+        // document once, ascending, whichever direction holds it.
+        let corpus = Corpus::from_texts(&["b a", "a b", "x", "a b a", "b x x a", "a x x x b"]);
+        let config = PairConfig {
+            window: 4,
+            df_cutoff: 0,
+        };
+        let index = IndexBuilder::new().pair_config(config).build(&corpus);
+        let run = |directed, bound| {
+            let q = PairQuery {
+                first: "a".into(),
+                second: "b".into(),
+                directed,
+                bound,
+            };
+            let (nodes, _) = execute(&q, &corpus, &index).expect("covered");
+            nodes.into_iter().map(|n| n.0).collect::<Vec<_>>()
+        };
+        assert_eq!(run(true, 4), vec![1, 3, 5]);
+        assert_eq!(run(false, 4), vec![0, 1, 3, 4, 5]);
+        assert_eq!(run(false, 1), vec![0, 1, 3]);
     }
 }

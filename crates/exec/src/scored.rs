@@ -40,8 +40,8 @@ pub enum ScoredPath {
     /// MaxScore/block-max pruned k-way union over a flat disjunction.
     PrunedUnion,
     /// Word-pair proximity walk ranked by closeness
-    /// ([`crate::pairscan::near_topk_into`]), block-max pruned on the
-    /// pair lists' `min_gap` headers.
+    /// ([`crate::SnapshotExecutor::run_near_top_k_with`]), block-max
+    /// pruned on the pair lists' `min_gap` headers.
     PairProximity,
     /// The exhaustive ranking ([`crate::SnapshotExecutor::run_ranked`]):
     /// every answer node scored through the algebra (truncated to `k` on

@@ -126,12 +126,30 @@ impl<'a> SnapshotExecutor<'a> {
         let mut tb = self.options.trace.then(TraceBuilder::new);
         let prepared =
             PreparedQuery::prepare(surface, engine, self.registry, self.options, tb.as_mut())?;
+        let (nodes, counters) = self.run_prepared(&prepared, tb.as_mut())?;
+        Ok(QueryOutput {
+            nodes,
+            counters,
+            engine: prepared.engine(),
+            class: prepared.class(),
+            trace: tb.map(|b| Box::new(b.finish())),
+        })
+    }
+
+    /// Bind an already-prepared query to every segment: its live matches
+    /// as ascending global ids, and the segments' summed counters. With a
+    /// trace builder, each segment is one `segment i` span.
+    pub fn run_prepared(
+        &self,
+        prepared: &PreparedQuery<'_>,
+        mut tb: Option<&mut TraceBuilder>,
+    ) -> Result<(Vec<NodeId>, AccessCounters), ExecError> {
         let mut nodes: Vec<NodeId> = Vec::new();
         let mut counters = AccessCounters::new();
         for (i, seg) in self.snapshot.segments().iter().enumerate() {
             let data = seg.data();
             let seg_span = tb.as_mut().map(|b| b.open(format!("segment {i}")));
-            let (found, delta) = prepared.bind(data.corpus(), data.index(), tb.as_mut())?;
+            let (found, delta) = prepared.bind(data.corpus(), data.index(), tb.as_deref_mut())?;
             if let (Some(b), Some(id)) = (tb.as_mut(), seg_span) {
                 counter_attrs(b, id, &delta);
                 b.attr(id, "matches", found.len() as u64);
@@ -145,13 +163,7 @@ impl<'a> SnapshotExecutor<'a> {
                     .map(|n| data.global_of(n.index())),
             );
         }
-        Ok(QueryOutput {
-            nodes,
-            counters,
-            engine: prepared.engine(),
-            class: prepared.class(),
-            trace: tb.map(|b| Box::new(b.finish())),
-        })
+        Ok((nodes, counters))
     }
 
     /// Run a scored top-k query: the one place a top-k is dispatched,

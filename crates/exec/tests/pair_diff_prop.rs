@@ -13,6 +13,10 @@
 //! regimes: frequent tokens resolve from pair lists, rare ones fall below
 //! the df cutoff and take the fallback path.
 //!
+//! NEAR top-k with `k` at least the live documents is the same question
+//! ranked: its node set must be the PPRED answer of the matching `window`
+//! query, each scored by the closeness of its brute-force minimum gap.
+//!
 //! The deterministic tests pin the edge cases: same-token phrases
 //! (`a a`), adjacent repeats (`a a a`), `window(…, 0)` (refused — two
 //! variables may bind one position), phrases longer than any document,
@@ -22,10 +26,11 @@
 //! `FTSL_PROPTEST_CASES`; the default keeps PR builds quick.
 
 use ftsl_exec::engine::EngineKind;
-use ftsl_exec::SnapshotExecutor;
+use ftsl_exec::{ExecScratch, PairQuery, SnapshotExecutor};
 use ftsl_index::{IndexBuilder, PairConfig, Snapshot};
-use ftsl_model::Corpus;
+use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::PredicateRegistry;
+use ftsl_scoring::closeness;
 use proptest::prelude::*;
 
 fn prop_cases() -> u32 {
@@ -170,6 +175,91 @@ proptest! {
     ) {
         let query = render_query(&token(a), &token(b), shape);
         assert_pair_matches_oracle(&corpus, &query, "random corpus")?;
+    }
+}
+
+/// The smallest gap between an occurrence of `a` and a later one of `b`
+/// in each document (either order unless `directed`), by brute force over
+/// every occurrence pair; `None` when no such pair exists.
+fn brute_min_gaps(corpus: &Corpus, a: &str, b: &str, directed: bool) -> Vec<Option<u32>> {
+    let offsets = |doc: &ftsl_model::Document, t: &str| -> Vec<i64> {
+        let id = corpus.token_id(t);
+        doc.tokens
+            .iter()
+            .filter(|(tok, _)| Some(*tok) == id)
+            .map(|(_, p)| i64::from(p.offset))
+            .collect()
+    };
+    corpus
+        .documents()
+        .iter()
+        .map(|doc| {
+            let (pa, pb) = (offsets(doc, a), offsets(doc, b));
+            pa.iter()
+                .flat_map(|x| pb.iter().map(move |y| y - x))
+                .map(|gap| if directed { gap } else { gap.abs() })
+                .filter(|&gap| gap > 0)
+                .min()
+                .map(|gap| u32::try_from(gap).expect("offsets fit u32"))
+        })
+        .collect()
+}
+
+/// NEAR top-k over every live document against the set answer, on every
+/// configuration of [`pair_configs`].
+fn assert_near_top_k_matches_set(
+    corpus: &Corpus,
+    a: &str,
+    b: &str,
+    bound: u32,
+    directed: bool,
+) -> Result<(), ()> {
+    let reg = PredicateRegistry::with_builtins();
+    let order = if directed { " AND ordered(p1,p2)" } else { "" };
+    let query =
+        format!("SOME p1 SOME p2 (p1 HAS '{a}' AND p2 HAS '{b}' AND window(p1,p2,{bound}){order})");
+    let gaps = brute_min_gaps(corpus, a, b, directed);
+    let q = PairQuery {
+        first: a.to_string(),
+        second: b.to_string(),
+        directed,
+        bound,
+    };
+    for config in pair_configs() {
+        let snapshot = sealed(corpus, config);
+        let exec = SnapshotExecutor::new(&snapshot, &reg);
+        let want = exec.run_str(&query, EngineKind::Ppred).expect("set runs");
+        let k = snapshot.live_doc_count();
+        let ranked = exec.run_near_top_k_with(&q, k, &mut ExecScratch::new());
+        let mut got: Vec<NodeId> = ranked.hits.iter().map(|&(n, _)| n).collect();
+        got.sort_unstable();
+        let ctx = format!("window={} cutoff={}", config.window, config.df_cutoff);
+        prop_assert_eq!(&got, &want.nodes, "{} near top-k vs set: {}", ctx, query);
+        for &(node, score) in &ranked.hits {
+            let gap = gaps[node.index()].expect("a hit holds a pair");
+            prop_assert_eq!(score, closeness(gap, bound), "{} node {}", ctx, node.0);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(prop_cases()))]
+
+    /// NEAR top-k with `k` = live documents ranks exactly the set answer,
+    /// each document by the closeness of its minimum gap.
+    #[test]
+    fn near_top_k_equals_the_set_answer(
+        corpus in arb_corpus(),
+        a in 0..VOCAB,
+        b in 0..VOCAB,
+        bound in 0u32..20,
+        ordered in any::<bool>(),
+    ) {
+        // Undirected over one token, two variables may bind one
+        // occurrence: the set query and the pair semantics differ there.
+        prop_assume!(a != b || ordered);
+        assert_near_top_k_matches_set(&corpus, &token(a), &token(b), bound, ordered)?;
     }
 }
 

@@ -81,6 +81,30 @@ fn explain_is_informative_for_each_tier() {
     assert!(text.contains("COMP") && text.contains("algebra"));
 }
 
+/// `explain` and `explain_analyze` describe what runs: this DIST-class
+/// conjunction has no positive relational part, so Auto dispatch falls
+/// back to COMP, and both print COMP's algebra instead of a streaming
+/// plan.
+#[test]
+fn explain_reports_the_engine_and_plan_that_run() {
+    let e = Ftsl::from_texts(&["kernel scheduler code", "kernel locks scheduler"]);
+    let q = "NOT 'code' AND NOT dist('kernel','locks',2)";
+    let out = e.search(q).unwrap();
+    assert_eq!(out.class, LanguageClass::Dist);
+    assert_eq!(out.engine, EngineUsed::Comp);
+    let text = e.explain(q).unwrap();
+    assert!(
+        text.contains("engine: COMP (materialized algebra)"),
+        "{text}"
+    );
+    let analyzed = e.explain_analyze(q).unwrap();
+    assert!(analyzed.contains("engine: COMP"), "{analyzed}");
+    for out in [&text, &analyzed] {
+        assert!(out.contains("\nalgebra:\n"), "{out}");
+        assert!(!out.contains("streaming plan unavailable"), "{out}");
+    }
+}
+
 #[test]
 fn custom_predicates_extend_the_language() {
     use ftsl::model::Position;
