@@ -283,7 +283,8 @@ fn next_within(
     admits: impl Fn(f64) -> bool,
 ) -> Option<(NodeId, u32)> {
     loop {
-        let block_best = closeness(cur.block_min_gap(), bound);
+        let min_gap = cur.block_header().map_or(u32::MAX, |h| h.min_gap);
+        let block_best = closeness(min_gap, bound);
         let node = if block_best <= 0.0 || !admits(block_best) {
             cur.skip_block()
         } else {

@@ -25,9 +25,11 @@
 //!
 //! ## Block encoding (format v5)
 //!
-//! Within a block, the three per-entry scalars travel as *columns*, each a
-//! fixed-width bit-packed frame ([`crate::bitpack`]) rather than a stream
-//! of per-entry varints:
+//! A posting block is a block of the codec the pair lists share
+//! (`frame.rs`) with two value columns: the three per-entry scalars travel
+//! as *columns*, each a fixed-width bit-packed frame ([`crate::bitpack`])
+//! rather than a stream of per-entry varints, and the position payloads
+//! follow them:
 //!
 //! ```text
 //! base:u32-le  id_width:u8  tf_width:u8  len_width:u8
@@ -45,32 +47,20 @@
 //! are exception-free: the largest value in a frame sets the width for
 //! every lane, buying a decoder with no data-dependent branches.
 //!
-//! A [`BlockCursor`] holds a reusable decoded-block scratch buffer: the
-//! first touch of a block unpacks all its ids, term frequencies, and
-//! position-payload offsets into flat `u32` arrays, after which
-//! [`BlockCursor::next_entry`] is an array walk and [`BlockCursor::seek`]
-//! binary-searches the decoded ids instead of linearly decoding varints.
-//! Position payloads stay varint-encoded and lazily decoded: the unpacked
-//! length column gives every entry's payload range, so entries rejected on
-//! node id alone never pay a position decode.
-//!
-//! [`AccessCounters`] keep their established meaning: `entries` counts
-//! entries the evaluator *consumed* (returned by `next_entry`/`seek`),
-//! `skipped` counts entries bypassed without being returned — including
-//! entries a `seek` now binary-searches past inside an unpacked block —
-//! and `blocks_skipped` counts whole blocks stepped over via the headers,
-//! exactly as before. Physical decode work is block-granular (a touched
-//! block is unpacked whole), which is what makes the per-entry walk
-//! branchless.
+//! A [`BlockCursor`] is the one skip-list walk ([`crate::cursor`]) over
+//! these blocks plus the posting list's own parts: term frequencies and
+//! positions. Position payloads stay varint-encoded and lazily decoded:
+//! the unpacked length column gives every entry's payload range, so
+//! entries rejected on node id alone never pay a position decode.
 
 use crate::bitpack;
-use crate::counters::AccessCounters;
+pub use crate::cursor::{scratch_pool_stats, ScratchPoolStats};
+use crate::cursor::{BlockHeader, ListCursor};
+use crate::frame;
 use crate::postings::PostingList;
 use crate::varint;
 use ftsl_model::{NodeId, Position};
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
-use std::mem::ManuallyDrop;
 
 /// Entries per compressed block. 128 keeps the skip granularity fine while
 /// letting the per-block header amortize to under 0.1 byte/entry, and
@@ -81,10 +71,6 @@ const _: () = assert!(
     BLOCK_ENTRIES == bitpack::LANES,
     "one bitpack frame must cover exactly one block"
 );
-
-/// Fixed per-block stream overhead: the absolute base id (4 bytes) plus the
-/// three frame widths (1 byte each).
-const BLOCK_PREFIX_BYTES: usize = 7;
 
 /// Header of one compressed block — one implicit skip-list node.
 ///
@@ -177,42 +163,16 @@ impl BlockStage {
 
     /// Pack the staged block onto `data`, returning `(max_node, max_tf)`.
     fn flush(&self, data: &mut Vec<u8>) -> (u32, u32) {
-        let count = self.ids.len();
-        debug_assert!(0 < count && count <= BLOCK_ENTRIES);
-        let mut frame = [0u32; bitpack::LANES];
-
-        // Column 1: id deltas (lane 0 is 0 — the base is stored absolute).
-        let mut max_delta = 0u32;
-        for (lane, pair) in frame[1..count].iter_mut().zip(self.ids.windows(2)) {
-            let d = pair[1] - pair[0] - 1;
-            *lane = d;
-            max_delta = max_delta.max(d);
-        }
-        let id_width = bitpack::width_for(max_delta);
-
-        data.extend_from_slice(&self.ids[0].to_le_bytes());
-        let widths_at = data.len();
-        data.extend_from_slice(&[id_width, 0, 0]);
-        bitpack::pack(&frame, count, id_width, data);
-
-        // Column 2: tf − 1.
-        let max_tf = *self.tfs.iter().max().expect("non-empty block");
-        for (lane, &tf) in frame.iter_mut().zip(&self.tfs) {
-            *lane = tf - 1;
-        }
-        let tf_width = bitpack::width_for(max_tf - 1);
-        data[widths_at + 1] = tf_width;
-        bitpack::pack(&frame, count, tf_width, data);
-
-        // Column 3: position payload byte lengths.
-        let max_len = *self.pos_lens.iter().max().expect("non-empty block");
-        let len_width = bitpack::width_for(max_len);
-        data[widths_at + 2] = len_width;
-        bitpack::pack(&self.pos_lens, count, len_width, data);
-
+        frame::pack(
+            &self.ids,
+            &[&self.tfs, &self.pos_lens],
+            BlockMeta::BIASES,
+            data,
+        );
         // Position payloads, varint-encoded exactly as staged.
         data.extend_from_slice(&self.pos_bytes);
-        (self.ids[count - 1], max_tf)
+        let max_tf = *self.tfs.iter().max().expect("non-empty block");
+        (self.ids[self.ids.len() - 1], max_tf)
     }
 }
 
@@ -455,6 +415,41 @@ impl PostingArenaWriter {
     }
 }
 
+/// Check one entry's untrusted position payload at `data[at..]`: `tf`
+/// positions whose varint deltas decode without overflow to exactly
+/// `len` bytes. Returns the offset past the payload.
+fn check_positions(data: &[u8], mut at: usize, tf: u32, len: u32) -> Result<usize, &'static str> {
+    let end = at
+        .checked_add(len as usize)
+        .filter(|&end| end <= data.len())
+        .ok_or("position bytes out of range")?;
+    let mut prev: Option<Position> = None;
+    for _ in 0..tf {
+        // The first position is absolute; each later field is a delta,
+        // and offsets strictly increase (stored as delta − 1).
+        let (offset, sentence, paragraph, step) =
+            prev.map_or((0, 0, 0, 0), |p| (p.offset, p.sentence, p.paragraph, 1));
+        let mut field = |base: u32, step: u32| {
+            let delta = varint::get_u32(data, &mut at).ok_or("truncated position")?;
+            base.checked_add(delta)
+                .and_then(|v| v.checked_add(step))
+                .ok_or("position overflow")
+        };
+        prev = Some(Position::new(
+            field(offset, step)?,
+            field(sentence, 0)?,
+            field(paragraph, 0)?,
+        ));
+        if at > end {
+            return Err("positions overrun their declared length");
+        }
+    }
+    if at != end {
+        return Err("positions shorter than declared length");
+    }
+    Ok(at)
+}
+
 impl<'a> BlockList<'a> {
     /// Decode back into the flat columnar [`PostingList`] (test support:
     /// the round-trip oracle).
@@ -470,139 +465,41 @@ impl<'a> BlockList<'a> {
         list
     }
 
-    /// Walk the whole list as *untrusted* bytes (the persisted load path):
-    /// every width, frame, count, and ordering invariant is checked —
-    /// including that tail-block padding lanes are zero, so each list has
-    /// exactly one canonical encoding — and any violation returns `Err`
-    /// with a description instead of panicking the way the trusting
-    /// [`BlockCursor`] would. Nothing is retained: a list that passes is
-    /// served from these same bytes.
+    /// Walk the whole list as *untrusted* bytes (the persisted load path)
+    /// and return `Err` with a description instead of panicking the way
+    /// the trusting [`BlockCursor`] would. The block codec checks every
+    /// width, frame, count, ordering and padding invariant, so each list
+    /// has exactly one canonical encoding; this adds the posting list's
+    /// own rules: each header's `max_tf` is its block's largest term
+    /// frequency, each entry's position payload decodes to exactly its
+    /// declared byte length and `tf` positions without overflow, and the
+    /// positions add up to the list's count. Nothing is retained: a list
+    /// that passes is served from these same bytes.
     pub fn validate(self) -> Result<(), &'static str> {
-        let entries = self.entries as usize;
-        if self.blocks.len() != entries.div_ceil(BLOCK_ENTRIES) {
-            return Err("block count disagrees with entry count");
-        }
-        let mut at = 0usize;
-        let mut prev_node: Option<u32> = None;
         let mut total_positions = 0u64;
-        let mut ids = [0u32; bitpack::LANES];
-        let mut tfs = [0u32; bitpack::LANES];
-        let mut lens = [0u32; bitpack::LANES];
-        for (b, meta) in self.blocks.iter().enumerate() {
-            let count = BLOCK_ENTRIES.min(entries - b * BLOCK_ENTRIES);
-            if meta.byte_start as usize != at || meta.first_entry as usize != b * BLOCK_ENTRIES {
-                return Err("block header disagrees with entry stream");
-            }
-            if self.data.len() - at < BLOCK_PREFIX_BYTES {
-                return Err("truncated block prefix");
-            }
-            let base = u32::from_le_bytes([
-                self.data[at],
-                self.data[at + 1],
-                self.data[at + 2],
-                self.data[at + 3],
-            ]);
-            let id_width = self.data[at + 4];
-            let tf_width = self.data[at + 5];
-            let len_width = self.data[at + 6];
-            at += BLOCK_PREFIX_BYTES;
-            if id_width > 32 || tf_width > 32 || len_width > 32 {
-                return Err("frame width exceeds 32 bits");
-            }
-            let frames = bitpack::packed_bytes(id_width, count)
-                + bitpack::packed_bytes(tf_width, count)
-                + bitpack::packed_bytes(len_width, count);
-            if self.data.len() - at < frames {
-                return Err("truncated block frames");
-            }
-            at += bitpack::unpack(&self.data[at..], id_width, count, &mut ids);
-            at += bitpack::unpack(&self.data[at..], tf_width, count, &mut tfs);
-            at += bitpack::unpack(&self.data[at..], len_width, count, &mut lens);
-            if ids[0] != 0 {
-                return Err("first id-delta lane not zero");
-            }
-            for lane in count..BLOCK_ENTRIES {
-                if ids[lane] != 0 || tfs[lane] != 0 || lens[lane] != 0 {
-                    return Err("non-zero padding lane");
+        let skips = self.blocks.iter().map(|m| frame::Skip {
+            max_node: m.max_node.0,
+            byte_start: m.byte_start,
+            first_entry: m.first_entry,
+        });
+        frame::check_list(
+            self.data,
+            self.entries as usize,
+            skips,
+            BlockMeta::BIASES,
+            |b, block| {
+                let [tfs, lens] = &block.values;
+                let (tfs, lens) = (&tfs[..block.count], &lens[..block.count]);
+                if tfs.iter().max() != Some(&self.blocks[b].max_tf) {
+                    return Err("block max_tf disagrees with entries");
                 }
-            }
-            // Reconstruct the id column with overflow checks.
-            if prev_node.is_some_and(|p| base <= p) {
-                return Err("node ids not strictly increasing");
-            }
-            ids[0] = base;
-            for i in 1..count {
-                ids[i] = ids[i - 1]
-                    .checked_add(ids[i])
-                    .and_then(|n| n.checked_add(1))
-                    .ok_or("node overflow")?;
-            }
-            prev_node = Some(ids[count - 1]);
-            if NodeId(ids[count - 1]) != meta.max_node {
-                return Err("block max node disagrees with entries");
-            }
-            // tf column: stored as tf − 1, so every entry has ≥1 position.
-            let mut block_tf = 0u32;
-            for tf in tfs.iter_mut().take(count) {
-                *tf = tf.checked_add(1).ok_or("term frequency overflow")?;
-                block_tf = block_tf.max(*tf);
-            }
-            if block_tf != meta.max_tf {
-                return Err("block max_tf disagrees with entries");
-            }
-            // Position payloads: lengths must tile the remaining region.
-            for i in 0..count {
-                let end = at
-                    .checked_add(lens[i] as usize)
-                    .ok_or("position length overflow")?;
-                if end > self.data.len() {
-                    return Err("position bytes out of range");
+                for (&tf, &len) in tfs.iter().zip(lens) {
+                    block.at = check_positions(self.data, block.at, tf, len)?;
+                    total_positions += u64::from(tf);
                 }
-                let mut prev = Position::flat(0);
-                for j in 0..tfs[i] {
-                    let (offset, sentence, paragraph) = if j == 0 {
-                        (
-                            varint::get_u32(self.data, &mut at).ok_or("truncated offset")?,
-                            varint::get_u32(self.data, &mut at).ok_or("truncated sentence")?,
-                            varint::get_u32(self.data, &mut at).ok_or("truncated paragraph")?,
-                        )
-                    } else {
-                        let doff = varint::get_u32(self.data, &mut at).ok_or("truncated offset")?;
-                        let dsent =
-                            varint::get_u32(self.data, &mut at).ok_or("truncated sentence")?;
-                        let dpara =
-                            varint::get_u32(self.data, &mut at).ok_or("truncated paragraph")?;
-                        (
-                            prev.offset
-                                .checked_add(doff)
-                                .and_then(|o| o.checked_add(1))
-                                .ok_or("offset overflow")?,
-                            prev.sentence
-                                .checked_add(dsent)
-                                .ok_or("sentence overflow")?,
-                            prev.paragraph
-                                .checked_add(dpara)
-                                .ok_or("paragraph overflow")?,
-                        )
-                    };
-                    if at > end {
-                        return Err("positions overrun their declared length");
-                    }
-                    prev = Position {
-                        offset,
-                        sentence,
-                        paragraph,
-                    };
-                }
-                if at != end {
-                    return Err("positions shorter than declared length");
-                }
-                total_positions += u64::from(tfs[i]);
-            }
-        }
-        if at != self.data.len() {
-            return Err("trailing bytes after last block");
-        }
+                Ok(())
+            },
+        )?;
         if total_positions != self.positions {
             return Err("position count disagrees with payload");
         }
@@ -670,200 +567,65 @@ impl<'a> BlockList<'a> {
     /// work reuses warm buffers instead of heap-allocating per cursor
     /// (see [`scratch_pool_stats`]).
     pub fn cursor(self) -> BlockCursor<'a> {
-        BlockCursor {
-            list: self,
-            idx: usize::MAX,
-            run_start: 0,
-            count: 0,
-            first: 0,
-            block: usize::MAX,
-            started: false,
-            done: false,
-            pos_valid_for: u64::MAX,
-            pos_idx: 0,
-            pos_at: 0,
-            pos_end: 0,
-            pos_prev: Position::flat(0),
-            scratch: ManuallyDrop::new(take_scratch()),
-            counters: AccessCounters::new(),
-        }
+        ListCursor::new(self.blocks, self.data, self.entries)
     }
 }
 
-/// The reusable decoded-block buffer a [`BlockCursor`] unpacks into.
-///
-/// The three per-entry columns decode independently, each on first demand:
-/// touching a block unpacks its **id** column (every consumer needs node
-/// ids); the **tf** column is unpacked the first time a scored consumer
-/// asks for a term frequency; the **payload-offset** column the first time
-/// positions are requested. A BOOL scan therefore pays for exactly one
-/// frame per block, a top-k union for two, a positional query for all
-/// three. Sized by [`BlockCursor::scratch_bytes`] for footprint
-/// accounting.
+impl BlockHeader for BlockMeta {
+    /// `tf − 1`, then each entry's position-payload byte length.
+    const BIASES: &'static [u32] = &[1, 0];
+    const PAIR: bool = false;
+    type Extra = PositionState;
+
+    #[inline]
+    fn max_node(&self) -> NodeId {
+        self.max_node
+    }
+
+    #[inline]
+    fn byte_start(&self) -> usize {
+        self.byte_start as usize
+    }
+}
+
+/// The position sub-decoder a [`BlockCursor`] keeps for its current entry.
 #[derive(Clone, Debug)]
-struct BlockScratch {
-    /// Decoded node ids of the resident block.
-    ids: [u32; BLOCK_ENTRIES],
-    /// Decoded term frequencies (valid when `tf_block` matches).
-    tfs: [u32; BLOCK_ENTRIES],
-    /// Exclusive prefix sums of position-payload byte lengths, relative to
-    /// `pos_base`: entry `i`'s payload is `pos_base + ends[i-1] .. pos_base
-    /// + ends[i]` (with `ends[-1] = 0`). Valid when `len_block` matches.
-    pos_ends: [u32; BLOCK_ENTRIES],
-    /// Byte offset of the resident block's tf frame.
-    tf_at: usize,
-    /// Byte offset of the resident block's payload-length frame.
-    len_at: usize,
-    /// Absolute byte offset of the resident block's position region.
-    pos_base: usize,
-    /// Frame widths of the resident block's tf and length columns.
-    tf_width: u8,
-    len_width: u8,
-    /// Block whose tf column is decoded; `usize::MAX` when stale.
-    tf_block: usize,
-    /// Block whose payload offsets are decoded; `usize::MAX` when stale.
-    len_block: usize,
-    /// Positions of the current entry decoded so far (a prefix of the
-    /// payload — the cursor's sub-decoder materializes them on demand).
-    /// Lives in the scratch so a pooled buffer keeps its capacity across
-    /// cursors: positional queries stop allocating once warm.
-    decoded: Vec<Position>,
+pub struct PositionState {
+    /// List index of the entry the sub-decoder is staged for; `u64::MAX`
+    /// when stale (tag-based invalidation keeps it off the entry walk).
+    valid_for: u64,
+    idx: usize,
+    /// Read offset of the next undecoded position varint.
+    at: usize,
+    /// End of the current entry's payload — the decode bound.
+    end: usize,
+    /// Delta base: the last position decoded.
+    prev: Position,
 }
 
-impl Default for BlockScratch {
+impl Default for PositionState {
     fn default() -> Self {
-        BlockScratch {
-            ids: [0; BLOCK_ENTRIES],
-            tfs: [0; BLOCK_ENTRIES],
-            pos_ends: [0; BLOCK_ENTRIES],
-            tf_at: 0,
-            len_at: 0,
-            pos_base: 0,
-            tf_width: 0,
-            len_width: 0,
-            tf_block: usize::MAX,
-            len_block: usize::MAX,
-            decoded: Vec::new(),
+        PositionState {
+            valid_for: u64::MAX,
+            idx: 0,
+            at: 0,
+            end: 0,
+            prev: Position::flat(0),
         }
     }
-}
-
-impl BlockScratch {
-    /// Make a recycled buffer indistinguishable from a fresh one: stale
-    /// the column tags and empty (but keep the capacity of) the decoded
-    /// positions. The id/tf/offset columns need no clearing — a fresh
-    /// cursor holds no resident block, so their lanes are unreachable
-    /// until `unpack_block` overwrites them.
-    fn reset(&mut self) {
-        self.tf_block = usize::MAX;
-        self.len_block = usize::MAX;
-        self.decoded.clear();
-    }
-}
-
-/// Pooled buffers per thread. Bounds the memory a thread parks between
-/// queries: enough for the widest realistic cursor fan-out (one cursor
-/// per distinct query token), small enough that an idle worker holds
-/// under ~100 KiB of scratch.
-const SCRATCH_POOL_CAP: usize = 64;
-
-struct ScratchPool {
-    // Boxes on purpose: cursors hold `ManuallyDrop<Box<BlockScratch>>`,
-    // so pooling the box itself makes take/return a pointer move — the
-    // unboxed form clippy suggests would re-box (allocate) on every take.
-    #[allow(clippy::vec_box)]
-    free: Vec<Box<BlockScratch>>,
-    reused: u64,
-    allocated: u64,
-}
-
-thread_local! {
-    static SCRATCH_POOL: RefCell<ScratchPool> = const {
-        RefCell::new(ScratchPool {
-            free: Vec::new(),
-            reused: 0,
-            allocated: 0,
-        })
-    };
-}
-
-/// Lease a scratch buffer from the calling thread's pool, falling back to
-/// a heap allocation when the pool is empty (or the thread is tearing
-/// down its locals).
-fn take_scratch() -> Box<BlockScratch> {
-    SCRATCH_POOL
-        .try_with(|pool| {
-            let mut pool = pool.borrow_mut();
-            match pool.free.pop() {
-                Some(mut scratch) => {
-                    pool.reused += 1;
-                    scratch.reset();
-                    Some(scratch)
-                }
-                None => {
-                    pool.allocated += 1;
-                    None
-                }
-            }
-        })
-        .ok()
-        .flatten()
-        .unwrap_or_default()
-}
-
-/// Park a scratch buffer back in the calling thread's pool; buffers over
-/// the cap (or arriving during thread teardown) are simply freed.
-fn return_scratch(scratch: Box<BlockScratch>) {
-    let _ = SCRATCH_POOL.try_with(move |pool| {
-        let mut pool = pool.borrow_mut();
-        if pool.free.len() < SCRATCH_POOL_CAP {
-            pool.free.push(scratch);
-        }
-    });
-}
-
-/// Cumulative scratch-pool statistics for the **calling thread** — the
-/// pool is thread-local, so a serving worker reads its own counters.
-///
-/// `allocated` counts cursors that had to heap-allocate a fresh buffer;
-/// `reused` counts cursors served from the pool. A steady-state worker
-/// (same query shapes, warm pool) should see `reused` grow while
-/// `allocated` stays flat — the "queries allocate nothing on the hot
-/// path" invariant the serve-layer allocation tests pin down.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ScratchPoolStats {
-    /// Cursors served by recycling a pooled buffer.
-    pub reused: u64,
-    /// Cursors that heap-allocated a fresh buffer.
-    pub allocated: u64,
-    /// Buffers currently parked in the pool.
-    pub pooled: usize,
-}
-
-/// Read the calling thread's [`ScratchPoolStats`].
-pub fn scratch_pool_stats() -> ScratchPoolStats {
-    SCRATCH_POOL
-        .try_with(|pool| {
-            let pool = pool.borrow();
-            ScratchPoolStats {
-                reused: pool.reused,
-                allocated: pool.allocated,
-                pooled: pool.free.len(),
-            }
-        })
-        .unwrap_or_default()
 }
 
 /// A forward-only, skip-aware cursor over a [`BlockList`], decoding one
-/// whole block at a time.
+/// whole block at a time: the one [`ListCursor`] walk plus term
+/// frequencies and positions.
 ///
 /// Implements the paper's sequential contract (`next_entry` /
 /// `positions`) plus the [`BlockCursor::seek`] extension: jump to the first
 /// entry with node id ≥ a target, skipping whole blocks via the header
 /// array and binary-searching the decoded ids inside the landing block.
 /// Skipped entries are counted separately from consumed ones in
-/// [`AccessCounters`], so evaluation strategies can be compared on exact
-/// access work.
+/// [`crate::AccessCounters`], so evaluation strategies can be compared on
+/// exact access work.
 ///
 /// ```
 /// use ftsl_index::block::PostingArena;
@@ -885,349 +647,9 @@ pub fn scratch_pool_stats() -> ScratchPoolStats {
 /// assert!(cur.counters().entries < 2 * ftsl_index::block::BLOCK_ENTRIES as u64);
 /// assert!(cur.counters().skipped >= 600);
 /// ```
-#[derive(Debug)]
-pub struct BlockCursor<'a> {
-    list: BlockList<'a>,
-    /// Index of the current entry within the resident block; `usize::MAX`
-    /// when the cursor is not positioned inside it (fresh or exhausted).
-    idx: usize,
-    /// Index at which the current *counted run* began: entries consumed
-    /// since the last landing. `AccessCounters::entries` is updated once
-    /// per run (at block transitions and in [`BlockCursor::counters`]),
-    /// not once per entry — the hot walk stays store-minimal and the
-    /// counting is exactly branch-free.
-    run_start: usize,
-    /// Entries in the resident block (0 when none is decoded), copied out
-    /// of the scratch so the hot walk tests it without a pointer chase.
-    count: usize,
-    /// Global index of the resident block's first entry.
-    first: u32,
-    /// Index of the resident block; `usize::MAX` when none is decoded.
-    block: usize,
-    started: bool,
-    /// True once every entry has been consumed or skipped.
-    done: bool,
-    /// Global entry index the position sub-decoder is staged for;
-    /// `u64::MAX` when stale (tag-based invalidation keeps it off the
-    /// entry walk).
-    pos_valid_for: u64,
-    pos_idx: usize,
-    /// Read offset of the next undecoded position varint.
-    pos_at: usize,
-    /// End of the current entry's payload — the decode bound.
-    pos_end: usize,
-    /// Delta base: the last position decoded.
-    pos_prev: Position,
-    /// Leased from the thread's scratch pool; `ManuallyDrop` lets `Drop`
-    /// hand the box back to the pool instead of freeing it.
-    scratch: ManuallyDrop<Box<BlockScratch>>,
-    counters: AccessCounters,
-}
+pub type BlockCursor<'a> = ListCursor<'a, BlockMeta>;
 
-impl Drop for BlockCursor<'_> {
-    fn drop(&mut self) {
-        // SAFETY: `scratch` is taken exactly once — drop runs once, and
-        // nothing reads the field afterwards.
-        return_scratch(unsafe { ManuallyDrop::take(&mut self.scratch) });
-    }
-}
-
-impl Clone for BlockCursor<'_> {
-    fn clone(&self) -> Self {
-        // The clone leases its own buffer (pool-first, like `cursor()`)
-        // and copies the resident decode state into it, so both cursors
-        // keep the no-repeat-decode guarantee from their shared position.
-        let mut scratch = take_scratch();
-        scratch.clone_from(&*self.scratch);
-        BlockCursor {
-            list: self.list,
-            idx: self.idx,
-            run_start: self.run_start,
-            count: self.count,
-            first: self.first,
-            block: self.block,
-            started: self.started,
-            done: self.done,
-            pos_valid_for: self.pos_valid_for,
-            pos_idx: self.pos_idx,
-            pos_at: self.pos_at,
-            pos_end: self.pos_end,
-            pos_prev: self.pos_prev,
-            scratch: ManuallyDrop::new(scratch),
-            counters: self.counters,
-        }
-    }
-}
-
-impl<'a> BlockCursor<'a> {
-    /// Bytes of the reusable decoded-block buffer every open cursor holds
-    /// (three `u32` columns of [`BLOCK_ENTRIES`] lanes plus bookkeeping) —
-    /// the per-cursor cost [`crate::index::MemoryFootprint`] reports.
-    pub const fn scratch_bytes() -> usize {
-        std::mem::size_of::<BlockScratch>()
-    }
-
-    /// Global index of the next entry to consume: 0 on a fresh cursor,
-    /// one past the current entry when positioned, `entries` when done.
-    fn global_next(&self) -> u32 {
-        if self.done {
-            self.list.entries
-        } else if self.idx < self.count {
-            self.first + self.idx as u32 + 1
-        } else {
-            0
-        }
-    }
-
-    /// Batch-decode `block`'s id column into the scratch buffer: unpack
-    /// the bit-packed delta frame, run the prefix transform, and record
-    /// where the block's other frames and its position region start. The
-    /// tf and payload-offset columns are left stale — they unpack on first
-    /// demand ([`Self::ensure_tfs`] / [`Self::ensure_lens`]).
-    ///
-    /// Trusted-bytes path: lists built in memory are well-formed by
-    /// construction, so this decodes without validation (the persisted
-    /// load path re-validates through [`BlockList::validate`]).
-    #[cold]
-    fn unpack_block(&mut self, block: usize) {
-        let s = &mut *self.scratch;
-        let meta = &self.list.blocks[block];
-        let count = BLOCK_ENTRIES.min(self.list.entries as usize - meta.first_entry as usize);
-        let data = self.list.data;
-        let mut at = meta.byte_start as usize;
-        let base = u32::from_le_bytes([data[at], data[at + 1], data[at + 2], data[at + 3]]);
-        let (id_width, tf_width, len_width) = (data[at + 4], data[at + 5], data[at + 6]);
-        at += BLOCK_PREFIX_BYTES;
-        at += bitpack::unpack(&data[at..], id_width, count, &mut s.ids);
-        // Prefix transform over all 128 lanes (fixed trip count; padding
-        // lanes produce garbage ids that `count` guards from being read,
-        // so the arithmetic wraps instead of checking). Running four
-        // independent 32-lane chains and then propagating the chunk
-        // offsets cuts the serial-dependency latency to roughly a quarter
-        // of a straight 128-add chain.
-        s.ids[0] = base;
-        for c in 1..BLOCK_ENTRIES / 32 {
-            s.ids[32 * c] = s.ids[32 * c].wrapping_add(1);
-        }
-        for c in 0..BLOCK_ENTRIES / 32 {
-            let start = 32 * c;
-            for i in start + 1..start + 32 {
-                s.ids[i] = s.ids[i].wrapping_add(1).wrapping_add(s.ids[i - 1]);
-            }
-        }
-        for c in 1..BLOCK_ENTRIES / 32 {
-            let off = s.ids[32 * c - 1];
-            for v in &mut s.ids[32 * c..32 * (c + 1)] {
-                *v = v.wrapping_add(off);
-            }
-        }
-        s.tf_at = at;
-        s.len_at = at + bitpack::packed_bytes(tf_width, count);
-        s.pos_base = s.len_at + bitpack::packed_bytes(len_width, count);
-        s.tf_width = tf_width;
-        s.len_width = len_width;
-        s.tf_block = usize::MAX;
-        s.len_block = usize::MAX;
-        self.block = block;
-        self.count = count;
-        self.first = meta.first_entry;
-    }
-
-    /// Make `block` the resident block. The hit path is one comparison;
-    /// the miss is kept out of line so the entry walk stays inlineable.
-    #[inline(always)]
-    fn ensure_decoded(&mut self, block: usize) {
-        if self.block != block {
-            self.unpack_block(block);
-        }
-    }
-
-    /// Unpack the resident block's tf column on first demand.
-    #[inline]
-    fn ensure_tfs(&mut self) {
-        if self.scratch.tf_block != self.block {
-            let s = &mut *self.scratch;
-            bitpack::unpack(
-                &self.list.data[s.tf_at..],
-                s.tf_width,
-                self.count,
-                &mut s.tfs,
-            );
-            for tf in s.tfs.iter_mut() {
-                *tf = tf.wrapping_add(1); // stored as tf − 1; padding lanes unread
-            }
-            s.tf_block = self.block;
-        }
-    }
-
-    /// Unpack the resident block's payload-length column on first demand
-    /// and turn it into exclusive prefix ends.
-    #[inline]
-    fn ensure_lens(&mut self) {
-        if self.scratch.len_block != self.block {
-            let s = &mut *self.scratch;
-            bitpack::unpack(
-                &self.list.data[s.len_at..],
-                s.len_width,
-                self.count,
-                &mut s.pos_ends,
-            );
-            let mut run = 0u32;
-            for end in s.pos_ends.iter_mut() {
-                run = run.wrapping_add(*end);
-                *end = run;
-            }
-            s.len_block = self.block;
-        }
-    }
-
-    /// Fold the current counted run (entries consumed since the last
-    /// landing) into `counters.entries`. Called on every reposition —
-    /// once per block on a sequential walk, never per entry. Idempotent:
-    /// the run is emptied, so flushing twice (e.g. once before a seek
-    /// swaps the resident block and again inside its landing) adds
-    /// nothing the second time.
-    fn flush_entry_run(&mut self) {
-        if self.idx < self.count {
-            self.counters.entries += (self.idx + 1 - self.run_start) as u64;
-            self.run_start = self.idx + 1;
-        }
-    }
-
-    /// Position the cursor on global entry `global` (callers guarantee it
-    /// exists) and return its node id. The landing entry starts a new
-    /// counted run.
-    fn land(&mut self, global: u32) -> NodeId {
-        self.flush_entry_run();
-        self.ensure_decoded(global as usize / BLOCK_ENTRIES);
-        let i = global as usize % BLOCK_ENTRIES;
-        self.idx = i;
-        self.run_start = i;
-        self.started = true;
-        NodeId(self.scratch.ids[i])
-    }
-
-    /// Transition to the exhausted state, folding the in-flight entry run
-    /// but no skip accounting (callers charge whatever applies first).
-    fn mark_done(&mut self) {
-        self.flush_entry_run();
-        self.done = true;
-        self.started = true;
-        self.idx = usize::MAX;
-        self.count = 0;
-    }
-
-    /// Cold half of [`Self::next_entry`]: first call, block crossings, and
-    /// end of list.
-    #[cold]
-    fn advance_cold(&mut self) -> Option<NodeId> {
-        let global = self.global_next();
-        if global >= self.list.entries {
-            if !self.done {
-                self.mark_done();
-            }
-            return None;
-        }
-        Some(self.land(global))
-    }
-
-    /// `nextEntry()`: consume the next entry and return its node id, or
-    /// `None` at end of list. Inside a block this is a branch-predictable
-    /// array walk — one bound test, one index store, one array read; the
-    /// entry count accrues per *run* (see `run_start`), so counting adds
-    /// no per-entry work at all. Block crossings take the cold path.
-    #[inline]
-    pub fn next_entry(&mut self) -> Option<NodeId> {
-        let i = self.idx.wrapping_add(1);
-        if i < self.count {
-            self.idx = i;
-            return Some(NodeId(self.scratch.ids[i]));
-        }
-        self.advance_cold()
-    }
-
-    /// `seek(node)`: advance to the first entry with node id ≥ `target`,
-    /// skipping whole blocks via the header array and binary-searching the
-    /// decoded ids of the landing block. Stays put if the current entry
-    /// already satisfies the bound. Returns the landing node id, or `None`
-    /// when the list has no such entry.
-    pub fn seek(&mut self, target: NodeId) -> Option<NodeId> {
-        if let Some(cur) = self.node() {
-            if cur >= target {
-                return Some(cur);
-            }
-        }
-        let from = self.global_next();
-        if from >= self.list.entries {
-            if !self.done {
-                self.mark_done();
-            }
-            return None;
-        }
-        // Fast path for the leapfrog-common short hop: the target is still
-        // inside the already-decoded resident block — no header search.
-        let cur_block = from as usize / BLOCK_ENTRIES;
-        let target_block =
-            if cur_block == self.block && self.list.blocks[cur_block].max_node >= target {
-                cur_block
-            } else {
-                // First candidate block whose max node reaches the target, at
-                // or after the block holding the next entry.
-                let rel = self.list.blocks[cur_block..].partition_point(|b| b.max_node < target);
-                let target_block = cur_block + rel;
-                if target_block >= self.list.blocks.len() {
-                    // No block can contain the target: exhaust, counting the
-                    // rest of the list as skipped (never consumed).
-                    self.counters.skipped += u64::from(self.list.entries - from);
-                    self.counters.blocks_skipped += (self.list.blocks.len())
-                        .saturating_sub((from as usize).div_ceil(BLOCK_ENTRIES))
-                        as u64;
-                    self.mark_done();
-                    return None;
-                }
-                target_block
-            };
-        let meta = self.list.blocks[target_block];
-        let mut from = from;
-        if meta.first_entry > from {
-            self.counters.skipped += u64::from(meta.first_entry - from);
-            self.counters.blocks_skipped +=
-                (target_block - (from as usize).div_ceil(BLOCK_ENTRIES)) as u64;
-            from = meta.first_entry;
-        }
-        // Search the decoded ids (the block's max_node reaches the target,
-        // so a landing entry exists): scan a handful of lanes linearly —
-        // leapfrog hops are usually short — then binary-search the rest.
-        // Fold the in-flight entry run first: decoding the landing block
-        // replaces the resident block the run is counted against.
-        self.flush_entry_run();
-        self.ensure_decoded(target_block);
-        let lo = (from - meta.first_entry) as usize;
-        let lanes = &self.scratch.ids[lo..self.count];
-        const LINEAR: usize = 8;
-        let mut within = 0usize;
-        while within < lanes.len().min(LINEAR) && lanes[within] < target.0 {
-            within += 1;
-        }
-        if within == LINEAR {
-            within += lanes[LINEAR..].partition_point(|&id| id < target.0);
-        }
-        self.counters.skipped += within as u64;
-        Some(self.land(meta.first_entry + (lo + within) as u32))
-    }
-
-    /// The node id of the current entry, read from the decoded id column
-    /// (the cursor is positioned exactly when `idx` is inside the resident
-    /// block, so no separate field needs updating on the entry walk).
-    #[inline]
-    pub fn node(&self) -> Option<NodeId> {
-        if self.idx < self.count {
-            Some(NodeId(self.scratch.ids[self.idx]))
-        } else {
-            None
-        }
-    }
-
+impl ListCursor<'_, BlockMeta> {
     /// Term frequency of the current entry, read from the unpacked tf
     /// column (decoded for the whole block on the first request).
     ///
@@ -1235,69 +657,7 @@ impl<'a> BlockCursor<'a> {
     /// Panics if called before the first successful [`Self::next_entry`].
     #[inline]
     pub fn tf(&mut self) -> u32 {
-        assert!(self.idx < self.count, "cursor not positioned on an entry");
-        self.ensure_tfs();
-        self.scratch.tfs[self.idx]
-    }
-
-    /// Index of the block the cursor is parked in: the current entry's
-    /// block, or the next block to decode when the cursor has not started.
-    /// `None` once the list is exhausted (or empty).
-    fn current_block(&self) -> Option<usize> {
-        if self.idx < self.count {
-            Some(self.block)
-        } else if !self.started && !self.list.blocks.is_empty() {
-            Some(0)
-        } else {
-            None
-        }
-    }
-
-    /// Largest term frequency in the current block — the current entry's
-    /// block, or the first block when the cursor has not started; 0 when
-    /// exhausted.
-    pub fn block_max_tf(&self) -> u32 {
-        self.current_block()
-            .map_or(0, |b| self.list.blocks[b].max_tf)
-    }
-
-    /// Largest term frequency of the block that would contain the first
-    /// remaining entry with node id ≥ `target`, found by binary search over
-    /// the skip headers — a pure bound probe that decodes nothing. `None`
-    /// when no remaining entry can reach `target`.
-    pub fn peek_max_tf_at(&self, target: NodeId) -> Option<u32> {
-        if let Some(cur) = self.node() {
-            if cur >= target {
-                return self.current_block().map(|b| self.list.blocks[b].max_tf);
-            }
-        }
-        let from = self.current_block()?;
-        let rel = self.list.blocks[from..].partition_point(|b| b.max_node < target);
-        self.list.blocks.get(from + rel).map(|b| b.max_tf)
-    }
-
-    /// Jump past the current block without consuming its remaining entries
-    /// (they are counted as skipped; the block counts in
-    /// [`AccessCounters::blocks_skipped`] only if at least one entry was
-    /// actually bypassed) and land on the first entry of the next block,
-    /// returning its node id — or `None` when the pruned block was the
-    /// last one.
-    pub fn skip_block(&mut self) -> Option<NodeId> {
-        let block = self.current_block()?;
-        let next = block + 1;
-        let from = self.global_next();
-        if next >= self.list.blocks.len() {
-            let remaining = u64::from(self.list.entries - from);
-            self.counters.skipped += remaining;
-            self.counters.blocks_skipped += u64::from(remaining > 0);
-            self.mark_done();
-            return None;
-        }
-        let meta = self.list.blocks[next];
-        let remaining = u64::from(meta.first_entry - from);
-        self.counters.skipped += remaining;
-        self.counters.blocks_skipped += u64::from(remaining > 0);
-        Some(self.land(meta.first_entry))
+        self.value()
     }
 
     /// Stage the current entry's payload for decoding and materialize its
@@ -1309,7 +669,7 @@ impl<'a> BlockCursor<'a> {
     fn ensure_positions(&mut self) {
         assert!(self.idx < self.count, "cursor not positioned on an entry");
         let global = u64::from(self.first) + self.idx as u64;
-        if self.pos_valid_for != global {
+        if self.extra.valid_for != global {
             self.stage_positions(global);
         }
     }
@@ -1320,33 +680,39 @@ impl<'a> BlockCursor<'a> {
     /// consulted — the payload's byte range bounds the decode, so the tf
     /// column stays packed unless a scorer asks for it.
     fn stage_positions(&mut self, global: u64) {
-        self.ensure_lens();
+        if self.scratch.column_block[1] != self.block {
+            // Payload byte lengths become exclusive prefix ends, in place.
+            self.column(1);
+            let mut run = 0u32;
+            for end in self.scratch.values[1].iter_mut() {
+                run = run.wrapping_add(*end);
+                *end = run;
+            }
+        }
         let idx = self.idx;
         let s = &*self.scratch;
-        self.pos_at = s.pos_base
-            + if idx == 0 {
-                0
-            } else {
-                s.pos_ends[idx - 1] as usize
-            };
-        self.pos_end = s.pos_base + s.pos_ends[idx] as usize;
+        let base = s.frames.end;
+        let ends = &s.values[1];
+        self.extra.at = base + if idx == 0 { 0 } else { ends[idx - 1] as usize };
+        self.extra.end = base + ends[idx] as usize;
         self.scratch.decoded.clear();
-        self.pos_idx = 0;
-        self.pos_valid_for = global;
+        self.extra.idx = 0;
+        self.extra.valid_for = global;
         self.decode_next_position();
     }
 
     /// Materialize one more position of the current entry, if any remain.
     /// Each position is decoded at most once and counted in
-    /// [`AccessCounters::positions_decoded`] when it is — an entry whose
-    /// predicate accepts or rejects on its first position pays exactly one
-    /// position decode, not `tf`.
+    /// [`crate::AccessCounters::positions_decoded`] when it is — an entry
+    /// whose predicate accepts or rejects on its first position pays
+    /// exactly one position decode, not `tf`.
     fn decode_next_position(&mut self) -> Option<Position> {
-        if self.pos_at >= self.pos_end {
+        let pos = &mut self.extra;
+        if pos.at >= pos.end {
             return None;
         }
-        let data: &[u8] = self.list.data;
-        let mut at = self.pos_at;
+        let data: &[u8] = self.data;
+        let mut at = pos.at;
         let a = varint::get_u32(data, &mut at).expect("well-formed positions");
         let b = varint::get_u32(data, &mut at).expect("well-formed positions");
         let c = varint::get_u32(data, &mut at).expect("well-formed positions");
@@ -1358,14 +724,14 @@ impl<'a> BlockCursor<'a> {
             }
         } else {
             Position {
-                offset: self.pos_prev.offset + a + 1,
-                sentence: self.pos_prev.sentence + b,
-                paragraph: self.pos_prev.paragraph + c,
+                offset: pos.prev.offset + a + 1,
+                sentence: pos.prev.sentence + b,
+                paragraph: pos.prev.paragraph + c,
             }
         };
-        debug_assert!(at <= self.pos_end, "positions overran their payload");
-        self.pos_at = at;
-        self.pos_prev = p;
+        debug_assert!(at <= pos.end, "positions overran their payload");
+        pos.at = at;
+        pos.prev = p;
         self.scratch.decoded.push(p);
         self.counters.positions_decoded += 1;
         Some(p)
@@ -1380,7 +746,7 @@ impl<'a> BlockCursor<'a> {
     /// first demand per entry; and the incremental accessors below decode
     /// single positions — only this whole-slice accessor pays for the full
     /// payload. Work is recorded per materialized position in
-    /// [`AccessCounters::positions_decoded`].
+    /// [`crate::AccessCounters::positions_decoded`].
     ///
     /// # Panics
     /// Panics if called before the first successful [`Self::next_entry`].
@@ -1394,10 +760,10 @@ impl<'a> BlockCursor<'a> {
     /// materializing only as much of the payload as the index requires.
     pub fn position(&mut self) -> Option<Position> {
         self.ensure_positions();
-        while self.scratch.decoded.len() <= self.pos_idx {
+        while self.scratch.decoded.len() <= self.extra.idx {
             self.decode_next_position()?;
         }
-        Some(self.scratch.decoded[self.pos_idx])
+        Some(self.scratch.decoded[self.extra.idx])
     }
 
     /// Advance the position sub-cursor to the first position with
@@ -1405,7 +771,7 @@ impl<'a> BlockCursor<'a> {
     /// only as far as the search actually looks.
     pub fn advance_position(&mut self, min_offset: u32) -> Option<Position> {
         self.ensure_positions();
-        let start = self.pos_idx;
+        let start = self.extra.idx;
         let mut i = start;
         let hit = loop {
             let p = if i < self.scratch.decoded.len() {
@@ -1420,24 +786,9 @@ impl<'a> BlockCursor<'a> {
             }
             i += 1;
         };
-        self.pos_idx = i;
+        self.extra.idx = i;
         self.counters.positions += (i - start) as u64;
         hit
-    }
-
-    /// Access counters accumulated by this cursor, including the entry
-    /// run currently in flight.
-    pub fn counters(&self) -> AccessCounters {
-        let mut c = self.counters;
-        if self.idx < self.count {
-            c.entries += (self.idx + 1 - self.run_start) as u64;
-        }
-        c
-    }
-
-    /// True if all entries have been consumed.
-    pub fn exhausted(&self) -> bool {
-        self.done
     }
 }
 

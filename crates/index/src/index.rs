@@ -28,7 +28,8 @@ pub struct MemoryFootprint {
     /// rather than packed entry data — the cost of being able to skip.
     pub block_headers: usize,
     /// Bytes of the reusable decoded-block scratch buffer **each open
-    /// [`crate::block::BlockCursor`] holds** (the v5 batch-decode columns).
+    /// list cursor holds** ([`crate::block::BlockCursor`] and
+    /// [`crate::pair::PairCursor`] alike: the v5 batch-decode columns).
     /// Per cursor, not per index: a query touching `t` token lists keeps
     /// `t` of these alive while it runs, so serving cost scales with
     /// concurrent cursors, not with corpus size.

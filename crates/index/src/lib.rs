@@ -15,6 +15,13 @@
 //! (Figure 3) and skip-layout wins can both be validated with
 //! machine-independent counters ([`AccessCounters`]).
 //!
+//! The word-pair lists of the [`pair`] index keep the same contract: a
+//! [`PairCursor`] is the same walk ([`ListCursor`], generic over the block
+//! header) with a gap in place of a posting's term frequency and
+//! positions, over blocks of the same codec. One `next_entry` / `seek` /
+//! `skip_block`, one pair of header probes for block-max pruning, and one
+//! counting rule serve both kinds of list.
+//!
 //! Physically, every list exists in exactly one form: the block-compressed
 //! [`block::BlockList`] (bit-packed frame-of-reference blocks of
 //! [`block::BLOCK_ENTRIES`] entries — see [`bitpack`] — headed by an
@@ -42,6 +49,8 @@ pub mod bitpack;
 pub mod block;
 pub mod builder;
 pub mod counters;
+pub mod cursor;
+mod frame;
 pub mod index;
 pub mod live;
 mod local;
@@ -57,6 +66,7 @@ pub mod varint;
 pub use block::{scratch_pool_stats, BlockCursor, BlockList, PostingArena, ScratchPoolStats};
 pub use builder::IndexBuilder;
 pub use counters::AccessCounters;
+pub use cursor::{BlockHeader, ListCursor};
 pub use index::{IndexLayout, InvertedIndex, MemoryFootprint};
 pub use live::{LiveConfig, LiveIndex, SegmentReport, Snapshot, SnapshotSegment};
 pub use pair::{PairConfig, PairCursor, PairIndex, PairList, PairLookup};

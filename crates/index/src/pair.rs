@@ -14,12 +14,13 @@
 //!
 //! ## Frequency cutoff
 //!
-//! Only pairs whose *cheaper* term is frequent enough get indexed: a pair
-//! `(a, b)` is stored iff `df(a) ≥ cutoff` **and** `df(b) ≥ cutoff`
-//! ([`PairConfig::df_cutoff`]). Rare pairs are exactly the ones the
-//! position-intersection path already handles cheaply (the intersection is
-//! driven by the rarer list), so skipping them keeps the auxiliary
-//! structure small where it buys nothing. The resulting lookup is
+//! Only pairs of two frequent tokens get indexed: a pair `(a, b)` is
+//! stored iff `df(a) ≥ cutoff` **and** `df(b) ≥ cutoff`
+//! ([`PairConfig::df_cutoff`]), i.e. iff even its rarer token is
+//! frequent. Rare pairs are exactly the ones the position-intersection
+//! path already handles cheaply (the intersection is driven by the rarer
+//! list), so skipping them keeps the auxiliary structure small where it
+//! buys nothing. The resulting lookup is
 //! tri-state ([`PairLookup`]): a key over two frequent tokens that is
 //! *absent* proves the answer empty (no fallback needed), while a key
 //! touching an infrequent token is simply **not covered** and the caller
@@ -42,16 +43,19 @@
 //!   monotone *decreasing* in the gap, `min_gap` is the block-max score
 //!   bound, and a query bounded by `g` can skip whole blocks whose
 //!   `min_gap` exceeds `g` without decoding an entry;
-//! * `data`, one byte stream holding every block of two or more entries as
-//!   a 6-byte prefix (`base:u32-le id_width:u8 gap_width:u8`) followed by
-//!   two exception-free frame-of-reference columns — node-id deltas
-//!   (lane 0 = 0, lane *i* = `id[i] − id[i−1] − 1`) and `gap − 1` (gaps are
-//!   ≥ 1 by construction);
+//! * `data`, one byte stream holding every block of two or more entries in
+//!   the block codec the posting lists use (`frame.rs`) with one value
+//!   column: a 6-byte prefix (`base:u32-le id_width:u8 gap_width:u8`)
+//!   followed by two exception-free frame-of-reference columns — node-id
+//!   deltas (lane 0 = 0, lane *i* = `id[i] − id[i−1] − 1`) and `gap − 1`
+//!   (gaps are ≥ 1 by construction);
 //! * the coverage bitmap.
 //!
 //! A block of **one** entry stores no bytes: its header's `max_node` and
 //! `min_gap` already are the entry. Most keys are lists of one document,
-//! so most keys cost one key word, one block index and one header.
+//! so most keys cost one key word, one block index and one header. A
+//! [`PairCursor`] is the posting lists' skip-list walk
+//! ([`crate::cursor`]) over these headers, plus each entry's gap.
 //!
 //! [`PairIndex::build`] sorts nothing. A generation-stamped hash table keeps
 //! each document's minimum gap per covered key, and the postings, packed
@@ -74,15 +78,13 @@
 use crate::bitpack;
 use crate::block::{BlockList, BLOCK_ENTRIES};
 use crate::counters::AccessCounters;
+use crate::cursor::{BlockHeader, ListCursor};
+use crate::frame;
 use crate::local::LocalTokens;
 use ftsl_model::{Document, NodeId, TokenId};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
-
-/// Fixed per-block stream overhead: the absolute base node id (4 bytes)
-/// plus the two frame widths (1 byte each).
-pub(crate) const PAIR_PREFIX_BYTES: usize = 6;
 
 /// Default co-occurrence window: forward gaps up to this many offsets are
 /// indexed. 16 covers adjacency (phrase), every `distance(_, _, d)` with
@@ -144,40 +146,20 @@ pub struct PairBlock {
 
 /// Pack one block of `(node, gap)` entries — at most
 /// [`BLOCK_ENTRIES`], node ids strictly increasing, every gap ≥ 1 — onto
-/// `out`: the 6-byte prefix, then the id-delta and `gap − 1` frames.
+/// `out` through the block codec: the id-delta and `gap − 1` columns.
 /// Returns the block's minimum gap. The arena and the persisted per-list
 /// encoding share this, so a block of two or more entries has the same
 /// bytes in both.
 pub(crate) fn pack_block(chunk: &[(u32, u32)], out: &mut Vec<u8>) -> u32 {
-    let count = chunk.len();
-    let mut frame = [0u32; bitpack::LANES];
-    // Column 1: id deltas (lane 0 is 0 — the base is absolute).
-    let mut max_delta = 0u32;
-    for (lane, pair) in frame[1..count].iter_mut().zip(chunk.windows(2)) {
-        let d = pair[1].0 - pair[0].0 - 1;
-        *lane = d;
-        max_delta = max_delta.max(d);
+    let mut ids = [0u32; BLOCK_ENTRIES];
+    let mut gaps = [0u32; BLOCK_ENTRIES];
+    for ((id, gap), &(node, g)) in ids.iter_mut().zip(&mut gaps).zip(chunk) {
+        debug_assert!(g >= 1, "pair gaps are forward distances ≥ 1");
+        (*id, *gap) = (node, g);
     }
-    let id_width = bitpack::width_for(max_delta);
-
-    // Column 2: gap − 1 (every stored gap is ≥ 1).
-    let mut min_gap = u32::MAX;
-    let mut max_gm1 = 0u32;
-    for &(_, gap) in chunk {
-        debug_assert!(gap >= 1, "pair gaps are forward distances ≥ 1");
-        min_gap = min_gap.min(gap);
-        max_gm1 = max_gm1.max(gap - 1);
-    }
-    let gap_width = bitpack::width_for(max_gm1);
-
-    out.extend_from_slice(&chunk[0].0.to_le_bytes());
-    out.extend_from_slice(&[id_width, gap_width]);
-    bitpack::pack(&frame, count, id_width, out);
-    for (lane, &(_, gap)) in frame.iter_mut().zip(chunk) {
-        *lane = gap - 1;
-    }
-    bitpack::pack(&frame, count, gap_width, out);
-    min_gap
+    let (ids, gaps) = (&ids[..chunk.len()], &gaps[..chunk.len()]);
+    frame::pack(ids, &[gaps], PairBlock::BIASES, out);
+    gaps.iter().copied().min().expect("non-empty block")
 }
 
 /// One key's pair posting list: a borrowed view of its block headers and
@@ -234,24 +216,37 @@ impl<'a> PairList<'a> {
     /// Open a seeking, block-at-a-time cursor.
     #[inline]
     pub fn cursor(self) -> PairCursor<'a> {
-        PairCursor {
-            entries: self.num_entries() as u32,
-            list: self,
-            ids: [0; BLOCK_ENTRIES],
-            gaps: [0; BLOCK_ENTRIES],
-            idx: usize::MAX,
-            count: 0,
-            first: 0,
-            block: usize::MAX,
-            started: false,
-            done: false,
-            counters: AccessCounters::new(),
-        }
+        ListCursor::new(self.blocks, self.data, self.num_entries() as u32)
+    }
+}
+
+impl BlockHeader for PairBlock {
+    /// `gap − 1`.
+    const BIASES: &'static [u32] = &[1];
+    const PAIR: bool = true;
+    type Extra = ();
+
+    #[inline]
+    fn max_node(&self) -> NodeId {
+        self.max_node
+    }
+
+    #[inline]
+    fn byte_start(&self) -> usize {
+        self.byte_start as usize
+    }
+
+    /// A block of one entry stores no bytes: its header's `max_node` and
+    /// `min_gap` are the entry.
+    #[inline]
+    fn header_only(&self, count: usize) -> Option<u32> {
+        (count == 1).then_some(self.min_gap)
     }
 }
 
 /// A forward-only, skip-aware cursor over a [`PairList`], decoding one
-/// whole block (both columns) at a time.
+/// whole block at a time: the one [`ListCursor`] walk plus each entry's
+/// gap.
 ///
 /// Counter semantics follow the established contract: consumed entries
 /// count in [`AccessCounters::entries`] *and* in
@@ -259,233 +254,17 @@ impl<'a> PairList<'a> {
 /// intersection work while remaining attributable), bypassed entries in
 /// [`AccessCounters::skipped`], and whole-block jumps in
 /// [`AccessCounters::blocks_skipped`].
-#[derive(Clone, Debug)]
-pub struct PairCursor<'a> {
-    list: PairList<'a>,
-    /// The list's length.
-    entries: u32,
-    ids: [u32; BLOCK_ENTRIES],
-    gaps: [u32; BLOCK_ENTRIES],
-    /// Index of the current entry within the resident block; `usize::MAX`
-    /// when not positioned.
-    idx: usize,
-    /// Entries in the resident block (0 when none is decoded).
-    count: usize,
-    /// List-relative index of the resident block's first entry.
-    first: u32,
-    /// Index of the resident block; `usize::MAX` when none is decoded.
-    block: usize,
-    started: bool,
-    done: bool,
-    counters: AccessCounters,
-}
+pub type PairCursor<'a> = ListCursor<'a, PairBlock>;
 
-impl<'a> PairCursor<'a> {
-    /// List-relative index of the next entry to consume.
-    fn global_next(&self) -> u32 {
-        if self.done {
-            self.entries
-        } else if self.idx < self.count {
-            self.first + self.idx as u32 + 1
-        } else {
-            0
-        }
-    }
-
-    /// Batch-decode both columns of `block`; a one-entry block is its
-    /// header.
-    #[cold]
-    fn unpack_block(&mut self, block: usize) {
-        let meta = self.list.blocks[block];
-        let first = block * BLOCK_ENTRIES;
-        // Never more than a block; saying so lets the compiler keep the
-        // running id below in a register, free of bounds checks.
-        let count = (meta.end as usize - first).min(BLOCK_ENTRIES);
-        if count == 1 {
-            self.ids[0] = meta.max_node.0;
-            self.gaps[0] = meta.min_gap;
-        } else {
-            let data = self.list.data;
-            let mut at = meta.byte_start as usize;
-            let base = u32::from_le_bytes([data[at], data[at + 1], data[at + 2], data[at + 3]]);
-            let (id_width, gap_width) = (data[at + 4], data[at + 5]);
-            at += PAIR_PREFIX_BYTES;
-            at += bitpack::unpack(&data[at..], id_width, count, &mut self.ids);
-            bitpack::unpack(&data[at..], gap_width, count, &mut self.gaps);
-            self.ids[0] = base;
-            for i in 1..count {
-                self.ids[i] = self.ids[i].wrapping_add(self.ids[i - 1]).wrapping_add(1);
-            }
-            for gap in self.gaps[..count].iter_mut() {
-                *gap = gap.wrapping_add(1); // stored as gap − 1
-            }
-        }
-        self.block = block;
-        self.count = count;
-        self.first = first as u32;
-    }
-
-    fn ensure_decoded(&mut self, block: usize) {
-        if self.block != block {
-            self.unpack_block(block);
-        }
-    }
-
-    /// Position on list entry `global` (callers guarantee it exists).
-    fn land(&mut self, global: u32) -> NodeId {
-        self.ensure_decoded(global as usize / BLOCK_ENTRIES);
-        self.idx = global as usize % BLOCK_ENTRIES;
-        self.started = true;
-        self.counters.entries += 1;
-        self.counters.pair_entries += 1;
-        NodeId(self.ids[self.idx])
-    }
-
-    fn mark_done(&mut self) {
-        self.done = true;
-        self.started = true;
-        self.idx = usize::MAX;
-        self.count = 0;
-    }
-
-    /// Consume the next entry and return its node id.
-    #[inline]
-    pub fn next_entry(&mut self) -> Option<NodeId> {
-        let global = self.global_next();
-        if global >= self.entries {
-            if !self.done {
-                self.mark_done();
-            }
-            return None;
-        }
-        Some(self.land(global))
-    }
-
-    /// Advance to the first entry with node id ≥ `target`, skipping whole
-    /// blocks via the headers and binary-searching the landing block.
-    /// Stays put if the current entry already satisfies the bound.
-    pub fn seek(&mut self, target: NodeId) -> Option<NodeId> {
-        if let Some(cur) = self.node() {
-            if cur >= target {
-                return Some(cur);
-            }
-        }
-        let from = self.global_next();
-        if from >= self.entries {
-            if !self.done {
-                self.mark_done();
-            }
-            return None;
-        }
-        let blocks = self.list.blocks;
-        let cur_block = from as usize / BLOCK_ENTRIES;
-        let rel = blocks[cur_block..].partition_point(|b| b.max_node < target);
-        let target_block = cur_block + rel;
-        if target_block >= blocks.len() {
-            self.counters.skipped += u64::from(self.entries - from);
-            self.counters.blocks_skipped += blocks
-                .len()
-                .saturating_sub((from as usize).div_ceil(BLOCK_ENTRIES))
-                as u64;
-            self.mark_done();
-            return None;
-        }
-        let first = (target_block * BLOCK_ENTRIES) as u32;
-        let mut from = from;
-        if first > from {
-            self.counters.skipped += u64::from(first - from);
-            self.counters.blocks_skipped +=
-                (target_block - (from as usize).div_ceil(BLOCK_ENTRIES)) as u64;
-            from = first;
-        }
-        self.ensure_decoded(target_block);
-        let lo = (from - first) as usize;
-        let within = self.ids[lo..self.count].partition_point(|&id| id < target.0);
-        self.counters.skipped += within as u64;
-        Some(self.land(first + (lo + within) as u32))
-    }
-
-    /// The node id of the current entry.
-    #[inline]
-    pub fn node(&self) -> Option<NodeId> {
-        if self.idx < self.count {
-            Some(NodeId(self.ids[self.idx]))
-        } else {
-            None
-        }
-    }
-
-    /// Minimum forward gap of the current entry.
+impl ListCursor<'_, PairBlock> {
+    /// Minimum forward gap of the current entry, read from the gap column
+    /// (decoded for the whole block on the first request).
     ///
     /// # Panics
     /// Panics if the cursor is not positioned on an entry.
     #[inline]
-    pub fn gap(&self) -> u32 {
-        assert!(self.idx < self.count, "cursor not positioned on an entry");
-        self.gaps[self.idx]
-    }
-
-    /// Index of the block the cursor is parked in (the next block to
-    /// decode when the cursor has not started); `None` once exhausted.
-    fn current_block(&self) -> Option<usize> {
-        if self.idx < self.count {
-            Some(self.block)
-        } else if !self.started && !self.list.blocks.is_empty() {
-            Some(0)
-        } else {
-            None
-        }
-    }
-
-    /// Smallest gap in the current block — the block-max proximity bound;
-    /// `u32::MAX` when exhausted (nothing left to bound).
-    pub fn block_min_gap(&self) -> u32 {
-        self.current_block()
-            .map_or(u32::MAX, |b| self.list.blocks[b].min_gap)
-    }
-
-    /// Smallest gap of the block that would contain the first remaining
-    /// entry with node id ≥ `target` — a pure header probe. `None` when no
-    /// remaining entry can reach `target`.
-    pub fn peek_min_gap_at(&self, target: NodeId) -> Option<u32> {
-        if let Some(cur) = self.node() {
-            if cur >= target {
-                return self.current_block().map(|b| self.list.blocks[b].min_gap);
-            }
-        }
-        let from = self.current_block()?;
-        let rel = self.list.blocks[from..].partition_point(|b| b.max_node < target);
-        self.list.blocks.get(from + rel).map(|b| b.min_gap)
-    }
-
-    /// Jump past the current block without consuming its remaining entries
-    /// and land on the first entry of the next one.
-    pub fn skip_block(&mut self) -> Option<NodeId> {
-        let block = self.current_block()?;
-        let next = block + 1;
-        let from = self.global_next();
-        if next >= self.list.blocks.len() {
-            let remaining = u64::from(self.entries - from);
-            self.counters.skipped += remaining;
-            self.counters.blocks_skipped += u64::from(remaining > 0);
-            self.mark_done();
-            return None;
-        }
-        let first = (next * BLOCK_ENTRIES) as u32;
-        let remaining = u64::from(first - from);
-        self.counters.skipped += remaining;
-        self.counters.blocks_skipped += u64::from(remaining > 0);
-        Some(self.land(first))
-    }
-
-    /// True once every entry has been consumed or skipped.
-    pub fn exhausted(&self) -> bool {
-        self.done
-    }
-
-    /// Access counters accumulated by this cursor.
-    pub fn counters(&self) -> AccessCounters {
-        self.counters
+    pub fn gap(&mut self) -> u32 {
+        self.value()
     }
 }
 
@@ -1388,11 +1167,12 @@ mod tests {
         let index = arena_of(&entries);
         let list = list_of(&index);
 
+        let min_gap = |header: Option<PairBlock>| header.map(|h| h.min_gap);
         let mut cur = list.cursor();
-        assert_eq!(cur.peek_min_gap_at(NodeId(500)), Some(2));
+        assert_eq!(min_gap(cur.peek_header_at(NodeId(500))), Some(2));
         assert_eq!(cur.seek(NodeId(500)), Some(NodeId(1000)));
         assert_eq!(cur.gap(), 2);
-        assert_eq!(cur.block_min_gap(), 2);
+        assert_eq!(min_gap(cur.block_header()), Some(2));
         let c = cur.counters();
         assert_eq!((c.entries, c.skipped, c.blocks_skipped), (1, 128, 1));
         assert_eq!(cur.next_entry(), None);
@@ -1400,7 +1180,7 @@ mod tests {
 
         let mut cur = list.cursor();
         assert_eq!(cur.next_entry(), Some(NodeId(0)));
-        assert_eq!(cur.block_min_gap(), 5);
+        assert_eq!(min_gap(cur.block_header()), Some(5));
         assert_eq!(cur.skip_block(), Some(NodeId(1000)));
         assert_eq!(cur.gap(), 2);
         assert_eq!(cur.counters().skipped, 127);
@@ -1410,7 +1190,7 @@ mod tests {
         // Seeking within the packed block, then stepping into the tail.
         let mut cur = list.cursor();
         assert_eq!(cur.seek(NodeId(127)), Some(NodeId(127)));
-        assert_eq!(cur.peek_min_gap_at(NodeId(1000)), Some(2));
+        assert_eq!(min_gap(cur.peek_header_at(NodeId(1000))), Some(2));
         assert_eq!(cur.next_entry(), Some(NodeId(1000)));
         assert_eq!(cur.seek(NodeId(1001)), None);
     }
@@ -1440,13 +1220,14 @@ mod tests {
             .collect();
         let index = arena_of(&entries);
         let mut cur = list_of(&index).cursor();
+        let min_gap = |header: Option<PairBlock>| header.map(|h| h.min_gap);
         cur.next_entry();
-        assert_eq!(cur.block_min_gap(), 5);
-        assert_eq!(cur.peek_min_gap_at(NodeId(290)), Some(1));
+        assert_eq!(min_gap(cur.block_header()), Some(5));
+        assert_eq!(min_gap(cur.peek_header_at(NodeId(290))), Some(1));
         // Skip to the third block: min gap drops to 1.
         cur.skip_block();
         cur.skip_block();
-        assert_eq!(cur.block_min_gap(), 1);
+        assert_eq!(min_gap(cur.block_header()), Some(1));
         assert!(cur.counters().blocks_skipped >= 2);
     }
 

@@ -1,8 +1,11 @@
 //! Binary persistence for inverted indexes.
 //!
-//! A small hand-rolled little-endian codec over `bytes::{Buf, BufMut}` (no
-//! serde *format* crate is available offline; the serde derives on the data
-//! types remain useful for other tooling).
+//! A small hand-rolled little-endian codec over `bytes::{Buf, BufMut}`. No
+//! serde *format* crate is available offline, and the `serde` the
+//! workspace builds against is a vendored stand-in (`vendor/serde`) whose
+//! derives expand to empty marker impls: the `Serialize` / `Deserialize`
+//! derives on the data types serialize nothing, so this module is the one
+//! persisted form.
 //!
 //! ## Format versioning
 //!
@@ -76,10 +79,11 @@
 //!   data_len:u32  data:[u8]          (pair block encoding, see FORMAT.md)
 //! ```
 
-use crate::bitpack;
 use crate::block::{BlockList, BlockMeta, PostingArenaWriter, BLOCK_ENTRIES};
+use crate::cursor::BlockHeader;
+use crate::frame;
 use crate::index::InvertedIndex;
-use crate::pair::{pack_block, PairArenaWriter, PairConfig, PairIndex, PAIR_PREFIX_BYTES};
+use crate::pair::{pack_block, PairArenaWriter, PairBlock, PairConfig, PairIndex};
 use crate::stats::IndexStats;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ftsl_model::NodeId;
@@ -242,87 +246,40 @@ impl StoredPairList {
         }
     }
 
-    /// Decode every entry of *untrusted* bytes (the persisted load path):
-    /// every width, frame, count, ordering, and padding invariant is
-    /// checked — including that gaps stay within `1..=window` and that
-    /// each header's `max_node`/`min_gap` agree with the entries — so each
-    /// list has exactly one canonical encoding. Any violation returns `Err`
-    /// with a description instead of panicking.
+    /// Decode every entry of *untrusted* bytes (the persisted load path).
+    /// The block codec checks every width, frame, count, ordering and
+    /// padding invariant, so each list has exactly one canonical encoding;
+    /// this adds the pair list's own rules: every gap lies in
+    /// `1..=window`, and each header's `min_gap` is its block's smallest
+    /// gap. Any violation returns `Err` with a description instead of
+    /// panicking.
     fn try_to_entries(&self, window: u32) -> Result<Vec<(u32, u32)>, &'static str> {
-        let entries = self.entries as usize;
-        if self.metas.len() != entries.div_ceil(BLOCK_ENTRIES) {
-            return Err("pair block count disagrees with entry count");
-        }
+        // A corrupt entry count must not size the buffer: the headers,
+        // which the image's bytes bounded, do.
+        let entries = (self.entries as usize).min(self.metas.len() * BLOCK_ENTRIES);
         let mut out = Vec::with_capacity(entries);
-        let mut at = 0usize;
-        let mut prev_node: Option<u32> = None;
-        let mut ids = [0u32; bitpack::LANES];
-        let mut gaps = [0u32; bitpack::LANES];
-        for (b, meta) in self.metas.iter().enumerate() {
-            let count = BLOCK_ENTRIES.min(entries - b * BLOCK_ENTRIES);
-            if meta.byte_start as usize != at || meta.first_entry as usize != b * BLOCK_ENTRIES {
-                return Err("pair block header disagrees with entry stream");
-            }
-            if self.data.len() - at < PAIR_PREFIX_BYTES {
-                return Err("truncated pair block prefix");
-            }
-            let base = u32::from_le_bytes([
-                self.data[at],
-                self.data[at + 1],
-                self.data[at + 2],
-                self.data[at + 3],
-            ]);
-            let id_width = self.data[at + 4];
-            let gap_width = self.data[at + 5];
-            at += PAIR_PREFIX_BYTES;
-            if id_width > 32 || gap_width > 32 {
-                return Err("pair frame width exceeds 32 bits");
-            }
-            let frames =
-                bitpack::packed_bytes(id_width, count) + bitpack::packed_bytes(gap_width, count);
-            if self.data.len() - at < frames {
-                return Err("truncated pair block frames");
-            }
-            at += bitpack::unpack(&self.data[at..], id_width, count, &mut ids);
-            at += bitpack::unpack(&self.data[at..], gap_width, count, &mut gaps);
-            if ids[0] != 0 {
-                return Err("first pair id-delta lane not zero");
-            }
-            for lane in count..BLOCK_ENTRIES {
-                if ids[lane] != 0 || gaps[lane] != 0 {
-                    return Err("non-zero pair padding lane");
-                }
-            }
-            if prev_node.is_some_and(|p| base <= p) {
-                return Err("pair node ids not strictly increasing");
-            }
-            ids[0] = base;
-            for i in 1..count {
-                ids[i] = ids[i - 1]
-                    .checked_add(ids[i])
-                    .and_then(|n| n.checked_add(1))
-                    .ok_or("pair node overflow")?;
-            }
-            prev_node = Some(ids[count - 1]);
-            if ids[count - 1] != meta.max_node {
-                return Err("pair block max node disagrees with entries");
-            }
-            let mut block_min = u32::MAX;
-            for i in 0..count {
-                let gap = gaps[i].checked_add(1).ok_or("pair gap overflow")?;
-                if gap > window {
+        let skips = self.metas.iter().map(|m| frame::Skip {
+            max_node: m.max_node,
+            byte_start: m.byte_start,
+            first_entry: m.first_entry,
+        });
+        frame::check_list(
+            &self.data,
+            self.entries as usize,
+            skips,
+            PairBlock::BIASES,
+            |b, block| {
+                let (ids, gaps) = (&block.ids[..block.count], &block.values[0][..block.count]);
+                if !gaps.iter().all(|gap| (1..=window).contains(gap)) {
                     return Err("pair gap exceeds the index window");
                 }
-                block_min = block_min.min(gap);
-                out.push((ids[i], gap));
-            }
-            if block_min != meta.min_gap {
-                return Err("pair block min_gap disagrees with entries");
-            }
-        }
-        if at != self.data.len() {
-            return Err("trailing bytes after last pair block");
-        }
+                if gaps.iter().min() != Some(&self.metas[b].min_gap) {
+                    return Err("pair block min_gap disagrees with entries");
+                }
+                out.extend(ids.iter().copied().zip(gaps.iter().copied()));
+                Ok(())
+            },
+        )?;
         Ok(out)
     }
 }
@@ -772,6 +729,206 @@ mod tests {
         assert!(bad.try_to_entries(16).is_err());
         // Gaps past the declared window are rejected.
         assert!(list.try_to_entries(2).is_err());
+    }
+
+    /// One stored list of either kind as its image record holds it.
+    #[derive(Clone)]
+    struct Stored {
+        entries: u32,
+        /// `max_node byte_start first_entry max_tf|min_gap` per block.
+        headers: Vec<[u32; 4]>,
+        data: Vec<u8>,
+        /// Value columns per block: 2 for a posting list, 1 for a pair list.
+        columns: usize,
+    }
+
+    impl Stored {
+        /// Where block `b` starts, and where its frames start.
+        fn block_at(&self, b: usize) -> (usize, usize) {
+            let start = self.headers[b][1] as usize;
+            (start, start + 5 + self.columns)
+        }
+
+        /// Overwrite block `b`'s base id.
+        fn set_base(&mut self, b: usize, base: u32) {
+            let (start, _) = self.block_at(b);
+            self.data[start..start + 4].copy_from_slice(&base.to_le_bytes());
+        }
+
+        /// Re-pack the last block with its first stored value `u32::MAX`,
+        /// keeping its ids, its other values and its payload.
+        fn overflow_first_value(&mut self) {
+            let (start, _) = self.block_at(self.headers.len() - 1);
+            let count = self.entries as usize % BLOCK_ENTRIES;
+            let mut ids = [0; BLOCK_ENTRIES];
+            let frames = frame::unpack_ids(&self.data, start, self.columns, count, &mut ids);
+            let mut columns = vec![[0; BLOCK_ENTRIES]; self.columns];
+            for (c, column) in columns.iter_mut().enumerate() {
+                frame::unpack_column(&self.data, &frames, c, count, 0, column);
+            }
+            columns[0][0] = u32::MAX;
+            let payload = self.data.split_off(frames.end);
+            self.data.truncate(start);
+            let stored: Vec<&[u32]> = columns.iter().map(|c| &c[..count]).collect();
+            let unbiased = vec![0; self.columns];
+            frame::pack(&ids[..count], &stored, &unbiased, &mut self.data);
+            self.data.extend_from_slice(&payload);
+        }
+    }
+
+    /// A 130-entry posting list (ids `3i + 1`, one position each): two
+    /// blocks, the second of two entries.
+    fn stored_posting_list() -> Stored {
+        let list = crate::postings::PostingList::from_entries(
+            (0..130)
+                .map(|i| (NodeId(3 * i + 1), vec![ftsl_model::Position::flat(i)]))
+                .collect(),
+        );
+        let arena = crate::block::PostingArena::from_posting(&list);
+        let list = arena.list(0);
+        Stored {
+            entries: 130,
+            headers: list
+                .headers()
+                .iter()
+                .map(|h| [h.max_node.0, h.byte_start, h.first_entry, h.max_tf])
+                .collect(),
+            data: list.bytes().to_vec(),
+            columns: BlockMeta::BIASES.len(),
+        }
+    }
+
+    /// The pair list over the same ids, gaps `1 + i % 3`.
+    fn stored_pair_list() -> Stored {
+        let entries: Vec<(u32, u32)> = (0..130).map(|i| (3 * i + 1, 1 + i % 3)).collect();
+        let mut list = StoredPairList::default();
+        list.fill(&entries);
+        Stored {
+            entries: list.entries,
+            headers: list
+                .metas
+                .iter()
+                .map(|m| [m.max_node, m.byte_start, m.first_entry, m.min_gap])
+                .collect(),
+            data: list.data,
+            columns: PairBlock::BIASES.len(),
+        }
+    }
+
+    /// An image whose one list (its `IL_ANY`, with no token lists) is `s`.
+    fn posting_image(s: &Stored) -> Vec<u8> {
+        let mut raw = Vec::new();
+        for word in [MAGIC, VERSION] {
+            raw.extend_from_slice(&word.to_le_bytes());
+        }
+        raw.extend_from_slice(&[0; 5 * 8]); // stats
+        raw.extend_from_slice(&0u32.to_le_bytes()); // num_token_lists
+        raw.extend_from_slice(&s.entries.to_le_bytes());
+        raw.extend_from_slice(&130u64.to_le_bytes()); // positions
+        raw.extend_from_slice(&(s.headers.len() as u32).to_le_bytes());
+        for word in s.headers.iter().flatten() {
+            raw.extend_from_slice(&word.to_le_bytes());
+        }
+        raw.extend_from_slice(&(s.data.len() as u32).to_le_bytes());
+        raw.extend_from_slice(&s.data);
+        raw.extend_from_slice(&0u32.to_le_bytes()); // num_sections
+        raw
+    }
+
+    fn pair_image(s: &Stored) -> Vec<u8> {
+        let mut words = vec![s.entries, s.headers.len() as u32];
+        words.extend(s.headers.iter().flatten());
+        image_with_one_pair_key(&words, &s.data)
+    }
+
+    /// Each rule of the shared block codec's checked decode, broken alone
+    /// in a stored posting list and a stored pair list: `decode` returns
+    /// `Corrupt` naming it and does not panic. A rule that other tests
+    /// already break through `decode` for a list kind has no row for it
+    /// here: for posting lists the block count (`decode_list`'s own check,
+    /// same message), `byte_start` and `first_entry` (and `max_node`) in
+    /// `corrupt_list_records_are_errors`.
+    #[test]
+    fn each_codec_rule_is_corrupt_for_both_list_kinds() {
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        enum Kind {
+            Posting,
+            Pair,
+        }
+        use Kind::{Pair, Posting};
+        type Corruption = fn(&mut Stored);
+        let rows: [(&str, &[Kind], Corruption); 13] = [
+            ("block count disagrees with entry count", &[Pair], |s| {
+                s.entries += 128
+            }),
+            ("block header disagrees with entry stream", &[Pair], |s| {
+                s.headers[1][1] += 1 // byte_start
+            }),
+            ("block header disagrees with entry stream", &[Pair], |s| {
+                s.headers[1][2] += 1 // first_entry
+            }),
+            ("truncated block prefix", &[Posting, Pair], |s| {
+                let (start, _) = s.block_at(1);
+                s.data.truncate(start + 3)
+            }),
+            ("frame width exceeds 32 bits", &[Posting, Pair], |s| {
+                let (start, _) = s.block_at(1);
+                s.data[start + 4] = 33
+            }),
+            ("truncated block frames", &[Posting, Pair], |s| {
+                let (_, frames) = s.block_at(1);
+                s.data.truncate(frames)
+            }),
+            ("first id-delta lane not zero", &[Posting, Pair], |s| {
+                let (_, frames) = s.block_at(0);
+                s.data[frames] |= 1
+            }),
+            // The last block holds 2 ids at width 2: bit 5 is lane 2's.
+            ("non-zero padding lane", &[Posting, Pair], |s| {
+                let (_, frames) = s.block_at(1);
+                s.data[frames] |= 1 << 5
+            }),
+            ("node ids not strictly increasing", &[Posting, Pair], |s| {
+                s.set_base(1, s.headers[0][0])
+            }),
+            ("node overflow", &[Posting, Pair], |s| {
+                s.set_base(1, u32::MAX - 1)
+            }),
+            ("block max node disagrees with entries", &[Pair], |s| {
+                s.headers[0][0] += 1
+            }),
+            ("stored value overflows", &[Posting, Pair], |s| {
+                s.overflow_first_value()
+            }),
+            ("trailing bytes after last block", &[Posting, Pair], |s| {
+                s.data.push(0)
+            }),
+        ];
+        let kinds = [
+            (
+                Posting,
+                stored_posting_list(),
+                posting_image as fn(&Stored) -> Vec<u8>,
+            ),
+            (Pair, stored_pair_list(), pair_image),
+        ];
+        for (kind, valid, image) in &kinds {
+            assert!(decode(&image(valid)[..]).is_ok(), "{kind:?}");
+        }
+        let mut broken = 0;
+        for (rule, row_kinds, corrupt) in rows {
+            for (kind, valid, image) in kinds.iter().filter(|k| row_kinds.contains(&k.0)) {
+                let mut list = valid.clone();
+                corrupt(&mut list);
+                assert_eq!(
+                    decode(&image(&list)[..]).err(),
+                    Some(PersistError::Corrupt(rule)),
+                    "{kind:?}: {rule}"
+                );
+                broken += 1;
+            }
+        }
+        assert_eq!(broken, 22);
     }
 
     #[test]

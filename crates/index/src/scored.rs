@@ -144,10 +144,9 @@ impl<'a, S: EntryScorer> ScoredBlocks<'a, S> {
     /// Upper bound on the score of any entry in the current block; 0 when
     /// exhausted.
     pub fn max_score_current_block(&self) -> f64 {
-        match self.cur.block_max_tf() {
-            0 => 0.0,
-            tf => self.scorer.bound(tf),
-        }
+        self.cur
+            .block_header()
+            .map_or(0.0, |h| self.scorer.bound(h.max_tf))
     }
 
     /// Upper bound on the score of any entry in the list.
@@ -166,10 +165,9 @@ impl<'a, S: EntryScorer> ScoredBlocks<'a, S> {
                 return 0.0;
             }
         }
-        match self.cur.peek_max_tf_at(target) {
-            Some(tf) => self.scorer.bound(tf),
-            None => 0.0,
-        }
+        self.cur
+            .peek_header_at(target)
+            .map_or(0.0, |h| self.scorer.bound(h.max_tf))
     }
 
     /// Skip the rest of the current block and land on the first live entry
@@ -194,8 +192,9 @@ impl<'a, S: EntryScorer> ScoredBlocks<'a, S> {
 mod tests {
     use super::*;
     use crate::block::{PostingArena, BLOCK_ENTRIES};
+    use crate::builder::IndexBuilder;
     use crate::postings::PostingList;
-    use ftsl_model::Position;
+    use ftsl_model::{Corpus, Position};
 
     /// tf-proportional scores, independent of the node.
     struct TfScorer;
@@ -285,5 +284,39 @@ mod tests {
         let mut cur = ScoredBlocks::new(arena.list(0), TfScorer, None);
         cur.seek(NodeId(300));
         assert_eq!(cur.max_score_at(NodeId(10)), 0.0);
+    }
+
+    #[test]
+    fn next_seek_and_skip_block_step_over_tombstones() {
+        let corpus = Corpus::from_texts(&["x", "x x", "x", "x", "x x x"]);
+        let index = IndexBuilder::new().build(&corpus);
+        let x = corpus.token_id("x").unwrap();
+        let mut deletes = DeleteSet::new(5);
+        deletes.delete(1);
+        deletes.delete(3);
+        deletes.delete(4);
+        let mut cur = ScoredBlocks::new(index.block_list(x), TfScorer, Some(&deletes));
+        assert_eq!(cur.next_entry(), Some(NodeId(0)));
+        assert_eq!(cur.next_entry(), Some(NodeId(2)), "skips tombstoned 1");
+        assert_eq!(cur.next_entry(), None, "4 is tombstoned, list ends");
+        // Seek lands past tombstones too.
+        let mut cur = ScoredBlocks::new(index.block_list(x), TfScorer, Some(&deletes));
+        assert_eq!(cur.seek(NodeId(1)), Some(NodeId(2)));
+        assert_eq!(cur.node(), Some(NodeId(2)));
+        assert_eq!(cur.score(), 1.0);
+
+        // And so does a block skip that lands on a tombstoned block head.
+        let texts = vec!["x"; 2 * BLOCK_ENTRIES + 1];
+        let corpus = Corpus::from_texts(&texts);
+        let index = IndexBuilder::new().build(&corpus);
+        let mut deletes = DeleteSet::new(texts.len());
+        deletes.delete(BLOCK_ENTRIES);
+        deletes.delete(BLOCK_ENTRIES + 1);
+        let mut cur = ScoredBlocks::new(index.block_list(x), TfScorer, Some(&deletes));
+        assert_eq!(cur.next_entry(), Some(NodeId(0)));
+        let live_head = NodeId(BLOCK_ENTRIES as u32 + 2);
+        assert_eq!(cur.skip_block(), Some(live_head));
+        assert_eq!(cur.node(), Some(live_head));
+        assert_eq!(cur.counters().blocks_skipped, 1);
     }
 }

@@ -336,8 +336,6 @@ impl MemSegment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::BLOCK_ENTRIES;
-    use crate::scored::{EntryScorer, ScoredBlocks};
 
     #[test]
     fn delete_set_marks_counts_and_iterates() {
@@ -452,49 +450,5 @@ mod tests {
         assert!(mem.is_empty());
         // The drained-out buffer keeps the vocabulary it grew.
         assert!(mem.corpus().token_id("gamma").is_some());
-    }
-
-    struct One;
-    impl EntryScorer for One {
-        fn score(&self, _node: NodeId, tf: u32) -> f64 {
-            f64::from(tf)
-        }
-        fn bound(&self, max_tf: u32) -> f64 {
-            f64::from(max_tf)
-        }
-    }
-
-    #[test]
-    fn delete_filtered_cursor_steps_over_tombstones() {
-        let corpus = Corpus::from_texts(&["x", "x x", "x", "x", "x x x"]);
-        let index = IndexBuilder::new().build(&corpus);
-        let x = corpus.token_id("x").unwrap();
-        let mut deletes = DeleteSet::new(5);
-        deletes.delete(1);
-        deletes.delete(3);
-        deletes.delete(4);
-        let mut cur = ScoredBlocks::new(index.block_list(x), One, Some(&deletes));
-        assert_eq!(cur.next_entry(), Some(NodeId(0)));
-        assert_eq!(cur.next_entry(), Some(NodeId(2)), "skips tombstoned 1");
-        assert_eq!(cur.next_entry(), None, "4 is tombstoned, list ends");
-        // Seek lands past tombstones too.
-        let mut cur = ScoredBlocks::new(index.block_list(x), One, Some(&deletes));
-        assert_eq!(cur.seek(NodeId(1)), Some(NodeId(2)));
-        assert_eq!(cur.node(), Some(NodeId(2)));
-        assert_eq!(cur.score(), 1.0);
-
-        // And so does a block skip that lands on a tombstoned block head.
-        let texts = vec!["x"; 2 * BLOCK_ENTRIES + 1];
-        let corpus = Corpus::from_texts(&texts);
-        let index = IndexBuilder::new().build(&corpus);
-        let mut deletes = DeleteSet::new(texts.len());
-        deletes.delete(BLOCK_ENTRIES);
-        deletes.delete(BLOCK_ENTRIES + 1);
-        let mut cur = ScoredBlocks::new(index.block_list(x), One, Some(&deletes));
-        assert_eq!(cur.next_entry(), Some(NodeId(0)));
-        let live_head = NodeId(BLOCK_ENTRIES as u32 + 2);
-        assert_eq!(cur.skip_block(), Some(live_head));
-        assert_eq!(cur.node(), Some(live_head));
-        assert_eq!(cur.counters().blocks_skipped, 1);
     }
 }
