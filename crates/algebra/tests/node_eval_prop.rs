@@ -27,6 +27,7 @@ use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::builtin::WindowPred;
 use ftsl_predicates::PredicateRegistry;
 use ftsl_scoring::{ModelScorer, PraModel, ScoreStats, TfIdfModel};
+use ftsl_testkit::prop_cases;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -187,17 +188,8 @@ fn arb_calc(depth: u32, scope: Vec<VarId>) -> BoxedStrategy<QueryExpr> {
     proptest::strategy::Union::new_weighted(opts).boxed()
 }
 
-/// Property-case count: `FTSL_PROPTEST_CASES` raises it for the scheduled
-/// deep-fuzz CI job; the default keeps PR builds quick.
-fn prop_cases() -> u32 {
-    std::env::var("FTSL_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(96)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(prop_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(prop_cases(96)))]
 
     #[test]
     fn node_at_a_time_matches_the_interpreter(

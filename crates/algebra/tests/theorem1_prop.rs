@@ -10,9 +10,10 @@ use ftsl_algebra::to_calculus::query_to_calculus;
 use ftsl_algebra::AlgExpr;
 use ftsl_calculus::ast::{CalcQuery, QueryExpr, VarId};
 use ftsl_calculus::interp::Interpreter;
-use ftsl_model::Corpus;
 use ftsl_predicates::{PredicateId, PredicateRegistry};
+use ftsl_testkit::{arb_corpus, prop_cases};
 use proptest::prelude::*;
+use std::ops::Range;
 
 const TOKENS: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
 
@@ -20,22 +21,9 @@ fn registry() -> PredicateRegistry {
     PredicateRegistry::with_builtins()
 }
 
-fn arb_corpus() -> impl Strategy<Value = Corpus> {
-    proptest::collection::vec(proptest::collection::vec(0..TOKENS.len(), 0..7), 1..6).prop_map(
-        |docs| {
-            let texts: Vec<String> = docs
-                .into_iter()
-                .map(|toks| {
-                    toks.into_iter()
-                        .map(|t| TOKENS[t])
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                })
-                .collect();
-            Corpus::from_texts(&texts)
-        },
-    )
-}
+/// Documents per corpus, and words per document, of [`arb_corpus`].
+const DOCS: Range<usize> = 1..6;
+const WORDS: Range<usize> = 0..7;
 
 /// Predicates usable in random queries: (registry index known a priori),
 /// arity 2 with constants.
@@ -167,22 +155,13 @@ fn arb_alg(depth: u32) -> BoxedStrategy<AlgExpr> {
     .boxed()
 }
 
-/// Property-case count: `FTSL_PROPTEST_CASES` raises it for the scheduled
-/// deep-fuzz CI job; the default keeps PR builds quick.
-fn prop_cases() -> u32 {
-    std::env::var("FTSL_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(96)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(prop_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(prop_cases(96)))]
 
     #[test]
     fn lemma2_calculus_to_algebra_preserves_semantics(
         expr in arb_calc(3, vec![]),
-        corpus in arb_corpus(),
+        corpus in arb_corpus(&TOKENS, DOCS, WORDS),
     ) {
         let reg = registry();
         let index = ftsl_index::IndexBuilder::new().build(&corpus);
@@ -198,7 +177,7 @@ proptest! {
     #[test]
     fn lemma1_algebra_to_calculus_preserves_semantics(
         expr in arb_alg(3),
-        corpus in arb_corpus(),
+        corpus in arb_corpus(&TOKENS, DOCS, WORDS),
     ) {
         let reg = registry();
         let index = ftsl_index::IndexBuilder::new().build(&corpus);

@@ -7,26 +7,15 @@ use ftsl_calculus::interp::Interpreter;
 use ftsl_calculus::CalcQuery;
 use ftsl_model::Corpus;
 use ftsl_predicates::PredicateRegistry;
+use ftsl_testkit::{arb_corpus, prop_cases};
 use proptest::prelude::*;
+use std::ops::Range;
 
 const VOCAB: [&str; 3] = ["a", "b", "c"];
 
-fn arb_corpus() -> impl Strategy<Value = Corpus> {
-    proptest::collection::vec(proptest::collection::vec(0..VOCAB.len(), 0..8), 1..6).prop_map(
-        |docs| {
-            let texts: Vec<String> = docs
-                .into_iter()
-                .map(|toks| {
-                    toks.into_iter()
-                        .map(|t| VOCAB[t])
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                })
-                .collect();
-            Corpus::from_texts(&texts)
-        },
-    )
-}
+/// Documents per corpus, and words per document, of [`arb_corpus`].
+const DOCS: Range<usize> = 1..6;
+const WORDS: Range<usize> = 0..8;
 
 fn arb_expr(depth: u32, scope: Vec<VarId>) -> BoxedStrategy<QueryExpr> {
     let atom: Option<BoxedStrategy<QueryExpr>> = if scope.is_empty() {
@@ -91,20 +80,11 @@ fn not(e: QueryExpr) -> QueryExpr {
     QueryExpr::Not(Box::new(e))
 }
 
-/// Property-case count: `FTSL_PROPTEST_CASES` raises it for the scheduled
-/// deep-fuzz CI job; the default keeps PR builds quick.
-fn prop_cases() -> u32 {
-    std::env::var("FTSL_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(96)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(prop_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(prop_cases(96)))]
 
     #[test]
-    fn double_negation(e in arb_expr(2, vec![]), corpus in arb_corpus()) {
+    fn double_negation(e in arb_expr(2, vec![]), corpus in arb_corpus(&VOCAB, DOCS, WORDS)) {
         prop_assert_eq!(eval(&corpus, e.clone()), eval(&corpus, not(not(e))));
     }
 
@@ -112,7 +92,7 @@ proptest! {
     fn de_morgan_and(
         a in arb_expr(2, vec![]),
         b in arb_expr(2, vec![]),
-        corpus in arb_corpus(),
+        corpus in arb_corpus(&VOCAB, DOCS, WORDS),
     ) {
         let lhs = not(QueryExpr::And(Box::new(a.clone()), Box::new(b.clone())));
         let rhs = QueryExpr::Or(Box::new(not(a)), Box::new(not(b)));
@@ -123,7 +103,7 @@ proptest! {
     fn de_morgan_or(
         a in arb_expr(2, vec![]),
         b in arb_expr(2, vec![]),
-        corpus in arb_corpus(),
+        corpus in arb_corpus(&VOCAB, DOCS, WORDS),
     ) {
         let lhs = not(QueryExpr::Or(Box::new(a.clone()), Box::new(b.clone())));
         let rhs = QueryExpr::And(Box::new(not(a)), Box::new(not(b)));
@@ -131,7 +111,7 @@ proptest! {
     }
 
     #[test]
-    fn quantifier_duality(e in arb_expr(2, vec![VarId(99)]), corpus in arb_corpus()) {
+    fn quantifier_duality(e in arb_expr(2, vec![VarId(99)]), corpus in arb_corpus(&VOCAB, DOCS, WORDS)) {
         // ∀p e  ≡  ¬∃p ¬e (with the paper's hasPos-guarded quantifier shape).
         let v = VarId(99);
         let forall = QueryExpr::Forall(v, Box::new(e.clone()));
@@ -143,7 +123,7 @@ proptest! {
     fn conjunction_is_intersection(
         a in arb_expr(2, vec![]),
         b in arb_expr(2, vec![]),
-        corpus in arb_corpus(),
+        corpus in arb_corpus(&VOCAB, DOCS, WORDS),
     ) {
         let both = eval(&corpus, QueryExpr::And(Box::new(a.clone()), Box::new(b.clone())));
         let ra = eval(&corpus, a);

@@ -10,9 +10,10 @@ use ftsl_calculus::bool_complete::to_bool;
 use ftsl_calculus::interp::Interpreter;
 use ftsl_calculus::normalize::normalize;
 use ftsl_calculus::CalcQuery;
-use ftsl_model::Corpus;
 use ftsl_predicates::PredicateRegistry;
+use ftsl_testkit::{arb_corpus, prop_cases};
 use proptest::prelude::*;
+use std::ops::Range;
 
 const ALPHABET: [&str; 3] = ["a", "b", "c"];
 
@@ -84,39 +85,17 @@ fn arb_expr(depth: u32, scope: Vec<VarId>) -> BoxedStrategy<QueryExpr> {
     proptest::strategy::Union::new(options).boxed()
 }
 
-fn arb_corpus() -> impl Strategy<Value = Corpus> {
-    proptest::collection::vec(proptest::collection::vec(0..ALPHABET.len(), 0..6), 1..6).prop_map(
-        |docs| {
-            let texts: Vec<String> = docs
-                .into_iter()
-                .map(|toks| {
-                    toks.into_iter()
-                        .map(|t| ALPHABET[t])
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                })
-                .collect();
-            Corpus::from_texts(&texts)
-        },
-    )
-}
-
-/// Property-case count: `FTSL_PROPTEST_CASES` raises it for the scheduled
-/// deep-fuzz CI job; the default keeps PR builds quick.
-fn prop_cases() -> u32 {
-    std::env::var("FTSL_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(128)
-}
+/// Documents per corpus, and words per document, of [`arb_corpus`].
+const DOCS: Range<usize> = 1..6;
+const WORDS: Range<usize> = 0..6;
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(prop_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(prop_cases(128)))]
 
     #[test]
     fn theorem4_bool_translation_is_equivalent(
         expr in arb_expr(3, vec![]),
-        corpus in arb_corpus(),
+        corpus in arb_corpus(&ALPHABET, DOCS, WORDS),
     ) {
         let reg = PredicateRegistry::with_builtins();
         let interp = Interpreter::new(&corpus, &reg);
@@ -135,7 +114,7 @@ proptest! {
     #[test]
     fn global_dnf_preserves_semantics(
         expr in arb_expr(2, vec![]),
-        corpus in arb_corpus(),
+        corpus in arb_corpus(&ALPHABET, DOCS, WORDS),
     ) {
         // Rebuild a Prop from its global DNF and check equivalence through
         // the BOOL translation path.

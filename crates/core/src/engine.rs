@@ -326,11 +326,7 @@ impl Ftsl {
                 let m = stats.pra_model(&tokens, &snapshot);
                 run(&exec, &surface, &stats, &ScoreModel::Pra(&m))
             }
-        };
-        let out = out.map_err(|e| match e {
-            ExecError::Lang(msg) => FtslError::Lang(msg),
-            other => other.into(),
-        })?;
+        }?;
         Ok(Ranked {
             hits: out.hits,
             model,

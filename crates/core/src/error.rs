@@ -32,7 +32,11 @@ impl From<ftsl_lang::LangError> for FtslError {
 }
 
 impl From<ftsl_exec::ExecError> for FtslError {
+    /// A lowering failure is a query error at every entry point.
     fn from(e: ftsl_exec::ExecError) -> Self {
-        FtslError::Exec(e.to_string())
+        match e {
+            ftsl_exec::ExecError::Lang(msg) => FtslError::Lang(msg),
+            other => FtslError::Exec(other.to_string()),
+        }
     }
 }

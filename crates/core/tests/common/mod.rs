@@ -12,15 +12,6 @@ use std::collections::HashMap;
 
 pub const VOCAB: [&str; 6] = ["alpha", "beta", "gamma", "delta", "eps", "zeta"];
 
-/// `FTSL_PROPTEST_CASES`, or `default` (kept small so PR builds stay
-/// quick; the scheduled CI fuzz job raises it).
-pub fn prop_cases(default: u32) -> u32 {
-    std::env::var("FTSL_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// One mutation against the engine.
 #[derive(Clone, Debug)]
 pub enum Op {

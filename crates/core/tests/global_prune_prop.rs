@@ -27,9 +27,7 @@
 
 mod common;
 
-use common::{
-    apply, apply_one, arb_ops, dense_ids, manual_config, prop_cases, survivors, Docs, Op, VOCAB,
-};
+use common::{apply, apply_one, arb_ops, dense_ids, manual_config, survivors, Docs, Op, VOCAB};
 use ftsl_core::{Ftsl, LiveConfig, RankModel};
 use ftsl_exec::scored::flat_disjunction;
 use ftsl_exec::snapshot::{ExecScratch, SnapshotExecutor};
@@ -39,6 +37,7 @@ use ftsl_lang::SurfaceQuery;
 use ftsl_model::NodeId;
 use ftsl_predicates::PredicateRegistry;
 use ftsl_scoring::SnapshotStats;
+use ftsl_testkit::prop_cases;
 use proptest::prelude::*;
 use std::collections::HashMap;
 

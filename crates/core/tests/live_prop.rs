@@ -16,19 +16,19 @@
 
 mod common;
 
-use common::{
-    apply, apply_one, arb_ops, dense_ids, manual_config, prop_cases, render, survivors, Docs,
-};
+use common::{apply, apply_one, arb_ops, dense_ids, manual_config, render, survivors, Docs, VOCAB};
 use ftsl_core::{Ftsl, LiveConfig, RankModel};
 use ftsl_exec::engine::EngineKind;
 use ftsl_exec::snapshot::SnapshotExecutor;
 use ftsl_exec::{ScoreModel, ScoredTopK};
-use ftsl_index::{IndexBuilder, InvertedIndex, PairConfig, Snapshot};
+use ftsl_index::{manifest, IndexBuilder, InvertedIndex, PairConfig, Snapshot};
 use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::PredicateRegistry;
 use ftsl_scoring::{ScoreStats, SnapshotStats};
+use ftsl_testkit::prop_cases;
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The monolithic side: the survivors rebuilt from scratch.
 struct Monolith {
@@ -272,20 +272,18 @@ fn assert_stats_match(engine: &Ftsl, mono: &Monolith, ctx: &str) -> Result<(), (
     let stats = SnapshotStats::compute(&snap);
     let oracle = ScoreStats::compute(&mono.corpus, &mono.index);
     prop_assert_eq!(stats.db_size(), oracle.db_size, "{}: db_size", ctx);
-    if let Some(interner) = snap.widest_interner() {
-        for (id, name) in interner.iter() {
-            let mono_id = mono.corpus.token_id(name);
-            let df = mono_id.map_or(0, |m| oracle.df(m));
-            let idf = mono_id.map_or(0.0, |m| oracle.idf(m));
-            prop_assert_eq!(stats.df_id(id), df, "{}: df({})", ctx, name);
-            prop_assert_eq!(
-                stats.idf_id(id).to_bits(),
-                idf.to_bits(),
-                "{}: idf({})",
-                ctx,
-                name
-            );
-        }
+    for (id, name) in snap.vocabulary().iter() {
+        let mono_id = mono.corpus.token_id(name);
+        let df = mono_id.map_or(0, |m| oracle.df(m));
+        let idf = mono_id.map_or(0.0, |m| oracle.idf(m));
+        prop_assert_eq!(stats.df_id(id), df, "{}: df({})", ctx, name);
+        prop_assert_eq!(
+            stats.idf_id(id).to_bits(),
+            idf.to_bits(),
+            "{}: idf({})",
+            ctx,
+            name
+        );
     }
     // Live nodes, segment by segment, are the rebuild's nodes in order.
     let mut dense = 0u32;
@@ -321,8 +319,50 @@ fn assert_stats_match(engine: &Ftsl, mono: &Monolith, ctx: &str) -> Result<(), (
     Ok(())
 }
 
+/// Every live document's tokens, resolved through the snapshot's one
+/// vocabulary, are the words of its text, in order.
+fn assert_vocabulary_resolves(
+    snap: &Snapshot,
+    survivors: &[(u32, String)],
+    ctx: &str,
+) -> Result<(), ()> {
+    let vocabulary = snap.vocabulary();
+    prop_assert_eq!(snap.live_doc_count(), survivors.len(), "{}: live docs", ctx);
+    for ((node, doc), (global, text)) in snap.live_documents().zip(survivors) {
+        prop_assert_eq!(node.0, *global, "{}: live document order", ctx);
+        let got: Vec<&str> = doc
+            .tokens
+            .iter()
+            .map(|&(t, _)| vocabulary.name(t))
+            .collect();
+        let want: Vec<&str> = text
+            .split_whitespace()
+            .filter(|w| VOCAB.contains(w))
+            .collect();
+        prop_assert_eq!(got, want, "{}: tokens of {}", ctx, global);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(prop_cases(24)))]
+
+    /// Any history's live documents resolve through
+    /// `Snapshot::vocabulary`, and still do after a manifest round trip,
+    /// whose segments all share the one decoded vocabulary.
+    #[test]
+    fn vocabulary_resolves_every_live_document(ops in arb_ops()) {
+        let (engine, survivors) = apply(&ops);
+        assert_vocabulary_resolves(&engine.snapshot(), &survivors, "live")?;
+        let bytes = manifest::encode(engine.live_index());
+        let back = manifest::decode_with(bytes, manual_config()).expect("decode");
+        let snap = back.snapshot();
+        for seg in snap.segments() {
+            let shared = seg.data().corpus().interner();
+            prop_assert!(std::ptr::eq(Arc::as_ptr(shared), snap.vocabulary()), "one allocation");
+        }
+        assert_vocabulary_resolves(&snap, &survivors, "reloaded")?;
+    }
 
     /// Merged statistics over any history — deletes, merges, reads that
     /// cut the buffer into chunks, and a vocabulary far wider than any

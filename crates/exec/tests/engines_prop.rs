@@ -14,6 +14,7 @@ use ftsl_index::{IndexBuilder, Snapshot};
 use ftsl_lang::{classify, lower, LanguageClass, SurfaceQuery};
 use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::{AdvanceMode, PredicateRegistry};
+use ftsl_testkit::prop_cases;
 use proptest::prelude::*;
 
 const VOCAB: [&str; 6] = ["alpha", "beta", "gamma", "delta", "eps", "zeta"];
@@ -143,22 +144,13 @@ fn reference(surface: &SurfaceQuery, corpus: &Corpus, reg: &PredicateRegistry) -
     Interpreter::new(corpus, reg).eval_query(&CalcQuery::new(expr))
 }
 
-/// Property-case count: `FTSL_PROPTEST_CASES` raises it for the scheduled
-/// deep-fuzz CI job; the default keeps PR builds quick.
-fn prop_cases() -> u32 {
-    std::env::var("FTSL_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(128)
-}
-
 /// `corpus` sealed as one fully live segment.
 fn one_segment(corpus: &Corpus) -> Snapshot {
     Snapshot::of_index(corpus.clone(), IndexBuilder::new().build(corpus))
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(prop_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(prop_cases(128)))]
 
     #[test]
     fn ppred_engine_matches_reference(

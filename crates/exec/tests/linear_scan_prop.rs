@@ -13,26 +13,15 @@ use ftsl_index::{IndexBuilder, InvertedIndex, Snapshot};
 use ftsl_lang::{lower, parse, Mode};
 use ftsl_model::Corpus;
 use ftsl_predicates::{AdvanceMode, PredicateRegistry};
+use ftsl_testkit::{arb_corpus, prop_cases};
 use proptest::prelude::*;
+use std::ops::Range;
 
 const VOCAB: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
 
-fn arb_corpus() -> impl Strategy<Value = Corpus> {
-    proptest::collection::vec(proptest::collection::vec(0..VOCAB.len(), 0..20), 1..10).prop_map(
-        |docs| {
-            let texts: Vec<String> = docs
-                .into_iter()
-                .map(|toks| {
-                    toks.into_iter()
-                        .map(|t| VOCAB[t])
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                })
-                .collect();
-            Corpus::from_texts(&texts)
-        },
-    )
-}
+/// Documents per corpus, and words per document, of [`arb_corpus`].
+const DOCS: Range<usize> = 1..10;
+const WORDS: Range<usize> = 0..20;
 
 /// Random PPRED query strings over the vocabulary.
 fn arb_ppred_query() -> impl Strategy<Value = String> {
@@ -91,22 +80,13 @@ fn scanned_totals(node: &PlanNode, corpus: &Corpus, index: &InvertedIndex) -> (u
     }
 }
 
-/// Property-case count: `FTSL_PROPTEST_CASES` raises it for the scheduled
-/// deep-fuzz CI job; the default keeps PR builds quick.
-fn prop_cases() -> u32 {
-    std::env::var("FTSL_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(128)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(prop_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(prop_cases(128)))]
 
     #[test]
     fn ppred_is_single_scan(
         query in arb_ppred_query(),
-        corpus in arb_corpus(),
+        corpus in arb_corpus(&VOCAB, DOCS, WORDS),
     ) {
         let reg = PredicateRegistry::with_builtins();
         let index = IndexBuilder::new().build(&corpus);
@@ -136,7 +116,7 @@ proptest! {
     #[test]
     fn npred_is_linear_per_thread(
         query in arb_ppred_query(),
-        corpus in arb_corpus(),
+        corpus in arb_corpus(&VOCAB, DOCS, WORDS),
     ) {
         let reg = PredicateRegistry::with_builtins();
         let index = IndexBuilder::new().build(&corpus);

@@ -31,14 +31,8 @@ use ftsl_index::{IndexBuilder, PairConfig, Snapshot};
 use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::PredicateRegistry;
 use ftsl_scoring::closeness;
+use ftsl_testkit::prop_cases;
 use proptest::prelude::*;
-
-fn prop_cases() -> u32 {
-    std::env::var("FTSL_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(24)
-}
 
 const VOCAB: usize = 12;
 
@@ -162,7 +156,7 @@ fn assert_pair_matches_oracle(corpus: &Corpus, query: &str, ctx: &str) -> Result
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(prop_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(prop_cases(24)))]
 
     /// Every proximity shape, on every pair configuration, over Zipf
     /// corpora: the pair rewrite is invisible.
@@ -244,7 +238,7 @@ fn assert_near_top_k_matches_set(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(prop_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(prop_cases(24)))]
 
     /// NEAR top-k with `k` = live documents ranks exactly the set answer,
     /// each document by the closeness of its minimum gap.

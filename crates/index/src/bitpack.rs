@@ -287,6 +287,8 @@ mod tests {
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(ftsl_testkit::prop_cases(256)))]
+
         /// Random frames at random widths and lengths round-trip
         /// bit-exactly, including all-zero runs (width 0) and full-range
         /// ids (width 32).

@@ -24,12 +24,16 @@
 //!
 //! ## Vocabulary
 //!
-//! One token vocabulary grows monotonically for the whole live index: the
-//! write buffer's corpus owns it, and each sealed segment carries a clone
-//! taken at seal time. Token ids are therefore *prefix-consistent* — the
-//! same id means the same string in every segment that knows it — which is
-//! what lets merged corpus statistics (`df`, `db_size`) be summed per token
-//! id across segments.
+//! One append-only token vocabulary, a `TokenInterner` behind an `Arc`,
+//! serves the whole live index. The write buffer's corpus owns it; every
+//! buffer chunk, flush, merge output and [`Snapshot`] shares it, and the
+//! buffer copies it only to intern while it is shared, so what a segment
+//! holds never changes. A segment's own width is its index's
+//! [`InvertedIndex::num_tokens`], the vocabulary length at its seal (for a
+//! merge output, when the merge was taken). Token ids are therefore
+//! *prefix-consistent* — the same id means the same string in every
+//! segment that knows it — which is what lets merged corpus statistics
+//! (`df`, `db_size`) be summed per token id across segments.
 
 use crate::segment::{DeleteSet, MemSegment, SegmentData};
 use crate::InvertedIndex;
@@ -84,6 +88,16 @@ pub(crate) struct SealedEntry {
     pub(crate) deletes: Arc<DeleteSet>,
 }
 
+/// A live index's sealed state, as a manifest holds it: the segments, the
+/// vocabulary they share, and the id high-water marks.
+#[derive(Debug)]
+pub(crate) struct SealedParts {
+    pub(crate) sealed: Vec<SealedEntry>,
+    pub(crate) vocabulary: Arc<TokenInterner>,
+    pub(crate) next_global: u32,
+    pub(crate) next_segment_id: u64,
+}
+
 /// Mutable state behind the lock.
 #[derive(Debug)]
 struct State {
@@ -117,6 +131,12 @@ struct Shared {
     wake: Condvar,
     shutdown: AtomicBool,
     config: LiveConfig,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("live index lock poisoned")
+    }
 }
 
 /// A dynamically maintained, segmented index over one growing collection.
@@ -170,7 +190,7 @@ impl LiveIndex {
 
     /// An empty live index with explicit configuration.
     pub fn with_config(config: LiveConfig) -> Self {
-        Self::build(Corpus::new(), config)
+        Self::from_corpus_with(Corpus::new(), config)
     }
 
     /// Seed a live index from an existing corpus, sealed as segment 0 (the
@@ -180,32 +200,37 @@ impl LiveIndex {
     }
 
     /// [`Self::from_corpus`] with explicit configuration.
-    pub fn from_corpus_with(corpus: Corpus, config: LiveConfig) -> Self {
-        Self::build(corpus, config)
+    pub fn from_corpus_with(seed: Corpus, config: LiveConfig) -> Self {
+        let vocabulary = Arc::clone(seed.interner());
+        let n = seed.len();
+        let sealed: Vec<SealedEntry> = (n > 0)
+            .then(|| SealedEntry {
+                data: Arc::new(SegmentData::seal(0, seed, (0..n as u32).collect())),
+                deletes: Arc::new(DeleteSet::new(n)),
+            })
+            .into_iter()
+            .collect();
+        let parts = SealedParts {
+            next_segment_id: sealed.len() as u64,
+            sealed,
+            vocabulary,
+            next_global: n as u32,
+        };
+        Self::from_sealed_parts(parts, config)
     }
 
-    fn build(seed: Corpus, config: LiveConfig) -> Self {
-        let vocab = seed.interner().clone();
-        let mut sealed = Vec::new();
-        let next_global = seed.len() as u32;
-        let mut next_segment_id = 0;
-        if !seed.is_empty() {
-            let globals = (0..next_global).collect();
-            let len = seed.len();
-            sealed.push(SealedEntry {
-                data: Arc::new(SegmentData::seal(0, seed, globals)),
-                deletes: Arc::new(DeleteSet::new(len)),
-            });
-            next_segment_id = 1;
-        }
+    /// A live index over sealed parts (a seed segment, or a decoded
+    /// manifest's segments). The write buffer starts empty on their
+    /// vocabulary.
+    pub(crate) fn from_sealed_parts(parts: SealedParts, config: LiveConfig) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
-                mem: MemSegment::new(Corpus::with_interner(vocab)),
+                mem: MemSegment::new(parts.vocabulary),
                 mem_deletes: Arc::new(DeleteSet::new(0)),
                 mem_chunks: Vec::new(),
-                sealed,
-                next_global,
-                next_segment_id,
+                sealed: parts.sealed,
+                next_global: parts.next_global,
+                next_segment_id: parts.next_segment_id,
                 version: 0,
                 merging: false,
                 merges_completed: 0,
@@ -237,14 +262,10 @@ impl LiveIndex {
         self.shared.config
     }
 
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.shared.state.lock().expect("live index lock poisoned")
-    }
-
     /// Tokenize and add one document, returning its global node id. The
     /// write buffer auto-flushes at [`LiveConfig::flush_threshold`].
     pub fn add_document(&self, text: &str) -> NodeId {
-        let mut st = self.lock();
+        let mut st = self.shared.lock();
         let global = st.next_global;
         st.next_global += 1;
         st.mem.add(&self.tokenizer, text, global);
@@ -262,7 +283,7 @@ impl LiveIndex {
     /// in its segment until a merge rewrites it; queries stop seeing it
     /// immediately (on snapshots taken after this call).
     pub fn delete_node(&self, node: NodeId) -> bool {
-        let mut st = self.lock();
+        let mut st = self.shared.lock();
         if node.0 >= st.next_global {
             return false;
         }
@@ -291,7 +312,7 @@ impl LiveIndex {
     /// Seal the write buffer into a new immutable segment. Returns `false`
     /// when the buffer was empty.
     pub fn flush(&self) -> bool {
-        let mut st = self.lock();
+        let mut st = self.shared.lock();
         let flushed = flush_locked(&mut st);
         if flushed {
             drop(st);
@@ -309,7 +330,7 @@ impl LiveIndex {
     /// seals the whole buffer as one chunk instead, so readers never see
     /// more. Each chunk's tombstones are its slice of the buffer's bitmap.
     pub fn snapshot(&self) -> Snapshot {
-        let mut st = self.lock();
+        let mut st = self.shared.lock();
         let mut segments: Vec<SnapshotSegment> = st
             .sealed
             .iter()
@@ -349,6 +370,7 @@ impl LiveIndex {
         Snapshot {
             segments,
             version: st.version,
+            vocabulary: Arc::clone(st.mem.corpus().interner()),
         }
     }
 
@@ -357,7 +379,7 @@ impl LiveIndex {
     /// was nothing to compact.
     pub fn merge_all(&self) -> bool {
         self.flush();
-        self.merge_with(|st| {
+        run_merge(&self.shared, |st| {
             let worth_it = st.sealed.len() > 1
                 || st
                     .sealed
@@ -370,44 +392,22 @@ impl LiveIndex {
     /// Apply one round of the tiered merge policy synchronously. Returns
     /// whether a merge ran (useful when background merging is off).
     pub fn maybe_merge(&self) -> bool {
-        let config = self.shared.config;
-        self.merge_with(move |st| plan_merge(st, &config))
-    }
-
-    /// Run one merge chosen by `pick` (a range over the sealed list),
-    /// serialized against any other merge.
-    fn merge_with(&self, pick: impl Fn(&State) -> Option<(usize, usize)>) -> bool {
-        let (id, entries) = {
-            let mut st = self.lock();
-            while st.merging {
-                st = self.shared.wake.wait(st).expect("live index lock poisoned");
-            }
-            let Some((start, end)) = pick(&st) else {
-                return false;
-            };
-            st.merging = true;
-            let id = st.next_segment_id;
-            st.next_segment_id += 1;
-            (id, st.sealed[start..end].to_vec())
-        };
-        let merged = build_merged(id, &entries);
-        commit_merge(&self.shared, &entries, merged);
-        true
+        run_merge(&self.shared, |st| plan_merge(st, &self.shared.config))
     }
 
     /// Number of sealed segments (the write buffer not included).
     pub fn segment_count(&self) -> usize {
-        self.lock().sealed.len()
+        self.shared.lock().sealed.len()
     }
 
     /// Documents currently sitting in the write buffer.
     pub fn buffered_docs(&self) -> usize {
-        self.lock().mem.len()
+        self.shared.lock().mem.len()
     }
 
     /// Live (non-tombstoned) documents across segments and buffer.
     pub fn live_doc_count(&self) -> usize {
-        let st = self.lock();
+        let st = self.shared.lock();
         let sealed: usize = st
             .sealed
             .iter()
@@ -418,7 +418,7 @@ impl LiveIndex {
 
     /// Total tombstones not yet reclaimed by a merge.
     pub fn tombstone_count(&self) -> usize {
-        let st = self.lock();
+        let st = self.shared.lock();
         st.sealed
             .iter()
             .map(|e| e.deletes.deleted_count())
@@ -430,43 +430,26 @@ impl LiveIndex {
     /// Snapshots record the version they were taken at, so callers can
     /// cache derived structures per version.
     pub fn version(&self) -> u64 {
-        self.lock().version
+        self.shared.lock().version
     }
 
     /// Merges committed over the index's lifetime (background or
     /// synchronous).
     pub fn merges_completed(&self) -> u64 {
-        self.lock().merges_completed
+        self.shared.lock().merges_completed
     }
 
     /// Flush the buffer and hand the manifest encoder a consistent view of
-    /// the sealed segment set plus the id high-water marks.
-    pub(crate) fn sealed_parts(&self) -> (Vec<SealedEntry>, u32, u64) {
-        let mut st = self.lock();
+    /// the sealed segment set, the vocabulary, and the id high-water marks.
+    pub(crate) fn sealed_parts(&self) -> SealedParts {
+        let mut st = self.shared.lock();
         flush_locked(&mut st);
-        (st.sealed.clone(), st.next_global, st.next_segment_id)
-    }
-
-    /// Rebuild a live index from manifest-decoded parts. The write buffer
-    /// starts empty with the widest persisted vocabulary.
-    pub(crate) fn from_sealed_parts(
-        sealed: Vec<SealedEntry>,
-        next_global: u32,
-        next_segment_id: u64,
-        config: LiveConfig,
-    ) -> Self {
-        let vocab = widest_vocabulary(sealed.iter().map(|e| e.data.corpus()))
-            .cloned()
-            .unwrap_or_default();
-        let live = Self::build(Corpus::new(), config);
-        {
-            let mut st = live.lock();
-            st.mem = MemSegment::new(Corpus::with_interner(vocab));
-            st.sealed = sealed;
-            st.next_global = next_global;
-            st.next_segment_id = next_segment_id;
+        SealedParts {
+            sealed: st.sealed.clone(),
+            vocabulary: Arc::clone(st.mem.corpus().interner()),
+            next_global: st.next_global,
+            next_segment_id: st.next_segment_id,
         }
-        live
     }
 }
 
@@ -583,26 +566,41 @@ fn plan_cost_compaction(st: &State) -> Option<(usize, usize)> {
         .then_some((0, st.sealed.len()))
 }
 
-/// The widest vocabulary among `corpora` — a superset of every one of
-/// them, because the live vocabulary only ever grows and each corpus
-/// carries a clone taken at some point on that growth line. The single
-/// place this invariant is exploited (merging, manifest encoding,
-/// snapshot token resolution) all route through here.
-pub(crate) fn widest_vocabulary<'a>(
-    corpora: impl Iterator<Item = &'a Corpus>,
-) -> Option<&'a TokenInterner> {
-    corpora.map(Corpus::interner).max_by_key(|i| i.len())
+/// Run one merge chosen by `pick` (a range over the sealed list),
+/// serialized against any other merge: wait for a merge in flight, reserve
+/// the output's segment id and take the inputs and the writer's current
+/// vocabulary under the lock, build outside it, then commit. `false` when
+/// `pick` finds nothing to do.
+fn run_merge(shared: &Shared, pick: impl FnOnce(&State) -> Option<(usize, usize)>) -> bool {
+    let (id, inputs, vocabulary) = {
+        let mut st = shared.lock();
+        while st.merging {
+            if shared.shutdown.load(Ordering::SeqCst) {
+                return false;
+            }
+            st = shared.wake.wait(st).expect("live index lock poisoned");
+        }
+        let Some((start, end)) = pick(&st) else {
+            return false;
+        };
+        st.merging = true;
+        let id = st.next_segment_id;
+        st.next_segment_id += 1;
+        let vocabulary = Arc::clone(st.mem.corpus().interner());
+        (id, st.sealed[start..end].to_vec(), vocabulary)
+    };
+    let merged = build_merged(id, &inputs, vocabulary);
+    commit_merge(shared, &inputs, merged);
+    true
 }
 
 /// Build the compacted segment: surviving documents of `entries` (as of the
-/// captured tombstone bitmaps) re-sealed under one corpus that keeps the
-/// newest vocabulary involved — token ids stay prefix-consistent, and no
-/// retokenization happens (analyzed corpora survive merges unchanged).
-fn build_merged(id: u64, entries: &[SealedEntry]) -> SegmentData {
-    let vocab = widest_vocabulary(entries.iter().map(|e| e.data.corpus()))
-        .cloned()
-        .unwrap_or_default();
-    let mut corpus = Corpus::with_interner(vocab);
+/// captured tombstone bitmaps) re-sealed under one corpus over `vocabulary`,
+/// the writer's as the merge was taken — token ids stay prefix-consistent,
+/// and no retokenization happens (analyzed corpora survive merges
+/// unchanged).
+fn build_merged(id: u64, entries: &[SealedEntry], vocabulary: Arc<TokenInterner>) -> SegmentData {
+    let mut corpus = Corpus::with_interner(vocabulary);
     let mut globals = Vec::new();
     for e in entries {
         for local in 0..e.data.num_docs() {
@@ -620,7 +618,7 @@ fn build_merged(id: u64, entries: &[SealedEntry]) -> SegmentData {
 /// over tombstones that arrived while the merge was building (they apply to
 /// the *current* bitmaps, which may have moved past the captured ones).
 fn commit_merge(shared: &Shared, inputs: &[SealedEntry], merged: SegmentData) {
-    let mut st = shared.state.lock().expect("live index lock poisoned");
+    let mut st = shared.lock();
     let mut deletes = DeleteSet::new(merged.num_docs());
     for captured in inputs {
         let Some(current) = st.sealed.iter().find(|e| e.data.id() == captured.data.id()) else {
@@ -654,38 +652,17 @@ fn commit_merge(shared: &Shared, inputs: &[SealedEntry], merged: SegmentData) {
     shared.wake.notify_all();
 }
 
-/// The background merger: sleep until woken (or 100 ms), run the tiered
-/// policy once, repeat. Exits when the owning [`LiveIndex`] drops.
+/// The background merger: run the tiered policy once, and when it finds
+/// nothing, sleep until woken (or 100 ms). Exits when the owning
+/// [`LiveIndex`] drops.
 fn merger_loop(shared: &Shared) {
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let job = {
-            let mut st = shared.state.lock().expect("live index lock poisoned");
-            if st.merging {
-                None
-            } else if let Some((start, end)) = plan_merge(&st, &shared.config) {
-                st.merging = true;
-                let id = st.next_segment_id;
-                st.next_segment_id += 1;
-                Some((id, st.sealed[start..end].to_vec()))
-            } else {
-                None
-            }
-        };
-        match job {
-            Some((id, entries)) => {
-                let merged = build_merged(id, &entries);
-                commit_merge(shared, &entries, merged);
-            }
-            None => {
-                let st = shared.state.lock().expect("live index lock poisoned");
-                let _ = shared
-                    .wake
-                    .wait_timeout(st, Duration::from_millis(100))
-                    .expect("live index lock poisoned");
-            }
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        if !run_merge(shared, |st| plan_merge(st, &shared.config)) {
+            let st = shared.lock();
+            let _ = shared
+                .wake
+                .wait_timeout(st, Duration::from_millis(100))
+                .expect("live index lock poisoned");
         }
     }
 }
@@ -723,6 +700,9 @@ impl SnapshotSegment {
 pub struct Snapshot {
     segments: Vec<SnapshotSegment>,
     version: u64,
+    /// The writer's vocabulary at snapshot time: every segment's is a
+    /// prefix of it.
+    vocabulary: Arc<TokenInterner>,
 }
 
 impl Snapshot {
@@ -733,6 +713,7 @@ impl Snapshot {
     /// image, is read through the same executor as a live index.
     pub fn of_index(corpus: Corpus, index: InvertedIndex) -> Snapshot {
         let n = corpus.len();
+        let vocabulary = Arc::clone(corpus.interner());
         let data = SegmentData::from_parts(0, corpus, (0..n as u32).collect(), index);
         Snapshot {
             segments: vec![SnapshotSegment {
@@ -740,6 +721,7 @@ impl Snapshot {
                 deletes: Arc::new(DeleteSet::new(n)),
             }],
             version: 0,
+            vocabulary,
         }
     }
 
@@ -777,11 +759,11 @@ impl Snapshot {
         self.live_doc_count() == 0
     }
 
-    /// The widest vocabulary any segment carries. The vocabulary only ever
-    /// grows, so this interner is a superset of every segment's — the right
+    /// The live index's vocabulary as of this snapshot. It only ever
+    /// grows, so every segment's vocabulary is a prefix of it — the right
     /// place to resolve query tokens to global idf values.
-    pub fn widest_interner(&self) -> Option<&TokenInterner> {
-        widest_vocabulary(self.segments.iter().map(|s| s.data.corpus()))
+    pub fn vocabulary(&self) -> &TokenInterner {
+        &self.vocabulary
     }
 
     /// Look up a live document by global node id.
@@ -1047,14 +1029,14 @@ mod tests {
         live.add_document("beta gamma");
         live.flush();
         let snap = live.snapshot();
-        let widest = snap.widest_interner().unwrap();
-        let beta = widest.get("beta").unwrap();
+        let vocabulary = snap.vocabulary();
+        let beta = vocabulary.get("beta").unwrap();
         for seg in snap.segments() {
             if let Some(local) = seg.data().corpus().token_id("beta") {
                 assert_eq!(local, beta, "same id in every segment that knows it");
             }
         }
-        assert!(widest.get("gamma").is_some());
+        assert!(vocabulary.get("gamma").is_some());
         assert_eq!(
             snap.segments()[0].data().corpus().token_id("gamma"),
             None,

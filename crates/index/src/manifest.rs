@@ -28,7 +28,7 @@
 //!   id:u64  num_docs:u32
 //!   num_docs × global:u32                     (strictly ascending)
 //!   num_words:u32  num_words × word:u64       (tombstone bitmap)
-//!   vocab_len:u32                             (prefix of shared vocabulary)
+//!   vocab_len:u32                             (the image's token-list count)
 //!   per doc: label_len:u32 label:[u8]
 //!            num_tokens:u32
 //!            num_tokens × (token:u32 offset:u32 sentence:u32 paragraph:u32)
@@ -36,15 +36,16 @@
 //! vocab_total:u32  per token: len:u32 name:[u8]   (shared vocabulary)
 //! ```
 //!
-//! Segments store only their vocabulary *prefix length*: token ids are
-//! prefix-consistent across segments (see [`crate::live`]), so one shared
-//! name table at the end reconstructs every per-segment interner exactly.
+//! Segments store only their vocabulary *prefix length* (their image's
+//! token-list count): token ids are prefix-consistent across segments (see
+//! [`crate::live`]), so the one name table at the end, interned once, is the
+//! vocabulary every decoded segment shares.
 //!
 //! [`save`] writes atomically: the buffer goes to a sibling temp file that
 //! is persisted with a single `rename`, so a crash mid-write leaves either
 //! the old manifest or the new one, never a torn hybrid.
 
-use crate::live::{LiveConfig, LiveIndex, SealedEntry};
+use crate::live::{LiveConfig, LiveIndex, SealedEntry, SealedParts};
 use crate::persist::{self, get_bytes, get_count, get_u32, get_u64, PersistError};
 use crate::segment::{DeleteSet, SegmentData};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -61,23 +62,19 @@ const SEGMENT_MIN_BYTES: usize = 8 + 4 * 4;
 /// Serialize a live index to a v8 manifest buffer. The write buffer is
 /// flushed first, so the image covers every document added so far.
 pub fn encode(live: &LiveIndex) -> Bytes {
-    let (sealed, next_global, next_segment_id) = live.sealed_parts();
+    let parts = live.sealed_parts();
     let mut buf = BytesMut::new();
     buf.put_u32_le(MAGIC);
     buf.put_u32_le(VERSION);
-    buf.put_u32_le(next_global);
-    buf.put_u64_le(next_segment_id);
-    buf.put_u32_le(sealed.len() as u32);
-    let widest = crate::live::widest_vocabulary(sealed.iter().map(|e| e.data.corpus()));
-    for entry in &sealed {
+    buf.put_u32_le(parts.next_global);
+    buf.put_u64_le(parts.next_segment_id);
+    buf.put_u32_le(parts.sealed.len() as u32);
+    for entry in &parts.sealed {
         encode_segment(&mut buf, entry);
     }
-    let vocab_total = widest.map_or(0, TokenInterner::len);
-    buf.put_u32_le(vocab_total as u32);
-    if let Some(widest) = widest {
-        for (_, name) in widest.iter() {
-            put_str(&mut buf, name);
-        }
+    buf.put_u32_le(parts.vocabulary.len() as u32);
+    for (_, name) in parts.vocabulary.iter() {
+        put_str(&mut buf, name);
     }
     buf.freeze()
 }
@@ -99,9 +96,8 @@ fn encode_segment(buf: &mut BytesMut, entry: &SealedEntry) {
     for &w in words {
         buf.put_u64_le(w);
     }
-    let corpus = data.corpus();
-    buf.put_u32_le(corpus.interner().len() as u32);
-    for doc in corpus.documents() {
+    buf.put_u32_le(data.index().num_tokens() as u32);
+    for doc in data.corpus().documents() {
         put_str(buf, &doc.label);
         buf.put_u32_le(doc.tokens.len() as u32);
         for &(t, p) in &doc.tokens {
@@ -145,15 +141,19 @@ pub fn decode_with(mut buf: impl Buf, config: LiveConfig) -> Result<LiveIndex, P
     }
     // Each name is at least its length word.
     let vocab_total = get_count(&mut buf, 4)?;
-    let mut names = Vec::with_capacity(vocab_total);
+    let mut vocabulary = TokenInterner::new();
     for _ in 0..vocab_total {
-        names.push(get_str(&mut buf)?);
+        vocabulary.intern(&get_str(&mut buf)?);
     }
+    if vocabulary.len() != vocab_total {
+        return Err(PersistError::Corrupt("vocabulary names not distinct"));
+    }
+    let vocabulary = Arc::new(vocabulary);
 
     let mut sealed = Vec::with_capacity(num_segments);
     let mut prev_last: Option<u32> = None;
     for seg in raw {
-        let entry = seg.into_entry(&names, next_global)?;
+        let entry = seg.into_entry(&vocabulary, next_global)?;
         if let Some((first, last)) = entry.data.global_range() {
             if prev_last.is_some_and(|p| first <= p) {
                 return Err(PersistError::Corrupt("segment global ranges overlap"));
@@ -162,12 +162,13 @@ pub fn decode_with(mut buf: impl Buf, config: LiveConfig) -> Result<LiveIndex, P
         }
         sealed.push(entry);
     }
-    Ok(LiveIndex::from_sealed_parts(
+    let parts = SealedParts {
         sealed,
+        vocabulary,
         next_global,
         next_segment_id,
-        config,
-    ))
+    };
+    Ok(LiveIndex::from_sealed_parts(parts, config))
 }
 
 /// A segment as read off the wire, before vocabulary reconstruction.
@@ -181,25 +182,23 @@ struct RawSegment {
 }
 
 impl RawSegment {
-    fn into_entry(self, names: &[String], next_global: u32) -> Result<SealedEntry, PersistError> {
+    fn into_entry(
+        self,
+        vocabulary: &Arc<TokenInterner>,
+        next_global: u32,
+    ) -> Result<SealedEntry, PersistError> {
         if self.globals.windows(2).any(|w| w[0] >= w[1]) {
             return Err(PersistError::Corrupt("global ids not ascending"));
         }
         if self.globals.last().is_some_and(|&g| g >= next_global) {
             return Err(PersistError::Corrupt("global id past the high-water mark"));
         }
-        if self.vocab_len > names.len() {
+        if self.vocab_len > vocabulary.len() {
             return Err(PersistError::Corrupt("segment vocabulary exceeds table"));
         }
         let deletes = DeleteSet::from_parts(self.delete_words, self.globals.len())
             .ok_or(PersistError::Corrupt("tombstone bitmap malformed"))?;
-        let mut corpus = Corpus::new();
-        for name in &names[..self.vocab_len] {
-            corpus.intern(name);
-        }
-        if corpus.interner().len() != self.vocab_len {
-            return Err(PersistError::Corrupt("vocabulary names not distinct"));
-        }
+        let mut corpus = Corpus::with_interner(Arc::clone(vocabulary));
         for (label, tokens) in self.docs {
             if tokens.windows(2).any(|w| w[0].1.offset >= w[1].1.offset) {
                 return Err(PersistError::Corrupt("document offsets not increasing"));
@@ -213,6 +212,9 @@ impl RawSegment {
             return Err(PersistError::Corrupt("document count disagrees with ids"));
         }
         let index = persist::decode(&self.index_image[..])?;
+        if index.num_tokens() != self.vocab_len {
+            return Err(PersistError::Corrupt("vocab_len disagrees with index"));
+        }
         if index.any_block_list().num_entries() > corpus.len() {
             return Err(PersistError::Corrupt("segment index disagrees with corpus"));
         }
@@ -349,13 +351,13 @@ mod tests {
         assert_eq!(a.num_segments(), b.num_segments());
         assert_eq!(a.live_doc_count(), b.live_doc_count());
         assert_eq!(a.tombstone_count(), b.tombstone_count());
+        assert!(a.vocabulary().iter().eq(b.vocabulary().iter()));
         for (sa, sb) in a.segments().iter().zip(b.segments()) {
             assert_eq!(sa.data().id(), sb.data().id());
             assert_eq!(sa.data().globals(), sb.data().globals());
             assert_eq!(sa.deletes(), sb.deletes());
             let (ca, cb) = (sa.data().corpus(), sb.data().corpus());
             assert_eq!(ca.len(), cb.len());
-            assert_eq!(ca.interner().len(), cb.interner().len());
             for (da, db) in ca.documents().iter().zip(cb.documents()) {
                 assert_eq!(da.label, db.label);
                 assert_eq!(da.tokens, db.tokens);
@@ -396,8 +398,47 @@ mod tests {
         assert!(back.delete_node(NodeId(0)));
         // Vocabulary continuity: an old token resolves to its old id.
         let snap = back.snapshot();
-        let widest = snap.widest_interner().unwrap();
-        assert!(widest.get("usability").is_some());
+        assert!(snap.vocabulary().get("usability").is_some());
+    }
+
+    /// One row per rule on the shared name table and the per-segment
+    /// `vocab_len`: each lie is `Corrupt`, never a panic.
+    #[test]
+    fn vocabulary_table_lies_are_corrupt() {
+        let live = sample_live();
+        let (bytes, snap) = (encode(&live).to_vec(), live.snapshot());
+        let vocab_total = snap.vocabulary().len() as u32;
+        let names: usize = snap.vocabulary().iter().map(|(_, n)| 4 + n.len()).sum();
+        let table_at = bytes.len() - names - 4;
+        // Segment 0's `vocab_len` follows the header, its id, `num_docs`,
+        // two global ids and one tombstone word.
+        let vocab_len_at = 24 + 8 + 4 + 2 * 4 + 4 + 8;
+        let vocab_len = snap.segments()[0].data().index().num_tokens() as u32;
+        let patched = |at: usize, v: u32, tail: &[u8]| {
+            let mut raw = bytes.clone();
+            raw[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            raw.extend_from_slice(tail);
+            raw
+        };
+        let repeated = [&9u32.to_le_bytes()[..], b"usability"].concat();
+        let rows = [
+            // A name repeated past every segment's prefix.
+            (
+                patched(table_at, vocab_total + 1, &repeated),
+                "vocabulary names not distinct",
+            ),
+            (
+                patched(vocab_len_at, vocab_len + 1, &[]),
+                "vocab_len disagrees with index",
+            ),
+            (
+                patched(vocab_len_at, vocab_total + 1, &[]),
+                "segment vocabulary exceeds table",
+            ),
+        ];
+        for (raw, want) in rows {
+            assert_eq!(decode(&raw[..]).unwrap_err(), PersistError::Corrupt(want));
+        }
     }
 
     #[test]
@@ -453,8 +494,7 @@ mod tests {
         // vocab_total precedes the name table that ends the buffer.
         let snapshot = live.snapshot();
         let names: usize = snapshot
-            .widest_interner()
-            .expect("sample has segments")
+            .vocabulary()
             .iter()
             .map(|(_, name)| 4 + name.len())
             .sum();

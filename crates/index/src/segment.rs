@@ -9,13 +9,13 @@
 //! live index keeps marking new tombstones.
 //!
 //! The [`MemSegment`] is the mutable write buffer: documents accumulate in
-//! a plain [`Corpus`] (which owns the *current* global vocabulary) until a
-//! flush seals them into a [`SegmentData`].
+//! a plain [`Corpus`] (which holds the live index's one vocabulary, shared
+//! with every segment) until a flush seals them into a [`SegmentData`].
 
 use crate::builder::IndexBuilder;
 use crate::index::InvertedIndex;
-use ftsl_model::{Corpus, Document, NodeId, TokenId, Tokenizer};
-use std::sync::OnceLock;
+use ftsl_model::{Corpus, Document, NodeId, TokenId, TokenInterner, Tokenizer};
+use std::sync::{Arc, OnceLock};
 
 /// A per-segment tombstone bitmap over local node ids.
 ///
@@ -208,7 +208,8 @@ impl SegmentData {
         self.id
     }
 
-    /// The per-segment corpus (local node ids).
+    /// The per-segment corpus (local node ids). Its shared vocabulary may
+    /// be wider than the index's [`InvertedIndex::num_tokens`].
     pub fn corpus(&self) -> &Corpus {
         &self.corpus
     }
@@ -257,7 +258,7 @@ impl SegmentData {
     /// buffer chunks, which it never probes, do not pay for it.
     pub(crate) fn hottest_token(&self) -> Option<TokenId> {
         *self.hottest.get_or_init(|| {
-            (0..self.corpus.interner().len())
+            (0..self.index.num_tokens())
                 .map(|t| TokenId(t as u32))
                 .max_by_key(|&t| self.index.df(t))
         })
@@ -265,8 +266,8 @@ impl SegmentData {
 }
 
 /// The mutable in-memory write buffer: documents accumulate here between
-/// flushes. Its corpus owns the *current* global token vocabulary — sealed
-/// segments carry clones of it, which keeps token ids prefix-consistent
+/// flushes. Its corpus holds the live index's one vocabulary and every
+/// segment it seals shares it, which keeps token ids prefix-consistent
 /// across the whole live index.
 #[derive(Clone, Debug)]
 pub struct MemSegment {
@@ -276,10 +277,9 @@ pub struct MemSegment {
 
 impl MemSegment {
     /// An empty buffer continuing from an existing vocabulary.
-    pub fn new(corpus: Corpus) -> Self {
-        assert!(corpus.is_empty(), "write buffer must start without docs");
+    pub fn new(vocabulary: Arc<TokenInterner>) -> Self {
         MemSegment {
-            corpus,
+            corpus: Corpus::with_interner(vocabulary),
             globals: Vec::new(),
         }
     }
@@ -312,11 +312,11 @@ impl MemSegment {
     }
 
     /// Seal buffer slots `from..` into a [`SegmentData`] under segment id
-    /// `id`, with a clone of the current vocabulary, leaving the buffer
-    /// itself untouched (the caller decides whether this is a flush or a
-    /// chunk of a point-in-time read view).
+    /// `id`, sharing the current vocabulary, leaving the buffer itself
+    /// untouched (the caller decides whether this is a flush or a chunk of
+    /// a point-in-time read view).
     pub fn seal_from(&self, id: u64, from: usize) -> SegmentData {
-        let mut corpus = Corpus::with_interner(self.corpus.interner().clone());
+        let mut corpus = Corpus::with_interner(Arc::clone(self.corpus.interner()));
         for doc in &self.corpus.documents()[from..] {
             corpus.add_tokens(doc.label.clone(), doc.tokens.clone());
         }
@@ -324,11 +324,10 @@ impl MemSegment {
     }
 
     /// Drain the buffer: return its contents and reset it to an empty
-    /// corpus that keeps the (grown) vocabulary.
+    /// corpus that shares the (grown) vocabulary.
     pub fn drain(&mut self) -> (Corpus, Vec<u32>) {
-        let vocab = self.corpus.interner().clone();
-        let corpus = std::mem::replace(&mut self.corpus, Corpus::with_interner(vocab));
-        let globals = std::mem::take(&mut self.globals);
+        let empty = MemSegment::new(Arc::clone(self.corpus.interner()));
+        let MemSegment { corpus, globals } = std::mem::replace(self, empty);
         (corpus, globals)
     }
 }
@@ -405,7 +404,7 @@ mod tests {
         let corpus = Corpus::from_texts(&["a b c", "b c d", "a b c"]);
         let seg = SegmentData::seal(0, corpus, vec![0, 1, 2]);
         let index = seg.index();
-        let scan = (0..seg.corpus().interner().len())
+        let scan = (0..index.num_tokens())
             .map(|t| TokenId(t as u32))
             .max_by_key(|&t| index.df(t));
         assert_eq!(seg.hottest_token(), scan);
@@ -429,7 +428,7 @@ mod tests {
 
     #[test]
     fn mem_segment_buffers_and_drains_keeping_vocabulary() {
-        let mut mem = MemSegment::new(Corpus::new());
+        let mut mem = MemSegment::new(Default::default());
         let tok = Tokenizer::new();
         mem.add(&tok, "alpha beta", 0);
         mem.add(&tok, "beta gamma", 1);

@@ -6,6 +6,7 @@
 use ftsl_index::block::PostingArena;
 use ftsl_index::{persist, IndexBuilder, PostingList};
 use ftsl_model::{Corpus, NodeId, Position};
+use ftsl_testkit::prop_cases;
 use proptest::prelude::*;
 
 /// Random strictly-increasing entry lists with structured positions.
@@ -40,17 +41,8 @@ fn arb_entries() -> impl Strategy<Value = Vec<(NodeId, Vec<Position>)>> {
     })
 }
 
-/// Property-case count: `FTSL_PROPTEST_CASES` raises it for the scheduled
-/// deep-fuzz CI job; the default keeps PR builds quick.
-fn prop_cases() -> u32 {
-    std::env::var("FTSL_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(192)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(prop_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(prop_cases(192)))]
 
     #[test]
     fn compression_roundtrips_exactly(entries in arb_entries()) {

@@ -20,13 +20,7 @@ use ftsl_index::{
     AccessCounters, BlockCursor, IndexBuilder, PairConfig, PairCursor, PairLookup, PostingList,
 };
 use ftsl_model::{Corpus, NodeId, Position};
-
-fn cases() -> usize {
-    std::env::var("FTSL_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500)
-}
+use ftsl_testkit::prop_cases;
 
 /// The moves both cursor kinds share, plus each kind's per-entry value
 /// (a posting's term frequency, a pair's gap).
@@ -237,7 +231,7 @@ fn pair_corpus(list: &[(u32, u32)]) -> Corpus {
 #[test]
 fn counters_agree_on_random_op_sequences() {
     let mut rng = rng(0x12345678);
-    for trial in 0..cases() {
+    for trial in 0..prop_cases(500) as usize {
         let n = 1 + rng() % 400;
         let stride = 1 + rng() % 5;
         let mut node = rng() % 3;

@@ -5,6 +5,7 @@
 
 use ftsl_index::{persist, IndexBuilder, PostingList};
 use ftsl_model::{Corpus, NodeId, Position, TokenId};
+use ftsl_testkit::prop_cases;
 use proptest::prelude::*;
 
 const VOCAB: [&str; 5] = ["ant", "bee", "cat", "dog", "elk"];
@@ -26,17 +27,8 @@ fn arb_corpus() -> impl Strategy<Value = Corpus> {
     )
 }
 
-/// Property-case count: `FTSL_PROPTEST_CASES` raises it for the scheduled
-/// deep-fuzz CI job; the default keeps PR builds quick.
-fn prop_cases() -> u32 {
-    std::env::var("FTSL_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(128)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(prop_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(prop_cases(128)))]
 
     #[test]
     fn index_is_the_exact_transpose_of_the_corpus(corpus in arb_corpus()) {

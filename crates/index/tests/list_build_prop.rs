@@ -17,16 +17,8 @@
 use ftsl_index::block::PostingArena;
 use ftsl_index::{persist, BlockList, IndexBuilder, IndexStats, PairConfig, PostingList};
 use ftsl_model::{Corpus, Position, TokenId, TokenInterner};
+use ftsl_testkit::prop_cases;
 use proptest::prelude::*;
-
-/// Property-case count: `FTSL_PROPTEST_CASES` raises it for the scheduled
-/// deep-fuzz CI job; the default keeps PR builds quick.
-fn prop_cases() -> u32 {
-    std::env::var("FTSL_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64)
-}
 
 /// The per-token build: every token's `PostingList`, then `IL_ANY`, pushed
 /// one document at a time.
@@ -262,7 +254,7 @@ fn arb_case() -> impl Strategy<Value = (usize, Vec<DocSpec>)> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(prop_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(prop_cases(64)))]
 
     #[test]
     fn counting_build_matches_the_per_token_build((width, docs) in arb_case()) {

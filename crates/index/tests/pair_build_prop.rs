@@ -17,17 +17,9 @@
 use ftsl_index::block::BLOCK_ENTRIES;
 use ftsl_index::{bitpack, persist, IndexBuilder, PairConfig};
 use ftsl_model::{Corpus, Document, Position, TokenId, TokenInterner};
+use ftsl_testkit::prop_cases;
 use proptest::prelude::*;
 use std::sync::OnceLock;
-
-/// Property-case count: `FTSL_PROPTEST_CASES` raises it for the scheduled
-/// deep-fuzz CI job; the default keeps PR builds quick.
-fn prop_cases() -> u32 {
-    std::env::var("FTSL_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64)
-}
 
 /// One key's list: `((a, b), [(node, min gap)])`.
 type Key = ((u32, u32), Vec<(u32, u32)>);
@@ -263,7 +255,7 @@ fn corpus_of(high: bool, docs: &[DocSpec]) -> Corpus {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(prop_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(prop_cases(64)))]
 
     #[test]
     fn counting_build_matches_the_sorted_build((window, cutoff, high, docs) in arb_case()) {

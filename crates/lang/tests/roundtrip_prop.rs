@@ -3,6 +3,7 @@
 
 use ftsl_lang::{classify, parse, Mode, SurfaceQuery, TokenArg};
 use ftsl_predicates::PredicateRegistry;
+use ftsl_testkit::prop_cases;
 use proptest::prelude::*;
 
 const TOKENS: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
@@ -61,17 +62,8 @@ fn arb_query(depth: u32) -> BoxedStrategy<SurfaceQuery> {
     .boxed()
 }
 
-/// Property-case count: `FTSL_PROPTEST_CASES` raises it for the scheduled
-/// deep-fuzz CI job; the default keeps PR builds quick.
-fn prop_cases() -> u32 {
-    std::env::var("FTSL_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(256)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(prop_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(prop_cases(256)))]
 
     #[test]
     fn render_parse_roundtrip(q in arb_query(4)) {

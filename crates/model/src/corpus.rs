@@ -7,12 +7,13 @@ use crate::position::Position;
 use crate::token::{TokenId, TokenInterner};
 use crate::tokenizer::Tokenizer;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A collection of context nodes sharing one token vocabulary.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct Corpus {
     documents: Vec<Document>,
-    interner: TokenInterner,
+    interner: Arc<TokenInterner>,
 }
 
 impl Corpus {
@@ -25,13 +26,13 @@ impl Corpus {
     ///
     /// Token ids interned by `interner` stay valid in the new corpus, which
     /// is what lets a segmented index keep one *prefix-consistent* global
-    /// vocabulary: every segment's corpus begins from a clone of the shared
-    /// interner, so a given `TokenId` means the same string in every
-    /// segment that knows it.
-    pub fn with_interner(interner: TokenInterner) -> Self {
+    /// vocabulary: passing an `Arc` shares it, and a corpus copies it only
+    /// to intern while it is shared (copy-on-write), so a given `TokenId`
+    /// means the same string in every segment that knows it.
+    pub fn with_interner(interner: impl Into<Arc<TokenInterner>>) -> Self {
         Corpus {
             documents: Vec::new(),
-            interner,
+            interner: interner.into(),
         }
     }
 
@@ -53,7 +54,7 @@ impl Corpus {
     /// Tokenize with a specific tokenizer and append; returns the node id.
     pub fn add_text_with(&mut self, tokenizer: &Tokenizer, text: &str) -> NodeId {
         let node = NodeId(self.documents.len() as u32);
-        let tokens = tokenizer.tokenize(text, &mut self.interner);
+        let tokens = tokenizer.tokenize(text, Arc::make_mut(&mut self.interner));
         self.documents
             .push(Document::new(node, format!("doc{}", node.0), tokens));
         node
@@ -73,7 +74,7 @@ impl Corpus {
 
     /// Intern a token string (for generators building token streams).
     pub fn intern(&mut self, text: &str) -> TokenId {
-        self.interner.intern(text)
+        Arc::make_mut(&mut self.interner).intern(text)
     }
 
     /// Number of context nodes (`cnodes` in the complexity model).
@@ -101,8 +102,9 @@ impl Corpus {
         &self.documents
     }
 
-    /// The shared token interner (vocabulary).
-    pub fn interner(&self) -> &TokenInterner {
+    /// The token interner (vocabulary), shared: clone the `Arc` to start
+    /// another corpus from it ([`Self::with_interner`]).
+    pub fn interner(&self) -> &Arc<TokenInterner> {
         &self.interner
     }
 

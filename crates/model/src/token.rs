@@ -43,11 +43,13 @@ impl fmt::Debug for TokenId {
 /// * `slots`, an open-addressing table of ids (linear probing, a power of
 ///   two long, at most half full), where `u32::MAX` marks an empty slot.
 ///
-/// Every sealed segment carries a clone of the live vocabulary, so a clone
-/// is three `memcpy`s rather than one heap string per token. Slots are
-/// found by `std`'s keyed SipHash ([`RandomState`]): token text is
-/// untrusted input, and an unkeyed hash would let a document choose the
-/// collisions. A clone keeps its keys, so its table stays valid.
+/// A live index shares one interner, copied only when the write buffer
+/// interns while a segment or snapshot holds it (see
+/// [`crate::Corpus::with_interner`]), so a copy is three `memcpy`s rather
+/// than one heap string per token. Slots are found by `std`'s keyed
+/// SipHash ([`RandomState`]): token text is untrusted input, and an
+/// unkeyed hash would let a document choose the collisions. A clone keeps
+/// its keys, so its table stays valid.
 #[derive(Clone, Default, Serialize, Deserialize)]
 pub struct TokenInterner {
     text: String,

@@ -4,15 +4,9 @@
 //! a different byte length.
 
 use ftsl_model::{TokenId, TokenInterner};
+use ftsl_testkit::prop_cases;
 use proptest::prelude::*;
 use std::collections::HashMap;
-
-fn prop_cases() -> u32 {
-    std::env::var("FTSL_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(128)
-}
 
 /// The interner this crate used to have.
 #[derive(Clone, Default)]
@@ -71,7 +65,7 @@ fn assert_same(got: &TokenInterner, want: &Reference) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(prop_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(prop_cases(128)))]
 
     #[test]
     fn interner_matches_the_hash_map(steps in arb_steps(), later in arb_steps()) {

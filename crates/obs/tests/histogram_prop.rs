@@ -6,14 +6,8 @@
 
 use ftsl_obs::metrics::{bucket_bounds, BUCKETS};
 use ftsl_obs::{Histogram, HistogramSnapshot};
+use ftsl_testkit::prop_cases;
 use proptest::prelude::*;
-
-fn prop_cases() -> u32 {
-    std::env::var("FTSL_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(128)
-}
 
 fn snap(values: &[u64]) -> HistogramSnapshot {
     let h = Histogram::new();
@@ -33,7 +27,7 @@ fn arb_values() -> impl Strategy<Value = Vec<u64>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(prop_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(prop_cases(128)))]
 
     #[test]
     fn merge_is_associative_and_commutative(

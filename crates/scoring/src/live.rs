@@ -42,7 +42,7 @@ impl SnapshotStats {
     /// once.
     pub fn compute(snapshot: &Snapshot) -> Self {
         let db_size = snapshot.live_doc_count();
-        let vocab = snapshot.widest_interner().map_or(0, |i| i.len());
+        let vocab = snapshot.vocabulary().len();
         let mut df = vec![0usize; vocab];
         let mut counts = vec![0u32; vocab];
         for seg in snapshot.segments() {
@@ -110,29 +110,28 @@ impl SnapshotStats {
     }
 
     /// Build the query's TF-IDF model from the merged statistics. Token
-    /// strings resolve through the snapshot's widest vocabulary, so a token
-    /// any segment ever saw gets its collection-wide idf.
+    /// strings resolve through the snapshot's vocabulary, so a token any
+    /// segment ever saw gets its collection-wide idf.
     pub fn tfidf_model<S: AsRef<str>>(&self, tokens: &[S], snapshot: &Snapshot) -> TfIdfModel {
+        let vocabulary = snapshot.vocabulary();
         TfIdfModel::for_query_with_idf(tokens, |name| {
-            snapshot
-                .widest_interner()
-                .and_then(|i| i.get(name))
-                .map_or(0.0, |id| self.idf_id(id))
+            vocabulary.get(name).map_or(0.0, |id| self.idf_id(id))
         })
     }
 
     /// Build the query's PRA model from the merged statistics: an idf
     /// table over the query's tokens, resolved through the snapshot's
-    /// widest vocabulary, normalized by the live collection size. A token
-    /// outside the table scores 0, as one no segment ever saw does.
+    /// vocabulary, normalized by the live collection size. A token outside
+    /// the table scores 0, as one no segment ever saw does.
     pub fn pra_model<S: AsRef<str>>(&self, tokens: &[S], snapshot: &Snapshot) -> PraModel {
-        let interner = snapshot.widest_interner();
+        let vocabulary = snapshot.vocabulary();
         let table = tokens
             .iter()
             .map(|token| {
                 let name = token.as_ref();
-                let idf = interner
-                    .and_then(|i| i.get(name).filter(|&id| i.name(id) == name))
+                let idf = vocabulary
+                    .get(name)
+                    .filter(|&id| vocabulary.name(id) == name)
                     .map_or(0.0, |id| self.idf_id(id));
                 (name.to_string(), idf)
             })
@@ -217,7 +216,7 @@ mod tests {
             .map(|(_, d)| {
                 d.tokens
                     .iter()
-                    .map(|&(t, _)| snap.widest_interner().unwrap().name(t).to_string())
+                    .map(|&(t, _)| snap.vocabulary().name(t).to_string())
                     .collect::<Vec<_>>()
                     .join(" ")
             })
@@ -227,7 +226,7 @@ mod tests {
         let mono = ScoreStats::compute(&corpus, &index);
 
         assert_eq!(stats.db_size(), mono.db_size);
-        for (id, name) in snap.widest_interner().unwrap().iter() {
+        for (id, name) in snap.vocabulary().iter() {
             let mono_df = corpus.token_id(name).map_or(0, |m| mono.df(m));
             assert_eq!(stats.df_id(id), mono_df, "df({name})");
             let mono_idf = corpus.token_id(name).map_or(0.0, |m| mono.idf(m));

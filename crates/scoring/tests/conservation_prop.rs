@@ -5,30 +5,19 @@
 use ftsl_algebra::expr::ops::*;
 use ftsl_algebra::{AlgExpr, AlgebraEvaluator};
 use ftsl_index::IndexBuilder;
-use ftsl_model::{Corpus, NodeId};
+use ftsl_model::NodeId;
 use ftsl_predicates::PredicateRegistry;
 use ftsl_scoring::{ModelScorer, ScoreStats, TfIdfModel};
+use ftsl_testkit::{arb_corpus, prop_cases};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 const VOCAB: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
 
-fn arb_corpus() -> impl Strategy<Value = Corpus> {
-    proptest::collection::vec(proptest::collection::vec(0..VOCAB.len(), 1..12), 2..6).prop_map(
-        |docs| {
-            let texts: Vec<String> = docs
-                .into_iter()
-                .map(|toks| {
-                    toks.into_iter()
-                        .map(|t| VOCAB[t])
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                })
-                .collect();
-            Corpus::from_texts(&texts)
-        },
-    )
-}
+/// Documents per corpus, and words per document, of [`arb_corpus`].
+const DOCS: Range<usize> = 2..6;
+const WORDS: Range<usize> = 1..12;
 
 type Evaluator<'a> = AlgebraEvaluator<'a, ModelScorer<'a, TfIdfModel>>;
 
@@ -42,23 +31,14 @@ fn per_node_totals(ev: &mut Evaluator<'_>, expr: &AlgExpr) -> BTreeMap<NodeId, f
     totals
 }
 
-/// Property-case count: `FTSL_PROPTEST_CASES` raises it for the scheduled
-/// deep-fuzz CI job; the default keeps PR builds quick.
-fn prop_cases() -> u32 {
-    std::env::var("FTSL_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(prop_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(prop_cases(64)))]
 
     /// Join conserves the per-node total: for nodes where both sides have
     /// tuples, total(join) = total(left) + total(right).
     #[test]
     fn join_conserves_per_node_score(
-        corpus in arb_corpus(),
+        corpus in arb_corpus(&VOCAB, DOCS, WORDS),
         t1 in 0..VOCAB.len(),
         t2 in 0..VOCAB.len(),
     ) {
@@ -86,7 +66,7 @@ proptest! {
     /// Projection re-aggregates without losing score, at any column subset.
     #[test]
     fn projection_conserves_per_node_score(
-        corpus in arb_corpus(),
+        corpus in arb_corpus(&VOCAB, DOCS, WORDS),
         t1 in 0..VOCAB.len(),
         t2 in 0..VOCAB.len(),
         keep_first in any::<bool>(),
@@ -118,7 +98,7 @@ proptest! {
     /// token relations, where total(a ∪ b) = total(a) + total(b) exactly.
     #[test]
     fn union_of_disjoint_relations_adds_scores(
-        corpus in arb_corpus(),
+        corpus in arb_corpus(&VOCAB, DOCS, WORDS),
         t1 in 0..VOCAB.len(),
         t2 in 0..VOCAB.len(),
     ) {

@@ -5,48 +5,27 @@
 use ftsl_algebra::expr::ops::*;
 use ftsl_algebra::AlgebraEvaluator;
 use ftsl_index::IndexBuilder;
-use ftsl_model::Corpus;
 use ftsl_predicates::PredicateRegistry;
 use ftsl_scoring::classic::classic_tfidf;
 use ftsl_scoring::{ModelScorer, ScoreStats, TfIdfModel};
+use ftsl_testkit::{arb_corpus, prop_cases};
 use proptest::prelude::*;
+use std::ops::Range;
 
 const VOCAB: [&str; 5] = ["alpha", "beta", "gamma", "delta", "eps"];
 
-fn arb_corpus() -> impl Strategy<Value = Corpus> {
-    proptest::collection::vec(proptest::collection::vec(0..VOCAB.len(), 1..10), 2..7).prop_map(
-        |docs| {
-            let texts: Vec<String> = docs
-                .into_iter()
-                .map(|toks| {
-                    toks.into_iter()
-                        .map(|t| VOCAB[t])
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                })
-                .collect();
-            Corpus::from_texts(&texts)
-        },
-    )
-}
-
-/// Property-case count: `FTSL_PROPTEST_CASES` raises it for the scheduled
-/// deep-fuzz CI job; the default keeps PR builds quick.
-fn prop_cases() -> u32 {
-    std::env::var("FTSL_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64)
-}
+/// Documents per corpus, and words per document, of [`arb_corpus`].
+const DOCS: Range<usize> = 2..7;
+const WORDS: Range<usize> = 1..10;
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(prop_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(prop_cases(64)))]
 
     /// Conjunctive: π_CNode(R_t1 ⋈ ... ⋈ R_tk) scores equal classic TF-IDF
     /// on the nodes containing all tokens.
     #[test]
     fn conjunctive_queries_preserve_classic_tfidf(
-        corpus in arb_corpus(),
+        corpus in arb_corpus(&VOCAB, DOCS, WORDS),
         token_idx in proptest::collection::btree_set(0..VOCAB.len(), 1..4),
     ) {
         let tokens: Vec<&str> = token_idx.iter().map(|&i| VOCAB[i]).collect();
@@ -85,7 +64,7 @@ proptest! {
     /// on nodes containing at least one token.
     #[test]
     fn disjunctive_queries_preserve_classic_tfidf(
-        corpus in arb_corpus(),
+        corpus in arb_corpus(&VOCAB, DOCS, WORDS),
         token_idx in proptest::collection::btree_set(0..VOCAB.len(), 1..4),
     ) {
         let tokens: Vec<&str> = token_idx.iter().map(|&i| VOCAB[i]).collect();
@@ -125,7 +104,7 @@ proptest! {
     /// arbitrary operator trees.
     #[test]
     fn pra_scores_are_probabilities(
-        corpus in arb_corpus(),
+        corpus in arb_corpus(&VOCAB, DOCS, WORDS),
         t1 in 0..VOCAB.len(),
         t2 in 0..VOCAB.len(),
         d in 0..6i64,

@@ -10,26 +10,15 @@ use ftsl_model::{Corpus, NodeId};
 use ftsl_scoring::classic::classic_tfidf;
 use ftsl_scoring::stream::{topk_union_into, union_cursors, TfIdfEntryScorer};
 use ftsl_scoring::{ModelScorer, ScoreStats, TfIdfModel, TopK};
+use ftsl_testkit::{arb_corpus, prop_cases};
 use proptest::prelude::*;
+use std::ops::Range;
 
 const VOCAB: [&str; 6] = ["alpha", "beta", "gamma", "delta", "eps", "zeta"];
 
-fn arb_corpus() -> impl Strategy<Value = Corpus> {
-    proptest::collection::vec(proptest::collection::vec(0..VOCAB.len(), 0..12), 1..10).prop_map(
-        |docs| {
-            let texts: Vec<String> = docs
-                .into_iter()
-                .map(|toks| {
-                    toks.into_iter()
-                        .map(|t| VOCAB[t])
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                })
-                .collect();
-            Corpus::from_texts(&texts)
-        },
-    )
-}
+/// Documents per corpus, and words per document, of [`arb_corpus`].
+const DOCS: Range<usize> = 1..10;
+const WORDS: Range<usize> = 0..12;
 
 fn setup(corpus: &Corpus) -> (InvertedIndex, ScoreStats) {
     let index = IndexBuilder::new().build(corpus);
@@ -96,22 +85,13 @@ fn assert_prefix(got: &[(NodeId, f64)], oracle: &[(NodeId, f64)], k: usize, ctx:
     }
 }
 
-/// Property-case count: `FTSL_PROPTEST_CASES` raises it for the scheduled
-/// deep-fuzz CI job; the default keeps PR builds quick.
-fn prop_cases() -> u32 {
-    std::env::var("FTSL_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(48)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(prop_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(prop_cases(48)))]
 
     /// Pruned TF-IDF union == first k of classic cosine TF-IDF.
     #[test]
     fn tfidf_topk_matches_classic_oracle(
-        corpus in arb_corpus(),
+        corpus in arb_corpus(&VOCAB, DOCS, WORDS),
         token_idx in proptest::collection::btree_set(0..VOCAB.len(), 1..5),
         k in 1usize..8,
     ) {
@@ -128,7 +108,7 @@ proptest! {
     /// lists.
     #[test]
     fn pruned_union_work_is_bounded_by_exhaustive(
-        corpus in arb_corpus(),
+        corpus in arb_corpus(&VOCAB, DOCS, WORDS),
         token_idx in proptest::collection::btree_set(0..VOCAB.len(), 1..5),
         k in 1usize..4,
     ) {

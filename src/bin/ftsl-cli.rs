@@ -562,17 +562,15 @@ fn bench_load(
     requests: usize,
     out: &mut impl Write,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    // Query mix from the indexed vocabulary: the most frequent terms of
-    // the widest segment, skew-sampled so the cache has something to do.
+    // Query mix from the indexed vocabulary: its first terms,
+    // skew-sampled so the cache has something to do.
     let snapshot = engine.snapshot();
     let terms: Vec<String> = snapshot
-        .widest_interner()
-        .map(|i| {
-            (0..i.len().min(16))
-                .map(|t| i.name(ftsl_model::TokenId(t as u32)).to_string())
-                .collect()
-        })
-        .unwrap_or_default();
+        .vocabulary()
+        .iter()
+        .take(16)
+        .map(|(_, name)| name.to_string())
+        .collect();
     if terms.is_empty() {
         writeln!(out, "nothing indexed yet — :add some documents first")?;
         return Ok(());
