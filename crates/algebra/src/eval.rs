@@ -27,7 +27,10 @@
 //! they build rows, and [`AlgebraEvaluator::rank`] combines each answer
 //! node's root rows with `project` as the node is emitted. Unscored, the
 //! column is `()` and every transformation compiles away. Scored walks run
-//! the plan as translated: push-down would change the scores.
+//! the plan as translated: push-down would change the scores. When the
+//! answer is already known — the executor's class engine found it —
+//! [`AlgebraEvaluator::rank_among`] seeks the root to each answer node in
+//! turn, so no node outside it is built.
 
 use crate::error::AlgebraError;
 use crate::expr::AlgExpr;
@@ -152,16 +155,40 @@ impl<'a, S: Scorer> AlgebraEvaluator<'a, S> {
     /// its scores.
     pub fn relation(&mut self, expr: &AlgExpr) -> Result<FtRelation<S::Score>, AlgebraError> {
         let mut out = FtRelation::new(expr.arity(self.registry)?);
-        self.walk(expr, |_, node, rows| out.push_node(node, rows))?;
+        self.walk(expr, None, |_, node, rows| out.push_node(node, rows))?;
         Ok(out)
     }
 
     /// Evaluate a query and score each node in its answer: `project` over
     /// the node's root rows, applied as the node is emitted. Nodes ascend.
     pub fn rank(&mut self, expr: &AlgExpr) -> Result<Vec<(NodeId, S::Score)>, AlgebraError> {
+        self.scored_walk(expr, None)
+    }
+
+    /// [`Self::rank`] over `nodes` only, which must ascend: the root's
+    /// candidate walk seeks to each listed node instead of stepping through
+    /// every candidate. A node outside `expr`'s answer has no root rows, so
+    /// over a list that holds the answer the hits — nodes, scores and
+    /// order — are [`Self::rank`]'s; an empty list evaluates nothing.
+    pub fn rank_among(
+        &mut self,
+        expr: &AlgExpr,
+        nodes: &[NodeId],
+    ) -> Result<Vec<(NodeId, S::Score)>, AlgebraError> {
+        if nodes.is_empty() {
+            return expr.arity(self.registry).map(|_| Vec::new());
+        }
+        self.scored_walk(expr, Some(nodes))
+    }
+
+    fn scored_walk(
+        &mut self,
+        expr: &AlgExpr,
+        among: Option<&[NodeId]>,
+    ) -> Result<Vec<(NodeId, S::Score)>, AlgebraError> {
         expr.arity(self.registry)?;
         let mut hits = Vec::new();
-        self.walk(expr, |scorer, node, rows| {
+        self.walk(expr, among, |scorer, node, rows| {
             if !rows.is_empty() {
                 hits.push((node, scorer.project(rows.scores())));
             }
@@ -169,16 +196,20 @@ impl<'a, S: Scorer> AlgebraEvaluator<'a, S> {
         Ok(hits)
     }
 
-    /// Run `expr`, which must be well formed, handing each candidate
-    /// node's root rows to `emit`, and fold the work into the counters.
+    /// Run `expr`, which must be well formed, at every root candidate (or
+    /// at those of `among`), handing each one's root rows to `emit`, and
+    /// fold the work into the counters.
     fn walk(
         &mut self,
         expr: &AlgExpr,
+        among: Option<&[NodeId]>,
         mut emit: impl FnMut(&S, NodeId, &NodeRows<S::Score>),
     ) -> Result<(), AlgebraError> {
         let scorer = &self.scorer;
         let mut plan = Plan::new(expr, self.corpus, self.index, self.registry, scorer);
-        let result = plan.run(&mut self.stats, |node, rows| emit(scorer, node, rows));
+        let result = plan.run(among, &mut self.stats, |node, rows| {
+            emit(scorer, node, rows)
+        });
         plan.charge(&mut self.counters, &mut self.stats);
         result
     }
@@ -371,29 +402,54 @@ impl<'p, S: Scorer> Plan<'p, S> {
         }
     }
 
-    /// Evaluate the whole expression at every candidate of the root,
-    /// handing each one's root rows to `emit`.
+    /// Evaluate the whole expression at every candidate of the root — or,
+    /// given `among`, at each listed node the root lands on when sought to
+    /// it — handing each one's root rows to `emit`.
     fn run(
         &mut self,
+        among: Option<&[NodeId]>,
         stats: &mut NodeStats,
         mut emit: impl FnMut(NodeId, &NodeRows<S::Score>),
     ) -> Result<(), AlgebraError> {
         let root = self.ops.len() - 1;
+        if let Some(nodes) = among {
+            for &node in nodes {
+                match self.seek(root, node) {
+                    Some(n) if n == node => self.visit(root, node, stats, &mut emit)?,
+                    Some(_) => {}
+                    None => break,
+                }
+            }
+            return Ok(());
+        }
         let mut next = NodeId(0);
         while let Some(node) = self.seek(root, next) {
-            self.node_tuples = 0;
-            self.node_positions = 0;
-            self.eval(root, node)?;
-            emit(node, &self.rows[root]);
-            self.tuples += self.node_tuples;
-            stats.nodes_evaluated += 1;
-            stats.peak_node_tuples = stats.peak_node_tuples.max(self.node_tuples);
-            self.trim();
+            self.visit(root, node, stats, &mut emit)?;
             match node.0.checked_add(1) {
                 Some(n) => next = NodeId(n),
                 None => break,
             }
         }
+        Ok(())
+    }
+
+    /// Evaluate the expression at `node`, which the root has landed on,
+    /// and hand its root rows to `emit`.
+    fn visit(
+        &mut self,
+        root: usize,
+        node: NodeId,
+        stats: &mut NodeStats,
+        emit: &mut impl FnMut(NodeId, &NodeRows<S::Score>),
+    ) -> Result<(), AlgebraError> {
+        self.node_tuples = 0;
+        self.node_positions = 0;
+        self.eval(root, node)?;
+        emit(node, &self.rows[root]);
+        self.tuples += self.node_tuples;
+        stats.nodes_evaluated += 1;
+        stats.peak_node_tuples = stats.peak_node_tuples.max(self.node_tuples);
+        self.trim();
         Ok(())
     }
 
@@ -655,6 +711,30 @@ mod tests {
     }
 
     #[test]
+    fn ranking_among_listed_nodes_builds_only_those() {
+        let (corpus, index, reg) = setup();
+        // Answer: nodes 0 and 1; "test" alone also holds node 2.
+        let e = project_nodes(join(token("test"), token("usability")));
+        let full = AlgebraEvaluator::new(&corpus, &index, &reg)
+            .rank(&e)
+            .unwrap();
+        assert_eq!(full, vec![(NodeId(0), ()), (NodeId(1), ())]);
+        let among = |nodes: &[u32]| {
+            let nodes: Vec<NodeId> = nodes.iter().copied().map(NodeId).collect();
+            let mut ev = AlgebraEvaluator::new(&corpus, &index, &reg);
+            let hits = ev.rank_among(&e, &nodes).unwrap();
+            (hits, ev.node_stats().nodes_evaluated, ev.counters().tuples)
+        };
+        let (hits, evaluated, _) = among(&[0, 1]);
+        assert_eq!((hits, evaluated), (full.clone(), 2));
+        // Node 1 answers; sought to node 2, the root runs out.
+        let (hits, evaluated, _) = among(&[1, 2, 3]);
+        assert_eq!((hits, evaluated), (full[1..].to_vec(), 1));
+        let (hits, evaluated, tuples) = among(&[]);
+        assert_eq!((hits.len(), evaluated, tuples), (0, 0, 0));
+    }
+
+    #[test]
     fn nodes_missing_a_joined_leaf_are_never_materialized() {
         // "driven" is only in node 0: the join visits one node, and the
         // other "test" / "usability" entries are passed over by seek.
@@ -775,7 +855,7 @@ mod tests {
             .fold(arm(&tokens[0]), |e, t| union(e, arm(t)));
         let mut plan = Plan::new(&e, &corpus, &index, &reg, &Unscored);
         let mut out = FtRelation::new(0);
-        plan.run(&mut NodeStats::default(), |node, rows| {
+        plan.run(None, &mut NodeStats::default(), |node, rows| {
             out.push_node(node, rows)
         })
         .unwrap();

@@ -254,11 +254,12 @@ impl Ftsl {
         })
     }
 
-    /// Exhaustively rank the current snapshot's answer under a scoring
-    /// model: each segment runs the COMP engine's node-at-a-time algebra
-    /// evaluator with a score column, under merged corpus statistics and
-    /// the same per-node budget, and [`Ranked::counters`] sums the
-    /// segments' cursor work.
+    /// Rank the current snapshot's answer under a scoring model: each
+    /// segment finds its answer through the engine its class picks, as
+    /// [`Self::search`] does, and the COMP engine's node-at-a-time algebra
+    /// evaluator scores only those nodes, with a score column, under
+    /// merged corpus statistics and the same per-node budget.
+    /// [`Ranked::counters`] sums both steps' work over the segments.
     pub fn search_ranked(&self, query: &str, model: RankModel) -> Result<Ranked, FtslError> {
         self.rank(query, model, |exec, surface, stats, m| {
             exec.run_ranked(surface, stats, m)
@@ -270,9 +271,10 @@ impl Ftsl {
     /// [`Self::search_ranked`] truncated to `k`. The executor's one top-k
     /// dispatch ([`SnapshotExecutor::run_top_k_with`]) streams a flat
     /// disjunction through the MaxScore/block-max pruned union, with one
-    /// heap shared by every segment, and ranks anything else exhaustively,
-    /// returning its errors (a per-node budget refusal among them).
-    /// [`Ranked::counters`] say how much of the index was read.
+    /// heap shared by every segment, and ranks anything else as
+    /// [`Self::search_ranked`] does, returning its errors (a per-node
+    /// budget refusal among them). [`Ranked::path`] says which arm ran,
+    /// and [`Ranked::counters`] how much of the index was read.
     pub fn search_top_k(
         &self,
         query: &str,
@@ -330,6 +332,7 @@ impl Ftsl {
         Ok(Ranked {
             hits: out.hits,
             model,
+            path: out.path,
             counters: out.counters,
             trace: out.trace,
         })
@@ -606,6 +609,46 @@ mod tests {
             "a COMP shape ranks through the algebra"
         );
         assert_eq!(r.hits.len(), 1);
+    }
+
+    /// Ranking scores the class engine's answer, so a request whose answer
+    /// is empty does the set request's work and nothing more, under either
+    /// model: no tuple unless its class engine is COMP, which builds them
+    /// to find the answer.
+    #[test]
+    fn an_empty_answer_is_ranked_without_building_a_tuple() {
+        let live = fixture();
+        for (query, engine) in [
+            ("'usability' AND NOT 'software'", EngineUsed::Bool),
+            (
+                "SOME p1 SOME p2 (p1 HAS 'task' AND p2 HAS 'users' AND distance(p1,p2,2))",
+                EngineUsed::Ppred,
+            ),
+            (
+                "SOME p1 (p1 HAS 'usability' AND NOT p1 HAS 'usability')",
+                EngineUsed::Comp,
+            ),
+        ] {
+            let set = live.search(query).unwrap();
+            assert_eq!((set.len(), set.engine), (0, engine), "{query}");
+            for model in [RankModel::TfIdf, RankModel::Pra] {
+                let ctx = format!("{query} under {model:?}");
+                let ranked = live.search_ranked(query, model).unwrap();
+                let top = live.search_top_k(query, model, 3).unwrap();
+                for r in [ranked, top] {
+                    assert!(r.hits.is_empty(), "{ctx}");
+                    assert_eq!(r.path, ScoredPath::Exhaustive, "{ctx}");
+                    assert_eq!(r.counters, set.counters, "{ctx}: nothing scored");
+                    if engine != EngineUsed::Comp {
+                        assert_eq!(r.counters.tuples, 0, "{ctx}");
+                    }
+                }
+            }
+        }
+        let union = live
+            .search_top_k("'software' OR 'nowhere'", RankModel::TfIdf, 3)
+            .unwrap();
+        assert_eq!(union.path, ScoredPath::PrunedUnion);
     }
 
     #[test]

@@ -44,9 +44,10 @@ pub enum RankModel {
     Pra,
 }
 
-/// Collect the string tokens a surface query mentions (for the TF-IDF
-/// weights and the PRA idf table).
-pub(crate) fn query_tokens(surface: &ftsl_lang::SurfaceQuery) -> Vec<String> {
+/// Collect the string tokens a surface query mentions, in order and with
+/// repeats: what the facade builds a query's TF-IDF weights and PRA idf
+/// table from.
+pub fn query_tokens(surface: &ftsl_lang::SurfaceQuery) -> Vec<String> {
     use ftsl_lang::{SurfaceQuery as S, TokenArg};
     fn walk(q: &S, out: &mut Vec<String>) {
         match q {

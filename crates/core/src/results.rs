@@ -2,6 +2,7 @@
 
 use crate::RankModel;
 use ftsl_exec::engine::EngineUsed;
+use ftsl_exec::ScoredPath;
 use ftsl_index::AccessCounters;
 use ftsl_lang::LanguageClass;
 use ftsl_model::NodeId;
@@ -46,11 +47,17 @@ pub struct Ranked {
     pub hits: Vec<(NodeId, f64)>,
     /// The scoring model used.
     pub model: RankModel,
+    /// The executor arm that ran: the pruned union over a flat
+    /// disjunction, or the exhaustive ranking (truncated to `k` on the
+    /// top-k path).
+    pub path: ScoredPath,
     /// Access counters of the executor arm that ran, summed over
     /// segments: the pruned union's cursor work (it materializes no
     /// tuples), or — for exhaustive ranking, and for the top-k arm that
-    /// truncates it — every segment's node-at-a-time algebra walk,
-    /// including the tuples it materialized.
+    /// truncates it — every segment's set bind through its class engine
+    /// plus the node-at-a-time algebra walk that scored the live answer,
+    /// including the tuples it materialized (none when the answer is
+    /// empty).
     pub counters: AccessCounters,
     /// Span tree recorded when the engine ran with
     /// [`ftsl_exec::engine::ExecOptions::trace`] set.

@@ -12,7 +12,10 @@
 //!
 //! Over the same histories, `search_top_k(q, m, k)` is `search_ranked(q,
 //! m)` truncated to k for every query under both models — the one
-//! semantics every top-k arm answers.
+//! semantics every top-k arm answers — and `search_ranked` is the set
+//! answer, scored: it ranks exactly `search`'s nodes, with the scores the
+//! unrestricted evaluator gives them over every candidate of a monolithic
+//! rebuild.
 //!
 //! Pruning must be invisible: skipping a segment, tightening the entry
 //! bound mid-stream, or arriving at a segment with a heap already full
@@ -28,16 +31,20 @@
 mod common;
 
 use common::{apply, apply_one, arb_ops, dense_ids, manual_config, survivors, Docs, Op, VOCAB};
-use ftsl_core::{Ftsl, LiveConfig, RankModel};
+use ftsl_algebra::from_calculus::query_to_algebra;
+use ftsl_algebra::AlgebraEvaluator;
+use ftsl_calculus::CalcQuery;
+use ftsl_core::{query_tokens, Ftsl, LiveConfig, RankModel};
 use ftsl_exec::scored::flat_disjunction;
 use ftsl_exec::snapshot::{ExecScratch, SnapshotExecutor};
 use ftsl_exec::{ScoreModel, ScoredTopK};
 use ftsl_index::Snapshot;
-use ftsl_lang::SurfaceQuery;
+use ftsl_lang::{lower, parse, Mode, SurfaceQuery};
 use ftsl_model::NodeId;
 use ftsl_predicates::PredicateRegistry;
-use ftsl_scoring::SnapshotStats;
-use ftsl_testkit::prop_cases;
+use ftsl_scoring::topk::sort_ranked;
+use ftsl_scoring::{ModelScorer, SnapshotStats};
+use ftsl_testkit::{arb_bool_query, arb_stream_query, prop_cases};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -71,6 +78,40 @@ impl Monolith {
             .expect("oracle pra ranking")
             .hits;
         hits.truncate(k);
+        hits
+    }
+
+    /// The unrestricted ranking: the evaluator with a score column over
+    /// every candidate of the translated plan, not only over the set
+    /// answer, under the rebuild's own statistics, in ranking order.
+    fn every_candidate_ranked(&self, query: &SurfaceQuery, model: RankModel) -> Vec<(NodeId, f64)> {
+        let reg = self.engine.registry();
+        let snapshot = self.engine.snapshot();
+        let stats = SnapshotStats::compute(&snapshot);
+        let expr = lower(query, reg).expect("lowers");
+        let alg = query_to_algebra(&CalcQuery::new(expr), reg).expect("translates");
+        let tokens = query_tokens(query);
+        let (tfidf, pra) = (
+            stats.tfidf_model(&tokens, &snapshot),
+            stats.pra_model(&tokens, &snapshot),
+        );
+        let mut hits = Vec::new();
+        for (i, seg) in snapshot.segments().iter().enumerate() {
+            let (corpus, index) = (seg.data().corpus(), seg.data().index());
+            let ranked = match model {
+                RankModel::TfIdf => {
+                    let scorer = ModelScorer(&tfidf, stats.segment(i));
+                    AlgebraEvaluator::scored(corpus, index, reg, scorer).rank(&alg)
+                }
+                RankModel::Pra => {
+                    let scorer = ModelScorer(&pra, stats.segment(i));
+                    AlgebraEvaluator::scored(corpus, index, reg, scorer).rank(&alg)
+                }
+            };
+            let globals = ranked.expect("ranks").into_iter();
+            hits.extend(globals.map(|(n, s)| (seg.data().global_of(n.index()), s)));
+        }
+        sort_ranked(&mut hits);
         hits
     }
 }
@@ -116,26 +157,19 @@ const TREE_QUERIES: &[&str] = &[
 /// (PRA) both `'alpha'` arms, so the pruned union must count it twice.
 const REPEATED: &str = "'alpha' OR 'alpha' OR 'beta'";
 
-/// Random BOOL-shaped surface queries (literals, AND, OR, NOT).
-fn arb_bool_query(depth: u32) -> BoxedStrategy<SurfaceQuery> {
-    let leaf = prop_oneof![
-        (0..VOCAB.len()).prop_map(|t| SurfaceQuery::Lit(VOCAB[t].to_string())),
-        // Occasionally a token outside the corpus vocabulary.
-        Just(SurfaceQuery::Lit("outofvocab".to_string())),
-    ];
-    if depth == 0 {
-        return leaf.boxed();
-    }
-    let sub = arb_bool_query(depth - 1);
+/// The extra leaf of this suite's random BOOL trees: a token outside the
+/// corpus vocabulary.
+fn out_of_vocab() -> SurfaceQuery {
+    SurfaceQuery::Lit("outofvocab".to_string())
+}
+
+/// Random queries that rank through the algebra: BOOL trees, and PPRED /
+/// NPRED stream queries with positive and negative predicates.
+fn arb_ranked_query() -> impl Strategy<Value = SurfaceQuery> {
     prop_oneof![
-        2 => leaf,
-        2 => (sub.clone(), sub.clone())
-            .prop_map(|(a, b)| SurfaceQuery::And(Box::new(a), Box::new(b))),
-        2 => (sub.clone(), sub.clone())
-            .prop_map(|(a, b)| SurfaceQuery::Or(Box::new(a), Box::new(b))),
-        1 => sub.prop_map(|q| SurfaceQuery::Not(Box::new(q))),
+        arb_bool_query(&VOCAB, 1, out_of_vocab(), 3),
+        arb_stream_query(&VOCAB, true),
     ]
-    .boxed()
 }
 
 /// Histories that end in an exact tie: a random history, then one document
@@ -261,13 +295,36 @@ proptest! {
     /// to k — flat disjunctions, BOOL trees with and without `NOT`, a
     /// repeated literal, and a random BOOL tree.
     #[test]
-    fn top_k_is_the_ranking_truncated(ops in arb_ops(), random in arb_bool_query(3)) {
+    fn top_k_is_the_ranking_truncated(ops in arb_ops(), random in arb_bool_query(&VOCAB, 1, out_of_vocab(), 3)) {
         let (engine, _) = apply(&ops);
         let random = random.render();
         let flat = FLAT_QUERIES.iter().map(|(query, _)| *query);
         let queries = flat.chain(TREE_QUERIES.iter().copied());
         for query in queries.chain([REPEATED, random.as_str()]) {
             assert_top_k_is_truncated_ranking(&engine, query)?;
+        }
+    }
+
+    /// A ranked answer is the set answer, scored. Over any interleaving of
+    /// adds/deletes/flushes/merges, a random BOOL tree or stream query
+    /// ranks exactly the nodes `search` answers, under either model, and
+    /// its hits are bit-identical, after the id remap, to the unrestricted
+    /// ranking of every candidate on the monolithic rebuild.
+    #[test]
+    fn a_ranked_answer_is_the_set_answer_scored(ops in arb_ops(), query in arb_ranked_query()) {
+        let (engine, survivors) = apply(&ops);
+        let mono = rebuild(&survivors);
+        let text = query.render();
+        let query = parse(&text, Mode::Comp).expect("a rendered query parses");
+        let set = engine.search(&text).expect("search").nodes;
+        for model in [RankModel::TfIdf, RankModel::Pra] {
+            let ctx = format!("{text} under {model:?}");
+            let ranked = engine.search_ranked(&text, model).expect("ranked").hits;
+            let mut nodes: Vec<NodeId> = ranked.iter().map(|&(n, _)| n).collect();
+            nodes.sort();
+            prop_assert_eq!(&nodes, &set, "{}: ranked nodes", ctx);
+            let oracle = mono.every_candidate_ranked(&query, model);
+            assert_hits_bit_identical(&ranked, &oracle, &mono.remap, &ctx)?;
         }
     }
 

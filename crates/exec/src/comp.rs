@@ -2,17 +2,16 @@
 //! one context node at a time.
 
 use crate::error::ExecError;
-use ftsl_algebra::from_calculus::query_to_algebra;
 use ftsl_algebra::rewrite::push_down;
 use ftsl_algebra::{AlgExpr, AlgebraEvaluator, NodeStats};
-use ftsl_calculus::CalcQuery;
 use ftsl_index::{AccessCounters, InvertedIndex};
 use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::PredicateRegistry;
 
 /// The COMP engine's shape half, compiled once per query: the algebra
 /// translation with `σ` and `π` already pushed below `⋈`
-/// ([`ftsl_algebra::rewrite::push_down`]). [`Self::bind`] evaluates it on
+/// ([`ftsl_algebra::rewrite::push_down`]); the prepared query keeps the
+/// translation itself beside it. [`Self::bind`] evaluates it on
 /// one segment, one context node at a time. Complete; a predicate over one
 /// join's columns filters that join, and a side no later operator reads
 /// joins as one row per node, but a predicate binding both sides of every
@@ -25,16 +24,12 @@ pub(crate) struct CompPlan {
 }
 
 impl CompPlan {
-    /// Safety-check and translate `query`, then push its selections and
-    /// projections down.
-    pub(crate) fn prepare(
-        query: &CalcQuery,
-        registry: &PredicateRegistry,
-    ) -> Result<Self, ExecError> {
-        let alg = query_to_algebra(query, registry)?;
-        Ok(CompPlan {
-            plan: push_down(&alg, registry),
-        })
+    /// Push the selections and projections of `translated`, a query's
+    /// algebra translation, down.
+    pub(crate) fn prepare(translated: &AlgExpr, registry: &PredicateRegistry) -> Self {
+        CompPlan {
+            plan: push_down(translated, registry),
+        }
     }
 
     /// Evaluate the plan one context node at a time over one segment.

@@ -6,6 +6,8 @@ use crate::bool_eval::{bind_bool, check_bool};
 use crate::comp::CompPlan;
 use crate::error::ExecError;
 use crate::ppred::StreamPlan;
+use ftsl_algebra::from_calculus::query_to_algebra;
+use ftsl_algebra::AlgExpr;
 use ftsl_calculus::CalcQuery;
 use ftsl_index::{AccessCounters, IndexLayout, InvertedIndex};
 use ftsl_lang::{classify, lower, LanguageClass, SurfaceQuery};
@@ -129,6 +131,10 @@ enum Shape<'q> {
 /// for COMP the pushed-down algebra. [`Self::bind`] does only what depends
 /// on one segment's lists: token ids, join order, cursors.
 ///
+/// A ranked request ([`Self::prepare_ranked`]) is the same set request plus
+/// the query's algebra translation, which scores the answer the set engine
+/// finds ([`Self::scoring`]).
+///
 /// Whether Auto dispatch falls back from PPRED / NPRED to COMP depends only
 /// on the query's shape, so it is decided here, once; shape errors of a
 /// forced engine surface here too, whether or not any segment exists.
@@ -136,6 +142,9 @@ pub struct PreparedQuery<'q> {
     registry: &'q PredicateRegistry,
     class: LanguageClass,
     shape: Shape<'q>,
+    /// The algebra translation, not pushed down: kept by a ranked request
+    /// and by COMP, whose plan is pushed down from it.
+    translated: Option<AlgExpr>,
 }
 
 impl<'q> PreparedQuery<'q> {
@@ -144,6 +153,29 @@ impl<'q> PreparedQuery<'q> {
     pub fn prepare(
         surface: &'q SurfaceQuery,
         engine: EngineKind,
+        registry: &'q PredicateRegistry,
+        options: ExecOptions,
+        tb: Option<&mut TraceBuilder>,
+    ) -> Result<Self, ExecError> {
+        Self::compile(surface, engine, false, registry, options, tb)
+    }
+
+    /// Compile `surface` as a ranked request: the Auto-dispatched set shape
+    /// that finds its answer, and the translation that scores it. The query
+    /// is lowered once for both.
+    pub fn prepare_ranked(
+        surface: &'q SurfaceQuery,
+        registry: &'q PredicateRegistry,
+        options: ExecOptions,
+        tb: Option<&mut TraceBuilder>,
+    ) -> Result<Self, ExecError> {
+        Self::compile(surface, EngineKind::Auto, true, registry, options, tb)
+    }
+
+    fn compile(
+        surface: &'q SurfaceQuery,
+        engine: EngineKind,
+        ranked: bool,
         registry: &'q PredicateRegistry,
         options: ExecOptions,
         mut tb: Option<&mut TraceBuilder>,
@@ -157,24 +189,46 @@ impl<'q> PreparedQuery<'q> {
             EngineKind::Npred => EngineUsed::Npred,
             EngineKind::Comp => EngineUsed::Comp,
         };
-        let shape = if chosen == EngineUsed::Bool {
+        if chosen == EngineUsed::Bool {
             check_bool(surface)?;
-            Shape::Bool(surface)
+        }
+        // A BOOL set request merges doc-id lists from the surface query and
+        // never lowers.
+        let query = if chosen == EngineUsed::Bool && !ranked {
+            None
         } else {
             let expr = lower(surface, registry).map_err(|e| ExecError::Lang(e.to_string()))?;
-            let streamed = matches!(chosen, EngineUsed::Ppred | EngineUsed::Npred).then(|| {
-                StreamPlan::prepare(&expr, registry, chosen, options.npred_full_permutations)
-            });
-            match streamed {
-                Some(Ok(plan)) => Shape::Stream(chosen, plan),
-                Some(Err(e)) if engine != EngineKind::Auto => return Err(e.into()),
-                fallback => {
-                    if let (Some(b), Some(id), Some(Err(e))) = (tb.as_mut(), span, fallback) {
-                        b.note(id, format!("{chosen} refused: {e} — COMP fallback"));
+            Some(CalcQuery::new(expr))
+        };
+        let mut translated = match &query {
+            Some(query) if ranked => Some(query_to_algebra(query, registry)?),
+            _ => None,
+        };
+        let shape = match query {
+            Some(query) if chosen != EngineUsed::Bool => {
+                let streamed = matches!(chosen, EngineUsed::Ppred | EngineUsed::Npred).then(|| {
+                    let full = options.npred_full_permutations;
+                    StreamPlan::prepare(&query.expr, registry, chosen, full)
+                });
+                match streamed {
+                    Some(Ok(plan)) => Shape::Stream(chosen, plan),
+                    Some(Err(e)) if engine != EngineKind::Auto => return Err(e.into()),
+                    fallback => {
+                        if let (Some(b), Some(id), Some(Err(e))) = (tb.as_mut(), span, fallback) {
+                            b.note(id, format!("{chosen} refused: {e} — COMP fallback"));
+                        }
+                        let alg = match translated.take() {
+                            Some(alg) => alg,
+                            None => query_to_algebra(&query, registry)?,
+                        };
+                        let plan = CompPlan::prepare(&alg, registry);
+                        translated = Some(alg);
+                        Shape::Comp(plan)
                     }
-                    Shape::Comp(CompPlan::prepare(&CalcQuery::new(expr), registry)?)
                 }
             }
+            // BOOL: every other engine has lowered.
+            _ => Shape::Bool(surface),
         };
         if let (Some(b), Some(id)) = (tb, span) {
             b.close(id);
@@ -183,7 +237,15 @@ impl<'q> PreparedQuery<'q> {
             registry,
             class,
             shape,
+            translated,
         })
+    }
+
+    /// The algebra a ranked request scores its answer through: the query
+    /// as translated, without push-down, which would change the scores.
+    /// Present for every [`Self::prepare_ranked`] query.
+    pub fn scoring(&self) -> Option<&AlgExpr> {
+        self.translated.as_ref()
     }
 
     /// The detected language class.

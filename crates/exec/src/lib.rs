@@ -21,7 +21,8 @@
 //!   planned once, then bound to each segment's lists;
 //! * [`snapshot`] — the executor every query goes through: one prepared
 //!   query bound to each segment of a [`ftsl_index::Snapshot`], tombstones
-//!   filtered, ids remapped, counters summed;
+//!   filtered, ids remapped, counters summed; a ranked request scores each
+//!   segment's live answer in the same loop;
 //! * [`pairscan`] — the PPRED fast path for phrase/NEAR shapes: two-scan
 //!   proximity cores resolve once per segment against the index's
 //!   word-pair auxiliary lists ([`ftsl_index::pair`]), and one merged
@@ -34,7 +35,7 @@
 //!   truncated to `k`. A flat disjunction gets there through a
 //!   MaxScore/block-max pruned union draining into one bounded heap
 //!   shared across segments instead of scoring every node; any other
-//!   query ranks every answer node and truncates.
+//!   query scores every node of its class engine's answer and truncates.
 //!
 //! Every engine reports [`ftsl_index::AccessCounters`] so the Figure 3
 //! bounds can be validated with machine-independent measurements.

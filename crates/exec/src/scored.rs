@@ -6,8 +6,10 @@
 //! flat disjunctions — the ranked-query workhorse — go through the
 //! MaxScore/block-max pruned union, and every other request is the
 //! exhaustive ranking ([`crate::SnapshotExecutor::run_ranked`]) truncated
-//! to `k`. Both arms answer that ranking's first `k` rows, and both report
-//! [`ftsl_index::AccessCounters`], so pruning wins are measurable.
+//! to `k`: the answer the query's class engine finds, each node scored
+//! through the algebra. Both arms answer that ranking's first `k` rows,
+//! and both report [`ftsl_index::AccessCounters`], so pruning wins are
+//! measurable.
 
 use ftsl_index::AccessCounters;
 use ftsl_lang::SurfaceQuery;
@@ -44,8 +46,8 @@ pub enum ScoredPath {
     /// pruned on the pair lists' `min_gap` headers.
     PairProximity,
     /// The exhaustive ranking ([`crate::SnapshotExecutor::run_ranked`]):
-    /// every answer node scored through the algebra (truncated to `k` on
-    /// the top-k path).
+    /// every node of the class engine's answer scored through the algebra
+    /// (truncated to `k` on the top-k path).
     Exhaustive,
 }
 

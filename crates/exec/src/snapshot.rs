@@ -23,26 +23,28 @@
 //!    total decode work of the query, not the work of whichever segment
 //!    happened to run last).
 //!
-//! Scored paths take their statistics from
+//! A ranked request ([`SnapshotExecutor::run_ranked`]) is the set request
+//! plus one scoring step, through the same loop: the query is prepared
+//! once ([`PreparedQuery::prepare_ranked`]), each segment binds its class
+//! engine and drops tombstones, and between that and the remap the live
+//! answer nodes are scored through the query's algebra translation
+//! ([`ftsl_algebra::AlgebraEvaluator::rank_among`]), which seeks to them
+//! and builds no other node. Scores take their statistics from
 //! [`ftsl_scoring::SnapshotStats`], whose per-segment
 //! [`ftsl_scoring::ScoreStats`] carry collection-wide `df`/`db_size` —
 //! which is what makes snapshot scores bit-identical to a monolithic index
-//! over the same live documents. Every ranked request is one call here:
-//! [`SnapshotExecutor::run_ranked`] ranks exhaustively, and
-//! [`SnapshotExecutor::run_top_k_with`] is the one top-k dispatch, always
-//! that ranking truncated to `k`; its pruned union and
-//! [`SnapshotExecutor::run_near_top_k_with`] share one global-threshold
-//! segment walk.
+//! over the same live documents. [`SnapshotExecutor::run_top_k_with`] is
+//! the one top-k dispatch, always that ranking truncated to `k`; its
+//! pruned union and [`SnapshotExecutor::run_near_top_k_with`] share one
+//! global-threshold segment walk.
 
 use crate::engine::{counter_attrs, EngineKind, ExecOptions, PreparedQuery, QueryOutput};
 use crate::error::ExecError;
 use crate::pairscan::{near_bound, near_topk_into, PairQuery};
 use crate::scored::{flat_disjunction, ScoreModel, ScoredOutput, ScoredPath, ScoredTopK};
-use ftsl_algebra::from_calculus::query_to_algebra;
 use ftsl_algebra::{AlgExpr, AlgebraEvaluator, Scorer};
-use ftsl_calculus::CalcQuery;
-use ftsl_index::{AccessCounters, EntryScorer, Snapshot, SnapshotSegment};
-use ftsl_lang::{lower, parse, Mode, SurfaceQuery};
+use ftsl_index::{AccessCounters, EntryScorer, SegmentData, Snapshot, SnapshotSegment};
+use ftsl_lang::{parse, Mode, SurfaceQuery};
 use ftsl_model::NodeId;
 use ftsl_obs::TraceBuilder;
 use ftsl_predicates::PredicateRegistry;
@@ -142,28 +144,58 @@ impl<'a> SnapshotExecutor<'a> {
     pub fn run_prepared(
         &self,
         prepared: &PreparedQuery<'_>,
-        mut tb: Option<&mut TraceBuilder>,
+        tb: Option<&mut TraceBuilder>,
     ) -> Result<(Vec<NodeId>, AccessCounters), ExecError> {
         let mut nodes: Vec<NodeId> = Vec::new();
+        let counters = self.bind_each(prepared, tb, |_, data, live| {
+            nodes.extend(live.iter().map(|n| data.global_of(n.index())));
+            Ok(None)
+        })?;
+        Ok((nodes, counters))
+    }
+
+    /// The one per-segment loop of every prepared request, set or ranked:
+    /// bind `prepared` to each segment, drop its tombstoned matches, and
+    /// hand the live ones (local ids, ascending) to `answer`, which remaps
+    /// them into its output. A ranked request's `answer` scores them first
+    /// and returns the work that took. The segments' counters, scoring
+    /// included, are summed. With a trace builder, each segment is one
+    /// `segment i` span holding the engine's span and, for a ranked
+    /// request, a scoring note.
+    fn bind_each(
+        &self,
+        prepared: &PreparedQuery<'_>,
+        mut tb: Option<&mut TraceBuilder>,
+        mut answer: impl FnMut(
+            usize,
+            &SegmentData,
+            &[NodeId],
+        ) -> Result<Option<AccessCounters>, ExecError>,
+    ) -> Result<AccessCounters, ExecError> {
         let mut counters = AccessCounters::new();
         for (i, seg) in self.snapshot.segments().iter().enumerate() {
             let data = seg.data();
             let seg_span = tb.as_mut().map(|b| b.open(format!("segment {i}")));
-            let (found, delta) = prepared.bind(data.corpus(), data.index(), tb.as_deref_mut())?;
+            let (mut found, mut delta) =
+                prepared.bind(data.corpus(), data.index(), tb.as_deref_mut())?;
+            let matches = found.len() as u64;
+            found.retain(|n| seg.deletes().is_live(n.index()));
+            let scored = answer(i, data, &found)?;
+            if let Some(work) = scored {
+                delta += work;
+            }
             if let (Some(b), Some(id)) = (tb.as_mut(), seg_span) {
+                if let Some(work) = scored {
+                    let note = format!("scored {} nodes, {} tuples", found.len(), work.tuples);
+                    b.note(id, note);
+                }
                 counter_attrs(b, id, &delta);
-                b.attr(id, "matches", found.len() as u64);
+                b.attr(id, "matches", matches);
                 b.close(id);
             }
             counters += delta;
-            nodes.extend(
-                found
-                    .iter()
-                    .filter(|n| seg.deletes().is_live(n.index()))
-                    .map(|n| data.global_of(n.index())),
-            );
         }
-        Ok((nodes, counters))
+        Ok(counters)
     }
 
     /// Run a scored top-k query: the one place a top-k is dispatched,
@@ -174,8 +206,9 @@ impl<'a> SnapshotExecutor<'a> {
     /// * A flat disjunction of tokens runs the MaxScore/block-max pruned
     ///   union ([`ScoredPath::PrunedUnion`]).
     /// * Anything else is [`Self::run_ranked`] truncated to `k`
-    ///   ([`ScoredPath::Exhaustive`]); its errors, a per-node budget
-    ///   refusal among them, are returned as they are.
+    ///   ([`ScoredPath::Exhaustive`]): the class engine's answer, scored.
+    ///   Its errors, a per-node budget refusal among them, are returned as
+    ///   they are.
     ///
     /// The union runs with **one heap and a global threshold**: every
     /// segment's impact bound is read from list metadata first (no posting
@@ -254,60 +287,79 @@ impl<'a> SnapshotExecutor<'a> {
         )
     }
 
-    /// Exhaustively rank the snapshot's answer under `model`: each segment
-    /// runs the COMP engine's node-at-a-time algebra evaluator with a score
-    /// column over the plan as translated (push-down would change the
-    /// scores), under the collection-wide statistics in `stats` and the
-    /// same per-node budget as COMP. Tombstoned nodes are dropped, ids are
-    /// global, the hits come in ranking order, and the counters sum every
-    /// segment's cursor work and materialized tuples.
+    /// Rank the snapshot's answer under `model`: the set request plus one
+    /// scoring step. The query is prepared once
+    /// ([`PreparedQuery::prepare_ranked`]), and each segment binds its
+    /// Auto-dispatched set shape, whatever engine the class picks, and drops
+    /// tombstoned matches. Then the COMP engine's node-at-a-time evaluator,
+    /// with a score column, seeks the root of the translated plan
+    /// ([`PreparedQuery::scoring`]; push-down would change the scores) to
+    /// each live answer node
+    /// ([`AlgebraEvaluator::rank_among`]), under the collection-wide
+    /// statistics in `stats` and the same per-node budget as COMP. A node
+    /// outside the answer is never built, so an empty answer builds no
+    /// tuple. Ids are global, the hits come in ranking order, and the
+    /// counters sum every segment's set bind and scoring.
     pub fn run_ranked(
         &self,
         surface: &SurfaceQuery,
         stats: &SnapshotStats,
         model: &ScoreModel<'_>,
     ) -> Result<ScoredOutput, ExecError> {
-        let expr = lower(surface, self.registry).map_err(|e| ExecError::Lang(e.to_string()))?;
-        let alg = query_to_algebra(&CalcQuery::new(expr), self.registry)?;
-        let (mut hits, counters) = match model {
-            ScoreModel::TfIdf(m) => {
-                self.score_segments(&alg, |i| ModelScorer(*m, stats.segment(i)))?
-            }
-            ScoreModel::Pra(m) => {
-                self.score_segments(&alg, |i| ModelScorer(*m, stats.segment(i)))?
-            }
-        };
+        let mut tb = self.options.trace.then(TraceBuilder::new);
+        let root_span = tb.as_mut().map(|b| b.open("ranked"));
+        let prepared =
+            PreparedQuery::prepare_ranked(surface, self.registry, self.options, tb.as_mut())?;
+        let alg = prepared
+            .scoring()
+            .expect("a ranked request keeps its translation");
+        let mut hits = Vec::new();
+        let counters = match model {
+            ScoreModel::TfIdf(m) => self.bind_each(&prepared, tb.as_mut(), |i, data, live| {
+                let scorer = ModelScorer(*m, stats.segment(i));
+                self.score_live(alg, data, live, scorer, &mut hits)
+            }),
+            ScoreModel::Pra(m) => self.bind_each(&prepared, tb.as_mut(), |i, data, live| {
+                let scorer = ModelScorer(*m, stats.segment(i));
+                self.score_live(alg, data, live, scorer, &mut hits)
+            }),
+        }?;
         sort_ranked(&mut hits);
+        let trace = tb.map(|mut b| {
+            if let Some(id) = root_span {
+                counter_attrs(&mut b, id, &counters);
+                b.attr(id, "hits", hits.len() as u64);
+                b.close(id);
+            }
+            Box::new(b.finish())
+        });
         Ok(ScoredOutput {
             hits,
             counters,
             path: ScoredPath::Exhaustive,
-            trace: None,
+            trace,
         })
     }
 
-    /// Every segment's live answer nodes under `scorer(i)`, segment `i`'s
-    /// scorer, with global ids, and the segments' summed counters.
-    fn score_segments<S: Scorer<Score = f64>>(
+    /// Score `live`, one segment's live answer nodes, through `alg` under
+    /// `scorer`, and append the hits under their global ids; returns the
+    /// scoring's own work.
+    fn score_live<S: Scorer<Score = f64>>(
         &self,
         alg: &AlgExpr,
-        scorer: impl Fn(usize) -> S,
-    ) -> Result<(Vec<(NodeId, f64)>, AccessCounters), ExecError> {
-        let (mut hits, mut counters) = (Vec::new(), AccessCounters::new());
-        for (i, seg) in self.snapshot.segments().iter().enumerate() {
-            let data = seg.data();
-            let mut ev =
-                AlgebraEvaluator::scored(data.corpus(), data.index(), self.registry, scorer(i));
-            let ranked = ev.rank(alg)?;
-            counters += ev.counters();
-            hits.extend(
-                ranked
-                    .into_iter()
-                    .filter(|(n, _)| seg.deletes().is_live(n.index()))
-                    .map(|(n, s)| (data.global_of(n.index()), s)),
-            );
-        }
-        Ok((hits, counters))
+        data: &SegmentData,
+        live: &[NodeId],
+        scorer: S,
+        hits: &mut Vec<(NodeId, f64)>,
+    ) -> Result<Option<AccessCounters>, ExecError> {
+        let mut ev = AlgebraEvaluator::scored(data.corpus(), data.index(), self.registry, scorer);
+        let ranked = ev.rank_among(alg, live)?;
+        hits.extend(
+            ranked
+                .into_iter()
+                .map(|(n, s)| (data.global_of(n.index()), s)),
+        );
+        Ok(Some(ev.counters()))
     }
 
     /// Run a proximity-ranked NEAR/phrase top-k across segments: documents

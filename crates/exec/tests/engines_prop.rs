@@ -14,7 +14,7 @@ use ftsl_index::{IndexBuilder, Snapshot};
 use ftsl_lang::{classify, lower, LanguageClass, SurfaceQuery};
 use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::{AdvanceMode, PredicateRegistry};
-use ftsl_testkit::prop_cases;
+use ftsl_testkit::{arb_bool_query, arb_stream_query, prop_cases};
 use proptest::prelude::*;
 
 const VOCAB: [&str; 6] = ["alpha", "beta", "gamma", "delta", "eps", "zeta"];
@@ -44,101 +44,6 @@ fn arb_corpus() -> impl Strategy<Value = Corpus> {
     })
 }
 
-/// One positive or negative binary predicate application over bound vars.
-fn arb_pred(nvars: usize, allow_negative: bool) -> impl Strategy<Value = SurfaceQuery> {
-    let positive = prop_oneof![
-        (0..6i64).prop_map(|d| ("distance".to_string(), vec![d])),
-        Just(("ordered".to_string(), vec![])),
-        Just(("samepara".to_string(), vec![])),
-        Just(("samesent".to_string(), vec![])),
-        Just(("samepos".to_string(), vec![])),
-        (0..8i64).prop_map(|w| ("window".to_string(), vec![w])),
-    ];
-    let negative = prop_oneof![
-        (0..5i64).prop_map(|d| ("not_distance".to_string(), vec![d])),
-        Just(("not_ordered".to_string(), vec![])),
-        Just(("diffpos".to_string(), vec![])),
-        Just(("not_samepara".to_string(), vec![])),
-        Just(("not_samesent".to_string(), vec![])),
-    ];
-    let name_consts = if allow_negative {
-        prop_oneof![2 => positive, 3 => negative].boxed()
-    } else {
-        positive.boxed()
-    };
-    (name_consts, 0..nvars, 0..nvars).prop_map(|((name, consts), i, j)| SurfaceQuery::Pred {
-        name,
-        vars: vec![format!("p{i}"), format!("p{j}")],
-        consts,
-    })
-}
-
-/// A random PPRED/NPRED-class query: quantified conjunction of token
-/// bindings (possibly OR-alternatives), predicates, and an optional closed
-/// negation.
-fn arb_stream_query(allow_negative: bool) -> impl Strategy<Value = SurfaceQuery> {
-    let bindings = proptest::collection::vec((0..VOCAB.len(), any::<bool>(), 0..VOCAB.len()), 1..4);
-    let preds = move |nvars| proptest::collection::vec(arb_pred(nvars, allow_negative), 0..3);
-    (bindings, proptest::option::of(0..VOCAB.len())).prop_flat_map(move |(binds, not_tok)| {
-        let nvars = binds.len();
-        preds(nvars).prop_map(move |preds| {
-            let mut conjuncts: Vec<SurfaceQuery> = Vec::new();
-            for (i, (tok, use_or, alt)) in binds.iter().enumerate() {
-                let var = format!("p{i}");
-                let base = SurfaceQuery::VarHas(var.clone(), VOCAB[*tok].to_string());
-                let bind = if *use_or {
-                    SurfaceQuery::Or(
-                        Box::new(base),
-                        Box::new(SurfaceQuery::VarHas(var, VOCAB[*alt].to_string())),
-                    )
-                } else {
-                    base
-                };
-                conjuncts.push(bind);
-            }
-            conjuncts.extend(preds.clone());
-            let mut body = conjuncts
-                .into_iter()
-                .reduce(|a, b| SurfaceQuery::And(Box::new(a), Box::new(b)))
-                .expect("non-empty");
-            if let Some(nt) = not_tok {
-                body = SurfaceQuery::And(
-                    Box::new(body),
-                    Box::new(SurfaceQuery::Not(Box::new(SurfaceQuery::Lit(
-                        VOCAB[nt].to_string(),
-                    )))),
-                );
-            }
-            let mut query = body;
-            for i in (0..nvars).rev() {
-                query = SurfaceQuery::Some(format!("p{i}"), Box::new(query));
-            }
-            query
-        })
-    })
-}
-
-/// Random BOOL query.
-fn arb_bool_query(depth: u32) -> BoxedStrategy<SurfaceQuery> {
-    let leaf = prop_oneof![
-        5 => (0..VOCAB.len()).prop_map(|t| SurfaceQuery::Lit(VOCAB[t].to_string())),
-        1 => Just(SurfaceQuery::Any),
-    ];
-    if depth == 0 {
-        return leaf.boxed();
-    }
-    let sub = arb_bool_query(depth - 1);
-    prop_oneof![
-        2 => leaf,
-        2 => (sub.clone(), sub.clone())
-            .prop_map(|(a, b)| SurfaceQuery::And(Box::new(a), Box::new(b))),
-        2 => (sub.clone(), sub.clone())
-            .prop_map(|(a, b)| SurfaceQuery::Or(Box::new(a), Box::new(b))),
-        1 => sub.prop_map(|a| SurfaceQuery::Not(Box::new(a))),
-    ]
-    .boxed()
-}
-
 fn reference(surface: &SurfaceQuery, corpus: &Corpus, reg: &PredicateRegistry) -> Vec<NodeId> {
     let expr = lower(surface, reg).expect("lowers");
     Interpreter::new(corpus, reg).eval_query(&CalcQuery::new(expr))
@@ -154,7 +59,7 @@ proptest! {
 
     #[test]
     fn ppred_engine_matches_reference(
-        query in arb_stream_query(false),
+        query in arb_stream_query(&VOCAB, false),
         corpus in arb_corpus(),
     ) {
         let reg = PredicateRegistry::with_builtins();
@@ -181,7 +86,7 @@ proptest! {
 
     #[test]
     fn npred_engine_matches_reference(
-        query in arb_stream_query(true),
+        query in arb_stream_query(&VOCAB, true),
         corpus in arb_corpus(),
     ) {
         let reg = PredicateRegistry::with_builtins();
@@ -205,7 +110,7 @@ proptest! {
 
     #[test]
     fn bool_engine_matches_reference(
-        query in arb_bool_query(3),
+        query in arb_bool_query(&VOCAB, 5, SurfaceQuery::Any, 3),
         corpus in arb_corpus(),
     ) {
         let reg = PredicateRegistry::with_builtins();
@@ -221,7 +126,7 @@ proptest! {
 
     #[test]
     fn auto_dispatch_always_matches_reference(
-        query in prop_oneof![arb_stream_query(true), arb_bool_query(2)],
+        query in prop_oneof![arb_stream_query(&VOCAB, true), arb_bool_query(&VOCAB, 5, SurfaceQuery::Any, 2)],
         corpus in arb_corpus(),
     ) {
         let reg = PredicateRegistry::with_builtins();

@@ -1,8 +1,10 @@
 //! Property-test helpers shared by the workspace's test suites: the case
-//! count every suite reads from `FTSL_PROPTEST_CASES`, and the common
-//! corpus strategy. Dev-only: suites list it under `[dev-dependencies]`,
-//! and no library depends on it.
+//! count every suite reads from `FTSL_PROPTEST_CASES`, the common corpus
+//! strategy, and the generated-query strategies (BOOL trees and
+//! PPRED / NPRED stream queries). Dev-only: suites list it under
+//! `[dev-dependencies]`, and no library depends on it.
 
+use ftsl_lang::SurfaceQuery;
 use ftsl_model::Corpus;
 use proptest::prelude::*;
 use std::ops::Range;
@@ -38,4 +40,112 @@ pub fn arb_corpus(
             Corpus::from_texts(&texts)
         },
     )
+}
+
+/// Random BOOL-shaped surface queries nested up to `depth`: `AND`, `OR`
+/// and `NOT` over leaves that are a literal drawn from `vocab`, weighted
+/// `vocab_weight`, or `extra`, weighted 1.
+pub fn arb_bool_query(
+    vocab: &'static [&'static str],
+    vocab_weight: u32,
+    extra: SurfaceQuery,
+    depth: u32,
+) -> BoxedStrategy<SurfaceQuery> {
+    let leaf = prop_oneof![
+        vocab_weight => (0..vocab.len()).prop_map(move |t| SurfaceQuery::Lit(vocab[t].to_string())),
+        1 => Just(extra.clone()),
+    ];
+    if depth == 0 {
+        return leaf.boxed();
+    }
+    let sub = arb_bool_query(vocab, vocab_weight, extra, depth - 1);
+    prop_oneof![
+        2 => leaf,
+        2 => (sub.clone(), sub.clone())
+            .prop_map(|(a, b)| SurfaceQuery::And(Box::new(a), Box::new(b))),
+        2 => (sub.clone(), sub.clone())
+            .prop_map(|(a, b)| SurfaceQuery::Or(Box::new(a), Box::new(b))),
+        1 => sub.prop_map(|a| SurfaceQuery::Not(Box::new(a))),
+    ]
+    .boxed()
+}
+
+/// One binary predicate application over two of the variables
+/// `p0..p{nvars}`: positive only, or — with `allow_negative` — negative
+/// three times in five.
+pub fn arb_pred(nvars: usize, allow_negative: bool) -> impl Strategy<Value = SurfaceQuery> {
+    let positive = prop_oneof![
+        (0..6i64).prop_map(|d| ("distance".to_string(), vec![d])),
+        Just(("ordered".to_string(), vec![])),
+        Just(("samepara".to_string(), vec![])),
+        Just(("samesent".to_string(), vec![])),
+        Just(("samepos".to_string(), vec![])),
+        (0..8i64).prop_map(|w| ("window".to_string(), vec![w])),
+    ];
+    let negative = prop_oneof![
+        (0..5i64).prop_map(|d| ("not_distance".to_string(), vec![d])),
+        Just(("not_ordered".to_string(), vec![])),
+        Just(("diffpos".to_string(), vec![])),
+        Just(("not_samepara".to_string(), vec![])),
+        Just(("not_samesent".to_string(), vec![])),
+    ];
+    let name_consts = if allow_negative {
+        prop_oneof![2 => positive, 3 => negative].boxed()
+    } else {
+        positive.boxed()
+    };
+    (name_consts, 0..nvars, 0..nvars).prop_map(|((name, consts), i, j)| SurfaceQuery::Pred {
+        name,
+        vars: vec![format!("p{i}"), format!("p{j}")],
+        consts,
+    })
+}
+
+/// A random PPRED-class query (NPRED-class too with `allow_negative`):
+/// a quantified conjunction of one to three token bindings over `vocab`
+/// (each possibly an `OR` of two tokens), up to two [`arb_pred`]
+/// predicates, and an optional closed `AND NOT` of a literal.
+pub fn arb_stream_query(
+    vocab: &'static [&'static str],
+    allow_negative: bool,
+) -> impl Strategy<Value = SurfaceQuery> {
+    let bindings = proptest::collection::vec((0..vocab.len(), any::<bool>(), 0..vocab.len()), 1..4);
+    let preds = move |nvars| proptest::collection::vec(arb_pred(nvars, allow_negative), 0..3);
+    (bindings, proptest::option::of(0..vocab.len())).prop_flat_map(move |(binds, not_tok)| {
+        let nvars = binds.len();
+        preds(nvars).prop_map(move |preds| {
+            let mut conjuncts: Vec<SurfaceQuery> = Vec::new();
+            for (i, (tok, use_or, alt)) in binds.iter().enumerate() {
+                let var = format!("p{i}");
+                let base = SurfaceQuery::VarHas(var.clone(), vocab[*tok].to_string());
+                let bind = if *use_or {
+                    SurfaceQuery::Or(
+                        Box::new(base),
+                        Box::new(SurfaceQuery::VarHas(var, vocab[*alt].to_string())),
+                    )
+                } else {
+                    base
+                };
+                conjuncts.push(bind);
+            }
+            conjuncts.extend(preds.clone());
+            let mut body = conjuncts
+                .into_iter()
+                .reduce(|a, b| SurfaceQuery::And(Box::new(a), Box::new(b)))
+                .expect("non-empty");
+            if let Some(nt) = not_tok {
+                body = SurfaceQuery::And(
+                    Box::new(body),
+                    Box::new(SurfaceQuery::Not(Box::new(SurfaceQuery::Lit(
+                        vocab[nt].to_string(),
+                    )))),
+                );
+            }
+            let mut query = body;
+            for i in (0..nvars).rev() {
+                query = SurfaceQuery::Some(format!("p{i}"), Box::new(query));
+            }
+            query
+        })
+    })
 }

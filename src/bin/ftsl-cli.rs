@@ -30,7 +30,7 @@
 //! slow-query log entries (`:slow-threshold <µs>` adjusts the cutoff at
 //! runtime; 0 disables capture).
 
-use ftsl_core::{Ftsl, RankModel};
+use ftsl_core::{Ftsl, RankModel, ScoredPath};
 use ftsl_index::AccessCounters;
 use ftsl_model::analysis::AnalysisConfig;
 use ftsl_model::NodeId;
@@ -510,8 +510,7 @@ fn dispatch(
         }
         if cached {
             writeln!(out, "[served from result cache]")?;
-        } else if c.tuples == 0 {
-            // The exhaustive fallback materializes tuples; streaming does not.
+        } else if ranked.path == ScoredPath::PrunedUnion {
             writeln!(
                 out,
                 "[streamed: {} entries decoded, {} entries / {} blocks pruned, \

@@ -7,12 +7,21 @@
 //! so a predicate over two columns filters only their join, and a leaf no
 //! later operator reads joins as one row per node. Only a predicate that
 //! binds both sides of every join still needs the whole cross product.
-//! Exhaustive ranking — and top-k's exhaustive arm, where the one top-k
-//! dispatch sends every query no stream ranks — is the same evaluator
-//! with a score column, under the same budget, and runs the plan as
-//! translated: push-down would change its scores.
+//! Ranking — and top-k's exhaustive arm, where the one top-k dispatch
+//! sends every query no stream ranks — is that set answer scored: the
+//! class engine finds the answer, under the budget above, and the same
+//! evaluator with a score column, under the same budget, scores each
+//! answer node through the plan as translated (push-down would change its
+//! scores). So ranking refuses a query whose answer holds a node that is
+//! over the budget as translated, and never builds a node outside the
+//! answer.
 
+use ftsl::algebra::from_calculus::query_to_algebra;
+use ftsl::algebra::{AlgebraError, AlgebraEvaluator};
+use ftsl::calculus::CalcQuery;
 use ftsl::core::{Ftsl, FtslError, RankModel};
+use ftsl::lang::{lower, parse, Mode};
+use ftsl::model::NodeId;
 use ftsl::serve::{QueryRequest, ServeConfig, ServePoolExt};
 use std::sync::Arc;
 
@@ -39,8 +48,10 @@ fn hostile(predicate: &str) -> String {
         })
 }
 
+/// The repeated document also ends in `v`, the one token no other
+/// document holds.
 fn engine() -> Arc<Ftsl> {
-    let repeated = vec!["t"; 200].join(" ");
+    let repeated = format!("{} v", vec!["t"; 200].join(" "));
     Arc::new(Ftsl::from_texts(&["t u", repeated.as_str(), "u"]))
 }
 
@@ -93,8 +104,9 @@ fn a_pool_worker_survives_a_hostile_cross_product() {
 fn ranking_refuses_a_hostile_cross_product() {
     let e = engine();
     for model in [RankModel::TfIdf, RankModel::Pra] {
-        // Ranking does not push down, so even the shrinkable query is
-        // refused there.
+        // Ranking scores the plan as translated, so even the shrinkable
+        // query is refused there: its one answer node is the one that
+        // blows up.
         for query in [spanning(), eight_way()] {
             assert_refused(e.search_ranked(&query, model));
             // Neither model streams a COMP query: the top-k dispatch
@@ -132,4 +144,42 @@ fn a_pool_worker_survives_a_hostile_ranked_request() {
         assert_eq!(hits.len(), 2);
     }
     assert_eq!(pool.stats().served(), 4);
+}
+
+/// [`eight_way`] without the repeated document, the one node where its
+/// translation needs 200⁸ rows: its answer is empty. The unrestricted
+/// ranking, over every candidate of the translated plan, reaches that
+/// node and refuses it. Ranking scores only the answer, so it builds no
+/// node and answers.
+#[test]
+fn ranking_answers_a_query_whose_only_refused_node_is_outside_its_answer() {
+    let e = engine();
+    // The translation joins the eight-way side first, so a node's walk
+    // builds it before the `NOT` can empty the join.
+    let query = format!("{} AND NOT 'v'", eight_way());
+    let reg = e.registry();
+    let surface = parse(&query, Mode::Comp).unwrap();
+    let alg = query_to_algebra(&CalcQuery::new(lower(&surface, reg).unwrap()), reg).unwrap();
+    let snapshot = e.snapshot();
+    let data = snapshot.segments()[0].data();
+    let err = AlgebraEvaluator::new(data.corpus(), data.index(), reg)
+        .rank(&alg)
+        .expect_err("the translated plan over every candidate");
+    assert!(
+        matches!(
+            err,
+            AlgebraError::BudgetExceeded {
+                node: NodeId(1),
+                ..
+            }
+        ),
+        "{err}"
+    );
+    assert!(e.search(&query).expect("pushed down, it fits").is_empty());
+    for model in [RankModel::TfIdf, RankModel::Pra] {
+        let ranked = e.search_ranked(&query, model).expect("nothing to score");
+        assert!(ranked.hits.is_empty());
+        let top = e.search_top_k(&query, model, 3).expect("nothing to score");
+        assert!(top.hits.is_empty());
+    }
 }

@@ -4,7 +4,7 @@
 //! query was answered by the word-pair auxiliary index or fell back to
 //! position intersection.
 
-use ftsl::core::Ftsl;
+use ftsl::core::{Ftsl, RankModel};
 use ftsl::exec::engine::ExecOptions;
 
 fn corpus() -> Vec<&'static str> {
@@ -154,4 +154,58 @@ fn explain_analyze_prepares_once_and_binds_per_segment() {
         assert_eq!(count("prepare") + count("lower"), 1, "{text}");
         assert_eq!(count("engine "), 3, "one engine span per segment:\n{text}");
     }
+}
+
+/// A ranked request runs the set request's per-segment loop plus one
+/// scoring step, so it traces like a search: a `ranked` root holding one
+/// `prepare` span and one `segment i` span per segment, each with the
+/// class engine's span and a note of the nodes it scored. Both ranked
+/// entry points return it: `search_ranked` and the exhaustive arm of
+/// `search_top_k`, as the pruned union's arm does its own tree.
+#[test]
+fn ranked_requests_trace_the_set_bind_and_the_scoring() {
+    let engine = Ftsl::new().with_options(ExecOptions {
+        trace: true,
+        ..ExecOptions::default()
+    });
+    let docs = corpus();
+    engine.add(docs[0]);
+    engine.add(docs[1]);
+    engine.flush();
+    engine.add(docs[2]);
+    let query = "'kernel' AND 'scheduler'";
+    for ranked in [
+        engine.search_ranked(query, RankModel::TfIdf).unwrap(),
+        engine.search_top_k(query, RankModel::Pra, 1).unwrap(),
+    ] {
+        let trace = ranked.trace.expect("traced");
+        let text = trace.render();
+        let spans = trace.spans();
+        assert_eq!(spans[0].label(), "ranked", "{text}");
+        assert_eq!(spans[0].parent(), None, "{text}");
+        let labelled = |prefix: &str| {
+            (0..spans.len())
+                .filter(|&i| spans[i].label().starts_with(prefix))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(labelled("prepare").len(), 1, "{text}");
+        let segments = labelled("segment ");
+        assert_eq!(segments.len(), 2, "{text}");
+        for (s, scored) in segments
+            .into_iter()
+            .zip(["scored 2 nodes", "scored 0 nodes"])
+        {
+            assert_eq!(spans[s].parent(), Some(0), "{text}");
+            let engine_spans = spans
+                .iter()
+                .filter(|span| span.parent() == Some(s) && span.label() == "engine BOOL");
+            assert_eq!(engine_spans.count(), 1, "{text}");
+            assert!(spans[s].notes()[0].starts_with(scored), "{text}");
+        }
+    }
+    let union = engine
+        .search_top_k("'kernel' OR 'scheduler'", RankModel::Pra, 1)
+        .unwrap();
+    let trace = union.trace.expect("traced");
+    assert!(trace.find("top-k pruned union").is_some());
 }
