@@ -11,11 +11,12 @@
 //! and tombstoned documents are filtered inside the streaming evaluations.
 
 use crate::error::FtslError;
-use crate::results::{Ranked, SearchResults};
 use crate::{query_tokens, RankModel};
 use ftsl_exec::engine::{EngineKind, EngineUsed, ExecOptions, PreparedQuery};
 use ftsl_exec::snapshot::{ExecScratch, SnapshotExecutor};
-use ftsl_exec::{ExecError, PairQuery, ScoreModel, ScoredOutput, ScoredPath, ScoredTopK};
+use ftsl_exec::{
+    ExecError, PairQuery, QueryOutput, ScoreModel, ScoredOutput, ScoredPath, ScoredTopK,
+};
 use ftsl_index::{LiveConfig, LiveIndex, SegmentReport, Snapshot};
 use ftsl_lang::rewrite::{map_tokens, Thesaurus};
 use ftsl_lang::{parse, Mode, SurfaceQuery};
@@ -230,7 +231,7 @@ impl Ftsl {
     /// Run a query (COMP syntax subsumes BOOL and DIST) on the current
     /// snapshot with automatic engine dispatch. Node ids in the result are
     /// *global* ids, as handed out by [`Self::add`].
-    pub fn search(&self, query: &str) -> Result<SearchResults, FtslError> {
+    pub fn search(&self, query: &str) -> Result<QueryOutput, FtslError> {
         self.search_with(query, Mode::Comp, EngineKind::Auto)
     }
 
@@ -240,18 +241,11 @@ impl Ftsl {
         query: &str,
         mode: Mode,
         engine: EngineKind,
-    ) -> Result<SearchResults, FtslError> {
+    ) -> Result<QueryOutput, FtslError> {
         let surface = self.rewrite_query(parse(query, mode)?);
         let snapshot = self.snapshot();
         let exec = SnapshotExecutor::with_options(&snapshot, &self.registry, self.options);
-        let output = exec.run_surface(&surface, engine)?;
-        Ok(SearchResults {
-            nodes: output.nodes,
-            counters: output.counters,
-            engine: output.engine,
-            class: output.class,
-            trace: output.trace,
-        })
+        Ok(exec.run_surface(&surface, engine)?)
     }
 
     /// Rank the current snapshot's answer under a scoring model: each
@@ -259,8 +253,8 @@ impl Ftsl {
     /// [`Self::search`] does, and the COMP engine's node-at-a-time algebra
     /// evaluator scores only those nodes, with a score column, under
     /// merged corpus statistics and the same per-node budget.
-    /// [`Ranked::counters`] sums both steps' work over the segments.
-    pub fn search_ranked(&self, query: &str, model: RankModel) -> Result<Ranked, FtslError> {
+    /// [`ScoredOutput::counters`] sums both steps' work over the segments.
+    pub fn search_ranked(&self, query: &str, model: RankModel) -> Result<ScoredOutput, FtslError> {
         self.rank(query, model, |exec, surface, stats, m| {
             exec.run_ranked(surface, stats, m)
         })
@@ -273,14 +267,14 @@ impl Ftsl {
     /// disjunction through the MaxScore/block-max pruned union, with one
     /// heap shared by every segment, and ranks anything else as
     /// [`Self::search_ranked`] does, returning its errors (a per-node
-    /// budget refusal among them). [`Ranked::path`] says which arm ran,
-    /// and [`Ranked::counters`] how much of the index was read.
+    /// budget refusal among them). [`ScoredOutput::path`] says which arm
+    /// ran, and [`ScoredOutput::counters`] how much of the index was read.
     pub fn search_top_k(
         &self,
         query: &str,
         model: RankModel,
         k: usize,
-    ) -> Result<Ranked, FtslError> {
+    ) -> Result<ScoredOutput, FtslError> {
         self.search_top_k_with(query, model, k, &mut ExecScratch::new())
     }
 
@@ -294,7 +288,7 @@ impl Ftsl {
         model: RankModel,
         k: usize,
         scratch: &mut ExecScratch,
-    ) -> Result<Ranked, FtslError> {
+    ) -> Result<ScoredOutput, FtslError> {
         self.rank(query, model, |exec, surface, stats, m| {
             exec.run_top_k_with(surface, ScoredTopK { k }, stats, m, scratch)
         })
@@ -313,7 +307,7 @@ impl Ftsl {
             &SnapshotStats,
             &ScoreModel<'_>,
         ) -> Result<ScoredOutput, ExecError>,
-    ) -> Result<Ranked, FtslError> {
+    ) -> Result<ScoredOutput, FtslError> {
         let surface = self.rewrite_query(parse(query, Mode::Comp)?);
         let snapshot = self.snapshot();
         let stats = self.snapshot_stats(&snapshot);
@@ -328,14 +322,8 @@ impl Ftsl {
                 let m = stats.pra_model(&tokens, &snapshot);
                 run(&exec, &surface, &stats, &ScoreModel::Pra(&m))
             }
-        }?;
-        Ok(Ranked {
-            hits: out.hits,
-            model,
-            path: out.path,
-            counters: out.counters,
-            trace: out.trace,
-        })
+        };
+        Ok(out?)
     }
 
     /// Segment-level diagnostics: per-segment footprint, document and

@@ -22,14 +22,12 @@
 
 mod engine;
 pub mod error;
-pub mod results;
 
 pub use engine::Ftsl;
 pub use error::FtslError;
 pub use ftsl_exec::snapshot::ExecScratch;
-pub use ftsl_exec::{PairQuery, ScoredOutput, ScoredPath};
+pub use ftsl_exec::{PairQuery, QueryOutput, ScoredOutput, ScoredPath};
 pub use ftsl_index::LiveConfig;
-pub use results::{Ranked, SearchResults};
 
 /// The engine's former second name. Kept for `benchmark/src/sut.rs`, which
 /// names it; to be dropped by the next `benchmark` issue.

@@ -8,7 +8,7 @@
 use ftsl_algebra::from_calculus::query_to_algebra;
 use ftsl_algebra::AlgExpr;
 use ftsl_calculus::CalcQuery;
-use ftsl_core::{ExecScratch, Ftsl, FtslError, LiveConfig, RankModel, Ranked, ScoredPath};
+use ftsl_core::{ExecScratch, Ftsl, FtslError, LiveConfig, RankModel, ScoredOutput, ScoredPath};
 use ftsl_exec::{ScoreModel, ScoredTopK, SnapshotExecutor};
 use ftsl_lang::{lower, parse, Mode};
 use ftsl_predicates::PredicateRegistry;
@@ -48,7 +48,7 @@ fn engine() -> Ftsl {
 }
 
 /// `(global node id, score bits)` of every hit, in rank order.
-fn bits(query: &str, ranked: Result<Ranked, FtslError>) -> Vec<(u32, u64)> {
+fn bits(query: &str, ranked: Result<ScoredOutput, FtslError>) -> Vec<(u32, u64)> {
     ranked
         .unwrap_or_else(|err| panic!("{query}: {err}"))
         .hits

@@ -94,6 +94,23 @@ pub struct QueryOutput {
     pub trace: Option<Box<Trace>>,
 }
 
+impl QueryOutput {
+    /// Node ids as raw integers (convenient in tests and examples).
+    pub fn node_ids(&self) -> Vec<u32> {
+        self.nodes.iter().map(|n| n.0).collect()
+    }
+
+    /// Number of hits.
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// True iff nothing matched.
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+}
+
 /// Attach every [`AccessCounters`] field as a span attribute (zero-valued
 /// attributes are suppressed at render time).
 pub fn counter_attrs(tb: &mut TraceBuilder, id: SpanId, c: &AccessCounters) {

@@ -56,8 +56,14 @@ pub enum ScoredPath {
 pub struct ScoredOutput {
     /// `(node, score)` in ranking order; at most `k` rows from a top-k.
     pub hits: Vec<(NodeId, f64)>,
-    /// Decode/skip work counters — `entries` is what pruning saves,
-    /// `skipped`/`blocks_skipped` is where the savings went.
+    /// Access counters of the arm that ran, summed over segments: the
+    /// pruned union's cursor work (it materializes no tuples; `entries` is
+    /// what pruning saves, `skipped`/`blocks_skipped` is where the savings
+    /// went), the proximity walk's pair-list and fallback reads, or — for
+    /// the exhaustive ranking, and for the top-k arm that truncates it —
+    /// every segment's set bind through its class engine plus the
+    /// node-at-a-time algebra walk that scored the live answer, including
+    /// the tuples it materialized (none when the answer is empty).
     pub counters: AccessCounters,
     /// Strategy used.
     pub path: ScoredPath,

@@ -19,20 +19,6 @@ pub fn put_u32(out: &mut Vec<u8>, mut v: u32) {
     }
 }
 
-/// Append `v` to `out` as an unsigned LEB128 varint (1–10 bytes).
-#[inline]
-pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
 /// Decode a varint at `*pos`, advancing `*pos` past it. Returns `None` on
 /// truncated input or a value that does not fit in a `u32`.
 ///
@@ -69,38 +55,6 @@ fn get_u32_tail(data: &[u8], pos: &mut usize, first: u32) -> Option<u32> {
     }
 }
 
-/// Decode a 64-bit varint at `*pos`, advancing `*pos` past it.
-#[inline]
-pub fn get_u64(data: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let byte = *data.get(*pos)?;
-        *pos += 1;
-        let low = (byte & 0x7f) as u64;
-        if shift >= 64 || (shift == 63 && low > 1) {
-            return None;
-        }
-        v |= low << shift;
-        if byte & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-    }
-}
-
-/// Encoded length of `v` in bytes, without materializing it.
-#[inline]
-pub fn len_u32(v: u32) -> usize {
-    match v {
-        0..=0x7f => 1,
-        0x80..=0x3fff => 2,
-        0x4000..=0x1f_ffff => 3,
-        0x20_0000..=0xfff_ffff => 4,
-        _ => 5,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,22 +76,8 @@ mod tests {
         for &v in &cases {
             buf.clear();
             put_u32(&mut buf, v);
-            assert_eq!(buf.len(), len_u32(v), "length of {v}");
             let mut pos = 0;
             assert_eq!(get_u32(&buf, &mut pos), Some(v));
-            assert_eq!(pos, buf.len());
-        }
-    }
-
-    #[test]
-    fn u64_roundtrip_boundaries() {
-        let cases = [0u64, 0x7f, 0x80, u32::MAX as u64, u64::MAX];
-        let mut buf = Vec::new();
-        for &v in &cases {
-            buf.clear();
-            put_u64(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!(get_u64(&buf, &mut pos), Some(v));
             assert_eq!(pos, buf.len());
         }
     }

@@ -123,8 +123,7 @@ pub struct SpanId(usize);
 /// Spans nest via an explicit stack: [`TraceBuilder::open`] parents the new
 /// span under the innermost still-open span, [`TraceBuilder::close`] records
 /// its inclusive wall time. Builders are single-threaded by construction
-/// (`&mut self` everywhere); cross-thread traces are composed by grafting
-/// finished child traces with [`TraceBuilder::adopt`].
+/// (`&mut self` everywhere).
 pub struct TraceBuilder {
     spans: Vec<Span>,
     starts: Vec<Option<Instant>>,
@@ -185,21 +184,6 @@ impl TraceBuilder {
         self.spans[id.0].notes.push(text.into());
     }
 
-    /// Graft a finished trace under the innermost open span. The child's
-    /// root spans are re-parented; relative structure is preserved.
-    pub fn adopt(&mut self, child: Trace) {
-        let base = self.spans.len();
-        let parent = self.stack.last().copied();
-        for mut span in child.spans {
-            span.parent = match span.parent {
-                Some(p) => Some(base + p),
-                None => parent,
-            };
-            self.spans.push(span);
-            self.starts.push(None);
-        }
-    }
-
     /// Close any still-open spans and return the finished trace.
     pub fn finish(mut self) -> Trace {
         while let Some(&top) = self.stack.last() {
@@ -246,24 +230,6 @@ mod tests {
         tb.close(next);
         let trace = tb.finish();
         assert_eq!(trace.find("next").unwrap().parent(), None);
-    }
-
-    #[test]
-    fn adopt_reparents() {
-        let mut child = TraceBuilder::new();
-        let c = child.open("seg work");
-        let _ = child.open("inner");
-        child.close(c);
-        let child = child.finish();
-
-        let mut tb = TraceBuilder::new();
-        let seg = tb.open("segment 0");
-        tb.adopt(child);
-        tb.close(seg);
-        let trace = tb.finish();
-        assert_eq!(trace.find("seg work").unwrap().parent(), Some(0));
-        let inner_parent = trace.find("inner").unwrap().parent().unwrap();
-        assert_eq!(trace.spans()[inner_parent].label(), "seg work");
     }
 
     #[test]

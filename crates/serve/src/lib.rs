@@ -26,15 +26,18 @@
 //!
 //! ```
 //! use ftsl_core::Ftsl;
-//! use ftsl_serve::{QueryRequest, ServeConfig, ServePoolExt};
+//! use ftsl_serve::{QueryRequest, ServeConfig, ServePool};
 //! use std::sync::Arc;
 //!
 //! let engine = Arc::new(Ftsl::new());
 //! engine.add("usability of a software system");
-//! let pool = engine.serve_pool(ServeConfig {
-//!     workers: 2,
-//!     ..ServeConfig::default()
-//! });
+//! let pool = ServePool::new(
+//!     Arc::clone(&engine),
+//!     ServeConfig {
+//!         workers: 2,
+//!         ..ServeConfig::default()
+//!     },
+//! );
 //! let served = pool
 //!     .execute(QueryRequest::search("'software'"))
 //!     .unwrap();
@@ -54,27 +57,26 @@ pub use alloc::{
 pub use cache::{CacheStats, ResultCache};
 pub use ftsl_obs::{HistogramSnapshot, MetricValue, Registry, SlowEntry, SlowLog};
 pub use pool::{
-    PoolStats, QueryRequest, ServeConfig, ServeContext, ServePool, ServePoolExt, Served,
-    WorkerStats,
+    PoolStats, QueryRequest, ServeConfig, ServeContext, ServePool, Served, WorkerStats,
 };
 
-use ftsl_core::{Ranked, ScoredOutput, SearchResults};
+use ftsl_core::{QueryOutput, ScoredOutput};
 use ftsl_index::AccessCounters;
 
 /// A finished query result, shared between the cache and all requesters.
 #[derive(Clone, Debug)]
 pub enum Answer {
     /// BOOL/PPRED/NPRED/COMP matches (unranked).
-    Search(SearchResults),
+    Search(QueryOutput),
     /// Ranked top-k hits.
-    TopK(Ranked),
+    TopK(ScoredOutput),
     /// Proximity-ranked NEAR hits (word-pair index path).
     Near(ScoredOutput),
 }
 
 impl Answer {
     /// The unranked results, if this answer holds them.
-    pub fn as_search(&self) -> Option<&SearchResults> {
+    pub fn as_search(&self) -> Option<&QueryOutput> {
         match self {
             Answer::Search(r) => Some(r),
             _ => None,
@@ -82,7 +84,7 @@ impl Answer {
     }
 
     /// The ranked results, if this answer holds them.
-    pub fn as_top_k(&self) -> Option<&Ranked> {
+    pub fn as_top_k(&self) -> Option<&ScoredOutput> {
         match self {
             Answer::TopK(r) => Some(r),
             _ => None,
@@ -103,8 +105,7 @@ impl Answer {
     pub fn counters(&self) -> Option<AccessCounters> {
         match self {
             Answer::Search(r) => Some(r.counters),
-            Answer::TopK(r) => Some(r.counters),
-            Answer::Near(r) => Some(r.counters),
+            Answer::TopK(r) | Answer::Near(r) => Some(r.counters),
         }
     }
 
@@ -115,8 +116,7 @@ impl Answer {
     pub fn trace(&self) -> Option<&ftsl_obs::Trace> {
         match self {
             Answer::Search(r) => r.trace.as_deref(),
-            Answer::TopK(r) => r.trace.as_deref(),
-            Answer::Near(r) => r.trace.as_deref(),
+            Answer::TopK(r) | Answer::Near(r) => r.trace.as_deref(),
         }
     }
 }

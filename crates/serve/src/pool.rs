@@ -754,8 +754,7 @@ fn slow_entry(req: &QueryRequest, micros: u64, result: &Reply) -> SlowEntry {
         Ok(served) => {
             let hits = match served.answer.as_ref() {
                 Answer::Search(r) => r.len(),
-                Answer::TopK(r) => r.hits.len(),
-                Answer::Near(r) => r.hits.len(),
+                Answer::TopK(r) | Answer::Near(r) => r.hits.len(),
             };
             let c = served.answer.counters().unwrap_or_default();
             let summary = format!(
@@ -773,20 +772,5 @@ fn slow_entry(req: &QueryRequest, micros: u64, result: &Reply) -> SlowEntry {
         cached,
         summary,
         trace,
-    }
-}
-
-/// Entry point sugar: `engine.serve_pool(config)` on an
-/// `Arc<Ftsl>`. (The pool must share ownership of the engine with its
-/// lanes, hence the `Arc` receiver; `ftsl-core` cannot define this
-/// inherently without depending on the serving layer.)
-pub trait ServePoolExt {
-    /// Build a [`ServePool`] over this engine.
-    fn serve_pool(self: &Arc<Self>, config: ServeConfig) -> ServePool;
-}
-
-impl ServePoolExt for Ftsl {
-    fn serve_pool(self: &Arc<Self>, config: ServeConfig) -> ServePool {
-        ServePool::new(Arc::clone(self), config)
     }
 }

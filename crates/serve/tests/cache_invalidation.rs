@@ -2,7 +2,7 @@
 //! counters under concurrent access.
 
 use ftsl_core::{Ftsl, LiveConfig, RankModel};
-use ftsl_serve::{QueryRequest, ResultCache, ServeConfig, ServeContext, ServePoolExt};
+use ftsl_serve::{QueryRequest, ResultCache, ServeConfig, ServeContext, ServePool};
 use std::sync::Arc;
 
 fn manual_engine() -> Arc<Ftsl> {
@@ -87,10 +87,13 @@ fn distinct_request_shapes_never_collide() {
 #[test]
 fn hit_and_miss_counters_are_exact_under_concurrent_access() {
     let engine = manual_engine();
-    let pool = engine.serve_pool(ServeConfig {
-        workers: 4,
-        cache_capacity: 64,
-    });
+    let pool = ServePool::new(
+        Arc::clone(&engine),
+        ServeConfig {
+            workers: 4,
+            cache_capacity: 64,
+        },
+    );
     let queries = ["'software'", "'efficient'", "'usability'", "'algorithm'"];
     // Warm phase: every distinct query misses exactly once.
     for q in &queries {
@@ -137,10 +140,13 @@ fn pool_answers_match_direct_execution() {
         "software usability testing with efficient tools",
     ]));
     for engine in [written, sealed] {
-        let pool = engine.serve_pool(ServeConfig {
-            workers: 3,
-            cache_capacity: 16,
-        });
+        let pool = ServePool::new(
+            Arc::clone(&engine),
+            ServeConfig {
+                workers: 3,
+                cache_capacity: 16,
+            },
+        );
         for q in ["'software'", "'software' AND 'usability'", "'nothing'"] {
             let direct = engine.search(q).unwrap();
             let served = pool.execute(QueryRequest::search(q)).unwrap();

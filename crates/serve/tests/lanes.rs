@@ -7,7 +7,7 @@ use ftsl_core::{Ftsl, FtslError};
 use ftsl_index::scratch_pool_stats;
 use ftsl_model::Position;
 use ftsl_predicates::{PredKind, Predicate};
-use ftsl_serve::{MetricValue, QueryRequest, ServeConfig, ServePoolExt};
+use ftsl_serve::{MetricValue, QueryRequest, ServeConfig, ServePool};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -60,14 +60,16 @@ fn engine_with(probe: impl Predicate + 'static) -> Arc<Ftsl> {
 
 #[test]
 fn a_panicking_query_is_an_error_and_the_lanes_keep_serving() {
-    let pool = engine_with(Probe {
-        name: "boom",
-        on_eval: || panic!("boom predicate"),
-    })
-    .serve_pool(ServeConfig {
-        workers: 2,
-        ..ServeConfig::default()
-    });
+    let pool = ServePool::new(
+        engine_with(Probe {
+            name: "boom",
+            on_eval: || panic!("boom predicate"),
+        }),
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+    );
     for i in 0..5 {
         match pool.execute(probed("boom", &format!("p{i}"))) {
             Err(FtslError::Internal(msg)) => assert!(msg.contains("boom predicate"), "{msg}"),
@@ -104,18 +106,20 @@ fn at_most_workers_requests_evaluate_at_once() {
     let running = Arc::new(AtomicUsize::new(0));
     let peak = Arc::new(AtomicUsize::new(0));
     let (r, p) = (Arc::clone(&running), Arc::clone(&peak));
-    let pool = engine_with(Probe {
-        name: "slow",
-        on_eval: move || {
-            p.fetch_max(r.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
-            std::thread::sleep(Duration::from_millis(2));
-            r.fetch_sub(1, Ordering::SeqCst);
+    let pool = ServePool::new(
+        engine_with(Probe {
+            name: "slow",
+            on_eval: move || {
+                p.fetch_max(r.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(2));
+                r.fetch_sub(1, Ordering::SeqCst);
+            },
+        }),
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
         },
-    })
-    .serve_pool(ServeConfig {
-        workers: 2,
-        ..ServeConfig::default()
-    });
+    );
     const CALLERS: usize = 6;
     const PER_CALLER: usize = 4;
     let start = Barrier::new(CALLERS);
@@ -146,10 +150,13 @@ fn lane_scratch_counters_sum_every_callers_deltas() {
     let texts: Vec<String> = (0..40)
         .map(|i| format!("common w{} filler", i % 6))
         .collect();
-    let pool = Arc::new(Ftsl::from_texts(&texts)).serve_pool(ServeConfig {
-        workers: 1,
-        ..ServeConfig::default()
-    });
+    let pool = ServePool::new(
+        Arc::new(Ftsl::from_texts(&texts)),
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
     const ROUNDS: usize = 6;
     // Two threads take turns on the one lane, one request per round.
     let turn = Barrier::new(2);

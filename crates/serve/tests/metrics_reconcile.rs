@@ -4,7 +4,7 @@
 
 use ftsl_core::{Ftsl, LiveConfig, RankModel};
 use ftsl_exec::engine::ExecOptions;
-use ftsl_serve::{MetricValue, QueryRequest, ServeConfig, ServePoolExt};
+use ftsl_serve::{MetricValue, QueryRequest, ServeConfig, ServePool};
 use std::sync::Arc;
 
 fn engine_with(options: Option<ExecOptions>) -> Arc<Ftsl> {
@@ -37,10 +37,13 @@ fn prom_value(text: &str, name: &str) -> u64 {
 #[test]
 fn prometheus_export_reconciles_with_pool_stats_after_concurrent_load() {
     let engine = engine_with(None);
-    let pool = engine.serve_pool(ServeConfig {
-        workers: 4,
-        cache_capacity: 64,
-    });
+    let pool = ServePool::new(
+        Arc::clone(&engine),
+        ServeConfig {
+            workers: 4,
+            cache_capacity: 64,
+        },
+    );
     let queries = ["'software'", "'efficient'", "'usability'", "'algorithm'"];
     // Eight callers on four lanes; once every scoped thread has joined,
     // the pool is quiescent and counters must reconcile exactly.
@@ -145,10 +148,13 @@ fn prometheus_export_reconciles_with_pool_stats_after_concurrent_load() {
 #[test]
 fn slow_log_captures_over_threshold_with_summary() {
     let engine = engine_with(None);
-    let pool = engine.serve_pool(ServeConfig {
-        workers: 2,
-        cache_capacity: 16,
-    });
+    let pool = ServePool::new(
+        Arc::clone(&engine),
+        ServeConfig {
+            workers: 2,
+            cache_capacity: 16,
+        },
+    );
     pool.slow_log().set_threshold_us(1); // everything qualifies
     pool.execute(QueryRequest::search("'software' AND 'usability'"))
         .unwrap();
@@ -187,10 +193,13 @@ fn slow_log_carries_full_trace_when_engine_traces() {
         trace: true,
         ..ExecOptions::default()
     }));
-    let pool = engine.serve_pool(ServeConfig {
-        workers: 1,
-        cache_capacity: 16,
-    });
+    let pool = ServePool::new(
+        Arc::clone(&engine),
+        ServeConfig {
+            workers: 1,
+            cache_capacity: 16,
+        },
+    );
     pool.slow_log().set_threshold_us(1);
     pool.execute(QueryRequest::search("'software' AND 'usability'"))
         .unwrap();

@@ -20,24 +20,21 @@
 //! many postings came off pair lists), `:stats`, `:quit`, `:add <text>`,
 //! `:delete <node>`, `:flush`, `:merge`, plus the serving front door:
 //! `:serve <n>` starts (or resizes) a serve pool of `n` evaluation lanes
-//! with a shared result cache — plain queries and `:top` then go through
-//! it, evaluated on the shell's own thread — `:serve 0` stops it, and
-//! `:bench-load [requests]` runs a short closed-loop mixed read/write load
-//! from one client thread per lane and prints QPS and latency
-//! percentiles. With a pool active, `:stats` adds per-lane served/hit
-//! counts and the cache's hit rate, `:metrics` dumps the pool's metrics
-//! registry as Prometheus text, and `:slow [n]` shows the most recent
-//! slow-query log entries (`:slow-threshold <µs>` adjusts the cutoff at
-//! runtime; 0 disables capture).
+//! with a shared result cache — plain queries, `:top` and `:near` then go
+//! through it, evaluated on the shell's own thread — and `:serve 0` stops
+//! it. With a pool active, `:stats` adds per-lane served/hit counts and the
+//! cache's hit rate, `:metrics` dumps the pool's metrics registry as
+//! Prometheus text, and `:slow [n]` shows the most recent slow-query log
+//! entries (`:slow-threshold <µs>` adjusts the cutoff at runtime; 0
+//! disables capture).
 
-use ftsl_core::{Ftsl, RankModel, ScoredPath};
+use ftsl_core::{Ftsl, RankModel, ScoredOutput, ScoredPath};
 use ftsl_index::AccessCounters;
 use ftsl_model::analysis::AnalysisConfig;
 use ftsl_model::NodeId;
-use ftsl_serve::{QueryRequest, ServeConfig, ServePool, ServePoolExt};
+use ftsl_serve::{Answer, QueryRequest, ServeConfig, ServePool};
 use std::io::{BufRead, Write};
 use std::sync::Arc;
-use std::time::Instant;
 
 fn main() {
     let mut analyzed = false;
@@ -205,21 +202,54 @@ fn parse_near(rest: &str) -> Result<(usize, u32, &str, &str), Box<dyn std::error
     Ok((k, bound, first, second))
 }
 
-fn print_near(
+/// A ranked request through the pool: its scored answer, and whether it
+/// came out of the result cache.
+fn serve_scored(
+    pool: &ServePool,
+    req: QueryRequest,
+) -> Result<(ScoredOutput, bool), Box<dyn std::error::Error>> {
+    let served = pool.execute(req)?;
+    match served.answer.as_ref() {
+        Answer::TopK(r) | Answer::Near(r) => Ok((r.clone(), served.cached)),
+        Answer::Search(_) => unreachable!("a ranked request yields a scored answer"),
+    }
+}
+
+/// Print the hits of `:rank`, `:top` or `:near` and keep their counters for
+/// `:stats`. The footer follows the arm that ran: a proximity walk always
+/// reports its pair-list work, a pruned union its pruning unless the
+/// answer came out of the result cache, which says so last.
+fn print_scored(
     out: &mut impl Write,
     names: &[String],
-    ranked: &ftsl_core::ScoredOutput,
+    last_counters: &mut Option<AccessCounters>,
+    ranked: &ScoredOutput,
+    cached: bool,
 ) -> std::io::Result<()> {
+    let c = ranked.counters;
+    *last_counters = Some(c);
     for (node, score) in &ranked.hits {
         writeln!(out, "{score:.5}  {}", node_name(names, *node))?;
     }
-    let c = ranked.counters;
-    writeln!(
-        out,
-        "[proximity: {} pair entries walked, {} positions decoded (fallback), \
-         {} blocks / {} segments skipped]",
-        c.pair_entries, c.positions_decoded, c.blocks_skipped, c.segments_skipped
-    )
+    match ranked.path {
+        ScoredPath::PairProximity => writeln!(
+            out,
+            "[proximity: {} pair entries walked, {} positions decoded (fallback), \
+             {} blocks / {} segments skipped]",
+            c.pair_entries, c.positions_decoded, c.blocks_skipped, c.segments_skipped
+        )?,
+        ScoredPath::PrunedUnion if !cached => writeln!(
+            out,
+            "[streamed: {} entries decoded, {} entries / {} blocks pruned, \
+             {} segments skipped]",
+            c.entries, c.skipped, c.blocks_skipped, c.segments_skipped
+        )?,
+        ScoredPath::PrunedUnion | ScoredPath::Exhaustive => {}
+    }
+    if cached {
+        writeln!(out, "[served from result cache]")?;
+    }
+    Ok(())
 }
 
 fn dispatch(
@@ -238,8 +268,7 @@ fn dispatch(
             out,
             ":add <text> | :delete <node> | :flush | :merge | :explain <q> | \
              :rank <q> | :top <k> <q> | :near <k> <bound> <a> <b> | :serve <lanes> | \
-             :bench-load [requests] | :metrics | :slow [n] | \
-             :slow-threshold <µs> | :stats | :quit"
+             :metrics | :slow [n] | :slow-threshold <µs> | :stats | :quit"
         )?;
         return Ok(());
     }
@@ -249,30 +278,19 @@ fn dispatch(
             *pool = None;
             writeln!(out, "serve pool stopped")?;
         } else {
-            *pool = Some(engine.serve_pool(ServeConfig {
-                workers: lanes,
-                ..ServeConfig::default()
-            }));
+            *pool = Some(ServePool::new(
+                Arc::clone(engine),
+                ServeConfig {
+                    workers: lanes,
+                    ..ServeConfig::default()
+                },
+            ));
             writeln!(
                 out,
                 "serve pool: {lanes} lane(s), result cache on; queries and :top \
                  now go through the pool"
             )?;
         }
-        return Ok(());
-    }
-    if input == ":bench-load" || input.starts_with(":bench-load ") {
-        let requests: usize = input
-            .strip_prefix(":bench-load")
-            .unwrap()
-            .trim()
-            .parse()
-            .unwrap_or(2000);
-        let Some(p) = pool.as_ref() else {
-            writeln!(out, "no serve pool — start one with :serve <lanes> first")?;
-            return Ok(());
-        };
-        bench_load(engine, p, requests, out)?;
         return Ok(());
     }
     if let Some(q) = input.strip_prefix(":explain ") {
@@ -458,66 +476,29 @@ fn dispatch(
     }
     if let Some(q) = input.strip_prefix(":rank ") {
         let ranked = engine.search_ranked(q, RankModel::TfIdf)?;
-        *last_counters = Some(ranked.counters);
-        for (node, score) in &ranked.hits {
-            writeln!(out, "{score:.5}  {}", node_name(names, *node))?;
-        }
+        print_scored(out, names, last_counters, &ranked, false)?;
         return Ok(());
     }
     if let Some(rest) = input.strip_prefix(":near ") {
         let (k, bound, first, second) = parse_near(rest)?;
         let (ranked, cached) = match pool.as_ref() {
-            Some(p) => {
-                let served = p.execute(QueryRequest::near(first, second, bound, false, k))?;
-                let r = served
-                    .answer
-                    .as_near()
-                    .expect("near request yields near answer")
-                    .clone();
-                (r, served.cached)
-            }
+            Some(p) => serve_scored(p, QueryRequest::near(first, second, bound, false, k))?,
             None => (
                 engine.search_near_top_k(first, second, bound, false, k),
                 false,
             ),
         };
-        *last_counters = Some(ranked.counters);
-        print_near(out, names, &ranked)?;
-        if cached {
-            writeln!(out, "[served from result cache]")?;
-        }
+        print_scored(out, names, last_counters, &ranked, cached)?;
         return Ok(());
     }
     if let Some(rest) = input.strip_prefix(":top ") {
         let (k, q) = rest.split_once(' ').ok_or(":top needs <k> <query>")?;
         let k: usize = k.parse()?;
         let (ranked, cached) = match pool.as_ref() {
-            Some(p) => {
-                let served = p.execute(QueryRequest::top_k(q, RankModel::TfIdf, k))?;
-                let r = served
-                    .answer
-                    .as_top_k()
-                    .expect("top-k request yields top-k answer")
-                    .clone();
-                (r, served.cached)
-            }
+            Some(p) => serve_scored(p, QueryRequest::top_k(q, RankModel::TfIdf, k))?,
             None => (engine.search_top_k(q, RankModel::TfIdf, k)?, false),
         };
-        let c = ranked.counters;
-        *last_counters = Some(c);
-        for (node, score) in &ranked.hits {
-            writeln!(out, "{score:.5}  {}", node_name(names, *node))?;
-        }
-        if cached {
-            writeln!(out, "[served from result cache]")?;
-        } else if ranked.path == ScoredPath::PrunedUnion {
-            writeln!(
-                out,
-                "[streamed: {} entries decoded, {} entries / {} blocks pruned, \
-                 {} segments skipped]",
-                c.entries, c.skipped, c.blocks_skipped, c.segments_skipped
-            )?;
-        }
+        print_scored(out, names, last_counters, &ranked, cached)?;
         return Ok(());
     }
     let (results, cached) = match pool.as_ref() {
@@ -546,102 +527,5 @@ fn dispatch(
     for node in &results.nodes {
         writeln!(out, "  {}", node_name(names, *node))?;
     }
-    Ok(())
-}
-
-/// `:bench-load` — a short closed-loop load against the active pool: one
-/// client thread per lane replays a skewed mix of BOOL and top-k queries over
-/// the engine's own vocabulary while this thread churns a write every few
-/// milliseconds, then QPS and latency percentiles come from the merged
-/// per-request timings. (The repo benchmark's `zipf_cached` and `rw_churn`
-/// workloads are the measured version; this is their interactive sibling.)
-fn bench_load(
-    engine: &Arc<Ftsl>,
-    pool: &ServePool,
-    requests: usize,
-    out: &mut impl Write,
-) -> Result<(), Box<dyn std::error::Error>> {
-    // Query mix from the indexed vocabulary: its first terms,
-    // skew-sampled so the cache has something to do.
-    let snapshot = engine.snapshot();
-    let terms: Vec<String> = snapshot
-        .vocabulary()
-        .iter()
-        .take(16)
-        .map(|(_, name)| name.to_string())
-        .collect();
-    if terms.is_empty() {
-        writeln!(out, "nothing indexed yet — :add some documents first")?;
-        return Ok(());
-    }
-    let queries: Vec<QueryRequest> = terms
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            if i % 2 == 0 {
-                QueryRequest::search(&format!("'{t}'"))
-            } else {
-                QueryRequest::top_k(&format!("'{t}'"), RankModel::TfIdf, 10)
-            }
-        })
-        .collect();
-    let clients = pool.workers();
-    let per_client = requests.div_ceil(clients);
-    let before = pool.stats();
-    let t0 = Instant::now();
-    let mut latencies: Vec<u64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let queries = &queries;
-                scope.spawn(move || {
-                    let mut lat = Vec::with_capacity(per_client);
-                    let mut state = (c as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
-                    for _ in 0..per_client {
-                        // xorshift* skew: square the draw so low indices
-                        // (popular queries) dominate, Zipf-ish.
-                        state ^= state << 13;
-                        state ^= state >> 7;
-                        state ^= state << 17;
-                        let u = (state >> 11) as f64 / (1u64 << 53) as f64;
-                        let idx = ((u * u) * queries.len() as f64) as usize;
-                        let req = queries[idx.min(queries.len() - 1)].clone();
-                        let t = Instant::now();
-                        let _ = pool.execute(req);
-                        lat.push(t.elapsed().as_micros() as u64);
-                    }
-                    lat
-                })
-            })
-            .collect();
-        // Writer churn while clients run: add + delete + flush.
-        let added = engine.add("bench load churn document");
-        engine.delete(added);
-        engine.flush();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("client thread"))
-            .collect()
-    });
-    let wall = t0.elapsed();
-    latencies.sort_unstable();
-    let pct = |p: f64| latencies[((latencies.len() - 1) as f64 * p) as usize];
-    let after = pool.stats();
-    let hits = after.cache_hits() - before.cache_hits();
-    let served = after.served() - before.served();
-    writeln!(
-        out,
-        "{} requests over {} client(s) in {:.1?}: {:.0} QPS; \
-         p50 {}µs p95 {}µs p99 {}µs; {}/{} cache hits ({:.1}%)",
-        latencies.len(),
-        clients,
-        wall,
-        latencies.len() as f64 / wall.as_secs_f64(),
-        pct(0.50),
-        pct(0.95),
-        pct(0.99),
-        hits,
-        served,
-        100.0 * hits as f64 / served.max(1) as f64,
-    )?;
     Ok(())
 }

@@ -22,7 +22,7 @@ use ftsl::calculus::CalcQuery;
 use ftsl::core::{Ftsl, FtslError, RankModel};
 use ftsl::lang::{lower, parse, Mode};
 use ftsl::model::NodeId;
-use ftsl::serve::{QueryRequest, ServeConfig, ServePoolExt};
+use ftsl::serve::{QueryRequest, ServeConfig, ServePool};
 use std::sync::Arc;
 
 /// Eight positions of `t` per node, quantified, with a general predicate
@@ -82,10 +82,13 @@ fn search_answers_a_cross_product_that_push_down_shrinks() {
 
 #[test]
 fn a_pool_worker_survives_a_hostile_cross_product() {
-    let pool = engine().serve_pool(ServeConfig {
-        workers: 1,
-        ..ServeConfig::default()
-    });
+    let pool = ServePool::new(
+        engine(),
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
     let err = pool
         .execute(QueryRequest::search(&spanning()))
         .expect_err("over the per-node budget");
@@ -126,10 +129,13 @@ fn ranking_refuses_a_hostile_cross_product() {
 
 #[test]
 fn a_pool_worker_survives_a_hostile_ranked_request() {
-    let pool = engine().serve_pool(ServeConfig {
-        workers: 1,
-        ..ServeConfig::default()
-    });
+    let pool = ServePool::new(
+        engine(),
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
     for model in [RankModel::TfIdf, RankModel::Pra] {
         let err = pool
             .execute(QueryRequest::top_k(&spanning(), model, 3))

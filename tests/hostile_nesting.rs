@@ -11,7 +11,7 @@ use ftsl::core::{Ftsl, FtslError, RankModel};
 use ftsl::exec::engine::EngineKind;
 use ftsl::lang::{classify, lower, parse, LangError, Mode, MAX_NESTING};
 use ftsl::predicates::PredicateRegistry;
-use ftsl::serve::{QueryRequest, ServeConfig, ServePoolExt};
+use ftsl::serve::{QueryRequest, ServeConfig, ServePool};
 use std::sync::Arc;
 
 const WORKER_STACK: usize = 2 * 1024 * 1024;
@@ -84,10 +84,13 @@ fn search_returns_err_instead_of_overflowing() {
 
 #[test]
 fn a_pool_worker_survives_hostile_requests() {
-    let pool = Arc::new(engine()).serve_pool(ServeConfig {
-        workers: 1,
-        ..ServeConfig::default()
-    });
+    let pool = ServePool::new(
+        Arc::new(engine()),
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
     for query in hostile() {
         let err = pool
             .execute(QueryRequest::search(&query))
