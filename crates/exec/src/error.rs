@@ -24,6 +24,12 @@ pub enum PlanError {
     GeneralPredicate(String),
     /// Unknown predicate id.
     UnknownPredicate(u32),
+    /// NPRED would run one scan per ordering of this many variables, more
+    /// than [`crate::ppred::MAX_NPRED_ORDERINGS`].
+    TooManyOrderings {
+        /// Variables the orderings permute.
+        variables: usize,
+    },
 }
 
 impl fmt::Display for PlanError {
@@ -43,6 +49,11 @@ impl fmt::Display for PlanError {
                 write!(f, "predicate {name} requires the COMP engine")
             }
             PlanError::UnknownPredicate(id) => write!(f, "unknown predicate id {id}"),
+            PlanError::TooManyOrderings { variables } => write!(
+                f,
+                "NPRED would scan {variables}! orderings, over the cap of {}",
+                crate::ppred::MAX_NPRED_ORDERINGS
+            ),
         }
     }
 }

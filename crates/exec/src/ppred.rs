@@ -117,6 +117,11 @@ impl StreamPlan {
         } else {
             (pairscan::recognize(&plan.root, registry), Vec::new())
         };
+        if ordering_count(vars.len()).is_none_or(|n| n > MAX_NPRED_ORDERINGS) {
+            return Err(PlanError::TooManyOrderings {
+                variables: vars.len(),
+            });
+        }
         Ok(StreamPlan {
             root: plan.root,
             pair,
@@ -170,6 +175,18 @@ impl StreamPlan {
         }
         (nodes, counters, attribution)
     }
+}
+
+/// Most orderings an NPRED plan runs: 7!, the orderings of seven
+/// variables. Each ordering is one scan, so `n` variables cost `n!` scans,
+/// and the orderings alone outgrow memory soon past the cap (12 variables
+/// have 479 001 600). A query over more refuses NPRED; Auto then runs it
+/// as COMP, which is complete.
+pub const MAX_NPRED_ORDERINGS: usize = 5_040;
+
+/// The orderings of `vars` variables, `vars!`; `None` past `usize`.
+fn ordering_count(vars: usize) -> Option<usize> {
+    (1..=vars).try_fold(1usize, |count, k| count.checked_mul(k))
 }
 
 fn ordering_vars(plan: &Plan, full: bool) -> Vec<VarId> {
@@ -396,5 +413,12 @@ mod tests {
         let vars: Vec<VarId> = (0..4).map(VarId).collect();
         assert_eq!(permutations(&vars).len(), 24);
         assert_eq!(permutations(&[]).len(), 1);
+        for n in 0..=7 {
+            let vars: Vec<VarId> = (0..n).map(VarId).collect();
+            assert_eq!(ordering_count(vars.len()), Some(permutations(&vars).len()));
+        }
+        assert_eq!(ordering_count(7), Some(MAX_NPRED_ORDERINGS));
+        assert_eq!(ordering_count(12), Some(479_001_600));
+        assert_eq!(ordering_count(100), None);
     }
 }

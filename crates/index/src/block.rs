@@ -55,7 +55,7 @@
 
 use crate::bitpack;
 pub use crate::cursor::{scratch_pool_stats, ScratchPoolStats};
-use crate::cursor::{BlockHeader, ListCursor};
+use crate::cursor::{BlockHeader, Headers, ListCursor};
 use crate::frame;
 use crate::postings::PostingList;
 use crate::varint;
@@ -567,7 +567,7 @@ impl<'a> BlockList<'a> {
     /// work reuses warm buffers instead of heap-allocating per cursor
     /// (see [`scratch_pool_stats`]).
     pub fn cursor(self) -> BlockCursor<'a> {
-        ListCursor::new(self.blocks, self.data, self.entries)
+        ListCursor::new(Headers::Run(self.blocks), self.data, self.entries)
     }
 }
 

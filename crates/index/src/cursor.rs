@@ -14,6 +14,11 @@
 //! [`crate::block::BlockCursor`] its term frequencies and positions,
 //! [`crate::pair::PairCursor`] its gaps.
 //!
+//! A cursor walks a list's run of its arena's header array, or a single
+//! header it holds by value (`Headers`): a pair key of one entry keeps
+//! no header in its arena, and its list is that entry as the header of a
+//! one-entry block.
+//!
 //! A cursor decodes one whole block at a time into a scratch buffer it
 //! leases from the calling thread's pool and hands back on drop, so
 //! steady-state query work reuses warm buffers instead of heap-allocating
@@ -59,6 +64,27 @@ pub trait BlockHeader: Copy + Debug {
     fn header_only(&self, count: usize) -> Option<u32> {
         let _ = count;
         None
+    }
+}
+
+/// The headers a [`ListCursor`] walks: a list's run of its arena's header
+/// array, or the one header of a list the arena keeps without any (a pair
+/// key of one entry, whose header is made from the entry itself).
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Headers<'a, H> {
+    /// Borrowed from the arena.
+    Run(&'a [H]),
+    /// Held by value.
+    One(H),
+}
+
+impl<H> Headers<'_, H> {
+    #[inline]
+    pub(crate) fn as_slice(&self) -> &[H] {
+        match self {
+            Headers::Run(run) => run,
+            Headers::One(header) => std::slice::from_ref(header),
+        }
     }
 }
 
@@ -208,7 +234,7 @@ pub fn scratch_pool_stats() -> ScratchPoolStats {
 /// [`crate::pair::PairCursor`]; see the module docs for the contract.
 #[derive(Debug)]
 pub struct ListCursor<'a, H: BlockHeader> {
-    headers: &'a [H],
+    headers: Headers<'a, H>,
     /// The bytes the headers' `byte_start` index.
     pub(crate) data: &'a [u8],
     /// The list's length.
@@ -277,7 +303,7 @@ impl<'a, H: BlockHeader> ListCursor<'a, H> {
     /// A cursor at the start of the `entries`-entry list under `headers`,
     /// whose `byte_start`s index `data`.
     #[inline]
-    pub(crate) fn new(headers: &'a [H], data: &'a [u8], entries: u32) -> Self {
+    pub(crate) fn new(headers: Headers<'a, H>, data: &'a [u8], entries: u32) -> Self {
         ListCursor {
             headers,
             data,
@@ -303,6 +329,12 @@ impl<'a, H: BlockHeader> ListCursor<'a, H> {
         std::mem::size_of::<Scratch>()
     }
 
+    /// The list's block headers.
+    #[inline]
+    fn headers(&self) -> &[H] {
+        self.headers.as_slice()
+    }
+
     /// List index of the next entry to consume: 0 on a fresh cursor, one
     /// past the current entry when positioned, `entries` when done.
     fn global_next(&self) -> u32 {
@@ -320,7 +352,7 @@ impl<'a, H: BlockHeader> ListCursor<'a, H> {
     /// for. A block stored as its header alone is read from the header.
     #[cold]
     fn unpack_block(&mut self, block: usize) {
-        let meta = self.headers[block];
+        let meta = self.headers()[block];
         let first = block * BLOCK_ENTRIES;
         let count = (self.entries as usize - first).min(BLOCK_ENTRIES);
         let s = &mut *self.scratch;
@@ -450,7 +482,7 @@ impl<'a, H: BlockHeader> ListCursor<'a, H> {
     /// The first block at or after `from` whose `max_node` reaches
     /// `target` (`headers.len()` when none does).
     fn find_block(&self, from: usize, target: NodeId) -> usize {
-        from + self.headers[from..].partition_point(|b| b.max_node() < target)
+        from + self.headers()[from..].partition_point(|b| b.max_node() < target)
     }
 
     /// `seek(node)`: advance to the first entry with node id ≥ `target`,
@@ -475,15 +507,15 @@ impl<'a, H: BlockHeader> ListCursor<'a, H> {
         // inside the already-decoded resident block — no header search.
         let cur_block = from as usize / BLOCK_ENTRIES;
         let target_block =
-            if cur_block == self.block && self.headers[cur_block].max_node() >= target {
+            if cur_block == self.block && self.headers()[cur_block].max_node() >= target {
                 cur_block
             } else {
                 let target_block = self.find_block(cur_block, target);
-                if target_block >= self.headers.len() {
+                if target_block >= self.headers().len() {
                     // No block can contain the target: exhaust, counting the
                     // rest of the list as skipped (never consumed).
                     self.counters.skipped += u64::from(self.entries - from);
-                    self.counters.blocks_skipped += (self.headers.len())
+                    self.counters.blocks_skipped += (self.headers().len())
                         .saturating_sub((from as usize).div_ceil(BLOCK_ENTRIES))
                         as u64;
                     self.mark_done();
@@ -538,7 +570,7 @@ impl<'a, H: BlockHeader> ListCursor<'a, H> {
     fn current_block(&self) -> Option<usize> {
         if self.idx < self.count {
             Some(self.block)
-        } else if !self.started && !self.headers.is_empty() {
+        } else if !self.started && !self.headers().is_empty() {
             Some(0)
         } else {
             None
@@ -550,7 +582,7 @@ impl<'a, H: BlockHeader> ListCursor<'a, H> {
     /// A pure bound probe: block-max pruning reads `max_tf` or `min_gap`
     /// from it.
     pub fn block_header(&self) -> Option<H> {
-        self.current_block().map(|b| self.headers[b])
+        self.current_block().map(|b| self.headers()[b])
     }
 
     /// Header of the block that would hold the first remaining entry with
@@ -562,7 +594,7 @@ impl<'a, H: BlockHeader> ListCursor<'a, H> {
             return self.block_header();
         }
         let from = self.current_block()?;
-        self.headers.get(self.find_block(from, target)).copied()
+        self.headers().get(self.find_block(from, target)).copied()
     }
 
     /// Jump past the current block without consuming its remaining entries
@@ -574,7 +606,7 @@ impl<'a, H: BlockHeader> ListCursor<'a, H> {
     pub fn skip_block(&mut self) -> Option<NodeId> {
         let next = self.current_block()? + 1;
         let from = self.global_next();
-        let first = if next < self.headers.len() {
+        let first = if next < self.headers().len() {
             (next * BLOCK_ENTRIES) as u32
         } else {
             self.entries
@@ -582,7 +614,7 @@ impl<'a, H: BlockHeader> ListCursor<'a, H> {
         let remaining = u64::from(first - from);
         self.counters.skipped += remaining;
         self.counters.blocks_skipped += u64::from(remaining > 0);
-        if next < self.headers.len() {
+        if next < self.headers().len() {
             Some(self.land(first))
         } else {
             self.mark_done();

@@ -29,12 +29,20 @@
 //! ## Physical layout
 //!
 //! A segment's pair index is **one arena** — a handful of flat vectors,
-//! with no allocation per key:
+//! with no allocation per key. A key's list takes one of two forms, picked
+//! by `PairArenaWriter::push_list` from its entry count:
 //!
-//! * a CSR key table over the first token: the keys `(a, _)` are
-//!   `seconds[starts[a]..starts[a + 1]]`, ascending, so a lookup is one
-//!   binary search inside that run;
-//! * `first_block`, one entry per key plus a sentinel: key `k`'s blocks are
+//! * a key of **one** entry (most keys: 82 % of a Zipf segment's) is stored
+//!   **inline**, in a CSR key table over the first token of its own — the
+//!   keys `(a, _)` are `seconds[starts[a]..starts[a + 1]]`, ascending, so
+//!   finding one is a binary search inside that run — beside two parallel
+//!   columns holding its entry: the node id (`u32`) and the gap (`u8`).
+//!   That is 9 bytes per key. Its [`PairList`] is the entry made into the
+//!   header of a one-entry block, held by value;
+//! * a key of two or more entries (or of one entry whose gap a byte cannot
+//!   hold, which only a window over 255 makes) sits in a second CSR key
+//!   table of the same shape, with `first_block`, one entry per key plus a
+//!   sentinel: key `k`'s blocks are
 //!   `blocks[first_block[k]..first_block[k + 1]]`;
 //! * `blocks`, one 16-byte [`PairBlock`] header per block of
 //!   [`crate::block::BLOCK_ENTRIES`] entries — a skip-list node
@@ -51,11 +59,14 @@
 //!   (gaps are ≥ 1 by construction);
 //! * the coverage bitmap.
 //!
-//! A block of **one** entry stores no bytes: its header's `max_node` and
-//! `min_gap` already are the entry. Most keys are lists of one document,
-//! so most keys cost one key word, one block index and one header. A
-//! [`PairCursor`] is the posting lists' skip-list walk
-//! ([`crate::cursor`]) over these headers, plus each entry's gap.
+//! A block of one entry stores no bytes: its header's `max_node` and
+//! `min_gap` already are the entry. That is how a list's last block of
+//! one entry is stored, and how an inline key's list is read. A lookup
+//! searches the key table of lists first, then the inline one. A
+//! [`PairCursor`] is the posting lists' skip-list walk ([`crate::cursor`])
+//! over a list's headers, plus each entry's gap: an inline key's cursor
+//! holds its one header by value, so both forms have one walk, one set of
+//! header probes and one counting rule.
 //!
 //! [`PairIndex::build`] sorts nothing. A generation-stamped hash table keeps
 //! each document's minimum gap per covered key, and the postings, packed
@@ -78,13 +89,14 @@
 use crate::bitpack;
 use crate::block::{BlockList, BLOCK_ENTRIES};
 use crate::counters::AccessCounters;
-use crate::cursor::{BlockHeader, ListCursor};
+use crate::cursor::{BlockHeader, Headers, ListCursor};
 use crate::frame;
 use crate::local::LocalTokens;
 use ftsl_model::{Document, NodeId, TokenId};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
+use std::ops::Range;
 
 /// Default co-occurrence window: forward gaps up to this many offsets are
 /// indexed. 16 covers adjacency (phrase), every `distance(_, _, d)` with
@@ -125,8 +137,10 @@ impl PairConfig {
     }
 }
 
-/// Header of one pair block in a segment's arena — skip-list node plus the
-/// block's proximity impact bound.
+/// Header of one pair block — skip-list node plus the block's proximity
+/// impact bound. A key of two or more entries keeps one per block in its
+/// segment's arena; a key of one entry keeps none, and its list is this
+/// header made from the entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PairBlock {
     /// Largest node id stored in the block (its last entry's id).
@@ -162,13 +176,15 @@ pub(crate) fn pack_block(chunk: &[(u32, u32)], out: &mut Vec<u8>) -> u32 {
     gaps.iter().copied().min().expect("non-empty block")
 }
 
-/// One key's pair posting list: a borrowed view of its block headers and
-/// of the segment's data stream, one `(node, min forward gap)` entry per
-/// document containing the pair within the window. Never empty.
+/// One key's pair posting list: one `(node, min forward gap)` entry per
+/// document containing the pair within the window. Never empty. A borrowed
+/// view of the key's block headers and of the segment's data stream, or,
+/// for a key the arena stores inline, its one entry as a header by value.
 #[derive(Clone, Copy)]
 pub struct PairList<'a> {
-    blocks: &'a [PairBlock],
-    /// The whole arena stream (`byte_start` is absolute).
+    blocks: Headers<'a, PairBlock>,
+    /// The whole arena stream (`byte_start` is absolute); empty for an
+    /// inline key.
     data: &'a [u8],
 }
 
@@ -176,7 +192,7 @@ impl std::fmt::Debug for PairList<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PairList")
             .field("entries", &self.num_entries())
-            .field("blocks", &self.blocks.len())
+            .field("blocks", &self.num_blocks())
             .finish()
     }
 }
@@ -195,18 +211,19 @@ impl<'a> PairList<'a> {
 
     /// Number of `(node, gap)` entries.
     pub fn num_entries(self) -> usize {
-        self.blocks.last().map_or(0, |b| b.end as usize)
+        self.blocks.as_slice().last().map_or(0, |b| b.end as usize)
     }
 
     /// Number of blocks.
     pub fn num_blocks(self) -> usize {
-        self.blocks.len()
+        self.blocks.as_slice().len()
     }
 
     /// Smallest gap across the whole list — the list-level proximity
     /// impact bound.
     pub fn min_gap(self) -> u32 {
         self.blocks
+            .as_slice()
             .iter()
             .map(|b| b.min_gap)
             .min()
@@ -282,6 +299,76 @@ pub enum PairLookup<'a> {
     NotCovered,
 }
 
+/// A CSR table of keys over the first token: the keys `(a, _)` are
+/// `seconds[starts[a]..starts[a + 1]]`, ascending, and a key's number is
+/// its place in `seconds`.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+struct Keys {
+    /// `vocabulary + 1` long once finished (empty when pairs are
+    /// disabled).
+    starts: Vec<u32>,
+    /// Second token of every key.
+    seconds: Vec<u32>,
+}
+
+impl Keys {
+    fn with_capacity(vocab: usize, keys: usize) -> Self {
+        Keys {
+            starts: Vec::with_capacity(vocab + 1),
+            seconds: Vec::with_capacity(keys),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.seconds.len()
+    }
+
+    /// The numbers of the keys `(a, _)`. `a` must be below the vocabulary
+    /// the table was finished over.
+    fn run(&self, a: usize) -> Range<usize> {
+        self.starts[a] as usize..self.starts[a + 1] as usize
+    }
+
+    /// The number of key `(a, b)`, if the table holds it.
+    #[inline]
+    fn find(&self, a: usize, b: u32) -> Option<usize> {
+        let run = self.run(a);
+        let at = self.seconds[run.clone()].binary_search(&b).ok()?;
+        Some(run.start + at)
+    }
+
+    /// Append key `(a, b)`, after every key already held.
+    fn push(&mut self, a: u32, b: u32) -> Result<(), &'static str> {
+        let key = u32::try_from(self.seconds.len()).map_err(|_| TOO_LARGE)?;
+        let first = self.starts.len().max(a as usize + 1);
+        self.starts.resize(first, key);
+        self.seconds.push(b);
+        Ok(())
+    }
+
+    /// Close the CSR table over `vocab` first tokens and shrink it.
+    fn finish(&mut self, vocab: usize) {
+        let keys = self.seconds.len() as u32;
+        self.starts.resize(vocab + 1, keys);
+        self.starts.shrink_to_fit();
+        self.seconds.shrink_to_fit();
+    }
+
+    fn resident_bytes(&self) -> usize {
+        (self.starts.capacity() + self.seconds.capacity()) * std::mem::size_of::<u32>()
+    }
+}
+
+/// The refusal of an arena past `u32` offsets.
+const TOO_LARGE: &str = "pair arena exceeds u32 offsets";
+
+/// The gap the arena keeps for a list of `len` entries, the first with
+/// gap `gap`, when it stores the list inline: one entry, with a gap a byte
+/// holds.
+fn inline_gap(len: usize, gap: u32) -> Option<u8> {
+    u8::try_from(gap).ok().filter(|_| len == 1)
+}
+
 /// The word-pair auxiliary index over one segment's corpus, stored as one
 /// arena (see the module docs' "Physical layout").
 ///
@@ -294,17 +381,18 @@ pub struct PairIndex {
     /// The window/cutoff the index was built with (`window == 0` when
     /// disabled or absent).
     config: PairConfig,
-    /// CSR over the first token, `frequent.len() + 1` long once built
-    /// (empty when disabled): the keys `(a, _)` are
-    /// `seconds[starts[a]..starts[a + 1]]`.
-    starts: Vec<u32>,
-    /// Second token of every key, ascending within each first token.
-    seconds: Vec<u32>,
-    /// Per key, the index of its first block; plus a sentinel.
+    /// The keys of two or more entries (and of one entry whose gap is
+    /// wider than a byte).
+    lists: Keys,
+    /// Per key of `lists`, the index of its first block; plus a sentinel.
     first_block: Vec<u32>,
     blocks: Vec<PairBlock>,
     /// Packed bytes of every block of two or more entries.
     data: Vec<u8>,
+    /// The keys stored inline: their one entry is `(nodes[k], gaps[k])`.
+    inline: Keys,
+    nodes: Vec<u32>,
+    gaps: Vec<u8>,
     /// Per-token coverage: `frequent[t]` iff `df(t) ≥ df_cutoff` at build
     /// time. Empty when the index is disabled.
     frequent: Vec<bool>,
@@ -318,11 +406,13 @@ impl Default for PairIndex {
     fn default() -> Self {
         PairIndex {
             config: PairConfig::disabled(),
-            starts: Vec::new(),
-            seconds: Vec::new(),
+            lists: Keys::default(),
             first_block: Vec::new(),
             blocks: Vec::new(),
             data: Vec::new(),
+            inline: Keys::default(),
+            nodes: Vec::new(),
+            gaps: Vec::new(),
             frequent: Vec::new(),
             entries: 0,
         }
@@ -345,7 +435,7 @@ impl PairIndex {
     /// [`Self::build`] over the documents' local token ids, with `dfs[i]`
     /// the document frequency of `tokens.used[i]`, for a `vocab`-wide
     /// coverage bitmap. A token the documents never use costs its coverage
-    /// bit and its CSR slot, both filled in bulk, and nothing else.
+    /// bit and its CSR slots, both filled in bulk, and nothing else.
     pub(crate) fn build_local(
         docs: &[Document],
         tokens: LocalTokens,
@@ -371,21 +461,36 @@ impl PairIndex {
         if !self.covers(a) || !self.covers(b) {
             return PairLookup::NotCovered;
         }
-        // Covered ⇒ `a < frequent.len()`, so both CSR bounds exist.
-        let lo = self.starts[a.index()] as usize;
-        let hi = self.starts[a.index() + 1] as usize;
-        match self.seconds[lo..hi].binary_search(&b.0) {
-            Ok(i) => PairLookup::List(self.list(lo + i)),
-            Err(_) => PairLookup::Empty,
+        // Covered ⇒ `a < frequent.len()`, so both tables have its run.
+        if let Some(key) = self.lists.find(a.index(), b.0) {
+            PairLookup::List(self.list(key))
+        } else if let Some(key) = self.inline.find(a.index(), b.0) {
+            PairLookup::List(self.inline_list(key))
+        } else {
+            PairLookup::Empty
         }
     }
 
-    /// The list of key number `key`.
+    /// The list of key number `key` of `lists`.
     fn list(&self, key: usize) -> PairList<'_> {
         let (from, to) = (self.first_block[key], self.first_block[key + 1]);
         PairList {
-            blocks: &self.blocks[from as usize..to as usize],
+            blocks: Headers::Run(&self.blocks[from as usize..to as usize]),
             data: &self.data,
+        }
+    }
+
+    /// The list of key number `key` of `inline`: its entry as the header
+    /// of a one-entry block.
+    fn inline_list(&self, key: usize) -> PairList<'_> {
+        PairList {
+            blocks: Headers::One(PairBlock {
+                max_node: NodeId(self.nodes[key]),
+                byte_start: 0,
+                end: 1,
+                min_gap: u32::from(self.gaps[key]),
+            }),
+            data: &[],
         }
     }
 
@@ -403,12 +508,19 @@ impl PairIndex {
     /// True when the index holds no pair lists (disabled, or nothing met
     /// the window/cutoff).
     pub fn is_empty(&self) -> bool {
-        self.seconds.is_empty()
+        self.num_keys() == 0
     }
 
     /// Number of distinct directed pairs indexed.
     pub fn num_keys(&self) -> usize {
-        self.seconds.len()
+        self.lists.len() + self.inline.len()
+    }
+
+    /// Number of keys whose list holds one document. All but a key whose
+    /// gap is wider than a byte are stored inline.
+    pub fn num_single_document_keys(&self) -> usize {
+        let wide = self.blocks.iter().filter(|b| b.end == 1).count();
+        self.inline.len() + wide
     }
 
     /// Total pair postings across all lists.
@@ -416,26 +528,44 @@ impl PairIndex {
         self.entries
     }
 
-    /// Resident bytes: the arena's vectors — key table, block headers,
-    /// packed stream, and the coverage bitmap.
+    /// Resident bytes: the arena's vectors — both key tables, block
+    /// headers, packed stream, inline entries, and the coverage bitmap.
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.starts.capacity() + self.seconds.capacity() + self.first_block.capacity())
-            * size_of::<u32>()
+        self.lists.resident_bytes()
+            + self.inline.resident_bytes()
+            + (self.first_block.capacity() + self.nodes.capacity()) * size_of::<u32>()
             + self.blocks.capacity() * size_of::<PairBlock>()
             + self.data.capacity()
+            + self.gaps.capacity()
             + self.frequent.capacity() * size_of::<bool>()
     }
 
-    /// Iterate `(a, b, list)` in key order (persistence and diagnostics).
+    /// Iterate `(a, b, list)` in key order (persistence and diagnostics):
+    /// per first token, its keys of both tables merged by second token.
     pub fn iter(&self) -> impl Iterator<Item = (TokenId, TokenId, PairList<'_>)> {
-        self.starts
-            .windows(2)
-            .enumerate()
-            .flat_map(move |(a, run)| {
-                (run[0] as usize..run[1] as usize)
-                    .map(move |k| (TokenId(a as u32), TokenId(self.seconds[k]), self.list(k)))
+        let firsts = self.lists.starts.len().saturating_sub(1);
+        (0..firsts).flat_map(move |a| {
+            let (mut lists, mut inline) = (self.lists.run(a), self.inline.run(a));
+            std::iter::from_fn(move || {
+                let head = |keys: &Keys, run: &Range<usize>| {
+                    (!run.is_empty()).then(|| keys.seconds[run.start])
+                };
+                let from_lists = match (head(&self.lists, &lists), head(&self.inline, &inline)) {
+                    (None, None) => return None,
+                    (Some(l), Some(i)) => l < i,
+                    (l, _) => l.is_some(),
+                };
+                let (b, list) = if from_lists {
+                    let key = lists.next()?;
+                    (self.lists.seconds[key], self.list(key))
+                } else {
+                    let key = inline.next()?;
+                    (self.inline.seconds[key], self.inline_list(key))
+                };
+                Some((TokenId(a as u32), TokenId(b), list))
             })
+        })
     }
 
     /// The coverage bitmap (exposed for persistence).
@@ -444,31 +574,56 @@ impl PairIndex {
     }
 }
 
+/// How many keys of each form, and block headers, an arena will hold.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct ArenaCapacity {
+    /// Keys stored with block headers.
+    pub(crate) lists: usize,
+    /// Block headers of those keys.
+    pub(crate) blocks: usize,
+    /// Keys stored inline.
+    pub(crate) inline: usize,
+}
+
+impl ArenaCapacity {
+    /// Make room for a list of `len` entries whose first gap is `gap`.
+    fn add(&mut self, len: usize, gap: u32) {
+        if inline_gap(len, gap).is_some() {
+            self.inline += 1;
+        } else {
+            self.lists += 1;
+            self.blocks += len.div_ceil(BLOCK_ENTRIES);
+        }
+    }
+}
+
 /// Appends pair lists, in strictly increasing key order, to a new arena —
 /// the one writer behind [`PairIndex::build`] and the persisted load path,
-/// and the one place that checks the keys the CSR table is sized by.
+/// and the one place that checks the keys the CSR tables are sized by and
+/// picks each key's form.
 pub(crate) struct PairArenaWriter {
     index: PairIndex,
     last: Option<(u32, u32)>,
 }
 
 impl PairArenaWriter {
-    /// An empty arena over `frequent`'s coverage, with room for `keys`
-    /// keys and `blocks` block headers.
+    /// An empty arena over `frequent`'s coverage, with room for `capacity`.
     pub(crate) fn with_capacity(
         config: PairConfig,
         frequent: Vec<bool>,
-        keys: usize,
-        blocks: usize,
+        capacity: ArenaCapacity,
     ) -> Self {
+        let vocab = frequent.len();
         PairArenaWriter {
             index: PairIndex {
                 config,
-                starts: Vec::with_capacity(frequent.len() + 1),
-                seconds: Vec::with_capacity(keys),
-                first_block: Vec::with_capacity(keys + 1),
-                blocks: Vec::with_capacity(blocks),
+                lists: Keys::with_capacity(vocab, capacity.lists),
+                first_block: Vec::with_capacity(capacity.lists + 1),
+                blocks: Vec::with_capacity(capacity.blocks),
                 data: Vec::new(),
+                inline: Keys::with_capacity(vocab, capacity.inline),
+                nodes: Vec::with_capacity(capacity.inline),
+                gaps: Vec::with_capacity(capacity.inline),
                 frequent,
                 entries: 0,
             },
@@ -477,35 +632,40 @@ impl PairArenaWriter {
     }
 
     /// Append key `(a, b)`'s `(node, gap)` entries (node ids strictly
-    /// increasing, gaps in `1..=window`). Refuses a key outside the
-    /// coverage bitmap or not covered, a key with no entries, a key not
-    /// after the previous one, and an arena past `u32` offsets — none of
-    /// which the builder emits, so each is a corrupt persisted section.
+    /// increasing, gaps in `1..=window`): inline when it has one entry
+    /// with a gap a byte holds, otherwise as blocks. Refuses a key outside
+    /// the coverage bitmap or not covered, a key with no entries, a key
+    /// not after the previous one, and an arena past `u32` offsets — none
+    /// of which the builder emits, so each is a corrupt persisted section.
     pub(crate) fn push_list(
         &mut self,
         a: u32,
         b: u32,
         entries: &[(u32, u32)],
     ) -> Result<(), &'static str> {
-        const TOO_LARGE: &str = "pair arena exceeds u32 offsets";
         let ix = &mut self.index;
         if !ix.covers(TokenId(a)) || !ix.covers(TokenId(b)) {
             return Err("pair key token not covered");
         }
-        if entries.is_empty() {
+        let Some(&(node, gap)) = entries.first() else {
             return Err("pair key with no entries");
-        }
+        };
         if self.last.is_some_and(|last| (a, b) <= last) {
             return Err("pair keys not sorted and unique");
         }
         self.last = Some((a, b));
-        let key = u32::try_from(ix.seconds.len()).map_err(|_| TOO_LARGE)?;
+        // `a` is covered, so a table's `push` fills at most
+        // `frequent.len()` CSR slots.
+        if let Some(gap) = inline_gap(entries.len(), gap) {
+            ix.inline.push(a, b)?;
+            ix.nodes.push(node);
+            ix.gaps.push(gap);
+            ix.entries += 1;
+            return Ok(());
+        }
         let first_block = u32::try_from(ix.blocks.len()).map_err(|_| TOO_LARGE)?;
         u32::try_from(entries.len()).map_err(|_| TOO_LARGE)?;
-        // `a` is covered, so this fills at most `frequent.len()` slots.
-        let first = ix.starts.len().max(a as usize + 1);
-        ix.starts.resize(first, key);
-        ix.seconds.push(b);
+        ix.lists.push(a, b)?;
         ix.first_block.push(first_block);
         for (i, chunk) in entries.chunks(BLOCK_ENTRIES).enumerate() {
             let byte_start = u32::try_from(ix.data.len()).map_err(|_| TOO_LARGE)?;
@@ -526,18 +686,19 @@ impl PairArenaWriter {
         Ok(())
     }
 
-    /// Close the CSR table and the block index, and shrink every vector
+    /// Close the CSR tables and the block index, and shrink every vector
     /// to its length.
     pub(crate) fn finish(self) -> PairIndex {
         let mut ix = self.index;
-        let keys = ix.seconds.len() as u32;
-        ix.starts.resize(ix.frequent.len() + 1, keys);
+        let vocab = ix.frequent.len();
+        ix.lists.finish(vocab);
+        ix.inline.finish(vocab);
         ix.first_block.push(ix.blocks.len() as u32);
-        ix.starts.shrink_to_fit();
-        ix.seconds.shrink_to_fit();
         ix.first_block.shrink_to_fit();
         ix.blocks.shrink_to_fit();
         ix.data.shrink_to_fit();
+        ix.nodes.shrink_to_fit();
+        ix.gaps.shrink_to_fit();
         ix.frequent.shrink_to_fit();
         ix
     }
@@ -700,11 +861,13 @@ fn build_arena<W: Word>(
                     .map(move |run| (a, run))
             })
     };
-    let (keys, blocks) = runs().fold((0, 0), |(keys, blocks), (_, run)| {
-        (keys + 1, blocks + run.len().div_ceil(BLOCK_ENTRIES))
-    });
+    let mut capacity = ArenaCapacity::default();
+    for (_, run) in runs() {
+        let (_, _, gap) = run[0].unpack(in_bucket);
+        capacity.add(run.len(), gap + 1);
+    }
     let ids = coverage.ids;
-    let mut arena = PairArenaWriter::with_capacity(config, coverage.frequent, keys, blocks);
+    let mut arena = PairArenaWriter::with_capacity(config, coverage.frequent, capacity);
     let mut list: Vec<(u32, u32)> = Vec::new();
     for (a, run) in runs() {
         list.clear();
@@ -996,7 +1159,11 @@ mod tests {
 
     /// A two-token arena holding `entries` as key `(0, 1)`.
     fn arena_of(entries: &[(u32, u32)]) -> PairIndex {
-        let mut arena = PairArenaWriter::with_capacity(PairConfig::default(), vec![true; 2], 1, 1);
+        let mut arena = PairArenaWriter::with_capacity(
+            PairConfig::default(),
+            vec![true; 2],
+            ArenaCapacity::default(),
+        );
         arena.push_list(0, 1, entries).expect("valid list");
         arena.finish()
     }
@@ -1049,7 +1216,8 @@ mod tests {
             assert!(!narrow.is_empty(), "window {window}");
             assert_eq!(lists(&wide), lists(&narrow), "window {window}");
             assert_eq!(wide.coverage(), narrow.coverage());
-            assert_eq!(wide.starts, narrow.starts);
+            assert_eq!(wide.lists.starts, narrow.lists.starts);
+            assert_eq!(wide.inline.starts, narrow.inline.starts);
         }
     }
 
@@ -1233,8 +1401,11 @@ mod tests {
 
     #[test]
     fn keys_outside_coverage_are_refused() {
-        let mut arena =
-            PairArenaWriter::with_capacity(PairConfig::default(), vec![true, false, true], 0, 0);
+        let mut arena = PairArenaWriter::with_capacity(
+            PairConfig::default(),
+            vec![true, false, true],
+            ArenaCapacity::default(),
+        );
         let one = [(0, 1)];
         assert!(arena.push_list(u32::MAX, 0, &one).is_err());
         assert!(arena.push_list(0, 3, &one).is_err());
@@ -1246,24 +1417,45 @@ mod tests {
         assert!(arena.push_list(0, 0, &one).is_err(), "descending key");
         arena.push_list(2, 0, &one).expect("covered key");
         let index = arena.finish();
-        assert_eq!(index.starts, vec![0, 1, 1, 2]);
+        assert_eq!(index.inline.starts, vec![0, 1, 1, 2]);
+        assert_eq!(index.lists.starts, vec![0; 4]);
         assert_eq!(index.num_keys(), 2);
     }
 
     #[test]
     fn resident_bytes_are_the_arena_vectors() {
+        // The `w` pairs repeat within 200 documents; most pairs of a `v`
+        // and a `u` occur once.
         let texts: Vec<String> = (0..200)
-            .map(|i| format!("w{} w{} w{} w{} w{}", i % 7, i % 11, i % 13, i % 5, i % 3))
+            .map(|i| {
+                let (w, v, u) = (i % 7, i % 97, i % 89);
+                format!(
+                    "w{w} w{} w{} w{} w{} v{v} u{u}",
+                    i % 11,
+                    i % 13,
+                    i % 5,
+                    i % 3
+                )
+            })
             .collect();
         let texts: Vec<&str> = texts.iter().map(String::as_str).collect();
         let (_, pairs) = build_for(&texts, PairConfig::default());
-        assert!(pairs.num_keys() > 100);
+        assert!(pairs.lists.len() > 100);
+        assert!(pairs.inline.len() > 100);
         let vectors = [
-            (pairs.starts.capacity(), pairs.starts.len(), 4),
-            (pairs.seconds.capacity(), pairs.seconds.len(), 4),
+            (pairs.lists.starts.capacity(), pairs.lists.starts.len(), 4),
+            (pairs.lists.seconds.capacity(), pairs.lists.seconds.len(), 4),
             (pairs.first_block.capacity(), pairs.first_block.len(), 4),
             (pairs.blocks.capacity(), pairs.blocks.len(), 16),
             (pairs.data.capacity(), pairs.data.len(), 1),
+            (pairs.inline.starts.capacity(), pairs.inline.starts.len(), 4),
+            (
+                pairs.inline.seconds.capacity(),
+                pairs.inline.seconds.len(),
+                4,
+            ),
+            (pairs.nodes.capacity(), pairs.nodes.len(), 4),
+            (pairs.gaps.capacity(), pairs.gaps.len(), 1),
             (pairs.frequent.capacity(), pairs.frequent.len(), 1),
         ];
         assert_eq!(std::mem::size_of::<PairBlock>(), 16);
@@ -1277,8 +1469,49 @@ mod tests {
         for (cap, len, _) in vectors {
             assert_eq!(cap, len, "the arena is shrunk to fit");
         }
-        assert_eq!(pairs.starts.len(), pairs.frequent.len() + 1);
-        assert_eq!(pairs.first_block.len(), pairs.num_keys() + 1);
+        assert_eq!(pairs.lists.starts.len(), pairs.frequent.len() + 1);
+        assert_eq!(pairs.inline.starts.len(), pairs.frequent.len() + 1);
+        assert_eq!(pairs.first_block.len(), pairs.lists.len() + 1);
+        assert_eq!(pairs.nodes.len(), pairs.inline.len());
+        assert_eq!(pairs.gaps.len(), pairs.inline.len());
+        assert_eq!(pairs.num_keys(), pairs.lists.len() + pairs.inline.len());
+    }
+
+    #[test]
+    fn one_entry_keys_are_stored_inline() {
+        let index = arena_of(&[(7, 3)]);
+        assert!(index.blocks.is_empty() && index.data.is_empty());
+        assert_eq!(
+            (index.nodes.as_slice(), index.gaps.as_slice()),
+            (&[7][..], &[3][..])
+        );
+        assert_eq!(index.num_single_document_keys(), 1);
+        let list = list_of(&index);
+        assert_eq!((list.num_entries(), list.num_blocks()), (1, 1));
+        assert_eq!(list.min_gap(), 3);
+        assert_eq!(list.to_entries(), vec![(7, 3)]);
+
+        // The one header is a one-entry block: probes, seeks and skips
+        // walk and count it as they would an arena's.
+        let min_gap = |header: Option<PairBlock>| header.map(|h| h.min_gap);
+        let mut cur = list.cursor();
+        assert_eq!(min_gap(cur.peek_header_at(NodeId(5))), Some(3));
+        assert_eq!(cur.peek_header_at(NodeId(8)), None);
+        assert_eq!(cur.seek(NodeId(5)), Some(NodeId(7)));
+        assert_eq!(cur.gap(), 3);
+        assert_eq!(cur.seek(NodeId(8)), None);
+        let c = cur.counters();
+        assert_eq!((c.entries, c.pair_entries, c.skipped), (1, 1, 0));
+        let mut cur = list.cursor();
+        assert_eq!(cur.skip_block(), None);
+        let c = cur.counters();
+        assert_eq!((c.entries, c.skipped, c.blocks_skipped), (0, 1, 1));
+
+        // A gap no byte holds keeps the block form.
+        let wide = arena_of(&[(7, 300)]);
+        assert!(wide.inline.len() == 0 && wide.blocks.len() == 1);
+        assert_eq!(wide.num_single_document_keys(), 1);
+        assert_eq!(list_of(&wide).to_entries(), vec![(7, 300)]);
     }
 
     #[test]

@@ -83,7 +83,7 @@ use crate::block::{BlockList, BlockMeta, PostingArenaWriter, BLOCK_ENTRIES};
 use crate::cursor::BlockHeader;
 use crate::frame;
 use crate::index::InvertedIndex;
-use crate::pair::{pack_block, PairArenaWriter, PairBlock, PairConfig, PairIndex};
+use crate::pair::{pack_block, ArenaCapacity, PairArenaWriter, PairBlock, PairConfig, PairIndex};
 use crate::stats::IndexStats;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ftsl_model::NodeId;
@@ -402,9 +402,13 @@ fn decode_pair_section(mut buf: &[u8]) -> Result<PairIndex, PersistError> {
         .map(|i| bitmap[i / 8] >> (i % 8) & 1 == 1)
         .collect();
     let num_keys = get_count(buf, PAIR_KEY_MIN_BYTES)?;
-    // Every key has at least one block.
+    // Most keys hold one entry, and the arena stores those inline.
     let config = PairConfig { window, df_cutoff };
-    let mut arena = PairArenaWriter::with_capacity(config, frequent, num_keys, num_keys);
+    let capacity = ArenaCapacity {
+        inline: num_keys,
+        ..ArenaCapacity::default()
+    };
+    let mut arena = PairArenaWriter::with_capacity(config, frequent, capacity);
     for _ in 0..num_keys {
         let a = get_u32(buf)?;
         let b = get_u32(buf)?;

@@ -51,6 +51,7 @@ fn pair_build_allocations_do_not_grow_with_keys() {
     let keys = index.pairs().num_keys();
     assert!(keys >= 100_000, "the corpus must yield many keys: {keys}");
     let pair_allocs = with - without;
+    println!("pair build: {pair_allocs} allocations for {keys} keys");
     assert!(
         pair_allocs <= 150,
         "the pair build allocated {pair_allocs} times for {keys} keys"
@@ -119,6 +120,28 @@ fn pair_build_peak_stays_under_the_sorted_build() {
     assert!(
         peak <= SORTED_BUILD_PEAK,
         "the pair build peaked at {peak} bytes (arena {arena}); the sorted build peaked at {SORTED_BUILD_PEAK}"
+    );
+}
+
+/// Ceiling on the pair arena of [`zipf_corpus`]. When every key kept a
+/// block header, the arena was 16 793 404 bytes, 24 of them for each of the
+/// 502 400 keys (of 613 570) that hold one document: its second token, a
+/// block index slot and a 16-byte header. Such a key now stores its second
+/// token, node and gap inline.
+const ARENA_CEILING: usize = 11_000_000;
+
+#[test]
+fn one_document_keys_keep_the_arena_small() {
+    let corpus = zipf_corpus();
+    let index = IndexBuilder::new().build(&corpus);
+    let pairs = index.pairs();
+    let (keys, single) = (pairs.num_keys(), pairs.num_single_document_keys());
+    let arena = pairs.resident_bytes();
+    println!("pair arena: {arena} bytes, {keys} keys, {single} of one document");
+    assert!(single * 5 >= keys * 4, "{single} of {keys} keys");
+    assert!(
+        arena <= ARENA_CEILING,
+        "the pair arena is {arena} bytes, over {ARENA_CEILING}"
     );
 }
 

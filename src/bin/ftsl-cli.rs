@@ -406,17 +406,18 @@ fn dispatch(
             total_bytes
         )?;
         // Pair-index coverage summed across the snapshot's segments.
-        let (mut pair_keys, mut pair_entries, mut pair_bytes) = (0usize, 0u64, 0usize);
+        let (mut pair_keys, mut single, mut pair_entries, mut pair_bytes) = (0, 0, 0u64, 0);
         for seg in snapshot.segments() {
             let p = seg.data().index().pairs();
             pair_keys += p.num_keys();
+            single += p.num_single_document_keys();
             pair_entries += p.num_entries();
             pair_bytes += p.resident_bytes();
         }
         writeln!(
             out,
-            "pair index: {pair_keys} keys, {pair_entries} entries, {pair_bytes}B \
-             across {} segment(s)",
+            "pair index: {pair_keys} keys ({single} of one document), {pair_entries} entries, \
+             {pair_bytes}B across {} segment(s)",
             reports.len()
         )?;
         if let Some(p) = pool.as_ref() {

@@ -8,11 +8,13 @@
 //! safe for every recursive pass between the parser and the engines.
 
 use ftsl::core::{Ftsl, FtslError, RankModel};
-use ftsl::exec::engine::EngineKind;
+use ftsl::exec::engine::{EngineKind, EngineUsed, ExecOptions, PreparedQuery};
+use ftsl::exec::{ExecError, PlanError};
 use ftsl::lang::{classify, lower, parse, LangError, Mode, MAX_NESTING};
 use ftsl::predicates::PredicateRegistry;
 use ftsl::serve::{QueryRequest, ServeConfig, ServePool};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const WORKER_STACK: usize = 2 * 1024 * 1024;
 
@@ -41,6 +43,17 @@ fn somes(n: usize) -> String {
 
 fn and_chain(terms: usize) -> String {
     vec!["'a'"; terms].join(" AND ")
+}
+
+/// `n` variables on `'a'`, each consecutive two `not_ordered`: NPRED's
+/// partial orders permute all `n`, so it would scan `n!` orderings.
+fn unordered_chain(n: usize) -> String {
+    let vars: String = (0..n).map(|i| format!("SOME p{i} ")).collect();
+    let has: Vec<String> = (0..n).map(|i| format!("p{i} HAS 'a'")).collect();
+    let preds: Vec<String> = (1..n)
+        .map(|i| format!("not_ordered(p{},p{i})", i - 1))
+        .collect();
+    format!("{vars}({} AND {})", has.join(" AND "), preds.join(" AND "))
 }
 
 /// The four shapes of the issue, 100k deep each.
@@ -101,6 +114,61 @@ fn a_pool_worker_survives_hostile_requests() {
         assert_eq!(served.answer.as_search().unwrap().node_ids(), vec![0, 2]);
     }
     assert_eq!(pool.stats().served(), 8);
+}
+
+/// Twelve variables would be 479 001 600 NPRED orderings: Auto runs the
+/// query as COMP instead, and a forced NPRED refuses it with a typed error
+/// before it builds one.
+#[test]
+fn npred_ordering_blowup_runs_as_comp_or_is_refused() {
+    let e = engine();
+    let query = unordered_chain(12);
+    let within_a_second = |start: Instant| {
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(1), "took {took:?}");
+    };
+
+    let start = Instant::now();
+    let hits = e.search(&query).expect("Auto answers");
+    within_a_second(start);
+    assert_eq!(hits.engine, EngineUsed::Comp);
+    let comp = e.search_with(&query, Mode::Comp, EngineKind::Comp);
+    assert_eq!(comp.expect("COMP answers").nodes, hits.nodes);
+
+    let start = Instant::now();
+    match e.search_with(&query, Mode::Comp, EngineKind::Npred) {
+        Err(FtslError::Exec(msg)) => assert!(msg.contains("orderings"), "{msg}"),
+        other => panic!("forced NPRED gave {other:?}"),
+    }
+    within_a_second(start);
+    // The refusal is typed, and the cap is 7! orderings: seven variables
+    // still run as NPRED, eight do not.
+    let registry = PredicateRegistry::with_builtins();
+    let prepare = |n: usize| {
+        let surface = parse(&unordered_chain(n), Mode::Comp).expect("parses");
+        PreparedQuery::prepare(
+            &surface,
+            EngineKind::Npred,
+            &registry,
+            ExecOptions::default(),
+            None,
+        )
+        .map(|prepared| prepared.engine())
+    };
+    for n in [8, 12] {
+        assert_eq!(
+            prepare(n).err(),
+            Some(ExecError::Plan(PlanError::TooManyOrderings {
+                variables: n
+            }))
+        );
+    }
+    assert_eq!(prepare(7).ok(), Some(EngineUsed::Npred));
+    let seven = e.search_with(&unordered_chain(7), Mode::Comp, EngineKind::Npred);
+    assert_eq!(
+        seven.expect("NPRED runs 5 040 orderings").engine,
+        EngineUsed::Npred
+    );
 }
 
 #[test]

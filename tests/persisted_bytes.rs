@@ -1,0 +1,117 @@
+//! The persisted forms are pinned byte for byte: a bare v7 index image and
+//! a v8 live manifest, each built from fixed input, hash to constants. A
+//! change to how an index is held in memory must leave both untouched, and
+//! decoding either image must give back the same pair lists and the same
+//! resident pair bytes as the index that was encoded.
+
+use ftsl::corpus::SynthConfig;
+use ftsl::index::{manifest, persist, IndexBuilder, LiveConfig, LiveIndex, PairIndex, Snapshot};
+use ftsl::model::TokenId;
+
+/// FNV-1a (64-bit) of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Pair lists in key order, as `(a, b, entries)`.
+type Lists = Vec<(TokenId, TokenId, Vec<(u32, u32)>)>;
+
+/// Every pair list of `pairs`.
+fn pair_lists(pairs: &PairIndex) -> Lists {
+    pairs
+        .iter()
+        .map(|(a, b, list)| (a, b, list.to_entries()))
+        .collect()
+}
+
+/// 300 documents of 50 Zipf tokens over 2 000 words: keys of one
+/// document, keys of a few, and keys whose lists span several blocks.
+fn synth_config() -> SynthConfig {
+    SynthConfig {
+        cnodes: 300,
+        vocabulary: 2_000,
+        tokens_per_doc: 50,
+        ..SynthConfig::default()
+    }
+}
+
+const INDEX_IMAGE_FNV: u64 = 0x6aa9_8053_e611_735d;
+const MANIFEST_FNV: u64 = 0x23aa_7cdd_7655_656a;
+
+#[test]
+fn a_synthetic_index_image_is_pinned() {
+    let corpus = synth_config().build();
+    let index = IndexBuilder::new().build(&corpus);
+    let pairs = index.pairs();
+    let lists = pair_lists(pairs);
+    assert!(lists.iter().any(|(_, _, l)| l.len() == 1));
+    assert!(lists.iter().any(|(_, _, l)| l.len() > 128));
+    let image = persist::encode(&index);
+    assert_eq!(
+        fnv1a(image.as_slice()),
+        INDEX_IMAGE_FNV,
+        "{} bytes",
+        image.len()
+    );
+    let decoded = persist::decode(image.as_slice()).expect("the image decodes");
+    assert_eq!(pair_lists(decoded.pairs()), lists);
+    assert_eq!(decoded.pairs().resident_bytes(), pairs.resident_bytes());
+    assert_eq!(persist::encode(&decoded).as_slice(), image.as_slice());
+}
+
+/// Per segment of `snapshot`, its pair lists and resident pair bytes.
+fn segment_pairs(snapshot: &Snapshot) -> Vec<(Lists, usize)> {
+    snapshot
+        .segments()
+        .iter()
+        .map(|s| {
+            let pairs = s.data().index().pairs();
+            (pair_lists(pairs), pairs.resident_bytes())
+        })
+        .collect()
+}
+
+#[test]
+fn a_small_live_manifest_is_pinned() {
+    let live = LiveIndex::with_config(LiveConfig {
+        flush_threshold: 1_000,
+        merge_fanin: 4,
+        background_merge: false,
+    });
+    for round in 0..3u32 {
+        for i in 0..20u32 {
+            let words: Vec<String> = (0..12)
+                .map(|j| format!("w{}", (i * 7 + j * 3 + round) % 17))
+                .collect();
+            live.add_document(&words.join(" "));
+        }
+        live.flush();
+    }
+    assert!(live.delete_node(ftsl::model::NodeId(5)));
+    assert!(live.delete_node(ftsl::model::NodeId(33)));
+    let image = manifest::encode(&live);
+    assert_eq!(
+        fnv1a(image.as_slice()),
+        MANIFEST_FNV,
+        "{} bytes",
+        image.len()
+    );
+    let decoded = manifest::decode_with(
+        image.as_slice(),
+        LiveConfig {
+            background_merge: false,
+            ..LiveConfig::default()
+        },
+    )
+    .expect("the manifest decodes");
+    let (before, after) = (
+        segment_pairs(&live.snapshot()),
+        segment_pairs(&decoded.snapshot()),
+    );
+    assert_eq!(before.len(), 3);
+    assert!(before.iter().all(|(lists, _)| !lists.is_empty()));
+    assert_eq!(after, before);
+    assert_eq!(manifest::encode(&decoded), image);
+}
