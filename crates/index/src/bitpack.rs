@@ -56,26 +56,34 @@ pub const fn width_for(max: u32) -> u8 {
 /// # Panics
 /// Panics if `count` exceeds `values.len()` or [`LANES`].
 pub fn pack(values: &[u32], count: usize, width: u8, out: &mut Vec<u8>) {
-    assert!(width <= 32, "width {width} out of range");
     assert!(
         count <= values.len() && count <= LANES,
         "count {count} out of range"
     );
+    pack_iter(values[..count].iter().copied(), width, out);
+}
+
+/// [`pack`] over the values `values` yields, at most [`LANES`] of them:
+/// the frame is written as they come, so its cost is their number and
+/// nothing is staged or zeroed.
+pub(crate) fn pack_iter(values: impl ExactSizeIterator<Item = u32>, width: u8, out: &mut Vec<u8>) {
+    assert!(width <= 32, "width {width} out of range");
+    debug_assert!(values.len() <= LANES);
     if width == 0 {
-        debug_assert!(values[..count].iter().all(|&v| v == 0));
+        debug_assert!(values.into_iter().all(|v| v == 0));
         return;
     }
-    out.reserve(packed_bytes(width, count));
+    out.reserve(packed_bytes(width, values.len()));
     let mut acc: u64 = 0;
     let mut bits: u32 = 0;
-    for &v in &values[..count] {
+    for v in values {
         debug_assert!(
             width == 32 || v < (1u32 << width),
             "value {v} exceeds width {width}"
         );
         acc |= (v as u64) << bits;
         bits += width as u32;
-        while bits >= 32 {
+        if bits >= 32 {
             out.extend_from_slice(&(acc as u32).to_le_bytes());
             acc >>= 32;
             bits -= 32;
@@ -84,6 +92,31 @@ pub fn pack(values: &[u32], count: usize, width: u8, out: &mut Vec<u8>) {
     if bits > 0 {
         // Final partial word, high bits zero.
         out.extend_from_slice(&(acc as u32).to_le_bytes());
+    }
+}
+
+/// Lane `i` of a `width`-bit frame at the front of `frame` (trusted bytes:
+/// the frame holds lane `i`). Reads one or two words, so decoding a few
+/// lanes costs those lanes rather than a whole [`unpack`].
+#[inline]
+pub(crate) fn lane(frame: &[u8], width: u8, i: usize) -> u32 {
+    if width == 0 {
+        return 0;
+    }
+    let word = |w: usize| {
+        let b = &frame[4 * w..4 * w + 4];
+        u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+    };
+    let bit = i * width as usize;
+    let shift = (bit % 32) as u32;
+    let mut value = word(bit / 32) >> shift;
+    if shift + u32::from(width) > 32 {
+        value |= word(bit / 32 + 1) << (32 - shift);
+    }
+    if width == 32 {
+        value
+    } else {
+        value & ((1 << width) - 1)
     }
 }
 
@@ -311,6 +344,9 @@ mod tests {
             prop_assert_eq!(unpack(&buf, width, count, &mut back), buf.len());
             prop_assert_eq!(&back[..count], &values[..count]);
             prop_assert!(back[count..].iter().all(|&v| v == 0));
+            for (i, &v) in values[..count].iter().enumerate() {
+                prop_assert_eq!(lane(&buf, width, i), v);
+            }
         }
 
         /// The declared width always covers the frame maximum.

@@ -21,7 +21,8 @@
 //!
 //! It offers three operations: [`pack`] writes a block; [`unpack_ids`]
 //! and [`unpack_column`] decode the bytes of a block built in memory or
-//! already checked, one column at a time (the cursors); [`check_list`]
+//! already checked, one column at a time (the cursors), and [`each_entry`]
+//! entry by entry (a merge re-packing a short list); [`check_list`]
 //! decodes a whole list of untrusted bytes and makes every structural
 //! check (the load path).
 
@@ -35,40 +36,81 @@ const fn prefix_bytes(value_columns: usize) -> usize {
     4 + 1 + value_columns
 }
 
-/// The base id at the front of the prefix at `data[at..]`.
-fn base_at(data: &[u8], at: usize) -> u32 {
+/// The base id at the front of the prefix at `data[at..]`: a block's first
+/// id.
+pub(crate) fn base_at(data: &[u8], at: usize) -> u32 {
     u32::from_le_bytes([data[at], data[at + 1], data[at + 2], data[at + 3]])
 }
 
 /// Append one block to `out`: `ids` strictly increasing, one to [`LANES`]
 /// of them, and `columns[c]` one value per id, each at least `biases[c]`.
 pub(crate) fn pack(ids: &[u32], columns: &[&[u32]], biases: &[u32], out: &mut Vec<u8>) {
-    let count = ids.len();
+    debug_assert!(columns.iter().all(|values| values.len() == ids.len()));
+    pack_by(ids.len(), |i| ids[i], |c, i| columns[c][i], biases, out);
+}
+
+/// [`pack`] over a block read lane by lane: `id(i)` is entry `i`'s id and
+/// `value(c, i)` its value in column `c`, one column per bias. Each lane is
+/// read twice (for its frame's width, then to pack it), so a block costs its
+/// `count` entries: nothing is staged in, or zeroed across, 128 lanes.
+#[inline]
+pub(crate) fn pack_by(
+    count: usize,
+    id: impl Fn(usize) -> u32,
+    value: impl Fn(usize, usize) -> u32,
+    biases: &[u32],
+    out: &mut Vec<u8>,
+) {
     debug_assert!(0 < count && count <= LANES);
-    debug_assert_eq!(columns.len(), biases.len());
-    let mut frame = [0u32; LANES];
-    // Lane 0 stays 0: the base is stored absolute.
-    let mut max = 0u32;
-    for (lane, pair) in frame[1..count].iter_mut().zip(ids.windows(2)) {
-        *lane = pair[1] - pair[0] - 1;
-        max = max.max(*lane);
-    }
-    out.extend_from_slice(&ids[0].to_le_bytes());
+    // Lane 0 is 0: the base is stored absolute.
+    let delta = |i: usize| if i == 0 { 0 } else { id(i) - id(i - 1) - 1 };
+    out.extend_from_slice(&id(0).to_le_bytes());
     let widths_at = out.len();
-    let id_width = bitpack::width_for(max);
+    let id_width = bitpack::width_for((1..count).map(delta).max().unwrap_or(0));
     out.push(id_width);
-    out.resize(widths_at + 1 + columns.len(), 0);
-    bitpack::pack(&frame, count, id_width, out);
-    for (c, (values, &bias)) in columns.iter().zip(biases).enumerate() {
-        debug_assert_eq!(values.len(), count);
-        let mut max = 0u32;
-        for (lane, &v) in frame.iter_mut().zip(values.iter()) {
-            *lane = v - bias;
-            max = max.max(*lane);
-        }
-        let width = bitpack::width_for(max);
+    out.resize(widths_at + 1 + biases.len(), 0);
+    bitpack::pack_iter((0..count).map(delta), id_width, out);
+    for (c, &bias) in biases.iter().enumerate() {
+        let lane = |i: usize| value(c, i) - bias;
+        let width = bitpack::width_for((0..count).map(lane).max().unwrap_or(0));
         out[widths_at + 1 + c] = width;
-        bitpack::pack(&frame, count, width, out);
+        bitpack::pack_iter((0..count).map(lane), width, out);
+    }
+}
+
+/// Bytes of the frames of the `count`-entry block at `data[at..]`, which
+/// has `value_columns` value columns: its prefix and every frame, not a
+/// posting block's payloads (trusted bytes).
+pub(crate) fn block_bytes(data: &[u8], at: usize, value_columns: usize, count: usize) -> usize {
+    let widths = &data[at + 4..at + prefix_bytes(value_columns)];
+    let frames: usize = widths
+        .iter()
+        .map(|&w| bitpack::packed_bytes(w, count))
+        .sum();
+    prefix_bytes(value_columns) + frames
+}
+
+/// Decode the `count`-entry block at `data[at..]`, which has one value
+/// column of bias `bias`, entry by entry: `each(id, value)` in id order.
+/// Reads only the lanes it returns, so a short block costs its entries
+/// rather than [`unpack_ids`]' 128 lanes (trusted bytes).
+#[inline]
+pub(crate) fn each_entry(
+    data: &[u8],
+    at: usize,
+    count: usize,
+    bias: u32,
+    mut each: impl FnMut(u32, u32),
+) {
+    let (id_width, value_width) = (data[at + 4], data[at + 5]);
+    let ids = &data[at + prefix_bytes(1)..];
+    let values = &ids[bitpack::packed_bytes(id_width, count)..];
+    let mut id = base_at(data, at);
+    for i in 0..count {
+        if i > 0 {
+            id += bitpack::lane(ids, id_width, i) + 1;
+        }
+        each(id, bitpack::lane(values, value_width, i) + bias);
     }
 }
 

@@ -68,25 +68,59 @@
 //! holds its one header by value, so both forms have one walk, one set of
 //! header probes and one counting rule.
 //!
-//! [`PairIndex::build`] sorts nothing. A generation-stamped hash table keeps
-//! each document's minimum gap per covered key, and the postings, packed
-//! one per machine word as wide as this build's token, node and gap values
-//! need, are grouped by key with two stable counting passes: by second
-//! token, then by first. Documents arrive in node order and both passes
-//! keep it, so each key's run is already in node order when it is appended
-//! to the arena. Both grouping buffers are sized exactly, at most two
-//! posting buffers are alive at once, and the build is linear in the
-//! postings plus the covered tokens: the passes number tokens by their
-//! place among the covered ones, in token order, so a token the documents
-//! never use costs its coverage bit and its CSR slot, both filled in bulk,
-//! and nothing else.
+//! ## Building
+//!
+//! One builder writes every arena: a seal, a flush and a merge alike. It
+//! takes the built segment's documents as a run of [`PairPart`]s, in
+//! order: plain documents, or documents that already have a pair index of
+//! their own — a write buffer's sealed read views at a flush, a merge's
+//! input segments (less their tombstoned documents, when the merge
+//! compacts). [`PairIndex::build`] is the case of one part with no index.
+//!
+//! **The splice rule.** Coverage is per segment, and yet a part's lists
+//! splice exactly. A key `(a, b)` the built segment covers takes, from a
+//! part whose own index covered both `a` and `b`, exactly that part's list
+//! for the key: the part's build saw all of its documents. From a part that
+//! left `a` or `b` uncovered, the key's entries can only lie in the
+//! documents holding that token, fewer than `df_cutoff` of the part's. So
+//! the per-document pass runs over those documents only, and keeps only the
+//! keys with a token the part did not cover. It runs over every document
+//! of a part with no pair index, or with another [`PairConfig`]. Each key
+//! is then written in one of three ways:
+//!
+//! * **byte copy** — a key one part alone supplies, whose blocks keep all
+//!   their entries and the gaps between them, is copied as bytes: an
+//!   inline entry gets its node shifted, a block its `max_node`,
+//!   `byte_start` and 4-byte frame base;
+//! * **re-pack** — a key drawn from two or more sources, or one that lost a
+//!   dropped document's entry (or whose node ids close up around one), is
+//!   decoded entry by entry, merged by node and packed again;
+//! * **documents** — a key only the document pass found is written from
+//!   its postings.
+//!
+//! The result is the arena [`PairIndex::build`] makes of the same documents,
+//! byte for byte; [`SpliceCounts`] says how many keys took each way.
+//!
+//! The document pass sorts and hashes nothing. A document's occurrences are
+//! walked grouped by token, each group stamping the other token's slot
+//! with itself, so a key seen twice in the group finds its posting and
+//! keeps the smaller gap. The postings, packed one per machine word as wide
+//! as this build's token, node and gap values need, are grouped by key
+//! with two stable counting passes: by second token, then by first, which
+//! also counts the arena's capacity. Documents arrive in node order and
+//! both passes keep it, so each key's run is in node order. The build is
+//! linear in the postings plus the covered tokens: the passes number tokens
+//! by their place among the covered ones, in token order, so a token the
+//! documents never use costs its coverage bit and its CSR slot, both filled
+//! in bulk, and nothing else. The splice walks each first token's keys
+//! across the parts and the document pass by the covered number of their
+//! second token, so it costs the keys, not the parts' tables.
 //!
 //! The persisted form is the unchanged per-list v7 pair section
 //! ([`crate::persist`]): the encoder writes each list through the
 //! stored-form encoder, and the load path validates each stored list and
 //! appends it to a fresh arena.
 
-use crate::bitpack;
 use crate::block::{BlockList, BLOCK_ENTRIES};
 use crate::counters::AccessCounters;
 use crate::cursor::{BlockHeader, Headers, ListCursor};
@@ -94,9 +128,12 @@ use crate::frame;
 use crate::local::LocalTokens;
 use ftsl_model::{Document, NodeId, TokenId};
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::RandomState;
-use std::hash::BuildHasher;
 use std::ops::Range;
+
+mod build;
+
+pub(crate) use build::build as build_parts;
+pub use build::{PairPart, SpliceCounts};
 
 /// Default co-occurrence window: forward gaps up to this many offsets are
 /// indexed. 16 covers adjacency (phrase), every `distance(_, _, d)` with
@@ -165,15 +202,17 @@ pub struct PairBlock {
 /// encoding share this, so a block of two or more entries has the same
 /// bytes in both.
 pub(crate) fn pack_block(chunk: &[(u32, u32)], out: &mut Vec<u8>) -> u32 {
-    let mut ids = [0u32; BLOCK_ENTRIES];
-    let mut gaps = [0u32; BLOCK_ENTRIES];
-    for ((id, gap), &(node, g)) in ids.iter_mut().zip(&mut gaps).zip(chunk) {
-        debug_assert!(g >= 1, "pair gaps are forward distances ≥ 1");
-        (*id, *gap) = (node, g);
-    }
-    let (ids, gaps) = (&ids[..chunk.len()], &gaps[..chunk.len()]);
-    frame::pack(ids, &[gaps], PairBlock::BIASES, out);
-    gaps.iter().copied().min().expect("non-empty block")
+    debug_assert!(
+        chunk.iter().all(|&(_, g)| g >= 1),
+        "pair gaps are forward distances ≥ 1"
+    );
+    let (ids, gaps) = (|i: usize| chunk[i].0, |_, i: usize| chunk[i].1);
+    frame::pack_by(chunk.len(), ids, gaps, PairBlock::BIASES, out);
+    chunk
+        .iter()
+        .map(|&(_, g)| g)
+        .min()
+        .expect("non-empty block")
 }
 
 /// One key's pair posting list: one `(node, min forward gap)` entry per
@@ -329,6 +368,12 @@ impl Keys {
         self.starts[a] as usize..self.starts[a + 1] as usize
     }
 
+    /// The numbers of the keys `(a, _)`, or `None` past the vocabulary the
+    /// table was finished over.
+    fn run_of(&self, a: usize) -> Option<Range<usize>> {
+        (a + 1 < self.starts.len()).then(|| self.run(a))
+    }
+
     /// The number of key `(a, b)`, if the table holds it.
     #[inline]
     fn find(&self, a: usize, b: u32) -> Option<usize> {
@@ -344,6 +389,16 @@ impl Keys {
         self.starts.resize(first, key);
         self.seconds.push(b);
         Ok(())
+    }
+
+    /// [`Self::push`] for a key known to fit the table's `u32` offsets.
+    #[inline]
+    fn push_unchecked(&mut self, a: u32, b: u32) {
+        if self.starts.len() <= a as usize {
+            self.starts
+                .resize(a as usize + 1, self.seconds.len() as u32);
+        }
+        self.seconds.push(b);
     }
 
     /// Close the CSR table over `vocab` first tokens and shrink it.
@@ -429,30 +484,8 @@ impl PairIndex {
     pub fn build(docs: &[Document], dfs: &[u32], config: PairConfig) -> PairIndex {
         let tokens = LocalTokens::of(docs);
         let used_dfs: Vec<u32> = tokens.used.iter().map(|&(t, _)| dfs[t as usize]).collect();
-        Self::build_local(docs, tokens, &used_dfs, dfs.len(), config)
-    }
-
-    /// [`Self::build`] over the documents' local token ids, with `dfs[i]`
-    /// the document frequency of `tokens.used[i]`, for a `vocab`-wide
-    /// coverage bitmap. A token the documents never use costs its coverage
-    /// bit and its CSR slots, both filled in bulk, and nothing else.
-    pub(crate) fn build_local(
-        docs: &[Document],
-        tokens: LocalTokens,
-        dfs: &[u32],
-        vocab: usize,
-        config: PairConfig,
-    ) -> PairIndex {
-        if config.window == 0 {
-            return PairIndex::default();
-        }
-        let coverage = Coverage::of(&tokens, dfs, vocab, config.df_cutoff);
-        let fields = Fields::of(docs, coverage.ids.len(), config.window);
-        if fields.fit(u64::BITS) {
-            build_arena::<u64>(docs, tokens, coverage, config, fields)
-        } else {
-            build_arena::<u128>(docs, tokens, coverage, config, fields)
-        }
+        let parts = [PairPart::documents(docs.len())];
+        build::build(docs, tokens, &used_dfs, dfs.len(), config, &parts).0
     }
 
     /// Look up the directed pair `(a, b)` — see [`PairLookup`] for the
@@ -586,6 +619,13 @@ pub(crate) struct ArenaCapacity {
 }
 
 impl ArenaCapacity {
+    /// Make room for every key of `pairs`, in the form it has there.
+    fn include(&mut self, pairs: &PairIndex) {
+        self.lists += pairs.lists.len();
+        self.blocks += pairs.blocks.len();
+        self.inline += pairs.inline.len();
+    }
+
     /// Make room for a list of `len` entries whose first gap is `gap`.
     fn add(&mut self, len: usize, gap: u32) {
         if inline_gap(len, gap).is_some() {
@@ -631,6 +671,24 @@ impl PairArenaWriter {
         }
     }
 
+    /// Whether the arena's coverage bitmap covers `token`.
+    pub(crate) fn covers(&self, token: u32) -> bool {
+        self.index.covers(TokenId(token))
+    }
+
+    /// Check that key `(a, b)` may come next: both tokens covered, and
+    /// after the previous key.
+    fn next_key(&mut self, a: u32, b: u32) -> Result<(), &'static str> {
+        if !self.covers(a) || !self.covers(b) {
+            return Err("pair key token not covered");
+        }
+        if self.last.is_some_and(|last| (a, b) <= last) {
+            return Err("pair keys not sorted and unique");
+        }
+        self.last = Some((a, b));
+        Ok(())
+    }
+
     /// Append key `(a, b)`'s `(node, gap)` entries (node ids strictly
     /// increasing, gaps in `1..=window`): inline when it has one entry
     /// with a gap a byte holds, otherwise as blocks. Refuses a key outside
@@ -643,17 +701,11 @@ impl PairArenaWriter {
         b: u32,
         entries: &[(u32, u32)],
     ) -> Result<(), &'static str> {
-        let ix = &mut self.index;
-        if !ix.covers(TokenId(a)) || !ix.covers(TokenId(b)) {
-            return Err("pair key token not covered");
-        }
         let Some(&(node, gap)) = entries.first() else {
             return Err("pair key with no entries");
         };
-        if self.last.is_some_and(|last| (a, b) <= last) {
-            return Err("pair keys not sorted and unique");
-        }
-        self.last = Some((a, b));
+        self.next_key(a, b)?;
+        let ix = &mut self.index;
         // `a` is covered, so a table's `push` fills at most
         // `frequent.len()` CSR slots.
         if let Some(gap) = inline_gap(entries.len(), gap) {
@@ -686,6 +738,82 @@ impl PairArenaWriter {
         Ok(())
     }
 
+    /// Append key `(a, b)` with the one entry `(node, gap)`, as
+    /// [`Self::push_list`] would, for a builder whose keys are covered and
+    /// ascending by construction: nothing is checked.
+    #[inline]
+    pub(crate) fn push_one(&mut self, a: u32, b: u32, node: u32, gap: u32) {
+        debug_assert!(self.covers(a) && self.covers(b));
+        debug_assert!(self.last.is_none_or(|last| (a, b) > last));
+        match inline_gap(1, gap) {
+            Some(gap) => {
+                self.last = Some((a, b));
+                let ix = &mut self.index;
+                ix.inline.push_unchecked(a, b);
+                ix.nodes.push(node);
+                ix.gaps.push(gap);
+                ix.entries += 1;
+            }
+            None => self
+                .push_list(a, b, &[(node, gap)])
+                .expect("built keys are covered and ascending"),
+        }
+    }
+
+    /// Append key `(a, b)` with `list`, another arena's, renumbering each
+    /// node id through `node` — which must move every block's ids by one
+    /// amount, so that the gaps between them stay — as [`Self::push_list`]
+    /// would store the renumbered entries. A list of one entry is pushed
+    /// again; a longer one has its packed bytes copied whole, and only each
+    /// block's header and 4-byte base are rewritten.
+    pub(crate) fn copy_list(
+        &mut self,
+        a: u32,
+        b: u32,
+        list: PairList<'_>,
+        node: impl Fn(u32) -> u32,
+    ) -> Result<(), &'static str> {
+        let blocks = list.blocks.as_slice();
+        if let [one] = blocks {
+            if one.end == 1 {
+                // One entry, inline or with a gap no byte holds: no bytes.
+                return self.push_list(a, b, &[(node(one.max_node.0), one.min_gap)]);
+            }
+        }
+        self.next_key(a, b)?;
+        let ix = &mut self.index;
+        let first_block = u32::try_from(ix.blocks.len()).map_err(|_| TOO_LARGE)?;
+        ix.lists.push(a, b)?;
+        ix.first_block.push(first_block);
+        let last = blocks[blocks.len() - 1];
+        let previous_end = blocks.len().checked_sub(2).map_or(0, |i| blocks[i].end);
+        let count = (last.end - previous_end) as usize;
+        let (from, mut to) = (blocks[0].byte_start as usize, last.byte_start as usize);
+        if count > 1 {
+            to += frame::block_bytes(list.data, to, PairBlock::BIASES.len(), count);
+        }
+        let at = ix.data.len();
+        u32::try_from(at + (to - from)).map_err(|_| TOO_LARGE)?;
+        ix.data.extend_from_slice(&list.data[from..to]);
+        let mut end = 0;
+        for block in blocks {
+            let byte_start = at + (block.byte_start as usize - from);
+            if block.end - end > 1 {
+                let base = &mut ix.data[byte_start..byte_start + 4];
+                let old = frame::base_at(base, 0);
+                base.copy_from_slice(&node(old).to_le_bytes());
+            }
+            end = block.end;
+            ix.blocks.push(PairBlock {
+                max_node: NodeId(node(block.max_node.0)),
+                byte_start: byte_start as u32,
+                ..*block
+            });
+        }
+        ix.entries += u64::from(last.end);
+        Ok(())
+    }
+
     /// Close the CSR tables and the block index, and shrink every vector
     /// to its length.
     pub(crate) fn finish(self) -> PairIndex {
@@ -701,375 +829,6 @@ impl PairArenaWriter {
         ix.gaps.shrink_to_fit();
         ix.frequent.shrink_to_fit();
         ix
-    }
-}
-
-/// A build's covered tokens, numbered densely in token order.
-struct Coverage {
-    /// The coverage bitmap the index keeps: `frequent[t]` iff `df(t)` is
-    /// at least the cutoff.
-    frequent: Vec<bool>,
-    /// Per local id, its token's number among the covered tokens, or
-    /// [`NOT_COVERED`].
-    number: Vec<u32>,
-    /// The covered token ids, ascending: `ids[c]` is number `c`.
-    ids: Vec<u32>,
-}
-
-/// [`Coverage::number`] of a token below the df cutoff.
-const NOT_COVERED: u32 = u32::MAX;
-
-impl Coverage {
-    /// The tokens of `tokens` with `dfs[i]` (of `tokens.used[i]`) at least
-    /// `cutoff`, over a `vocab`-wide bitmap. A token the documents never
-    /// use has df 0, so it is covered iff the cutoff is 0.
-    fn of(tokens: &LocalTokens, dfs: &[u32], vocab: usize, cutoff: u32) -> Coverage {
-        let mut coverage = Coverage {
-            frequent: vec![cutoff == 0; vocab],
-            number: vec![NOT_COVERED; tokens.len()],
-            ids: Vec::new(),
-        };
-        for (&(token, local), &df) in tokens.used.iter().zip(dfs) {
-            if df >= cutoff {
-                coverage.frequent[token as usize] = true;
-                coverage.number[local as usize] = coverage.ids.len() as u32;
-                coverage.ids.push(token);
-            }
-        }
-        coverage
-    }
-}
-
-/// [`PairIndex::build`] over postings packed into `W` words.
-///
-/// Pass 0 walks the documents and keeps one posting per document and
-/// covered key, with the key's minimum gap there, in document order. A
-/// posting names its tokens by their [`Coverage`] numbers, which follow
-/// token order, so the grouping below costs the covered tokens rather than
-/// the vocabulary. Two stable counting passes then
-/// group the postings by key: by second token, then by first. Each pass
-/// keeps the order it is given, so every key's run comes out in node order
-/// and is appended to the arena as it stands. At most two posting buffers
-/// are alive at once, and both grouping buffers are sized exactly.
-fn build_arena<W: Word>(
-    docs: &[Document],
-    tokens: LocalTokens,
-    coverage: Coverage,
-    config: PairConfig,
-    fields: Fields,
-) -> PairIndex {
-    debug_assert!(docs.windows(2).all(|w| w[0].node < w[1].node));
-    // `(a, b, gap − 1)` while a posting's node is its document's.
-    let in_doc = Layout {
-        mid: fields.token,
-        lo: fields.gap,
-    };
-    // `(token, node, gap − 1)` once a token is implied by the bucket.
-    let in_bucket = Layout {
-        mid: fields.node,
-        lo: fields.gap,
-    };
-    let width = coverage.ids.len();
-    let mut firsts = vec![0u32; width];
-    let mut seconds = vec![0u32; width];
-
-    let mut postings: Vec<W> = Vec::new();
-    // `(node, end)`: the postings of each document that has any.
-    let mut doc_ends: Vec<(u32, usize)> = Vec::new();
-    let mut table = KeyTable::new();
-    // The current document's covered number per occurrence.
-    let mut cover: Vec<u32> = Vec::new();
-    for (doc, locals) in tokens.per_doc(docs) {
-        table.clear();
-        let start = postings.len();
-        let toks = &doc.tokens;
-        cover.clear();
-        cover.extend(locals.iter().map(|&l| coverage.number[l as usize]));
-        for (i, &(_, pa)) in toks.iter().enumerate() {
-            let ca = cover[i];
-            if ca == NOT_COVERED {
-                continue;
-            }
-            for (&(_, pb), &cb) in toks[i + 1..].iter().zip(&cover[i + 1..]) {
-                let gap = pb.offset - pa.offset;
-                if gap > config.window {
-                    break; // offsets are strictly increasing
-                }
-                if cb == NOT_COVERED {
-                    continue;
-                }
-                let posting = W::pack(ca, cb, gap - 1, in_doc);
-                let next = u32::try_from(postings.len()).expect("pair postings exceed u32 offsets");
-                match table.get_or_insert((u64::from(ca) << 32) | u64::from(cb), next) {
-                    // Same key, so the smaller word holds the smaller gap.
-                    Some(at) => {
-                        let kept = &mut postings[at as usize];
-                        *kept = (*kept).min(posting);
-                    }
-                    None => {
-                        postings.push(posting);
-                        firsts[ca as usize] += 1;
-                        seconds[cb as usize] += 1;
-                    }
-                }
-            }
-        }
-        if postings.len() > start {
-            doc_ends.push((doc.node.0, postings.len()));
-        }
-    }
-    // The local ids are spent: free them before the grouping buffers peak.
-    drop((cover, tokens, coverage.number));
-
-    // By second token; the node comes from the document.
-    let mut by_second = vec![W::ZERO; postings.len()];
-    bucket_starts(&mut seconds);
-    let mut start = 0;
-    for &(node, end) in &doc_ends {
-        for &posting in &postings[start..end] {
-            let (a, b, gap) = posting.unpack(in_doc);
-            let slot = &mut seconds[b as usize];
-            by_second[*slot as usize] = W::pack(a, node, gap, in_bucket);
-            *slot += 1;
-        }
-        start = end;
-    }
-    drop(postings);
-
-    // By first token; the second comes from the bucket. `seconds[b]` is now
-    // where bucket `b` ends.
-    let mut grouped = vec![W::ZERO; by_second.len()];
-    bucket_starts(&mut firsts);
-    for (b, bucket) in buckets(&by_second, &seconds).enumerate() {
-        for &posting in bucket {
-            let (a, node, gap) = posting.unpack(in_bucket);
-            let slot = &mut firsts[a as usize];
-            grouped[*slot as usize] = W::pack(b as u32, node, gap, in_bucket);
-            *slot += 1;
-        }
-    }
-    drop(by_second);
-
-    // `firsts[a]` is now where bucket `a` ends; inside it, each run of one
-    // second token is one key.
-    let runs = || {
-        buckets(&grouped, &firsts)
-            .enumerate()
-            .flat_map(|(a, bucket)| {
-                bucket
-                    .chunk_by(|x, y| x.unpack(in_bucket).0 == y.unpack(in_bucket).0)
-                    .map(move |run| (a, run))
-            })
-    };
-    let mut capacity = ArenaCapacity::default();
-    for (_, run) in runs() {
-        let (_, _, gap) = run[0].unpack(in_bucket);
-        capacity.add(run.len(), gap + 1);
-    }
-    let ids = coverage.ids;
-    let mut arena = PairArenaWriter::with_capacity(config, coverage.frequent, capacity);
-    let mut list: Vec<(u32, u32)> = Vec::new();
-    for (a, run) in runs() {
-        list.clear();
-        list.extend(run.iter().map(|posting| {
-            let (_, node, gap) = posting.unpack(in_bucket);
-            (node, gap + 1)
-        }));
-        let b = run[0].unpack(in_bucket).0;
-        arena
-            .push_list(ids[a], ids[b as usize], &list)
-            .expect("built keys are covered, ascending and non-empty");
-    }
-    arena.finish()
-}
-
-/// Turn per-token counts into each token's first slot (exclusive prefix
-/// sums). Once every posting has been placed, entry `t` is where token
-/// `t`'s bucket ends. Tokens here are [`Coverage`] numbers.
-fn bucket_starts(counts: &mut [u32]) {
-    let mut sum = 0;
-    for count in counts {
-        let n = *count;
-        *count = sum;
-        sum += n;
-    }
-}
-
-/// The buckets of `postings`, one per token, given where each one ends.
-fn buckets<'a, W>(postings: &'a [W], ends: &'a [u32]) -> impl Iterator<Item = &'a [W]> + 'a {
-    ends.iter().scan(0, move |start, &end| {
-        let bucket = &postings[*start as usize..end as usize];
-        *start = end;
-        Some(bucket)
-    })
-}
-
-/// Bit widths of the fields a posting is packed into while the build
-/// groups it, each that of the largest value this build can hold.
-#[derive(Clone, Copy, Debug)]
-struct Fields {
-    token: u32,
-    node: u32,
-    /// Of `gap − 1`.
-    gap: u32,
-}
-
-impl Fields {
-    /// The widths for `docs` with `tokens` covered tokens.
-    fn of(docs: &[Document], tokens: usize, window: u32) -> Fields {
-        let width = |max: u32| u32::from(bitpack::width_for(max));
-        // No gap is wider than the widest document.
-        let span = docs
-            .iter()
-            .filter_map(|d| Some(d.tokens.last()?.1.offset - d.tokens.first()?.1.offset))
-            .max()
-            .unwrap_or(0);
-        Fields {
-            token: width(u32::try_from(tokens.saturating_sub(1)).unwrap_or(u32::MAX)),
-            node: width(docs.iter().map(|d| d.node.0).max().unwrap_or(0)),
-            gap: width(window.min(span).saturating_sub(1)),
-        }
-    }
-
-    /// Whether both layouts fit strictly below the top of a `bits`-wide
-    /// word (so no shift is as wide as the word).
-    fn fit(self, bits: u32) -> bool {
-        self.token + self.token.max(self.node) + self.gap < bits
-    }
-}
-
-/// Where the two low fields of a [`Word`] sit: `(hi, mid, lo)`, high bits
-/// to low, with `mid` and `lo` this many bits wide.
-#[derive(Clone, Copy, Debug)]
-struct Layout {
-    mid: u32,
-    lo: u32,
-}
-
-/// An unsigned word holding one posting as three packed fields. Two words
-/// with equal `hi` and `mid` compare as their `lo` fields do.
-trait Word: Copy + Ord {
-    const ZERO: Self;
-    fn pack(hi: u32, mid: u32, lo: u32, layout: Layout) -> Self;
-    fn unpack(self, layout: Layout) -> (u32, u32, u32);
-}
-
-macro_rules! impl_word {
-    ($($t:ty),*) => {$(
-        impl Word for $t {
-            const ZERO: Self = 0;
-
-            #[inline]
-            fn pack(hi: u32, mid: u32, lo: u32, layout: Layout) -> Self {
-                (<$t>::from(hi) << (layout.mid + layout.lo))
-                    | (<$t>::from(mid) << layout.lo)
-                    | <$t>::from(lo)
-            }
-
-            #[inline]
-            fn unpack(self, layout: Layout) -> (u32, u32, u32) {
-                let low = |word: $t, bits: u32| (word & ((1 << bits) - 1)) as u32;
-                (
-                    (self >> (layout.mid + layout.lo)) as u32,
-                    low(self >> layout.lo, layout.mid),
-                    low(self, layout.lo),
-                )
-            }
-        }
-    )*};
-}
-
-impl_word!(u64, u128);
-
-/// Slots of a [`KeyTable`]'s first allocation.
-const KEY_TABLE_SLOTS: usize = 1024;
-
-/// One document's pair keys: an open-addressing table (linear probing, at
-/// most half full) from a key `a << 32 | b` to the index of its posting.
-/// Every slot is stamped with the document that filled it, so moving on to
-/// the next document clears nothing.
-struct KeyTable {
-    slots: Vec<KeySlot>,
-    /// The current document's stamp; slots holding another are empty.
-    stamp: u32,
-    /// Keys of the current document.
-    len: usize,
-    /// Odd multiplier of the multiply-shift hash, drawn per build so that
-    /// document text cannot choose its collisions.
-    mult: u64,
-}
-
-#[derive(Clone, Copy, Default)]
-struct KeySlot {
-    key: u64,
-    stamp: u32,
-    at: u32,
-}
-
-impl KeyTable {
-    fn new() -> Self {
-        KeyTable {
-            slots: vec![KeySlot::default(); KEY_TABLE_SLOTS],
-            stamp: 0,
-            len: 0,
-            mult: RandomState::new().hash_one(KEY_TABLE_SLOTS) | 1,
-        }
-    }
-
-    /// Forget every key: the next document starts.
-    fn clear(&mut self) {
-        self.len = 0;
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            // Wrapped around to the stamp fresh slots carry.
-            self.slots.fill(KeySlot::default());
-            self.stamp = 1;
-        }
-    }
-
-    #[inline]
-    fn home(&self, key: u64) -> usize {
-        let bits = self.slots.len().trailing_zeros();
-        (key.wrapping_mul(self.mult) >> (u64::BITS - bits)) as usize
-    }
-
-    /// The posting index stored for `key`, or `None` after storing `at`.
-    #[inline]
-    fn get_or_insert(&mut self, key: u64, at: u32) -> Option<u32> {
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(key);
-        loop {
-            let slot = &mut self.slots[i];
-            if slot.stamp != self.stamp {
-                *slot = KeySlot {
-                    key,
-                    stamp: self.stamp,
-                    at,
-                };
-                self.len += 1;
-                if self.len * 2 > self.slots.len() {
-                    self.grow();
-                }
-                return None;
-            }
-            if slot.key == key {
-                return Some(slot.at);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Double the table, keeping the current document's keys.
-    fn grow(&mut self) {
-        let size = self.slots.len() * 2;
-        let old = std::mem::replace(&mut self.slots, vec![KeySlot::default(); size]);
-        for slot in old.into_iter().filter(|s| s.stamp == self.stamp) {
-            let mut i = self.home(slot.key);
-            while self.slots[i].stamp == self.stamp {
-                i = (i + 1) & (size - 1);
-            }
-            self.slots[i] = slot;
-        }
     }
 }
 
@@ -1183,12 +942,13 @@ mod tests {
         let texts = ["a b c a b d", "", "b c d e a a", "e d c b a", "f a f b f c"];
         let corpus = Corpus::from_texts(&texts);
         let docs = corpus.documents();
-        let vocab = corpus.interner().len();
-        let df = |t: u32| {
-            docs.iter()
-                .filter(|d| d.tokens.iter().any(|x| x.0 .0 == t))
-                .count()
-        };
+        let dfs: Vec<u32> = (0..corpus.interner().len() as u32)
+            .map(|t| {
+                docs.iter()
+                    .filter(|d| d.tokens.iter().any(|x| x.0 .0 == t))
+                    .count() as u32
+            })
+            .collect();
         let lists = |index: &PairIndex| -> Vec<_> {
             index
                 .iter()
@@ -1200,18 +960,7 @@ mod tests {
                 window,
                 df_cutoff: cutoff,
             };
-            let build = |wide: bool| {
-                let tokens = LocalTokens::of(docs);
-                let dfs: Vec<u32> = tokens.used.iter().map(|&(t, _)| df(t) as u32).collect();
-                let coverage = Coverage::of(&tokens, &dfs, vocab, cutoff);
-                let fields = Fields::of(docs, coverage.ids.len(), window);
-                assert!(fields.fit(u64::BITS));
-                if wide {
-                    build_arena::<u128>(docs, tokens, coverage, config, fields)
-                } else {
-                    build_arena::<u64>(docs, tokens, coverage, config, fields)
-                }
-            };
+            let build = |wide: bool| build::build_with_words(docs, &dfs, config, wide);
             let (narrow, wide) = (build(false), build(true));
             assert!(!narrow.is_empty(), "window {window}");
             assert_eq!(lists(&wide), lists(&narrow), "window {window}");

@@ -39,6 +39,7 @@ fn synth_config() -> SynthConfig {
 
 const INDEX_IMAGE_FNV: u64 = 0x6aa9_8053_e611_735d;
 const MANIFEST_FNV: u64 = 0x23aa_7cdd_7655_656a;
+const MERGED_MANIFEST_FNV: u64 = 0x1df6_4a3c_3803_c355;
 
 #[test]
 fn a_synthetic_index_image_is_pinned() {
@@ -114,4 +115,55 @@ fn a_small_live_manifest_is_pinned() {
     assert!(before.iter().all(|(lists, _)| !lists.is_empty()));
     assert_eq!(after, before);
     assert_eq!(manifest::encode(&decoded), image);
+}
+
+/// Document `i` of round `round`: twelve words over a 17-word vocabulary,
+/// plus one word of its round only.
+fn round_text(round: u32, i: u32) -> String {
+    let mut words: Vec<String> = (0..12)
+        .map(|j| format!("w{}", (i * 5 + j * 7 + round) % 17))
+        .collect();
+    words.push(format!("r{round}x{}", i % 3));
+    words.join(" ")
+}
+
+#[test]
+fn a_merged_live_manifest_is_pinned() {
+    let live = LiveIndex::with_config(LiveConfig {
+        flush_threshold: 1_000,
+        merge_fanin: 4,
+        background_merge: false,
+    });
+    // Two reads between adds leave two view chunks; the flush seals the
+    // buffer over them.
+    for i in 0..30u32 {
+        live.add_document(&round_text(0, i));
+        if i == 9 || i == 19 {
+            assert_eq!(live.snapshot().num_segments(), 1 + i as usize / 10);
+        }
+    }
+    live.flush();
+    for i in 0..25u32 {
+        live.add_document(&round_text(1, i));
+    }
+    live.flush();
+    for node in [3u32, 11, 12, 29, 40] {
+        assert!(live.delete_node(ftsl::model::NodeId(node)));
+    }
+    assert!(live.merge_all());
+    assert_eq!(live.segment_count(), 1);
+    let image = manifest::encode(&live);
+    assert_eq!(
+        fnv1a(image.as_slice()),
+        MERGED_MANIFEST_FNV,
+        "{} bytes",
+        image.len()
+    );
+    let snapshot = live.snapshot();
+    let merged = snapshot.segments()[0].data();
+    let rebuilt = IndexBuilder::new().build(merged.corpus());
+    assert_eq!(
+        persist::encode(merged.index()).as_slice(),
+        persist::encode(&rebuilt).as_slice()
+    );
 }
