@@ -95,31 +95,6 @@ pub(crate) fn pack_iter(values: impl ExactSizeIterator<Item = u32>, width: u8, o
     }
 }
 
-/// Lane `i` of a `width`-bit frame at the front of `frame` (trusted bytes:
-/// the frame holds lane `i`). Reads one or two words, so decoding a few
-/// lanes costs those lanes rather than a whole [`unpack`].
-#[inline]
-pub(crate) fn lane(frame: &[u8], width: u8, i: usize) -> u32 {
-    if width == 0 {
-        return 0;
-    }
-    let word = |w: usize| {
-        let b = &frame[4 * w..4 * w + 4];
-        u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-    };
-    let bit = i * width as usize;
-    let shift = (bit % 32) as u32;
-    let mut value = word(bit / 32) >> shift;
-    if shift + u32::from(width) > 32 {
-        value |= word(bit / 32 + 1) << (32 - shift);
-    }
-    if width == 32 {
-        value
-    } else {
-        value & ((1 << width) - 1)
-    }
-}
-
 /// The width-`W` unpack kernel. 32 lanes consume exactly `W` words; each
 /// group's words are staged into a fixed local array first (zero-filled
 /// past the frame end, so short frames decode their missing lanes to 0),
@@ -344,9 +319,6 @@ mod tests {
             prop_assert_eq!(unpack(&buf, width, count, &mut back), buf.len());
             prop_assert_eq!(&back[..count], &values[..count]);
             prop_assert!(back[count..].iter().all(|&v| v == 0));
-            for (i, &v) in values[..count].iter().enumerate() {
-                prop_assert_eq!(lane(&buf, width, i), v);
-            }
         }
 
         /// The declared width always covers the frame maximum.

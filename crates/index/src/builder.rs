@@ -24,7 +24,7 @@
 use crate::block::{PostingArena, PostingArenaWriter, BLOCK_ENTRIES};
 use crate::index::InvertedIndex;
 use crate::local::LocalTokens;
-use crate::pair::{self, PairConfig, PairPart, SpliceCounts};
+use crate::pair::{PairConfig, PairIndex};
 use crate::stats::IndexStats;
 use ftsl_model::{Corpus, Document, NodeId, Position};
 
@@ -50,26 +50,6 @@ impl IndexBuilder {
 
     /// Build the index.
     pub fn build(&self, corpus: &Corpus) -> InvertedIndex {
-        self.build_parts(corpus, &[PairPart::documents(corpus.len())])
-            .0
-    }
-
-    /// Build the index of `corpus`, whose documents are the ones `parts`
-    /// supply, in order: the surviving documents of segments being merged,
-    /// or a write buffer's sealed chunks and the documents after them. The
-    /// posting lists are built from the documents; the pair index splices
-    /// the pair lists of the parts that have them (see
-    /// [`crate::pair`], "Building"). The index is the one
-    /// [`Self::build`] makes, byte for byte; the counts say how its pair
-    /// keys were written.
-    ///
-    /// # Panics
-    /// Panics if the parts do not supply `corpus.len()` documents.
-    pub fn build_parts(
-        &self,
-        corpus: &Corpus,
-        parts: &[PairPart<'_>],
-    ) -> (InvertedIndex, SpliceCounts) {
         let vocab = corpus.interner().len();
         let docs = corpus.documents();
         let tokens = LocalTokens::of(docs);
@@ -83,13 +63,12 @@ impl IndexBuilder {
         // acceleration for free.
         let dfs: Vec<u32> = used().map(|l| l.num_entries() as u32).collect();
         let config = self.pairs.unwrap_or_default();
-        let (pairs, counts) = pair::build_parts(docs, tokens, &dfs, vocab, config, parts);
-        let index = InvertedIndex {
+        let pairs = PairIndex::build_local(docs, tokens, &dfs, vocab, config);
+        InvertedIndex {
             lists,
             stats,
             pairs,
-        };
-        (index, counts)
+        }
     }
 }
 

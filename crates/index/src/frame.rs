@@ -21,8 +21,7 @@
 //!
 //! It offers three operations: [`pack`] writes a block; [`unpack_ids`]
 //! and [`unpack_column`] decode the bytes of a block built in memory or
-//! already checked, one column at a time (the cursors), and [`each_entry`]
-//! entry by entry (a merge re-packing a short list); [`check_list`]
+//! already checked, one column at a time (the cursors); [`check_list`]
 //! decodes a whole list of untrusted bytes and makes every structural
 //! check (the load path).
 
@@ -36,9 +35,8 @@ const fn prefix_bytes(value_columns: usize) -> usize {
     4 + 1 + value_columns
 }
 
-/// The base id at the front of the prefix at `data[at..]`: a block's first
-/// id.
-pub(crate) fn base_at(data: &[u8], at: usize) -> u32 {
+/// The base id at the front of the prefix at `data[at..]`.
+fn base_at(data: &[u8], at: usize) -> u32 {
     u32::from_le_bytes([data[at], data[at + 1], data[at + 2], data[at + 3]])
 }
 
@@ -75,42 +73,6 @@ pub(crate) fn pack_by(
         let width = bitpack::width_for((0..count).map(lane).max().unwrap_or(0));
         out[widths_at + 1 + c] = width;
         bitpack::pack_iter((0..count).map(lane), width, out);
-    }
-}
-
-/// Bytes of the frames of the `count`-entry block at `data[at..]`, which
-/// has `value_columns` value columns: its prefix and every frame, not a
-/// posting block's payloads (trusted bytes).
-pub(crate) fn block_bytes(data: &[u8], at: usize, value_columns: usize, count: usize) -> usize {
-    let widths = &data[at + 4..at + prefix_bytes(value_columns)];
-    let frames: usize = widths
-        .iter()
-        .map(|&w| bitpack::packed_bytes(w, count))
-        .sum();
-    prefix_bytes(value_columns) + frames
-}
-
-/// Decode the `count`-entry block at `data[at..]`, which has one value
-/// column of bias `bias`, entry by entry: `each(id, value)` in id order.
-/// Reads only the lanes it returns, so a short block costs its entries
-/// rather than [`unpack_ids`]' 128 lanes (trusted bytes).
-#[inline]
-pub(crate) fn each_entry(
-    data: &[u8],
-    at: usize,
-    count: usize,
-    bias: u32,
-    mut each: impl FnMut(u32, u32),
-) {
-    let (id_width, value_width) = (data[at + 4], data[at + 5]);
-    let ids = &data[at + prefix_bytes(1)..];
-    let values = &ids[bitpack::packed_bytes(id_width, count)..];
-    let mut id = base_at(data, at);
-    for i in 0..count {
-        if i > 0 {
-            id += bitpack::lane(ids, id_width, i) + 1;
-        }
-        each(id, bitpack::lane(values, value_width, i) + bias);
     }
 }
 

@@ -69,7 +69,7 @@ pub use counters::AccessCounters;
 pub use cursor::{BlockHeader, ListCursor};
 pub use index::{IndexLayout, InvertedIndex, MemoryFootprint};
 pub use live::{LiveConfig, LiveIndex, SegmentReport, Snapshot, SnapshotSegment};
-pub use pair::{PairConfig, PairCursor, PairIndex, PairList, PairLookup, PairPart, SpliceCounts};
+pub use pair::{PairConfig, PairCursor, PairIndex, PairList, PairLookup};
 pub use postings::PostingList;
 pub use scored::{EntryScorer, ScoredBlocks};
 pub use segment::{DeleteSet, MemSegment, SegmentData};

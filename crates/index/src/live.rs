@@ -35,8 +35,7 @@
 //! segment that knows it — which is what lets merged corpus statistics
 //! (`df`, `db_size`) be summed per token id across segments.
 
-use crate::pair::SpliceCounts;
-use crate::segment::{chunk_parts, DeleteSet, MemSegment, SegmentData};
+use crate::segment::{DeleteSet, MemSegment, SegmentData};
 use crate::InvertedIndex;
 use ftsl_model::{Corpus, Document, NodeId, TokenInterner, Tokenizer};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -122,8 +121,6 @@ struct State {
     merging: bool,
     /// Merges committed over the index's lifetime (metrics surface).
     merges_completed: u64,
-    /// How the flushes and merges so far wrote their pair keys.
-    splices: SpliceCounts,
 }
 
 #[derive(Debug)]
@@ -237,7 +234,6 @@ impl LiveIndex {
                 version: 0,
                 merging: false,
                 merges_completed: 0,
-                splices: SpliceCounts::default(),
             }),
             wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -331,9 +327,8 @@ impl LiveIndex {
     /// when documents were added since the last snapshot — then those
     /// documents alone are sealed as one more chunk, and later snapshots
     /// reuse it. A snapshot that finds `merge_fanin − 1` chunks already
-    /// seals the whole buffer as one chunk instead, splicing their pair
-    /// lists, so readers never see more. Each chunk's tombstones are its
-    /// slice of the buffer's bitmap.
+    /// seals the whole buffer as one chunk instead, so readers never see
+    /// more. Each chunk's tombstones are its slice of the buffer's bitmap.
     pub fn snapshot(&self) -> Snapshot {
         let mut st = self.shared.lock();
         let mut segments: Vec<SnapshotSegment> = st
@@ -347,6 +342,7 @@ impl LiveIndex {
         let covered: usize = st.mem_chunks.iter().map(|c| c.num_docs()).sum();
         if covered < st.mem.len() {
             let from = if st.mem_chunks.len() + 1 >= self.shared.config.merge_fanin.max(2) {
+                st.mem_chunks.clear();
                 0
             } else {
                 covered
@@ -354,15 +350,8 @@ impl LiveIndex {
             // A chunk borrows the *next* segment id: if the buffer is later
             // flushed as one unchanged chunk, the flushed segment is this
             // very chunk under the id it would get anyway.
-            let id = st.next_segment_id;
-            let chunk = if from == 0 {
-                // The whole buffer, splicing the chunks it replaces.
-                let chunks = std::mem::take(&mut st.mem_chunks);
-                st.mem.seal_over(id, &chunks)
-            } else {
-                st.mem.seal_from(id, from)
-            };
-            st.mem_chunks.push(Arc::new(chunk));
+            let chunk = Arc::new(st.mem.seal_from(st.next_segment_id, from));
+            st.mem_chunks.push(chunk);
         }
         let mut start = 0;
         for chunk in &st.mem_chunks {
@@ -450,15 +439,6 @@ impl LiveIndex {
         self.shared.lock().merges_completed
     }
 
-    /// How every flush and merge so far wrote its segment's pair keys:
-    /// copied as bytes from an input, re-packed, or built from documents.
-    /// A flush reuses the pair lists of the buffer's sealed read views and
-    /// a merge those of its inputs, so a workload whose keys are mostly
-    /// copied is one whose merges splice.
-    pub fn splice_counts(&self) -> SpliceCounts {
-        self.shared.lock().splices
-    }
-
     /// Flush the buffer and hand the manifest encoder a consistent view of
     /// the sealed segment set, the vocabulary, and the id high-water marks.
     pub(crate) fn sealed_parts(&self) -> SealedParts {
@@ -483,33 +463,28 @@ impl Drop for LiveIndex {
     }
 }
 
-/// Seal the buffer into the sealed list; `false` when empty. The sealed
-/// read views of the buffer lend the new segment their pair lists.
+/// Seal the buffer into the sealed list; `false` when empty.
 fn flush_locked(st: &mut State) -> bool {
     if st.mem.is_empty() {
         return false;
     }
-    let chunks = std::mem::take(&mut st.mem_chunks);
     // A read view is reusable only if it is one chunk covering the whole
     // buffer AND still carries the id this flush is about to hand out — a
     // merge may have consumed ids since the chunk was sealed, and sealing
     // it as-is would produce two segments with the same id (breaking the
     // id-based merge-commit bookkeeping).
-    let whole = match chunks.as_slice() {
+    let whole = match st.mem_chunks.as_slice() {
         [one] if one.num_docs() == st.mem.len() && one.id() == st.next_segment_id => {
             Some(Arc::clone(one))
         }
         _ => None,
     };
+    st.mem_chunks.clear();
     // Otherwise the drained buffer itself is sealed, not a clone of its
     // documents.
     let (corpus, globals) = st.mem.drain();
-    let data = whole.unwrap_or_else(|| {
-        let parts = chunk_parts(&chunks, corpus.len());
-        let (data, counts) = SegmentData::seal_parts(st.next_segment_id, corpus, globals, &parts);
-        st.splices += counts;
-        Arc::new(data)
-    });
+    let data =
+        whole.unwrap_or_else(|| Arc::new(SegmentData::seal(st.next_segment_id, corpus, globals)));
     st.next_segment_id += 1;
     st.sealed.push(SealedEntry {
         data,
@@ -614,8 +589,8 @@ fn run_merge(shared: &Shared, pick: impl FnOnce(&State) -> Option<(usize, usize)
         let vocabulary = Arc::clone(st.mem.corpus().interner());
         (id, st.sealed[start..end].to_vec(), vocabulary)
     };
-    let (merged, counts) = build_merged(id, &inputs, vocabulary);
-    commit_merge(shared, &inputs, merged, counts);
+    let merged = build_merged(id, &inputs, vocabulary);
+    commit_merge(shared, &inputs, merged);
     true
 }
 
@@ -623,13 +598,8 @@ fn run_merge(shared: &Shared, pick: impl FnOnce(&State) -> Option<(usize, usize)
 /// captured tombstone bitmaps) re-sealed under one corpus over `vocabulary`,
 /// the writer's as the merge was taken — token ids stay prefix-consistent,
 /// and no retokenization happens (analyzed corpora survive merges
-/// unchanged). The inputs lend the output their pair lists, less the
-/// dropped documents' entries.
-fn build_merged(
-    id: u64,
-    entries: &[SealedEntry],
-    vocabulary: Arc<TokenInterner>,
-) -> (SegmentData, SpliceCounts) {
+/// unchanged).
+fn build_merged(id: u64, entries: &[SealedEntry], vocabulary: Arc<TokenInterner>) -> SegmentData {
     let mut corpus = Corpus::with_interner(vocabulary);
     let mut globals = Vec::new();
     for e in entries {
@@ -641,24 +611,14 @@ fn build_merged(
             }
         }
     }
-    let parts: Vec<_> = entries
-        .iter()
-        .map(|e| e.data.as_part().dropping(&e.deletes))
-        .collect();
-    SegmentData::seal_parts(id, corpus, globals, &parts)
+    SegmentData::seal(id, corpus, globals)
 }
 
 /// Swap the merged inputs for the merged output under the lock, carrying
 /// over tombstones that arrived while the merge was building (they apply to
 /// the *current* bitmaps, which may have moved past the captured ones).
-fn commit_merge(
-    shared: &Shared,
-    inputs: &[SealedEntry],
-    merged: SegmentData,
-    counts: SpliceCounts,
-) {
+fn commit_merge(shared: &Shared, inputs: &[SealedEntry], merged: SegmentData) {
     let mut st = shared.lock();
-    st.splices += counts;
     let mut deletes = DeleteSet::new(merged.num_docs());
     for captured in inputs {
         let Some(current) = st.sealed.iter().find(|e| e.data.id() == captured.data.id()) else {
@@ -1213,47 +1173,6 @@ mod tests {
             crate::persist::encode(sa.data().index()),
             crate::persist::encode(sb.data().index()),
             "the flushed segment is the rebuild, byte for byte"
-        );
-    }
-
-    /// A flush over a read view copies the view's pair keys, a merge
-    /// splices its inputs', and both write what a rebuild writes.
-    #[test]
-    fn flushes_and_merges_splice_their_inputs_pair_lists() {
-        let live = LiveIndex::with_config(manual());
-        let texts = |round: u32| {
-            (0..12u32).map(move |i| format!("w{} w{} w{} shared r{round}", i % 5, i % 7, i % 3))
-        };
-        for (i, text) in texts(0).enumerate() {
-            live.add_document(&text);
-            if i == 5 {
-                assert_eq!(live.snapshot().num_segments(), 1, "one view chunk");
-            }
-        }
-        assert!(live.flush());
-        let flushed = live.splice_counts();
-        assert!(
-            flushed.copied > 0,
-            "the flush copies the chunk's keys: {flushed:?}"
-        );
-        for text in texts(1) {
-            live.add_document(&text);
-        }
-        assert!(live.flush());
-        assert!(live.delete_node(NodeId(3)));
-        assert!(live.merge_all());
-        let merged = live.splice_counts();
-        assert!(merged.copied > flushed.copied, "{merged:?}");
-        assert!(merged.repacked > flushed.repacked, "{merged:?}");
-        let snap = live.snapshot();
-        let segment = snap.segments()[0].data();
-        let keys = segment.index().pairs().num_keys() as u64;
-        assert!(keys > 0 && keys <= merged.copied + merged.repacked + merged.built);
-        let rebuilt = crate::IndexBuilder::new().build(segment.corpus());
-        assert_eq!(
-            crate::persist::encode(segment.index()),
-            crate::persist::encode(&rebuilt),
-            "the merged segment is the rebuild, byte for byte"
         );
     }
 

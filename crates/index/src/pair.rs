@@ -70,51 +70,21 @@
 //!
 //! ## Building
 //!
-//! One builder writes every arena: a seal, a flush and a merge alike. It
-//! takes the built segment's documents as a run of [`PairPart`]s, in
-//! order: plain documents, or documents that already have a pair index of
-//! their own — a write buffer's sealed read views at a flush, a merge's
-//! input segments (less their tombstoned documents, when the merge
-//! compacts). [`PairIndex::build`] is the case of one part with no index.
-//!
-//! **The splice rule.** Coverage is per segment, and yet a part's lists
-//! splice exactly. A key `(a, b)` the built segment covers takes, from a
-//! part whose own index covered both `a` and `b`, exactly that part's list
-//! for the key: the part's build saw all of its documents. From a part that
-//! left `a` or `b` uncovered, the key's entries can only lie in the
-//! documents holding that token, fewer than `df_cutoff` of the part's. So
-//! the per-document pass runs over those documents only, and keeps only the
-//! keys with a token the part did not cover. It runs over every document
-//! of a part with no pair index, or with another [`PairConfig`]. Each key
-//! is then written in one of three ways:
-//!
-//! * **byte copy** — a key one part alone supplies, whose blocks keep all
-//!   their entries and the gaps between them, is copied as bytes: an
-//!   inline entry gets its node shifted, a block its `max_node`,
-//!   `byte_start` and 4-byte frame base;
-//! * **re-pack** — a key drawn from two or more sources, or one that lost a
-//!   dropped document's entry (or whose node ids close up around one), is
-//!   decoded entry by entry, merged by node and packed again;
-//! * **documents** — a key only the document pass found is written from
-//!   its postings.
-//!
-//! The result is the arena [`PairIndex::build`] makes of the same documents,
-//! byte for byte; [`SpliceCounts`] says how many keys took each way.
-//!
-//! The document pass sorts and hashes nothing. A document's occurrences are
-//! walked grouped by token, each group stamping the other token's slot
-//! with itself, so a key seen twice in the group finds its posting and
-//! keeps the smaller gap. The postings, packed one per machine word as wide
-//! as this build's token, node and gap values need, are grouped by key
-//! with two stable counting passes: by second token, then by first, which
-//! also counts the arena's capacity. Documents arrive in node order and
-//! both passes keep it, so each key's run is in node order. The build is
-//! linear in the postings plus the covered tokens: the passes number tokens
-//! by their place among the covered ones, in token order, so a token the
-//! documents never use costs its coverage bit and its CSR slot, both filled
-//! in bulk, and nothing else. The splice walks each first token's keys
-//! across the parts and the document pass by the covered number of their
-//! second token, so it costs the keys, not the parts' tables.
+//! Every seal, flush and merge builds the pair index from the new
+//! segment's documents ([`PairIndex::build`]), and the build sorts and
+//! hashes nothing. A document's
+//! occurrences are walked grouped by token, each group stamping the other
+//! token's slot with itself, so a key seen twice in the group finds its
+//! posting and keeps the smaller gap. The postings, packed one per machine
+//! word as wide as this build's token, node and gap values need, are
+//! grouped by key with two stable counting passes: by second token, then
+//! by first, which also counts the arena's capacity. Documents arrive in
+//! node order and both passes keep it, so each key's run is already in
+//! node order when it is appended to the arena. Two posting buffers are
+//! allocated, and the build is linear in the postings plus the covered
+//! tokens: the passes number tokens by their place among the covered ones,
+//! in token order, so a token the documents never use costs its coverage
+//! bit and its CSR slot, both filled in bulk, and nothing else.
 //!
 //! The persisted form is the unchanged per-list v7 pair section
 //! ([`crate::persist`]): the encoder writes each list through the
@@ -131,9 +101,6 @@ use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 mod build;
-
-pub(crate) use build::build as build_parts;
-pub use build::{PairPart, SpliceCounts};
 
 /// Default co-occurrence window: forward gaps up to this many offsets are
 /// indexed. 16 covers adjacency (phrase), every `distance(_, _, d)` with
@@ -368,12 +335,6 @@ impl Keys {
         self.starts[a] as usize..self.starts[a + 1] as usize
     }
 
-    /// The numbers of the keys `(a, _)`, or `None` past the vocabulary the
-    /// table was finished over.
-    fn run_of(&self, a: usize) -> Option<Range<usize>> {
-        (a + 1 < self.starts.len()).then(|| self.run(a))
-    }
-
     /// The number of key `(a, b)`, if the table holds it.
     #[inline]
     fn find(&self, a: usize, b: u32) -> Option<usize> {
@@ -389,16 +350,6 @@ impl Keys {
         self.starts.resize(first, key);
         self.seconds.push(b);
         Ok(())
-    }
-
-    /// [`Self::push`] for a key known to fit the table's `u32` offsets.
-    #[inline]
-    fn push_unchecked(&mut self, a: u32, b: u32) {
-        if self.starts.len() <= a as usize {
-            self.starts
-                .resize(a as usize + 1, self.seconds.len() as u32);
-        }
-        self.seconds.push(b);
     }
 
     /// Close the CSR table over `vocab` first tokens and shrink it.
@@ -484,8 +435,7 @@ impl PairIndex {
     pub fn build(docs: &[Document], dfs: &[u32], config: PairConfig) -> PairIndex {
         let tokens = LocalTokens::of(docs);
         let used_dfs: Vec<u32> = tokens.used.iter().map(|&(t, _)| dfs[t as usize]).collect();
-        let parts = [PairPart::documents(docs.len())];
-        build::build(docs, tokens, &used_dfs, dfs.len(), config, &parts).0
+        Self::build_local(docs, tokens, &used_dfs, dfs.len(), config)
     }
 
     /// Look up the directed pair `(a, b)` — see [`PairLookup`] for the
@@ -619,13 +569,6 @@ pub(crate) struct ArenaCapacity {
 }
 
 impl ArenaCapacity {
-    /// Make room for every key of `pairs`, in the form it has there.
-    fn include(&mut self, pairs: &PairIndex) {
-        self.lists += pairs.lists.len();
-        self.blocks += pairs.blocks.len();
-        self.inline += pairs.inline.len();
-    }
-
     /// Make room for a list of `len` entries whose first gap is `gap`.
     fn add(&mut self, len: usize, gap: u32) {
         if inline_gap(len, gap).is_some() {
@@ -671,21 +614,16 @@ impl PairArenaWriter {
         }
     }
 
-    /// Whether the arena's coverage bitmap covers `token`.
-    pub(crate) fn covers(&self, token: u32) -> bool {
-        self.index.covers(TokenId(token))
-    }
-
     /// Check that key `(a, b)` may come next: both tokens covered, and
     /// after the previous key.
-    fn next_key(&mut self, a: u32, b: u32) -> Result<(), &'static str> {
-        if !self.covers(a) || !self.covers(b) {
+    fn check_key(&self, a: u32, b: u32) -> Result<(), &'static str> {
+        let ix = &self.index;
+        if !ix.covers(TokenId(a)) || !ix.covers(TokenId(b)) {
             return Err("pair key token not covered");
         }
         if self.last.is_some_and(|last| (a, b) <= last) {
             return Err("pair keys not sorted and unique");
         }
-        self.last = Some((a, b));
         Ok(())
     }
 
@@ -701,10 +639,25 @@ impl PairArenaWriter {
         b: u32,
         entries: &[(u32, u32)],
     ) -> Result<(), &'static str> {
+        self.check_key(a, b)?;
+        self.append(a, b, entries)
+    }
+
+    /// [`Self::push_list`] of a key the builder made, which is covered and
+    /// after the previous key by construction: the key is not checked
+    /// again, which would cost two reads of the vocabulary-wide coverage
+    /// bitmap per key.
+    pub(crate) fn append(
+        &mut self,
+        a: u32,
+        b: u32,
+        entries: &[(u32, u32)],
+    ) -> Result<(), &'static str> {
+        debug_assert_eq!(self.check_key(a, b), Ok(()));
         let Some(&(node, gap)) = entries.first() else {
             return Err("pair key with no entries");
         };
-        self.next_key(a, b)?;
+        self.last = Some((a, b));
         let ix = &mut self.index;
         // `a` is covered, so a table's `push` fills at most
         // `frequent.len()` CSR slots.
@@ -735,82 +688,6 @@ impl PairArenaWriter {
             });
         }
         ix.entries += entries.len() as u64;
-        Ok(())
-    }
-
-    /// Append key `(a, b)` with the one entry `(node, gap)`, as
-    /// [`Self::push_list`] would, for a builder whose keys are covered and
-    /// ascending by construction: nothing is checked.
-    #[inline]
-    pub(crate) fn push_one(&mut self, a: u32, b: u32, node: u32, gap: u32) {
-        debug_assert!(self.covers(a) && self.covers(b));
-        debug_assert!(self.last.is_none_or(|last| (a, b) > last));
-        match inline_gap(1, gap) {
-            Some(gap) => {
-                self.last = Some((a, b));
-                let ix = &mut self.index;
-                ix.inline.push_unchecked(a, b);
-                ix.nodes.push(node);
-                ix.gaps.push(gap);
-                ix.entries += 1;
-            }
-            None => self
-                .push_list(a, b, &[(node, gap)])
-                .expect("built keys are covered and ascending"),
-        }
-    }
-
-    /// Append key `(a, b)` with `list`, another arena's, renumbering each
-    /// node id through `node` — which must move every block's ids by one
-    /// amount, so that the gaps between them stay — as [`Self::push_list`]
-    /// would store the renumbered entries. A list of one entry is pushed
-    /// again; a longer one has its packed bytes copied whole, and only each
-    /// block's header and 4-byte base are rewritten.
-    pub(crate) fn copy_list(
-        &mut self,
-        a: u32,
-        b: u32,
-        list: PairList<'_>,
-        node: impl Fn(u32) -> u32,
-    ) -> Result<(), &'static str> {
-        let blocks = list.blocks.as_slice();
-        if let [one] = blocks {
-            if one.end == 1 {
-                // One entry, inline or with a gap no byte holds: no bytes.
-                return self.push_list(a, b, &[(node(one.max_node.0), one.min_gap)]);
-            }
-        }
-        self.next_key(a, b)?;
-        let ix = &mut self.index;
-        let first_block = u32::try_from(ix.blocks.len()).map_err(|_| TOO_LARGE)?;
-        ix.lists.push(a, b)?;
-        ix.first_block.push(first_block);
-        let last = blocks[blocks.len() - 1];
-        let previous_end = blocks.len().checked_sub(2).map_or(0, |i| blocks[i].end);
-        let count = (last.end - previous_end) as usize;
-        let (from, mut to) = (blocks[0].byte_start as usize, last.byte_start as usize);
-        if count > 1 {
-            to += frame::block_bytes(list.data, to, PairBlock::BIASES.len(), count);
-        }
-        let at = ix.data.len();
-        u32::try_from(at + (to - from)).map_err(|_| TOO_LARGE)?;
-        ix.data.extend_from_slice(&list.data[from..to]);
-        let mut end = 0;
-        for block in blocks {
-            let byte_start = at + (block.byte_start as usize - from);
-            if block.end - end > 1 {
-                let base = &mut ix.data[byte_start..byte_start + 4];
-                let old = frame::base_at(base, 0);
-                base.copy_from_slice(&node(old).to_le_bytes());
-            }
-            end = block.end;
-            ix.blocks.push(PairBlock {
-                max_node: NodeId(node(block.max_node.0)),
-                byte_start: byte_start as u32,
-                ..*block
-            });
-        }
-        ix.entries += u64::from(last.end);
         Ok(())
     }
 

@@ -1,121 +1,33 @@
-//! The parts-aware pair build behind every seal, flush and merge: see the
-//! module docs of [`crate::pair`], "Building", for the splice rule.
+//! The pair build behind every seal, flush and merge: see the module docs
+//! of [`crate::pair`], "Building".
 
-use super::{ArenaCapacity, PairArenaWriter, PairConfig, PairIndex, PairList};
-use crate::bitpack::{self, LANES};
-use crate::frame;
+use super::{ArenaCapacity, PairArenaWriter, PairConfig, PairIndex};
+use crate::bitpack;
 use crate::local::LocalTokens;
-use crate::segment::DeleteSet;
-use ftsl_model::{Document, TokenId};
-use std::ops::{AddAssign, Range};
+use ftsl_model::Document;
 
-/// One input of a parts-aware pair build: a run of the built segment's
-/// documents, in order, with the pair index they already have, if any.
-///
-/// A part with an index under the build's [`PairConfig`] lends the build
-/// its lists; any other part (plain documents, a disabled pair section,
-/// another config) is indexed from its documents.
-#[derive(Clone, Copy, Debug)]
-pub struct PairPart<'a> {
-    len: usize,
-    pairs: Option<&'a PairIndex>,
-    dropped: Option<&'a DeleteSet>,
-}
-
-impl<'a> PairPart<'a> {
-    /// `len` documents indexed from their tokens.
-    pub fn documents(len: usize) -> Self {
-        PairPart {
-            len,
-            pairs: None,
-            dropped: None,
+impl PairIndex {
+    /// [`Self::build`] over the documents' local token ids, with `dfs[i]`
+    /// the document frequency of `tokens.used[i]`, for a `vocab`-wide
+    /// coverage bitmap. A token the documents never use costs its coverage
+    /// bit and its CSR slots, both filled in bulk, and nothing else.
+    pub(crate) fn build_local(
+        docs: &[Document],
+        tokens: LocalTokens,
+        dfs: &[u32],
+        vocab: usize,
+        config: PairConfig,
+    ) -> PairIndex {
+        if config.window == 0 {
+            return PairIndex::default();
         }
-    }
-
-    /// `len` documents whose pair index, over exactly these documents
-    /// with local node ids `0..len`, is `pairs`.
-    pub fn indexed(pairs: &'a PairIndex, len: usize) -> Self {
-        PairPart {
-            len,
-            pairs: Some(pairs),
-            dropped: None,
+        let coverage = Coverage::of(&tokens, dfs, vocab, config.df_cutoff);
+        let fields = Fields::of(docs, coverage.ids.len(), config.window);
+        if fields.fit(u64::BITS) {
+            build_arena::<u64>(docs, tokens, coverage, config, fields)
+        } else {
+            build_arena::<u128>(docs, tokens, coverage, config, fields)
         }
-    }
-
-    /// The same part with the documents `dropped` marks left out of the
-    /// build, as a compacting merge leaves out tombstoned documents.
-    ///
-    /// # Panics
-    /// Panics if `dropped` does not cover the part's `len` documents.
-    pub fn dropping(self, dropped: &'a DeleteSet) -> Self {
-        assert_eq!(dropped.len(), self.len, "one bit per document of the part");
-        PairPart {
-            dropped: (dropped.deleted_count() > 0).then_some(dropped),
-            ..self
-        }
-    }
-
-    /// Documents the part supplies to the build: its own, less the
-    /// dropped ones.
-    fn survivors(&self) -> usize {
-        self.len - self.dropped.map_or(0, DeleteSet::deleted_count)
-    }
-}
-
-/// How a pair build came by the keys it wrote.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SpliceCounts {
-    /// Keys one part's index alone supplied, copied as bytes with their
-    /// node ids shifted.
-    pub copied: u64,
-    /// Keys whose entries were decoded and packed again: drawn from two or
-    /// more sources, or from one list that lost a dropped document (or whose
-    /// node ids close up around one).
-    pub repacked: u64,
-    /// Keys whose entries all came from documents.
-    pub built: u64,
-}
-
-impl AddAssign for SpliceCounts {
-    fn add_assign(&mut self, other: SpliceCounts) {
-        self.copied += other.copied;
-        self.repacked += other.repacked;
-        self.built += other.built;
-    }
-}
-
-/// The pair index of `docs`, the documents `parts` supply in order (ordered
-/// by node id), with `tokens` their local ids and `dfs[i]` the document
-/// frequency of `tokens.used[i]`, over a `vocab`-wide coverage bitmap — see
-/// the module docs of [`crate::pair`], "Building". A token the documents
-/// never use costs its coverage bit and its CSR slots, both filled in bulk,
-/// and nothing else.
-///
-/// # Panics
-/// Panics if the parts do not supply `docs.len()` documents, or past
-/// `u32::MAX` postings (the arena's offsets are `u32`).
-pub(crate) fn build(
-    docs: &[Document],
-    tokens: LocalTokens,
-    dfs: &[u32],
-    vocab: usize,
-    config: PairConfig,
-    parts: &[PairPart<'_>],
-) -> (PairIndex, SpliceCounts) {
-    assert_eq!(
-        parts.iter().map(PairPart::survivors).sum::<usize>(),
-        docs.len(),
-        "the parts supply every document once"
-    );
-    if config.window == 0 {
-        return (PairIndex::default(), SpliceCounts::default());
-    }
-    let coverage = Coverage::of(&tokens, dfs, vocab, config.df_cutoff);
-    let fields = Fields::of(docs, coverage.ids.len(), config.window);
-    if fields.fit(u64::BITS) {
-        build_arena::<u64>(docs, tokens, coverage, config, fields, parts)
-    } else {
-        build_arena::<u128>(docs, tokens, coverage, config, fields, parts)
     }
 }
 
@@ -155,28 +67,26 @@ impl Coverage {
     }
 }
 
-/// [`build`] over postings packed into `W` words.
+/// [`PairIndex::build_local`] over postings packed into `W` words.
 ///
-/// The document pass ([`DocPass`]) keeps one posting per document and key
-/// it indexes, with the key's minimum gap there, in document order. A
+/// The document pass ([`DocPass`]) keeps one posting per document and
+/// covered key, with the key's minimum gap there, in document order. A
 /// posting names its tokens by their [`Coverage`] numbers, which follow
 /// token order, so the grouping below costs the covered tokens rather than
 /// the vocabulary. Two stable counting passes then group the postings by
 /// key: by second token, then by first, counting the arena's capacity as
 /// each key's run closes. Each pass keeps the order it is given, so every
-/// key's run comes out in node order. Only two posting buffers are
-/// allocated: the document pass's, which the by-first pass refills, and
-/// the by-second pass's, sized exactly. The runs are then written in key
-/// order, spliced with the keys of the indexed parts ([`Gather`],
-/// [`Splice`]).
+/// key's run comes out in node order and is appended to the arena as it
+/// stands. Only two posting buffers are allocated: the document pass's,
+/// which the by-first pass refills, and the by-second pass's, sized
+/// exactly.
 fn build_arena<W: Word>(
     docs: &[Document],
     tokens: LocalTokens,
     coverage: Coverage,
     config: PairConfig,
     fields: Fields,
-    parts: &[PairPart<'_>],
-) -> (PairIndex, SpliceCounts) {
+) -> PairIndex {
     debug_assert!(docs.windows(2).all(|w| w[0].node < w[1].node));
     // `(a, b, gap − 1)` while a posting's node is its document's.
     let in_doc = Layout {
@@ -190,26 +100,9 @@ fn build_arena<W: Word>(
     };
     let width = coverage.ids.len();
     let mut pass = DocPass::<W>::new(width, in_doc, config.window);
-    let mut sources: Vec<Source<'_>> = Vec::new();
-    let mut own: Vec<bool> = Vec::new();
-    let mut per_doc = tokens.per_doc(docs);
-    let mut first_doc = 0;
-    for part in parts {
-        let range = first_doc..first_doc + part.survivors();
-        first_doc = range.end;
-        let part_docs = per_doc.by_ref().take(range.len());
-        match part.pairs.filter(|pairs| pairs.config() == config) {
-            Some(pairs) if !range.is_empty() => {
-                own.clear();
-                own.extend(coverage.ids.iter().map(|&t| pairs.covers(TokenId(t))));
-                pass.walk(part_docs, &coverage.number, Some(&own));
-                sources.push(Source::new(pairs, docs, range, part));
-            }
-            Some(_) => {}
-            None => pass.walk(part_docs, &coverage.number, None),
-        }
+    for (doc, locals) in tokens.per_doc(docs) {
+        pass.document(doc, locals, &coverage.number);
     }
-    drop(per_doc);
     let DocPass {
         postings,
         doc_ends,
@@ -218,7 +111,7 @@ fn build_arena<W: Word>(
         ..
     } = pass;
     // The local ids are spent: free them before the grouping buffers peak.
-    drop((own, tokens, coverage.number));
+    drop((tokens, coverage.number));
 
     // By second token; the node comes from the document.
     let mut by_second = vec![W::ZERO; postings.len()];
@@ -274,60 +167,23 @@ fn build_arena<W: Word>(
 
     // `firsts[a]` is now where bucket `a` ends; inside it, each run of one
     // second token is one key.
-    let second = |posting: W| posting.unpack(in_bucket).0;
-    for source in &sources {
-        capacity.include(source.pairs);
-    }
-    let vocab = coverage.frequent.len();
-    let mut splice = Splice {
-        arena: PairArenaWriter::with_capacity(config, coverage.frequent, capacity),
-        counts: SpliceCounts::default(),
-        list: Vec::new(),
-        in_bucket,
-    };
-    let buckets = coverage.ids.iter().zip(buckets(&grouped, &firsts));
-    if sources.is_empty() {
-        // Every key comes from the documents.
-        for (&a, bucket) in buckets {
-            for run in bucket.chunk_by(|x, y| second(*x) == second(*y)) {
-                splice.built(a, coverage.ids[second(run[0]) as usize], run);
-            }
+    let ids = coverage.ids;
+    let mut arena = PairArenaWriter::with_capacity(config, coverage.frequent, capacity);
+    let mut list: Vec<(u32, u32)> = Vec::new();
+    for (&a, bucket) in ids.iter().zip(buckets(&grouped, &firsts)) {
+        for run in bucket.chunk_by(|x, y| x.unpack(in_bucket).0 == y.unpack(in_bucket).0) {
+            list.clear();
+            list.extend(run.iter().map(|posting| {
+                let (_, node, gap) = posting.unpack(in_bucket);
+                (node, gap + 1)
+            }));
+            let b = run[0].unpack(in_bucket).0;
+            arena
+                .append(a, ids[b as usize], &list)
+                .expect("built lists are non-empty and fit u32 offsets");
         }
-        return (splice.arena.finish(), splice.counts);
     }
-    let mut gather = Gather::new(&coverage.ids, vocab);
-    for (&a, bucket) in buckets {
-        gather.start();
-        for (source, pairs) in sources.iter().map(|s| s.pairs).enumerate() {
-            let source = u16::try_from(source).expect("at most 2¹⁶ indexed parts");
-            for (inline, keys) in [(false, &pairs.lists), (true, &pairs.inline)] {
-                for number in keys.run_of(a as usize).unwrap_or_default() {
-                    let key = Key {
-                        number: number as u32,
-                        source,
-                        inline,
-                    };
-                    gather.key(keys.seconds[number], key);
-                }
-            }
-        }
-        let mut at = 0;
-        for run in bucket.chunk_by(|x, y| second(*x) == second(*y)) {
-            gather.docs(second(run[0]), at..at + run.len());
-            at += run.len();
-        }
-        gather.walk(|b, keys, docs| {
-            let run = &bucket[docs];
-            match (run, keys) {
-                (_, &[key]) if run.is_empty() => {
-                    splice.one_list(a, b, &sources[key.source as usize], key)
-                }
-                (run, []) => splice.built(a, b, run),
-                (run, keys) => splice.merge(a, b, &sources, keys, run),
-            }
-        });
-    }
-    (splice.arena.finish(), splice.counts)
+    arena.finish()
 }
 
 /// The run of one first token being filled by the by-first pass: its
@@ -337,372 +193,6 @@ struct OpenRun {
     second: u32,
     len: u32,
     gap: u32,
-}
-
-/// An indexed part as the splice reads it: its pair index, and where its
-/// documents went.
-struct Source<'a> {
-    pairs: &'a PairIndex,
-    /// Node id, in the build, of the part's first surviving document.
-    start: u32,
-    /// With dropped documents, per own local id `l`, the surviving
-    /// documents before `l` (`len + 1` entries).
-    rank: Option<Vec<u32>>,
-}
-
-impl<'a> Source<'a> {
-    fn new(
-        pairs: &'a PairIndex,
-        docs: &[Document],
-        range: Range<usize>,
-        part: &PairPart<'_>,
-    ) -> Self {
-        let start = docs[range.start].node.0;
-        debug_assert!(
-            docs[range].iter().zip(start..).all(|(d, n)| d.node.0 == n),
-            "an indexed part's documents have consecutive node ids"
-        );
-        let rank = part.dropped.map(|dropped| {
-            let mut live = 0;
-            let mut rank = Vec::with_capacity(part.len + 1);
-            for local in 0..part.len {
-                rank.push(live);
-                live += u32::from(dropped.is_live(local));
-            }
-            rank.push(live);
-            rank
-        });
-        Source { pairs, start, rank }
-    }
-
-    /// The build's node id of own local id `old`, unless it was dropped.
-    #[inline]
-    fn node(&self, old: u32) -> Option<u32> {
-        match &self.rank {
-            None => Some(self.start + old),
-            Some(rank) => {
-                let (before, after) = (rank[old as usize], rank[old as usize + 1]);
-                (after > before).then_some(self.start + before)
-            }
-        }
-    }
-
-    /// Inline key `number`'s entry, renumbered, unless its document was
-    /// dropped.
-    fn inline_entry(&self, number: u32) -> Option<(u32, u32)> {
-        let number = number as usize;
-        let node = self.node(self.pairs.nodes[number])?;
-        Some((node, u32::from(self.pairs.gaps[number])))
-    }
-
-    /// Whether every own local id in `first..=last` survives, so one shift
-    /// moves them all and keeps their gaps.
-    fn keeps(&self, first: u32, last: u32) -> bool {
-        self.rank
-            .as_ref()
-            .is_none_or(|rank| rank[last as usize + 1] - rank[first as usize] == last - first + 1)
-    }
-}
-
-/// A key of one indexed part's table.
-#[derive(Clone, Copy, Debug)]
-struct Key {
-    /// The key's number in its table.
-    number: u32,
-    source: u16,
-    inline: bool,
-}
-
-/// The keys of one first token, gathered from every indexed part and from
-/// the document pass by the covered number of their second token, then
-/// walked in second-token order. A second token's slot is stamped with
-/// the first token it was filled for, and the bitmap of filled slots is
-/// cleared as it is walked, so moving on to the next first token clears
-/// nothing else: the cost is the keys gathered, not the parts' tables.
-struct Gather<'a> {
-    ids: &'a [u32],
-    /// Per token id, its covered number, or [`NOT_COVERED`].
-    number: Vec<u32>,
-    /// Per covered number, the keys and document postings gathered for it.
-    slots: Vec<Slot>,
-    stamp: u32,
-    /// The slots filled for this first token, and the bitmap words holding
-    /// them.
-    filled: Vec<u64>,
-    words: Vec<u32>,
-    /// Gathered keys, each slot's a list in part order: `(key, next)`.
-    keys: Vec<(Key, u32)>,
-    /// The keys of the slot being walked.
-    taken: Vec<Key>,
-}
-
-/// The end of a [`Gather`] slot's list of keys.
-const NO_KEY: u32 = u32::MAX;
-
-/// One second token's keys and document postings, valid while `stamp` is
-/// the current one.
-#[derive(Clone, Copy)]
-struct Slot {
-    stamp: u32,
-    /// The first and last of its keys in [`Gather::keys`].
-    first: u32,
-    last: u32,
-    /// The range of the first token's bucket holding the document pass's
-    /// postings of the key.
-    docs: (u32, u32),
-}
-
-impl Slot {
-    /// A slot filled for first token `stamp`, holding nothing yet.
-    fn new(stamp: u32) -> Self {
-        Slot {
-            stamp,
-            first: NO_KEY,
-            last: NO_KEY,
-            docs: (0, 0),
-        }
-    }
-}
-
-impl<'a> Gather<'a> {
-    /// A gather over the covered tokens `ids`, numbering a `vocab`-wide
-    /// token space.
-    fn new(ids: &'a [u32], vocab: usize) -> Self {
-        let mut number = vec![NOT_COVERED; vocab];
-        for (c, &t) in ids.iter().enumerate() {
-            number[t as usize] = c as u32;
-        }
-        let width = ids.len();
-        Gather {
-            ids,
-            number,
-            slots: vec![Slot::new(0); width],
-            stamp: 0,
-            filled: vec![0; width.div_ceil(64)],
-            words: Vec::new(),
-            keys: Vec::new(),
-            taken: Vec::new(),
-        }
-    }
-
-    /// Start gathering the keys of the next first token.
-    fn start(&mut self) {
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            self.slots.fill(Slot::new(0));
-            self.stamp = 1;
-        }
-        self.keys.clear();
-    }
-
-    /// The slot of covered number `c`, filled for this first token.
-    #[inline]
-    fn slot(&mut self, c: u32) -> &mut Slot {
-        let slot = &mut self.slots[c as usize];
-        if slot.stamp != self.stamp {
-            *slot = Slot::new(self.stamp);
-            let word = &mut self.filled[c as usize / 64];
-            if *word == 0 {
-                self.words.push(c / 64);
-            }
-            *word |= 1 << (c % 64);
-        }
-        &mut self.slots[c as usize]
-    }
-
-    /// Gather `key`, whose second token is `b`, after the keys of earlier
-    /// parts. A key over a token the build does not cover — one whose df
-    /// fell with the dropped documents, or that only they held — is not
-    /// written.
-    #[inline]
-    fn key(&mut self, b: u32, key: Key) {
-        let c = self.number.get(b as usize).copied().unwrap_or(NOT_COVERED);
-        if c == NOT_COVERED {
-            return;
-        }
-        let at = self.keys.len() as u32;
-        self.keys.push((key, NO_KEY));
-        let slot = self.slot(c);
-        let last = std::mem::replace(&mut slot.last, at);
-        if last == NO_KEY {
-            slot.first = at;
-        } else {
-            self.keys[last as usize].1 = at;
-        }
-    }
-
-    /// Gather the document pass's postings of second covered number `c`:
-    /// `docs` of the first token's bucket.
-    fn docs(&mut self, c: u32, docs: Range<usize>) {
-        self.slot(c).docs = (docs.start as u32, docs.end as u32);
-    }
-
-    /// Hand each gathered second token, in token order, with its keys in
-    /// part order and its document postings, to `each`, and clear the
-    /// bitmap.
-    fn walk(&mut self, mut each: impl FnMut(u32, &[Key], Range<usize>)) {
-        self.words.sort_unstable();
-        for &w in &self.words {
-            let mut bits = std::mem::take(&mut self.filled[w as usize]);
-            while bits != 0 {
-                let c = w * 64 + bits.trailing_zeros();
-                bits &= bits - 1;
-                let slot = self.slots[c as usize];
-                self.taken.clear();
-                let mut at = slot.first;
-                while at != NO_KEY {
-                    let (key, next) = self.keys[at as usize];
-                    self.taken.push(key);
-                    at = next;
-                }
-                let docs = slot.docs.0 as usize..slot.docs.1 as usize;
-                each(self.ids[c as usize], &self.taken, docs);
-            }
-        }
-        self.words.clear();
-    }
-}
-
-/// The arena being written, what wrote each key, and reused buffers.
-struct Splice {
-    arena: PairArenaWriter,
-    counts: SpliceCounts,
-    /// The entries of the key being written.
-    list: Vec<(u32, u32)>,
-    /// The layout of a grouped posting.
-    in_bucket: Layout,
-}
-
-impl Splice {
-    /// Append key `(a, b)` with the entries in `self.list`.
-    fn push(&mut self, a: u32, b: u32) {
-        self.arena
-            .push_list(a, b, &self.list)
-            .expect("spliced keys are covered, ascending and non-empty");
-    }
-
-    /// Append key `(a, b)` from `run`, its postings from the documents.
-    fn built<W: Word>(&mut self, a: u32, b: u32, run: &[W]) {
-        let layout = self.in_bucket;
-        if let [posting] = run {
-            let (node, gap) = entry(*posting, layout);
-            self.arena.push_one(a, b, node, gap);
-        } else {
-            self.list.clear();
-            self.list.extend(run.iter().map(|&p| entry(p, layout)));
-            self.push(a, b);
-        }
-        self.counts.built += 1;
-    }
-
-    /// Append key `(a, b)` from the entries in `self.list`, re-packed, if
-    /// any survived.
-    fn repacked(&mut self, a: u32, b: u32) {
-        if !self.list.is_empty() {
-            self.push(a, b);
-            self.counts.repacked += 1;
-        }
-    }
-
-    /// Key `(a, b)`, which `key` of `source` alone supplies: copied as
-    /// bytes when every block keeps its entries and the gaps between them,
-    /// otherwise decoded, thinned and packed again.
-    fn one_list(&mut self, a: u32, b: u32, source: &Source<'_>, key: Key) {
-        if key.inline {
-            if let Some((node, gap)) = source.inline_entry(key.number) {
-                self.arena.push_one(a, b, node, gap);
-                self.counts.copied += 1;
-            }
-            return;
-        }
-        let list = source.pairs.list(key.number as usize);
-        let mut end = 0;
-        let kept = list.blocks.as_slice().iter().all(|block| {
-            let count = block.end - end;
-            end = block.end;
-            let first = if count == 1 {
-                block.max_node.0
-            } else {
-                frame::base_at(list.data, block.byte_start as usize)
-            };
-            source.keeps(first, block.max_node.0)
-        });
-        if kept {
-            self.arena
-                .copy_list(a, b, list, |old| {
-                    source.node(old).expect("a kept block's documents survive")
-                })
-                .expect("spliced keys are covered, ascending and non-empty");
-            self.counts.copied += 1;
-        } else {
-            self.list.clear();
-            decode(source, list, &mut self.list);
-            self.repacked(a, b);
-        }
-    }
-
-    /// Key `(a, b)` from `keys`, one per part in part order, and `run`, the
-    /// document pass's postings: merged by node and packed again.
-    fn merge<W: Word>(&mut self, a: u32, b: u32, sources: &[Source<'_>], keys: &[Key], run: &[W]) {
-        let layout = self.in_bucket;
-        let mut docs = run.iter().map(|&p| entry(p, layout)).peekable();
-        self.list.clear();
-        for key in keys {
-            let source = &sources[key.source as usize];
-            while let Some(entry) = docs.next_if(|&(node, _)| node < source.start) {
-                self.list.push(entry);
-            }
-            if key.inline {
-                self.list.extend(source.inline_entry(key.number));
-            } else {
-                decode(
-                    source,
-                    source.pairs.list(key.number as usize),
-                    &mut self.list,
-                );
-            }
-        }
-        self.list.extend(docs);
-        self.repacked(a, b);
-    }
-}
-
-/// A grouped posting's `(node, gap)` entry.
-#[inline]
-fn entry<W: Word>(posting: W, layout: Layout) -> (u32, u32) {
-    let (_, node, gap) = posting.unpack(layout);
-    (node, gap + 1)
-}
-
-/// Blocks of at least this many entries are decoded with the 128-lane
-/// kernels; shorter ones entry by entry.
-const KERNEL_ENTRIES: usize = 16;
-
-/// Append `list`'s entries that survive in `source`, renumbered, to `out`.
-fn decode(source: &Source<'_>, list: PairList<'_>, out: &mut Vec<(u32, u32)>) {
-    let mut end = 0;
-    for block in list.blocks.as_slice() {
-        let count = (block.end - end) as usize;
-        end = block.end;
-        let mut each = |old: u32, gap: u32| {
-            if let Some(node) = source.node(old) {
-                out.push((node, gap));
-            }
-        };
-        let at = block.byte_start as usize;
-        if count == 1 {
-            each(block.max_node.0, block.min_gap);
-        } else if count < KERNEL_ENTRIES {
-            frame::each_entry(list.data, at, count, 1, each);
-        } else {
-            let (mut ids, mut gaps) = ([0; LANES], [0; LANES]);
-            let frames = frame::unpack_ids(list.data, at, 1, count, &mut ids);
-            frame::unpack_column(list.data, &frames, 0, count, 1, &mut gaps);
-            for (&id, &gap) in ids[..count].iter().zip(&gaps[..count]) {
-                each(id, gap);
-            }
-        }
-    }
 }
 
 /// The per-document half of the build: one posting per document and key,
@@ -777,49 +267,16 @@ impl<W: Word> DocPass<W> {
         }
     }
 
-    /// Index `docs`, with `number` their local ids' covered numbers. With
-    /// `own` (an indexed part's coverage, per covered number), only the
-    /// keys its own lists cannot hold — those with a token `own` lacks —
-    /// and only in the documents that have such a token.
-    fn walk<'d>(
-        &mut self,
-        docs: impl Iterator<Item = (&'d Document, &'d [u32])>,
-        number: &[u32],
-        own: Option<&[bool]>,
-    ) {
-        for (doc, locals) in docs {
-            self.cover.clear();
-            self.cover
-                .extend(locals.iter().map(|&l| number[l as usize]));
-            let start = self.postings.len();
-            match own {
-                None => self.document::<false>(doc, &[]),
-                Some(own) => {
-                    let new = |&c: &u32| c != NOT_COVERED && !own[c as usize];
-                    if self.cover.iter().any(new) {
-                        self.document::<true>(doc, own);
-                    }
-                }
-            }
-            if self.postings.len() > start {
-                self.doc_ends.push((doc.node.0, self.postings.len()));
-            }
-        }
-    }
-
-    /// The postings of one document (its covered numbers in `cover`):
-    /// every key, or with `FILTER`, the keys with a token `own` lacks.
+    /// Keep the postings of `doc`, with `locals` its local ids and `number`
+    /// their covered numbers.
     ///
-    /// Each group walks the occurrences of one token. Without `FILTER`, a
-    /// group scans forward from every occurrence of its token and keeps
-    /// the keys it is first in. With `FILTER`, only the tokens `own` lacks
-    /// have groups: one forward, for every key such a token is first in,
-    /// and one backward, for the keys it is second in after a token `own`
-    /// covers. So a document costs the windows around its new tokens.
-    fn document<const FILTER: bool>(&mut self, doc: &Document, own: &[bool]) {
+    /// Each group walks the occurrences of one token, scans forward from
+    /// each within the window, and keeps the keys its token is first in.
+    fn document(&mut self, doc: &Document, locals: &[u32], number: &[u32]) {
         let toks = &doc.tokens;
         let DocPass {
             postings,
+            doc_ends,
             firsts,
             seconds,
             layout,
@@ -830,9 +287,10 @@ impl<W: Word> DocPass<W> {
             keys,
             doc: doc_stamp,
             group,
-            ..
         } = self;
-        let window = *window;
+        let start = postings.len();
+        cover.clear();
+        cover.extend(locals.iter().map(|&l| number[l as usize]));
         let stamp = next_stamp(doc_stamp, first);
         next.clear();
         next.resize(toks.len(), NO_NEXT);
@@ -849,64 +307,45 @@ impl<W: Word> DocPass<W> {
                 at: i as u32,
             };
         }
-        // Keep key `(a, b)` at `gap` in group `g`, whose slot for the key
-        // is `slot`.
-        let mut keep = |a: u32, b: u32, gap: u32, g: u32, slot: &mut Stamped| {
-            let posting = W::pack(a, b, gap - 1, *layout);
-            if slot.stamp == g {
-                // Same key, so the smaller word holds the smaller gap.
-                let kept = &mut postings[slot.at as usize];
-                *kept = (*kept).min(posting);
-            } else {
-                *slot = Stamped {
-                    stamp: g,
-                    at: u32::try_from(postings.len()).expect("pair postings exceed u32 offsets"),
-                };
-                postings.push(posting);
-                firsts[a as usize] += 1;
-                seconds[b as usize] += 1;
-            }
-        };
-        let occurrences = |i: usize| {
-            std::iter::successors(Some(i), |&j| {
-                Some(next[j] as usize).filter(|_| next[j] != NO_NEXT)
-            })
-        };
         for (i, &c) in cover.iter().enumerate() {
             if c == NOT_COVERED || first[c as usize].at != i as u32 {
                 continue;
             }
-            if FILTER && own[c as usize] {
-                continue;
-            }
             let g = next_stamp(group, keys);
-            for j in occurrences(i) {
+            let mut j = i;
+            loop {
                 let pa = toks[j].1.offset;
                 for (&(_, pb), &cb) in toks[j + 1..].iter().zip(&cover[j + 1..]) {
                     let gap = pb.offset - pa;
-                    if gap > window {
+                    if gap > *window {
                         break; // offsets are strictly increasing
                     }
-                    if cb != NOT_COVERED {
-                        keep(c, cb, gap, g, &mut keys[cb as usize]);
+                    if cb == NOT_COVERED {
+                        continue;
+                    }
+                    let posting = W::pack(c, cb, gap - 1, *layout);
+                    let slot = &mut keys[cb as usize];
+                    if slot.stamp == g {
+                        // Same key, so the smaller word holds the smaller gap.
+                        let kept = &mut postings[slot.at as usize];
+                        *kept = (*kept).min(posting);
+                    } else {
+                        let at = u32::try_from(postings.len())
+                            .expect("pair postings exceed u32 offsets");
+                        *slot = Stamped { stamp: g, at };
+                        postings.push(posting);
+                        firsts[c as usize] += 1;
+                        seconds[cb as usize] += 1;
                     }
                 }
-            }
-            if FILTER {
-                let g = next_stamp(group, keys);
-                for k in occurrences(i) {
-                    let pb = toks[k].1.offset;
-                    for (&(_, pa), &ca) in toks[..k].iter().zip(&cover[..k]).rev() {
-                        let gap = pb - pa.offset;
-                        if gap > window {
-                            break;
-                        }
-                        if ca != NOT_COVERED && own[ca as usize] {
-                            keep(ca, c, gap, g, &mut keys[ca as usize]);
-                        }
-                    }
+                if next[j] == NO_NEXT {
+                    break;
                 }
+                j = next[j] as usize;
             }
+        }
+        if postings.len() > start {
+            doc_ends.push((doc.node.0, postings.len()));
         }
     }
 }
@@ -1009,9 +448,9 @@ macro_rules! impl_word {
 
 impl_word!(u64, u128);
 
-/// [`build`] of one part of documents with `u128` posting words when
-/// `wide`, though `u64` ones fit: the check that both words build the same
-/// arena. `dfs[t]` is the document frequency of token `t`.
+/// [`PairIndex::build`] with `u128` posting words when `wide`, though
+/// `u64` ones fit: the check that both words build the same arena.
+/// `dfs[t]` is the document frequency of token `t`.
 #[cfg(test)]
 pub(super) fn build_with_words(
     docs: &[Document],
@@ -1024,10 +463,9 @@ pub(super) fn build_with_words(
     let coverage = Coverage::of(&tokens, &used, dfs.len(), config.df_cutoff);
     let fields = Fields::of(docs, coverage.ids.len(), config.window);
     assert!(fields.fit(u64::BITS));
-    let parts = [PairPart::documents(docs.len())];
     if wide {
-        build_arena::<u128>(docs, tokens, coverage, config, fields, &parts).0
+        build_arena::<u128>(docs, tokens, coverage, config, fields)
     } else {
-        build_arena::<u64>(docs, tokens, coverage, config, fields, &parts).0
+        build_arena::<u64>(docs, tokens, coverage, config, fields)
     }
 }

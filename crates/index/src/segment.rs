@@ -14,7 +14,6 @@
 
 use crate::builder::IndexBuilder;
 use crate::index::InvertedIndex;
-use crate::pair::{PairPart, SpliceCounts};
 use ftsl_model::{Corpus, Document, NodeId, TokenId, TokenInterner, Tokenizer};
 use std::sync::{Arc, OnceLock};
 
@@ -165,44 +164,19 @@ impl SegmentData {
     /// Panics if `globals` is not strictly ascending or disagrees with the
     /// corpus length — both would corrupt the global id space silently.
     pub fn seal(id: u64, corpus: Corpus, globals: Vec<u32>) -> Self {
-        let parts = [PairPart::documents(corpus.len())];
-        Self::seal_parts(id, corpus, globals, &parts).0
-    }
-
-    /// [`Self::seal`] a corpus whose documents are the ones `parts` supply,
-    /// in order, splicing the pair lists of the parts that have them
-    /// ([`IndexBuilder::build_parts`]): the segment is the one
-    /// [`Self::seal`] makes, and the counts say how its pair keys were
-    /// written.
-    ///
-    /// # Panics
-    /// As [`Self::seal`], and if the parts do not supply the corpus.
-    pub(crate) fn seal_parts(
-        id: u64,
-        corpus: Corpus,
-        globals: Vec<u32>,
-        parts: &[PairPart<'_>],
-    ) -> (Self, SpliceCounts) {
         assert_eq!(globals.len(), corpus.len(), "one global id per document");
         assert!(
             globals.windows(2).all(|w| w[0] < w[1]),
             "global ids must be strictly ascending"
         );
-        let (index, counts) = IndexBuilder::new().build_parts(&corpus, parts);
-        let segment = SegmentData {
+        let index = IndexBuilder::new().build(&corpus);
+        SegmentData {
             id,
             corpus,
             index,
             globals,
             hottest: OnceLock::new(),
-        };
-        (segment, counts)
-    }
-
-    /// This segment as a part of a build over its documents: its pair
-    /// index lends the build its lists.
-    pub(crate) fn as_part(&self) -> PairPart<'_> {
-        PairPart::indexed(self.index.pairs(), self.num_docs())
+        }
     }
 
     /// Reassemble a segment from persisted parts, trusting the caller (the
@@ -342,24 +316,11 @@ impl MemSegment {
     /// untouched (the caller decides whether this is a flush or a chunk of
     /// a point-in-time read view).
     pub fn seal_from(&self, id: u64, from: usize) -> SegmentData {
-        SegmentData::seal(id, self.copy_from(from), self.globals[from..].to_vec())
-    }
-
-    /// Seal the whole buffer under segment id `id`, splicing the pair
-    /// lists of `chunks` — sealed views of its first documents, in order —
-    /// and indexing the documents after them. The buffer is untouched.
-    pub(crate) fn seal_over(&self, id: u64, chunks: &[Arc<SegmentData>]) -> SegmentData {
-        let parts = chunk_parts(chunks, self.len());
-        SegmentData::seal_parts(id, self.copy_from(0), self.globals.clone(), &parts).0
-    }
-
-    /// A corpus of buffer slots `from..`, sharing the current vocabulary.
-    fn copy_from(&self, from: usize) -> Corpus {
         let mut corpus = Corpus::with_interner(Arc::clone(self.corpus.interner()));
         for doc in &self.corpus.documents()[from..] {
             corpus.add_tokens(doc.label.clone(), doc.tokens.clone());
         }
-        corpus
+        SegmentData::seal(id, corpus, self.globals[from..].to_vec())
     }
 
     /// Drain the buffer: return its contents and reset it to an empty
@@ -369,14 +330,6 @@ impl MemSegment {
         let MemSegment { corpus, globals } = std::mem::replace(self, empty);
         (corpus, globals)
     }
-}
-
-/// The parts of a build over `len` buffered documents whose first ones
-/// `chunks` sealed, in order: each chunk, then the documents after them.
-pub(crate) fn chunk_parts(chunks: &[Arc<SegmentData>], len: usize) -> Vec<PairPart<'_>> {
-    let covered: usize = chunks.iter().map(|c| c.num_docs()).sum();
-    let rest = PairPart::documents(len - covered);
-    chunks.iter().map(|c| c.as_part()).chain([rest]).collect()
 }
 
 #[cfg(test)]

@@ -8,9 +8,7 @@
 //! engine starts empty. Documents can be added and deleted at any time
 //! (`:add`, `:delete`), the write buffer can be sealed (`:flush`), segments
 //! compacted (`:merge`), and `:stats` reports the per-segment footprint,
-//! live-document ratio, and tombstone counts, and how many pair keys the
-//! flushes and merges so far copied from their inputs, re-packed, or built
-//! from documents.
+//! live-document ratio, and tombstone counts.
 //!
 //! Then type queries (BOOL/DIST/COMP syntax) on stdin, one per line.
 //! Commands: `:explain <query>` (an `EXPLAIN ANALYZE` profile — the span
@@ -421,14 +419,6 @@ fn dispatch(
             "pair index: {pair_keys} keys ({single} of one document), {pair_entries} entries, \
              {pair_bytes}B across {} segment(s)",
             reports.len()
-        )?;
-        // How flushes and merges wrote their pair keys: a merge that splices
-        // copies most of them from its inputs.
-        let splices = engine.live_index().splice_counts();
-        writeln!(
-            out,
-            "pair keys written by flushes and merges: {} copied, {} re-packed, {} built from documents",
-            splices.copied, splices.repacked, splices.built
         )?;
         if let Some(p) = pool.as_ref() {
             let stats = p.stats();

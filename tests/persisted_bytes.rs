@@ -135,7 +135,7 @@ fn a_merged_live_manifest_is_pinned() {
         background_merge: false,
     });
     // Two reads between adds leave two view chunks; the flush seals the
-    // buffer over them.
+    // whole buffer as one segment.
     for i in 0..30u32 {
         live.add_document(&round_text(0, i));
         if i == 9 || i == 19 {
@@ -158,12 +158,5 @@ fn a_merged_live_manifest_is_pinned() {
         MERGED_MANIFEST_FNV,
         "{} bytes",
         image.len()
-    );
-    let snapshot = live.snapshot();
-    let merged = snapshot.segments()[0].data();
-    let rebuilt = IndexBuilder::new().build(merged.corpus());
-    assert_eq!(
-        persist::encode(merged.index()).as_slice(),
-        persist::encode(&rebuilt).as_slice()
     );
 }
