@@ -46,6 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod bitpack;
+mod bitrows;
 pub mod block;
 pub mod builder;
 pub mod counters;
@@ -69,7 +70,7 @@ pub use counters::AccessCounters;
 pub use cursor::{BlockHeader, ListCursor};
 pub use index::{IndexLayout, InvertedIndex, MemoryFootprint};
 pub use live::{LiveConfig, LiveIndex, SegmentReport, Snapshot, SnapshotSegment};
-pub use pair::{PairConfig, PairCursor, PairIndex, PairList, PairLookup};
+pub use pair::{PairConfig, PairCursor, PairIndex, PairList, PairLookup, PairRowBits};
 pub use postings::PostingList;
 pub use scored::{EntryScorer, ScoredBlocks};
 pub use segment::{DeleteSet, MemSegment, SegmentData};

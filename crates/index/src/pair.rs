@@ -30,20 +30,34 @@
 //!
 //! A segment's pair index is **one arena** — a handful of flat vectors,
 //! with no allocation per key. A key's list takes one of two forms, picked
-//! by `PairArenaWriter::push_list` from its entry count:
+//! by `PairArenaWriter::push_list` from its entry count. A key table keeps
+//! each key's second token in a column of whole values, `u16` when the
+//! vocabulary fits one and `u32` otherwise, so the binary search a lookup
+//! makes probes with plain loads. Every other field of a key table, its
+//! CSR `starts` and the coverage bitmap are **fixed-width bit-packed
+//! rows** (`bitrows.rs`): each field is as wide as the segment's own bound
+//! or maximum for it needs — a node as many bits as the largest node of
+//! any entry, `gap − 1` as many as the window (capped at a byte), a first
+//! block as many as the block count — not a machine word, and is read with
+//! one unaligned `u64` load once its key is found.
 //!
 //! * a key of **one** entry (most keys: 82 % of a Zipf segment's) is stored
-//!   **inline**, in a CSR key table over the first token of its own — the
-//!   keys `(a, _)` are `seconds[starts[a]..starts[a + 1]]`, ascending, so
-//!   finding one is a binary search inside that run — beside two parallel
-//!   columns holding its entry: the node id (`u32`) and the gap (`u8`).
-//!   That is 9 bytes per key. Its [`PairList`] is the entry made into the
-//!   header of a one-entry block, held by value;
+//!   **inline**, as its second token and one row `(node, gap − 1)` of a
+//!   CSR key table over the first token of its own: the keys `(a, _)` are
+//!   `starts[a]..starts[a + 1]`, ascending by second token, so finding one
+//!   is a binary search inside that run. In a segment of 1 024 Zipf
+//!   documents of 100 words each, with a vocabulary of 13 306 words and a
+//!   window of 16, such a key takes 30 bits (a 16-bit token, then 10 + 4),
+//!   where word-wide columns took 9 bytes. Its [`PairList`] is the entry
+//!   made into the header of a one-entry block, held by value;
 //! * a key of two or more entries (or of one entry whose gap a byte cannot
 //!   hold, which only a window over 255 makes) sits in a second CSR key
-//!   table of the same shape, with `first_block`, one entry per key plus a
-//!   sentinel: key `k`'s blocks are
-//!   `blocks[first_block[k]..first_block[k + 1]]`;
+//!   table of the same shape, its second token and one row `(first_block)`
+//!   per key (16 + 17 bits in that segment): key `k`'s blocks run from its
+//!   `first_block` to the next key's, or to the end of `blocks` for the
+//!   last key;
+//! * each table's `starts`, `vocabulary + 1` rows as wide as its key count
+//!   needs;
 //! * `blocks`, one 16-byte [`PairBlock`] header per block of
 //!   [`crate::block::BLOCK_ENTRIES`] entries — a skip-list node
 //!   (`max_node`, an absolute `byte_start`, the list-relative `end` entry)
@@ -57,7 +71,15 @@
 //!   followed by two exception-free frame-of-reference columns — node-id
 //!   deltas (lane 0 = 0, lane *i* = `id[i] − id[i−1] − 1`) and `gap − 1`
 //!   (gaps are ≥ 1 by construction);
-//! * the coverage bitmap.
+//! * the coverage bitmap, one bit per vocabulary token.
+//!
+//! The writer is given the arena's shape before the first key — its key
+//! counts, block count and largest node (`ArenaShape`) — so it sizes
+//! every vector exactly and fixes every row width up front. The build
+//! counts the shape while it groups the postings; the load path reads it
+//! off the stored section's headers in one pass before it appends a list,
+//! so a decoded image has the widths and the resident bytes of the built
+//! one.
 //!
 //! A block of one entry stores no bytes: its header's `max_node` and
 //! `min_gap` already are the entry. That is how a list's last block of
@@ -78,7 +100,7 @@
 //! posting and keeps the smaller gap. The postings, packed one per machine
 //! word as wide as this build's token, node and gap values need, are
 //! grouped by key with two stable counting passes: by second token, then
-//! by first, which also counts the arena's capacity. Documents arrive in
+//! by first, which also counts the arena's shape. Documents arrive in
 //! node order and both passes keep it, so each key's run is already in
 //! node order when it is appended to the arena. Two posting buffers are
 //! allocated, and the build is linear in the postings plus the covered
@@ -91,6 +113,8 @@
 //! stored-form encoder, and the load path validates each stored list and
 //! appends it to a fresh arena.
 
+use crate::bitpack::width_for;
+use crate::bitrows::BitRows;
 use crate::block::{BlockList, BLOCK_ENTRIES};
 use crate::counters::AccessCounters;
 use crate::cursor::{BlockHeader, Headers, ListCursor};
@@ -305,23 +329,123 @@ pub enum PairLookup<'a> {
     NotCovered,
 }
 
-/// A CSR table of keys over the first token: the keys `(a, _)` are
-/// `seconds[starts[a]..starts[a + 1]]`, ascending, and a key's number is
-/// its place in `seconds`.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-struct Keys {
-    /// `vocabulary + 1` long once finished (empty when pairs are
-    /// disabled).
-    starts: Vec<u32>,
-    /// Second token of every key.
-    seconds: Vec<u32>,
+/// The second tokens of a key table, one per key, as `u16` when every
+/// token of the vocabulary fits one, else as `u32`: whole aligned values,
+/// so the binary search a lookup makes inside a run probes with plain
+/// loads, not the variable shifts a bit-packed field needs.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Seconds {
+    U16(Vec<u16>),
+    U32(Vec<u32>),
 }
 
-impl Keys {
-    fn with_capacity(vocab: usize, keys: usize) -> Self {
+impl Default for Seconds {
+    fn default() -> Self {
+        Seconds::U16(Vec::new())
+    }
+}
+
+/// The index of `b` in `column[run]`, which ascends, as an index of
+/// `column`.
+#[inline]
+fn search<T: Ord + TryFrom<u32>>(column: &[T], run: Range<usize>, b: u32) -> Option<usize> {
+    let start = run.start;
+    let b = T::try_from(b).ok()?;
+    column[run].binary_search(&b).ok().map(|i| start + i)
+}
+
+impl Seconds {
+    /// An empty column for tokens of `width` bits, with room for `keys`.
+    fn with_capacity(width: u8, keys: usize) -> Self {
+        if width <= 16 {
+            Seconds::U16(Vec::with_capacity(keys))
+        } else {
+            Seconds::U32(Vec::with_capacity(keys))
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Seconds::U16(v) => v.len(),
+            Seconds::U32(v) => v.len(),
+        }
+    }
+
+    /// Bits per token.
+    fn bits(&self) -> u32 {
+        match self {
+            Seconds::U16(_) => 16,
+            Seconds::U32(_) => 32,
+        }
+    }
+
+    #[inline]
+    fn get(&self, key: usize) -> u32 {
+        match self {
+            Seconds::U16(v) => u32::from(v[key]),
+            Seconds::U32(v) => v[key],
+        }
+    }
+
+    /// Append `b`; refuses a token wider than the column.
+    fn push(&mut self, b: u32) -> Result<(), &'static str> {
+        const WIDE: &str = "token wider than its key column";
+        match self {
+            Seconds::U16(v) => v.push(u16::try_from(b).map_err(|_| WIDE)?),
+            Seconds::U32(v) => v.push(b),
+        }
+        Ok(())
+    }
+
+    /// The key in `run` whose second token is `b`.
+    #[inline]
+    fn find(&self, run: Range<usize>, b: u32) -> Option<usize> {
+        match self {
+            Seconds::U16(v) => search(v, run, b),
+            Seconds::U32(v) => search(v, run, b),
+        }
+    }
+
+    fn shrink_to_fit(&mut self) {
+        match self {
+            Seconds::U16(v) => v.shrink_to_fit(),
+            Seconds::U32(v) => v.shrink_to_fit(),
+        }
+    }
+
+    fn resident_bytes(&self) -> usize {
+        let capacity = match self {
+            Seconds::U16(v) => v.capacity(),
+            Seconds::U32(v) => v.capacity(),
+        };
+        capacity * self.bits() as usize / 8
+    }
+}
+
+/// A CSR table of keys over the first token: the keys `(a, _)` are
+/// `starts[a]..starts[a + 1]`, ascending by second token; a key's number
+/// is its place in the table. The second tokens are one byte-aligned
+/// column ([`Seconds`]); the key form's own `N` fields are bit-packed rows
+/// ([`BitRows`]), read once a key is found.
+#[derive(Clone, Debug, Default)]
+struct Keys<const N: usize> {
+    /// `vocabulary + 1` rows once finished, each as wide as the number of
+    /// keys needs (empty when pairs are disabled).
+    starts: BitRows<1>,
+    /// Each key's second token.
+    seconds: Seconds,
+    /// One row per key: the form's fields.
+    rows: BitRows<N>,
+}
+
+impl<const N: usize> Keys<N> {
+    /// An empty table over `vocab` first tokens of `token` bits with room
+    /// for `keys` keys whose rows are `widths`.
+    fn with_capacity(vocab: usize, keys: usize, token: u8, widths: [u8; N]) -> Self {
         Keys {
-            starts: Vec::with_capacity(vocab + 1),
-            seconds: Vec::with_capacity(keys),
+            starts: BitRows::with_capacity([width_of(keys)], vocab + 1),
+            seconds: Seconds::with_capacity(token, keys),
+            rows: BitRows::with_capacity(widths, keys),
         }
     }
 
@@ -331,52 +455,82 @@ impl Keys {
 
     /// The numbers of the keys `(a, _)`. `a` must be below the vocabulary
     /// the table was finished over.
+    #[inline]
     fn run(&self, a: usize) -> Range<usize> {
-        self.starts[a] as usize..self.starts[a + 1] as usize
+        self.starts.get(a, 0) as usize..self.starts.get(a + 1, 0) as usize
     }
 
     /// The number of key `(a, b)`, if the table holds it.
     #[inline]
     fn find(&self, a: usize, b: u32) -> Option<usize> {
-        let run = self.run(a);
-        let at = self.seconds[run.clone()].binary_search(&b).ok()?;
-        Some(run.start + at)
+        self.seconds.find(self.run(a), b)
     }
 
-    /// Append key `(a, b)`, after every key already held.
-    fn push(&mut self, a: u32, b: u32) -> Result<(), &'static str> {
-        let key = u32::try_from(self.seconds.len()).map_err(|_| TOO_LARGE)?;
-        let first = self.starts.len().max(a as usize + 1);
-        self.starts.resize(first, key);
-        self.seconds.push(b);
-        Ok(())
+    /// Append key `(a, b)`, whose row is `row`, after every key already
+    /// held.
+    fn push(&mut self, a: u32, b: u32, row: [u32; N]) -> Result<(), &'static str> {
+        let key = u32::try_from(self.len()).map_err(|_| TOO_LARGE)?;
+        if self.starts.len() <= a as usize {
+            self.starts.extend_to(a as usize + 1, [key])?;
+        }
+        self.rows.push(row)?;
+        self.seconds.push(b)
     }
 
     /// Close the CSR table over `vocab` first tokens and shrink it.
-    fn finish(&mut self, vocab: usize) {
-        let keys = self.seconds.len() as u32;
-        self.starts.resize(vocab + 1, keys);
+    fn finish(&mut self, vocab: usize) -> Result<(), &'static str> {
+        let keys = u32::try_from(self.len()).map_err(|_| TOO_LARGE)?;
+        self.starts.extend_to(vocab + 1, [keys])?;
         self.starts.shrink_to_fit();
         self.seconds.shrink_to_fit();
+        self.rows.shrink_to_fit();
+        Ok(())
+    }
+
+    /// Bits per key: its second token and its row.
+    fn key_bits(&self) -> u32 {
+        self.seconds.bits() + self.rows.row_bits()
     }
 
     fn resident_bytes(&self) -> usize {
-        (self.starts.capacity() + self.seconds.capacity()) * std::mem::size_of::<u32>()
+        self.starts.resident_bytes() + self.seconds.resident_bytes() + self.rows.resident_bytes()
     }
+}
+
+/// The bit width of values up to `max`.
+fn width_of(max: usize) -> u8 {
+    width_for(u32::try_from(max).unwrap_or(u32::MAX))
 }
 
 /// The refusal of an arena past `u32` offsets.
 const TOO_LARGE: &str = "pair arena exceeds u32 offsets";
 
-/// The gap the arena keeps for a list of `len` entries, the first with
-/// gap `gap`, when it stores the list inline: one entry, with a gap a byte
-/// holds.
-fn inline_gap(len: usize, gap: u32) -> Option<u8> {
-    u8::try_from(gap).ok().filter(|_| len == 1)
+/// Whether the arena stores a list of `len` entries, the first with gap
+/// `gap`, inline: one entry, with a gap a byte holds.
+fn is_inline(len: usize, gap: u32) -> bool {
+    len == 1 && (1..=u32::from(u8::MAX)).contains(&gap)
+}
+
+/// Bits per key of each of a [`PairIndex`]'s key tables: the widths its
+/// segment's bounds and maxima need, not machine words. A key's second
+/// token takes 16 bits, or 32 when the vocabulary does not fit 16; its
+/// other fields are bit-packed.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PairRowBits {
+    /// An inline key: second token, node and `gap − 1`.
+    pub inline: u32,
+    /// A list key: second token and first block.
+    pub lists: u32,
+    /// A row of the inline table's `starts`.
+    pub inline_starts: u32,
+    /// A row of the list table's `starts`.
+    pub list_starts: u32,
 }
 
 /// The word-pair auxiliary index over one segment's corpus, stored as one
-/// arena (see the module docs' "Physical layout").
+/// arena (see the module docs' "Physical layout"): two CSR key tables,
+/// each a column of second tokens beside bit-packed rows, the coverage
+/// bitmap, block headers and one byte stream.
 ///
 /// An index built with [`PairConfig::disabled`] (or loaded from an image
 /// without a pair section) is empty and reports every lookup as
@@ -388,20 +542,17 @@ pub struct PairIndex {
     /// disabled or absent).
     config: PairConfig,
     /// The keys of two or more entries (and of one entry whose gap is
-    /// wider than a byte).
-    lists: Keys,
-    /// Per key of `lists`, the index of its first block; plus a sentinel.
-    first_block: Vec<u32>,
+    /// wider than a byte): rows `(first_block)`, key `k`'s blocks running
+    /// to the next key's first block (or to the end of `blocks`).
+    lists: Keys<1>,
     blocks: Vec<PairBlock>,
     /// Packed bytes of every block of two or more entries.
     data: Vec<u8>,
-    /// The keys stored inline: their one entry is `(nodes[k], gaps[k])`.
-    inline: Keys,
-    nodes: Vec<u32>,
-    gaps: Vec<u8>,
-    /// Per-token coverage: `frequent[t]` iff `df(t) ≥ df_cutoff` at build
-    /// time. Empty when the index is disabled.
-    frequent: Vec<bool>,
+    /// The keys stored inline: rows `(node, gap − 1)`.
+    inline: Keys<2>,
+    /// Per-token coverage, one bit per token: set iff `df(t) ≥ df_cutoff`
+    /// at build time. Empty when the index is disabled.
+    frequent: BitRows<1>,
     /// Total pair postings across all lists.
     entries: u64,
 }
@@ -413,13 +564,10 @@ impl Default for PairIndex {
         PairIndex {
             config: PairConfig::disabled(),
             lists: Keys::default(),
-            first_block: Vec::new(),
             blocks: Vec::new(),
             data: Vec::new(),
             inline: Keys::default(),
-            nodes: Vec::new(),
-            gaps: Vec::new(),
-            frequent: Vec::new(),
+            frequent: BitRows::default(),
             entries: 0,
         }
     }
@@ -444,7 +592,7 @@ impl PairIndex {
         if !self.covers(a) || !self.covers(b) {
             return PairLookup::NotCovered;
         }
-        // Covered ⇒ `a < frequent.len()`, so both tables have its run.
+        // Covered ⇒ `a` is below the vocabulary, so both tables have its run.
         if let Some(key) = self.lists.find(a.index(), b.0) {
             PairLookup::List(self.list(key))
         } else if let Some(key) = self.inline.find(a.index(), b.0) {
@@ -456,9 +604,14 @@ impl PairIndex {
 
     /// The list of key number `key` of `lists`.
     fn list(&self, key: usize) -> PairList<'_> {
-        let (from, to) = (self.first_block[key], self.first_block[key + 1]);
+        let from = self.lists.rows.get(key, 0) as usize;
+        let to = if key + 1 < self.lists.len() {
+            self.lists.rows.get(key + 1, 0) as usize
+        } else {
+            self.blocks.len()
+        };
         PairList {
-            blocks: Headers::Run(&self.blocks[from as usize..to as usize]),
+            blocks: Headers::Run(&self.blocks[from..to]),
             data: &self.data,
         }
     }
@@ -466,12 +619,13 @@ impl PairIndex {
     /// The list of key number `key` of `inline`: its entry as the header
     /// of a one-entry block.
     fn inline_list(&self, key: usize) -> PairList<'_> {
+        let rows = &self.inline.rows;
         PairList {
             blocks: Headers::One(PairBlock {
-                max_node: NodeId(self.nodes[key]),
+                max_node: NodeId(rows.get(key, 0)),
                 byte_start: 0,
                 end: 1,
-                min_gap: u32::from(self.gaps[key]),
+                min_gap: rows.get(key, 1) + 1,
             }),
             data: &[],
         }
@@ -479,8 +633,9 @@ impl PairIndex {
 
     /// Whether `token` is within the index's coverage (frequent enough at
     /// build time). False for every token when the index is disabled.
+    #[inline]
     pub fn covers(&self, token: TokenId) -> bool {
-        self.frequent.get(token.index()).copied().unwrap_or(false)
+        token.index() < self.frequent.len() && self.frequent.get(token.index(), 0) == 1
     }
 
     /// The window/cutoff the index was built with.
@@ -511,17 +666,24 @@ impl PairIndex {
         self.entries
     }
 
+    /// Bits per key of each key table, and per row of each `starts`.
+    pub fn row_bits(&self) -> PairRowBits {
+        PairRowBits {
+            inline: self.inline.key_bits(),
+            lists: self.lists.key_bits(),
+            inline_starts: self.inline.starts.row_bits(),
+            list_starts: self.lists.starts.row_bits(),
+        }
+    }
+
     /// Resident bytes: the arena's vectors — both key tables, block
-    /// headers, packed stream, inline entries, and the coverage bitmap.
+    /// headers, packed stream, and the coverage bitmap.
     pub fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
         self.lists.resident_bytes()
             + self.inline.resident_bytes()
-            + (self.first_block.capacity() + self.nodes.capacity()) * size_of::<u32>()
-            + self.blocks.capacity() * size_of::<PairBlock>()
+            + self.blocks.capacity() * std::mem::size_of::<PairBlock>()
             + self.data.capacity()
-            + self.gaps.capacity()
-            + self.frequent.capacity() * size_of::<bool>()
+            + self.frequent.resident_bytes()
     }
 
     /// Iterate `(a, b, list)` in key order (persistence and diagnostics):
@@ -531,47 +693,45 @@ impl PairIndex {
         (0..firsts).flat_map(move |a| {
             let (mut lists, mut inline) = (self.lists.run(a), self.inline.run(a));
             std::iter::from_fn(move || {
-                let head = |keys: &Keys, run: &Range<usize>| {
-                    (!run.is_empty()).then(|| keys.seconds[run.start])
-                };
-                let from_lists = match (head(&self.lists, &lists), head(&self.inline, &inline)) {
+                let list_b = (!lists.is_empty()).then(|| self.lists.seconds.get(lists.start));
+                let inline_b = (!inline.is_empty()).then(|| self.inline.seconds.get(inline.start));
+                let (b, list) = match (list_b, inline_b) {
                     (None, None) => return None,
-                    (Some(l), Some(i)) => l < i,
-                    (l, _) => l.is_some(),
-                };
-                let (b, list) = if from_lists {
-                    let key = lists.next()?;
-                    (self.lists.seconds[key], self.list(key))
-                } else {
-                    let key = inline.next()?;
-                    (self.inline.seconds[key], self.inline_list(key))
+                    (Some(l), Some(i)) if i < l => (i, self.inline_list(inline.next()?)),
+                    (Some(l), _) => (l, self.list(lists.next()?)),
+                    (None, Some(i)) => (i, self.inline_list(inline.next()?)),
                 };
                 Some((TokenId(a as u32), TokenId(b), list))
             })
         })
     }
 
-    /// The coverage bitmap (exposed for persistence).
-    pub(crate) fn coverage(&self) -> &[bool] {
-        &self.frequent
+    /// The coverage bitmap (exposed for persistence): the vocabulary it
+    /// spans and its packed bits, bit `t` of byte `t / 8` for token `t`.
+    pub(crate) fn coverage(&self) -> (usize, &[u8]) {
+        (self.frequent.len(), self.frequent.packed())
     }
 }
 
-/// How many keys of each form, and block headers, an arena will hold.
+/// What an arena will hold — how many keys of each form, how many block
+/// headers, and the largest node of any entry — from which the writer
+/// sizes every vector and picks the width of every packed row.
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct ArenaCapacity {
+pub(crate) struct ArenaShape {
     /// Keys stored with block headers.
     pub(crate) lists: usize,
     /// Block headers of those keys.
     pub(crate) blocks: usize,
     /// Keys stored inline.
     pub(crate) inline: usize,
+    /// The largest node of any entry.
+    pub(crate) max_node: u32,
 }
 
-impl ArenaCapacity {
+impl ArenaShape {
     /// Make room for a list of `len` entries whose first gap is `gap`.
-    fn add(&mut self, len: usize, gap: u32) {
-        if inline_gap(len, gap).is_some() {
+    pub(crate) fn add(&mut self, len: usize, gap: u32) {
+        if is_inline(len, gap) {
             self.inline += 1;
         } else {
             self.lists += 1;
@@ -590,23 +750,27 @@ pub(crate) struct PairArenaWriter {
 }
 
 impl PairArenaWriter {
-    /// An empty arena over `frequent`'s coverage, with room for `capacity`.
-    pub(crate) fn with_capacity(
-        config: PairConfig,
-        frequent: Vec<bool>,
-        capacity: ArenaCapacity,
-    ) -> Self {
+    /// An empty arena over the coverage bitmap `frequent`, holding what
+    /// `shape` describes. Every width comes from a bound or a maximum: a
+    /// second token's column from the vocabulary, a node from the shape,
+    /// `gap − 1` from the window (capped at a byte), a first block from the
+    /// block count, and a CSR start from its table's key count.
+    pub(crate) fn with_shape(config: PairConfig, frequent: BitRows<1>, shape: ArenaShape) -> Self {
         let vocab = frequent.len();
+        let token = width_of(vocab.saturating_sub(1));
+        let gap = width_for(config.window.min(u32::from(u8::MAX)).saturating_sub(1));
         PairArenaWriter {
             index: PairIndex {
                 config,
-                lists: Keys::with_capacity(vocab, capacity.lists),
-                first_block: Vec::with_capacity(capacity.lists + 1),
-                blocks: Vec::with_capacity(capacity.blocks),
+                lists: Keys::with_capacity(vocab, shape.lists, token, [width_of(shape.blocks)]),
+                blocks: Vec::with_capacity(shape.blocks),
                 data: Vec::new(),
-                inline: Keys::with_capacity(vocab, capacity.inline),
-                nodes: Vec::with_capacity(capacity.inline),
-                gaps: Vec::with_capacity(capacity.inline),
+                inline: Keys::with_capacity(
+                    vocab,
+                    shape.inline,
+                    token,
+                    [width_for(shape.max_node), gap],
+                ),
                 frequent,
                 entries: 0,
             },
@@ -631,8 +795,9 @@ impl PairArenaWriter {
     /// increasing, gaps in `1..=window`): inline when it has one entry
     /// with a gap a byte holds, otherwise as blocks. Refuses a key outside
     /// the coverage bitmap or not covered, a key with no entries, a key
-    /// not after the previous one, and an arena past `u32` offsets — none
-    /// of which the builder emits, so each is a corrupt persisted section.
+    /// not after the previous one, a value wider than the arena's shape
+    /// gave its row, and an arena past `u32` offsets — none of which the
+    /// builder emits, so each is a corrupt persisted section.
     pub(crate) fn push_list(
         &mut self,
         a: u32,
@@ -657,21 +822,19 @@ impl PairArenaWriter {
         let Some(&(node, gap)) = entries.first() else {
             return Err("pair key with no entries");
         };
-        self.last = Some((a, b));
         let ix = &mut self.index;
         // `a` is covered, so a table's `push` fills at most
         // `frequent.len()` CSR slots.
-        if let Some(gap) = inline_gap(entries.len(), gap) {
-            ix.inline.push(a, b)?;
-            ix.nodes.push(node);
-            ix.gaps.push(gap);
+        if is_inline(entries.len(), gap) {
+            ix.inline.push(a, b, [node, gap - 1])?;
             ix.entries += 1;
+            self.last = Some((a, b));
             return Ok(());
         }
         let first_block = u32::try_from(ix.blocks.len()).map_err(|_| TOO_LARGE)?;
         u32::try_from(entries.len()).map_err(|_| TOO_LARGE)?;
-        ix.lists.push(a, b)?;
-        ix.first_block.push(first_block);
+        ix.lists.push(a, b, [first_block])?;
+        self.last = Some((a, b));
         for (i, chunk) in entries.chunks(BLOCK_ENTRIES).enumerate() {
             let byte_start = u32::try_from(ix.data.len()).map_err(|_| TOO_LARGE)?;
             let last = chunk[chunk.len() - 1];
@@ -691,21 +854,16 @@ impl PairArenaWriter {
         Ok(())
     }
 
-    /// Close the CSR tables and the block index, and shrink every vector
-    /// to its length.
-    pub(crate) fn finish(self) -> PairIndex {
+    /// Close the CSR tables, and shrink every vector to its length.
+    pub(crate) fn finish(self) -> Result<PairIndex, &'static str> {
         let mut ix = self.index;
         let vocab = ix.frequent.len();
-        ix.lists.finish(vocab);
-        ix.inline.finish(vocab);
-        ix.first_block.push(ix.blocks.len() as u32);
-        ix.first_block.shrink_to_fit();
+        ix.lists.finish(vocab)?;
+        ix.inline.finish(vocab)?;
         ix.blocks.shrink_to_fit();
         ix.data.shrink_to_fit();
-        ix.nodes.shrink_to_fit();
-        ix.gaps.shrink_to_fit();
         ix.frequent.shrink_to_fit();
-        ix
+        Ok(ix)
     }
 }
 
@@ -793,15 +951,30 @@ mod tests {
         corpus.token_id(s).unwrap()
     }
 
+    /// The coverage bitmap of `flags`.
+    fn bits(flags: &[bool]) -> BitRows<1> {
+        let mut bits = BitRows::zeroed([1], flags.len());
+        for (t, _) in flags.iter().enumerate().filter(|&(_, &f)| f) {
+            bits.set(t, 0, 1);
+        }
+        bits
+    }
+
+    /// Field `field` of every row of `rows`.
+    fn column<const N: usize>(rows: &BitRows<N>, field: usize) -> Vec<u32> {
+        (0..rows.len()).map(|i| rows.get(i, field)).collect()
+    }
+
     /// A two-token arena holding `entries` as key `(0, 1)`.
     fn arena_of(entries: &[(u32, u32)]) -> PairIndex {
-        let mut arena = PairArenaWriter::with_capacity(
-            PairConfig::default(),
-            vec![true; 2],
-            ArenaCapacity::default(),
-        );
+        let mut shape = ArenaShape {
+            max_node: entries[entries.len() - 1].0,
+            ..ArenaShape::default()
+        };
+        shape.add(entries.len(), entries[0].1);
+        let mut arena = PairArenaWriter::with_shape(PairConfig::default(), bits(&[true; 2]), shape);
         arena.push_list(0, 1, entries).expect("valid list");
-        arena.finish()
+        arena.finish().expect("the shape holds the list")
     }
 
     fn list_of(index: &PairIndex) -> PairList<'_> {
@@ -1027,12 +1200,12 @@ mod tests {
 
     #[test]
     fn keys_outside_coverage_are_refused() {
-        let mut arena = PairArenaWriter::with_capacity(
-            PairConfig::default(),
-            vec![true, false, true],
-            ArenaCapacity::default(),
-        );
         let one = [(0, 1)];
+        let mut shape = ArenaShape::default();
+        shape.add(1, 1);
+        shape.add(1, 1);
+        let coverage = bits(&[true, false, true]);
+        let mut arena = PairArenaWriter::with_shape(PairConfig::default(), coverage, shape);
         assert!(arena.push_list(u32::MAX, 0, &one).is_err());
         assert!(arena.push_list(0, 3, &one).is_err());
         assert!(arena.push_list(1, 0, &one).is_err());
@@ -1042,10 +1215,21 @@ mod tests {
         assert!(arena.push_list(0, 2, &one).is_err(), "duplicate key");
         assert!(arena.push_list(0, 0, &one).is_err(), "descending key");
         arena.push_list(2, 0, &one).expect("covered key");
-        let index = arena.finish();
-        assert_eq!(index.inline.starts, vec![0, 1, 1, 2]);
-        assert_eq!(index.lists.starts, vec![0; 4]);
+        let index = arena.finish().expect("the shape holds both keys");
+        assert_eq!(column(&index.inline.starts, 0), vec![0, 1, 1, 2]);
+        assert_eq!(column(&index.lists.starts, 0), vec![0; 4]);
         assert_eq!(index.num_keys(), 2);
+
+        // A value wider than the shape gave its row field is refused.
+        let narrow = || PairArenaWriter::with_shape(PairConfig::default(), bits(&[true; 3]), shape);
+        assert!(
+            narrow().push_list(0, 1, &[(1, 1)]).is_err(),
+            "node past the shape"
+        );
+        assert!(
+            narrow().push_list(0, 1, &[(0, 17)]).is_err(),
+            "gap past the window"
+        );
     }
 
     #[test]
@@ -1065,41 +1249,69 @@ mod tests {
             })
             .collect();
         let texts: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let (_, pairs) = build_for(&texts, PairConfig::default());
+        let (corpus, pairs) = build_for(&texts, PairConfig::default());
         assert!(pairs.lists.len() > 100);
         assert!(pairs.inline.len() > 100);
-        let vectors = [
-            (pairs.lists.starts.capacity(), pairs.lists.starts.len(), 4),
-            (pairs.lists.seconds.capacity(), pairs.lists.seconds.len(), 4),
-            (pairs.first_block.capacity(), pairs.first_block.len(), 4),
-            (pairs.blocks.capacity(), pairs.blocks.len(), 16),
-            (pairs.data.capacity(), pairs.data.len(), 1),
-            (pairs.inline.starts.capacity(), pairs.inline.starts.len(), 4),
-            (
-                pairs.inline.seconds.capacity(),
-                pairs.inline.seconds.len(),
-                4,
-            ),
-            (pairs.nodes.capacity(), pairs.nodes.len(), 4),
-            (pairs.gaps.capacity(), pairs.gaps.len(), 1),
-            (pairs.frequent.capacity(), pairs.frequent.len(), 1),
-        ];
-        assert_eq!(std::mem::size_of::<PairBlock>(), 16);
+        let vocab = corpus.interner().len();
+        // Widths: second tokens the whole bytes the vocabulary needs, nodes
+        // from the largest node of any entry, `gap − 1` from the window,
+        // first blocks from the block count, starts from each table's key
+        // count.
+        assert!(vocab < 1 << 16);
+        let token = 16;
+        let blocks = u32::from(width_of(pairs.blocks.len()));
+        let entries = pairs.iter().flat_map(|(_, _, list)| list.to_entries());
+        let node = u32::from(width_for(entries.map(|(node, _)| node).max().unwrap()));
         assert_eq!(
-            pairs.resident_bytes(),
-            vectors
-                .iter()
-                .map(|&(cap, _, size)| cap * size)
-                .sum::<usize>()
+            pairs.row_bits(),
+            PairRowBits {
+                inline: token + node + 4,
+                lists: token + blocks,
+                inline_starts: u32::from(width_of(pairs.inline.len())),
+                list_starts: u32::from(width_of(pairs.lists.len())),
+            }
         );
-        for (cap, len, _) in vectors {
-            assert_eq!(cap, len, "the arena is shrunk to fit");
+        let packed = |bits: usize| bits.div_ceil(8) + 8;
+        let tables = [
+            (
+                &pairs.lists.starts,
+                (vocab + 1) * width_of(pairs.lists.len()) as usize,
+            ),
+            (
+                &pairs.inline.starts,
+                (vocab + 1) * width_of(pairs.inline.len()) as usize,
+            ),
+            (&pairs.frequent, vocab),
+        ];
+        let mut want = pairs.blocks.len() * std::mem::size_of::<PairBlock>() + pairs.data.len();
+        for (table, bits) in tables {
+            assert_eq!(table.resident_bytes(), packed(bits), "shrunk to fit");
+            want += packed(bits);
         }
-        assert_eq!(pairs.lists.starts.len(), pairs.frequent.len() + 1);
-        assert_eq!(pairs.inline.starts.len(), pairs.frequent.len() + 1);
-        assert_eq!(pairs.first_block.len(), pairs.lists.len() + 1);
-        assert_eq!(pairs.nodes.len(), pairs.inline.len());
-        assert_eq!(pairs.gaps.len(), pairs.inline.len());
+        for (table, rows) in [
+            (
+                pairs.lists.rows.resident_bytes(),
+                pairs.lists.len() * blocks as usize,
+            ),
+            (
+                pairs.inline.rows.resident_bytes(),
+                pairs.inline.len() * (node + 4) as usize,
+            ),
+        ] {
+            assert_eq!(table, packed(rows), "shrunk to fit");
+            want += packed(rows);
+        }
+        for seconds in [&pairs.lists.seconds, &pairs.inline.seconds] {
+            assert_eq!(seconds.resident_bytes(), 2 * seconds.len(), "shrunk to fit");
+            want += 2 * seconds.len();
+        }
+        assert_eq!(std::mem::size_of::<PairBlock>(), 16);
+        assert_eq!(pairs.blocks.capacity(), pairs.blocks.len());
+        assert_eq!(pairs.data.capacity(), pairs.data.len());
+        assert_eq!(pairs.resident_bytes(), want);
+        assert_eq!(pairs.lists.starts.len(), vocab + 1);
+        assert_eq!(pairs.inline.starts.len(), vocab + 1);
+        assert_eq!(pairs.frequent.len(), vocab);
         assert_eq!(pairs.num_keys(), pairs.lists.len() + pairs.inline.len());
     }
 
@@ -1107,10 +1319,9 @@ mod tests {
     fn one_entry_keys_are_stored_inline() {
         let index = arena_of(&[(7, 3)]);
         assert!(index.blocks.is_empty() && index.data.is_empty());
-        assert_eq!(
-            (index.nodes.as_slice(), index.gaps.as_slice()),
-            (&[7][..], &[3][..])
-        );
+        let rows = &index.inline.rows;
+        assert_eq!((rows.len(), rows.get(0, 0), rows.get(0, 1)), (1, 7, 2));
+        assert_eq!(index.inline.seconds, Seconds::U16(vec![1]));
         assert_eq!(index.num_single_document_keys(), 1);
         let list = list_of(&index);
         assert_eq!((list.num_entries(), list.num_blocks()), (1, 1));
@@ -1138,6 +1349,181 @@ mod tests {
         assert!(wide.inline.len() == 0 && wide.blocks.len() == 1);
         assert_eq!(wide.num_single_document_keys(), 1);
         assert_eq!(list_of(&wide).to_entries(), vec![(7, 300)]);
+    }
+
+    /// A corpus over the tokens `names`, one document per `(token, offset)`
+    /// list, after `skip` empty documents.
+    fn corpus_at(names: &[&str], skip: usize, docs: &[&[(usize, u32)]]) -> Corpus {
+        let mut corpus = Corpus::from_texts(&vec![""; skip]);
+        let ids: Vec<TokenId> = names.iter().map(|n| corpus.intern(n)).collect();
+        for (d, doc) in docs.iter().enumerate() {
+            let tokens = doc
+                .iter()
+                .map(|&(t, offset)| (ids[t], ftsl_model::Position::flat(offset)))
+                .collect();
+            corpus.add_tokens(format!("doc{d}"), tokens);
+        }
+        corpus
+    }
+
+    /// Build `corpus`'s index under `config` and check its packed rows:
+    /// `lookup` of every covered `(a, b)` against [`min_forward_gaps`],
+    /// `iter()` against those lookups, and the decoded image against both.
+    /// Returns the pair index.
+    fn check_rows(corpus: &Corpus, config: PairConfig) -> PairIndex {
+        let index = crate::builder::IndexBuilder::new()
+            .pair_config(config)
+            .build(corpus);
+        let pairs = index.pairs();
+        let vocab = corpus.interner().len() as u32;
+        let mut want = Vec::new();
+        for a in (0..vocab).map(TokenId) {
+            for b in (0..vocab).map(TokenId) {
+                let got = match pairs.lookup(a, b) {
+                    PairLookup::List(list) => list.to_entries(),
+                    PairLookup::Empty => Vec::new(),
+                    PairLookup::NotCovered => {
+                        assert!(!pairs.covers(a) || !pairs.covers(b));
+                        continue;
+                    }
+                };
+                let (la, lb) = (index.block_list(a), index.block_list(b));
+                let oracle = min_forward_gaps(la, lb, config.window, &mut AccessCounters::new());
+                assert_eq!(got, oracle, "pair ({}, {})", a.0, b.0);
+                if !got.is_empty() {
+                    want.push((a, b, got));
+                }
+            }
+        }
+        let lists = |pairs: &PairIndex| -> Vec<_> {
+            pairs
+                .iter()
+                .map(|(a, b, list)| (a, b, list.to_entries()))
+                .collect()
+        };
+        assert_eq!(lists(pairs), want);
+        let decoded = crate::persist::decode(crate::persist::encode(&index)).expect("decodes");
+        assert_eq!(lists(decoded.pairs()), want);
+        assert_eq!(decoded.pairs().resident_bytes(), pairs.resident_bytes());
+        assert_eq!(decoded.pairs().row_bits(), pairs.row_bits());
+        pairs.clone()
+    }
+
+    #[test]
+    fn packed_rows_answer_what_the_oracle_answers() {
+        // 40 tokens, each document a run of them: hundreds of one-document
+        // keys in 21-bit inline rows (17-bit nodes, 4-bit gaps) beside
+        // their 16-bit second tokens, many rows straddling a `u64` word,
+        // with node ids past 2¹⁶.
+        let names: Vec<String> = (0..40).map(|t| format!("t{t}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let runs: Vec<Vec<(usize, u32)>> = (0..24)
+            .map(|_| {
+                (0..12)
+                    .map(|i| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        ((state % 40) as usize, i * 2)
+                    })
+                    .collect()
+            })
+            .collect();
+        let runs: Vec<&[(usize, u32)]> = runs.iter().map(Vec::as_slice).collect();
+        let high = check_rows(&corpus_at(&names, 70_000, &runs), PairConfig::default());
+        let rows = &high.inline.rows;
+        assert_eq!(rows.row_bits(), 17 + 4);
+        assert_eq!(high.row_bits().inline, 16 + 17 + 4);
+        assert!((0..rows.len()).any(|k| rows.get(k, 0) >= 1 << 16));
+        let row = rows.row_bits() as usize;
+        let straddles = (0..rows.len()).filter(|&k| (k * row) / 64 != ((k + 1) * row - 1) / 64);
+        assert!(straddles.count() > 10);
+
+        // Window 1 over the same runs, adjacent: `gap − 1` is always 0 and
+        // takes no bits.
+        let runs: Vec<Vec<(usize, u32)>> = runs
+            .iter()
+            .map(|run| run.iter().map(|&(t, offset)| (t, offset / 2)).collect())
+            .collect();
+        let runs: Vec<&[(usize, u32)]> = runs.iter().map(Vec::as_slice).collect();
+        let config = PairConfig {
+            window: 1,
+            df_cutoff: 0,
+        };
+        let adjacent = check_rows(&corpus_at(&names, 0, &runs), config);
+        assert_eq!(adjacent.row_bits().inline, 16 + 5);
+        assert!(adjacent.inline.len() > 100);
+
+        // Windows 255 and 300, one document with gaps 255 and 280: at 255
+        // both keys are inline in 8-bit gaps; at 300 the key of gap 280
+        // keeps a block, and the other stays inline.
+        let far: &[&[(usize, u32)]] = &[&[(0, 0), (1, 255), (2, 535)]];
+        let corpus = corpus_at(&["a", "b", "c"], 0, far);
+        let narrow = check_rows(
+            &corpus,
+            PairConfig {
+                window: 255,
+                df_cutoff: 0,
+            },
+        );
+        assert_eq!((narrow.inline.len(), narrow.lists.len()), (1, 0));
+        assert_eq!(narrow.row_bits().inline, 16 + 8);
+        let wide = check_rows(
+            &corpus,
+            PairConfig {
+                window: 300,
+                df_cutoff: 0,
+            },
+        );
+        assert_eq!((wide.inline.len(), wide.lists.len()), (1, 1));
+        assert_eq!(wide.num_single_document_keys(), 2);
+        assert_eq!(wide.row_bits().inline, 16 + 8);
+
+        // A one-token vocabulary, inline (one document, a row of no node
+        // bits) and as a list (two).
+        let one = check_rows(&Corpus::from_texts(&["a a a"]), all_pairs());
+        assert_eq!((one.inline.len(), one.row_bits().inline), (1, 16 + 2));
+        let two = check_rows(&Corpus::from_texts(&["a a", "a a"]), all_pairs());
+        assert_eq!((two.lists.len(), two.row_bits().lists), (1, 16 + 1));
+
+        // The last vocabulary id is first and second in keys, in both
+        // tables: its run is the last of each `starts`.
+        let texts = ["a b c", "c z a z", "c z a z", "z a"];
+        let last = check_rows(&Corpus::from_texts(&texts), all_pairs());
+        let z = TokenId(3);
+        assert!(last.lists.run(3).len() + last.inline.run(3).len() >= 2);
+        assert!(last.iter().any(|(a, b, _)| a == z && b == z));
+        assert!(matches!(last.lookup(z, TokenId(0)), PairLookup::List(_)));
+    }
+
+    #[test]
+    fn second_token_columns_find_every_token_they_hold() {
+        for (width, bits) in [(0, 16), (9, 16), (16, 16), (17, 32), (32, 32)] {
+            let max = if width == 0 {
+                0
+            } else {
+                u32::MAX >> (32 - width)
+            };
+            let mut column = Seconds::with_capacity(width, 0);
+            let mut held = vec![0, 1.min(max), max / 3, max / 2, max.saturating_sub(1), max];
+            held.dedup();
+            for &t in &held {
+                column.push(t).expect("fits");
+            }
+            assert_eq!(column.bits(), bits);
+            for (key, &t) in held.iter().enumerate() {
+                assert_eq!(column.get(key), t);
+                assert_eq!(column.find(0..held.len(), t), Some(key), "w {width}");
+                assert_eq!(column.find(key + 1..held.len(), t), None);
+            }
+            if bits < 32 {
+                let wide = 1 << bits;
+                assert!(column.push(wide).is_err());
+                assert_eq!(column.find(0..held.len(), wide), None);
+            }
+            assert_eq!(column.find(1..1, 0), None);
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The pair build behind every seal, flush and merge: see the module docs
 //! of [`crate::pair`], "Building".
 
-use super::{ArenaCapacity, PairArenaWriter, PairConfig, PairIndex};
+use super::{ArenaShape, PairArenaWriter, PairConfig, PairIndex};
 use crate::bitpack;
+use crate::bitrows::BitRows;
 use crate::local::LocalTokens;
 use ftsl_model::Document;
 
@@ -33,9 +34,9 @@ impl PairIndex {
 
 /// A build's covered tokens, numbered densely in token order.
 struct Coverage {
-    /// The coverage bitmap the index keeps: `frequent[t]` iff `df(t)` is
+    /// The coverage bitmap the index keeps: bit `t` is set iff `df(t)` is
     /// at least the cutoff.
-    frequent: Vec<bool>,
+    frequent: BitRows<1>,
     /// Per local id, its token's number among the covered tokens, or
     /// [`NOT_COVERED`].
     number: Vec<u32>,
@@ -52,13 +53,16 @@ impl Coverage {
     /// use has df 0, so it is covered iff the cutoff is 0.
     fn of(tokens: &LocalTokens, dfs: &[u32], vocab: usize, cutoff: u32) -> Coverage {
         let mut coverage = Coverage {
-            frequent: vec![cutoff == 0; vocab],
+            frequent: BitRows::with_capacity([1], vocab),
             number: vec![NOT_COVERED; tokens.len()],
             ids: Vec::new(),
         };
+        (coverage.frequent)
+            .extend_to(vocab, [u32::from(cutoff == 0)])
+            .expect("a flag fits one bit");
         for (&(token, local), &df) in tokens.used.iter().zip(dfs) {
             if df >= cutoff {
-                coverage.frequent[token as usize] = true;
+                coverage.frequent.set(token as usize, 0, 1);
                 coverage.number[local as usize] = coverage.ids.len() as u32;
                 coverage.ids.push(token);
             }
@@ -74,10 +78,10 @@ impl Coverage {
 /// posting names its tokens by their [`Coverage`] numbers, which follow
 /// token order, so the grouping below costs the covered tokens rather than
 /// the vocabulary. Two stable counting passes then group the postings by
-/// key: by second token, then by first, counting the arena's capacity as
-/// each key's run closes. Each pass keeps the order it is given, so every
-/// key's run comes out in node order and is appended to the arena as it
-/// stands. Only two posting buffers are allocated: the document pass's,
+/// key: by second token, then by first, adding each key's run to the
+/// arena's shape as it closes. Each pass keeps the order it is given, so
+/// every key's run comes out in node order and is appended to the arena as
+/// it stands. Only two posting buffers are allocated: the document pass's,
 /// which the by-first pass refills, and the by-second pass's, sized
 /// exactly.
 fn build_arena<W: Word>(
@@ -126,6 +130,9 @@ fn build_arena<W: Word>(
         }
         start = end;
     }
+    // Documents are in node order: the last with a posting has the largest
+    // node of any entry.
+    let max_node = doc_ends.last().map_or(0, |&(node, _)| node);
     drop(doc_ends);
 
     // By first token; the second comes from the bucket. `seconds[b]` is now
@@ -136,7 +143,10 @@ fn build_arena<W: Word>(
     // zeroed.
     let mut grouped = postings;
     bucket_starts(&mut firsts);
-    let mut capacity = ArenaCapacity::default();
+    let mut shape = ArenaShape {
+        max_node,
+        ..ArenaShape::default()
+    };
     let mut open = vec![OpenRun::default(); width];
     for (b, bucket) in buckets(&by_second, &seconds).enumerate() {
         let b = b as u32 + 1;
@@ -150,7 +160,7 @@ fn build_arena<W: Word>(
                 run.len += 1;
             } else {
                 if run.second != 0 {
-                    capacity.add(run.len as usize, run.gap + 1);
+                    shape.add(run.len as usize, run.gap + 1);
                 }
                 *run = OpenRun {
                     second: b,
@@ -161,14 +171,14 @@ fn build_arena<W: Word>(
         }
     }
     for run in open.iter().filter(|run| run.second != 0) {
-        capacity.add(run.len as usize, run.gap + 1);
+        shape.add(run.len as usize, run.gap + 1);
     }
     drop((open, by_second, seconds));
 
     // `firsts[a]` is now where bucket `a` ends; inside it, each run of one
     // second token is one key.
     let ids = coverage.ids;
-    let mut arena = PairArenaWriter::with_capacity(config, coverage.frequent, capacity);
+    let mut arena = PairArenaWriter::with_shape(config, coverage.frequent, shape);
     let mut list: Vec<(u32, u32)> = Vec::new();
     for (&a, bucket) in ids.iter().zip(buckets(&grouped, &firsts)) {
         for run in bucket.chunk_by(|x, y| x.unpack(in_bucket).0 == y.unpack(in_bucket).0) {
@@ -183,7 +193,9 @@ fn build_arena<W: Word>(
                 .expect("built lists are non-empty and fit u32 offsets");
         }
     }
-    arena.finish()
+    arena
+        .finish()
+        .expect("the arena holds the shape it was made for")
 }
 
 /// The run of one first token being filled by the by-first pass: its

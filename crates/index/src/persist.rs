@@ -46,11 +46,13 @@
 //!   structural invariant; it is then served from those same bytes, and
 //!   the encoder writes each list view back as its record. The pair
 //!   section is stored the same way, one list per key, while a segment
-//!   keeps all of them in one arena ([`crate::pair`]) — on load each
-//!   stored list is validated and appended to the arena, and the encoder
-//!   writes each list back in its stored form, so images do not change.
-//!   Decoding reserves nothing from a count the remaining bytes have not
-//!   bounded, and grows each arena by amortized doubling, not per list.
+//!   keeps all of them in one arena ([`crate::pair`]) — on load the
+//!   section's headers are read once for the arena's shape (key and block
+//!   counts, largest node), then each stored list is validated and
+//!   appended to the arena, and the encoder writes each list back in its
+//!   stored form, so images do not change. Decoding reserves nothing from
+//!   a count the remaining bytes have not bounded, and grows each posting
+//!   arena by amortized doubling, not per list.
 //!   v1–v6 buffers are
 //!   rejected with `BadVersion(..)`; there is no migration path because
 //!   older images can be regenerated from their corpora.
@@ -79,11 +81,12 @@
 //!   data_len:u32  data:[u8]          (pair block encoding, see FORMAT.md)
 //! ```
 
+use crate::bitrows::BitRows;
 use crate::block::{BlockList, BlockMeta, PostingArenaWriter, BLOCK_ENTRIES};
 use crate::cursor::BlockHeader;
 use crate::frame;
 use crate::index::InvertedIndex;
-use crate::pair::{pack_block, ArenaCapacity, PairArenaWriter, PairBlock, PairConfig, PairIndex};
+use crate::pair::{pack_block, ArenaShape, PairArenaWriter, PairBlock, PairConfig, PairIndex};
 use crate::stats::IndexStats;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ftsl_model::NodeId;
@@ -163,25 +166,14 @@ fn encode_sections(buf: &mut BytesMut, index: &InvertedIndex) {
 }
 
 fn encode_pair_section(pairs: &PairIndex) -> BytesMut {
-    let frequent = pairs.coverage();
+    let (vocab, frequent) = pairs.coverage();
     let config = pairs.config();
     let mut buf = BytesMut::new();
     buf.put_u32_le(config.window);
     buf.put_u32_le(config.df_cutoff);
-    buf.put_u32_le(frequent.len() as u32);
-    let mut byte = 0u8;
-    for (i, &covered) in frequent.iter().enumerate() {
-        if covered {
-            byte |= 1 << (i % 8);
-        }
-        if i % 8 == 7 {
-            buf.put_u8(byte);
-            byte = 0;
-        }
-    }
-    if !frequent.len().is_multiple_of(8) {
-        buf.put_u8(byte);
-    }
+    buf.put_u32_le(vocab as u32);
+    // The resident bitmap's packed bytes are the stored ones.
+    buf.put_slice(frequent);
     buf.put_u32_le(pairs.num_keys() as u32);
     // One stored list's buffers, reused from key to key.
     let mut stored = StoredPairList::default();
@@ -398,38 +390,14 @@ fn decode_pair_section(mut buf: &[u8]) -> Result<PairIndex, PersistError> {
             return Err(PersistError::Corrupt("stray bits in pair coverage bitmap"));
         }
     }
-    let frequent: Vec<bool> = (0..vocab)
-        .map(|i| bitmap[i / 8] >> (i % 8) & 1 == 1)
-        .collect();
+    let frequent = BitRows::from_packed([1], vocab, &bitmap);
     let num_keys = get_count(buf, PAIR_KEY_MIN_BYTES)?;
-    // Most keys hold one entry, and the arena stores those inline.
     let config = PairConfig { window, df_cutoff };
-    let capacity = ArenaCapacity {
-        inline: num_keys,
-        ..ArenaCapacity::default()
-    };
-    let mut arena = PairArenaWriter::with_capacity(config, frequent, capacity);
+    let shape = pair_shape(buf, num_keys);
+    let mut arena = PairArenaWriter::with_shape(config, frequent, shape);
+    let mut stored = StoredPairList::default();
     for _ in 0..num_keys {
-        let a = get_u32(buf)?;
-        let b = get_u32(buf)?;
-        let entries = get_u32(buf)?;
-        let num_blocks = get_count(buf, BLOCK_META_BYTES)?;
-        let mut metas = Vec::with_capacity(num_blocks);
-        for _ in 0..num_blocks {
-            metas.push(StoredPairBlock {
-                max_node: get_u32(buf)?,
-                byte_start: get_u32(buf)?,
-                first_entry: get_u32(buf)?,
-                min_gap: get_u32(buf)?,
-            });
-        }
-        let data_len = get_u32(buf)? as usize;
-        let data = get_bytes(buf, data_len)?;
-        let stored = StoredPairList {
-            metas,
-            data,
-            entries,
-        };
+        let (a, b) = read_pair_record(buf, &mut stored)?;
         let entries = stored
             .try_to_entries(window)
             .map_err(PersistError::Corrupt)?;
@@ -440,7 +408,58 @@ fn decode_pair_section(mut buf: &[u8]) -> Result<PairIndex, PersistError> {
     if buf.remaining() != 0 {
         return Err(PersistError::Corrupt("trailing bytes in pair section"));
     }
-    Ok(arena.finish())
+    arena.finish().map_err(PersistError::Corrupt)
+}
+
+/// Read the next `<pair list>` record of `buf` into `record`, keeping its
+/// buffers, and return its key `(token_a, token_b)`. The record is not
+/// validated beyond its lengths; [`StoredPairList::try_to_entries`] does
+/// that.
+fn read_pair_record(
+    buf: &mut impl Buf,
+    record: &mut StoredPairList,
+) -> Result<(u32, u32), PersistError> {
+    let a = get_u32(buf)?;
+    let b = get_u32(buf)?;
+    record.entries = get_u32(buf)?;
+    let num_blocks = get_count(buf, BLOCK_META_BYTES)?;
+    record.metas.clear();
+    for _ in 0..num_blocks {
+        record.metas.push(StoredPairBlock {
+            max_node: get_u32(buf)?,
+            byte_start: get_u32(buf)?,
+            first_entry: get_u32(buf)?,
+            min_gap: get_u32(buf)?,
+        });
+    }
+    let data_len = get_u32(buf)? as usize;
+    record.data.clear();
+    get_bytes_into(buf, data_len, &mut record.data)?;
+    Ok((a, b))
+}
+
+/// The shape of the arena the next `num_keys` key records of `buf` fill
+/// ([`ArenaShape`]): one walk over their entry counts and block headers.
+/// The records are untrusted here, so the walk stops at the first one it
+/// cannot read — the load reports that record — and bounds each record's
+/// length by its headers, which the section's bytes bound. Each list is
+/// checked again as it is appended; for a section that checks out, the
+/// shape is the one the build gave the arena, so its rows have the same
+/// widths and its vectors the same capacities.
+fn pair_shape(mut buf: &[u8], num_keys: usize) -> ArenaShape {
+    let mut shape = ArenaShape::default();
+    let mut record = StoredPairList::default();
+    for _ in 0..num_keys {
+        if read_pair_record(&mut buf, &mut record).is_err() {
+            break;
+        }
+        let (metas, entries) = (&record.metas, record.entries as usize);
+        let gap = metas.first().map_or(0, |m| m.min_gap);
+        shape.add(entries.min(metas.len() * BLOCK_ENTRIES), gap);
+        let node = metas.last().map_or(0, |m| m.max_node);
+        shape.max_node = shape.max_node.max(node);
+    }
+    shape
 }
 
 /// Append one stored list record to the arena, which keeps it only once

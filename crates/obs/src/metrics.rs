@@ -1,4 +1,4 @@
-//! Lock-free metrics: counters, gauges, log-bucketed histograms, and a
+//! Lock-free metrics: counters, gauges, log-linear histograms, and a
 //! registry that exports them as Prometheus text or JSON.
 //!
 //! All recording paths are single relaxed atomic operations — safe to call
@@ -50,29 +50,46 @@ impl Gauge {
     }
 }
 
-/// Number of histogram buckets: one per bit-width of the recorded value.
+/// Values below this each have a bucket of their own.
+const EXACT: u64 = 16;
+
+/// Sub-buckets per octave (`[2^e, 2^(e+1))`) at and above [`EXACT`].
+const SUB_BUCKETS: usize = 8;
+
+/// Number of histogram buckets: log-linear, exact below 16, then 8 equal
+/// sub-buckets per octave up to `u64::MAX`.
 ///
-/// Bucket 0 holds exactly the value 0; bucket `i >= 1` holds values in
-/// `[2^(i-1), 2^i - 1]`. Relative quantile error is bounded by 2×, which is
-/// plenty for latency percentiles, and bucket indexing is a single
-/// `leading_zeros` — no search, no configuration.
-pub const BUCKETS: usize = 65;
+/// Bucket `i < 16` holds exactly the value `i`. Above that, octave
+/// `[2^e, 2^(e+1))` (`e = 4..=63`) is cut into 8 buckets `2^(e-3)` wide, so
+/// a bucket's upper bound is at most 1.125× any value in it: that bounds
+/// the relative quantile error. Bucket indexing is a `leading_zeros` and a
+/// shift — no search, no configuration.
+pub const BUCKETS: usize = EXACT as usize + (64 - 4) * SUB_BUCKETS;
 
 /// Inclusive `[lo, hi]` value range covered by bucket `i`.
 pub fn bucket_bounds(i: usize) -> (u64, u64) {
-    match i {
-        0 => (0, 0),
-        64 => (1 << 63, u64::MAX),
-        _ => (1 << (i - 1), (1 << i) - 1),
+    if i < EXACT as usize {
+        return (i as u64, i as u64);
     }
+    let j = i - EXACT as usize;
+    // Octave `[2^e, 2^(e+1))`, sub-bucket `sub` of it, `2^(e-3)` wide.
+    let (e, sub) = (j / SUB_BUCKETS + 4, (j % SUB_BUCKETS) as u64);
+    let lo = (SUB_BUCKETS as u64 + sub) << (e - 3);
+    (lo, lo + ((1u64 << (e - 3)) - 1))
 }
 
 #[inline]
 fn bucket_of(v: u64) -> usize {
-    (64 - v.leading_zeros()) as usize
+    if v < EXACT {
+        return v as usize;
+    }
+    let e = 63 - v.leading_zeros() as usize;
+    // The three bits below the leading one pick the sub-bucket.
+    let sub = (v >> (e - 3)) as usize & (SUB_BUCKETS - 1);
+    EXACT as usize + (e - 4) * SUB_BUCKETS + sub
 }
 
-/// Lock-free log₂-bucketed histogram.
+/// Lock-free log-linear-bucketed histogram ([`BUCKETS`]).
 ///
 /// `record` is three relaxed atomic RMWs; snapshots are mergeable across
 /// worker threads and over time.
@@ -157,7 +174,8 @@ impl HistogramSnapshot {
     /// Upper bound of the bucket holding the `q`-quantile observation
     /// (clamped by the exact recorded maximum). Returns 0 on an empty
     /// histogram. The true quantile lies within the returned bucket's
-    /// range, i.e. the estimate is at most 2× the true value.
+    /// range, i.e. the estimate is exact below 16 and at most 1.125× the
+    /// true value above.
     pub fn quantile(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
@@ -189,7 +207,7 @@ impl HistogramSnapshot {
 
 /// One exported metric sample.
 ///
-/// The `Histogram` variant inlines its ~0.5 KB snapshot rather than
+/// The `Histogram` variant inlines its ~4 KB snapshot rather than
 /// boxing it: samples only exist transiently during a scrape, never in
 /// bulk.
 #[derive(Clone, Debug)]
@@ -342,7 +360,7 @@ mod tests {
 
     #[test]
     fn record_lands_in_its_bucket() {
-        for v in [0u64, 1, 2, 3, 4, 1023, 1024, u64::MAX] {
+        for v in [0u64, 1, 2, 3, 4, 15, 16, 17, 31, 32, 1023, 1024, u64::MAX] {
             let h = Histogram::new();
             h.record(v);
             let snap = h.snapshot();

@@ -405,20 +405,37 @@ fn dispatch(
             engine.live_index().buffered_docs(),
             total_bytes
         )?;
-        // Pair-index coverage summed across the snapshot's segments.
+        // Pair-index coverage summed across the snapshot's segments, and
+        // the widest of each key table's rows in bits: an inline key, a
+        // list key, and a row of each table's CSR starts.
         let (mut pair_keys, mut single, mut pair_entries, mut pair_bytes) = (0, 0, 0u64, 0);
+        let mut rows = [0u32; 4];
         for seg in snapshot.segments() {
             let p = seg.data().index().pairs();
             pair_keys += p.num_keys();
             single += p.num_single_document_keys();
             pair_entries += p.num_entries();
             pair_bytes += p.resident_bytes();
+            let bits = p.row_bits();
+            let seg_rows = [
+                bits.inline,
+                bits.lists,
+                bits.inline_starts,
+                bits.list_starts,
+            ];
+            for (widest, bits) in rows.iter_mut().zip(seg_rows) {
+                *widest = (*widest).max(bits);
+            }
         }
         writeln!(
             out,
             "pair index: {pair_keys} keys ({single} of one document), {pair_entries} entries, \
-             {pair_bytes}B across {} segment(s)",
-            reports.len()
+             {pair_bytes}B across {} segment(s); row bits: inline {}, list {}, starts {} / {}",
+            reports.len(),
+            rows[0],
+            rows[1],
+            rows[2],
+            rows[3]
         )?;
         if let Some(p) = pool.as_ref() {
             let stats = p.stats();
