@@ -112,7 +112,8 @@ impl AlgExpr {
         }
     }
 
-    /// Render an operator-tree view (used by the Figure 4 example).
+    /// Render an operator-tree view (Figure 4 style), as `explain` prints
+    /// every engine's plan.
     pub fn render_tree(&self, registry: &PredicateRegistry) -> String {
         let mut out = String::new();
         self.render_into(registry, 0, &mut out);

@@ -1,16 +1,18 @@
-//! Build cursor trees from rewritten plans.
+//! Build cursor trees from streaming plans.
 
 use crate::cursor::{FtCursor, ScanCursor};
 use crate::join::JoinCursor;
-use crate::plan::PlanNode;
+use crate::plan::{as_filter, Plan};
 use crate::project::ProjectCursor;
 use crate::select::SelectCursor;
 use crate::setops::{DiffCursor, UnionCursor};
+use ftsl_algebra::AlgExpr;
 use ftsl_calculus::ast::VarId;
 use ftsl_index::InvertedIndex;
 use ftsl_model::Corpus;
 use ftsl_predicates::{AdvanceMode, PredKind, PredicateRegistry};
 use std::collections::HashMap;
+use std::slice;
 
 /// Everything a cursor tree needs to run.
 pub struct CursorCtx<'a> {
@@ -24,87 +26,120 @@ pub struct CursorCtx<'a> {
     pub mode: AdvanceMode,
 }
 
-/// Build a cursor tree. `ranks` is the evaluation thread's variable
-/// ordering (empty for PPRED / threads without negative predicates).
+/// Build the cursor tree of `plan` on one segment. `swaps` is the
+/// segment's join order ([`crate::plan::order_joins_by_selectivity`]);
+/// `ranks` is the evaluation thread's variable ordering (empty for PPRED /
+/// threads without negative predicates), which orders each negative
+/// predicate's argument threads.
+///
+/// # Panics
+///
+/// If `plan` is not one [`crate::plan::build_plan`] built: a
+/// `SearchContext`, `∩` or `−` outside a `NOT` filter, or fewer swap
+/// decisions or negative-predicate arguments than the tree needs.
 pub fn build_cursor<'a>(
-    node: &PlanNode,
+    plan: &Plan,
+    swaps: &[bool],
     ctx: &CursorCtx<'a>,
     ranks: &HashMap<VarId, usize>,
 ) -> Box<dyn FtCursor + 'a> {
-    build_rec(node, ctx, ranks).0
+    let mut walk = Walk {
+        ctx,
+        swaps: swaps.iter(),
+        negative_args: plan.negative_args.iter(),
+        ranks,
+    };
+    walk.build(&plan.root).0
 }
 
-fn build_rec<'a>(
-    node: &PlanNode,
-    ctx: &CursorCtx<'a>,
-    ranks: &HashMap<VarId, usize>,
-) -> (Box<dyn FtCursor + 'a>, Vec<VarId>) {
-    match node {
-        PlanNode::Scan { token, var } => {
-            let id = ctx
-                .corpus
-                .token_id(token)
-                .unwrap_or(ftsl_model::TokenId(u32::MAX));
-            let cursor = Box::new(ScanCursor::new(ctx.index.block_list(id)));
-            (cursor, vec![*var])
+/// One depth-first walk of a plan, reading its join decisions and negative
+/// selections' arguments in the order the plan lists them.
+struct Walk<'w, 'a> {
+    ctx: &'w CursorCtx<'a>,
+    swaps: slice::Iter<'w, bool>,
+    negative_args: slice::Iter<'w, Vec<VarId>>,
+    ranks: &'w HashMap<VarId, usize>,
+}
+
+impl<'a> Walk<'_, 'a> {
+    /// The cursor for `node` and its arity.
+    fn build(&mut self, node: &AlgExpr) -> (Box<dyn FtCursor + 'a>, usize) {
+        if let Some((left, filter)) = as_filter(node) {
+            let (left, arity) = self.build(left);
+            let (filter, _) = self.build(filter);
+            return (Box::new(DiffCursor::new(left, filter)), arity);
         }
-        PlanNode::ScanAny { var } => {
-            let cursor = Box::new(ScanCursor::new(ctx.index.any_block_list()));
-            (cursor, vec![*var])
-        }
-        PlanNode::Join(a, b) => {
-            let (left, mut lv) = build_rec(a, ctx, ranks);
-            let (right, rv) = build_rec(b, ctx, ranks);
-            lv.extend(rv);
-            (Box::new(JoinCursor::new(left, right)), lv)
-        }
-        PlanNode::Select {
-            input,
-            pred,
-            arg_cols,
-            consts,
-        } => {
-            let (inner, vars) = build_rec(input, ctx, ranks);
-            let p = ctx.registry.get_shared(*pred);
-            let cursor: Box<dyn FtCursor + 'a> = match p.kind() {
-                PredKind::Negative => {
-                    // Order the predicate's argument indices by thread rank.
-                    let mut order: Vec<usize> = (0..arg_cols.len()).collect();
-                    order.sort_by_key(|&i| {
-                        ranks.get(&vars[arg_cols[i]]).copied().unwrap_or(usize::MAX)
-                    });
-                    Box::new(SelectCursor::negative(
+        let ctx = self.ctx;
+        match node {
+            AlgExpr::TokenRel(token) => {
+                let id = ctx
+                    .corpus
+                    .token_id(token)
+                    .unwrap_or(ftsl_model::TokenId(u32::MAX));
+                (Box::new(ScanCursor::new(ctx.index.block_list(id))), 1)
+            }
+            AlgExpr::HasPos => (Box::new(ScanCursor::new(ctx.index.any_block_list())), 1),
+            AlgExpr::Join(a, b) => {
+                let swap = *self.swaps.next().expect("a decision per join");
+                let (left, la) = self.build(a);
+                let (right, lb) = self.build(b);
+                if !swap {
+                    return (Box::new(JoinCursor::new(left, right)), la + lb);
+                }
+                // Drive from the rarer right side; restore the column order.
+                let keep: Vec<usize> = (lb..lb + la).chain(0..lb).collect();
+                let join = Box::new(JoinCursor::new(right, left));
+                (Box::new(ProjectCursor::new(join, keep)), la + lb)
+            }
+            AlgExpr::Select {
+                input,
+                pred,
+                cols,
+                consts,
+            } => {
+                let (inner, arity) = self.build(input);
+                let p = ctx.registry.get_shared(*pred);
+                let cursor: Box<dyn FtCursor + 'a> = match p.kind() {
+                    PredKind::Negative => {
+                        let vars = self.negative_args.next().expect("a negative selection");
+                        // Order the predicate's argument indices by thread rank.
+                        let mut order: Vec<usize> = (0..cols.len()).collect();
+                        order.sort_by_key(|&i| {
+                            self.ranks.get(&vars[i]).copied().unwrap_or(usize::MAX)
+                        });
+                        Box::new(SelectCursor::negative(
+                            inner,
+                            p,
+                            cols.clone(),
+                            consts.clone(),
+                            order,
+                        ))
+                    }
+                    _ => Box::new(SelectCursor::positive(
                         inner,
                         p,
-                        arg_cols.clone(),
+                        cols.clone(),
                         consts.clone(),
-                        order,
-                    ))
-                }
-                _ => Box::new(SelectCursor::positive(
-                    inner,
-                    p,
-                    arg_cols.clone(),
-                    consts.clone(),
-                    ctx.mode,
-                )),
-            };
-            (cursor, vars)
-        }
-        PlanNode::Project { input, keep } => {
-            let (inner, vars) = build_rec(input, ctx, ranks);
-            let kept: Vec<VarId> = keep.iter().map(|&k| vars[k]).collect();
-            (Box::new(ProjectCursor::new(inner, keep.clone())), kept)
-        }
-        PlanNode::Union(a, b) => {
-            let (left, lv) = build_rec(a, ctx, ranks);
-            let (right, _) = build_rec(b, ctx, ranks);
-            (Box::new(UnionCursor::new(left, right)), lv)
-        }
-        PlanNode::Diff(a, b) => {
-            let (left, lv) = build_rec(a, ctx, ranks);
-            let (filter, _) = build_rec(b, ctx, ranks);
-            (Box::new(DiffCursor::new(left, filter)), lv)
+                        ctx.mode,
+                    )),
+                };
+                (cursor, arity)
+            }
+            AlgExpr::Project(input, keep) => {
+                let (inner, _) = self.build(input);
+                (
+                    Box::new(ProjectCursor::new(inner, keep.clone())),
+                    keep.len(),
+                )
+            }
+            AlgExpr::Union(a, b) => {
+                let (left, arity) = self.build(a);
+                let (right, _) = self.build(b);
+                (Box::new(UnionCursor::new(left, right)), arity)
+            }
+            AlgExpr::SearchContext | AlgExpr::Intersect(..) | AlgExpr::Difference(..) => {
+                unreachable!("the streaming lowering emits no {node:?} outside a NOT filter")
+            }
         }
     }
 }
@@ -112,7 +147,7 @@ fn build_rec<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::build_plan;
+    use crate::plan::{build_plan, order_joins_by_selectivity};
     use ftsl_index::IndexBuilder;
     use ftsl_lang::{lower, parse, Mode};
 
@@ -138,7 +173,8 @@ mod tests {
             registry: &reg,
             mode: AdvanceMode::Aggressive,
         };
-        let mut cursor = build_cursor(&plan.root, &ctx, &HashMap::new());
+        let swaps = order_joins_by_selectivity(&plan.root, &corpus, &index);
+        let mut cursor = build_cursor(&plan, &swaps, &ctx, &HashMap::new());
         let mut nodes = Vec::new();
         while let Some(n) = cursor.advance_node() {
             nodes.push(n.0);

@@ -143,10 +143,12 @@ enum Shape<'q> {
 }
 
 /// A query compiled once for every segment it will run on: classified,
-/// dispatched, lowered, and planned — for PPRED / NPRED the normalized
-/// streaming plan (plus the recognized pair core or the thread orderings),
-/// for COMP the pushed-down algebra. [`Self::bind`] does only what depends
-/// on one segment's lists: token ids, join order, cursors.
+/// dispatched, lowered, and planned into one full-text algebra tree
+/// ([`AlgExpr`]) — for PPRED / NPRED the streaming plan in node-level
+/// normal form (plus the recognized pair core or the thread orderings),
+/// for COMP Lemma 2's translation, pushed down. [`Self::bind`] does only
+/// what depends on one segment's lists: token ids, join order, cursors;
+/// it reads the prepared tree and copies none of it.
 ///
 /// A ranked request ([`Self::prepare_ranked`]) is the same set request plus
 /// the query's algebra translation, which scores the answer the set engine
@@ -279,13 +281,16 @@ impl<'q> PreparedQuery<'q> {
         }
     }
 
-    /// The operator tree every segment runs, as `EXPLAIN` prints it: the
-    /// streaming plan under `plan:`, or COMP's pushed-down algebra under
-    /// `algebra:`. Empty for BOOL, which merges doc-id lists.
+    /// The operator tree every segment runs, as `EXPLAIN` prints it, in
+    /// the one language [`AlgExpr::render_tree`] renders: the streaming
+    /// plan under `plan:`, or COMP's pushed-down algebra under `algebra:`.
+    /// Empty for BOOL, which merges doc-id lists.
     pub fn render_tree(&self) -> String {
         match &self.shape {
             Shape::Bool(_) => String::new(),
-            Shape::Stream(_, plan) => format!("plan:\n{}", plan.root.render_tree(self.registry)),
+            Shape::Stream(_, stream) => {
+                format!("plan:\n{}", stream.plan.root.render_tree(self.registry))
+            }
             Shape::Comp(plan) => format!("algebra:\n{}", plan.plan.render_tree(self.registry)),
         }
     }

@@ -15,7 +15,9 @@
 //!   query token inverted lists, run once per ordering of the
 //!   negative-predicate variables (the partial-order optimization, or the
 //!   paper's presented full-permutation scheme) — one scan when there are
-//!   none;
+//!   none. [`plan`] lowers the calculus into the same algebra COMP runs
+//!   ([`ftsl_algebra::AlgExpr`]), in the node-level normal form the
+//!   cursors need, and [`build`] turns that tree into cursors per segment;
 //! * [`engine`] — dispatch by [`ftsl_lang::LanguageClass`], with COMP as
 //!   the universal fallback: a [`PreparedQuery`] is classified, lowered and
 //!   planned once, then bound to each segment's lists;
@@ -112,6 +114,6 @@ pub mod snapshot;
 pub use engine::{EngineKind, PreparedQuery, QueryOutput};
 pub use error::{ExecError, PlanError};
 pub use pairscan::PairQuery;
-pub use plan::{build_plan, PlanNode};
+pub use plan::build_plan;
 pub use scored::{ScoreModel, ScoredOutput, ScoredPath, ScoredTopK};
 pub use snapshot::{ExecScratch, SnapshotExecutor};

@@ -1,14 +1,14 @@
 //! Pair-index fast path: recognize two-scan proximity cores and answer
 //! them from the word-pair auxiliary index ([`ftsl_index::pair`]).
 //!
-//! A PPRED plan of the shape
+//! A PPRED plan (an [`AlgExpr`] tree, as `explain` prints it) of the shape
 //!
 //! ```text
-//! project*                                 (Exists projections)
+//! project (CNode, …)*                      (SOME projections)
 //!   select {ordered | distance | window}*  (≥ 1 gap-bounding predicate)
 //!     join
-//!       scan ("a")
-//!       scan ("b")
+//!       scan ("a")                         (R_a)
+//!       scan ("b")                         (R_b)
 //! ```
 //!
 //! asks exactly the question the pair index precomputes: *is there an
@@ -16,13 +16,14 @@
 //! most `g`?* `recognize` detects the shape and folds every predicate
 //! into a single gap bound plus an optional direction, a [`PairQuery`].
 //!
-//! Each segment then resolves the query once — covered pair lists,
-//! provably empty, or not covered — and every covered caller runs the one
-//! merged min-gap walk: one pair list, or two merged on node id for the
-//! symmetric case, skipping whole blocks on their `min_gap` header. The
-//! set answer (`execute`) walks with a threshold that admits every block
-//! within the bound; the proximity top-k (`near_topk_into`) walks against
-//! the heap's threshold; `near_bound` reads only the lists' headers.
+//! Each segment then resolves the query once (`resolve`) — covered pair
+//! lists, provably empty, or not covered — and every covered caller runs
+//! the one merged min-gap walk: one pair list, or two merged on node id for
+//! the symmetric case, skipping whole blocks on their `min_gap` header.
+//! The set answer (`execute`) walks with a threshold that admits every
+//! block within the bound; the proximity top-k bounds each segment from
+//! its resolved lists' headers (`near_bound`), then walks the same lists
+//! against the heap's threshold (`near_topk_into`).
 //!
 //! Both halves are total over inputs and *conservative*: any shape,
 //! predicate, bound, or coverage condition outside the contract sends the
@@ -38,7 +39,7 @@
 //! and the fast path returns the empty result without touching a single
 //! posting.
 
-use crate::plan::PlanNode;
+use ftsl_algebra::AlgExpr;
 use ftsl_index::pair::min_forward_gaps;
 use ftsl_index::{AccessCounters, InvertedIndex, PairCursor, PairList, PairLookup};
 use ftsl_model::{Corpus, NodeId, TokenId};
@@ -81,7 +82,7 @@ impl Gathered {
 /// Try to fold `root` (a PPRED plan, pre-join-reordering) into a
 /// [`PairQuery`]. `None` means the plan is outside the pair fragment and
 /// must run on the ordinary streaming path.
-pub(crate) fn recognize(root: &PlanNode, registry: &PredicateRegistry) -> Option<PairQuery> {
+pub(crate) fn recognize(root: &AlgExpr, registry: &PredicateRegistry) -> Option<PairQuery> {
     let mut st = Gathered::default();
     walk(root, registry, &mut st)?;
     if st.scans.len() != 2 {
@@ -114,36 +115,36 @@ pub(crate) fn recognize(root: &PlanNode, registry: &PredicateRegistry) -> Option
 
 /// Walk one plan node, returning the scan index feeding each output
 /// column (`None` = shape outside the pair fragment).
-fn walk(node: &PlanNode, registry: &PredicateRegistry, st: &mut Gathered) -> Option<Vec<usize>> {
+fn walk(node: &AlgExpr, registry: &PredicateRegistry, st: &mut Gathered) -> Option<Vec<usize>> {
     match node {
-        PlanNode::Scan { token, .. } => {
+        AlgExpr::TokenRel(token) => {
             if st.scans.len() == 2 {
                 return None;
             }
             st.scans.push(token.clone());
             Some(vec![st.scans.len() - 1])
         }
-        PlanNode::Join(a, b) => {
+        AlgExpr::Join(a, b) => {
             let mut cols = walk(a, registry, st)?;
             cols.extend(walk(b, registry, st)?);
             Some(cols)
         }
-        PlanNode::Project { input, keep } => {
+        AlgExpr::Project(input, keep) => {
             let cols = walk(input, registry, st)?;
             keep.iter().map(|&k| cols.get(k).copied()).collect()
         }
-        PlanNode::Select {
+        AlgExpr::Select {
             input,
             pred,
-            arg_cols,
+            cols: args,
             consts,
         } => {
             let cols = walk(input, registry, st)?;
-            if arg_cols.len() != 2 {
+            if args.len() != 2 {
                 return None; // n-ary window over 3+ variables, etc.
             }
-            let sa = cols.get(*arg_cols.first()?).copied()?;
-            let sb = cols.get(*arg_cols.get(1)?).copied()?;
+            let sa = cols.get(*args.first()?).copied()?;
+            let sb = cols.get(*args.get(1)?).copied()?;
             if sa == sb {
                 return None; // predicate over a single variable
             }
@@ -176,13 +177,15 @@ fn walk(node: &PlanNode, registry: &PredicateRegistry, st: &mut Gathered) -> Opt
             }
             Some(cols)
         }
-        PlanNode::ScanAny { .. } | PlanNode::Union(..) | PlanNode::Diff(..) => None,
+        // `HasPos`, unions, and `NOT` filters (a join with a difference).
+        _ => None,
     }
 }
 
 /// How one segment can answer a [`PairQuery`]: the one coverage test and
-/// token resolution behind all three pair-path callers.
-enum Resolved<'a> {
+/// token resolution behind all three pair-path callers. A proximity top-k
+/// resolves each segment once, for its bound and then its walk.
+pub(crate) enum Resolved<'a> {
     /// The pair index covers both tokens: the forward list and, for an
     /// undirected query over two tokens, the backward one (`None` for a
     /// key the index proves absent).
@@ -195,7 +198,12 @@ enum Resolved<'a> {
     NotCovered(Option<(TokenId, TokenId)>),
 }
 
-fn resolve<'a>(q: &PairQuery, corpus: &Corpus, index: &'a InvertedIndex) -> Resolved<'a> {
+/// Resolve `q` against one segment's vocabulary and pair index.
+pub(crate) fn resolve<'a>(
+    q: &PairQuery,
+    corpus: &Corpus,
+    index: &'a InvertedIndex,
+) -> Resolved<'a> {
     if q.bound == 0 {
         return Resolved::Empty;
     }
@@ -321,14 +329,14 @@ pub(crate) fn execute(
     Some((nodes, walk.counters()))
 }
 
-/// Upper bound on the [`closeness`] score any document in this
-/// corpus/index can reach for `q` — read from pair-list `min_gap`
-/// metadata alone, without decoding a posting. `1.0` when the pair index
-/// cannot cover the query (the fallback path is unbounded), `0.0` when
-/// the answer is provably empty. Drives segment ordering and whole-segment
-/// skipping in the snapshot-global proximity top-k.
-pub(crate) fn near_bound(q: &PairQuery, corpus: &Corpus, index: &InvertedIndex) -> f64 {
-    match resolve(q, corpus, index) {
+/// Upper bound on the [`closeness`] score any document of a segment can
+/// reach for `q`, from its [`resolve`]d lists' `min_gap` metadata alone,
+/// without decoding a posting. `1.0` when the pair index cannot cover the
+/// query (the fallback path is unbounded), `0.0` when the answer is
+/// provably empty. Drives segment ordering and whole-segment skipping in
+/// the snapshot-global proximity top-k.
+pub(crate) fn near_bound(q: &PairQuery, resolved: &Resolved<'_>) -> f64 {
+    match resolved {
         Resolved::Covered(lists) => lists
             .iter()
             .flatten()
@@ -339,8 +347,9 @@ pub(crate) fn near_bound(q: &PairQuery, corpus: &Corpus, index: &InvertedIndex) 
     }
 }
 
-/// Score `q`'s matches in one corpus/index into a shared top-k heap:
-/// each qualifying document enters as `(keep(node), closeness(min_gap))`.
+/// Score `q`'s matches in one segment, as [`resolve`]d against it, into
+/// a shared top-k heap: each qualifying document enters as
+/// `(keep(node), closeness(min_gap))`.
 /// `keep` filters tombstones and remaps to global ids (`None` = drop).
 ///
 /// Covered pairs stream through the one pair-list walk with **block-max
@@ -352,7 +361,7 @@ pub(crate) fn near_bound(q: &PairQuery, corpus: &Corpus, index: &InvertedIndex) 
 /// [`min_forward_gaps`] position-intersection oracle.
 pub(crate) fn near_topk_into<F>(
     q: &PairQuery,
-    corpus: &Corpus,
+    resolved: Resolved<'_>,
     index: &InvertedIndex,
     topk: &mut TopK,
     keep: F,
@@ -361,7 +370,7 @@ where
     F: Fn(NodeId) -> Option<NodeId>,
 {
     let mut counters = AccessCounters::new();
-    let entries = match resolve(q, corpus, index) {
+    let entries = match resolved {
         Resolved::Covered(lists) => {
             let mut walk = MinGapWalk::new(lists, q.bound, |s| topk.could_enter(s));
             while let Some((node, gap)) = walk.next(|s| topk.could_enter(s)) {

@@ -1,145 +1,50 @@
-//! Streaming logical plans for the PPRED/NPRED engines.
+//! Streaming plans for the PPRED/NPRED engines.
 //!
-//! The planner lowers a calculus expression into a tree of streaming
-//! operators (Section 5.5.3's operator trees, e.g. Figure 4), then rewrites
-//! it into a **node-level normal form**: unions pulled above differences,
-//! differences pulled above predicate/join cores. The rewrite keeps the
-//! paper's Algorithm 4/5 cursors sound: after it, `Union` and `Diff` only
-//! ever see node-level traffic, and predicates sit inside union-free cores
-//! where the single-scan advance strategy applies (`σ(U₁∪U₂)=σ(U₁)∪σ(U₂)`,
-//! `J(U₁∪U₂,S)=J(U₁,S)∪J(U₂,S)`, `J(D(L,R),S)=D(J(L,S),R)` and friends).
+//! The planner lowers a calculus expression into a full-text algebra tree
+//! ([`AlgExpr`]) that the engines run as cursors (Section 5.5.3's operator
+//! trees, e.g. Figure 4). A closed `NOT` becomes Lemma 2's own form,
+//! `L ⋈ (SearchContext − R)`: the nodes of `L` with no match in `R`
+//! (Algorithm 5's anti-join, recognized by `as_filter`).
+//!
+//! The tree comes out in **node-level normal form**: unions on top, closed
+//! `NOT` filters above union-free cores of scans, joins, selections and
+//! projections. That keeps the paper's Algorithm 4/5 cursors sound —
+//! `Union` and the anti-join only ever see node-level traffic — and puts
+//! every predicate inside a union-free core, where the single-scan advance
+//! strategy applies. The form holds by construction: the lowering returns
+//! each subformula as a union tree of (core, filters) branches, and every
+//! operator above it applies to each branch (`σ(U₁∪U₂)=σ(U₁)∪σ(U₂)`,
+//! `J(U₁∪U₂,S)=J(U₁,S)∪J(U₂,S)`, a join's filters lifted above it, the
+//! right side's nested inside the left side's). A join of two union trees
+//! keeps the left one's shape, each leaf replaced by the right one's
+//! shape; projections over projections compose.
+//!
+//! The tree carries no variables. What the NPRED engine needs of them —
+//! the argument variables of each negative-predicate selection, which
+//! order its argument threads — is a side table of [`Plan`].
 
 use crate::error::PlanError;
+use ftsl_algebra::AlgExpr;
 use ftsl_calculus::ast::{QueryExpr, VarId};
 use ftsl_calculus::vars::free_vars;
 use ftsl_predicates::{PredKind, PredicateId, PredicateRegistry};
+use std::borrow::Borrow;
 
-/// A streaming plan operator. Column identity is positional; `cols` mappings
-/// are tracked in [`Plan`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PlanNode {
-    /// Scan of one token inverted list (1 column).
-    Scan {
-        /// Token string (resolved against the corpus at cursor build).
-        token: String,
-        /// The calculus variable this scan binds (used for NPRED thread
-        /// orderings).
-        var: VarId,
-    },
-    /// Scan of `IL_ANY` (1 column). Used to anchor predicate variables with
-    /// no token binding.
-    ScanAny {
-        /// The calculus variable this scan binds.
-        var: VarId,
-    },
-    /// Per-node cartesian join (Algorithm 1); columns concatenate.
-    Join(Box<PlanNode>, Box<PlanNode>),
-    /// Positive/negative predicate selection (Algorithms 2 and 7).
-    Select {
-        /// Input subtree.
-        input: Box<PlanNode>,
-        /// The predicate.
-        pred: PredicateId,
-        /// Input columns feeding the predicate, in argument order.
-        arg_cols: Vec<usize>,
-        /// Constant arguments.
-        consts: Vec<i64>,
-    },
-    /// Column projection / permutation (Algorithm 3, without the dedup
-    /// loop — parents of projections in rewritten plans are node-level).
-    Project {
-        /// Input subtree.
-        input: Box<PlanNode>,
-        /// Which input columns to keep, in order.
-        keep: Vec<usize>,
-    },
-    /// Node-level union (Algorithm 4).
-    Union(Box<PlanNode>, Box<PlanNode>),
-    /// Node-level anti-join (Algorithm 5): nodes of `left` not present in
-    /// `right` (`right` comes from a closed `NOT` subquery).
-    Diff(Box<PlanNode>, Box<PlanNode>),
-}
-
-impl PlanNode {
-    /// Number of output columns.
-    pub fn arity(&self) -> usize {
-        match self {
-            PlanNode::Scan { .. } | PlanNode::ScanAny { .. } => 1,
-            PlanNode::Join(a, b) => a.arity() + b.arity(),
-            PlanNode::Select { input, .. } => input.arity(),
-            PlanNode::Project { keep, .. } => keep.len(),
-            PlanNode::Union(a, _) => a.arity(),
-            PlanNode::Diff(a, _) => a.arity(),
-        }
-    }
-
-    /// The variable each *leaf scan column* of this subtree tracks, for
-    /// thread-ordering purposes; computed by the planner alongside the tree.
-    fn boxed(self) -> Box<PlanNode> {
-        Box::new(self)
-    }
-
-    /// Render an indented operator-tree view (Figure 4 style).
-    pub fn render_tree(&self, registry: &PredicateRegistry) -> String {
-        let mut out = String::new();
-        self.render(registry, 0, &mut out);
-        out
-    }
-
-    fn render(&self, registry: &PredicateRegistry, depth: usize, out: &mut String) {
-        use std::fmt::Write;
-        let pad = "  ".repeat(depth);
-        match self {
-            PlanNode::Scan { token, .. } => writeln!(out, "{pad}scan (\"{token}\")").unwrap(),
-            PlanNode::ScanAny { .. } => writeln!(out, "{pad}scan (ANY)").unwrap(),
-            PlanNode::Join(a, b) => {
-                writeln!(out, "{pad}join").unwrap();
-                a.render(registry, depth + 1, out);
-                b.render(registry, depth + 1, out);
-            }
-            PlanNode::Select {
-                input,
-                pred,
-                arg_cols,
-                consts,
-            } => {
-                let name = registry.get(*pred).name();
-                writeln!(out, "{pad}select {name}({arg_cols:?}, {consts:?})").unwrap();
-                input.render(registry, depth + 1, out);
-            }
-            PlanNode::Project { input, keep } => {
-                writeln!(out, "{pad}project {keep:?}").unwrap();
-                input.render(registry, depth + 1, out);
-            }
-            PlanNode::Union(a, b) => {
-                writeln!(out, "{pad}union").unwrap();
-                a.render(registry, depth + 1, out);
-                b.render(registry, depth + 1, out);
-            }
-            PlanNode::Diff(a, b) => {
-                writeln!(out, "{pad}difference").unwrap();
-                a.render(registry, depth + 1, out);
-                b.render(registry, depth + 1, out);
-            }
-        }
-    }
-}
-
-/// A plan with its column-to-variable mapping.
+/// A streaming plan: the operator tree and the variables the NPRED engine
+/// orders its scans by.
 #[derive(Clone, Debug)]
 pub struct Plan {
-    /// The operator tree.
-    pub root: PlanNode,
-    /// Variable tracked by each output column.
-    pub cols: Vec<VarId>,
-    /// Variables appearing in negative predicates (the partial-order set
-    /// the NPRED engine permutes).
-    pub negative_vars: Vec<VarId>,
+    /// The operator tree, in node-level normal form.
+    pub root: AlgExpr,
+    /// The argument variables of each negative-predicate selection in
+    /// `root`, in argument order, listed in the order a depth-first walk
+    /// finishes them (left before right, an input before its selection).
+    pub negative_args: Vec<Vec<VarId>>,
     /// Variables of every leaf scan (for the full-permutation mode).
     pub scan_vars: Vec<VarId>,
 }
 
-/// Build and normalize a streaming plan for a (closed) calculus expression.
+/// Build a streaming plan for a (closed) calculus expression.
 ///
 /// `allow_negative` selects NPRED (true) vs PPRED (false) predicate rules.
 pub fn build_plan(
@@ -150,31 +55,201 @@ pub fn build_plan(
     let mut builder = Builder {
         registry,
         allow_negative,
-        negative_vars: Vec::new(),
         scan_vars: Vec::new(),
     };
-    let built = builder.build(expr)?;
-    let root = rewrite_to_fixpoint(built.node);
-    let mut negative_vars = builder.negative_vars;
-    negative_vars.sort_unstable();
-    negative_vars.dedup();
+    let lowered = builder.build(expr)?.branches.finish();
     Ok(Plan {
-        root,
-        cols: built.cols,
-        negative_vars,
+        root: lowered.tree,
+        negative_args: lowered.negative_args,
         scan_vars: builder.scan_vars,
     })
 }
 
+/// `left ⋈ (SearchContext − filter)`: the nodes of `left` that `filter`,
+/// a closed subquery, does not match.
+fn filtered(left: AlgExpr, filter: AlgExpr) -> AlgExpr {
+    let unmatched = AlgExpr::Difference(Box::new(AlgExpr::SearchContext), Box::new(filter));
+    AlgExpr::Join(Box::new(left), Box::new(unmatched))
+}
+
+/// The `(left, filter)` of a closed-`NOT` filter `left ⋈ (SearchContext −
+/// filter)`, which runs as one anti-join, never as a join; `None` for any
+/// other node.
+pub(crate) fn as_filter(node: &AlgExpr) -> Option<(&AlgExpr, &AlgExpr)> {
+    match node {
+        AlgExpr::Join(left, right) => match &**right {
+            AlgExpr::Difference(all, filter) if **all == AlgExpr::SearchContext => {
+                Some((left, filter))
+            }
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// A lowered formula as one tree, and its negative selections' arguments
+/// in the tree's depth-first order; a closed one filters by.
+#[derive(Clone)]
+struct Lowered {
+    tree: AlgExpr,
+    negative_args: Vec<Vec<VarId>>,
+}
+
+/// One union-free branch: a core of scans, joins, selections and
+/// projections, and the closed-`NOT` filters above it, innermost first.
+#[derive(Clone)]
+struct Branch {
+    core: AlgExpr,
+    /// The core's negative selections' arguments, depth-first.
+    negative_args: Vec<Vec<VarId>>,
+    filters: Vec<Lowered>,
+}
+
+impl Branch {
+    fn scan(leaf: AlgExpr) -> Self {
+        Branch {
+            core: leaf,
+            negative_args: Vec::new(),
+            filters: Vec::new(),
+        }
+    }
+
+    /// `self ⋈ right`, with both sides' filters lifted above the join.
+    fn join(self, right: Branch) -> Branch {
+        let mut negative_args = self.negative_args;
+        negative_args.extend(right.negative_args);
+        let mut filters = right.filters;
+        filters.extend(self.filters);
+        Branch {
+            core: AlgExpr::Join(Box::new(self.core), Box::new(right.core)),
+            negative_args,
+            filters,
+        }
+    }
+
+    fn finish(self) -> Lowered {
+        let mut tree = self.core;
+        let mut negative_args = self.negative_args;
+        for filter in self.filters {
+            tree = filtered(tree, filter.tree);
+            negative_args.extend(filter.negative_args);
+        }
+        Lowered {
+            tree,
+            negative_args,
+        }
+    }
+}
+
+/// A union tree of branches.
+#[derive(Clone)]
+enum Branches {
+    One(Branch),
+    Union(Box<Branches>, Box<Branches>),
+}
+
+impl Branches {
+    /// Replace each branch, left to right, by what `f` makes of it.
+    fn map(self, f: &mut impl FnMut(Branch) -> Branches) -> Branches {
+        match self {
+            Branches::One(branch) => f(branch),
+            Branches::Union(a, b) => {
+                let a = a.map(f);
+                Branches::Union(Box::new(a), Box::new(b.map(f)))
+            }
+        }
+    }
+
+    /// Apply `f` to every branch's core.
+    fn map_cores(self, mut f: impl FnMut(AlgExpr, &mut Vec<Vec<VarId>>) -> AlgExpr) -> Branches {
+        self.map(&mut |mut branch| {
+            branch.core = f(branch.core, &mut branch.negative_args);
+            Branches::One(branch)
+        })
+    }
+
+    /// `self ⋈ right`: this tree's shape, each branch replaced by `right`'s
+    /// shape over the joins of the two branches.
+    fn join(self, right: &Branches) -> Branches {
+        self.map(&mut |left| {
+            right
+                .clone()
+                .map(&mut |r| Branches::One(left.clone().join(r)))
+        })
+    }
+
+    /// `σ_pred(cols, consts)` on every branch; `negative` holds the
+    /// argument variables of a negative predicate.
+    fn select(
+        self,
+        pred: PredicateId,
+        cols: &[usize],
+        consts: &[i64],
+        negative: Option<&[VarId]>,
+    ) -> Branches {
+        self.map_cores(|core, negative_args| {
+            negative_args.extend(negative.map(<[VarId]>::to_vec));
+            AlgExpr::Select {
+                input: Box::new(core),
+                pred,
+                cols: cols.to_vec(),
+                consts: consts.to_vec(),
+            }
+        })
+    }
+
+    /// `π(keep)` on every branch, composed with a projection at its core's
+    /// root.
+    fn project(self, keep: &[usize]) -> Branches {
+        self.map_cores(|core, _| match core {
+            AlgExpr::Project(input, inner) => {
+                AlgExpr::Project(input, keep.iter().map(|&k| inner[k]).collect())
+            }
+            core => AlgExpr::Project(Box::new(core), keep.to_vec()),
+        })
+    }
+
+    /// Filter every branch by the closed subquery `filter`.
+    fn filter(self, filter: &Lowered) -> Branches {
+        self.map(&mut |mut branch| {
+            branch.filters.push(filter.clone());
+            Branches::One(branch)
+        })
+    }
+
+    fn finish(self) -> Lowered {
+        match self {
+            Branches::One(branch) => branch.finish(),
+            Branches::Union(a, b) => {
+                let (mut a, b) = (a.finish(), b.finish());
+                a.negative_args.extend(b.negative_args);
+                Lowered {
+                    tree: AlgExpr::Union(Box::new(a.tree), Box::new(b.tree)),
+                    negative_args: a.negative_args,
+                }
+            }
+        }
+    }
+}
+
+/// A lowered subformula and the variable each output column binds.
 struct Built {
-    node: PlanNode,
+    branches: Branches,
     cols: Vec<VarId>,
+}
+
+impl Built {
+    fn scan(leaf: AlgExpr, var: VarId) -> Self {
+        Built {
+            branches: Branches::One(Branch::scan(leaf)),
+            cols: vec![var],
+        }
+    }
 }
 
 struct Builder<'a> {
     registry: &'a PredicateRegistry,
     allow_negative: bool,
-    negative_vars: Vec<VarId>,
     scan_vars: Vec<VarId>,
 }
 
@@ -205,16 +280,13 @@ impl Builder<'_> {
                     .iter()
                     .map(|v| right.cols.iter().position(|u| u == v).expect("aligned"))
                     .collect();
-                let right_node = if keep.iter().copied().eq(0..keep.len()) {
-                    right.node
+                let right = if keep.iter().copied().eq(0..keep.len()) {
+                    right.branches
                 } else {
-                    PlanNode::Project {
-                        input: right.node.boxed(),
-                        keep,
-                    }
+                    right.branches.project(&keep)
                 };
                 Ok(Built {
-                    node: PlanNode::Union(left.node.boxed(), right_node.boxed()),
+                    branches: Branches::Union(Box::new(left.branches), Box::new(right)),
                     cols: left.cols,
                 })
             }
@@ -226,10 +298,7 @@ impl Builder<'_> {
                             (0..inner.cols.len()).filter(|&i| i != idx).collect();
                         let cols: Vec<VarId> = keep.iter().map(|&i| inner.cols[i]).collect();
                         Ok(Built {
-                            node: PlanNode::Project {
-                                input: inner.node.boxed(),
-                                keep,
-                            },
+                            branches: inner.branches.project(&keep),
                             cols,
                         })
                     }
@@ -246,42 +315,31 @@ impl Builder<'_> {
 
     fn build_conjunction(&mut self, conjuncts: &[&QueryExpr]) -> Result<Built, PlanError> {
         let mut relational: Vec<Built> = Vec::new();
-        let mut preds: Vec<(&QueryExpr, PredicateId, Vec<VarId>, Vec<i64>)> = Vec::new();
-        let mut diffs: Vec<Built> = Vec::new();
+        let mut preds: Vec<(PredicateId, &[VarId], &[i64], bool)> = Vec::new();
+        let mut filters: Vec<Lowered> = Vec::new();
 
         for &c in conjuncts {
             match c {
                 QueryExpr::HasToken(v, t) => {
                     self.scan_vars.push(*v);
-                    relational.push(Built {
-                        node: PlanNode::Scan {
-                            token: t.clone(),
-                            var: *v,
-                        },
-                        cols: vec![*v],
-                    });
+                    relational.push(Built::scan(AlgExpr::TokenRel(t.clone()), *v));
                 }
                 QueryExpr::HasPos(v) => {
                     self.scan_vars.push(*v);
-                    relational.push(Built {
-                        node: PlanNode::ScanAny { var: *v },
-                        cols: vec![*v],
-                    });
+                    relational.push(Built::scan(AlgExpr::HasPos, *v));
                 }
                 QueryExpr::Pred { pred, vars, consts } => {
                     self.check_pred(*pred)?;
-                    if self.registry.get(*pred).kind() == PredKind::Negative {
-                        self.negative_vars.extend(vars.iter().copied());
-                    }
-                    preds.push((c, *pred, vars.clone(), consts.clone()));
+                    let negative = self.registry.get(*pred).kind() == PredKind::Negative;
+                    preds.push((*pred, vars.as_slice(), consts.as_slice(), negative));
                 }
                 QueryExpr::Not(inner) => {
                     if !free_vars(inner).is_empty() {
                         return Err(PlanError::OpenNegation);
                     }
-                    let filter = self.build(inner)?;
-                    debug_assert!(filter.cols.is_empty());
-                    diffs.push(filter);
+                    let built = self.build(inner)?;
+                    debug_assert!(built.cols.is_empty());
+                    filters.push(built.branches.finish());
                 }
                 other => relational.push(self.build(other)?),
             }
@@ -289,15 +347,12 @@ impl Builder<'_> {
 
         // Anchor predicate variables that no relational conjunct binds.
         let mut bound: Vec<VarId> = relational.iter().flat_map(|b| b.cols.clone()).collect();
-        for (_, _, vars, _) in &preds {
-            for v in vars {
+        for (_, vars, _, _) in &preds {
+            for v in vars.iter() {
                 if !bound.contains(v) {
                     bound.push(*v);
                     self.scan_vars.push(*v);
-                    relational.push(Built {
-                        node: PlanNode::ScanAny { var: *v },
-                        cols: vec![*v],
-                    });
+                    relational.push(Built::scan(AlgExpr::HasPos, *v));
                 }
             }
         }
@@ -311,63 +366,39 @@ impl Builder<'_> {
             .registry
             .lookup("samepos")
             .ok_or(PlanError::GeneralPredicate("samepos missing".into()))?;
-        let mut acc = relational.remove(0);
+        let mut relational = relational.into_iter();
+        let mut acc = relational.next().expect("non-empty");
         for next in relational {
             let offset = acc.cols.len();
-            let mut node = PlanNode::Join(acc.node.boxed(), next.node.boxed());
+            let mut branches = acc.branches.join(&next.branches);
             let mut cols = acc.cols;
             cols.extend(next.cols);
             // Resolve duplicate variables one at a time.
-            loop {
-                let mut dup: Option<(usize, usize)> = None;
-                'outer: for i in 0..cols.len() {
-                    for j in (i + 1).max(offset)..cols.len() {
-                        if cols[i] == cols[j] && i < j {
-                            dup = Some((i, j));
-                            break 'outer;
-                        }
-                    }
-                }
-                let Some((i, j)) = dup else { break };
-                node = PlanNode::Select {
-                    input: node.boxed(),
-                    pred: samepos,
-                    arg_cols: vec![i, j],
-                    consts: vec![],
-                };
+            while let Some((i, j)) = (0..cols.len()).find_map(|i| {
+                ((i + 1).max(offset)..cols.len())
+                    .find(|&j| cols[i] == cols[j])
+                    .map(|j| (i, j))
+            }) {
                 let keep: Vec<usize> = (0..cols.len()).filter(|&k| k != j).collect();
-                node = PlanNode::Project {
-                    input: node.boxed(),
-                    keep,
-                };
+                branches = branches.select(samepos, &[i, j], &[], None).project(&keep);
                 cols.remove(j);
             }
-            acc = Built { node, cols };
+            acc = Built { branches, cols };
         }
 
         // Apply predicate selections.
-        for (_, pred, vars, consts) in preds {
-            let arg_cols: Vec<usize> = vars
+        for (pred, vars, consts, negative) in preds {
+            let cols: Vec<usize> = vars
                 .iter()
                 .map(|v| acc.cols.iter().position(|u| u == v).expect("anchored"))
                 .collect();
-            acc = Built {
-                node: PlanNode::Select {
-                    input: acc.node.boxed(),
-                    pred,
-                    arg_cols,
-                    consts,
-                },
-                cols: acc.cols,
-            };
+            let negative = negative.then_some(vars);
+            acc.branches = acc.branches.select(pred, &cols, consts, negative);
         }
 
         // Apply node-level anti-joins for closed negations.
-        for d in diffs {
-            acc = Built {
-                node: PlanNode::Diff(acc.node.boxed(), d.node.boxed()),
-                cols: acc.cols,
-            };
+        for filter in &filters {
+            acc.branches = acc.branches.filter(filter);
         }
         Ok(acc)
     }
@@ -386,8 +417,6 @@ impl Builder<'_> {
     }
 }
 
-/// Record which variables each negative-predicate selection constrains.
-/// (Computed during `check_pred` callers; kept here for clarity.)
 fn flatten_and<'e>(expr: &'e QueryExpr, out: &mut Vec<&'e QueryExpr>) {
     match expr {
         QueryExpr::And(a, b) => {
@@ -398,248 +427,86 @@ fn flatten_and<'e>(expr: &'e QueryExpr, out: &mut Vec<&'e QueryExpr>) {
     }
 }
 
-/// Rewrite until no union/difference remains inside a core.
-fn rewrite_to_fixpoint(mut node: PlanNode) -> PlanNode {
-    loop {
-        let (rewritten, changed) = rewrite(node);
-        node = rewritten;
-        if !changed {
-            return node;
-        }
-    }
-}
-
-/// One bottom-up rewrite pass. Returns `(node, changed)`.
-fn rewrite(node: PlanNode) -> (PlanNode, bool) {
-    match node {
-        PlanNode::Scan { .. } | PlanNode::ScanAny { .. } => (node, false),
-        PlanNode::Join(a, b) => {
-            let (a, ca) = rewrite(*a);
-            let (b, cb) = rewrite(*b);
-            // J(U(x,y), b) => U(J(x,b), J(y,b)); J(a, U(x,y)) symmetric.
-            if let PlanNode::Union(x, y) = a {
-                let l = PlanNode::Join(x, b.clone().boxed());
-                let r = PlanNode::Join(y, b.boxed());
-                return (PlanNode::Union(l.boxed(), r.boxed()), true);
-            }
-            if let PlanNode::Union(x, y) = b {
-                let l = PlanNode::Join(a.clone().boxed(), x);
-                let r = PlanNode::Join(a.boxed(), y);
-                return (PlanNode::Union(l.boxed(), r.boxed()), true);
-            }
-            // J(D(l,f), b) => D(J(l,b), f); J(a, D(l,f)) => D(J(a,l), f).
-            if let PlanNode::Diff(l, f) = a {
-                return (
-                    PlanNode::Diff(PlanNode::Join(l, b.boxed()).boxed(), f),
-                    true,
-                );
-            }
-            if let PlanNode::Diff(l, f) = b {
-                return (
-                    PlanNode::Diff(PlanNode::Join(a.boxed(), l).boxed(), f),
-                    true,
-                );
-            }
-            (PlanNode::Join(a.boxed(), b.boxed()), ca || cb)
-        }
-        PlanNode::Select {
-            input,
-            pred,
-            arg_cols,
-            consts,
-        } => {
-            let (input, ci) = rewrite(*input);
-            if let PlanNode::Union(x, y) = input {
-                let l = PlanNode::Select {
-                    input: x,
-                    pred,
-                    arg_cols: arg_cols.clone(),
-                    consts: consts.clone(),
-                };
-                let r = PlanNode::Select {
-                    input: y,
-                    pred,
-                    arg_cols,
-                    consts,
-                };
-                return (PlanNode::Union(l.boxed(), r.boxed()), true);
-            }
-            if let PlanNode::Diff(l, f) = input {
-                let inner = PlanNode::Select {
-                    input: l,
-                    pred,
-                    arg_cols,
-                    consts,
-                };
-                return (PlanNode::Diff(inner.boxed(), f), true);
-            }
-            (
-                PlanNode::Select {
-                    input: input.boxed(),
-                    pred,
-                    arg_cols,
-                    consts,
-                },
-                ci,
-            )
-        }
-        PlanNode::Project { input, keep } => {
-            let (input, ci) = rewrite(*input);
-            if let PlanNode::Union(x, y) = input {
-                let l = PlanNode::Project {
-                    input: x,
-                    keep: keep.clone(),
-                };
-                let r = PlanNode::Project { input: y, keep };
-                return (PlanNode::Union(l.boxed(), r.boxed()), true);
-            }
-            if let PlanNode::Diff(l, f) = input {
-                let inner = PlanNode::Project { input: l, keep };
-                return (PlanNode::Diff(inner.boxed(), f), true);
-            }
-            // Collapse nested projections.
-            if let PlanNode::Project {
-                input: inner,
-                keep: inner_keep,
-            } = input
-            {
-                let composed: Vec<usize> = keep.iter().map(|&k| inner_keep[k]).collect();
-                return (
-                    PlanNode::Project {
-                        input: inner,
-                        keep: composed,
-                    },
-                    true,
-                );
-            }
-            (
-                PlanNode::Project {
-                    input: input.boxed(),
-                    keep,
-                },
-                ci,
-            )
-        }
-        PlanNode::Union(a, b) => {
-            let (a, ca) = rewrite(*a);
-            let (b, cb) = rewrite(*b);
-            (PlanNode::Union(a.boxed(), b.boxed()), ca || cb)
-        }
-        PlanNode::Diff(a, b) => {
-            let (a, ca) = rewrite(*a);
-            let (b, cb) = rewrite(*b);
-            // D(U(x,y), f) => U(D(x,f), D(y,f)) keeps unions on top.
-            if let PlanNode::Union(x, y) = a {
-                let l = PlanNode::Diff(x, b.clone().boxed());
-                let r = PlanNode::Diff(y, b.boxed());
-                return (PlanNode::Union(l.boxed(), r.boxed()), true);
-            }
-            (PlanNode::Diff(a.boxed(), b.boxed()), ca || cb)
-        }
-    }
-}
-
 /// Estimated result cardinality (in context nodes) of a subtree, used to
 /// drive conjunctions off their rarest list: a join can never yield more
 /// nodes than its smaller input, a union no more than the sum of its
-/// inputs, and selections/projections/differences only shrink their input.
+/// inputs, and selections/projections/differences (a closed-`NOT` filter
+/// among them) only shrink their input.
 pub fn estimate_nodes(
-    node: &PlanNode,
+    node: &AlgExpr,
     corpus: &ftsl_model::Corpus,
     index: &ftsl_index::InvertedIndex,
 ) -> u64 {
+    if let Some((left, _)) = as_filter(node) {
+        return estimate_nodes(left, corpus, index);
+    }
     match node {
-        PlanNode::Scan { token, .. } => match corpus.token_id(token) {
+        AlgExpr::TokenRel(token) => match corpus.token_id(token) {
             Some(id) => index.df(id) as u64,
             None => 0,
         },
-        PlanNode::ScanAny { .. } => index.any_block_list().num_entries() as u64,
-        PlanNode::Join(a, b) => {
+        AlgExpr::HasPos => index.any_block_list().num_entries() as u64,
+        AlgExpr::SearchContext => corpus.len() as u64,
+        AlgExpr::Join(a, b) | AlgExpr::Intersect(a, b) => {
             estimate_nodes(a, corpus, index).min(estimate_nodes(b, corpus, index))
         }
-        PlanNode::Select { input, .. } | PlanNode::Project { input, .. } => {
+        AlgExpr::Select { input, .. } | AlgExpr::Project(input, _) => {
             estimate_nodes(input, corpus, index)
         }
-        PlanNode::Union(a, b) => {
+        AlgExpr::Union(a, b) => {
             estimate_nodes(a, corpus, index).saturating_add(estimate_nodes(b, corpus, index))
         }
-        PlanNode::Diff(a, _) => estimate_nodes(a, corpus, index),
+        AlgExpr::Difference(a, _) => estimate_nodes(a, corpus, index),
     }
 }
 
-/// Put the rarer input of every join on the *left*, where the seek-driven
-/// [`crate::join::JoinCursor`] drives from: the rare side is decoded
-/// entry-by-entry while the common side is galloped/block-skipped to each
-/// candidate. Column order is preserved by wrapping swapped joins in a
-/// compensating projection, so `Plan::cols` stays valid and downstream
-/// `Select::arg_cols` are untouched.
+/// Decide, for this segment's lists, which joins of `root` run with their
+/// inputs swapped: one decision per join in depth-first pre-order (a join
+/// before its inputs, left before right; a closed-`NOT` filter is no join).
+/// A join swaps when its right input is rarer, since the seek-driven
+/// [`crate::join::JoinCursor`] drives from its left: the rare side is
+/// decoded entry-by-entry while the common side is galloped/block-skipped
+/// to each candidate. The cursor builder undoes the swap's column order
+/// with a projection, so the tree's column references hold.
+///
+/// `root` is taken by value or by reference.
 pub fn order_joins_by_selectivity(
-    node: PlanNode,
+    root: impl Borrow<AlgExpr>,
     corpus: &ftsl_model::Corpus,
     index: &ftsl_index::InvertedIndex,
-) -> PlanNode {
-    match node {
-        PlanNode::Scan { .. } | PlanNode::ScanAny { .. } => node,
-        PlanNode::Join(a, b) => {
-            let a = order_joins_by_selectivity(*a, corpus, index);
-            let b = order_joins_by_selectivity(*b, corpus, index);
-            let (da, db) = (
-                estimate_nodes(&a, corpus, index),
-                estimate_nodes(&b, corpus, index),
-            );
-            if db < da {
-                let (la, lb) = (a.arity(), b.arity());
-                let keep: Vec<usize> = (lb..lb + la).chain(0..lb).collect();
-                PlanNode::Project {
-                    input: PlanNode::Join(b.boxed(), a.boxed()).boxed(),
-                    keep,
-                }
-            } else {
-                PlanNode::Join(a.boxed(), b.boxed())
-            }
-        }
-        PlanNode::Select {
-            input,
-            pred,
-            arg_cols,
-            consts,
-        } => PlanNode::Select {
-            input: order_joins_by_selectivity(*input, corpus, index).boxed(),
-            pred,
-            arg_cols,
-            consts,
-        },
-        PlanNode::Project { input, keep } => PlanNode::Project {
-            input: order_joins_by_selectivity(*input, corpus, index).boxed(),
-            keep,
-        },
-        PlanNode::Union(a, b) => PlanNode::Union(
-            order_joins_by_selectivity(*a, corpus, index).boxed(),
-            order_joins_by_selectivity(*b, corpus, index).boxed(),
-        ),
-        PlanNode::Diff(a, b) => PlanNode::Diff(
-            order_joins_by_selectivity(*a, corpus, index).boxed(),
-            order_joins_by_selectivity(*b, corpus, index).boxed(),
-        ),
-    }
+) -> Vec<bool> {
+    let mut swaps = Vec::new();
+    decide_swaps(root.borrow(), corpus, index, &mut swaps);
+    swaps
 }
 
-/// Check the node-level normal form: no `Union` below a `Join`/`Select`/
-/// `Project`, and no `Diff` below a `Join`/`Select`/`Project` (used by
-/// tests; `Diff` right-hand filters are independently normalized plans).
-pub fn in_normal_form(node: &PlanNode) -> bool {
-    fn core_ok(node: &PlanNode) -> bool {
-        match node {
-            PlanNode::Scan { .. } | PlanNode::ScanAny { .. } => true,
-            PlanNode::Join(a, b) => core_ok(a) && core_ok(b),
-            PlanNode::Select { input, .. } | PlanNode::Project { input, .. } => core_ok(input),
-            PlanNode::Union(..) | PlanNode::Diff(..) => false,
-        }
+fn decide_swaps(
+    node: &AlgExpr,
+    corpus: &ftsl_model::Corpus,
+    index: &ftsl_index::InvertedIndex,
+    swaps: &mut Vec<bool>,
+) {
+    if let Some((left, filter)) = as_filter(node) {
+        decide_swaps(left, corpus, index, swaps);
+        decide_swaps(filter, corpus, index, swaps);
+        return;
     }
     match node {
-        PlanNode::Union(a, b) => in_normal_form(a) && in_normal_form(b),
-        PlanNode::Diff(a, b) => in_normal_form(a) && in_normal_form(b),
-        core => core_ok(core),
+        AlgExpr::SearchContext | AlgExpr::HasPos | AlgExpr::TokenRel(_) => {}
+        AlgExpr::Join(a, b) => {
+            let slot = swaps.len();
+            swaps.push(false);
+            decide_swaps(a, corpus, index, swaps);
+            decide_swaps(b, corpus, index, swaps);
+            swaps[slot] = estimate_nodes(b, corpus, index) < estimate_nodes(a, corpus, index);
+        }
+        AlgExpr::Select { input, .. } | AlgExpr::Project(input, _) => {
+            decide_swaps(input, corpus, index, swaps)
+        }
+        AlgExpr::Union(a, b) | AlgExpr::Intersect(a, b) | AlgExpr::Difference(a, b) => {
+            decide_swaps(a, corpus, index, swaps);
+            decide_swaps(b, corpus, index, swaps);
+        }
     }
 }
 
@@ -655,31 +522,30 @@ mod tests {
         build_plan(&expr, &reg, allow_negative)
     }
 
+    fn tree(input: &str) -> String {
+        let reg = PredicateRegistry::with_builtins();
+        plan_for(input, true).unwrap().root.render_tree(&reg)
+    }
+
     #[test]
     fn simple_conjunction_plans_to_join() {
         let p = plan_for("'test' AND 'usability'", false).unwrap();
-        assert!(matches!(
-            p.root,
-            PlanNode::Project { .. } | PlanNode::Join(..)
-        ));
-        assert!(in_normal_form(&p.root));
-        assert_eq!(p.root.arity(), p.cols.len());
+        assert!(matches!(p.root, AlgExpr::Project(..) | AlgExpr::Join(..)));
+        let reg = PredicateRegistry::with_builtins();
+        assert_eq!(p.root.arity(&reg), Ok(0));
     }
 
     #[test]
     fn figure4_query_plans_with_selects_over_join() {
-        let p = plan_for(
+        let tree = tree(
             "SOME p1 SOME p2 (p1 HAS 'usability' AND p2 HAS 'software' \
              AND samepara(p1,p2) AND distance(p1,p2,5))",
-            false,
-        )
-        .unwrap();
-        let reg = PredicateRegistry::with_builtins();
-        let tree = p.root.render_tree(&reg);
+        );
         assert!(tree.contains("select samepara"));
         assert!(tree.contains("select distance"));
         assert!(tree.contains("scan (\"usability\")"));
-        assert!(in_normal_form(&p.root));
+        // The two `SOME` projections compose into one.
+        assert!(tree.starts_with("project (CNode, [])\n  select"), "{tree}");
     }
 
     #[test]
@@ -690,15 +556,85 @@ mod tests {
             false,
         )
         .unwrap();
-        assert!(matches!(p.root, PlanNode::Union(..)));
-        assert!(in_normal_form(&p.root));
+        assert!(matches!(p.root, AlgExpr::Union(..)));
     }
 
     #[test]
     fn closed_negation_becomes_difference() {
         let p = plan_for("'a' AND NOT 'b'", false).unwrap();
-        assert!(matches!(p.root, PlanNode::Diff(..)));
-        assert!(in_normal_form(&p.root));
+        let (_, filter) = as_filter(&p.root).expect("L ⋈ (SearchContext − R)");
+        assert_eq!(
+            tree("'a' AND NOT 'b'"),
+            "join\n  project (CNode, [])\n    scan (\"a\")\n  difference\n    search_context\n\
+             \x20   project (CNode, [])\n      scan (\"b\")\n"
+        );
+        let reg = PredicateRegistry::with_builtins();
+        assert_eq!(filter.arity(&reg), Ok(0));
+    }
+
+    /// Unions nest left-major, a join's right-side filters sit inside its
+    /// left-side ones, and a negative selection inside a filter follows
+    /// the core's in the side table.
+    #[test]
+    fn unions_and_filters_nest_by_construction() {
+        let q = "SOME p0 (p0 HAS 'a' AND NOT 'x') \
+                 AND SOME p1 SOME p2 ((p1 HAS 'b' OR p1 HAS 'c') AND (p2 HAS 'd' OR p2 HAS 'e') \
+                 AND NOT 'y' AND not_distance(p1,p2,2)) \
+                 AND NOT SOME p3 SOME p4 (p3 HAS 'f' AND p4 HAS 'g' AND not_ordered(p3,p4))";
+        let p = plan_for(q, true).unwrap();
+        let reg = PredicateRegistry::with_builtins();
+        let scans = |e: &AlgExpr| {
+            let t = e.render_tree(&reg);
+            let mut s: Vec<String> = t
+                .lines()
+                .filter_map(|l| l.trim().strip_prefix("scan (\""))
+                .map(|l| l.trim_end_matches("\")").to_string())
+                .collect();
+            s.dedup();
+            s.join("")
+        };
+        let mut branches = Vec::new();
+        let mut stack = vec![&p.root];
+        while let Some(e) = stack.pop() {
+            match e {
+                AlgExpr::Union(a, b) => {
+                    stack.push(b);
+                    stack.push(a);
+                }
+                other => branches.push(other),
+            }
+        }
+        // Left-major: p1's alternatives outer, p2's inner.
+        let cores: Vec<String> = branches
+            .iter()
+            .map(|b| {
+                let mut e = *b;
+                let mut filters = Vec::new();
+                while let Some((left, filter)) = as_filter(e) {
+                    filters.push(scans(filter));
+                    e = left;
+                }
+                filters.reverse();
+                format!("{} / {}", scans(e), filters.join(","))
+            })
+            .collect();
+        assert_eq!(
+            cores,
+            [
+                "abd / y,x,fg",
+                "abe / y,x,fg",
+                "acd / y,x,fg",
+                "ace / y,x,fg"
+            ]
+        );
+        // Per branch: the core's `not_distance`, then the filter's
+        // `not_ordered`.
+        let (core, filter) = (&p.negative_args[0], &p.negative_args[1]);
+        assert_ne!(core, filter);
+        let expected: Vec<Vec<VarId>> = (0..4)
+            .flat_map(|_| [core.clone(), filter.clone()])
+            .collect();
+        assert_eq!(p.negative_args, expected);
     }
 
     #[test]
@@ -715,7 +651,8 @@ mod tests {
             Err(PlanError::NegativePredicate(_))
         ));
         let p = plan_for(q, true).unwrap();
-        assert_eq!(p.negative_vars.len(), 2);
+        assert_eq!(p.negative_args.len(), 1);
+        assert_eq!(p.negative_args[0].len(), 2);
     }
 
     #[test]
@@ -737,17 +674,13 @@ mod tests {
 
     #[test]
     fn shared_variable_gets_samepos_equijoin() {
-        let p = plan_for("SOME p1 (p1 HAS 'a' AND p1 HAS 'b')", false).unwrap();
-        let reg = PredicateRegistry::with_builtins();
-        let tree = p.root.render_tree(&reg);
+        let tree = tree("SOME p1 (p1 HAS 'a' AND p1 HAS 'b')");
         assert!(tree.contains("select samepos"), "plan: {tree}");
     }
 
     #[test]
     fn pred_only_query_anchors_with_any_scans() {
-        let p = plan_for("SOME p1 SOME p2 distance(p1, p2, 3)", false).unwrap();
-        let reg = PredicateRegistry::with_builtins();
-        let tree = p.root.render_tree(&reg);
+        let tree = tree("SOME p1 SOME p2 distance(p1, p2, 3)");
         assert!(tree.contains("scan (ANY)"));
     }
 

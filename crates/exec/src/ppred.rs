@@ -5,9 +5,17 @@
 //! token inverted lists. NPRED (Algorithms 6–7) runs that same scan once
 //! per ordering of the negative-predicate variables and unions the
 //! matches; with no negative predicate it is exactly one PPRED scan. So
-//! both engines compile to one `StreamPlan`: the normalized cursor plan,
-//! the proximity core [`pairscan`] recognized in it (PPRED only), and the
-//! variable orderings its scans run under.
+//! both engines compile to one `StreamPlan`: the algebra tree the
+//! [`crate::plan`] lowering builds (in node-level normal form), the
+//! proximity core [`pairscan`] recognized in it (PPRED only), and the
+//! variable orderings its scans run under. An ordering ranks variables;
+//! a negative predicate's argument threads advance in the rank order of
+//! its arguments, which the plan lists in a side table.
+//!
+//! A segment binds the prepared tree as it is: this segment's join order
+//! is one swap decision per join
+//! ([`crate::plan::order_joins_by_selectivity`]), which the cursor builder
+//! reads as it walks the tree.
 //!
 //! The paper presents NPRED with `toks_Q!` threads — one per total order
 //! of the query's inverted-list cursors — and notes that "our
@@ -28,7 +36,7 @@ use crate::build::{build_cursor, CursorCtx};
 use crate::engine::EngineUsed;
 use crate::error::PlanError;
 use crate::pairscan::{self, PairQuery};
-use crate::plan::{build_plan, order_joins_by_selectivity, Plan, PlanNode};
+use crate::plan::{build_plan, order_joins_by_selectivity, Plan};
 use ftsl_calculus::ast::{QueryExpr, VarId};
 use ftsl_index::{AccessCounters, InvertedIndex};
 use ftsl_model::{Corpus, NodeId};
@@ -87,12 +95,12 @@ impl PairAttribution {
 }
 
 /// The streaming engines' shape half, compiled once per query: the
-/// normalized cursor plan, the recognized pair core (PPRED only) and the
-/// variable orderings its scans run under (`[[]]`, one plain scan, for
-/// PPRED). [`Self::bind`] runs it on one segment.
+/// plan, the recognized pair core (PPRED only) and the variable orderings
+/// its scans run under (`[[]]`, one plain scan, for PPRED). [`Self::bind`]
+/// runs it on one segment.
 #[derive(Clone, Debug)]
 pub(crate) struct StreamPlan {
-    pub(crate) root: PlanNode,
+    pub(crate) plan: Plan,
     pair: Option<PairQuery>,
     orderings: Vec<Vec<VarId>>,
 }
@@ -123,7 +131,7 @@ impl StreamPlan {
             });
         }
         Ok(StreamPlan {
-            root: plan.root,
+            plan,
             pair,
             orderings: permutations(&vars),
         })
@@ -131,7 +139,7 @@ impl StreamPlan {
 
     /// Run the plan on one segment: the pair-list walk when the segment's
     /// pair index covers the recognized core, otherwise one cursor scan
-    /// per ordering over a copy of the plan with its joins ordered by this
+    /// per ordering, each join driven from its rarer side by this
     /// segment's list lengths. Counters are summed; the matches of several
     /// orderings are sorted and deduplicated.
     pub(crate) fn bind(
@@ -148,7 +156,7 @@ impl StreamPlan {
             },
             None => PairAttribution::NotRecognized,
         };
-        let root = order_joins_by_selectivity(self.root.clone(), corpus, index);
+        let swaps = order_joins_by_selectivity(&self.plan.root, corpus, index);
         let ctx = CursorCtx {
             corpus,
             index,
@@ -163,7 +171,7 @@ impl StreamPlan {
                 .enumerate()
                 .map(|(rank, &v)| (v, rank))
                 .collect();
-            let mut cursor = build_cursor(&root, &ctx, &ranks);
+            let mut cursor = build_cursor(&self.plan, &swaps, &ctx, &ranks);
             while let Some(n) = cursor.advance_node() {
                 nodes.push(n);
             }
@@ -189,15 +197,17 @@ fn ordering_count(vars: usize) -> Option<usize> {
     (1..=vars).try_fold(1usize, |count, k| count.checked_mul(k))
 }
 
+/// The variables NPRED's orderings permute: every scan variable under
+/// full permutations, otherwise those of the negative predicates.
 fn ordering_vars(plan: &Plan, full: bool) -> Vec<VarId> {
-    if full {
-        let mut vars = plan.scan_vars.clone();
-        vars.sort_unstable();
-        vars.dedup();
-        vars
+    let mut vars = if full {
+        plan.scan_vars.clone()
     } else {
-        plan.negative_vars.clone()
-    }
+        plan.negative_args.concat()
+    };
+    vars.sort_unstable();
+    vars.dedup();
+    vars
 }
 
 /// All permutations of `vars` (a single empty ordering for no vars).

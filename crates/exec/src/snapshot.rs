@@ -40,7 +40,7 @@
 
 use crate::engine::{counter_attrs, EngineKind, ExecOptions, PreparedQuery, QueryOutput};
 use crate::error::ExecError;
-use crate::pairscan::{near_bound, near_topk_into, PairQuery};
+use crate::pairscan::{near_bound, near_topk_into, resolve, PairQuery};
 use crate::scored::{flat_disjunction, ScoreModel, ScoredOutput, ScoredPath, ScoredTopK};
 use ftsl_algebra::{AlgExpr, AlgebraEvaluator, Scorer};
 use ftsl_index::{AccessCounters, EntryScorer, SegmentData, Snapshot, SnapshotSegment};
@@ -383,10 +383,14 @@ impl<'a> SnapshotExecutor<'a> {
             &NEAR,
             k,
             scratch,
-            |_, seg| (near_bound(q, seg.data().corpus(), seg.data().index()), ()),
-            |_, seg, (), topk| {
+            |_, seg| {
                 let data = seg.data();
-                near_topk_into(q, data.corpus(), data.index(), topk, |n| {
+                let resolved = resolve(q, data.corpus(), data.index());
+                (near_bound(q, &resolved), resolved)
+            },
+            |_, seg, resolved, topk| {
+                let data = seg.data();
+                near_topk_into(q, resolved, data.index(), topk, |n| {
                     seg.deletes()
                         .is_live(n.index())
                         .then(|| data.global_of(n.index()))

@@ -3,11 +3,14 @@
 //!
 //! Random queries are drawn *within* each language class; every engine that
 //! claims the class must agree with the interpreter (and therefore with
-//! every other engine).
+//! every other engine). The streaming engines' plans are full-text algebra
+//! trees, so the algebra evaluator must agree on them too.
 
+use ftsl_algebra::{AlgExpr, AlgebraEvaluator};
 use ftsl_calculus::interp::Interpreter;
 use ftsl_calculus::CalcQuery;
 use ftsl_exec::engine::{EngineKind, ExecOptions};
+use ftsl_exec::plan::build_plan;
 use ftsl_exec::ppred::run_ppred;
 use ftsl_exec::SnapshotExecutor;
 use ftsl_index::{IndexBuilder, Snapshot};
@@ -47,6 +50,39 @@ fn arb_corpus() -> impl Strategy<Value = Corpus> {
 fn reference(surface: &SurfaceQuery, corpus: &Corpus, reg: &PredicateRegistry) -> Vec<NodeId> {
     let expr = lower(surface, reg).expect("lowers");
     Interpreter::new(corpus, reg).eval_query(&CalcQuery::new(expr))
+}
+
+/// The streaming plans' node-level normal form: unions on top, then
+/// closed-`NOT` filters `L ⋈ (SearchContext − R)` (each `R` in normal form
+/// itself), then a union-free core of scans, joins, selections and
+/// projections, with no projection directly over another.
+fn in_normal_form(e: &AlgExpr) -> bool {
+    match e {
+        AlgExpr::Union(a, b) => in_normal_form(a) && in_normal_form(b),
+        _ => filtered(e),
+    }
+}
+
+fn filtered(e: &AlgExpr) -> bool {
+    match e {
+        AlgExpr::Join(left, right) => match &**right {
+            AlgExpr::Difference(all, filter) if **all == AlgExpr::SearchContext => {
+                filtered(left) && in_normal_form(filter)
+            }
+            _ => core(e),
+        },
+        _ => core(e),
+    }
+}
+
+fn core(e: &AlgExpr) -> bool {
+    match e {
+        AlgExpr::TokenRel(_) | AlgExpr::HasPos => true,
+        AlgExpr::Join(a, b) => core(a) && core(b),
+        AlgExpr::Select { input, .. } => core(input),
+        AlgExpr::Project(input, _) => !matches!(**input, AlgExpr::Project(..)) && core(input),
+        _ => false,
+    }
 }
 
 /// `corpus` sealed as one fully live segment.
@@ -106,6 +142,32 @@ proptest! {
 
         let comp = exec.run_surface(&query, EngineKind::Comp).expect("comp runs");
         prop_assert_eq!(&comp.nodes, &expected, "COMP diverged on {}", query.render());
+    }
+
+    #[test]
+    fn streaming_plans_evaluate_as_algebra(
+        (negative, query) in prop_oneof![
+            arb_stream_query(&VOCAB, false).prop_map(|q| (false, q)),
+            arb_stream_query(&VOCAB, true).prop_map(|q| (true, q)),
+        ],
+        corpus in arb_corpus(),
+    ) {
+        let reg = PredicateRegistry::with_builtins();
+        let index = IndexBuilder::new().build(&corpus);
+        let expected = reference(&query, &corpus, &reg);
+        let expr = lower(&query, &reg).expect("lowers");
+        let plan = build_plan(&expr, &reg, negative).expect("streamable");
+        prop_assert!(
+            in_normal_form(&plan.root),
+            "{} planned outside the normal form:\n{}",
+            query.render(),
+            plan.root.render_tree(&reg)
+        );
+        let got = AlgebraEvaluator::new(&corpus, &index, &reg)
+            .eval(&plan.root)
+            .expect("evaluates")
+            .distinct_nodes();
+        prop_assert_eq!(&got, &expected, "the plan of {} diverged", query.render());
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! NPRED engine's consumption is bounded by that total times the number of
 //! evaluation threads.
 
+use ftsl_algebra::AlgExpr;
 use ftsl_calculus::ast::QueryExpr;
 use ftsl_exec::engine::{EngineKind, ExecOptions};
-use ftsl_exec::plan::{build_plan, PlanNode};
+use ftsl_exec::plan::build_plan;
 use ftsl_exec::{ppred, SnapshotExecutor};
 use ftsl_index::{IndexBuilder, InvertedIndex, Snapshot};
 use ftsl_lang::{lower, parse, Mode};
@@ -53,28 +54,32 @@ fn arb_ppred_query() -> impl Strategy<Value = String> {
         })
 }
 
-/// Sum of (entries, positions) over every scan leaf of the rewritten plan —
-/// the "size of the query token inverted lists" in the paper's bounds,
-/// counting a list once per leaf occurrence.
-fn scanned_totals(node: &PlanNode, corpus: &Corpus, index: &InvertedIndex) -> (u64, u64) {
+/// Sum of (entries, positions) over every scan leaf (`TokenRel` /
+/// `HasPos`) of the plan — the "size of the query token inverted lists" in
+/// the paper's bounds, counting a list once per leaf occurrence.
+fn scanned_totals(node: &AlgExpr, corpus: &Corpus, index: &InvertedIndex) -> (u64, u64) {
     match node {
-        PlanNode::Scan { token, .. } => match corpus.token_id(token) {
+        AlgExpr::TokenRel(token) => match corpus.token_id(token) {
             Some(id) => {
                 let list = index.block_list(id);
                 (list.num_entries() as u64, list.num_positions() as u64)
             }
             None => (0, 0),
         },
-        PlanNode::ScanAny { .. } => {
+        AlgExpr::HasPos => {
             let list = index.any_block_list();
             (list.num_entries() as u64, list.num_positions() as u64)
         }
-        PlanNode::Join(a, b) | PlanNode::Union(a, b) | PlanNode::Diff(a, b) => {
+        AlgExpr::SearchContext => (0, 0),
+        AlgExpr::Join(a, b)
+        | AlgExpr::Union(a, b)
+        | AlgExpr::Intersect(a, b)
+        | AlgExpr::Difference(a, b) => {
             let (e1, p1) = scanned_totals(a, corpus, index);
             let (e2, p2) = scanned_totals(b, corpus, index);
             (e1 + e2, p1 + p2)
         }
-        PlanNode::Select { input, .. } | PlanNode::Project { input, .. } => {
+        AlgExpr::Select { input, .. } | AlgExpr::Project(input, _) => {
             scanned_totals(input, corpus, index)
         }
     }

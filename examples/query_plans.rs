@@ -1,5 +1,10 @@
 //! Figure 4 reproduced: the operator tree for the paper's running COMP
-//! query, plus the plans of each engine tier.
+//! query, plus the plans of each engine tier. Every tree is a full-text
+//! algebra expression, printed in one language: the streaming engines'
+//! plans (PPRED, NPRED) as their lowering builds them — `SOME`
+//! projections composed, predicate selections over the join — and
+//! COMP's as Lemma 2 translates it, pushed down. BOOL merges doc-id lists
+//! and prints no tree.
 
 use ftsl::core::Ftsl;
 
