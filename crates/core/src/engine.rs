@@ -401,8 +401,7 @@ impl Ftsl {
             None,
         )?;
         let how = match prepared.engine() {
-            EngineUsed::Bool => "doc-id list merges",
-            EngineUsed::Ppred | EngineUsed::Npred => "streaming cursors",
+            EngineUsed::Bool | EngineUsed::Ppred | EngineUsed::Npred => "streaming cursors",
             EngineUsed::Comp => "materialized algebra",
         };
         Ok(format!(
@@ -478,6 +477,18 @@ mod tests {
         e.add("software task completion with efficient usability testing");
         e.add("");
         e
+    }
+
+    /// A BOOL query explains as the streaming plan it runs; a `NOT` with no
+    /// positive conjunct filters `SearchContext`.
+    #[test]
+    fn explain_prints_the_bool_plan() {
+        let out = fixture().explain("NOT 'a' OR 'b'").unwrap();
+        assert!(
+            out.contains("engine: BOOL (streaming cursors)\nplan:\n"),
+            "{out}"
+        );
+        assert!(out.contains("search_context"), "{out}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Build cursor trees from streaming plans.
 
-use crate::cursor::{FtCursor, ScanCursor};
+use crate::cursor::{ContextCursor, FtCursor, ScanCursor};
 use crate::join::JoinCursor;
 use crate::plan::{as_filter, Plan};
 use crate::project::ProjectCursor;
@@ -8,7 +8,7 @@ use crate::select::SelectCursor;
 use crate::setops::{DiffCursor, UnionCursor};
 use ftsl_algebra::AlgExpr;
 use ftsl_calculus::ast::VarId;
-use ftsl_index::InvertedIndex;
+use ftsl_index::{BlockList, InvertedIndex};
 use ftsl_model::Corpus;
 use ftsl_predicates::{AdvanceMode, PredKind, PredicateRegistry};
 use std::collections::HashMap;
@@ -34,9 +34,9 @@ pub struct CursorCtx<'a> {
 ///
 /// # Panics
 ///
-/// If `plan` is not one [`crate::plan::build_plan`] built: a
-/// `SearchContext`, `∩` or `−` outside a `NOT` filter, or fewer swap
-/// decisions or negative-predicate arguments than the tree needs.
+/// If `plan` is not one [`crate::plan::build_plan`] built: a `∩` or `−`
+/// outside a `NOT` filter, or fewer swap decisions or negative-predicate
+/// arguments than the tree needs.
 pub fn build_cursor<'a>(
     plan: &Plan,
     swaps: &[bool],
@@ -70,15 +70,11 @@ impl<'a> Walk<'_, 'a> {
             return (Box::new(DiffCursor::new(left, filter)), arity);
         }
         let ctx = self.ctx;
+        if let Some(list) = self.list(node) {
+            return (Box::new(ScanCursor::new(list)), 1);
+        }
         match node {
-            AlgExpr::TokenRel(token) => {
-                let id = ctx
-                    .corpus
-                    .token_id(token)
-                    .unwrap_or(ftsl_model::TokenId(u32::MAX));
-                (Box::new(ScanCursor::new(ctx.index.block_list(id))), 1)
-            }
-            AlgExpr::HasPos => (Box::new(ScanCursor::new(ctx.index.any_block_list())), 1),
+            AlgExpr::SearchContext => (Box::new(ContextCursor::new(ctx.corpus.len() as u32)), 0),
             AlgExpr::Join(a, b) => {
                 let swap = *self.swaps.next().expect("a decision per join");
                 let (left, la) = self.build(a);
@@ -86,9 +82,13 @@ impl<'a> Walk<'_, 'a> {
                 if !swap {
                     return (Box::new(JoinCursor::new(left, right)), la + lb);
                 }
-                // Drive from the rarer right side; restore the column order.
-                let keep: Vec<usize> = (lb..lb + la).chain(0..lb).collect();
+                // Drive from the rarer right side; restore the column order
+                // when both sides have columns.
                 let join = Box::new(JoinCursor::new(right, left));
+                if la == 0 || lb == 0 {
+                    return (join, la + lb);
+                }
+                let keep: Vec<usize> = (lb..lb + la).chain(0..lb).collect();
                 (Box::new(ProjectCursor::new(join, keep)), la + lb)
             }
             AlgExpr::Select {
@@ -126,6 +126,12 @@ impl<'a> Walk<'_, 'a> {
                 (cursor, arity)
             }
             AlgExpr::Project(input, keep) => {
+                // `π_∅` of a scan: the list's nodes, as one cursor.
+                if keep.is_empty() {
+                    if let Some(list) = self.list(input) {
+                        return (Box::new(ScanCursor::nodes(list)), 0);
+                    }
+                }
                 let (inner, _) = self.build(input);
                 (
                     Box::new(ProjectCursor::new(inner, keep.clone())),
@@ -137,9 +143,24 @@ impl<'a> Walk<'_, 'a> {
                 let (right, _) = self.build(b);
                 (Box::new(UnionCursor::new(left, right)), arity)
             }
-            AlgExpr::SearchContext | AlgExpr::Intersect(..) | AlgExpr::Difference(..) => {
+            AlgExpr::TokenRel(_) | AlgExpr::HasPos => unreachable!("a leaf scan"),
+            AlgExpr::Intersect(..) | AlgExpr::Difference(..) => {
                 unreachable!("the streaming lowering emits no {node:?} outside a NOT filter")
             }
+        }
+    }
+
+    /// The inverted list a leaf scan reads: a token's (empty for a token
+    /// this segment lacks) or `IL_ANY`; `None` for any other node.
+    fn list(&self, node: &AlgExpr) -> Option<BlockList<'a>> {
+        let index = self.ctx.index;
+        match node {
+            AlgExpr::TokenRel(token) => {
+                let id = self.ctx.corpus.token_id(token);
+                Some(index.block_list(id.unwrap_or(ftsl_model::TokenId(u32::MAX))))
+            }
+            AlgExpr::HasPos => Some(index.any_block_list()),
+            _ => None,
         }
     }
 }

@@ -72,6 +72,8 @@ pub trait FtCursor {
 /// NPRED thread builds its own), so the dynamic borrow never contends.
 pub struct ScanCursor<'a> {
     cursor: std::cell::RefCell<BlockCursor<'a>>,
+    /// 1, or 0 for a node-level scan ([`ScanCursor::nodes`]).
+    arity: usize,
     /// The current node, updated by every advancing call — `node()` reads
     /// it without touching the `RefCell`.
     cur_node: Option<NodeId>,
@@ -84,15 +86,25 @@ impl<'a> ScanCursor<'a> {
     pub fn new(list: BlockList<'a>) -> Self {
         ScanCursor {
             cursor: std::cell::RefCell::new(list.cursor()),
+            arity: 1,
             cur_node: None,
             cur_pos: std::cell::Cell::new(None),
+        }
+    }
+
+    /// Open a scan over `list`'s nodes with no position column: `π_∅` of
+    /// the scan, as one cursor.
+    pub(crate) fn nodes(list: BlockList<'a>) -> Self {
+        ScanCursor {
+            arity: 0,
+            ..Self::new(list)
         }
     }
 }
 
 impl FtCursor for ScanCursor<'_> {
     fn arity(&self) -> usize {
-        1
+        self.arity
     }
 
     fn advance_node(&mut self) -> Option<NodeId> {
@@ -106,7 +118,7 @@ impl FtCursor for ScanCursor<'_> {
     }
 
     fn position(&self, col: usize) -> Position {
-        debug_assert_eq!(col, 0);
+        debug_assert!(col < self.arity);
         if let Some(p) = self.cur_pos.get() {
             return p;
         }
@@ -120,7 +132,7 @@ impl FtCursor for ScanCursor<'_> {
     }
 
     fn advance_position(&mut self, col: usize, min_offset: u32) -> bool {
-        debug_assert_eq!(col, 0);
+        debug_assert!(col < self.arity);
         let hit = self.cursor.get_mut().advance_position(min_offset);
         self.cur_pos.set(hit);
         hit.is_some()
@@ -134,6 +146,75 @@ impl FtCursor for ScanCursor<'_> {
 
     fn counters(&self) -> AccessCounters {
         self.cursor.borrow().counters()
+    }
+}
+
+/// The `SearchContext` relation of one segment: every context node
+/// `0..len`, in order, with no position column. It reads no list; each
+/// node it steps to or seeks to counts one entry, as the node universe a
+/// complement runs over is charged in Figure 3's `cnodes` term.
+pub(crate) struct ContextCursor {
+    len: u32,
+    node: Option<NodeId>,
+    /// The first node not yet stepped to.
+    next: u32,
+    entries: u64,
+}
+
+impl ContextCursor {
+    /// Open a cursor over the nodes `0..len`.
+    pub(crate) fn new(len: u32) -> Self {
+        ContextCursor {
+            len,
+            node: None,
+            next: 0,
+            entries: 0,
+        }
+    }
+
+    fn step_to(&mut self, id: u32) -> Option<NodeId> {
+        self.node = (id < self.len).then(|| {
+            self.entries += 1;
+            NodeId(id)
+        });
+        self.next = id.saturating_add(1).min(self.len);
+        self.node
+    }
+}
+
+impl FtCursor for ContextCursor {
+    fn arity(&self) -> usize {
+        0
+    }
+
+    fn advance_node(&mut self) -> Option<NodeId> {
+        self.step_to(self.next)
+    }
+
+    fn node(&self) -> Option<NodeId> {
+        self.node
+    }
+
+    fn position(&self, _col: usize) -> Position {
+        unreachable!("SearchContext has no position column")
+    }
+
+    fn advance_position(&mut self, _col: usize, _min_offset: u32) -> bool {
+        unreachable!("SearchContext has no position column")
+    }
+
+    fn seek_node(&mut self, target: NodeId) -> Option<NodeId> {
+        match self.node {
+            Some(n) if n >= target => Some(n),
+            _ => self.step_to(self.next.max(target.0)),
+        }
+    }
+
+    fn counters(&self) -> AccessCounters {
+        AccessCounters {
+            entries: self.entries,
+            ..AccessCounters::new()
+        }
     }
 }
 
@@ -160,5 +241,17 @@ mod tests {
         assert_eq!(scan.position(0).offset, 0);
         assert_eq!(scan.advance_node(), None);
         assert_eq!(scan.node(), None);
+    }
+
+    #[test]
+    fn context_cursor_steps_and_seeks_every_node_once() {
+        let mut all = ContextCursor::new(5);
+        assert_eq!(all.advance_node(), Some(NodeId(0)));
+        assert_eq!(all.seek_node(NodeId(0)), Some(NodeId(0)));
+        assert_eq!(all.seek_node(NodeId(3)), Some(NodeId(3)));
+        assert_eq!(all.advance_node(), Some(NodeId(4)));
+        assert_eq!(all.advance_node(), None);
+        assert_eq!(all.seek_node(NodeId(9)), None);
+        assert_eq!(all.counters().entries, 3);
     }
 }

@@ -2,7 +2,6 @@
 //! query once ([`PreparedQuery::prepare`]), then run it per segment
 //! ([`PreparedQuery::bind`]).
 
-use crate::bool_eval::{bind_bool, check_bool};
 use crate::comp::CompPlan;
 use crate::error::ExecError;
 use crate::ppred::StreamPlan;
@@ -20,7 +19,7 @@ use ftsl_predicates::{AdvanceMode, PredicateRegistry};
 pub enum EngineKind {
     /// Pick by language class (Figure 3), falling back to COMP.
     Auto,
-    /// Force the BOOL merge engine.
+    /// Force the BOOL class: the streaming engine, on BOOL queries only.
     Bool,
     /// Force the PPRED streaming engine.
     Ppred,
@@ -57,7 +56,7 @@ impl Default for ExecOptions {
 /// The engine actually used for a query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineUsed {
-    /// BOOL merge engine.
+    /// The streaming engine on a BOOL query.
     Bool,
     /// PPRED streaming engine.
     Ppred,
@@ -135,18 +134,18 @@ fn engine_for(class: LanguageClass) -> EngineUsed {
 }
 
 /// The engine-specific half of a [`PreparedQuery`].
-enum Shape<'q> {
-    Bool(&'q SurfaceQuery),
-    /// PPRED or NPRED, as labelled.
+enum Shape {
+    /// BOOL, PPRED or NPRED, as labelled.
     Stream(EngineUsed, StreamPlan),
     Comp(CompPlan),
 }
 
 /// A query compiled once for every segment it will run on: classified,
 /// dispatched, lowered, and planned into one full-text algebra tree
-/// ([`AlgExpr`]) — for PPRED / NPRED the streaming plan in node-level
-/// normal form (plus the recognized pair core or the thread orderings),
-/// for COMP Lemma 2's translation, pushed down. [`Self::bind`] does only
+/// ([`AlgExpr`]) — for BOOL / PPRED / NPRED the streaming plan in
+/// node-level normal form (plus the recognized pair core or the thread
+/// orderings), for COMP Lemma 2's translation, pushed down. A forced BOOL
+/// takes only queries `classify` places in BOOL. [`Self::bind`] does only
 /// what depends on one segment's lists: token ids, join order, cursors;
 /// it reads the prepared tree and copies none of it.
 ///
@@ -160,7 +159,7 @@ enum Shape<'q> {
 pub struct PreparedQuery<'q> {
     registry: &'q PredicateRegistry,
     class: LanguageClass,
-    shape: Shape<'q>,
+    shape: Shape,
     /// The algebra translation, not pushed down: kept by a ranked request
     /// and by COMP, whose plan is pushed down from it.
     translated: Option<AlgExpr>,
@@ -170,7 +169,7 @@ impl<'q> PreparedQuery<'q> {
     /// Compile `surface` for `engine`. With a trace builder, the work is one
     /// `prepare` span, noting a COMP fallback when Auto needed one.
     pub fn prepare(
-        surface: &'q SurfaceQuery,
+        surface: &SurfaceQuery,
         engine: EngineKind,
         registry: &'q PredicateRegistry,
         options: ExecOptions,
@@ -183,7 +182,7 @@ impl<'q> PreparedQuery<'q> {
     /// that finds its answer, and the translation that scores it. The query
     /// is lowered once for both.
     pub fn prepare_ranked(
-        surface: &'q SurfaceQuery,
+        surface: &SurfaceQuery,
         registry: &'q PredicateRegistry,
         options: ExecOptions,
         tb: Option<&mut TraceBuilder>,
@@ -192,7 +191,7 @@ impl<'q> PreparedQuery<'q> {
     }
 
     fn compile(
-        surface: &'q SurfaceQuery,
+        surface: &SurfaceQuery,
         engine: EngineKind,
         ranked: bool,
         registry: &'q PredicateRegistry,
@@ -208,46 +207,38 @@ impl<'q> PreparedQuery<'q> {
             EngineKind::Npred => EngineUsed::Npred,
             EngineKind::Comp => EngineUsed::Comp,
         };
-        if chosen == EngineUsed::Bool {
-            check_bool(surface)?;
+        if engine == EngineKind::Bool && class > LanguageClass::Bool {
+            return Err(ExecError::WrongEngine {
+                engine: "BOOL",
+                reason: format!("the query is {class}, outside BOOL"),
+            });
         }
-        // A BOOL set request merges doc-id lists from the surface query and
-        // never lowers.
-        let query = if chosen == EngineUsed::Bool && !ranked {
-            None
+        let expr = lower(surface, registry).map_err(|e| ExecError::Lang(e.to_string()))?;
+        let query = CalcQuery::new(expr);
+        let mut translated = if ranked {
+            Some(query_to_algebra(&query, registry)?)
         } else {
-            let expr = lower(surface, registry).map_err(|e| ExecError::Lang(e.to_string()))?;
-            Some(CalcQuery::new(expr))
+            None
         };
-        let mut translated = match &query {
-            Some(query) if ranked => Some(query_to_algebra(query, registry)?),
-            _ => None,
-        };
-        let shape = match query {
-            Some(query) if chosen != EngineUsed::Bool => {
-                let streamed = matches!(chosen, EngineUsed::Ppred | EngineUsed::Npred).then(|| {
-                    let full = options.npred_full_permutations;
-                    StreamPlan::prepare(&query.expr, registry, chosen, full)
-                });
-                match streamed {
-                    Some(Ok(plan)) => Shape::Stream(chosen, plan),
-                    Some(Err(e)) if engine != EngineKind::Auto => return Err(e.into()),
-                    fallback => {
-                        if let (Some(b), Some(id), Some(Err(e))) = (tb.as_mut(), span, fallback) {
-                            b.note(id, format!("{chosen} refused: {e} — COMP fallback"));
-                        }
-                        let alg = match translated.take() {
-                            Some(alg) => alg,
-                            None => query_to_algebra(&query, registry)?,
-                        };
-                        let plan = CompPlan::prepare(&alg, registry);
-                        translated = Some(alg);
-                        Shape::Comp(plan)
-                    }
+        let streamed = (chosen != EngineUsed::Comp).then(|| {
+            let full = options.npred_full_permutations;
+            StreamPlan::prepare(&query.expr, registry, chosen, full)
+        });
+        let shape = match streamed {
+            Some(Ok(plan)) => Shape::Stream(chosen, plan),
+            Some(Err(e)) if engine != EngineKind::Auto => return Err(e.into()),
+            fallback => {
+                if let (Some(b), Some(id), Some(Err(e))) = (tb.as_mut(), span, fallback) {
+                    b.note(id, format!("{chosen} refused: {e} — COMP fallback"));
                 }
+                let alg = match translated.take() {
+                    Some(alg) => alg,
+                    None => query_to_algebra(&query, registry)?,
+                };
+                let plan = CompPlan::prepare(&alg, registry);
+                translated = Some(alg);
+                Shape::Comp(plan)
             }
-            // BOOL: every other engine has lowered.
-            _ => Shape::Bool(surface),
         };
         if let (Some(b), Some(id)) = (tb, span) {
             b.close(id);
@@ -275,7 +266,6 @@ impl<'q> PreparedQuery<'q> {
     /// The engine every segment runs.
     pub fn engine(&self) -> EngineUsed {
         match self.shape {
-            Shape::Bool(_) => EngineUsed::Bool,
             Shape::Stream(engine, _) => engine,
             Shape::Comp(_) => EngineUsed::Comp,
         }
@@ -284,10 +274,8 @@ impl<'q> PreparedQuery<'q> {
     /// The operator tree every segment runs, as `EXPLAIN` prints it, in
     /// the one language [`AlgExpr::render_tree`] renders: the streaming
     /// plan under `plan:`, or COMP's pushed-down algebra under `algebra:`.
-    /// Empty for BOOL, which merges doc-id lists.
     pub fn render_tree(&self) -> String {
         match &self.shape {
-            Shape::Bool(_) => String::new(),
             Shape::Stream(_, stream) => {
                 format!("plan:\n{}", stream.plan.root.render_tree(self.registry))
             }
@@ -309,7 +297,6 @@ impl<'q> PreparedQuery<'q> {
             .as_mut()
             .map(|b| b.open(format!("engine {}", self.engine())));
         let (nodes, counters) = match &self.shape {
-            Shape::Bool(surface) => bind_bool(surface, corpus, index),
             Shape::Stream(engine, plan) => {
                 let (nodes, counters, attribution) =
                     plan.bind(corpus, index, self.registry, AdvanceMode::Aggressive);
@@ -347,7 +334,7 @@ impl<'q> PreparedQuery<'q> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{one_segment, SnapshotExecutor};
+    use crate::snapshot::{one_segment, run_on_texts, SnapshotExecutor};
     use ftsl_index::Snapshot;
 
     fn setup() -> (Snapshot, PredicateRegistry) {
@@ -413,6 +400,71 @@ mod tests {
         assert!(matches!(err, Err(ExecError::Plan(_))));
         let err = exec.run_str("SOME p1 (p1 HAS 'test')", EngineKind::Bool);
         assert!(matches!(err, Err(ExecError::WrongEngine { .. })));
+    }
+
+    fn bool_run(query: &str, texts: &[&str]) -> Result<QueryOutput, ExecError> {
+        run_on_texts(texts, query, EngineKind::Bool, Default::default())
+    }
+
+    fn bool_ids(query: &str, texts: &[&str]) -> Vec<u32> {
+        bool_run(query, texts).unwrap().node_ids()
+    }
+
+    #[test]
+    fn section_5_3_example_shape() {
+        // ('software' AND 'users' AND NOT 'testing') OR 'usability'
+        let r = bool_ids(
+            "('software' AND 'users' AND NOT 'testing') OR 'usability'",
+            &[
+                "software users",         // matches (left branch)
+                "software users testing", // blocked by NOT
+                "usability",              // matches (right branch)
+                "software testing",       // no
+            ],
+        );
+        assert_eq!(r, vec![0, 2]);
+    }
+
+    #[test]
+    fn not_includes_empty_nodes() {
+        assert_eq!(bool_ids("NOT 'a'", &["a", "", "b"]), vec![1, 2]);
+        assert_eq!(bool_ids("NOT 'a' OR 'a'", &["a", "", "b"]), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn any_excludes_empty_nodes() {
+        assert_eq!(bool_ids("ANY", &["a", "", "b"]), vec![0, 2]);
+    }
+
+    #[test]
+    fn unknown_token_matches_nothing() {
+        assert!(bool_ids("'zzz'", &["a", "b"]).is_empty());
+        assert_eq!(bool_ids("NOT 'zzz'", &["a", "b"]), vec![0, 1]);
+    }
+
+    #[test]
+    fn double_negation() {
+        assert_eq!(bool_ids("NOT NOT 'a'", &["a", "b", "a c"]), vec![0, 2]);
+    }
+
+    /// A `NOT` with no positive conjunct steps the node universe, one entry
+    /// per node; one beside a positive conjunct only seeks the filter.
+    #[test]
+    fn counters_distinguish_noneg_from_neg() {
+        let texts = ["a b", "a", "b", "c", "d", "e"];
+        let c1 = bool_run("'a' AND 'b'", &texts).unwrap().counters;
+        let c2 = bool_run("NOT 'a'", &texts).unwrap().counters;
+        assert!(c2.entries > c1.entries);
+        assert!(c2.entries >= texts.len() as u64);
+        assert_eq!(c1.positions + c2.positions, 0);
+    }
+
+    #[test]
+    fn comp_constructs_are_rejected() {
+        assert!(matches!(
+            bool_run("SOME p1 (p1 HAS 'a')", &["a"]),
+            Err(ExecError::WrongEngine { .. })
+        ));
     }
 
     #[test]

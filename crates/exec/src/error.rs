@@ -10,14 +10,10 @@ pub enum PlanError {
     /// `NOT` applied to a subquery with free variables (only closed
     /// subqueries may be negated in PPRED/NPRED: `Query AND NOT Query*`).
     OpenNegation,
-    /// Bare negation outside an `AND`.
-    BareNegation,
     /// Universal quantification (`EVERY`) is not streamable.
     Universal,
     /// `OR` branches expose different free variables.
     OrVarMismatch,
-    /// A conjunction contains only negations (no positive relational part).
-    NoRelationalConjunct,
     /// A negative predicate reached the PPRED engine.
     NegativePredicate(String),
     /// A predicate that is neither positive nor negative.
@@ -36,12 +32,8 @@ impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PlanError::OpenNegation => write!(f, "NOT over a subquery with free variables"),
-            PlanError::BareNegation => write!(f, "negation outside AND NOT"),
             PlanError::Universal => write!(f, "EVERY is not streamable"),
             PlanError::OrVarMismatch => write!(f, "OR branches bind different variables"),
-            PlanError::NoRelationalConjunct => {
-                write!(f, "conjunction has no positive relational part")
-            }
             PlanError::NegativePredicate(name) => {
                 write!(f, "negative predicate {name} requires the NPRED engine")
             }

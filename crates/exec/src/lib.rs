@@ -1,11 +1,9 @@
 //! # ftsl-exec — the query evaluation engines
 //!
 //! Section 5 of the paper defines one evaluation strategy per language class
-//! and proves the complexity hierarchy of Figure 3. This crate implements
-//! all four engines plus the dispatcher:
+//! and proves the complexity hierarchy of Figure 3. This crate runs the four
+//! classes on two physical engines plus the dispatcher:
 //!
-//! * [`bool_eval`] — **BOOL / BOOL-NONEG** (5.3): sort-merge over doc-id
-//!   lists; `NOT`/`ANY` complement against the node universe;
 //! * [`comp`] — **COMP** (5.4): translate the calculus to the algebra
 //!   (Lemma 2) and evaluate it one context node at a time — polynomial in
 //!   the data, exponential in the query, capped per node;
@@ -15,8 +13,11 @@
 //!   query token inverted lists, run once per ordering of the
 //!   negative-predicate variables (the partial-order optimization, or the
 //!   paper's presented full-permutation scheme) — one scan when there are
-//!   none. [`plan`] lowers the calculus into the same algebra COMP runs
-//!   ([`ftsl_algebra::AlgExpr`]), in the node-level normal form the
+//!   none. **BOOL / BOOL-NONEG** (5.3) is the same plan with no
+//!   predicate: joins, unions and `NOT` filters of node-level scans, a
+//!   root or `OR`-branch `NOT` filtering `SearchContext`, the node
+//!   universe. [`plan`] lowers the calculus into the same algebra COMP
+//!   runs ([`ftsl_algebra::AlgExpr`]), in the node-level normal form the
 //!   cursors need, and [`build`] turns that tree into cursors per segment;
 //! * [`engine`] — dispatch by [`ftsl_lang::LanguageClass`], with COMP as
 //!   the universal fallback: a [`PreparedQuery`] is classified, lowered and
@@ -95,7 +96,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bool_eval;
 pub mod build;
 pub mod comp;
 pub mod cursor;

@@ -64,16 +64,16 @@ pub struct PairQuery {
 
 /// Constraints gathered while walking a candidate plan.
 #[derive(Default)]
-struct Gathered {
+struct Gathered<'p> {
     /// Token of each leaf scan, in plan order (at most two).
-    scans: Vec<String>,
+    scans: Vec<&'p str>,
     /// Direction pinned by `ordered(sa, sb)`, as scan indices.
     direction: Option<(usize, usize)>,
     /// Tightest gap bound implied by `distance`/`window` selections.
     bound: Option<u32>,
 }
 
-impl Gathered {
+impl Gathered<'_> {
     fn tighten(&mut self, bound: u32) {
         self.bound = Some(self.bound.map_or(bound, |b| b.min(bound)));
     }
@@ -95,8 +95,8 @@ pub(crate) fn recognize(root: &AlgExpr, registry: &PredicateRegistry) -> Option<
     let bound = st.bound.filter(|&b| b >= 1)?;
     match st.direction {
         Some((s0, s1)) => Some(PairQuery {
-            first: st.scans[s0].clone(),
-            second: st.scans[s1].clone(),
+            first: st.scans[s0].to_string(),
+            second: st.scans[s1].to_string(),
             directed: true,
             bound,
         }),
@@ -105,8 +105,8 @@ pub(crate) fn recognize(root: &AlgExpr, registry: &PredicateRegistry) -> Option<
         // strictly-forward pair semantics.
         None if st.scans[0] == st.scans[1] => None,
         None => Some(PairQuery {
-            first: st.scans[0].clone(),
-            second: st.scans[1].clone(),
+            first: st.scans[0].to_string(),
+            second: st.scans[1].to_string(),
             directed: false,
             bound,
         }),
@@ -115,13 +115,17 @@ pub(crate) fn recognize(root: &AlgExpr, registry: &PredicateRegistry) -> Option<
 
 /// Walk one plan node, returning the scan index feeding each output
 /// column (`None` = shape outside the pair fragment).
-fn walk(node: &AlgExpr, registry: &PredicateRegistry, st: &mut Gathered) -> Option<Vec<usize>> {
+fn walk<'p>(
+    node: &'p AlgExpr,
+    registry: &PredicateRegistry,
+    st: &mut Gathered<'p>,
+) -> Option<Vec<usize>> {
     match node {
         AlgExpr::TokenRel(token) => {
             if st.scans.len() == 2 {
                 return None;
             }
-            st.scans.push(token.clone());
+            st.scans.push(token);
             Some(vec![st.scans.len() - 1])
         }
         AlgExpr::Join(a, b) => {

@@ -4,7 +4,9 @@
 //! ([`AlgExpr`]) that the engines run as cursors (Section 5.5.3's operator
 //! trees, e.g. Figure 4). A closed `NOT` becomes Lemma 2's own form,
 //! `L ⋈ (SearchContext − R)`: the nodes of `L` with no match in `R`
-//! (Algorithm 5's anti-join, recognized by `as_filter`).
+//! (Algorithm 5's anti-join, recognized by `as_filter`). A conjunction of
+//! closed `NOT`s alone — a BOOL query's root or `OR`-branch `NOT` — has
+//! `SearchContext` itself as `L`, the relation of every context node.
 //!
 //! The tree comes out in **node-level normal form**: unions on top, closed
 //! `NOT` filters above union-free cores of scans, joins, selections and
@@ -114,14 +116,20 @@ impl Branch {
         }
     }
 
-    /// `self ⋈ right`, with both sides' filters lifted above the join.
+    /// `self ⋈ right`, with both sides' filters lifted above the join. A
+    /// `SearchContext` side has no column and every node, so the join is
+    /// the other side.
     fn join(self, right: Branch) -> Branch {
         let mut negative_args = self.negative_args;
         negative_args.extend(right.negative_args);
         let mut filters = right.filters;
         filters.extend(self.filters);
+        let core = match (self.core, right.core) {
+            (AlgExpr::SearchContext, core) | (core, AlgExpr::SearchContext) => core,
+            (left, right) => AlgExpr::Join(Box::new(left), Box::new(right)),
+        };
         Branch {
-            core: AlgExpr::Join(Box::new(self.core), Box::new(right.core)),
+            core,
             negative_args,
             filters,
         }
@@ -169,13 +177,15 @@ impl Branches {
     }
 
     /// `self ⋈ right`: this tree's shape, each branch replaced by `right`'s
-    /// shape over the joins of the two branches.
-    fn join(self, right: &Branches) -> Branches {
-        self.map(&mut |left| {
-            right
-                .clone()
-                .map(&mut |r| Branches::One(left.clone().join(r)))
-        })
+    /// shape over the joins of the two branches. Two single branches join
+    /// by move; a union copies each side once per branch of the other.
+    fn join(self, right: Branches) -> Branches {
+        match (self, right) {
+            (Branches::One(left), Branches::One(right)) => Branches::One(left.join(right)),
+            (left, right) => {
+                left.map(&mut |l| right.clone().map(&mut |r| Branches::One(l.clone().join(r))))
+            }
+        }
     }
 
     /// `σ_pred(cols, consts)` on every branch; `negative` holds the
@@ -209,12 +219,19 @@ impl Branches {
         })
     }
 
-    /// Filter every branch by the closed subquery `filter`.
-    fn filter(self, filter: &Lowered) -> Branches {
-        self.map(&mut |mut branch| {
-            branch.filters.push(filter.clone());
-            Branches::One(branch)
-        })
+    /// Filter every branch by the closed subquery `filter`: moved into a
+    /// single branch, copied into each branch of a union.
+    fn filter(self, filter: Lowered) -> Branches {
+        match self {
+            Branches::One(mut branch) => {
+                branch.filters.push(filter);
+                Branches::One(branch)
+            }
+            union => union.map(&mut |mut branch| {
+                branch.filters.push(filter.clone());
+                Branches::One(branch)
+            }),
+        }
     }
 
     fn finish(self) -> Lowered {
@@ -259,7 +276,8 @@ impl Builder<'_> {
             QueryExpr::And(..)
             | QueryExpr::HasToken(..)
             | QueryExpr::HasPos(_)
-            | QueryExpr::Pred { .. } => {
+            | QueryExpr::Pred { .. }
+            | QueryExpr::Not(_) => {
                 let mut conjuncts = Vec::new();
                 flatten_and(expr, &mut conjuncts);
                 self.build_conjunction(&conjuncts)
@@ -291,6 +309,16 @@ impl Builder<'_> {
                 })
             }
             QueryExpr::Exists(v, body) => {
+                // A literal or `ANY` is the leaf `π_∅(R_t)` / `π_∅(HasPos)`,
+                // as the conjunction path would plan it.
+                if let Some(leaf) = closed_leaf(*v, body) {
+                    self.scan_vars.push(*v);
+                    let leaf = AlgExpr::Project(Box::new(leaf), Vec::new());
+                    return Ok(Built {
+                        branches: Branches::One(Branch::scan(leaf)),
+                        cols: Vec::new(),
+                    });
+                }
                 let inner = self.build(body)?;
                 match inner.cols.iter().position(|u| u == v) {
                     Some(idx) => {
@@ -302,13 +330,29 @@ impl Builder<'_> {
                             cols,
                         })
                     }
-                    // Quantifier over an unused variable: every leaf is a
-                    // scan, so matching nodes necessarily have positions to
-                    // bind the variable to — the quantifier is redundant.
-                    None => Ok(inner),
+                    // Quantifier over an unused variable: a core with a scan
+                    // leaf matches only nodes with positions to bind the
+                    // variable to, so there the quantifier is redundant; a
+                    // `SearchContext` core becomes `π_∅(HasPos)`.
+                    None => {
+                        let mut anchored = false;
+                        let branches = inner.branches.map_cores(|core, _| match core {
+                            AlgExpr::SearchContext => {
+                                anchored = true;
+                                AlgExpr::Project(Box::new(AlgExpr::HasPos), Vec::new())
+                            }
+                            core => core,
+                        });
+                        if anchored {
+                            self.scan_vars.push(*v);
+                        }
+                        Ok(Built {
+                            branches,
+                            cols: inner.cols,
+                        })
+                    }
                 }
             }
-            QueryExpr::Not(_) => Err(PlanError::BareNegation),
             QueryExpr::Forall(..) => Err(PlanError::Universal),
         }
     }
@@ -357,20 +401,21 @@ impl Builder<'_> {
             }
         }
 
+        // Closed `NOT`s alone filter every node: Lemma 2's `SearchContext
+        // − R`.
         if relational.is_empty() {
-            return Err(PlanError::NoRelationalConjunct);
+            relational.push(Built {
+                branches: Branches::One(Branch::scan(AlgExpr::SearchContext)),
+                cols: Vec::new(),
+            });
         }
 
         // Join everything; equate repeated variables via `samepos`.
-        let samepos = self
-            .registry
-            .lookup("samepos")
-            .ok_or(PlanError::GeneralPredicate("samepos missing".into()))?;
         let mut relational = relational.into_iter();
         let mut acc = relational.next().expect("non-empty");
         for next in relational {
             let offset = acc.cols.len();
-            let mut branches = acc.branches.join(&next.branches);
+            let mut branches = acc.branches.join(next.branches);
             let mut cols = acc.cols;
             cols.extend(next.cols);
             // Resolve duplicate variables one at a time.
@@ -379,6 +424,10 @@ impl Builder<'_> {
                     .find(|&j| cols[i] == cols[j])
                     .map(|j| (i, j))
             }) {
+                let samepos = self
+                    .registry
+                    .lookup("samepos")
+                    .ok_or(PlanError::GeneralPredicate("samepos missing".into()))?;
                 let keep: Vec<usize> = (0..cols.len()).filter(|&k| k != j).collect();
                 branches = branches.select(samepos, &[i, j], &[], None).project(&keep);
                 cols.remove(j);
@@ -397,7 +446,7 @@ impl Builder<'_> {
         }
 
         // Apply node-level anti-joins for closed negations.
-        for filter in &filters {
+        for filter in filters {
             acc.branches = acc.branches.filter(filter);
         }
         Ok(acc)
@@ -417,6 +466,16 @@ impl Builder<'_> {
     }
 }
 
+/// The scan of `∃v hasToken(v,t)` or `∃v hasPos(v)`, given `v` and the
+/// body; `None` for any other body.
+fn closed_leaf(v: VarId, body: &QueryExpr) -> Option<AlgExpr> {
+    match body {
+        QueryExpr::HasToken(u, t) if *u == v => Some(AlgExpr::TokenRel(t.clone())),
+        QueryExpr::HasPos(u) if *u == v => Some(AlgExpr::HasPos),
+        _ => None,
+    }
+}
+
 fn flatten_and<'e>(expr: &'e QueryExpr, out: &mut Vec<&'e QueryExpr>) {
     match expr {
         QueryExpr::And(a, b) => {
@@ -424,39 +483,6 @@ fn flatten_and<'e>(expr: &'e QueryExpr, out: &mut Vec<&'e QueryExpr>) {
             flatten_and(b, out);
         }
         other => out.push(other),
-    }
-}
-
-/// Estimated result cardinality (in context nodes) of a subtree, used to
-/// drive conjunctions off their rarest list: a join can never yield more
-/// nodes than its smaller input, a union no more than the sum of its
-/// inputs, and selections/projections/differences (a closed-`NOT` filter
-/// among them) only shrink their input.
-pub fn estimate_nodes(
-    node: &AlgExpr,
-    corpus: &ftsl_model::Corpus,
-    index: &ftsl_index::InvertedIndex,
-) -> u64 {
-    if let Some((left, _)) = as_filter(node) {
-        return estimate_nodes(left, corpus, index);
-    }
-    match node {
-        AlgExpr::TokenRel(token) => match corpus.token_id(token) {
-            Some(id) => index.df(id) as u64,
-            None => 0,
-        },
-        AlgExpr::HasPos => index.any_block_list().num_entries() as u64,
-        AlgExpr::SearchContext => corpus.len() as u64,
-        AlgExpr::Join(a, b) | AlgExpr::Intersect(a, b) => {
-            estimate_nodes(a, corpus, index).min(estimate_nodes(b, corpus, index))
-        }
-        AlgExpr::Select { input, .. } | AlgExpr::Project(input, _) => {
-            estimate_nodes(input, corpus, index)
-        }
-        AlgExpr::Union(a, b) => {
-            estimate_nodes(a, corpus, index).saturating_add(estimate_nodes(b, corpus, index))
-        }
-        AlgExpr::Difference(a, _) => estimate_nodes(a, corpus, index),
     }
 }
 
@@ -480,32 +506,49 @@ pub fn order_joins_by_selectivity(
     swaps
 }
 
+/// Push `node`'s swap decisions and return its estimated result
+/// cardinality in context nodes, which the decisions compare: a join can
+/// never yield more nodes than its smaller input, a union no more than the
+/// sum of its inputs, and selections, projections and differences (a
+/// closed-`NOT` filter among them) only shrink their input.
 fn decide_swaps(
     node: &AlgExpr,
     corpus: &ftsl_model::Corpus,
     index: &ftsl_index::InvertedIndex,
     swaps: &mut Vec<bool>,
-) {
+) -> u64 {
     if let Some((left, filter)) = as_filter(node) {
-        decide_swaps(left, corpus, index, swaps);
+        let nodes = decide_swaps(left, corpus, index, swaps);
         decide_swaps(filter, corpus, index, swaps);
-        return;
+        return nodes;
     }
     match node {
-        AlgExpr::SearchContext | AlgExpr::HasPos | AlgExpr::TokenRel(_) => {}
+        AlgExpr::TokenRel(token) => corpus.token_id(token).map_or(0, |id| index.df(id) as u64),
+        AlgExpr::HasPos => index.any_block_list().num_entries() as u64,
+        AlgExpr::SearchContext => corpus.len() as u64,
         AlgExpr::Join(a, b) => {
             let slot = swaps.len();
             swaps.push(false);
-            decide_swaps(a, corpus, index, swaps);
-            decide_swaps(b, corpus, index, swaps);
-            swaps[slot] = estimate_nodes(b, corpus, index) < estimate_nodes(a, corpus, index);
+            let a = decide_swaps(a, corpus, index, swaps);
+            let b = decide_swaps(b, corpus, index, swaps);
+            swaps[slot] = b < a;
+            a.min(b)
         }
         AlgExpr::Select { input, .. } | AlgExpr::Project(input, _) => {
             decide_swaps(input, corpus, index, swaps)
         }
-        AlgExpr::Union(a, b) | AlgExpr::Intersect(a, b) | AlgExpr::Difference(a, b) => {
-            decide_swaps(a, corpus, index, swaps);
+        AlgExpr::Union(a, b) => {
+            let a = decide_swaps(a, corpus, index, swaps);
+            a.saturating_add(decide_swaps(b, corpus, index, swaps))
+        }
+        AlgExpr::Intersect(a, b) => {
+            let a = decide_swaps(a, corpus, index, swaps);
+            a.min(decide_swaps(b, corpus, index, swaps))
+        }
+        AlgExpr::Difference(a, b) => {
+            let a = decide_swaps(a, corpus, index, swaps);
             decide_swaps(b, corpus, index, swaps);
+            a
         }
     }
 }
@@ -513,6 +556,8 @@ fn decide_swaps(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineKind;
+    use crate::snapshot::run_on_texts;
     use ftsl_lang::{lower, parse, Mode};
 
     fn plan_for(input: &str, allow_negative: bool) -> Result<Plan, PlanError> {
@@ -570,6 +615,46 @@ mod tests {
         );
         let reg = PredicateRegistry::with_builtins();
         assert_eq!(filter.arity(&reg), Ok(0));
+    }
+
+    /// A root `NOT` filters `SearchContext`; in an `OR` branch it does too,
+    /// and a join with that branch keeps the other side as its core.
+    #[test]
+    fn not_without_a_positive_conjunct_filters_search_context() {
+        assert_eq!(
+            tree("NOT 'b'"),
+            "join\n  search_context\n  difference\n    search_context\n\
+             \x20   project (CNode, [])\n      scan (\"b\")\n"
+        );
+        let p = plan_for("'a' AND (NOT 'b' OR 'c')", false).unwrap();
+        let AlgExpr::Union(left, _) = &p.root else {
+            panic!("a union on top");
+        };
+        let (core, _) = as_filter(left).expect("a filtered branch");
+        assert_eq!(
+            *core,
+            AlgExpr::Project(Box::new(AlgExpr::TokenRel("a".into())), vec![])
+        );
+    }
+
+    /// `SOME p` over a body that does not use `p` holds on nodes with a
+    /// position only: a `SearchContext` core becomes `π_∅(HasPos)`.
+    #[test]
+    fn unused_quantifier_anchors_search_context_on_positions() {
+        let t = tree("SOME p1 (NOT 'b')");
+        assert!(!t.contains("search_context\n  difference"), "{t}");
+        assert!(
+            t.starts_with("join\n  project (CNode, [])\n    scan (ANY)\n"),
+            "{t}"
+        );
+        let texts = ["b", "", "c"];
+        let out = run_on_texts(
+            &texts,
+            "SOME p1 (NOT 'b')",
+            EngineKind::Ppred,
+            Default::default(),
+        );
+        assert_eq!(out.unwrap().node_ids(), [2]);
     }
 
     /// Unions nest left-major, a join's right-side filters sit inside its

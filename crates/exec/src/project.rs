@@ -1,9 +1,9 @@
 //! The streaming projection (Algorithm 3): a pure column re-mapping.
 //!
-//! In rewritten plans the consumers of a projection are either node-level
-//! operators (union/difference/root) or predicate selections over retained
-//! columns, so the paper's duplicate-elimination loop is unnecessary for
-//! correctness; we keep the cheap mapping form.
+//! In the planner's node-level normal form the consumers of a projection
+//! are either node-level operators (union/difference/root) or predicate
+//! selections over retained columns, so the paper's duplicate-elimination
+//! loop is unnecessary for correctness; we keep the cheap mapping form.
 
 use crate::cursor::FtCursor;
 use ftsl_index::AccessCounters;

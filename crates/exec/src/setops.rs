@@ -1,10 +1,10 @@
 //! Node-level union (Algorithm 4) and difference (Algorithm 5) cursors.
 //!
-//! After plan rewriting these operators only participate in node-level
-//! traffic: `advance_position` on a union is unreachable (the planner pulls
-//! unions above every predicate), and difference "implements only the
-//! advanceNode function (it works only at the level of nodes)" exactly as
-//! the paper specifies.
+//! The planner lowers straight to the node-level normal form, so these
+//! operators only see node-level traffic: `advance_position` on a union is
+//! unreachable (every union sits above every predicate), and difference
+//! "implements only the advanceNode function (it works only at the level
+//! of nodes)" exactly as the paper specifies.
 
 use crate::cursor::FtCursor;
 use ftsl_index::AccessCounters;
@@ -91,7 +91,7 @@ impl FtCursor for UnionCursor<'_> {
     }
 
     fn advance_position(&mut self, _col: usize, _min_offset: u32) -> bool {
-        unreachable!("plan rewriting keeps unions above all position-level operators")
+        unreachable!("the node-level normal form keeps unions above all position-level operators")
     }
 
     fn counters(&self) -> AccessCounters {

@@ -55,7 +55,8 @@ fn reference(surface: &SurfaceQuery, corpus: &Corpus, reg: &PredicateRegistry) -
 /// The streaming plans' node-level normal form: unions on top, then
 /// closed-`NOT` filters `L ⋈ (SearchContext − R)` (each `R` in normal form
 /// itself), then a union-free core of scans, joins, selections and
-/// projections, with no projection directly over another.
+/// projections, with no projection directly over another. A core of
+/// closed `NOT`s alone is `SearchContext`.
 fn in_normal_form(e: &AlgExpr) -> bool {
     match e {
         AlgExpr::Union(a, b) => in_normal_form(a) && in_normal_form(b),
@@ -77,7 +78,7 @@ fn filtered(e: &AlgExpr) -> bool {
 
 fn core(e: &AlgExpr) -> bool {
     match e {
-        AlgExpr::TokenRel(_) | AlgExpr::HasPos => true,
+        AlgExpr::TokenRel(_) | AlgExpr::HasPos | AlgExpr::SearchContext => true,
         AlgExpr::Join(a, b) => core(a) && core(b),
         AlgExpr::Select { input, .. } => core(input),
         AlgExpr::Project(input, _) => !matches!(**input, AlgExpr::Project(..)) && core(input),
@@ -149,6 +150,7 @@ proptest! {
         (negative, query) in prop_oneof![
             arb_stream_query(&VOCAB, false).prop_map(|q| (false, q)),
             arb_stream_query(&VOCAB, true).prop_map(|q| (true, q)),
+            arb_bool_query(&VOCAB, 5, SurfaceQuery::Any, 3).prop_map(|q| (false, q)),
         ],
         corpus in arb_corpus(),
     ) {
@@ -181,6 +183,13 @@ proptest! {
         let exec = SnapshotExecutor::new(&snapshot, &reg);
         let got = exec.run_surface(&query, EngineKind::Bool).expect("bool runs");
         prop_assert_eq!(&got.nodes, &expected, "BOOL diverged on {}", query.render());
+
+        // BOOL runs on the streaming plan, so the streaming engines take
+        // every BOOL query too: root, nested and `OR`-branch `NOT`, `ANY`.
+        let ppred = exec.run_surface(&query, EngineKind::Ppred).expect("ppred runs");
+        prop_assert_eq!(&ppred.nodes, &expected, "PPRED diverged on {}", query.render());
+        let npred = exec.run_surface(&query, EngineKind::Npred).expect("npred runs");
+        prop_assert_eq!(&npred.nodes, &expected, "NPRED diverged on {}", query.render());
 
         let comp = exec.run_surface(&query, EngineKind::Comp).expect("comp runs");
         prop_assert_eq!(&comp.nodes, &expected, "COMP diverged on {}", query.render());

@@ -186,6 +186,34 @@ fn fnv(ids: &[u32]) -> u64 {
     })
 }
 
+/// `label engine: hits H fnv F entries E positions P skipped S blocks B`
+/// for one run, or `label engine: refused`.
+fn line(
+    label: &str,
+    name: &str,
+    exec: &SnapshotExecutor,
+    query: &str,
+    engine: EngineKind,
+) -> String {
+    match exec.run_str(query, engine) {
+        Ok(out) => {
+            let ids = out.node_ids();
+            let c = out.counters;
+            format!(
+                "{label} {name}: hits {} fnv {:016x} entries {} positions {} \
+                 skipped {} blocks {}\n",
+                ids.len(),
+                fnv(&ids),
+                c.entries,
+                c.positions,
+                c.skipped,
+                c.blocks_skipped
+            )
+        }
+        Err(_) => format!("{label} {name}: refused\n"),
+    }
+}
+
 #[test]
 fn cursor_trees_read_the_pinned_counters() {
     let corpus = corpus();
@@ -195,26 +223,45 @@ fn cursor_trees_read_the_pinned_counters() {
     for (label, query) in QUERIES {
         for (name, engine, options) in engines() {
             let exec = SnapshotExecutor::with_options(&snapshot, &reg, options);
-            let line = match exec.run_str(query, engine) {
-                Ok(out) => {
-                    let ids = out.node_ids();
-                    let c = out.counters;
-                    format!(
-                        "{label} {name}: hits {} fnv {:016x} entries {} positions {} \
-                         skipped {} blocks {}",
-                        ids.len(),
-                        fnv(&ids),
-                        c.entries,
-                        c.positions,
-                        c.skipped,
-                        c.blocks_skipped
-                    )
-                }
-                Err(_) => format!("{label} {name}: refused"),
-            };
-            lines.push_str(&line);
-            lines.push('\n');
+            lines.push_str(&line(label, name, &exec, query, engine));
         }
     }
     assert_eq!(lines, PINNED, "actual:\n{lines}");
+}
+
+/// BOOL's shapes, one per way a BOOL query lowers: a join of two common
+/// lists, a join with a rare side, a union, a closed-`NOT` filter, a root
+/// `NOT` (the filter over `SearchContext`), `ANY` filtered, and a union
+/// under a join.
+const BOOL_QUERIES: [(&str, &str); 7] = [
+    ("and", "'alpha' AND 'beta'"),
+    ("rare-and", "'alpha' AND 'omega'"),
+    ("or", "'alpha' OR 'beta'"),
+    ("and-not", "'eps' AND NOT 'alpha'"),
+    ("root-not", "NOT 'alpha'"),
+    ("any-and-not", "ANY AND NOT 'delta'"),
+    ("or-and", "('alpha' OR 'eta') AND 'theta'"),
+];
+
+const PINNED_BOOL: &str = "\
+and BOOL: hits 2641 fnv 84951bbceededd16 entries 5319 positions 0 skipped 319 blocks 0\n\
+rare-and BOOL: hits 11 fnv a72b0f64290ff6ba entries 24 positions 0 skipped 2713 blocks 10\n\
+or BOOL: hits 2997 fnv 005c765754b1d7d8 entries 5638 positions 0 skipped 0 blocks 0\n\
+and-not BOOL: hits 15 fnv 989952979e0d5f95 entries 2720 positions 0 skipped 1608 blocks 0\n\
+root-not BOOL: hits 37 fnv 32f11cfc42003edd entries 5963 positions 0 skipped 0 blocks 0\n\
+any-and-not BOOL: hits 871 fnv a73fcb59c871f28f entries 5129 positions 0 skipped 0 blocks 0\n\
+or-and BOOL: hits 451 fnv 3c26e05a28568eb8 entries 1450 positions 0 skipped 2878 blocks 0\n\
+";
+
+#[test]
+fn bool_queries_read_the_pinned_counters() {
+    let corpus = corpus();
+    let snapshot = Snapshot::of_index(corpus.clone(), IndexBuilder::new().build(&corpus));
+    let reg = PredicateRegistry::with_builtins();
+    let exec = SnapshotExecutor::new(&snapshot, &reg);
+    let lines: String = BOOL_QUERIES
+        .iter()
+        .map(|(label, query)| line(label, "BOOL", &exec, query, EngineKind::Bool))
+        .collect();
+    assert_eq!(lines, PINNED_BOOL, "actual:\n{lines}");
 }

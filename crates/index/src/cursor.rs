@@ -496,6 +496,13 @@ impl<'a, H: BlockHeader> ListCursor<'a, H> {
                 return Some(cur);
             }
         }
+        // Fast path for a hop of one entry inside the resident block: the
+        // step `next_entry` takes, counted the same.
+        let i = self.idx.wrapping_add(1);
+        if i < self.count && self.scratch.ids[i] >= target.0 {
+            self.idx = i;
+            return Some(NodeId(self.scratch.ids[i]));
+        }
         let from = self.global_next();
         if from >= self.entries {
             if !self.done {

@@ -48,8 +48,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!();
     println!("Each level adds expressiveness at a complexity price (Figure 3):");
-    println!("BOOL merges doc-id lists; PPRED adds positional predicates in a single");
-    println!("scan; NPRED pays per-ordering scans for negation; COMP materializes");
-    println!("the full algebra and is the only engine for EVERY/general predicates.");
+    println!("BOOL joins and filters node lists on the streaming cursors; PPRED adds");
+    println!("positional predicates in the same single scan; NPRED pays per-ordering");
+    println!("scans for negation; COMP materializes the full algebra and is the only");
+    println!("engine for EVERY/general predicates.");
     Ok(())
 }

@@ -1,10 +1,10 @@
 //! Figure 4 reproduced: the operator tree for the paper's running COMP
 //! query, plus the plans of each engine tier. Every tree is a full-text
 //! algebra expression, printed in one language: the streaming engines'
-//! plans (PPRED, NPRED) as their lowering builds them — `SOME`
-//! projections composed, predicate selections over the join — and
-//! COMP's as Lemma 2 translates it, pushed down. BOOL merges doc-id lists
-//! and prints no tree.
+//! plans (BOOL, PPRED, NPRED) as their lowering builds them — `SOME`
+//! projections composed, predicate selections over the join, a closed
+//! `NOT` as a filter over `SearchContext` — and COMP's as Lemma 2
+//! translates it, pushed down.
 
 use ftsl::core::Ftsl;
 
@@ -31,8 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== COMP-only query (materialized algebra) ===");
     println!("{}", engine.explain(comp_only)?);
 
-    let bool_query = "('software' AND 'users' AND NOT 'testing') OR 'usability'";
-    println!("=== BOOL query (doc-id merges) ===");
+    let bool_query = "('software' AND 'users' AND NOT 'testing') OR NOT 'usability'";
+    println!("=== BOOL query (the streaming plan with no predicate) ===");
     println!("{}", engine.explain(bool_query)?);
 
     Ok(())

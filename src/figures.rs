@@ -7,7 +7,7 @@
 //!
 //! | Label      | Query predicates | Engine | Notes |
 //! |------------|------------------|--------|-------|
-//! | BOOL       | none             | BOOL merge | predicate-free conjunction |
+//! | BOOL       | none             | BOOL (the streaming plan) | predicate-free conjunction |
 //! | PPRED-POS  | positive         | PPRED streaming | single scan |
 //! | NPRED-POS  | positive         | NPRED, *full permutations* | the presented `toks_Q!` algorithm |
 //! | NPRED-NEG  | negative         | NPRED, full permutations | |
@@ -130,7 +130,7 @@ impl BenchEnv {
 /// The paper's series labels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Series {
-    /// Predicate-free conjunction on the BOOL engine.
+    /// Predicate-free conjunction, forced to the BOOL class.
     Bool,
     /// Positive predicates on the PPRED engine.
     PpredPos,

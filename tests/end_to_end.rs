@@ -81,23 +81,41 @@ fn explain_is_informative_for_each_tier() {
     assert!(text.contains("COMP") && text.contains("algebra"));
 }
 
-/// `explain` and `explain_analyze` describe what runs: this DIST-class
-/// conjunction has no positive relational part, so Auto dispatch falls
-/// back to COMP, and both print COMP's algebra instead of a streaming
-/// plan.
+/// `explain` and `explain_analyze` describe what runs. This DIST-class
+/// conjunction has no positive relational part, so its `NOT`s filter
+/// `SearchContext` on the streaming plan; a chain of eight `not_ordered`
+/// variables is more orderings than NPRED scans, so Auto dispatch falls
+/// back to COMP, and both print COMP's algebra instead.
 #[test]
 fn explain_reports_the_engine_and_plan_that_run() {
     let e = Ftsl::from_texts(&["kernel scheduler code", "kernel locks scheduler"]);
     let q = "NOT 'code' AND NOT dist('kernel','locks',2)";
     let out = e.search(q).unwrap();
     assert_eq!(out.class, LanguageClass::Dist);
-    assert_eq!(out.engine, EngineUsed::Comp);
+    assert_eq!(out.engine, EngineUsed::Ppred);
+    assert!(out.nodes.is_empty(), "{:?}", out.nodes);
     let text = e.explain(q).unwrap();
+    assert!(text.contains("engine: PPRED (streaming cursors)"), "{text}");
+    let analyzed = e.explain_analyze(q).unwrap();
+    assert!(analyzed.contains("engine: PPRED"), "{analyzed}");
+    for out in [&text, &analyzed] {
+        assert!(out.contains("\nplan:\n"), "{out}");
+        assert!(out.contains("search_context"), "{out}");
+    }
+
+    let vars: String = (0..8).map(|i| format!("SOME p{i} ")).collect();
+    let has: Vec<String> = (0..8).map(|i| format!("p{i} HAS 'kernel'")).collect();
+    let preds: Vec<String> = (1..8)
+        .map(|i| format!("not_ordered(p{},p{i})", i - 1))
+        .collect();
+    let chain = format!("{vars}({} AND {})", has.join(" AND "), preds.join(" AND "));
+    assert_eq!(e.search(&chain).unwrap().engine, EngineUsed::Comp);
+    let text = e.explain(&chain).unwrap();
     assert!(
         text.contains("engine: COMP (materialized algebra)"),
         "{text}"
     );
-    let analyzed = e.explain_analyze(q).unwrap();
+    let analyzed = e.explain_analyze(&chain).unwrap();
     assert!(analyzed.contains("engine: COMP"), "{analyzed}");
     for out in [&text, &analyzed] {
         assert!(out.contains("\nalgebra:\n"), "{out}");
