@@ -24,6 +24,7 @@ use ftsl_model::analysis::AnalysisConfig;
 use ftsl_model::{Corpus, NodeId, Tokenizer, TokenizerConfig};
 use ftsl_predicates::PredicateRegistry;
 use ftsl_scoring::SnapshotStats;
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
 /// Snapshot + derived statistics cached for one mutation version, so a
@@ -225,7 +226,9 @@ impl Ftsl {
             return surface;
         }
         let expanded = self.thesaurus.expand(&surface);
-        map_tokens(&expanded, &|t| self.analysis.analyze(t))
+        map_tokens(&expanded, &|t| {
+            self.analysis.analyze(t).map(Cow::into_owned)
+        })
     }
 
     /// Run a query (COMP syntax subsumes BOOL and DIST) on the current
@@ -378,8 +381,8 @@ impl Ftsl {
             };
         };
         let q = PairQuery {
-            first,
-            second,
+            first: first.into_owned(),
+            second: second.into_owned(),
             directed: ordered,
             bound,
         };

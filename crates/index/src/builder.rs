@@ -20,6 +20,14 @@
 //! few documents over a wide vocabulary costs those documents. The
 //! scattered occurrences are transient: the finished index holds the
 //! compressed arena alone.
+//!
+//! The lists are built first, on the calling thread; their document
+//! frequencies decide which tokens the word-pair index covers, and that
+//! index is built last ([`PairIndex::build`]). A pair build of a few
+//! thousand occurrences or more is cut into first-token ranges grouped on
+//! every core, then written as one arena, key tables and blocks side by
+//! side; its bytes are those of the build on one thread (see the module
+//! docs of [`crate::pair`], "Building").
 
 use crate::block::{PostingArena, PostingArenaWriter, BLOCK_ENTRIES};
 use crate::index::InvertedIndex;

@@ -108,6 +108,24 @@
 //! in token order, so a token the documents never use costs its coverage
 //! bit and its CSR slot, both filled in bulk, and nothing else.
 //!
+//! A build of a few thousand occurrences or more runs on every core, up
+//! to four. The covered tokens are cut into contiguous **first-token
+//! ranges** holding about as many occurrences each, one per core, and each
+//! range groups the keys whose first token is in it on a thread of its
+//! own: a document pass that starts groups only for its own first tokens
+//! (each range walks every document), and its own two counting passes and
+//! shape. A key's first token decides its range, so the ranges' keys,
+//! range after range, are every key in key order. Their shapes sum to the
+//! arena's, which fixes every row width, and the arena is then written in
+//! two halves that share no byte: the key tables on one thread and the
+//! block headers with the data stream on the other, each walking the
+//! ranges in order. Each half is therefore appended in the order, and with
+//! the widths, of a build that never split, and the arena is that build's
+//! byte for byte (`pair_build_prop` checks one to five ranges against
+//! one). Below the cut-over the same code runs as one range on the calling
+//! thread; the cut-over is set from the cost of a scoped thread, 40–60 µs
+//! to spawn and join on a 2-vCPU virtual machine.
+//!
 //! The persisted form is the unchanged per-list v7 pair section
 //! ([`crate::persist`]): the encoder writes each list through the
 //! stored-form encoder, and the load path validates each stored list and
@@ -427,7 +445,7 @@ impl Seconds {
 /// is its place in the table. The second tokens are one byte-aligned
 /// column ([`Seconds`]); the key form's own `N` fields are bit-packed rows
 /// ([`BitRows`]), read once a key is found.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct Keys<const N: usize> {
     /// `vocabulary + 1` rows once finished, each as wide as the number of
     /// keys needs (empty when pairs are disabled).
@@ -505,6 +523,13 @@ fn width_of(max: usize) -> u8 {
 /// The refusal of an arena past `u32` offsets.
 const TOO_LARGE: &str = "pair arena exceeds u32 offsets";
 
+/// Whether the coverage bitmap `frequent` covers `token`.
+#[inline]
+fn covered(frequent: &BitRows<1>, token: u32) -> bool {
+    let t = token as usize;
+    t < frequent.len() && frequent.get(t, 0) == 1
+}
+
 /// Whether the arena stores a list of `len` entries, the first with gap
 /// `gap`, inline: one entry, with a gap a byte holds.
 fn is_inline(len: usize, gap: u32) -> bool {
@@ -536,7 +561,9 @@ pub struct PairRowBits {
 /// without a pair section) is empty and reports every lookup as
 /// [`PairLookup::NotCovered`], so callers degrade to the intersection
 /// path uniformly.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+///
+/// Two indexes are equal when their arenas hold the same bytes.
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PairIndex {
     /// The window/cutoff the index was built with (`window == 0` when
     /// disabled or absent).
@@ -635,7 +662,7 @@ impl PairIndex {
     /// build time). False for every token when the index is disabled.
     #[inline]
     pub fn covers(&self, token: TokenId) -> bool {
-        token.index() < self.frequent.len() && self.frequent.get(token.index(), 0) == 1
+        covered(&self.frequent, token.0)
     }
 
     /// The window/cutoff the index was built with.
@@ -738,15 +765,33 @@ impl ArenaShape {
             self.blocks += len.div_ceil(BLOCK_ENTRIES);
         }
     }
+
+    /// The shape of an arena holding this one's keys, then `next`'s.
+    pub(crate) fn then(self, next: ArenaShape) -> ArenaShape {
+        ArenaShape {
+            lists: self.lists + next.lists,
+            blocks: self.blocks + next.blocks,
+            inline: self.inline + next.inline,
+            max_node: self.max_node.max(next.max_node),
+        }
+    }
 }
 
 /// Appends pair lists, in strictly increasing key order, to a new arena —
 /// the one writer behind [`PairIndex::build`] and the persisted load path,
 /// and the one place that checks the keys the CSR tables are sized by and
 /// picks each key's form.
+///
+/// The arena has two halves, each filled in key order and sharing nothing
+/// with the other: the key tables ([`KeyTables`]), and the block headers
+/// with the data stream of the keys stored with blocks ([`Blocks`]). A
+/// builder may take them out ([`Self::halves`]) and fill them on two
+/// threads.
 pub(crate) struct PairArenaWriter {
-    index: PairIndex,
-    last: Option<(u32, u32)>,
+    config: PairConfig,
+    frequent: BitRows<1>,
+    keys: KeyTables,
+    blocks: Blocks,
 }
 
 impl PairArenaWriter {
@@ -759,33 +804,29 @@ impl PairArenaWriter {
         let vocab = frequent.len();
         let token = width_of(vocab.saturating_sub(1));
         let gap = width_for(config.window.min(u32::from(u8::MAX)).saturating_sub(1));
+        let node = width_for(shape.max_node);
         PairArenaWriter {
-            index: PairIndex {
-                config,
+            config,
+            frequent,
+            keys: KeyTables {
                 lists: Keys::with_capacity(vocab, shape.lists, token, [width_of(shape.blocks)]),
+                inline: Keys::with_capacity(vocab, shape.inline, token, [node, gap]),
+                ..KeyTables::default()
+            },
+            blocks: Blocks {
                 blocks: Vec::with_capacity(shape.blocks),
                 data: Vec::new(),
-                inline: Keys::with_capacity(
-                    vocab,
-                    shape.inline,
-                    token,
-                    [width_for(shape.max_node), gap],
-                ),
-                frequent,
-                entries: 0,
             },
-            last: None,
         }
     }
 
     /// Check that key `(a, b)` may come next: both tokens covered, and
     /// after the previous key.
     fn check_key(&self, a: u32, b: u32) -> Result<(), &'static str> {
-        let ix = &self.index;
-        if !ix.covers(TokenId(a)) || !ix.covers(TokenId(b)) {
+        if !covered(&self.frequent, a) || !covered(&self.frequent, b) {
             return Err("pair key token not covered");
         }
-        if self.last.is_some_and(|last| (a, b) <= last) {
+        if self.keys.last.is_some_and(|last| (a, b) <= last) {
             return Err("pair keys not sorted and unique");
         }
         Ok(())
@@ -805,65 +846,144 @@ impl PairArenaWriter {
         entries: &[(u32, u32)],
     ) -> Result<(), &'static str> {
         self.check_key(a, b)?;
-        self.append(a, b, entries)
+        let Some(&first) = entries.first() else {
+            return Err("pair key with no entries");
+        };
+        self.keys.push(a, b, entries.len(), first)?;
+        self.blocks.push(entries)
     }
 
-    /// [`Self::push_list`] of a key the builder made, which is covered and
-    /// after the previous key by construction: the key is not checked
-    /// again, which would cost two reads of the vocabulary-wide coverage
-    /// bitmap per key.
-    pub(crate) fn append(
+    /// Take out the arena's two halves, to be filled with the same keys in
+    /// the same order and given back ([`Self::restore`]).
+    pub(crate) fn halves(&mut self) -> (KeyTables, Blocks) {
+        (
+            std::mem::take(&mut self.keys),
+            std::mem::take(&mut self.blocks),
+        )
+    }
+
+    /// Give back the halves [`Self::halves`] took out.
+    pub(crate) fn restore(&mut self, keys: KeyTables, blocks: Blocks) {
+        debug_assert_eq!(
+            keys.blocks,
+            blocks.blocks.len(),
+            "both halves hold every key"
+        );
+        (self.keys, self.blocks) = (keys, blocks);
+    }
+
+    /// Close the CSR tables, and shrink every vector to its length.
+    pub(crate) fn finish(self) -> Result<PairIndex, &'static str> {
+        let PairArenaWriter {
+            config,
+            mut frequent,
+            keys:
+                KeyTables {
+                    mut lists,
+                    mut inline,
+                    entries,
+                    ..
+                },
+            blocks: Blocks {
+                mut blocks,
+                mut data,
+            },
+        } = self;
+        let vocab = frequent.len();
+        lists.finish(vocab)?;
+        inline.finish(vocab)?;
+        blocks.shrink_to_fit();
+        data.shrink_to_fit();
+        frequent.shrink_to_fit();
+        Ok(PairIndex {
+            config,
+            lists,
+            blocks,
+            data,
+            inline,
+            frequent,
+            entries,
+        })
+    }
+}
+
+/// The key tables of an arena being written ([`PairArenaWriter`]): every
+/// key's second token and row, and the CSR starts.
+#[derive(Default)]
+pub(crate) struct KeyTables {
+    lists: Keys<1>,
+    inline: Keys<2>,
+    entries: u64,
+    /// Block headers the keys so far take: the next list key's first.
+    blocks: usize,
+    last: Option<(u32, u32)>,
+}
+
+impl KeyTables {
+    /// Append key `(a, b)` of `len ≥ 1` entries, the first `(node, gap)`,
+    /// which must come after the previous key and be covered (the builder's
+    /// keys are by construction; [`PairArenaWriter::push_list`] checks).
+    /// Refuses a value wider than the arena's shape gave its row, and an
+    /// arena past `u32` offsets.
+    pub(crate) fn push(
         &mut self,
         a: u32,
         b: u32,
-        entries: &[(u32, u32)],
+        len: usize,
+        (node, gap): (u32, u32),
     ) -> Result<(), &'static str> {
-        debug_assert_eq!(self.check_key(a, b), Ok(()));
-        let Some(&(node, gap)) = entries.first() else {
-            return Err("pair key with no entries");
-        };
-        let ix = &mut self.index;
+        debug_assert!(len > 0 && self.last < Some((a, b)));
         // `a` is covered, so a table's `push` fills at most
         // `frequent.len()` CSR slots.
+        if is_inline(len, gap) {
+            self.inline.push(a, b, [node, gap - 1])?;
+        } else {
+            let first_block = u32::try_from(self.blocks).map_err(|_| TOO_LARGE)?;
+            u32::try_from(len).map_err(|_| TOO_LARGE)?;
+            self.lists.push(a, b, [first_block])?;
+            self.blocks += len.div_ceil(BLOCK_ENTRIES);
+        }
+        self.entries += len as u64;
+        self.last = Some((a, b));
+        Ok(())
+    }
+}
+
+/// The block headers and the data stream of an arena being written
+/// ([`PairArenaWriter`]).
+#[derive(Default)]
+pub(crate) struct Blocks {
+    blocks: Vec<PairBlock>,
+    data: Vec<u8>,
+}
+
+impl Blocks {
+    /// Append the blocks of the next key's `(node, gap)` entries, if it is
+    /// not stored inline ([`is_inline`]). Refuses a key with no entries
+    /// and an arena past `u32` offsets.
+    pub(crate) fn push(&mut self, entries: &[(u32, u32)]) -> Result<(), &'static str> {
+        let Some(&(_, gap)) = entries.first() else {
+            return Err("pair key with no entries");
+        };
         if is_inline(entries.len(), gap) {
-            ix.inline.push(a, b, [node, gap - 1])?;
-            ix.entries += 1;
-            self.last = Some((a, b));
             return Ok(());
         }
-        let first_block = u32::try_from(ix.blocks.len()).map_err(|_| TOO_LARGE)?;
-        u32::try_from(entries.len()).map_err(|_| TOO_LARGE)?;
-        ix.lists.push(a, b, [first_block])?;
-        self.last = Some((a, b));
         for (i, chunk) in entries.chunks(BLOCK_ENTRIES).enumerate() {
-            let byte_start = u32::try_from(ix.data.len()).map_err(|_| TOO_LARGE)?;
+            let byte_start = u32::try_from(self.data.len()).map_err(|_| TOO_LARGE)?;
             let last = chunk[chunk.len() - 1];
             let min_gap = if chunk.len() == 1 {
                 last.1
             } else {
-                pack_block(chunk, &mut ix.data)
+                pack_block(chunk, &mut self.data)
             };
-            ix.blocks.push(PairBlock {
+            self.blocks.push(PairBlock {
                 max_node: NodeId(last.0),
                 byte_start,
                 end: (i * BLOCK_ENTRIES + chunk.len()) as u32,
                 min_gap,
             });
         }
-        ix.entries += entries.len() as u64;
         Ok(())
-    }
-
-    /// Close the CSR tables, and shrink every vector to its length.
-    pub(crate) fn finish(self) -> Result<PairIndex, &'static str> {
-        let mut ix = self.index;
-        let vocab = ix.frequent.len();
-        ix.lists.finish(vocab)?;
-        ix.inline.finish(vocab)?;
-        ix.blocks.shrink_to_fit();
-        ix.data.shrink_to_fit();
-        ix.frequent.shrink_to_fit();
-        Ok(ix)
     }
 }
 

@@ -8,6 +8,11 @@
 //! after the image of the same corpus without pairs), and its resident
 //! bytes are those of that image's decoded arena.
 //!
+//! A build of enough occurrences is cut into first-token ranges grouped
+//! side by side and written as one arena; every cut, down to ranges that
+//! hold one covered token or none, must build the one-range arena byte for
+//! byte.
+//!
 //! The generators cover windows 0, 1, 16 and `u32::MAX`; df cutoffs 0, 2
 //! and above the number of documents; empty, single-token and
 //! repeated-token documents; documents with more keys than the per-document
@@ -15,7 +20,7 @@
 //! more than 64 bits); and token ids at and above 2¹⁶.
 
 use ftsl_index::block::BLOCK_ENTRIES;
-use ftsl_index::{bitpack, persist, IndexBuilder, PairConfig};
+use ftsl_index::{bitpack, persist, IndexBuilder, PairConfig, PairIndex};
 use ftsl_model::{Corpus, Document, Position, TokenId, TokenInterner};
 use ftsl_testkit::prop_cases;
 use proptest::prelude::*;
@@ -286,5 +291,24 @@ proptest! {
         prop_assert_eq!(persist::encode(&index).as_slice(), image.as_slice());
         let reference = persist::decode(image.as_slice()).expect("the reference image decodes");
         prop_assert_eq!(pairs.resident_bytes(), reference.pairs().resident_bytes());
+    }
+
+    #[test]
+    fn every_range_split_builds_the_one_range_arena(
+        (window, cutoff, high, docs) in arb_case()
+    ) {
+        let corpus = corpus_of(high, &docs);
+        let df_cutoff = [0, 2, docs.len() as u32 + 1][cutoff];
+        let config = PairConfig { window, df_cutoff };
+        let dfs = document_frequencies(&corpus);
+        let docs = corpus.documents();
+        let one = PairIndex::build_in_ranges(docs, &dfs, config, 1);
+        let built = IndexBuilder::new().pair_config(config).build(&corpus);
+        prop_assert_eq!(built.pairs(), &one);
+        for ranges in 2..=5 {
+            let split = PairIndex::build_in_ranges(docs, &dfs, config, ranges);
+            prop_assert_eq!(&split, &one, "{} ranges", ranges);
+            prop_assert_eq!(split.resident_bytes(), one.resident_bytes());
+        }
     }
 }

@@ -8,6 +8,7 @@
 //! facade wires that up.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 /// A lightweight Porter-style suffix stripper.
@@ -201,14 +202,35 @@ impl AnalysisConfig {
         !self.stem && self.stop_words.is_empty()
     }
 
-    /// Analyze one token: `None` means the token is stopped.
-    pub fn analyze(&self, token: &str) -> Option<String> {
-        let lowered = token.to_lowercase();
-        if self.stop_words.contains(&lowered) {
+    /// Analyze one token: `None` means the token is stopped. The token
+    /// itself is borrowed back when lowercasing leaves it as it is and
+    /// there is no stemming, so an already lowercase token costs no
+    /// allocation.
+    pub fn analyze<'a>(&self, token: &'a str) -> Option<Cow<'a, str>> {
+        let lowered = if is_lowercase(token) {
+            Cow::Borrowed(token)
+        } else {
+            Cow::Owned(token.to_lowercase())
+        };
+        if self.stop_words.contains(lowered.as_ref()) {
             return None;
         }
-        Some(if self.stem { stem(&lowered) } else { lowered })
+        Some(if self.stem {
+            Cow::Owned(stem(&lowered))
+        } else {
+            lowered
+        })
     }
+}
+
+/// Whether `token.to_lowercase()` is `token`: every character lowercases
+/// to itself alone. (The one context-dependent mapping, final sigma, is of
+/// an uppercase character, which this already rejects.)
+fn is_lowercase(token: &str) -> bool {
+    token.chars().all(|c| {
+        let mut lower = c.to_lowercase();
+        lower.next() == Some(c) && lower.next().is_none()
+    })
 }
 
 #[cfg(test)]
@@ -264,9 +286,32 @@ mod tests {
     fn analysis_config_stops_and_stems() {
         let cfg = AnalysisConfig::english();
         assert_eq!(cfg.analyze("The"), None);
-        assert_eq!(cfg.analyze("Tests"), Some("test".to_string()));
+        assert_eq!(cfg.analyze("Tests").as_deref(), Some("test"));
         let none = AnalysisConfig::none();
-        assert_eq!(none.analyze("The"), Some("the".to_string()));
-        assert_eq!(none.analyze("Tests"), Some("tests".to_string()));
+        assert_eq!(none.analyze("The").as_deref(), Some("the"));
+        assert_eq!(none.analyze("Tests").as_deref(), Some("tests"));
+    }
+
+    #[test]
+    fn lowercase_tokens_are_borrowed_and_every_token_lowercases() {
+        let none = AnalysisConfig::none();
+        for token in ["tests", "x86", "größe", "ǆ", "ς", "日本"] {
+            assert!(
+                matches!(none.analyze(token), Some(Cow::Borrowed(t)) if t == token),
+                "{token}"
+            );
+        }
+        // Uppercase, titlecase (`ǅ` lowercases to `ǆ`), and a final sigma.
+        for token in ["Tests", "GRÖSSE", "ǅ", "ΟΔΟΣ", "İ"] {
+            let analyzed = none.analyze(token).expect("not stopped");
+            assert!(matches!(analyzed, Cow::Owned(_)), "{token}");
+            assert_eq!(analyzed, token.to_lowercase());
+        }
+        // Stemming always builds the stem.
+        let stemmed = AnalysisConfig {
+            stem: true,
+            ..AnalysisConfig::none()
+        };
+        assert_eq!(stemmed.analyze("tests").as_deref(), Some("test"));
     }
 }

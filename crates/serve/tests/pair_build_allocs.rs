@@ -5,15 +5,100 @@
 //! flat, exactly sized buffers, so the allocations the pair build adds do
 //! not grow with the number of keys, and its transient peak stays under
 //! the sort-based build it replaced.
+//!
+//! A large pair build runs on several threads, so this binary counts every
+//! thread's allocations ([`ProcessAlloc`]). Each test holds [`exclusive`]
+//! from its first line, so no other test of the binary allocates while one
+//! measures.
 
 use ftsl_index::{persist, IndexBuilder, PairConfig, PairIndex};
 use ftsl_model::{Corpus, TokenInterner};
-use ftsl_serve::{
-    reset_thread_peak, thread_allocs, thread_live_bytes, thread_peak_bytes, CountingAlloc,
-};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
+
+/// [`System`] with process-wide counters: allocations (a `realloc` counts
+/// as one), live bytes, and their high-water mark, summed over every
+/// thread.
+struct ProcessAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicI64 = AtomicI64::new(0);
+static PEAK: AtomicI64 = AtomicI64::new(0);
+
+impl ProcessAlloc {
+    /// Count one allocation that changes live bytes by `grown`.
+    fn allocated(grown: i64) {
+        ALLOCS.fetch_add(1, Relaxed);
+        let live = LIVE.fetch_add(grown, Relaxed) + grown;
+        PEAK.fetch_max(live, Relaxed);
+    }
+}
+
+// SAFETY: delegates verbatim to `System`; the counters are atomics touched
+// outside the allocation itself.
+unsafe impl GlobalAlloc for ProcessAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::allocated(layout.size() as i64);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::allocated(layout.size() as i64);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::allocated(new_size as i64 - layout.size() as i64);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as i64, Relaxed);
+        System.dealloc(ptr, layout)
+    }
+}
 
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+static ALLOC: ProcessAlloc = ProcessAlloc;
+
+/// Allocations by every thread so far.
+fn allocs() -> u64 {
+    ALLOCS.load(Relaxed)
+}
+
+/// Bytes allocated and not freed, by every thread.
+fn live_bytes() -> i64 {
+    LIVE.load(Relaxed)
+}
+
+/// The largest [`live_bytes`] since the last [`reset_peak`].
+fn peak_bytes() -> i64 {
+    PEAK.load(Relaxed)
+}
+
+/// Restart the peak from the current live bytes.
+fn reset_peak() {
+    PEAK.store(live_bytes(), Relaxed);
+}
+
+/// The right to allocate: no other test of this binary runs while the
+/// guard lives. The test harness allocates when a test ends (its report,
+/// the next test's thread), so this returns once no thread has allocated
+/// for a while; until the guard drops, the other tests' threads wait on
+/// the lock and the harness waits for a test to end.
+fn exclusive() -> MutexGuard<'static, ()> {
+    static MEASURING: Mutex<()> = Mutex::new(());
+    let guard = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
+    loop {
+        let before = allocs();
+        std::thread::sleep(Duration::from_millis(20));
+        if allocs() == before {
+            return guard;
+        }
+    }
+}
 
 /// 1 200 documents of 40 words drawn from 1 000 by a fixed generator:
 /// every word clears the default df cutoff, and most pairs within the
@@ -39,12 +124,12 @@ fn corpus() -> Corpus {
 
 #[test]
 fn pair_build_allocations_do_not_grow_with_keys() {
+    let _only = exclusive();
     let corpus = corpus();
-    // The whole build runs on this thread, where `thread_allocs` counts.
     let build = |pairs: PairConfig| {
-        let before = thread_allocs();
+        let before = allocs();
         let index = IndexBuilder::new().pair_config(pairs).build(&corpus);
-        (thread_allocs() - before, index)
+        (allocs() - before, index)
     };
     let (without, _) = build(PairConfig::disabled());
     let (with, index) = build(PairConfig::default());
@@ -99,6 +184,7 @@ const SORTED_BUILD_PEAK: i64 = 34_950_602;
 
 #[test]
 fn pair_build_peak_stays_under_the_sorted_build() {
+    let _only = exclusive();
     let corpus = zipf_corpus();
     let mut dfs = vec![0u32; corpus.interner().len()];
     let mut seen = vec![usize::MAX; dfs.len()];
@@ -110,10 +196,10 @@ fn pair_build_peak_stays_under_the_sorted_build() {
             }
         }
     }
-    reset_thread_peak();
-    let before = thread_live_bytes();
+    reset_peak();
+    let before = live_bytes();
     let pairs = PairIndex::build(corpus.documents(), &dfs, PairConfig::default());
-    let peak = thread_peak_bytes() - before;
+    let peak = peak_bytes() - before;
     let arena = pairs.resident_bytes();
     println!("pair build: peak {peak} bytes, arena {arena} bytes");
     assert!(pairs.num_keys() >= 500_000, "{} keys", pairs.num_keys());
@@ -136,6 +222,7 @@ const ARENA_CEILING: usize = 7_000_000;
 
 #[test]
 fn one_document_keys_keep_the_arena_small() {
+    let _only = exclusive();
     let corpus = zipf_corpus();
     let index = IndexBuilder::new().build(&corpus);
     let pairs = index.pairs();
@@ -166,17 +253,18 @@ fn corpus_over(width: usize, texts: &[String]) -> Corpus {
 
 /// Allocations of a build with pairs disabled.
 fn build_allocs(corpus: &Corpus) -> u64 {
-    let before = thread_allocs();
+    let before = allocs();
     let index = IndexBuilder::new()
         .pair_config(PairConfig::disabled())
         .build(corpus);
-    let allocs = thread_allocs() - before;
+    let built = allocs() - before;
     drop(index);
-    allocs
+    built
 }
 
 #[test]
 fn list_build_allocations_do_not_grow_with_the_vocabulary() {
+    let _only = exclusive();
     let texts: Vec<String> = (0..300)
         .map(|i| format!("w{} w{} w{} shared w{}", i % 7, i % 13, i % 101, i % 3))
         .collect();
@@ -198,13 +286,14 @@ fn list_build_allocations_do_not_grow_with_the_vocabulary() {
 /// A region's transient peak: its high-water mark of live bytes minus the
 /// live bytes it leaves behind — for a build, everything but the index.
 fn transient_peak<T>(region: impl FnOnce() -> T) -> (i64, T) {
-    reset_thread_peak();
+    reset_peak();
     let out = region();
-    (thread_peak_bytes() - thread_live_bytes(), out)
+    (peak_bytes() - live_bytes(), out)
 }
 
 #[test]
 fn a_seal_peaks_the_same_under_any_vocabulary_width() {
+    let _only = exclusive();
     // 32 documents of 100 words: a write-buffer chunk.
     let texts = zipf_texts(32);
     let own = Corpus::from_texts(&texts);
@@ -233,6 +322,7 @@ fn a_seal_peaks_the_same_under_any_vocabulary_width() {
 
 #[test]
 fn decoding_an_image_does_not_allocate_per_list() {
+    let _only = exclusive();
     let corpus = zipf_corpus();
     let index = IndexBuilder::new()
         .pair_config(PairConfig::disabled())
@@ -240,9 +330,9 @@ fn decoding_an_image_does_not_allocate_per_list() {
     let lists = index.num_tokens() + 1;
     assert!(lists >= 10_000, "{lists} lists");
     let image = persist::encode(&index);
-    let before = thread_allocs();
+    let before = allocs();
     let decoded = persist::decode(image.as_slice()).expect("a built image decodes");
-    let allocs = thread_allocs() - before;
+    let allocs = allocs() - before;
     println!("decode: {allocs} allocations for {lists} lists");
     assert_eq!(decoded.num_tokens(), index.num_tokens());
     assert!(

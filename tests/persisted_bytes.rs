@@ -1,8 +1,10 @@
-//! The persisted forms are pinned byte for byte: a bare v7 index image and
-//! a v8 live manifest, each built from fixed input, hash to constants. A
-//! change to how an index is held in memory must leave both untouched, and
-//! decoding either image must give back the same pair lists and the same
-//! resident pair bytes as the index that was encoded.
+//! The persisted forms are pinned byte for byte: bare v7 index images and
+//! v8 live manifests, each built from fixed input, hash to constants. One
+//! image comes from a corpus large enough that its pair index is built as
+//! first-token ranges on every core; it hashes to what the one-range build
+//! wrote. A change to how an index is built or held in memory must leave
+//! every hash untouched, and decoding an image must give back the same pair
+//! lists and the same resident pair bytes as the index that was encoded.
 
 use ftsl::corpus::SynthConfig;
 use ftsl::index::{manifest, persist, IndexBuilder, LiveConfig, LiveIndex, PairIndex, Snapshot};
@@ -60,6 +62,41 @@ fn a_synthetic_index_image_is_pinned() {
     assert_eq!(pair_lists(decoded.pairs()), lists);
     assert_eq!(decoded.pairs().resident_bytes(), pairs.resident_bytes());
     assert_eq!(persist::encode(&decoded).as_slice(), image.as_slice());
+}
+
+/// 1 200 documents of 60 Zipf tokens over 5 000 words: 72 000 occurrences,
+/// enough that a build on more than one core cuts its pair index into
+/// first-token ranges built side by side, as many as there are cores up to
+/// four.
+fn split_config() -> SynthConfig {
+    SynthConfig {
+        cnodes: 1_200,
+        vocabulary: 5_000,
+        tokens_per_doc: 60,
+        ..SynthConfig::default()
+    }
+}
+
+/// The image of [`split_config`]'s index as one range builds it, before
+/// pair builds were split.
+const SPLIT_INDEX_IMAGE_FNV: u64 = 0xd2ea_c482_26b0_280f;
+
+#[test]
+fn an_index_image_built_in_ranges_is_pinned() {
+    let corpus = split_config().build();
+    let index = IndexBuilder::new().build(&corpus);
+    let pairs = index.pairs();
+    assert!(pairs.num_keys() > 100_000, "{} keys", pairs.num_keys());
+    let image = persist::encode(&index);
+    assert_eq!(
+        fnv1a(image.as_slice()),
+        SPLIT_INDEX_IMAGE_FNV,
+        "{} bytes",
+        image.len()
+    );
+    let decoded = persist::decode(image.as_slice()).expect("the image decodes");
+    assert_eq!(pair_lists(decoded.pairs()), pair_lists(pairs));
+    assert_eq!(decoded.pairs().resident_bytes(), pairs.resident_bytes());
 }
 
 /// Per segment of `snapshot`, its pair lists and resident pair bytes.
