@@ -25,7 +25,7 @@
 //! frequencies decide which tokens the word-pair index covers, and that
 //! index is built last ([`PairIndex::build`]). A pair build of a few
 //! thousand occurrences or more is cut into first-token ranges grouped on
-//! every core, then written as one arena, key tables and blocks side by
+//! two cores, then written as one arena, key tables and blocks side by
 //! side; its bytes are those of the build on one thread (see the module
 //! docs of [`crate::pair`], "Building").
 

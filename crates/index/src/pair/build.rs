@@ -21,20 +21,26 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 /// occurrences 25–28 % faster.
 const RANGE_OCCURRENCES: usize = 2_048;
 
-/// The most ranges a build runs as. Each range allocates a dozen buffers
-/// of its own, two of them as wide as the covered tokens, and walks every
-/// document; at four ranges a build still makes fewer than the 150
-/// allocations `pair_build_allocs` allows it.
-const MAX_RANGES: usize = 4;
+/// The most ranges a build runs as: two, the only count whose time,
+/// allocations and peak have been measured (on 2 vCPUs). Each range
+/// allocates a dozen buffers of its own, two of them as wide as the
+/// covered tokens, and walks every document, so a machine with more cores
+/// must time and size its builds before this grows.
+const MAX_RANGES: usize = 2;
 
 /// How many first-token ranges a build of `occurrences` token occurrences
 /// runs as: one per core, up to one per [`RANGE_OCCURRENCES`] and to
-/// [`MAX_RANGES`].
+/// [`MAX_RANGES`]. The cores are counted once, by the first build that
+/// could split.
 fn ranges_for(occurrences: usize) -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
+    let most = occurrences / RANGE_OCCURRENCES;
+    if most < 2 {
+        return 1;
+    }
     let cores =
         *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get));
-    (occurrences / RANGE_OCCURRENCES).clamp(1, cores.min(MAX_RANGES))
+    most.min(cores).min(MAX_RANGES)
 }
 
 /// Postings each range of a split build makes room for per occurrence of
@@ -57,22 +63,22 @@ impl PairIndex {
         vocab: usize,
         config: PairConfig,
     ) -> PairIndex {
-        let ranges = ranges_for(tokens.locals.len());
-        Self::build_in(docs, tokens, dfs, vocab, config, ranges)
+        Self::build_in(docs, tokens, dfs, vocab, config, ranges_for)
     }
 
-    /// [`Self::build_local`] as `ranges` first-token ranges.
+    /// [`Self::build_local`] as `ranges(occurrences)` first-token ranges.
     fn build_in(
         docs: &[Document],
         tokens: LocalTokens,
         dfs: &[u32],
         vocab: usize,
         config: PairConfig,
-        ranges: usize,
+        ranges: impl FnOnce(usize) -> usize,
     ) -> PairIndex {
         if config.window == 0 {
             return PairIndex::default();
         }
+        let ranges = ranges(tokens.locals.len());
         let coverage = Coverage::of(&tokens, dfs, vocab, config.df_cutoff);
         let fields = Fields::of(docs, coverage.ids.len(), config.window);
         if fields.fit(u64::BITS) {
@@ -80,21 +86,6 @@ impl PairIndex {
         } else {
             build_arena::<u128>(docs, tokens, coverage, config, fields, ranges)
         }
-    }
-
-    /// [`Self::build`] as `ranges` first-token ranges, however few
-    /// occurrences the documents hold: the check that every split builds
-    /// the arena one range builds. Not for serving code.
-    #[doc(hidden)]
-    pub fn build_in_ranges(
-        docs: &[Document],
-        dfs: &[u32],
-        config: PairConfig,
-        ranges: usize,
-    ) -> PairIndex {
-        let tokens = LocalTokens::of(docs);
-        let used: Vec<u32> = tokens.used.iter().map(|&(t, _)| dfs[t as usize]).collect();
-        Self::build_in(docs, tokens, &used, dfs.len(), config, ranges.max(1))
     }
 }
 
@@ -271,47 +262,39 @@ fn build_arena<W: Word>(
 
     let shape = (grouped.iter()).fold(ArenaShape::default(), |sum, g| sum.then(g.shape));
     let mut arena = PairArenaWriter::with_shape(config, frequent, shape);
-    // Each half moves to the thread that fills it: two threads writing
-    // fields that shared a cache line were each twice as slow. Filling
-    // both halves in one walk is cheaper when there is one range: two
-    // walks made a 32-document seal 13 % slower.
-    let (mut keys, mut blocks) = arena.halves();
-    let in_bucket = layouts.in_bucket;
-    if parts > 1 {
-        let fill = |mut half: Half| {
-            let (mut k, mut b) = match &mut half {
-                Half::Keys(keys) => (Some(keys), None),
-                Half::Blocks(blocks) => (None, Some(blocks)),
-            };
-            for range in &grouped {
-                range.push(k.as_deref_mut(), b.as_deref_mut(), &ids, in_bucket);
-            }
-            half
-        };
-        let halves = on_threads(vec![Half::Keys(keys), Half::Blocks(blocks)], fill);
-        let Ok([Half::Keys(filled_keys), Half::Blocks(filled_blocks)]) =
-            <[Half; 2]>::try_from(halves)
-        else {
-            unreachable!("the halves come back in order");
-        };
-        (keys, blocks) = (filled_keys, filled_blocks);
+    // A split build fills the two halves on two threads: on 2 vCPUs a
+    // 1 024-document build (two ranges) took 52 ms in the median of 24
+    // alternating process pairs, against 62 ms writing both halves in one
+    // walk on the calling thread, and was faster in 21 of the 24. Each
+    // half moves to the thread that fills it: two threads writing fields
+    // that shared a cache line were each twice as slow. Filling both
+    // halves in one walk is cheaper when there is one range: two walks
+    // made a 32-document seal 13 % slower.
+    let (keys, blocks) = arena.halves();
+    let halves = if parts > 1 {
+        vec![(Some(keys), None), (None, Some(blocks))]
     } else {
+        vec![(Some(keys), Some(blocks))]
+    };
+    let fill = |(mut keys, mut blocks): (Option<KeyTables>, Option<Blocks>)| {
         for range in &grouped {
-            range.push(Some(&mut keys), Some(&mut blocks), &ids, in_bucket);
+            range.push(keys.as_mut(), blocks.as_mut(), &ids, layouts.in_bucket);
         }
+        (keys, blocks)
+    };
+    let (mut keys, mut blocks) = (None, None);
+    for (filled_keys, filled_blocks) in on_threads(halves, fill) {
+        keys = keys.or(filled_keys);
+        blocks = blocks.or(filled_blocks);
     }
     drop(grouped);
-    arena.restore(keys, blocks);
+    arena.restore(
+        keys.expect("one thread fills the key tables"),
+        blocks.expect("one thread fills the blocks"),
+    );
     arena
         .finish()
         .expect("the arena holds the shape it was made for")
-}
-
-/// One half of an arena being written ([`PairArenaWriter::halves`]).
-#[allow(clippy::large_enum_variant)] // one of each per build, moved twice
-enum Half {
-    Keys(KeyTables),
-    Blocks(Blocks),
 }
 
 /// What every range of a build reads.
@@ -781,6 +764,17 @@ macro_rules! impl_word {
 
 impl_word!(u64, u128);
 
+/// [`PairIndex::build`] as `ranges` first-token ranges, however few
+/// occurrences the documents hold: the check that every split builds the
+/// arena one range builds. `dfs[t]` is the document frequency of token
+/// `t`.
+#[cfg(test)]
+fn build_in_ranges(docs: &[Document], dfs: &[u32], config: PairConfig, ranges: usize) -> PairIndex {
+    let tokens = LocalTokens::of(docs);
+    let used: Vec<u32> = tokens.used.iter().map(|&(t, _)| dfs[t as usize]).collect();
+    PairIndex::build_in(docs, tokens, &used, dfs.len(), config, |_| ranges)
+}
+
 /// [`PairIndex::build`] with `u128` posting words when `wide`, though
 /// `u64` ones fit: the check that both words build the same arena.
 /// `dfs[t]` is the document frequency of token `t`.
@@ -807,6 +801,32 @@ pub(super) fn build_with_words(
 mod tests {
     use super::*;
     use ftsl_model::Corpus;
+    use ftsl_testkit::{arb_pair_case, document_frequencies, pair_case_corpus, prop_cases};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(prop_cases(64)))]
+
+        /// Every cut into one to five ranges, down to ranges that hold one
+        /// covered token or none, builds the arena one range builds, byte
+        /// for byte, and so does [`PairIndex::build`].
+        #[test]
+        fn every_range_split_builds_the_one_range_arena(
+            (window, cutoff, high, docs) in arb_pair_case()
+        ) {
+            let corpus = pair_case_corpus(high, &docs);
+            let df_cutoff = [0, 2, docs.len() as u32 + 1][cutoff];
+            let config = PairConfig { window, df_cutoff };
+            let dfs = document_frequencies(&corpus);
+            let docs = corpus.documents();
+            let one = build_in_ranges(docs, &dfs, config, 1);
+            prop_assert_eq!(&PairIndex::build(docs, &dfs, config), &one);
+            for ranges in 2..=5 {
+                let split = build_in_ranges(docs, &dfs, config, ranges);
+                prop_assert_eq!(&split, &one, "{} ranges", ranges);
+            }
+        }
+    }
 
     #[test]
     fn ranges_balance_occurrences_and_may_be_empty_or_single() {
@@ -827,10 +847,10 @@ mod tests {
             window: 4,
             df_cutoff: 0,
         };
-        let one = PairIndex::build_in_ranges(docs, &dfs, config, 1);
+        let one = build_in_ranges(docs, &dfs, config, 1);
         assert!(one.num_keys() > 3);
         for parts in 2..=5 {
-            assert_eq!(PairIndex::build_in_ranges(docs, &dfs, config, parts), one);
+            assert_eq!(build_in_ranges(docs, &dfs, config, parts), one);
         }
         // One covered token: every range past the first is empty and
         // starts past the vocabulary.
@@ -839,8 +859,8 @@ mod tests {
             df_cutoff: 2,
             ..config
         };
-        let one = PairIndex::build_in_ranges(docs, &only_a, config, 1);
+        let one = build_in_ranges(docs, &only_a, config, 1);
         assert_eq!(one.num_keys(), 1);
-        assert_eq!(PairIndex::build_in_ranges(docs, &only_a, config, 3), one);
+        assert_eq!(build_in_ranges(docs, &only_a, config, 3), one);
     }
 }

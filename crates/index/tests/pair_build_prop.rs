@@ -8,23 +8,18 @@
 //! after the image of the same corpus without pairs), and its resident
 //! bytes are those of that image's decoded arena.
 //!
-//! A build of enough occurrences is cut into first-token ranges grouped
-//! side by side and written as one arena; every cut, down to ranges that
-//! hold one covered token or none, must build the one-range arena byte for
-//! byte.
-//!
-//! The generators cover windows 0, 1, 16 and `u32::MAX`; df cutoffs 0, 2
-//! and above the number of documents; empty, single-token and
-//! repeated-token documents; documents with more keys than the per-document
-//! dedupe table first holds; offsets far apart (so the packed postings need
-//! more than 64 bits); and token ids at and above 2¹⁶.
+//! The cases are `ftsl_testkit`'s [`arb_pair_case`]: windows 0, 1, 16 and
+//! `u32::MAX`; df cutoffs 0, 2 and above the number of documents; empty,
+//! single-token and repeated-token documents; documents with more keys than
+//! the per-document dedupe table first holds; offsets far apart (so the
+//! packed postings need more than 64 bits); and token ids at and above
+//! 2¹⁶.
 
 use ftsl_index::block::BLOCK_ENTRIES;
-use ftsl_index::{bitpack, persist, IndexBuilder, PairConfig, PairIndex};
-use ftsl_model::{Corpus, Document, Position, TokenId, TokenInterner};
-use ftsl_testkit::prop_cases;
+use ftsl_index::{bitpack, persist, IndexBuilder, PairConfig};
+use ftsl_model::{Corpus, Document, TokenId};
+use ftsl_testkit::{arb_pair_case, document_frequencies, pair_case_corpus, prop_cases};
 use proptest::prelude::*;
-use std::sync::OnceLock;
 
 /// One key's list: `((a, b), [(node, min gap)])`.
 type Key = ((u32, u32), Vec<(u32, u32)>);
@@ -158,113 +153,12 @@ fn reference_image(
     image
 }
 
-/// Document frequencies, as `IndexBuilder` hands them to the pair build.
-fn document_frequencies(corpus: &Corpus) -> Vec<u32> {
-    let mut dfs = vec![0u32; corpus.interner().len()];
-    for doc in corpus.documents() {
-        let mut seen: Vec<TokenId> = doc.tokens.iter().map(|&(t, _)| t).collect();
-        seen.sort_unstable();
-        seen.dedup();
-        for t in seen {
-            dfs[t.index()] += 1;
-        }
-    }
-    dfs
-}
-
-/// Token ids of the generated documents start here in "high" cases, so the
-/// vocabulary straddles 2¹⁶.
-const HIGH_BASE: usize = 65_533;
-
-/// `HIGH_BASE` filler tokens, interned once and cloned per case.
-fn high_vocabulary() -> &'static TokenInterner {
-    static VOCAB: OnceLock<TokenInterner> = OnceLock::new();
-    VOCAB.get_or_init(|| {
-        let mut vocab = TokenInterner::new();
-        for i in 0..HIGH_BASE {
-            vocab.intern(&format!("filler{i}"));
-        }
-        vocab
-    })
-}
-
-/// A document as `(token, offset step)` pairs: the first token sits at its
-/// step minus one, each next one `step` offsets after the previous.
-type DocSpec = Vec<(u32, u32)>;
-
-fn arb_doc(wide: bool) -> BoxedStrategy<DocSpec> {
-    let short = proptest::collection::vec((0u32..6, 1u32..3), 2..30);
-    let repeated = proptest::collection::vec((0u32..2, 1u32..2), 10..40);
-    let far = proptest::collection::vec((0u32..6, (1u32 << 28)..(1 << 29)), 2..6);
-    if wide {
-        // Every pair is within a `u32::MAX` window: keep documents short.
-        return prop_oneof![
-            Just(Vec::new()),
-            (0u32..6).prop_map(|t| vec![(t, 1)]),
-            short,
-            far,
-        ]
-        .boxed();
-    }
-    // Hundreds of distinct keys per document: more than the dedupe table's
-    // first allocation holds.
-    let long = proptest::collection::vec((0u32..300, 1u32..2), 520..700);
-    prop_oneof![
-        2 => Just(Vec::new()),
-        2 => (0u32..6).prop_map(|t| vec![(t, 1)]),
-        6 => short,
-        3 => repeated,
-        1 => far,
-        1 => long,
-    ]
-    .boxed()
-}
-
-/// `(window, cutoff choice, high ids, documents)`.
-fn arb_case() -> impl Strategy<Value = (u32, usize, bool, Vec<DocSpec>)> {
-    (0usize..4).prop_flat_map(|w| {
-        let window = [0, 1, 16, u32::MAX][w];
-        (
-            Just(window),
-            0usize..3,
-            any::<bool>(),
-            proptest::collection::vec(arb_doc(window == u32::MAX), 0..10),
-        )
-    })
-}
-
-fn corpus_of(high: bool, docs: &[DocSpec]) -> Corpus {
-    let mut vocab = if high {
-        high_vocabulary().clone()
-    } else {
-        TokenInterner::new()
-    };
-    for t in 0..300 {
-        vocab.intern(&format!("w{t}"));
-    }
-    let base = if high { HIGH_BASE as u32 } else { 0 };
-    let mut corpus = Corpus::with_interner(vocab);
-    for (d, spec) in docs.iter().enumerate() {
-        let mut offset = 0u32;
-        let tokens = spec
-            .iter()
-            .enumerate()
-            .map(|(i, &(t, step))| {
-                offset = if i == 0 { step - 1 } else { offset + step };
-                (TokenId(base + t), Position::flat(offset))
-            })
-            .collect();
-        corpus.add_tokens(format!("doc{d}"), tokens);
-    }
-    corpus
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(prop_cases(64)))]
 
     #[test]
-    fn counting_build_matches_the_sorted_build((window, cutoff, high, docs) in arb_case()) {
-        let corpus = corpus_of(high, &docs);
+    fn counting_build_matches_the_sorted_build((window, cutoff, high, docs) in arb_pair_case()) {
+        let corpus = pair_case_corpus(high, &docs);
         let df_cutoff = [0, 2, docs.len() as u32 + 1][cutoff];
         let config = PairConfig { window, df_cutoff };
         let dfs = document_frequencies(&corpus);
@@ -291,24 +185,5 @@ proptest! {
         prop_assert_eq!(persist::encode(&index).as_slice(), image.as_slice());
         let reference = persist::decode(image.as_slice()).expect("the reference image decodes");
         prop_assert_eq!(pairs.resident_bytes(), reference.pairs().resident_bytes());
-    }
-
-    #[test]
-    fn every_range_split_builds_the_one_range_arena(
-        (window, cutoff, high, docs) in arb_case()
-    ) {
-        let corpus = corpus_of(high, &docs);
-        let df_cutoff = [0, 2, docs.len() as u32 + 1][cutoff];
-        let config = PairConfig { window, df_cutoff };
-        let dfs = document_frequencies(&corpus);
-        let docs = corpus.documents();
-        let one = PairIndex::build_in_ranges(docs, &dfs, config, 1);
-        let built = IndexBuilder::new().pair_config(config).build(&corpus);
-        prop_assert_eq!(built.pairs(), &one);
-        for ranges in 2..=5 {
-            let split = PairIndex::build_in_ranges(docs, &dfs, config, ranges);
-            prop_assert_eq!(&split, &one, "{} ranges", ranges);
-            prop_assert_eq!(split.resident_bytes(), one.resident_bytes());
-        }
     }
 }

@@ -6,17 +6,16 @@
 //! not grow with the number of keys, and its transient peak stays under
 //! the sort-based build it replaced.
 //!
-//! A large pair build runs on several threads, so this binary counts every
-//! thread's allocations ([`ProcessAlloc`]). Each test holds [`exclusive`]
-//! from its first line, so no other test of the binary allocates while one
-//! measures.
+//! A large pair build runs on two threads, so this binary counts every
+//! thread's allocations ([`ProcessAlloc`]), and each test measures in a
+//! process that runs it alone ([`alone`], which says how to print the
+//! figures).
 
 use ftsl_index::{persist, IndexBuilder, PairConfig, PairIndex};
 use ftsl_model::{Corpus, TokenInterner};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::process::Command;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 /// [`System`] with process-wide counters: allocations (a `realloc` counts
 /// as one), live bytes, and their high-water mark, summed over every
@@ -83,22 +82,38 @@ fn reset_peak() {
     PEAK.store(live_bytes(), Relaxed);
 }
 
-/// The right to allocate: no other test of this binary runs while the
-/// guard lives. The test harness allocates when a test ends (its report,
-/// the next test's thread), so this returns once no thread has allocated
-/// for a while; until the guard drops, the other tests' threads wait on
-/// the lock and the harness waits for a test to end.
-fn exclusive() -> MutexGuard<'static, ()> {
-    static MEASURING: Mutex<()> = Mutex::new(());
-    let guard = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
-    loop {
-        let before = allocs();
-        std::thread::sleep(Duration::from_millis(20));
-        if allocs() == before {
-            return guard;
-        }
+/// Run `measure`, the body of the test `name`, where no thread of the test
+/// harness allocates: in a copy of this binary that runs [`WARM_UP`], then
+/// `name`, one at a time. Such a harness allocates while it starts a test
+/// and, the first time only, when it starts to wait for one; from then on
+/// it waits without allocating, so nothing but `measure` and the threads
+/// it starts allocates while `name` runs. A process started so (with
+/// `--test-threads=1` and [`WARM_UP`] among its filters) measures here;
+/// `-- --test-threads=1 --nocapture --exact a_harness_warms_up <test>`
+/// prints a test's figures.
+fn alone(name: &str, measure: impl FnOnce()) {
+    let args: Vec<String> = std::env::args().collect();
+    if args.iter().any(|arg| arg == "--test-threads=1") && args.iter().any(|arg| arg == WARM_UP) {
+        return measure();
     }
+    let run = Command::new(std::env::current_exe().expect("the test binary has a path"))
+        .args([WARM_UP, name, "--exact", "--test-threads=1", "--nocapture"])
+        .output()
+        .expect("the test binary starts");
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert!(
+        run.status.success() && stdout.contains("test result: ok. 2 passed"),
+        "{name}, run alone:\n{stdout}\n{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
 }
+
+/// The test [`alone`] runs before the one that measures. Tests run in name
+/// order, so its name sorts before every other test's here.
+const WARM_UP: &str = "a_harness_warms_up";
+
+#[test]
+fn a_harness_warms_up() {}
 
 /// 1 200 documents of 40 words drawn from 1 000 by a fixed generator:
 /// every word clears the default df cutoff, and most pairs within the
@@ -124,23 +139,24 @@ fn corpus() -> Corpus {
 
 #[test]
 fn pair_build_allocations_do_not_grow_with_keys() {
-    let _only = exclusive();
-    let corpus = corpus();
-    let build = |pairs: PairConfig| {
-        let before = allocs();
-        let index = IndexBuilder::new().pair_config(pairs).build(&corpus);
-        (allocs() - before, index)
-    };
-    let (without, _) = build(PairConfig::disabled());
-    let (with, index) = build(PairConfig::default());
-    let keys = index.pairs().num_keys();
-    assert!(keys >= 100_000, "the corpus must yield many keys: {keys}");
-    let pair_allocs = with - without;
-    println!("pair build: {pair_allocs} allocations for {keys} keys");
-    assert!(
-        pair_allocs <= 150,
-        "the pair build allocated {pair_allocs} times for {keys} keys"
-    );
+    alone("pair_build_allocations_do_not_grow_with_keys", || {
+        let corpus = corpus();
+        let build = |pairs: PairConfig| {
+            let before = allocs();
+            let index = IndexBuilder::new().pair_config(pairs).build(&corpus);
+            (allocs() - before, index)
+        };
+        let (without, _) = build(PairConfig::disabled());
+        let (with, index) = build(PairConfig::default());
+        let keys = index.pairs().num_keys();
+        assert!(keys >= 100_000, "the corpus must yield many keys: {keys}");
+        let pair_allocs = with - without;
+        println!("pair build: {pair_allocs} allocations for {keys} keys");
+        assert!(
+            pair_allocs <= 150,
+            "the pair build allocated {pair_allocs} times for {keys} keys"
+        );
+    });
 }
 
 /// 1 024 documents of 100 words drawn from a 20 000-word vocabulary by a
@@ -184,29 +200,30 @@ const SORTED_BUILD_PEAK: i64 = 34_950_602;
 
 #[test]
 fn pair_build_peak_stays_under_the_sorted_build() {
-    let _only = exclusive();
-    let corpus = zipf_corpus();
-    let mut dfs = vec![0u32; corpus.interner().len()];
-    let mut seen = vec![usize::MAX; dfs.len()];
-    for (d, doc) in corpus.documents().iter().enumerate() {
-        for &(t, _) in &doc.tokens {
-            if seen[t.index()] != d {
-                seen[t.index()] = d;
-                dfs[t.index()] += 1;
+    alone("pair_build_peak_stays_under_the_sorted_build", || {
+        let corpus = zipf_corpus();
+        let mut dfs = vec![0u32; corpus.interner().len()];
+        let mut seen = vec![usize::MAX; dfs.len()];
+        for (d, doc) in corpus.documents().iter().enumerate() {
+            for &(t, _) in &doc.tokens {
+                if seen[t.index()] != d {
+                    seen[t.index()] = d;
+                    dfs[t.index()] += 1;
+                }
             }
         }
-    }
-    reset_peak();
-    let before = live_bytes();
-    let pairs = PairIndex::build(corpus.documents(), &dfs, PairConfig::default());
-    let peak = peak_bytes() - before;
-    let arena = pairs.resident_bytes();
-    println!("pair build: peak {peak} bytes, arena {arena} bytes");
-    assert!(pairs.num_keys() >= 500_000, "{} keys", pairs.num_keys());
-    assert!(
-        peak <= SORTED_BUILD_PEAK,
-        "the pair build peaked at {peak} bytes (arena {arena}); the sorted build peaked at {SORTED_BUILD_PEAK}"
-    );
+        reset_peak();
+        let before = live_bytes();
+        let pairs = PairIndex::build(corpus.documents(), &dfs, PairConfig::default());
+        let peak = peak_bytes() - before;
+        let arena = pairs.resident_bytes();
+        println!("pair build: peak {peak} bytes, arena {arena} bytes");
+        assert!(pairs.num_keys() >= 500_000, "{} keys", pairs.num_keys());
+        assert!(
+            peak <= SORTED_BUILD_PEAK,
+            "the pair build peaked at {peak} bytes (arena {arena}); the sorted build peaked at {SORTED_BUILD_PEAK}"
+        );
+    });
 }
 
 /// Ceiling on the pair arena of [`zipf_corpus`]. When every key kept a
@@ -222,18 +239,19 @@ const ARENA_CEILING: usize = 7_000_000;
 
 #[test]
 fn one_document_keys_keep_the_arena_small() {
-    let _only = exclusive();
-    let corpus = zipf_corpus();
-    let index = IndexBuilder::new().build(&corpus);
-    let pairs = index.pairs();
-    let (keys, single) = (pairs.num_keys(), pairs.num_single_document_keys());
-    let arena = pairs.resident_bytes();
-    println!("pair arena: {arena} bytes, {keys} keys, {single} of one document");
-    assert!(single * 5 >= keys * 4, "{single} of {keys} keys");
-    assert!(
-        arena <= ARENA_CEILING,
-        "the pair arena is {arena} bytes, over {ARENA_CEILING}"
-    );
+    alone("one_document_keys_keep_the_arena_small", || {
+        let corpus = zipf_corpus();
+        let index = IndexBuilder::new().build(&corpus);
+        let pairs = index.pairs();
+        let (keys, single) = (pairs.num_keys(), pairs.num_single_document_keys());
+        let arena = pairs.resident_bytes();
+        println!("pair arena: {arena} bytes, {keys} keys, {single} of one document");
+        assert!(single * 5 >= keys * 4, "{single} of {keys} keys");
+        assert!(
+            arena <= ARENA_CEILING,
+            "the pair arena is {arena} bytes, over {ARENA_CEILING}"
+        );
+    });
 }
 
 /// Documents of `texts` over an interner that already holds `width`
@@ -264,22 +282,26 @@ fn build_allocs(corpus: &Corpus) -> u64 {
 
 #[test]
 fn list_build_allocations_do_not_grow_with_the_vocabulary() {
-    let _only = exclusive();
-    let texts: Vec<String> = (0..300)
-        .map(|i| format!("w{} w{} w{} shared w{}", i % 7, i % 13, i % 101, i % 3))
-        .collect();
-    let narrow = corpus_over(1_000, &texts);
-    let wide = corpus_over(20_000, &texts);
-    assert!(wide.interner().len() >= 20_000);
-    let (narrow_allocs, wide_allocs) = (build_allocs(&narrow), build_allocs(&wide));
-    println!("list build: {narrow_allocs} allocations at 1k tokens, {wide_allocs} at 20k");
-    assert_eq!(
-        narrow_allocs, wide_allocs,
-        "a 20k-token interner must cost no more allocations than a 1k-token one"
-    );
-    assert!(
-        narrow_allocs <= 24,
-        "a list build allocated {narrow_allocs} times"
+    alone(
+        "list_build_allocations_do_not_grow_with_the_vocabulary",
+        || {
+            let texts: Vec<String> = (0..300)
+                .map(|i| format!("w{} w{} w{} shared w{}", i % 7, i % 13, i % 101, i % 3))
+                .collect();
+            let narrow = corpus_over(1_000, &texts);
+            let wide = corpus_over(20_000, &texts);
+            assert!(wide.interner().len() >= 20_000);
+            let (narrow_allocs, wide_allocs) = (build_allocs(&narrow), build_allocs(&wide));
+            println!("list build: {narrow_allocs} allocations at 1k tokens, {wide_allocs} at 20k");
+            assert_eq!(
+                narrow_allocs, wide_allocs,
+                "a 20k-token interner must cost no more allocations than a 1k-token one"
+            );
+            assert!(
+                narrow_allocs <= 24,
+                "a list build allocated {narrow_allocs} times"
+            );
+        },
     );
 }
 
@@ -293,50 +315,52 @@ fn transient_peak<T>(region: impl FnOnce() -> T) -> (i64, T) {
 
 #[test]
 fn a_seal_peaks_the_same_under_any_vocabulary_width() {
-    let _only = exclusive();
-    // 32 documents of 100 words: a write-buffer chunk.
-    let texts = zipf_texts(32);
-    let own = Corpus::from_texts(&texts);
-    let wide = corpus_over(200_000, &texts);
-    let seal = |corpus: &Corpus| {
-        let (transient, index) = transient_peak(|| IndexBuilder::new().build(corpus));
-        (transient, index.pairs().num_keys())
-    };
-    let (own_peak, own_keys) = seal(&own);
-    let (wide_peak, wide_keys) = seal(&wide);
-    println!(
-        "32-document seal: transient {own_peak} bytes over {} tokens, {wide_peak} over {}",
-        own.interner().len(),
-        wide.interner().len()
-    );
-    assert!(
-        own_keys > 1_000,
-        "the chunk must carry pairs: {own_keys} keys"
-    );
-    assert_eq!(own_keys, wide_keys);
-    assert!(
-        wide_peak <= own_peak,
-        "a seal over 200k tokens peaked {wide_peak} transient bytes, over its own {own_peak}"
-    );
+    alone("a_seal_peaks_the_same_under_any_vocabulary_width", || {
+        // 32 documents of 100 words: a write-buffer chunk.
+        let texts = zipf_texts(32);
+        let own = Corpus::from_texts(&texts);
+        let wide = corpus_over(200_000, &texts);
+        let seal = |corpus: &Corpus| {
+            let (transient, index) = transient_peak(|| IndexBuilder::new().build(corpus));
+            (transient, index.pairs().num_keys())
+        };
+        let (own_peak, own_keys) = seal(&own);
+        let (wide_peak, wide_keys) = seal(&wide);
+        println!(
+            "32-document seal: transient {own_peak} bytes over {} tokens, {wide_peak} over {}",
+            own.interner().len(),
+            wide.interner().len()
+        );
+        assert!(
+            own_keys > 1_000,
+            "the chunk must carry pairs: {own_keys} keys"
+        );
+        assert_eq!(own_keys, wide_keys);
+        assert!(
+            wide_peak <= own_peak,
+            "a seal over 200k tokens peaked {wide_peak} transient bytes, over its own {own_peak}"
+        );
+    });
 }
 
 #[test]
 fn decoding_an_image_does_not_allocate_per_list() {
-    let _only = exclusive();
-    let corpus = zipf_corpus();
-    let index = IndexBuilder::new()
-        .pair_config(PairConfig::disabled())
-        .build(&corpus);
-    let lists = index.num_tokens() + 1;
-    assert!(lists >= 10_000, "{lists} lists");
-    let image = persist::encode(&index);
-    let before = allocs();
-    let decoded = persist::decode(image.as_slice()).expect("a built image decodes");
-    let allocs = allocs() - before;
-    println!("decode: {allocs} allocations for {lists} lists");
-    assert_eq!(decoded.num_tokens(), index.num_tokens());
-    assert!(
-        allocs <= 64,
-        "decoding {lists} lists allocated {allocs} times"
-    );
+    alone("decoding_an_image_does_not_allocate_per_list", || {
+        let corpus = zipf_corpus();
+        let index = IndexBuilder::new()
+            .pair_config(PairConfig::disabled())
+            .build(&corpus);
+        let lists = index.num_tokens() + 1;
+        assert!(lists >= 10_000, "{lists} lists");
+        let image = persist::encode(&index);
+        let before = allocs();
+        let decoded = persist::decode(image.as_slice()).expect("a built image decodes");
+        let allocs = allocs() - before;
+        println!("decode: {allocs} allocations for {lists} lists");
+        assert_eq!(decoded.num_tokens(), index.num_tokens());
+        assert!(
+            allocs <= 64,
+            "decoding {lists} lists allocated {allocs} times"
+        );
+    });
 }

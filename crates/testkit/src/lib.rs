@@ -1,13 +1,15 @@
 //! Property-test helpers shared by the workspace's test suites: the case
 //! count every suite reads from `FTSL_PROPTEST_CASES`, the common corpus
-//! strategy, and the generated-query strategies (BOOL trees and
-//! PPRED / NPRED stream queries). Dev-only: suites list it under
-//! `[dev-dependencies]`, and no library depends on it.
+//! strategy, the generated-query strategies (BOOL trees and
+//! PPRED / NPRED stream queries), and the word-pair build's cases.
+//! Dev-only: suites list it under `[dev-dependencies]`, and no library
+//! depends on it.
 
 use ftsl_lang::SurfaceQuery;
-use ftsl_model::Corpus;
+use ftsl_model::{Corpus, Position, TokenId, TokenInterner};
 use proptest::prelude::*;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Property-case count: `FTSL_PROPTEST_CASES` when it is set (the
 /// scheduled deep-fuzz CI job raises it), or the suite's `default`, which
@@ -148,4 +150,113 @@ pub fn arb_stream_query(
             query
         })
     })
+}
+
+/// Document frequencies, as `IndexBuilder` hands them to the pair build.
+pub fn document_frequencies(corpus: &Corpus) -> Vec<u32> {
+    let mut dfs = vec![0u32; corpus.interner().len()];
+    for doc in corpus.documents() {
+        let mut seen: Vec<TokenId> = doc.tokens.iter().map(|&(t, _)| t).collect();
+        seen.sort_unstable();
+        seen.dedup();
+        for t in seen {
+            dfs[t.index()] += 1;
+        }
+    }
+    dfs
+}
+
+/// Token ids of the generated documents start here in "high" cases, so the
+/// vocabulary straddles 2¹⁶.
+const HIGH_BASE: usize = 65_533;
+
+/// `HIGH_BASE` filler tokens, interned once and cloned per case.
+fn high_vocabulary() -> &'static TokenInterner {
+    static VOCAB: OnceLock<TokenInterner> = OnceLock::new();
+    VOCAB.get_or_init(|| {
+        let mut vocab = TokenInterner::new();
+        for i in 0..HIGH_BASE {
+            vocab.intern(&format!("filler{i}"));
+        }
+        vocab
+    })
+}
+
+/// A document as `(token, offset step)` pairs: the first token sits at its
+/// step minus one, each next one `step` offsets after the previous.
+pub type DocSpec = Vec<(u32, u32)>;
+
+fn arb_doc(wide: bool) -> BoxedStrategy<DocSpec> {
+    let short = proptest::collection::vec((0u32..6, 1u32..3), 2..30);
+    let repeated = proptest::collection::vec((0u32..2, 1u32..2), 10..40);
+    let far = proptest::collection::vec((0u32..6, (1u32 << 28)..(1 << 29)), 2..6);
+    if wide {
+        // Every pair is within a `u32::MAX` window: keep documents short.
+        return prop_oneof![
+            Just(Vec::new()),
+            (0u32..6).prop_map(|t| vec![(t, 1)]),
+            short,
+            far,
+        ]
+        .boxed();
+    }
+    // Hundreds of distinct keys per document: more than the dedupe table's
+    // first allocation holds.
+    let long = proptest::collection::vec((0u32..300, 1u32..2), 520..700);
+    prop_oneof![
+        2 => Just(Vec::new()),
+        2 => (0u32..6).prop_map(|t| vec![(t, 1)]),
+        6 => short,
+        3 => repeated,
+        1 => far,
+        1 => long,
+    ]
+    .boxed()
+}
+
+/// Cases for the word-pair index build: `(window, cutoff choice, high ids,
+/// documents)`. The window is 0, 1, 16 or `u32::MAX`; the cutoff choice
+/// indexes `[0, 2, documents + 1]`; with high ids the documents' tokens
+/// start at 65 533, so the vocabulary straddles 2¹⁶ ([`pair_case_corpus`]).
+/// Documents are empty, of one token, short, of two tokens repeated, with
+/// offsets 2²⁸ or more apart (so the build's packed postings need more than
+/// 64 bits), or long, with hundreds of distinct keys.
+pub fn arb_pair_case() -> impl Strategy<Value = (u32, usize, bool, Vec<DocSpec>)> {
+    (0usize..4).prop_flat_map(|w| {
+        let window = [0, 1, 16, u32::MAX][w];
+        (
+            Just(window),
+            0usize..3,
+            any::<bool>(),
+            proptest::collection::vec(arb_doc(window == u32::MAX), 0..10),
+        )
+    })
+}
+
+/// The corpus of an [`arb_pair_case`] case: 300 words `w0..w300` (after
+/// 65 533 fillers when `high`), and one document per spec.
+pub fn pair_case_corpus(high: bool, docs: &[DocSpec]) -> Corpus {
+    let mut vocab = if high {
+        high_vocabulary().clone()
+    } else {
+        TokenInterner::new()
+    };
+    for t in 0..300 {
+        vocab.intern(&format!("w{t}"));
+    }
+    let base = if high { HIGH_BASE as u32 } else { 0 };
+    let mut corpus = Corpus::with_interner(vocab);
+    for (d, spec) in docs.iter().enumerate() {
+        let mut offset = 0u32;
+        let tokens = spec
+            .iter()
+            .enumerate()
+            .map(|(i, &(t, step))| {
+                offset = if i == 0 { step - 1 } else { offset + step };
+                (TokenId(base + t), Position::flat(offset))
+            })
+            .collect();
+        corpus.add_tokens(format!("doc{d}"), tokens);
+    }
+    corpus
 }

@@ -1,7 +1,7 @@
 //! The persisted forms are pinned byte for byte: bare v7 index images and
 //! v8 live manifests, each built from fixed input, hash to constants. One
 //! image comes from a corpus large enough that its pair index is built as
-//! first-token ranges on every core; it hashes to what the one-range build
+//! first-token ranges on two cores; it hashes to what the one-range build
 //! wrote. A change to how an index is built or held in memory must leave
 //! every hash untouched, and decoding an image must give back the same pair
 //! lists and the same resident pair bytes as the index that was encoded.
@@ -65,9 +65,8 @@ fn a_synthetic_index_image_is_pinned() {
 }
 
 /// 1 200 documents of 60 Zipf tokens over 5 000 words: 72 000 occurrences,
-/// enough that a build on more than one core cuts its pair index into
-/// first-token ranges built side by side, as many as there are cores up to
-/// four.
+/// enough that a build on more than one core cuts its pair index into two
+/// first-token ranges built side by side.
 fn split_config() -> SynthConfig {
     SynthConfig {
         cnodes: 1_200,
