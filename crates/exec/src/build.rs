@@ -2,16 +2,15 @@
 
 use crate::cursor::{ContextCursor, FtCursor, ScanCursor};
 use crate::join::JoinCursor;
+use crate::pairscan::{leaf, PairQuery};
 use crate::plan::{as_filter, Plan};
 use crate::project::ProjectCursor;
 use crate::select::SelectCursor;
 use crate::setops::{DiffCursor, UnionCursor};
 use ftsl_algebra::AlgExpr;
-use ftsl_calculus::ast::VarId;
 use ftsl_index::{BlockList, InvertedIndex};
 use ftsl_model::Corpus;
 use ftsl_predicates::{AdvanceMode, PredKind, PredicateRegistry};
-use std::collections::HashMap;
 use std::slice;
 
 /// Everything a cursor tree needs to run.
@@ -28,37 +27,38 @@ pub struct CursorCtx<'a> {
 
 /// Build the cursor tree of `plan` on one segment. `swaps` is the
 /// segment's join order ([`crate::plan::order_joins_by_selectivity`]);
-/// `ranks` is the evaluation thread's variable ordering (empty for PPRED /
-/// threads without negative predicates), which orders each negative
-/// predicate's argument threads.
+/// `arg_orders` is the evaluation thread's argument order for each
+/// negative selection, depth-first (empty for PPRED). A `π_∅` node that
+/// [`Plan::cores`] folds into a proximity core binds the pair walk when
+/// this segment's pair index covers it.
 ///
 /// # Panics
 ///
 /// If `plan` is not one [`crate::plan::build_plan`] built: a `∩` or `−`
-/// outside a `NOT` filter, or fewer swap decisions or negative-predicate
-/// arguments than the tree needs.
+/// outside a `NOT` filter, or fewer swap decisions, core entries or
+/// argument orders than the tree needs.
 pub fn build_cursor<'a>(
     plan: &Plan,
     swaps: &[bool],
     ctx: &CursorCtx<'a>,
-    ranks: &HashMap<VarId, usize>,
+    arg_orders: &[Vec<usize>],
 ) -> Box<dyn FtCursor + 'a> {
     let mut walk = Walk {
         ctx,
         swaps: swaps.iter(),
-        negative_args: plan.negative_args.iter(),
-        ranks,
+        cores: plan.cores.iter(),
+        arg_orders: arg_orders.iter(),
     };
     walk.build(&plan.root).0
 }
 
-/// One depth-first walk of a plan, reading its join decisions and negative
-/// selections' arguments in the order the plan lists them.
+/// One depth-first walk of a plan, reading its join decisions, cores and
+/// negative selections' argument orders in the order the plan lists them.
 struct Walk<'w, 'a> {
     ctx: &'w CursorCtx<'a>,
     swaps: slice::Iter<'w, bool>,
-    negative_args: slice::Iter<'w, Vec<VarId>>,
-    ranks: &'w HashMap<VarId, usize>,
+    cores: slice::Iter<'w, Option<PairQuery>>,
+    arg_orders: slice::Iter<'w, Vec<usize>>,
 }
 
 impl<'a> Walk<'_, 'a> {
@@ -101,18 +101,13 @@ impl<'a> Walk<'_, 'a> {
                 let p = ctx.registry.get_shared(*pred);
                 let cursor: Box<dyn FtCursor + 'a> = match p.kind() {
                     PredKind::Negative => {
-                        let vars = self.negative_args.next().expect("a negative selection");
-                        // Order the predicate's argument indices by thread rank.
-                        let mut order: Vec<usize> = (0..cols.len()).collect();
-                        order.sort_by_key(|&i| {
-                            self.ranks.get(&vars[i]).copied().unwrap_or(usize::MAX)
-                        });
+                        let order = self.arg_orders.next().expect("a negative selection");
                         Box::new(SelectCursor::negative(
                             inner,
                             p,
                             cols.clone(),
                             consts.clone(),
-                            order,
+                            order.clone(),
                         ))
                     }
                     _ => Box::new(SelectCursor::positive(
@@ -126,8 +121,15 @@ impl<'a> Walk<'_, 'a> {
                 (cursor, arity)
             }
             AlgExpr::Project(input, keep) => {
-                // `π_∅` of a scan: the list's nodes, as one cursor.
                 if keep.is_empty() {
+                    // A covered or provably empty core: the pair walk, in
+                    // place of the core's one join and its decision.
+                    let core = self.cores.next().expect("an entry per π_∅");
+                    if let Some(walk) = core.as_ref().and_then(|q| leaf(q, ctx.corpus, ctx.index)) {
+                        self.swaps.next();
+                        return (Box::new(walk), 0);
+                    }
+                    // `π_∅` of a scan: the list's nodes, as one cursor.
                     if let Some(list) = self.list(input) {
                         return (Box::new(ScanCursor::nodes(list)), 0);
                     }
@@ -195,7 +197,7 @@ mod tests {
             mode: AdvanceMode::Aggressive,
         };
         let swaps = order_joins_by_selectivity(&plan.root, &corpus, &index);
-        let mut cursor = build_cursor(&plan, &swaps, &ctx, &HashMap::new());
+        let mut cursor = build_cursor(&plan, &swaps, &ctx, &[]);
         let mut nodes = Vec::new();
         while let Some(n) = cursor.advance_node() {
             nodes.push(n.0);

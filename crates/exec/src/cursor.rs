@@ -25,14 +25,19 @@ pub trait FtCursor {
     /// The current node, if positioned.
     fn node(&self) -> Option<NodeId>;
 
-    /// The current position of column `col`.
-    fn position(&self, col: usize) -> Position;
+    /// The current position of column `col`. A node-level cursor (arity
+    /// 0) keeps the default, which no caller reaches.
+    fn position(&self, _col: usize) -> Position {
+        unreachable!("a node-level cursor has no position column")
+    }
 
     /// Advance column `col` to the next candidate tuple (within the current
     /// node) whose `col` offset is `>= min_offset`, leaving other columns at
     /// offsets `>=` their current values. Returns false when the node is
-    /// exhausted for this constraint.
-    fn advance_position(&mut self, col: usize, min_offset: u32) -> bool;
+    /// exhausted for this constraint. A node-level cursor keeps the default.
+    fn advance_position(&mut self, _col: usize, _min_offset: u32) -> bool {
+        unreachable!("a node-level cursor has no position column")
+    }
 
     /// Advance to the first result node with id `>= target` (the seek
     /// extension of the cursor contract). Stays put when the current node
@@ -193,14 +198,6 @@ impl FtCursor for ContextCursor {
 
     fn node(&self) -> Option<NodeId> {
         self.node
-    }
-
-    fn position(&self, _col: usize) -> Position {
-        unreachable!("SearchContext has no position column")
-    }
-
-    fn advance_position(&mut self, _col: usize, _min_offset: u32) -> bool {
-        unreachable!("SearchContext has no position column")
     }
 
     fn seek_node(&mut self, target: NodeId) -> Option<NodeId> {

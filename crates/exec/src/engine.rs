@@ -4,6 +4,7 @@
 
 use crate::comp::CompPlan;
 use crate::error::ExecError;
+use crate::pairscan::path_note;
 use crate::ppred::StreamPlan;
 use ftsl_algebra::from_calculus::query_to_algebra;
 use ftsl_algebra::AlgExpr;
@@ -143,7 +144,7 @@ enum Shape {
 /// A query compiled once for every segment it will run on: classified,
 /// dispatched, lowered, and planned into one full-text algebra tree
 /// ([`AlgExpr`]) — for BOOL / PPRED / NPRED the streaming plan in
-/// node-level normal form (plus the recognized pair core or the thread
+/// node-level normal form (plus its proximity cores and thread
 /// orderings), for COMP Lemma 2's translation, pushed down. A forced BOOL
 /// takes only queries `classify` places in BOOL. [`Self::bind`] does only
 /// what depends on one segment's lists: token ids, join order, cursors;
@@ -286,7 +287,7 @@ impl<'q> PreparedQuery<'q> {
     /// Run the compiled query on one segment, returning its matches (local
     /// ids, ascending) and work counters. With a trace builder, the work is
     /// one `engine …` span carrying the counters, the pair-path attribution
-    /// for PPRED and the node walk for COMP.
+    /// for PPRED and NPRED and the node walk for COMP.
     pub fn bind(
         &self,
         corpus: &Corpus,
@@ -298,10 +299,15 @@ impl<'q> PreparedQuery<'q> {
             .map(|b| b.open(format!("engine {}", self.engine())));
         let (nodes, counters) = match &self.shape {
             Shape::Stream(engine, plan) => {
-                let (nodes, counters, attribution) =
+                let (nodes, counters) =
                     plan.bind(corpus, index, self.registry, AdvanceMode::Aggressive);
-                if let (Some(b), Some(id), EngineUsed::Ppred) = (tb.as_mut(), span, *engine) {
-                    b.note(id, attribution.describe());
+                if let (Some(b), Some(id), EngineUsed::Ppred | EngineUsed::Npred) =
+                    (tb.as_mut(), span, *engine)
+                {
+                    b.note(
+                        id,
+                        path_note(plan.plan.cores.iter().any(Option::is_some), &counters),
+                    );
                 }
                 (nodes, counters)
             }

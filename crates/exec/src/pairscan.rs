@@ -1,10 +1,12 @@
-//! Pair-index fast path: recognize two-scan proximity cores and answer
+//! Pair-index leaf: recognize closed two-scan proximity cores and answer
 //! them from the word-pair auxiliary index ([`ftsl_index::pair`]).
 //!
-//! A PPRED plan (an [`AlgExpr`] tree, as `explain` prints it) of the shape
+//! A `π_∅` node of a PPRED or NPRED plan (an [`AlgExpr`] tree, as
+//! `explain` prints it) — the whole plan, a union branch, a join side or a
+//! `NOT` filter — of the shape
 //!
 //! ```text
-//! project (CNode, …)*                      (SOME projections)
+//! project (CNode, [])                      (the core's SOME projections)
 //!   select {ordered | distance | window}*  (≥ 1 gap-bounding predicate)
 //!     join
 //!       scan ("a")                         (R_a)
@@ -13,32 +15,34 @@
 //!
 //! asks exactly the question the pair index precomputes: *is there an
 //! occurrence pair of `a` and `b` in this document with forward gap at
-//! most `g`?* `recognize` detects the shape and folds every predicate
-//! into a single gap bound plus an optional direction, a [`PairQuery`].
+//! most `g`?* `recognize` folds every predicate of such a closed core into
+//! a single gap bound plus an optional direction, a [`PairQuery`]; `cores`
+//! lists the plan's folds once per query. Pair lists hold no positions, so
+//! an open core or a three-word phrase keeps its positional cursors.
 //!
-//! Each segment then resolves the query once (`resolve`) — covered pair
-//! lists, provably empty, or not covered — and every covered caller runs
-//! the one merged min-gap walk: one pair list, or two merged on node id for
-//! the symmetric case, skipping whole blocks on their `min_gap` header.
-//! The set answer (`execute`) walks with a threshold that admits every
-//! block within the bound; the proximity top-k bounds each segment from
-//! its resolved lists' headers (`near_bound`), then walks the same lists
-//! against the heap's threshold (`near_topk_into`).
+//! Each segment then resolves a core (`resolve`) — covered pair lists,
+//! provably empty, or not covered — and every covered caller runs the one
+//! merged min-gap walk: one pair list, or two merged on node id for the
+//! symmetric case, skipping whole blocks on their `min_gap` header. The
+//! plan leaf (`leaf`) admits every block within the bound and seeks by
+//! block headers; the proximity top-k bounds each segment from its lists'
+//! headers (`near_bound`), then walks them against the heap's threshold
+//! (`near_topk_into`).
 //!
 //! Both halves are total over inputs and *conservative*: any shape,
-//! predicate, bound, or coverage condition outside the contract sends the
-//! caller down the ordinary position-intersection path, so the rewrite
-//! can never change a query's answer — only how it is computed. The one
+//! predicate, bound, or coverage condition outside the contract leaves the
+//! core on the position-intersection cursors, so the rewrite can never
+//! change a query's answer — only how it is computed. The one
 //! non-obvious refusal is a symmetric query over the *same* token
 //! (`distance(p1,p2,d)` with both scans on `'a'`): the two variables may
 //! bind the same position, which satisfies `distance` trivially, while
 //! the pair index only stores strictly-forward gaps.
 //!
 //! The tri-state [`PairLookup`] makes absence useful: when both tokens
-//! are covered but the key is missing, the answer is **provably empty**
-//! and the fast path returns the empty result without touching a single
-//! posting.
+//! are covered but the key is missing, the core is **provably empty** and
+//! its leaf yields no node without touching a single posting.
 
+use crate::cursor::FtCursor;
 use ftsl_algebra::AlgExpr;
 use ftsl_index::pair::min_forward_gaps;
 use ftsl_index::{AccessCounters, InvertedIndex, PairCursor, PairList, PairLookup};
@@ -73,19 +77,51 @@ struct Gathered<'p> {
     bound: Option<u32>,
 }
 
-impl Gathered<'_> {
-    fn tighten(&mut self, bound: u32) {
-        self.bound = Some(self.bound.map_or(bound, |b| b.min(bound)));
+/// The side table of `root`'s closed proximity cores: one entry per `π_∅`
+/// node a depth-first walk meets (a node before its inputs, left before
+/// right), the [`PairQuery`] it folds into or `None`. The walk does not
+/// enter a folded core, and neither does the cursor builder that reads the
+/// table in the same order ([`crate::build::build_cursor`]).
+pub(crate) fn cores(root: &AlgExpr, registry: &PredicateRegistry) -> Vec<Option<PairQuery>> {
+    fn collect(node: &AlgExpr, registry: &PredicateRegistry, out: &mut Vec<Option<PairQuery>>) {
+        if matches!(node, AlgExpr::Project(_, keep) if keep.is_empty()) {
+            out.push(recognize(node, registry));
+            if out.last().is_some_and(Option::is_some) {
+                return;
+            }
+        }
+        match node {
+            AlgExpr::Project(a, _) | AlgExpr::Select { input: a, .. } => collect(a, registry, out),
+            AlgExpr::Join(a, b)
+            | AlgExpr::Union(a, b)
+            | AlgExpr::Intersect(a, b)
+            | AlgExpr::Difference(a, b) => {
+                collect(a, registry, out);
+                collect(b, registry, out);
+            }
+            AlgExpr::SearchContext | AlgExpr::HasPos | AlgExpr::TokenRel(_) => {}
+        }
     }
+    let mut out = Vec::new();
+    collect(root, registry, &mut out);
+    out
 }
 
-/// Try to fold `root` (a PPRED plan, pre-join-reordering) into a
-/// [`PairQuery`]. `None` means the plan is outside the pair fragment and
-/// must run on the ordinary streaming path.
-pub(crate) fn recognize(root: &AlgExpr, registry: &PredicateRegistry) -> Option<PairQuery> {
+/// Try to fold `core`, a `π_∅` node of a plan (pre-join-reordering), into
+/// a [`PairQuery`]. `None` means it is outside the pair fragment and runs
+/// on the ordinary streaming cursors. A folded core holds exactly one join
+/// and no other `π_∅`.
+fn recognize(core: &AlgExpr, registry: &PredicateRegistry) -> Option<PairQuery> {
+    let AlgExpr::Project(input, keep) = core else {
+        return None;
+    };
+    // Projections compose, so a core's bounding selection sits right below
+    // its `π_∅`: any other shape is refused before anything is gathered.
     let mut st = Gathered::default();
-    walk(root, registry, &mut st)?;
-    if st.scans.len() != 2 {
+    if !keep.is_empty() || !matches!(**input, AlgExpr::Select { .. }) {
+        return None;
+    }
+    if walk(input, registry, &mut st).is_none() || st.scans.len() != 2 {
         return None;
     }
     // A direction alone (`ordered` without a distance/window) is an
@@ -133,7 +169,7 @@ fn walk<'p>(
             cols.extend(walk(b, registry, st)?);
             Some(cols)
         }
-        AlgExpr::Project(input, keep) => {
+        AlgExpr::Project(input, keep) if !keep.is_empty() => {
             let cols = walk(input, registry, st)?;
             keep.iter().map(|&k| cols.get(k).copied()).collect()
         }
@@ -152,33 +188,22 @@ fn walk<'p>(
             if sa == sb {
                 return None; // predicate over a single variable
             }
-            match registry.get(*pred).name() {
-                "ordered" => match st.direction {
-                    None => st.direction = Some((sa, sb)),
-                    Some(d) if d == (sa, sb) => {}
-                    // Contradictory directions: provably empty, but rare
-                    // enough that the ordinary path can say so.
-                    Some(_) => return None,
-                },
+            let bound = match (registry.get(*pred).name(), consts.first()) {
+                ("ordered", _) if st.direction.is_none_or(|d| d == (sa, sb)) => {
+                    st.direction = Some((sa, sb));
+                    return Some(cols);
+                }
                 // `distance(p1, p2, d)`: at most `d` intervening tokens,
                 // i.e. offset gap ≤ d + 1 in either direction.
-                "distance" => {
-                    let d = *consts.first()?;
-                    if d < 0 {
-                        return None;
-                    }
-                    st.tighten(u32::try_from(d.saturating_add(1)).unwrap_or(u32::MAX));
-                }
+                ("distance", Some(&d)) if d >= 0 => d.saturating_add(1),
                 // `window(p1, p2, w)`: max − min offset ≤ w.
-                "window" => {
-                    let w = *consts.first()?;
-                    if w < 1 {
-                        return None;
-                    }
-                    st.tighten(u32::try_from(w).unwrap_or(u32::MAX));
-                }
-                _ => return None, // samepos/samepara/samesent/…
-            }
+                ("window", Some(&w)) if w >= 1 => w,
+                // Contradictory directions (provably empty, but rare enough
+                // that the ordinary path can say so), samepos/samepara/…
+                _ => return None,
+            };
+            let bound = u32::try_from(bound).unwrap_or(u32::MAX);
+            st.bound = Some(st.bound.map_or(bound, |b| b.min(bound)));
             Some(cols)
         }
         // `HasPos`, unions, and `NOT` filters (a join with a difference).
@@ -192,10 +217,9 @@ fn walk<'p>(
 pub(crate) enum Resolved<'a> {
     /// The pair index covers both tokens: the forward list and, for an
     /// undirected query over two tokens, the backward one (`None` for a
-    /// key the index proves absent).
+    /// key the index proves absent). Both are `None` when no document can
+    /// match: bound 0, or a token absent from the corpus.
     Covered([Option<PairList<'a>>; 2]),
-    /// No document can match: bound 0, or a token absent from the corpus.
-    Empty,
     /// Outside the pair index (pairs disabled, bound beyond the indexed
     /// window, or a token below the df cutoff): position intersection must
     /// answer, over these token ids when both exist.
@@ -209,7 +233,7 @@ pub(crate) fn resolve<'a>(
     index: &'a InvertedIndex,
 ) -> Resolved<'a> {
     if q.bound == 0 {
-        return Resolved::Empty;
+        return Resolved::Covered([None, None]);
     }
     let pairs = index.pairs();
     let ids = corpus.token_id(&q.first).zip(corpus.token_id(&q.second));
@@ -217,7 +241,7 @@ pub(crate) fn resolve<'a>(
         return Resolved::NotCovered(ids);
     }
     let Some((a, b)) = ids else {
-        return Resolved::Empty;
+        return Resolved::Covered([None, None]);
     };
     if !pairs.covers(a) || !pairs.covers(b) {
         return Resolved::NotCovered(ids);
@@ -236,12 +260,15 @@ pub(crate) fn resolve<'a>(
 /// yielding each document once, ascending, with its minimum gap within
 /// the bound over both directions. Each step skips whole blocks whose
 /// `min_gap` header proves every entry either exceeds the bound or has a
-/// [`closeness`] the caller's `admits` threshold refuses.
-struct MinGapWalk<'a> {
+/// [`closeness`] the caller's `admits` threshold refuses. As a plan leaf
+/// ([`leaf`]) it is a closed core's node cursor, with no position column.
+pub(crate) struct MinGapWalk<'a> {
     bound: u32,
     cursors: [Option<PairCursor<'a>>; 2],
     /// Each cursor's next qualifying `(node, gap)`, read one ahead.
     heads: [Option<(NodeId, u32)>; 2],
+    /// The node the leaf stands on.
+    node: Option<NodeId>,
 }
 
 impl<'a> MinGapWalk<'a> {
@@ -254,6 +281,7 @@ impl<'a> MinGapWalk<'a> {
             bound,
             cursors,
             heads,
+            node: None,
         }
     }
 
@@ -272,13 +300,45 @@ impl<'a> MinGapWalk<'a> {
         }
         Some((node, gap))
     }
+}
+
+impl FtCursor for MinGapWalk<'_> {
+    fn arity(&self) -> usize {
+        0
+    }
+
+    fn advance_node(&mut self) -> Option<NodeId> {
+        self.node = self.next(|_| true).map(|(node, _)| node);
+        self.node
+    }
+
+    fn node(&self) -> Option<NodeId> {
+        self.node
+    }
+
+    /// Seek each lagging cursor by its block headers, then read on to its
+    /// first entry within the bound.
+    fn seek_node(&mut self, target: NodeId) -> Option<NodeId> {
+        if self.node.is_some_and(|n| n >= target) {
+            return self.node;
+        }
+        let bound = self.bound;
+        for (head, cursor) in self.heads.iter_mut().zip(&mut self.cursors) {
+            if let (Some((n, _)), Some(c)) = (*head, cursor.as_mut()) {
+                if n < target {
+                    *head = c.seek(target).and_then(|n| match c.gap() {
+                        gap if gap <= bound => Some((n, gap)),
+                        _ => next_within(c, bound, |_| true),
+                    });
+                }
+            }
+        }
+        self.advance_node()
+    }
 
     fn counters(&self) -> AccessCounters {
-        let mut counters = AccessCounters::new();
-        for cursor in self.cursors.iter().flatten() {
-            counters += cursor.counters();
-        }
-        counters
+        let cursors = self.cursors.iter().flatten();
+        cursors.fold(AccessCounters::new(), |sum, c| sum + c.counters())
     }
 }
 
@@ -310,27 +370,34 @@ fn next_within(
     }
 }
 
-/// Answer a recognized query from the index's pair lists. `None` means
-/// the index cannot cover it and the caller must fall back to position
-/// intersection. `Some` results are exact: matching nodes ascending, plus
-/// the access counters the walk paid. The walk admits every block whose
-/// `min_gap` is within the bound (`closeness(min_gap) > 0` exactly then).
-pub(crate) fn execute(
+/// The leaf that answers core `q` on one segment: the pair walk over its
+/// lists, admitting every block whose `min_gap` is within the bound
+/// (`closeness(min_gap) > 0` exactly then), or no node when the core is
+/// provably empty. `None` when the segment's pair index does not cover it.
+pub(crate) fn leaf<'a>(
     q: &PairQuery,
     corpus: &Corpus,
-    index: &InvertedIndex,
-) -> Option<(Vec<NodeId>, AccessCounters)> {
-    let lists = match resolve(q, corpus, index) {
-        Resolved::Covered(lists) => lists,
-        Resolved::Empty => return Some((Vec::new(), AccessCounters::new())),
-        Resolved::NotCovered(_) => return None,
-    };
-    let mut walk = MinGapWalk::new(lists, q.bound, |_| true);
-    let mut nodes = Vec::new();
-    while let Some((node, _)) = walk.next(|_| true) {
-        nodes.push(node);
+    index: &'a InvertedIndex,
+) -> Option<MinGapWalk<'a>> {
+    match resolve(q, corpus, index) {
+        Resolved::Covered(lists) => Some(MinGapWalk::new(lists, q.bound, |_| true)),
+        Resolved::NotCovered(_) => None,
     }
-    Some((nodes, walk.counters()))
+}
+
+/// The `pair path: …` note of a span, read off the work it did: a plan's
+/// engine span (`holds_core`: the plan holds a closed proximity core) or
+/// a proximity top-k's segment span (always a core).
+pub(crate) fn path_note(holds_core: bool, counters: &AccessCounters) -> &'static str {
+    if !holds_core {
+        "pair path: shape not recognized — streaming cursor evaluation"
+    } else if counters.pair_entries > 0 {
+        "pair path: word-pair list walk"
+    } else if counters.positions > 0 || counters.positions_decoded > 0 {
+        "pair path: not covered — position-intersection fallback"
+    } else {
+        "no candidates"
+    }
 }
 
 /// Upper bound on the [`closeness`] score any document of a segment can
@@ -346,7 +413,6 @@ pub(crate) fn near_bound(q: &PairQuery, resolved: &Resolved<'_>) -> f64 {
             .flatten()
             .map(|list| closeness(list.min_gap(), q.bound))
             .fold(0.0, f64::max),
-        Resolved::Empty => 0.0,
         Resolved::NotCovered(_) => 1.0,
     }
 }
@@ -384,17 +450,20 @@ where
             }
             return walk.counters();
         }
-        Resolved::Empty | Resolved::NotCovered(None) => return counters,
+        Resolved::NotCovered(None) => return counters,
         // Fallback: position intersection, exactly the work the pair
         // index would have saved (counted through the same counters).
         Resolved::NotCovered(Some((a, b))) => {
             let (la, lb) = (index.block_list(a), index.block_list(b));
-            let forward = min_forward_gaps(la, lb, q.bound, &mut counters);
-            if q.directed || a == b {
-                forward
-            } else {
-                merge_min_gap(&forward, &min_forward_gaps(lb, la, q.bound, &mut counters))
+            let mut entries = min_forward_gaps(la, lb, q.bound, &mut counters);
+            if !q.directed && a != b {
+                // Both directions, ascending by node, each node once with
+                // its smaller gap: the stable sort merges the two runs.
+                entries.extend(min_forward_gaps(lb, la, q.bound, &mut counters));
+                entries.sort();
+                entries.dedup_by_key(|&mut (node, _)| node);
             }
+            entries
         }
     };
     for (node, gap) in entries {
@@ -403,33 +472,6 @@ where
         }
     }
     counters
-}
-
-/// Merge two ascending `(node, gap)` streams, keeping the minimum gap
-/// where a node appears in both.
-fn merge_min_gap(a: &[(u32, u32)], b: &[(u32, u32)]) -> Vec<(u32, u32)> {
-    let mut out = Vec::with_capacity(a.len().max(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push((a[i].0, a[i].1.min(b[j].1)));
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 #[cfg(test)]
@@ -543,11 +585,60 @@ mod tests {
                 directed,
                 bound,
             };
-            let (nodes, _) = execute(&q, &corpus, &index).expect("covered");
-            nodes.into_iter().map(|n| n.0).collect::<Vec<_>>()
+            let mut walk = leaf(&q, &corpus, &index).expect("covered");
+            std::iter::from_fn(|| walk.advance_node().map(|n| n.0)).collect::<Vec<_>>()
         };
         assert_eq!(run(true, 4), vec![1, 3, 5]);
         assert_eq!(run(false, 4), vec![0, 1, 3, 4, 5]);
         assert_eq!(run(false, 1), vec![0, 1, 3]);
+    }
+
+    /// The leaf seeks by block headers: over 600 documents, a seek past
+    /// the first blocks skips them whole, lands on the first node at or
+    /// past the target whose gap is within the bound, and stays put on a
+    /// target behind it.
+    #[test]
+    fn leaf_seeks_by_block_headers() {
+        // Even documents hold `a b` (gap 1), odd ones `a x x b` (gap 3).
+        let texts: Vec<&str> = (0..600)
+            .map(|i| if i % 2 == 0 { "a b" } else { "a x x b" })
+            .collect();
+        let corpus = Corpus::from_texts(&texts);
+        let index = IndexBuilder::new().build(&corpus);
+        let q = |bound| PairQuery {
+            first: "a".into(),
+            second: "b".into(),
+            directed: true,
+            bound,
+        };
+        let mut walk = leaf(&q(1), &corpus, &index).expect("covered");
+        assert_eq!(walk.seek_node(NodeId(301)), Some(NodeId(302)));
+        assert_eq!(walk.seek_node(NodeId(10)), Some(NodeId(302)));
+        assert_eq!(walk.advance_node(), Some(NodeId(304)));
+        let c = walk.counters();
+        assert!(c.blocks_skipped >= 1 && c.skipped >= 300, "{c:?}");
+        assert!(c.pair_entries < 10, "{c:?}");
+        let mut walk = leaf(&q(3), &corpus, &index).expect("covered");
+        assert_eq!(walk.seek_node(NodeId(301)), Some(NodeId(301)));
+        assert_eq!(walk.seek_node(NodeId(600)), None);
+        assert_eq!(walk.node(), None);
+    }
+
+    /// Every `π_∅` gets one entry, depth-first: the cores under a union
+    /// fold, as does a core in a `NOT` filter; scans do not.
+    #[test]
+    fn cores_fold_wherever_they_sit() {
+        let reg = PredicateRegistry::with_builtins();
+        let core = |a: &str, b: &str| {
+            format!("SOME p1 SOME p2 (p1 HAS '{a}' AND p2 HAS '{b}' AND distance(p1,p2,3))")
+        };
+        let query = format!("('c' AND NOT {}) OR {}", core("a", "b"), core("d", "e"));
+        let expr = lower(&parse(&query, Mode::Comp).unwrap(), &reg).unwrap();
+        let plan = build_plan(&expr, &reg, false).unwrap();
+        let folded: Vec<Option<String>> = cores(&plan.root, &reg)
+            .into_iter()
+            .map(|q| q.map(|q| q.first + &q.second))
+            .collect();
+        assert_eq!(folded, [None, Some("ab".into()), Some("de".into())]);
     }
 }

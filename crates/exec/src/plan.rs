@@ -22,22 +22,26 @@
 //! shape; projections over projections compose.
 //!
 //! The tree carries no variables. What the NPRED engine needs of them —
-//! the argument variables of each negative-predicate selection, which
-//! order its argument threads — is a side table of [`Plan`].
+//! each negative selection's argument variables — and the closed
+//! proximity cores the word-pair lists answer are side tables of [`Plan`].
 
 use crate::error::PlanError;
+use crate::pairscan::{self, PairQuery};
 use ftsl_algebra::AlgExpr;
 use ftsl_calculus::ast::{QueryExpr, VarId};
 use ftsl_calculus::vars::free_vars;
 use ftsl_predicates::{PredKind, PredicateId, PredicateRegistry};
 use std::borrow::Borrow;
 
-/// A streaming plan: the operator tree and the variables the NPRED engine
-/// orders its scans by.
+/// A streaming plan: the operator tree, its proximity cores and the
+/// variables the NPRED engine orders its scans by.
 #[derive(Clone, Debug)]
 pub struct Plan {
     /// The operator tree, in node-level normal form.
     pub root: AlgExpr,
+    /// The proximity core each `π_∅` node of `root` folds into, if any, in
+    /// depth-first order ([`crate::pairscan`]'s side table).
+    pub cores: Vec<Option<PairQuery>>,
     /// The argument variables of each negative-predicate selection in
     /// `root`, in argument order, listed in the order a depth-first walk
     /// finishes them (left before right, an input before its selection).
@@ -61,6 +65,7 @@ pub fn build_plan(
     };
     let lowered = builder.build(expr)?.branches.finish();
     Ok(Plan {
+        cores: pairscan::cores(&lowered.tree, registry),
         root: lowered.tree,
         negative_args: lowered.negative_args,
         scan_vars: builder.scan_vars,

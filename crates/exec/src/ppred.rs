@@ -5,17 +5,15 @@
 //! token inverted lists. NPRED (Algorithms 6–7) runs that same scan once
 //! per ordering of the negative-predicate variables and unions the
 //! matches; with no negative predicate it is exactly one PPRED scan. So
-//! both engines compile to one `StreamPlan`: the algebra tree the
-//! [`crate::plan`] lowering builds (in node-level normal form), the
-//! proximity core [`pairscan`] recognized in it (PPRED only), and the
-//! variable orderings its scans run under. An ordering ranks variables;
-//! a negative predicate's argument threads advance in the rank order of
-//! its arguments, which the plan lists in a side table.
+//! both engines compile to one `StreamPlan`: the [`crate::plan`] lowering
+//! and, per ordering, each negative selection's argument order (its
+//! arguments' threads advance in their variables' rank order).
 //!
-//! A segment binds the prepared tree as it is: this segment's join order
-//! is one swap decision per join
+//! A segment binds the prepared tree as it is: one swap decision per join
 //! ([`crate::plan::order_joins_by_selectivity`]), which the cursor builder
-//! reads as it walks the tree.
+//! reads as it walks the tree, and under either engine the word-pair walk
+//! for each closed proximity core ([`crate::pairscan`]) this segment's
+//! pair index covers.
 //!
 //! The paper presents NPRED with `toks_Q!` threads — one per total order
 //! of the query's inverted-list cursors — and notes that "our
@@ -29,19 +27,16 @@
 //!   overhead relative to PPRED-POS.
 //!
 //! The per-ordering "threads" run one after another on the caller's
-//! thread; their counters are summed. NPRED plans never take the pair
-//! path.
+//! thread; their counters are summed.
 
 use crate::build::{build_cursor, CursorCtx};
 use crate::engine::EngineUsed;
 use crate::error::PlanError;
-use crate::pairscan::{self, PairQuery};
 use crate::plan::{build_plan, order_joins_by_selectivity, Plan};
 use ftsl_calculus::ast::{QueryExpr, VarId};
 use ftsl_index::{AccessCounters, InvertedIndex};
 use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::{AdvanceMode, PredicateRegistry};
-use std::collections::HashMap;
 
 /// Evaluate a (closed) calculus expression with the PPRED streaming engine
 /// on one index, under an explicit [`AdvanceMode`]. Every query the
@@ -59,59 +54,25 @@ pub fn run_ppred(
     mode: AdvanceMode,
 ) -> Result<(Vec<NodeId>, AccessCounters), PlanError> {
     let plan = StreamPlan::prepare(expr, registry, EngineUsed::Ppred, false)?;
-    let (nodes, counters, _) = plan.bind(corpus, index, registry, mode);
-    Ok((nodes, counters))
+    Ok(plan.bind(corpus, index, registry, mode))
 }
 
-/// Which physical path answered a PPRED query — the observability handle
-/// for the paper's central claim that proximity cost depends on the path
-/// taken, not the query written.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum PairAttribution {
-    /// Answered from the word-pair index (one pair-list walk).
-    PairList,
-    /// Recognized as a proximity core, but the pair index could not cover
-    /// it (df cutoff, window bound, or disabled pair section); fell back
-    /// to position intersection.
-    FallbackNotCovered,
-    /// Plan shape outside the two-scan pair fragment; streamed through
-    /// ordinary positional cursors.
-    NotRecognized,
-}
-
-impl PairAttribution {
-    /// Human-readable label used in EXPLAIN profiles.
-    pub(crate) fn describe(self) -> &'static str {
-        match self {
-            PairAttribution::PairList => "pair path: word-pair list walk",
-            PairAttribution::FallbackNotCovered => {
-                "pair path: not covered — position-intersection fallback"
-            }
-            PairAttribution::NotRecognized => {
-                "pair path: shape not recognized — streaming cursor evaluation"
-            }
-        }
-    }
-}
-
-/// The streaming engines' shape half, compiled once per query: the
-/// plan, the recognized pair core (PPRED only) and the variable orderings
-/// its scans run under (`[[]]`, one plain scan, for PPRED). [`Self::bind`]
-/// runs it on one segment.
+/// The streaming engines' shape half, compiled once per query: the plan
+/// and, per variable ordering its scans run under, each negative
+/// selection's argument order (`[[]]`, one plain scan, for PPRED).
+/// [`Self::bind`] runs it on one segment.
 #[derive(Clone, Debug)]
 pub(crate) struct StreamPlan {
     pub(crate) plan: Plan,
-    pair: Option<PairQuery>,
-    orderings: Vec<Vec<VarId>>,
+    orderings: Vec<Vec<Vec<usize>>>,
 }
 
 impl StreamPlan {
     /// Plan `expr` for `engine`: NPRED admits negative predicates and
     /// enumerates its orderings (every permutation of the scan variables
     /// when `full_permutations` is set, otherwise of the negative-predicate
-    /// variables only); any other engine plans PPRED and recognizes its
-    /// pair core. Fails with a [`PlanError`] if the query is outside the
-    /// engine's fragment.
+    /// variables only); any other engine plans PPRED. Fails with a
+    /// [`PlanError`] if the query is outside the engine's fragment.
     pub(crate) fn prepare(
         expr: &QueryExpr,
         registry: &PredicateRegistry,
@@ -120,42 +81,34 @@ impl StreamPlan {
     ) -> Result<Self, PlanError> {
         let npred = engine == EngineUsed::Npred;
         let plan = build_plan(expr, registry, npred)?;
-        let (pair, vars) = if npred {
-            (None, ordering_vars(&plan, full_permutations))
+        let vars = if npred {
+            ordering_vars(&plan, full_permutations)
         } else {
-            (pairscan::recognize(&plan.root, registry), Vec::new())
+            Vec::new()
         };
         if ordering_count(vars.len()).is_none_or(|n| n > MAX_NPRED_ORDERINGS) {
             return Err(PlanError::TooManyOrderings {
                 variables: vars.len(),
             });
         }
-        Ok(StreamPlan {
-            plan,
-            pair,
-            orderings: permutations(&vars),
-        })
+        let orderings = permutations(&vars)
+            .iter()
+            .map(|ordering| arg_orders(&plan, ordering))
+            .collect();
+        Ok(StreamPlan { plan, orderings })
     }
 
-    /// Run the plan on one segment: the pair-list walk when the segment's
-    /// pair index covers the recognized core, otherwise one cursor scan
-    /// per ordering, each join driven from its rarer side by this
-    /// segment's list lengths. Counters are summed; the matches of several
-    /// orderings are sorted and deduplicated.
+    /// Run the plan on one segment: one cursor scan per ordering, each
+    /// join driven from its rarer side by this segment's list lengths.
+    /// Counters are summed; the matches of several orderings are sorted
+    /// and deduplicated.
     pub(crate) fn bind(
         &self,
         corpus: &Corpus,
         index: &InvertedIndex,
         registry: &PredicateRegistry,
         mode: AdvanceMode,
-    ) -> (Vec<NodeId>, AccessCounters, PairAttribution) {
-        let attribution = match &self.pair {
-            Some(q) => match pairscan::execute(q, corpus, index) {
-                Some((nodes, counters)) => return (nodes, counters, PairAttribution::PairList),
-                None => PairAttribution::FallbackNotCovered,
-            },
-            None => PairAttribution::NotRecognized,
-        };
+    ) -> (Vec<NodeId>, AccessCounters) {
         let swaps = order_joins_by_selectivity(&self.plan.root, corpus, index);
         let ctx = CursorCtx {
             corpus,
@@ -165,13 +118,8 @@ impl StreamPlan {
         };
         let mut nodes = Vec::new();
         let mut counters = AccessCounters::new();
-        for ordering in &self.orderings {
-            let ranks: HashMap<VarId, usize> = ordering
-                .iter()
-                .enumerate()
-                .map(|(rank, &v)| (v, rank))
-                .collect();
-            let mut cursor = build_cursor(&self.plan, &swaps, &ctx, &ranks);
+        for arg_orders in &self.orderings {
+            let mut cursor = build_cursor(&self.plan, &swaps, &ctx, arg_orders);
             while let Some(n) = cursor.advance_node() {
                 nodes.push(n);
             }
@@ -181,8 +129,21 @@ impl StreamPlan {
             nodes.sort_unstable();
             nodes.dedup();
         }
-        (nodes, counters, attribution)
+        (nodes, counters)
     }
+}
+
+/// Each negative selection's argument indices under `ordering`, in the
+/// plan's depth-first order: sorted by their variables' ranks, an unranked
+/// variable last.
+fn arg_orders(plan: &Plan, ordering: &[VarId]) -> Vec<Vec<usize>> {
+    let rank = |v: &VarId| ordering.iter().position(|u| u == v).unwrap_or(usize::MAX);
+    let order = |vars: &Vec<VarId>| {
+        let mut order: Vec<usize> = (0..vars.len()).collect();
+        order.sort_by_key(|&i| rank(&vars[i]));
+        order
+    };
+    plan.negative_args.iter().map(order).collect()
 }
 
 /// Most orderings an NPRED plan runs: 7!, the orderings of seven

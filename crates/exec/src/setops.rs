@@ -90,10 +90,6 @@ impl FtCursor for UnionCursor<'_> {
         }
     }
 
-    fn advance_position(&mut self, _col: usize, _min_offset: u32) -> bool {
-        unreachable!("the node-level normal form keeps unions above all position-level operators")
-    }
-
     fn counters(&self) -> AccessCounters {
         self.left.counters() + self.right.counters()
     }

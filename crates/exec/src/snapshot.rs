@@ -40,7 +40,7 @@
 
 use crate::engine::{counter_attrs, EngineKind, ExecOptions, PreparedQuery, QueryOutput};
 use crate::error::ExecError;
-use crate::pairscan::{near_bound, near_topk_into, resolve, PairQuery};
+use crate::pairscan::{near_bound, near_topk_into, path_note, resolve, PairQuery};
 use crate::scored::{flat_disjunction, ScoreModel, ScoredOutput, ScoredPath, ScoredTopK};
 use ftsl_algebra::{AlgExpr, AlgebraEvaluator, Scorer};
 use ftsl_index::{AccessCounters, EntryScorer, SegmentData, Snapshot, SnapshotSegment};
@@ -427,10 +427,11 @@ impl<'a> SnapshotExecutor<'a> {
         let mut counters = AccessCounters::new();
         let mut tb = self.options.trace.then(TraceBuilder::new);
         let root_span = tb.as_mut().map(|b| b.open(arm.span));
+        let proximity = arm.path == ScoredPath::PairProximity;
         for (i, (bound, plan)) in plans {
             let seg_span = tb.as_mut().map(|b| b.open(format!("segment {i}")));
             let enters = topk.could_enter(bound);
-            if !enters || (arm.skip_empty && bound <= 0.0) {
+            if !enters || (proximity && bound <= 0.0) {
                 counters.segments_skipped += 1;
                 if let (Some(b), Some(id)) = (tb.as_mut(), seg_span) {
                     let why = if enters { "" } else { " below threshold" };
@@ -442,8 +443,8 @@ impl<'a> SnapshotExecutor<'a> {
             let delta = evaluate(i, &segments[i], plan, topk);
             if let (Some(b), Some(id)) = (tb.as_mut(), seg_span) {
                 b.note(id, format!("{} bound {bound:.4}", arm.bound));
-                if let Some(note) = (arm.note)(&delta) {
-                    b.note(id, note);
+                if proximity {
+                    b.note(id, path_note(true, &delta));
                 }
                 counter_attrs(b, id, &delta);
                 b.close(id);
@@ -469,43 +470,28 @@ impl<'a> SnapshotExecutor<'a> {
 }
 
 /// What sets one streaming top-k arm's [`SnapshotExecutor::walk`] apart
-/// besides its closures: the path it reports, its span labels, and its
-/// skip rule.
+/// besides its closures: the path it reports and its span labels. The
+/// pair-proximity arm also skips a segment whose bound is not positive (it
+/// holds no candidate, even while the heap has room) and notes each
+/// evaluated segment's pair path.
 struct Arm {
     path: ScoredPath,
     /// The root span's label.
     span: &'static str,
     /// What a segment's bound measures, in its span notes.
     bound: &'static str,
-    /// Also skip a segment whose bound is not positive: it holds no
-    /// candidate, even while the heap has room.
-    skip_empty: bool,
-    /// The note a segment's counters earn, after its bound.
-    note: fn(&AccessCounters) -> Option<&'static str>,
 }
 
 const UNION: Arm = Arm {
     path: ScoredPath::PrunedUnion,
     span: "top-k pruned union",
     bound: "score",
-    skip_empty: false,
-    note: |_| None,
 };
 
 const NEAR: Arm = Arm {
     path: ScoredPath::PairProximity,
     span: "near top-k (pair proximity)",
     bound: "closeness",
-    skip_empty: true,
-    note: |delta| {
-        Some(if delta.pair_entries > 0 {
-            "pair path: word-pair list walk"
-        } else if delta.positions > 0 || delta.positions_decoded > 0 {
-            "pair path: not covered — position-intersection fallback"
-        } else {
-            "no candidates"
-        })
-    },
 };
 
 /// `texts` sealed as one fully live segment: the fixture of the engine

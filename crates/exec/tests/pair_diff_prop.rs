@@ -1,7 +1,7 @@
 //! Differential lockdown of the word-pair fast path.
 //!
-//! The contract: rewriting a two-scan proximity core (phrase, NEAR,
-//! ordered-window) to a walk over the word-pair auxiliary lists is
+//! The contract: rewriting a closed two-scan proximity core (phrase,
+//! NEAR, ordered-window) to a walk over the word-pair auxiliary lists is
 //! **invisible** — an index with word pairs must return node lists
 //! bit-identical to the position-intersection oracle, the same corpus
 //! sealed with `PairConfig::disabled()`, on every corpus and every
@@ -12,6 +12,10 @@
 //! Corpora are Zipf-skewed so the same run exercises both coverage
 //! regimes: frequent tokens resolve from pair lists, rare ones fall below
 //! the df cutoff and take the fallback path.
+//!
+//! The same holds for a core anywhere in a larger plan: one side of a
+//! thesaurus-style `OR`, beside a token, under `NOT`, in a union of two
+//! cores, and beside a negative predicate under NPRED.
 //!
 //! NEAR top-k with `k` at least the live documents is the same question
 //! ranked: its node set must be the PPRED answer of the matching `window`
@@ -40,10 +44,11 @@ fn token(i: usize) -> String {
     format!("t{i}")
 }
 
-/// Zipf-ish corpus: raw draws in `0..1024` squared down so low token
-/// indices dominate — index 0 appears ~25× as often as index 11.
-fn arb_corpus() -> impl Strategy<Value = Corpus> {
-    proptest::collection::vec(proptest::collection::vec(0u32..1024, 0..30), 1..12).prop_map(
+/// Zipf-ish corpus of fewer than `max_docs` documents: raw draws in
+/// `0..1024` squared down so low token indices dominate — index 0 appears
+/// ~25× as often as index 11.
+fn arb_corpus(max_docs: usize) -> impl Strategy<Value = Corpus> {
+    proptest::collection::vec(proptest::collection::vec(0u32..1024, 0..30), 1..max_docs).prop_map(
         |docs| {
             let texts: Vec<String> = docs
                 .into_iter()
@@ -120,14 +125,19 @@ fn sealed(corpus: &Corpus, config: PairConfig) -> Snapshot {
     Snapshot::of_index(corpus.clone(), index)
 }
 
-/// Pair path vs oracle on one (corpus, query): the corpus sealed under
-/// every configuration of [`pair_configs`] must answer as it does sealed
-/// without pairs, node list for node list.
-fn assert_pair_matches_oracle(corpus: &Corpus, query: &str, ctx: &str) -> Result<(), ()> {
+/// Pair path vs oracle on one (corpus, query) under `engine`: the corpus
+/// sealed under every configuration of [`pair_configs`] must answer as it
+/// does sealed without pairs, node list for node list.
+fn assert_pair_matches_oracle(
+    corpus: &Corpus,
+    query: &str,
+    engine: EngineKind,
+    ctx: &str,
+) -> Result<(), ()> {
     let reg = PredicateRegistry::with_builtins();
     let pairless = sealed(corpus, PairConfig::disabled());
     let want = SnapshotExecutor::new(&pairless, &reg)
-        .run_str(query, EngineKind::Ppred)
+        .run_str(query, engine)
         .expect("oracle runs");
     // The oracle never reads pair lists — its counters prove it is
     // the independent position-intersection implementation.
@@ -140,7 +150,7 @@ fn assert_pair_matches_oracle(corpus: &Corpus, query: &str, ctx: &str) -> Result
     for config in pair_configs() {
         let paired = sealed(corpus, config);
         let got = SnapshotExecutor::new(&paired, &reg)
-            .run_str(query, EngineKind::Ppred)
+            .run_str(query, engine)
             .expect("pair path runs");
         prop_assert_eq!(
             &got.nodes,
@@ -162,14 +172,87 @@ proptest! {
     /// corpora: the pair rewrite is invisible.
     #[test]
     fn pair_path_is_bit_identical_to_intersection_oracle(
-        corpus in arb_corpus(),
+        corpus in arb_corpus(12),
         a in 0..VOCAB,
         b in 0..VOCAB,
         shape in arb_shape(),
     ) {
         let query = render_query(&token(a), &token(b), shape);
-        assert_pair_matches_oracle(&corpus, &query, "random corpus")?;
+        assert_pair_matches_oracle(&corpus, &query, EngineKind::Ppred, "random corpus")?;
     }
+
+    /// The same cores inside larger plans — a union branch, a join side, a
+    /// `NOT` filter, beside an NPRED conjunct — on every configuration.
+    /// Corpora are larger here, so a join or filter seeks its core's walk
+    /// past in-bound entries onto out-of-bound ones.
+    #[test]
+    fn compound_plans_are_bit_identical_to_intersection_oracle(
+        corpus in arb_corpus(60),
+        a in 0..VOCAB,
+        b in 0..VOCAB,
+        c in 0..VOCAB,
+        shape in arb_shape(),
+        compound in arb_compound(),
+    ) {
+        let (query, engine) = render_compound(&token(a), &token(b), &token(c), shape, compound);
+        assert_pair_matches_oracle(&corpus, &query, engine, "compound plan")?;
+    }
+}
+
+/// Plans that hold a proximity core below their root.
+#[derive(Clone, Copy, Debug)]
+enum Compound {
+    /// The first scan an `OR` of two tokens, the shape a thesaurus
+    /// expansion writes: a union of two cores.
+    Thesaurus,
+    /// `'c' AND core`: the core one side of a join.
+    And,
+    /// `'c' AND NOT core`: the core a `NOT` filter.
+    AndNot,
+    /// `core OR core'`.
+    Or,
+    /// `core AND` a `not_distance` conjunct: the core in an NPRED plan.
+    BesideNpred,
+}
+
+fn arb_compound() -> impl Strategy<Value = Compound> {
+    prop_oneof![
+        Just(Compound::Thesaurus),
+        Just(Compound::And),
+        Just(Compound::AndNot),
+        Just(Compound::Or),
+        Just(Compound::BesideNpred),
+    ]
+}
+
+/// The query text of `compound` over the core of `a`, `b` and `shape`
+/// (`c` the third token it names), and the engine that runs it.
+fn render_compound(
+    a: &str,
+    b: &str,
+    c: &str,
+    shape: Shape,
+    compound: Compound,
+) -> (String, EngineKind) {
+    let core = render_query(a, b, shape);
+    let query = match compound {
+        Compound::Thesaurus => core.replacen(
+            &format!("p1 HAS '{a}'"),
+            &format!("(p1 HAS '{a}' OR p1 HAS '{c}')"),
+            1,
+        ),
+        Compound::And => format!("'{c}' AND {core}"),
+        Compound::AndNot => format!("'{c}' AND NOT {core}"),
+        Compound::Or => format!("{core} OR {}", render_query(c, a, shape)),
+        Compound::BesideNpred => format!(
+            "{core} AND SOME p3 SOME p4 (p3 HAS '{c}' AND p4 HAS '{a}' AND not_distance(p3,p4,2))"
+        ),
+    };
+    let engine = match compound {
+        Compound::BesideNpred => EngineKind::Npred,
+        _ => EngineKind::Ppred,
+    };
+    (query, engine)
 }
 
 /// The smallest gap between an occurrence of `a` and a later one of `b`
@@ -244,7 +327,7 @@ proptest! {
     /// each document by the closeness of its minimum gap.
     #[test]
     fn near_top_k_equals_the_set_answer(
-        corpus in arb_corpus(),
+        corpus in arb_corpus(12),
         a in 0..VOCAB,
         b in 0..VOCAB,
         bound in 0u32..20,
@@ -260,7 +343,7 @@ proptest! {
 // ── deterministic edge cases ─────────────────────────────────────────────
 
 fn check(corpus: &Corpus, query: &str, ctx: &str) {
-    assert_pair_matches_oracle(corpus, query, ctx).unwrap();
+    assert_pair_matches_oracle(corpus, query, EngineKind::Ppred, ctx).unwrap();
 }
 
 /// A "phrase" whose two slots bind the same token: `a a`. Directed

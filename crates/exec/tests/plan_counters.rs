@@ -64,8 +64,9 @@ fn corpus() -> Corpus {
     Corpus::from_texts(&texts)
 }
 
-/// One query per normal-form rule.
-const QUERIES: [(&str, &str); 12] = [
+/// One query per normal-form rule, and one with a word-pair leaf before
+/// a join it does not replace.
+const QUERIES: [(&str, &str); 13] = [
     (
         "or-under-and-left",
         "SOME p0 SOME p1 ((p0 HAS 'beta' OR p0 HAS 'gamma') AND p1 HAS 'delta' \
@@ -110,6 +111,11 @@ const QUERIES: [(&str, &str); 12] = [
         "SOME p0 SOME p1 (p0 HAS 'omega' AND ordered(p0,p1) AND distance(p0,p1,1))",
     ),
     (
+        "core-before-a-join",
+        "SOME p0 SOME p1 (p0 HAS 'beta' AND p1 HAS 'delta' AND distance(p0,p1,3)) \
+         AND SOME p2 SOME p3 (p2 HAS 'omega' AND p3 HAS 'alpha' AND ordered(p2,p3))",
+    ),
+    (
         "npred-union-two-negative-vars",
         "SOME p0 SOME p1 ((p0 HAS 'beta' OR p0 HAS 'eps') AND p1 HAS 'gamma' \
          AND not_distance(p0,p1,3))",
@@ -142,24 +148,24 @@ fn engines() -> [(&'static str, EngineKind, ExecOptions); 3] {
 /// `label engine: hits H fnv F entries E positions P skipped S blocks B`,
 /// or `label engine: refused` for a query outside the engine's fragment.
 const PINNED: &str = "\
-or-under-and-left PPRED: hits 2002 fnv 60fb399519e27d92 entries 7731 positions 1814 skipped 1309 blocks 0\n\
-or-under-and-left NPRED: hits 2002 fnv 60fb399519e27d92 entries 7731 positions 1814 skipped 1309 blocks 0\n\
-or-under-and-left NPRED-full: hits 2002 fnv 60fb399519e27d92 entries 15462 positions 3628 skipped 2618 blocks 0\n\
+or-under-and-left PPRED: hits 2002 fnv 60fb399519e27d92 entries 5207 positions 0 skipped 0 blocks 0\n\
+or-under-and-left NPRED: hits 2002 fnv 60fb399519e27d92 entries 5207 positions 0 skipped 0 blocks 0\n\
+or-under-and-left NPRED-full: hits 2002 fnv 60fb399519e27d92 entries 10414 positions 0 skipped 0 blocks 0\n\
 or-under-and-right PPRED: hits 388 fnv c8dbc76892e0163b entries 968 positions 96 skipped 5194 blocks 10\n\
 or-under-and-right NPRED: hits 388 fnv c8dbc76892e0163b entries 968 positions 96 skipped 5194 blocks 10\n\
 or-under-and-right NPRED-full: hits 388 fnv c8dbc76892e0163b entries 1936 positions 192 skipped 10388 blocks 20\n\
-or-under-and-both PPRED: hits 2454 fnv 7afbeedad72af653 entries 8654 positions 4468 skipped 5152 blocks 0\n\
-or-under-and-both NPRED: hits 2454 fnv 7afbeedad72af653 entries 8654 positions 4468 skipped 5152 blocks 0\n\
-or-under-and-both NPRED-full: hits 2454 fnv 7afbeedad72af653 entries 17308 positions 8936 skipped 10304 blocks 0\n\
+or-under-and-both PPRED: hits 2454 fnv 7afbeedad72af653 entries 6644 positions 0 skipped 0 blocks 0\n\
+or-under-and-both NPRED: hits 2454 fnv 7afbeedad72af653 entries 6644 positions 0 skipped 0 blocks 0\n\
+or-under-and-both NPRED-full: hits 2454 fnv 7afbeedad72af653 entries 13288 positions 0 skipped 0 blocks 0\n\
 or-under-some PPRED: hits 1151 fnv ffcc0fa7d44fd384 entries 7924 positions 17474 skipped 5242 blocks 0\n\
 or-under-some NPRED: hits 1151 fnv ffcc0fa7d44fd384 entries 7924 positions 17474 skipped 5242 blocks 0\n\
 or-under-some NPRED-full: hits 1151 fnv ffcc0fa7d44fd384 entries 15848 positions 34948 skipped 10484 blocks 0\n\
 not-inside-each-join-side PPRED: hits 873 fnv 2476e5dbccf48031 entries 3385 positions 0 skipped 1584 blocks 0\n\
 not-inside-each-join-side NPRED: hits 873 fnv 2476e5dbccf48031 entries 3385 positions 0 skipped 1584 blocks 0\n\
 not-inside-each-join-side NPRED-full: hits 873 fnv 2476e5dbccf48031 entries 81240 positions 0 skipped 38016 blocks 0\n\
-two-nots-across-one-join PPRED: hits 7 fnv 41757a30a900884a entries 44 positions 4 skipped 3754 blocks 10\n\
-two-nots-across-one-join NPRED: hits 7 fnv 41757a30a900884a entries 44 positions 4 skipped 3754 blocks 10\n\
-two-nots-across-one-join NPRED-full: hits 7 fnv 41757a30a900884a entries 1056 positions 96 skipped 90096 blocks 240\n\
+two-nots-across-one-join PPRED: hits 7 fnv 41757a30a900884a entries 41 positions 0 skipped 1041 blocks 0\n\
+two-nots-across-one-join NPRED: hits 7 fnv 41757a30a900884a entries 41 positions 0 skipped 1041 blocks 0\n\
+two-nots-across-one-join NPRED-full: hits 7 fnv 41757a30a900884a entries 984 positions 0 skipped 24984 blocks 0\n\
 not-under-or PPRED: hits 655 fnv 9ea179090af14a8b entries 7321 positions 1289 skipped 5910 blocks 0\n\
 not-under-or NPRED: hits 655 fnv 9ea179090af14a8b entries 7321 positions 1289 skipped 5910 blocks 0\n\
 not-under-or NPRED-full: hits 655 fnv 9ea179090af14a8b entries 878520 positions 154680 skipped 709200 blocks 0\n\
@@ -169,6 +175,9 @@ shared-variable-samepos NPRED-full: hits 2625 fnv 5483e16f97db73d8 entries 27900
 predicate-only-anchor PPRED: hits 12 fnv 1e27a631c62a0bcd entries 24 positions 67 skipped 2746 blocks 10\n\
 predicate-only-anchor NPRED: hits 12 fnv 1e27a631c62a0bcd entries 24 positions 67 skipped 2746 blocks 10\n\
 predicate-only-anchor NPRED-full: hits 12 fnv 1e27a631c62a0bcd entries 48 positions 134 skipped 5492 blocks 20\n\
+core-before-a-join PPRED: hits 7 fnv a555511739789e34 entries 73 positions 25 skipped 5202 blocks 11\n\
+core-before-a-join NPRED: hits 7 fnv a555511739789e34 entries 73 positions 25 skipped 5202 blocks 11\n\
+core-before-a-join NPRED-full: hits 7 fnv a555511739789e34 entries 1752 positions 600 skipped 124848 blocks 264\n\
 npred-union-two-negative-vars PPRED: refused\n\
 npred-union-two-negative-vars NPRED: hits 1527 fnv 3ac6e16847d899fa entries 13016 positions 7990 skipped 3492 blocks 0\n\
 npred-union-two-negative-vars NPRED-full: hits 1527 fnv 3ac6e16847d899fa entries 13016 positions 7990 skipped 3492 blocks 0\n\

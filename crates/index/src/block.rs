@@ -60,7 +60,6 @@ use crate::frame;
 use crate::postings::PostingList;
 use crate::varint;
 use ftsl_model::{NodeId, Position};
-use serde::{Deserialize, Serialize};
 
 /// Entries per compressed block. 128 keeps the skip granularity fine while
 /// letting the per-block header amortize to under 0.1 byte/entry, and
@@ -80,7 +79,7 @@ const _: () = assert!(
 /// cursor turns `max_tf` into a score upper bound for the whole block, so
 /// top-k evaluation can skip blocks whose bound falls below the current
 /// threshold without decoding a single entry (block-max pruning).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BlockMeta {
     /// Largest node id stored in the block (its last entry's id).
     pub max_node: NodeId,

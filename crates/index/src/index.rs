@@ -5,7 +5,6 @@ use crate::block::{BlockCursor, BlockList, PostingArena};
 use crate::pair::PairIndex;
 use crate::stats::IndexStats;
 use ftsl_model::TokenId;
-use serde::{Deserialize, Serialize};
 
 /// The physical list representation: block-compressed, the only one there
 /// is. Kept for `benchmark/src/sut.rs`, which names it; to be dropped by
@@ -72,7 +71,7 @@ impl std::fmt::Display for MemoryFootprint {
 /// [`crate::persist`] stores the lists in. Every list is resident in
 /// exactly one physical form, the block-compressed [`BlockList`], and
 /// every evaluation path streams it through skip-aware [`BlockCursor`]s.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct InvertedIndex {
     pub(crate) lists: PostingArena,
     pub(crate) stats: IndexStats,

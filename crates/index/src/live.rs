@@ -81,18 +81,11 @@ const MERGE_TOMBSTONE_RATIO: f64 = 0.5;
 /// shape that size tiers are blind to.
 const MERGE_COST_RATIO: f64 = 3.0;
 
-/// One sealed segment plus its copy-on-write tombstone bitmap.
-#[derive(Clone, Debug)]
-pub(crate) struct SealedEntry {
-    pub(crate) data: Arc<SegmentData>,
-    pub(crate) deletes: Arc<DeleteSet>,
-}
-
 /// A live index's sealed state, as a manifest holds it: the segments, the
 /// vocabulary they share, and the id high-water marks.
 #[derive(Debug)]
 pub(crate) struct SealedParts {
-    pub(crate) sealed: Vec<SealedEntry>,
+    pub(crate) sealed: Vec<SnapshotSegment>,
     pub(crate) vocabulary: Arc<TokenInterner>,
     pub(crate) next_global: u32,
     pub(crate) next_segment_id: u64,
@@ -112,7 +105,7 @@ struct State {
     /// the whole buffer. Never more than `merge_fanin − 1` chunks.
     mem_chunks: Vec<Arc<SegmentData>>,
     /// Sealed segments ordered by their disjoint global-id ranges.
-    sealed: Vec<SealedEntry>,
+    sealed: Vec<SnapshotSegment>,
     next_global: u32,
     next_segment_id: u64,
     /// Bumped on every mutation; snapshots carry the version they saw.
@@ -203,8 +196,8 @@ impl LiveIndex {
     pub fn from_corpus_with(seed: Corpus, config: LiveConfig) -> Self {
         let vocabulary = Arc::clone(seed.interner());
         let n = seed.len();
-        let sealed: Vec<SealedEntry> = (n > 0)
-            .then(|| SealedEntry {
+        let sealed: Vec<SnapshotSegment> = (n > 0)
+            .then(|| SnapshotSegment {
                 data: Arc::new(SegmentData::seal(0, seed, (0..n as u32).collect())),
                 deletes: Arc::new(DeleteSet::new(n)),
             })
@@ -331,14 +324,7 @@ impl LiveIndex {
     /// more. Each chunk's tombstones are its slice of the buffer's bitmap.
     pub fn snapshot(&self) -> Snapshot {
         let mut st = self.shared.lock();
-        let mut segments: Vec<SnapshotSegment> = st
-            .sealed
-            .iter()
-            .map(|e| SnapshotSegment {
-                data: Arc::clone(&e.data),
-                deletes: Arc::clone(&e.deletes),
-            })
-            .collect();
+        let mut segments = st.sealed.clone();
         let covered: usize = st.mem_chunks.iter().map(|c| c.num_docs()).sum();
         if covered < st.mem.len() {
             let from = if st.mem_chunks.len() + 1 >= self.shared.config.merge_fanin.max(2) {
@@ -486,7 +472,7 @@ fn flush_locked(st: &mut State) -> bool {
     let data =
         whole.unwrap_or_else(|| Arc::new(SegmentData::seal(st.next_segment_id, corpus, globals)));
     st.next_segment_id += 1;
-    st.sealed.push(SealedEntry {
+    st.sealed.push(SnapshotSegment {
         data,
         deletes: Arc::clone(&st.mem_deletes),
     });
@@ -501,7 +487,7 @@ fn flush_locked(st: &mut State) -> bool {
 /// cost whether full compaction pays ([`MERGE_COST_RATIO`]).
 fn plan_merge(st: &State, config: &LiveConfig) -> Option<(usize, usize)> {
     let fanin = config.merge_fanin.max(2);
-    let tier = |e: &SealedEntry| {
+    let tier = |e: &SnapshotSegment| {
         let mut live = e.data.num_docs() - e.deletes.deleted_count();
         let mut t = 0u32;
         while live >= fanin {
@@ -599,7 +585,11 @@ fn run_merge(shared: &Shared, pick: impl FnOnce(&State) -> Option<(usize, usize)
 /// the writer's as the merge was taken — token ids stay prefix-consistent,
 /// and no retokenization happens (analyzed corpora survive merges
 /// unchanged).
-fn build_merged(id: u64, entries: &[SealedEntry], vocabulary: Arc<TokenInterner>) -> SegmentData {
+fn build_merged(
+    id: u64,
+    entries: &[SnapshotSegment],
+    vocabulary: Arc<TokenInterner>,
+) -> SegmentData {
     let mut corpus = Corpus::with_interner(vocabulary);
     let mut globals = Vec::new();
     for e in entries {
@@ -617,7 +607,7 @@ fn build_merged(id: u64, entries: &[SealedEntry], vocabulary: Arc<TokenInterner>
 /// Swap the merged inputs for the merged output under the lock, carrying
 /// over tombstones that arrived while the merge was building (they apply to
 /// the *current* bitmaps, which may have moved past the captured ones).
-fn commit_merge(shared: &Shared, inputs: &[SealedEntry], merged: SegmentData) {
+fn commit_merge(shared: &Shared, inputs: &[SnapshotSegment], merged: SegmentData) {
     let mut st = shared.lock();
     let mut deletes = DeleteSet::new(merged.num_docs());
     for captured in inputs {
@@ -640,7 +630,7 @@ fn commit_merge(shared: &Shared, inputs: &[SealedEntry], merged: SegmentData) {
         .expect("merge inputs vanished");
     // Only merges remove sealed entries and merges are serialized, so the
     // captured run is still contiguous at `start`.
-    let replacement = (merged.num_docs() > 0).then(|| SealedEntry {
+    let replacement = (merged.num_docs() > 0).then(|| SnapshotSegment {
         data: Arc::new(merged),
         deletes: Arc::new(deletes),
     });
@@ -667,12 +657,13 @@ fn merger_loop(shared: &Shared) {
     }
 }
 
-/// One segment as a snapshot sees it: immutable data plus the tombstone
+/// One sealed segment plus its copy-on-write tombstone bitmap: as the live
+/// index holds it, and as a snapshot sees it, immutable data plus the
 /// bitmap frozen at snapshot time.
 #[derive(Clone, Debug)]
 pub struct SnapshotSegment {
-    data: Arc<SegmentData>,
-    deletes: Arc<DeleteSet>,
+    pub(crate) data: Arc<SegmentData>,
+    pub(crate) deletes: Arc<DeleteSet>,
 }
 
 impl SnapshotSegment {

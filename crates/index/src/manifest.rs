@@ -45,7 +45,7 @@
 //! is persisted with a single `rename`, so a crash mid-write leaves either
 //! the old manifest or the new one, never a torn hybrid.
 
-use crate::live::{LiveConfig, LiveIndex, SealedEntry, SealedParts};
+use crate::live::{LiveConfig, LiveIndex, SealedParts, SnapshotSegment};
 use crate::persist::{self, get_bytes, get_count, get_u32, get_u64, PersistError};
 use crate::segment::{DeleteSet, SegmentData};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -84,7 +84,7 @@ fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-fn encode_segment(buf: &mut BytesMut, entry: &SealedEntry) {
+fn encode_segment(buf: &mut BytesMut, entry: &SnapshotSegment) {
     let data = &entry.data;
     buf.put_u64_le(data.id());
     buf.put_u32_le(data.num_docs() as u32);
@@ -186,7 +186,7 @@ impl RawSegment {
         self,
         vocabulary: &Arc<TokenInterner>,
         next_global: u32,
-    ) -> Result<SealedEntry, PersistError> {
+    ) -> Result<SnapshotSegment, PersistError> {
         if self.globals.windows(2).any(|w| w[0] >= w[1]) {
             return Err(PersistError::Corrupt("global ids not ascending"));
         }
@@ -218,7 +218,7 @@ impl RawSegment {
         if index.any_block_list().num_entries() > corpus.len() {
             return Err(PersistError::Corrupt("segment index disagrees with corpus"));
         }
-        Ok(SealedEntry {
+        Ok(SnapshotSegment {
             data: Arc::new(SegmentData::from_parts(
                 self.id,
                 corpus,

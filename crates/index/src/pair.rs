@@ -141,7 +141,6 @@ use crate::cursor::{BlockHeader, Headers, ListCursor};
 use crate::frame;
 use crate::local::LocalTokens;
 use ftsl_model::{Document, NodeId, TokenId};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 mod build;
@@ -157,7 +156,7 @@ pub const DEFAULT_PAIR_WINDOW: u32 = 16;
 pub const DEFAULT_PAIR_DF_CUTOFF: u32 = 2;
 
 /// Build-time configuration of the pair index.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PairConfig {
     /// Largest forward gap indexed (`window = 0` disables pair indexing).
     pub window: u32,
@@ -189,7 +188,7 @@ impl PairConfig {
 /// impact bound. A key of two or more entries keeps one per block in its
 /// segment's arena; a key of one entry keeps none, and its list is this
 /// header made from the entry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PairBlock {
     /// Largest node id stored in the block (its last entry's id).
     pub max_node: NodeId,
@@ -564,7 +563,7 @@ pub struct PairRowBits {
 /// without a pair section) is empty and reports every lookup as
 /// [`PairLookup::NotCovered`], so callers degrade to the intersection
 /// path uniformly.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 #[cfg_attr(test, derive(PartialEq, Eq))]
 pub struct PairIndex {
     /// The window/cutoff the index was built with (`window == 0` when

@@ -1,11 +1,8 @@
 //! Binary persistence for inverted indexes.
 //!
-//! A small hand-rolled little-endian codec over `bytes::{Buf, BufMut}`. No
-//! serde *format* crate is available offline, and the `serde` the
-//! workspace builds against is a vendored stand-in (`vendor/serde`) whose
-//! derives expand to empty marker impls: the `Serialize` / `Deserialize`
-//! derives on the data types serialize nothing, so this module is the one
-//! persisted form.
+//! A small hand-rolled little-endian codec over `bytes::{Buf, BufMut}`,
+//! the one persisted form: the data types derive no serialization of
+//! their own, and the workspace depends on no serialization crate.
 //!
 //! ## Format versioning
 //!

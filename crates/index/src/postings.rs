@@ -8,11 +8,10 @@
 //! many-small-entries advice of the Rust performance guide.
 
 use ftsl_model::{NodeId, Position};
-use serde::{Deserialize, Serialize};
 
 /// An inverted list: entries `(cn, PosList)` ordered by `cn`, positions
 /// ordered by occurrence within each entry.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PostingList {
     nodes: Vec<NodeId>,
     /// `offsets[i]..offsets[i+1]` indexes `positions` for entry `i`;

@@ -2,11 +2,10 @@
 
 use crate::block::{BlockList, PostingArena};
 use ftsl_model::Corpus;
-use serde::{Deserialize, Serialize};
 
 /// The four size parameters of the paper's complexity model, plus the
 /// vocabulary size.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IndexStats {
     /// `cnodes`: number of context nodes.
     pub cnodes: usize,

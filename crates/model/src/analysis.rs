@@ -7,7 +7,6 @@
 //! be analyzed with the same configuration as the index — the `ftsl-core`
 //! facade wires that up.
 
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::HashSet;
 
@@ -173,7 +172,7 @@ pub fn default_stop_words() -> HashSet<String> {
 }
 
 /// Index- and query-time token analysis configuration.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct AnalysisConfig {
     /// Apply the [`stem`] function to every token.
     pub stem: bool,

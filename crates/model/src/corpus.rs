@@ -6,11 +6,10 @@ use crate::node::NodeId;
 use crate::position::Position;
 use crate::token::{TokenId, TokenInterner};
 use crate::tokenizer::Tokenizer;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A collection of context nodes sharing one token vocabulary.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Corpus {
     documents: Vec<Document>,
     interner: Arc<TokenInterner>,
@@ -137,7 +136,7 @@ impl Corpus {
 
 /// Corpus-level size statistics (a subset of the Section 5.1.2 parameters;
 /// the inverted-list-side parameters live in `ftsl-index`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CorpusStats {
     /// Number of context nodes (`cnodes`).
     pub cnodes: usize,

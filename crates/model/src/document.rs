@@ -3,7 +3,6 @@
 use crate::node::NodeId;
 use crate::position::Position;
 use crate::token::TokenId;
-use serde::{Deserialize, Serialize};
 
 /// A tokenized context node.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// of `(token, position)` pairs ordered by offset. The optional `label` keeps
 /// a human-readable handle (title, file name, element path) for examples and
 /// result display.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Document {
     /// The context-node id this document realizes.
     pub node: NodeId,

@@ -1,6 +1,5 @@
 //! Context-node identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a context node (a document, tuple, or XML element — the
@@ -8,7 +7,7 @@ use std::fmt;
 ///
 /// Node ids are dense: a [`crate::Corpus`] with `n` documents uses ids
 /// `0..n`. Inverted-list entries are ordered by `NodeId`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

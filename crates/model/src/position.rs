@@ -7,14 +7,13 @@
 //! ordinals are monotonically non-decreasing in the offset, an invariant the
 //! positive-predicate advance functions rely on.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A token position within a single context node.
 ///
 /// `offset` is the 0-based word ordinal, `sentence` and `paragraph` are the
 /// 0-based ordinals of the enclosing sentence/paragraph.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Position {
     /// 0-based word offset inside the context node.
     pub offset: u32,

@@ -4,14 +4,13 @@
 //! on whether `T` is finite or infinite. Concretely we intern token strings
 //! into dense [`TokenId`]s; the interner doubles as the corpus vocabulary.
 
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::fmt;
 use std::hash::BuildHasher;
 
 /// Dense identifier for an interned token string.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TokenId(pub u32);
 
 impl TokenId {
@@ -50,7 +49,7 @@ impl fmt::Debug for TokenId {
 /// SipHash ([`RandomState`]): token text is untrusted input, and an
 /// unkeyed hash would let a document choose the collisions. A clone keeps
 /// its keys, so its table stays valid.
-#[derive(Clone, Default, Serialize, Deserialize)]
+#[derive(Clone, Default)]
 pub struct TokenInterner {
     text: String,
     ends: Vec<u32>,

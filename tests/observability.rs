@@ -67,6 +67,68 @@ fn explain_analyze_attributes_the_position_intersection_fallback() {
     assert!(!text.contains("pair path: word-pair list walk"), "{text}");
 }
 
+/// Six documents in which `kernel`, `module`, `scheduler` and `cores`
+/// each occur in at least two, so the default pair index covers every
+/// pair of them.
+fn covered_corpus() -> Vec<&'static str> {
+    let mut texts = corpus();
+    texts.push("the kernel module loads before the scheduler starts");
+    texts.push("many cores run one scheduler per kernel module");
+    texts
+}
+
+/// A closed proximity core is answered from the word-pair lists wherever
+/// it sits in the plan: alone, as the union a thesaurus expansion writes,
+/// or beside another conjunct. None of them decodes a position.
+#[test]
+fn compound_proximity_queries_read_pair_lists_and_no_positions() {
+    let e = Ftsl::from_texts(&covered_corpus());
+    for query in [
+        "SOME a SOME b (a HAS 'kernel' AND b HAS 'scheduler' AND distance(a,b,3))",
+        "SOME a SOME b ((a HAS 'kernel' OR a HAS 'module') AND b HAS 'scheduler' \
+         AND distance(a,b,3))",
+        "'cores' AND SOME a SOME b (a HAS 'kernel' AND b HAS 'scheduler' AND distance(a,b,3))",
+    ] {
+        let out = e.search(query).unwrap();
+        assert!(!out.nodes.is_empty(), "{query}");
+        assert!(out.counters.pair_entries > 0, "{query}: {:?}", out.counters);
+        assert_eq!(
+            out.counters.positions_decoded, 0,
+            "{query}: {:?}",
+            out.counters
+        );
+        let text = e.explain_analyze(query).unwrap();
+        assert!(text.contains("pair path: word-pair list walk"), "{text}");
+    }
+}
+
+/// Thesaurus expansion writes a proximity query's token as a disjunction:
+/// the expanded query answers as the hand-written disjunction does, and
+/// each branch's core reads the pair lists.
+#[test]
+fn thesaurus_expanded_near_query_reads_pair_lists() {
+    use ftsl::lang::Thesaurus;
+    let near =
+        |first: &str| format!("SOME a SOME b ({first} AND b HAS 'scheduler' AND distance(a,b,3))");
+    let plain = Ftsl::from_texts(&covered_corpus());
+    let written = plain
+        .search(&near("(a HAS 'kernel' OR a HAS 'module')"))
+        .unwrap();
+    let mut expanding = Ftsl::from_texts(&covered_corpus());
+    let mut th = Thesaurus::new();
+    th.add("kernel", &["module"]);
+    expanding.set_thesaurus(th);
+    let expanded = expanding.search(&near("a HAS 'kernel'")).unwrap();
+    assert_eq!(expanded.node_ids(), written.node_ids());
+    assert!(expanded.len() > plain.search(&near("a HAS 'kernel'")).unwrap().len());
+    assert!(
+        expanded.counters.pair_entries > 0,
+        "{:?}",
+        expanded.counters
+    );
+    assert_eq!(expanded.counters.positions_decoded, 0);
+}
+
 #[test]
 fn explain_analyze_reports_the_comp_node_walk() {
     let e = Ftsl::from_texts(&corpus());
