@@ -265,38 +265,42 @@ pub(crate) fn resolve<'a>(
 pub(crate) struct MinGapWalk<'a> {
     bound: u32,
     cursors: [Option<PairCursor<'a>>; 2],
-    /// Each cursor's next qualifying `(node, gap)`, read one ahead.
+    /// Each cursor's next qualifying `(node, gap)`, `None` once it is
+    /// exhausted. Read only when a step needs it: a head is stale before
+    /// the cursor's first read and after it is emitted.
     heads: [Option<(NodeId, u32)>; 2],
+    stale: [bool; 2],
     /// The node the leaf stands on.
     node: Option<NodeId>,
 }
 
 impl<'a> MinGapWalk<'a> {
-    fn new(lists: [Option<PairList<'a>>; 2], bound: u32, admits: impl Fn(f64) -> bool) -> Self {
-        let mut cursors = lists.map(|list| list.map(PairList::cursor));
-        let heads = cursors
-            .each_mut()
-            .map(|c| c.as_mut().and_then(|c| next_within(c, bound, &admits)));
+    fn new(lists: [Option<PairList<'a>>; 2], bound: u32) -> Self {
         MinGapWalk {
             bound,
-            cursors,
-            heads,
+            cursors: lists.map(|list| list.map(PairList::cursor)),
+            heads: [None; 2],
+            stale: [true; 2],
             node: None,
         }
     }
 
-    /// The next document and its minimum gap. The cursors it came from
-    /// read ahead against `admits` before the caller sees it.
+    /// The next document and its minimum gap. Stale heads read on against
+    /// `admits` first; the heads the document came from go stale.
     fn next(&mut self, admits: impl Fn(f64) -> bool) -> Option<(NodeId, u32)> {
-        // A cursor holds one entry per node, so the least head is the next
-        // node paired with its smaller gap.
-        let (node, gap) = self.heads.iter().flatten().min().copied()?;
-        for (head, cursor) in self.heads.iter_mut().zip(&mut self.cursors) {
-            if head.is_some_and(|(n, _)| n == node) {
+        let Self { heads, stale, .. } = self;
+        for ((head, stale), cursor) in heads.iter_mut().zip(stale).zip(&mut self.cursors) {
+            if std::mem::take(stale) {
                 *head = cursor
                     .as_mut()
                     .and_then(|c| next_within(c, self.bound, &admits));
             }
+        }
+        // A cursor holds one entry per node, so the least head is the next
+        // node paired with its smaller gap.
+        let (node, gap) = self.heads.iter().flatten().min().copied()?;
+        for (head, stale) in self.heads.iter().zip(&mut self.stale) {
+            *stale = head.is_some_and(|(n, _)| n == node);
         }
         Some((node, gap))
     }
@@ -316,21 +320,22 @@ impl FtCursor for MinGapWalk<'_> {
         self.node
     }
 
-    /// Seek each lagging cursor by its block headers, then read on to its
-    /// first entry within the bound.
+    /// Seek each cursor whose head is stale or lagging by its block
+    /// headers, then read on to its first entry within the bound.
     fn seek_node(&mut self, target: NodeId) -> Option<NodeId> {
         if self.node.is_some_and(|n| n >= target) {
             return self.node;
         }
+        let Self { heads, stale, .. } = self;
         let bound = self.bound;
-        for (head, cursor) in self.heads.iter_mut().zip(&mut self.cursors) {
-            if let (Some((n, _)), Some(c)) = (*head, cursor.as_mut()) {
-                if n < target {
-                    *head = c.seek(target).and_then(|n| match c.gap() {
-                        gap if gap <= bound => Some((n, gap)),
-                        _ => next_within(c, bound, |_| true),
-                    });
-                }
+        for ((head, stale), cursor) in heads.iter_mut().zip(stale).zip(&mut self.cursors) {
+            let Some(c) = cursor.as_mut() else { continue };
+            if *stale || head.is_some_and(|(n, _)| n < target) {
+                *stale = false;
+                *head = c.seek(target).and_then(|n| match c.gap() {
+                    gap if gap <= bound => Some((n, gap)),
+                    _ => next_within(c, bound, |_| true),
+                });
             }
         }
         self.advance_node()
@@ -380,7 +385,7 @@ pub(crate) fn leaf<'a>(
     index: &'a InvertedIndex,
 ) -> Option<MinGapWalk<'a>> {
     match resolve(q, corpus, index) {
-        Resolved::Covered(lists) => Some(MinGapWalk::new(lists, q.bound, |_| true)),
+        Resolved::Covered(lists) => Some(MinGapWalk::new(lists, q.bound)),
         Resolved::NotCovered(_) => None,
     }
 }
@@ -442,7 +447,7 @@ where
     let mut counters = AccessCounters::new();
     let entries = match resolved {
         Resolved::Covered(lists) => {
-            let mut walk = MinGapWalk::new(lists, q.bound, |s| topk.could_enter(s));
+            let mut walk = MinGapWalk::new(lists, q.bound);
             while let Some((node, gap)) = walk.next(|s| topk.could_enter(s)) {
                 if let Some(global) = keep(node) {
                     topk.insert(global, closeness(gap, q.bound));

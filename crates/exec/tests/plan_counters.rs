@@ -175,9 +175,9 @@ shared-variable-samepos NPRED-full: hits 2625 fnv 5483e16f97db73d8 entries 27900
 predicate-only-anchor PPRED: hits 12 fnv 1e27a631c62a0bcd entries 24 positions 67 skipped 2746 blocks 10\n\
 predicate-only-anchor NPRED: hits 12 fnv 1e27a631c62a0bcd entries 24 positions 67 skipped 2746 blocks 10\n\
 predicate-only-anchor NPRED-full: hits 12 fnv 1e27a631c62a0bcd entries 48 positions 134 skipped 5492 blocks 20\n\
-core-before-a-join PPRED: hits 7 fnv a555511739789e34 entries 73 positions 25 skipped 5202 blocks 11\n\
-core-before-a-join NPRED: hits 7 fnv a555511739789e34 entries 73 positions 25 skipped 5202 blocks 11\n\
-core-before-a-join NPRED-full: hits 7 fnv a555511739789e34 entries 1752 positions 600 skipped 124848 blocks 264\n\
+core-before-a-join PPRED: hits 7 fnv a555511739789e34 entries 50 positions 25 skipped 5224 blocks 12\n\
+core-before-a-join NPRED: hits 7 fnv a555511739789e34 entries 50 positions 25 skipped 5224 blocks 12\n\
+core-before-a-join NPRED-full: hits 7 fnv a555511739789e34 entries 1200 positions 600 skipped 125376 blocks 288\n\
 npred-union-two-negative-vars PPRED: refused\n\
 npred-union-two-negative-vars NPRED: hits 1527 fnv 3ac6e16847d899fa entries 13016 positions 7990 skipped 3492 blocks 0\n\
 npred-union-two-negative-vars NPRED-full: hits 1527 fnv 3ac6e16847d899fa entries 13016 positions 7990 skipped 3492 blocks 0\n\

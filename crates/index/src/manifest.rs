@@ -39,21 +39,24 @@
 //! Segments store only their vocabulary *prefix length* (their image's
 //! token-list count): token ids are prefix-consistent across segments (see
 //! [`crate::live`]), so the one name table at the end, interned once, is the
-//! vocabulary every decoded segment shares.
+//! vocabulary every decoded segment shares. [`encode`] writes each segment's
+//! image into the manifest's one buffer and patches `index_len` behind it;
+//! decoding reads labels, names and images where they lie.
 //!
 //! [`save`] writes atomically: the buffer goes to a sibling temp file that
 //! is persisted with a single `rename`, so a crash mid-write leaves either
 //! the old manifest or the new one, never a torn hybrid.
 
 use crate::live::{LiveConfig, LiveIndex, SealedParts, SnapshotSegment};
-use crate::persist::{self, get_bytes, get_count, get_u32, get_u64, PersistError};
+use crate::persist::{
+    self, begin_len, end_len, get_bytes, get_count, get_header, get_u32, get_u64, put_header,
+    put_u32, put_u64, PersistError,
+};
 use crate::segment::{DeleteSet, SegmentData};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ftsl_model::{Corpus, Position, TokenId, TokenInterner};
 use std::path::Path;
 use std::sync::Arc;
 
-const MAGIC: u32 = 0x4654_5349; // "FTSI", shared with persist
 const VERSION: u32 = 8;
 /// Fewest bytes one encoded segment can occupy: `id`, `num_docs`,
 /// `num_words`, `vocab_len`, `index_len`.
@@ -61,60 +64,60 @@ const SEGMENT_MIN_BYTES: usize = 8 + 4 * 4;
 
 /// Serialize a live index to a v8 manifest buffer. The write buffer is
 /// flushed first, so the image covers every document added so far.
-pub fn encode(live: &LiveIndex) -> Bytes {
+pub fn encode(live: &LiveIndex) -> Vec<u8> {
     let parts = live.sealed_parts();
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(parts.next_global);
-    buf.put_u64_le(parts.next_segment_id);
-    buf.put_u32_le(parts.sealed.len() as u32);
+    let mut buf = Vec::new();
+    put_header(&mut buf, VERSION);
+    put_u32(&mut buf, parts.next_global);
+    put_u64(&mut buf, parts.next_segment_id);
+    put_u32(&mut buf, parts.sealed.len() as u32);
     for entry in &parts.sealed {
         encode_segment(&mut buf, entry);
     }
-    buf.put_u32_le(parts.vocabulary.len() as u32);
+    put_u32(&mut buf, parts.vocabulary.len() as u32);
     for (_, name) in parts.vocabulary.iter() {
         put_str(&mut buf, name);
     }
-    buf.freeze()
+    buf
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    put_u32(buf, s.len() as u32);
+    buf.extend_from_slice(s.as_bytes());
 }
 
-fn encode_segment(buf: &mut BytesMut, entry: &SnapshotSegment) {
+/// Write one segment; its index image goes straight into `buf`, behind a
+/// length word patched afterwards.
+fn encode_segment(buf: &mut Vec<u8>, entry: &SnapshotSegment) {
     let data = &entry.data;
-    buf.put_u64_le(data.id());
-    buf.put_u32_le(data.num_docs() as u32);
+    put_u64(buf, data.id());
+    put_u32(buf, data.num_docs() as u32);
     for &g in data.globals() {
-        buf.put_u32_le(g);
+        put_u32(buf, g);
     }
     let words = entry.deletes.words();
-    buf.put_u32_le(words.len() as u32);
+    put_u32(buf, words.len() as u32);
     for &w in words {
-        buf.put_u64_le(w);
+        put_u64(buf, w);
     }
-    buf.put_u32_le(data.index().num_tokens() as u32);
+    put_u32(buf, data.index().num_tokens() as u32);
     for doc in data.corpus().documents() {
         put_str(buf, &doc.label);
-        buf.put_u32_le(doc.tokens.len() as u32);
+        put_u32(buf, doc.tokens.len() as u32);
         for &(t, p) in &doc.tokens {
-            buf.put_u32_le(t.0);
-            buf.put_u32_le(p.offset);
-            buf.put_u32_le(p.sentence);
-            buf.put_u32_le(p.paragraph);
+            for word in [t.0, p.offset, p.sentence, p.paragraph] {
+                put_u32(buf, word);
+            }
         }
     }
-    let image = persist::encode(data.index());
-    buf.put_u32_le(image.len() as u32);
-    buf.put_slice(image.as_slice());
+    let len_at = begin_len(buf);
+    persist::encode_into(buf, data.index());
+    end_len(buf, len_at);
 }
 
 /// Deserialize a v8 manifest with default [`LiveConfig`].
-pub fn decode(buf: impl Buf) -> Result<LiveIndex, PersistError> {
-    decode_with(buf, LiveConfig::default())
+pub fn decode(image: impl AsRef<[u8]>) -> Result<LiveIndex, PersistError> {
+    decode_with(image, LiveConfig::default())
 }
 
 /// Deserialize a v8 manifest into a live index with explicit
@@ -123,27 +126,21 @@ pub fn decode(buf: impl Buf) -> Result<LiveIndex, PersistError> {
 /// [`PersistError::BadVersion`]; structural lies (non-ascending global
 /// ids, bitmap/corpus disagreements, out-of-range token ids) with
 /// [`PersistError::Corrupt`]. Never panics on foreign bytes.
-pub fn decode_with(mut buf: impl Buf, config: LiveConfig) -> Result<LiveIndex, PersistError> {
-    let magic = get_u32(&mut buf)?;
-    if magic != MAGIC {
-        return Err(PersistError::BadMagic(magic));
-    }
-    let version = get_u32(&mut buf)?;
-    if version != VERSION {
-        return Err(PersistError::BadVersion(version));
-    }
-    let next_global = get_u32(&mut buf)?;
-    let next_segment_id = get_u64(&mut buf)?;
-    let num_segments = get_count(&mut buf, SEGMENT_MIN_BYTES)?;
+pub fn decode_with(image: impl AsRef<[u8]>, config: LiveConfig) -> Result<LiveIndex, PersistError> {
+    let buf = &mut image.as_ref();
+    get_header(buf, VERSION)?;
+    let next_global = get_u32(buf)?;
+    let next_segment_id = get_u64(buf)?;
+    let num_segments = get_count(buf, SEGMENT_MIN_BYTES)?;
     let mut raw: Vec<RawSegment> = Vec::with_capacity(num_segments);
     for _ in 0..num_segments {
-        raw.push(decode_segment(&mut buf)?);
+        raw.push(decode_segment(buf)?);
     }
     // Each name is at least its length word.
-    let vocab_total = get_count(&mut buf, 4)?;
+    let vocab_total = get_count(buf, 4)?;
     let mut vocabulary = TokenInterner::new();
     for _ in 0..vocab_total {
-        vocabulary.intern(&get_str(&mut buf)?);
+        vocabulary.intern(get_str(buf)?);
     }
     if vocabulary.len() != vocab_total {
         return Err(PersistError::Corrupt("vocabulary names not distinct"));
@@ -171,17 +168,18 @@ pub fn decode_with(mut buf: impl Buf, config: LiveConfig) -> Result<LiveIndex, P
     Ok(LiveIndex::from_sealed_parts(parts, config))
 }
 
-/// A segment as read off the wire, before vocabulary reconstruction.
-struct RawSegment {
+/// A segment as read off the wire, before vocabulary reconstruction: its
+/// labels and index image are where they lie in the manifest.
+struct RawSegment<'a> {
     id: u64,
     globals: Vec<u32>,
     delete_words: Vec<u64>,
     vocab_len: usize,
-    docs: Vec<(String, Vec<(TokenId, Position)>)>,
-    index_image: Vec<u8>,
+    docs: Vec<(&'a str, Vec<(TokenId, Position)>)>,
+    index_image: &'a [u8],
 }
 
-impl RawSegment {
+impl RawSegment<'_> {
     fn into_entry(
         self,
         vocabulary: &Arc<TokenInterner>,
@@ -211,7 +209,7 @@ impl RawSegment {
         if corpus.len() != self.globals.len() {
             return Err(PersistError::Corrupt("document count disagrees with ids"));
         }
-        let index = persist::decode(&self.index_image[..])?;
+        let index = persist::decode(self.index_image)?;
         if index.num_tokens() != self.vocab_len {
             return Err(PersistError::Corrupt("vocab_len disagrees with index"));
         }
@@ -230,7 +228,7 @@ impl RawSegment {
     }
 }
 
-fn decode_segment(buf: &mut impl Buf) -> Result<RawSegment, PersistError> {
+fn decode_segment<'a>(buf: &mut &'a [u8]) -> Result<RawSegment<'a>, PersistError> {
     let id = get_u64(buf)?;
     // Each document has a 4-byte global id.
     let num_docs = get_count(buf, 4)?;
@@ -281,7 +279,7 @@ pub fn save(live: &LiveIndex, path: &Path) -> std::io::Result<()> {
     let bytes = encode(live);
     let tmp = path.with_extension("tmp");
     let mut file = std::fs::File::create(&tmp)?;
-    file.write_all(bytes.as_slice())?;
+    file.write_all(&bytes)?;
     file.sync_all()?;
     drop(file);
     std::fs::rename(&tmp, path)?;
@@ -319,9 +317,9 @@ impl std::fmt::Display for LoadError {
 
 impl std::error::Error for LoadError {}
 
-fn get_str(buf: &mut impl Buf) -> Result<String, PersistError> {
+fn get_str<'a>(buf: &mut &'a [u8]) -> Result<&'a str, PersistError> {
     let len = get_u32(buf)? as usize;
-    String::from_utf8(get_bytes(buf, len)?).map_err(|_| PersistError::Corrupt("label not utf-8"))
+    std::str::from_utf8(get_bytes(buf, len)?).map_err(|_| PersistError::Corrupt("label not utf-8"))
 }
 
 #[cfg(test)]
@@ -406,7 +404,7 @@ mod tests {
     #[test]
     fn vocabulary_table_lies_are_corrupt() {
         let live = sample_live();
-        let (bytes, snap) = (encode(&live).to_vec(), live.snapshot());
+        let (bytes, snap) = (encode(&live), live.snapshot());
         let vocab_total = snap.vocabulary().len() as u32;
         let names: usize = snap.vocabulary().iter().map(|(_, n)| 4 + n.len()).sum();
         let table_at = bytes.len() - names - 4;
@@ -444,21 +442,17 @@ mod tests {
     #[test]
     fn bare_index_versions_are_rejected() {
         for v in [1u32, 2, 3, 4, 5, 6, 7, 99] {
-            let mut buf = BytesMut::new();
-            buf.put_u32_le(MAGIC);
-            buf.put_u32_le(v);
+            let mut buf = Vec::new();
+            put_header(&mut buf, v);
             assert!(
-                matches!(decode(buf.freeze()), Err(PersistError::BadVersion(got)) if got == v),
+                matches!(decode(buf), Err(PersistError::BadVersion(got)) if got == v),
                 "version {v} must be rejected"
             );
         }
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(0xbad_f00d);
-        buf.put_u32_le(VERSION);
-        assert!(matches!(
-            decode(buf.freeze()),
-            Err(PersistError::BadMagic(_))
-        ));
+        let mut buf = Vec::new();
+        put_u32(&mut buf, 0xbad_f00d);
+        put_u32(&mut buf, VERSION);
+        assert!(matches!(decode(buf), Err(PersistError::BadMagic(_))));
     }
 
     #[test]
@@ -474,14 +468,14 @@ mod tests {
     fn legacy_v6_manifests_are_rejected() {
         // v6 shares v8's outer layout (only the embedded images differ), so
         // an old manifest is a current buffer with the version rewound.
-        let mut raw = encode(&sample_live()).to_vec();
+        let mut raw = encode(&sample_live());
         raw[4..8].copy_from_slice(&6u32.to_le_bytes());
         assert!(matches!(decode(&raw[..]), Err(PersistError::BadVersion(6))));
     }
 
     #[test]
     fn oversized_num_segments_is_an_error_not_an_allocation() {
-        let mut raw = encode(&sample_live()).to_vec();
+        let mut raw = encode(&sample_live());
         // num_segments follows magic, version, next_global, next_segment_id.
         raw[20..24].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(decode(&raw[..]).unwrap_err(), PersistError::Truncated);
@@ -490,7 +484,7 @@ mod tests {
     #[test]
     fn oversized_vocab_total_is_an_error_not_an_allocation() {
         let live = sample_live();
-        let mut raw = encode(&live).to_vec();
+        let mut raw = encode(&live);
         // vocab_total precedes the name table that ends the buffer.
         let snapshot = live.snapshot();
         let names: usize = snapshot
@@ -507,7 +501,7 @@ mod tests {
     fn truncations_and_bitflips_never_panic() {
         let bytes = encode(&sample_live());
         for cut in [0, 3, 9, bytes.len() / 3, bytes.len() - 1] {
-            let sliced = bytes.slice(0..cut);
+            let sliced = &bytes[..cut];
             assert!(decode(sliced).is_err(), "cut at {cut} must error");
         }
         // Flip one byte at a time across a sample of offsets; decoding may

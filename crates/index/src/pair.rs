@@ -251,11 +251,16 @@ impl<'a> PairList<'a> {
     /// well-formed by construction or validated on load).
     pub fn to_entries(self) -> Vec<(u32, u32)> {
         let mut out = Vec::with_capacity(self.num_entries());
+        self.append_entries(&mut out);
+        out
+    }
+
+    /// Append every `(node, gap)` entry to `out`.
+    pub(crate) fn append_entries(self, out: &mut Vec<(u32, u32)>) {
         let mut cur = self.cursor();
         while let Some(node) = cur.next_entry() {
             out.push((node.0, cur.gap()));
         }
-        out
     }
 
     /// Number of `(node, gap)` entries.

@@ -1,8 +1,10 @@
 //! Binary persistence for inverted indexes.
 //!
-//! A small hand-rolled little-endian codec over `bytes::{Buf, BufMut}`,
-//! the one persisted form: the data types derive no serialization of
-//! their own, and the workspace depends on no serialization crate.
+//! A small hand-rolled little-endian codec, the one persisted form: the
+//! data types derive no serialization of their own, and the workspace
+//! depends on no serialization crate. [`encode`] writes one image into
+//! one `Vec<u8>`; [`decode`] reads a borrowed `&[u8]` in place, through
+//! checked reads that return [`PersistError::Truncated`] past its end.
 //!
 //! ## Format versioning
 //!
@@ -44,15 +46,15 @@
 //!   the encoder writes each list view back as its record. The pair
 //!   section is stored the same way, one list per key, while a segment
 //!   keeps all of them in one arena ([`crate::pair`]) — on load the
-//!   section's headers are read once for the arena's shape (key and block
-//!   counts, largest node), then each stored list is validated and
-//!   appended to the arena, and the encoder writes each list back in its
-//!   stored form, so images do not change. Decoding reserves nothing from
-//!   a count the remaining bytes have not bounded, and grows each posting
-//!   arena by amortized doubling, not per list.
-//!   v1–v6 buffers are
-//!   rejected with `BadVersion(..)`; there is no migration path because
-//!   older images can be regenerated from their corpora.
+//!   section's records are walked where they lie once for the arena's
+//!   shape (key and block counts, largest node), then each is validated
+//!   and appended to the arena, and the encoder packs each list back into
+//!   its stored form, so images do not change. Decoding reserves nothing
+//!   from a count the remaining bytes have not bounded, grows each arena
+//!   by amortized doubling, not per list, and walks every pair key through
+//!   one reused entries buffer. v1–v6 buffers are rejected with
+//!   `BadVersion(..)`; there is no migration path because older images
+//!   can be regenerated from their corpora.
 //!
 //! Layout of a v7 buffer (all integers little-endian):
 //!
@@ -85,10 +87,10 @@ use crate::frame;
 use crate::index::InvertedIndex;
 use crate::pair::{pack_block, ArenaShape, PairArenaWriter, PairBlock, PairConfig, PairIndex};
 use crate::stats::IndexStats;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ftsl_model::NodeId;
 
-const MAGIC: u32 = 0x4654_5349; // "FTSI"
+/// `"FTSI"`, shared with the manifest lineage ([`crate::manifest`]).
+const MAGIC: u32 = 0x4654_5349;
 const VERSION: u32 = 7;
 /// Optional-section id of the word-pair auxiliary index.
 const SECTION_PAIRS: u32 = 1;
@@ -122,10 +124,15 @@ impl std::error::Error for PersistError {}
 /// Serialize an index to a byte buffer (format v7: bit-packed
 /// frame-of-reference blocks with per-block skip/impact headers, followed
 /// by the optional-section table).
-pub fn encode(index: &InvertedIndex) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(MAGIC);
-    buf.put_u32_le(VERSION);
+pub fn encode(index: &InvertedIndex) -> Vec<u8> {
+    let mut buf = Vec::new();
+    encode_into(&mut buf, index);
+    buf
+}
+
+/// Append `index`'s image to `buf`.
+pub(crate) fn encode_into(buf: &mut Vec<u8>, index: &InvertedIndex) {
+    put_header(buf, VERSION);
     let s = index.stats();
     for v in [
         s.cnodes,
@@ -134,173 +141,123 @@ pub fn encode(index: &InvertedIndex) -> Bytes {
         s.pos_per_entry,
         s.vocabulary,
     ] {
-        buf.put_u64_le(v as u64);
+        put_u64(buf, v as u64);
     }
     // The arena holds the token lists in id order, then `IL_ANY`: the
     // order of the image's list records (the default index's empty arena
     // reads as one empty `IL_ANY`).
-    buf.put_u32_le(index.num_tokens() as u32);
+    put_u32(buf, index.num_tokens() as u32);
     for i in 0..=index.num_tokens() {
-        encode_list(&mut buf, index.lists.list(i));
+        encode_list(buf, index.lists.list(i));
     }
-    encode_sections(&mut buf, index);
-    buf.freeze()
+    encode_sections(buf, index.pairs());
 }
 
 /// Write the optional-section table. A disabled pair index writes an empty
 /// table rather than an empty section, so each index has one byte image.
-fn encode_sections(buf: &mut BytesMut, index: &InvertedIndex) {
-    let pairs = index.pairs();
+fn encode_sections(buf: &mut Vec<u8>, pairs: &PairIndex) {
     if pairs.config().window == 0 {
-        buf.put_u32_le(0);
+        put_u32(buf, 0);
         return;
     }
-    buf.put_u32_le(1);
-    buf.put_u32_le(SECTION_PAIRS);
-    let payload = encode_pair_section(pairs).freeze();
-    buf.put_u32_le(payload.len() as u32);
-    buf.put_slice(payload.as_slice());
-}
-
-fn encode_pair_section(pairs: &PairIndex) -> BytesMut {
+    put_u32(buf, 1);
+    put_u32(buf, SECTION_PAIRS);
+    let len_at = begin_len(buf);
     let (vocab, frequent) = pairs.coverage();
     let config = pairs.config();
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(config.window);
-    buf.put_u32_le(config.df_cutoff);
-    buf.put_u32_le(vocab as u32);
+    put_u32(buf, config.window);
+    put_u32(buf, config.df_cutoff);
+    put_u32(buf, vocab as u32);
     // The resident bitmap's packed bytes are the stored ones.
-    buf.put_slice(frequent);
-    buf.put_u32_le(pairs.num_keys() as u32);
-    // One stored list's buffers, reused from key to key.
-    let mut stored = StoredPairList::default();
+    buf.extend_from_slice(frequent);
+    put_u32(buf, pairs.num_keys() as u32);
+    // One entries buffer, reused from key to key.
+    let mut entries = Vec::new();
     for (a, b, list) in pairs.iter() {
-        stored.fill(&list.to_entries());
-        buf.put_u32_le(a.0);
-        buf.put_u32_le(b.0);
-        buf.put_u32_le(stored.entries);
-        buf.put_u32_le(stored.metas.len() as u32);
-        for m in &stored.metas {
-            buf.put_u32_le(m.max_node);
-            buf.put_u32_le(m.byte_start);
-            buf.put_u32_le(m.first_entry);
-            buf.put_u32_le(m.min_gap);
-        }
-        buf.put_u32_le(stored.data.len() as u32);
-        buf.put_slice(&stored.data);
+        entries.clear();
+        list.append_entries(&mut entries);
+        put_pair_list(buf, (a.0, b.0), &entries);
     }
-    buf
+    end_len(buf, len_at);
 }
 
-/// One pair list as the v7 pair section stores it: per-list block headers
+/// Write key `(a, b)`'s `<pair list>` record of `(node, gap)` entries
+/// (strictly increasing node ids, every gap ≥ 1): per-list block headers
 /// and a per-list packed stream in which every block, one-entry blocks
-/// included, has its bytes. Persistence-only — the resident form is the
+/// included, has its bytes. The headers are patched in once each block is
+/// packed behind them. Persistence-only — the resident form is the
 /// segment's arena ([`crate::pair`]).
-#[derive(Clone, Debug, Default)]
-struct StoredPairList {
-    metas: Vec<StoredPairBlock>,
-    data: Vec<u8>,
-    entries: u32,
-}
-
-/// `<pair block header>` of the v7 pair section (docs/FORMAT.md).
-#[derive(Clone, Copy, Debug)]
-struct StoredPairBlock {
-    max_node: u32,
-    /// Offset of the block in its list's stream.
-    byte_start: u32,
-    /// List-relative index of the block's first entry.
-    first_entry: u32,
-    min_gap: u32,
-}
-
-impl StoredPairList {
-    /// Replace this list's contents with the encoding of `(node, gap)`
-    /// entries (strictly increasing node ids, every gap ≥ 1) in bit-packed
-    /// blocks, keeping its buffers.
-    fn fill(&mut self, entries: &[(u32, u32)]) {
-        self.metas.clear();
-        self.data.clear();
-        self.entries = 0;
-        for chunk in entries.chunks(BLOCK_ENTRIES) {
-            let byte_start = self.data.len() as u32;
-            let min_gap = pack_block(chunk, &mut self.data);
-            self.metas.push(StoredPairBlock {
-                max_node: chunk[chunk.len() - 1].0,
-                byte_start,
-                first_entry: self.entries,
-                min_gap,
-            });
-            self.entries += chunk.len() as u32;
+fn put_pair_list(buf: &mut Vec<u8>, (a, b): (u32, u32), entries: &[(u32, u32)]) {
+    let num_blocks = entries.len().div_ceil(BLOCK_ENTRIES);
+    for word in [a, b, entries.len() as u32, num_blocks as u32] {
+        put_u32(buf, word);
+    }
+    let headers_at = buf.len();
+    buf.resize(headers_at + num_blocks * BLOCK_META_BYTES, 0);
+    let len_at = begin_len(buf);
+    let data_at = len_at + 4;
+    for (i, chunk) in entries.chunks(BLOCK_ENTRIES).enumerate() {
+        let byte_start = (buf.len() - data_at) as u32;
+        let min_gap = pack_block(chunk, buf);
+        let (max_node, first_entry) = (chunk[chunk.len() - 1].0, (i * BLOCK_ENTRIES) as u32);
+        let words = [max_node, byte_start, first_entry, min_gap];
+        for (k, word) in words.into_iter().enumerate() {
+            patch_u32(buf, headers_at + i * BLOCK_META_BYTES + 4 * k, word);
         }
     }
-
-    /// Decode every entry of *untrusted* bytes (the persisted load path).
-    /// The block codec checks every width, frame, count, ordering and
-    /// padding invariant, so each list has exactly one canonical encoding;
-    /// this adds the pair list's own rules: every gap lies in
-    /// `1..=window`, and each header's `min_gap` is its block's smallest
-    /// gap. Any violation returns `Err` with a description instead of
-    /// panicking.
-    fn try_to_entries(&self, window: u32) -> Result<Vec<(u32, u32)>, &'static str> {
-        // A corrupt entry count must not size the buffer: the headers,
-        // which the image's bytes bounded, do.
-        let entries = (self.entries as usize).min(self.metas.len() * BLOCK_ENTRIES);
-        let mut out = Vec::with_capacity(entries);
-        let skips = self.metas.iter().map(|m| frame::Skip {
-            max_node: m.max_node,
-            byte_start: m.byte_start,
-            first_entry: m.first_entry,
-        });
-        frame::check_list(
-            &self.data,
-            self.entries as usize,
-            skips,
-            PairBlock::BIASES,
-            |b, block| {
-                let (ids, gaps) = (&block.ids[..block.count], &block.values[0][..block.count]);
-                if !gaps.iter().all(|gap| (1..=window).contains(gap)) {
-                    return Err("pair gap exceeds the index window");
-                }
-                if gaps.iter().min() != Some(&self.metas[b].min_gap) {
-                    return Err("pair block min_gap disagrees with entries");
-                }
-                out.extend(ids.iter().copied().zip(gaps.iter().copied()));
-                Ok(())
-            },
-        )?;
-        Ok(out)
-    }
+    end_len(buf, len_at);
 }
 
 /// Write one list record; the view's headers and bytes are the record's.
-fn encode_list(buf: &mut BytesMut, list: BlockList<'_>) {
-    buf.put_u32_le(list.num_entries() as u32);
-    buf.put_u64_le(list.num_positions() as u64);
-    buf.put_u32_le(list.num_blocks() as u32);
+fn encode_list(buf: &mut Vec<u8>, list: BlockList<'_>) {
+    put_u32(buf, list.num_entries() as u32);
+    put_u64(buf, list.num_positions() as u64);
+    put_u32(buf, list.num_blocks() as u32);
     for b in list.headers() {
-        buf.put_u32_le(b.max_node.0);
-        buf.put_u32_le(b.byte_start);
-        buf.put_u32_le(b.first_entry);
-        buf.put_u32_le(b.max_tf);
+        for word in [b.max_node.0, b.byte_start, b.first_entry, b.max_tf] {
+            put_u32(buf, word);
+        }
     }
-    buf.put_u32_le(list.data_bytes() as u32);
-    buf.put_slice(list.bytes());
+    put_u32(buf, list.data_bytes() as u32);
+    buf.extend_from_slice(list.bytes());
+}
+
+/// Write the magic number and `version`.
+pub(crate) fn put_header(buf: &mut Vec<u8>, version: u32) {
+    put_u32(buf, MAGIC);
+    put_u32(buf, version);
+}
+
+pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+fn patch_u32(buf: &mut [u8], at: usize, v: u32) {
+    buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
+}
+
+/// Write a placeholder length word; returns where it is.
+pub(crate) fn begin_len(buf: &mut Vec<u8>) -> usize {
+    put_u32(buf, 0);
+    buf.len() - 4
+}
+
+/// Patch the length word at `at` with the bytes written after it.
+pub(crate) fn end_len(buf: &mut [u8], at: usize) {
+    patch_u32(buf, at, (buf.len() - at - 4) as u32);
 }
 
 /// Deserialize an index previously produced by [`encode`].
-pub fn decode(mut buf: impl Buf) -> Result<InvertedIndex, PersistError> {
-    let magic = get_u32(&mut buf)?;
-    if magic != MAGIC {
-        return Err(PersistError::BadMagic(magic));
-    }
-    let version = get_u32(&mut buf)?;
-    if version != VERSION {
-        return Err(PersistError::BadVersion(version));
-    }
+pub fn decode(image: impl AsRef<[u8]>) -> Result<InvertedIndex, PersistError> {
+    let buf = &mut image.as_ref();
+    get_header(buf, VERSION)?;
     let mut fields = [0usize; 5];
     for f in &mut fields {
-        *f = get_u64(&mut buf)? as usize;
+        *f = get_u64(buf)? as usize;
     }
     let stats = IndexStats {
         cnodes: fields[0],
@@ -309,16 +266,16 @@ pub fn decode(mut buf: impl Buf) -> Result<InvertedIndex, PersistError> {
         pos_per_entry: fields[3],
         vocabulary: fields[4],
     };
-    let num_tokens = get_count(&mut buf, LIST_MIN_BYTES)?;
+    let num_tokens = get_count(buf, LIST_MIN_BYTES)?;
     // Headers and bytes grow with what the image really holds: nothing is
     // reserved from a count the buffer has not bounded.
     let mut lists = PostingArenaWriter::with_capacity(num_tokens + 1, 0, 0);
     // The token lists, then `IL_ANY`.
     for _ in 0..=num_tokens {
-        decode_list(&mut buf, &mut lists)?;
+        decode_list(buf, &mut lists)?;
     }
     let lists = lists.finish();
-    let pairs = decode_sections(&mut buf)?;
+    let pairs = decode_sections(buf)?;
     Ok(InvertedIndex {
         lists,
         stats,
@@ -335,12 +292,24 @@ const BLOCK_META_BYTES: usize = 16;
 /// `num_blocks`, `data_len`.
 const PAIR_KEY_MIN_BYTES: usize = 5 * 4;
 
+/// Read the magic number and a format version, refusing any but `version`.
+pub(crate) fn get_header(buf: &mut &[u8], version: u32) -> Result<(), PersistError> {
+    let magic = get_u32(buf)?;
+    if magic != MAGIC {
+        return Err(PersistError::BadMagic(magic));
+    }
+    match get_u32(buf)? {
+        v if v == version => Ok(()),
+        v => Err(PersistError::BadVersion(v)),
+    }
+}
+
 /// Read a `u32` element count and bound it by what the rest of the buffer
 /// can hold at `min_item_bytes` per element, so a corrupt count is
 /// `Truncated` before it sizes an allocation.
-pub(crate) fn get_count(buf: &mut impl Buf, min_item_bytes: usize) -> Result<usize, PersistError> {
+pub(crate) fn get_count(buf: &mut &[u8], min_item_bytes: usize) -> Result<usize, PersistError> {
     let count = get_u32(buf)? as usize;
-    if count > buf.remaining() / min_item_bytes {
+    if count > buf.len() / min_item_bytes {
         return Err(PersistError::Truncated);
     }
     Ok(count)
@@ -349,7 +318,7 @@ pub(crate) fn get_count(buf: &mut impl Buf, min_item_bytes: usize) -> Result<usi
 /// Read the optional-section table. Unknown section ids are rejected
 /// loudly: a section this reader cannot validate is a section it must not
 /// silently drop (the writer considered it part of the index).
-fn decode_sections(buf: &mut impl Buf) -> Result<PairIndex, PersistError> {
+fn decode_sections(buf: &mut &[u8]) -> Result<PairIndex, PersistError> {
     let num_sections = get_u32(buf)?;
     let mut pairs: Option<PairIndex> = None;
     for _ in 0..num_sections {
@@ -361,7 +330,7 @@ fn decode_sections(buf: &mut impl Buf) -> Result<PairIndex, PersistError> {
                 if pairs.is_some() {
                     return Err(PersistError::Corrupt("duplicate pair section"));
                 }
-                pairs = Some(decode_pair_section(&payload[..])?);
+                pairs = Some(decode_pair_section(payload)?);
             }
             _ => return Err(PersistError::Corrupt("unknown optional section")),
         }
@@ -387,52 +356,99 @@ fn decode_pair_section(mut buf: &[u8]) -> Result<PairIndex, PersistError> {
             return Err(PersistError::Corrupt("stray bits in pair coverage bitmap"));
         }
     }
-    let frequent = BitRows::from_packed([1], vocab, &bitmap);
+    let frequent = BitRows::from_packed([1], vocab, bitmap);
     let num_keys = get_count(buf, PAIR_KEY_MIN_BYTES)?;
     let config = PairConfig { window, df_cutoff };
-    let shape = pair_shape(buf, num_keys);
-    let mut arena = PairArenaWriter::with_shape(config, frequent, shape);
-    let mut stored = StoredPairList::default();
+    let mut arena = PairArenaWriter::with_shape(config, frequent, pair_shape(buf, num_keys));
+    let mut entries = Vec::new();
     for _ in 0..num_keys {
-        let (a, b) = read_pair_record(buf, &mut stored)?;
-        let entries = stored
-            .try_to_entries(window)
+        let record = PairRecord::read(buf)?;
+        record
+            .entries_into(window, &mut entries)
             .map_err(PersistError::Corrupt)?;
+        let (a, b) = record.key;
         arena
             .push_list(a, b, &entries)
             .map_err(PersistError::Corrupt)?;
     }
-    if buf.remaining() != 0 {
+    if !buf.is_empty() {
         return Err(PersistError::Corrupt("trailing bytes in pair section"));
     }
     arena.finish().map_err(PersistError::Corrupt)
 }
 
-/// Read the next `<pair list>` record of `buf` into `record`, keeping its
-/// buffers, and return its key `(token_a, token_b)`. The record is not
-/// validated beyond its lengths; [`StoredPairList::try_to_entries`] does
-/// that.
-fn read_pair_record(
-    buf: &mut impl Buf,
-    record: &mut StoredPairList,
-) -> Result<(u32, u32), PersistError> {
-    let a = get_u32(buf)?;
-    let b = get_u32(buf)?;
-    record.entries = get_u32(buf)?;
-    let num_blocks = get_count(buf, BLOCK_META_BYTES)?;
-    record.metas.clear();
-    for _ in 0..num_blocks {
-        record.metas.push(StoredPairBlock {
-            max_node: get_u32(buf)?,
-            byte_start: get_u32(buf)?,
-            first_entry: get_u32(buf)?,
-            min_gap: get_u32(buf)?,
-        });
+/// One `<pair list>` record where it lies in the image: its key, its
+/// entry count, its block headers' bytes and its stream. Nothing is
+/// validated beyond its lengths; [`PairRecord::entries_into`] does that.
+#[derive(Clone, Copy)]
+struct PairRecord<'a> {
+    key: (u32, u32),
+    entries: u32,
+    /// `num_blocks × (max_node byte_start first_entry min_gap)`.
+    headers: &'a [u8],
+    data: &'a [u8],
+}
+
+impl<'a> PairRecord<'a> {
+    /// Read the next record of `buf`.
+    fn read(buf: &mut &'a [u8]) -> Result<Self, PersistError> {
+        let key = (get_u32(buf)?, get_u32(buf)?);
+        let entries = get_u32(buf)?;
+        let num_blocks = get_count(buf, BLOCK_META_BYTES)?;
+        let headers = get_bytes(buf, num_blocks * BLOCK_META_BYTES)?;
+        let data_len = get_u32(buf)? as usize;
+        let data = get_bytes(buf, data_len)?;
+        Ok(PairRecord {
+            key,
+            entries,
+            headers,
+            data,
+        })
     }
-    let data_len = get_u32(buf)? as usize;
-    record.data.clear();
-    get_bytes_into(buf, data_len, &mut record.data)?;
-    Ok((a, b))
+
+    /// Each block's header `[max_node, byte_start, first_entry, min_gap]`.
+    fn headers(&self) -> impl DoubleEndedIterator<Item = [u32; 4]> + ExactSizeIterator + 'a {
+        let headers = self.headers.chunks_exact(BLOCK_META_BYTES);
+        headers.map(|h| std::array::from_fn(|k| word_at(h, 4 * k)))
+    }
+
+    /// Replace `out` with every entry of the record's *untrusted* bytes.
+    /// The block codec checks every width, frame, count, ordering and
+    /// padding invariant, so each list has exactly one canonical encoding;
+    /// this adds the pair list's own rules: every gap lies in
+    /// `1..=window`, and each header's `min_gap` is its block's smallest
+    /// gap. Any violation returns `Err` with a description instead of
+    /// panicking. `out` grows with the blocks that check out, so a corrupt
+    /// entry count sizes nothing.
+    fn entries_into(&self, window: u32, out: &mut Vec<(u32, u32)>) -> Result<(), &'static str> {
+        out.clear();
+        let skips = self
+            .headers()
+            .map(|[max_node, byte_start, first_entry, _]| frame::Skip {
+                max_node,
+                byte_start,
+                first_entry,
+            });
+        // Block `b`'s `min_gap`, the last word of its header.
+        let min_gap = |b: usize| word_at(self.headers, (b + 1) * BLOCK_META_BYTES - 4);
+        frame::check_list(
+            self.data,
+            self.entries as usize,
+            skips,
+            PairBlock::BIASES,
+            |b, block| {
+                let (ids, gaps) = (&block.ids[..block.count], &block.values[0][..block.count]);
+                if !gaps.iter().all(|gap| (1..=window).contains(gap)) {
+                    return Err("pair gap exceeds the index window");
+                }
+                if gaps.iter().min() != Some(&min_gap(b)) {
+                    return Err("pair block min_gap disagrees with entries");
+                }
+                out.extend(ids.iter().copied().zip(gaps.iter().copied()));
+                Ok(())
+            },
+        )
+    }
 }
 
 /// The shape of the arena the next `num_keys` key records of `buf` fill
@@ -445,15 +461,14 @@ fn read_pair_record(
 /// widths and its vectors the same capacities.
 fn pair_shape(mut buf: &[u8], num_keys: usize) -> ArenaShape {
     let mut shape = ArenaShape::default();
-    let mut record = StoredPairList::default();
     for _ in 0..num_keys {
-        if read_pair_record(&mut buf, &mut record).is_err() {
+        let Ok(record) = PairRecord::read(&mut buf) else {
             break;
-        }
-        let (metas, entries) = (&record.metas, record.entries as usize);
-        let gap = metas.first().map_or(0, |m| m.min_gap);
-        shape.add(entries.min(metas.len() * BLOCK_ENTRIES), gap);
-        let node = metas.last().map_or(0, |m| m.max_node);
+        };
+        let blocks = record.headers().len();
+        let gap = record.headers().next().map_or(0, |h| h[3]);
+        shape.add((record.entries as usize).min(blocks * BLOCK_ENTRIES), gap);
+        let node = record.headers().next_back().map_or(0, |h| h[0]);
         shape.max_node = shape.max_node.max(node);
     }
     shape
@@ -461,7 +476,7 @@ fn pair_shape(mut buf: &[u8], num_keys: usize) -> ArenaShape {
 
 /// Append one stored list record to the arena, which keeps it only once
 /// it validates as untrusted bytes ([`BlockList::validate`]).
-fn decode_list(buf: &mut impl Buf, lists: &mut PostingArenaWriter) -> Result<(), PersistError> {
+fn decode_list(buf: &mut &[u8], lists: &mut PostingArenaWriter) -> Result<(), PersistError> {
     let entries = get_u32(buf)?;
     let positions = get_u64(buf)?;
     let num_blocks = get_count(buf, BLOCK_META_BYTES)?;
@@ -470,63 +485,43 @@ fn decode_list(buf: &mut impl Buf, lists: &mut PostingArenaWriter) -> Result<(),
             "block count disagrees with entry count",
         ));
     }
+    let headers = get_bytes(buf, num_blocks * BLOCK_META_BYTES)?;
     let (blocks, data) = lists.stored_parts();
-    blocks.reserve(num_blocks);
-    for _ in 0..num_blocks {
-        let max_node = NodeId(get_u32(buf)?);
-        let byte_start = get_u32(buf)?;
-        let first_entry = get_u32(buf)?;
-        let max_tf = get_u32(buf)?;
-        blocks.push(BlockMeta {
-            max_node,
-            byte_start,
-            first_entry,
-            max_tf,
-        });
-    }
+    blocks.extend(headers.chunks_exact(BLOCK_META_BYTES).map(|h| BlockMeta {
+        max_node: NodeId(word_at(h, 0)),
+        byte_start: word_at(h, 4),
+        first_entry: word_at(h, 8),
+        max_tf: word_at(h, 12),
+    }));
     let data_len = get_u32(buf)? as usize;
-    get_bytes_into(buf, data_len, data)?;
+    data.extend_from_slice(get_bytes(buf, data_len)?);
     lists
         .end_stored_list(entries, positions)
         .map_err(PersistError::Corrupt)
 }
 
-pub(crate) fn get_u32(buf: &mut impl Buf) -> Result<u32, PersistError> {
-    if buf.remaining() < 4 {
-        return Err(PersistError::Truncated);
-    }
-    Ok(buf.get_u32_le())
+/// The little-endian `u32` at `at` of `bytes`, which must hold it.
+fn word_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
 }
 
-pub(crate) fn get_u64(buf: &mut impl Buf) -> Result<u64, PersistError> {
-    if buf.remaining() < 8 {
+/// Split the next `len` bytes off `buf`.
+pub(crate) fn get_bytes<'a>(buf: &mut &'a [u8], len: usize) -> Result<&'a [u8], PersistError> {
+    if buf.len() < len {
         return Err(PersistError::Truncated);
     }
-    Ok(buf.get_u64_le())
+    let (head, rest) = buf.split_at(len);
+    *buf = rest;
+    Ok(head)
 }
 
-pub(crate) fn get_bytes(buf: &mut impl Buf, len: usize) -> Result<Vec<u8>, PersistError> {
-    let mut data = Vec::new();
-    get_bytes_into(buf, len, &mut data)?;
-    Ok(data)
+pub(crate) fn get_u32(buf: &mut &[u8]) -> Result<u32, PersistError> {
+    Ok(word_at(get_bytes(buf, 4)?, 0))
 }
 
-/// Append the next `len` bytes to `out` — reserving only once the buffer
-/// is known to hold them.
-fn get_bytes_into(buf: &mut impl Buf, len: usize, out: &mut Vec<u8>) -> Result<(), PersistError> {
-    if buf.remaining() < len {
-        return Err(PersistError::Truncated);
-    }
-    out.reserve(len);
-    let mut left = len;
-    while left > 0 {
-        let chunk = buf.chunk();
-        let take = chunk.len().min(left);
-        out.extend_from_slice(&chunk[..take]);
-        buf.advance(take);
-        left -= take;
-    }
-    Ok(())
+pub(crate) fn get_u64(buf: &mut &[u8]) -> Result<u64, PersistError> {
+    let bytes = get_bytes(buf, 8)?;
+    Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
 }
 
 #[cfg(test)]
@@ -548,11 +543,11 @@ mod tests {
     #[test]
     fn retired_versions_are_rejected() {
         for v in 1u32..=5 {
-            let mut buf = BytesMut::new();
-            buf.put_u32_le(MAGIC);
-            buf.put_u32_le(v);
+            let mut buf = Vec::new();
+            put_u32(&mut buf, MAGIC);
+            put_u32(&mut buf, v);
             assert!(
-                matches!(decode(buf.freeze()), Err(PersistError::BadVersion(got)) if got == v),
+                matches!(decode(buf), Err(PersistError::BadVersion(got)) if got == v),
                 "version {v} must be rejected"
             );
         }
@@ -563,11 +558,11 @@ mod tests {
         // 6 and 8 belong to the manifest lineage (crate::manifest); a bare
         // index decoder must refuse them rather than misparse.
         for v in [6u32, 8] {
-            let mut buf = BytesMut::new();
-            buf.put_u32_le(MAGIC);
-            buf.put_u32_le(v);
+            let mut buf = Vec::new();
+            put_u32(&mut buf, MAGIC);
+            put_u32(&mut buf, v);
             assert!(
-                matches!(decode(buf.freeze()), Err(PersistError::BadVersion(got)) if got == v),
+                matches!(decode(buf), Err(PersistError::BadVersion(got)) if got == v),
                 "manifest version {v} must be rejected"
             );
         }
@@ -619,7 +614,7 @@ mod tests {
         let vocab = corpus.interner().len();
         // num_sections, section id, byte_len, window, df_cutoff, vocab, bitmap.
         let num_keys_at = table_at + 6 * 4 + vocab.div_ceil(8);
-        (encode(&index).to_vec(), num_keys_at)
+        (encode(&index), num_keys_at)
     }
 
     fn with_u32_max_at(mut raw: Vec<u8>, at: usize) -> Vec<u8> {
@@ -719,36 +714,66 @@ mod tests {
         assert_eq!(encode(&index).as_slice(), &one[..]);
     }
 
+    /// `entries` as the `<pair list>` record of key `(0, 1)`.
+    fn pair_record_bytes(entries: &[(u32, u32)]) -> Vec<u8> {
+        let mut raw = Vec::new();
+        put_pair_list(&mut raw, (0, 1), entries);
+        raw
+    }
+
+    fn read_record(raw: &[u8]) -> PairRecord<'_> {
+        PairRecord::read(&mut &raw[..]).expect("a whole record")
+    }
+
+    /// The entries `record` decodes to under `window`.
+    fn entries_of(record: &PairRecord<'_>, window: u32) -> Result<Vec<(u32, u32)>, &'static str> {
+        let mut out = Vec::new();
+        record.entries_into(window, &mut out).map(|()| out)
+    }
+
     #[test]
     fn stored_pair_lists_roundtrip_across_block_boundaries() {
         // 300 entries span 3 blocks; 129 and 257 end in a one-entry block,
         // which the stored form packs like any other.
         for n in [300u32, 257, 129, 128, 1] {
             let entries: Vec<(u32, u32)> = (0..n).map(|i| (i * 7 + 3, 1 + (i % 9))).collect();
-            let mut stored = StoredPairList::default();
-            stored.fill(&entries);
-            assert_eq!(stored.metas.len(), (n as usize).div_ceil(BLOCK_ENTRIES));
+            let raw = pair_record_bytes(&entries);
+            let stored = read_record(&raw);
+            assert_eq!(stored.headers().len(), (n as usize).div_ceil(BLOCK_ENTRIES));
             assert_eq!(stored.entries, n);
-            assert_eq!(stored.try_to_entries(16).expect("valid"), entries);
+            assert_eq!(entries_of(&stored, 16).expect("valid"), entries);
         }
     }
 
     #[test]
     fn corrupt_stored_pair_bytes_are_errors_not_panics() {
         let entries: Vec<(u32, u32)> = (0..200u32).map(|i| (i * 3, 1 + (i % 4))).collect();
-        let mut list = StoredPairList::default();
-        list.fill(&entries);
+        let raw = pair_record_bytes(&entries);
+        let list = read_record(&raw);
         for i in 0..list.data.len() {
-            let mut bad = list.clone();
-            bad.data[i] ^= 0x40;
-            let _ = bad.try_to_entries(16);
+            let mut data = list.data.to_vec();
+            data[i] ^= 0x40;
+            let _ = entries_of(
+                &PairRecord {
+                    data: &data,
+                    ..list
+                },
+                16,
+            );
         }
-        // A lying header is always an error.
-        let mut bad = list.clone();
-        bad.metas[1].min_gap += 1;
-        assert!(bad.try_to_entries(16).is_err());
+        // A lying header is always an error: block 1's min_gap.
+        let mut headers = list.headers.to_vec();
+        headers[BLOCK_META_BYTES + 12] += 1;
+        assert!(entries_of(
+            &PairRecord {
+                headers: &headers,
+                ..list
+            },
+            16
+        )
+        .is_err());
         // Gaps past the declared window are rejected.
-        assert!(list.try_to_entries(2).is_err());
+        assert!(entries_of(&list, 2).is_err());
     }
 
     /// One stored list of either kind as its image record holds it.
@@ -821,16 +846,12 @@ mod tests {
     /// The pair list over the same ids, gaps `1 + i % 3`.
     fn stored_pair_list() -> Stored {
         let entries: Vec<(u32, u32)> = (0..130).map(|i| (3 * i + 1, 1 + i % 3)).collect();
-        let mut list = StoredPairList::default();
-        list.fill(&entries);
+        let raw = pair_record_bytes(&entries);
+        let list = read_record(&raw);
         Stored {
             entries: list.entries,
-            headers: list
-                .metas
-                .iter()
-                .map(|m| [m.max_node, m.byte_start, m.first_entry, m.min_gap])
-                .collect(),
-            data: list.data,
+            headers: list.headers().collect(),
+            data: list.data.to_vec(),
             columns: PairBlock::BIASES.len(),
         }
     }
@@ -1065,7 +1086,7 @@ mod tests {
             .pair_config(PairConfig::disabled())
             .build(&corpus);
         assert_eq!(index.block_list(ftsl_model::TokenId(0)).num_blocks(), 3);
-        (encode(&index).to_vec(), NUM_LISTS_AT + 4)
+        (encode(&index), NUM_LISTS_AT + 4)
     }
 
     #[test]
@@ -1146,13 +1167,10 @@ mod tests {
 
     #[test]
     fn bad_magic_is_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(0xdead_beef);
-        buf.put_u32_le(VERSION);
-        assert!(matches!(
-            decode(buf.freeze()),
-            Err(PersistError::BadMagic(_))
-        ));
+        let mut buf = Vec::new();
+        put_u32(&mut buf, 0xdead_beef);
+        put_u32(&mut buf, VERSION);
+        assert!(matches!(decode(buf), Err(PersistError::BadMagic(_))));
     }
 
     #[test]
@@ -1160,19 +1178,16 @@ mod tests {
         let corpus = Corpus::from_texts(&["a b c"]);
         let index = IndexBuilder::new().build(&corpus);
         let bytes = encode(&index);
-        let cut = bytes.slice(0..bytes.len() - 3);
+        let cut = &bytes[..bytes.len() - 3];
         assert!(matches!(decode(cut), Err(PersistError::Truncated)));
     }
 
     #[test]
     fn wrong_version_is_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(MAGIC);
-        buf.put_u32_le(99);
-        assert!(matches!(
-            decode(buf.freeze()),
-            Err(PersistError::BadVersion(99))
-        ));
+        let mut buf = Vec::new();
+        put_u32(&mut buf, MAGIC);
+        put_u32(&mut buf, 99);
+        assert!(matches!(decode(buf), Err(PersistError::BadVersion(99))));
     }
 
     #[test]

@@ -146,6 +146,6 @@ proptest! {
         let index = IndexBuilder::new().build(&corpus);
         let bytes = persist::encode(&index);
         let cut = bytes.len() * cut_permille / 1000;
-        prop_assert!(persist::decode(bytes.slice(0..cut)).is_err());
+        prop_assert!(persist::decode(&bytes[..cut]).is_err());
     }
 }

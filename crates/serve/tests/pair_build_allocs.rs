@@ -1,10 +1,10 @@
 //! Allocation accounting for a segment build. A segment's posting lists
 //! are one arena filled by counting, so the number of heap allocations a
-//! build makes does not grow with the vocabulary, and loading an image
-//! does not allocate per list. Its pair index is one arena filled from
-//! flat, exactly sized buffers, so the allocations the pair build adds do
-//! not grow with the number of keys, and its transient peak stays under
-//! the sort-based build it replaced.
+//! build makes does not grow with the vocabulary. Its pair index is one
+//! arena filled from flat, exactly sized buffers, so the allocations the
+//! pair build adds do not grow with the number of keys, and its transient
+//! peak stays under the sort-based build it replaced. Writing or loading
+//! an image allocates per neither list nor pair key.
 //!
 //! A large pair build runs on two threads, so this binary counts every
 //! thread's allocations ([`ProcessAlloc`]), and each test measures in a
@@ -343,24 +343,59 @@ fn a_seal_peaks_the_same_under_any_vocabulary_width() {
     });
 }
 
+/// Ceiling on the allocations [`persist::encode`] or [`persist::decode`]
+/// makes for an image of [`zipf_corpus`]'s index, with or without its
+/// 613 570 pair keys. Each is a step of a vector that doubles as it fills
+/// (the image; a posting arena's headers and bytes; the pair arena's
+/// stream and the one reused entries buffer), one allocation per arena
+/// vector, or one shrink per arena vector, so the count grows with the
+/// logarithm of the image, not with its lists or keys. Measured: decode
+/// 31 allocations without pairs and 65 with (a 30 MB image), encode 17
+/// and 32. At one allocation per pair key, decoding or encoding the image
+/// with pairs took over 613 570.
+const CODEC_ALLOCS: u64 = 80;
+
 #[test]
 fn decoding_an_image_does_not_allocate_per_list() {
     alone("decoding_an_image_does_not_allocate_per_list", || {
         let corpus = zipf_corpus();
-        let index = IndexBuilder::new()
-            .pair_config(PairConfig::disabled())
-            .build(&corpus);
-        let lists = index.num_tokens() + 1;
-        assert!(lists >= 10_000, "{lists} lists");
-        let image = persist::encode(&index);
-        let before = allocs();
-        let decoded = persist::decode(image.as_slice()).expect("a built image decodes");
-        let allocs = allocs() - before;
-        println!("decode: {allocs} allocations for {lists} lists");
-        assert_eq!(decoded.num_tokens(), index.num_tokens());
-        assert!(
-            allocs <= 64,
-            "decoding {lists} lists allocated {allocs} times"
-        );
+        for pairs in [PairConfig::disabled(), PairConfig::default()] {
+            let index = IndexBuilder::new().pair_config(pairs).build(&corpus);
+            let (lists, keys) = (index.num_tokens() + 1, index.pairs().num_keys());
+            assert!(lists >= 10_000, "{lists} lists");
+            let image = persist::encode(&index);
+            let before = allocs();
+            let decoded = persist::decode(image.as_slice()).expect("a built image decodes");
+            let allocs = allocs() - before;
+            println!("decode: {allocs} allocations for {lists} lists and {keys} pair keys");
+            assert_eq!(decoded.num_tokens(), index.num_tokens());
+            assert_eq!(decoded.pairs().num_keys(), keys);
+            assert!(
+                allocs <= CODEC_ALLOCS,
+                "decoding {lists} lists and {keys} pair keys allocated {allocs} times"
+            );
+        }
+    });
+}
+
+#[test]
+fn encoding_an_image_does_not_allocate_per_list() {
+    alone("encoding_an_image_does_not_allocate_per_list", || {
+        let corpus = zipf_corpus();
+        for pairs in [PairConfig::disabled(), PairConfig::default()] {
+            let index = IndexBuilder::new().pair_config(pairs).build(&corpus);
+            let (lists, keys) = (index.num_tokens() + 1, index.pairs().num_keys());
+            let before = allocs();
+            let image = persist::encode(&index);
+            let allocs = allocs() - before;
+            println!(
+                "encode: {allocs} allocations for {lists} lists and {keys} pair keys, {} bytes",
+                image.len()
+            );
+            assert!(
+                allocs <= CODEC_ALLOCS,
+                "encoding {lists} lists and {keys} pair keys allocated {allocs} times"
+            );
+        }
     });
 }
