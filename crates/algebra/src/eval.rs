@@ -8,7 +8,13 @@
 //! recursively: `⋈` and `∩` leapfrog their children with `seek`, `∪` takes
 //! the smaller of its children's, `σ`, `π` and `−` follow their left (or
 //! only) child, and `SearchContext` walks every node id. A node that some
-//! joined leaf lacks is never materialized.
+//! joined leaf lacks is never materialized. A caller may hand
+//! [`AlgebraEvaluator::eval_pushed`] node filters ([`NodeGate`]), each
+//! for one operator: the operator is wrapped in a filter op whose seek
+//! leapfrogs the filter with the operator's own, and whose rows are the
+//! operator's. The COMP engine filters a gap predicate's selection with
+//! the word-pair walk this way, so the selection is never evaluated at a
+//! node without a near pair.
 //!
 //! At each candidate the tree is evaluated into per-operator `NodeRows`
 //! buffers reused from node to node, and only the root's rows are appended
@@ -62,6 +68,30 @@ use ftsl_predicates::{Predicate, PredicateRegistry};
 /// the three-token join below the order predicate.
 pub const MAX_NODE_POSITIONS: u64 = 1 << 22;
 
+/// A node-level filter the evaluator leapfrogs beside one operator of a
+/// plan ([`NodeGate`]): the operator's subtree is evaluated only at nodes
+/// both it and the filter land on. A filter must land on every node at
+/// which the subtree has a row, so it removes none; the COMP engine's
+/// word-pair walk over a gap predicate's implied core is one.
+pub trait NodeFilter {
+    /// The first node ≥ `target` the filter admits, or `None` past its
+    /// last. Monotone: a filter already at or past `target` stays put.
+    fn seek_node(&mut self, target: NodeId) -> Option<NodeId>;
+
+    /// The work the filter did.
+    fn counters(&self) -> AccessCounters;
+}
+
+/// A [`NodeFilter`] on the operator at pre-order position `at` of a plan:
+/// the root is 0, and each operator comes before its inputs, left before
+/// right.
+pub struct NodeGate<'a> {
+    /// The filtered operator's pre-order position.
+    pub at: usize,
+    /// The filter its subtree is leapfrogged with.
+    pub filter: Box<dyn NodeFilter + 'a>,
+}
+
 /// What the node-at-a-time walk did, accumulated across evaluations.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeStats {
@@ -113,13 +143,20 @@ impl<'a> AlgebraEvaluator<'a> {
     /// generic, so the COMP engine's walk is compiled once, in this crate,
     /// for every caller.
     pub fn eval(&mut self, expr: &AlgExpr) -> Result<FtRelation, AlgebraError> {
-        self.eval_pushed(&push_down(expr, self.registry))
+        self.eval_pushed(&push_down(expr, self.registry), Vec::new())
     }
 
     /// [`Self::eval`] of a plan [`push_down`] already rewrote, for callers
-    /// that compile a query once and evaluate it on many segments.
-    pub fn eval_pushed(&mut self, plan: &AlgExpr) -> Result<FtRelation, AlgebraError> {
-        self.relation(plan)
+    /// that compile a query once and evaluate it on many segments, with
+    /// each of `gates` (ascending by position) filtering its operator.
+    pub fn eval_pushed(
+        &mut self,
+        plan: &AlgExpr,
+        gates: Vec<NodeGate<'a>>,
+    ) -> Result<FtRelation, AlgebraError> {
+        let mut out = FtRelation::new(plan.arity(self.registry)?);
+        self.walk(plan, None, gates, |_, node, rows| out.push_node(node, rows))?;
+        Ok(out)
     }
 }
 
@@ -155,7 +192,9 @@ impl<'a, S: Scorer> AlgebraEvaluator<'a, S> {
     /// its scores.
     pub fn relation(&mut self, expr: &AlgExpr) -> Result<FtRelation<S::Score>, AlgebraError> {
         let mut out = FtRelation::new(expr.arity(self.registry)?);
-        self.walk(expr, None, |_, node, rows| out.push_node(node, rows))?;
+        self.walk(expr, None, Vec::new(), |_, node, rows| {
+            out.push_node(node, rows)
+        })?;
         Ok(out)
     }
 
@@ -188,7 +227,7 @@ impl<'a, S: Scorer> AlgebraEvaluator<'a, S> {
     ) -> Result<Vec<(NodeId, S::Score)>, AlgebraError> {
         expr.arity(self.registry)?;
         let mut hits = Vec::new();
-        self.walk(expr, among, |scorer, node, rows| {
+        self.walk(expr, among, Vec::new(), |scorer, node, rows| {
             if !rows.is_empty() {
                 hits.push((node, scorer.project(rows.scores())));
             }
@@ -197,16 +236,18 @@ impl<'a, S: Scorer> AlgebraEvaluator<'a, S> {
     }
 
     /// Run `expr`, which must be well formed, at every root candidate (or
-    /// at those of `among`), handing each one's root rows to `emit`, and
-    /// fold the work into the counters.
+    /// at those of `among`), with `gates` filtering their operators,
+    /// handing each one's root rows to `emit`, and fold the work into the
+    /// counters.
     fn walk(
         &mut self,
         expr: &AlgExpr,
         among: Option<&[NodeId]>,
+        gates: Vec<NodeGate<'a>>,
         mut emit: impl FnMut(&S, NodeId, &NodeRows<S::Score>),
     ) -> Result<(), AlgebraError> {
         let scorer = &self.scorer;
-        let mut plan = Plan::new(expr, self.corpus, self.index, self.registry, scorer);
+        let mut plan = Plan::new(expr, self.corpus, self.index, self.registry, scorer, gates);
         let result = plan.run(among, &mut self.stats, |node, rows| {
             emit(scorer, node, rows)
         });
@@ -236,6 +277,12 @@ enum Op<'p> {
     Union(usize, usize),
     Intersect(usize, usize),
     Difference(usize, usize),
+    /// `input`'s rows, at the nodes it lands on that [`Plan::filters`]`[filter]`
+    /// admits too.
+    Filter {
+        input: usize,
+        filter: usize,
+    },
 }
 
 /// Where an operator's candidate walk stands.
@@ -261,6 +308,12 @@ struct Plan<'p, S: Scorer> {
     landing: Vec<Landing>,
     rows: Vec<NodeRows<S::Score>>,
     leaves: Vec<Leaf<'p>>,
+    filters: Vec<Box<dyn NodeFilter + 'p>>,
+    /// The gates `compile` has yet to place, the next one last.
+    gates: Vec<NodeGate<'p>>,
+    /// Expression nodes `compile` has entered: the next one's pre-order
+    /// position.
+    entered: usize,
     scorer: &'p S,
     /// `SearchContext` is every node id below this.
     node_count: u32,
@@ -278,12 +331,18 @@ impl<'p, S: Scorer> Plan<'p, S> {
         index: &'p InvertedIndex,
         registry: &'p PredicateRegistry,
         scorer: &'p S,
+        mut gates: Vec<NodeGate<'p>>,
     ) -> Self {
+        debug_assert!(gates.windows(2).all(|w| w[0].at < w[1].at));
+        gates.reverse();
         let mut plan = Plan {
             ops: Vec::new(),
             landing: Vec::new(),
             rows: Vec::new(),
             leaves: Vec::new(),
+            filters: Vec::new(),
+            gates,
+            entered: 0,
             scorer,
             node_count: corpus.len() as u32,
             node_tuples: 0,
@@ -291,6 +350,7 @@ impl<'p, S: Scorer> Plan<'p, S> {
             tuples: 0,
         };
         plan.compile(expr, corpus, index, registry);
+        debug_assert!(plan.gates.is_empty(), "a gate past the plan");
         plan
     }
 
@@ -302,6 +362,12 @@ impl<'p, S: Scorer> Plan<'p, S> {
         index: &'p InvertedIndex,
         registry: &'p PredicateRegistry,
     ) -> usize {
+        let at = self.entered;
+        self.entered += 1;
+        let gate = match self.gates.last() {
+            Some(g) if g.at == at => self.gates.pop(),
+            _ => None,
+        };
         let sub = |e: &'p AlgExpr, plan: &mut Self| plan.compile(e, corpus, index, registry);
         let (op, arity) = match expr {
             AlgExpr::SearchContext => (Op::Context, 0),
@@ -349,10 +415,21 @@ impl<'p, S: Scorer> Plan<'p, S> {
                 (Op::Difference(a, b), self.rows[a].arity())
             }
         };
-        self.ops.push(op);
-        self.landing.push(Landing::Unset);
-        self.rows.push(NodeRows::new(arity));
-        self.ops.len() - 1
+        let mut push = |op| {
+            self.ops.push(op);
+            self.landing.push(Landing::Unset);
+            self.rows.push(NodeRows::new(arity));
+            self.ops.len() - 1
+        };
+        let input = push(op);
+        match gate {
+            Some(gate) => {
+                self.filters.push(gate.filter);
+                let filter = self.filters.len() - 1;
+                push(Op::Filter { input, filter })
+            }
+            None => input,
+        }
     }
 
     fn leaf(&mut self, cursor: Option<BlockCursor<'p>>, token: Option<&'p str>) -> Op<'p> {
@@ -381,6 +458,7 @@ impl<'p, S: Scorer> Plan<'p, S> {
                 self.seek(input, target)
             }
             Op::Join(a, b) | Op::Intersect(a, b) => self.leapfrog(a, b, target),
+            Op::Filter { input, filter } => self.filtered(input, filter, target),
             Op::Union(a, b) => {
                 let (x, y) = (self.seek(a, target), self.seek(b, target));
                 x.into_iter().chain(y).min()
@@ -395,6 +473,19 @@ impl<'p, S: Scorer> Plan<'p, S> {
         loop {
             let x = self.seek(a, target)?;
             let y = self.seek(b, x)?;
+            if x == y {
+                return Some(x);
+            }
+            target = y;
+        }
+    }
+
+    /// The first node ≥ `target` that filter `k` admits and `input` lands
+    /// on. The filter leads: it reads no position.
+    fn filtered(&mut self, input: usize, k: usize, mut target: NodeId) -> Option<NodeId> {
+        loop {
+            let x = self.filters[k].seek_node(target)?;
+            let y = self.seek(input, x)?;
             if x == y {
                 return Some(x);
             }
@@ -547,6 +638,13 @@ impl<'p, S: Scorer> Plan<'p, S> {
                 let (inputs, out) = self.rows.split_at_mut(i);
                 out[0].merge(&inputs[a], &inputs[b], SetOp::Difference, self.scorer);
             }
+            Op::Filter { input, .. } => {
+                // A filter removes no row: its rows are its input's, handed
+                // over whole and counted once.
+                self.eval(input, node)?;
+                self.rows.swap(input, i);
+                return Ok(());
+            }
             Op::Union(a, b) => {
                 for c in [a, b] {
                     if self.landing[c] == Landing::At(node) {
@@ -570,6 +668,9 @@ impl<'p, S: Scorer> Plan<'p, S> {
     /// tuples materialized.
     fn charge(self, counters: &mut AccessCounters, stats: &mut NodeStats) {
         counters.tuples += self.tuples;
+        for filter in &self.filters {
+            *counters += filter.counters();
+        }
         for leaf in self.leaves {
             let Some(cursor) = leaf.cursor else { continue };
             let c = cursor.counters();
@@ -853,7 +954,7 @@ mod tests {
         let e = tokens[1..]
             .iter()
             .fold(arm(&tokens[0]), |e, t| union(e, arm(t)));
-        let mut plan = Plan::new(&e, &corpus, &index, &reg, &Unscored);
+        let mut plan = Plan::new(&e, &corpus, &index, &reg, &Unscored, Vec::new());
         let mut out = FtRelation::new(0);
         plan.run(None, &mut NodeStats::default(), |node, rows| {
             out.push_node(node, rows)

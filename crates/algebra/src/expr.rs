@@ -115,51 +115,65 @@ impl AlgExpr {
     /// Render an operator-tree view (Figure 4 style), as `explain` prints
     /// every engine's plan.
     pub fn render_tree(&self, registry: &PredicateRegistry) -> String {
+        self.render_tree_with(registry, |_| None)
+    }
+
+    /// [`Self::render_tree`], each operator's line followed by the note
+    /// `note` gives its pre-order position (the root 0, an operator before
+    /// its inputs, left before right), if any.
+    pub fn render_tree_with(
+        &self,
+        registry: &PredicateRegistry,
+        mut note: impl FnMut(usize) -> Option<String>,
+    ) -> String {
         let mut out = String::new();
-        self.render_into(registry, 0, &mut out);
+        self.render_into(registry, 0, &mut note, &mut 0, &mut out);
         out
     }
 
-    fn render_into(&self, registry: &PredicateRegistry, depth: usize, out: &mut String) {
+    fn render_into(
+        &self,
+        registry: &PredicateRegistry,
+        depth: usize,
+        note: &mut dyn FnMut(usize) -> Option<String>,
+        at: &mut usize,
+        out: &mut String,
+    ) {
         use std::fmt::Write;
         let pad = "  ".repeat(depth);
         match self {
-            AlgExpr::SearchContext => writeln!(out, "{pad}search_context").unwrap(),
-            AlgExpr::HasPos => writeln!(out, "{pad}scan (ANY)").unwrap(),
-            AlgExpr::TokenRel(t) => writeln!(out, "{pad}scan (\"{t}\")").unwrap(),
-            AlgExpr::Project(e, cols) => {
-                writeln!(out, "{pad}project (CNode, {cols:?})").unwrap();
-                e.render_into(registry, depth + 1, out);
-            }
-            AlgExpr::Join(a, b) => {
-                writeln!(out, "{pad}join").unwrap();
-                a.render_into(registry, depth + 1, out);
-                b.render_into(registry, depth + 1, out);
-            }
+            AlgExpr::SearchContext => write!(out, "{pad}search_context"),
+            AlgExpr::HasPos => write!(out, "{pad}scan (ANY)"),
+            AlgExpr::TokenRel(t) => write!(out, "{pad}scan (\"{t}\")"),
+            AlgExpr::Project(_, cols) => write!(out, "{pad}project (CNode, {cols:?})"),
+            AlgExpr::Join(..) => write!(out, "{pad}join"),
             AlgExpr::Select {
-                input,
-                pred,
-                cols,
-                consts,
+                pred, cols, consts, ..
             } => {
                 let name = registry.get(*pred).name();
-                writeln!(out, "{pad}select {name}({cols:?}, {consts:?})").unwrap();
-                input.render_into(registry, depth + 1, out);
+                write!(out, "{pad}select {name}({cols:?}, {consts:?})")
             }
-            AlgExpr::Union(a, b) => {
-                writeln!(out, "{pad}union").unwrap();
-                a.render_into(registry, depth + 1, out);
-                b.render_into(registry, depth + 1, out);
+            AlgExpr::Union(..) => write!(out, "{pad}union"),
+            AlgExpr::Intersect(..) => write!(out, "{pad}intersect"),
+            AlgExpr::Difference(..) => write!(out, "{pad}difference"),
+        }
+        .unwrap();
+        if let Some(n) = note(*at) {
+            write!(out, "  · {n}").unwrap();
+        }
+        out.push('\n');
+        *at += 1;
+        match self {
+            AlgExpr::SearchContext | AlgExpr::HasPos | AlgExpr::TokenRel(_) => {}
+            AlgExpr::Project(e, _) | AlgExpr::Select { input: e, .. } => {
+                e.render_into(registry, depth + 1, note, at, out)
             }
-            AlgExpr::Intersect(a, b) => {
-                writeln!(out, "{pad}intersect").unwrap();
-                a.render_into(registry, depth + 1, out);
-                b.render_into(registry, depth + 1, out);
-            }
-            AlgExpr::Difference(a, b) => {
-                writeln!(out, "{pad}difference").unwrap();
-                a.render_into(registry, depth + 1, out);
-                b.render_into(registry, depth + 1, out);
+            AlgExpr::Join(a, b)
+            | AlgExpr::Union(a, b)
+            | AlgExpr::Intersect(a, b)
+            | AlgExpr::Difference(a, b) => {
+                a.render_into(registry, depth + 1, note, at, out);
+                b.render_into(registry, depth + 1, note, at, out);
             }
         }
     }

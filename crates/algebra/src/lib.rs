@@ -35,7 +35,7 @@ pub mod scorer;
 pub mod to_calculus;
 
 pub use error::AlgebraError;
-pub use eval::{AlgebraEvaluator, NodeStats, MAX_NODE_POSITIONS};
+pub use eval::{AlgebraEvaluator, NodeFilter, NodeGate, NodeStats, MAX_NODE_POSITIONS};
 pub use expr::AlgExpr;
 pub use relation::FtRelation;
 pub use scorer::{Scorer, Unscored};

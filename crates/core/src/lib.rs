@@ -140,7 +140,9 @@ mod tests {
     fn explain_shows_the_comp_plan_as_run() {
         // As translated, both selects sit above the four-way join and a
         // projection caps the tree. As run, they sink below the outer
-        // join, and the fourth leaf joins as one row per node.
+        // join, and the fourth leaf joins as one row per node. The
+        // `exact_gap` selection over two scans is a gap core, marked with
+        // the word-pair filter it runs under where its segment covers it.
         let e = engine();
         let query = "SOME p0 SOME p1 SOME p2 SOME p3 (p0 HAS 'software' \
                      AND p1 HAS 'usability' AND p2 HAS 'task' AND p3 HAS 'completion' \
@@ -154,7 +156,7 @@ join
   project (CNode, [])
     select not_ordered([1, 2], [])
       join
-        select exact_gap([0, 1], [2])
+        select exact_gap([0, 1], [2])  · pair filter 'software' ↔ 'usability' within 3
           join
             scan (\"software\")
             scan (\"usability\")

@@ -1,47 +1,108 @@
 //! The COMP engine (Section 5.4): translate to the algebra and evaluate it
 //! one context node at a time.
+//!
+//! A gap-bounding selection over two token scans — `exact_gap(p1,p2,g)`
+//! implies `distance(p1,p2,g)` — has rows only at nodes that hold an
+//! occurrence pair within the bound, which the word-pair lists list
+//! without decoding a position. So prepare lists the plan's gap cores once
+//! ([`pairscan::gap_cores`]), and each segment resolves every core
+//! ([`pairscan::resolve`]): a covered one filters its subtree with the pair
+//! walk, which the evaluator leapfrogs beside it
+//! ([`ftsl_algebra::NodeGate`]), so no other node is evaluated; a provably
+//! empty one lands the subtree on no node; an uncovered one runs as
+//! translated. The filter removes no row, so the answer never changes.
 
 use crate::error::ExecError;
+use crate::pairscan::{self, MinGapWalk, PairPath, PairQuery, Resolved};
 use ftsl_algebra::rewrite::push_down;
-use ftsl_algebra::{AlgExpr, AlgebraEvaluator, NodeStats};
+use ftsl_algebra::{AlgExpr, AlgebraEvaluator, NodeGate, NodeStats};
 use ftsl_index::{AccessCounters, InvertedIndex};
 use ftsl_model::{Corpus, NodeId};
 use ftsl_predicates::PredicateRegistry;
 
 /// The COMP engine's shape half, compiled once per query: the algebra
 /// translation with `σ` and `π` already pushed below `⋈`
-/// ([`ftsl_algebra::rewrite::push_down`]); the prepared query keeps the
-/// translation itself beside it. [`Self::bind`] evaluates it on
-/// one segment, one context node at a time. Complete; a predicate over one
-/// join's columns filters that join, and a side no later operator reads
-/// joins as one row per node, but a predicate binding both sides of every
-/// join still costs
+/// ([`ftsl_algebra::rewrite::push_down`]) and its gap cores; the prepared
+/// query keeps the translation itself beside it. [`Self::bind`] evaluates
+/// it on one segment, one context node at a time. Complete; a predicate
+/// over one join's columns filters that join, and a side no later operator
+/// reads joins as one row per node, but a predicate binding both sides of
+/// every join still costs
 /// `O(cnodes × pos_per_cnode^toks_Q × (preds_Q + ops_Q + 1))`. A node whose
 /// relations would pass [`ftsl_algebra::MAX_NODE_POSITIONS`] is an `Err`.
 #[derive(Clone, Debug)]
 pub(crate) struct CompPlan {
     pub(crate) plan: AlgExpr,
+    /// Each gap core's pre-order position in `plan` and the pair query its
+    /// declared bounds imply, ascending.
+    cores: Vec<(usize, PairQuery)>,
+}
+
+/// What one segment's COMP evaluation did: its matches (local ids,
+/// ascending), its counters and node walk, and, traced, the path each gap
+/// core took.
+pub(crate) struct CompRun {
+    pub(crate) nodes: Vec<NodeId>,
+    pub(crate) counters: AccessCounters,
+    pub(crate) stats: NodeStats,
+    paths: Vec<PairPath>,
 }
 
 impl CompPlan {
     /// Push the selections and projections of `translated`, a query's
-    /// algebra translation, down.
+    /// algebra translation, down, and list the result's gap cores.
     pub(crate) fn prepare(translated: &AlgExpr, registry: &PredicateRegistry) -> Self {
-        CompPlan {
-            plan: push_down(translated, registry),
-        }
+        let plan = push_down(translated, registry);
+        let cores = pairscan::gap_cores(&plan, registry);
+        CompPlan { plan, cores }
     }
 
-    /// Evaluate the plan one context node at a time over one segment.
+    /// The plan as `EXPLAIN` prints it, each gap core's `σ` marked with
+    /// the pair filter it may run under.
+    pub(crate) fn render_tree(&self, registry: &PredicateRegistry) -> String {
+        let mut cores = self.cores.iter().peekable();
+        self.plan.render_tree_with(registry, |at| {
+            let (_, q) = cores.next_if(|(core, _)| *core == at)?;
+            Some(format!("pair filter {}", q.describe()))
+        })
+    }
+
+    /// One span note per gap core of a traced `run`: the path it took.
+    pub(crate) fn path_notes<'s>(&'s self, run: &'s CompRun) -> impl Iterator<Item = String> + 's {
+        let cores = self.cores.iter().zip(&run.paths);
+        cores.map(|((_, q), path)| format!("pair filter {}: {}", q.describe(), path.describe()))
+    }
+
+    /// Evaluate the plan one context node at a time over one segment, each
+    /// covered gap core filtering its subtree with the pair walk.
     pub(crate) fn bind(
         &self,
         corpus: &Corpus,
         index: &InvertedIndex,
         registry: &PredicateRegistry,
-    ) -> Result<(Vec<NodeId>, AccessCounters, NodeStats), ExecError> {
+        traced: bool,
+    ) -> Result<CompRun, ExecError> {
+        let mut gates = Vec::new();
+        let mut paths = Vec::new();
+        for (at, q) in &self.cores {
+            let resolved = pairscan::resolve(q, corpus, index);
+            let path = PairPath::of(&resolved);
+            if traced {
+                paths.push(path);
+            }
+            if let Resolved::Covered(lists) = resolved {
+                let filter = Box::new(MinGapWalk::new(lists, q.bound));
+                gates.push(NodeGate { at: *at, filter });
+            }
+        }
         let mut ev = AlgebraEvaluator::new(corpus, index, registry);
-        let rel = ev.eval_pushed(&self.plan)?;
-        Ok((rel.distinct_nodes(), ev.counters(), ev.node_stats()))
+        let rel = ev.eval_pushed(&self.plan, gates)?;
+        Ok(CompRun {
+            nodes: rel.distinct_nodes(),
+            counters: ev.counters(),
+            stats: ev.node_stats(),
+            paths,
+        })
     }
 }
 

@@ -280,7 +280,7 @@ impl<'q> PreparedQuery<'q> {
             Shape::Stream(_, stream) => {
                 format!("plan:\n{}", stream.plan.root.render_tree(self.registry))
             }
-            Shape::Comp(plan) => format!("algebra:\n{}", plan.plan.render_tree(self.registry)),
+            Shape::Comp(plan) => format!("algebra:\n{}", plan.render_tree(self.registry)),
         }
     }
 
@@ -312,8 +312,9 @@ impl<'q> PreparedQuery<'q> {
                 (nodes, counters)
             }
             Shape::Comp(plan) => {
-                let (nodes, counters, stats) = plan.bind(corpus, index, self.registry)?;
+                let run = plan.bind(corpus, index, self.registry, span.is_some())?;
                 if let (Some(b), Some(id)) = (tb.as_mut(), span) {
+                    let stats = run.stats;
                     b.note(
                         id,
                         format!(
@@ -321,12 +322,15 @@ impl<'q> PreparedQuery<'q> {
                              {} tuples, peak {} per node",
                             stats.nodes_evaluated,
                             stats.nodes_skipped,
-                            counters.tuples,
+                            run.counters.tuples,
                             stats.peak_node_tuples
                         ),
                     );
+                    for note in plan.path_notes(&run) {
+                        b.note(id, note);
+                    }
                 }
-                (nodes, counters)
+                (run.nodes, run.counters)
             }
         };
         if let (Some(b), Some(id)) = (tb, span) {

@@ -17,17 +17,29 @@
 //! occurrence pair of `a` and `b` in this document with forward gap at
 //! most `g`?* `recognize` folds every predicate of such a closed core into
 //! a single gap bound plus an optional direction, a [`PairQuery`]; `cores`
-//! lists the plan's folds once per query. Pair lists hold no positions, so
-//! an open core or a three-word phrase keeps its positional cursors.
+//! lists the plan's folds once per query. A predicate is folded through
+//! the gap bound it declares ([`ftsl_predicates::Predicate::gap_bound`]),
+//! never by its name, and `ordered` pins the direction; only a core whose
+//! every predicate declares an *exact* bound folds. Pair lists hold no
+//! positions, so an open core or a three-word phrase keeps its positional
+//! cursors.
+//!
+//! COMP asks a weaker question of the same lists. A `σ` chain directly
+//! over a join of two token scans whose predicates declare any bound,
+//! exact or merely implied (`exact_gap(p1,p2,g)` implies a gap of at most
+//! `g + 1`), has rows only at nodes holding such a pair, wherever the
+//! chain sits in the plan. `gap_cores` lists these once per query, and on
+//! each segment a covered one's walk filters the chain's subtree in the
+//! evaluator ([`ftsl_algebra::NodeFilter`]) rather than replacing it.
 //!
 //! Each segment then resolves a core (`resolve`) — covered pair lists,
 //! provably empty, or not covered — and every covered caller runs the one
 //! merged min-gap walk: one pair list, or two merged on node id for the
 //! symmetric case, skipping whole blocks on their `min_gap` header. The
-//! plan leaf (`leaf`) admits every block within the bound and seeks by
-//! block headers; the proximity top-k bounds each segment from its lists'
-//! headers (`near_bound`), then walks them against the heap's threshold
-//! (`near_topk_into`).
+//! plan leaf (`leaf`) and COMP's filter admit every block within the
+//! bound and seek by block headers; the proximity top-k bounds each
+//! segment from its lists' headers (`near_bound`), then walks them
+//! against the heap's threshold (`near_topk_into`).
 //!
 //! Both halves are total over inputs and *conservative*: any shape,
 //! predicate, bound, or coverage condition outside the contract leaves the
@@ -47,7 +59,7 @@ use ftsl_algebra::AlgExpr;
 use ftsl_index::pair::min_forward_gaps;
 use ftsl_index::{AccessCounters, InvertedIndex, PairCursor, PairList, PairLookup};
 use ftsl_model::{Corpus, NodeId, TokenId};
-use ftsl_predicates::PredicateRegistry;
+use ftsl_predicates::{GapBound, PredicateRegistry};
 use ftsl_scoring::{closeness, TopK};
 
 /// A recognized two-token proximity query, normalized to pair-index
@@ -66,6 +78,17 @@ pub struct PairQuery {
     pub bound: u32,
 }
 
+impl PairQuery {
+    /// `'a' → 'b' within 4`, or `'a' ↔ 'b' within 4` undirected.
+    pub fn describe(&self) -> String {
+        let arrow = if self.directed { "→" } else { "↔" };
+        format!(
+            "'{}' {arrow} '{}' within {}",
+            self.first, self.second, self.bound
+        )
+    }
+}
+
 /// Constraints gathered while walking a candidate plan.
 #[derive(Default)]
 struct Gathered<'p> {
@@ -73,8 +96,14 @@ struct Gathered<'p> {
     scans: Vec<&'p str>,
     /// Direction pinned by `ordered(sa, sb)`, as scan indices.
     direction: Option<(usize, usize)>,
-    /// Tightest gap bound implied by `distance`/`window` selections.
-    bound: Option<u32>,
+    /// Tightest of the exact gap bounds the selections declare.
+    exact: Option<u32>,
+    /// Tightest of every gap bound they declare, exact or implied.
+    implied: Option<u32>,
+    /// A selection the fold does not capture whole: an implied-only bound,
+    /// no declaration, a contradictory direction, or arguments other than
+    /// the two scans. The core's answer is then a subset of the fold's.
+    loose: bool,
 }
 
 /// The side table of `root`'s closed proximity cores: one entry per `π_∅`
@@ -107,10 +136,48 @@ pub(crate) fn cores(root: &AlgExpr, registry: &PredicateRegistry) -> Vec<Option<
     out
 }
 
+/// COMP's gap cores: every maximal `σ` chain of `root` over a join of two
+/// token scans whose declared gap bounds fold into a [`PairQuery`], with
+/// its pre-order position (a node before its inputs, left before right,
+/// the root at 0), ascending. Each core's rows all lie at nodes that hold
+/// an occurrence pair within the query's bound, so the pair walk filters
+/// its subtree wherever it sits. The walk does not enter a core.
+pub(crate) fn gap_cores(root: &AlgExpr, registry: &PredicateRegistry) -> Vec<(usize, PairQuery)> {
+    fn collect(
+        node: &AlgExpr,
+        registry: &PredicateRegistry,
+        at: &mut usize,
+        out: &mut Vec<(usize, PairQuery)>,
+    ) {
+        if let Some(q) = implied(node, registry) {
+            out.push((*at, q));
+            *at += node.size();
+            return;
+        }
+        *at += 1;
+        match node {
+            AlgExpr::Project(a, _) | AlgExpr::Select { input: a, .. } => {
+                collect(a, registry, at, out)
+            }
+            AlgExpr::Join(a, b)
+            | AlgExpr::Union(a, b)
+            | AlgExpr::Intersect(a, b)
+            | AlgExpr::Difference(a, b) => {
+                collect(a, registry, at, out);
+                collect(b, registry, at, out);
+            }
+            AlgExpr::SearchContext | AlgExpr::HasPos | AlgExpr::TokenRel(_) => {}
+        }
+    }
+    let mut out = Vec::new();
+    collect(root, registry, &mut 0, &mut out);
+    out
+}
+
 /// Try to fold `core`, a `π_∅` node of a plan (pre-join-reordering), into
 /// a [`PairQuery`]. `None` means it is outside the pair fragment and runs
 /// on the ordinary streaming cursors. A folded core holds exactly one join
-/// and no other `π_∅`.
+/// and no other `π_∅`, and every selection in it folds exactly.
 fn recognize(core: &AlgExpr, registry: &PredicateRegistry) -> Option<PairQuery> {
     let AlgExpr::Project(input, keep) = core else {
         return None;
@@ -121,14 +188,33 @@ fn recognize(core: &AlgExpr, registry: &PredicateRegistry) -> Option<PairQuery> 
     if !keep.is_empty() || !matches!(**input, AlgExpr::Select { .. }) {
         return None;
     }
-    if walk(input, registry, &mut st).is_none() || st.scans.len() != 2 {
+    if walk(input, registry, &mut st).is_none() || st.scans.len() != 2 || st.loose {
         return None;
     }
+    fold(&st, st.exact)
+}
+
+/// Fold `chain`, a `σ` over a join of two token scans, into the pair
+/// query its declared gap bounds imply, exact or not: every row of the
+/// chain lies at a node the query admits. `None` when it declares none.
+fn implied(chain: &AlgExpr, registry: &PredicateRegistry) -> Option<PairQuery> {
+    let mut st = Gathered::default();
+    if !matches!(chain, AlgExpr::Select { .. })
+        || walk(chain, registry, &mut st).is_none()
+        || st.scans.len() != 2
+    {
+        return None;
+    }
+    fold(&st, st.implied)
+}
+
+/// The [`PairQuery`] of two gathered scans within `bound`.
+fn fold(st: &Gathered<'_>, bound: Option<u32>) -> Option<PairQuery> {
     // A direction alone (`ordered` without a distance/window) is an
     // unbounded forward search, which the windowed pair index cannot
     // answer; a bound of 0 has no forward witness either (and for equal
     // tokens is satisfied by a shared binding the index cannot see).
-    let bound = st.bound.filter(|&b| b >= 1)?;
+    let bound = bound.filter(|&b| b >= 1)?;
     match st.direction {
         Some((s0, s1)) => Some(PairQuery {
             first: st.scans[s0].to_string(),
@@ -150,7 +236,10 @@ fn recognize(core: &AlgExpr, registry: &PredicateRegistry) -> Option<PairQuery> 
 }
 
 /// Walk one plan node, returning the scan index feeding each output
-/// column (`None` = shape outside the pair fragment).
+/// column (`None` = shape outside the pair fragment). A selection folds
+/// through the gap bound its predicate declares
+/// ([`ftsl_predicates::Predicate::gap_bound`]); `ordered` pins the
+/// direction.
 fn walk<'p>(
     node: &'p AlgExpr,
     registry: &PredicateRegistry,
@@ -180,30 +269,32 @@ fn walk<'p>(
             consts,
         } => {
             let cols = walk(input, registry, st)?;
-            if args.len() != 2 {
-                return None; // n-ary window over 3+ variables, etc.
-            }
-            let sa = cols.get(*args.first()?).copied()?;
-            let sb = cols.get(*args.get(1)?).copied()?;
-            if sa == sb {
-                return None; // predicate over a single variable
-            }
-            let bound = match (registry.get(*pred).name(), consts.first()) {
-                ("ordered", _) if st.direction.is_none_or(|d| d == (sa, sb)) => {
-                    st.direction = Some((sa, sb));
-                    return Some(cols);
-                }
-                // `distance(p1, p2, d)`: at most `d` intervening tokens,
-                // i.e. offset gap ≤ d + 1 in either direction.
-                ("distance", Some(&d)) if d >= 0 => d.saturating_add(1),
-                // `window(p1, p2, w)`: max − min offset ≤ w.
-                ("window", Some(&w)) if w >= 1 => w,
-                // Contradictory directions (provably empty, but rare enough
-                // that the ordinary path can say so), samepos/samepara/…
-                _ => return None,
+            let scans = match args[..] {
+                [x, y] => cols.get(x).copied().zip(cols.get(y).copied()),
+                _ => None, // n-ary window over 3+ variables, etc.
             };
-            let bound = u32::try_from(bound).unwrap_or(u32::MAX);
-            st.bound = Some(st.bound.map_or(bound, |b| b.min(bound)));
+            let pred = registry.get(*pred);
+            match scans.filter(|(sa, sb)| sa != sb) {
+                Some(dir) if pred.name() == "ordered" => {
+                    // Contradictory directions are provably empty, but rare
+                    // enough that the ordinary path can say so.
+                    st.loose |= st.direction.is_some_and(|d| d != dir);
+                    st.direction.get_or_insert(dir);
+                }
+                Some(_) => match pred.gap_bound(consts) {
+                    Some(GapBound { max, exact }) => {
+                        st.implied = Some(st.implied.map_or(max, |b| b.min(max)));
+                        if exact {
+                            st.exact = Some(st.exact.map_or(max, |b| b.min(max)));
+                        }
+                        st.loose |= !exact;
+                    }
+                    // samepara, not_distance, …
+                    None => st.loose = true,
+                },
+                // A predicate over a single variable.
+                None => st.loose = true,
+            }
             Some(cols)
         }
         // `HasPos`, unions, and `NOT` filters (a join with a difference).
@@ -224,6 +315,36 @@ pub(crate) enum Resolved<'a> {
     /// window, or a token below the df cutoff): position intersection must
     /// answer, over these token ids when both exist.
     NotCovered(Option<(TokenId, TokenId)>),
+}
+
+/// The path a proximity core took on one segment, as its span notes it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum PairPath {
+    /// Its pair lists were walked.
+    Walked,
+    /// The index covers both tokens and holds no key: no node can match.
+    Empty,
+    /// Outside the pair index: the positions answered.
+    NotCovered,
+}
+
+impl PairPath {
+    /// The path a [`resolve`]d core takes.
+    pub(crate) fn of(resolved: &Resolved<'_>) -> Self {
+        match resolved {
+            Resolved::Covered([None, None]) => PairPath::Empty,
+            Resolved::Covered(_) => PairPath::Walked,
+            Resolved::NotCovered(_) => PairPath::NotCovered,
+        }
+    }
+
+    pub(crate) fn describe(self) -> &'static str {
+        match self {
+            PairPath::Walked => "word-pair list walk",
+            PairPath::Empty => "provably empty",
+            PairPath::NotCovered => "not covered — position-intersection fallback",
+        }
+    }
 }
 
 /// Resolve `q` against one segment's vocabulary and pair index.
@@ -275,7 +396,7 @@ pub(crate) struct MinGapWalk<'a> {
 }
 
 impl<'a> MinGapWalk<'a> {
-    fn new(lists: [Option<PairList<'a>>; 2], bound: u32) -> Self {
+    pub(crate) fn new(lists: [Option<PairList<'a>>; 2], bound: u32) -> Self {
         MinGapWalk {
             bound,
             cursors: lists.map(|list| list.map(PairList::cursor)),
@@ -347,6 +468,17 @@ impl FtCursor for MinGapWalk<'_> {
     }
 }
 
+/// COMP's evaluator leapfrogs the walk beside a gap core's subtree.
+impl ftsl_algebra::NodeFilter for MinGapWalk<'_> {
+    fn seek_node(&mut self, target: NodeId) -> Option<NodeId> {
+        FtCursor::seek_node(self, target)
+    }
+
+    fn counters(&self) -> AccessCounters {
+        FtCursor::counters(self)
+    }
+}
+
 /// Advance to the next entry with gap within the query bound, skipping
 /// whole blocks whose `min_gap` header proves every entry either exceeds
 /// the bound or cannot pass `admits`. Skipping on an evolving top-k
@@ -393,16 +525,17 @@ pub(crate) fn leaf<'a>(
 /// The `pair path: …` note of a span, read off the work it did: a plan's
 /// engine span (`holds_core`: the plan holds a closed proximity core) or
 /// a proximity top-k's segment span (always a core).
-pub(crate) fn path_note(holds_core: bool, counters: &AccessCounters) -> &'static str {
-    if !holds_core {
-        "pair path: shape not recognized — streaming cursor evaluation"
+pub(crate) fn path_note(holds_core: bool, counters: &AccessCounters) -> String {
+    let path = if !holds_core {
+        "shape not recognized — streaming cursor evaluation"
     } else if counters.pair_entries > 0 {
-        "pair path: word-pair list walk"
+        PairPath::Walked.describe()
     } else if counters.positions > 0 || counters.positions_decoded > 0 {
-        "pair path: not covered — position-intersection fallback"
+        PairPath::NotCovered.describe()
     } else {
-        "no candidates"
-    }
+        return "no candidates".to_string();
+    };
+    format!("pair path: {path}")
 }
 
 /// Upper bound on the [`closeness`] score any document of a segment can

@@ -17,6 +17,12 @@
 //! thesaurus-style `OR`, beside a token, under `NOT`, in a union of two
 //! cores, and beside a negative predicate under NPRED.
 //!
+//! COMP's gap cores are held to the same oracle: `exact_gap(p1,p2,g)`
+//! implies `distance(p1,p2,g)`, so forced COMP evaluates the selection only
+//! at the nodes the pair walk admits — alone, beside a third scan, in an
+//! `OR` branch, under `NOT`, past the window, over a token below the df
+//! cutoff, and over one token twice — and must answer as without pairs.
+//!
 //! NEAR top-k with `k` at least the live documents is the same question
 //! ranked: its node set must be the PPRED answer of the matching `window`
 //! query, each scored by the closeness of its brute-force minimum gap.
@@ -48,10 +54,14 @@ fn token(i: usize) -> String {
 /// `0..1024` squared down so low token indices dominate — index 0 appears
 /// ~25× as often as index 11.
 fn arb_corpus(max_docs: usize) -> impl Strategy<Value = Corpus> {
+    arb_texts(max_docs).prop_map(|texts| Corpus::from_texts(&texts))
+}
+
+/// The texts of [`arb_corpus`].
+fn arb_texts(max_docs: usize) -> impl Strategy<Value = Vec<String>> {
     proptest::collection::vec(proptest::collection::vec(0u32..1024, 0..30), 1..max_docs).prop_map(
         |docs| {
-            let texts: Vec<String> = docs
-                .into_iter()
+            docs.into_iter()
                 .map(|draws| {
                     let mut text = String::new();
                     for d in draws {
@@ -62,8 +72,7 @@ fn arb_corpus(max_docs: usize) -> impl Strategy<Value = Corpus> {
                     }
                     text
                 })
-                .collect();
-            Corpus::from_texts(&texts)
+                .collect()
         },
     )
 }
@@ -255,6 +264,60 @@ fn render_compound(
     (query, engine)
 }
 
+/// Where COMP's `exact_gap` core sits, and what it is over.
+#[derive(Clone, Copy, Debug)]
+enum GapArm {
+    /// The core is the whole query.
+    Alone,
+    /// A third scan joins the two, so the core is one join side.
+    BesideScan,
+    /// `core OR 'c'`: the core one union branch.
+    OrBranch,
+    /// `'c' AND NOT core`: the core the right of a difference.
+    UnderNot,
+    /// A gap past every window: no segment covers the core.
+    PastWindow,
+    /// One token is [`RARE`], in one document: below the df cutoff.
+    Rare,
+    /// Both scans on one token.
+    SameToken,
+}
+
+/// A token planted in exactly one document of a COMP corpus.
+const RARE: &str = "rare";
+
+fn arb_gap_arm() -> impl Strategy<Value = GapArm> {
+    prop_oneof![
+        Just(GapArm::Alone),
+        Just(GapArm::BesideScan),
+        Just(GapArm::OrBranch),
+        Just(GapArm::UnderNot),
+        Just(GapArm::PastWindow),
+        Just(GapArm::Rare),
+        Just(GapArm::SameToken),
+    ]
+}
+
+/// The COMP query of `arm` over `exact_gap(p1,p2,g)`, `c` the third token
+/// it names.
+fn render_gap(a: &str, b: &str, c: &str, g: u32, arm: GapArm) -> String {
+    let core = |a: &str, b: &str, g: u32| {
+        format!("SOME p1 SOME p2 (p1 HAS '{a}' AND p2 HAS '{b}' AND exact_gap(p1,p2,{g}))")
+    };
+    match arm {
+        GapArm::Alone => core(a, b, g),
+        GapArm::BesideScan => format!(
+            "SOME p1 SOME p2 SOME p3 (p1 HAS '{a}' AND p2 HAS '{b}' AND p3 HAS '{c}' \
+             AND exact_gap(p1,p2,{g}))"
+        ),
+        GapArm::OrBranch => format!("{} OR '{c}'", core(a, b, g)),
+        GapArm::UnderNot => format!("'{c}' AND NOT {}", core(a, b, g)),
+        GapArm::PastWindow => core(a, b, g + 16),
+        GapArm::Rare => core(RARE, a, g),
+        GapArm::SameToken => core(a, a, g),
+    }
+}
+
 /// The smallest gap between an occurrence of `a` and a later one of `b`
 /// in each document (either order unless `directed`), by brute force over
 /// every occurrence pair; `None` when no such pair exists.
@@ -340,10 +403,37 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(prop_cases(24)))]
+
+    /// Forced COMP over an `exact_gap` core, wherever it sits, on every
+    /// configuration: the pair walk that filters the core's subtree
+    /// removes no answer. The first document holds [`RARE`] once, beside
+    /// `t0`.
+    #[test]
+    fn comp_gap_cores_are_bit_identical_to_intersection_oracle(
+        mut texts in arb_texts(60),
+        a in 0..VOCAB,
+        b in 0..VOCAB,
+        c in 0..VOCAB,
+        g in 0u32..6,
+        arm in arb_gap_arm(),
+    ) {
+        texts[0].insert_str(0, &format!("{} {RARE} ", token(0)));
+        let corpus = Corpus::from_texts(&texts);
+        let query = render_gap(&token(a), &token(b), &token(c), g, arm);
+        assert_pair_matches_oracle(&corpus, &query, EngineKind::Comp, "COMP gap core")?;
+    }
+}
+
 // ── deterministic edge cases ─────────────────────────────────────────────
 
 fn check(corpus: &Corpus, query: &str, ctx: &str) {
-    assert_pair_matches_oracle(corpus, query, EngineKind::Ppred, ctx).unwrap();
+    check_with(corpus, query, EngineKind::Ppred, ctx);
+}
+
+fn check_with(corpus: &Corpus, query: &str, engine: EngineKind, ctx: &str) {
+    assert_pair_matches_oracle(corpus, query, engine, ctx).unwrap();
 }
 
 /// A "phrase" whose two slots bind the same token: `a a`. Directed
@@ -466,4 +556,33 @@ fn pair_list_straddles_block_boundary() {
     assert_eq!(out.nodes.len(), 150);
     assert!(out.counters.pair_entries > 0, "pair path engaged");
     assert_eq!(out.counters.positions_decoded, 0, "no positions touched");
+}
+
+/// The walk engages on COMP: an `exact_gap` core over two covered tokens
+/// reads pair entries and materializes fewer tuples than without pairs,
+/// for the same answer. 300 documents hold `a` and `b` apart by one or two
+/// tokens, or reversed.
+#[test]
+fn comp_gap_core_reads_the_pair_lists() {
+    let texts: Vec<String> = (0..300)
+        .map(|i| match i % 3 {
+            0 => "a b x".to_string(),
+            1 => "a x b".to_string(),
+            _ => "b x x a".to_string(),
+        })
+        .collect();
+    let corpus = Corpus::from_texts(&texts);
+    let query = render_gap("a", "b", "x", 1, GapArm::Alone);
+    check_with(&corpus, &query, EngineKind::Comp, "300-doc exact_gap");
+    let reg = PredicateRegistry::with_builtins();
+    let run = |config| {
+        let snapshot = sealed(&corpus, config);
+        let exec = SnapshotExecutor::new(&snapshot, &reg);
+        exec.run_str(&query, EngineKind::Comp).expect("runs")
+    };
+    let (paired, pairless) = (run(PairConfig::default()), run(PairConfig::disabled()));
+    // Gap 2 either way: `a x b`, and `b x x a` is 3 apart.
+    assert_eq!(paired.nodes.len(), 100);
+    assert!(paired.counters.pair_entries > 0, "pair filter engaged");
+    assert!(paired.counters.tuples < pairless.counters.tuples);
 }

@@ -35,6 +35,19 @@ const fn prefix_bytes(value_columns: usize) -> usize {
     4 + 1 + value_columns
 }
 
+/// Bytes of a `count`-entry block whose frames are `widths` wide, the id
+/// column's first: what [`pack_by`] writes for it.
+pub(crate) fn block_bytes(widths: &[u8], count: usize) -> usize {
+    let frames = widths.iter().map(|&w| bitpack::packed_bytes(w, count));
+    prefix_bytes(widths.len() - 1) + frames.sum::<usize>()
+}
+
+/// The frame widths, the id column's first, in the prefix of the block at
+/// `data[at..]`, which has `value_columns` value columns.
+pub(crate) fn widths_at(data: &[u8], at: usize, value_columns: usize) -> &[u8] {
+    &data[at + 4..at + prefix_bytes(value_columns)]
+}
+
 /// The base id at the front of the prefix at `data[at..]`.
 fn base_at(data: &[u8], at: usize) -> u32 {
     u32::from_le_bytes([data[at], data[at + 1], data[at + 2], data[at + 3]])

@@ -64,9 +64,16 @@ const SEGMENT_MIN_BYTES: usize = 8 + 4 * 4;
 
 /// Serialize a live index to a v8 manifest buffer. The write buffer is
 /// flushed first, so the image covers every document added so far.
+/// The image is sized first, so its buffer is reserved once and handed
+/// back full.
 pub fn encode(live: &LiveIndex) -> Vec<u8> {
     let parts = live.sealed_parts();
-    let mut buf = Vec::new();
+    let segments = parts.sealed.iter().map(segment_len).sum::<usize>();
+    let names = parts.vocabulary.iter().map(|(_, name)| 4 + name.len());
+    // Header, next global id, next segment id, the segments, then the
+    // vocabulary.
+    let len = 8 + 4 + 8 + 4 + segments + 4 + names.sum::<usize>();
+    let mut buf = Vec::with_capacity(len);
     put_header(&mut buf, VERSION);
     put_u32(&mut buf, parts.next_global);
     put_u64(&mut buf, parts.next_segment_id);
@@ -78,12 +85,28 @@ pub fn encode(live: &LiveIndex) -> Vec<u8> {
     for (_, name) in parts.vocabulary.iter() {
         put_str(&mut buf, name);
     }
+    debug_assert_eq!(buf.len(), buf.capacity(), "the image was sized exactly");
     buf
 }
 
 fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u32(buf, s.len() as u32);
     buf.extend_from_slice(s.as_bytes());
+}
+
+/// Bytes of the record [`encode_segment`] writes for `entry`.
+fn segment_len(entry: &SnapshotSegment) -> usize {
+    let data = &entry.data;
+    let docs = data.corpus().documents().iter();
+    let docs = docs.map(|doc| 4 + doc.label.len() + 4 + 16 * doc.tokens.len());
+    8 + 4
+        + 4 * data.globals().len()
+        + 4
+        + 8 * entry.deletes.words().len()
+        + 4
+        + docs.sum::<usize>()
+        + 4
+        + persist::encoded_len(data.index())
 }
 
 /// Write one segment; its index image goes straight into `buf`, behind a

@@ -284,6 +284,21 @@ impl<'a> PairList<'a> {
             .unwrap_or(u32::MAX)
     }
 
+    /// Bytes of the packed stream of the list's persisted record: each
+    /// block as [`pack_block`] writes it, a block of one entry included.
+    /// Read off the headers and the frame widths of the arena's blocks.
+    pub(crate) fn stored_bytes(self) -> usize {
+        let mut start = 0;
+        let blocks = self.blocks.as_slice().iter().map(|b| {
+            let count = (b.end - std::mem::replace(&mut start, b.end)) as usize;
+            match b.header_only(count) {
+                Some(gap) => frame::block_bytes(&[0, width_for(gap - PairBlock::BIASES[0])], 1),
+                None => frame::block_bytes(frame::widths_at(self.data, b.byte_start(), 1), count),
+            }
+        });
+        blocks.sum()
+    }
+
     /// Open a seeking, block-at-a-time cursor.
     #[inline]
     pub fn cursor(self) -> PairCursor<'a> {

@@ -124,10 +124,39 @@ impl std::error::Error for PersistError {}
 /// Serialize an index to a byte buffer (format v7: bit-packed
 /// frame-of-reference blocks with per-block skip/impact headers, followed
 /// by the optional-section table).
+/// The image is sized first ([`encoded_len`]), so its buffer is reserved
+/// once and handed back full.
 pub fn encode(index: &InvertedIndex) -> Vec<u8> {
-    let mut buf = Vec::new();
+    let mut buf = Vec::with_capacity(encoded_len(index));
     encode_into(&mut buf, index);
+    debug_assert_eq!(buf.len(), buf.capacity(), "the image was sized exactly");
     buf
+}
+
+/// Bytes of `index`'s image, as [`encode_into`] writes it: each list
+/// record follows from the arena's list, and each pair record from its
+/// block count and packed stream.
+pub(crate) fn encoded_len(index: &InvertedIndex) -> usize {
+    let lists = (0..=index.num_tokens()).map(|i| {
+        let list = index.lists.list(i);
+        LIST_MIN_BYTES + list.num_blocks() * BLOCK_META_BYTES + list.data_bytes()
+    });
+    // Header, stats, the list count, the lists, then the section table.
+    8 + 5 * 8 + 4 + lists.sum::<usize>() + sections_len(index.pairs())
+}
+
+/// Bytes of the optional-section table [`encode_sections`] writes.
+fn sections_len(pairs: &PairIndex) -> usize {
+    if pairs.config().window == 0 {
+        return 4;
+    }
+    let (_, frequent) = pairs.coverage();
+    let keys = pairs.iter().map(|(_, _, list)| {
+        PAIR_KEY_MIN_BYTES + list.num_blocks() * BLOCK_META_BYTES + list.stored_bytes()
+    });
+    // The table's count, the section's id and length, then its payload:
+    // window, cutoff, vocabulary, bitmap, key count and keys.
+    4 + 2 * 4 + 3 * 4 + frequent.len() + 4 + keys.sum::<usize>()
 }
 
 /// Append `index`'s image to `buf`.

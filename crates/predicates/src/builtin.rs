@@ -15,12 +15,20 @@
 //! satisfies the negative-predicate definition; the non-strict complement of
 //! `ordered` is expressible as `not_ordered(p1,p2) OR samepos(p1,p2)`.
 
-use crate::{Advance, AdvanceMode, PredKind, Predicate};
+use crate::{Advance, AdvanceMode, GapBound, PredKind, Predicate};
 use ftsl_model::Position;
 use std::sync::Arc;
 
 fn offsets2(positions: &[Position]) -> (u32, u32) {
     (positions[0].offset, positions[1].offset)
+}
+
+/// The gap bound `max`, when it is at least 1: clamped to `u32`.
+fn gap_bound(max: i64, exact: bool) -> Option<GapBound> {
+    (max >= 1).then(|| GapBound {
+        max: u32::try_from(max).unwrap_or(u32::MAX),
+        exact,
+    })
 }
 
 /// Index of the smaller-offset argument among two.
@@ -47,6 +55,10 @@ impl Predicate for DistancePred {
     }
     fn eval(&self, positions: &[Position], consts: &[i64]) -> bool {
         i64::from(positions[0].intervening(&positions[1])) <= consts[0]
+    }
+    /// At most `d` intervening tokens: an offset gap of at most `d + 1`.
+    fn gap_bound(&self, consts: &[i64]) -> Option<GapBound> {
+        gap_bound(consts[0].saturating_add(1), true)
     }
     fn positive_advance(
         &self,
@@ -215,6 +227,11 @@ impl Predicate for WindowPred {
         let min = positions.iter().map(|p| p.offset).min().unwrap();
         let max = positions.iter().map(|p| p.offset).max().unwrap();
         i64::from(max - min) <= consts[0]
+    }
+    /// Two positions within a window of `w`: an offset gap of at most `w`.
+    /// A wider window bounds no pair.
+    fn gap_bound(&self, consts: &[i64]) -> Option<GapBound> {
+        gap_bound(consts[0], true).filter(|_| self.arity == 2)
     }
     fn positive_advance(
         &self,
@@ -484,6 +501,11 @@ impl Predicate for ExactGapPred {
     fn eval(&self, positions: &[Position], consts: &[i64]) -> bool {
         i64::from(positions[0].intervening(&positions[1])) == consts[0]
             && positions[0].offset != positions[1].offset
+    }
+    /// Exactly `g` intervening tokens: an offset gap of exactly `g + 1`,
+    /// so at most `g + 1` — implied, not exact.
+    fn gap_bound(&self, consts: &[i64]) -> Option<GapBound> {
+        gap_bound(consts[0].saturating_add(1), false)
     }
 }
 

@@ -12,7 +12,10 @@
 //!   `window`, `samepos` (positive); `not_distance`, `not_ordered`,
 //!   `not_samepara`, `not_samesent`, `diffpos` (negative); and `exact_gap`
 //!   (neither — exercising the COMP-only path);
-//! * brute-force checkers of the two definitions used by property tests.
+//! * the gap bound a predicate may declare ([`GapBound`]), which lets the
+//!   word-pair index filter the documents it is evaluated at;
+//! * brute-force checkers of the two definitions, and of a declared gap
+//!   bound, used by property tests.
 
 pub mod builtin;
 pub mod property;
@@ -59,6 +62,20 @@ pub struct Advance {
     pub min_offset: u32,
 }
 
+/// The offset gap a two-argument predicate confines its arguments to, in
+/// either order: every satisfying pair `(p1, p2)` has
+/// `|p1.offset − p2.offset| ≤ max` ([`Predicate::gap_bound`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GapBound {
+    /// Largest offset gap of a satisfying pair.
+    pub max: u32,
+    /// True when the bound is the whole predicate: every pair of distinct
+    /// positions within `max` of each other satisfies it, in both argument
+    /// orders. A direction comes only from `ordered`. False when the bound
+    /// is merely implied (`exact_gap` satisfies one gap of the range).
+    pub exact: bool,
+}
+
 /// A position-based predicate `pred(p1..pm, c1..cr)`.
 pub trait Predicate: fmt::Debug + Send + Sync {
     /// Surface-syntax name (as written in COMP queries).
@@ -89,6 +106,18 @@ pub trait Predicate: fmt::Debug + Send + Sync {
         mode: AdvanceMode,
     ) -> Option<Advance> {
         let _ = (positions, consts, mode);
+        None
+    }
+
+    /// The gap bound a two-argument predicate declares for `consts`, or
+    /// `None` when it bounds no gap (the default). The word-pair index
+    /// answers *is there an occurrence pair within `max`?* per document, so
+    /// a declared bound lets an executor skip every document the pair
+    /// lists rule out: an exact bound replaces the predicate, an implied
+    /// one only filters the documents it is evaluated at. A declaration
+    /// must be sound ([`property::check_gap_bound`]).
+    fn gap_bound(&self, consts: &[i64]) -> Option<GapBound> {
+        let _ = consts;
         None
     }
 
@@ -136,5 +165,6 @@ mod tests {
         let d = Dummy;
         assert_eq!(d.positive_advance(&[], &[], AdvanceMode::Aggressive), None);
         assert_eq!(d.negative_advance(&[], &[], 0), None);
+        assert_eq!(d.gap_bound(&[]), None);
     }
 }

@@ -1,9 +1,11 @@
-//! Brute-force checkers of the positive- and negative-predicate definitions.
+//! Brute-force checkers of the positive- and negative-predicate definitions,
+//! and of the gap bound a predicate declares.
 //!
 //! These enumerate small position universes and verify the *semantic*
 //! properties that the streaming engines rely on. They are deliberately
 //! exponential — they exist so property tests can certify each built-in's
-//! [`crate::PredKind`] claim and each advance function's soundness.
+//! [`crate::PredKind`] claim, each advance function's soundness and each
+//! [`crate::GapBound`] declaration.
 
 use crate::{AdvanceMode, Predicate};
 use ftsl_model::Position;
@@ -142,6 +144,38 @@ fn find_bounded_solution(
     }
 }
 
+/// A declared [`crate::GapBound`] must be (a) *sound*: every satisfying
+/// pair of `universe` is at most `max` offsets apart, since the word-pair
+/// index filters on exactly that; and, when declared exact, (b) *tight*:
+/// every pair of distinct positions at most `max` apart satisfies the
+/// predicate in both argument orders, since an exact bound replaces it.
+/// Only a two-argument predicate may declare a bound. Returns the first
+/// violating pair (empty for a declaration of another arity), if any.
+pub fn check_gap_bound(
+    pred: &dyn Predicate,
+    universe: &[Position],
+    consts: &[i64],
+) -> Option<Vec<Position>> {
+    let bound = pred.gap_bound(consts)?;
+    if pred.arity() != 2 {
+        return Some(Vec::new());
+    }
+    for &x in universe {
+        for &y in universe {
+            let gap = x.offset.abs_diff(y.offset);
+            let holds = pred.eval(&[x, y], consts);
+            let unsound = holds && gap > bound.max;
+            let loose = bound.exact
+                && (1..=bound.max).contains(&gap)
+                && !(holds && pred.eval(&[y, x], consts));
+            if unsound || loose {
+                return Some(vec![x, y]);
+            }
+        }
+    }
+    None
+}
+
 /// Odometer-style tuple enumeration; returns false when wrapped around.
 fn next_tuple(tuple: &mut [usize], base: usize) -> bool {
     for slot in tuple.iter_mut() {
@@ -214,6 +248,79 @@ mod tests {
         let u = universe();
         let witness = check_positive_advance_sound(&DiffPosPred, &u, &[], AdvanceMode::Aggressive);
         assert!(witness.is_some());
+    }
+
+    /// Every built-in's declaration, over every pair of a contiguous
+    /// universe and constants on both sides of each bound's edge cases.
+    #[test]
+    fn declared_gap_bounds_are_sound_and_exact_ones_tight() {
+        // Offsets 0..14, two sentences a paragraph.
+        let u: Vec<Position> = (0u32..14).map(|o| Position::new(o, o / 3, o / 6)).collect();
+        let mut preds = builtins();
+        preds.push(std::sync::Arc::new(WindowPred::new(3)));
+        for pred in &preds {
+            let consts: Vec<Vec<i64>> = match pred.num_consts() {
+                0 => vec![vec![]],
+                _ => (-2..=15).map(|c| vec![c]).collect(),
+            };
+            for c in &consts {
+                assert_eq!(
+                    check_gap_bound(pred.as_ref(), &u, c),
+                    None,
+                    "{}{c:?}",
+                    pred.name()
+                );
+            }
+        }
+        let bound = |pred: &dyn Predicate, c: i64| pred.gap_bound(&[c]).map(|b| (b.max, b.exact));
+        assert_eq!(bound(&DistancePred, 3), Some((4, true)));
+        assert_eq!(bound(&DistancePred, -1), None);
+        assert_eq!(bound(&WindowPred::new(2), 3), Some((3, true)));
+        assert_eq!(bound(&WindowPred::new(2), 0), None);
+        assert_eq!(bound(&WindowPred::new(3), 3), None);
+        assert_eq!(bound(&ExactGapPred, 3), Some((4, false)));
+        assert_eq!(bound(&NotDistancePred, 3), None);
+        assert_eq!(OrderedPred.gap_bound(&[]), None);
+    }
+
+    /// `distance` declaring one gap too few is unsound; `exact_gap`
+    /// declaring its bound exact is loose.
+    #[test]
+    fn wrong_gap_bounds_are_caught() {
+        #[derive(Debug)]
+        struct Declares(&'static dyn Predicate, i64, bool);
+        impl Predicate for Declares {
+            fn name(&self) -> &str {
+                self.0.name()
+            }
+            fn arity(&self) -> usize {
+                2
+            }
+            fn num_consts(&self) -> usize {
+                1
+            }
+            fn kind(&self) -> crate::PredKind {
+                self.0.kind()
+            }
+            fn eval(&self, positions: &[Position], consts: &[i64]) -> bool {
+                self.0.eval(positions, consts)
+            }
+            fn gap_bound(&self, consts: &[i64]) -> Option<crate::GapBound> {
+                Some(crate::GapBound {
+                    max: (consts[0] + self.1) as u32,
+                    exact: self.2,
+                })
+            }
+        }
+        let u: Vec<Position> = (0u32..8).map(Position::flat).collect();
+        let unsound = Declares(&DistancePred, 0, true);
+        assert!(check_gap_bound(&unsound, &u, &[3]).is_some());
+        let loose = Declares(&ExactGapPred, 1, true);
+        assert!(check_gap_bound(&loose, &u, &[3]).is_some());
+        assert_eq!(
+            check_gap_bound(&Declares(&ExactGapPred, 1, false), &u, &[3]),
+            None
+        );
     }
 
     #[test]

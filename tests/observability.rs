@@ -132,8 +132,10 @@ fn thesaurus_expanded_near_query_reads_pair_lists() {
 #[test]
 fn explain_analyze_reports_the_comp_node_walk() {
     let e = Ftsl::from_texts(&corpus());
-    // `exact_gap` is a general predicate, so the query runs on COMP; only
-    // the two documents holding both tokens are evaluated.
+    // `exact_gap` is a general predicate, so the query runs on COMP. It
+    // implies `distance(a,b,0)`, so the word-pair walk filters the join:
+    // of the two documents holding both tokens, only the one holding them
+    // adjacent is evaluated.
     let text = e
         .explain_analyze(
             "SOME a SOME b (a HAS 'kernel' AND b HAS 'scheduler' AND exact_gap(a,b,0))",
@@ -141,8 +143,16 @@ fn explain_analyze_reports_the_comp_node_walk() {
         .unwrap();
     assert!(text.contains("engine COMP"), "{text}");
     assert!(
-        text.contains("node-at-a-time: 2 nodes evaluated"),
+        text.contains("node-at-a-time: 1 nodes evaluated"),
         "the COMP span carries the node walk:\n{text}"
+    );
+    assert!(
+        text.contains("pair filter 'kernel' ↔ 'scheduler' within 1: word-pair list walk"),
+        "the COMP span carries the core's pair path:\n{text}"
+    );
+    assert!(
+        text.contains("select exact_gap([0, 1], [0])  · pair filter"),
+        "the algebra tree marks the filtered selection:\n{text}"
     );
     for part in ["skipped by seek", "tuples", "per node"] {
         assert!(text.contains(part), "missing {part:?} in:\n{text}");

@@ -5,9 +5,13 @@
 //! wrote. A change to how an index is built or held in memory must leave
 //! every hash untouched, and decoding an image must give back the same pair
 //! lists and the same resident pair bytes as the index that was encoded.
+//! Each encoder sizes its image before writing it, so the buffer it hands
+//! back holds the image and nothing more.
 
 use ftsl::corpus::SynthConfig;
-use ftsl::index::{manifest, persist, IndexBuilder, LiveConfig, LiveIndex, PairIndex, Snapshot};
+use ftsl::index::{
+    manifest, persist, IndexBuilder, LiveConfig, LiveIndex, PairConfig, PairIndex, Snapshot,
+};
 use ftsl::model::TokenId;
 
 /// FNV-1a (64-bit) of `bytes`.
@@ -151,6 +155,39 @@ fn a_small_live_manifest_is_pinned() {
     assert!(before.iter().all(|(lists, _)| !lists.is_empty()));
     assert_eq!(after, before);
     assert_eq!(manifest::encode(&decoded), image);
+}
+
+/// Both encoders reserve their image once, exactly: an index without
+/// pairs, with its default pairs, and with a window past a byte (keys of
+/// one document stored as lists); an empty index; and a manifest of three
+/// segments with tombstones.
+#[test]
+fn encoded_images_fill_their_buffers_exactly() {
+    let corpus = synth_config().build();
+    let wide = PairConfig {
+        window: 300,
+        df_cutoff: 2,
+    };
+    for config in [PairConfig::disabled(), PairConfig::default(), wide] {
+        let index = IndexBuilder::new().pair_config(config).build(&corpus);
+        let image = persist::encode(&index);
+        assert_eq!(image.capacity(), image.len(), "window {}", config.window);
+    }
+    let empty = persist::encode(&IndexBuilder::new().build(&ftsl::model::Corpus::new()));
+    assert_eq!(empty.capacity(), empty.len());
+    let live = LiveIndex::with_config(LiveConfig {
+        background_merge: false,
+        ..LiveConfig::default()
+    });
+    for round in 0..3u32 {
+        for i in 0..20u32 {
+            live.add_document(&round_text(round, i));
+        }
+        live.flush();
+    }
+    assert!(live.delete_node(ftsl::model::NodeId(7)));
+    let image = manifest::encode(&live);
+    assert_eq!(image.capacity(), image.len());
 }
 
 /// Document `i` of round `round`: twelve words over a 17-word vocabulary,
