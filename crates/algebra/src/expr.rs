@@ -115,16 +115,16 @@ impl AlgExpr {
     /// Render an operator-tree view (Figure 4 style), as `explain` prints
     /// every engine's plan.
     pub fn render_tree(&self, registry: &PredicateRegistry) -> String {
-        self.render_tree_with(registry, |_| None)
+        self.render_tree_with(registry, |_, _| None)
     }
 
     /// [`Self::render_tree`], each operator's line followed by the note
-    /// `note` gives its pre-order position (the root 0, an operator before
-    /// its inputs, left before right), if any.
+    /// `note` gives the operator and its pre-order position (the root 0, an
+    /// operator before its inputs, left before right), if any.
     pub fn render_tree_with(
         &self,
         registry: &PredicateRegistry,
-        mut note: impl FnMut(usize) -> Option<String>,
+        mut note: impl FnMut(usize, &AlgExpr) -> Option<String>,
     ) -> String {
         let mut out = String::new();
         self.render_into(registry, 0, &mut note, &mut 0, &mut out);
@@ -135,7 +135,7 @@ impl AlgExpr {
         &self,
         registry: &PredicateRegistry,
         depth: usize,
-        note: &mut dyn FnMut(usize) -> Option<String>,
+        note: &mut dyn FnMut(usize, &AlgExpr) -> Option<String>,
         at: &mut usize,
         out: &mut String,
     ) {
@@ -158,7 +158,7 @@ impl AlgExpr {
             AlgExpr::Difference(..) => write!(out, "{pad}difference"),
         }
         .unwrap();
-        if let Some(n) = note(*at) {
+        if let Some(n) = note(*at, self) {
             write!(out, "  · {n}").unwrap();
         }
         out.push('\n');

@@ -170,6 +170,43 @@ join
     }
 
     #[test]
+    fn explain_shows_the_ppred_plan_as_run() {
+        // The phrase core is exact and sits under its `π_∅`, so a segment
+        // whose pair index covers it replaces its subtree with the pair
+        // walk: its selection is marked. The `NOT` filter's core holds
+        // `samepara`, which no gap bound captures: it runs on positions,
+        // unmarked.
+        let e = engine();
+        let query = "SOME p1 SOME p2 (p1 HAS 'task' AND p2 HAS 'completion' \
+                     AND ordered(p1,p2) AND distance(p1,p2,0)) \
+                     AND NOT SOME p3 SOME p4 (p3 HAS 'software' AND p4 HAS 'usability' \
+                     AND samepara(p3,p4) AND distance(p3,p4,4))";
+        let text = e.explain(query).unwrap();
+        let plan = text.split_once("plan:\n").expect("a streaming plan").1;
+        assert_eq!(
+            plan,
+            "\
+join
+  project (CNode, [])
+    select distance([0, 1], [0])  · pair leaf 'task' → 'completion' within 1
+      select ordered([0, 1], [])
+        join
+          scan (\"task\")
+          scan (\"completion\")
+  difference
+    search_context
+    project (CNode, [])
+      select distance([0, 1], [4])
+        select samepara([0, 1], [])
+          join
+            scan (\"software\")
+            scan (\"usability\")
+"
+        );
+        assert!(e.explain_analyze(query).unwrap().contains(plan));
+    }
+
+    #[test]
     fn top_k_streams_bool_queries_and_truncates_the_rest() {
         let e = engine();
         // Flat disjunction: streaming path, counters reported, and the hits

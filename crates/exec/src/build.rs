@@ -1,8 +1,16 @@
 //! Build cursor trees from streaming plans.
+//!
+//! One walk per segment and ordering visits the plan in pre-order,
+//! counting positions as COMP's evaluator does (a closed `NOT`'s
+//! `Difference` and `SearchContext` included), so it finds the plan's pair
+//! cores ([`crate::pairscan`]) by the position the one core table lists
+//! them at. A `π_∅` whose input is an exact core becomes the pair walk
+//! when the segment's pair index covers it; every other node becomes its
+//! cursor.
 
 use crate::cursor::{ContextCursor, FtCursor, ScanCursor};
 use crate::join::JoinCursor;
-use crate::pairscan::{leaf, PairQuery};
+use crate::pairscan::{leaf_at, resolve, Core, MinGapWalk, PairPath, Resolved};
 use crate::plan::{as_filter, Plan};
 use crate::project::ProjectCursor;
 use crate::select::SelectCursor;
@@ -28,44 +36,56 @@ pub struct CursorCtx<'a> {
 /// Build the cursor tree of `plan` on one segment. `swaps` is the
 /// segment's join order ([`crate::plan::order_joins_by_selectivity`]);
 /// `arg_orders` is the evaluation thread's argument order for each
-/// negative selection, depth-first (empty for PPRED). A `π_∅` node that
-/// [`Plan::cores`] folds into a proximity core binds the pair walk when
-/// this segment's pair index covers it.
+/// negative selection, depth-first (empty for PPRED). A `π_∅` whose input
+/// is an exact pair core ([`Plan::cores`]) binds the pair walk when this
+/// segment's pair index covers the core; `paths`, when given, collects the
+/// path each such core takes, in plan order.
 ///
 /// # Panics
 ///
 /// If `plan` is not one [`crate::plan::build_plan`] built: a `∩` or `−`
-/// outside a `NOT` filter, or fewer swap decisions, core entries or
-/// argument orders than the tree needs.
-pub fn build_cursor<'a>(
+/// outside a `NOT` filter, or fewer swap decisions or argument orders
+/// than the tree needs.
+pub(crate) fn build_cursor<'a>(
     plan: &Plan,
     swaps: &[bool],
     ctx: &CursorCtx<'a>,
     arg_orders: &[Vec<usize>],
+    paths: Option<&mut Vec<PairPath>>,
 ) -> Box<dyn FtCursor + 'a> {
     let mut walk = Walk {
         ctx,
         swaps: swaps.iter(),
-        cores: plan.cores.iter(),
+        cores: &plan.cores,
+        at: 0,
+        paths,
         arg_orders: arg_orders.iter(),
     };
     walk.build(&plan.root).0
 }
 
-/// One depth-first walk of a plan, reading its join decisions, cores and
-/// negative selections' argument orders in the order the plan lists them.
+/// One pre-order walk of a plan, reading its join decisions and negative
+/// selections' argument orders in the order the plan lists them, and its
+/// cores by position.
 struct Walk<'w, 'a> {
     ctx: &'w CursorCtx<'a>,
     swaps: slice::Iter<'w, bool>,
-    cores: slice::Iter<'w, Option<PairQuery>>,
+    cores: &'w [Core],
+    /// The next node's pre-order position, as [`Core::at`] counts it.
+    at: usize,
+    paths: Option<&'w mut Vec<PairPath>>,
     arg_orders: slice::Iter<'w, Vec<usize>>,
 }
 
 impl<'a> Walk<'_, 'a> {
     /// The cursor for `node` and its arity.
     fn build(&mut self, node: &AlgExpr) -> (Box<dyn FtCursor + 'a>, usize) {
+        let at = self.at;
+        self.at += 1;
         if let Some((left, filter)) = as_filter(node) {
             let (left, arity) = self.build(left);
+            // The anti-join's `Difference` and its `SearchContext`.
+            self.at += 2;
             let (filter, _) = self.build(filter);
             return (Box::new(DiffCursor::new(left, filter)), arity);
         }
@@ -121,16 +141,23 @@ impl<'a> Walk<'_, 'a> {
                 (cursor, arity)
             }
             AlgExpr::Project(input, keep) => {
-                if keep.is_empty() {
-                    // A covered or provably empty core: the pair walk, in
-                    // place of the core's one join and its decision.
-                    let core = self.cores.next().expect("an entry per π_∅");
-                    if let Some(walk) = core.as_ref().and_then(|q| leaf(q, ctx.corpus, ctx.index)) {
-                        self.swaps.next();
-                        return (Box::new(walk), 0);
+                if let Some(core) = leaf_at(self.cores, node, at) {
+                    let resolved = resolve(&core.query, ctx.corpus, ctx.index);
+                    if let Some(paths) = self.paths.as_deref_mut() {
+                        paths.push(PairPath::of(&resolved));
                     }
-                    // `π_∅` of a scan: the list's nodes, as one cursor.
+                    // A covered or provably empty core: the pair walk, in
+                    // place of the core's subtree and its one join decision.
+                    if let Resolved::Covered(lists) = resolved {
+                        self.swaps.next();
+                        self.at += input.size();
+                        return (Box::new(MinGapWalk::new(lists, core.query.bound)), 0);
+                    }
+                }
+                // `π_∅` of a scan: the list's nodes, as one cursor.
+                if keep.is_empty() {
                     if let Some(list) = self.list(input) {
+                        self.at += 1;
                         return (Box::new(ScanCursor::nodes(list)), 0);
                     }
                 }
@@ -197,7 +224,7 @@ mod tests {
             mode: AdvanceMode::Aggressive,
         };
         let swaps = order_joins_by_selectivity(&plan.root, &corpus, &index);
-        let mut cursor = build_cursor(&plan, &swaps, &ctx, &[]);
+        let mut cursor = build_cursor(&plan, &swaps, &ctx, &[], None);
         let mut nodes = Vec::new();
         while let Some(n) = cursor.advance_node() {
             nodes.push(n.0);

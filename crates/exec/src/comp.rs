@@ -1,19 +1,20 @@
 //! The COMP engine (Section 5.4): translate to the algebra and evaluate it
 //! one context node at a time.
 //!
-//! A gap-bounding selection over two token scans — `exact_gap(p1,p2,g)`
-//! implies `distance(p1,p2,g)` — has rows only at nodes that hold an
-//! occurrence pair within the bound, which the word-pair lists list
-//! without decoding a position. So prepare lists the plan's gap cores once
-//! ([`pairscan::gap_cores`]), and each segment resolves every core
-//! ([`pairscan::resolve`]): a covered one filters its subtree with the pair
+//! A pair core — a gap-bounding `σ` chain over two token scans, exact or
+//! only implied (`exact_gap(p1,p2,g)` implies `distance(p1,p2,g)`) — has
+//! rows only at nodes that hold an occurrence pair within the bound, which
+//! the word-pair lists list without decoding a position. So prepare lists
+//! the plan's cores once, in the one table the streaming engines read too
+//! (`pairscan::cores`), and each segment resolves every core
+//! (`pairscan::resolve`): a covered one filters its subtree with the pair
 //! walk, which the evaluator leapfrogs beside it
 //! ([`ftsl_algebra::NodeGate`]), so no other node is evaluated; a provably
 //! empty one lands the subtree on no node; an uncovered one runs as
 //! translated. The filter removes no row, so the answer never changes.
 
 use crate::error::ExecError;
-use crate::pairscan::{self, MinGapWalk, PairPath, PairQuery, Resolved};
+use crate::pairscan::{self, Core, MinGapWalk, PairPath, Resolved};
 use ftsl_algebra::rewrite::push_down;
 use ftsl_algebra::{AlgExpr, AlgebraEvaluator, NodeGate, NodeStats};
 use ftsl_index::{AccessCounters, InvertedIndex};
@@ -22,7 +23,7 @@ use ftsl_predicates::PredicateRegistry;
 
 /// The COMP engine's shape half, compiled once per query: the algebra
 /// translation with `σ` and `π` already pushed below `⋈`
-/// ([`ftsl_algebra::rewrite::push_down`]) and its gap cores; the prepared
+/// ([`ftsl_algebra::rewrite::push_down`]) and its pair cores; the prepared
 /// query keeps the translation itself beside it. [`Self::bind`] evaluates
 /// it on one segment, one context node at a time. Complete; a predicate
 /// over one join's columns filters that join, and a side no later operator
@@ -33,13 +34,12 @@ use ftsl_predicates::PredicateRegistry;
 #[derive(Clone, Debug)]
 pub(crate) struct CompPlan {
     pub(crate) plan: AlgExpr,
-    /// Each gap core's pre-order position in `plan` and the pair query its
-    /// declared bounds imply, ascending.
-    cores: Vec<(usize, PairQuery)>,
+    /// The pair cores of `plan`, each a filter, exact or not.
+    pub(crate) cores: Vec<Core>,
 }
 
 /// What one segment's COMP evaluation did: its matches (local ids,
-/// ascending), its counters and node walk, and, traced, the path each gap
+/// ascending), its counters and node walk, and, traced, the path each
 /// core took.
 pub(crate) struct CompRun {
     pub(crate) nodes: Vec<NodeId>,
@@ -50,31 +50,23 @@ pub(crate) struct CompRun {
 
 impl CompPlan {
     /// Push the selections and projections of `translated`, a query's
-    /// algebra translation, down, and list the result's gap cores.
+    /// algebra translation, down, and list the result's pair cores.
     pub(crate) fn prepare(translated: &AlgExpr, registry: &PredicateRegistry) -> Self {
         let plan = push_down(translated, registry);
-        let cores = pairscan::gap_cores(&plan, registry);
+        let cores = pairscan::cores(&plan, registry);
         CompPlan { plan, cores }
     }
 
-    /// The plan as `EXPLAIN` prints it, each gap core's `σ` marked with
-    /// the pair filter it may run under.
-    pub(crate) fn render_tree(&self, registry: &PredicateRegistry) -> String {
-        let mut cores = self.cores.iter().peekable();
-        self.plan.render_tree_with(registry, |at| {
-            let (_, q) = cores.next_if(|(core, _)| *core == at)?;
-            Some(format!("pair filter {}", q.describe()))
+    /// One span note per core of a traced `run`: the path it took.
+    pub(crate) fn notes<'s>(&'s self, run: &'s CompRun) -> impl Iterator<Item = String> + 's {
+        let cores = self.cores.iter().zip(&run.paths);
+        cores.map(|(core, path)| {
+            format!("pair filter {}: {}", core.query.describe(), path.describe())
         })
     }
 
-    /// One span note per gap core of a traced `run`: the path it took.
-    pub(crate) fn path_notes<'s>(&'s self, run: &'s CompRun) -> impl Iterator<Item = String> + 's {
-        let cores = self.cores.iter().zip(&run.paths);
-        cores.map(|((_, q), path)| format!("pair filter {}: {}", q.describe(), path.describe()))
-    }
-
     /// Evaluate the plan one context node at a time over one segment, each
-    /// covered gap core filtering its subtree with the pair walk.
+    /// covered core filtering its subtree with the pair walk.
     pub(crate) fn bind(
         &self,
         corpus: &Corpus,
@@ -84,15 +76,14 @@ impl CompPlan {
     ) -> Result<CompRun, ExecError> {
         let mut gates = Vec::new();
         let mut paths = Vec::new();
-        for (at, q) in &self.cores {
-            let resolved = pairscan::resolve(q, corpus, index);
-            let path = PairPath::of(&resolved);
+        for core in &self.cores {
+            let resolved = pairscan::resolve(&core.query, corpus, index);
             if traced {
-                paths.push(path);
+                paths.push(PairPath::of(&resolved));
             }
             if let Resolved::Covered(lists) = resolved {
-                let filter = Box::new(MinGapWalk::new(lists, q.bound));
-                gates.push(NodeGate { at: *at, filter });
+                let (at, filter) = (core.at, Box::new(MinGapWalk::new(lists, core.query.bound)));
+                gates.push(NodeGate { at, filter });
             }
         }
         let mut ev = AlgebraEvaluator::new(corpus, index, registry);

@@ -4,7 +4,7 @@
 
 use crate::comp::CompPlan;
 use crate::error::ExecError;
-use crate::pairscan::path_note;
+use crate::pairscan::leaf_at;
 use crate::ppred::StreamPlan;
 use ftsl_algebra::from_calculus::query_to_algebra;
 use ftsl_algebra::AlgExpr;
@@ -274,14 +274,25 @@ impl<'q> PreparedQuery<'q> {
 
     /// The operator tree every segment runs, as `EXPLAIN` prints it, in
     /// the one language [`AlgExpr::render_tree`] renders: the streaming
-    /// plan under `plan:`, or COMP's pushed-down algebra under `algebra:`.
+    /// plan under `plan:`, each leaf core's `σ` marked with the pair walk
+    /// that may replace it, or COMP's pushed-down algebra under `algebra:`,
+    /// each core's `σ` marked with the pair walk that may filter it.
     pub fn render_tree(&self) -> String {
-        match &self.shape {
-            Shape::Stream(_, stream) => {
-                format!("plan:\n{}", stream.plan.root.render_tree(self.registry))
-            }
-            Shape::Comp(plan) => format!("algebra:\n{}", plan.render_tree(self.registry)),
-        }
+        let (head, root, cores, mark) = match &self.shape {
+            Shape::Stream(_, stream) => ("plan", &stream.plan.root, &stream.plan.cores, "leaf"),
+            Shape::Comp(plan) => ("algebra", &plan.plan, &plan.cores, "filter"),
+        };
+        // The leaf core whose `π_∅` the previous line printed.
+        let mut leaf = None;
+        let tree = root.render_tree_with(self.registry, |at, node| {
+            let below = std::mem::replace(&mut leaf, leaf_at(cores, node, at));
+            let core = match self.shape {
+                Shape::Stream(..) => below,
+                Shape::Comp(_) => cores.iter().find(|c| c.at == at),
+            };
+            core.map(|c| format!("pair {mark} {}", c.query.describe()))
+        });
+        format!("{head}:\n{tree}")
     }
 
     /// Run the compiled query on one segment, returning its matches (local
@@ -299,15 +310,21 @@ impl<'q> PreparedQuery<'q> {
             .map(|b| b.open(format!("engine {}", self.engine())));
         let (nodes, counters) = match &self.shape {
             Shape::Stream(engine, plan) => {
-                let (nodes, counters) =
-                    plan.bind(corpus, index, self.registry, AdvanceMode::Aggressive);
-                if let (Some(b), Some(id), EngineUsed::Ppred | EngineUsed::Npred) =
-                    (tb.as_mut(), span, *engine)
-                {
-                    b.note(
-                        id,
-                        path_note(plan.plan.cores.iter().any(Option::is_some), &counters),
-                    );
+                let traced = span.is_some() && *engine != EngineUsed::Bool;
+                let mut paths = Vec::new();
+                let (nodes, counters) = plan.bind(
+                    corpus,
+                    index,
+                    self.registry,
+                    AdvanceMode::Aggressive,
+                    traced.then_some(&mut paths),
+                );
+                if let (Some(b), Some(id), true) = (tb.as_mut(), span, traced) {
+                    let unrecognized = "shape not recognized — streaming cursor evaluation";
+                    let described = paths.iter().map(|path| path.describe());
+                    for path in described.chain(paths.is_empty().then_some(unrecognized)) {
+                        b.note(id, format!("pair path: {path}"));
+                    }
                 }
                 (nodes, counters)
             }
@@ -326,7 +343,7 @@ impl<'q> PreparedQuery<'q> {
                             stats.peak_node_tuples
                         ),
                     );
-                    for note in plan.path_notes(&run) {
+                    for note in plan.notes(&run) {
                         b.note(id, note);
                     }
                 }

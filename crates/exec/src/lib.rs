@@ -26,12 +26,12 @@
 //!   query bound to each segment of a [`ftsl_index::Snapshot`], tombstones
 //!   filtered, ids remapped, counters summed; a ranked request scores each
 //!   segment's live answer in the same loop;
-//! * [`pairscan`] — the PPRED fast path for phrase/NEAR shapes: two-scan
-//!   proximity cores resolve once per segment against the index's
-//!   word-pair auxiliary lists ([`ftsl_index::pair`]), and one merged
-//!   min-gap pair-list walk answers both the set query and the proximity
-//!   top-k when coverage allows, with automatic fallback to position
-//!   intersection;
+//! * [`pairscan`] — the pair path for phrase/NEAR shapes: one table of a
+//!   plan's two-scan proximity cores, each resolved once per segment
+//!   against the index's word-pair auxiliary lists ([`ftsl_index::pair`]),
+//!   and one merged min-gap pair-list walk that is a PPRED / NPRED leaf, a
+//!   COMP filter and the proximity top-k when coverage allows, with
+//!   automatic fallback to position intersection;
 //! * [`scored`] — the types of **scored top-k**, dispatched in one place
 //!   by [`SnapshotExecutor::run_top_k_with`]: under either model a top-k
 //!   is the exhaustive ranking ([`SnapshotExecutor::run_ranked`])

@@ -1,45 +1,49 @@
-//! Pair-index leaf: recognize closed two-scan proximity cores and answer
-//! them from the word-pair auxiliary index ([`ftsl_index::pair`]).
+//! Word-pair cores: list a plan's two-scan proximity cores once per query
+//! and answer or filter them from the word-pair auxiliary index
+//! ([`ftsl_index::pair`]).
 //!
-//! A `π_∅` node of a PPRED or NPRED plan (an [`AlgExpr`] tree, as
-//! `explain` prints it) — the whole plan, a union branch, a join side or a
-//! `NOT` filter — of the shape
+//! A maximal `σ` chain of a plan (an [`AlgExpr`] tree, as `explain`
+//! prints it) of the shape
 //!
 //! ```text
-//! project (CNode, [])                      (the core's SOME projections)
-//!   select {ordered | distance | window}*  (≥ 1 gap-bounding predicate)
-//!     join
-//!       scan ("a")                         (R_a)
-//!       scan ("b")                         (R_b)
+//! select {ordered | distance | window | exact_gap}*  (≥ 1 gap-bounding predicate)
+//!   join
+//!     scan ("a")                                     (R_a)
+//!     scan ("b")                                     (R_b)
 //! ```
 //!
-//! asks exactly the question the pair index precomputes: *is there an
-//! occurrence pair of `a` and `b` in this document with forward gap at
-//! most `g`?* `recognize` folds every predicate of such a closed core into
-//! a single gap bound plus an optional direction, a [`PairQuery`]; `cores`
-//! lists the plan's folds once per query. A predicate is folded through
-//! the gap bound it declares ([`ftsl_predicates::Predicate::gap_bound`]),
-//! never by its name, and `ordered` pins the direction; only a core whose
-//! every predicate declares an *exact* bound folds. Pair lists hold no
-//! positions, so an open core or a three-word phrase keeps its positional
-//! cursors.
+//! has rows only at documents holding an occurrence pair of `a` and `b`
+//! with forward gap at most `g`, the question the pair index precomputes.
+//! `cores` lists every such chain as a [`Core`]: its pre-order position,
+//! the [`PairQuery`] its predicates fold into (a gap bound plus an
+//! optional direction) and whether the fold is exact. A predicate folds
+//! through the gap bound it declares
+//! ([`ftsl_predicates::Predicate::gap_bound`]), never by its name, and
+//! `ordered` pins the direction. The core is exact when every predicate
+//! declares an exact bound: its documents are then exactly the query's.
+//! Otherwise the query only implies it (`exact_gap(p1,p2,g)` implies a gap
+//! of at most `g + 1`), and its documents are a subset of the query's.
 //!
-//! COMP asks a weaker question of the same lists. A `σ` chain directly
-//! over a join of two token scans whose predicates declare any bound,
-//! exact or merely implied (`exact_gap(p1,p2,g)` implies a gap of at most
-//! `g + 1`), has rows only at nodes holding such a pair, wherever the
-//! chain sits in the plan. `gap_cores` lists these once per query, and on
-//! each segment a covered one's walk filters the chain's subtree in the
-//! evaluator ([`ftsl_algebra::NodeFilter`]) rather than replacing it.
+//! Each engine reads the one table:
 //!
-//! Each segment then resolves a core (`resolve`) — covered pair lists,
-//! provably empty, or not covered — and every covered caller runs the one
-//! merged min-gap walk: one pair list, or two merged on node id for the
-//! symmetric case, skipping whole blocks on their `min_gap` header. The
-//! plan leaf (`leaf`) and COMP's filter admit every block within the
-//! bound and seek by block headers; the proximity top-k bounds each
-//! segment from its lists' headers (`near_bound`), then walks them
-//! against the heap's threshold (`near_topk_into`).
+//! | engine | core | the pair walk |
+//! |---|---|---|
+//! | PPRED, NPRED | exact, the input of a `π_∅` | is the leaf in place of its subtree ([`crate::build`]) |
+//! | PPRED, NPRED | any other | is not used: positional cursors answer |
+//! | COMP | every one | filters its subtree in the evaluator ([`crate::comp`]) |
+//!
+//! Pair lists hold no positions, so an open core or a three-word phrase
+//! keeps its positional cursors.
+//!
+//! Each segment then resolves a core (`resolve`): covered pair lists,
+//! provably empty, or not covered, which every span notes as its
+//! `PairPath`. Every covered caller runs the one merged min-gap walk:
+//! one pair list, or two merged on node id for the symmetric case,
+//! skipping whole blocks on their `min_gap` header. The leaf and COMP's
+//! filter admit every block within the bound and seek by block headers;
+//! the proximity top-k bounds each segment from its lists' headers
+//! (`near_bound`), then walks them against the heap's threshold
+//! (`near_topk_into`).
 //!
 //! Both halves are total over inputs and *conservative*: any shape,
 //! predicate, bound, or coverage condition outside the contract leaves the
@@ -89,82 +93,65 @@ impl PairQuery {
     }
 }
 
-/// Constraints gathered while walking a candidate plan.
+/// A pair core of a plan: a maximal `σ` chain over a join of two token
+/// scans whose declared gap bounds fold into a [`PairQuery`]. Every row of
+/// the chain lies at a node the query admits, so the pair walk can filter
+/// its subtree (COMP); an exact core holds exactly those nodes, so under a
+/// `π_∅` the walk can replace it (the PPRED / NPRED leaf).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Core {
+    /// The chain's pre-order position in the plan: the root 0, a node
+    /// before its inputs, left before right ([`ftsl_algebra::NodeGate::at`]).
+    pub at: usize,
+    /// The pair query the chain's tightest declared bound implies.
+    pub query: PairQuery,
+    /// Every selection folds whole: each declares an exact bound, the
+    /// direction is consistent, and the arguments are the two scans.
+    pub exact: bool,
+}
+
+/// Constraints gathered while walking a candidate chain.
 #[derive(Default)]
 struct Gathered<'p> {
     /// Token of each leaf scan, in plan order (at most two).
     scans: Vec<&'p str>,
     /// Direction pinned by `ordered(sa, sb)`, as scan indices.
     direction: Option<(usize, usize)>,
-    /// Tightest of the exact gap bounds the selections declare.
-    exact: Option<u32>,
-    /// Tightest of every gap bound they declare, exact or implied.
-    implied: Option<u32>,
+    /// Tightest of the gap bounds the selections declare, exact or implied.
+    bound: Option<u32>,
     /// A selection the fold does not capture whole: an implied-only bound,
     /// no declaration, a contradictory direction, or arguments other than
     /// the two scans. The core's answer is then a subset of the fold's.
     loose: bool,
 }
 
-/// The side table of `root`'s closed proximity cores: one entry per `π_∅`
-/// node a depth-first walk meets (a node before its inputs, left before
-/// right), the [`PairQuery`] it folds into or `None`. The walk does not
-/// enter a folded core, and neither does the cursor builder that reads the
-/// table in the same order ([`crate::build::build_cursor`]).
-pub(crate) fn cores(root: &AlgExpr, registry: &PredicateRegistry) -> Vec<Option<PairQuery>> {
-    fn collect(node: &AlgExpr, registry: &PredicateRegistry, out: &mut Vec<Option<PairQuery>>) {
-        if matches!(node, AlgExpr::Project(_, keep) if keep.is_empty()) {
-            out.push(recognize(node, registry));
-            if out.last().is_some_and(Option::is_some) {
-                return;
+/// The pair cores of `root`, ascending by pre-order position: the one
+/// table both the streaming leaf ([`crate::build::build_cursor`]) and
+/// COMP's filter ([`crate::comp`]) read. The walk does not enter a core.
+pub(crate) fn cores(root: &AlgExpr, registry: &PredicateRegistry) -> Vec<Core> {
+    fn collect(node: &AlgExpr, registry: &PredicateRegistry, pos: &mut usize, out: &mut Vec<Core>) {
+        if let AlgExpr::Select { .. } = node {
+            let mut st = Gathered::default();
+            if walk(node, registry, &mut st).is_some() && st.scans.len() == 2 {
+                if let Some(query) = fold(&st) {
+                    let (at, exact) = (*pos, !st.loose);
+                    out.push(Core { at, query, exact });
+                    *pos += node.size();
+                    return;
+                }
             }
         }
-        match node {
-            AlgExpr::Project(a, _) | AlgExpr::Select { input: a, .. } => collect(a, registry, out),
-            AlgExpr::Join(a, b)
-            | AlgExpr::Union(a, b)
-            | AlgExpr::Intersect(a, b)
-            | AlgExpr::Difference(a, b) => {
-                collect(a, registry, out);
-                collect(b, registry, out);
-            }
-            AlgExpr::SearchContext | AlgExpr::HasPos | AlgExpr::TokenRel(_) => {}
-        }
-    }
-    let mut out = Vec::new();
-    collect(root, registry, &mut out);
-    out
-}
-
-/// COMP's gap cores: every maximal `σ` chain of `root` over a join of two
-/// token scans whose declared gap bounds fold into a [`PairQuery`], with
-/// its pre-order position (a node before its inputs, left before right,
-/// the root at 0), ascending. Each core's rows all lie at nodes that hold
-/// an occurrence pair within the query's bound, so the pair walk filters
-/// its subtree wherever it sits. The walk does not enter a core.
-pub(crate) fn gap_cores(root: &AlgExpr, registry: &PredicateRegistry) -> Vec<(usize, PairQuery)> {
-    fn collect(
-        node: &AlgExpr,
-        registry: &PredicateRegistry,
-        at: &mut usize,
-        out: &mut Vec<(usize, PairQuery)>,
-    ) {
-        if let Some(q) = implied(node, registry) {
-            out.push((*at, q));
-            *at += node.size();
-            return;
-        }
-        *at += 1;
+        *pos += 1;
         match node {
             AlgExpr::Project(a, _) | AlgExpr::Select { input: a, .. } => {
-                collect(a, registry, at, out)
+                collect(a, registry, pos, out)
             }
             AlgExpr::Join(a, b)
             | AlgExpr::Union(a, b)
             | AlgExpr::Intersect(a, b)
             | AlgExpr::Difference(a, b) => {
-                collect(a, registry, at, out);
-                collect(b, registry, at, out);
+                collect(a, registry, pos, out);
+                collect(b, registry, pos, out);
             }
             AlgExpr::SearchContext | AlgExpr::HasPos | AlgExpr::TokenRel(_) => {}
         }
@@ -174,47 +161,24 @@ pub(crate) fn gap_cores(root: &AlgExpr, registry: &PredicateRegistry) -> Vec<(us
     out
 }
 
-/// Try to fold `core`, a `π_∅` node of a plan (pre-join-reordering), into
-/// a [`PairQuery`]. `None` means it is outside the pair fragment and runs
-/// on the ordinary streaming cursors. A folded core holds exactly one join
-/// and no other `π_∅`, and every selection in it folds exactly.
-fn recognize(core: &AlgExpr, registry: &PredicateRegistry) -> Option<PairQuery> {
-    let AlgExpr::Project(input, keep) = core else {
-        return None;
-    };
-    // Projections compose, so a core's bounding selection sits right below
-    // its `π_∅`: any other shape is refused before anything is gathered.
-    let mut st = Gathered::default();
-    if !keep.is_empty() || !matches!(**input, AlgExpr::Select { .. }) {
+/// The core a streaming plan answers with the pair walk at `node`, the
+/// operator at pre-order position `at`: an exact core that is its input
+/// when `node` is a `π_∅`.
+pub(crate) fn leaf_at<'c>(cores: &'c [Core], node: &AlgExpr, at: usize) -> Option<&'c Core> {
+    if !matches!(node, AlgExpr::Project(_, keep) if keep.is_empty()) {
         return None;
     }
-    if walk(input, registry, &mut st).is_none() || st.scans.len() != 2 || st.loose {
-        return None;
-    }
-    fold(&st, st.exact)
+    cores.iter().find(|c| c.at == at + 1 && c.exact)
 }
 
-/// Fold `chain`, a `σ` over a join of two token scans, into the pair
-/// query its declared gap bounds imply, exact or not: every row of the
-/// chain lies at a node the query admits. `None` when it declares none.
-fn implied(chain: &AlgExpr, registry: &PredicateRegistry) -> Option<PairQuery> {
-    let mut st = Gathered::default();
-    if !matches!(chain, AlgExpr::Select { .. })
-        || walk(chain, registry, &mut st).is_none()
-        || st.scans.len() != 2
-    {
-        return None;
-    }
-    fold(&st, st.implied)
-}
-
-/// The [`PairQuery`] of two gathered scans within `bound`.
-fn fold(st: &Gathered<'_>, bound: Option<u32>) -> Option<PairQuery> {
+/// The [`PairQuery`] of two gathered scans within their tightest bound.
+/// When no selection is loose, that bound is exact.
+fn fold(st: &Gathered<'_>) -> Option<PairQuery> {
     // A direction alone (`ordered` without a distance/window) is an
     // unbounded forward search, which the windowed pair index cannot
     // answer; a bound of 0 has no forward witness either (and for equal
     // tokens is satisfied by a shared binding the index cannot see).
-    let bound = bound.filter(|&b| b >= 1)?;
+    let bound = st.bound.filter(|&b| b >= 1)?;
     match st.direction {
         Some((s0, s1)) => Some(PairQuery {
             first: st.scans[s0].to_string(),
@@ -283,10 +247,7 @@ fn walk<'p>(
                 }
                 Some(_) => match pred.gap_bound(consts) {
                     Some(GapBound { max, exact }) => {
-                        st.implied = Some(st.implied.map_or(max, |b| b.min(max)));
-                        if exact {
-                            st.exact = Some(st.exact.map_or(max, |b| b.min(max)));
-                        }
+                        st.bound = Some(st.bound.map_or(max, |b| b.min(max)));
                         st.loose |= !exact;
                     }
                     // samepara, not_distance, …
@@ -468,7 +429,7 @@ impl FtCursor for MinGapWalk<'_> {
     }
 }
 
-/// COMP's evaluator leapfrogs the walk beside a gap core's subtree.
+/// COMP's evaluator leapfrogs the walk beside a pair core's subtree.
 impl ftsl_algebra::NodeFilter for MinGapWalk<'_> {
     fn seek_node(&mut self, target: NodeId) -> Option<NodeId> {
         FtCursor::seek_node(self, target)
@@ -505,37 +466,6 @@ fn next_within(
             None => return None,
         }
     }
-}
-
-/// The leaf that answers core `q` on one segment: the pair walk over its
-/// lists, admitting every block whose `min_gap` is within the bound
-/// (`closeness(min_gap) > 0` exactly then), or no node when the core is
-/// provably empty. `None` when the segment's pair index does not cover it.
-pub(crate) fn leaf<'a>(
-    q: &PairQuery,
-    corpus: &Corpus,
-    index: &'a InvertedIndex,
-) -> Option<MinGapWalk<'a>> {
-    match resolve(q, corpus, index) {
-        Resolved::Covered(lists) => Some(MinGapWalk::new(lists, q.bound)),
-        Resolved::NotCovered(_) => None,
-    }
-}
-
-/// The `pair path: …` note of a span, read off the work it did: a plan's
-/// engine span (`holds_core`: the plan holds a closed proximity core) or
-/// a proximity top-k's segment span (always a core).
-pub(crate) fn path_note(holds_core: bool, counters: &AccessCounters) -> String {
-    let path = if !holds_core {
-        "shape not recognized — streaming cursor evaluation"
-    } else if counters.pair_entries > 0 {
-        PairPath::Walked.describe()
-    } else if counters.positions > 0 || counters.positions_decoded > 0 {
-        PairPath::NotCovered.describe()
-    } else {
-        return "no candidates".to_string();
-    };
-    format!("pair path: {path}")
 }
 
 /// Upper bound on the [`closeness`] score any document of a segment can
@@ -616,94 +546,18 @@ where
 mod tests {
     use super::*;
     use crate::plan::build_plan;
+    use ftsl_algebra::from_calculus::query_to_algebra;
+    use ftsl_algebra::rewrite::push_down;
+    use ftsl_calculus::CalcQuery;
     use ftsl_index::{IndexBuilder, PairConfig};
     use ftsl_lang::{lower, parse, Mode};
 
-    fn recognized(query: &str) -> Option<PairQuery> {
-        let reg = PredicateRegistry::with_builtins();
-        let surface = parse(query, Mode::Comp).unwrap();
-        let expr = lower(&surface, &reg).unwrap();
-        let plan = build_plan(&expr, &reg, false).ok()?;
-        recognize(&plan.root, &reg)
-    }
-
-    #[test]
-    fn ordered_phrase_is_recognized_as_directed() {
-        let q = recognized(
-            "SOME p1 SOME p2 (p1 HAS 'a' AND p2 HAS 'b' \
-             AND ordered(p1,p2) AND distance(p1,p2,0))",
-        )
-        .expect("phrase shape");
-        assert_eq!(
-            q,
-            PairQuery {
-                first: "a".into(),
-                second: "b".into(),
-                directed: true,
-                bound: 1,
-            }
-        );
-    }
-
-    #[test]
-    fn symmetric_distance_is_recognized_as_undirected() {
-        let q = recognized("SOME p1 SOME p2 (p1 HAS 'a' AND p2 HAS 'b' AND distance(p1,p2,4))")
-            .expect("NEAR shape");
-        assert!(!q.directed);
-        assert_eq!(q.bound, 5);
-    }
-
-    #[test]
-    fn window_and_distance_bounds_combine_to_the_tighter_one() {
-        let q = recognized(
-            "SOME p1 SOME p2 (p1 HAS 'a' AND p2 HAS 'b' \
-             AND window(p1,p2,15) AND ordered(p1,p2) AND distance(p1,p2,2))",
-        )
-        .expect("combined shape");
-        assert!(q.directed);
-        assert_eq!(q.bound, 3); // min(15, 2 + 1)
-    }
-
-    #[test]
-    fn out_of_fragment_shapes_are_refused() {
-        // `ordered` alone: no gap bound.
-        assert!(
-            recognized("SOME p1 SOME p2 (p1 HAS 'a' AND p2 HAS 'b' AND ordered(p1,p2))").is_none()
-        );
-        // Same token, symmetric: a shared binding satisfies it trivially.
-        assert!(
-            recognized("SOME p1 SOME p2 (p1 HAS 'a' AND p2 HAS 'a' AND distance(p1,p2,3))")
-                .is_none()
-        );
-        // Same token with `ordered` IS a real self-pair query.
-        assert!(recognized(
-            "SOME p1 SOME p2 (p1 HAS 'a' AND p2 HAS 'a' \
-             AND ordered(p1,p2) AND distance(p1,p2,3))"
-        )
-        .is_some());
-        // Predicates the pair index cannot fold.
-        assert!(recognized(
-            "SOME p1 SOME p2 (p1 HAS 'a' AND p2 HAS 'b' \
-             AND samepara(p1,p2) AND distance(p1,p2,3))"
-        )
-        .is_none());
-        // Three scans.
-        assert!(recognized(
-            "SOME p1 SOME p2 SOME p3 (p1 HAS 'a' AND p2 HAS 'b' AND p3 HAS 'c' \
-             AND distance(p1,p2,3) AND distance(p2,p3,3))"
-        )
-        .is_none());
-        // Union above the core.
-        assert!(recognized(
-            "SOME p1 SOME p2 ((p1 HAS 'a' OR p1 HAS 'b') AND p2 HAS 'c' AND distance(p1,p2,3))"
-        )
-        .is_none());
-        // Contradictory directions.
-        assert!(recognized(
-            "SOME p1 SOME p2 (p1 HAS 'a' AND p2 HAS 'b' \
-             AND ordered(p1,p2) AND ordered(p2,p1) AND distance(p1,p2,3))"
-        )
-        .is_none());
+    /// The pair walk over `q`'s lists, which the index must cover.
+    fn covered<'a>(q: &PairQuery, corpus: &Corpus, index: &'a InvertedIndex) -> MinGapWalk<'a> {
+        match resolve(q, corpus, index) {
+            Resolved::Covered(lists) => MinGapWalk::new(lists, q.bound),
+            Resolved::NotCovered(_) => panic!("{} is not covered", q.describe()),
+        }
     }
 
     #[test]
@@ -723,7 +577,7 @@ mod tests {
                 directed,
                 bound,
             };
-            let mut walk = leaf(&q, &corpus, &index).expect("covered");
+            let mut walk = covered(&q, &corpus, &index);
             std::iter::from_fn(|| walk.advance_node().map(|n| n.0)).collect::<Vec<_>>()
         };
         assert_eq!(run(true, 4), vec![1, 3, 5]);
@@ -749,34 +603,116 @@ mod tests {
             directed: true,
             bound,
         };
-        let mut walk = leaf(&q(1), &corpus, &index).expect("covered");
+        let mut walk = covered(&q(1), &corpus, &index);
         assert_eq!(walk.seek_node(NodeId(301)), Some(NodeId(302)));
         assert_eq!(walk.seek_node(NodeId(10)), Some(NodeId(302)));
         assert_eq!(walk.advance_node(), Some(NodeId(304)));
         let c = walk.counters();
         assert!(c.blocks_skipped >= 1 && c.skipped >= 300, "{c:?}");
         assert!(c.pair_entries < 10, "{c:?}");
-        let mut walk = leaf(&q(3), &corpus, &index).expect("covered");
+        let mut walk = covered(&q(3), &corpus, &index);
         assert_eq!(walk.seek_node(NodeId(301)), Some(NodeId(301)));
         assert_eq!(walk.seek_node(NodeId(600)), None);
         assert_eq!(walk.node(), None);
     }
 
-    /// Every `π_∅` gets one entry, depth-first: the cores under a union
-    /// fold, as does a core in a `NOT` filter; scans do not.
+    /// The one core table, as a streaming plan lists it, or COMP's pushed
+    /// down algebra for a query outside PPRED and NPRED: each core's
+    /// position, query and exactness.
     #[test]
     fn cores_fold_wherever_they_sit() {
         let reg = PredicateRegistry::with_builtins();
-        let core = |a: &str, b: &str| {
-            format!("SOME p1 SOME p2 (p1 HAS '{a}' AND p2 HAS '{b}' AND distance(p1,p2,3))")
+        let core = |a: &str, b: &str, preds: &str| {
+            format!("SOME p1 SOME p2 (p1 HAS '{a}' AND p2 HAS '{b}' AND {preds})")
         };
-        let query = format!("('c' AND NOT {}) OR {}", core("a", "b"), core("d", "e"));
-        let expr = lower(&parse(&query, Mode::Comp).unwrap(), &reg).unwrap();
-        let plan = build_plan(&expr, &reg, false).unwrap();
-        let folded: Vec<Option<String>> = cores(&plan.root, &reg)
-            .into_iter()
-            .map(|q| q.map(|q| q.first + &q.second))
-            .collect();
-        assert_eq!(folded, [None, Some("ab".into()), Some("de".into())]);
+        let near = |a: &str, b: &str| core(a, b, "distance(p1,p2,3)");
+        type Want = [(usize, &'static str, bool)];
+        let table: Vec<(String, &Want)> = vec![
+            (
+                core("a", "b", "ordered(p1,p2) AND distance(p1,p2,0)"),
+                &[(1, "'a' → 'b' within 1", true)],
+            ),
+            (
+                core(
+                    "a",
+                    "b",
+                    "window(p1,p2,15) AND ordered(p1,p2) AND distance(p1,p2,2)",
+                ),
+                &[(1, "'a' → 'b' within 3", true)],
+            ),
+            (
+                core("a", "b", "exact_gap(p1,p2,2)"),
+                &[(1, "'a' ↔ 'b' within 3", false)],
+            ),
+            (
+                core("a", "b", "samepara(p1,p2) AND distance(p1,p2,3)"),
+                &[(1, "'a' ↔ 'b' within 4", false)],
+            ),
+            // One token, symmetric: p1 and p2 may bind one position.
+            (core("a", "a", "distance(p1,p2,3)"), &[]),
+            (
+                core("a", "a", "ordered(p1,p2) AND distance(p1,p2,3)"),
+                &[(1, "'a' → 'a' within 4", true)],
+            ),
+            (
+                core(
+                    "a",
+                    "b",
+                    "ordered(p1,p2) AND ordered(p2,p1) AND distance(p1,p2,3)",
+                ),
+                &[(1, "'a' → 'b' within 4", false)],
+            ),
+            // No gap bound; three scans.
+            (core("a", "b", "ordered(p1,p2)"), &[]),
+            (
+                "SOME p1 SOME p2 SOME p3 (p1 HAS 'a' AND p2 HAS 'b' AND p3 HAS 'c' \
+                 AND distance(p1,p2,3) AND distance(p2,p3,3))"
+                    .into(),
+                &[],
+            ),
+            // A disjunction below the core: a core in each union branch.
+            (
+                "SOME p1 SOME p2 ((p1 HAS 'a' OR p1 HAS 'b') AND p2 HAS 'c' \
+                 AND distance(p1,p2,3))"
+                    .into(),
+                &[
+                    (2, "'a' ↔ 'c' within 4", true),
+                    (7, "'b' ↔ 'c' within 4", true),
+                ],
+            ),
+            // A `NOT` filter in one union branch, a join side in the other:
+            // `union`, `join`, `project`, `scan ("c")`, `difference`,
+            // `search_context`, `project`, then the first core's `σ`.
+            (
+                format!(
+                    "('c' AND NOT {}) OR ('f' AND {})",
+                    near("a", "b"),
+                    near("d", "e")
+                ),
+                &[
+                    (7, "'a' ↔ 'b' within 4", true),
+                    (15, "'d' ↔ 'e' within 4", true),
+                ],
+            ),
+        ];
+        for (query, want) in table {
+            let expr = lower(&parse(&query, Mode::Comp).unwrap(), &reg).unwrap();
+            let root = match build_plan(&expr, &reg, true) {
+                Ok(plan) => plan.root,
+                Err(_) => {
+                    let alg = query_to_algebra(&CalcQuery::new(expr), &reg).unwrap();
+                    push_down(&alg, &reg)
+                }
+            };
+            let got: Vec<_> = cores(&root, &reg)
+                .into_iter()
+                .map(|c| (c.at, c.query.describe(), c.exact))
+                .collect();
+            let want: Vec<_> = want
+                .iter()
+                .map(|&(at, q, e)| (at, q.to_string(), e))
+                .collect();
+            assert_eq!(got, want, "{query}");
+        }
     }
 }

@@ -22,11 +22,11 @@
 //! shape; projections over projections compose.
 //!
 //! The tree carries no variables. What the NPRED engine needs of them —
-//! each negative selection's argument variables — and the closed
-//! proximity cores the word-pair lists answer are side tables of [`Plan`].
+//! each negative selection's argument variables — and the pair cores the
+//! word-pair lists may answer are side tables of [`Plan`].
 
 use crate::error::PlanError;
-use crate::pairscan::{self, PairQuery};
+use crate::pairscan::{self, Core};
 use ftsl_algebra::AlgExpr;
 use ftsl_calculus::ast::{QueryExpr, VarId};
 use ftsl_calculus::vars::free_vars;
@@ -39,9 +39,11 @@ use std::borrow::Borrow;
 pub struct Plan {
     /// The operator tree, in node-level normal form.
     pub root: AlgExpr,
-    /// The proximity core each `π_∅` node of `root` folds into, if any, in
-    /// depth-first order ([`crate::pairscan`]'s side table).
-    pub cores: Vec<Option<PairQuery>>,
+    /// The pair cores of `root` by pre-order position
+    /// ([`crate::pairscan`]'s one table). Each exact one under a `π_∅` is
+    /// a leaf: a segment whose pair index covers it binds the pair walk in
+    /// place of its subtree.
+    pub cores: Vec<Core>,
     /// The argument variables of each negative-predicate selection in
     /// `root`, in argument order, listed in the order a depth-first walk
     /// finishes them (left before right, an input before its selection).

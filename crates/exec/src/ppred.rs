@@ -32,6 +32,7 @@
 use crate::build::{build_cursor, CursorCtx};
 use crate::engine::EngineUsed;
 use crate::error::PlanError;
+use crate::pairscan::PairPath;
 use crate::plan::{build_plan, order_joins_by_selectivity, Plan};
 use ftsl_calculus::ast::{QueryExpr, VarId};
 use ftsl_index::{AccessCounters, InvertedIndex};
@@ -54,7 +55,7 @@ pub fn run_ppred(
     mode: AdvanceMode,
 ) -> Result<(Vec<NodeId>, AccessCounters), PlanError> {
     let plan = StreamPlan::prepare(expr, registry, EngineUsed::Ppred, false)?;
-    Ok(plan.bind(corpus, index, registry, mode))
+    Ok(plan.bind(corpus, index, registry, mode, None))
 }
 
 /// The streaming engines' shape half, compiled once per query: the plan
@@ -101,13 +102,15 @@ impl StreamPlan {
     /// Run the plan on one segment: one cursor scan per ordering, each
     /// join driven from its rarer side by this segment's list lengths.
     /// Counters are summed; the matches of several orderings are sorted
-    /// and deduplicated.
+    /// and deduplicated. `paths`, when given, collects the path each leaf
+    /// core takes on this segment.
     pub(crate) fn bind(
         &self,
         corpus: &Corpus,
         index: &InvertedIndex,
         registry: &PredicateRegistry,
         mode: AdvanceMode,
+        mut paths: Option<&mut Vec<PairPath>>,
     ) -> (Vec<NodeId>, AccessCounters) {
         let swaps = order_joins_by_selectivity(&self.plan.root, corpus, index);
         let ctx = CursorCtx {
@@ -119,7 +122,8 @@ impl StreamPlan {
         let mut nodes = Vec::new();
         let mut counters = AccessCounters::new();
         for arg_orders in &self.orderings {
-            let mut cursor = build_cursor(&self.plan, &swaps, &ctx, arg_orders);
+            // Every ordering binds the same leaves: the first reports them.
+            let mut cursor = build_cursor(&self.plan, &swaps, &ctx, arg_orders, paths.take());
             while let Some(n) = cursor.advance_node() {
                 nodes.push(n);
             }

@@ -40,7 +40,7 @@
 
 use crate::engine::{counter_attrs, EngineKind, ExecOptions, PreparedQuery, QueryOutput};
 use crate::error::ExecError;
-use crate::pairscan::{near_bound, near_topk_into, path_note, resolve, PairQuery};
+use crate::pairscan::{near_bound, near_topk_into, resolve, PairPath, PairQuery};
 use crate::scored::{flat_disjunction, ScoreModel, ScoredOutput, ScoredPath, ScoredTopK};
 use ftsl_algebra::{AlgExpr, AlgebraEvaluator, Scorer};
 use ftsl_index::{AccessCounters, EntryScorer, SegmentData, Snapshot, SnapshotSegment};
@@ -282,7 +282,8 @@ impl<'a> SnapshotExecutor<'a> {
                 (union_bound(&cursors, &union), (union, cursors))
             },
             |_, seg, (union, cursors), topk| {
-                topk_union_into(cursors, &union, topk, Some(seg.data().globals()))
+                let globals = Some(seg.data().globals());
+                (topk_union_into(cursors, &union, topk, globals), None)
             },
         )
     }
@@ -390,11 +391,13 @@ impl<'a> SnapshotExecutor<'a> {
             },
             |_, seg, resolved, topk| {
                 let data = seg.data();
-                near_topk_into(q, resolved, data.index(), topk, |n| {
+                let path = PairPath::of(&resolved);
+                let counters = near_topk_into(q, resolved, data.index(), topk, |n| {
                     seg.deletes()
                         .is_live(n.index())
                         .then(|| data.global_of(n.index()))
-                })
+                });
+                (counters, Some(path))
             },
         )
     }
@@ -404,15 +407,21 @@ impl<'a> SnapshotExecutor<'a> {
     /// will consume), visit the segments in descending-bound order (stable
     /// on ties: snapshot order) so the threshold tightens as early as
     /// possible, skip a segment whose bound cannot enter the heap,
-    /// `evaluate` the rest into the one shared heap, sum their counters,
-    /// and drain the heap in ranking order.
+    /// `evaluate` the rest into the one shared heap, sum their counters
+    /// (noting the pair path each took, if any), and drain the heap in
+    /// ranking order.
     fn walk<P>(
         &self,
         arm: &Arm,
         k: usize,
         scratch: &mut ExecScratch,
         mut bound: impl FnMut(usize, &'a SnapshotSegment) -> (f64, P),
-        mut evaluate: impl FnMut(usize, &'a SnapshotSegment, P, &mut TopK) -> AccessCounters,
+        mut evaluate: impl FnMut(
+            usize,
+            &'a SnapshotSegment,
+            P,
+            &mut TopK,
+        ) -> (AccessCounters, Option<PairPath>),
     ) -> ScoredOutput {
         let segments = self.snapshot.segments();
         let mut plans: Vec<_> = segments
@@ -440,11 +449,11 @@ impl<'a> SnapshotExecutor<'a> {
                 }
                 continue;
             }
-            let delta = evaluate(i, &segments[i], plan, topk);
+            let (delta, path) = evaluate(i, &segments[i], plan, topk);
             if let (Some(b), Some(id)) = (tb.as_mut(), seg_span) {
                 b.note(id, format!("{} bound {bound:.4}", arm.bound));
-                if proximity {
-                    b.note(id, path_note(true, &delta));
+                if let Some(path) = path {
+                    b.note(id, format!("pair path: {}", path.describe()));
                 }
                 counter_attrs(b, id, &delta);
                 b.close(id);

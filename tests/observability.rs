@@ -67,6 +67,48 @@ fn explain_analyze_attributes_the_position_intersection_fallback() {
     assert!(!text.contains("pair path: word-pair list walk"), "{text}");
 }
 
+/// A plan whose cores take different paths notes each core's own: over
+/// two documents, `distance(a,b,8)` (a forward gap of 9) is within the
+/// default pair window (16) and `distance(c,d,40)` (41) is past it. The
+/// plan marks both leaves, and a proximity top-k's segment notes the path
+/// its segment resolved.
+#[test]
+fn explain_analyze_notes_the_path_of_every_core() {
+    let texts = [
+        "the kernel scheduler balances threads",
+        "a kernel module can preempt the scheduler",
+    ];
+    let e = Ftsl::from_texts(&texts);
+    let text = e
+        .explain_analyze(
+            "SOME a SOME b (a HAS 'kernel' AND b HAS 'scheduler' AND distance(a,b,8)) \
+             OR SOME c SOME d (c HAS 'module' AND d HAS 'preempt' AND distance(c,d,40))",
+        )
+        .unwrap();
+    for line in [
+        "· pair path: word-pair list walk",
+        "· pair path: not covered — position-intersection fallback",
+        "· pair leaf 'kernel' ↔ 'scheduler' within 9",
+        "· pair leaf 'module' ↔ 'preempt' within 41",
+    ] {
+        assert!(text.contains(line), "missing {line:?} in:\n{text}");
+    }
+    let traced = Ftsl::from_texts(&texts).with_options(ExecOptions {
+        trace: true,
+        ..ExecOptions::default()
+    });
+    for (bound, path) in [
+        (9, "word-pair list walk"),
+        (41, "not covered — position-intersection fallback"),
+    ] {
+        let near = traced.search_near_top_k("kernel", "scheduler", bound, false, 3);
+        let trace = near.trace.expect("traced");
+        let segment = trace.find("segment 0").expect("an evaluated segment");
+        let note = format!("pair path: {path}");
+        assert!(segment.notes().contains(&note), "{}", trace.render());
+    }
+}
+
 /// Six documents in which `kernel`, `module`, `scheduler` and `cores`
 /// each occur in at least two, so the default pair index covers every
 /// pair of them.
