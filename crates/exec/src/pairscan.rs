@@ -560,6 +560,125 @@ mod tests {
         }
     }
 
+    /// The core table of `query`: its streaming plan's, or, for a query
+    /// outside PPRED and NPRED, that of COMP's pushed-down algebra.
+    fn table(query: &str) -> Vec<Core> {
+        let reg = PredicateRegistry::with_builtins();
+        let expr = lower(&parse(query, Mode::Comp).unwrap(), &reg).unwrap();
+        let root = match build_plan(&expr, &reg, true) {
+            Ok(plan) => plan.root,
+            Err(_) => {
+                let alg = query_to_algebra(&CalcQuery::new(expr), &reg).unwrap();
+                push_down(&alg, &reg)
+            }
+        };
+        cores(&root, &reg)
+    }
+
+    /// The one exact core of `query`, if it has one at the root's input.
+    fn recognized(query: &str) -> Option<PairQuery> {
+        match table(query).as_slice() {
+            [Core {
+                at: 1,
+                query,
+                exact: true,
+            }] => Some(query.clone()),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn ordered_phrase_is_recognized_as_directed() {
+        let q = recognized(
+            "SOME p1 SOME p2 (p1 HAS 'a' AND p2 HAS 'b' \
+             AND ordered(p1,p2) AND distance(p1,p2,0))",
+        )
+        .expect("phrase shape");
+        assert_eq!(
+            q,
+            PairQuery {
+                first: "a".into(),
+                second: "b".into(),
+                directed: true,
+                bound: 1,
+            }
+        );
+    }
+
+    #[test]
+    fn symmetric_distance_is_recognized_as_undirected() {
+        let q = recognized("SOME p1 SOME p2 (p1 HAS 'a' AND p2 HAS 'b' AND distance(p1,p2,4))")
+            .expect("NEAR shape");
+        assert!(!q.directed);
+        assert_eq!(q.bound, 5);
+    }
+
+    #[test]
+    fn window_and_distance_bounds_combine_to_the_tighter_one() {
+        let q = recognized(
+            "SOME p1 SOME p2 (p1 HAS 'a' AND p2 HAS 'b' \
+             AND window(p1,p2,15) AND ordered(p1,p2) AND distance(p1,p2,2))",
+        )
+        .expect("combined shape");
+        assert!(q.directed);
+        assert_eq!(q.bound, 3); // min(15, 2 + 1)
+    }
+
+    /// A shape outside the fragment has no core, or only a loose one that
+    /// COMP can filter with but a leaf cannot replace.
+    #[test]
+    fn out_of_fragment_shapes_are_refused() {
+        // `ordered` alone: no gap bound.
+        assert_eq!(
+            table("SOME p1 SOME p2 (p1 HAS 'a' AND p2 HAS 'b' AND ordered(p1,p2))"),
+            []
+        );
+        // Same token, symmetric: p1 and p2 may bind one position.
+        assert_eq!(
+            table("SOME p1 SOME p2 (p1 HAS 'a' AND p2 HAS 'a' AND distance(p1,p2,3))"),
+            []
+        );
+        // Same token with `ordered` IS a real self-pair query.
+        assert_eq!(
+            recognized(
+                "SOME p1 SOME p2 (p1 HAS 'a' AND p2 HAS 'a' \
+                 AND ordered(p1,p2) AND distance(p1,p2,3))"
+            )
+            .map(|q| q.describe()),
+            Some("'a' → 'a' within 4".into())
+        );
+        // Three scans.
+        assert_eq!(
+            table(
+                "SOME p1 SOME p2 SOME p3 (p1 HAS 'a' AND p2 HAS 'b' AND p3 HAS 'c' \
+                 AND distance(p1,p2,3) AND distance(p2,p3,3))"
+            ),
+            []
+        );
+        // A predicate the pair index cannot fold, and contradictory
+        // directions: loose cores only.
+        let loose = |query: &str| {
+            table(query)
+                .into_iter()
+                .map(|c| (c.at, c.query.describe(), c.exact))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            loose(
+                "SOME p1 SOME p2 (p1 HAS 'a' AND p2 HAS 'b' \
+                 AND samepara(p1,p2) AND distance(p1,p2,3))"
+            ),
+            [(1, "'a' ↔ 'b' within 4".to_string(), false)]
+        );
+        assert_eq!(
+            loose(
+                "SOME p1 SOME p2 (p1 HAS 'a' AND p2 HAS 'b' \
+                 AND ordered(p1,p2) AND ordered(p2,p1) AND distance(p1,p2,3))"
+            ),
+            [(1, "'a' → 'b' within 4".to_string(), false)]
+        );
+    }
+
     #[test]
     fn merge_unions_sorted_lists() {
         // The undirected walk merges the (a, b) and (b, a) lists: each
@@ -616,59 +735,20 @@ mod tests {
         assert_eq!(walk.node(), None);
     }
 
-    /// The one core table, as a streaming plan lists it, or COMP's pushed
-    /// down algebra for a query outside PPRED and NPRED: each core's
-    /// position, query and exactness.
+    /// The one core table's positions, queries and exactness for the
+    /// shapes the named tests above leave out: an implied-only bound, a
+    /// disjunction below the core, and cores in both union branches.
     #[test]
     fn cores_fold_wherever_they_sit() {
-        let reg = PredicateRegistry::with_builtins();
         let core = |a: &str, b: &str, preds: &str| {
             format!("SOME p1 SOME p2 (p1 HAS '{a}' AND p2 HAS '{b}' AND {preds})")
         };
         let near = |a: &str, b: &str| core(a, b, "distance(p1,p2,3)");
         type Want = [(usize, &'static str, bool)];
-        let table: Vec<(String, &Want)> = vec![
-            (
-                core("a", "b", "ordered(p1,p2) AND distance(p1,p2,0)"),
-                &[(1, "'a' → 'b' within 1", true)],
-            ),
-            (
-                core(
-                    "a",
-                    "b",
-                    "window(p1,p2,15) AND ordered(p1,p2) AND distance(p1,p2,2)",
-                ),
-                &[(1, "'a' → 'b' within 3", true)],
-            ),
+        let table_rows: Vec<(String, &Want)> = vec![
             (
                 core("a", "b", "exact_gap(p1,p2,2)"),
                 &[(1, "'a' ↔ 'b' within 3", false)],
-            ),
-            (
-                core("a", "b", "samepara(p1,p2) AND distance(p1,p2,3)"),
-                &[(1, "'a' ↔ 'b' within 4", false)],
-            ),
-            // One token, symmetric: p1 and p2 may bind one position.
-            (core("a", "a", "distance(p1,p2,3)"), &[]),
-            (
-                core("a", "a", "ordered(p1,p2) AND distance(p1,p2,3)"),
-                &[(1, "'a' → 'a' within 4", true)],
-            ),
-            (
-                core(
-                    "a",
-                    "b",
-                    "ordered(p1,p2) AND ordered(p2,p1) AND distance(p1,p2,3)",
-                ),
-                &[(1, "'a' → 'b' within 4", false)],
-            ),
-            // No gap bound; three scans.
-            (core("a", "b", "ordered(p1,p2)"), &[]),
-            (
-                "SOME p1 SOME p2 SOME p3 (p1 HAS 'a' AND p2 HAS 'b' AND p3 HAS 'c' \
-                 AND distance(p1,p2,3) AND distance(p2,p3,3))"
-                    .into(),
-                &[],
             ),
             // A disjunction below the core: a core in each union branch.
             (
@@ -695,16 +775,8 @@ mod tests {
                 ],
             ),
         ];
-        for (query, want) in table {
-            let expr = lower(&parse(&query, Mode::Comp).unwrap(), &reg).unwrap();
-            let root = match build_plan(&expr, &reg, true) {
-                Ok(plan) => plan.root,
-                Err(_) => {
-                    let alg = query_to_algebra(&CalcQuery::new(expr), &reg).unwrap();
-                    push_down(&alg, &reg)
-                }
-            };
-            let got: Vec<_> = cores(&root, &reg)
+        for (query, want) in table_rows {
+            let got: Vec<_> = table(&query)
                 .into_iter()
                 .map(|c| (c.at, c.query.describe(), c.exact))
                 .collect();
